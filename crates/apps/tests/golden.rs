@@ -1,0 +1,169 @@
+//! Golden digests (ROADMAP 4b, first slice): the four applications' smoke
+//! configs × {default, `read_cache` + `wave_pipelining` off, one seeded
+//! fault schedule}, each pinned to a literal `(result hash, makespan in
+//! picoseconds, full Counters)`.
+//!
+//! Every other bit-identity gate in the repo is relative (A vs B inside
+//! one binary), so a change that shifts both sides passes. These literals
+//! make the simulated side absolute: a host-speed refactor must leave them
+//! untouched, and a deliberate model change must update them in the same
+//! commit. On a mismatch the assertion prints the observed row in literal
+//! syntax, ready to paste.
+
+use ppm_apps::barnes_hut::{self as bh, BhParams};
+use ppm_apps::cg::{self, CgParams};
+use ppm_apps::matgen::{self, MatGenParams};
+use ppm_apps::pagerank::{self, PrParams};
+use ppm_core::{ByteHasher, NodeCtx, PpmConfig};
+use ppm_simnet::{FaultConfig, MachineConfig};
+
+/// `Counters::named_fields()` values, in declaration order.
+type CounterRow = [u64; 29];
+
+struct Golden {
+    variant: &'static str,
+    hash: u64,
+    makespan_ps: u64,
+    counters: CounterRow,
+}
+
+/// Every knob `PpmConfig::new` would read from the environment is pinned,
+/// so the CI matrices' `PPM_*` variables cannot move a golden.
+fn variants() -> [(&'static str, PpmConfig); 3] {
+    let base = PpmConfig::new(MachineConfig::new(3, 2))
+        .with_checker(true)
+        .with_host_threads(1)
+        .with_read_cache(true)
+        .with_wave_pipelining(true)
+        .with_adaptive_balance(false)
+        .with_replication(false)
+        .with_sparse_tokens(true)
+        .with_tile_budget(0);
+    [
+        ("default", base),
+        (
+            "opts off",
+            base.with_read_cache(false).with_wave_pipelining(false),
+        ),
+        (
+            "faults seed 23",
+            base.with_faults(FaultConfig::seeded(23, 0.05, 0.03, 0.03)),
+        ),
+    ]
+}
+
+/// FNV-1a over the result words.
+fn fnv(bits: &[u64]) -> u64 {
+    let mut h = ByteHasher::new();
+    for w in bits {
+        h.write(&w.to_le_bytes());
+    }
+    h.finish()
+}
+
+fn check(
+    app: &str,
+    golden: &[Golden],
+    body: impl Fn(&mut NodeCtx<'_>) -> Vec<u64> + Send + Sync + Copy,
+) {
+    let variants = variants();
+    assert_eq!(golden.len(), variants.len());
+    let mut moved = Vec::new();
+    for (g, (variant, cfg)) in golden.iter().zip(variants) {
+        assert_eq!(g.variant, variant);
+        let report = ppm_core::run(cfg, move |node| {
+            let bits = body(node);
+            let violations = node.take_violations();
+            assert!(violations.is_empty(), "conformance: {violations:?}");
+            bits
+        });
+        for r in &report.results {
+            assert_eq!(r, &report.results[0], "{app} [{variant}]: nodes disagree");
+        }
+        let hash = fnv(&report.results[0]);
+        let makespan_ps = report.makespan().as_ps();
+        let counters: CounterRow = report.total_counters().named_fields().map(|(_, v)| v);
+        if (hash, makespan_ps, counters) != (g.hash, g.makespan_ps, g.counters) {
+            moved.push(format!(
+                "    Golden {{ variant: {variant:?}, hash: {hash:#018x}, \
+                 makespan_ps: {makespan_ps}, counters: {counters:?} }},"
+            ));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "{app} moved off its goldens; observed rows:\n{}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn cg_golden() {
+    let mut p = CgParams::cube(8, 15);
+    p.rows_per_vp = 16;
+    check("cg", &CG, move |node| {
+        let (out, _) = cg::ppm::solve(node, &p);
+        let mut bits = vec![out.rr.to_bits()];
+        bits.extend(out.x.iter().map(|v| v.to_bits()));
+        bits
+    });
+}
+
+#[test]
+fn matgen_golden() {
+    let p = MatGenParams::new(4, 8);
+    check("matgen", &MATGEN, move |node| {
+        let (m, _) = matgen::ppm::generate(node, &p);
+        m.iter().map(|v| v.to_bits()).collect()
+    });
+}
+
+#[test]
+fn pagerank_golden() {
+    let p = PrParams::skewed(200);
+    check("pagerank", &PAGERANK, move |node| {
+        let (ranks, _) = pagerank::ppm::rank(node, &p);
+        ranks.iter().map(|v| v.to_bits()).collect()
+    });
+}
+
+#[test]
+fn barnes_hut_golden() {
+    let mut p = BhParams::clustered(128);
+    p.steps = 2;
+    check("barnes_hut", &BARNES_HUT, move |node| {
+        let (bodies, _) = bh::ppm::simulate(node, &p);
+        bodies
+            .iter()
+            .flat_map(|b| [b.x, b.y, b.z, b.vx, b.vy, b.vz].map(f64::to_bits))
+            .collect()
+    });
+}
+
+#[rustfmt::skip]
+const CG: [Golden; 3] = [
+    Golden { variant: "default", hash: 0x2f8a8ed97468dec1, makespan_ps: 2041518400, counters: [273, 88365, 273, 88365, 411088, 0, 138, 13004, 697, 169, 82, 215820, 0, 0, 0, 0, 0, 0, 0, 18736, 13004, 11176, 10, 0, 0, 0, 0, 0, 0] },
+    Golden { variant: "opts off", hash: 0x2f8a8ed97468dec1, makespan_ps: 2355406800, counters: [389, 109941, 389, 109941, 411088, 0, 138, 31740, 697, 227, 120, 215820, 0, 0, 0, 0, 0, 0, 0, 0, 31740, 27240, 0, 0, 0, 0, 0, 0, 0] },
+    Golden { variant: "faults seed 23", hash: 0x2f8a8ed97468dec1, makespan_ps: 3068117365, counters: [477, 90813, 273, 88365, 411088, 0, 138, 13004, 697, 169, 82, 215820, 40, 40, 25, 26, 25, 204, 0, 18736, 13004, 11176, 10, 0, 0, 0, 0, 0, 0] },
+];
+
+#[rustfmt::skip]
+const MATGEN: [Golden; 3] = [
+    Golden { variant: "default", hash: 0xd0a816ed59564c55, makespan_ps: 348784400, counters: [40, 7296, 40, 7296, 60544, 0, 24, 4112, 0, 10, 9, 3064, 0, 0, 0, 0, 0, 0, 0, 0, 4112, 3936, 1, 0, 0, 0, 0, 0, 0] },
+    Golden { variant: "opts off", hash: 0xd0a816ed59564c55, makespan_ps: 348784400, counters: [40, 7296, 40, 7296, 60544, 0, 24, 4112, 0, 10, 9, 3064, 0, 0, 0, 0, 0, 0, 0, 0, 4112, 3936, 0, 0, 0, 0, 0, 0, 0] },
+    Golden { variant: "faults seed 23", hash: 0xd0a816ed59564c55, makespan_ps: 444836529, counters: [72, 7680, 40, 7296, 60544, 0, 24, 4112, 0, 10, 9, 3064, 4, 4, 1, 1, 1, 32, 0, 0, 4112, 3936, 1, 0, 0, 0, 0, 0, 0] },
+];
+
+#[rustfmt::skip]
+const PAGERANK: [Golden; 3] = [
+    Golden { variant: "default", hash: 0x87f1ecb6419889a2, makespan_ps: 1372109600, counters: [204, 116576, 204, 116576, 105560, 0, 120, 0, 23720, 120, 0, 35060, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
+    Golden { variant: "opts off", hash: 0x87f1ecb6419889a2, makespan_ps: 1372109600, counters: [204, 116576, 204, 116576, 105560, 0, 120, 0, 23720, 120, 0, 35060, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
+    Golden { variant: "faults seed 23", hash: 0x87f1ecb6419889a2, makespan_ps: 2289156673, counters: [374, 118616, 204, 116576, 105560, 0, 120, 0, 23720, 120, 0, 35060, 29, 29, 19, 21, 19, 170, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
+];
+
+#[rustfmt::skip]
+const BARNES_HUT: [Golden; 3] = [
+    Golden { variant: "default", hash: 0x2f54fc12141f3f8f, makespan_ps: 1132706400, counters: [264, 131312, 264, 131312, 1173312, 4314, 18, 36876, 2746, 102, 43, 23108, 0, 0, 0, 0, 0, 0, 0, 5608, 36876, 35514, 31, 0, 0, 0, 0, 0, 0] },
+    Golden { variant: "opts off", hash: 0x2f54fc12141f3f8f, makespan_ps: 1247006400, counters: [296, 122512, 296, 122512, 1173312, 4314, 18, 42484, 2746, 118, 52, 23108, 0, 0, 0, 0, 0, 0, 0, 0, 42484, 40966, 0, 0, 0, 0, 0, 0, 0] },
+    Golden { variant: "faults seed 23", hash: 0x2f54fc12141f3f8f, makespan_ps: 1629932989, counters: [346, 132296, 264, 131312, 1173312, 4314, 18, 36876, 2746, 102, 43, 23108, 17, 17, 3, 11, 3, 82, 0, 5608, 36876, 35514, 31, 0, 0, 0, 0, 0, 0] },
+];

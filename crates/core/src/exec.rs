@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll, Waker};
 
 use ppm_simnet::{ArgValue, Message, SimTime};
@@ -44,7 +44,7 @@ use crate::msgs::{
     WriteBundleMsg,
 };
 use crate::nodectx::NodeCtx;
-use crate::state::{merge_vp, DoMode, PhaseKind, ServeHist, Traffic, VpCell};
+use crate::state::{merge_vp, DoMode, PhaseKind, QueuedReq, ServeHist, Traffic, VpCell, VpScratch};
 use crate::vp::Vp;
 
 /// Refresh-push serve-history TTL, in global phases: an element whose last
@@ -346,7 +346,6 @@ fn drive(
     let cfg = nc.config();
     let mut live = k;
     let mut ready: Vec<usize> = (0..k).collect();
-    let mut bufs = WaveBufs::default();
     let mut wave: Option<WaveState> = None;
 
     loop {
@@ -423,7 +422,8 @@ fn drive(
             let mut woken: Vec<usize> = Vec::new();
             loop {
                 let ws = wave.as_mut().expect("checked above");
-                woken.extend(wave_recv_next(nc, cells, ws));
+                let (vps, filled) = wave_recv_next(nc, cells, ws);
+                woken.extend(vps);
                 if ws.next == ws.pending.len() {
                     let ws = wave.take().expect("checked above");
                     finalize_wave(nc, &ws);
@@ -445,7 +445,7 @@ fn drive(
                             vec![
                                 ("dests_done", ArgValue::U64(ws.next as u64)),
                                 ("dests_total", ArgValue::U64(ws.pending.len() as u64)),
-                                ("woken", ArgValue::U64(woken.len() as u64)),
+                                ("woken", ArgValue::U64(filled as u64)),
                             ],
                         );
                     }
@@ -469,7 +469,7 @@ fn drive(
         };
 
         if has_reqs {
-            wave = Some(start_wave(nc, &mut bufs));
+            wave = Some(start_wave(nc));
             continue;
         }
         assert_eq!(
@@ -554,18 +554,49 @@ fn service_tile_faults(nc: &mut NodeCtx<'_>, ready: &mut Vec<usize>) {
     }
 }
 
-/// Reusable wave-construction buffer (bundle-path allocation diet): the
-/// former per-wave `BTreeMap`-of-`BTreeMap` dedup is one flat stable sort
-/// in a buffer that keeps its capacity across waves.
-#[derive(Default)]
-struct WaveBufs {
-    /// `(dest, array, idx, vp, slot)` per queued request.
-    flat: Vec<(usize, u32, u64, usize, u64)>,
+/// One destination's share of a wave. Waiter groups are in CSR form: the
+/// wire entry with ticket `t` asks for element `meta[t]` on behalf of
+/// `waiters[starts[t]..starts[t + 1]]`.
+struct DestPending {
+    dest: usize,
+    starts: Vec<u32>,
+    /// `(vp, slot)` per queued request, grouped by ticket.
+    waiters: Vec<(u32, u32)>,
+    /// `(array, global idx)` per ticket (the read cache needs the index
+    /// on fill).
+    meta: Vec<(u32, u64)>,
 }
 
-/// One destination's share of a wave: the destination node, each request
-/// ticket's `(vp, slot)` waiter group, and each ticket's `(array, idx)`.
-type DestPending = (usize, Vec<Vec<(usize, u64)>>, Vec<(u32, u64)>);
+/// Turn one destination's request queue into its wire entries and waiter
+/// groups: sort in place by `(array, idx)` and give each distinct element
+/// one entry, whose ticket is its rank in that order. The sort key is the
+/// whole request, so the result is a function of the queued *set* — not of
+/// the order VP merges appended it in — and the queue keeps its capacity
+/// for later waves.
+fn build_dest(dest: usize, queue: &mut Vec<QueuedReq>) -> (Vec<msgs::ReqEntry>, DestPending) {
+    queue.sort_unstable_by_key(|r| (r.array, r.idx, r.vp, r.slot));
+    let mut entries: Vec<msgs::ReqEntry> = Vec::new();
+    let mut pend = DestPending {
+        dest,
+        starts: Vec::new(),
+        waiters: Vec::with_capacity(queue.len()),
+        meta: Vec::new(),
+    };
+    for r in queue.drain(..) {
+        if pend.meta.last() != Some(&(r.array, r.idx)) {
+            entries.push(msgs::ReqEntry {
+                array: r.array,
+                idx: r.idx,
+                slot: pend.meta.len() as u32,
+            });
+            pend.starts.push(pend.waiters.len() as u32);
+            pend.meta.push((r.array, r.idx));
+        }
+        pend.waiters.push((r.vp, r.slot));
+    }
+    pend.starts.push(pend.waiters.len() as u32);
+    (entries, pend)
+}
 
 /// A refresh part addressed to this node, parked until the invalidation
 /// sweep has run: `(array, idxs, values, mine_flags)`.
@@ -581,9 +612,7 @@ type CollectedRefresh = (
 /// (`pump_recv` stashes the early ones), so the VP wake order — with or
 /// without pipelining — never depends on network timing (DESIGN.md §13).
 struct WaveState {
-    /// Per destination, ascending: the destination node, each request
-    /// ticket's `(vp, slot)` waiter group, and each ticket's
-    /// `(array, global idx)` (the read cache needs the index on fill).
+    /// Per destination, ascending.
     pending: Vec<DestPending>,
     /// Destinations consumed so far; `pending[next]` is the next to drain.
     next: usize,
@@ -597,28 +626,9 @@ struct WaveState {
 /// duplicate (array, index) requests from different VPs merged into a
 /// single wire entry. Returns the wave's completion state; responses are
 /// consumed by [`wave_recv_next`].
-fn start_wave(nc: &mut NodeCtx<'_>, bufs: &mut WaveBufs) -> WaveState {
+fn start_wave(nc: &mut NodeCtx<'_>) -> WaveState {
     let me = nc.node_id();
     let cfg = nc.config();
-    let phase = {
-        let mut inner = nc.inner.borrow_mut();
-        bufs.flat.clear();
-        for (dest, entries) in inner.reqs.iter_mut().enumerate() {
-            // drain() keeps each destination Vec's capacity for later waves.
-            for e in entries.drain(..) {
-                bufs.flat.push((dest, e.array, e.idx, e.vp, e.slot));
-            }
-        }
-        inner.phase.global_seq
-    };
-    // Stable sort: requests for the same (dest, array, idx) keep their
-    // ascending-VP-rank queue order, so wire bundles and ticket groups are
-    // deterministic (`reqs` is dense and indexed by destination, so the
-    // flat buffer is already in ascending-destination order; the sort's
-    // leading dest key is then a stable no-op).
-    bufs.flat
-        .sort_by_key(|&(dest, array, idx, _, _)| (dest, array, idx));
-
     let mut ws = WaveState {
         pending: Vec::new(),
         next: 0,
@@ -627,48 +637,31 @@ fn start_wave(nc: &mut NodeCtx<'_>, bufs: &mut WaveBufs) -> WaveState {
         bytes_out: 0,
         bytes_in: 0,
     };
-    let mut i = 0;
-    while i < bufs.flat.len() {
-        let dest = bufs.flat[i].0;
-        debug_assert_ne!(dest, me);
-        let mut entries = Vec::new();
-        let mut tickets: Vec<Vec<(usize, u64)>> = Vec::new();
-        let mut meta: Vec<(u32, u64)> = Vec::new();
-        let mut deduped = 0u64;
-        while i < bufs.flat.len() && bufs.flat[i].0 == dest {
-            let (_, array, idx, _, _) = bufs.flat[i];
-            let mut group = Vec::new();
-            while i < bufs.flat.len() {
-                let (d, a, x, vp, slot) = bufs.flat[i];
-                if d != dest || a != array || x != idx {
-                    break;
-                }
-                group.push((vp, slot));
-                i += 1;
-            }
-            deduped += group.len() as u64 - 1;
-            entries.push(msgs::ReqEntry {
-                array,
-                idx,
-                slot: tickets.len() as u64,
-            });
-            tickets.push(group);
-            meta.push((array, idx));
-        }
-        let bytes = cfg.bundle_header_bytes + entries.len() * cfg.req_entry_bytes;
-        ws.dests += 1;
-        ws.entries += entries.len() as u64;
-        ws.bytes_out += bytes as u64;
-        {
+    // `reqs` is dense and indexed by destination, so bundles go out — and
+    // `pending` fills — in ascending destination order.
+    for dest in 0..cfg.nodes() {
+        let (phase, entries, bytes) = {
             let mut inner = nc.inner.borrow_mut();
+            if inner.reqs[dest].is_empty() {
+                continue;
+            }
+            debug_assert_ne!(dest, me);
+            let queued = inner.reqs[dest].len();
+            let (entries, pend) = build_dest(dest, &mut inner.reqs[dest]);
+            ws.pending.push(pend);
+            let bytes = cfg.bundle_header_bytes + entries.len() * cfg.req_entry_bytes;
             inner.traffic.req_bundles_out += 1;
             inner.traffic.req_entries_out += entries.len() as u64;
             inner.traffic.req_bytes_out += bytes as u64;
             inner.counters.msgs_sent += 1;
             inner.counters.bytes_sent += bytes as u64;
             inner.counters.bundles_sent += 1;
-            inner.counters.dedup_reads += deduped;
-        }
+            inner.counters.dedup_reads += (queued - entries.len()) as u64;
+            (inner.phase.global_seq, entries, bytes)
+        };
+        ws.dests += 1;
+        ws.entries += entries.len() as u64;
+        ws.bytes_out += bytes as u64;
         let now = nc.ep.clock.now();
         nc.send_msg(
             Message::new(
@@ -681,20 +674,24 @@ fn start_wave(nc: &mut NodeCtx<'_>, bufs: &mut WaveBufs) -> WaveState {
             ),
             msgs::K_READ_REQ,
         );
-        ws.pending.push((dest, tickets, meta));
     }
     debug_assert!(!ws.pending.is_empty(), "wave started with no requests");
     ws
 }
 
 /// Block for the wave's next destination (ascending order; peers are
-/// serviced and unrelated messages stashed meanwhile), fill the answered
-/// slots — populating the read cache when enabled — and return the VPs
-/// whose reads were satisfied.
-fn wave_recv_next(nc: &mut NodeCtx<'_>, cells: &[Arc<VpCell>], ws: &mut WaveState) -> Vec<usize> {
+/// serviced and unrelated messages stashed meanwhile), park the response
+/// values in the arrays' arenas — populating the read cache when enabled —
+/// and point every answered slot at its value. Returns the VPs whose reads
+/// were satisfied (ascending) and the number of slots filled.
+fn wave_recv_next(
+    nc: &mut NodeCtx<'_>,
+    cells: &[Arc<VpCell>],
+    ws: &mut WaveState,
+) -> (Vec<usize>, usize) {
     let cache_on = nc.config().read_cache;
-    let (dest, tickets, meta) = &mut ws.pending[ws.next];
-    let dest = *dest;
+    let pend = &ws.pending[ws.next];
+    let dest = pend.dest;
     let msg = nc.pump_recv(|m| msgs::untag(m.tag).0 == msgs::K_READ_RESP && m.src == dest);
     let bytes = msg.bytes as u64;
     let resp: RespBundle = msg.take();
@@ -703,38 +700,42 @@ fn wave_recv_next(nc: &mut NodeCtx<'_>, cells: &[Arc<VpCell>], ws: &mut WaveStat
     inner.traffic.resp_bytes_in += bytes;
     inner.counters.msgs_recv += 1;
     inner.counters.bytes_recv += bytes;
-    let mut woken: Vec<usize> = Vec::new();
+    // Each waiter's scratch is locked on its first fill and stays locked
+    // for the rest of the response (no VP polls run meanwhile), so the
+    // guards double as the woken set.
+    let mut locked: Vec<Option<MutexGuard<'_, VpScratch>>> = cells.iter().map(|_| None).collect();
     let mut filled = 0usize;
     let mut idxs: Vec<u64> = Vec::new();
     for part in resp.parts {
-        // The echoed "slots" are our tickets; expand each back to the
-        // (vp, slot) waiters parked on that element.
-        let groups: Vec<Vec<(usize, u64)>> = part
+        // The echoed "slots" are our tickets.
+        if cache_on {
+            idxs.clear();
+            idxs.extend(part.slots.iter().map(|&t| pend.meta[t as usize].1));
+        }
+        debug_assert!(part
             .slots
             .iter()
-            .map(|&t| std::mem::take(&mut tickets[t as usize]))
-            .collect();
-        idxs.clear();
-        idxs.extend(part.slots.iter().map(|&t| {
-            debug_assert_eq!(meta[t as usize].0, part.array, "ticket/part array mismatch");
-            meta[t as usize].1
-        }));
-        inner.garrays[part.array as usize].fulfill_multi(
-            part.values,
-            &idxs,
-            &groups,
-            cache_on,
-            &mut |vp, slot, value| {
-                cells[vp].scratch().slots.fill(slot, value);
-                woken.push(vp);
-                filled += 1;
-            },
-        );
+            .all(|&t| pend.meta[t as usize].0 == part.array));
+        let base = inner.garrays[part.array as usize]
+            .absorb_response(part.values, cache_on.then_some(&idxs[..]));
+        for (pos, &t) in (base..).zip(&part.slots) {
+            let group = pend.starts[t as usize] as usize..pend.starts[t as usize + 1] as usize;
+            filled += group.len();
+            for &(vp, slot) in &pend.waiters[group] {
+                locked[vp as usize]
+                    .get_or_insert_with(|| cells[vp as usize].scratch())
+                    .slots
+                    .fill(slot, pos);
+            }
+        }
     }
     inner.outstanding_reads -= filled;
     ws.bytes_in += bytes;
     ws.next += 1;
-    woken
+    let woken = (0..cells.len())
+        .filter(|&vp| locked[vp].is_some())
+        .collect();
+    (woken, filled)
 }
 
 /// Account a completed wave: counters, the pipelining latency-hiding
@@ -912,6 +913,9 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
             }
         }
         for id in 0..inner.garrays.len() {
+            // Every VP has arrived, so every parked read has resumed and
+            // copied its value out: the phase's response values can go.
+            inner.garrays[id].arena_clear();
             for parcel in inner.garrays[id].drain_writes() {
                 dest_entries[parcel.dest] += parcel.entries;
                 dest_bytes[parcel.dest] += parcel.bytes;
@@ -1232,6 +1236,10 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
         inner.phase.arrived = 0;
         inner.phase.epoch += 1;
         inner.counters.barriers += 1;
+        debug_assert!(
+            inner.garrays.iter().all(|g| g.arena_is_empty()),
+            "response values outlived their global phase"
+        );
     }
 
     if nc.ep.tracer.enabled() {
@@ -2349,3 +2357,7 @@ fn merge_counters(nc: &mut NodeCtx<'_>) {
     let c = std::mem::take(&mut inner.counters);
     nc.ep.counters = nc.ep.counters.merge(&c);
 }
+
+#[cfg(test)]
+#[path = "exec_tests.rs"]
+mod tests;

@@ -72,17 +72,19 @@ pub(crate) fn barrier_meta(phase: u64, round: u32) -> u64 {
 /// One entry of an outgoing read-request bundle. `slot` is a
 /// requester-side ticket: the responder echoes it back, and the requester
 /// fans the value out to every VP waiting on that (array, index).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ReqEntry {
     pub array: u32,
     pub idx: u64,
-    pub slot: u64,
+    pub slot: u32,
 }
 
 /// A bundle of read requests for elements owned by the destination node.
 pub(crate) struct ReqBundle {
     /// Global phase sequence the requests belong to (protocol checking).
     pub phase: u64,
+    /// Ascending by `(array, idx)`, each pair once (the wave builder sorts
+    /// and deduplicates), so every array's entries form one run.
     pub entries: Vec<ReqEntry>,
 }
 
@@ -90,7 +92,7 @@ pub(crate) struct ReqBundle {
 pub(crate) struct RespPart {
     pub array: u32,
     /// Requester-side slots, parallel to `values`.
-    pub slots: Vec<u64>,
+    pub slots: Vec<u32>,
     /// `Vec<T>` for the array's element type.
     pub values: Box<dyn Any + Send>,
 }

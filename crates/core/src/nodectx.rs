@@ -562,30 +562,29 @@ impl<'a> NodeCtx<'a> {
                 .extend(bundle.entries.iter().map(|e| (src, e.array, e.idx)));
         }
 
-        // Group by array, preserving request order within each array.
-        // Dense, indexed by array id: nothing on this path may iterate a
-        // hash map, or its order would show through on the wire.
-        let mut order: Vec<u32> = Vec::new();
-        let mut grouped: Vec<(Vec<u64>, Vec<u64>)> =
-            vec![(Vec::new(), Vec::new()); inner.garrays.len()];
-        for e in &bundle.entries {
-            let g = &mut grouped[e.array as usize];
-            if g.0.is_empty() {
-                order.push(e.array);
-            }
-            g.0.push(e.idx);
-            g.1.push(e.slot);
-        }
-
-        let mut parts = Vec::with_capacity(order.len());
+        // One response part per array. The requester sorts its entries by
+        // (array, idx), so each array is one contiguous run: split in
+        // place, in wire order — nothing here may iterate a hash map, or
+        // its order would show through on the wire.
+        debug_assert!(
+            bundle
+                .entries
+                .windows(2)
+                .all(|w| (w[0].array, w[0].idx) < (w[1].array, w[1].idx)),
+            "read-request entries not sorted by (array, idx)"
+        );
+        let mut parts = Vec::new();
         let mut bytes = self.cfg.bundle_header_bytes;
-        for array in order {
-            let (idxs, slots) = std::mem::take(&mut grouped[array as usize]);
+        let mut idxs: Vec<u64> = Vec::new();
+        for run in bundle.entries.chunk_by(|a, b| a.array == b.array) {
+            let array = run[0].array;
+            idxs.clear();
+            idxs.extend(run.iter().map(|e| e.idx));
             let (values, vbytes) = inner.garrays[array as usize].serve(&idxs);
             bytes += vbytes;
             parts.push(RespPart {
                 array,
-                slots,
+                slots: run.iter().map(|e| e.slot).collect(),
                 values,
             });
         }

@@ -187,15 +187,15 @@ fn fold_wire<T: Elem>(w: WireWrite<T>) -> T {
 
 /// A read request queued in [`Inner`] for the next communication wave:
 /// VP `vp` wants element `idx` of global array `array`, and will receive
-/// it in its private slot `slot`. (The wire format is
+/// its arena position in its private slot `slot`. (The wire format is
 /// [`crate::msgs::ReqEntry`]; requests are deduplicated per
 /// (destination, array, index) when the wave is built.)
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueuedReq {
     pub array: u32,
     pub idx: u64,
-    pub vp: usize,
-    pub slot: u64,
+    pub vp: u32,
+    pub slot: u32,
 }
 
 /// How the current `ppm_do` participates in the cluster.
@@ -223,9 +223,16 @@ pub enum PhaseKind {
 // Per-VP slot table: parking spots for one VP's suspended remote reads.
 // ---------------------------------------------------------------------------
 
+#[derive(Clone, Copy)]
 enum Slot {
+    Free,
     Waiting,
-    Filled { value: Box<dyn Any + Send> },
+    /// Answered: the value sits at this position of the array's response
+    /// arena ([`GArray::arena_get`]) until the phase ends.
+    Filled(u32),
+    /// The future that owned the slot was dropped before its response
+    /// arrived (select-style cancellation); the late fill frees the slot.
+    Cancelled,
 }
 
 /// Parking table for one VP's suspended remote reads. Lives in the VP's
@@ -233,48 +240,61 @@ enum Slot {
 /// and then wakes the owning VP.
 #[derive(Default)]
 pub(crate) struct VpSlots {
-    slots: Vec<Option<Slot>>,
-    free: Vec<usize>,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
 }
 
 impl VpSlots {
-    pub fn alloc(&mut self) -> u64 {
+    pub fn alloc(&mut self) -> u32 {
         match self.free.pop() {
             Some(i) => {
-                debug_assert!(self.slots[i].is_none());
-                self.slots[i] = Some(Slot::Waiting);
-                i as u64
+                debug_assert!(matches!(self.slots[i as usize], Slot::Free));
+                self.slots[i as usize] = Slot::Waiting;
+                i
             }
             None => {
-                self.slots.push(Some(Slot::Waiting));
-                (self.slots.len() - 1) as u64
+                self.slots.push(Slot::Waiting);
+                u32::try_from(self.slots.len() - 1).expect("slot table overflow")
             }
         }
     }
 
-    pub fn fill(&mut self, slot: u64, value: Box<dyn Any + Send>) {
-        let s = self.slots[slot as usize]
-            .replace(Slot::Filled { value })
-            .expect("filling a free slot");
-        match s {
-            Slot::Waiting => {}
-            Slot::Filled { .. } => panic!("slot {slot} filled twice"),
+    fn free(&mut self, slot: u32) {
+        self.slots[slot as usize] = Slot::Free;
+        self.free.push(slot);
+    }
+
+    /// Record that the slot's value landed at arena position `pos`.
+    pub fn fill(&mut self, slot: u32, pos: u32) {
+        match self.slots[slot as usize] {
+            Slot::Waiting => self.slots[slot as usize] = Slot::Filled(pos),
+            Slot::Cancelled => self.free(slot),
+            Slot::Filled(_) => panic!("slot {slot} filled twice"),
+            Slot::Free => panic!("filling a free slot"),
         }
     }
 
-    /// Take the value if the slot has been filled; frees the slot.
-    pub fn try_take(&mut self, slot: u64) -> Option<Box<dyn Any + Send>> {
-        match &self.slots[slot as usize] {
-            Some(Slot::Filled { .. }) => {
-                let s = self.slots[slot as usize].take().expect("checked above");
-                self.free.push(slot as usize);
-                match s {
-                    Slot::Filled { value } => Some(value),
-                    Slot::Waiting => unreachable!(),
-                }
+    /// Take the arena position if the slot has been filled; frees the slot.
+    pub fn try_take(&mut self, slot: u32) -> Option<u32> {
+        match self.slots[slot as usize] {
+            Slot::Filled(pos) => {
+                self.free(slot);
+                Some(pos)
             }
-            Some(Slot::Waiting) => None,
-            None => panic!("polling a freed slot"),
+            Slot::Waiting => None,
+            Slot::Free | Slot::Cancelled => panic!("polling a freed slot"),
+        }
+    }
+
+    /// Give up a slot whose future is being dropped unresolved. An answered
+    /// slot frees now; a waiting one frees when its response arrives (the
+    /// request is already queued or on the wire). Called from `Drop`, so it
+    /// never panics.
+    pub fn release(&mut self, slot: u32) {
+        match self.slots[slot as usize] {
+            Slot::Filled(_) => self.free(slot),
+            Slot::Waiting => self.slots[slot as usize] = Slot::Cancelled,
+            Slot::Free | Slot::Cancelled => {}
         }
     }
 }
@@ -373,10 +393,10 @@ impl<T: Elem> ScratchWrites for WOps<T> {
 /// [`Inner::reqs`] at merge time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScratchReq {
-    pub dest: usize,
+    pub dest: u32,
     pub array: u32,
     pub idx: u64,
-    pub slot: u64,
+    pub slot: u32,
 }
 
 /// Every side effect one VP produces while being polled. Private to the VP
@@ -499,8 +519,19 @@ impl VpCell {
 
     /// VP read of a global shared element.
     pub fn get_global<T: Elem>(&self, inner: &Inner, id: u32, idx: usize) -> GetOutcome<T> {
-        let mut s = self.scratch();
-        let kind = Self::in_phase(&s, "global shared read");
+        self.get_global_in(&mut self.scratch(), inner, id, idx)
+    }
+
+    /// [`Self::get_global`] on an already locked scratch, so a bulk read
+    /// takes the scratch mutex once instead of once per element.
+    pub fn get_global_in<T: Elem>(
+        &self,
+        s: &mut VpScratch,
+        inner: &Inner,
+        id: u32,
+        idx: usize,
+    ) -> GetOutcome<T> {
+        let kind = Self::in_phase(s, "global shared read");
         s.compute += self.cfg.sv_overhead;
         if self.checker_on {
             s.checks.push(CheckEvent::Get {
@@ -547,7 +578,7 @@ impl VpCell {
             let slot = s.slots.alloc();
             s.slots_alloced += 1;
             s.reqs.push(ScratchReq {
-                dest: owner,
+                dest: owner as u32,
                 array: id,
                 idx: idx as u64,
                 slot,
@@ -564,13 +595,16 @@ impl VpCell {
     /// observable: it touches no counters, no compute, no checker. If the
     /// tile is still cold (another tile was serviced first), the fault is
     /// re-recorded — also charge-free — and the VP parks again.
-    pub fn read_local_resident<T: Elem>(&self, inner: &Inner, id: u32, idx: usize) -> Option<T> {
+    pub fn read_local_resident<T: Elem>(
+        s: &mut VpScratch,
+        inner: &Inner,
+        id: u32,
+        idx: usize,
+    ) -> Option<T> {
         let ga = garray_ref::<T>(inner, id);
         let off = ga.dist.local_offset(idx);
         if inner.tile_budget.is_cold(id, off) {
-            self.scratch()
-                .tile_faults
-                .push((id, inner.tile_budget.tile_of(id, off)));
+            s.tile_faults.push((id, inner.tile_budget.tile_of(id, off)));
             return None;
         }
         Some(ga.local[off])
@@ -778,10 +812,10 @@ pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell) -> SimTime {
         }
     }
     for r in s.reqs.drain(..) {
-        inner.reqs[r.dest].push(QueuedReq {
+        inner.reqs[r.dest as usize].push(QueuedReq {
             array: r.array,
             idx: r.idx,
-            vp: cell.id,
+            vp: cell.id as u32,
             slot: r.slot,
         });
     }
@@ -895,6 +929,15 @@ pub(crate) struct GArray<T: Elem> {
     /// remote read; cleared when the array takes writes (exec.rs
     /// invalidation).
     rcache: Vec<(u64, T)>,
+    /// The other half of [`Self::cache_merge`]'s double buffer (kept for
+    /// its capacity only).
+    rcache_spare: Vec<(u64, T)>,
+    /// Response arena: the values of every read-response part received this
+    /// global phase, appended part by part. A parked read's slot holds its
+    /// value's position here ([`VpSlots::fill`]), so delivery costs one
+    /// `u32` per waiter however many VPs share the element. Cleared at
+    /// global phase end — every reader has resumed by then.
+    arena: Vec<T>,
 }
 
 impl<T: Elem> GArray<T> {
@@ -905,7 +948,18 @@ impl<T: Elem> GArray<T> {
             local,
             wlog: Vec::new(),
             rcache: Vec::new(),
+            rcache_spare: Vec::new(),
+            arena: Vec::new(),
         }
+    }
+
+    /// The response value parked at arena position `pos` (from a filled
+    /// slot of the current global phase).
+    pub fn arena_get(&self, pos: u32) -> T {
+        *self
+            .arena
+            .get(pos as usize)
+            .expect("remote read polled after its phase ended")
     }
 
     /// Cached phase-frozen value of remote element `idx`, if known.
@@ -916,12 +970,24 @@ impl<T: Elem> GArray<T> {
             .map(|p| self.rcache[p].1)
     }
 
-    /// Learn (or refresh) the phase-frozen value of remote element `idx`.
-    fn cache_put(&mut self, idx: u64, v: T) {
-        match self.rcache.binary_search_by_key(&idx, |e| e.0) {
-            Ok(p) => self.rcache[p].1 = v,
-            Err(p) => self.rcache.insert(p, (idx, v)),
+    /// Learn (or refresh) the phase-frozen values `new`, ascending by
+    /// index: one linear merge into the sorted cache, through a second
+    /// buffer that is kept for the next merge.
+    fn cache_merge(&mut self, new: impl Iterator<Item = (u64, T)>) {
+        let mut new = new.peekable();
+        let old = std::mem::take(&mut self.rcache);
+        let mut out = std::mem::take(&mut self.rcache_spare);
+        out.clear();
+        for &e in &old {
+            while let Some(n) = new.next_if(|n| n.0 < e.0) {
+                out.push(n);
+            }
+            out.push(new.next_if(|n| n.0 == e.0).unwrap_or(e));
         }
+        out.extend(new);
+        debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "unsorted merge");
+        self.rcache = out;
+        self.rcache_spare = old;
     }
 
     pub fn buffer_assign(&mut self, idx: usize, val: T, key: WriteKey) {
@@ -963,20 +1029,16 @@ pub(crate) trait GArrayObj: Send + Sync {
     /// Read the values at `idxs` (global indices owned by this node);
     /// returns the payload (`Vec<T>`) and its modeled byte size.
     fn serve(&self, idxs: &[u64]) -> (Box<dyn Any + Send>, usize);
-    /// Requester side: value `i` of the response fans out to every
-    /// `(vp, slot)` waiter in `groups[i]` (request deduplication lets many
-    /// VPs share one wire entry for the same remote element); `idxs[i]` is
-    /// the element's global index. With `cache` on, each value also
-    /// populates the read cache. `fill` delivers one boxed value to one
-    /// waiter's slot.
-    fn fulfill_multi(
-        &mut self,
-        values: Box<dyn Any + Send>,
-        idxs: &[u64],
-        groups: &[Vec<(usize, u64)>],
-        cache: bool,
-        fill: &mut dyn FnMut(usize, u64, Box<dyn Any + Send>),
-    );
+    /// Requester side: append a response part's values (`Vec<T>`) to the
+    /// response arena and return the arena position of the first — value
+    /// `i` sits at the returned position plus `i`, which is what the waiters'
+    /// slots are filled with. `cache_idxs`, when given, holds the values'
+    /// global indices (ascending) and populates the read cache.
+    fn absorb_response(&mut self, values: Box<dyn Any + Send>, cache_idxs: Option<&[u64]>) -> u32;
+    /// Drop the phase's response values (global phase end).
+    fn arena_clear(&mut self);
+    /// Whether the response arena is empty (phase-lifetime assertion).
+    fn arena_is_empty(&self) -> bool;
     /// Drain the write buffer into per-destination parcels (the destination
     /// may be this node itself).
     fn drain_writes(&mut self) -> Vec<WriteParcel>;
@@ -1059,27 +1121,30 @@ impl<T: Elem> GArrayObj for GArray<T> {
         (Box::new(values), bytes)
     }
 
-    fn fulfill_multi(
-        &mut self,
-        values: Box<dyn Any + Send>,
-        idxs: &[u64],
-        groups: &[Vec<(usize, u64)>],
-        cache: bool,
-        fill: &mut dyn FnMut(usize, u64, Box<dyn Any + Send>),
-    ) {
+    fn absorb_response(&mut self, values: Box<dyn Any + Send>, cache_idxs: Option<&[u64]>) -> u32 {
         let values = values
             .downcast::<Vec<T>>()
             .expect("response payload type mismatch");
-        debug_assert_eq!(values.len(), groups.len());
-        debug_assert_eq!(values.len(), idxs.len());
-        for ((waiters, &idx), v) in groups.iter().zip(idxs).zip(*values) {
-            if cache {
-                self.cache_put(idx, v);
-            }
-            for &(vp, slot) in waiters {
-                fill(vp, slot, Box::new(v));
-            }
+        if let Some(idxs) = cache_idxs {
+            debug_assert_eq!(values.len(), idxs.len());
+            self.cache_merge(idxs.iter().copied().zip(values.iter().copied()));
         }
+        let base = self.arena.len();
+        self.arena.extend_from_slice(&values);
+        // Slots hold `u32` positions; the end bounds every one of them.
+        assert!(
+            self.arena.len() <= u32::MAX as usize,
+            "response arena overflow"
+        );
+        base as u32
+    }
+
+    fn arena_clear(&mut self) {
+        self.arena.clear();
+    }
+
+    fn arena_is_empty(&self) -> bool {
+        self.arena.is_empty()
     }
 
     fn drain_writes(&mut self) -> Vec<WriteParcel> {
@@ -1201,16 +1266,10 @@ impl<T: Elem> GArrayObj for GArray<T> {
             .expect("refresh payload type mismatch");
         debug_assert_eq!(values.len(), idxs.len());
         debug_assert_eq!(values.len(), take.len());
-        for ((&idx, &v), &t) in idxs.iter().zip(values).zip(take) {
-            if t {
-                debug_assert_ne!(
-                    self.dist.owner(idx as usize),
-                    usize::MAX,
-                    "unreachable: owner() is total"
-                );
-                self.cache_put(idx, v);
-            }
-        }
+        // `idxs` ascends: a refresh part lists written indices in apply
+        // order, which is ascending by index.
+        let taken = idxs.iter().zip(values).zip(take);
+        self.cache_merge(taken.filter_map(|((&idx, &v), &t)| t.then_some((idx, v))));
     }
 
     fn cache_clear(&mut self) {
@@ -1622,7 +1681,7 @@ pub(crate) enum GetOutcome<T> {
     /// The element is owned locally; here is its value.
     Local(T),
     /// The element is remote; the VP parks on this slot.
-    Remote(u64),
+    Remote(u32),
     /// The element is owned locally but its partition tile is spilled
     /// (pseudo-streaming, DESIGN.md §18). The VP parks slot-free; the
     /// executor refills the tile and wakes it, and the deferred re-read
@@ -2078,16 +2137,15 @@ mod tests {
         let s1 = t.alloc();
         assert_ne!(s0, s1);
         assert!(t.try_take(s0).is_none());
-        t.fill(s0, Box::new(1.5f64));
-        let v = t.try_take(s0).expect("filled");
-        assert_eq!(*v.downcast::<f64>().unwrap(), 1.5);
+        t.fill(s0, 7);
+        assert_eq!(t.try_take(s0), Some(7));
         // freed slot is reused
         let s2 = t.alloc();
         assert_eq!(s2, s0);
-        t.fill(s1, Box::new(2u64));
-        t.fill(s2, Box::new(3u64));
-        assert_eq!(*t.try_take(s1).unwrap().downcast::<u64>().unwrap(), 2);
-        assert_eq!(*t.try_take(s2).unwrap().downcast::<u64>().unwrap(), 3);
+        t.fill(s1, 2);
+        t.fill(s2, 3);
+        assert_eq!(t.try_take(s1), Some(2));
+        assert_eq!(t.try_take(s2), Some(3));
     }
 
     #[test]
@@ -2095,8 +2153,64 @@ mod tests {
     fn double_fill_panics() {
         let mut t = VpSlots::default();
         let s = t.alloc();
-        t.fill(s, Box::new(1u8));
-        t.fill(s, Box::new(2u8));
+        t.fill(s, 1);
+        t.fill(s, 2);
+    }
+
+    /// A slot released by a dropped future is reusable exactly once: at
+    /// once if its response had arrived, else after the late fill — which
+    /// must not panic and must not hand the stale position to anyone.
+    #[test]
+    fn released_slots_free_without_leaking() {
+        let mut t = VpSlots::default();
+        let (early, late) = (t.alloc(), t.alloc());
+        t.fill(early, 5);
+        t.release(early);
+        assert_eq!(t.alloc(), early, "answered slot frees on release");
+        t.release(late);
+        assert_eq!(
+            t.alloc(),
+            2,
+            "a cancelled slot stays reserved until its fill"
+        );
+        t.fill(late, 9);
+        assert_eq!(t.alloc(), late, "the late fill frees it");
+        assert!(
+            t.try_take(late).is_none(),
+            "reallocated slot starts waiting"
+        );
+    }
+
+    /// Response parts append to the arena in arrival order and report
+    /// their base position; the cache learns the same values by one sorted
+    /// merge (new indices interleave, known ones refresh); clearing the
+    /// arena leaves the cache alone.
+    #[test]
+    fn response_arena_and_cache_merge() {
+        let mut ga: GArray<u64> = GArray::new(Dist::block(100, 2), 0);
+        let b0 = ga.absorb_response(Box::new(vec![160u64, 180]), Some(&[60, 80]));
+        let b1 = ga.absorb_response(
+            Box::new(vec![150u64, 170, 181, 199]),
+            Some(&[50, 70, 80, 99]),
+        );
+        let b2 = ga.absorb_response(Box::new(vec![1u64]), None);
+        assert_eq!((b0, b1, b2), (0, 2, 6));
+        assert_eq!(ga.arena_get(b1 + 2), 181);
+        assert_eq!(ga.arena_get(b2), 1);
+        assert_eq!(
+            ga.rcache,
+            vec![(50, 150), (60, 160), (70, 170), (80, 181), (99, 199)]
+        );
+        assert_eq!(ga.cache_get(70), Some(170));
+        assert_eq!(ga.cache_get(71), None);
+        ga.refresh_absorb(&[55, 60, 70], &vec![155u64, 0, 171], &[true, false, true]);
+        assert_eq!(ga.cache_get(55), Some(155));
+        assert_eq!(ga.cache_get(60), Some(160), "untaken entry ignored");
+        assert_eq!(ga.cache_get(70), Some(171));
+        assert!(!ga.arena_is_empty());
+        ga.arena_clear();
+        assert!(ga.arena_is_empty());
+        assert_eq!(ga.cache_get(99), Some(199));
     }
 
     #[test]

@@ -121,6 +121,13 @@ impl Gen {
         self.u64() & 1 == 1
     }
 
+    /// Uniform (Fisher–Yates) in-place shuffle.
+    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
+        for i in (1..xs.len()).rev() {
+            xs.swap(i, self.usize_in(0..i + 1));
+        }
+    }
+
     /// A vector whose length is drawn from `len` and whose elements come
     /// from `f`.
     pub fn vec<T>(&mut self, len: Range<usize>, mut f: impl FnMut(&mut Gen) -> T) -> Vec<T> {

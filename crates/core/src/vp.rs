@@ -23,7 +23,7 @@ use std::task::{Context, Poll};
 
 use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::shared::{GlobalShared, NodeShared};
-use crate::state::{DoMode, GetOutcome, PhaseKind, SharedInner, VpCell};
+use crate::state::{garray_ref, DoMode, GetOutcome, PhaseKind, SharedInner, VpCell};
 
 /// Handle given to each virtual processor started by `ppm_do`.
 ///
@@ -245,8 +245,8 @@ impl Phase {
             cell: self.cell.clone(),
             array: g.id,
             idxs: Some(idxs.into_iter().collect()),
-            state: Vec::new(),
-            remaining: 0,
+            values: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -299,10 +299,16 @@ enum GetFutState {
     /// tile (DESIGN.md §18).
     Deferred,
     /// Remote element parked on a wave slot.
-    Slot(u64),
+    Slot(u32),
+    /// Resolved; the slot (if any) has been given back.
+    Done,
 }
 
 /// Future returned by [`Phase::get`].
+///
+/// Dropping it unresolved (select-style cancellation) is allowed: a parked
+/// remote read gives its slot back, and the response — already requested —
+/// is discarded when it arrives.
 pub struct GetFut<T: Elem> {
     inner: SharedInner,
     cell: Arc<VpCell>,
@@ -317,59 +323,71 @@ impl<T: Elem> Future for GetFut<T> {
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
         let this = &mut *self;
-        match this.state {
-            GetFutState::Start => {
-                let outcome = this
-                    .cell
-                    .get_global::<T>(&this.inner.borrow(), this.array, this.idx);
-                match outcome {
-                    GetOutcome::Local(v) => Poll::Ready(v),
-                    GetOutcome::LocalPending => {
-                        this.state = GetFutState::Deferred;
-                        Poll::Pending
-                    }
-                    GetOutcome::Remote(slot) => {
-                        this.state = GetFutState::Slot(slot);
-                        Poll::Pending
-                    }
+        let inner = this.inner.borrow();
+        let got = match this.state {
+            GetFutState::Start => match this.cell.get_global::<T>(&inner, this.array, this.idx) {
+                GetOutcome::Local(v) => Some(v),
+                GetOutcome::LocalPending => {
+                    this.state = GetFutState::Deferred;
+                    None
                 }
-            }
-            GetFutState::Deferred => {
-                match this
-                    .cell
-                    .read_local_resident::<T>(&this.inner.borrow(), this.array, this.idx)
-                {
-                    Some(v) => Poll::Ready(v),
-                    None => Poll::Pending,
+                GetOutcome::Remote(slot) => {
+                    this.state = GetFutState::Slot(slot);
+                    None
                 }
-            }
-            GetFutState::Slot(slot) => match this.cell.scratch().slots.try_take(slot) {
-                Some(boxed) => {
-                    let v = boxed.downcast::<T>().expect("slot value type mismatch");
-                    Poll::Ready(*v)
-                }
-                None => Poll::Pending,
             },
+            GetFutState::Deferred => VpCell::read_local_resident::<T>(
+                &mut this.cell.scratch(),
+                &inner,
+                this.array,
+                this.idx,
+            ),
+            GetFutState::Slot(slot) => {
+                let pos = this.cell.scratch().slots.try_take(slot);
+                pos.map(|pos| garray_ref::<T>(&inner, this.array).arena_get(pos))
+            }
+            GetFutState::Done => panic!("GetFut polled after completion"),
+        };
+        match got {
+            Some(v) => {
+                this.state = GetFutState::Done;
+                Poll::Ready(v)
+            }
+            None => Poll::Pending,
         }
     }
 }
 
-enum ManySlot<T> {
-    Ready(T),
-    Waiting(u64),
+impl<T: Elem> Drop for GetFut<T> {
+    fn drop(&mut self) {
+        if let GetFutState::Slot(slot) = self.state {
+            self.cell.scratch().slots.release(slot);
+        }
+    }
+}
+
+/// An unresolved element of a [`GetManyFut`].
+#[derive(Clone, Copy)]
+enum Pend {
+    /// Remote element parked on a wave slot.
+    Slot(u32),
     /// Local element (at this global index) in a spilled tile, awaiting a
     /// charge-free re-read after the executor refills it.
     Deferred(usize),
 }
 
-/// Future returned by [`Phase::get_many`].
+/// Future returned by [`Phase::get_many`]. Like [`GetFut`], it may be
+/// dropped unresolved.
 pub struct GetManyFut<T: Elem> {
     inner: SharedInner,
     cell: Arc<VpCell>,
     array: u32,
     idxs: Option<Vec<usize>>,
-    state: Vec<ManySlot<T>>,
-    remaining: usize,
+    /// The output, in request order; unresolved positions hold a
+    /// placeholder until `pending` drains.
+    values: Vec<T>,
+    /// `(position in values, what it waits for)` per unresolved element.
+    pending: Vec<(u32, Pend)>,
 }
 
 // Sound: the future holds no self-references (plain owned fields); `T` is
@@ -381,72 +399,62 @@ impl<T: Elem> Future for GetManyFut<T> {
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Vec<T>> {
         let this = &mut *self;
+        // One `Inner` read lock and one scratch lock per poll, in the
+        // executor's order (`Inner`, then scratch).
+        let inner = this.inner.borrow();
+        let mut s = this.cell.scratch();
         if let Some(idxs) = this.idxs.take() {
-            // First poll: issue every access under one `Inner` read lock;
-            // remote ones queue for the next wave together. Cold-tile
-            // locals defer but are charged here, so wave content and
-            // counters match the in-core schedule exactly.
-            let inner = this.inner.borrow();
-            this.state = idxs
-                .into_iter()
-                .map(
-                    |idx| match this.cell.get_global::<T>(&inner, this.array, idx) {
-                        GetOutcome::Local(v) => ManySlot::Ready(v),
-                        GetOutcome::LocalPending => {
-                            this.remaining += 1;
-                            ManySlot::Deferred(idx)
-                        }
-                        GetOutcome::Remote(slot) => {
-                            this.remaining += 1;
-                            ManySlot::Waiting(slot)
-                        }
-                    },
-                )
-                .collect();
+            // First poll: issue every access; remote ones queue for the
+            // next wave together. Cold-tile locals defer but are charged
+            // here, so wave content and counters match the in-core
+            // schedule exactly.
+            this.values.reserve_exact(idxs.len());
+            for (i, idx) in idxs.into_iter().enumerate() {
+                let (v, pend) = match this
+                    .cell
+                    .get_global_in::<T>(&mut s, &inner, this.array, idx)
+                {
+                    GetOutcome::Local(v) => (v, None),
+                    GetOutcome::LocalPending => (T::default(), Some(Pend::Deferred(idx))),
+                    GetOutcome::Remote(slot) => (T::default(), Some(Pend::Slot(slot))),
+                };
+                this.values.push(v);
+                this.pending.extend(pend.map(|p| (i as u32, p)));
+            }
         } else {
-            // Wave-filled slots first (scratch lock), then deferred local
-            // re-reads (inner read lock; re-records faults through the
-            // scratch lock) — the two locks are never held together.
-            {
-                let mut s = this.cell.scratch();
-                for st in this.state.iter_mut() {
-                    if let ManySlot::Waiting(slot) = *st {
-                        if let Some(boxed) = s.slots.try_take(slot) {
-                            let v = boxed.downcast::<T>().expect("slot value type mismatch");
-                            *st = ManySlot::Ready(*v);
-                            this.remaining -= 1;
-                        }
+            let ga = garray_ref::<T>(&inner, this.array);
+            let values = &mut this.values;
+            this.pending.retain(|&(i, pend)| {
+                let got = match pend {
+                    Pend::Slot(slot) => s.slots.try_take(slot).map(|pos| ga.arena_get(pos)),
+                    Pend::Deferred(idx) => {
+                        VpCell::read_local_resident::<T>(&mut s, &inner, this.array, idx)
                     }
+                };
+                if let Some(v) = got {
+                    values[i as usize] = v;
                 }
-            }
-            if this
-                .state
-                .iter()
-                .any(|st| matches!(st, ManySlot::Deferred(_)))
-            {
-                let inner = this.inner.borrow();
-                for st in this.state.iter_mut() {
-                    if let ManySlot::Deferred(idx) = *st {
-                        if let Some(v) = this.cell.read_local_resident::<T>(&inner, this.array, idx)
-                        {
-                            *st = ManySlot::Ready(v);
-                            this.remaining -= 1;
-                        }
-                    }
-                }
-            }
+                got.is_none()
+            });
         }
-        if this.remaining == 0 {
-            let values = std::mem::take(&mut this.state)
-                .into_iter()
-                .map(|s| match s {
-                    ManySlot::Ready(v) => v,
-                    _ => unreachable!("all slots resolved"),
-                })
-                .collect();
-            Poll::Ready(values)
+        if this.pending.is_empty() {
+            Poll::Ready(std::mem::take(&mut this.values))
         } else {
             Poll::Pending
+        }
+    }
+}
+
+impl<T: Elem> Drop for GetManyFut<T> {
+    fn drop(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut s = self.cell.scratch();
+        for &(_, pend) in &self.pending {
+            if let Pend::Slot(slot) = pend {
+                s.slots.release(slot);
+            }
         }
     }
 }

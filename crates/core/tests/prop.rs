@@ -377,12 +377,17 @@ fn sample_sort_matches_std() {
     );
 }
 
-/// Wire emission is a function of the buffered write SET, never of the
-/// order a VP buffered the writes in: shuffling each VP's put order over
-/// its (disjoint) target elements leaves results AND the simulated
-/// makespan bit-identical. Guards the flat write-log drain (sorted by
-/// index at phase end) against regressing into an insertion-ordered — or
-/// hash-ordered — emission path.
+/// Wire emission is a function of the buffered write SET and the queued
+/// read SET, never of the order a VP issued them in or of which host
+/// thread polled it: shuffling each VP's put order over its (disjoint)
+/// target elements and its bulk-read order over a (heavily shared) sample,
+/// at 1 and at 8 host threads, leaves results, the simulated makespan, the
+/// counters AND the whole trace — every wave's entry and byte counts,
+/// every partial wake's destination order and fill count — bit-identical.
+/// Guards the flat write-log drain (sorted by index at phase end) and the
+/// wave builder (request queues sorted by (array, idx) per destination)
+/// against regressing into an insertion-ordered — or hash-ordered —
+/// emission path.
 #[test]
 fn emission_is_insertion_order_independent() {
     forall(
@@ -390,38 +395,64 @@ fn emission_is_insertion_order_independent() {
         16,
         |g| (g.u32_in(2..5), g.usize_in(8..40), g.u64()),
         |&(nodes, len, perm_seed)| {
-            let run_with = |shuffled: bool| {
-                run(PpmConfig::new(MachineConfig::new(nodes, 2)), move |node| {
+            let run_with = |shuffled: bool, threads: usize| {
+                let cfg = PpmConfig::new(MachineConfig::new(nodes, 2)).with_host_threads(threads);
+                let sink = ppm_core::TraceSink::new();
+                let report = ppm_core::run_traced(cfg, &sink, "emission", move |node| {
                     let a = node.alloc_global::<i64>(len);
+                    let sums = node.alloc_global::<i64>(1);
                     node.ppm_do(4, move |vp| async move {
                         let g = vp.global_rank();
                         let k = vp.global_vp_count();
+                        let shuffle = |idxs: &mut Vec<usize>, salt: u64| {
+                            if shuffled {
+                                Gen::new(perm_seed ^ salt ^ g as u64).shuffle(idxs);
+                            }
+                        };
                         vp.global_phase(|ph| async move {
                             // Disjoint targets per VP; the shuffled run
                             // buffers the same writes in a different order.
                             let mut idxs: Vec<usize> = (0..len).filter(|i| i % k == g).collect();
-                            if shuffled {
-                                let mut gen = Gen::new(perm_seed ^ g as u64);
-                                for i in (1..idxs.len()).rev() {
-                                    let j = gen.usize_in(0..i + 1);
-                                    idxs.swap(i, j);
-                                }
-                            }
+                            shuffle(&mut idxs, 0);
                             for i in idxs {
                                 ph.put(&a, i, (i * 3 + 1) as i64);
                             }
                         })
                         .await;
+                        vp.global_phase(|ph| async move {
+                            // Two of every three elements, so most are
+                            // wanted by several VPs of a node at once and
+                            // span every destination; then a dependent
+                            // second wave.
+                            let mut idxs: Vec<usize> =
+                                (0..len).filter(|i| i % 3 != g % 3).collect();
+                            shuffle(&mut idxs, 1);
+                            let first: i64 = ph.get_many(&a, idxs).await.iter().sum();
+                            let next = ph.get(&a, first as usize % len).await;
+                            ph.accumulate(&sums, 0, AccumOp::Add, first ^ next);
+                        })
+                        .await;
                     });
                     let violations = node.take_violations();
                     assert!(violations.is_empty(), "checker: {violations:?}");
-                    node.gather_global(&a)
-                })
+                    (node.gather_global(&a), node.gather_global(&sums))
+                });
+                (
+                    report.results.clone(),
+                    report.makespan(),
+                    report.total_counters(),
+                    sink.chrome_trace_json(),
+                )
             };
-            let base = run_with(false);
-            let shuf = run_with(true);
-            prop_assert_eq!(&base.results, &shuf.results);
-            prop_assert_eq!(base.makespan(), shuf.makespan());
+            let base = run_with(false, 1);
+            prop_assert!(base.2.dedup_reads > 0 && base.2.waves > 0);
+            for (shuffled, threads) in [(true, 1), (false, 8), (true, 8)] {
+                let got = run_with(shuffled, threads);
+                prop_assert_eq!(&base.0, &got.0);
+                prop_assert_eq!(base.1, got.1);
+                prop_assert_eq!(&base.2, &got.2);
+                prop_assert!(base.3 == got.3, "trace JSON differs");
+            }
             Ok(())
         },
     );

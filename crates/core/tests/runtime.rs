@@ -537,6 +537,65 @@ fn get_many_matches_sequential_gets() {
     assert_eq!(report.results.len(), 2);
 }
 
+/// Select-style cancellation: a parked remote `get` / `get_many` that is
+/// polled once and then dropped — before its response arrives, or after —
+/// gives its slot back quietly. The late fill finds no reader and must not
+/// panic, and later reads that reuse the slots see their own values.
+#[test]
+fn dropping_a_parked_read_releases_its_slot() {
+    use std::future::{poll_fn, Future};
+    use std::pin::Pin;
+    use std::task::Poll;
+
+    async fn poll_once<F: Future + Unpin>(f: &mut F) -> Poll<F::Output> {
+        poll_fn(|cx| Poll::Ready(Pin::new(&mut *f).poll(cx))).await
+    }
+
+    for cache in [true, false] {
+        for c in [cfg(2, 2), cfg(3, 1)] {
+            let nodes = c.nodes();
+            let n = nodes * 8;
+            run(c.with_read_cache(cache), move |node| {
+                let a = node.alloc_global::<u64>(n);
+                let lo = node.local_range(&a).start;
+                node.with_local_mut(&a, |s| {
+                    for (off, v) in s.iter_mut().enumerate() {
+                        *v = 1000 + (lo + off) as u64;
+                    }
+                });
+                node.ppm_do(2, move |vp| async move {
+                    // Five elements of the next node's block.
+                    let far: Vec<usize> = (0..5).map(|j| (lo + 8 + j) % n).collect();
+                    let val = |i: usize| 1000 + i as u64;
+                    let f = far.clone();
+                    vp.global_phase(|ph| async move {
+                        // Dropped while still waiting: no wave has run.
+                        let mut waiting = ph.get(&a, f[0]);
+                        assert!(poll_once(&mut waiting).await.is_pending());
+                        drop(waiting);
+                        // Dropped after the response arrived: the awaited
+                        // read below rides the same wave.
+                        let mut answered = ph.get_many(&a, [f[1], f[2]]);
+                        assert!(poll_once(&mut answered).await.is_pending());
+                        assert_eq!(ph.get(&a, f[3]).await, val(f[3]));
+                        drop(answered);
+                        // Freed slots serve later reads correctly.
+                        let got = ph.get_many(&a, f.iter().copied()).await;
+                        assert_eq!(got, f.iter().map(|&i| val(i)).collect::<Vec<_>>());
+                    })
+                    .await;
+                    vp.global_phase(|ph| async move {
+                        assert_eq!(ph.get(&a, far[0]).await, val(far[0]));
+                    })
+                    .await;
+                });
+                let violations = node.take_violations();
+                assert!(violations.is_empty(), "checker: {violations:?}");
+            });
+        }
+    }
+}
+
 #[test]
 #[should_panic(expected = "at least one VP per node")]
 fn collective_do_with_zero_vps_panics() {
