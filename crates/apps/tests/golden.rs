@@ -1,7 +1,11 @@
-//! Golden digests (ROADMAP 4b, first slice): the four applications' smoke
-//! configs × {default, `read_cache` + `wave_pipelining` off, one seeded
-//! fault schedule}, each pinned to a literal `(result hash, makespan in
-//! picoseconds, full Counters)`.
+//! Golden digests (ROADMAP 4b): the four applications' smoke configs ×
+//! {default, `read_cache` + `wave_pipelining` off, one seeded fault
+//! schedule}, plus the accumulate-heavy rows of the second slice — skewed
+//! PageRank under adaptive repartitioning (the rank-keyed accumulate fold
+//! must not notice the partition moving) and one crash row each for
+//! PageRank and CG (the redone phase re-buffers and re-drains the write
+//! log) — each pinned to a literal `(result hash, makespan in picoseconds,
+//! full Counters)`.
 //!
 //! Every other bit-identity gate in the repo is relative (A vs B inside
 //! one binary), so a change that shifts both sides passes. These literals
@@ -27,9 +31,10 @@ struct Golden {
     counters: CounterRow,
 }
 
-/// Every knob `PpmConfig::new` would read from the environment is pinned,
-/// so the CI matrices' `PPM_*` variables cannot move a golden.
-fn variants() -> [(&'static str, PpmConfig); 3] {
+/// The config a golden row's `variant` names. Every knob `PpmConfig::new`
+/// would read from the environment is pinned, so the CI matrices' `PPM_*`
+/// variables cannot move a golden.
+fn variant(name: &str) -> PpmConfig {
     let base = PpmConfig::new(MachineConfig::new(3, 2))
         .with_checker(true)
         .with_host_threads(1)
@@ -39,17 +44,14 @@ fn variants() -> [(&'static str, PpmConfig); 3] {
         .with_replication(false)
         .with_sparse_tokens(true)
         .with_tile_budget(0);
-    [
-        ("default", base),
-        (
-            "opts off",
-            base.with_read_cache(false).with_wave_pipelining(false),
-        ),
-        (
-            "faults seed 23",
-            base.with_faults(FaultConfig::seeded(23, 0.05, 0.03, 0.03)),
-        ),
-    ]
+    match name {
+        "default" => base,
+        "opts off" => base.with_read_cache(false).with_wave_pipelining(false),
+        "faults seed 23" => base.with_faults(FaultConfig::seeded(23, 0.05, 0.03, 0.03)),
+        "adaptive" => base.with_adaptive_balance(true),
+        "crash node 1 phase 3" => base.with_faults(FaultConfig::NONE.with_crash(1, 3)),
+        other => panic!("unknown golden variant {other:?}"),
+    }
 }
 
 /// FNV-1a over the result words.
@@ -66,11 +68,9 @@ fn check(
     golden: &[Golden],
     body: impl Fn(&mut NodeCtx<'_>) -> Vec<u64> + Send + Sync + Copy,
 ) {
-    let variants = variants();
-    assert_eq!(golden.len(), variants.len());
     let mut moved = Vec::new();
-    for (g, (variant, cfg)) in golden.iter().zip(variants) {
-        assert_eq!(g.variant, variant);
+    for g in golden {
+        let (variant, cfg) = (g.variant, variant(g.variant));
         let report = ppm_core::run(cfg, move |node| {
             let bits = body(node);
             let violations = node.take_violations();
@@ -141,10 +141,11 @@ fn barnes_hut_golden() {
 }
 
 #[rustfmt::skip]
-const CG: [Golden; 3] = [
+const CG: [Golden; 4] = [
     Golden { variant: "default", hash: 0x2f8a8ed97468dec1, makespan_ps: 2041518400, counters: [273, 88365, 273, 88365, 411088, 0, 138, 13004, 697, 169, 82, 215820, 0, 0, 0, 0, 0, 0, 0, 18736, 13004, 11176, 10, 0, 0, 0, 0, 0, 0] },
     Golden { variant: "opts off", hash: 0x2f8a8ed97468dec1, makespan_ps: 2355406800, counters: [389, 109941, 389, 109941, 411088, 0, 138, 31740, 697, 227, 120, 215820, 0, 0, 0, 0, 0, 0, 0, 0, 31740, 27240, 0, 0, 0, 0, 0, 0, 0] },
     Golden { variant: "faults seed 23", hash: 0x2f8a8ed97468dec1, makespan_ps: 3068117365, counters: [477, 90813, 273, 88365, 411088, 0, 138, 13004, 697, 169, 82, 215820, 40, 40, 25, 26, 25, 204, 0, 18736, 13004, 11176, 10, 0, 0, 0, 0, 0, 0] },
+    Golden { variant: "crash node 1 phase 3", hash: 0x2f8a8ed97468dec1, makespan_ps: 3047136600, counters: [477, 90813, 273, 88365, 411088, 0, 138, 13004, 697, 169, 82, 215820, 0, 0, 0, 0, 0, 204, 1, 18736, 13004, 11176, 10, 0, 0, 0, 0, 0, 0] },
 ];
 
 #[rustfmt::skip]
@@ -155,10 +156,12 @@ const MATGEN: [Golden; 3] = [
 ];
 
 #[rustfmt::skip]
-const PAGERANK: [Golden; 3] = [
+const PAGERANK: [Golden; 5] = [
     Golden { variant: "default", hash: 0x87f1ecb6419889a2, makespan_ps: 1372109600, counters: [204, 116576, 204, 116576, 105560, 0, 120, 0, 23720, 120, 0, 35060, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
     Golden { variant: "opts off", hash: 0x87f1ecb6419889a2, makespan_ps: 1372109600, counters: [204, 116576, 204, 116576, 105560, 0, 120, 0, 23720, 120, 0, 35060, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
     Golden { variant: "faults seed 23", hash: 0x87f1ecb6419889a2, makespan_ps: 2289156673, counters: [374, 118616, 204, 116576, 105560, 0, 120, 0, 23720, 120, 0, 35060, 29, 29, 19, 21, 19, 170, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
+    Golden { variant: "adaptive", hash: 0x87f1ecb6419889a2, makespan_ps: 1411985400, counters: [210, 128010, 210, 128010, 105560, 0, 120, 0, 29530, 126, 0, 29250, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
+    Golden { variant: "crash node 1 phase 3", hash: 0x87f1ecb6419889a2, makespan_ps: 2373900000, counters: [374, 118616, 204, 116576, 105560, 0, 120, 0, 23720, 120, 0, 35060, 0, 0, 0, 0, 0, 170, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] },
 ];
 
 #[rustfmt::skip]

@@ -83,7 +83,9 @@ fn run_cg(cfg: PpmConfig, params: CgParams) -> Observables {
 /// Streamed runs must match the in-core reference on results, makespan,
 /// and every non-streaming counter, at every budget × host thread count.
 fn assert_streaming_invariant(desc: &str, mk_cfg: &dyn Fn() -> PpmConfig, params: CgParams) {
-    let base = run_cg(mk_cfg().with_host_threads(1), params);
+    // The reference pins the budget off: `PPM_TILE_BUDGET` in the
+    // environment (CI's streaming matrix sets it) must not leak in.
+    let base = run_cg(mk_cfg().with_tile_budget(0).with_host_threads(1), params);
     assert_eq!(base.tile_refills, 0, "{desc}: in-core run refilled tiles");
     assert_eq!(base.tile_spills, 0, "{desc}: in-core run spilled tiles");
     for budget in BUDGETS {
@@ -142,10 +144,11 @@ fn crash_recovery_with_spilled_tiles_is_bit_identical() {
 /// changes the wave structure — so only results are compared).
 #[test]
 fn spmv_chunking_preserves_results_bit_exactly() {
-    let base = run_cg(base_cfg().with_host_threads(1), cg_params());
+    let in_core = || base_cfg().with_tile_budget(0).with_host_threads(1);
+    let base = run_cg(in_core(), cg_params());
     for chunk in [1, 16, 64] {
         let p = cg_params().with_spmv_chunk(chunk);
-        let got = run_cg(base_cfg().with_host_threads(1), p);
+        let got = run_cg(in_core(), p);
         assert_eq!(got.bits, base.bits, "spmv_chunk {chunk} changed results");
         // And chunked + streamed together still match the chunked in-core
         // run on every observable.

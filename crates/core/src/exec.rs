@@ -1020,17 +1020,13 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
         incoming.push((src, bundle));
     }
 
-    // 4. Apply: group parcels by array, sources in ascending order
-    //    (own writes participate as source `me`).
+    // 4. Apply: group parcels by array (own writes participate as source
+    //    `me`; each array's merge takes its sources in ascending order).
     let mut by_array: ParcelsByArray = BTreeMap::new();
-    for (array, payload) in std::mem::take(&mut per_dest[me]) {
-        by_array
-            .entry(array)
-            .or_default()
-            .push((me as u32, payload));
-    }
-    for (src, bundle) in incoming {
-        for (array, payload) in bundle.parts {
+    let own = std::mem::take(&mut per_dest[me]);
+    let remote = incoming.into_iter().map(|(src, b)| (src, b.parts));
+    for (src, parts) in remote.chain([(me as u32, own)]) {
+        for (array, payload) in parts {
             by_array.entry(array).or_default().push((src, payload));
         }
     }
@@ -1081,8 +1077,7 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
         inner
             .serve_hist
             .retain(|_, h| phase <= h.last_serve + SERVE_TTL);
-        for (array, mut parcels) in by_array {
-            parcels.sort_by_key(|(src, _)| *src);
+        for (array, parcels) in by_array {
             let (n, written) = {
                 // Split borrow: applied writes bump tile recency on
                 // resident tiles (write-through without admission,

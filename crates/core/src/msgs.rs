@@ -183,7 +183,8 @@ pub(crate) struct WriteBundleMsg {
     pub phase: u64,
     /// Total entries across parts (for traffic accounting).
     pub entries: u64,
-    /// `(array id, Vec<(u64 idx, WireWrite<T>)>)` per touched array.
+    /// `(array id, WriteCols<T>)` per touched array: the sender's resolved
+    /// writes to this owner as flat columns (`crate::state::WriteCols`).
     pub parts: Vec<(u32, Box<dyn Any + Send>)>,
 }
 

@@ -16,12 +16,12 @@
 //!
 //! * reads see phase-start values because writes are *buffered* (the live
 //!   arrays are never mutated during a phase body);
-//! * `put` conflicts resolve deterministically by [`WriteKey`] (global VP
+//! * `put` conflicts resolve deterministically by write key — (global VP
 //!   rank, program order) — last writer wins;
 //! * `accumulate` writes ship as rank-keyed raw contributions (one bundle
 //!   *entry* per node per element, carrying that node's contribution list)
-//!   and the owner flat-folds the concatenation in ascending (global VP
-//!   rank, program order) — a *canonical* order independent of where
+//!   and the owner flat-folds them in ascending (global VP rank, program
+//!   order) — a *canonical* order independent of where
 //!   partition boundaries fall, so floating-point results are
 //!   bit-reproducible and **placement-invariant**: any contiguous
 //!   repartitioning (see `balance.rs`) folds the same contributions in the
@@ -32,6 +32,8 @@
 //!   a programming error and panics.
 
 use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -43,146 +45,258 @@ use crate::config::PpmConfig;
 use crate::dist::Dist;
 use crate::elem::{AccumElem, AccumOp, Elem};
 
-/// Deterministic ordering key for assign conflicts: (global VP rank,
-/// per-VP write sequence number). Later keys win.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct WriteKey {
-    pub vp: u64,
-    pub seq: u64,
+/// What one buffered write does to its element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WKind {
+    /// `put`: the last writer in (global VP rank, program order) wins.
+    Assign,
+    /// `accumulate`: every contribution folds, in ascending (global VP
+    /// rank, program order).
+    Accum(AccumOp),
 }
 
-/// A buffered write, as shipped in write bundles.
-///
-/// `Accum` carries the monomorphized combiner so the type-erased apply path
-/// can merge values without knowing `T: AccumElem`, plus the raw
-/// `(global VP rank, value)` contribution list sorted by rank: the owner
-/// concatenates the lists from all source nodes and flat-folds in ascending
-/// rank order, which is the canonical fold order of a sequential
-/// ascending-rank schedule. Because the contribution order is keyed by VP
-/// rank — not by which node happened to own the writer — the fold is
-/// invariant under repartitioning. The modeled wire cost of an entry stays
-/// one combined value (see `drain_writes`); the rank tags are free protocol
-/// sidecar, like write keys.
-#[derive(Debug, Clone)]
-pub(crate) enum WireWrite<T> {
-    Assign(T, WriteKey),
-    Accum {
-        op: AccumOp,
-        f: fn(AccumOp, T, T) -> T,
-        /// `(global VP rank, value)` contributions, ascending by rank,
-        /// program order within a rank.
-        parts: Vec<(u64, T)>,
-    },
+/// `len` as a `u32` CSR offset into a parcel's contribution columns.
+fn csr_offset(len: usize) -> u32 {
+    assert!(len <= u32::MAX as usize, "write log overflow");
+    len as u32
 }
 
-/// One buffered, not-yet-published write op, as appended to an array's
-/// flat write log. The log is append-only during a phase body (O(1) per
-/// write, no per-element map lookup); grouping, last-writer resolution,
-/// and accumulate folding all happen once, at drain time, over the
-/// stable-sorted log. `Accum` keeps the raw contribution rather than an
-/// eagerly-folded running value: contributions flat-fold in ascending
-/// (rank, program order) when the buffer drains, so the floating-point
-/// result depends only on each VP's program order — never on the
-/// poll-round structure that interleaved the VPs' merges. Wake-on-arrival
-/// pipelining changes that structure (DESIGN.md §13), so this is what
-/// keeps results bit-identical with pipelining on or off.
+/// One buffered, not-yet-published write op.
 #[derive(Clone, Copy)]
-enum WEntry<T> {
-    Assign(T, WriteKey),
-    Accum {
-        op: AccumOp,
-        f: fn(AccumOp, T, T) -> T,
-        /// Contributing VP's global rank.
-        rank: u64,
-        val: T,
-    },
+struct WRec<T> {
+    idx: u64,
+    val: T,
+    /// The writer's node-relative VP rank.
+    vp: u32,
+    kind: WKind,
 }
 
-/// Resolve one element's log run (all ops for `idx`, in merge-arrival
-/// order: ascending rank, program order within a rank) into its wire
-/// form. Assign runs keep the highest [`WriteKey`]; accumulate runs check
-/// operator agreement and sort contributions into ascending global-rank
-/// order (the stable sort keeps arrival order for equal ranks). The
-/// contributions ship raw, rank-keyed: folding happens once, at the
-/// owner, over the concatenation from all source nodes
-/// (`resolve_conflicts`), so the fold order never depends on which node a
-/// contributing VP lived on. Mixing `put` and `accumulate` on one element
-/// panics here — at the phase boundary, same run, same message as the old
-/// buffer-time check.
-fn resolve_run<T: Elem>(what: &str, idx: usize, run: &[(usize, WEntry<T>)]) -> WireWrite<T> {
-    match run[0].1 {
-        WEntry::Assign(..) => {
-            let mut best: Option<(T, WriteKey)> = None;
-            for &(_, e) in run {
-                match e {
-                    WEntry::Assign(v, k) => {
-                        if best.is_none_or(|(_, bk)| k > bk) {
-                            best = Some((v, k));
-                        }
-                    }
-                    WEntry::Accum { .. } => {
-                        panic!("{what}element {idx}: put and accumulate mixed in one phase")
-                    }
+/// Flat append-only write log. A VP records into a log of its own per
+/// touched array ([`VpScratch`]); each merge bulk-appends that to the
+/// array's log. Appending is all that happens during a phase body —
+/// ordering, last-writer resolution and operator checks run once, at the
+/// phase boundary ([`Self::drain`]), and contributions stay raw until the
+/// owner folds them, so a floating-point result depends only on each VP's
+/// program order, never on the poll-round structure that interleaved the
+/// merges (which wave pipelining changes, DESIGN.md §13). The array-side
+/// buffer lives for one phase: the drain frees it, so an idle array's log
+/// holds no memory.
+#[derive(Default)]
+struct WLog<T> {
+    recs: Vec<WRec<T>>,
+    /// Global rank of this node's VP 0: what `WRec::vp` is relative to.
+    base: u64,
+    /// The element type's combiner, captured where `T: AccumElem` is known
+    /// so the type-erased replay and apply paths can fold. It is
+    /// `T::combine` for every accumulate, hence stored once.
+    combine: Option<fn(AccumOp, T, T) -> T>,
+}
+
+/// Stable least-significant-digit radix sort by a `u64` key, one byte per
+/// pass through a second buffer. Bytes that are the same in every key cost
+/// no pass, so the work follows the key range in use, and an
+/// already-ascending input (CG's put pattern) returns after one scan.
+fn radix_sort_by_key<R: Copy>(recs: &mut Vec<R>, key: impl Fn(&R) -> u64) {
+    let Some(first) = recs.first().map(&key) else {
+        return;
+    };
+    let (mut sorted, mut prev, mut differ) = (true, first, 0);
+    for k in recs.iter().map(&key) {
+        sorted &= prev <= k;
+        prev = k;
+        differ |= k ^ first;
+    }
+    if sorted {
+        return;
+    }
+    // Every slot is overwritten before each swap.
+    let mut spare = recs.clone();
+    for shift in (0..64).step_by(8).filter(|s| (differ >> s) & 0xff != 0) {
+        let digit = |r: &R| (key(r) >> shift) as usize & 0xff;
+        let mut next = [0usize; 256];
+        recs.iter().for_each(|r| next[digit(r)] += 1);
+        let mut at = 0;
+        for n in &mut next {
+            at += std::mem::replace(n, at);
+        }
+        for r in recs.iter() {
+            let slot = &mut next[digit(r)];
+            spare[*slot] = *r;
+            *slot += 1;
+        }
+        std::mem::swap(recs, &mut spare);
+    }
+}
+
+impl<T: Elem> WLog<T> {
+    fn is_empty(&self) -> bool {
+        self.recs.is_empty()
+    }
+
+    /// Move `from`'s records (one VP's writes since its last merge) to the
+    /// end of this log; `from` keeps its capacity. `base` is the global
+    /// rank of the node's VP 0.
+    fn append(&mut self, base: u64, from: &mut WLog<T>) {
+        debug_assert!(self.is_empty() || self.base == base);
+        self.base = base;
+        self.recs.append(&mut from.recs);
+        self.combine = self.combine.or(from.combine);
+    }
+
+    /// Resolve and empty the log into one flat parcel per touched
+    /// destination (`owner(idx)` of `dests`), ascending by destination. Two
+    /// stable sorts — by writer, then by element — are the only place
+    /// order is established: they leave each element's ops in ascending
+    /// (global VP rank, program order), and each costs one scan when the
+    /// log already is in that order (a single merge round; ascending
+    /// indices). Each element then ships once: an assign run keeps its
+    /// last writer, an accumulate run every raw contribution, and mixing
+    /// the two — or two operators — on one element panics here, at the
+    /// phase boundary. An entry is modeled as 9 bytes plus one value:
+    /// combining is charged as done sender-side and the rank tags ride
+    /// free, like other protocol sidecars, so repartitioning changes
+    /// neither entry counts nor bytes.
+    fn drain(
+        &mut self,
+        what: &str,
+        dests: usize,
+        owner: impl Fn(usize) -> usize,
+    ) -> Vec<(usize, WriteCols<T>)> {
+        let mut out: Vec<(usize, WriteCols<T>)> = Vec::new();
+        // Destination → position in `out`.
+        let mut slot = vec![usize::MAX; dests];
+        let mut recs = std::mem::take(&mut self.recs);
+        radix_sort_by_key(&mut recs, |r| r.vp as u64);
+        radix_sort_by_key(&mut recs, |r| r.idx);
+        for run in recs.chunk_by(|a, b| a.idx == b.idx) {
+            let (idx, kind) = (run[0].idx, run[0].kind);
+            for r in &run[1..] {
+                match (kind, r.kind) {
+                    (WKind::Accum(a), WKind::Accum(b)) => assert_eq!(
+                        a, b,
+                        "{what}element {idx}: conflicting accumulate operators in one phase"
+                    ),
+                    (a, b) => assert!(
+                        a == b,
+                        "{what}element {idx}: put and accumulate mixed in one phase"
+                    ),
                 }
             }
-            let (v, k) = best.expect("non-empty run");
-            WireWrite::Assign(v, k)
+            let run = match kind {
+                WKind::Assign => &run[run.len() - 1..],
+                WKind::Accum(_) => run,
+            };
+            let dest = owner(idx as usize);
+            if slot[dest] == usize::MAX {
+                slot[dest] = out.len();
+                out.push((dest, WriteCols::default()));
+            }
+            let p = &mut out[slot[dest]].1;
+            p.idx.push(idx);
+            p.kind.push(kind);
+            p.starts.push(csr_offset(p.vals.len()));
+            p.ranks.extend(run.iter().map(|r| self.base + r.vp as u64));
+            p.vals.extend(run.iter().map(|r| r.val));
+            p.bytes += 9 + run[0].val.wire_size();
         }
-        WEntry::Accum { op, f, .. } => {
-            let mut parts: Vec<(u64, T)> = Vec::with_capacity(run.len());
-            for &(_, e) in run {
-                match e {
-                    WEntry::Accum {
-                        op: op2, rank, val, ..
-                    } => {
-                        assert_eq!(
-                            op, op2,
-                            "{what}element {idx}: conflicting accumulate operators in one phase"
-                        );
-                        parts.push((rank, val));
-                    }
-                    WEntry::Assign(..) => {
-                        panic!("{what}element {idx}: put and accumulate mixed in one phase")
-                    }
+        out.iter_mut().for_each(|p| p.1.combine = self.combine);
+        // Ascending by node id by construction, never by first-touch (or
+        // hash-iteration) order; a no-op for contiguous layouts.
+        out.sort_unstable_by_key(|p| p.0);
+        out
+    }
+}
+
+/// The resolved writes one node ships to one owner for one array (a
+/// `K_WRITE` bundle part), as flat columns. Entry `e` writes element
+/// `idx[e]` (ascending, each once) from the contributions
+/// `starts[e]..starts[e + 1]` (to the end, for the last entry) of
+/// `ranks`/`vals`: an assign entry has one, its sender's last writer; an
+/// accumulate entry lists that node's raw contributions in ascending
+/// (rank, program order). Shipping contributions rank-keyed instead of a
+/// per-node partial is what makes the fold **placement-invariant**: the
+/// order never depends on which node hosted a contributing VP.
+#[derive(Default)]
+struct WriteCols<T> {
+    idx: Vec<u64>,
+    kind: Vec<WKind>,
+    starts: Vec<u32>,
+    /// Contributing VP's global rank, per contribution.
+    ranks: Vec<u64>,
+    vals: Vec<T>,
+    combine: Option<fn(AccumOp, T, T) -> T>,
+    /// Modeled wire bytes of the entries.
+    bytes: usize,
+}
+
+/// Owner side: k-way merge the index-sorted `parcels` (ascending source
+/// node) and hand each written element's final value to `store`, in
+/// ascending index order. One element's contributions gather into a single
+/// reused buffer, sources ascending. Assigns resolve to the highest rank
+/// (program order within a rank was settled by the sender; two sources
+/// never carry the same rank). Accumulates fold in ascending (global VP
+/// rank, program order) — the fold a sequential ascending-rank schedule
+/// performs, whatever the partitioning; source order usually *is* rank
+/// order, which is checked per element and stable-sorted when not.
+/// Returns the number of entries consumed.
+fn merge_parcels<T: Elem>(parcels: &[Box<WriteCols<T>>], mut store: impl FnMut(u64, T)) -> u64 {
+    let combine = parcels.iter().find_map(|p| p.combine);
+    // (next index, parcel): equal indices pop in ascending source order.
+    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = parcels
+        .iter()
+        .enumerate()
+        .filter_map(|(s, p)| p.idx.first().map(|&i| Reverse((i, s))))
+        .collect();
+    let mut next = vec![0usize; parcels.len()];
+    let mut contribs: Vec<(u64, T)> = Vec::new();
+    let mut applied = 0u64;
+    while let Some(&Reverse((idx, first))) = heads.peek() {
+        let kind = parcels[first].kind[next[first]];
+        contribs.clear();
+        while let Some(mut head) = heads.peek_mut().filter(|h| h.0 .0 == idx) {
+            let s = head.0 .1;
+            let (p, e) = (&parcels[s], next[s]);
+            match (kind, p.kind[e]) {
+                (WKind::Accum(a), WKind::Accum(b)) => {
+                    assert_eq!(a, b, "element {idx}: conflicting accumulate operators")
+                }
+                (a, b) => assert!(
+                    a == b,
+                    "element {idx}: put and accumulate mixed across nodes in one phase"
+                ),
+            }
+            let end = p.starts.get(e + 1).map_or(p.vals.len(), |&c| c as usize);
+            contribs.extend((p.starts[e] as usize..end).map(|c| (p.ranks[c], p.vals[c])));
+            next[s] += 1;
+            applied += 1;
+            match p.idx.get(e + 1) {
+                Some(&i) => head.0 .0 = i,
+                None => {
+                    PeekMut::pop(head);
                 }
             }
-            parts.sort_by_key(|p| p.0);
-            WireWrite::Accum { op, f, parts }
         }
+        let value = match kind {
+            WKind::Assign => {
+                let first = contribs[0];
+                let best = contribs[1..]
+                    .iter()
+                    .fold(first, |best, &c| if c.0 > best.0 { c } else { best });
+                best.1
+            }
+            WKind::Accum(op) => {
+                if !contribs.is_sorted_by_key(|c| c.0) {
+                    contribs.sort_by_key(|c| c.0);
+                }
+                let f = combine.expect("accumulate entry without a combiner");
+                contribs[1..]
+                    .iter()
+                    .fold(contribs[0].1, |acc, c| f(op, acc, c.1))
+            }
+        };
+        store(idx, value);
     }
-}
-
-/// Walk a stable-idx-sorted write log and hand each equal-index run to
-/// `emit`. Shared by the global drain and the node-shared apply.
-fn for_each_run<T: Elem>(
-    log: &[(usize, WEntry<T>)],
-    mut emit: impl FnMut(usize, &[(usize, WEntry<T>)]),
-) {
-    let mut i = 0;
-    while i < log.len() {
-        let idx = log[i].0;
-        let mut j = i + 1;
-        while j < log.len() && log[j].0 == idx {
-            j += 1;
-        }
-        emit(idx, &log[i..j]);
-        i = j;
-    }
-}
-
-/// Flat-fold one wire write into its final value (rank order for
-/// accumulates; the parts of a single [`WireWrite::Accum`] are already
-/// sorted). Used where a single source's write resolves alone (node-shared
-/// apply).
-fn fold_wire<T: Elem>(w: WireWrite<T>) -> T {
-    match w {
-        WireWrite::Assign(v, _) => v,
-        WireWrite::Accum { op, f, parts } => {
-            let mut it = parts.into_iter();
-            let (_, first) = it.next().expect("accum entry with no contributions");
-            it.fold(first, |acc, (_, v)| f(op, acc, v))
-        }
-    }
+    applied
 }
 
 /// A read request queued in [`Inner`] for the next communication wave:
@@ -330,62 +444,38 @@ pub(crate) enum CheckEvent {
     },
 }
 
-/// One buffered write op recorded in a VP's scratch. `Accum` carries the
-/// monomorphized combiner (captured at push time) so replay does not need
-/// a `T: AccumElem` bound.
-enum WOp<T> {
-    Assign(T, WriteKey),
-    Accum(AccumOp, T, fn(AccumOp, T, T) -> T),
-}
-
-/// Type-erased face of one `(space, array)`'s scratch write list, replayed
-/// into the array's phase write buffer at merge time.
+/// Type-erased face of one `(space, array)`'s scratch write log
+/// ([`WLog<T>`]), moved into the array's phase write log at merge time.
 pub(crate) trait ScratchWrites: Send {
     fn as_any(&mut self) -> &mut dyn Any;
     fn is_empty(&self) -> bool;
-    fn replay_global(&mut self, ga: &mut dyn GArrayObj, rank: u64);
-    fn replay_node(&mut self, na: &mut dyn NArrayObj, rank: u64);
+    fn replay_global(&mut self, ga: &mut dyn GArrayObj, base: u64);
+    fn replay_node(&mut self, na: &mut dyn NArrayObj, base: u64);
 }
 
-struct WOps<T: Elem> {
-    ops: Vec<(usize, WOp<T>)>,
-}
-
-impl<T: Elem> ScratchWrites for WOps<T> {
+impl<T: Elem> ScratchWrites for WLog<T> {
     fn as_any(&mut self) -> &mut dyn Any {
         self
     }
 
     fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        WLog::is_empty(self)
     }
 
-    fn replay_global(&mut self, ga: &mut dyn GArrayObj, rank: u64) {
+    fn replay_global(&mut self, ga: &mut dyn GArrayObj, base: u64) {
         let ga = ga
             .as_any()
             .downcast_mut::<GArray<T>>()
             .expect("scratch write buffer type mismatch");
-        // drain() keeps the Vec's capacity: the per-VP lists are reused
-        // across rounds and phases (bundle-path allocation diet).
-        for (idx, op) in self.ops.drain(..) {
-            match op {
-                WOp::Assign(v, k) => ga.buffer_assign(idx, v, k),
-                WOp::Accum(o, v, f) => ga.buffer_accum_with(idx, o, v, f, rank),
-            }
-        }
+        ga.wlog.append(base, self);
     }
 
-    fn replay_node(&mut self, na: &mut dyn NArrayObj, rank: u64) {
+    fn replay_node(&mut self, na: &mut dyn NArrayObj, base: u64) {
         let na = na
             .as_any()
             .downcast_mut::<NArray<T>>()
             .expect("scratch write buffer type mismatch");
-        for (idx, op) in self.ops.drain(..) {
-            match op {
-                WOp::Assign(v, k) => na.buffer_assign(idx, v, k),
-                WOp::Accum(o, v, f) => na.buffer_accum_with(idx, o, v, f, rank),
-            }
-        }
+        na.wlog.append(base, self);
     }
 }
 
@@ -405,8 +495,6 @@ pub(crate) struct ScratchReq {
 /// the executor merges scratches into [`Inner`] in ascending rank order.
 #[derive(Default)]
 pub(crate) struct VpScratch {
-    /// Program-order counter for this VP's writes (conflict resolution).
-    pub write_seq: u64,
     /// Phase this VP is currently inside, if any (guards nested phases and
     /// out-of-phase shared access without reading `Inner`).
     pub cur_phase: Option<PhaseKind>,
@@ -424,8 +512,11 @@ pub(crate) struct VpScratch {
     /// Cold-tile faults (`(array, tile)`) recorded by local reads under a
     /// tile budget; drained into [`Inner::pending_tile_faults`] at merge.
     pub tile_faults: Vec<(u32, u32)>,
-    /// Buffered writes per touched `(space, array)`.
-    writes: Vec<(Space, u32, Box<dyn ScratchWrites>)>,
+    /// Buffered writes to global arrays, indexed by array id; a slot is
+    /// filled by the VP's first write to that array.
+    global_writes: Vec<Option<Box<dyn ScratchWrites>>>,
+    /// Buffered writes to node-shared arrays, likewise.
+    node_writes: Vec<Option<Box<dyn ScratchWrites>>>,
     /// Conformance-checker events in program order.
     pub checks: Vec<CheckEvent>,
     /// Counter deltas.
@@ -436,26 +527,19 @@ pub(crate) struct VpScratch {
 }
 
 impl VpScratch {
-    fn writes_for<T: Elem>(&mut self, space: Space, id: u32) -> &mut Vec<(usize, WOp<T>)> {
-        // Linear scan: programs touch a handful of arrays.
-        let pos = match self
-            .writes
-            .iter()
-            .position(|(s, i, _)| *s == space && *i == id)
-        {
-            Some(p) => p,
-            None => {
-                self.writes
-                    .push((space, id, Box::new(WOps::<T> { ops: Vec::new() })));
-                self.writes.len() - 1
-            }
+    fn writes_for<T: Elem>(&mut self, space: Space, id: u32) -> &mut WLog<T> {
+        let slots = match space {
+            Space::Global => &mut self.global_writes,
+            Space::Node => &mut self.node_writes,
         };
-        &mut self.writes[pos]
-            .2
+        if slots.len() <= id as usize {
+            slots.resize_with(id as usize + 1, || None);
+        }
+        slots[id as usize]
+            .get_or_insert_with(|| Box::new(WLog::<T>::default()))
             .as_any()
-            .downcast_mut::<WOps<T>>()
+            .downcast_mut::<WLog<T>>()
             .expect("scratch write buffer type mismatch")
-            .ops
     }
 }
 
@@ -515,6 +599,26 @@ impl VpCell {
     fn in_phase(s: &VpScratch, what: &str) -> PhaseKind {
         s.cur_phase
             .unwrap_or_else(|| panic!("{what} requires an open phase"))
+    }
+
+    /// Record one write in this VP's scratch log for array `id` of `space`.
+    fn log_write<'s, T: Elem>(
+        &self,
+        s: &'s mut VpScratch,
+        space: Space,
+        id: u32,
+        idx: usize,
+        kind: WKind,
+        val: T,
+    ) -> &'s mut WLog<T> {
+        let log = s.writes_for::<T>(space, id);
+        log.recs.push(WRec {
+            idx: idx as u64,
+            val,
+            vp: self.id as u32,
+            kind,
+        });
+        log
     }
 
     /// VP read of a global shared element.
@@ -636,13 +740,7 @@ impl VpCell {
         } else {
             s.counters.remote_puts += 1;
         }
-        let key = WriteKey {
-            vp: self.global_rank,
-            seq: s.write_seq,
-        };
-        s.write_seq += 1;
-        s.writes_for::<T>(Space::Global, id)
-            .push((idx, WOp::Assign(val, key)));
+        self.log_write(&mut s, Space::Global, id, idx, WKind::Assign, val);
     }
 
     /// VP combining write of a global shared element.
@@ -676,8 +774,8 @@ impl VpCell {
         } else {
             s.counters.remote_puts += 1;
         }
-        s.writes_for::<T>(Space::Global, id)
-            .push((idx, WOp::Accum(op, val, T::combine)));
+        self.log_write(&mut s, Space::Global, id, idx, WKind::Accum(op), val)
+            .combine = Some(T::combine);
     }
 
     /// VP read of a node-shared element (physical shared memory:
@@ -717,13 +815,7 @@ impl VpCell {
         s.counters.local_accesses += 1;
         let na = narray_ref::<T>(inner, id);
         assert!(idx < na.data.len(), "node write index {idx} out of bounds");
-        let key = WriteKey {
-            vp: self.global_rank,
-            seq: s.write_seq,
-        };
-        s.write_seq += 1;
-        s.writes_for::<T>(Space::Node, id)
-            .push((idx, WOp::Assign(val, key)));
+        self.log_write(&mut s, Space::Node, id, idx, WKind::Assign, val);
     }
 
     /// VP combining write of a node-shared element.
@@ -748,8 +840,8 @@ impl VpCell {
         s.counters.local_accesses += 1;
         let na = narray_ref::<T>(inner, id);
         assert!(idx < na.data.len(), "accumulate index {idx} out of bounds");
-        s.writes_for::<T>(Space::Node, id)
-            .push((idx, WOp::Accum(op, val, T::combine)));
+        self.log_write(&mut s, Space::Node, id, idx, WKind::Accum(op), val)
+            .combine = Some(T::combine);
     }
 
     /// Charge `n` floating-point operations of VP-private computation.
@@ -802,13 +894,15 @@ pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell) -> SimTime {
     } else {
         s.checks.clear();
     }
-    for (space, id, w) in s.writes.iter_mut() {
-        if w.is_empty() {
-            continue;
+    let base = cell.global_rank - cell.id as u64;
+    for (id, w) in s.global_writes.iter_mut().enumerate() {
+        if let Some(w) = w.as_mut().filter(|w| !w.is_empty()) {
+            w.replay_global(&mut *inner.garrays[id], base);
         }
-        match space {
-            Space::Global => w.replay_global(&mut *inner.garrays[*id as usize], cell.global_rank),
-            Space::Node => w.replay_node(&mut *inner.narrays[*id as usize], cell.global_rank),
+    }
+    for (id, w) in s.node_writes.iter_mut().enumerate() {
+        if let Some(w) = w.as_mut().filter(|w| !w.is_empty()) {
+            w.replay_node(&mut *inner.narrays[id], base);
         }
     }
     for r in s.reqs.drain(..) {
@@ -908,7 +1002,7 @@ pub(crate) struct WriteParcel {
     pub dest: usize,
     pub entries: u64,
     pub bytes: usize,
-    /// `Vec<(u64 global_idx, WireWrite<T>)>`, sorted by index.
+    /// The array's [`WriteCols<T>`].
     pub payload: Box<dyn Any + Send>,
 }
 
@@ -917,11 +1011,8 @@ pub(crate) struct WriteParcel {
 pub(crate) struct GArray<T: Elem> {
     pub dist: Dist,
     pub local: Vec<T>,
-    /// Flat append-only write log for the current phase, in merge-arrival
-    /// order (ascending VP rank, program order within a rank). Grouped,
-    /// resolved, and drained at the phase boundary — no per-element map in
-    /// the per-write hot path.
-    wlog: Vec<(usize, WEntry<T>)>,
+    /// Write log for the current phase, one segment per VP merge.
+    wlog: WLog<T>,
     /// Remote elements whose phase-frozen value this node has learned —
     /// from response bundles or owner-pushed refreshes — as a flat
     /// `(global index, value)` vec sorted by index (binary-search lookup,
@@ -946,7 +1037,7 @@ impl<T: Elem> GArray<T> {
         GArray {
             dist,
             local,
-            wlog: Vec::new(),
+            wlog: WLog::default(),
             rcache: Vec::new(),
             rcache_spare: Vec::new(),
             arena: Vec::new(),
@@ -988,35 +1079,6 @@ impl<T: Elem> GArray<T> {
         debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "unsorted merge");
         self.rcache = out;
         self.rcache_spare = old;
-    }
-
-    pub fn buffer_assign(&mut self, idx: usize, val: T, key: WriteKey) {
-        self.wlog.push((idx, WEntry::Assign(val, key)));
-    }
-
-    /// Append a combining write with an explicit combiner, so the
-    /// type-erased scratch-replay path (`T: Elem` only) can buffer
-    /// accumulates recorded during VP polls. `rank` is the contributing
-    /// VP's global rank (see [`WEntry`] for why contributions are
-    /// rank-keyed).
-    pub fn buffer_accum_with(
-        &mut self,
-        idx: usize,
-        op: AccumOp,
-        val: T,
-        f: fn(AccumOp, T, T) -> T,
-        rank: u64,
-    ) {
-        self.wlog.push((idx, WEntry::Accum { op, f, rank, val }));
-    }
-}
-
-#[cfg(test)]
-impl<T: AccumElem> GArray<T> {
-    /// Test convenience: accumulate with the element's own combiner as
-    /// VP rank 0.
-    pub fn buffer_accum(&mut self, idx: usize, op: AccumOp, val: T) {
-        self.buffer_accum_with(idx, op, val, T::combine, 0);
     }
 }
 
@@ -1151,82 +1213,37 @@ impl<T: Elem> GArrayObj for GArray<T> {
         if self.wlog.is_empty() {
             return Vec::new();
         }
-        let mut log = std::mem::take(&mut self.wlog);
-        // Stable sort groups each element's ops while keeping their
-        // merge-arrival order (ascending rank, program order within a
-        // rank) — the canonical order `resolve_run` relies on.
-        log.sort_by_key(|(idx, _)| *idx);
-        // Dense per-destination buckets: emission is ascending by node id
-        // by construction, never keyed by hash-iteration order. Entries
-        // land in each bucket in ascending index order because the log is
-        // sorted by index.
-        let mut by_dest: Vec<Vec<(u64, WireWrite<T>)>> = Vec::new();
-        by_dest.resize_with(self.dist.nodes, Vec::new);
-        for_each_run(&log, |idx, run| {
-            by_dest[self.dist.owner(idx)].push((idx as u64, resolve_run("", idx, run)));
-        });
-        by_dest
+        let dist = &self.dist;
+        let parcels = self.wlog.drain("", dist.nodes, |idx| dist.owner(idx));
+        parcels
             .into_iter()
-            .enumerate()
-            .filter(|(_, entries)| !entries.is_empty())
-            .map(|(dest, entries)| {
-                // One combined value per entry: an accumulate entry is
-                // modeled as pre-combined on the wire (its rank-keyed
-                // contribution list is free sidecar), so repartitioning
-                // changes neither entry counts nor bytes.
-                let bytes: usize = entries
-                    .iter()
-                    .map(|(_, w)| {
-                        9 + match w {
-                            WireWrite::Assign(v, _) => v.wire_size(),
-                            WireWrite::Accum { parts, .. } => parts
-                                .first()
-                                .expect("accum entry with no contributions")
-                                .1
-                                .wire_size(),
-                        }
-                    })
-                    .sum();
-                WriteParcel {
-                    dest,
-                    entries: entries.len() as u64,
-                    bytes,
-                    payload: Box::new(entries),
-                }
+            .map(|(dest, cols)| WriteParcel {
+                dest,
+                entries: cols.idx.len() as u64,
+                bytes: cols.bytes,
+                payload: Box::new(cols),
             })
             .collect()
     }
 
     fn apply_writes(
         &mut self,
-        parcels: Vec<(u32, Box<dyn Any + Send>)>,
+        mut parcels: Vec<(u32, Box<dyn Any + Send>)>,
         touch: &mut dyn FnMut(usize),
     ) -> (u64, Vec<u64>) {
-        let mut all: Vec<(u64, u32, WireWrite<T>)> = Vec::new();
-        for (src, payload) in parcels {
-            let entries = payload
-                .downcast::<Vec<(u64, WireWrite<T>)>>()
-                .expect("write parcel type mismatch");
-            all.extend(entries.into_iter().map(|(idx, w)| (idx, src, w)));
-        }
         // Deterministic application order: by element, then by source node.
-        all.sort_by_key(|(idx, src, _)| (*idx, *src));
-        let applied = all.len() as u64;
+        parcels.sort_by_key(|(src, _)| *src);
+        let parcels: Vec<Box<WriteCols<T>>> = parcels
+            .into_iter()
+            .map(|(_, p)| p.downcast().expect("write parcel type mismatch"))
+            .collect();
         let mut written = Vec::new();
-        let mut i = 0;
-        while i < all.len() {
-            let idx = all[i].0;
-            let mut j = i + 1;
-            while j < all.len() && all[j].0 == idx {
-                j += 1;
-            }
-            let resolved = resolve_conflicts(idx, &mut all[i..j]);
+        let applied = merge_parcels(&parcels, |idx, value| {
             let off = self.dist.local_offset(idx as usize);
             touch(off);
-            self.local[off] = resolved;
+            self.local[off] = value;
             written.push(idx);
-            i = j;
-        }
+        });
         (applied, written)
     }
 
@@ -1361,101 +1378,25 @@ impl<T: Elem> GArrayObj for GArray<T> {
     }
 }
 
-/// Fold one element's writes (already in deterministic order) into a value.
-///
-/// Assigns resolve by highest [`WriteKey`]. Accumulates resolve in the
-/// *canonical* order: the rank-keyed contribution lists of every source are
-/// concatenated, stable-sorted by global VP rank, and flat-folded ascending
-/// — exactly the fold a single-node (or sequential) run performs, whatever
-/// the partitioning. A rank's contributions all come from the one node that
-/// hosted it, already in program order, so the stable sort never has to
-/// break a tie across sources.
-fn resolve_conflicts<T: Elem>(idx: u64, run: &mut [(u64, u32, WireWrite<T>)]) -> T {
-    let (_, _, first) = run.first().expect("non-empty run");
-    match first {
-        WireWrite::Assign(..) => {
-            let mut best: Option<(T, WriteKey)> = None;
-            for (_, _, w) in run.iter() {
-                match w {
-                    WireWrite::Assign(v, k) => {
-                        if best.is_none_or(|(_, bk)| *k > bk) {
-                            best = Some((*v, *k));
-                        }
-                    }
-                    WireWrite::Accum { .. } => {
-                        panic!("element {idx}: put and accumulate mixed across nodes in one phase")
-                    }
-                }
-            }
-            best.expect("non-empty run").0
-        }
-        WireWrite::Accum { op, f, .. } => {
-            let (op, f) = (*op, *f);
-            let mut all: Vec<(u64, T)> = Vec::new();
-            for (_, _, w) in run.iter_mut() {
-                match w {
-                    WireWrite::Accum { op: op2, parts, .. } => {
-                        assert_eq!(op, *op2, "element {idx}: conflicting accumulate operators");
-                        all.append(parts);
-                    }
-                    WireWrite::Assign(..) => {
-                        panic!("element {idx}: put and accumulate mixed across nodes in one phase")
-                    }
-                }
-            }
-            all.sort_by_key(|p| p.0);
-            let mut it = all.into_iter();
-            let (_, acc0) = it.next().expect("accum run with no contributions");
-            it.fold(acc0, |acc, (_, v)| f(op, acc, v))
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Node shared array storage.
 // ---------------------------------------------------------------------------
 
-/// One node's instance of a node-shared array plus its phase write buffer.
-/// Buffered accumulates are rank-keyed [`WEntry`] contributions for the
-/// same reason as [`GArray`]: node-shared accumulates may happen inside a
+/// One node's instance of a node-shared array plus its phase write log.
+/// Buffered accumulates stay raw, rank-keyed contributions for the same
+/// reason as [`GArray`]'s: node-shared accumulates may happen inside a
 /// global phase, whose poll-round structure wave pipelining changes.
 pub(crate) struct NArray<T: Elem> {
     pub data: Vec<T>,
-    /// Flat append-only write log (see [`GArray::wlog`]).
-    wlog: Vec<(usize, WEntry<T>)>,
+    wlog: WLog<T>,
 }
 
 impl<T: Elem> NArray<T> {
     pub fn new(len: usize) -> Self {
         NArray {
             data: vec![T::default(); len],
-            wlog: Vec::new(),
+            wlog: WLog::default(),
         }
-    }
-
-    pub fn buffer_assign(&mut self, idx: usize, val: T, key: WriteKey) {
-        self.wlog.push((idx, WEntry::Assign(val, key)));
-    }
-
-    /// See [`GArray::buffer_accum_with`].
-    pub fn buffer_accum_with(
-        &mut self,
-        idx: usize,
-        op: AccumOp,
-        val: T,
-        f: fn(AccumOp, T, T) -> T,
-        rank: u64,
-    ) {
-        self.wlog.push((idx, WEntry::Accum { op, f, rank, val }));
-    }
-}
-
-#[cfg(test)]
-impl<T: AccumElem> NArray<T> {
-    /// Test convenience: accumulate with the element's own combiner as
-    /// VP rank 0.
-    pub fn buffer_accum(&mut self, idx: usize, op: AccumOp, val: T) {
-        self.buffer_accum_with(idx, op, val, T::combine, 0);
     }
 }
 
@@ -1484,14 +1425,16 @@ impl<T: Elem> NArrayObj for NArray<T> {
     }
 
     fn apply(&mut self) -> u64 {
-        let mut log = std::mem::take(&mut self.wlog);
-        log.sort_by_key(|(idx, _)| *idx);
-        let mut n = 0u64;
-        for_each_run(&log, |idx, run| {
-            self.data[idx] = fold_wire(resolve_run("node ", idx, run));
-            n += 1;
-        });
-        n
+        if self.wlog.is_empty() {
+            return 0;
+        }
+        // The global path with this node as the only destination and the
+        // only source.
+        let cols = self.wlog.drain("node ", 1, |_| 0).pop();
+        let cols = cols.map(|(_, cols)| Box::new(cols));
+        merge_parcels(cols.as_slice(), |idx, value| {
+            self.data[idx as usize] = value
+        })
     }
 
     fn snapshot_local(&self) -> (Box<dyn Any + Send + Sync>, u64) {
@@ -2126,8 +2069,53 @@ impl Inner {
 mod tests {
     use super::*;
 
-    fn key(vp: u64, seq: u64) -> WriteKey {
-        WriteKey { vp, seq }
+    impl<T: AccumElem> WLog<T> {
+        /// An empty VP-side log that knows the element's combiner.
+        fn scratch() -> Self {
+            WLog {
+                combine: Some(T::combine),
+                ..WLog::default()
+            }
+        }
+
+        /// Log one op as VP `rank`'s whole merge (the node's VP 0 has
+        /// global rank 0).
+        fn buffer(&mut self, rank: u32, idx: usize, kind: WKind, val: T) {
+            let mut one = Self::scratch();
+            let idx = idx as u64;
+            one.recs.push(WRec {
+                idx,
+                val,
+                vp: rank,
+                kind,
+            });
+            self.append(0, &mut one);
+        }
+    }
+
+    const ADD: WKind = WKind::Accum(AccumOp::Add);
+
+    /// `(idx, kind, [(rank, value)])`.
+    type Entry<'a> = (u64, WKind, &'a [(u64, f64)]);
+
+    /// A hand-built wire parcel.
+    fn cols(entries: &[Entry<'_>]) -> Box<dyn Any + Send> {
+        let mut c = WriteCols {
+            combine: Some(f64::combine as fn(AccumOp, f64, f64) -> f64),
+            ..WriteCols::default()
+        };
+        for &(idx, kind, parts) in entries {
+            c.idx.push(idx);
+            c.kind.push(kind);
+            c.starts.push(c.vals.len() as u32);
+            c.ranks.extend(parts.iter().map(|p| p.0));
+            c.vals.extend(parts.iter().map(|p| p.1));
+        }
+        Box::new(c)
+    }
+
+    fn payload<T: Elem>(p: WriteParcel) -> Box<WriteCols<T>> {
+        p.payload.downcast().unwrap()
     }
 
     #[test]
@@ -2216,31 +2204,46 @@ mod tests {
     #[test]
     fn assign_last_writer_wins_locally() {
         let mut ga: GArray<f64> = GArray::new(Dist::block(4, 1), 0);
-        ga.buffer_assign(2, 1.0, key(0, 0));
-        ga.buffer_assign(2, 2.0, key(1, 0));
-        ga.buffer_assign(2, 1.5, key(0, 5)); // lower vp, loses to (1,0)? No: (1,0) > (0,5)
+        ga.wlog.buffer(0, 2, WKind::Assign, 1.0);
+        ga.wlog.buffer(1, 2, WKind::Assign, 2.0);
+        // A later merge of the lower rank still loses to rank 1.
+        ga.wlog.buffer(0, 2, WKind::Assign, 1.5);
+        // Within a rank, program order decides.
+        ga.wlog.buffer(1, 3, WKind::Assign, 7.0);
+        ga.wlog.buffer(1, 3, WKind::Assign, 8.0);
         let parcels = ga.drain_writes();
         assert_eq!(parcels.len(), 1);
-        let p = parcels.into_iter().next().unwrap();
-        let entries = p.payload.downcast::<Vec<(u64, WireWrite<f64>)>>().unwrap();
-        match entries[0].1 {
-            WireWrite::Assign(v, k) => {
-                assert_eq!(v, 2.0);
-                assert_eq!(k, key(1, 0));
-            }
-            _ => panic!("expected assign"),
-        }
+        let c = payload::<f64>(parcels.into_iter().next().unwrap());
+        assert_eq!(c.idx, vec![2, 3]);
+        assert_eq!(c.kind, vec![WKind::Assign; 2]);
+        assert_eq!((c.ranks, c.vals), (vec![1, 1], vec![2.0, 8.0]));
     }
 
     #[test]
     fn accum_merges_locally() {
         let mut ga: GArray<u64> = GArray::new(Dist::block(4, 2), 0);
-        ga.buffer_accum(3, AccumOp::Add, 5);
-        ga.buffer_accum(3, AccumOp::Add, 7);
+        ga.wlog.buffer(0, 3, ADD, 5);
+        ga.wlog.buffer(0, 3, ADD, 7);
         let parcels = ga.drain_writes();
         assert_eq!(parcels.len(), 1);
         assert_eq!(parcels[0].dest, 1); // idx 3 lives on node 1 of 2
         assert_eq!(parcels[0].entries, 1); // merged
+        assert_eq!(parcels[0].bytes, 9 + 8, "one combined value on the wire");
+    }
+
+    /// Contributions ship in ascending (rank, program order) even when the
+    /// log is not: a VP that parked mid-phase merges again after its
+    /// higher-ranked neighbours.
+    #[test]
+    fn drain_orders_contributions_by_rank_then_program_order() {
+        let mut ga: GArray<f64> = GArray::new(Dist::block(2, 1), 0);
+        for (rank, val) in [(4, 1.0), (5, 2.0), (4, 3.0), (5, 4.0), (4, 5.0)] {
+            ga.wlog.buffer(rank, 1, ADD, val);
+        }
+        let c = payload::<f64>(ga.drain_writes().pop().unwrap());
+        assert_eq!((c.idx, c.starts), (vec![1], vec![0]));
+        assert_eq!(c.ranks, vec![4, 4, 4, 5, 5]);
+        assert_eq!(c.vals, vec![1.0, 3.0, 5.0, 2.0, 4.0]);
     }
 
     /// Mixed put/accumulate on one element is detected when the log
@@ -2249,8 +2252,8 @@ mod tests {
     #[should_panic(expected = "put and accumulate mixed")]
     fn mixed_write_kinds_panic() {
         let mut ga: GArray<u64> = GArray::new(Dist::block(4, 1), 0);
-        ga.buffer_assign(0, 1, key(0, 0));
-        ga.buffer_accum(0, AccumOp::Add, 1);
+        ga.wlog.buffer(0, 0, WKind::Assign, 1);
+        ga.wlog.buffer(0, 0, ADD, 1);
         ga.drain_writes();
     }
 
@@ -2258,8 +2261,8 @@ mod tests {
     #[should_panic(expected = "node element 0: put and accumulate mixed")]
     fn node_mixed_write_kinds_panic() {
         let mut na: NArray<u64> = NArray::new(2);
-        na.buffer_accum(0, AccumOp::Add, 1);
-        na.buffer_assign(0, 1, key(0, 0));
+        na.wlog.buffer(0, 0, ADD, 1);
+        na.wlog.buffer(0, 0, WKind::Assign, 1);
         na.apply();
     }
 
@@ -2267,36 +2270,26 @@ mod tests {
     #[should_panic(expected = "conflicting accumulate operators")]
     fn conflicting_accum_ops_panic() {
         let mut ga: GArray<u64> = GArray::new(Dist::block(4, 1), 0);
-        ga.buffer_accum(1, AccumOp::Add, 1);
-        ga.buffer_accum(1, AccumOp::Max, 2);
+        ga.wlog.buffer(0, 1, ADD, 1);
+        ga.wlog.buffer(0, 1, WKind::Accum(AccumOp::Max), 2);
         ga.drain_writes();
-    }
-
-    fn accum_parts(parts: &[(u64, f64)]) -> WireWrite<f64> {
-        WireWrite::Accum {
-            op: AccumOp::Add,
-            f: f64::combine,
-            parts: parts.to_vec(),
-        }
     }
 
     #[test]
     fn apply_resolves_across_sources_deterministically() {
         let mut ga: GArray<f64> = GArray::new(Dist::block(4, 1), 0);
         // Two "remote" parcels plus a local one, unsorted source order.
-        let p2: Vec<(u64, WireWrite<f64>)> = vec![(1, WireWrite::Assign(20.0, key(9, 0)))];
-        let p0: Vec<(u64, WireWrite<f64>)> = vec![
-            (1, WireWrite::Assign(10.0, key(2, 3))),
-            (2, accum_parts(&[(0, 1.0)])),
-        ];
-        let p1: Vec<(u64, WireWrite<f64>)> = vec![(2, accum_parts(&[(5, 2.0)]))];
-        let (n, written) = ga.apply_writes(
-            vec![(2, Box::new(p2)), (0, Box::new(p0)), (1, Box::new(p1))],
-            &mut |_| {},
-        );
+        let p2 = cols(&[(1, WKind::Assign, &[(9, 20.0)])]);
+        let p0 = cols(&[(1, WKind::Assign, &[(2, 10.0)]), (2, ADD, &[(0, 1.0)])]);
+        let p1 = cols(&[(2, ADD, &[(5, 2.0)])]);
+        let mut touched = Vec::new();
+        let (n, written) = ga.apply_writes(vec![(2, p2), (0, p0), (1, p1)], &mut |off| {
+            touched.push(off)
+        });
         assert_eq!(n, 4);
         assert_eq!(written, vec![1, 2], "distinct written indices, ascending");
-        assert_eq!(ga.local[1], 20.0, "assign with highest WriteKey wins");
+        assert_eq!(touched, vec![1, 2], "one touch per store");
+        assert_eq!(ga.local[1], 20.0, "assign from the highest rank wins");
         assert_eq!(ga.local[2], 3.0, "accumulates sum across sources");
         assert_eq!(ga.local[0], 0.0, "untouched elements stay default");
     }
@@ -2309,15 +2302,127 @@ mod tests {
     #[test]
     fn accum_fold_is_rank_canonical_across_sources() {
         let mut ga: GArray<f64> = GArray::new(Dist::block(1, 1), 0);
-        let from0: Vec<(u64, WireWrite<f64>)> = vec![(0, accum_parts(&[(0, 1e16), (2, 1.0)]))];
-        let from1: Vec<(u64, WireWrite<f64>)> = vec![(0, accum_parts(&[(1, -1e16)]))];
-        ga.apply_writes(
-            vec![(0, Box::new(from0)), (1, Box::new(from1))],
-            &mut |_| {},
-        );
+        let from0 = cols(&[(0, ADD, &[(0, 1e16), (2, 1.0)])]);
+        let from1 = cols(&[(0, ADD, &[(1, -1e16)])]);
+        ga.apply_writes(vec![(0, from0), (1, from1)], &mut |_| {});
         assert_eq!(
             ga.local[0], 1.0,
             "(1e16 + -1e16) + 1.0 — node-partial folding would give 0.0"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed across nodes")]
+    fn apply_detects_cross_node_mix() {
+        let mut ga: GArray<f64> = GArray::new(Dist::block(2, 1), 0);
+        let a = cols(&[(0, WKind::Assign, &[(0, 1.0)])]);
+        let b = cols(&[(0, ADD, &[(1, 1.0)])]);
+        ga.apply_writes(vec![(0, a), (1, b)], &mut |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "element 1: conflicting accumulate operators")]
+    fn apply_detects_cross_node_operator_conflict() {
+        let mut ga: GArray<f64> = GArray::new(Dist::block(2, 1), 0);
+        let a = cols(&[(0, ADD, &[(0, 1.0)]), (1, ADD, &[(0, 1.0)])]);
+        let b = cols(&[(1, WKind::Accum(AccumOp::Min), &[(1, 1.0)])]);
+        ga.apply_writes(vec![(0, a), (1, b)], &mut |_| {});
+    }
+
+    /// CSR offsets are `u32`: the last representable length passes, the
+    /// next one trips the explicit assert (not a silent wrap).
+    #[test]
+    fn csr_offsets_are_checked_at_the_u32_boundary() {
+        assert_eq!(csr_offset(0), 0);
+        assert_eq!(csr_offset(u32::MAX as usize), u32::MAX);
+        let over = std::panic::catch_unwind(|| csr_offset(u32::MAX as usize + 1));
+        let msg = *over.unwrap_err().downcast::<&str>().unwrap();
+        assert_eq!(msg, "write log overflow");
+    }
+
+    /// The drain's sort is stable, skips constant key bytes, and handles
+    /// keys that differ only above the low byte or across all eight.
+    #[test]
+    fn radix_sort_is_stable_over_the_whole_key_range() {
+        let mut g = crate::testkit::Gen::new(7);
+        for mask in [0xff, 0xff00, 0x3_ffff, u64::MAX, 0] {
+            let mut recs: Vec<(u64, usize)> = (0..1000).map(|i| (g.u64() & mask, i)).collect();
+            let mut expected = recs.clone();
+            expected.sort_by_key(|r| r.0);
+            radix_sort_by_key(&mut recs, |r| r.0);
+            assert_eq!(recs, expected, "mask {mask:#x}");
+        }
+        let mut empty: Vec<(u64, usize)> = Vec::new();
+        radix_sort_by_key(&mut empty, |r| r.0);
+    }
+
+    /// Counts the calling thread's heap allocations, for the flat-path
+    /// assertion below (unit-test builds of this crate only).
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    // SAFETY: both methods forward to `System` with the caller's arguments
+    // unchanged (`realloc`/`alloc_zeroed` default to them); the counter is
+    // a destructor-less thread-local statistic.
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            // SAFETY: same contract as the caller's.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `System` via `alloc` above.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: CountingAlloc = CountingAlloc;
+
+    /// Draining and applying N accumulated elements allocates per column
+    /// and per source (amortized growth included), never per element —
+    /// the old path built one `Vec` per written element on both sides.
+    #[test]
+    fn write_path_allocations_scale_with_sources_not_elements() {
+        const N: usize = 1 << 16;
+        const SOURCES: usize = 4;
+        let mut nodes: Vec<GArray<f64>> = (0..SOURCES)
+            .map(|node| GArray::new(Dist::block(N, SOURCES), node))
+            .collect();
+        for (s, ga) in nodes.iter_mut().enumerate() {
+            let mut scratch = WLog::scratch();
+            for vp in 0..2 {
+                let rec = |idx| WRec {
+                    idx,
+                    val: 0.5,
+                    vp,
+                    kind: ADD,
+                };
+                scratch.recs.extend((0..N as u64).rev().map(rec));
+                ga.wlog.append(2 * s as u64, &mut scratch);
+            }
+        }
+        let before = ALLOCS.with(|n| n.get());
+        let mut to_owner0 = Vec::new();
+        for (s, ga) in nodes.iter_mut().enumerate() {
+            let mut parcels = ga.drain_writes();
+            assert_eq!(parcels.len(), SOURCES);
+            to_owner0.push((s as u32, parcels.swap_remove(0).payload));
+        }
+        let (applied, written) = nodes[0].apply_writes(to_owner0, &mut |_| {});
+        let allocs = ALLOCS.with(|n| n.get()) - before;
+        assert_eq!(applied as usize, SOURCES * N / SOURCES);
+        assert_eq!(written.len(), N / SOURCES);
+        assert!(nodes[0]
+            .local
+            .iter()
+            .all(|&v| v == 0.5 * 2.0 * SOURCES as f64));
+        assert!(
+            allocs < 512 * SOURCES as u64,
+            "{allocs} allocations for {N} elements from {SOURCES} sources"
         );
     }
 
@@ -2343,15 +2448,6 @@ mod tests {
         let arrived = n1.migrate_rebind(1, Dist::weighted(8, 2, bounds1), vec![(2, payload)]);
         assert_eq!(arrived, 2);
         assert_eq!(n1.local, vec![12, 13, 14, 15, 16, 17], "2..8 in order");
-    }
-
-    #[test]
-    #[should_panic(expected = "mixed across nodes")]
-    fn apply_detects_cross_node_mix() {
-        let mut ga: GArray<f64> = GArray::new(Dist::block(2, 1), 0);
-        let a: Vec<(u64, WireWrite<f64>)> = vec![(0, WireWrite::Assign(1.0, key(0, 0)))];
-        let b: Vec<(u64, WireWrite<f64>)> = vec![(0, accum_parts(&[(1, 1.0)]))];
-        ga.apply_writes(vec![(0, Box::new(a)), (1, Box::new(b))], &mut |_| {});
     }
 
     #[test]
@@ -2479,9 +2575,9 @@ mod tests {
     #[test]
     fn narray_apply_overwrites_and_clears() {
         let mut na: NArray<u64> = NArray::new(3);
-        na.buffer_assign(0, 5, key(0, 0));
-        na.buffer_accum(2, AccumOp::Max, 9);
-        na.buffer_accum(2, AccumOp::Max, 4);
+        na.wlog.buffer(0, 0, WKind::Assign, 5);
+        na.wlog.buffer(0, 2, WKind::Accum(AccumOp::Max), 9);
+        na.wlog.buffer(0, 2, WKind::Accum(AccumOp::Max), 4);
         assert_eq!(na.apply(), 2);
         assert_eq!(na.data, vec![5, 0, 9]);
         assert_eq!(na.apply(), 0);
@@ -2491,15 +2587,23 @@ mod tests {
     fn drain_splits_by_owner_and_sorts() {
         let mut ga: GArray<u64> = GArray::new(Dist::block(8, 4), 0);
         for idx in [7, 0, 3, 5, 1] {
-            ga.buffer_assign(idx, idx as u64, key(0, idx as u64));
+            ga.wlog.buffer(0, idx, WKind::Assign, idx as u64);
         }
         let parcels = ga.drain_writes();
         let dests: Vec<usize> = parcels.iter().map(|p| p.dest).collect();
         assert_eq!(dests, vec![0, 1, 2, 3]);
         assert!(!ga.has_pending_writes());
         let p0 = parcels.into_iter().next().unwrap();
-        let entries = p0.payload.downcast::<Vec<(u64, WireWrite<u64>)>>().unwrap();
-        let idxs: Vec<u64> = entries.iter().map(|(i, _)| *i).collect();
-        assert_eq!(idxs, vec![0, 1], "entries sorted by index");
+        assert_eq!((p0.entries, p0.bytes), (2, 2 * (9 + 8)));
+        let c = payload::<u64>(p0);
+        assert_eq!(c.idx, vec![0, 1], "entries sorted by index");
+        assert_eq!((c.starts, c.vals), (vec![0, 1], vec![0, 1]));
+        // A cyclic layout meets its owners out of order (3 → node 3 before
+        // 4 → node 0); parcels still leave ascending by destination.
+        let mut ga: GArray<u64> = GArray::new(Dist::cyclic(8, 4), 0);
+        ga.wlog.buffer(0, 4, WKind::Assign, 4);
+        ga.wlog.buffer(0, 3, WKind::Assign, 3);
+        let dests: Vec<usize> = ga.drain_writes().iter().map(|p| p.dest).collect();
+        assert_eq!(dests, vec![0, 3]);
     }
 }

@@ -258,10 +258,11 @@ impl Phase {
     }
 
     /// Combining write to a global shared element: at phase end the element
-    /// becomes `op` applied over its phase-start value's *replacements*...
-    /// precisely: all values accumulated this phase, combined with `op`
-    /// (the phase-start value is *not* included). Accumulates from many VPs
-    /// are merged locally, so a cluster-wide sum ships one entry per node.
+    /// becomes all values accumulated this phase, combined with `op` in
+    /// ascending (global VP rank, program order). The phase-start value is
+    /// *not* included — an accumulate replaces it, like a `put`. Accumulates
+    /// from many VPs are merged locally, so a cluster-wide sum ships one
+    /// entry per node.
     pub fn accumulate<T: AccumElem>(&self, g: &GlobalShared<T>, idx: usize, op: AccumOp, val: T) {
         self.cell
             .accum_global(&self.inner.borrow(), g.id, idx, op, val);

@@ -458,6 +458,128 @@ fn emission_is_insertion_order_independent() {
     );
 }
 
+/// The write path end to end on its hardest input: random multi-VP puts
+/// and `f64` accumulates whose sum depends on the fold order (±1e16 next to
+/// small values), duplicate indices, several ops per VP per element, and
+/// reads that park a VP mid-phase so its later writes merge *after* its
+/// higher-ranked neighbours'. Six phases with node 0 overloaded, so under
+/// adaptive repartitioning the partition moves between phases. Every run
+/// must equal a sequential ascending-(rank, program order) fold bit for
+/// bit; makespan and counters must not depend on the host thread count.
+#[test]
+fn writes_fold_in_rank_order_under_any_schedule_and_placement() {
+    const ROUNDS: usize = 6;
+    const VALS: [f64; 7] = [1e16, -1e16, 1.0, 0.1, 3.0, -0.7, 1e-3];
+    // Op = (0 → read | else → write, element, value); even elements take
+    // accumulates, odd ones puts, so kinds never mix on an element.
+    type Vps = Vec<Vec<Vec<(u32, usize, f64)>>>;
+    let rebalanced = std::sync::atomic::AtomicUsize::new(0);
+    forall(
+        "writes_fold_in_rank_order_under_any_schedule_and_placement",
+        12,
+        |g| {
+            let len = g.usize_in(4..24);
+            let vps: Vps = g.vec(2..5, |g| {
+                g.vec(1..4, |g| {
+                    g.vec(0..14, |g| {
+                        let val = VALS[g.usize_in(0..VALS.len())];
+                        (g.u32_in(0..6), g.usize_in(0..len), val)
+                    })
+                })
+            });
+            (len, vps)
+        },
+        |(len, vps)| {
+            let len = *len;
+            let in_contract = !vps.is_empty()
+                && vps.iter().all(|node| !node.is_empty())
+                && vps.iter().flatten().flatten().all(|op| op.1 < len);
+            if !in_contract {
+                return Ok(());
+            }
+            let mut expected = vec![0.0f64; len];
+            for round in 0..ROUNDS {
+                let mut pending: Vec<Option<f64>> = vec![None; len];
+                for &(what, idx, val) in vps.iter().flatten().flatten() {
+                    let val = val * (round + 1) as f64;
+                    match pending[idx] {
+                        _ if what == 0 => {}
+                        Some(acc) if idx % 2 == 0 => pending[idx] = Some(acc + val),
+                        _ => pending[idx] = Some(val),
+                    }
+                }
+                for (slot, p) in expected.iter_mut().zip(pending) {
+                    *slot = p.unwrap_or(*slot);
+                }
+            }
+            let expected: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
+
+            let run_with = |adaptive: bool, threads: usize| {
+                let vps = vps.clone();
+                let cfg = PpmConfig::new(MachineConfig::new(vps.len() as u32, 2))
+                    .with_checker(false)
+                    .with_adaptive_balance(adaptive)
+                    .with_host_threads(threads);
+                let report = run(cfg, move |node| {
+                    let a = node.alloc_global_balanced::<f64>(len);
+                    let mine = std::sync::Arc::new(vps[node.node_id()].clone());
+                    let heavy = node.node_id() == 0;
+                    node.ppm_do(mine.len(), move |vp| {
+                        let ops = mine[vp.node_rank()].clone();
+                        async move {
+                            for round in 0..ROUNDS {
+                                let (ops, v2) = (ops.clone(), vp.clone());
+                                vp.global_phase(|ph| async move {
+                                    if heavy {
+                                        v2.charge_flops(200_000);
+                                    }
+                                    for (what, idx, val) in ops {
+                                        let val = val * (round + 1) as f64;
+                                        if what == 0 {
+                                            ph.get(&a, idx).await;
+                                        } else if idx % 2 == 0 {
+                                            ph.accumulate(&a, idx, AccumOp::Add, val);
+                                        } else {
+                                            ph.put(&a, idx, val);
+                                        }
+                                    }
+                                })
+                                .await;
+                            }
+                        }
+                    });
+                    let bits = node.gather_global(&a);
+                    bits.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+                });
+                (
+                    report.results.clone(),
+                    report.makespan(),
+                    report.total_counters(),
+                )
+            };
+            let fixed = run_with(false, 1);
+            let moving = run_with(true, 1);
+            for (base, adaptive) in [(&fixed, false), (&moving, true)] {
+                for got in &base.0 {
+                    prop_assert_eq!(got, &expected);
+                }
+                let wide = run_with(adaptive, 8);
+                prop_assert_eq!(&base.0, &wide.0);
+                prop_assert_eq!(base.1, wide.1);
+                prop_assert_eq!(&base.2, &wide.2);
+            }
+            if fixed.2 != moving.2 {
+                rebalanced.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            Ok(())
+        },
+    );
+    assert!(
+        rebalanced.into_inner() > 0,
+        "no generated case ever repartitioned: the adaptive half tested nothing"
+    );
+}
+
 /// Layout choice never changes results, only data placement.
 #[test]
 fn layout_is_transparent() {
