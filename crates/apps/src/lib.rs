@@ -15,6 +15,8 @@
 //! comparisons isolate the programming models — which is what the paper's
 //! figures show.
 
+#![deny(unsafe_code)]
+
 pub mod barnes_hut;
 pub mod cg;
 pub mod matgen;

@@ -150,28 +150,38 @@ impl Dist {
     /// Node owning global index `i`.
     #[inline]
     pub fn owner(&self, i: usize) -> usize {
-        debug_assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        match &self.layout {
-            // `min` clamps the ceil-block tail: when `len < nodes` the
-            // trailing nodes own empty ranges (see module invariant), so no
-            // in-bounds index may map past the last node.
-            Layout::Block => (i / self.block_size()).min(self.nodes - 1),
-            Layout::Cyclic => i % self.nodes,
-            // Number of boundary entries <= i, minus the leading 0 entry.
-            // Empty spans (equal adjacent bounds) are skipped by `<=`:
-            // the owner is always the unique node with bounds[n] <= i <
-            // bounds[n + 1].
-            Layout::Weighted(b) => b.partition_point(|&x| x <= i) - 1,
-        }
+        self.locate(i).0
     }
 
     /// Offset of global index `i` within its owner's local storage.
     #[inline]
     pub fn local_offset(&self, i: usize) -> usize {
+        self.locate(i).1
+    }
+
+    /// `(owner, local offset)` of global index `i`, from one search: the two
+    /// are always wanted together on the access path.
+    #[inline]
+    pub fn locate(&self, i: usize) -> (usize, usize) {
+        debug_assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
         match &self.layout {
-            Layout::Block => i - self.owner(i) * self.block_size(),
-            Layout::Cyclic => i / self.nodes,
-            Layout::Weighted(b) => i - b[self.owner(i)],
+            Layout::Block => {
+                let bs = self.block_size();
+                // `min` clamps the ceil-block tail: when `len < nodes` the
+                // trailing nodes own empty ranges (see module invariant), so
+                // no in-bounds index may map past the last node.
+                let owner = (i / bs).min(self.nodes - 1);
+                (owner, i - owner * bs)
+            }
+            Layout::Cyclic => (i % self.nodes, i / self.nodes),
+            Layout::Weighted(b) => {
+                // Number of boundary entries <= i, minus the leading 0
+                // entry. Empty spans (equal adjacent bounds) are skipped by
+                // `<=`: the owner is always the unique node with
+                // bounds[n] <= i < bounds[n + 1].
+                let owner = b.partition_point(|&x| x <= i) - 1;
+                (owner, i - b[owner])
+            }
         }
     }
 
@@ -297,6 +307,41 @@ mod tests {
             assert_eq!(c, d.local_len(n), "node {n}");
         }
         assert_eq!(per_node.iter().sum::<usize>(), d.len);
+    }
+
+    /// `locate` is `(owner, local_offset)` from one search, for every
+    /// layout — empty spans, `len < nodes` and `len == 0` included.
+    #[test]
+    fn locate_agrees_with_owner_and_local_offset() {
+        let mut dists = Vec::new();
+        for (len, nodes) in [(10, 3), (12, 4), (1, 5), (100, 7), (5, 8), (3, 8), (0, 2)] {
+            dists.push(Dist::block(len, nodes));
+            dists.push(Dist::cyclic(len, nodes));
+        }
+        for bounds in [
+            vec![0usize, 3, 6, 9, 10],
+            vec![0, 0, 5, 5, 10],
+            vec![0, 10, 10, 10, 10],
+            vec![0, 0, 0, 0, 3],
+            vec![0, 0, 0, 0, 0],
+        ] {
+            let len = *bounds.last().unwrap();
+            dists.push(Dist::weighted(len, bounds.len() - 1, Arc::new(bounds)));
+        }
+        for d in dists {
+            for i in 0..d.len {
+                let (n, off) = d.locate(i);
+                assert_eq!((n, off), (d.owner(i), d.local_offset(i)), "{d:?} i={i}");
+                // Against the layouts' definitions, not the wrappers.
+                let expect = if d.is_contiguous() {
+                    let n = (0..d.nodes).find(|&n| d.owned_range(n).contains(&i));
+                    n.map(|n| (n, i - d.owned_range(n).start))
+                } else {
+                    Some((i % d.nodes, i / d.nodes))
+                };
+                assert_eq!(Some((n, off)), expect, "{d:?} i={i}");
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,10 @@ use crate::msgs::{
     WriteBundleMsg,
 };
 use crate::nodectx::NodeCtx;
-use crate::state::{merge_vp, DoMode, PhaseKind, QueuedReq, ServeHist, Traffic, VpCell, VpScratch};
+use crate::state::{
+    merge_vp, DoMode, PhaseKind, PollGuard, QueuedReq, ServeHist, SharedInner, Traffic, VpCell,
+    VpScratch,
+};
 use crate::vp::Vp;
 
 /// Refresh-push serve-history TTL, in global phases: an element whose last
@@ -122,12 +125,19 @@ enum PollOut {
     Panicked(Box<dyn std::any::Any + Send>),
 }
 
-/// Poll one VP future once. Panics are caught so the driver can merge the
+/// Poll one VP future once, inside its poll context: the VP's scratch and a
+/// handle on the node's frozen arrays sit in this thread's thread-local
+/// until `ctx` drops, so the accesses the future makes take no lock
+/// (DESIGN.md §12). Panics are caught so the driver can merge the
 /// lower-rank VPs' effects first and then re-raise — reproducing a
 /// sequential schedule's panic behavior from any worker thread.
-fn poll_vp(tasks: &[Mutex<Option<VpTask>>], vp: usize) -> PollOut {
-    let mut guard = tasks[vp].lock().unwrap_or_else(PoisonError::into_inner);
+fn poll_vp(tasks: &[Mutex<Option<VpTask>>], cell: &VpCell, inner: &SharedInner) -> PollOut {
+    let mut guard = tasks[cell.id]
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let task = guard.as_mut().expect("ready VP must be live");
+    let frozen = Arc::clone(&inner.borrow().frozen);
+    let _ctx = PollGuard::enter(cell, frozen);
     let mut cx = Context::from_waker(Waker::noop());
     match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
         Ok(Poll::Ready(())) => {
@@ -214,7 +224,7 @@ where
     // without a phase exchange to carry invalidations.
     {
         let mut inner = nc.inner.borrow_mut();
-        for ga in inner.garrays.iter_mut() {
+        for ga in inner.thaw().garrays.iter_mut() {
             ga.cache_clear();
         }
     }
@@ -245,14 +255,10 @@ where
         .collect();
     let tasks: Vec<Mutex<Option<VpTask>>> = cells
         .iter()
-        .map(|cell| {
-            let vp = Vp {
-                inner: nc.inner.clone(),
-                cell: cell.clone(),
-            };
-            Mutex::new(Some(Box::pin(f(vp)) as VpTask))
-        })
+        .map(|cell| Mutex::new(Some(Box::pin(f(Vp { cell: cell.clone() })) as VpTask)))
         .collect();
+    let inner = nc.inner.clone();
+    let poll = |vp: usize| (vp, poll_vp(&tasks, &cells[vp], &inner));
 
     let workers = host_workers(&cfg).min(k.max(1));
     let cores = cfg.cores_per_node();
@@ -261,25 +267,22 @@ where
         // minus the thread handoff, so one code path defines the semantics
         // at every worker count.
         drive(nc, &cells, k, |batch| {
-            batch.iter().map(|&vp| (vp, poll_vp(&tasks, vp))).collect()
+            batch.iter().copied().map(poll).collect()
         });
     } else {
         // Persistent worker pool for the whole construct. Workers only ever
-        // poll futures (short `Inner` read locks + private scratches); the
-        // driver thread owns every ordered effect.
+        // poll futures (each inside its own poll context); the driver
+        // thread owns every ordered effect.
         std::thread::scope(|s| {
             let (res_tx, res_rx) = mpsc::channel::<Vec<(usize, PollOut)>>();
             let cmd_txs: Vec<mpsc::Sender<Vec<usize>>> = (0..workers)
                 .map(|_| {
                     let (tx, rx) = mpsc::channel::<Vec<usize>>();
                     let res_tx = res_tx.clone();
-                    let tasks = &tasks;
+                    let poll = &poll;
                     s.spawn(move || {
                         while let Ok(batch) = rx.recv() {
-                            let out: Vec<(usize, PollOut)> = batch
-                                .into_iter()
-                                .map(|vp| (vp, poll_vp(tasks, vp)))
-                                .collect();
+                            let out: Vec<(usize, PollOut)> = batch.into_iter().map(poll).collect();
                             if res_tx.send(out).is_err() {
                                 break;
                             }
@@ -522,11 +525,12 @@ fn service_tile_faults(nc: &mut NodeCtx<'_>, ready: &mut Vec<usize>) {
         // Drop the other groups: every parked VP is woken below and
         // re-records any still-cold fault on its next poll.
         inner.pending_tile_faults.clear();
-        let spilled = inner.tile_budget.refill(array, tile);
+        let spilled = inner.thaw().tile_budget.refill(array, tile);
         inner.counters.tile_refills += 1;
         inner.counters.tile_spills += spilled.len() as u64;
         ready.append(&mut inner.fault_waiters);
-        (array, tile, spilled, inner.tile_budget.bytes_resident())
+        let resident = inner.frozen.tile_budget.bytes_resident();
+        (array, tile, spilled, resident)
     };
     if nc.ep.tracer.enabled() {
         let ts = nc.ep.clock.now();
@@ -716,7 +720,7 @@ fn wave_recv_next(
             .slots
             .iter()
             .all(|&t| pend.meta[t as usize].0 == part.array));
-        let base = inner.garrays[part.array as usize]
+        let base = inner.thaw().garrays[part.array as usize]
             .absorb_response(part.values, cache_on.then_some(&idxs[..]));
         for (pos, &t) in (base..).zip(&part.slots) {
             let group = pend.starts[t as usize] as usize..pend.starts[t as usize + 1] as usize;
@@ -796,13 +800,15 @@ fn node_phase_end(nc: &mut NodeCtx<'_>) {
             let mut found = c.end_phase();
             inner.violations.append(&mut found);
         }
-        for na in inner.narrays.iter_mut() {
+        let arrays = inner.thaw();
+        for na in arrays.narrays.iter_mut() {
             na.apply();
         }
         debug_assert!(
-            inner.garrays.iter().all(|g| !g.has_pending_writes()),
+            arrays.garrays.iter().all(|g| !g.has_pending_writes()),
             "global writes buffered during a node phase"
         );
+        arrays.epoch += 1;
         let max = inner
             .core_compute
             .iter()
@@ -816,7 +822,6 @@ fn node_phase_end(nc: &mut NodeCtx<'_>) {
         inner.phase.entered = 0;
         inner.phase.arrived = 0;
         inner.phase.node_seq += 1;
-        inner.phase.epoch += 1;
         inner.counters.barriers += 1;
         inner.phase_log.push(crate::state::PhaseRecord {
             kind: PhaseKind::Node,
@@ -905,18 +910,14 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
     let mut dest_bytes = vec![0usize; nodes];
     {
         let mut inner = nc.inner.borrow_mut();
-        if cfg.read_cache {
-            for (id, ga) in inner.garrays.iter().enumerate() {
-                if ga.has_pending_writes() {
-                    local_inv.insert(id);
-                }
+        for (id, ga) in inner.thaw().garrays.iter_mut().enumerate() {
+            if cfg.read_cache && ga.has_pending_writes() {
+                local_inv.insert(id);
             }
-        }
-        for id in 0..inner.garrays.len() {
             // Every VP has arrived, so every parked read has resumed and
             // copied its value out: the phase's response values can go.
-            inner.garrays[id].arena_clear();
-            for parcel in inner.garrays[id].drain_writes() {
+            ga.arena_clear();
+            for parcel in ga.drain_writes() {
                 dest_entries[parcel.dest] += parcel.entries;
                 dest_bytes[parcel.dest] += parcel.bytes;
                 per_dest[parcel.dest].push((id as u32, parcel.payload));
@@ -1082,9 +1083,9 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
                 // Split borrow: applied writes bump tile recency on
                 // resident tiles (write-through without admission,
                 // DESIGN.md §18).
-                let inner = &mut *inner;
-                let tiles = &mut inner.tile_budget;
-                inner.garrays[array as usize]
+                let arrays = inner.thaw();
+                let tiles = &mut arrays.tile_budget;
+                arrays.garrays[array as usize]
                     .apply_writes(parcels, &mut |off| tiles.touch(array, off))
             };
             applied_remote += n;
@@ -1118,7 +1119,7 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
                 }
             }
             if !idxs.is_empty() {
-                let values = inner.garrays[array as usize].refresh_collect(&idxs);
+                let values = inner.frozen.garrays[array as usize].refresh_collect(&idxs);
                 inner.pending_refresh.push(RefreshPart {
                     array,
                     idxs,
@@ -1128,7 +1129,7 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
             }
         }
         // Node-shared writes made inside the global phase publish too.
-        for na in inner.narrays.iter_mut() {
+        for na in inner.thaw().narrays.iter_mut() {
             na.apply();
         }
         inner.service_time += cfg.service_overhead.scale(applied_remote);
@@ -1229,10 +1230,10 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
         inner.phase.open = None;
         inner.phase.entered = 0;
         inner.phase.arrived = 0;
-        inner.phase.epoch += 1;
+        inner.thaw().epoch += 1;
         inner.counters.barriers += 1;
         debug_assert!(
-            inner.garrays.iter().all(|g| g.arena_is_empty()),
+            inner.frozen.garrays.iter().all(|g| g.arena_is_empty()),
             "response values outlived their global phase"
         );
     }
@@ -1641,7 +1642,7 @@ fn clock_barrier(
                 let keep_take: Vec<bool> =
                     part.masks.iter().map(|m| m.difference(&rt).any()).collect();
                 let mut inner = nc.inner.borrow_mut();
-                let ga = &inner.garrays[part.array as usize];
+                let ga = &inner.frozen.garrays[part.array as usize];
                 if send_take.iter().any(|&b| b) {
                     let (values, vbytes) = ga.refresh_select(part.values.as_ref(), &send_take);
                     let (idxs, masks): (Vec<u64>, Vec<NodeSet>) = part
@@ -1781,7 +1782,7 @@ fn clock_barrier(
             let mine_take: Vec<bool> = part.masks.iter().map(|m| m.contains(me)).collect();
             if fwd_take.iter().any(|&b| b) {
                 let mut inner = nc.inner.borrow_mut();
-                let ga = &inner.garrays[part.array as usize];
+                let ga = &inner.frozen.garrays[part.array as usize];
                 let (values, _) = ga.refresh_select(part.values.as_ref(), &fwd_take);
                 let (idxs, masks): (Vec<u64>, Vec<NodeSet>) = part
                     .idxs
@@ -1881,7 +1882,7 @@ fn clock_barrier(
                 inner.counters.failovers += 1;
                 let mut elems = 0u64;
                 let mut bytes = 0u64;
-                for ga in inner.garrays.iter() {
+                for ga in inner.frozen.garrays.iter() {
                     let r = ga.dist().owned_range(v);
                     elems += (r.end - r.start) as u64;
                     bytes += ga.owned_bytes(v);
@@ -1912,13 +1913,14 @@ fn clock_barrier(
         );
         // Invalidate, THEN absorb: the pushed values are already
         // post-exchange truth for the bits being invalidated.
-        for (id, ga) in inner.garrays.iter_mut().enumerate() {
+        let garrays = &mut inner.thaw().garrays;
+        for (id, ga) in garrays.iter_mut().enumerate() {
             if inv.contains(id) {
                 ga.cache_clear();
             }
         }
         for (array, idxs, values, take) in collected {
-            inner.garrays[array as usize].refresh_absorb(&idxs, values.as_ref(), &take);
+            garrays[array as usize].refresh_absorb(&idxs, values.as_ref(), &take);
         }
     }
 }
@@ -1991,10 +1993,11 @@ fn restore_from_snapshot(nc: &mut NodeCtx<'_>, node: usize, phase: u64) -> (SimT
         ));
     }
     let mut bytes = 0u64;
-    for (ga, s) in inner.garrays.iter_mut().zip(&snaps.garrays) {
+    let arrays = inner.thaw();
+    for (ga, s) in arrays.garrays.iter_mut().zip(&snaps.garrays) {
         bytes += ga.restore_local(s.as_ref()).unwrap_or_else(|e| fail(e));
     }
-    for (na, s) in inner.narrays.iter_mut().zip(&snaps.narrays) {
+    for (na, s) in arrays.narrays.iter_mut().zip(&snaps.narrays) {
         bytes += na.restore_local(s.as_ref()).unwrap_or_else(|e| fail(e));
     }
     inner.snapshots = Some(snaps);
@@ -2154,7 +2157,7 @@ fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
                 .balanced
                 .iter()
                 .filter_map(|&id| {
-                    let old = inner.garrays[id as usize].dist().clone();
+                    let old = inner.frozen.garrays[id as usize].dist().clone();
                     let cur = old.bounds();
                     balance::rebalance_bounds(&cur, &inner.load_acc).map(|nb| {
                         let new = Dist::weighted(old.len, old.nodes, Arc::new(nb));
@@ -2212,7 +2215,7 @@ fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
                 let lo = mine.start.max(theirs.start);
                 let hi = mine.end.min(theirs.end);
                 if lo < hi {
-                    let (payload, b) = inner.garrays[*id as usize].migrate_extract(lo..hi);
+                    let (payload, b) = inner.frozen.garrays[*id as usize].migrate_extract(lo..hi);
                     payload_bytes += b;
                     moved_out += (hi - lo) as u64;
                     parts.push((*id, lo as u64, payload));
@@ -2305,11 +2308,12 @@ fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
         let mut moved_in = 0u64;
         for (id, _old, new) in &plan {
             let parts = by_array.remove(id).unwrap_or_default();
-            moved_in += inner.garrays[*id as usize].migrate_rebind(me, new.clone(), parts);
+            let arrays = inner.thaw();
+            moved_in += arrays.garrays[*id as usize].migrate_rebind(me, new.clone(), parts);
             // The repartitioned stretch starts fully cold: residency is
             // keyed by local offsets, which the rebind just remapped
             // (DESIGN.md §18).
-            inner.tile_budget.rebind(*id, new.local_len(me));
+            arrays.tile_budget.rebind(*id, new.local_len(me));
         }
         debug_assert!(
             by_array.is_empty(),

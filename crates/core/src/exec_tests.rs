@@ -9,6 +9,8 @@ use ppm_simnet::{FaultConfig, MachineConfig};
 
 use super::*;
 use crate::config::PpmConfig;
+use crate::elem::AccumOp;
+use crate::state::{Frozen, Inner};
 use crate::testkit::Gen;
 
 fn req(array: u32, idx: u64, vp: u32, slot: u32) -> QueuedReq {
@@ -98,8 +100,8 @@ fn arena_serves_mixed_types_and_empties_every_phase() {
         });
         node.ppm_do(2, move |vp| async move {
             let arenas_empty = |vp: &Vp| {
-                let inner = vp.inner.borrow();
-                inner.garrays.iter().all(|g| g.arena_is_empty())
+                let empty = |view: &Frozen| view.garrays.iter().all(|g| g.arena_is_empty());
+                vp.cell.with_poll(|_, view| empty(view))
             };
             // An element of each array owned by the other node.
             let far = (lo + n / 2 + vp.node_rank()) % n;
@@ -122,4 +124,67 @@ fn arena_serves_mixed_types_and_empties_every_phase() {
         });
     });
     assert_eq!(report.total_counters().crash_recoveries, 1);
+}
+
+/// A VP that panics mid-poll still hands its scratch back to its cell and
+/// leaves the thread's poll context clear: the frozen handle is unique
+/// again, and the same thread polls the next VP normally.
+#[test]
+fn panicking_poll_returns_the_scratch_and_clears_the_context() {
+    let cfg = PpmConfig::new(MachineConfig::new(1, 2));
+    let inner = SharedInner::new(Inner::new(cfg, 0));
+    let cells: Vec<Arc<VpCell>> = (0..2)
+        .map(|r| Arc::new(VpCell::new(r, r as u64, 0, cfg, DoMode::Collective, 2, 2)))
+        .collect();
+    let tasks: Vec<Mutex<Option<VpTask>>> = cells
+        .iter()
+        .map(|cell| {
+            let vp = Vp { cell: cell.clone() };
+            let task = async move {
+                vp.charge_flops(7);
+                assert_ne!(vp.node_rank(), 0, "boom");
+            };
+            Mutex::new(Some(Box::pin(task) as VpTask))
+        })
+        .collect();
+    assert!(matches!(
+        poll_vp(&tasks, &cells[0], &inner),
+        PollOut::Panicked(_)
+    ));
+    assert_eq!(cells[0].scratch().counters.flops, 7, "scratch handed back");
+    inner.borrow_mut().thaw();
+    assert!(matches!(poll_vp(&tasks, &cells[1], &inner), PollOut::Done));
+    assert_eq!(cells[1].scratch().counters.flops, 7);
+}
+
+/// Shared accesses inside a poll take no lock: 10 000 local gets, puts and
+/// accumulates per VP cost the locks of a handful of polls and merges.
+#[test]
+fn local_accesses_take_locks_per_poll_not_per_access() {
+    use crate::state::LOCKS_TAKEN;
+    const ACCESSES: usize = 10_000;
+    let cfg = PpmConfig::new(MachineConfig::new(1, 2)).with_host_threads(1);
+    let report = crate::run(cfg, |node| {
+        let a = node.alloc_global::<u64>(64);
+        let b = node.alloc_global::<u64>(64);
+        let before = LOCKS_TAKEN.get();
+        node.ppm_do(4, move |vp| async move {
+            let me = vp.node_rank() as u64;
+            vp.global_phase(|ph| async move {
+                for i in 0..ACCESSES {
+                    let v = ph.get(&a, i % 64).await;
+                    ph.put(&a, i % 64, v + me);
+                    ph.accumulate(&b, i % 64, AccumOp::Add, 1);
+                }
+            })
+            .await;
+        });
+        LOCKS_TAKEN.get() - before
+    });
+    let locks = report.results[0];
+    assert_eq!(
+        report.total_counters().local_accesses,
+        4 * 3 * ACCESSES as u64
+    );
+    assert!(locks < 100, "{locks} lock acquisitions for 4 VPs × 2 polls");
 }

@@ -87,6 +87,8 @@
 //! }
 //! ```
 
+#![deny(unsafe_code)]
+
 mod balance;
 pub mod bitset;
 pub mod check;

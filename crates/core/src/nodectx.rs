@@ -101,13 +101,13 @@ impl<'a> NodeCtx<'a> {
     /// streaming is off ([`PpmConfig::with_tile_budget`] unset): residency
     /// is only tracked under a budget.
     pub fn peak_bytes_resident(&self) -> u64 {
-        self.inner.borrow().tile_budget.peak_bytes_resident()
+        self.inner.borrow().frozen.tile_budget.peak_bytes_resident()
     }
 
     /// Bytes of shared-array state currently resident under the
     /// pseudo-streaming tile budget; zero when streaming is off.
     pub fn bytes_resident(&self) -> u64 {
-        self.inner.borrow().tile_budget.bytes_resident()
+        self.inner.borrow().frozen.tile_budget.bytes_resident()
     }
 
     /// Drain the per-phase trace accumulated so far: one record per
@@ -175,11 +175,12 @@ impl<'a> NodeCtx<'a> {
         let node = self.node_id();
         let local_len = dist.local_len(node);
         let mut inner = self.inner.borrow_mut();
-        let id = u32::try_from(inner.garrays.len()).expect("too many global shared arrays");
-        inner.garrays.push(Box::new(GArray::<T>::new(dist, node)));
+        let arrays = inner.thaw();
+        let id = u32::try_from(arrays.garrays.len()).expect("too many global shared arrays");
+        arrays.garrays.push(Box::new(GArray::<T>::new(dist, node)));
         // Pseudo-streaming registration (DESIGN.md §18): under a tile
         // budget, large partitions are tiled and start fully cold.
-        inner
+        arrays
             .tile_budget
             .register(id, std::mem::size_of::<T>(), local_len);
         GlobalShared::new(id, len)
@@ -189,8 +190,9 @@ impl<'a> NodeCtx<'a> {
     /// (`PPM_node_shared T a[len]`): one instance per node.
     pub fn alloc_node<T: Elem>(&mut self, len: usize) -> NodeShared<T> {
         let mut inner = self.inner.borrow_mut();
-        let id = u32::try_from(inner.narrays.len()).expect("too many node shared arrays");
-        inner.narrays.push(Box::new(NArray::<T>::new(len)));
+        let narrays = &mut inner.thaw().narrays;
+        let id = u32::try_from(narrays.len()).expect("too many node shared arrays");
+        narrays.push(Box::new(NArray::<T>::new(len)));
         NodeShared::new(id, len)
     }
 
@@ -203,7 +205,7 @@ impl<'a> NodeCtx<'a> {
     /// phases.
     pub fn local_range<T: Elem>(&self, g: &GlobalShared<T>) -> std::ops::Range<usize> {
         let inner = self.inner.borrow();
-        let ga = garray_ref::<T>(&inner, g.id);
+        let ga = garray_ref::<T>(&inner.frozen, g.id);
         ga.dist.owned_range(self.node_id())
     }
 
@@ -211,13 +213,13 @@ impl<'a> NodeCtx<'a> {
     /// recut at global phase boundaries).
     pub fn dist_of<T: Elem>(&self, g: &GlobalShared<T>) -> Dist {
         let inner = self.inner.borrow();
-        garray_ref::<T>(&inner, g.id).dist.clone()
+        garray_ref::<T>(&inner.frozen, g.id).dist.clone()
     }
 
     /// Read this node's partition of a global array.
     pub fn with_local<T: Elem, R>(&self, g: &GlobalShared<T>, f: impl FnOnce(&[T]) -> R) -> R {
         let inner = self.inner.borrow();
-        f(&garray_ref::<T>(&inner, g.id).local)
+        f(&garray_ref::<T>(&inner.frozen, g.id).local)
     }
 
     /// Mutate this node's partition of a global array directly
@@ -228,13 +230,13 @@ impl<'a> NodeCtx<'a> {
         f: impl FnOnce(&mut [T]) -> R,
     ) -> R {
         let mut inner = self.inner.borrow_mut();
-        f(&mut garray_mut::<T>(&mut inner, g.id).local)
+        f(&mut garray_mut::<T>(inner.thaw(), g.id).local)
     }
 
     /// Read this node's instance of a node-shared array.
     pub fn with_node<T: Elem, R>(&self, n: &NodeShared<T>, f: impl FnOnce(&[T]) -> R) -> R {
         let inner = self.inner.borrow();
-        f(&narray_ref::<T>(&inner, n.id).data)
+        f(&narray_ref::<T>(&inner.frozen, n.id).data)
     }
 
     /// Mutate this node's instance of a node-shared array directly.
@@ -244,7 +246,7 @@ impl<'a> NodeCtx<'a> {
         f: impl FnOnce(&mut [T]) -> R,
     ) -> R {
         let mut inner = self.inner.borrow_mut();
-        f(&mut narray_mut::<T>(&mut inner, n.id).data)
+        f(&mut narray_mut::<T>(inner.thaw(), n.id).data)
     }
 
     // -- ppm_do --------------------------------------------------------------
@@ -488,6 +490,7 @@ impl<'a> NodeCtx<'a> {
         let phase = inner.phase.global_seq;
         let mut bytes = 0u64;
         let garrays: Vec<_> = inner
+            .frozen
             .garrays
             .iter()
             .map(|g| {
@@ -497,6 +500,7 @@ impl<'a> NodeCtx<'a> {
             })
             .collect();
         let narrays: Vec<_> = inner
+            .frozen
             .narrays
             .iter()
             .map(|n| {
@@ -580,7 +584,7 @@ impl<'a> NodeCtx<'a> {
             let array = run[0].array;
             idxs.clear();
             idxs.extend(run.iter().map(|e| e.idx));
-            let (values, vbytes) = inner.garrays[array as usize].serve(&idxs);
+            let (values, vbytes) = inner.frozen.garrays[array as usize].serve(&idxs);
             bytes += vbytes;
             parts.push(RespPart {
                 array,
@@ -646,7 +650,7 @@ fn protocol_dump(
                 out,
                 "  phase: open={:?} entered={} arrived={} epoch={} \
                  global_seq={} node_seq={}",
-                p.open, p.entered, p.arrived, p.epoch, p.global_seq, p.node_seq
+                p.open, p.entered, p.arrived, i.frozen.epoch, p.global_seq, p.node_seq
             );
             let _ = writeln!(
                 out,

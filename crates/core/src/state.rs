@@ -4,10 +4,13 @@
 //! storage, write buffers, pending read requests, phase bookkeeping,
 //! per-core compute accounting) lives in [`Inner`], behind an
 //! `Arc<RwLock<_>>` ([`SharedInner`]). During a phase body the live arrays
-//! are immutable (writes are *buffered*), so VP polls only ever take the
-//! read lock; every side effect a VP produces — buffered writes, read
-//! requests, counter deltas, checker events, phase entry/arrival — goes
-//! into its private [`VpScratch`] instead. The executor merges scratches
+//! are immutable (writes are *buffered*), so the part of `Inner` a VP reads
+//! — [`Frozen`] — sits behind an `Arc` of its own: each poll clones it
+//! once, takes the VP's private [`VpScratch`] out of its cell, and parks
+//! both in a thread-local, so the shared accesses inside the poll take no
+//! lock at all ([`VpCell::with_poll`]). Every side effect a VP produces —
+//! buffered writes, read requests, counter deltas, checker events, phase
+//! entry/arrival — goes into that scratch. The executor merges scratches
 //! into `Inner` in ascending VP-rank order after each poll round, which is
 //! what makes the host-parallel scheduler bit-identical to a sequential
 //! one at any worker count (see `exec.rs` and DESIGN.md §12).
@@ -32,9 +35,11 @@
 //!   a programming error and panics.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ppm_simnet::{Counters, SimTime, WireSize};
@@ -585,10 +590,38 @@ impl VpCell {
         }
     }
 
-    /// Lock this VP's scratch (uncontended except for wave fills; poison
-    /// from a caught VP panic is benign — the run is unwinding anyway).
+    /// Lock this VP's scratch where it rests between polls: the driver's
+    /// merges and wave fills, and the hand-over at each poll's edges
+    /// ([`PollGuard`]). Poison from a caught VP panic is benign — the run is
+    /// unwinding anyway.
     pub fn scratch(&self) -> MutexGuard<'_, VpScratch> {
+        count_lock();
         self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run `f` on the current poll's context — this VP's scratch and the
+    /// node's frozen arrays — taking no lock (DESIGN.md §12). `f` must not
+    /// re-enter.
+    #[inline]
+    pub fn with_poll<R>(&self, f: impl FnOnce(&mut VpScratch, &Frozen) -> R) -> R {
+        POLL.with_borrow_mut(|ctx| {
+            let ctx = ctx.as_mut().expect(
+                "shared-variable access outside a VP poll: `Vp` and `Phase` handles \
+                 work only inside the future `ppm_do` is polling",
+            );
+            debug_assert_eq!(ctx.vp, self.id, "handle used from another VP's future");
+            f(&mut ctx.scratch, &ctx.view)
+        })
+    }
+
+    /// Give back the slot of a read whose future is dropped unresolved:
+    /// through the poll context when that happens inside a poll, else (the
+    /// task list unwinding after `ppm_do` panicked) through the cell.
+    pub fn release_slot(&self, slot: u32) {
+        POLL.with_borrow_mut(|ctx| match ctx {
+            Some(ctx) => ctx.scratch.slots.release(slot),
+            None => self.scratch().slots.release(slot),
+        })
     }
 
     #[inline]
@@ -621,17 +654,14 @@ impl VpCell {
         log
     }
 
-    /// VP read of a global shared element.
-    pub fn get_global<T: Elem>(&self, inner: &Inner, id: u32, idx: usize) -> GetOutcome<T> {
-        self.get_global_in(&mut self.scratch(), inner, id, idx)
-    }
-
-    /// [`Self::get_global`] on an already locked scratch, so a bulk read
-    /// takes the scratch mutex once instead of once per element.
-    pub fn get_global_in<T: Elem>(
+    /// VP read of element `idx` of global array `id`, whose typed storage
+    /// `ga` and tiling `tiles` the caller resolved (once per poll for a
+    /// bulk read).
+    pub fn get_global<T: Elem>(
         &self,
         s: &mut VpScratch,
-        inner: &Inner,
+        ga: &GArray<T>,
+        tiles: Option<&ArrayTiles>,
         id: u32,
         idx: usize,
     ) -> GetOutcome<T> {
@@ -645,22 +675,19 @@ impl VpCell {
                 kind,
             });
         }
-        let ga = garray_ref::<T>(inner, id);
         assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
-        let owner = ga.dist.owner(idx);
-        if owner == self.node {
+        if let Some(off) = ga.owned_offset(idx) {
             // The access is fully charged (sv_overhead, checker event,
             // counter) before the residency check, so a cold tile costs
             // exactly what the in-core hit does — the fault itself is free
             // in modeled time and counters.
             s.counters.local_accesses += 1;
-            let off = ga.dist.local_offset(idx);
-            if inner.tile_budget.is_cold(id, off) {
-                s.tile_faults.push((id, inner.tile_budget.tile_of(id, off)));
-                return GetOutcome::LocalPending;
+            match Self::read_resident(s, ga, tiles, id, off) {
+                Some(v) => GetOutcome::Local(v),
+                None => GetOutcome::LocalPending(off),
             }
-            GetOutcome::Local(ga.local[off])
         } else {
+            let owner = ga.dist.owner(idx);
             assert_eq!(
                 kind,
                 PhaseKind::Global,
@@ -692,171 +719,219 @@ impl VpCell {
         }
     }
 
-    /// Charge-free re-read of a local element whose first access returned
-    /// [`GetOutcome::LocalPending`]. The original [`Self::get_global`]
-    /// already paid the full in-core cost (overhead, counters, checker
-    /// event), so this resolution path must stay invisible to every
-    /// observable: it touches no counters, no compute, no checker. If the
-    /// tile is still cold (another tile was serviced first), the fault is
-    /// re-recorded — also charge-free — and the VP parks again.
-    pub fn read_local_resident<T: Elem>(
+    /// The value at local offset `off`, or `None` — with the fault recorded
+    /// — while its tile is spilled. Touches no counters, no compute, no
+    /// checker: the access was fully charged by [`Self::get_global`], so the
+    /// re-read of a parked [`GetOutcome::LocalPending`] (which may find
+    /// another tile was serviced first, and park again) stays invisible to
+    /// every observable.
+    pub fn read_resident<T: Elem>(
         s: &mut VpScratch,
-        inner: &Inner,
+        ga: &GArray<T>,
+        tiles: Option<&ArrayTiles>,
         id: u32,
-        idx: usize,
+        off: usize,
     ) -> Option<T> {
-        let ga = garray_ref::<T>(inner, id);
-        let off = ga.dist.local_offset(idx);
-        if inner.tile_budget.is_cold(id, off) {
-            s.tile_faults.push((id, inner.tile_budget.tile_of(id, off)));
+        if let Some(tile) = tiles.and_then(|t| t.cold_tile(off)) {
+            s.tile_faults.push((id, tile));
             return None;
         }
         Some(ga.local[off])
     }
 
-    /// VP write (assign) of a global shared element.
-    pub fn put_global<T: Elem>(&self, inner: &Inner, id: u32, idx: usize, val: T) {
-        let mut s = self.scratch();
-        let kind = Self::in_phase(&s, "global shared write");
-        assert_eq!(
-            kind,
-            PhaseKind::Global,
-            "global shared writes are only allowed inside a global phase"
-        );
-        s.compute += self.cfg.sv_overhead;
-        if self.checker_on {
-            s.checks.push(CheckEvent::Put {
-                space: Space::Global,
-                array: id,
-                idx: idx as u64,
-                fp: crate::check::fingerprint(&val),
-                kind,
-            });
-        }
-        let ga = garray_ref::<T>(inner, id);
-        assert!(idx < ga.dist.len, "global write index {idx} out of bounds");
-        if ga.dist.owner(idx) == self.node {
+    /// Count a write to element `idx` of `ga` as local or remote.
+    fn count_write<T: Elem>(&self, s: &mut VpScratch, ga: &GArray<T>, idx: usize) {
+        if ga.owned_offset(idx).is_some() {
             s.counters.local_accesses += 1;
         } else {
             s.counters.remote_puts += 1;
         }
-        self.log_write(&mut s, Space::Global, id, idx, WKind::Assign, val);
+    }
+
+    /// VP write (assign) of a global shared element.
+    pub fn put_global<T: Elem>(&self, id: u32, idx: usize, val: T) {
+        self.with_poll(|s, view| {
+            let kind = Self::in_phase(s, "global shared write");
+            assert_eq!(
+                kind,
+                PhaseKind::Global,
+                "global shared writes are only allowed inside a global phase"
+            );
+            s.compute += self.cfg.sv_overhead;
+            if self.checker_on {
+                s.checks.push(CheckEvent::Put {
+                    space: Space::Global,
+                    array: id,
+                    idx: idx as u64,
+                    fp: crate::check::fingerprint(&val),
+                    kind,
+                });
+            }
+            let ga = garray_ref::<T>(view, id);
+            assert!(idx < ga.dist.len, "global write index {idx} out of bounds");
+            self.count_write(s, ga, idx);
+            self.log_write(s, Space::Global, id, idx, WKind::Assign, val);
+        })
     }
 
     /// VP combining write of a global shared element.
-    pub fn accum_global<T: AccumElem>(
-        &self,
-        inner: &Inner,
-        id: u32,
-        idx: usize,
-        op: AccumOp,
-        val: T,
-    ) {
-        let mut s = self.scratch();
-        let kind = Self::in_phase(&s, "global shared accumulate");
-        assert_eq!(
-            kind,
-            PhaseKind::Global,
-            "global shared accumulates are only allowed inside a global phase"
-        );
-        s.compute += self.cfg.sv_overhead;
-        if self.checker_on {
-            s.checks.push(CheckEvent::Accum {
-                space: Space::Global,
-                array: id,
-                idx: idx as u64,
-            });
-        }
-        let ga = garray_ref::<T>(inner, id);
-        assert!(idx < ga.dist.len, "accumulate index {idx} out of bounds");
-        if ga.dist.owner(idx) == self.node {
-            s.counters.local_accesses += 1;
-        } else {
-            s.counters.remote_puts += 1;
-        }
-        self.log_write(&mut s, Space::Global, id, idx, WKind::Accum(op), val)
-            .combine = Some(T::combine);
+    pub fn accum_global<T: AccumElem>(&self, id: u32, idx: usize, op: AccumOp, val: T) {
+        self.with_poll(|s, view| {
+            let kind = Self::in_phase(s, "global shared accumulate");
+            assert_eq!(
+                kind,
+                PhaseKind::Global,
+                "global shared accumulates are only allowed inside a global phase"
+            );
+            s.compute += self.cfg.sv_overhead;
+            if self.checker_on {
+                s.checks.push(CheckEvent::Accum {
+                    space: Space::Global,
+                    array: id,
+                    idx: idx as u64,
+                });
+            }
+            let ga = garray_ref::<T>(view, id);
+            assert!(idx < ga.dist.len, "accumulate index {idx} out of bounds");
+            self.count_write(s, ga, idx);
+            self.log_write(s, Space::Global, id, idx, WKind::Accum(op), val)
+                .combine = Some(T::combine);
+        })
     }
 
     /// VP read of a node-shared element (physical shared memory:
     /// immediate).
-    pub fn get_node_arr<T: Elem>(&self, inner: &Inner, id: u32, idx: usize) -> T {
-        let mut s = self.scratch();
-        let kind = Self::in_phase(&s, "node shared read");
-        s.compute += self.cfg.node_sv_overhead;
-        if self.checker_on {
-            s.checks.push(CheckEvent::Get {
-                space: Space::Node,
-                array: id,
-                idx: idx as u64,
-                kind,
-            });
-        }
-        s.counters.local_accesses += 1;
-        let na = narray_ref::<T>(inner, id);
-        assert!(idx < na.data.len(), "node read index {idx} out of bounds");
-        na.data[idx]
+    pub fn get_node_arr<T: Elem>(&self, id: u32, idx: usize) -> T {
+        self.with_poll(|s, view| {
+            let kind = Self::in_phase(s, "node shared read");
+            s.compute += self.cfg.node_sv_overhead;
+            if self.checker_on {
+                s.checks.push(CheckEvent::Get {
+                    space: Space::Node,
+                    array: id,
+                    idx: idx as u64,
+                    kind,
+                });
+            }
+            s.counters.local_accesses += 1;
+            let na = narray_ref::<T>(view, id);
+            assert!(idx < na.data.len(), "node read index {idx} out of bounds");
+            na.data[idx]
+        })
     }
 
     /// VP write (assign) of a node-shared element.
-    pub fn put_node_arr<T: Elem>(&self, inner: &Inner, id: u32, idx: usize, val: T) {
-        let mut s = self.scratch();
-        let kind = Self::in_phase(&s, "node shared write");
-        s.compute += self.cfg.node_sv_overhead;
-        if self.checker_on {
-            s.checks.push(CheckEvent::Put {
-                space: Space::Node,
-                array: id,
-                idx: idx as u64,
-                fp: crate::check::fingerprint(&val),
-                kind,
-            });
-        }
-        s.counters.local_accesses += 1;
-        let na = narray_ref::<T>(inner, id);
-        assert!(idx < na.data.len(), "node write index {idx} out of bounds");
-        self.log_write(&mut s, Space::Node, id, idx, WKind::Assign, val);
+    pub fn put_node_arr<T: Elem>(&self, id: u32, idx: usize, val: T) {
+        self.with_poll(|s, view| {
+            let kind = Self::in_phase(s, "node shared write");
+            s.compute += self.cfg.node_sv_overhead;
+            if self.checker_on {
+                s.checks.push(CheckEvent::Put {
+                    space: Space::Node,
+                    array: id,
+                    idx: idx as u64,
+                    fp: crate::check::fingerprint(&val),
+                    kind,
+                });
+            }
+            s.counters.local_accesses += 1;
+            let na = narray_ref::<T>(view, id);
+            assert!(idx < na.data.len(), "node write index {idx} out of bounds");
+            self.log_write(s, Space::Node, id, idx, WKind::Assign, val);
+        })
     }
 
     /// VP combining write of a node-shared element.
-    pub fn accum_node_arr<T: AccumElem>(
-        &self,
-        inner: &Inner,
-        id: u32,
-        idx: usize,
-        op: AccumOp,
-        val: T,
-    ) {
-        let mut s = self.scratch();
-        Self::in_phase(&s, "node shared accumulate");
-        s.compute += self.cfg.node_sv_overhead;
-        if self.checker_on {
-            s.checks.push(CheckEvent::Accum {
-                space: Space::Node,
-                array: id,
-                idx: idx as u64,
-            });
-        }
-        s.counters.local_accesses += 1;
-        let na = narray_ref::<T>(inner, id);
-        assert!(idx < na.data.len(), "accumulate index {idx} out of bounds");
-        self.log_write(&mut s, Space::Node, id, idx, WKind::Accum(op), val)
-            .combine = Some(T::combine);
+    pub fn accum_node_arr<T: AccumElem>(&self, id: u32, idx: usize, op: AccumOp, val: T) {
+        self.with_poll(|s, view| {
+            Self::in_phase(s, "node shared accumulate");
+            s.compute += self.cfg.node_sv_overhead;
+            if self.checker_on {
+                s.checks.push(CheckEvent::Accum {
+                    space: Space::Node,
+                    array: id,
+                    idx: idx as u64,
+                });
+            }
+            s.counters.local_accesses += 1;
+            let na = narray_ref::<T>(view, id);
+            assert!(idx < na.data.len(), "accumulate index {idx} out of bounds");
+            self.log_write(s, Space::Node, id, idx, WKind::Accum(op), val)
+                .combine = Some(T::combine);
+        })
     }
 
     /// Charge `n` floating-point operations of VP-private computation.
     pub fn charge_flops(&self, n: u64) {
-        let mut s = self.scratch();
-        s.counters.flops += n;
-        s.compute += self.cfg.machine.core.flops(n);
+        self.with_poll(|s, _| {
+            s.counters.flops += n;
+            s.compute += self.cfg.machine.core.flops(n);
+        })
     }
 
     /// Charge `n` memory operations of VP-private computation.
     pub fn charge_mem_ops(&self, n: u64) {
-        let mut s = self.scratch();
-        s.counters.mem_ops += n;
-        s.compute += self.cfg.machine.core.mem_ops(n);
+        self.with_poll(|s, _| {
+            s.counters.mem_ops += n;
+            s.compute += self.cfg.machine.core.mem_ops(n);
+        })
     }
+}
+
+/// What a VP poll works on, parked in a thread-local for the poll's
+/// duration so every access inside it is lock-free: the VP's scratch, moved
+/// out of its [`VpCell`], and the node's [`Frozen`] arrays. Sound under the
+/// worker pool because a poll starts and ends on one host thread and a
+/// thread polls one VP at a time (DESIGN.md §12).
+struct PollCtx {
+    vp: usize,
+    scratch: VpScratch,
+    view: Arc<Frozen>,
+}
+
+thread_local! {
+    static POLL: RefCell<Option<PollCtx>> = const { RefCell::new(None) };
+}
+
+/// One poll's ownership of the calling thread's poll context. Dropping it —
+/// normally, or while a panicking VP unwinds — hands the scratch back to the
+/// cell and releases the `Frozen` clone, so the driver can merge and mutate
+/// again.
+pub(crate) struct PollGuard<'a>(&'a VpCell);
+
+impl<'a> PollGuard<'a> {
+    pub fn enter(cell: &'a VpCell, view: Arc<Frozen>) -> Self {
+        let scratch = std::mem::take(&mut *cell.scratch());
+        let ctx = PollCtx {
+            vp: cell.id,
+            scratch,
+            view,
+        };
+        let nested = POLL.replace(Some(ctx));
+        assert!(nested.is_none(), "VP polled from inside another VP's poll");
+        PollGuard(cell)
+    }
+}
+
+impl Drop for PollGuard<'_> {
+    fn drop(&mut self) {
+        if let Some(ctx) = POLL.take() {
+            *self.0.scratch() = ctx.scratch;
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Lock acquisitions by the calling thread (unit-test builds only): the
+    /// poll path must take O(polls) of them, not O(accesses).
+    pub(crate) static LOCKS_TAKEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[inline]
+fn count_lock() {
+    #[cfg(test)]
+    LOCKS_TAKEN.with(|n| n.set(n.get() + 1));
 }
 
 /// Merge one VP's scratch into the node state. Called by the executor in
@@ -895,14 +970,15 @@ pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell) -> SimTime {
         s.checks.clear();
     }
     let base = cell.global_rank - cell.id as u64;
+    let arrays = inner.thaw();
     for (id, w) in s.global_writes.iter_mut().enumerate() {
         if let Some(w) = w.as_mut().filter(|w| !w.is_empty()) {
-            w.replay_global(&mut *inner.garrays[id], base);
+            w.replay_global(&mut *arrays.garrays[id], base);
         }
     }
     for (id, w) in s.node_writes.iter_mut().enumerate() {
         if let Some(w) = w.as_mut().filter(|w| !w.is_empty()) {
-            w.replay_node(&mut *inner.narrays[id], base);
+            w.replay_node(&mut *arrays.narrays[id], base);
         }
     }
     for r in s.reqs.drain(..) {
@@ -933,11 +1009,11 @@ pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell) -> SimTime {
 // Shared handle to the per-node state.
 // ---------------------------------------------------------------------------
 
-/// The shared handle to [`Inner`]: a read lock during VP polls (the live
-/// arrays are immutable inside a phase body), a write lock for the
-/// executor's merges and exchanges. Lock poisoning is ignored — a caught
-/// VP panic is re-raised by the executor, so a poisoned lock only ever
-/// guards state that is about to unwind.
+/// The shared handle to [`Inner`]: a write lock for the driver's merges and
+/// exchanges, a read lock for its queries — and for each VP poll's one
+/// look, to clone the [`Frozen`] handle it works on. Lock poisoning is
+/// ignored — a caught VP panic is re-raised by the executor, so a poisoned
+/// lock only ever guards state that is about to unwind.
 #[derive(Clone)]
 pub(crate) struct SharedInner(Arc<RwLock<Inner>>);
 
@@ -947,46 +1023,50 @@ impl SharedInner {
     }
 
     pub fn borrow(&self) -> RwLockReadGuard<'_, Inner> {
+        count_lock();
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub fn borrow_mut(&self) -> RwLockWriteGuard<'_, Inner> {
+        count_lock();
         self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub fn try_borrow(&self) -> Option<RwLockReadGuard<'_, Inner>> {
+        count_lock();
         self.0.try_read().ok()
     }
 
     pub fn try_borrow_mut(&self) -> Option<RwLockWriteGuard<'_, Inner>> {
+        count_lock();
         self.0.try_write().ok()
     }
 }
 
 // Typed views of the arrays through their trait objects.
-pub(crate) fn garray_ref<T: Elem>(inner: &Inner, id: u32) -> &GArray<T> {
-    inner.garrays[id as usize]
+pub(crate) fn garray_ref<T: Elem>(arrays: &Frozen, id: u32) -> &GArray<T> {
+    arrays.garrays[id as usize]
         .as_any_ref()
         .downcast_ref::<GArray<T>>()
         .expect("global array handle type mismatch")
 }
 
-pub(crate) fn garray_mut<T: Elem>(inner: &mut Inner, id: u32) -> &mut GArray<T> {
-    inner.garrays[id as usize]
+pub(crate) fn garray_mut<T: Elem>(arrays: &mut Frozen, id: u32) -> &mut GArray<T> {
+    arrays.garrays[id as usize]
         .as_any()
         .downcast_mut::<GArray<T>>()
         .expect("global array handle type mismatch")
 }
 
-pub(crate) fn narray_ref<T: Elem>(inner: &Inner, id: u32) -> &NArray<T> {
-    inner.narrays[id as usize]
+pub(crate) fn narray_ref<T: Elem>(arrays: &Frozen, id: u32) -> &NArray<T> {
+    arrays.narrays[id as usize]
         .as_any_ref()
         .downcast_ref::<NArray<T>>()
         .expect("node array handle type mismatch")
 }
 
-pub(crate) fn narray_mut<T: Elem>(inner: &mut Inner, id: u32) -> &mut NArray<T> {
-    inner.narrays[id as usize]
+pub(crate) fn narray_mut<T: Elem>(arrays: &mut Frozen, id: u32) -> &mut NArray<T> {
+    arrays.narrays[id as usize]
         .as_any()
         .downcast_mut::<NArray<T>>()
         .expect("node array handle type mismatch")
@@ -1011,6 +1091,12 @@ pub(crate) struct WriteParcel {
 pub(crate) struct GArray<T: Elem> {
     pub dist: Dist,
     pub local: Vec<T>,
+    /// The node this partition belongs to.
+    node: usize,
+    /// The global range `node` owns under a contiguous `dist` (refreshed by
+    /// [`GArrayObj::migrate_rebind`]), so the access path's "local?" is two
+    /// compares. Empty for cyclic layouts, which ask `dist`.
+    owned: Range<usize>,
     /// Write log for the current phase, one segment per VP merge.
     wlog: WLog<T>,
     /// Remote elements whose phase-frozen value this node has learned —
@@ -1034,14 +1120,40 @@ pub(crate) struct GArray<T: Elem> {
 impl<T: Elem> GArray<T> {
     pub fn new(dist: Dist, node: usize) -> Self {
         let local = vec![T::default(); dist.local_len(node)];
+        let contiguous = dist.is_contiguous();
         GArray {
+            owned: if contiguous {
+                dist.owned_range(node)
+            } else {
+                0..0
+            },
             dist,
             local,
+            node,
             wlog: WLog::default(),
             rcache: Vec::new(),
             rcache_spare: Vec::new(),
             arena: Vec::new(),
         }
+    }
+
+    /// Local offset of global index `idx`, if this node owns it.
+    #[inline]
+    pub fn owned_offset(&self, idx: usize) -> Option<usize> {
+        if self.owned.contains(&idx) {
+            Some(idx - self.owned.start)
+        } else if self.dist.is_contiguous() {
+            None
+        } else {
+            let (owner, off) = self.dist.locate(idx);
+            (owner == self.node).then_some(off)
+        }
+    }
+
+    /// Local offset of an element the exchange protocol routed here.
+    fn offset_of_owned(&self, idx: u64) -> usize {
+        self.owned_offset(idx as usize)
+            .expect("exchange entry for an element this node does not own")
     }
 
     /// The response value parked at arena position `pos` (from a filled
@@ -1177,7 +1289,7 @@ impl<T: Elem> GArrayObj for GArray<T> {
     fn serve(&self, idxs: &[u64]) -> (Box<dyn Any + Send>, usize) {
         let values: Vec<T> = idxs
             .iter()
-            .map(|&i| self.local[self.dist.local_offset(i as usize)])
+            .map(|&i| self.local[self.offset_of_owned(i)])
             .collect();
         let bytes = values.wire_size();
         (Box::new(values), bytes)
@@ -1254,7 +1366,7 @@ impl<T: Elem> GArrayObj for GArray<T> {
     fn refresh_collect(&self, idxs: &[u64]) -> Box<dyn Any + Send + Sync> {
         let values: Vec<T> = idxs
             .iter()
-            .map(|&i| self.local[self.dist.local_offset(i as usize)])
+            .map(|&i| self.local[self.offset_of_owned(i)])
             .collect();
         Box::new(values)
     }
@@ -1346,6 +1458,7 @@ impl<T: Elem> GArrayObj for GArray<T> {
             }
         }
         self.local = local;
+        self.owned = new_range;
         self.dist = dist;
         arrived
     }
@@ -1473,8 +1586,6 @@ pub(crate) struct PhaseState {
     pub entered: usize,
     /// VPs waiting at the current phase's end barrier.
     pub arrived: usize,
-    /// Completed-phase counter; barrier futures wait for it to advance.
-    pub epoch: u64,
     /// Completed global phases (used to tag runtime messages).
     pub global_seq: u64,
     /// Completed node phases.
@@ -1625,12 +1736,12 @@ pub(crate) enum GetOutcome<T> {
     Local(T),
     /// The element is remote; the VP parks on this slot.
     Remote(u32),
-    /// The element is owned locally but its partition tile is spilled
-    /// (pseudo-streaming, DESIGN.md §18). The VP parks slot-free; the
-    /// executor refills the tile and wakes it, and the deferred re-read
-    /// ([`VpCell::read_local_resident`]) is charge-free — the access was
-    /// fully charged here, exactly like the in-core path.
-    LocalPending,
+    /// The element is owned locally, at this local offset, but its
+    /// partition tile is spilled (pseudo-streaming, DESIGN.md §18). The VP
+    /// parks slot-free; the executor refills the tile and wakes it, and the
+    /// deferred re-read ([`VpCell::read_resident`]) is charge-free — the
+    /// access was fully charged here, exactly like the in-core path.
+    LocalPending(usize),
 }
 
 // ---------------------------------------------------------------------------
@@ -1638,7 +1749,7 @@ pub(crate) enum GetOutcome<T> {
 // ---------------------------------------------------------------------------
 
 /// Tiling registration of one global array's local partition.
-struct ArrayTiles {
+pub(crate) struct ArrayTiles {
     elem_bytes: u64,
     local_len: usize,
     /// Elements per tile; 0 = untiled (the whole partition counts as
@@ -1648,13 +1759,21 @@ struct ArrayTiles {
     resident: Vec<bool>,
     /// Deterministic recency per tile: the [`TileBudget::clock`] value of
     /// the last driver-side touch (refill or write application). Never
-    /// updated by VP reads, which run under the shared read lock.
+    /// updated by VP reads, which see only the frozen state.
     last_touch: Vec<u64>,
 }
 
 impl ArrayTiles {
     fn n_tiles(&self) -> usize {
         self.resident.len()
+    }
+
+    /// The tile holding local offset `off` of a tiled partition, if it is
+    /// spilled.
+    #[inline]
+    pub fn cold_tile(&self, off: usize) -> Option<u32> {
+        let tile = off / self.tile_elems;
+        (!self.resident[tile]).then_some(tile as u32)
     }
 
     fn tile_bytes(&self, tile: usize) -> u64 {
@@ -1705,14 +1824,13 @@ impl TileBudget {
         self.peak_bytes = self.peak_bytes.max(self.resident_bytes);
     }
 
-    /// Register array `id`'s local partition (allocation and rebinds). A
-    /// partition is tiled iff streaming is on and it spans at least two
-    /// tiles of `max(1, budget / (8 * elem_bytes))` elements — so roughly
-    /// eight tiles fit in the budget and eviction always has headroom.
-    /// Tiled partitions start fully cold; untiled ones count as resident
-    /// in full.
-    pub fn register(&mut self, id: u32, elem_bytes: usize, local_len: usize) {
-        let elem_bytes = elem_bytes.max(1) as u64;
+    /// A fresh tiling of a `local_len`-element partition, counted into the
+    /// resident bytes. A partition is tiled iff streaming is on and it spans
+    /// at least two tiles of `max(1, budget / (8 * elem_bytes))` elements —
+    /// so roughly eight tiles fit in the budget and eviction always has
+    /// headroom. Tiled partitions start fully cold; untiled ones count as
+    /// resident in full.
+    fn admit(&mut self, elem_bytes: u64, local_len: usize) -> ArrayTiles {
         let tile_elems = if self.budget == 0 {
             0
         } else {
@@ -1724,20 +1842,28 @@ impl TileBudget {
         } else {
             0
         };
-        let at = ArrayTiles {
-            elem_bytes,
-            local_len,
-            tile_elems: if tiled { tile_elems } else { 0 },
-            resident: vec![false; n_tiles],
-            last_touch: vec![0; n_tiles],
-        };
         // Residency is only tracked under a budget; with streaming off the
         // whole question is moot and every accessor reports zero.
         if self.budget > 0 && !tiled {
             self.bump(local_len as u64 * elem_bytes);
         }
-        let id = id as usize;
-        assert_eq!(id, self.arrays.len(), "tile registration out of order");
+        ArrayTiles {
+            elem_bytes,
+            local_len,
+            tile_elems: if tiled { tile_elems } else { 0 },
+            resident: vec![false; n_tiles],
+            last_touch: vec![0; n_tiles],
+        }
+    }
+
+    /// Register array `id`'s local partition at allocation.
+    pub fn register(&mut self, id: u32, elem_bytes: usize, local_len: usize) {
+        let at = self.admit(elem_bytes.max(1) as u64, local_len);
+        assert_eq!(
+            id as usize,
+            self.arrays.len(),
+            "tile registration out of order"
+        );
         self.arrays.push(at);
     }
 
@@ -1746,9 +1872,9 @@ impl TileBudget {
     pub fn rebind(&mut self, id: u32, local_len: usize) {
         let a = &self.arrays[id as usize];
         let elem_bytes = a.elem_bytes;
-        // Mirror of `register`'s accounting: with streaming off nothing
-        // was ever counted resident, untiled partitions were counted in
-        // full, tiled ones by their resident tiles.
+        // Mirror of `admit`'s accounting: with streaming off nothing was
+        // ever counted resident, untiled partitions were counted in full,
+        // tiled ones by their resident tiles.
         let old: u64 = if self.budget == 0 {
             0
         } else if a.tile_elems == 0 {
@@ -1760,44 +1886,14 @@ impl TileBudget {
                 .sum()
         };
         self.resident_bytes -= old;
-        let tile_elems = if self.budget == 0 {
-            0
-        } else {
-            usize::try_from((self.budget / (8 * elem_bytes)).max(1)).unwrap_or(usize::MAX)
-        };
-        let tiled = tile_elems > 0 && local_len > tile_elems;
-        let n_tiles = if tiled {
-            local_len.div_ceil(tile_elems)
-        } else {
-            0
-        };
-        self.arrays[id as usize] = ArrayTiles {
-            elem_bytes,
-            local_len,
-            tile_elems: if tiled { tile_elems } else { 0 },
-            resident: vec![false; n_tiles],
-            last_touch: vec![0; n_tiles],
-        };
-        if self.budget > 0 && !tiled {
-            self.bump(local_len as u64 * elem_bytes);
-        }
+        self.arrays[id as usize] = self.admit(elem_bytes, local_len);
     }
 
-    /// Whether local offset `off` of array `id` sits in a spilled tile.
-    /// Always false with streaming off or for untiled arrays.
-    pub fn is_cold(&self, id: u32, off: usize) -> bool {
-        match self.arrays.get(id as usize) {
-            Some(a) if a.tile_elems > 0 => !a.resident[off / a.tile_elems],
-            _ => false,
-        }
-    }
-
-    /// Tile index containing local offset `off` of array `id`. Only
-    /// meaningful for tiled arrays.
-    pub fn tile_of(&self, id: u32, off: usize) -> u32 {
-        let a = &self.arrays[id as usize];
-        debug_assert!(a.tile_elems > 0, "tile_of on an untiled array");
-        (off / a.tile_elems) as u32
+    /// Array `id`'s tiling, if its partition is tiled at all — `None` with
+    /// streaming off or for an untiled array, every element of which is
+    /// always resident. A bulk read asks once per poll.
+    pub fn tiled(&self, id: u32) -> Option<&ArrayTiles> {
+        self.arrays.get(id as usize).filter(|a| a.tile_elems > 0)
     }
 
     /// Driver-side recency touch for a write applied at local offset
@@ -1874,10 +1970,24 @@ impl TileBudget {
     }
 }
 
-/// All per-node runtime state the VPs and the executor share.
-pub(crate) struct Inner {
+/// The part of the node state VP polls read and never write — everything
+/// a phase body sees frozen. Each poll works on its own `Arc` clone of it,
+/// lock-free; the driver mutates it between poll rounds through
+/// [`Inner::thaw`] (DESIGN.md §12).
+pub(crate) struct Frozen {
     pub garrays: Vec<Box<dyn GArrayObj>>,
     pub narrays: Vec<Box<dyn NArrayObj>>,
+    /// Pseudo-streaming tile residency under `cfg.tile_budget`
+    /// (DESIGN.md §18). With the budget off every query answers "hot" and
+    /// the streaming paths are never taken.
+    pub tile_budget: TileBudget,
+    /// Completed-phase counter; barrier futures wait for it to advance.
+    pub epoch: u64,
+}
+
+/// All per-node runtime state the VPs and the executor share.
+pub(crate) struct Inner {
+    pub frozen: Arc<Frozen>,
     /// Reads parked in VP slot tables but not yet answered by a wave
     /// (incremented when scratches merge, decremented per slot fill).
     pub outstanding_reads: usize,
@@ -1979,10 +2089,6 @@ pub(crate) struct Inner {
     /// `(snapshot phase, bytes, base)` — shows in the watchdog's protocol
     /// dump how fresh the hosted replica is.
     pub replica_in: Option<(u64, u64, bool)>,
-    /// Pseudo-streaming tile residency under `cfg.tile_budget`
-    /// (DESIGN.md §18). With the budget off every query answers "hot" and
-    /// the streaming paths are never taken.
-    pub tile_budget: TileBudget,
     /// Cold-tile faults merged from VP scratches this poll round, as
     /// `(array, tile)`; the executor services the minimum group per fault
     /// round and clears the rest (parked VPs re-record still-cold faults
@@ -1996,8 +2102,12 @@ pub(crate) struct Inner {
 impl Inner {
     pub fn new(cfg: PpmConfig, _node: usize) -> Self {
         Inner {
-            garrays: Vec::new(),
-            narrays: Vec::new(),
+            frozen: Arc::new(Frozen {
+                garrays: Vec::new(),
+                narrays: Vec::new(),
+                tile_budget: TileBudget::new(cfg.tile_budget),
+                epoch: 0,
+            }),
             outstanding_reads: 0,
             reqs: vec![Vec::new(); cfg.nodes()],
             phase: PhaseState::default(),
@@ -2028,10 +2138,16 @@ impl Inner {
             peer_vps: Vec::new(),
             replica_base_sent: false,
             replica_in: None,
-            tile_budget: TileBudget::new(cfg.tile_budget),
             pending_tile_faults: Vec::new(),
             fault_waiters: Vec::new(),
         }
+    }
+
+    /// The frozen state, mutably. Only the driver calls this, and only
+    /// between poll rounds: every poll drops its clone before its result
+    /// reaches the driver ([`PollGuard`]), so the handle is unique here.
+    pub fn thaw(&mut self) -> &mut Frozen {
+        Arc::get_mut(&mut self.frozen).expect("frozen node state mutated during a VP poll")
     }
 
     /// A VP enters a phase of `kind`; all concurrent VPs must agree.
@@ -2367,6 +2483,7 @@ mod tests {
     // SAFETY: both methods forward to `System` with the caller's arguments
     // unchanged (`realloc`/`alloc_zeroed` default to them); the counter is
     // a destructor-less thread-local statistic.
+    #[allow(unsafe_code)] // the crate denies it; a global allocator cannot be written without
     unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
             let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
@@ -2461,6 +2578,16 @@ mod tests {
         assert_eq!(bytes, 8 + 3 * 8);
         let vals = payload.downcast::<Vec<u64>>().unwrap();
         assert_eq!(*vals, vec![100, 104, 102]);
+    }
+
+    impl TileBudget {
+        fn is_cold(&self, id: u32, off: usize) -> bool {
+            self.tiled(id).is_some_and(|t| t.cold_tile(off).is_some())
+        }
+
+        fn tile_of(&self, id: u32, off: usize) -> u32 {
+            (off / self.tiled(id).expect("tiled array").tile_elems) as u32
+        }
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! deschedule a virtual processor.
 //!
 //! Every effect a VP produces goes into its private
-//! [`VpScratch`](crate::state::VpScratch) (via the shared
-//! [`VpCell`]); the executor merges scratches in ascending rank order, so
-//! these futures are `Send` and may be polled from any host worker thread
-//! (see `exec.rs` and DESIGN.md §12).
+//! [`VpScratch`](crate::state::VpScratch), which — with the node's frozen
+//! arrays — is the poll context the executor parks in a thread-local
+//! around each poll ([`VpCell::with_poll`]): the handles here take no lock
+//! and work only inside the future being polled. The executor merges
+//! scratches in ascending rank order, so these futures are `Send` and may
+//! be polled from any host worker thread (see `exec.rs` and DESIGN.md §12).
 
 use std::future::Future;
 use std::pin::Pin;
@@ -23,26 +25,16 @@ use std::task::{Context, Poll};
 
 use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::shared::{GlobalShared, NodeShared};
-use crate::state::{garray_ref, DoMode, GetOutcome, PhaseKind, SharedInner, VpCell};
+use crate::state::{garray_ref, DoMode, GetOutcome, PhaseKind, VpCell};
 
 /// Handle given to each virtual processor started by `ppm_do`.
 ///
 /// Carries the VP's identity (rank functions, paper §3.1 item 6), explicit
-/// work charging, and the phase constructs.
+/// work charging, and the phase constructs. Everything but the identity
+/// works only inside the VP's own future, while `ppm_do` is polling it.
+#[derive(Clone)]
 pub struct Vp {
-    pub(crate) inner: SharedInner,
     pub(crate) cell: Arc<VpCell>,
-}
-
-// Cheap handle duplication so phase bodies (`async move` blocks) can
-// capture their own copy while the VP function keeps using the original.
-impl Clone for Vp {
-    fn clone(&self) -> Self {
-        Vp {
-            inner: self.inner.clone(),
-            cell: self.cell.clone(),
-        }
-    }
 }
 
 impl Vp {
@@ -99,10 +91,9 @@ impl Vp {
     /// hoisting it across phases, and split it among the node's VPs by
     /// [`Self::node_rank`].
     pub fn local_range<T: Elem>(&self, g: &GlobalShared<T>) -> std::ops::Range<usize> {
-        let inner = self.inner.borrow();
-        inner.garrays[g.id as usize]
-            .dist()
-            .owned_range(self.cell.node)
+        let node = self.cell.node;
+        self.cell
+            .with_poll(|_, view| view.garrays[g.id as usize].dist().owned_range(node))
     }
 
     /// Tile-aware variant of [`Self::local_range`]: the node's owned range
@@ -116,11 +107,11 @@ impl Vp {
         g: &GlobalShared<T>,
         chunk_elems: usize,
     ) -> Vec<std::ops::Range<usize>> {
-        let inner = self.inner.borrow();
-        inner.garrays[g.id as usize]
-            .dist()
-            .owned_chunks(self.cell.node, chunk_elems)
-            .collect()
+        let node = self.cell.node;
+        self.cell.with_poll(|_, view| {
+            let dist = view.garrays[g.id as usize].dist();
+            dist.owned_chunks(node, chunk_elems).collect()
+        })
     }
 
     /// Charge `n` floating-point operations of VP-private computation.
@@ -162,8 +153,7 @@ impl Vp {
             "global phases are not allowed inside ppm_do_local \
              (asynchronous node-level mode); use ppm_do"
         );
-        {
-            let mut s = self.cell.scratch();
+        self.cell.with_poll(|s, _| {
             if s.cur_phase.is_some() {
                 // Phase structure violation: report with the checker's
                 // rendering and abort (the runtime cannot give nested
@@ -176,9 +166,8 @@ impl Vp {
             }
             s.cur_phase = Some(kind);
             s.pending_enter = Some(kind);
-        }
+        });
         let ph = Phase {
-            inner: self.inner.clone(),
             cell: self.cell.clone(),
             kind,
         };
@@ -186,14 +175,16 @@ impl Vp {
         // Capture the epoch to outwait *before* flagging arrival: the
         // executor cannot advance it until this VP's arrival merges, which
         // happens only after the current poll returns.
-        let epoch = self.inner.borrow().phase.epoch;
-        self.cell.scratch().pending_arrive = true;
+        let epoch = self.cell.with_poll(|s, view| {
+            s.pending_arrive = true;
+            view.epoch
+        });
         BarrierFut {
-            inner: self.inner.clone(),
+            cell: &self.cell,
             epoch,
         }
         .await;
-        self.cell.scratch().cur_phase = None;
+        self.cell.with_poll(|s, _| s.cur_phase = None);
         r
     }
 }
@@ -202,7 +193,6 @@ impl Vp {
 /// variables, which enforces the paper's rule that shared access happens
 /// inside phases.
 pub struct Phase {
-    inner: SharedInner,
     cell: Arc<VpCell>,
     kind: PhaseKind,
 }
@@ -217,10 +207,9 @@ impl Phase {
     /// Read a global shared element. Returns the value the element had at
     /// phase start. Local elements resolve immediately; remote elements
     /// suspend the VP until the runtime's next bundled wave.
-    pub fn get<T: Elem>(&self, g: &GlobalShared<T>, idx: usize) -> GetFut<T> {
+    pub fn get<T: Elem>(&self, g: &GlobalShared<T>, idx: usize) -> GetFut<'_, T> {
         GetFut {
-            inner: self.inner.clone(),
-            cell: self.cell.clone(),
+            cell: &self.cell,
             array: g.id,
             idx,
             state: GetFutState::Start,
@@ -239,10 +228,9 @@ impl Phase {
         &self,
         g: &GlobalShared<T>,
         idxs: impl IntoIterator<Item = usize>,
-    ) -> GetManyFut<T> {
+    ) -> GetManyFut<'_, T> {
         GetManyFut {
-            inner: self.inner.clone(),
-            cell: self.cell.clone(),
+            cell: &self.cell,
             array: g.id,
             idxs: Some(idxs.into_iter().collect()),
             values: Vec::new(),
@@ -254,7 +242,7 @@ impl Phase {
     /// conflicting writes resolve deterministically (last writer in
     /// (global VP rank, program order) wins). Only valid in a global phase.
     pub fn put<T: Elem>(&self, g: &GlobalShared<T>, idx: usize, val: T) {
-        self.cell.put_global(&self.inner.borrow(), g.id, idx, val);
+        self.cell.put_global(g.id, idx, val);
     }
 
     /// Combining write to a global shared element: at phase end the element
@@ -264,19 +252,18 @@ impl Phase {
     /// from many VPs are merged locally, so a cluster-wide sum ships one
     /// entry per node.
     pub fn accumulate<T: AccumElem>(&self, g: &GlobalShared<T>, idx: usize, op: AccumOp, val: T) {
-        self.cell
-            .accum_global(&self.inner.borrow(), g.id, idx, op, val);
+        self.cell.accum_global(g.id, idx, op, val);
     }
 
     /// Read a node-shared element (this node's physical shared memory;
     /// immediate).
     pub fn get_node<T: Elem>(&self, n: &NodeShared<T>, idx: usize) -> T {
-        self.cell.get_node_arr(&self.inner.borrow(), n.id, idx)
+        self.cell.get_node_arr(n.id, idx)
     }
 
     /// Write a node-shared element; takes effect at phase end.
     pub fn put_node<T: Elem>(&self, n: &NodeShared<T>, idx: usize, val: T) {
-        self.cell.put_node_arr(&self.inner.borrow(), n.id, idx, val);
+        self.cell.put_node_arr(n.id, idx, val);
     }
 
     /// Combining write to a node-shared element.
@@ -287,18 +274,17 @@ impl Phase {
         op: AccumOp,
         val: T,
     ) {
-        self.cell
-            .accum_node_arr(&self.inner.borrow(), n.id, idx, op, val);
+        self.cell.accum_node_arr(n.id, idx, op, val);
     }
 }
 
 enum GetFutState {
     /// Not yet issued (first poll pending).
     Start,
-    /// Local element in a spilled tile: the access was fully charged on
-    /// the first poll; re-read charge-free once the executor refills the
-    /// tile (DESIGN.md §18).
-    Deferred,
+    /// Local element (at this local offset) in a spilled tile: the access
+    /// was fully charged on the first poll; re-read charge-free once the
+    /// executor refills the tile (DESIGN.md §18).
+    Deferred(usize),
     /// Remote element parked on a wave slot.
     Slot(u32),
     /// Resolved; the slot (if any) has been given back.
@@ -310,45 +296,41 @@ enum GetFutState {
 /// Dropping it unresolved (select-style cancellation) is allowed: a parked
 /// remote read gives its slot back, and the response — already requested —
 /// is discarded when it arrives.
-pub struct GetFut<T: Elem> {
-    inner: SharedInner,
-    cell: Arc<VpCell>,
+pub struct GetFut<'a, T: Elem> {
+    cell: &'a VpCell,
     array: u32,
     idx: usize,
     state: GetFutState,
     _t: std::marker::PhantomData<fn() -> T>,
 }
 
-impl<T: Elem> Future for GetFut<T> {
+impl<T: Elem> Future for GetFut<'_, T> {
     type Output = T;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
         let this = &mut *self;
-        let inner = this.inner.borrow();
-        let got = match this.state {
-            GetFutState::Start => match this.cell.get_global::<T>(&inner, this.array, this.idx) {
-                GetOutcome::Local(v) => Some(v),
-                GetOutcome::LocalPending => {
-                    this.state = GetFutState::Deferred;
-                    None
+        let got = this.cell.with_poll(|s, view| {
+            let ga = garray_ref::<T>(view, this.array);
+            let tiles = view.tile_budget.tiled(this.array);
+            match this.state {
+                GetFutState::Start => {
+                    match this.cell.get_global(s, ga, tiles, this.array, this.idx) {
+                        GetOutcome::Local(v) => Some(v),
+                        GetOutcome::LocalPending(off) => {
+                            this.state = GetFutState::Deferred(off);
+                            None
+                        }
+                        GetOutcome::Remote(slot) => {
+                            this.state = GetFutState::Slot(slot);
+                            None
+                        }
+                    }
                 }
-                GetOutcome::Remote(slot) => {
-                    this.state = GetFutState::Slot(slot);
-                    None
-                }
-            },
-            GetFutState::Deferred => VpCell::read_local_resident::<T>(
-                &mut this.cell.scratch(),
-                &inner,
-                this.array,
-                this.idx,
-            ),
-            GetFutState::Slot(slot) => {
-                let pos = this.cell.scratch().slots.try_take(slot);
-                pos.map(|pos| garray_ref::<T>(&inner, this.array).arena_get(pos))
+                GetFutState::Deferred(off) => VpCell::read_resident(s, ga, tiles, this.array, off),
+                GetFutState::Slot(slot) => s.slots.try_take(slot).map(|pos| ga.arena_get(pos)),
+                GetFutState::Done => panic!("GetFut polled after completion"),
             }
-            GetFutState::Done => panic!("GetFut polled after completion"),
-        };
+        });
         match got {
             Some(v) => {
                 this.state = GetFutState::Done;
@@ -359,10 +341,10 @@ impl<T: Elem> Future for GetFut<T> {
     }
 }
 
-impl<T: Elem> Drop for GetFut<T> {
+impl<T: Elem> Drop for GetFut<'_, T> {
     fn drop(&mut self) {
         if let GetFutState::Slot(slot) = self.state {
-            self.cell.scratch().slots.release(slot);
+            self.cell.release_slot(slot);
         }
     }
 }
@@ -372,16 +354,15 @@ impl<T: Elem> Drop for GetFut<T> {
 enum Pend {
     /// Remote element parked on a wave slot.
     Slot(u32),
-    /// Local element (at this global index) in a spilled tile, awaiting a
+    /// Local element (at this local offset) in a spilled tile, awaiting a
     /// charge-free re-read after the executor refills it.
     Deferred(usize),
 }
 
 /// Future returned by [`Phase::get_many`]. Like [`GetFut`], it may be
 /// dropped unresolved.
-pub struct GetManyFut<T: Elem> {
-    inner: SharedInner,
-    cell: Arc<VpCell>,
+pub struct GetManyFut<'a, T: Elem> {
+    cell: &'a VpCell,
     array: u32,
     idxs: Option<Vec<usize>>,
     /// The output, in request order; unresolved positions hold a
@@ -391,53 +372,49 @@ pub struct GetManyFut<T: Elem> {
     pending: Vec<(u32, Pend)>,
 }
 
-// Sound: the future holds no self-references (plain owned fields); `T` is
-// `Copy` data parked by value.
-impl<T: Elem> Unpin for GetManyFut<T> {}
+// Sound: the future holds no self-references (owned fields and a shared
+// borrow of the phase's cell); `T` is `Copy` data parked by value.
+impl<T: Elem> Unpin for GetManyFut<'_, T> {}
 
-impl<T: Elem> Future for GetManyFut<T> {
+impl<T: Elem> Future for GetManyFut<'_, T> {
     type Output = Vec<T>;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Vec<T>> {
         let this = &mut *self;
-        // One `Inner` read lock and one scratch lock per poll, in the
-        // executor's order (`Inner`, then scratch).
-        let inner = this.inner.borrow();
-        let mut s = this.cell.scratch();
-        if let Some(idxs) = this.idxs.take() {
-            // First poll: issue every access; remote ones queue for the
-            // next wave together. Cold-tile locals defer but are charged
-            // here, so wave content and counters match the in-core
-            // schedule exactly.
-            this.values.reserve_exact(idxs.len());
-            for (i, idx) in idxs.into_iter().enumerate() {
-                let (v, pend) = match this
-                    .cell
-                    .get_global_in::<T>(&mut s, &inner, this.array, idx)
-                {
-                    GetOutcome::Local(v) => (v, None),
-                    GetOutcome::LocalPending => (T::default(), Some(Pend::Deferred(idx))),
-                    GetOutcome::Remote(slot) => (T::default(), Some(Pend::Slot(slot))),
-                };
-                this.values.push(v);
-                this.pending.extend(pend.map(|p| (i as u32, p)));
-            }
-        } else {
-            let ga = garray_ref::<T>(&inner, this.array);
-            let values = &mut this.values;
-            this.pending.retain(|&(i, pend)| {
-                let got = match pend {
-                    Pend::Slot(slot) => s.slots.try_take(slot).map(|pos| ga.arena_get(pos)),
-                    Pend::Deferred(idx) => {
-                        VpCell::read_local_resident::<T>(&mut s, &inner, this.array, idx)
-                    }
-                };
-                if let Some(v) = got {
-                    values[i as usize] = v;
+        this.cell.with_poll(|s, view| {
+            // The typed array and its tiling resolve once per poll, not per
+            // element.
+            let ga = garray_ref::<T>(view, this.array);
+            let tiles = view.tile_budget.tiled(this.array);
+            if let Some(idxs) = this.idxs.take() {
+                // First poll: issue every access; remote ones queue for the
+                // next wave together. Cold-tile locals defer but are charged
+                // here, so wave content and counters match the in-core
+                // schedule exactly.
+                this.values.reserve_exact(idxs.len());
+                for (i, idx) in idxs.into_iter().enumerate() {
+                    let (v, pend) = match this.cell.get_global(s, ga, tiles, this.array, idx) {
+                        GetOutcome::Local(v) => (v, None),
+                        GetOutcome::LocalPending(off) => (T::default(), Some(Pend::Deferred(off))),
+                        GetOutcome::Remote(slot) => (T::default(), Some(Pend::Slot(slot))),
+                    };
+                    this.values.push(v);
+                    this.pending.extend(pend.map(|p| (i as u32, p)));
                 }
-                got.is_none()
-            });
-        }
+            } else {
+                let values = &mut this.values;
+                this.pending.retain(|&(i, pend)| {
+                    let got = match pend {
+                        Pend::Slot(slot) => s.slots.try_take(slot).map(|pos| ga.arena_get(pos)),
+                        Pend::Deferred(off) => VpCell::read_resident(s, ga, tiles, this.array, off),
+                    };
+                    if let Some(v) = got {
+                        values[i as usize] = v;
+                    }
+                    got.is_none()
+                });
+            }
+        });
         if this.pending.is_empty() {
             Poll::Ready(std::mem::take(&mut this.values))
         } else {
@@ -446,31 +423,27 @@ impl<T: Elem> Future for GetManyFut<T> {
     }
 }
 
-impl<T: Elem> Drop for GetManyFut<T> {
+impl<T: Elem> Drop for GetManyFut<'_, T> {
     fn drop(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut s = self.cell.scratch();
         for &(_, pend) in &self.pending {
             if let Pend::Slot(slot) = pend {
-                s.slots.release(slot);
+                self.cell.release_slot(slot);
             }
         }
     }
 }
 
 /// Future that resolves when the executor completes the current phase.
-struct BarrierFut {
-    inner: SharedInner,
+struct BarrierFut<'a> {
+    cell: &'a VpCell,
     epoch: u64,
 }
 
-impl Future for BarrierFut {
+impl Future for BarrierFut<'_> {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        if self.inner.borrow().phase.epoch > self.epoch {
+        if self.cell.with_poll(|_, view| view.epoch) > self.epoch {
             Poll::Ready(())
         } else {
             Poll::Pending

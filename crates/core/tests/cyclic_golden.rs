@@ -1,0 +1,103 @@
+//! Golden digest of a job on `Layout::Cyclic` arrays. No application uses
+//! the cyclic layout, so `crates/apps/tests/golden.rs` never walks the
+//! access path's `Dist` fallback (every contiguous layout answers "local?"
+//! from the cached owned range); this fixture pins it to literal
+//! `(result hash, makespan in picoseconds, full Counters)` rows — in core,
+//! and under a tile budget that parks local reads on spilled tiles.
+//!
+//! The rows were captured on the commit before the poll context and the
+//! owned-range cache landed. On a mismatch the assertion prints the observed
+//! row in literal syntax.
+
+use ppm_core::{run, AccumOp, ByteHasher, Layout, NodeCtx, PpmConfig};
+use ppm_simnet::MachineConfig;
+
+/// `Counters::named_fields()` values, in declaration order.
+type CounterRow = [u64; 29];
+
+const N: usize = 50;
+const ROUNDS: usize = 4;
+
+/// Strided gets (local and remote mixed), a bulk window read, and puts and
+/// accumulates whose owners cycle over the nodes.
+fn program(node: &mut NodeCtx<'_>) -> Vec<u64> {
+    let a = node.alloc_global_with::<f64>(N, Layout::Cyclic);
+    let b = node.alloc_global_with::<u64>(N, Layout::Cyclic);
+    let (dist, me) = (node.dist_of(&a), node.node_id());
+    node.with_local_mut(&a, |s| {
+        for (off, v) in s.iter_mut().enumerate() {
+            *v = dist.global_index(me, off) as f64 * 0.5 + 1.0;
+        }
+    });
+    node.with_local_mut(&b, |s| {
+        for (off, v) in s.iter_mut().enumerate() {
+            *v = dist.global_index(me, off) as u64;
+        }
+    });
+    node.ppm_do(4, move |vp| async move {
+        let (g, k) = (vp.global_rank(), vp.global_vp_count());
+        for round in 0..ROUNDS {
+            vp.global_phase(|ph| async move {
+                let mut sum = 0.0;
+                for j in (g..N).step_by(k) {
+                    sum += ph.get(&a, j).await;
+                }
+                let window = (0..8).map(|t| (g * 7 + t * 3 + round) % N);
+                let seen: u64 = ph.get_many(&b, window).await.iter().sum();
+                ph.put(&b, (g * 11 + round) % N, seen);
+                ph.accumulate(&a, (g * 5 + round) % N, AccumOp::Add, sum * 0.25);
+                ph.accumulate(&a, (round * 3) % N, AccumOp::Add, 1.0 + g as f64);
+            })
+            .await;
+        }
+    });
+    let violations = node.take_violations();
+    assert!(violations.is_empty(), "conformance: {violations:?}");
+    let mut bits: Vec<u64> = node.gather_global(&a).iter().map(|v| v.to_bits()).collect();
+    bits.extend(node.gather_global(&b));
+    bits
+}
+
+fn observe(tile_budget: u64, threads: usize) -> (u64, u64, CounterRow) {
+    let cfg = PpmConfig::new(MachineConfig::new(3, 2))
+        .with_checker(true)
+        .with_host_threads(threads)
+        .with_read_cache(true)
+        .with_wave_pipelining(true)
+        .with_adaptive_balance(false)
+        .with_replication(false)
+        .with_sparse_tokens(true)
+        .with_tile_budget(tile_budget);
+    let report = run(cfg, program);
+    assert!(report.results.iter().all(|r| r == &report.results[0]));
+    let mut h = ByteHasher::new();
+    for w in &report.results[0] {
+        h.write(&w.to_le_bytes());
+    }
+    let counters = report.total_counters().named_fields().map(|(_, v)| v);
+    (h.finish(), report.makespan().as_ps(), counters)
+}
+
+#[test]
+fn cyclic_layout_golden() {
+    // (tile budget, hash, makespan_ps, counters)
+    #[rustfmt::skip]
+    let golden: [(u64, u64, u64, CounterRow); 2] = [
+        (0, 0x5d4d72565daeadbf, 616400200, [250, 16123, 250, 16123, 0, 0, 12, 309, 96, 131, 58, 282, 0, 0, 0, 0, 0, 0, 0, 41, 309, 4, 49, 0, 0, 0, 0, 0, 0]),
+        (64, 0x5d4d72565daeadbf, 616400200, [250, 16123, 250, 16123, 0, 0, 12, 309, 96, 131, 58, 282, 0, 0, 0, 0, 0, 0, 0, 41, 309, 4, 49, 0, 0, 0, 0, 203, 227]),
+    ];
+    for (budget, hash, makespan_ps, counters) in golden {
+        for threads in [1, 8] {
+            let got = observe(budget, threads);
+            assert_eq!(
+                got,
+                (hash, makespan_ps, counters),
+                "budget {budget}, {threads} host threads; observed row:\n    \
+                 ({budget}, {:#018x}, {}, {:?}),",
+                got.0,
+                got.1,
+                got.2
+            );
+        }
+    }
+}

@@ -924,3 +924,136 @@ fn cyclic_layout_spreads_ownership() {
         report.results
     );
 }
+
+/// The panic protocol (DESIGN.md §12) through the poll context: when a VP
+/// panics mid-poll, the ranks below it still merge, its own effects and
+/// those of the ranks above are discarded, and the payload re-raises out
+/// of `ppm_do` — at any host thread count.
+#[test]
+fn panicking_vp_merges_lower_ranks_and_discards_its_own() {
+    for threads in [1, 2] {
+        let report = run(cfg(1, 2).with_host_threads(threads), |node| {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                node.ppm_do(3, |vp| async move {
+                    let rank = vp.node_rank() as u64;
+                    vp.charge_flops(100 + rank);
+                    assert_ne!(rank, 1, "boom");
+                });
+            }));
+            let msg = *unwound.unwrap_err().downcast::<String>().unwrap();
+            assert!(msg.contains("boom"), "{msg}");
+            node.ep_counters().flops
+        });
+        assert_eq!(report.results, vec![100], "threads={threads}");
+    }
+}
+
+/// A read still parked when `ppm_do` unwinds is dropped outside any poll:
+/// it gives its slot back through the cell, quietly (a panic in that drop
+/// would abort the process instead of reaching `should_panic`).
+#[test]
+#[should_panic(expected = "boom")]
+fn parked_read_dropped_by_an_unwinding_ppm_do_is_quiet() {
+    run(cfg(2, 2).with_read_cache(false), |node| {
+        let a = node.alloc_global::<u64>(8);
+        let far = (node.local_range(&a).start + 4) % 8;
+        node.ppm_do(2, move |vp| async move {
+            let rank = vp.node_rank();
+            vp.global_phase(|ph| async move {
+                assert_eq!(rank, 0, "boom");
+                ph.get(&a, far).await;
+            })
+            .await;
+        });
+    });
+}
+
+/// A `Phase` smuggled out of its VP's future has no poll context to work
+/// on, and says so.
+#[test]
+#[should_panic(expected = "shared-variable access outside a VP poll")]
+fn phase_handle_outside_a_poll_names_the_cause() {
+    run(cfg(1, 1), |node| {
+        let a = node.alloc_global::<u64>(4);
+        let stash = std::sync::Arc::new(std::sync::Mutex::new(None));
+        let out = stash.clone();
+        node.ppm_do(1, move |vp| {
+            let out = out.clone();
+            async move {
+                vp.global_phase(|ph| async move { *out.lock().unwrap() = Some(ph) })
+                    .await;
+            }
+        });
+        let ph = stash.lock().unwrap().take().expect("phase handle");
+        ph.put(&a, 0, 1);
+    });
+}
+
+/// The owned-range cache follows a migration: once the adaptive balancer
+/// has moved the cut, reads return the right elements and gets, puts and
+/// accumulates on both sides of the old and the new cut count as local or
+/// remote by the *new* ownership — at 1 and 8 host threads.
+#[test]
+fn owned_range_cache_follows_a_migration() {
+    const N: usize = 64;
+    const VPS: usize = 4;
+    let observe = |threads: usize| {
+        let c = cfg(2, 2)
+            .with_adaptive_balance(true)
+            .with_read_cache(false)
+            .with_checker(false)
+            .with_host_threads(threads);
+        run(c, |node| {
+            let a = node.alloc_global_balanced::<u64>(N);
+            let b = node.alloc_global_balanced::<u64>(N);
+            let lo = node.local_range(&a).start;
+            node.with_local_mut(&a, |s| {
+                for (off, v) in s.iter_mut().enumerate() {
+                    *v = 3 * (lo + off) as u64 + 1;
+                }
+            });
+            let heavy = node.node_id() == 0;
+            // Load node 0 until the cut moves.
+            node.ppm_do(VPS, move |vp| async move {
+                for _ in 0..6 {
+                    let v = vp.clone();
+                    vp.global_phase(
+                        |_| async move { v.charge_flops(if heavy { 400_000 } else { 1 }) },
+                    )
+                    .await;
+                }
+            });
+            let owned = node.local_range(&a);
+            assert_eq!(owned, node.local_range(&b));
+            // Probe every element from every node: one phase each of gets,
+            // puts and accumulates, VPs striding the index space.
+            let before = node.ep_counters();
+            node.ppm_do(VPS, move |vp| async move {
+                let rank = vp.node_rank();
+                let mine = move || (rank..N).step_by(VPS);
+                vp.global_phase(|ph| async move {
+                    for i in mine() {
+                        assert_eq!(ph.get(&a, i).await, 3 * i as u64 + 1);
+                    }
+                })
+                .await;
+                vp.global_phase(|ph| async move { mine().for_each(|i| ph.put(&b, i, i as u64)) })
+                    .await;
+                vp.global_phase(|ph| async move {
+                    mine().for_each(|i| ph.accumulate(&b, i, AccumOp::Add, 1))
+                })
+                .await;
+            });
+            let d = node.ep_counters().delta(&before);
+            (owned, d.local_accesses, d.remote_gets, d.remote_puts)
+        })
+        .results
+    };
+    let seq = observe(1);
+    assert_ne!(seq[0].0, 0..N / 2, "the cut never moved: nothing tested");
+    for (owned, local, gets, puts) in &seq {
+        let (mine, theirs) = (owned.len() as u64, (N - owned.len()) as u64);
+        assert_eq!((*local, *gets, *puts), (3 * mine, theirs, 2 * theirs));
+    }
+    assert_eq!(observe(8), seq);
+}

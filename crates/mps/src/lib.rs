@@ -32,6 +32,8 @@
 //! assert!(report.results.iter().all(|&t| t == 28));
 //! ```
 
+#![deny(unsafe_code)]
+
 mod collectives;
 mod comm;
 pub mod tags;

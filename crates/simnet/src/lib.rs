@@ -23,6 +23,8 @@
 //! interface on these endpoints; [`ppm-core`](../ppm_core/index.html) builds
 //! the PPM runtime.
 
+#![deny(unsafe_code)]
+
 pub mod clock;
 pub mod cluster;
 pub mod config;
