@@ -560,7 +560,9 @@ fn service_tile_faults(nc: &mut NodeCtx<'_>, ready: &mut Vec<usize>) {
 
 /// One destination's share of a wave. Waiter groups are in CSR form: the
 /// wire entry with ticket `t` asks for element `meta[t]` on behalf of
-/// `waiters[starts[t]..starts[t + 1]]`.
+/// `waiters[starts[t]..starts[t + 1]]`. A bulk read has already combined
+/// its own repeats (`GetManyFut`), so a group holds one waiter per *read*
+/// that wants the element, not one per occurrence of its index.
 struct DestPending {
     dest: usize,
     starts: Vec<u32>,
@@ -687,7 +689,9 @@ fn start_wave(nc: &mut NodeCtx<'_>) -> WaveState {
 /// serviced and unrelated messages stashed meanwhile), park the response
 /// values in the arrays' arenas — populating the read cache when enabled —
 /// and point every answered slot at its value. Returns the VPs whose reads
-/// were satisfied (ascending) and the number of slots filled.
+/// were satisfied (ascending) and the number of slots filled — one per
+/// distinct element of each waiting read; the repeats inside a bulk read
+/// are copied by its own poll.
 fn wave_recv_next(
     nc: &mut NodeCtx<'_>,
     cells: &[Arc<VpCell>],

@@ -188,3 +188,78 @@ fn local_accesses_take_locks_per_poll_not_per_access() {
     );
     assert!(locks < 100, "{locks} lock acquisitions for 4 VPs × 2 polls");
 }
+
+/// Combine at the source: a bulk read asks for each distinct remote element
+/// once. N copies of one remote index park on one slot and queue one
+/// request, yet every copy is a charged access (`remote_gets`,
+/// `cache_misses`) and the N − 1 requests not made count as `dedup_reads`. A
+/// repeat of an index that *hit* the read cache is one more hit and never
+/// reaches the table. Dropping a parked bulk read with repeats — before or
+/// after its response — leaves the slot table all free.
+#[test]
+fn bulk_read_asks_for_each_distinct_remote_element_once() {
+    const N: usize = 40;
+    let cfg = PpmConfig::new(MachineConfig::new(2, 1))
+        .with_read_cache(true)
+        .with_host_threads(1);
+    let report = crate::run(cfg, |node| {
+        let a = node.alloc_global::<u64>(8);
+        let lo = node.local_range(&a).start;
+        node.with_local_mut(&a, |s| {
+            for (off, v) in s.iter_mut().enumerate() {
+                *v = 10 + (lo + off) as u64;
+            }
+        });
+        node.ppm_do(1, move |vp| async move {
+            // Elements of the other node's block.
+            let far = |j: usize| (lo + 4 + j) % 8;
+            let probe = vp.clone();
+            vp.global_phase(|ph| async move {
+                // What this poll has added to the scratch so far.
+                let since_merge = || {
+                    probe.cell.with_poll(|s, _| {
+                        let c = &s.counters;
+                        (s.slots_alloced, s.reqs.len(), c.remote_gets, c.dedup_reads)
+                    })
+                };
+                let in_use = || probe.cell.with_poll(|s, _| s.slots.in_use());
+
+                let mut many = ph.get_many(&a, std::iter::repeat_n(far(0), N));
+                assert!(poll_once(&mut many).await.is_pending());
+                assert_eq!(since_merge(), (1, 1, N as u64, N as u64 - 1));
+                assert_eq!(in_use(), 1);
+                assert_eq!(many.await, vec![10 + far(0) as u64; N]);
+                assert_eq!(in_use(), 0);
+
+                // far(0) is cached now: its repeats are hits, and share
+                // nothing with the two distinct misses around them.
+                let mixed = [far(1), far(0), far(2), far(0), far(1), far(0)];
+                let mut many = ph.get_many(&a, mixed);
+                assert!(poll_once(&mut many).await.is_pending());
+                assert_eq!(since_merge(), (2, 2, 3, 1));
+                assert_eq!(probe.cell.with_poll(|s, _| s.counters.cache_hits), 3);
+                assert_eq!(many.await, mixed.map(|i| 10 + i as u64));
+
+                // Dropped while waiting, and dropped after the answer (the
+                // awaited single read rides the same wave).
+                let mut waiting = ph.get_many(&a, [far(3), far(3), far(3)]);
+                assert!(poll_once(&mut waiting).await.is_pending());
+                assert_eq!(in_use(), 1);
+                drop(waiting);
+                let mut answered = ph.get_many(&a, [far(3), far(3)]);
+                assert!(poll_once(&mut answered).await.is_pending());
+                assert_eq!(ph.get(&a, far(3)).await, 10 + far(3) as u64);
+                drop(answered);
+                assert_eq!(in_use(), 0, "the late fills freed the cancelled slots");
+            })
+            .await;
+        });
+    });
+    let c = report.total_counters();
+    // Per node: N + 3 + 3 + 2 + 1 misses; N − 1 + 1 + 2 + 1 combined at the
+    // source plus 2 (three requests for far(3) in one wave) in the builder.
+    assert_eq!(c.remote_gets, 2 * (N as u64 + 9));
+    assert_eq!(c.cache_misses, c.remote_gets);
+    assert_eq!(c.dedup_reads, 2 * (N as u64 + 5));
+    assert_eq!(c.cache_hits, 2 * 3);
+}

@@ -66,6 +66,13 @@ fn csr_offset(len: usize) -> u32 {
     len as u32
 }
 
+/// `i` as the `u32` position of an element in a bulk read's output (what its
+/// in-flight records — parked, deferred, repeated — store).
+pub(crate) fn read_position(i: usize) -> u32 {
+    assert!(i <= u32::MAX as usize, "bulk read overflow");
+    i as u32
+}
+
 /// One buffered, not-yet-published write op.
 #[derive(Clone, Copy)]
 struct WRec<T> {
@@ -307,7 +314,8 @@ fn merge_parcels<T: Elem>(parcels: &[Box<WriteCols<T>>], mut store: impl FnMut(u
 /// A read request queued in [`Inner`] for the next communication wave:
 /// VP `vp` wants element `idx` of global array `array`, and will receive
 /// its arena position in its private slot `slot`. (The wire format is
-/// [`crate::msgs::ReqEntry`]; requests are deduplicated per
+/// [`crate::msgs::ReqEntry`]; a bulk read queues each distinct element
+/// once, and requests from different reads are deduplicated per
 /// (destination, array, index) when the wave is built.)
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueuedReq {
@@ -405,6 +413,12 @@ impl VpSlots {
         }
     }
 
+    /// Slots not free (unit tests: a resolved or dropped read leaks none).
+    #[cfg(test)]
+    pub fn in_use(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
     /// Give up a slot whose future is being dropped unresolved. An answered
     /// slot frees now; a waiting one frees when its response arrives (the
     /// request is already queued or on the wire). Called from `Drop`, so it
@@ -414,6 +428,63 @@ impl VpSlots {
             Slot::Filled(_) => self.free(slot),
             Slot::Waiting => self.slots[slot as usize] = Slot::Cancelled,
             Slot::Free | Slot::Cancelled => {}
+        }
+    }
+}
+
+/// First-occurrence table, where a bulk read combines its repeated indices:
+/// the remote misses one call has requested so far, global index → position
+/// of its first occurrence in the call. Open addressing with linear
+/// probing under a fixed multiplicative hash (no `RandomState`: nothing
+/// observable may depend on a per-process seed — and nothing depends on
+/// probe order anyway). One table per VP, reused by every call: a bucket is
+/// live only in the generation that wrote it, so starting a call is O(1)
+/// and a call costs in proportion to its remote misses, not its length.
+#[derive(Default)]
+pub(crate) struct FirstSeen {
+    /// `(idx, position, generation)`; a power of two long, at most half live.
+    buckets: Vec<(u64, u32, u32)>,
+    generation: u32,
+    live: usize,
+}
+
+impl FirstSeen {
+    /// Forget the previous call's entries.
+    pub fn begin(&mut self) {
+        self.live = 0;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: stale stamps could read as live again.
+            self.buckets.fill((0, 0, 0));
+            self.generation = 1;
+        }
+    }
+
+    /// The position `idx` was first seen at in this call; `None` — with
+    /// `pos` registered — when this is its first occurrence.
+    pub fn first(&mut self, idx: u64, pos: u32) -> Option<u32> {
+        if self.live * 2 >= self.buckets.len() {
+            let grown = vec![(0, 0, 0); (self.buckets.len() * 2).max(16)];
+            self.live = 0;
+            for (k, p, g) in std::mem::replace(&mut self.buckets, grown) {
+                if g == self.generation {
+                    self.first(k, p);
+                }
+            }
+        }
+        let mask = self.buckets.len() - 1;
+        let mut b = (idx.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        loop {
+            let (k, p, g) = self.buckets[b];
+            if g != self.generation {
+                self.buckets[b] = (idx, pos, self.generation);
+                self.live += 1;
+                return None;
+            }
+            if k == idx {
+                return Some(p);
+            }
+            b = (b + 1) & mask;
         }
     }
 }
@@ -514,6 +585,8 @@ pub(crate) struct VpScratch {
     pub slots_alloced: usize,
     /// Read requests to queue for the next wave.
     pub reqs: Vec<ScratchReq>,
+    /// Where the bulk read being issued first saw each remote miss.
+    pub first_seen: FirstSeen,
     /// Cold-tile faults (`(array, tile)`) recorded by local reads under a
     /// tile budget; drained into [`Inner::pending_tile_faults`] at merge.
     pub tile_faults: Vec<(u32, u32)>,
@@ -654,10 +727,14 @@ impl VpCell {
         log
     }
 
-    /// VP read of element `idx` of global array `id`, whose typed storage
-    /// `ga` and tiling `tiles` the caller resolved (once per poll for a
-    /// bulk read).
-    pub fn get_global<T: Elem>(
+    /// What every VP read of element `idx` of global array `id` pays —
+    /// phase check, `sv_overhead`, checker event, bounds, counters — and
+    /// where the element is. The typed storage `ga` and tiling `tiles` are
+    /// resolved by the caller (once per poll for a bulk read). A
+    /// [`GetOutcome::Miss`] is fully charged but not yet requested: the
+    /// caller either issues it ([`Self::issue_get`]) or combines it with a
+    /// request the same bulk read already made for `idx`.
+    pub fn charge_get<T: Elem>(
         &self,
         s: &mut VpScratch,
         ga: &GArray<T>,
@@ -682,46 +759,50 @@ impl VpCell {
             // exactly what the in-core hit does — the fault itself is free
             // in modeled time and counters.
             s.counters.local_accesses += 1;
-            match Self::read_resident(s, ga, tiles, id, off) {
+            return match Self::read_resident(s, ga, tiles, id, off) {
                 Some(v) => GetOutcome::Local(v),
                 None => GetOutcome::LocalPending(off),
-            }
-        } else {
-            let owner = ga.dist.owner(idx);
-            assert_eq!(
-                kind,
-                PhaseKind::Global,
-                "remote shared read inside a node phase (element {idx} is on node {owner}); \
-                 use a global phase"
-            );
-            // Phase-coherent read cache: a remote value learned earlier
-            // (response bundle or owner push) is this phase's frozen truth,
-            // so it can be returned without wire traffic. The checker event
-            // and sv_overhead above are recorded either way — the cache
-            // must never mask a conformance violation.
-            if self.cfg.read_cache {
-                if let Some(v) = ga.cache_get(idx as u64) {
-                    s.counters.cache_hits += 1;
-                    return GetOutcome::Local(v);
-                }
-            }
-            s.counters.cache_misses += 1;
-            let slot = s.slots.alloc();
-            s.slots_alloced += 1;
-            s.reqs.push(ScratchReq {
-                dest: owner as u32,
-                array: id,
-                idx: idx as u64,
-                slot,
-            });
-            s.counters.remote_gets += 1;
-            GetOutcome::Remote(slot)
+            };
         }
+        assert!(
+            kind == PhaseKind::Global,
+            "remote shared read inside a node phase (element {idx} is on node {}); \
+             use a global phase",
+            ga.dist.owner(idx)
+        );
+        // Phase-coherent read cache: a remote value learned earlier
+        // (response bundle or owner push) is this phase's frozen truth, so
+        // it can be returned without wire traffic. The checker event and
+        // sv_overhead above are recorded either way — the cache must never
+        // mask a conformance violation.
+        if self.cfg.read_cache {
+            if let Some(v) = ga.cache_get(idx as u64) {
+                s.counters.cache_hits += 1;
+                return GetOutcome::Local(v);
+            }
+        }
+        s.counters.cache_misses += 1;
+        s.counters.remote_gets += 1;
+        GetOutcome::Miss
+    }
+
+    /// What only a fresh remote request pays: a slot to park on and a place
+    /// in the next wave's queue for `idx`'s owner. Returns the slot.
+    pub fn issue_get<T: Elem>(s: &mut VpScratch, ga: &GArray<T>, id: u32, idx: usize) -> u32 {
+        let slot = s.slots.alloc();
+        s.slots_alloced += 1;
+        s.reqs.push(ScratchReq {
+            dest: ga.dist.owner(idx) as u32,
+            array: id,
+            idx: idx as u64,
+            slot,
+        });
+        slot
     }
 
     /// The value at local offset `off`, or `None` — with the fault recorded
     /// — while its tile is spilled. Touches no counters, no compute, no
-    /// checker: the access was fully charged by [`Self::get_global`], so the
+    /// checker: the access was fully charged by [`Self::charge_get`], so the
     /// re-read of a parked [`GetOutcome::LocalPending`] (which may find
     /// another tile was serviced first, and park again) stays invisible to
     /// every observable.
@@ -733,7 +814,11 @@ impl VpCell {
         off: usize,
     ) -> Option<T> {
         if let Some(tile) = tiles.and_then(|t| t.cold_tile(off)) {
-            s.tile_faults.push((id, tile));
+            // Once per poll and tile, not per element: a bulk read's deferred
+            // elements come in tile order.
+            if s.tile_faults.last() != Some(&(id, tile)) {
+                s.tile_faults.push((id, tile));
+            }
             return None;
         }
         Some(ga.local[off])
@@ -990,7 +1075,13 @@ pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell) -> SimTime {
         });
     }
     if !s.tile_faults.is_empty() {
-        inner.pending_tile_faults.append(&mut s.tile_faults);
+        // Kept sorted and duplicate-free: VPs of a node mostly fault on the
+        // same few tiles.
+        for f in s.tile_faults.drain(..) {
+            if let Err(at) = inner.pending_tile_faults.binary_search(&f) {
+                inner.pending_tile_faults.insert(at, f);
+            }
+        }
         inner.fault_waiters.push(cell.id);
     }
     let c = std::mem::take(&mut s.counters);
@@ -1102,7 +1193,7 @@ pub(crate) struct GArray<T: Elem> {
     /// Remote elements whose phase-frozen value this node has learned —
     /// from response bundles or owner-pushed refreshes — as a flat
     /// `(global index, value)` vec sorted by index (binary-search lookup,
-    /// no hashing). Consulted by [`VpCell::get_global`] before queueing a
+    /// no hashing). Consulted by [`VpCell::charge_get`] before queueing a
     /// remote read; cleared when the array takes writes (exec.rs
     /// invalidation).
     rcache: Vec<(u64, T)>,
@@ -1732,10 +1823,12 @@ pub(crate) struct ServeHist {
 
 /// Outcome of a shared read issued by a VP.
 pub(crate) enum GetOutcome<T> {
-    /// The element is owned locally; here is its value.
+    /// The element is owned locally, or remote and in the read cache; here
+    /// is its value.
     Local(T),
-    /// The element is remote; the VP parks on this slot.
-    Remote(u32),
+    /// The element is remote and not cached: charged, not yet requested
+    /// (see [`VpCell::charge_get`]).
+    Miss,
     /// The element is owned locally, at this local offset, but its
     /// partition tile is spilled (pseudo-streaming, DESIGN.md §18). The VP
     /// parks slot-free; the executor refills the tile and wakes it, and the
@@ -2090,9 +2183,9 @@ pub(crate) struct Inner {
     /// dump how fresh the hosted replica is.
     pub replica_in: Option<(u64, u64, bool)>,
     /// Cold-tile faults merged from VP scratches this poll round, as
-    /// `(array, tile)`; the executor services the minimum group per fault
-    /// round and clears the rest (parked VPs re-record still-cold faults
-    /// when re-polled).
+    /// ascending distinct `(array, tile)`; the executor services the minimum
+    /// group per fault round and clears the rest (parked VPs re-record
+    /// still-cold faults when re-polled).
     pub pending_tile_faults: Vec<(u32, u32)>,
     /// VPs parked on cold-tile faults, woken (pushed back into the ready
     /// list) after each fault-service round.
@@ -2454,6 +2547,59 @@ mod tests {
         let over = std::panic::catch_unwind(|| csr_offset(u32::MAX as usize + 1));
         let msg = *over.unwrap_err().downcast::<&str>().unwrap();
         assert_eq!(msg, "write log overflow");
+    }
+
+    /// Bulk-read positions are `u32`: same boundary, same explicit assert.
+    #[test]
+    fn read_positions_are_checked_at_the_u32_boundary() {
+        assert_eq!(read_position(0), 0);
+        assert_eq!(read_position(u32::MAX as usize), u32::MAX);
+        let over = std::panic::catch_unwind(|| read_position(u32::MAX as usize + 1));
+        let msg = *over.unwrap_err().downcast::<&str>().unwrap();
+        assert_eq!(msg, "bulk read overflow");
+    }
+
+    /// The first-occurrence table against a `HashMap` model: colliding and
+    /// huge keys, growth mid-call, and reuse across calls — which forgets
+    /// the previous call's entries and, once warm, allocates nothing.
+    #[test]
+    fn first_seen_matches_a_map_and_reuses_its_buckets() {
+        let mut g = crate::testkit::Gen::new(0xF1);
+        let mut table = FirstSeen::default();
+        for call in 0..40 {
+            // The first call is the largest, so every later one runs warm.
+            // Keys a multiple of 2^32 apart share every low bit.
+            let distinct = if call == 0 { 300 } else { g.u64_in(1..300) };
+            let pool: Vec<u64> = (0..distinct)
+                .map(|_| g.u64_in(0..64) << 32 | g.u64_in(0..5) | g.u64() << 60)
+                .collect();
+            let keys: Vec<u64> = (0..900).map(|_| pool[g.usize_in(0..pool.len())]).collect();
+            let mut model = std::collections::HashMap::new();
+            let before = ALLOCS.with(|n| n.get());
+            table.begin();
+            let got: Vec<Option<u32>> = (0..)
+                .zip(&keys)
+                .map(|(pos, &k)| table.first(k, pos))
+                .collect();
+            let allocs = ALLOCS.with(|n| n.get()) - before;
+            assert!(
+                call == 0 || allocs == 1,
+                "{allocs} allocations (1 = `got`) in a warm call"
+            );
+            for ((pos, &k), got) in (0..).zip(&keys).zip(got) {
+                let first = *model.entry(k).or_insert(pos);
+                assert_eq!(
+                    got,
+                    (first != pos).then_some(first),
+                    "call {call}, key {k:#x}"
+                );
+            }
+        }
+        // A generation wrap must not resurrect old entries.
+        table.generation = u32::MAX;
+        table.begin();
+        assert_eq!((table.first(7, 0), table.first(7, 1)), (None, Some(0)));
+        assert_eq!(table.generation, 1);
     }
 
     /// The drain's sort is stable, skips constant key bytes, and handles

@@ -25,7 +25,7 @@ use std::task::{Context, Poll};
 
 use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::shared::{GlobalShared, NodeShared};
-use crate::state::{garray_ref, DoMode, GetOutcome, PhaseKind, VpCell};
+use crate::state::{garray_ref, read_position, DoMode, GetOutcome, PhaseKind, VpCell};
 
 /// Handle given to each virtual processor started by `ppm_do`.
 ///
@@ -224,6 +224,12 @@ impl Phase {
     /// single communication wave instead of one wave per dependent await —
     /// this is the split-phase access the paper's compiler generates for
     /// loops over shared arrays.
+    ///
+    /// Repeated indices are combined at the source: each distinct remote
+    /// element is requested once per call, however often `idxs` names it,
+    /// and the repeats are filled by copy. A repeat is still a full access
+    /// in modeled time and in the counters (`remote_gets`, `cache_misses`,
+    /// and `dedup_reads` for the request it did not make).
     pub fn get_many<T: Elem>(
         &self,
         g: &GlobalShared<T>,
@@ -235,6 +241,8 @@ impl Phase {
             idxs: Some(idxs.into_iter().collect()),
             values: Vec::new(),
             pending: Vec::new(),
+            deferred: Vec::new(),
+            dups: Vec::new(),
         }
     }
 
@@ -314,13 +322,14 @@ impl<T: Elem> Future for GetFut<'_, T> {
             let tiles = view.tile_budget.tiled(this.array);
             match this.state {
                 GetFutState::Start => {
-                    match this.cell.get_global(s, ga, tiles, this.array, this.idx) {
+                    match this.cell.charge_get(s, ga, tiles, this.array, this.idx) {
                         GetOutcome::Local(v) => Some(v),
                         GetOutcome::LocalPending(off) => {
                             this.state = GetFutState::Deferred(off);
                             None
                         }
-                        GetOutcome::Remote(slot) => {
+                        GetOutcome::Miss => {
+                            let slot = VpCell::issue_get(s, ga, this.array, this.idx);
                             this.state = GetFutState::Slot(slot);
                             None
                         }
@@ -349,27 +358,27 @@ impl<T: Elem> Drop for GetFut<'_, T> {
     }
 }
 
-/// An unresolved element of a [`GetManyFut`].
-#[derive(Clone, Copy)]
-enum Pend {
-    /// Remote element parked on a wave slot.
-    Slot(u32),
-    /// Local element (at this local offset) in a spilled tile, awaiting a
-    /// charge-free re-read after the executor refills it.
-    Deferred(usize),
-}
-
 /// Future returned by [`Phase::get_many`]. Like [`GetFut`], it may be
 /// dropped unresolved.
+///
+/// Its in-flight records are 8 bytes per *distinct* remote element; a
+/// position is the element's index in the output (`read_position`-checked).
 pub struct GetManyFut<'a, T: Elem> {
     cell: &'a VpCell,
     array: u32,
     idxs: Option<Vec<usize>>,
     /// The output, in request order; unresolved positions hold a
-    /// placeholder until `pending` drains.
+    /// placeholder until the three lists below drain.
     values: Vec<T>,
-    /// `(position in values, what it waits for)` per unresolved element.
-    pending: Vec<(u32, Pend)>,
+    /// `(position, slot)` per remote element still parked on a wave slot.
+    pending: Vec<(u32, u32)>,
+    /// `(position, local offset)` per local element in a spilled tile,
+    /// awaiting a charge-free re-read after the executor refills it.
+    deferred: Vec<(u32, usize)>,
+    /// `(position, position of the first occurrence)` per repeat of a remote
+    /// index this call already requested: no slot, no request — a copy of
+    /// the first occurrence's value once that has arrived.
+    dups: Vec<(u32, u32)>,
 }
 
 // Sound: the future holds no self-references (owned fields and a shared
@@ -387,48 +396,66 @@ impl<T: Elem> Future for GetManyFut<'_, T> {
             let ga = garray_ref::<T>(view, this.array);
             let tiles = view.tile_budget.tiled(this.array);
             if let Some(idxs) = this.idxs.take() {
-                // First poll: issue every access; remote ones queue for the
-                // next wave together. Cold-tile locals defer but are charged
-                // here, so wave content and counters match the in-core
-                // schedule exactly.
+                // First poll: charge every access; the distinct remote
+                // misses queue for the next wave together. Cold-tile locals
+                // defer but are charged here, so wave content and counters
+                // match the in-core schedule exactly.
                 this.values.reserve_exact(idxs.len());
+                s.first_seen.begin();
                 for (i, idx) in idxs.into_iter().enumerate() {
-                    let (v, pend) = match this.cell.get_global(s, ga, tiles, this.array, idx) {
-                        GetOutcome::Local(v) => (v, None),
-                        GetOutcome::LocalPending(off) => (T::default(), Some(Pend::Deferred(off))),
-                        GetOutcome::Remote(slot) => (T::default(), Some(Pend::Slot(slot))),
+                    let v = match this.cell.charge_get(s, ga, tiles, this.array, idx) {
+                        GetOutcome::Local(v) => v,
+                        GetOutcome::LocalPending(off) => {
+                            this.deferred.push((read_position(i), off));
+                            T::default()
+                        }
+                        GetOutcome::Miss => {
+                            let pos = read_position(i);
+                            if let Some(first) = s.first_seen.first(idx as u64, pos) {
+                                // The request this repeat does not make is
+                                // one the wave builder would have merged.
+                                s.counters.dedup_reads += 1;
+                                this.dups.push((pos, first));
+                            } else {
+                                let slot = VpCell::issue_get(s, ga, this.array, idx);
+                                this.pending.push((pos, slot));
+                            }
+                            T::default()
+                        }
                     };
                     this.values.push(v);
-                    this.pending.extend(pend.map(|p| (i as u32, p)));
                 }
             } else {
                 let values = &mut this.values;
-                this.pending.retain(|&(i, pend)| {
-                    let got = match pend {
-                        Pend::Slot(slot) => s.slots.try_take(slot).map(|pos| ga.arena_get(pos)),
-                        Pend::Deferred(off) => VpCell::read_resident(s, ga, tiles, this.array, off),
-                    };
-                    if let Some(v) = got {
+                let mut unresolved = |i: u32, got: Option<T>| match got {
+                    Some(v) => {
                         values[i as usize] = v;
+                        false
                     }
-                    got.is_none()
+                    None => true,
+                };
+                this.pending.retain(|&(i, slot)| {
+                    unresolved(i, s.slots.try_take(slot).map(|pos| ga.arena_get(pos)))
+                });
+                this.deferred.retain(|&(i, off)| {
+                    unresolved(i, VpCell::read_resident(s, ga, tiles, this.array, off))
                 });
             }
         });
-        if this.pending.is_empty() {
-            Poll::Ready(std::mem::take(&mut this.values))
-        } else {
-            Poll::Pending
+        if !(this.pending.is_empty() && this.deferred.is_empty()) {
+            return Poll::Pending;
         }
+        for (pos, first) in this.dups.drain(..) {
+            this.values[pos as usize] = this.values[first as usize];
+        }
+        Poll::Ready(std::mem::take(&mut this.values))
     }
 }
 
 impl<T: Elem> Drop for GetManyFut<'_, T> {
     fn drop(&mut self) {
-        for &(_, pend) in &self.pending {
-            if let Pend::Slot(slot) = pend {
-                self.cell.release_slot(slot);
-            }
+        for &(_, slot) in &self.pending {
+            self.cell.release_slot(slot);
         }
     }
 }

@@ -458,6 +458,180 @@ fn emission_is_insertion_order_independent() {
     );
 }
 
+/// A bulk read combines its repeated remote indices at the source — one slot
+/// and one queued request per distinct element — and nothing else can tell:
+/// random bulk reads drawn with replacement from a small pool, over local,
+/// remote, cached and cold-tile elements (read cache on and off, in core and
+/// under a 64 B tile budget), return the phase-start contents; and makespan,
+/// counters, checker violations (a write-write conflict and read-own-write
+/// hazards are planted) and the whole trace are equal at 1 and 8 host
+/// threads and under any order of the indices. The one place the combining
+/// *is* visible pins it: a partial wake's `woken` argument counts slots
+/// filled, which for the first wave must be each VP's *distinct* indices
+/// owned by that destination.
+#[test]
+fn repeated_bulk_read_indices_are_combined_invisibly() {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::sync::Arc;
+    const VPS: usize = 2;
+    let combined = AtomicUsize::new(0);
+    forall(
+        "repeated_bulk_read_indices_are_combined_invisibly",
+        8,
+        |g| {
+            let nodes = g.u32_in(3..5);
+            let len = g.usize_in(40..90);
+            let lists: Vec<Vec<usize>> = (0..nodes as usize * VPS)
+                .map(|_| {
+                    let pool = g.vec(1..9, |g| g.usize_in(0..len));
+                    g.vec(1..60, |g| pool[g.usize_in(0..pool.len())])
+                })
+                .collect();
+            (nodes, len, lists, g.u64())
+        },
+        |(nodes, len, lists, perm_seed)| {
+            let (nodes, len, perm_seed) = (*nodes, *len, *perm_seed);
+            let total = nodes as usize * VPS;
+            let in_contract = lists.len() == total
+                && len > total
+                && lists
+                    .iter()
+                    .all(|l| !l.is_empty() && l.iter().all(|&i| i < len));
+            if !in_contract {
+                return Ok(());
+            }
+            // Phase 1 rewrites element `g` from VP `g` and — conflicting —
+            // the last element from VPs 0 and 1 (the higher rank wins).
+            let init = |i: usize| i as i64 * 7 - 3;
+            let after = move |i: usize| match i {
+                i if i == len - 1 => 2001,
+                i if i < total => 1000 + i as i64,
+                i => init(i),
+            };
+            let run_with = |cache: bool, budget: u64, shuffled: bool, threads: usize| {
+                let cfg = PpmConfig::new(MachineConfig::new(nodes, 2))
+                    .with_checker(true)
+                    .with_wave_pipelining(true)
+                    .with_read_cache(cache)
+                    .with_tile_budget(budget)
+                    .with_host_threads(threads);
+                let sink = ppm_core::TraceSink::new();
+                let lists = Arc::new(lists.clone());
+                let report = ppm_core::run_traced(cfg, &sink, "repeats", move |node| {
+                    let a = node.alloc_global::<i64>(len);
+                    let r = node.local_range(&a);
+                    node.with_local_mut(&a, |s| {
+                        s.iter_mut().zip(r).for_each(|(v, i)| *v = init(i));
+                    });
+                    let wrong = Arc::new(AtomicUsize::new(0));
+                    let (lists, seen) = (lists.clone(), wrong.clone());
+                    node.ppm_do(VPS, move |vp| {
+                        let g = vp.global_rank();
+                        let mut list = lists[g].clone();
+                        if shuffled {
+                            Gen::new(perm_seed ^ g as u64).shuffle(&mut list);
+                        }
+                        let wrong = seen.clone();
+                        async move {
+                            let (l, w) = (list.clone(), wrong.clone());
+                            vp.global_phase(|ph| async move {
+                                let got = ph.get_many(&a, l.iter().copied()).await;
+                                let bad = got.iter().zip(&l).filter(|&(&v, &i)| v != init(i));
+                                w.fetch_add(bad.count(), Relaxed);
+                                ph.put(&a, g, 1000 + g as i64);
+                                if g < 2 {
+                                    ph.put(&a, len - 1, 2000 + g as i64);
+                                }
+                            })
+                            .await;
+                            vp.global_phase(|ph| async move {
+                                // Written first: a read of it below is a
+                                // read-own-write hazard, repeated or not.
+                                let own = *list.iter().min().expect("non-empty");
+                                ph.put(&a, own, 0);
+                                let got = ph.get_many(&a, list.iter().copied()).await;
+                                let bad = got.iter().zip(&list).filter(|&(&v, &i)| v != after(i));
+                                wrong.fetch_add(bad.count(), Relaxed);
+                                if ph.get(&a, own).await != after(own) {
+                                    wrong.fetch_add(1, Relaxed);
+                                }
+                            })
+                            .await;
+                        }
+                    });
+                    (wrong.load(Relaxed), format!("{:?}", node.take_violations()))
+                });
+                (
+                    report.results.clone(),
+                    report.makespan(),
+                    report.total_counters(),
+                    sink.chrome_trace_json(),
+                    sink.events(),
+                )
+            };
+            let dist = Dist::block(len, nodes as usize);
+            for (cache, budget) in [(true, 0), (false, 0), (true, 64), (false, 64)] {
+                let base = run_with(cache, budget, false, 1);
+                prop_assert!(base.0.iter().all(|(wrong, _)| *wrong == 0));
+                // Each violation is reported where it is detected.
+                let violations: String = base.0.iter().map(|(_, v)| v.as_str()).collect();
+                prop_assert!(violations.contains("WriteWriteConflict"));
+                prop_assert!(violations.contains("ReadOwnWrite"));
+                prop_assert_eq!(base.2.tile_refills > 0, budget > 0);
+                combined.fetch_add(base.2.dedup_reads as usize, Relaxed);
+                for (shuffled, threads) in [(true, 1), (false, 8), (true, 8)] {
+                    let got = run_with(cache, budget, shuffled, threads);
+                    prop_assert_eq!(&base.0, &got.0);
+                    prop_assert_eq!(base.1, got.1);
+                    prop_assert_eq!(&base.2, &got.2);
+                    prop_assert!(base.3 == got.3, "trace JSON differs");
+                }
+                // First wave of the job, node by node: the j-th partial wake
+                // follows the j-th smallest destination asked.
+                for n in 0..nodes as usize {
+                    let distinct_for = |dest: usize| -> u64 {
+                        let per_vp = lists[n * VPS..(n + 1) * VPS].iter().map(|l| {
+                            let mut mine: Vec<usize> = l
+                                .iter()
+                                .copied()
+                                .filter(|&i| dist.owner(i) == dest)
+                                .collect();
+                            mine.sort_unstable();
+                            mine.dedup();
+                            mine.len() as u64
+                        });
+                        per_vp.sum()
+                    };
+                    let dests: Vec<usize> = (0..nodes as usize)
+                        .filter(|&d| d != n && distinct_for(d) > 0)
+                        .collect();
+                    let woken: Vec<u64> = base
+                        .4
+                        .iter()
+                        .filter(|e| e.tid as usize == n)
+                        .take_while(|e| e.name != "wave")
+                        .filter(|e| e.name == "partial_wake")
+                        .map(|e| e.arg_u64("woken").expect("partial_wake carries woken"))
+                        .collect();
+                    let want: Vec<u64> = dests
+                        .iter()
+                        .rev()
+                        .skip(1)
+                        .rev()
+                        .map(|&d| distinct_for(d))
+                        .collect();
+                    prop_assert_eq!(woken, want);
+                }
+            }
+            Ok(())
+        },
+    );
+    assert!(
+        combined.into_inner() > 0,
+        "no generated case ever repeated a remote index: the property tested nothing"
+    );
+}
+
 /// The write path end to end on its hardest input: random multi-VP puts
 /// and `f64` accumulates whose sum depends on the fold order (±1e16 next to
 /// small values), duplicate indices, several ops per VP per element, and

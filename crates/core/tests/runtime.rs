@@ -540,7 +540,10 @@ fn get_many_matches_sequential_gets() {
 /// Select-style cancellation: a parked remote `get` / `get_many` that is
 /// polled once and then dropped — before its response arrives, or after —
 /// gives its slot back quietly. The late fill finds no reader and must not
-/// panic, and later reads that reuse the slots see their own values.
+/// panic, and later reads that reuse the slots see their own values. The
+/// bulk reads repeat their indices: the repeats hold no slot of their own
+/// (one request per distinct element), so there is nothing extra to give
+/// back — and the phase still ends with every allocated slot answered.
 #[test]
 fn dropping_a_parked_read_releases_its_slot() {
     use std::future::{poll_fn, Future};
@@ -573,15 +576,19 @@ fn dropping_a_parked_read_releases_its_slot() {
                         let mut waiting = ph.get(&a, f[0]);
                         assert!(poll_once(&mut waiting).await.is_pending());
                         drop(waiting);
+                        let mut waiting = ph.get_many(&a, [f[4], f[0], f[4], f[4], f[0]]);
+                        assert!(poll_once(&mut waiting).await.is_pending());
+                        drop(waiting);
                         // Dropped after the response arrived: the awaited
                         // read below rides the same wave.
-                        let mut answered = ph.get_many(&a, [f[1], f[2]]);
+                        let mut answered = ph.get_many(&a, [f[1], f[2], f[1], f[1], f[2]]);
                         assert!(poll_once(&mut answered).await.is_pending());
                         assert_eq!(ph.get(&a, f[3]).await, val(f[3]));
                         drop(answered);
                         // Freed slots serve later reads correctly.
-                        let got = ph.get_many(&a, f.iter().copied()).await;
-                        assert_eq!(got, f.iter().map(|&i| val(i)).collect::<Vec<_>>());
+                        let twice = || f.iter().chain(&f).copied();
+                        let got = ph.get_many(&a, twice()).await;
+                        assert_eq!(got, twice().map(val).collect::<Vec<_>>());
                     })
                     .await;
                     vp.global_phase(|ph| async move {

@@ -51,8 +51,11 @@ pub struct Counters {
     /// PPM: remote reads that missed the read cache (or ran with it
     /// disabled) and went to the wire.
     pub cache_misses: u64,
-    /// PPM: duplicate remote reads merged into an already-queued wire
-    /// entry within a wave.
+    /// PPM: duplicate remote reads that cost no wire entry of their own:
+    /// repeats of an index inside one bulk read, combined at the source
+    /// (no slot, no queued request), plus requests from different reads
+    /// merged into one wire entry when the wave is built. Every one of
+    /// them is still counted in `remote_gets` and `cache_misses`.
     pub dedup_reads: u64,
     /// PPM: wave completions where some VPs resumed while other
     /// destinations of the same wave were still in flight.
