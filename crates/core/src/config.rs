@@ -97,8 +97,8 @@ pub struct PpmConfig {
     /// [`Self::with_replication`]) enables it.
     pub replication: bool,
     /// Sparse end-of-phase token exchange (DESIGN.md §17): before the
-    /// write exchange every node allgathers its write-destination set on
-    /// an O(log N) dissemination round, then ships only non-empty
+    /// write exchange every node sends each of its write destinations a
+    /// notice over O(log N) dissemination rounds, then ships only non-empty
     /// [`K_WRITE`]/[`K_MIGRATE`] bundles and blocks on exactly the senders
     /// that announced one — retiring the O(N²) empty-token all-to-all.
     /// Results, makespans, and traces are bit-identical to the legacy

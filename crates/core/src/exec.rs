@@ -37,6 +37,7 @@ use ppm_simnet::{ArgValue, Message, SimTime};
 
 use crate::balance;
 use crate::bitset::NodeSet;
+use crate::dissem::{dissemination, route_offset, Edge, LoadBlock, Notices};
 use crate::dist::Dist;
 use crate::error::RecoveryError;
 use crate::msgs::{
@@ -117,6 +118,15 @@ fn emit_phase_summary(
 type VpTask = Pin<Box<dyn Future<Output = ()> + Send>>;
 /// Write parcels grouped per array: `(source node, payload)` pairs.
 type ParcelsByArray = BTreeMap<u32, Vec<(u32, Box<dyn std::any::Any + Send>)>>;
+
+/// What a phase end ships one destination: its write parcels, summed.
+#[derive(Default)]
+struct Outgoing {
+    entries: u64,
+    bytes: usize,
+    /// `(array id, WriteCols<T>)` in ascending array order.
+    parts: Vec<(u32, Box<dyn std::any::Any + Send>)>,
+}
 
 /// Outcome of polling one VP once (possibly on a host worker thread).
 enum PollOut {
@@ -908,10 +918,9 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
     //    arrays that changed anywhere (DESIGN.md §13). One growable bit
     //    per array id — no overflow/wholesale fallback.
     let mut local_inv = NodeSet::new();
-    let mut per_dest: Vec<Vec<(u32, Box<dyn std::any::Any + Send>)>> =
-        (0..nodes).map(|_| Vec::new()).collect();
-    let mut dest_entries = vec![0u64; nodes];
-    let mut dest_bytes = vec![0usize; nodes];
+    // Keyed by destination, holding only destinations a parcel was emitted
+    // for — nothing here is sized by the node count.
+    let mut outgoing: BTreeMap<usize, Outgoing> = BTreeMap::new();
     {
         let mut inner = nc.inner.borrow_mut();
         for (id, ga) in inner.thaw().garrays.iter_mut().enumerate() {
@@ -922,16 +931,19 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
             // copied its value out: the phase's response values can go.
             ga.arena_clear();
             for parcel in ga.drain_writes() {
-                dest_entries[parcel.dest] += parcel.entries;
-                dest_bytes[parcel.dest] += parcel.bytes;
-                per_dest[parcel.dest].push((id as u32, parcel.payload));
+                let out = outgoing.entry(parcel.dest).or_default();
+                out.entries += parcel.entries;
+                out.bytes += parcel.bytes;
+                out.parts.push((id as u32, parcel.payload));
             }
         }
     }
+    // Own writes never travel: they join step 4's merge as source `me`.
+    let own = outgoing.remove(&me).unwrap_or_default();
 
     // 2. Learn who sends what, then ship. Sparse protocol (DESIGN.md §17,
-    //    the default): an O(log N) token dissemination allgathers every
-    //    node's write-destination set, so only non-empty bundles travel and
+    //    the default): every write destination is sent a notice over the
+    //    O(log N) dissemination edges, so only non-empty bundles travel and
     //    step 3 blocks on exactly the announced senders. Legacy protocol
     //    (`sparse_tokens` off): ship a bundle to every peer — empty ones
     //    act as end-of-phase tokens, uncharged as traffic but real wire
@@ -939,24 +951,22 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
     //    N−1.
     let sparse = cfg.sparse_tokens && nodes > 1;
     let expected: Option<NodeSet> = if sparse {
-        let my_writes: NodeSet = (0..nodes)
-            .filter(|&d| d != me && dest_entries[d] > 0)
-            .collect();
-        Some(exchange_sender_sets(nc, phase, &my_writes))
+        debug_assert!(outgoing.values().all(|out| out.entries > 0));
+        Some(exchange_sender_notices(nc, phase, outgoing.keys().copied()))
     } else {
+        for dest in (0..nodes).filter(|&d| d != me) {
+            outgoing.entry(dest).or_default();
+        }
         None
     };
-    for dest in 0..nodes {
-        if dest == me {
-            continue;
-        }
-        let entries = dest_entries[dest];
-        if sparse && entries == 0 {
-            continue;
-        }
-        let parts = std::mem::take(&mut per_dest[dest]);
+    for (dest, out) in outgoing {
+        let Outgoing {
+            entries,
+            bytes: payload_bytes,
+            parts,
+        } = out;
         let bytes = if entries > 0 {
-            cfg.bundle_header_bytes + dest_bytes[dest]
+            cfg.bundle_header_bytes + payload_bytes
         } else {
             0
         };
@@ -1028,9 +1038,8 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
     // 4. Apply: group parcels by array (own writes participate as source
     //    `me`; each array's merge takes its sources in ascending order).
     let mut by_array: ParcelsByArray = BTreeMap::new();
-    let own = std::mem::take(&mut per_dest[me]);
     let remote = incoming.into_iter().map(|(src, b)| (src, b.parts));
-    for (src, parts) in remote.chain([(me as u32, own)]) {
+    for (src, parts) in remote.chain([(me as u32, own.parts)]) {
         for (array, payload) in parts {
             by_array.entry(array).or_default().push((src, payload));
         }
@@ -1043,7 +1052,7 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
         // legacy all-to-all guarantees it per link (a peer's requests
         // precede its K_WRITE bundle, and step 3 has all bundles), the
         // sparse protocol via the token dissemination's transitive flush
-        // (see `exchange_sender_sets`) — and no phase+1 request can have
+        // (see `exchange_sender_notices`) — and no phase+1 request can have
         // been serviced yet
         // (`global_seq` still gates them). Folding the parked service
         // counters here attributes them to this phase deterministically,
@@ -1114,7 +1123,7 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
                     let targets: NodeSet = h
                         .readers
                         .iter()
-                        .filter(|&t| t != me && ((t + nodes - me) % nodes).count_ones() <= 2)
+                        .filter(|&t| t != me && route_offset(me, t, nodes).count_ones() <= 2)
                         .collect();
                     if h.armed && targets.any() {
                         idxs.push(idx);
@@ -1157,7 +1166,7 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
     //     super-step's consistent state. Phase-end refreshes are
     //     incremental: only the bytes the exchange just wrote into this
     //     node's partitions (plus migration arrivals) cost copy time.
-    let dirty = dest_bytes[me] as u64 + {
+    let dirty = own.bytes as u64 + {
         let inner = nc.inner.borrow();
         inner.traffic.write_bytes_in + inner.traffic.migr_bytes_in
     };
@@ -1185,7 +1194,7 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
         let bytes = if base {
             full
         } else {
-            dest_bytes[me] as u64 + inner.traffic.write_bytes_in + inner.traffic.migr_bytes_in
+            own.bytes as u64 + inner.traffic.write_bytes_in + inner.traffic.migr_bytes_in
         };
         inner.replica_base_sent = true;
         Some(ReplicaFrame {
@@ -1440,12 +1449,11 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> PhaseCharge {
     }
 }
 
-/// Sparse-exchange sender-set allgather (DESIGN.md §17): ⌈log₂ N⌉
-/// dissemination rounds on the clock barrier's edge pattern, forwarding
-/// every known `(node, write-destination set)` pair whole and deduping
-/// through a [`NodeSet`] — exactly the barrier's loads-sidecar shape.
-/// Returns the set of peers that announced a non-empty [`K_WRITE`] bundle
-/// for this node this phase.
+/// Sparse-exchange sender notices (DESIGN.md §17): this node tells every
+/// peer in `dests` "expect a non-empty [`K_WRITE`] bundle from me", each
+/// notice source-routed over the clock barrier's dissemination edges
+/// ([`Edge::carries`]) instead of replicated to all nodes. Returns the set
+/// of peers that announced a bundle for this node this phase.
 ///
 /// Modeled free: zero wire bytes, no clock advance, no message counters.
 /// The N−1 empty tokens this replaces were equally free in simulated time
@@ -1453,13 +1461,15 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> PhaseCharge {
 /// makespans stay bit-identical to the legacy protocol.
 ///
 /// Determinism note — this dissemination is also the exchange's *flush
-/// point*. A peer's phase-`phase` read requests are enqueued to this
-/// node's inbox before the peer's round-0 token send (program order on
-/// the peer), and that send transitively happens-before the token message
-/// that carries the peer's pair here (each hop forwards only after
-/// receiving). The per-endpoint inbox is one FIFO queue, so by the time
-/// the final round's `pump_recv` returns, every peer's phase-`phase`
-/// requests have been dequeued — and `pump_recv` services them inline.
+/// point*, which is why every node sends exactly one token per round even
+/// when no notice rides it. A peer's phase-`phase` read requests are
+/// enqueued to this node's inbox before the peer's round-0 token send
+/// (program order on the peer), and that send transitively happens-before
+/// some token this node receives (each hop sends round `r+1` only after
+/// receiving round `r`, and the edges reach every node from every node).
+/// The per-endpoint inbox is one FIFO queue, so by the time the final
+/// round's `pump_recv` returns, every peer's phase-`phase` requests have
+/// been dequeued — and `pump_recv` services them inline.
 /// The legacy protocol derived the same guarantee from collecting all N−1
 /// bundles; step 4's deferred-counter and serve-history folds rely on it
 /// either way. No phase-`phase+1` token can arrive before step 6: a peer
@@ -1467,55 +1477,32 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> PhaseCharge {
 /// transitively requires this node's barrier sends.
 ///
 /// [`K_WRITE`]: msgs::K_WRITE
-fn exchange_sender_sets(nc: &mut NodeCtx<'_>, phase: u64, my_writes: &NodeSet) -> NodeSet {
+fn exchange_sender_notices(
+    nc: &mut NodeCtx<'_>,
+    phase: u64,
+    dests: impl ExactSizeIterator<Item = usize>,
+) -> NodeSet {
     let me = nc.node_id();
     let nodes = nc.num_nodes();
-    // The accumulated pair vector lives behind an `Arc`: each round's send
-    // is a refcount bump, not an O(2^round) entry copy (clone-audit,
-    // DESIGN.md §17). `Arc::make_mut` below copies-on-write only while the
-    // in-flight message still shares the allocation.
-    let mut writers: Arc<Vec<(u32, NodeSet)>> = Arc::new(vec![(me as u32, my_writes.clone())]);
-    let mut known = NodeSet::single(me);
-    let mut d = 1usize;
-    let mut round = 0u32;
-    while d < nodes {
-        let to = (me + d) % nodes;
-        let from = (me + nodes - d) % nodes;
-        let tag = msgs::tag(msgs::K_TOKENS, msgs::barrier_meta(phase, round));
+    let write_dests = dests.len() as u64;
+    let mut notices = Notices::new(me, nodes, dests);
+    for edge in dissemination(me, nodes) {
+        let tag = msgs::tag(msgs::K_TOKENS, msgs::barrier_meta(phase, edge.round));
+        let token = TokenMsg {
+            phase,
+            notices: notices.take_for(edge),
+        };
         let now = nc.ep.clock.now();
         nc.send_msg(
-            Message::new(
-                me,
-                to,
-                tag,
-                now,
-                0,
-                TokenMsg {
-                    phase,
-                    writers: Arc::clone(&writers),
-                },
-            ),
+            Message::new(me, edge.to, tag, now, 0, token),
             msgs::K_TOKENS,
         );
-        let msg = nc.pump_recv(|m| m.tag == tag && m.src == from);
+        let msg = nc.pump_recv(|m| m.tag == tag && m.src == edge.from);
         let tm: TokenMsg = msg.take();
         debug_assert_eq!(tm.phase, phase);
-        let acc = Arc::make_mut(&mut writers);
-        for (n, ws) in tm.writers.iter() {
-            if !known.contains(*n as usize) {
-                known.insert(*n as usize);
-                acc.push((*n, ws.clone()));
-            }
-        }
-        d <<= 1;
-        round += 1;
+        notices.absorb(tm.notices);
     }
-    debug_assert_eq!(writers.len(), nodes, "sender-set allgather incomplete");
-    let expected: NodeSet = writers
-        .iter()
-        .filter(|(n, ws)| *n as usize != me && ws.contains(me))
-        .map(|(n, _)| *n as usize)
-        .collect();
+    let expected = notices.into_expected();
     if nc.ep.tracer.enabled() {
         nc.ep.tracer.instant(
             "token_exchange",
@@ -1523,7 +1510,7 @@ fn exchange_sender_sets(nc: &mut NodeCtx<'_>, phase: u64, my_writes: &NodeSet) -
             nc.ep.clock.now(),
             vec![
                 ("phase", ArgValue::U64(phase)),
-                ("write_dests", ArgValue::U64(my_writes.count() as u64)),
+                ("write_dests", ArgValue::U64(write_dests)),
                 ("expected_senders", ArgValue::U64(expected.count() as u64)),
             ],
         );
@@ -1542,14 +1529,11 @@ fn exchange_sender_sets(nc: &mut NodeCtx<'_>, phase: u64, my_writes: &NodeSet) -
 ///   OR-flooded; the dissemination pattern guarantees every node's bits
 ///   reach every other node by the final round.
 /// - `refreshes` — owner-pushed post-apply values for armed elements,
-///   source-routed along the dissemination edges. At round `r` (edge
-///   `me → me+2^r`), an entry is forwarded for exactly the targets `t`
-///   whose offset `(t - holder) mod nodes` has bit `r` set. By induction,
-///   an entry held at the start of round `r` has all offset bits `< r`
-///   clear (each bit is consumed at its round, and a forward received in
-///   round `r` arrives with offset reduced by `2^r`), so every target
-///   receives each entry exactly once and nothing is left pending after
-///   the last round.
+///   source-routed along the dissemination edges: at each round an entry
+///   is forwarded for exactly the targets the round's edge carries
+///   ([`Edge::carries`], the rule sender notices ride too), so every
+///   target receives each entry exactly once and nothing is left pending
+///   after the last round.
 ///
 /// Barrier messages never count toward `msgs_sent`/`msgs_recv` (the
 /// pre-existing convention: barrier cost is modeled, not counted);
@@ -1557,9 +1541,9 @@ fn exchange_sender_sets(nc: &mut NodeCtx<'_>, phase: u64, my_writes: &NodeSet) -
 /// fig-bench traffic columns reflect them honestly.
 ///
 /// A third sidecar rides the same messages: `loads` — each node's
-/// compute+service time for the phase the barrier closes, forwarded whole
-/// each round (an allgather). After the final round every node holds the
-/// identical per-node load vector, which feeds the adaptive
+/// compute+service time for the phase the barrier closes, allgathered in
+/// block order ([`BarrierMsg::loads`]). After the final round every node
+/// holds the identical per-node load vector, which feeds the adaptive
 /// repartitioner's decision function one phase later (DESIGN.md §14).
 /// Like `inv_bits`, modeled free: it changes no clock and no counter, so
 /// makespans are bit-identical whether `adaptive_balance` is on or off —
@@ -1597,50 +1581,33 @@ fn clock_barrier(
     }
     let cfg = nc.config();
     let net = cfg.machine.net;
-    let push_on = cfg.read_cache;
     let me_set = NodeSet::single(me);
     let mut inv = local_inv;
     // Refresh entries addressed to this node, absorbed only after the
     // invalidation sweep (the pushed values are post-exchange truth and
     // must survive it).
     let mut collected: Vec<CollectedRefresh> = Vec::new();
-    // Loads allgather state: every (node, load) pair this node knows.
-    // Round r's receive doubles the coverage, so the final round leaves
-    // all `nodes` entries here (asserted below). `known` mirrors the
-    // vector as a bitset so each received pair dedups in O(1) instead of
-    // an O(N) scan per entry (O(N²) per barrier at 1024 nodes).
-    // Arc'd for the same reason as `exchange_sender_sets`' pair vector:
-    // the allgather forwards the whole accumulated vector every round, so
-    // sending a refcount bump instead of an O(N)-entry clone keeps the
-    // barrier's copy work linear in N rather than N·log N.
-    let mut known_loads: Arc<Vec<(u32, u64)>> = Arc::new(vec![(me as u32, my_load)]);
-    let mut known = me_set.clone();
+    let mut loads = LoadBlock::new(me, nodes, my_load);
     // Suspicion OR-flood state, seeded with this node's own detections.
     let mut suspects = local_suspect;
 
-    let mut d = 1usize;
-    let mut round = 0u32;
-    while d < nodes {
-        let to = (me + d) % nodes;
-        let from = (me + nodes - d) % nodes;
+    for edge in dissemination(me, nodes) {
+        let Edge {
+            round, to, from, ..
+        } = edge;
         nc.ep.clock.advance_comm(net.overhead);
 
-        // Split the pending refresh entries: targets whose offset has this
-        // round's bit set travel on this edge; the rest stay for a later
-        // round.
+        // Split the pending refresh entries: targets this round's edge
+        // carries travel now; the rest stay for a later round.
         let mut refreshes: Vec<RefreshPart> = Vec::new();
         let mut refresh_bytes = 0u64;
-        if push_on {
-            let mut rt = NodeSet::new();
-            for t in 0..nodes {
-                if t != me && ((t + nodes - me) % nodes) & d != 0 {
-                    rt.insert(t);
-                }
-            }
-            let pending = {
-                let mut inner = nc.inner.borrow_mut();
-                std::mem::take(&mut inner.pending_refresh)
-            };
+        let pending = std::mem::take(&mut nc.inner.borrow_mut().pending_refresh);
+        if !pending.is_empty() {
+            let rt: NodeSet = pending
+                .iter()
+                .flat_map(|part| part.masks.iter().flat_map(NodeSet::iter))
+                .filter(|&t| edge.carries(me, t, nodes))
+                .collect();
             for part in pending {
                 let send_take: Vec<bool> = part.masks.iter().map(|m| m.intersects(&rt)).collect();
                 let keep_take: Vec<bool> =
@@ -1726,18 +1693,12 @@ fn clock_barrier(
                 now + net.latency,
                 refresh_bytes as usize,
                 BarrierMsg {
-                    // The two bitsets stay owned clones on purpose
-                    // (clone-audit): a NodeSet is a few machine words
-                    // copied by memcpy, and both are OR-mutated every
-                    // round, so an Arc would deep-copy under
-                    // `make_mut` anyway. Only the variable-length
-                    // `loads` sidecar rides an Arc.
                     inv_bits: inv.clone(),
                     suspect_bits: suspects.clone(),
                     replica: frame,
                     hosted_compute_ps: if round == 0 { hosted_ps } else { 0 },
                     refreshes,
-                    loads: Arc::clone(&known_loads),
+                    loads: loads.to_send(),
                 },
             ),
             msgs::K_BARRIER,
@@ -1749,15 +1710,7 @@ fn clock_barrier(
         let bm: BarrierMsg = msg.take();
         inv.union_with(&bm.inv_bits);
         suspects.union_with(&bm.suspect_bits);
-        {
-            let acc = Arc::make_mut(&mut known_loads);
-            for &(n, l) in bm.loads.iter() {
-                if !known.contains(n as usize) {
-                    known.insert(n as usize);
-                    acc.push((n, l));
-                }
-            }
-        }
+        loads.append(&bm.loads);
         if bytes_in > 0 {
             let mut inner = nc.inner.borrow_mut();
             inner.counters.bytes_recv += bytes_in;
@@ -1807,8 +1760,6 @@ fn clock_barrier(
                 collected.push((part.array, part.idxs, part.values, mine_take));
             }
         }
-        d <<= 1;
-        round += 1;
     }
 
     // Fold the complete load vector into the balancer's window. Every node
@@ -1816,17 +1767,12 @@ fn clock_barrier(
     // stays replicated without ever being exchanged itself.
     {
         let mut inner = nc.inner.borrow_mut();
-        debug_assert_eq!(
-            known_loads.len(),
-            nodes,
-            "loads sidecar incomplete after the final dissemination round"
-        );
         if inner.load_acc.len() != nodes {
             inner.load_acc = vec![0; nodes];
         }
-        for &(n, l) in known_loads.iter() {
-            let slot = &mut inner.load_acc[n as usize];
-            *slot = slot.saturating_add(l);
+        for (rank, load) in loads.by_rank() {
+            let slot = &mut inner.load_acc[rank];
+            *slot = slot.saturating_add(load);
         }
         inner.load_window += 1;
     }

@@ -93,6 +93,7 @@ mod balance;
 pub mod bitset;
 pub mod check;
 mod config;
+mod dissem;
 mod dist;
 mod elem;
 pub mod error;

@@ -5,7 +5,6 @@
 //! message — e.g. "drop the 3rd [`K_WRITE`] bundle from node 2 to node 0".
 
 use std::any::Any;
-use std::sync::Arc;
 
 use crate::bitset::NodeSet;
 
@@ -24,9 +23,9 @@ pub const K_COLL: u64 = 5;
 pub const K_ACK: u64 = 6;
 /// Adaptive-repartitioning migration bundle (one per peer per rebalance).
 pub const K_MIGRATE: u64 = 7;
-/// Sparse-exchange sender-set token (DESIGN.md §17): the O(log N)
-/// dissemination allgather of "which peers will I send a non-empty
-/// [`K_WRITE`] bundle this phase", run just before the write exchange so
+/// Sparse-exchange sender-notice token (DESIGN.md §17): "I will send you a
+/// non-empty [`K_WRITE`] bundle this phase", routed to each destination over
+/// the O(log N) dissemination edges just before the write exchange, so
 /// receivers block on exactly the announced senders instead of N−1
 /// mostly-empty bundles.
 pub const K_TOKENS: u64 = 8;
@@ -106,8 +105,9 @@ pub(crate) struct RespBundle {
 /// message (DESIGN.md §13). Values are post-exchange truth for the phase
 /// the barrier closes, routed along the dissemination edges: `masks`
 /// carries each entry's remaining destination set (bit = node id), and a
-/// holder forwards exactly the targets whose offset has the current
-/// round's bit set, so every target receives each entry once.
+/// holder forwards exactly the targets the current round's edge carries
+/// (`Edge::carries` in `exec.rs`), so every target receives each entry
+/// once.
 pub(crate) struct RefreshPart {
     pub array: u32,
     /// Element indices, parallel to `values`.
@@ -144,20 +144,17 @@ pub(crate) struct BarrierMsg {
     /// it advances its clock by this much inside the barrier.
     pub hosted_compute_ps: u64,
     pub refreshes: Vec<RefreshPart>,
-    /// Loads sidecar for the adaptive repartitioner (DESIGN.md §14): every
-    /// `(node, compute+service picoseconds)` pair the sender knows for the
-    /// phase this barrier closes. Forwarded whole each dissemination round
-    /// (an allgather), so after the barrier every node holds the identical
-    /// load vector. Like `inv_bits`, modeled free — it rides messages the
-    /// barrier sends anyway, keeping makespans bit-identical whether the
-    /// balance knob is on or off (until a migration actually happens).
-    ///
-    /// Shared, not owned: the sender's accumulated vector is behind an
-    /// `Arc`, so a dissemination send is a refcount bump instead of an
-    /// O(N) copy per round (the transport is in-memory; nothing is
-    /// serialized). The receiver folds entries it hasn't seen and drops
-    /// the handle.
-    pub loads: Arc<Vec<(u32, u64)>>,
+    /// Loads sidecar for the adaptive repartitioner (DESIGN.md §14): the
+    /// compute+service picoseconds of every rank the sender has heard from
+    /// for the phase this barrier closes, in block order — entry `j` is
+    /// rank `sender − j (mod nodes)`. At round `r` a sender holds exactly
+    /// its `2^r` nearest predecessors, so a receiver appends the block
+    /// behind its own and, after the final round (truncated to `nodes`),
+    /// every node holds the identical load vector. Like `inv_bits`, modeled
+    /// free — it rides messages the barrier sends anyway, keeping makespans
+    /// bit-identical whether the balance knob is on or off (until a
+    /// migration actually happens).
+    pub loads: Vec<u64>,
 }
 
 /// One snapshot-replica delta frame streamed to the buddy (DESIGN.md §15).
@@ -188,21 +185,19 @@ pub(crate) struct WriteBundleMsg {
     pub parts: Vec<(u32, Box<dyn Any + Send>)>,
 }
 
-/// Sender-set token for the sparse end-of-phase exchange (DESIGN.md §17).
-/// Every `(node, write-destination set)` pair the sender knows for this
-/// phase, forwarded whole each dissemination round (an allgather, exactly
-/// like [`BarrierMsg::loads`]). After ⌈log₂ N⌉ rounds every node holds all
-/// N pairs and derives its expected-sender set `{s : W_s ∋ me}` locally.
-/// Modeled free: like the empty tokens it replaces, a token carries zero
-/// wire bytes and advances no clock, so makespans are bit-identical to
-/// the legacy all-to-all.
+/// Sender-notice token for the sparse end-of-phase exchange (DESIGN.md
+/// §17): the `(writer, dest)` notices — "`writer` will send `dest` a
+/// non-empty [`K_WRITE`] bundle this phase" — that ride this dissemination
+/// edge toward their `dest`. Exactly one token travels per edge per round,
+/// empty when nothing routes that way: the exchange's flush-point argument
+/// rests on it. Modeled free: like the empty tokens it replaces, a token
+/// carries zero wire bytes and advances no clock, so makespans are
+/// bit-identical to the legacy all-to-all.
 pub(crate) struct TokenMsg {
-    /// Global phase sequence the sets belong to (protocol checking).
+    /// Global phase sequence the notices belong to (protocol checking).
     pub phase: u64,
-    /// `(node id, set of nodes it will send a non-empty K_WRITE bundle)`.
-    /// Shared like [`BarrierMsg::loads`]: sending is a refcount bump, not
-    /// an O(N)-entry copy per dissemination round.
-    pub writers: Arc<Vec<(u32, NodeSet)>>,
+    /// `(writer, dest)` node ids.
+    pub notices: Vec<(u32, u32)>,
 }
 
 /// Repartitioning migration bundle: the elements this node hands over to

@@ -223,28 +223,32 @@ fn sparse_exchange_message_scaling_at_256_nodes() {
 
 /// The sparse protocol is a pure message-count optimization: against the
 /// legacy all-to-all (`with_sparse_tokens(false)`) on the identical
-/// 64-node read-heavy job, results and makespan are bit-identical while
-/// per-phase messages drop from N²-dominated to writers + O(N).
+/// read-heavy job, results and makespan are bit-identical while per-phase
+/// messages drop from N²-dominated to writers + O(N) — at 64 nodes and at
+/// 100, where the last dissemination round wraps past nodes already
+/// covered.
 #[test]
 fn sparse_exchange_matches_legacy_bit_for_bit() {
-    let nodes = 64u32;
-    let (s_bits, s_t, s_c) = read_heavy_job(nodes, 2, 4, 48, 2, true);
-    let (l_bits, l_t, l_c) = read_heavy_job(nodes, 2, 4, 48, 2, false);
-    assert_eq!(s_bits, l_bits, "sparse protocol changed the results");
-    assert_eq!(s_t, l_t, "sparse protocol changed the makespan");
-    // 4 phases × 64×63 empty-token all-to-all dominates the legacy count.
-    assert!(
-        l_c.msgs_sent > s_c.msgs_sent + 3 * (nodes as u64) * (nodes as u64 - 1),
-        "legacy sent {} msgs vs sparse {} — the all-to-all ablation no \
-         longer shows the quadratic term",
-        l_c.msgs_sent,
-        s_c.msgs_sent
-    );
-    assert_eq!(s_c.failovers, l_c.failovers);
-    assert_eq!(
-        s_c.bundles_sent, l_c.bundles_sent,
-        "bundle counts must match"
-    );
+    for (nodes, victim) in [(64u32, 48), (100, 77)] {
+        let (s_bits, s_t, s_c) = read_heavy_job(nodes, 2, 4, victim, 2, true);
+        let (l_bits, l_t, l_c) = read_heavy_job(nodes, 2, 4, victim, 2, false);
+        assert_eq!(s_bits, l_bits, "sparse protocol changed the results");
+        assert_eq!(s_t, l_t, "sparse protocol changed the makespan");
+        // 4 phases × N×(N−1) empty-token all-to-all dominates the legacy
+        // count.
+        assert!(
+            l_c.msgs_sent > s_c.msgs_sent + 3 * (nodes as u64) * (nodes as u64 - 1),
+            "legacy sent {} msgs vs sparse {} — the all-to-all ablation no \
+             longer shows the quadratic term",
+            l_c.msgs_sent,
+            s_c.msgs_sent
+        );
+        assert_eq!(s_c.failovers, l_c.failovers);
+        assert_eq!(
+            s_c.bundles_sent, l_c.bundles_sent,
+            "bundle counts must match"
+        );
+    }
 }
 
 /// The 1024-node smoke (ignored by default — wall-clock heavy; CI's

@@ -17,7 +17,9 @@ use crate::message::Message;
 pub struct Endpoint {
     id: usize,
     inbox: Receiver<Message>,
-    outboxes: Vec<Sender<Message>>,
+    /// Every endpoint's inbox sender, one table shared by all endpoints: a
+    /// clone per endpoint would make building the router O(n²).
+    outboxes: Arc<[Sender<Message>]>,
     /// Fail-stop markers shared by every endpoint of the router: once an
     /// endpoint is marked dead, traffic addressed to it is black-holed
     /// (silently swallowed) instead of enqueued or reported as a hung-up
@@ -129,6 +131,7 @@ pub fn make_router(n: usize) -> Vec<Endpoint> {
 pub fn make_router_with_stall(n: usize, stall: Duration) -> Vec<Endpoint> {
     assert!(n >= 1, "router needs at least one endpoint");
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+    let outboxes: Arc<[Sender<Message>]> = senders.into();
     let dead: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
     receivers
         .into_iter()
@@ -136,7 +139,7 @@ pub fn make_router_with_stall(n: usize, stall: Duration) -> Vec<Endpoint> {
         .map(|(id, inbox)| Endpoint {
             id,
             inbox,
-            outboxes: senders.clone(),
+            outboxes: Arc::clone(&outboxes),
             dead: Arc::clone(&dead),
             stall,
         })
@@ -202,6 +205,24 @@ mod tests {
         assert_eq!(eps[2].id(), 2);
         assert_eq!(eps[0].len(), 3);
         assert!(!eps[0].is_empty());
+    }
+
+    /// One sender table for the whole router, not one per endpoint: 2 048
+    /// endpoints (4.2 M peer pairs) build at once and carry a ring of
+    /// messages around.
+    #[test]
+    fn large_router_shares_one_sender_table() {
+        let n = 2048;
+        let eps = make_router(n);
+        assert_eq!(Arc::strong_count(&eps[0].outboxes), n);
+        for ep in &eps {
+            ep.send(msg(ep.id(), (ep.id() + 1) % n, 5, ep.id() as u64));
+        }
+        for ep in &eps {
+            let m = ep.recv();
+            assert_eq!(m.src, (ep.id() + n - 1) % n);
+            assert_eq!(m.take::<u64>(), ((ep.id() + n - 1) % n) as u64);
+        }
     }
 
     #[test]
