@@ -38,11 +38,10 @@ pub struct PpmConfig {
     /// every element as its own message, the "naive runtime" ablation.
     pub bundling: bool,
     /// Run the dynamic phase-semantics conformance checker
-    /// ([`crate::PhaseViolation`]): record every shared access per phase and
-    /// report write-write conflicts, read-own-write hazards, and phase
-    /// structure errors at each barrier. On by default in debug builds —
-    /// i.e. under `cargo test` — and off in release builds; override with
-    /// [`Self::with_checker`].
+    /// ([`crate::PhaseViolation`]): report write-write conflicts,
+    /// read-own-write hazards, and phase structure errors at each barrier.
+    /// On by default in debug builds — i.e. under `cargo test` — and off in
+    /// release builds; override with [`Self::with_checker`].
     pub checker: bool,
     /// Force the reliable-transport sublayer on even without faults
     /// (overhead measurement). Reliability is always on when
@@ -174,7 +173,12 @@ impl PpmConfig {
         self
     }
 
-    /// Enable or disable the phase-semantics conformance checker.
+    /// Enable or disable the phase-semantics conformance checker. It is
+    /// observation only — results, counters and simulated times are
+    /// identical either way — and costs host time alone: a checked run of
+    /// the benchmark's jobs takes 1.07–1.16× the node-thread CPU of an
+    /// unchecked one (EXPERIMENTS.md, PR 17; 2.2–3.5× before the rules moved
+    /// to the source). Off, an access pays one branch for it.
     pub fn with_checker(mut self, on: bool) -> Self {
         self.checker = on;
         self

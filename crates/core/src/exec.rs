@@ -37,6 +37,7 @@ use ppm_simnet::{ArgValue, Message, SimTime};
 
 use crate::balance;
 use crate::bitset::NodeSet;
+use crate::check::Space;
 use crate::dissem::{dissemination, route_offset, Edge, LoadBlock, Notices};
 use crate::dist::Dist;
 use crate::error::RecoveryError;
@@ -379,9 +380,9 @@ fn drive(
             results.sort_by_key(|&(vp, _)| vp);
             // Merge every polled VP's effects in ascending rank order: the
             // determinism keystone (DESIGN.md §12). The merged effect
-            // sequence — including floating-point accumulate fold order and
-            // checker event order — equals a sequential ascending-rank
-            // schedule's regardless of which host thread polled what. A
+            // sequence — including floating-point accumulate fold order —
+            // equals a sequential ascending-rank schedule's regardless of
+            // which host thread polled what. A
             // panicking VP behaves like its sequential self: lower ranks
             // merge, its own effects are discarded, the payload re-raises.
             let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
@@ -810,14 +811,8 @@ fn node_phase_end(nc: &mut NodeCtx<'_>) {
     let t0 = nc.ep.clock.now();
     let compute = {
         let mut inner = nc.inner.borrow_mut();
-        if let Some(c) = inner.checker.as_mut() {
-            let mut found = c.end_phase();
-            inner.violations.append(&mut found);
-        }
+        inner.publish_node_writes(PhaseKind::Node);
         let arrays = inner.thaw();
-        for na in arrays.narrays.iter_mut() {
-            na.apply();
-        }
         debug_assert!(
             arrays.garrays.iter().all(|g| !g.has_pending_writes()),
             "global writes buffered during a node phase"
@@ -902,35 +897,30 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
     // death at the same phase boundary.
     let local_suspect = detect_permanent_deaths(nc, phase);
 
-    // 0. Flush the conformance checker: the phase body is over, so its
-    //    access record is complete.
-    {
-        let mut inner = nc.inner.borrow_mut();
-        if let Some(c) = inner.checker.as_mut() {
-            let mut found = c.end_phase();
-            inner.violations.append(&mut found);
-        }
-    }
-
     // 1. Drain write buffers into per-destination parcels. First note
     //    which arrays this node wrote at all: the clock barrier OR-floods
     //    those bits so every node can invalidate stale cache lines for
     //    arrays that changed anywhere (DESIGN.md §13). One growable bit
-    //    per array id — no overflow/wholesale fallback.
+    //    per array id — no overflow/wholesale fallback. The drain also
+    //    tells the conformance checker of this node's write-write conflicts.
     let mut local_inv = NodeSet::new();
     // Keyed by destination, holding only destinations a parcel was emitted
     // for — nothing here is sized by the node count.
     let mut outgoing: BTreeMap<usize, Outgoing> = BTreeMap::new();
     {
         let mut inner = nc.inner.borrow_mut();
-        for (id, ga) in inner.thaw().garrays.iter_mut().enumerate() {
+        let (arrays, mut checker) = inner.thaw_with_checker();
+        for (id, ga) in arrays.garrays.iter_mut().enumerate() {
             if cfg.read_cache && ga.has_pending_writes() {
                 local_inv.insert(id);
             }
             // Every VP has arrived, so every parked read has resumed and
             // copied its value out: the phase's response values can go.
             ga.arena_clear();
-            for parcel in ga.drain_writes() {
+            let checker = checker.as_deref_mut();
+            let conflicts =
+                checker.map(|c| c.conflicts_in(Space::Global, id as u32, PhaseKind::Global));
+            for parcel in ga.drain_writes(conflicts) {
                 let out = outgoing.entry(parcel.dest).or_default();
                 out.entries += parcel.entries;
                 out.bytes += parcel.bytes;
@@ -1111,24 +1101,29 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
             // wave next phase.
             let mut idxs: Vec<u64> = Vec::new();
             let mut masks: Vec<NodeSet> = Vec::new();
-            for idx in written {
-                if let Some(h) = inner.serve_hist.get(&(array, idx)) {
-                    // Hop cutoff: a refresh pays its bytes once per
-                    // dissemination hop, and reader `t` sits
-                    // popcount((t - me) mod nodes) hops away on the
-                    // barrier's source routes. Beyond two hops the pushed
-                    // copies cost more wire than the fetch round-trip they
-                    // save, so distant readers keep fetching. Pure function
-                    // of node ids — identical on every host schedule.
-                    let targets: NodeSet = h
-                        .readers
-                        .iter()
-                        .filter(|&t| t != me && route_offset(me, t, nodes).count_ones() <= 2)
-                        .collect();
-                    if h.armed && targets.any() {
-                        idxs.push(idx);
-                        masks.push(targets);
-                    }
+            // `written` ascends and so does the array's stretch of the
+            // history: one walk over both (none if nothing was served).
+            let mut written = written.into_iter().peekable();
+            for (&(_, idx), h) in inner.serve_hist.range((array, 0)..=(array, u64::MAX)) {
+                while written.next_if(|&w| w < idx).is_some() {}
+                if written.next_if_eq(&idx).is_none() {
+                    continue;
+                }
+                // Hop cutoff: a refresh pays its bytes once per
+                // dissemination hop, and reader `t` sits
+                // popcount((t - me) mod nodes) hops away on the
+                // barrier's source routes. Beyond two hops the pushed
+                // copies cost more wire than the fetch round-trip they
+                // save, so distant readers keep fetching. Pure function
+                // of node ids — identical on every host schedule.
+                let targets: NodeSet = h
+                    .readers
+                    .iter()
+                    .filter(|&t| t != me && route_offset(me, t, nodes).count_ones() <= 2)
+                    .collect();
+                if h.armed && targets.any() {
+                    idxs.push(idx);
+                    masks.push(targets);
                 }
             }
             if !idxs.is_empty() {
@@ -1142,9 +1137,7 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
             }
         }
         // Node-shared writes made inside the global phase publish too.
-        for na in inner.thaw().narrays.iter_mut() {
-            na.apply();
-        }
+        inner.publish_node_writes(PhaseKind::Global);
         inner.service_time += cfg.service_overhead.scale(applied_remote);
         // The arrays now hold the next phase's snapshot: requests for
         // phase+1 may legally arrive (from nodes that already finished the

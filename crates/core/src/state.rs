@@ -9,7 +9,7 @@
 //! once, takes the VP's private [`VpScratch`] out of its cell, and parks
 //! both in a thread-local, so the shared accesses inside the poll take no
 //! lock at all ([`VpCell::with_poll`]). Every side effect a VP produces —
-//! buffered writes, read requests, counter deltas, checker events, phase
+//! buffered writes, read requests, counter deltas, checker reports, phase
 //! entry/arrival — goes into that scratch. The executor merges scratches
 //! into `Inner` in ascending VP-rank order after each poll round, which is
 //! what makes the host-parallel scheduler bit-identical to a sequential
@@ -45,14 +45,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, Rw
 use ppm_simnet::{Counters, SimTime, WireSize};
 
 use crate::bitset::NodeSet;
-use crate::check::{Checker, PhaseViolation, Space};
+use crate::check::{first_disagreement, Checker, Conflicts, OwnWrites, PhaseViolation, Space};
 use crate::config::PpmConfig;
 use crate::dist::Dist;
-use crate::elem::{AccumElem, AccumOp, Elem};
+use crate::elem::{AccumOp, Elem};
 
 /// What one buffered write does to its element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WKind {
+pub(crate) enum WKind {
     /// `put`: the last writer in (global VP rank, program order) wins.
     Assign,
     /// `accumulate`: every contribution folds, in ascending (global VP
@@ -156,7 +156,8 @@ impl<T: Elem> WLog<T> {
     }
 
     /// Resolve and empty the log into one flat parcel per touched
-    /// destination (`owner(idx)` of `dests`), ascending by destination. Two
+    /// destination (`dist`'s owner of the element; without one, everything
+    /// goes to destination 0), ascending by destination. Two
     /// stable sorts — by writer, then by element — are the only place
     /// order is established: they leave each element's ops in ascending
     /// (global VP rank, program order), and each costs one scan when the
@@ -167,16 +168,23 @@ impl<T: Elem> WLog<T> {
     /// phase boundary. An entry is modeled as 9 bytes plus one value:
     /// combining is charged as done sender-side and the rank tags ride
     /// free, like other protocol sidecars, so repartitioning changes
-    /// neither entry counts nor bytes.
+    /// neither entry counts nor bytes. With the checker on, an assign run
+    /// several VPs wrote is where a write-write conflict shows, and it is
+    /// reported to `conflicts`.
     fn drain(
         &mut self,
         what: &str,
-        dests: usize,
-        owner: impl Fn(usize) -> usize,
+        dist: Option<&Dist>,
+        mut conflicts: Option<Conflicts<'_>>,
     ) -> Vec<(usize, WriteCols<T>)> {
         let mut out: Vec<(usize, WriteCols<T>)> = Vec::new();
-        // Destination → position in `out`.
-        let mut slot = vec![usize::MAX; dests];
+        // Destination → position in `out`, for cyclic layouts only: runs
+        // come in ascending index order, so a contiguous layout's owners
+        // never decrease and a new destination means a new parcel.
+        let cyclic = dist.filter(|d| !d.is_contiguous());
+        let mut slot: Vec<Option<usize>> = vec![None; cyclic.map_or(0, |d| d.nodes)];
+        // The destination the last run went to, and its parcel.
+        let (mut open, mut at) = (usize::MAX, 0);
         let mut recs = std::mem::take(&mut self.recs);
         radix_sort_by_key(&mut recs, |r| r.vp as u64);
         radix_sort_by_key(&mut recs, |r| r.idx);
@@ -195,15 +203,32 @@ impl<T: Elem> WLog<T> {
                 }
             }
             let run = match kind {
-                WKind::Assign => &run[run.len() - 1..],
+                WKind::Assign => {
+                    // Sorted by writer: the ends differ iff several wrote.
+                    let several = run[0].vp != run[run.len() - 1].vp;
+                    if let Some(c) = conflicts.as_mut().filter(|_| several) {
+                        let writers = run.chunk_by(|a, b| a.vp == b.vp);
+                        let last_puts = writers.map(|w| w[w.len() - 1]);
+                        let ranked = last_puts.map(|r| (self.base + r.vp as u64, r.val));
+                        if let Some(pair) = first_disagreement(ranked) {
+                            c.report(idx, pair);
+                        }
+                    }
+                    &run[run.len() - 1..]
+                }
                 WKind::Accum(_) => run,
             };
-            let dest = owner(idx as usize);
-            if slot[dest] == usize::MAX {
-                slot[dest] = out.len();
-                out.push((dest, WriteCols::default()));
+            let dest = dist.map_or(0, |d| d.owner(idx as usize));
+            if dest != open {
+                open = dest;
+                at = slot
+                    .get_mut(dest)
+                    .map_or(out.len(), |at| *at.get_or_insert(out.len()));
+                if at == out.len() {
+                    out.push((dest, WriteCols::default()));
+                }
             }
-            let p = &mut out[slot[dest]].1;
+            let p = &mut out[at].1;
             p.idx.push(idx);
             p.kind.push(kind);
             p.starts.push(csr_offset(p.vals.len()));
@@ -212,8 +237,8 @@ impl<T: Elem> WLog<T> {
             p.bytes += 9 + run[0].val.wire_size();
         }
         out.iter_mut().for_each(|p| p.1.combine = self.combine);
-        // Ascending by node id by construction, never by first-touch (or
-        // hash-iteration) order; a no-op for contiguous layouts.
+        // Ascending by node id, never by first-touch order; a no-op for
+        // contiguous layouts.
         out.sort_unstable_by_key(|p| p.0);
         out
     }
@@ -432,60 +457,94 @@ impl VpSlots {
     }
 }
 
-/// First-occurrence table, where a bulk read combines its repeated indices:
-/// the remote misses one call has requested so far, global index → position
-/// of its first occurrence in the call. Open addressing with linear
+/// What [`FirstSeen`] needs of a key: a word its fixed multiplicative hash
+/// spreads over the buckets.
+pub(crate) trait TableKey: Copy + Eq {
+    fn word(self) -> u64;
+}
+
+impl TableKey for u64 {
+    fn word(self) -> u64 {
+        self
+    }
+}
+
+/// First-occurrence table: key → the payload it was first seen with since the
+/// last [`Self::begin`]. Two users, both per VP: a bulk read combines its
+/// repeated indices (global index → position of its first occurrence), the
+/// checker keeps the elements written this phase ([`OwnWrites`]). Open addressing with linear
 /// probing under a fixed multiplicative hash (no `RandomState`: nothing
 /// observable may depend on a per-process seed — and nothing depends on
-/// probe order anyway). One table per VP, reused by every call: a bucket is
-/// live only in the generation that wrote it, so starting a call is O(1)
-/// and a call costs in proportion to its remote misses, not its length.
+/// probe order anyway). A bucket is live only in the generation that wrote
+/// it, so starting a span is O(1), a span costs in proportion to its
+/// distinct keys, and a warm table allocates nothing.
 #[derive(Default)]
-pub(crate) struct FirstSeen {
-    /// `(idx, position, generation)`; a power of two long, at most half live.
-    buckets: Vec<(u64, u32, u32)>,
+pub(crate) struct FirstSeen<K = u64, V = u32> {
+    /// `(key, payload, generation)`; a power of two long, at most half live.
+    buckets: Vec<(K, V, u32)>,
     generation: u32,
     live: usize,
 }
 
-impl FirstSeen {
-    /// Forget the previous call's entries.
+impl<K: TableKey, V: Copy> FirstSeen<K, V> {
+    /// Forget the previous span's entries.
     pub fn begin(&mut self) {
         self.live = 0;
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Wrapped: stale stamps could read as live again.
-            self.buckets.fill((0, 0, 0));
+            self.buckets.iter_mut().for_each(|b| b.2 = 0);
             self.generation = 1;
         }
     }
 
-    /// The position `idx` was first seen at in this call; `None` — with
-    /// `pos` registered — when this is its first occurrence.
-    pub fn first(&mut self, idx: u64, pos: u32) -> Option<u32> {
+    /// The bucket holding `key`, or the free one it would go into.
+    #[inline]
+    fn probe(&self, key: K) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut b = (key.word().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        while self.buckets[b].2 == self.generation && self.buckets[b].0 != key {
+            b = (b + 1) & mask;
+        }
+        b
+    }
+
+    /// The payload `key` was first seen with in this span; `None` — with
+    /// `new` registered — when this is its first occurrence.
+    pub fn first(&mut self, key: K, new: V) -> Option<V> {
+        debug_assert!(self.generation != 0, "FirstSeen used before begin()");
         if self.live * 2 >= self.buckets.len() {
-            let grown = vec![(0, 0, 0); (self.buckets.len() * 2).max(16)];
+            // Stamp 0 is never live, so any key fills the new buckets.
+            let grown = vec![(key, new, 0); (self.buckets.len() * 2).max(16)];
             self.live = 0;
-            for (k, p, g) in std::mem::replace(&mut self.buckets, grown) {
+            for (k, v, g) in std::mem::replace(&mut self.buckets, grown) {
                 if g == self.generation {
-                    self.first(k, p);
+                    self.first(k, v);
                 }
             }
         }
-        let mask = self.buckets.len() - 1;
-        let mut b = (idx.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
-        loop {
-            let (k, p, g) = self.buckets[b];
-            if g != self.generation {
-                self.buckets[b] = (idx, pos, self.generation);
-                self.live += 1;
-                return None;
-            }
-            if k == idx {
-                return Some(p);
-            }
-            b = (b + 1) & mask;
+        let b = self.probe(key);
+        if self.buckets[b].2 == self.generation {
+            return Some(self.buckets[b].1);
         }
+        self.buckets[b] = (key, new, self.generation);
+        self.live += 1;
+        None
+    }
+
+    /// Jump to `generation` (unit tests: the wrap is 2^32 spans away).
+    #[cfg(test)]
+    pub fn wind_to(&mut self, generation: u32) {
+        self.generation = generation;
+    }
+
+    /// The payload stored for `key` in this span, if it has been seen.
+    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let b = self.probe(key);
+        (self.buckets[b].2 == self.generation).then(|| &mut self.buckets[b].1)
     }
 }
 
@@ -493,32 +552,6 @@ impl FirstSeen {
 // Per-VP effect scratch: everything a VP poll produces, merged by the
 // executor in ascending rank order.
 // ---------------------------------------------------------------------------
-
-/// A shared-variable access recorded during a VP poll for deferred replay
-/// into the conformance checker (the checker itself lives in [`Inner`];
-/// replaying at merge time keeps its event order identical to a
-/// sequential schedule).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CheckEvent {
-    Get {
-        space: Space,
-        array: u32,
-        idx: u64,
-        kind: PhaseKind,
-    },
-    Put {
-        space: Space,
-        array: u32,
-        idx: u64,
-        fp: u64,
-        kind: PhaseKind,
-    },
-    Accum {
-        space: Space,
-        array: u32,
-        idx: u64,
-    },
-}
 
 /// Type-erased face of one `(space, array)`'s scratch write log
 /// ([`WLog<T>`]), moved into the array's phase write log at merge time.
@@ -595,8 +628,10 @@ pub(crate) struct VpScratch {
     global_writes: Vec<Option<Box<dyn ScratchWrites>>>,
     /// Buffered writes to node-shared arrays, likewise.
     node_writes: Vec<Option<Box<dyn ScratchWrites>>>,
-    /// Conformance-checker events in program order.
-    pub checks: Vec<CheckEvent>,
+    /// Conformance checker: what this VP wrote in its current phase and the
+    /// hazards found among it. `None` with the checker off, which is what an
+    /// access tests; boxed because the scratch moves at every poll.
+    pub own_writes: Option<Box<OwnWrites>>,
     /// Counter deltas.
     pub counters: Counters,
     /// Compute charged by this VP since the last merge (lands on its
@@ -635,8 +670,6 @@ pub(crate) struct VpCell {
     pub do_mode: DoMode,
     pub node_vp_count: usize,
     pub total_vps_global: u64,
-    /// Whether checker events need recording (checker enabled in `cfg`).
-    pub checker_on: bool,
     pub scratch: Mutex<VpScratch>,
 }
 
@@ -658,7 +691,6 @@ impl VpCell {
             do_mode,
             node_vp_count,
             total_vps_global,
-            checker_on: cfg.checker,
             scratch: Mutex::new(VpScratch::default()),
         }
     }
@@ -702,33 +734,13 @@ impl VpCell {
         self.id % self.cfg.cores_per_node()
     }
 
-    fn in_phase(s: &VpScratch, what: &str) -> PhaseKind {
+    fn in_phase(s: &VpScratch, what: impl std::fmt::Display) -> PhaseKind {
         s.cur_phase
             .unwrap_or_else(|| panic!("{what} requires an open phase"))
     }
 
-    /// Record one write in this VP's scratch log for array `id` of `space`.
-    fn log_write<'s, T: Elem>(
-        &self,
-        s: &'s mut VpScratch,
-        space: Space,
-        id: u32,
-        idx: usize,
-        kind: WKind,
-        val: T,
-    ) -> &'s mut WLog<T> {
-        let log = s.writes_for::<T>(space, id);
-        log.recs.push(WRec {
-            idx: idx as u64,
-            val,
-            vp: self.id as u32,
-            kind,
-        });
-        log
-    }
-
     /// What every VP read of element `idx` of global array `id` pays —
-    /// phase check, `sv_overhead`, checker event, bounds, counters — and
+    /// phase check, `sv_overhead`, checker, bounds, counters — and
     /// where the element is. The typed storage `ga` and tiling `tiles` are
     /// resolved by the caller (once per poll for a bulk read). A
     /// [`GetOutcome::Miss`] is fully charged but not yet requested: the
@@ -744,18 +756,13 @@ impl VpCell {
     ) -> GetOutcome<T> {
         let kind = Self::in_phase(s, "global shared read");
         s.compute += self.cfg.sv_overhead;
-        if self.checker_on {
-            s.checks.push(CheckEvent::Get {
-                space: Space::Global,
-                array: id,
-                idx: idx as u64,
-                kind,
-            });
+        if let Some(own) = s.own_writes.as_mut() {
+            own.read((Space::Global, id, idx as u64), self.global_rank, kind);
         }
         assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
         if let Some(off) = ga.owned_offset(idx) {
-            // The access is fully charged (sv_overhead, checker event,
-            // counter) before the residency check, so a cold tile costs
+            // The access is fully charged (sv_overhead, checker, counter)
+            // before the residency check, so a cold tile costs
             // exactly what the in-core hit does — the fault itself is free
             // in modeled time and counters.
             s.counters.local_accesses += 1;
@@ -772,9 +779,9 @@ impl VpCell {
         );
         // Phase-coherent read cache: a remote value learned earlier
         // (response bundle or owner push) is this phase's frozen truth, so
-        // it can be returned without wire traffic. The checker event and
-        // sv_overhead above are recorded either way — the cache must never
-        // mask a conformance violation.
+        // it can be returned without wire traffic. The checker and
+        // sv_overhead above ran either way — the cache must never mask a
+        // conformance violation.
         if self.cfg.read_cache {
             if let Some(v) = ga.cache_get(idx as u64) {
                 s.counters.cache_hits += 1;
@@ -824,63 +831,56 @@ impl VpCell {
         Some(ga.local[off])
     }
 
-    /// Count a write to element `idx` of `ga` as local or remote.
-    fn count_write<T: Elem>(&self, s: &mut VpScratch, ga: &GArray<T>, idx: usize) {
-        if ga.owned_offset(idx).is_some() {
-            s.counters.local_accesses += 1;
-        } else {
-            s.counters.remote_puts += 1;
-        }
-    }
-
-    /// VP write (assign) of a global shared element.
-    pub fn put_global<T: Elem>(&self, id: u32, idx: usize, val: T) {
+    /// What every VP write of element `idx` of array `id` of `space` does — a
+    /// `put` ([`WKind::Assign`]) or an `accumulate`, which brings `combine`,
+    /// its element type's combiner: phase check, overhead, bounds, counters,
+    /// the checker's written set, and one record in this VP's log for the
+    /// array. `space` is a constant where this is inlined.
+    #[inline]
+    pub fn write<T: Elem>(
+        &self,
+        space: Space,
+        id: u32,
+        idx: usize,
+        kind: WKind,
+        val: T,
+        combine: Option<fn(AccumOp, T, T) -> T>,
+    ) {
         self.with_poll(|s, view| {
-            let kind = Self::in_phase(s, "global shared write");
-            assert_eq!(
-                kind,
-                PhaseKind::Global,
-                "global shared writes are only allowed inside a global phase"
-            );
-            s.compute += self.cfg.sv_overhead;
-            if self.checker_on {
-                s.checks.push(CheckEvent::Put {
-                    space: Space::Global,
-                    array: id,
-                    idx: idx as u64,
-                    fp: crate::check::fingerprint(&val),
-                    kind,
-                });
+            let phase = Self::in_phase(s, format_args!("{space} shared write"));
+            let (overhead, local) = match space {
+                Space::Global => {
+                    assert_eq!(
+                        phase,
+                        PhaseKind::Global,
+                        "global shared writes are only allowed inside a global phase"
+                    );
+                    let ga = garray_ref::<T>(view, id);
+                    assert!(idx < ga.dist.len, "global write index {idx} out of bounds");
+                    (self.cfg.sv_overhead, ga.owned_offset(idx).is_some())
+                }
+                Space::Node => {
+                    let len = narray_ref::<T>(view, id).data.len();
+                    assert!(idx < len, "node write index {idx} out of bounds");
+                    (self.cfg.node_sv_overhead, true)
+                }
+            };
+            s.compute += overhead;
+            s.counters.local_accesses += local as u64;
+            s.counters.remote_puts += !local as u64;
+            if let Some(own) = s.own_writes.as_mut() {
+                own.wrote((space, id, idx as u64));
             }
-            let ga = garray_ref::<T>(view, id);
-            assert!(idx < ga.dist.len, "global write index {idx} out of bounds");
-            self.count_write(s, ga, idx);
-            self.log_write(s, Space::Global, id, idx, WKind::Assign, val);
-        })
-    }
-
-    /// VP combining write of a global shared element.
-    pub fn accum_global<T: AccumElem>(&self, id: u32, idx: usize, op: AccumOp, val: T) {
-        self.with_poll(|s, view| {
-            let kind = Self::in_phase(s, "global shared accumulate");
-            assert_eq!(
+            let log = s.writes_for::<T>(space, id);
+            log.recs.push(WRec {
+                idx: idx as u64,
+                val,
+                vp: self.id as u32,
                 kind,
-                PhaseKind::Global,
-                "global shared accumulates are only allowed inside a global phase"
-            );
-            s.compute += self.cfg.sv_overhead;
-            if self.checker_on {
-                s.checks.push(CheckEvent::Accum {
-                    space: Space::Global,
-                    array: id,
-                    idx: idx as u64,
-                });
+            });
+            if combine.is_some() {
+                log.combine = combine;
             }
-            let ga = garray_ref::<T>(view, id);
-            assert!(idx < ga.dist.len, "accumulate index {idx} out of bounds");
-            self.count_write(s, ga, idx);
-            self.log_write(s, Space::Global, id, idx, WKind::Accum(op), val)
-                .combine = Some(T::combine);
         })
     }
 
@@ -890,59 +890,13 @@ impl VpCell {
         self.with_poll(|s, view| {
             let kind = Self::in_phase(s, "node shared read");
             s.compute += self.cfg.node_sv_overhead;
-            if self.checker_on {
-                s.checks.push(CheckEvent::Get {
-                    space: Space::Node,
-                    array: id,
-                    idx: idx as u64,
-                    kind,
-                });
+            if let Some(own) = s.own_writes.as_mut() {
+                own.read((Space::Node, id, idx as u64), self.global_rank, kind);
             }
             s.counters.local_accesses += 1;
             let na = narray_ref::<T>(view, id);
             assert!(idx < na.data.len(), "node read index {idx} out of bounds");
             na.data[idx]
-        })
-    }
-
-    /// VP write (assign) of a node-shared element.
-    pub fn put_node_arr<T: Elem>(&self, id: u32, idx: usize, val: T) {
-        self.with_poll(|s, view| {
-            let kind = Self::in_phase(s, "node shared write");
-            s.compute += self.cfg.node_sv_overhead;
-            if self.checker_on {
-                s.checks.push(CheckEvent::Put {
-                    space: Space::Node,
-                    array: id,
-                    idx: idx as u64,
-                    fp: crate::check::fingerprint(&val),
-                    kind,
-                });
-            }
-            s.counters.local_accesses += 1;
-            let na = narray_ref::<T>(view, id);
-            assert!(idx < na.data.len(), "node write index {idx} out of bounds");
-            self.log_write(s, Space::Node, id, idx, WKind::Assign, val);
-        })
-    }
-
-    /// VP combining write of a node-shared element.
-    pub fn accum_node_arr<T: AccumElem>(&self, id: u32, idx: usize, op: AccumOp, val: T) {
-        self.with_poll(|s, view| {
-            Self::in_phase(s, "node shared accumulate");
-            s.compute += self.cfg.node_sv_overhead;
-            if self.checker_on {
-                s.checks.push(CheckEvent::Accum {
-                    space: Space::Node,
-                    array: id,
-                    idx: idx as u64,
-                });
-            }
-            s.counters.local_accesses += 1;
-            let na = narray_ref::<T>(view, id);
-            assert!(idx < na.data.len(), "accumulate index {idx} out of bounds");
-            self.log_write(s, Space::Node, id, idx, WKind::Accum(op), val)
-                .combine = Some(T::combine);
         })
     }
 
@@ -1022,7 +976,7 @@ fn count_lock() {
 /// Merge one VP's scratch into the node state. Called by the executor in
 /// ascending VP-rank order after every poll round, which reproduces the
 /// exact effect order of a sequential ascending-rank schedule — including
-/// per-element accumulate fold order and checker event order. Returns the
+/// per-element accumulate fold order. Returns the
 /// compute this merge charged, so the executor can attribute compute that
 /// overlapped an in-flight wave (pipelining cost model, DESIGN.md §13).
 pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell) -> SimTime {
@@ -1030,29 +984,8 @@ pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell) -> SimTime {
     if let Some(kind) = s.pending_enter.take() {
         inner.enter_phase(kind);
     }
-    if let Some(c) = inner.checker.as_mut() {
-        for ev in s.checks.drain(..) {
-            match ev {
-                CheckEvent::Get {
-                    space,
-                    array,
-                    idx,
-                    kind,
-                } => c.record_get(space, array, idx, cell.global_rank, kind),
-                CheckEvent::Put {
-                    space,
-                    array,
-                    idx,
-                    fp,
-                    kind,
-                } => c.record_put(space, array, idx, cell.global_rank, fp, kind),
-                CheckEvent::Accum { space, array, idx } => {
-                    c.record_accum(space, array, idx, cell.global_rank)
-                }
-            }
-        }
-    } else {
-        s.checks.clear();
+    if let (Some(c), Some(own)) = (inner.checker.as_mut(), s.own_writes.as_mut()) {
+        c.hazards(&mut own.found);
     }
     let base = cell.global_rank - cell.id as u64;
     let arrays = inner.thaw();
@@ -1305,8 +1238,9 @@ pub(crate) trait GArrayObj: Send + Sync {
     /// Whether the response arena is empty (phase-lifetime assertion).
     fn arena_is_empty(&self) -> bool;
     /// Drain the write buffer into per-destination parcels (the destination
-    /// may be this node itself).
-    fn drain_writes(&mut self) -> Vec<WriteParcel>;
+    /// may be this node itself), reporting write-write conflicts among this
+    /// node's VPs to `conflicts` (the checker's, when it is on).
+    fn drain_writes(&mut self, conflicts: Option<Conflicts<'_>>) -> Vec<WriteParcel>;
     /// Owner side: apply `(source node, payload)` parcels; resolution order
     /// is deterministic. Returns the number of entries applied and the
     /// distinct written global indices in ascending order (feeds the
@@ -1412,12 +1346,11 @@ impl<T: Elem> GArrayObj for GArray<T> {
         self.arena.is_empty()
     }
 
-    fn drain_writes(&mut self) -> Vec<WriteParcel> {
+    fn drain_writes(&mut self, conflicts: Option<Conflicts<'_>>) -> Vec<WriteParcel> {
         if self.wlog.is_empty() {
             return Vec::new();
         }
-        let dist = &self.dist;
-        let parcels = self.wlog.drain("", dist.nodes, |idx| dist.owner(idx));
+        let parcels = self.wlog.drain("", Some(&self.dist), conflicts);
         parcels
             .into_iter()
             .map(|(dest, cols)| WriteParcel {
@@ -1608,8 +1541,9 @@ impl<T: Elem> NArray<T> {
 pub(crate) trait NArrayObj: Send + Sync {
     fn as_any(&mut self) -> &mut dyn Any;
     fn as_any_ref(&self) -> &dyn Any;
-    /// Apply the buffered writes. Returns entries applied.
-    fn apply(&mut self) -> u64;
+    /// Apply the buffered writes, reporting write-write conflicts to
+    /// `conflicts` like [`GArrayObj::drain_writes`]. Returns entries applied.
+    fn apply(&mut self, conflicts: Option<Conflicts<'_>>) -> u64;
     /// Copy the node instance for a super-step snapshot (payload plus
     /// modeled byte size).
     fn snapshot_local(&self) -> (Box<dyn Any + Send + Sync>, u64);
@@ -1628,13 +1562,13 @@ impl<T: Elem> NArrayObj for NArray<T> {
         self
     }
 
-    fn apply(&mut self) -> u64 {
+    fn apply(&mut self, conflicts: Option<Conflicts<'_>>) -> u64 {
         if self.wlog.is_empty() {
             return 0;
         }
         // The global path with this node as the only destination and the
         // only source.
-        let cols = self.wlog.drain("node ", 1, |_| 0).pop();
+        let cols = self.wlog.drain("node ", None, conflicts).pop();
         let cols = cols.map(|(_, cols)| Box::new(cols));
         merge_parcels(cols.as_slice(), |idx, value| {
             self.data[idx as usize] = value
@@ -2240,7 +2174,28 @@ impl Inner {
     /// between poll rounds: every poll drops its clone before its result
     /// reaches the driver ([`PollGuard`]), so the handle is unique here.
     pub fn thaw(&mut self) -> &mut Frozen {
-        Arc::get_mut(&mut self.frozen).expect("frozen node state mutated during a VP poll")
+        self.thaw_with_checker().0
+    }
+
+    /// [`Self::thaw`], and the checker for the write logs drained there to
+    /// report to.
+    pub fn thaw_with_checker(&mut self) -> (&mut Frozen, Option<&mut Checker>) {
+        let frozen = Arc::get_mut(&mut self.frozen);
+        let frozen = frozen.expect("frozen node state mutated during a VP poll");
+        (frozen, self.checker.as_mut())
+    }
+
+    /// The last step of publishing a phase of `kind`: apply the node-shared
+    /// writes, then — every VP has merged and every write log has drained —
+    /// close the phase's conformance report, one sorted batch per phase.
+    pub fn publish_node_writes(&mut self, kind: PhaseKind) {
+        let (arrays, mut checker) = self.thaw_with_checker();
+        for (id, na) in arrays.narrays.iter_mut().enumerate() {
+            let checker = checker.as_deref_mut();
+            na.apply(checker.map(|c| c.conflicts_in(Space::Node, id as u32, kind)));
+        }
+        let found = checker.map(Checker::end_phase).unwrap_or_default();
+        self.violations.extend(found);
     }
 
     /// A VP enters a phase of `kind`; all concurrent VPs must agree.
@@ -2277,6 +2232,7 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elem::AccumElem;
 
     impl<T: AccumElem> WLog<T> {
         /// An empty VP-side log that knows the element's combiner.
@@ -2420,7 +2376,7 @@ mod tests {
         // Within a rank, program order decides.
         ga.wlog.buffer(1, 3, WKind::Assign, 7.0);
         ga.wlog.buffer(1, 3, WKind::Assign, 8.0);
-        let parcels = ga.drain_writes();
+        let parcels = ga.drain_writes(None);
         assert_eq!(parcels.len(), 1);
         let c = payload::<f64>(parcels.into_iter().next().unwrap());
         assert_eq!(c.idx, vec![2, 3]);
@@ -2433,7 +2389,7 @@ mod tests {
         let mut ga: GArray<u64> = GArray::new(Dist::block(4, 2), 0);
         ga.wlog.buffer(0, 3, ADD, 5);
         ga.wlog.buffer(0, 3, ADD, 7);
-        let parcels = ga.drain_writes();
+        let parcels = ga.drain_writes(None);
         assert_eq!(parcels.len(), 1);
         assert_eq!(parcels[0].dest, 1); // idx 3 lives on node 1 of 2
         assert_eq!(parcels[0].entries, 1); // merged
@@ -2449,7 +2405,7 @@ mod tests {
         for (rank, val) in [(4, 1.0), (5, 2.0), (4, 3.0), (5, 4.0), (4, 5.0)] {
             ga.wlog.buffer(rank, 1, ADD, val);
         }
-        let c = payload::<f64>(ga.drain_writes().pop().unwrap());
+        let c = payload::<f64>(ga.drain_writes(None).pop().unwrap());
         assert_eq!((c.idx, c.starts), (vec![1], vec![0]));
         assert_eq!(c.ranks, vec![4, 4, 4, 5, 5]);
         assert_eq!(c.vals, vec![1.0, 3.0, 5.0, 2.0, 4.0]);
@@ -2463,7 +2419,7 @@ mod tests {
         let mut ga: GArray<u64> = GArray::new(Dist::block(4, 1), 0);
         ga.wlog.buffer(0, 0, WKind::Assign, 1);
         ga.wlog.buffer(0, 0, ADD, 1);
-        ga.drain_writes();
+        ga.drain_writes(None);
     }
 
     #[test]
@@ -2472,7 +2428,7 @@ mod tests {
         let mut na: NArray<u64> = NArray::new(2);
         na.wlog.buffer(0, 0, ADD, 1);
         na.wlog.buffer(0, 0, WKind::Assign, 1);
-        na.apply();
+        na.apply(None);
     }
 
     #[test]
@@ -2481,7 +2437,7 @@ mod tests {
         let mut ga: GArray<u64> = GArray::new(Dist::block(4, 1), 0);
         ga.wlog.buffer(0, 1, ADD, 1);
         ga.wlog.buffer(0, 1, WKind::Accum(AccumOp::Max), 2);
-        ga.drain_writes();
+        ga.drain_writes(None);
     }
 
     #[test]
@@ -2577,6 +2533,7 @@ mod tests {
             let mut model = std::collections::HashMap::new();
             let before = ALLOCS.with(|n| n.get());
             table.begin();
+            assert!(keys.iter().all(|&k| table.get_mut(k).is_none()));
             let got: Vec<Option<u32>> = (0..)
                 .zip(&keys)
                 .map(|(pos, &k)| table.first(k, pos))
@@ -2593,13 +2550,17 @@ mod tests {
                     (first != pos).then_some(first),
                     "call {call}, key {k:#x}"
                 );
+                assert_eq!(table.get_mut(k).copied(), Some(first));
             }
         }
         // A generation wrap must not resurrect old entries.
-        table.generation = u32::MAX;
+        table.wind_to(u32::MAX);
         table.begin();
+        assert_eq!(table.get_mut(7), None);
         assert_eq!((table.first(7, 0), table.first(7, 1)), (None, Some(0)));
         assert_eq!(table.generation, 1);
+        // A table that was never written answers without probing.
+        assert_eq!(FirstSeen::<u64, u32>::default().get_mut(7), None);
     }
 
     /// The drain's sort is stable, skips constant key bytes, and handles
@@ -2671,7 +2632,7 @@ mod tests {
         let before = ALLOCS.with(|n| n.get());
         let mut to_owner0 = Vec::new();
         for (s, ga) in nodes.iter_mut().enumerate() {
-            let mut parcels = ga.drain_writes();
+            let mut parcels = ga.drain_writes(None);
             assert_eq!(parcels.len(), SOURCES);
             to_owner0.push((s as u32, parcels.swap_remove(0).payload));
         }
@@ -2851,9 +2812,21 @@ mod tests {
         na.wlog.buffer(0, 0, WKind::Assign, 5);
         na.wlog.buffer(0, 2, WKind::Accum(AccumOp::Max), 9);
         na.wlog.buffer(0, 2, WKind::Accum(AccumOp::Max), 4);
-        assert_eq!(na.apply(), 2);
+        assert_eq!(na.apply(None), 2);
         assert_eq!(na.data, vec![5, 0, 9]);
-        assert_eq!(na.apply(), 0);
+        assert_eq!(na.apply(None), 0);
+    }
+
+    /// `(dest, indices)` per parcel of a drain of puts to `idxs`.
+    fn drained(dist: Dist, idxs: &[usize]) -> Vec<(usize, Vec<u64>)> {
+        let mut ga: GArray<u64> = GArray::new(dist, 0);
+        for &idx in idxs {
+            ga.wlog.buffer(0, idx, WKind::Assign, idx as u64);
+        }
+        let parcels = ga.drain_writes(None).into_iter();
+        parcels
+            .map(|p| (p.dest, payload::<u64>(p).idx.clone()))
+            .collect()
     }
 
     #[test]
@@ -2862,7 +2835,7 @@ mod tests {
         for idx in [7, 0, 3, 5, 1] {
             ga.wlog.buffer(0, idx, WKind::Assign, idx as u64);
         }
-        let parcels = ga.drain_writes();
+        let parcels = ga.drain_writes(None);
         let dests: Vec<usize> = parcels.iter().map(|p| p.dest).collect();
         assert_eq!(dests, vec![0, 1, 2, 3]);
         assert!(!ga.has_pending_writes());
@@ -2871,12 +2844,108 @@ mod tests {
         let c = payload::<u64>(p0);
         assert_eq!(c.idx, vec![0, 1], "entries sorted by index");
         assert_eq!((c.starts, c.vals), (vec![0, 1], vec![0, 1]));
-        // A cyclic layout meets its owners out of order (3 → node 3 before
-        // 4 → node 0); parcels still leave ascending by destination.
-        let mut ga: GArray<u64> = GArray::new(Dist::cyclic(8, 4), 0);
-        ga.wlog.buffer(0, 4, WKind::Assign, 4);
-        ga.wlog.buffer(0, 3, WKind::Assign, 3);
-        let dests: Vec<usize> = ga.drain_writes().iter().map(|p| p.dest).collect();
-        assert_eq!(dests, vec![0, 3]);
+        // Contiguous layouts meet their owners in ascending order, so the
+        // open parcel is the last one: owners are skipped (1, and the empty
+        // node 2 of the weighted layout), never revisited.
+        assert_eq!(
+            drained(Dist::block(8, 4), &[6, 1, 7, 0]),
+            vec![(0, vec![0, 1]), (3, vec![6, 7])]
+        );
+        let weighted = Dist::weighted(8, 4, Arc::new(vec![0, 1, 5, 5, 8]));
+        assert_eq!(
+            drained(weighted, &[7, 4, 0, 5, 1]),
+            vec![(0, vec![0]), (1, vec![1, 4]), (3, vec![5, 7])]
+        );
+        // A cyclic layout meets them out of order (3 → node 3 before 4 →
+        // node 0) and comes back to one it has left (0, 4, 8 → node 0):
+        // still one parcel per destination, ascending by destination.
+        assert_eq!(
+            drained(Dist::cyclic(12, 4), &[4, 3, 8, 0, 7, 5]),
+            vec![(0, vec![0, 4, 8]), (1, vec![5]), (3, vec![3, 7])]
+        );
+    }
+
+    /// The drain is where the checker finds write-write conflicts: on each
+    /// writer's *last* put per element, whatever order the merges came in,
+    /// reported by global rank where the writers run — not where the
+    /// element lives — and only when a sink is given.
+    #[test]
+    fn drain_reports_write_write_conflicts_on_last_values() {
+        const BASE: u64 = 10;
+        let (quiet, payload) = (f64::NAN, f64::from_bits(f64::NAN.to_bits() ^ 1));
+        let log = |ops: &[(u32, usize, WKind, f64)]| {
+            let mut wlog = WLog::default();
+            for &(vp, idx, kind, val) in ops {
+                let mut one = WLog::scratch();
+                let idx = idx as u64;
+                one.recs.push(WRec { idx, val, vp, kind });
+                wlog.append(BASE, &mut one);
+            }
+            wlog
+        };
+        let put = WKind::Assign;
+        let ops = [
+            // One report per element: lowest rank, first disagreeing one.
+            (1, 1, put, 10.0),
+            (1, 1, put, 11.0), // same VP: fine
+            (3, 1, put, 30.0),
+            (7, 1, put, 70.0),
+            // Idempotent.
+            (0, 2, put, 12.5),
+            (4, 2, put, 12.5),
+            (9, 2, put, 12.5),
+            // VP 1 first disagrees, then — in a later merge — converges.
+            (1, 3, put, 99.0),
+            (0, 3, put, 50.0),
+            (1, 3, put, 50.0),
+            // ... and the reverse: agrees, then parts ways.
+            (0, 4, put, 50.0),
+            (2, 4, put, 50.0),
+            (1, 4, put, 50.0),
+            (2, 4, put, 51.0),
+            // NaN payloads: distinct ones conflict, equal ones do not.
+            (0, 5, put, quiet),
+            (1, 5, put, payload),
+            (0, 6, put, quiet),
+            (1, 6, put, quiet),
+            // Accumulates never conflict; one VP may rewrite at will.
+            (0, 7, ADD, 1.0),
+            (1, 7, ADD, 2.0),
+            (5, 8, put, 1.0),
+            (5, 8, put, 2.0),
+            // A remote element's conflict is the writers' node's to report.
+            (0, 15, put, 1.0),
+            (1, 15, put, 2.0),
+        ];
+        let mut checker = Checker::default();
+        let mut ga: GArray<f64> = GArray::new(Dist::block(16, 2), 0);
+        ga.wlog = log(&ops);
+        let sink = checker.conflicts_in(Space::Global, 3, PhaseKind::Global);
+        assert_eq!(ga.drain_writes(Some(sink)).len(), 2);
+        let mut na: NArray<f64> = NArray::new(16);
+        na.wlog = log(&ops[..4]);
+        na.apply(Some(checker.conflicts_in(Space::Node, 0, PhaseKind::Node)));
+        let conflict =
+            |space, array, index, first_vp, second_vp, phase| PhaseViolation::WriteWriteConflict {
+                space,
+                array,
+                index,
+                first_vp,
+                second_vp,
+                phase,
+            };
+        assert_eq!(
+            checker.end_phase(),
+            vec![
+                conflict(Space::Global, 3, 1, 11, 13, PhaseKind::Global),
+                conflict(Space::Global, 3, 4, 10, 12, PhaseKind::Global),
+                conflict(Space::Global, 3, 5, 10, 11, PhaseKind::Global),
+                conflict(Space::Global, 3, 15, 10, 11, PhaseKind::Global),
+                conflict(Space::Node, 0, 1, 11, 13, PhaseKind::Node),
+            ]
+        );
+        // Checker off: same parcels, nobody to tell.
+        ga.wlog = log(&ops);
+        assert_eq!(ga.drain_writes(None).len(), 2);
     }
 }

@@ -23,9 +23,10 @@ use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
+use crate::check::Space;
 use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::shared::{GlobalShared, NodeShared};
-use crate::state::{garray_ref, read_position, DoMode, GetOutcome, PhaseKind, VpCell};
+use crate::state::{garray_ref, read_position, DoMode, GetOutcome, PhaseKind, VpCell, WKind};
 
 /// Handle given to each virtual processor started by `ppm_do`.
 ///
@@ -166,6 +167,9 @@ impl Vp {
             }
             s.cur_phase = Some(kind);
             s.pending_enter = Some(kind);
+            if self.cell.cfg.checker {
+                s.own_writes.get_or_insert_default().begin_phase();
+            }
         });
         let ph = Phase {
             cell: self.cell.clone(),
@@ -250,7 +254,8 @@ impl Phase {
     /// conflicting writes resolve deterministically (last writer in
     /// (global VP rank, program order) wins). Only valid in a global phase.
     pub fn put<T: Elem>(&self, g: &GlobalShared<T>, idx: usize, val: T) {
-        self.cell.put_global(g.id, idx, val);
+        self.cell
+            .write(Space::Global, g.id, idx, WKind::Assign, val, None);
     }
 
     /// Combining write to a global shared element: at phase end the element
@@ -260,7 +265,9 @@ impl Phase {
     /// from many VPs are merged locally, so a cluster-wide sum ships one
     /// entry per node.
     pub fn accumulate<T: AccumElem>(&self, g: &GlobalShared<T>, idx: usize, op: AccumOp, val: T) {
-        self.cell.accum_global(g.id, idx, op, val);
+        let kind = WKind::Accum(op);
+        self.cell
+            .write(Space::Global, g.id, idx, kind, val, Some(T::combine));
     }
 
     /// Read a node-shared element (this node's physical shared memory;
@@ -271,7 +278,8 @@ impl Phase {
 
     /// Write a node-shared element; takes effect at phase end.
     pub fn put_node<T: Elem>(&self, n: &NodeShared<T>, idx: usize, val: T) {
-        self.cell.put_node_arr(n.id, idx, val);
+        self.cell
+            .write(Space::Node, n.id, idx, WKind::Assign, val, None);
     }
 
     /// Combining write to a node-shared element.
@@ -282,7 +290,9 @@ impl Phase {
         op: AccumOp,
         val: T,
     ) {
-        self.cell.accum_node_arr(n.id, idx, op, val);
+        let kind = WKind::Accum(op);
+        self.cell
+            .write(Space::Node, n.id, idx, kind, val, Some(T::combine));
     }
 }
 

@@ -1,0 +1,276 @@
+//! Literal rows of the conformance checker's reports for one planted
+//! program, captured on the commit *before* the checker moved from a
+//! node-level per-element map to the source (read-own-write hazards found by
+//! the reading VP, write-write conflicts by the write log's drain). The
+//! rewrite must reproduce every list — contents, order, renderings — at any
+//! host thread count, with wave pipelining and the read cache on or off.
+//!
+//! The program plants, on 2 nodes × 3 VPs (global ranks 0–2 and 3–5):
+//! three writers of one element where one first disagrees and then
+//! converges (flagged on node 0, whose third writer still differs; clean on
+//! node 1, where everyone converges), idempotent puts, two distinct NaN
+//! payloads, hazards after a `put`, after an `accumulate`, on a read-cache
+//! hit, on a parked remote read and on a node-shared element, a bulk read
+//! naming an own-written index three times, one element hazarded by two
+//! VPs, node-shared conflicts inside a global phase and inside a
+//! `ppm_do_local` node phase, arrays with ids 64 and 65 in both spaces (the
+//! ids past a one-word "arrays written" mask), a second dirty phase right
+//! after the first, and a clean phase after that.
+
+use ppm_core::PhaseKind::{Global as G, Node as N};
+use ppm_core::Space::{Global, Node};
+use ppm_core::{run, AccumOp, PhaseKind, PhaseViolation, PpmConfig, Space};
+use ppm_simnet::MachineConfig;
+
+fn ww(
+    space: Space,
+    array: u32,
+    index: u64,
+    first_vp: u64,
+    second_vp: u64,
+    phase: PhaseKind,
+) -> PhaseViolation {
+    PhaseViolation::WriteWriteConflict {
+        space,
+        array,
+        index,
+        first_vp,
+        second_vp,
+        phase,
+    }
+}
+
+fn row(space: Space, array: u32, index: u64, vp: u64, phase: PhaseKind) -> PhaseViolation {
+    PhaseViolation::ReadOwnWrite {
+        space,
+        array,
+        index,
+        vp,
+        phase,
+    }
+}
+
+/// What one node drains: after the collective construct (twice — the second
+/// drain must be empty), after the local construct, and the cache hits it
+/// counted.
+type Drains = (
+    Vec<PhaseViolation>,
+    Vec<PhaseViolation>,
+    Vec<PhaseViolation>,
+    u64,
+);
+
+fn planted(cfg: PpmConfig) -> Vec<Drains> {
+    let report = run(cfg, |node| {
+        let a = node.alloc_global::<i64>(16); // id 0; node 1 owns 8..16
+        let f = node.alloc_global::<f64>(8); // id 1
+        for _ in 2..64 {
+            node.alloc_global::<u8>(2);
+        }
+        let hi = node.alloc_global::<i64>(4); // id 64
+        let hi2 = node.alloc_global::<i64>(4); // id 65
+        let nb = node.alloc_node::<u64>(4); // id 0
+        for _ in 1..64 {
+            node.alloc_node::<u8>(1);
+        }
+        let nhi = node.alloc_node::<u64>(2); // id 64
+        let nhi2 = node.alloc_node::<u64>(2); // id 65
+        node.ppm_do(3, move |vp| async move {
+            let r = vp.global_rank();
+            // Clean phase: fills node 0's read cache with a[8].
+            vp.global_phase(|ph| async move {
+                if r == 0 {
+                    assert_eq!(ph.get(&a, 8).await, 0);
+                }
+            })
+            .await;
+            // First dirty phase.
+            vp.global_phase(|ph| async move {
+                let quiet = f64::NAN;
+                let payload = f64::from_bits(f64::NAN.to_bits() ^ 1);
+                ph.put(&a, 6, 42); // idempotent, all six VPs
+                match r {
+                    0 => {
+                        ph.put(&a, 5, 7);
+                        ph.put(&f, 3, quiet);
+                        ph.put(&a, 8, 99);
+                        assert_eq!(ph.get(&a, 8).await, 0, "cache hit or not, a hazard");
+                        ph.put_node(&nb, 1, 10);
+                    }
+                    1 => {
+                        ph.put(&a, 5, 9); // disagrees ...
+                        ph.put(&f, 3, payload);
+                        ph.put(&a, 10, 1);
+                        let got = ph.get_many(&a, [10, 1, 10, 10, 11]).await;
+                        assert_eq!(got, vec![0; 5]);
+                        ph.put(&a, 5, 7); // ... then converges, after parking
+                        ph.put(&hi, 0, 5);
+                        assert_eq!(ph.get(&hi2, 0).await, 0, "same mask bit, other array");
+                        assert_eq!(ph.get(&hi, 0).await, 0);
+                    }
+                    2 => {
+                        ph.put(&a, 5, 8);
+                        ph.put(&a, 2, 1);
+                        assert_eq!(ph.get(&a, 2).await, 0);
+                        ph.put_node(&nb, 1, 11);
+                    }
+                    3 => {
+                        ph.put(&a, 5, 7);
+                        ph.put(&f, 3, quiet);
+                        ph.accumulate(&a, 14, AccumOp::Add, 1);
+                        assert_eq!(ph.get(&a, 14).await, 0);
+                        ph.put_node(&nb, 1, 12);
+                        ph.put(&hi2, 1, 1);
+                    }
+                    4 => {
+                        ph.put(&a, 5, 1);
+                        ph.put(&a, 5, 7);
+                        ph.put(&f, 3, quiet);
+                        ph.accumulate(&a, 12, AccumOp::Add, 5);
+                        assert_eq!(ph.get(&a, 12).await, 0);
+                        ph.accumulate(&a, 14, AccumOp::Add, 1);
+                        assert_eq!(ph.get(&a, 14).await, 0);
+                        ph.put_node(&nb, 2, 3);
+                        assert_eq!(ph.get_node(&nb, 2), 0);
+                    }
+                    _ => {
+                        ph.put(&a, 5, 7);
+                        ph.accumulate(&a, 3, AccumOp::Max, 4);
+                        assert_eq!(ph.get(&a, 3).await, 0, "remote: parks the VP");
+                        ph.put_node(&nb, 1, 12);
+                        ph.put(&hi2, 1, 2);
+                    }
+                }
+            })
+            .await;
+            // Second dirty phase, back to back: nothing carries over.
+            vp.global_phase(|ph| async move {
+                match r {
+                    0 => ph.put(&a, 5, 1),
+                    1 => ph.put(&a, 5, 2),
+                    2 => assert_eq!(ph.get(&a, 2).await, 1, "written last phase: clean"),
+                    3 => {
+                        ph.put(&a, 9, 1);
+                        assert_eq!(ph.get(&a, 9).await, 0);
+                    }
+                    4 => ph.put(&a, 12, 1),
+                    _ => ph.put(&a, 12, 2),
+                }
+            })
+            .await;
+        });
+        let first = node.take_violations();
+        let second = node.take_violations();
+        node.ppm_do_local(2, move |vp| async move {
+            let r = vp.node_rank() as u64;
+            vp.node_phase(|ph| async move {
+                ph.put_node(&nb, 3, 20 + r);
+                if r == 1 {
+                    ph.accumulate_node(&nhi, 0, AccumOp::Add, 1);
+                    assert_eq!(ph.get_node(&nhi2, 0), 0, "same mask bit, other array");
+                    assert_eq!(ph.get_node(&nhi, 0), 0);
+                }
+            })
+            .await;
+            vp.node_phase(|ph| async move {
+                assert_eq!(ph.get_node(&nb, 3), 21, "written last phase: clean");
+            })
+            .await;
+        });
+        let third = node.take_violations();
+        (first, second, third, node.ep_counters().cache_hits)
+    });
+    report.results
+}
+
+/// Per node: the collective construct's drain, then the local construct's.
+fn expected() -> [(Vec<PhaseViolation>, Vec<PhaseViolation>); 2] {
+    let local = vec![ww(Node, 0, 3, 0, 1, N), row(Node, 64, 0, 1, N)];
+    [
+        (
+            vec![
+                // First dirty phase: conflicts, then hazards, each by
+                // (space, array, element, ranks).
+                ww(Global, 0, 5, 0, 2, G),
+                ww(Global, 1, 3, 0, 1, G),
+                ww(Node, 0, 1, 0, 2, G),
+                row(Global, 0, 2, 2, G),
+                row(Global, 0, 8, 0, G),
+                row(Global, 0, 10, 1, G),
+                row(Global, 64, 0, 1, G),
+                // Second dirty phase.
+                ww(Global, 0, 5, 0, 1, G),
+            ],
+            local.clone(),
+        ),
+        (
+            vec![
+                ww(Global, 65, 1, 3, 5, G),
+                row(Global, 0, 3, 5, G),
+                row(Global, 0, 12, 4, G),
+                row(Global, 0, 14, 3, G),
+                row(Global, 0, 14, 4, G),
+                row(Node, 0, 2, 4, G),
+                ww(Global, 0, 12, 4, 5, G),
+                row(Global, 0, 9, 3, G),
+            ],
+            local,
+        ),
+    ]
+}
+
+/// The same reports as the user reads them, in drain order.
+#[rustfmt::skip]
+const RENDERED: [&[&str]; 2] = [
+    &[
+        "write-write conflict: VPs 0 and 2 put different values to global array 0 element 5 in one Global phase without an accumulate combiner (resolution is deterministic but rank-ordered; use accumulate or disjoint index sets)",
+        "write-write conflict: VPs 0 and 1 put different values to global array 1 element 3 in one Global phase without an accumulate combiner (resolution is deterministic but rank-ordered; use accumulate or disjoint index sets)",
+        "write-write conflict: VPs 0 and 2 put different values to node array 0 element 1 in one Global phase without an accumulate combiner (resolution is deterministic but rank-ordered; use accumulate or disjoint index sets)",
+        "read-own-write hazard: VP 2 read global array 0 element 2 after writing it in the same Global phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+        "read-own-write hazard: VP 0 read global array 0 element 8 after writing it in the same Global phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+        "read-own-write hazard: VP 1 read global array 0 element 10 after writing it in the same Global phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+        "read-own-write hazard: VP 1 read global array 64 element 0 after writing it in the same Global phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+        "write-write conflict: VPs 0 and 1 put different values to global array 0 element 5 in one Global phase without an accumulate combiner (resolution is deterministic but rank-ordered; use accumulate or disjoint index sets)",
+        "write-write conflict: VPs 0 and 1 put different values to node array 0 element 3 in one Node phase without an accumulate combiner (resolution is deterministic but rank-ordered; use accumulate or disjoint index sets)",
+        "read-own-write hazard: VP 1 read node array 64 element 0 after writing it in the same Node phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+    ],
+    &[
+        "write-write conflict: VPs 3 and 5 put different values to global array 65 element 1 in one Global phase without an accumulate combiner (resolution is deterministic but rank-ordered; use accumulate or disjoint index sets)",
+        "read-own-write hazard: VP 5 read global array 0 element 3 after writing it in the same Global phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+        "read-own-write hazard: VP 4 read global array 0 element 12 after writing it in the same Global phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+        "read-own-write hazard: VP 3 read global array 0 element 14 after writing it in the same Global phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+        "read-own-write hazard: VP 4 read global array 0 element 14 after writing it in the same Global phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+        "read-own-write hazard: VP 4 read node array 0 element 2 after writing it in the same Global phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+        "write-write conflict: VPs 4 and 5 put different values to global array 0 element 12 in one Global phase without an accumulate combiner (resolution is deterministic but rank-ordered; use accumulate or disjoint index sets)",
+        "read-own-write hazard: VP 3 read global array 0 element 9 after writing it in the same Global phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+        "write-write conflict: VPs 0 and 1 put different values to node array 0 element 3 in one Node phase without an accumulate combiner (resolution is deterministic but rank-ordered; use accumulate or disjoint index sets)",
+        "read-own-write hazard: VP 1 read node array 64 element 0 after writing it in the same Node phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+    ],
+];
+
+#[test]
+fn planted_program_reports_the_captured_rows() {
+    let expected = expected();
+    for threads in [1, 8] {
+        for pipelining in [true, false] {
+            for cache in [true, false] {
+                let cfg = PpmConfig::new(MachineConfig::new(2, 2))
+                    .with_checker(true)
+                    .with_host_threads(threads)
+                    .with_wave_pipelining(pipelining)
+                    .with_read_cache(cache);
+                let cell = format!("threads {threads}, pipelining {pipelining}, cache {cache}");
+                let got = planted(cfg);
+                assert_eq!(got[0].3 > 0, cache, "{cell}: a[8]'s hazard hits the cache");
+                for (node, (first, second, third, _)) in got.into_iter().enumerate() {
+                    assert!(second.is_empty(), "{cell}, node {node}: {second:?}");
+                    let lines: Vec<String> =
+                        first.iter().chain(&third).map(|v| v.to_string()).collect();
+                    assert_eq!(first, expected[node].0, "{cell}, node {node}, ppm_do");
+                    assert_eq!(third, expected[node].1, "{cell}, node {node}, ppm_do_local");
+                    assert_eq!(lines, RENDERED[node], "{cell}, node {node}");
+                }
+            }
+        }
+    }
+}

@@ -8,6 +8,7 @@
 use ppm_core::testkit::{forall, Gen, Shrink};
 use ppm_core::{prop_assert, prop_assert_eq};
 use ppm_core::{run, AccumOp, Dist, Layout, PpmConfig};
+use ppm_core::{Phase, PhaseKind, PhaseViolation, Space};
 use ppm_simnet::MachineConfig;
 
 /// One shared-variable operation a VP performs inside the phase.
@@ -629,6 +630,243 @@ fn repeated_bulk_read_indices_are_combined_invisibly() {
     assert!(
         combined.into_inner() > 0,
         "no generated case ever repeated a remote index: the property tested nothing"
+    );
+}
+
+/// One shared access of a checker script. Global arrays are 0 and 1, the
+/// node-shared array is node array 0.
+#[derive(Debug, Clone, PartialEq)]
+enum Access {
+    Put(usize, usize, i64),
+    Accum(usize, usize, i64),
+    Get(usize, usize),
+    GetMany(usize, Vec<usize>),
+    NodePut(usize, i64),
+    NodeAccum(usize, i64),
+    NodeGet(usize),
+    /// Read an element of a never-written array that lives on the next node:
+    /// parks the VP, so the rest of its phase runs in a later poll, merged
+    /// after its higher-ranked neighbours' first polls.
+    Park,
+}
+
+impl Shrink for Access {}
+
+/// A multi-phase program for the conformance checker: `kinds[p]` says
+/// whether phase `p` is global, `vps[node][vp][p]` lists what that VP does
+/// in it. Shrinking drops accesses only, so the shape stays valid.
+#[derive(Debug, Clone)]
+struct CheckScript {
+    len: usize,
+    kinds: Vec<bool>,
+    vps: Vec<Vec<Vec<Vec<Access>>>>,
+}
+
+impl Shrink for CheckScript {
+    fn shrink(&self) -> Vec<Self> {
+        let mut c = Vec::new();
+        for (n, node) in self.vps.iter().enumerate() {
+            for (v, phases) in node.iter().enumerate() {
+                for (p, ops) in phases.iter().enumerate() {
+                    for smaller in ops.shrink() {
+                        let mut s = self.clone();
+                        s.vps[n][v][p] = smaller;
+                        c.push(s);
+                    }
+                }
+            }
+        }
+        c
+    }
+}
+
+fn gen_check_script(g: &mut Gen) -> CheckScript {
+    let nodes = g.usize_in(2..4);
+    let len = g.usize_in(nodes..8);
+    let kinds = g.vec(1..4, |g| g.u32_in(0..4) != 0);
+    // Per array (global 0, global 1, node) and element: put or accumulate
+    // target — the two never mix on an element. Few distinct values, so
+    // idempotent and converging puts are as common as conflicting ones.
+    let accum: Vec<Vec<bool>> = (0..3).map(|_| g.vec(len..len, |g| g.bool())).collect();
+    let access = |g: &mut Gen, global: bool| {
+        let (arr, idx, val) = (g.usize_in(0..2), g.usize_in(0..len), g.i64_in(0..3));
+        match g.u32_in(0..if global { 10 } else { 4 }) {
+            0 => Access::NodeGet(idx),
+            1 | 2 if accum[2][idx] => Access::NodeAccum(idx, val),
+            1 | 2 => Access::NodePut(idx, val),
+            3 => Access::NodeGet(g.usize_in(0..len)),
+            4 => Access::Get(arr, idx),
+            5 => Access::GetMany(arr, g.vec(0..7, |g| g.usize_in(0..len))),
+            6 => Access::Park,
+            _ if accum[arr][idx] => Access::Accum(arr, idx, val),
+            _ => Access::Put(arr, idx, val),
+        }
+    };
+    let vps = (0..nodes)
+        .map(|_| {
+            g.vec(1..4, |g| {
+                let phase = |&global: &bool| g.vec(0..16, |g| access(g, global));
+                kinds.iter().map(phase).collect()
+            })
+        })
+        .collect();
+    CheckScript { len, kinds, vps }
+}
+
+/// The checker as it was before the rules moved to the source — per element
+/// of a node and phase: every assigning VP's last value, the accumulating
+/// VPs, and the VPs whose own-read was reported — run on the script itself,
+/// VP by VP. Returns what `node` must report, in drain order.
+fn model_violations(s: &CheckScript, node: usize) -> Vec<PhaseViolation> {
+    use std::collections::{BTreeMap, BTreeSet};
+    #[derive(Default)]
+    struct ElemAccess {
+        assigners: Vec<(u64, i64)>,
+        accumulators: BTreeSet<u64>,
+    }
+    let base: usize = s.vps[..node].iter().map(Vec::len).sum();
+    let mut out = Vec::new();
+    for (p, &global) in s.kinds.iter().enumerate() {
+        let phase = [PhaseKind::Node, PhaseKind::Global][global as usize];
+        let mut elems: BTreeMap<(Space, u32, u64), ElemAccess> = BTreeMap::new();
+        let mut own_read_reported = BTreeSet::new();
+        for (vp, phases) in (base as u64..).zip(&s.vps[node]) {
+            for op in &phases[p] {
+                let (g, n) = (Space::Global, Space::Node);
+                // (value written, by accumulate?) and the elements touched.
+                let (write, keys): (Option<(i64, bool)>, Vec<_>) = match *op {
+                    Access::Put(a, i, v) => (Some((v, false)), vec![(g, a, i)]),
+                    Access::Accum(a, i, v) => (Some((v, true)), vec![(g, a, i)]),
+                    Access::NodePut(i, v) => (Some((v, false)), vec![(n, 0, i)]),
+                    Access::NodeAccum(i, v) => (Some((v, true)), vec![(n, 0, i)]),
+                    Access::Get(a, i) => (None, vec![(g, a, i)]),
+                    Access::GetMany(a, ref idxs) => {
+                        (None, idxs.iter().map(|&i| (g, a, i)).collect())
+                    }
+                    Access::NodeGet(i) => (None, vec![(n, 0, i)]),
+                    Access::Park => (None, vec![]),
+                };
+                for (space, array, idx) in keys {
+                    let key = (space, array as u32, idx as u64);
+                    let e = elems.entry(key).or_default();
+                    let assigned = e.assigners.iter_mut().find(|a| a.0 == vp);
+                    match (write, assigned) {
+                        (Some((_, true)), _) => drop(e.accumulators.insert(vp)),
+                        (Some((v, false)), Some(a)) => a.1 = v,
+                        (Some((v, false)), None) => e.assigners.push((vp, v)),
+                        (None, a) if a.is_some() || e.accumulators.contains(&vp) => {
+                            own_read_reported.insert((key, vp));
+                        }
+                        (None, _) => {}
+                    }
+                }
+            }
+        }
+        for (&(space, array, index), e) in &elems {
+            let Some((&(first_vp, first), later)) = e.assigners.split_first() else {
+                continue;
+            };
+            if let Some(&(second_vp, _)) = later.iter().find(|a| a.1 != first) {
+                out.push(PhaseViolation::WriteWriteConflict {
+                    space,
+                    array,
+                    index,
+                    first_vp,
+                    second_vp,
+                    phase,
+                });
+            }
+        }
+        for ((space, array, index), vp) in own_read_reported {
+            out.push(PhaseViolation::ReadOwnWrite {
+                space,
+                array,
+                index,
+                vp,
+                phase,
+            });
+        }
+    }
+    out
+}
+
+/// The conformance checker reports what the per-element model reports, as
+/// lists, for arbitrary scripts — puts, accumulates, single and bulk reads
+/// over local, remote and node-shared elements, global and node phases back
+/// to back, VPs whose phase spans several polls — at 1 and 8 host threads.
+#[test]
+fn checker_matches_the_per_element_model() {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    let (conflicts, hazards) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    forall(
+        "checker_matches_the_per_element_model",
+        32,
+        gen_check_script,
+        |script| {
+            let nodes = script.vps.len();
+            let expected: Vec<_> = (0..nodes).map(|n| model_violations(script, n)).collect();
+            for v in expected.iter().flatten() {
+                let conflict = matches!(v, PhaseViolation::WriteWriteConflict { .. });
+                [&hazards, &conflicts][conflict as usize].fetch_add(1, Relaxed);
+            }
+            for threads in [1, 8] {
+                let cfg = PpmConfig::new(MachineConfig::new(nodes as u32, 2))
+                    .with_checker(true)
+                    .with_host_threads(threads);
+                let script = script.clone();
+                let report = run(cfg, move |node| {
+                    let arrays = [
+                        node.alloc_global::<i64>(script.len),
+                        node.alloc_global::<i64>(script.len),
+                    ];
+                    let quiet = node.alloc_global::<i64>(nodes);
+                    let shared = node.alloc_node::<i64>(script.len);
+                    let mine = std::sync::Arc::new(script.vps[node.node_id()].clone());
+                    let kinds = script.kinds.clone();
+                    let next = (node.node_id() + 1) % nodes;
+                    node.ppm_do(mine.len(), move |vp| {
+                        let (phases, kinds) = (mine[vp.node_rank()].clone(), kinds.clone());
+                        async move {
+                            for (ops, global) in phases.into_iter().zip(kinds) {
+                                let body = |ph: Phase| async move {
+                                    for op in ops {
+                                        match op {
+                                            Access::Put(a, i, v) => ph.put(&arrays[a], i, v),
+                                            Access::Accum(a, i, v) => {
+                                                ph.accumulate(&arrays[a], i, AccumOp::Add, v)
+                                            }
+                                            Access::Get(a, i) => drop(ph.get(&arrays[a], i).await),
+                                            Access::GetMany(a, idxs) => {
+                                                drop(ph.get_many(&arrays[a], idxs).await)
+                                            }
+                                            Access::NodePut(i, v) => ph.put_node(&shared, i, v),
+                                            Access::NodeAccum(i, v) => {
+                                                ph.accumulate_node(&shared, i, AccumOp::Add, v)
+                                            }
+                                            Access::NodeGet(i) => drop(ph.get_node(&shared, i)),
+                                            Access::Park => drop(ph.get(&quiet, next).await),
+                                        }
+                                    }
+                                };
+                                if global {
+                                    vp.global_phase(body).await;
+                                } else {
+                                    vp.node_phase(body).await;
+                                }
+                            }
+                        }
+                    });
+                    node.take_violations()
+                });
+                prop_assert_eq!(&report.results, &expected);
+            }
+            Ok(())
+        },
+    );
+    let (conflicts, hazards) = (conflicts.into_inner(), hazards.into_inner());
+    assert!(
+        conflicts > 40 && hazards > 40,
+        "{conflicts} conflicts and {hazards} hazards planted: the property tested little"
     );
 }
 

@@ -802,6 +802,62 @@ fn refresh_push_keeps_rewritten_elements_coherent() {
     }
 }
 
+/// Refresh pushes go to exactly the rewritten elements that have an armed
+/// serve history, array by array: the owner's written set and the history
+/// overlap only partly — written elements below, between and above the served
+/// ones, served elements that are never written, a second array whose
+/// history outlasts its writes — and which overlap it is shows in the
+/// reader's hits and misses, phase by phase.
+#[test]
+fn refresh_push_targets_the_written_and_served_intersection() {
+    const PHASES: u64 = 14;
+    let report = run(cfg(2, 1).with_read_cache(true), move |node| {
+        let a = node.alloc_global::<u64>(16); // node 1 owns 8..16 of both
+        let b = node.alloc_global::<u64>(16);
+        node.ppm_do(1, move |vp| async move {
+            let id = vp.node_id();
+            for p in 0..PHASES {
+                vp.global_phase(|ph| async move {
+                    // Written every phase / every other phase / in the
+                    // first three phases only.
+                    let always = [8, 9, 10, 14, 15];
+                    if id == 1 {
+                        for i in always {
+                            ph.put(&a, i, p * 100 + i as u64);
+                        }
+                        if p % 2 == 0 {
+                            ph.put(&a, 12, p * 100 + 12);
+                        }
+                        if p < 3 {
+                            ph.put(&b, 10, p * 100 + 10);
+                        }
+                        return;
+                    }
+                    // What phase `q`'s put left in element `i`, seen from the
+                    // phase after; everything starts at 0.
+                    let after = |q: Option<u64>, i: u64| q.map_or(0, |q| q * 100 + i);
+                    let last = p.checked_sub(1);
+                    let got = ph.get_many(&a, [9, 11, 12, 14]).await;
+                    let a12 = after(last.map(|q| q - q % 2), 12);
+                    assert_eq!(got, [after(last, 9), 0, a12, after(last, 14)]);
+                    let got = ph.get_many(&b, [10, 15]).await;
+                    assert_eq!(got, [after(last.map(|q| q.min(2)), 10), 0]);
+                })
+                .await;
+            }
+        });
+        (node.ep_counters(), node.take_phase_log())
+    });
+    let (c0, log0) = &report.results[0];
+    let waves: Vec<u64> = log0.iter().map(|r| r.waves).collect();
+    // Captured before the per-element history lookup became one ordered walk
+    // over the written indices and the history: `a[11]` (served, never
+    // written) misses every phase; `a[9]`/`a[14]` hit while armed and re-earn
+    // it after each TTL window; `b` stops costing waves once its writes stop.
+    assert_eq!(waves, [2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]);
+    assert_eq!((c0.cache_hits, c0.cache_misses), (48, 36));
+}
+
 #[test]
 fn ppm_do_local_runs_asynchronously_per_node() {
     // Paper §3.3 asynchronous mode: each node runs a *different* number of
