@@ -4,7 +4,8 @@
 //! a job (result bits, simulated makespan, counters, and the full trace
 //! JSON) must be bit-identical at any thread count. This suite pins that
 //! for all four applications under seeded fault schedules, and for CG
-//! crash recovery.
+//! crash recovery. The `cache off` cells are one of the few places the
+//! cache-off path is still exercised (`perf_gates.rs` lists them).
 
 use ppm_apps::barnes_hut::{self as bh, BhParams};
 use ppm_apps::cg::{self, CgParams};
@@ -94,20 +95,15 @@ fn assert_thread_count_invariant(
 }
 
 /// A clean config plus one seeded fault schedule per `FAULT_SEEDS` entry —
-/// each cell with the read cache + wave pipelining (DESIGN.md §13) both on
-/// (pinned explicitly, not via the env defaults) and both off, and each of
+/// each cell with the read cache (DESIGN.md §13) on and off, and each of
 /// those with adaptive repartitioning (DESIGN.md §14) on and off — so
 /// host-thread bit-identity holds on both sides of every knob, including
 /// runs that migrate partitions mid-job.
 fn soak_cfgs() -> Vec<(String, PpmConfig)> {
     let mut cfgs = Vec::new();
-    for (kdesc, on) in [("opts on", true), ("opts off", false)] {
+    for (kdesc, on) in [("cache on", true), ("cache off", false)] {
         for (adesc, adaptive) in [("adaptive", true), ("static", false)] {
-            let knobbed = |c: PpmConfig| {
-                c.with_read_cache(on)
-                    .with_wave_pipelining(on)
-                    .with_adaptive_balance(adaptive)
-            };
+            let knobbed = |c: PpmConfig| c.with_read_cache(on).with_adaptive_balance(adaptive);
             cfgs.push((format!("clean, {kdesc}, {adesc}"), knobbed(base_cfg())));
             for seed in FAULT_SEEDS {
                 cfgs.push((

@@ -4,18 +4,7 @@
 //!
 //! Std-only harness (offline policy, see the workspace Cargo.toml): each
 //! benchmark runs a warmup pass and a fixed number of timed iterations with
-//! `std::time::Instant` and reports min/mean per-iteration wall time. The
-//! non-default `criterion` cargo feature is a reserved marker for
-//! environments with registry access that want the statistical harness
-//! back; it refuses to build until the dependency is actually added.
-
-#[cfg(feature = "criterion")]
-compile_error!(
-    "the `criterion` feature is a reserved marker: add `criterion` to \
-     crates/bench/Cargo.toml [dev-dependencies] (requires crates.io access, \
-     which the offline default set does not have) and restore the criterion \
-     harness before enabling it"
-);
+//! `std::time::Instant` and reports min/mean per-iteration wall time.
 
 use std::time::{Duration, Instant};
 

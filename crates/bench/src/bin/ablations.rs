@@ -9,21 +9,17 @@
 //!   switching it off serializes gap time after compute.
 //! * **VP granularity** — the `PPM_do(K)` degree-of-parallelism knob:
 //!   fewer, fatter VPs give the scheduler less slack.
-//! * **read cache / wave pipelining** — the phase-coherent remote-read
-//!   cache with owner refresh-push, and wake-on-arrival wave pipelining
-//!   (DESIGN.md §13). `--ablate-cache` / `--ablate-pipeline` restrict the
-//!   sweep to the full runtime plus just that ablation (the CI artifact
-//!   job runs these; EXPERIMENTS.md records the deltas).
+//! * **read cache** — the phase-coherent remote-read cache with owner
+//!   refresh-push (DESIGN.md §13). `--ablate-cache` restricts the sweep to
+//!   the full runtime plus that ablation (the CI artifact job runs it;
+//!   EXPERIMENTS.md records the deltas, and the last measured cost of the
+//!   all-responses wave barrier and the dense token exchange, both deleted
+//!   in PR 18).
 //! * **adaptive repartitioning** — trace-guided weighted repartitioning at
 //!   phase boundaries (DESIGN.md §14). `--ablate-balance` prints the
 //!   skewed fixtures (power-law PageRank, clustered-Plummer Barnes–Hut)
 //!   with the balancer on vs off; the solutions are bit-identical either
 //!   way, only placement and time move.
-//! * **sparse token exchange** — the sparse sender-set protocol that
-//!   retired the O(N²) empty end-of-phase tokens (DESIGN.md §17).
-//!   `--ablate-tokens` prints sparse vs legacy all-to-all: makespans are
-//!   bit-identical by construction, so the column that moves is the
-//!   message count.
 //! * **streamed tiles** — the resident-tile budget that spills cold
 //!   partition tiles to backing store (DESIGN.md §18). `--ablate-streaming`
 //!   prints in-core vs streamed under a tight budget: spills and refills
@@ -35,7 +31,6 @@
 //! cargo run --release -p ppm-bench --bin ablations [-- --nodes 8 --g 16]
 //! cargo run --release -p ppm-bench --bin ablations -- --ablate-cache
 //! cargo run --release -p ppm-bench --bin ablations -- --ablate-balance
-//! cargo run --release -p ppm-bench --bin ablations -- --ablate-tokens
 //! cargo run --release -p ppm-bench --bin ablations -- --ablate-streaming
 //! ```
 //!
@@ -84,16 +79,12 @@ fn main() {
         })
     };
 
-    // `--ablate-cache` / `--ablate-pipeline` narrow the sweep to the full
-    // runtime plus the selected knob(s); with neither flag, print
-    // everything.
+    // An `--ablate-*` flag narrows the sweep to the full runtime plus the
+    // selected ablation(s); with none, print everything.
     let ablate_cache = args.flag("--ablate-cache");
-    let ablate_pipeline = args.flag("--ablate-pipeline");
     let ablate_balance = args.flag("--ablate-balance");
-    let ablate_tokens = args.flag("--ablate-tokens");
     let ablate_streaming = args.flag("--ablate-streaming");
-    let all =
-        !(ablate_cache || ablate_pipeline || ablate_balance || ablate_tokens || ablate_streaming);
+    let all = !(ablate_cache || ablate_balance || ablate_streaming);
 
     println!("# Runtime ablations on {nodes} nodes (4 cores each)\n");
     header(&["configuration", "CG ms", "Barnes–Hut ms"]);
@@ -129,24 +120,6 @@ fn main() {
             "no read cache (every remote read reaches the wire)".into(),
             ms(cg_time("no-cache", no_cache, cg_params)),
             ms(bh_time("no-cache", no_cache, bh_params)),
-        ]);
-    }
-
-    if all || ablate_pipeline {
-        let no_pipe = base.with_wave_pipelining(false);
-        row(&[
-            "no wave pipelining (all-responses wave barrier)".into(),
-            ms(cg_time("no-pipelining", no_pipe, cg_params)),
-            ms(bh_time("no-pipelining", no_pipe, bh_params)),
-        ]);
-    }
-
-    if ablate_cache && ablate_pipeline {
-        let neither = base.with_read_cache(false).with_wave_pipelining(false);
-        row(&[
-            "no cache, no pipelining (pre-§13 runtime)".into(),
-            ms(cg_time("no-cache-no-pipelining", neither, cg_params)),
-            ms(bh_time("no-cache-no-pipelining", neither, bh_params)),
         ]);
     }
 
@@ -206,58 +179,6 @@ fn main() {
                 ms(bh_time(tag, cfg, cb)),
             ]);
         }
-    }
-
-    if all || ablate_tokens {
-        // Sparse vs legacy token exchange: simulated time is bit-identical
-        // by construction (tokens were always free in modeled time), so
-        // the message count is the honest column — the legacy all-to-all
-        // pays N²−N empty tokens per global phase.
-        println!("\n# Sparse end-of-phase token exchange (DESIGN.md \u{a7}17)\n");
-        header(&[
-            "configuration",
-            "CG ms",
-            "CG msgs",
-            "B\u{2013}H ms",
-            "B\u{2013}H msgs",
-        ]);
-        let mut rows: Vec<(SimTime, u64, SimTime, u64)> = Vec::new();
-        for (desc, on) in [
-            ("sparse sender sets", true),
-            ("legacy all-to-all tokens", false),
-        ] {
-            let cfg = base.with_sparse_tokens(on);
-            let p = cg_params;
-            let cg_report = ppm_core::run(cfg, move |node| cg::ppm::solve(node, &p).1);
-            let p = bh_params;
-            let bh_report = ppm_core::run(cfg, move |node| bh::ppm::simulate(node, &p).1);
-            let entry = (
-                max_time(&cg_report),
-                cg_report.total_counters().msgs_sent,
-                max_time(&bh_report),
-                bh_report.total_counters().msgs_sent,
-            );
-            row(&[
-                desc.into(),
-                ms(entry.0),
-                entry.1.to_string(),
-                ms(entry.2),
-                entry.3.to_string(),
-            ]);
-            rows.push(entry);
-        }
-        assert_eq!(
-            rows[0].0, rows[1].0,
-            "sparse exchange moved the CG makespan"
-        );
-        assert_eq!(
-            rows[0].2, rows[1].2,
-            "sparse exchange moved the Barnes\u{2013}Hut makespan"
-        );
-        assert!(
-            rows[0].1 < rows[1].1 && rows[0].3 < rows[1].3,
-            "sparse exchange must cut the message count"
-        );
     }
 
     if all || ablate_streaming {

@@ -165,8 +165,8 @@ fn main() {
         "\n(simulated ms, failovers, confirmed dead, and hit rate are \
          asserted bit-identical across all thread counts — DESIGN.md §12; \
          msgs/phase is total msgs_sent over the job divided by the phase \
-         count — the sparse exchange keeps it O(writers + N), where the \
-         legacy all-to-all added N²−N empty tokens per phase, DESIGN.md §17)"
+         count — the sender-notice exchange keeps it O(writers + N), where \
+         a dense all-to-all would add N²−N empty tokens per phase, DESIGN.md §17)"
     );
     if let Some((sink, path)) = &trace {
         write_trace(sink, path);

@@ -98,9 +98,8 @@ impl NodeSet {
 
     /// `self & !other`, as a new set.
     pub fn difference(&self, other: &NodeSet) -> NodeSet {
-        let mut d = self.clone();
-        d.difference_with(other);
-        d
+        let words = self.words.iter().enumerate();
+        Self::trimmed(words.map(|(i, a)| a & !other.words.get(i).unwrap_or(&0)))
     }
 
     /// Whether `self ∩ other` is non-empty.
@@ -110,16 +109,17 @@ impl NodeSet {
 
     /// `self & other`, as a new set.
     pub fn intersection(&self, other: &NodeSet) -> NodeSet {
-        let mut words: Vec<u64> = self
-            .words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| a & b)
-            .collect();
-        while words.last() == Some(&0) {
-            words.pop();
+        Self::trimmed(self.words.iter().zip(&other.words).map(|(a, b)| a & b))
+    }
+
+    /// The set of these words less its trailing zero words — measured before
+    /// it is collected, so an empty result allocates nothing (a refresh
+    /// split cuts every entry's mask both ways and most come out empty).
+    fn trimmed(words: impl ExactSizeIterator<Item = u64> + DoubleEndedIterator + Clone) -> NodeSet {
+        let len = words.clone().rposition(|w| w != 0).map_or(0, |i| i + 1);
+        NodeSet {
+            words: words.take(len).collect(),
         }
-        NodeSet { words }
     }
 
     /// Smallest set bit, if any.

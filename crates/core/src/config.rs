@@ -69,15 +69,11 @@ pub struct PpmConfig {
     /// Phase-coherent remote-read cache (DESIGN.md §13): remote values
     /// from response bundles and owner-pushed refreshes are kept per node
     /// and consulted before queueing any remote read; invalidated at phase
-    /// end for every array that took writes. On by default; `PPM_READ_CACHE=0`
-    /// disables it for ablations.
+    /// end for every array that took writes. On by default, and — like
+    /// `overlap` and `bundling` — switched off only through the builder
+    /// ([`Self::with_read_cache`]), for the §13 ablation row: it is a
+    /// feature switch, not a second protocol.
     pub read_cache: bool,
-    /// Wake-on-arrival wave pipelining (DESIGN.md §13): VPs whose remote
-    /// reads are fully satisfied resume (ascending rank) while slower
-    /// destinations of the same wave are still in flight, and the compute
-    /// merged during that window hides response latency. On by default;
-    /// `PPM_WAVE_PIPELINE=0` disables it for ablations.
-    pub wave_pipelining: bool,
     /// Trace-guided adaptive repartitioning (DESIGN.md §14): at each global
     /// phase boundary the runtime may recut the weighted partitions of
     /// arrays allocated with [`crate::NodeCtx::alloc_global_balanced`],
@@ -95,19 +91,6 @@ pub struct PpmConfig {
     /// path stays byte-identical); `PPM_REPLICATION=1` (or
     /// [`Self::with_replication`]) enables it.
     pub replication: bool,
-    /// Sparse end-of-phase token exchange (DESIGN.md §17): before the
-    /// write exchange every node sends each of its write destinations a
-    /// notice over O(log N) dissemination rounds, then ships only non-empty
-    /// [`K_WRITE`]/[`K_MIGRATE`] bundles and blocks on exactly the senders
-    /// that announced one — retiring the O(N²) empty-token all-to-all.
-    /// Results, makespans, and traces are bit-identical to the legacy
-    /// protocol; only the message counters shrink. On by default;
-    /// `PPM_SPARSE_TOKENS=0` (or [`Self::with_sparse_tokens`]) restores
-    /// the all-to-all for ablations.
-    ///
-    /// [`K_WRITE`]: crate::msgs::K_WRITE
-    /// [`K_MIGRATE`]: crate::msgs::K_MIGRATE
-    pub sparse_tokens: bool,
     /// Failure detector: simulated time a survivor spends retransmitting
     /// into a dead peer's silence before suspecting it (charged once per
     /// detected death; the suspicion is confirmed on the next clock
@@ -127,6 +110,14 @@ pub struct PpmConfig {
 
 impl PpmConfig {
     /// Default runtime constants on a given machine (see DESIGN.md §6).
+    ///
+    /// Three defaults come from the environment — `PPM_ADAPTIVE`,
+    /// `PPM_REPLICATION`, `PPM_TILE_BUDGET` — where, as for
+    /// `PPM_HOST_THREADS`, an empty value means unset.
+    ///
+    /// # Panics
+    ///
+    /// If one of them is set to a value that does not parse.
     pub fn new(machine: MachineConfig) -> Self {
         PpmConfig {
             machine,
@@ -146,13 +137,11 @@ impl PpmConfig {
             ack_bytes: 12,
             crash_reboot: SimTime::from_ms(1),
             host_threads: 0,
-            read_cache: env_flag("PPM_READ_CACHE", true),
-            wave_pipelining: env_flag("PPM_WAVE_PIPELINE", true),
-            adaptive_balance: env_flag("PPM_ADAPTIVE", false),
-            replication: env_flag("PPM_REPLICATION", false),
-            sparse_tokens: env_flag("PPM_SPARSE_TOKENS", true),
+            read_cache: true,
+            adaptive_balance: env_or("PPM_ADAPTIVE", FLAG, false),
+            replication: env_or("PPM_REPLICATION", FLAG, false),
             suspect_timeout: SimTime::from_us(400),
-            tile_budget: env_bytes("PPM_TILE_BUDGET", 0),
+            tile_budget: env_or("PPM_TILE_BUDGET", BYTES, 0),
         }
     }
 
@@ -199,17 +188,17 @@ impl PpmConfig {
         self
     }
 
-    /// Enable or disable the phase-coherent remote-read cache (ablation;
-    /// overrides the `PPM_READ_CACHE` environment default).
+    /// Enable or disable the phase-coherent remote-read cache (ablation).
     pub fn with_read_cache(mut self, on: bool) -> Self {
         self.read_cache = on;
         self
     }
 
-    /// Enable or disable wake-on-arrival wave pipelining (ablation;
-    /// overrides the `PPM_WAVE_PIPELINE` environment default).
-    pub fn with_wave_pipelining(mut self, on: bool) -> Self {
-        self.wave_pipelining = on;
+    /// Wake-on-arrival pipelining is the only wave schedule. Kept, for the
+    /// frozen `benchmark/` package alone, until that package drops the call.
+    #[doc(hidden)]
+    pub fn with_wave_pipelining(self, on: bool) -> Self {
+        assert!(on, "the all-responses wave barrier was removed in PR 18");
         self
     }
 
@@ -228,10 +217,15 @@ impl PpmConfig {
         self
     }
 
-    /// Enable or disable the sparse end-of-phase token exchange (ablation;
-    /// overrides the `PPM_SPARSE_TOKENS` environment default, which is on).
-    pub fn with_sparse_tokens(mut self, on: bool) -> Self {
-        self.sparse_tokens = on;
+    /// The sparse sender-notice exchange is the only phase-end protocol.
+    /// Kept, for the frozen `benchmark/` package alone, like
+    /// [`Self::with_wave_pipelining`].
+    #[doc(hidden)]
+    pub fn with_sparse_tokens(self, on: bool) -> Self {
+        assert!(
+            on,
+            "the dense all-to-all token exchange was removed in PR 18"
+        );
         self
     }
 
@@ -272,35 +266,64 @@ impl PpmConfig {
     }
 }
 
-/// `VAR=0|false|off` → false, `VAR=<anything else>` → true, unset →
-/// `default`. Read once at config construction so a run's behavior is
-/// fixed by its `PpmConfig` value.
-fn env_flag(var: &str, default: bool) -> bool {
-    match std::env::var(var) {
-        Ok(v) => !matches!(v.as_str(), "0" | "false" | "off"),
-        Err(_) => default,
+/// How one kind of `PPM_*` value is read: the parser and, for the panic
+/// message, the forms it accepts.
+type EnvForm<T> = (fn(&str) -> Option<T>, &'static str);
+
+const FLAG: EnvForm<bool> = (parse_flag, "1, true or on / 0, false or off");
+const BYTES: EnvForm<u64> = (
+    parse_bytes,
+    "a byte count with an optional k, m or g suffix (powers of 1024)",
+);
+const THREADS: EnvForm<usize> = (
+    |s| s.parse().ok(),
+    "a thread count (0 = as many as the host and the node's cores allow)",
+);
+
+/// The value of environment variable `var`, or `default` when it is unset.
+/// Read once at config construction so a run's behavior is fixed by its
+/// `PpmConfig` value.
+fn env_or<T>(var: &str, form: EnvForm<T>, default: T) -> T {
+    // Lossy: a value that is not Unicode reaches the parser and is refused.
+    let raw = std::env::var_os(var).unwrap_or_default();
+    parse_env(var, &raw.to_string_lossy(), form).unwrap_or(default)
+}
+
+/// `PPM_HOST_THREADS`, resolved at `ppm_do` time when
+/// [`PpmConfig::host_threads`] is 0; 0 here too means auto.
+pub(crate) fn env_host_threads() -> usize {
+    env_or("PPM_HOST_THREADS", THREADS, 0)
+}
+
+/// Parse `raw`, the value of `var`. Empty (or blank) means unset; a value
+/// the form does not accept is an error, not a silent default — a
+/// "streamed" suite under `PPM_TILE_BUDGET=4kb` would otherwise run in core.
+fn parse_env<T>(var: &str, raw: &str, (parse, accepted): EnvForm<T>) -> Option<T> {
+    let value = raw.trim();
+    if value.is_empty() {
+        return None;
+    }
+    Some(parse(value).unwrap_or_else(|| panic!("{var}={raw:?} is not valid: expected {accepted}")))
+}
+
+fn parse_flag(s: &str) -> Option<bool> {
+    match s {
+        "1" | "true" | "on" => Some(true),
+        "0" | "false" | "off" => Some(false),
+        _ => None,
     }
 }
 
 /// Byte count with an optional `k`/`m`/`g` (or `K`/`M`/`G`) suffix —
-/// powers of 1024. Unset or unparsable → `default`. Read once at config
-/// construction like [`env_flag`].
-fn env_bytes(var: &str, default: u64) -> u64 {
-    match std::env::var(var) {
-        Ok(v) => parse_bytes(&v).unwrap_or(default),
-        Err(_) => default,
-    }
-}
-
+/// powers of 1024.
 fn parse_bytes(s: &str) -> Option<u64> {
-    let s = s.trim();
     let (num, shift) = match s.as_bytes().last()? {
         b'k' | b'K' => (&s[..s.len() - 1], 10),
         b'm' | b'M' => (&s[..s.len() - 1], 20),
         b'g' | b'G' => (&s[..s.len() - 1], 30),
         _ => (s, 0),
     };
-    num.trim().parse::<u64>().ok().map(|n| n << shift)
+    num.trim().parse::<u64>().ok()?.checked_mul(1 << shift)
 }
 
 #[cfg(test)]
@@ -324,18 +347,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_and_pipelining_default_on_and_toggle() {
-        // Builder toggles are absolute: they win over any env default.
-        let c = PpmConfig::franklin(2)
-            .with_read_cache(true)
-            .with_wave_pipelining(true);
-        assert!(c.read_cache);
-        assert!(c.wave_pipelining);
-        let off = c.with_read_cache(false).with_wave_pipelining(false);
-        assert!(!off.read_cache);
-        assert!(!off.wave_pipelining);
-        assert!(off.with_read_cache(true).read_cache);
-        assert!(off.with_wave_pipelining(true).wave_pipelining);
+    fn read_cache_defaults_on_and_toggles() {
+        let c = PpmConfig::franklin(2);
+        assert!(c.read_cache, "the read cache is default-on");
+        assert!(!c.with_read_cache(false).read_cache);
+        assert!(c.with_read_cache(false).with_read_cache(true).read_cache);
     }
 
     #[test]
@@ -360,18 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_tokens_default_on_and_toggles() {
-        let c = PpmConfig::franklin(2);
-        assert!(c.sparse_tokens, "sparse token exchange is default-on");
-        assert!(!c.with_sparse_tokens(false).sparse_tokens);
-        assert!(
-            c.with_sparse_tokens(false)
-                .with_sparse_tokens(true)
-                .sparse_tokens
-        );
-    }
-
-    #[test]
     fn tile_budget_defaults_off_and_toggles() {
         let c = PpmConfig::franklin(2);
         assert_eq!(c.tile_budget, 0, "streaming is opt-in");
@@ -384,21 +388,68 @@ mod tests {
 
     #[test]
     fn parse_bytes_accepts_suffixes() {
-        assert_eq!(parse_bytes("4096"), Some(4096));
-        assert_eq!(parse_bytes("64k"), Some(64 << 10));
-        assert_eq!(parse_bytes("3M"), Some(3 << 20));
-        assert_eq!(parse_bytes(" 2g "), Some(2 << 30));
-        assert_eq!(parse_bytes("nope"), None);
-        assert_eq!(parse_bytes(""), None);
-        assert_eq!(env_bytes("PPM_SURELY_UNSET_BYTES_XYZ", 7), 7);
+        let bytes = |raw| parse_env("PPM_TILE_BUDGET", raw, BYTES);
+        assert_eq!(bytes("4096"), Some(4096));
+        assert_eq!(bytes("64k"), Some(64 << 10));
+        assert_eq!(bytes("3M"), Some(3 << 20));
+        assert_eq!(bytes(" 2g "), Some(2 << 30));
+        assert_eq!(bytes("0"), Some(0));
+        assert_eq!(bytes(""), None, "empty means unset");
+        assert_eq!(env_or("PPM_SURELY_UNSET_BYTES_XYZ", BYTES, 7), 7);
     }
 
     #[test]
     fn env_flag_parses_common_spellings() {
         // Exercise the parser directly (setting process env in tests races
         // with parallel test threads).
-        assert!(env_flag("PPM_SURELY_UNSET_FLAG_XYZ", true));
-        assert!(!env_flag("PPM_SURELY_UNSET_FLAG_XYZ", false));
+        let flag = |raw| parse_env("PPM_ADAPTIVE", raw, FLAG);
+        for on in ["1", "true", "on", " 1 "] {
+            assert_eq!(flag(on), Some(true), "{on:?}");
+        }
+        for off in ["0", "false", "off"] {
+            assert_eq!(flag(off), Some(false), "{off:?}");
+        }
+        assert_eq!(flag(""), None, "set but empty means unset, not on");
+        assert!(env_or("PPM_SURELY_UNSET_FLAG_XYZ", FLAG, true));
+        assert!(!env_or("PPM_SURELY_UNSET_FLAG_XYZ", FLAG, false));
+    }
+
+    #[test]
+    fn host_threads_parse_as_a_count() {
+        let threads = |raw| parse_env("PPM_HOST_THREADS", raw, THREADS);
+        assert_eq!(threads("8"), Some(8));
+        assert_eq!(threads("0"), Some(0));
+        assert_eq!(threads("  "), None);
+    }
+
+    /// An unparsable value names the variable, the value and what would
+    /// have been accepted.
+    #[test]
+    fn unparsable_env_values_are_errors_not_defaults() {
+        fn message<T: 'static>(var: &'static str, raw: &'static str, form: EnvForm<T>) -> String {
+            let refused = std::panic::catch_unwind(|| parse_env(var, raw, form).is_some());
+            *refused
+                .expect_err("must panic")
+                .downcast::<String>()
+                .expect("formatted panic")
+        }
+        let m = message("PPM_TILE_BUDGET", "4kb", BYTES);
+        assert!(
+            m.contains("PPM_TILE_BUDGET=\"4kb\"") && m.contains("k, m or g"),
+            "{m}"
+        );
+        let m = message("PPM_TILE_BUDGET", "99999999999g", BYTES);
+        assert!(m.contains("PPM_TILE_BUDGET"), "overflow: {m}");
+        let m = message("PPM_HOST_THREADS", "four", THREADS);
+        assert!(
+            m.contains("PPM_HOST_THREADS=\"four\"") && m.contains("thread count"),
+            "{m}"
+        );
+        let m = message("PPM_ADAPTIVE", "yes", FLAG);
+        assert!(
+            m.contains("PPM_ADAPTIVE=\"yes\"") && m.contains("true or on"),
+            "{m}"
+        );
     }
 
     #[test]

@@ -17,12 +17,11 @@
 //! ascending rank order after the round — so the merged effect sequence
 //! equals a sequential ascending-rank schedule's no matter which host
 //! thread polled what. A wave's destinations are consumed strictly in
-//! ascending node order (late responses are stashed), so with
-//! wake-on-arrival pipelining VPs resume per completed destination — in
-//! deterministic order — while slower destinations are still in flight,
-//! and with pipelining off every destination drains before any VP resumes;
-//! either way the schedule never depends on network timing (DESIGN.md
-//! §13). Write bundles are applied in ascending source-node order.
+//! ascending node order (late responses are stashed), so VPs resume per
+//! completed destination — in deterministic order — while slower
+//! destinations are still in flight, and the schedule never depends on
+//! network timing (DESIGN.md §13). Write bundles are applied in ascending
+//! source-node order.
 //! Simulated clocks are computed from per-phase totals, never from message
 //! interleaving. See DESIGN.md §12.
 
@@ -120,15 +119,6 @@ type VpTask = Pin<Box<dyn Future<Output = ()> + Send>>;
 /// Write parcels grouped per array: `(source node, payload)` pairs.
 type ParcelsByArray = BTreeMap<u32, Vec<(u32, Box<dyn std::any::Any + Send>)>>;
 
-/// What a phase end ships one destination: its write parcels, summed.
-#[derive(Default)]
-struct Outgoing {
-    entries: u64,
-    bytes: usize,
-    /// `(array id, WriteCols<T>)` in ascending array order.
-    parts: Vec<(u32, Box<dyn std::any::Any + Send>)>,
-}
-
 /// Outcome of polling one VP once (possibly on a host worker thread).
 enum PollOut {
     Done,
@@ -171,10 +161,7 @@ fn host_workers(cfg: &crate::config::PpmConfig) -> usize {
     let n = if cfg.host_threads > 0 {
         cfg.host_threads
     } else {
-        std::env::var("PPM_HOST_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0)
+        crate::config::env_host_threads()
     };
     if n > 0 {
         return n;
@@ -357,7 +344,6 @@ fn drive(
     mut poll_round: impl FnMut(&[usize]) -> Vec<(usize, PollOut)>,
 ) {
     let me = nc.node_id();
-    let cfg = nc.config();
     let mut live = k;
     let mut ready: Vec<usize> = (0..k).collect();
     let mut wave: Option<WaveState> = None;
@@ -366,11 +352,9 @@ fn drive(
         // Poll runnable VPs; effects land in private scratches. Compute
         // merged while an in-flight wave is partially consumed genuinely
         // overlaps the remaining responses — the pipelining cost model
-        // credits it against wave latency (charge_phase_time).
-        let pipelined_window = cfg.wave_pipelining
-            && wave
-                .as_ref()
-                .is_some_and(|w| w.next > 0 && w.next < w.pending.len());
+        // credits it against wave latency (charge_phase_time). (A wave
+        // still in flight always has a destination pending.)
+        let pipelined_window = wave.as_ref().is_some_and(|w| w.next > 0);
         while !ready.is_empty() {
             ready.sort_unstable();
             ready.dedup();
@@ -429,41 +413,28 @@ fn drive(
         }
 
         // A wave in flight takes priority: consume its next destination
-        // (strictly ascending). With pipelining on, the VPs it satisfied
-        // resume immediately; with it off, drain every destination first —
-        // the pre-pipelining all-responses barrier.
-        if wave.is_some() {
-            let mut woken: Vec<usize> = Vec::new();
-            loop {
-                let ws = wave.as_mut().expect("checked above");
-                let (vps, filled) = wave_recv_next(nc, cells, ws);
-                woken.extend(vps);
-                if ws.next == ws.pending.len() {
-                    let ws = wave.take().expect("checked above");
-                    finalize_wave(nc, &ws);
-                    break;
-                }
-                if cfg.wave_pipelining {
-                    // Partial wake: at least one VP resumes while later
-                    // destinations are still in flight.
-                    debug_assert!(!woken.is_empty(), "a destination with no waiters");
-                    let mut inner = nc.inner.borrow_mut();
-                    inner.counters.partial_wakes += 1;
-                    drop(inner);
-                    if nc.ep.tracer.enabled() {
-                        let ws = wave.as_ref().expect("checked above");
-                        nc.ep.tracer.instant(
-                            "partial_wake",
-                            "comm",
-                            nc.ep.clock.now(),
-                            vec![
-                                ("dests_done", ArgValue::U64(ws.next as u64)),
-                                ("dests_total", ArgValue::U64(ws.pending.len() as u64)),
-                                ("woken", ArgValue::U64(filled as u64)),
-                            ],
-                        );
-                    }
-                    break;
+        // (strictly ascending) and resume the VPs it satisfied at once.
+        if let Some(ws) = wave.as_mut() {
+            let (mut woken, filled) = wave_recv_next(nc, cells, ws);
+            if ws.next == ws.pending.len() {
+                finalize_wave(nc, ws);
+                wave = None;
+            } else {
+                // Partial wake: at least one VP resumes while later
+                // destinations are still in flight.
+                debug_assert!(!woken.is_empty(), "a destination with no waiters");
+                nc.inner.borrow_mut().counters.partial_wakes += 1;
+                if nc.ep.tracer.enabled() {
+                    nc.ep.tracer.instant(
+                        "partial_wake",
+                        "comm",
+                        nc.ep.clock.now(),
+                        vec![
+                            ("dests_done", ArgValue::U64(ws.next as u64)),
+                            ("dests_total", ArgValue::U64(ws.pending.len() as u64)),
+                            ("woken", ArgValue::U64(filled as u64)),
+                        ],
+                    );
                 }
             }
             ready.append(&mut woken);
@@ -615,19 +586,10 @@ fn build_dest(dest: usize, queue: &mut Vec<QueuedReq>) -> (Vec<msgs::ReqEntry>, 
     (entries, pend)
 }
 
-/// A refresh part addressed to this node, parked until the invalidation
-/// sweep has run: `(array, idxs, values, mine_flags)`.
-type CollectedRefresh = (
-    u32,
-    Vec<u64>,
-    Box<dyn std::any::Any + Send + Sync>,
-    Vec<bool>,
-);
-
 /// One in-flight communication wave. Destinations complete strictly in
 /// ascending node order no matter when their responses really arrive
-/// (`pump_recv` stashes the early ones), so the VP wake order — with or
-/// without pipelining — never depends on network timing (DESIGN.md §13).
+/// (`pump_recv` stashes the early ones), so the VP wake order never
+/// depends on network timing (DESIGN.md §13).
 struct WaveState {
     /// Per destination, ascending.
     pending: Vec<DestPending>,
@@ -764,7 +726,7 @@ fn finalize_wave(nc: &mut NodeCtx<'_>, ws: &WaveState) {
     let mut inner = nc.inner.borrow_mut();
     inner.traffic.waves += 1;
     inner.counters.waves += 1;
-    if cfg.wave_pipelining && ws.dests >= 2 {
+    if ws.dests >= 2 {
         // A multi-destination wave exposes one response leg that compute
         // merged during partial consumption can hide (charge_phase_time
         // takes min(pipelined_compute, pipeline_hideable)).
@@ -811,7 +773,21 @@ fn node_phase_end(nc: &mut NodeCtx<'_>) {
     let t0 = nc.ep.clock.now();
     let compute = {
         let mut inner = nc.inner.borrow_mut();
-        inner.publish_node_writes(PhaseKind::Node);
+        let inner = &mut *inner;
+        let wrote = inner.publish_node_writes(PhaseKind::Node);
+        // The node-shared half of the recovery line advances here too
+        // (DESIGN.md §10): a crash or death restores from the snapshot and
+        // nothing re-executes this phase, so what it just published must
+        // be in it. Charged like step 4b of a global phase end: the bytes
+        // applied, one memory operation per 64-byte line.
+        if let Some(snap) = inner.snapshots.as_mut() {
+            let mut applied = 0u64;
+            for (id, bytes) in wrote {
+                snap.narrays[id] = inner.frozen.narrays[id].snapshot_local().0;
+                applied += bytes;
+            }
+            inner.service_time += cfg.machine.core.mem_ops(applied / 64);
+        }
         let arrays = inner.thaw();
         debug_assert!(
             arrays.garrays.iter().all(|g| !g.has_pending_writes()),
@@ -904,9 +880,10 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
     //    per array id — no overflow/wholesale fallback. The drain also
     //    tells the conformance checker of this node's write-write conflicts.
     let mut local_inv = NodeSet::new();
-    // Keyed by destination, holding only destinations a parcel was emitted
-    // for — nothing here is sized by the node count.
-    let mut outgoing: BTreeMap<usize, Outgoing> = BTreeMap::new();
+    // `(payload bytes, bundle)` keyed by destination, holding only
+    // destinations a parcel was emitted for — nothing here is sized by the
+    // node count.
+    let mut outgoing: BTreeMap<usize, (usize, WriteBundleMsg)> = BTreeMap::new();
     {
         let mut inner = nc.inner.borrow_mut();
         let (arrays, mut checker) = inner.thaw_with_checker();
@@ -921,114 +898,50 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
             let conflicts =
                 checker.map(|c| c.conflicts_in(Space::Global, id as u32, PhaseKind::Global));
             for parcel in ga.drain_writes(conflicts) {
-                let out = outgoing.entry(parcel.dest).or_default();
-                out.entries += parcel.entries;
-                out.bytes += parcel.bytes;
-                out.parts.push((id as u32, parcel.payload));
+                let (bytes, bundle) = outgoing.entry(parcel.dest).or_default();
+                *bytes += parcel.bytes;
+                bundle.entries += parcel.entries;
+                bundle.parts.push((id as u32, parcel.payload));
             }
         }
     }
     // Own writes never travel: they join step 4's merge as source `me`.
-    let own = outgoing.remove(&me).unwrap_or_default();
+    let (own_bytes, own) = outgoing.remove(&me).unwrap_or_default();
 
-    // 2. Learn who sends what, then ship. Sparse protocol (DESIGN.md §17,
-    //    the default): every write destination is sent a notice over the
-    //    O(log N) dissemination edges, so only non-empty bundles travel and
-    //    step 3 blocks on exactly the announced senders. Legacy protocol
-    //    (`sparse_tokens` off): ship a bundle to every peer — empty ones
-    //    act as end-of-phase tokens, uncharged as traffic but real wire
-    //    messages, so they do count as messages — and receivers count to
-    //    N−1.
-    let sparse = cfg.sparse_tokens && nodes > 1;
-    let expected: Option<NodeSet> = if sparse {
-        debug_assert!(outgoing.values().all(|out| out.entries > 0));
-        Some(exchange_sender_notices(nc, phase, outgoing.keys().copied()))
-    } else {
-        for dest in (0..nodes).filter(|&d| d != me) {
-            outgoing.entry(dest).or_default();
-        }
-        None
-    };
-    for (dest, out) in outgoing {
-        let Outgoing {
-            entries,
-            bytes: payload_bytes,
-            parts,
-        } = out;
-        let bytes = if entries > 0 {
-            cfg.bundle_header_bytes + payload_bytes
-        } else {
-            0
-        };
-        {
-            let mut inner = nc.inner.borrow_mut();
-            if entries > 0 {
-                inner.traffic.write_bundles_out += 1;
-                inner.traffic.write_entries_out += entries;
-                inner.traffic.write_bytes_out += bytes as u64;
-                inner.counters.bundles_sent += 1;
-            }
-            inner.counters.msgs_sent += 1;
-            inner.counters.bytes_sent += bytes as u64;
-        }
-        let now = nc.ep.clock.now();
-        nc.send_msg(
-            Message::new(
-                me,
-                dest,
-                msgs::tag(msgs::K_WRITE, phase),
-                now,
-                bytes,
-                WriteBundleMsg {
-                    phase,
-                    entries,
-                    parts,
-                },
-            ),
-            msgs::K_WRITE,
-        );
-    }
+    // 2. Tell every write destination a bundle is coming (DESIGN.md §17),
+    //    over the O(log N) dissemination edges, and learn who announced one
+    //    for this node.
+    debug_assert!(outgoing.values().all(|(_, bundle)| bundle.entries > 0));
+    let expected = exchange_sender_notices(nc, phase, outgoing.keys().copied());
 
-    // 3. Collect the announced (sparse) or everyone's (legacy) bundles,
-    //    servicing read requests from stragglers still inside their phase
-    //    bodies.
-    let want = match &expected {
-        Some(set) => set.count() as usize,
-        None => nodes - 1,
-    };
-    let mut incoming: Vec<(u32, WriteBundleMsg)> = Vec::with_capacity(want);
-    while incoming.len() < want {
-        let msg = nc.pump_recv(|m| m.tag == msgs::tag(msgs::K_WRITE, phase));
-        let src = msg.src as u32;
-        let bytes = msg.bytes as u64;
-        let bundle: WriteBundleMsg = msg.take();
-        debug_assert_eq!(bundle.phase, phase);
-        if let Some(set) = &expected {
-            debug_assert!(
-                set.contains(src as usize),
-                "node {src} sent a K_WRITE bundle it never announced"
-            );
-            debug_assert!(
-                bundle.entries > 0,
-                "node {src} shipped an empty bundle under the sparse protocol"
-            );
-        }
+    // 3. Ship the bundles — only non-empty ones travel — and collect exactly
+    //    the announced ones, servicing read requests from stragglers still
+    //    inside their phase bodies.
+    let mut shipping = Vec::with_capacity(outgoing.len());
+    {
         let mut inner = nc.inner.borrow_mut();
-        if bundle.entries > 0 {
+        for (dest, (payload_bytes, bundle)) in outgoing {
+            let bytes = cfg.bundle_header_bytes + payload_bytes;
+            inner.traffic.write_bundles_out += 1;
+            inner.traffic.write_entries_out += bundle.entries;
+            inner.traffic.write_bytes_out += bytes as u64;
+            shipping.push((dest, bytes, bundle));
+        }
+    }
+    let incoming = exchange(nc, msgs::K_WRITE, phase, shipping, &expected);
+    {
+        let mut inner = nc.inner.borrow_mut();
+        for (_, bytes, bundle) in &incoming {
             inner.traffic.write_bundles_in += 1;
             inner.traffic.write_entries_in += bundle.entries;
             inner.traffic.write_bytes_in += bytes;
         }
-        inner.counters.msgs_recv += 1;
-        inner.counters.bytes_recv += bytes;
-        drop(inner);
-        incoming.push((src, bundle));
     }
 
     // 4. Apply: group parcels by array (own writes participate as source
     //    `me`; each array's merge takes its sources in ascending order).
     let mut by_array: ParcelsByArray = BTreeMap::new();
-    let remote = incoming.into_iter().map(|(src, b)| (src, b.parts));
+    let remote = incoming.into_iter().map(|(src, _, b)| (src, b.parts));
     for (src, parts) in remote.chain([(me as u32, own.parts)]) {
         for (array, payload) in parts {
             by_array.entry(array).or_default().push((src, payload));
@@ -1039,14 +952,12 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
     {
         let mut inner = nc.inner.borrow_mut();
         // Every phase-`phase` read request has been serviced by now — the
-        // legacy all-to-all guarantees it per link (a peer's requests
-        // precede its K_WRITE bundle, and step 3 has all bundles), the
-        // sparse protocol via the token dissemination's transitive flush
-        // (see `exchange_sender_notices`) — and no phase+1 request can have
-        // been serviced yet
-        // (`global_seq` still gates them). Folding the parked service
-        // counters here attributes them to this phase deterministically,
-        // whatever real-time moment the requests actually arrived at.
+        // notice dissemination of step 2 is the exchange's flush point (see
+        // `exchange_sender_notices`) — and no phase+1 request can have been
+        // serviced yet (`global_seq` still gates them). Folding the parked
+        // service counters here attributes them to this phase
+        // deterministically, whatever real-time moment the requests
+        // actually arrived at.
         let deferred = std::mem::take(&mut inner.deferred_service_ctrs);
         inner.counters = inner.counters.merge(&deferred);
         // Fold the phase's serve log into the owner-side history. An
@@ -1159,7 +1070,7 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
     //     super-step's consistent state. Phase-end refreshes are
     //     incremental: only the bytes the exchange just wrote into this
     //     node's partitions (plus migration arrivals) cost copy time.
-    let dirty = own.bytes as u64 + {
+    let dirty = own_bytes as u64 + {
         let inner = nc.inner.borrow();
         inner.traffic.write_bytes_in + inner.traffic.migr_bytes_in
     };
@@ -1173,9 +1084,8 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
     //     frame (and the first after any death re-homes replicas) ships
     //     the full snapshot; later frames ship only the bytes written
     //     into this node's partitions this phase (own write parcels,
-    //     peers' write bundles, migration arrivals — node-shared deltas
-    //     ride free, like the barrier's other sidecars). Read before
-    //     step 5 resets the traffic totals.
+    //     peers' write bundles, migration arrivals: step 4b's `dirty` —
+    //     node-shared deltas ride free, like the barrier's other sidecars).
     let replica: Option<ReplicaFrame> = if cfg.replication && nodes > 1 {
         let mut inner = nc.inner.borrow_mut();
         let snap = inner
@@ -1184,11 +1094,7 @@ fn global_phase_end(nc: &mut NodeCtx<'_>) {
             .expect("replication maintains snapshots");
         let (snap_phase, full) = (snap.phase, snap.bytes);
         let base = !inner.replica_base_sent;
-        let bytes = if base {
-            full
-        } else {
-            own.bytes as u64 + inner.traffic.write_bytes_in + inner.traffic.migr_bytes_in
-        };
+        let bytes = if base { full } else { dirty };
         inner.replica_base_sent = true;
         Some(ReplicaFrame {
             phase: snap_phase,
@@ -1369,12 +1275,8 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> PhaseCharge {
     // was partially consumed under the wave's exposed response legs —
     // capped by the hideable budget (one latency per >=2-destination
     // wave), which is itself <= latency.scale(waves), so the subtraction
-    // cannot underflow. Both accumulators are zero with pipelining off.
-    let hidden = if cfg.wave_pipelining {
-        t.pipelined_compute.min(t.pipeline_hideable)
-    } else {
-        SimTime::ZERO
-    };
+    // cannot underflow.
+    let hidden = t.pipelined_compute.min(t.pipeline_hideable);
     let latency = net.latency.scale(2 * t.waves) - hidden;
 
     let busy = compute + service;
@@ -1449,9 +1351,6 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> PhaseCharge {
 /// of peers that announced a bundle for this node this phase.
 ///
 /// Modeled free: zero wire bytes, no clock advance, no message counters.
-/// The N−1 empty tokens this replaces were equally free in simulated time
-/// (their only real cost was the O(N²) message count), so fault-free
-/// makespans stay bit-identical to the legacy protocol.
 ///
 /// Determinism note — this dissemination is also the exchange's *flush
 /// point*, which is why every node sends exactly one token per round even
@@ -1462,10 +1361,10 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> PhaseCharge {
 /// receiving round `r`, and the edges reach every node from every node).
 /// The per-endpoint inbox is one FIFO queue, so by the time the final
 /// round's `pump_recv` returns, every peer's phase-`phase` requests have
-/// been dequeued — and `pump_recv` services them inline.
-/// The legacy protocol derived the same guarantee from collecting all N−1
-/// bundles; step 4's deferred-counter and serve-history folds rely on it
-/// either way. No phase-`phase+1` token can arrive before step 6: a peer
+/// been dequeued — and `pump_recv` services them inline. Step 4's
+/// deferred-counter and serve-history folds rely on it; nothing else in the
+/// exchange provides it (a node waits for bundles from announced senders
+/// only). No phase-`phase+1` token can arrive before step 6: a peer
 /// starts its next phase only after its clock barrier completes, which
 /// transitively requires this node's barrier sends.
 ///
@@ -1477,6 +1376,9 @@ fn exchange_sender_notices(
 ) -> NodeSet {
     let me = nc.node_id();
     let nodes = nc.num_nodes();
+    if nodes == 1 {
+        return NodeSet::new();
+    }
     let write_dests = dests.len() as u64;
     let mut notices = Notices::new(me, nodes, dests);
     for edge in dissemination(me, nodes) {
@@ -1509,6 +1411,63 @@ fn exchange_sender_notices(
         );
     }
     expected
+}
+
+/// One bundle exchange of a phase end — the write exchange ([`K_WRITE`]) and
+/// a rebalance's migration ([`K_MIGRATE`]) are the same protocol: send each
+/// `(dest, wire bytes, payload)` of `outgoing` (ascending destinations, no
+/// empty bundle), then block until every peer in `expected` has delivered
+/// its own, servicing read requests from stragglers meanwhile. Returns
+/// `(source, wire bytes, payload)` in ascending source order. Message and
+/// bundle counters are kept here; what the bytes mean to the phase's cost
+/// (`Traffic`'s `write_*` or `migr_*` columns) is the caller's to add.
+///
+/// [`K_WRITE`]: msgs::K_WRITE
+/// [`K_MIGRATE`]: msgs::K_MIGRATE
+fn exchange<M: Send + 'static>(
+    nc: &mut NodeCtx<'_>,
+    kind: u64,
+    phase: u64,
+    outgoing: Vec<(usize, usize, M)>,
+    expected: &NodeSet,
+) -> Vec<(u32, u64, M)> {
+    let me = nc.node_id();
+    let tag = msgs::tag(kind, phase);
+    for (dest, bytes, payload) in outgoing {
+        debug_assert!(dest != me && bytes > 0);
+        {
+            let mut inner = nc.inner.borrow_mut();
+            inner.counters.msgs_sent += 1;
+            inner.counters.bytes_sent += bytes as u64;
+            inner.counters.bundles_sent += 1;
+        }
+        let now = nc.ep.clock.now();
+        nc.send_msg(Message::new(me, dest, tag, now, bytes, payload), kind);
+    }
+    let want = expected.count() as usize;
+    let mut incoming: Vec<(u32, u64, M)> = Vec::with_capacity(want);
+    while incoming.len() < want {
+        let msg = nc.pump_recv(|m| m.tag == tag);
+        let (src, bytes) = (msg.src, msg.bytes as u64);
+        debug_assert!(
+            expected.contains(src),
+            "node {src} sent a {} bundle nobody announced",
+            msgs::kind_name(kind)
+        );
+        debug_assert!(
+            bytes > 0,
+            "node {src} shipped an empty {} bundle",
+            msgs::kind_name(kind)
+        );
+        {
+            let mut inner = nc.inner.borrow_mut();
+            inner.counters.msgs_recv += 1;
+            inner.counters.bytes_recv += bytes;
+        }
+        incoming.push((src as u32, bytes, msg.take()));
+    }
+    incoming.sort_by_key(|&(src, ..)| src);
+    incoming
 }
 
 /// Dissemination barrier among nodes that also propagates the maximum
@@ -1579,7 +1538,7 @@ fn clock_barrier(
     // Refresh entries addressed to this node, absorbed only after the
     // invalidation sweep (the pushed values are post-exchange truth and
     // must survive it).
-    let mut collected: Vec<CollectedRefresh> = Vec::new();
+    let mut collected: Vec<RefreshPart> = Vec::new();
     let mut loads = LoadBlock::new(me, nodes, my_load);
     // Suspicion OR-flood state, seeded with this node's own detections.
     let mut suspects = local_suspect;
@@ -1596,27 +1555,17 @@ fn clock_barrier(
         let mut refresh_bytes = 0u64;
         let pending = std::mem::take(&mut nc.inner.borrow_mut().pending_refresh);
         if !pending.is_empty() {
-            let rt: NodeSet = pending
+            let rides: NodeSet = pending
                 .iter()
                 .flat_map(|part| part.masks.iter().flat_map(NodeSet::iter))
                 .filter(|&t| edge.carries(me, t, nodes))
                 .collect();
+            let mut inner = nc.inner.borrow_mut();
+            let inner = &mut *inner;
             for part in pending {
-                let send_take: Vec<bool> = part.masks.iter().map(|m| m.intersects(&rt)).collect();
-                let keep_take: Vec<bool> =
-                    part.masks.iter().map(|m| m.difference(&rt).any()).collect();
-                let mut inner = nc.inner.borrow_mut();
-                let ga = &inner.frozen.garrays[part.array as usize];
-                if send_take.iter().any(|&b| b) {
-                    let (values, vbytes) = ga.refresh_select(part.values.as_ref(), &send_take);
-                    let (idxs, masks): (Vec<u64>, Vec<NodeSet>) = part
-                        .idxs
-                        .iter()
-                        .zip(&part.masks)
-                        .zip(&send_take)
-                        .filter(|&(_, &take)| take)
-                        .map(|((&idx, m), _)| (idx, m.intersection(&rt)))
-                        .unzip();
+                let ga = &*inner.frozen.garrays[part.array as usize];
+                let (now, later) = part.split(&rides, ga);
+                if let Some((part, value_bytes)) = now {
                     // A refresh entry is (idx, value): no slot ticket
                     // (nobody is waiting on it), the array id is amortized
                     // into an 8-byte part header, and the indices are
@@ -1624,38 +1573,16 @@ fn clock_barrier(
                     // `written` list), so the wire format delta-varint
                     // encodes them — charged at 4 bytes per index, versus
                     // 12 for a random-access request entry.
-                    refresh_bytes += 8 + vbytes + idxs.len() as u64 * 4;
-                    refreshes.push(RefreshPart {
-                        array: part.array,
-                        idxs,
-                        masks,
-                        values,
-                    });
+                    refresh_bytes += 8 + value_bytes + part.idxs.len() as u64 * 4;
+                    refreshes.push(part);
                 }
-                if keep_take.iter().any(|&b| b) {
-                    let (values, _) = ga.refresh_select(part.values.as_ref(), &keep_take);
-                    let (idxs, masks): (Vec<u64>, Vec<NodeSet>) = part
-                        .idxs
-                        .iter()
-                        .zip(&part.masks)
-                        .zip(&keep_take)
-                        .filter(|&(_, &take)| take)
-                        .map(|((&idx, m), _)| (idx, m.difference(&rt)))
-                        .unzip();
-                    inner.pending_refresh.push(RefreshPart {
-                        array: part.array,
-                        idxs,
-                        masks,
-                        values,
-                    });
-                }
+                inner.pending_refresh.extend(later);
             }
             if refresh_bytes > 0 {
                 // Refreshes ride a barrier message that is sent either
                 // way, so they are NOT a new bundle or message — only
                 // their bytes hit the wire. `refresh_bundles_out` counts
                 // barrier sends that carried a refresh payload.
-                let mut inner = nc.inner.borrow_mut();
                 inner.counters.bytes_sent += refresh_bytes;
                 inner.traffic.refresh_bytes_out += refresh_bytes;
                 inner.traffic.refresh_bundles_out += 1;
@@ -1723,34 +1650,16 @@ fn clock_barrier(
                 .clock
                 .advance_compute(SimTime::from_ps(bm.hosted_compute_ps));
         }
-        for part in bm.refreshes {
-            let fwd_take: Vec<bool> = part
-                .masks
-                .iter()
-                .map(|m| m.difference(&me_set).any())
-                .collect();
-            let mine_take: Vec<bool> = part.masks.iter().map(|m| m.contains(me)).collect();
-            if fwd_take.iter().any(|&b| b) {
-                let mut inner = nc.inner.borrow_mut();
-                let ga = &inner.frozen.garrays[part.array as usize];
-                let (values, _) = ga.refresh_select(part.values.as_ref(), &fwd_take);
-                let (idxs, masks): (Vec<u64>, Vec<NodeSet>) = part
-                    .idxs
-                    .iter()
-                    .zip(&part.masks)
-                    .zip(&fwd_take)
-                    .filter(|&(_, &take)| take)
-                    .map(|((&idx, m), _)| (idx, m.difference(&me_set)))
-                    .unzip();
-                inner.pending_refresh.push(RefreshPart {
-                    array: part.array,
-                    idxs,
-                    masks,
-                    values,
-                });
-            }
-            if mine_take.iter().any(|&b| b) {
-                collected.push((part.array, part.idxs, part.values, mine_take));
+        // Refreshes addressed to this node wait for the invalidation
+        // sweep; the other targets' copies travel on in a later round.
+        if !bm.refreshes.is_empty() {
+            let mut inner = nc.inner.borrow_mut();
+            let inner = &mut *inner;
+            for part in bm.refreshes {
+                let ga = &*inner.frozen.garrays[part.array as usize];
+                let (mine, onward) = part.split(&me_set, ga);
+                collected.extend(mine.map(|(part, _)| part));
+                inner.pending_refresh.extend(onward);
             }
         }
     }
@@ -1862,8 +1771,8 @@ fn clock_barrier(
                 ga.cache_clear();
             }
         }
-        for (array, idxs, values, take) in collected {
-            garrays[array as usize].refresh_absorb(&idxs, values.as_ref(), &take);
+        for part in collected {
+            garrays[part.array as usize].refresh_absorb(&part.idxs, part.values.as_ref());
         }
     }
 }
@@ -2070,9 +1979,8 @@ fn fail_over_self(nc: &mut NodeCtx<'_>, phase: u64) {
 /// Decide from the replicated load window (every node folded the identical
 /// loads vector out of the barrier sidecar), recut the balanced arrays'
 /// weighted bounds with [`balance::rebalance_bounds`], then swap the moved
-/// stretches: one (possibly empty) [`K_MIGRATE`] bundle per peer — the
-/// empty ones are free end-of-rebalance tokens, mirroring the empty
-/// `K_WRITE` convention — collected before any partition rebinds.
+/// stretches: one [`K_MIGRATE`] bundle to each peer that takes elements
+/// over, all collected before any partition rebinds.
 ///
 /// Determinism: every input to the decision (load window, bounds, array
 /// ids) is replicated, so all nodes compute the same plan with no
@@ -2122,126 +2030,63 @@ fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
         return;
     }
 
-    // Sparse exchange (DESIGN.md §17): the plan is a pure function of the
-    // replicated load window, so both sides of every transfer evaluate the
-    // same overlap predicate the ship loop uses — no dissemination round
-    // needed. `expected` is exactly the set of peers that will send this
-    // node a non-empty bundle; with `sparse_tokens` off the legacy
-    // protocol sends one bundle per peer (empty ones included) and
-    // receivers count to N−1.
-    let sparse = cfg.sparse_tokens;
-    let expected: NodeSet = (0..nodes)
-        .filter(|&src| {
-            src != me
-                && plan.iter().any(|(_, old, new)| {
-                    let theirs = old.owned_range(src);
-                    let mine = new.owned_range(me);
-                    theirs.start.max(mine.start) < theirs.end.min(mine.end)
-                })
+    // The plan is a pure function of the replicated load window, so both
+    // sides of every transfer evaluate the same overlap predicate — no
+    // notice round needed (DESIGN.md §17): `src` sends `dst` a bundle iff
+    // some stretch `src` owned lands in `dst`'s new partition.
+    let moves = |src: usize, dst: usize| {
+        plan.iter().filter_map(move |(id, old, new)| {
+            let (from, to) = (old.owned_range(src), new.owned_range(dst));
+            let (lo, hi) = (from.start.max(to.start), from.end.min(to.end));
+            (lo < hi).then_some((*id, lo..hi))
         })
+    };
+    let peers = || (0..nodes).filter(|&n| n != me);
+    let expected: NodeSet = peers()
+        .filter(|&src| moves(src, me).next().is_some())
         .collect();
 
-    // Ship: one bundle per peer with every stretch leaving this node.
+    // Ship: one bundle per peer with every stretch leaving this node for it.
     let mut moved_out = 0u64;
     let mut bytes_out_total = 0u64;
-    for dest in 0..nodes {
-        if dest == me {
-            continue;
-        }
-        let mut parts: Vec<(u32, u64, Box<dyn std::any::Any + Send>)> = Vec::new();
-        let mut payload_bytes = 0u64;
-        {
-            let inner = nc.inner.borrow();
-            for (id, old, new) in &plan {
-                let mine = old.owned_range(me);
-                let theirs = new.owned_range(dest);
-                let lo = mine.start.max(theirs.start);
-                let hi = mine.end.min(theirs.end);
-                if lo < hi {
-                    let (payload, b) = inner.frozen.garrays[*id as usize].migrate_extract(lo..hi);
-                    payload_bytes += b;
-                    moved_out += (hi - lo) as u64;
-                    parts.push((*id, lo as u64, payload));
-                }
-            }
-        }
-        if sparse && parts.is_empty() {
-            continue;
-        }
-        let bytes = if parts.is_empty() {
-            0
-        } else {
-            cfg.bundle_header_bytes + payload_bytes as usize
-        };
-        bytes_out_total += bytes as u64;
-        {
-            let mut inner = nc.inner.borrow_mut();
-            if !parts.is_empty() {
-                inner.traffic.migr_bundles_out += 1;
-                inner.traffic.migr_bytes_out += bytes as u64;
-                inner.counters.bundles_sent += 1;
-            }
-            inner.counters.msgs_sent += 1;
-            inner.counters.bytes_sent += bytes as u64;
-        }
-        let now = nc.ep.clock.now();
-        nc.send_msg(
-            Message::new(
-                me,
-                dest,
-                msgs::tag(msgs::K_MIGRATE, phase),
-                now,
-                bytes,
-                MigrateMsg { phase, parts },
-            ),
-            msgs::K_MIGRATE,
-        );
-    }
-
-    // Collect: exactly the announced senders (sparse) or every peer's
-    // bundle, empty ones included (legacy: receivers count rather than
-    // guess).
-    let want = if sparse {
-        expected.count() as usize
-    } else {
-        nodes - 1
-    };
-    let mut incoming: Vec<(u32, MigrateMsg)> = Vec::with_capacity(want);
-    while incoming.len() < want {
-        let msg = nc.pump_recv(|m| m.tag == msgs::tag(msgs::K_MIGRATE, phase));
-        let src = msg.src as u32;
-        let bytes = msg.bytes as u64;
-        let bundle: MigrateMsg = msg.take();
-        debug_assert_eq!(bundle.phase, phase);
-        if sparse {
-            debug_assert!(
-                expected.contains(src as usize),
-                "node {src} sent a K_MIGRATE bundle the plan never predicted"
-            );
-            debug_assert!(
-                !bundle.parts.is_empty(),
-                "node {src} shipped an empty migration bundle under the \
-                 sparse protocol"
-            );
-        }
+    let mut shipping: Vec<(usize, usize, MigrateMsg)> = Vec::new();
+    {
         let mut inner = nc.inner.borrow_mut();
-        if !bundle.parts.is_empty() {
+        let inner = &mut *inner;
+        for dest in peers() {
+            let mut parts: MigrateMsg = Vec::new();
+            let mut bytes = cfg.bundle_header_bytes;
+            for (id, stretch) in moves(me, dest) {
+                moved_out += stretch.len() as u64;
+                let (payload, b) =
+                    inner.frozen.garrays[id as usize].migrate_extract(stretch.clone());
+                bytes += b as usize;
+                parts.push((id, stretch.start as u64, payload));
+            }
+            if parts.is_empty() {
+                continue;
+            }
+            bytes_out_total += bytes as u64;
+            inner.traffic.migr_bundles_out += 1;
+            inner.traffic.migr_bytes_out += bytes as u64;
+            shipping.push((dest, bytes, parts));
+        }
+    }
+    let incoming = exchange(nc, msgs::K_MIGRATE, phase, shipping, &expected);
+    {
+        let mut inner = nc.inner.borrow_mut();
+        for (_, bytes, _) in &incoming {
             inner.traffic.migr_bundles_in += 1;
             inner.traffic.migr_bytes_in += bytes;
         }
-        inner.counters.msgs_recv += 1;
-        inner.counters.bytes_recv += bytes;
-        drop(inner);
-        incoming.push((src, bundle));
     }
-    incoming.sort_by_key(|&(src, _)| src);
 
     // Rebind: install the new layouts, retained overlap plus arrived
     // stretches, per balanced array.
     type ArrivedParts = Vec<(usize, Box<dyn std::any::Any + Send>)>;
     let mut by_array: BTreeMap<u32, ArrivedParts> = BTreeMap::new();
-    for (_src, bundle) in incoming {
-        for (id, start, payload) in bundle.parts {
+    for (_src, _bytes, bundle) in incoming {
+        for (id, start, payload) in bundle {
             let start = usize::try_from(start).expect("migration start exceeds usize");
             by_array.entry(id).or_default().push((start, payload));
         }

@@ -132,7 +132,7 @@ fn arena_serves_mixed_types_and_empties_every_phase() {
 #[test]
 fn panicking_poll_returns_the_scratch_and_clears_the_context() {
     let cfg = PpmConfig::new(MachineConfig::new(1, 2));
-    let inner = SharedInner::new(Inner::new(cfg, 0));
+    let inner = SharedInner::new(Inner::new(cfg));
     let cells: Vec<Arc<VpCell>> = (0..2)
         .map(|r| Arc::new(VpCell::new(r, r as u64, 0, cfg, DoMode::Collective, 2, 2)))
         .collect();

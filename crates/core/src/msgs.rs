@@ -7,6 +7,7 @@
 use std::any::Any;
 
 use crate::bitset::NodeSet;
+use crate::state::GArrayObj;
 
 /// Read-request bundle (one per destination per wave). Kinds live in the
 /// top byte of the 64-bit tag.
@@ -21,13 +22,14 @@ pub const K_BARRIER: u64 = 4;
 pub const K_COLL: u64 = 5;
 /// Reliability-layer cumulative acknowledgement (meta = acked watermark).
 pub const K_ACK: u64 = 6;
-/// Adaptive-repartitioning migration bundle (one per peer per rebalance).
+/// Adaptive-repartitioning migration bundle (one per peer that takes over
+/// elements in a rebalance).
 pub const K_MIGRATE: u64 = 7;
-/// Sparse-exchange sender-notice token (DESIGN.md §17): "I will send you a
-/// non-empty [`K_WRITE`] bundle this phase", routed to each destination over
-/// the O(log N) dissemination edges just before the write exchange, so
-/// receivers block on exactly the announced senders instead of N−1
-/// mostly-empty bundles.
+/// Sender-notice token (DESIGN.md §17): "I will send you a non-empty
+/// [`K_WRITE`] bundle this phase", routed to each destination over the
+/// O(log N) dissemination edges just before the write exchange, so only
+/// non-empty bundles travel and receivers block on exactly the announced
+/// senders.
 pub const K_TOKENS: u64 = 8;
 
 /// Human-readable name of a message kind (watchdog / panic diagnostics).
@@ -106,7 +108,7 @@ pub(crate) struct RespBundle {
 /// the barrier closes, routed along the dissemination edges: `masks`
 /// carries each entry's remaining destination set (bit = node id), and a
 /// holder forwards exactly the targets the current round's edge carries
-/// (`Edge::carries` in `exec.rs`), so every target receives each entry
+/// ([`crate::dissem::Edge::carries`]), so every target receives each entry
 /// once.
 pub(crate) struct RefreshPart {
     pub array: u32,
@@ -118,6 +120,46 @@ pub(crate) struct RefreshPart {
     /// `Sync` as well as `Send` because undelivered parts park in
     /// [`crate::state::Inner::pending_refresh`] between rounds.
     pub values: Box<dyn Any + Send + Sync>,
+}
+
+impl RefreshPart {
+    /// Split by destination: the entries with a target in `set`, their
+    /// masks cut down to it — with the modeled bytes of their values — and
+    /// the entries with a target outside it, their masks with `set` taken
+    /// out. An entry with targets on both sides goes both ways; a side with
+    /// no entry is `None`. `ga` is the part's array (the values are
+    /// type-erased).
+    pub fn split(
+        self,
+        set: &NodeSet,
+        ga: &dyn GArrayObj,
+    ) -> (Option<(RefreshPart, u64)>, Option<RefreshPart>) {
+        // One side: the entries whose mask `cut` leaves a target in.
+        let side = |cut: fn(&NodeSet, &NodeSet) -> NodeSet| {
+            let mut take = Vec::with_capacity(self.masks.len());
+            let (idxs, masks): (Vec<u64>, Vec<NodeSet>) = (self.idxs.iter().zip(&self.masks))
+                .filter_map(|(&idx, mask)| {
+                    let mask = cut(mask, set);
+                    take.push(mask.any());
+                    mask.any().then_some((idx, mask))
+                })
+                .unzip();
+            if idxs.is_empty() {
+                return None;
+            }
+            let (values, value_bytes) = ga.refresh_select(self.values.as_ref(), &take);
+            let part = RefreshPart {
+                array: self.array,
+                idxs,
+                masks,
+                values,
+            };
+            Some((part, value_bytes))
+        };
+        let inside = side(NodeSet::intersection);
+        let outside = side(NodeSet::difference);
+        (inside, outside.map(|(part, _)| part))
+    }
 }
 
 /// Clock-barrier payload. Pre-cache the barrier carried no payload a
@@ -176,8 +218,8 @@ pub(crate) struct ReplicaFrame {
 }
 
 /// End-of-phase write bundle: buffered writes destined for one owner node.
+#[derive(Default)]
 pub(crate) struct WriteBundleMsg {
-    pub phase: u64,
     /// Total entries across parts (for traffic accounting).
     pub entries: u64,
     /// `(array id, WriteCols<T>)` per touched array: the sender's resolved
@@ -190,9 +232,8 @@ pub(crate) struct WriteBundleMsg {
 /// non-empty [`K_WRITE`] bundle this phase" — that ride this dissemination
 /// edge toward their `dest`. Exactly one token travels per edge per round,
 /// empty when nothing routes that way: the exchange's flush-point argument
-/// rests on it. Modeled free: like the empty tokens it replaces, a token
-/// carries zero wire bytes and advances no clock, so makespans are
-/// bit-identical to the legacy all-to-all.
+/// rests on it. Modeled free: a token carries zero wire bytes and advances
+/// no clock.
 pub(crate) struct TokenMsg {
     /// Global phase sequence the notices belong to (protocol checking).
     pub phase: u64,
@@ -201,16 +242,10 @@ pub(crate) struct TokenMsg {
 }
 
 /// Repartitioning migration bundle: the elements this node hands over to
-/// one peer. Legacy protocol (`sparse_tokens` off): possibly empty — every
-/// node sends exactly one per peer per rebalance, so receivers can count
-/// instead of guessing. Sparse protocol: only non-empty bundles are sent;
-/// both sides derive the sender set from the replicated rebalance plan.
-pub(crate) struct MigrateMsg {
-    /// Global phase sequence of the rebalancing boundary (protocol check).
-    pub phase: u64,
-    /// `(array id, global start index, Vec<T> payload)` per moved stretch.
-    pub parts: Vec<(u32, u64, Box<dyn Any + Send>)>,
-}
+/// one peer, never empty — both sides derive who sends to whom from the
+/// replicated rebalance plan. `(array id, global start index, Vec<T>
+/// payload)` per moved stretch.
+pub(crate) type MigrateMsg = Vec<(u32, u64, Box<dyn Any + Send>)>;
 
 #[cfg(test)]
 mod tests {
@@ -239,6 +274,40 @@ mod tests {
                 assert_eq!(untag(tag(kind, meta)), (kind, meta));
             }
         }
+    }
+
+    /// Entries go to the side(s) their targets lie on, masks cut to match;
+    /// a side nothing lands on is `None`.
+    #[test]
+    fn refresh_part_splits_by_target_set() {
+        use crate::dist::Dist;
+        use crate::state::GArray;
+        let ga: GArray<u64> = GArray::new(Dist::block(16, 4), 0);
+        let set = |bits: &[usize]| bits.iter().copied().collect::<NodeSet>();
+        let part = || RefreshPart {
+            array: 7,
+            idxs: vec![1, 2, 3],
+            masks: vec![set(&[1]), set(&[1, 2, 70]), set(&[3])],
+            values: Box::new(vec![10u64, 20, 30]),
+        };
+        let values = |p: &RefreshPart| p.values.downcast_ref::<Vec<u64>>().unwrap().clone();
+
+        let (inside, outside) = part().split(&set(&[1, 2]), &ga);
+        let (inside, bytes) = inside.expect("two entries target the set");
+        assert_eq!((inside.array, &inside.idxs[..]), (7, &[1, 2][..]));
+        assert!(inside.masks == [set(&[1]), set(&[1, 2])]);
+        assert_eq!((values(&inside), bytes), (vec![10, 20], 8 + 2 * 8));
+        let outside = outside.expect("two entries target nodes outside it");
+        assert_eq!(outside.idxs, [2, 3]);
+        assert!(outside.masks == [set(&[70]), set(&[3])]);
+        assert_eq!(values(&outside), [20, 30]);
+
+        let (inside, outside) = part().split(&set(&[0]), &ga);
+        assert!(inside.is_none());
+        assert_eq!(outside.expect("everything").idxs, [1, 2, 3]);
+        let (inside, outside) = part().split(&set(&[1, 2, 3, 70]), &ga);
+        assert_eq!(inside.expect("everything").0.idxs, [1, 2, 3]);
+        assert!(outside.is_none());
     }
 
     #[test]

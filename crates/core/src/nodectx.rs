@@ -42,7 +42,7 @@ impl<'a> NodeCtx<'a> {
         let node = ep.id();
         NodeCtx {
             ep,
-            inner: SharedInner::new(Inner::new(cfg, node)),
+            inner: SharedInner::new(Inner::new(cfg)),
             stash: VecDeque::new(),
             coll_seq: 0,
             rel: cfg

@@ -1265,8 +1265,8 @@ pub(crate) trait GArrayObj: Send + Sync {
     /// returns the subset payload and its modeled wire byte size.
     fn refresh_select(&self, values: &dyn Any, take: &[bool]) -> (Box<dyn Any + Send + Sync>, u64);
     /// Receiver side of an owner push: insert `idxs[i] → values[i]` into
-    /// the read cache for every `take`-marked entry.
-    fn refresh_absorb(&mut self, idxs: &[u64], values: &dyn Any, take: &[bool]);
+    /// the read cache.
+    fn refresh_absorb(&mut self, idxs: &[u64], values: &dyn Any);
     /// Drop every cached remote value (invalidation at phase end when the
     /// array took writes, and at construct entry).
     fn cache_clear(&mut self);
@@ -1413,16 +1413,14 @@ impl<T: Elem> GArrayObj for GArray<T> {
         (Box::new(subset), bytes)
     }
 
-    fn refresh_absorb(&mut self, idxs: &[u64], values: &dyn Any, take: &[bool]) {
+    fn refresh_absorb(&mut self, idxs: &[u64], values: &dyn Any) {
         let values = values
             .downcast_ref::<Vec<T>>()
             .expect("refresh payload type mismatch");
         debug_assert_eq!(values.len(), idxs.len());
-        debug_assert_eq!(values.len(), take.len());
         // `idxs` ascends: a refresh part lists written indices in apply
         // order, which is ascending by index.
-        let taken = idxs.iter().zip(values).zip(take);
-        self.cache_merge(taken.filter_map(|((&idx, &v), &t)| t.then_some((idx, v))));
+        self.cache_merge(idxs.iter().copied().zip(values.iter().copied()));
     }
 
     fn cache_clear(&mut self) {
@@ -1542,7 +1540,8 @@ pub(crate) trait NArrayObj: Send + Sync {
     fn as_any(&mut self) -> &mut dyn Any;
     fn as_any_ref(&self) -> &dyn Any;
     /// Apply the buffered writes, reporting write-write conflicts to
-    /// `conflicts` like [`GArrayObj::drain_writes`]. Returns entries applied.
+    /// `conflicts` like [`GArrayObj::drain_writes`]. Returns the modeled
+    /// bytes of the entries applied (a write parcel's, had they travelled).
     fn apply(&mut self, conflicts: Option<Conflicts<'_>>) -> u64;
     /// Copy the node instance for a super-step snapshot (payload plus
     /// modeled byte size).
@@ -1572,7 +1571,8 @@ impl<T: Elem> NArrayObj for NArray<T> {
         let cols = cols.map(|(_, cols)| Box::new(cols));
         merge_parcels(cols.as_slice(), |idx, value| {
             self.data[idx as usize] = value
-        })
+        });
+        cols.map_or(0, |cols| cols.bytes as u64)
     }
 
     fn snapshot_local(&self) -> (Box<dyn Any + Send + Sync>, u64) {
@@ -1661,8 +1661,7 @@ pub(crate) struct Traffic {
     pub write_bytes_in: u64,
     /// Adaptive repartitioning (DESIGN.md §14): non-empty migration
     /// bundles and their bytes, charged into the rebalancing phase's gap
-    /// and overhead terms by the executor's cost formula. Empty bundles
-    /// are free end-of-rebalance tokens (the empty-`K_WRITE` convention).
+    /// and overhead terms by the executor's cost formula.
     pub migr_bundles_out: u64,
     pub migr_bytes_out: u64,
     pub migr_bundles_in: u64,
@@ -2127,7 +2126,7 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    pub fn new(cfg: PpmConfig, _node: usize) -> Self {
+    pub fn new(cfg: PpmConfig) -> Self {
         Inner {
             frozen: Arc::new(Frozen {
                 garrays: Vec::new(),
@@ -2188,14 +2187,21 @@ impl Inner {
     /// The last step of publishing a phase of `kind`: apply the node-shared
     /// writes, then — every VP has merged and every write log has drained —
     /// close the phase's conformance report, one sorted batch per phase.
-    pub fn publish_node_writes(&mut self, kind: PhaseKind) {
+    /// Returns `(array id, modeled bytes applied)` per node-shared array
+    /// that took writes.
+    pub fn publish_node_writes(&mut self, kind: PhaseKind) -> Vec<(usize, u64)> {
         let (arrays, mut checker) = self.thaw_with_checker();
+        let mut wrote = Vec::new();
         for (id, na) in arrays.narrays.iter_mut().enumerate() {
             let checker = checker.as_deref_mut();
-            na.apply(checker.map(|c| c.conflicts_in(Space::Node, id as u32, kind)));
+            let bytes = na.apply(checker.map(|c| c.conflicts_in(Space::Node, id as u32, kind)));
+            if bytes > 0 {
+                wrote.push((id, bytes));
+            }
         }
         let found = checker.map(Checker::end_phase).unwrap_or_default();
         self.violations.extend(found);
+        wrote
     }
 
     /// A VP enters a phase of `kind`; all concurrent VPs must agree.
@@ -2356,9 +2362,9 @@ mod tests {
         );
         assert_eq!(ga.cache_get(70), Some(170));
         assert_eq!(ga.cache_get(71), None);
-        ga.refresh_absorb(&[55, 60, 70], &vec![155u64, 0, 171], &[true, false, true]);
+        ga.refresh_absorb(&[55, 70], &vec![155u64, 171]);
         assert_eq!(ga.cache_get(55), Some(155));
-        assert_eq!(ga.cache_get(60), Some(160), "untaken entry ignored");
+        assert_eq!(ga.cache_get(60), Some(160), "an entry not pushed is kept");
         assert_eq!(ga.cache_get(70), Some(171));
         assert!(!ga.arena_is_empty());
         ga.arena_clear();
@@ -2812,7 +2818,11 @@ mod tests {
         na.wlog.buffer(0, 0, WKind::Assign, 5);
         na.wlog.buffer(0, 2, WKind::Accum(AccumOp::Max), 9);
         na.wlog.buffer(0, 2, WKind::Accum(AccumOp::Max), 4);
-        assert_eq!(na.apply(None), 2);
+        assert_eq!(
+            na.apply(None),
+            2 * (9 + 8),
+            "two entries of 9 bytes + a u64"
+        );
         assert_eq!(na.data, vec![5, 0, 9]);
         assert_eq!(na.apply(None), 0);
     }

@@ -14,7 +14,8 @@
 //! rows were captured on the commit before a bulk read combined its own
 //! repeats at the source, when each repeat still took a slot and a queued
 //! request: "same counters as before" rests on them, not on the four
-//! application goldens alone.
+//! application goldens alone. Its cache-off row is one of the few places
+//! the cache-off path is still exercised (see `perf_gates.rs` for the list).
 
 use ppm_core::{run, AccumOp, ByteHasher, Layout, NodeCtx, PpmConfig};
 use ppm_simnet::MachineConfig;
@@ -126,10 +127,8 @@ fn observe(
         .with_checker(true)
         .with_host_threads(threads)
         .with_read_cache(read_cache)
-        .with_wave_pipelining(true)
         .with_adaptive_balance(false)
         .with_replication(false)
-        .with_sparse_tokens(true)
         .with_tile_budget(tile_budget);
     let report = run(cfg, program);
     assert!(report.results.iter().all(|r| r == &report.results[0]));

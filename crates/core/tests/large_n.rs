@@ -142,23 +142,21 @@ fn bit_identity_at_256_nodes_with_death() {
     assert_eq!(c, base_c, "counters diverged across host-thread counts");
 }
 
-/// One run of the read-heavy workload for the message-scaling gates:
+/// One run of the read-heavy workload for the message-scaling gate:
 /// every node reads its predecessor's element every phase, but only the
-/// first `writers` ranks ever write. With the sparse exchange on, a
-/// phase's K_WRITE traffic is exactly the non-empty bundles; with it off
-/// (legacy all-to-all) every phase adds N²−N empty-token messages.
+/// first `writers` ranks ever write, so a phase's K_WRITE traffic is
+/// exactly the non-empty bundles. (`ring_golden.rs` pins the same job at
+/// 64 and 100 nodes to literal rows.)
 fn read_heavy_job(
     nodes: u32,
     host_threads: usize,
     writers: usize,
     victim: usize,
     death_phase: u64,
-    sparse: bool,
 ) -> (Vec<u64>, SimTime, Counters) {
     let cfg = PpmConfig::new(MachineConfig::new(nodes, 4))
         .with_read_cache(true)
         .with_replication(true)
-        .with_sparse_tokens(sparse)
         .with_host_threads(host_threads)
         .with_faults(FaultConfig::NONE.with_permanent_crash(victim, death_phase));
     let n = nodes as usize;
@@ -193,62 +191,32 @@ fn read_heavy_job(
 
 /// Message-scaling gate (DESIGN.md §17): on a 256-node read-heavy
 /// workload — 8 writers, everyone reads — total message count must scale
-/// with writers + O(N) per phase, not N². The legacy all-to-all sends
-/// 65,280 empty tokens per phase (261k over the run); the sparse run must
-/// come in well under one legacy *phase*. The run also carries a rank-200
+/// with writers + O(N) per phase, not N². A dense all-to-all token
+/// exchange would send 65,280 empty tokens per phase (261k over the run);
+/// the run must come in well under one such *phase*. It also carries a rank-200
 /// death, and results, makespan, and every counter must stay bit-identical
 /// across 1 and 8 host threads.
 #[test]
 fn sparse_exchange_message_scaling_at_256_nodes() {
     let nodes = 256u32;
-    let (base, base_t, base_c) = read_heavy_job(nodes, 1, 8, 200, 2, true);
+    let (base, base_t, base_c) = read_heavy_job(nodes, 1, 8, 200, 2);
     assert_eq!(base_c.failovers, 1, "the death at phase 2 never fired");
     assert_eq!(base_c.peers_confirmed_dead, 255);
     // Each phase: ≤2N request/response messages, ≤`writers` write bundles,
     // plus O(N) prologue/epilogue collective traffic and piggybacked acks.
-    // The legacy protocol's empty tokens alone are 65,280 per phase; gate
-    // at a quarter of ONE such phase so any O(N²) term trips immediately.
+    // Dense empty tokens alone would be 65,280 per phase; gate at a
+    // quarter of ONE such phase so any O(N²) term trips immediately.
     let n2_per_phase = (nodes as u64) * (nodes as u64 - 1);
     assert!(
         base_c.msgs_sent < n2_per_phase / 4,
-        "msgs_sent = {} — the O(N²) token exchange is back (legacy sends \
-         {n2_per_phase} empty tokens per phase)",
+        "msgs_sent = {} — an O(N²) token exchange is back ({n2_per_phase} \
+         empty tokens per phase)",
         base_c.msgs_sent
     );
-    let (got, t, c) = read_heavy_job(nodes, 8, 8, 200, 2, true);
+    let (got, t, c) = read_heavy_job(nodes, 8, 8, 200, 2);
     assert_eq!(got, base, "results diverged across host-thread counts");
     assert_eq!(t, base_t, "makespan diverged across host-thread counts");
     assert_eq!(c, base_c, "counters diverged across host-thread counts");
-}
-
-/// The sparse protocol is a pure message-count optimization: against the
-/// legacy all-to-all (`with_sparse_tokens(false)`) on the identical
-/// read-heavy job, results and makespan are bit-identical while per-phase
-/// messages drop from N²-dominated to writers + O(N) — at 64 nodes and at
-/// 100, where the last dissemination round wraps past nodes already
-/// covered.
-#[test]
-fn sparse_exchange_matches_legacy_bit_for_bit() {
-    for (nodes, victim) in [(64u32, 48), (100, 77)] {
-        let (s_bits, s_t, s_c) = read_heavy_job(nodes, 2, 4, victim, 2, true);
-        let (l_bits, l_t, l_c) = read_heavy_job(nodes, 2, 4, victim, 2, false);
-        assert_eq!(s_bits, l_bits, "sparse protocol changed the results");
-        assert_eq!(s_t, l_t, "sparse protocol changed the makespan");
-        // 4 phases × N×(N−1) empty-token all-to-all dominates the legacy
-        // count.
-        assert!(
-            l_c.msgs_sent > s_c.msgs_sent + 3 * (nodes as u64) * (nodes as u64 - 1),
-            "legacy sent {} msgs vs sparse {} — the all-to-all ablation no \
-             longer shows the quadratic term",
-            l_c.msgs_sent,
-            s_c.msgs_sent
-        );
-        assert_eq!(s_c.failovers, l_c.failovers);
-        assert_eq!(
-            s_c.bundles_sent, l_c.bundles_sent,
-            "bundle counts must match"
-        );
-    }
 }
 
 /// The 1024-node smoke (ignored by default — wall-clock heavy; CI's

@@ -3,7 +3,9 @@
 //! The centerpiece is a model-based test: arbitrary programs of shared
 //! reads/puts/accumulates from arbitrary VPs on arbitrary machine shapes
 //! are checked against a tiny sequential interpreter of the paper's phase
-//! semantics.
+//! semantics. The repeated-bulk-read property runs with the read cache on
+//! and off — one of the few places the cache-off path is still exercised
+//! (`crates/apps/tests/perf_gates.rs` lists them).
 
 use ppm_core::testkit::{forall, Gen, Shrink};
 use ppm_core::{prop_assert, prop_assert_eq};
@@ -512,7 +514,6 @@ fn repeated_bulk_read_indices_are_combined_invisibly() {
             let run_with = |cache: bool, budget: u64, shuffled: bool, threads: usize| {
                 let cfg = PpmConfig::new(MachineConfig::new(nodes, 2))
                     .with_checker(true)
-                    .with_wave_pipelining(true)
                     .with_read_cache(cache)
                     .with_tile_budget(budget)
                     .with_host_threads(threads);

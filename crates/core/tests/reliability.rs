@@ -193,6 +193,70 @@ fn crash_composes_with_random_faults() {
     assert!(c.retries > 0);
 }
 
+/// Four rounds of {global phase `put`; **node phase** `put_node`; global
+/// phase reading the node array}: node-shared writes published by a node
+/// phase, which the recovery line has to carry as well. Returns, per node,
+/// its node-shared array followed by the gathered global array and the sum
+/// of what the reading phases saw.
+fn node_phase_rounds(cfg: PpmConfig) -> Vec<Vec<u64>> {
+    let report = run(cfg, |node| {
+        let a = node.alloc_global::<u64>(12);
+        let n = node.alloc_node::<u64>(VPS_PER_NODE);
+        let seen = node.alloc_global::<u64>(1);
+        node.ppm_do(VPS_PER_NODE, move |vp| async move {
+            let (r, g) = (vp.node_rank(), vp.global_rank());
+            for round in 0..4u64 {
+                vp.global_phase(|ph| async move { ph.put(&a, g, round) })
+                    .await;
+                vp.node_phase(|ph| async move { ph.put_node(&n, r, 100 * (round + 1) + r as u64) })
+                    .await;
+                vp.global_phase(|ph| async move {
+                    let next = ph.get_node(&n, (r + 1) % VPS_PER_NODE);
+                    ph.accumulate(&seen, 0, ppm_core::AccumOp::Add, next);
+                })
+                .await;
+            }
+        });
+        let violations = node.take_violations();
+        assert!(violations.is_empty(), "conformance: {violations:?}");
+        let mut out = node.with_node(&n, <[u64]>::to_vec);
+        out.extend(node.gather_global(&a));
+        out.extend(node.gather_global(&seen));
+        out
+    });
+    report.results
+}
+
+/// A crash or a death at *any* global phase — the ones right after a node
+/// phase included — restores node-shared arrays as the last node phase left
+/// them: the recovery line advances at node-phase ends too. (It used to
+/// advance only at global phase ends, so a fault at phase 7 rolled node 1's
+/// array back from `[400, 401, 402, 403]` to `[300, 301, 302, 303]`.)
+#[test]
+fn recovery_after_a_node_phase_keeps_node_shared_writes() {
+    let clean = node_phase_rounds(base_cfg());
+    assert_eq!(clean[1][..VPS_PER_NODE], [400, 401, 402, 403]);
+    for threads in [1, 8] {
+        for phase in 0..8 {
+            let crash = FaultConfig::NONE.with_crash(1, phase);
+            let death = FaultConfig::NONE.with_permanent_crash(1, phase);
+            for (kind, cfg) in [
+                ("crash", base_cfg().with_faults(crash)),
+                (
+                    "death",
+                    base_cfg().with_replication(true).with_faults(death),
+                ),
+            ] {
+                assert_eq!(
+                    node_phase_rounds(cfg.with_host_threads(threads)),
+                    clean,
+                    "{kind} of node 1 at global phase {phase}, {threads} host thread(s)"
+                );
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Permanent (fail-stop) deaths — DESIGN.md §15. `base_cfg()` is 3 nodes,
 // so a single victim leaves two survivors and the buddy ring is cyclic

@@ -13,8 +13,14 @@
 //! the commit before sender notices were routed instead of allgathered and
 //! must hold at any host thread count. On a mismatch the assertion prints
 //! the observed row in literal syntax.
+//!
+//! A third fixture is the read-heavy job of `large_n.rs` — everyone reads,
+//! four ranks write, one node dies — at 64 and at 100 nodes. Until the
+//! dense all-to-all token exchange was deleted a test compared it against
+//! that protocol bit for bit; these rows were captured on `9d8adae`, the
+//! last commit that carried both, and stand where the comparison stood.
 
-use ppm_core::{run_traced, AccumOp, ByteHasher, PpmConfig, TraceSink};
+use ppm_core::{run, run_traced, AccumOp, ByteHasher, PpmConfig, TraceSink};
 use ppm_simnet::{FaultConfig, MachineConfig};
 
 /// `Counters::named_fields()` values, in declaration order.
@@ -57,18 +63,21 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     h.finish()
 }
 
-fn observe(ring: &Ring, host_threads: usize) -> Row {
-    // Every knob `PpmConfig::new` would read from the environment is
-    // pinned, so the CI matrices' `PPM_*` variables cannot move a row.
-    let cfg = PpmConfig::new(MachineConfig::new(ring.nodes as u32, 4))
+/// Replication on; every knob `PpmConfig::new` would read from the
+/// environment is pinned, so the CI matrices' `PPM_*` variables cannot
+/// move a row.
+fn pinned(nodes: usize, host_threads: usize) -> PpmConfig {
+    PpmConfig::new(MachineConfig::new(nodes as u32, 4))
         .with_checker(true)
         .with_host_threads(host_threads)
         .with_read_cache(true)
-        .with_wave_pipelining(true)
         .with_adaptive_balance(false)
         .with_replication(true)
-        .with_sparse_tokens(true)
         .with_tile_budget(0)
+}
+
+fn observe(ring: &Ring, host_threads: usize) -> Row {
+    let cfg = pinned(ring.nodes, host_threads)
         .with_faults(FaultConfig::NONE.with_permanent_crash(ring.victim, 1));
     let (n, rounds, scatter) = (ring.nodes, ring.rounds, ring.scatter);
     let sink = TraceSink::new();
@@ -164,6 +173,69 @@ fn scattered_ring_100_with_death_and_failover() {
         scatter: true,
     };
     check(&ring, &RING_100);
+}
+
+/// `(result hash, makespan in picoseconds, msgs_sent, bundles_sent,
+/// failovers)` of the read-heavy job: 2 VPs a node, 4 rounds in which every
+/// node reads its predecessor's element and the first four ranks rewrite
+/// theirs, `victim` dying at phase 2.
+type ReadHeavyRow = (u64, u64, u64, u64, u64);
+
+fn read_heavy(nodes: usize, victim: usize, host_threads: usize) -> ReadHeavyRow {
+    let cfg =
+        pinned(nodes, host_threads).with_faults(FaultConfig::NONE.with_permanent_crash(victim, 2));
+    let report = run(cfg, move |node| {
+        let a = node.alloc_global::<u64>(nodes);
+        let me = node.node_id();
+        node.with_local_mut(&a, |s| s[0] = me as u64 + 1);
+        node.ppm_do(2, move |vp| async move {
+            let rank = vp.node_rank();
+            for round in 0..4u64 {
+                vp.global_phase(|ph| async move {
+                    let v = ph.get(&a, (me + nodes - 1) % nodes).await;
+                    if rank == 0 && me < 4 {
+                        ph.put(&a, me, v + round);
+                    }
+                })
+                .await;
+            }
+        });
+        let bits = node.gather_global(&a);
+        let violations = node.take_violations();
+        assert!(violations.is_empty(), "conformance: {violations:?}");
+        bits
+    });
+    for r in &report.results {
+        assert_eq!(r, &report.results[0], "nodes disagree on the result");
+    }
+    let c = report.total_counters();
+    (
+        fnv(report.results[0].iter().copied()),
+        report.makespan().as_ps(),
+        c.msgs_sent,
+        c.bundles_sent,
+        c.failovers,
+    )
+}
+
+#[test]
+fn read_heavy_rings_64_and_100_with_death() {
+    const ROWS: [(usize, usize, ReadHeavyRow); 2] = [
+        (64, 48, (0xd53a93b53061e307, 905110800, 1640, 248, 1)),
+        (100, 77, (0x39da56951217c26b, 952575200, 2776, 392, 1)),
+    ];
+    for (nodes, victim, want) in ROWS {
+        for host_threads in [1, 8] {
+            let got = read_heavy(nodes, victim, host_threads);
+            assert_eq!(
+                got, want,
+                "{nodes}-node read-heavy ring at {host_threads} host thread(s); observed \
+                 (hash, makespan_ps, msgs_sent, bundles_sent, failovers): \
+                 ({:#018x}, {}, {}, {}, {})",
+                got.0, got.1, got.2, got.3, got.4
+            );
+        }
+    }
 }
 
 const RING_256: Row = Row {
