@@ -47,17 +47,20 @@ async fn spmv_phase(
     for (crows, am) in prob.row_chunks(rows, chunk) {
         let pv = ph.get_many(p, am.col_idx.iter().copied()).await;
         let mut at = 0;
-        for (li, gi) in crows.enumerate() {
-            let (cols, vals) = am.row(li);
+        let row_dot = |li| {
             let mut acc = 0.0;
-            for &val in vals {
+            for &val in am.row(li).1 {
                 acc += val * pv[at];
                 at += 1;
             }
-            ph.put(ap, gi, acc);
-            pap_part += ph.get(p, gi).await * acc;
-            v.charge_flops(2 * cols.len() as u64 + 2);
+            acc
+        };
+        let acc: Vec<f64> = (0..am.rows).map(row_dot).collect();
+        for (pi, acc) in ph.get_many(p, crows.clone()).await.iter().zip(&acc) {
+            pap_part += pi * acc;
         }
+        ph.put_many(ap, crows.clone().zip(acc));
+        v.charge_flops(2 * (am.col_idx.len() + crows.len()) as u64);
     }
     ph.accumulate(scal, PAP, AccumOp::Add, pap_part);
 }
@@ -97,14 +100,12 @@ pub fn solve(node: &mut NodeCtx<'_>, params: &CgParams) -> (CgOutcome, SimTime) 
             // Initialization: r = p = b, rr = b·b.
             let v = vp.clone();
             vp.global_phase(|ph| async move {
-                let mut rr_part = 0.0;
-                for gi in slice(v.local_range(&r), vr) {
-                    let bi = prob.rhs_for_ones(gi);
-                    ph.put(&r, gi, bi);
-                    ph.put(&p, gi, bi);
-                    rr_part += bi * bi;
-                    v.charge_flops(29);
-                }
+                let rows = slice(v.local_range(&r), vr);
+                let b: Vec<f64> = rows.clone().map(|gi| prob.rhs_for_ones(gi)).collect();
+                let rr_part = b.iter().fold(0.0, |rr, bi| rr + bi * bi);
+                ph.put_many(&r, rows.clone().zip(b.iter().copied()));
+                ph.put_many(&p, rows.clone().zip(b));
+                v.charge_flops(29 * rows.len() as u64);
                 ph.accumulate(&scal, RR, AccumOp::Add, rr_part);
             })
             .await;
@@ -142,18 +143,18 @@ pub fn solve(node: &mut NodeCtx<'_>, params: &CgParams) -> (CgOutcome, SimTime) 
                 vp.global_phase(|ph| async move {
                     let s = ph.get_many(&scal, [RR, PAP]).await;
                     let alpha = s[0] / s[1];
-                    let mut rr_part = 0.0;
-                    for gi in slice(v.local_range(&x), vr) {
-                        let xi = ph.get(&x, gi).await;
-                        let pi = ph.get(&p, gi).await;
-                        let ri = ph.get(&r, gi).await;
-                        let api = ph.get(&ap, gi).await;
-                        ph.put(&x, gi, xi + alpha * pi);
-                        let rn = ri - alpha * api;
-                        ph.put(&r, gi, rn);
-                        rr_part += rn * rn;
-                        v.charge_flops(6);
-                    }
+                    let rows = slice(v.local_range(&x), vr);
+                    let xv = ph.get_many(&x, rows.clone()).await;
+                    let pv = ph.get_many(&p, rows.clone()).await;
+                    let rv = ph.get_many(&r, rows.clone()).await;
+                    let apv = ph.get_many(&ap, rows.clone()).await;
+                    let x_new = xv.iter().zip(&pv).map(|(xi, pi)| xi + alpha * pi);
+                    ph.put_many(&x, rows.clone().zip(x_new));
+                    let r_new = rv.iter().zip(&apv).map(|(ri, api)| ri - alpha * api);
+                    let r_new: Vec<f64> = r_new.collect();
+                    let rr_part = r_new.iter().fold(0.0, |rr, rn| rr + rn * rn);
+                    ph.put_many(&r, rows.clone().zip(r_new));
+                    v.charge_flops(6 * rows.len() as u64);
                     ph.accumulate(&scal, RR_NEW, AccumOp::Add, rr_part);
                 })
                 .await;
@@ -164,12 +165,12 @@ pub fn solve(node: &mut NodeCtx<'_>, params: &CgParams) -> (CgOutcome, SimTime) 
                 vp.global_phase(|ph| async move {
                     let s = ph.get_many(&scal, [RR_NEW, RR]).await;
                     let (rr_new, beta) = (s[0], s[0] / s[1]);
-                    for gi in slice(v.local_range(&p), vr) {
-                        let pi = ph.get(&p, gi).await;
-                        let ri = ph.get(&r, gi).await;
-                        ph.put(&p, gi, ri + beta * pi);
-                        v.charge_flops(2);
-                    }
+                    let rows = slice(v.local_range(&p), vr);
+                    let pv = ph.get_many(&p, rows.clone()).await;
+                    let rv = ph.get_many(&r, rows.clone()).await;
+                    let p_new = rv.iter().zip(&pv).map(|(ri, pi)| ri + beta * pi);
+                    ph.put_many(&p, rows.clone().zip(p_new));
+                    v.charge_flops(2 * rows.len() as u64);
                     if v.global_rank() == 0 {
                         ph.put(&scal, RR, rr_new);
                         ph.put(&scal, ITERS, (it + 1) as f64);

@@ -42,9 +42,8 @@ pub fn rank(node: &mut NodeCtx<'_>, p: &PrParams) -> (Vec<f64>, SimTime) {
                 for v in a..b {
                     let d = out_degree(&params, v);
                     let share = ph.get(&cur, v).await / d as f64;
-                    for e in 0..d {
-                        ph.accumulate(&contrib, neighbour(&params, v, e), AccumOp::Add, share);
-                    }
+                    let pushes = (0..d).map(|e| (neighbour(&params, v, e), share));
+                    ph.accumulate_many(&contrib, AccumOp::Add, pushes);
                     v2.charge_flops(2 * d as u64 + 1);
                 }
             })
@@ -55,11 +54,10 @@ pub fn rank(node: &mut NodeCtx<'_>, p: &PrParams) -> (Vec<f64>, SimTime) {
             vp.global_phase(|ph| async move {
                 let (a, b) = slice(v2.local_range(&contrib), v2.node_rank());
                 let teleport = (1.0 - params.damping) / n as f64;
-                for v in a..b {
-                    let c = ph.get(&contrib, v).await;
-                    ph.put(&cur, v, teleport + params.damping * c);
-                    v2.charge_flops(2);
-                }
+                let c = ph.get_many(&contrib, a..b).await;
+                let mixed = c.iter().map(|c| teleport + params.damping * c);
+                ph.put_many(&cur, (a..b).zip(mixed));
+                v2.charge_flops(2 * (b - a) as u64);
             })
             .await;
         });

@@ -68,22 +68,15 @@ impl Stencil27 {
     #[inline]
     pub fn for_each_entry(&self, i: usize, mut f: impl FnMut(usize, f64)) {
         let (x, y, z) = self.coords(i);
-        for dz in -1i64..=1 {
-            for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    let (nx, ny, nz) = (x as i64 + dx, y as i64 + dy, z as i64 + dz);
-                    if nx < 0
-                        || ny < 0
-                        || nz < 0
-                        || nx >= self.gx as i64
-                        || ny >= self.gy as i64
-                        || nz >= self.gz as i64
-                    {
-                        continue;
-                    }
-                    let j = self.idx(nx as usize, ny as usize, nz as usize);
-                    let v = if j == i { 26.0 } else { -1.0 };
-                    f(j, v);
+        // Each axis' neighbours clamped to the grid once: z picks the
+        // planes, y the lines, x the span of each line.
+        let near = |c: usize, extent: usize| c.saturating_sub(1)..(c + 2).min(extent);
+        let xs = near(x, self.gx);
+        for nz in near(z, self.gz) {
+            for ny in near(y, self.gy) {
+                let line = self.idx(0, ny, nz);
+                for j in line + xs.start..line + xs.end {
+                    f(j, if j == i { 26.0 } else { -1.0 });
                 }
             }
         }

@@ -254,11 +254,19 @@ impl OwnWrites {
         self.recent.push(elem);
     }
 
+    /// Whether the VP has written any element of `array` of `space` this
+    /// phase, as far as the one-word mask can tell (arrays 63 and up share a
+    /// bit): `false` means no read of the array can be a hazard.
+    #[inline]
+    pub fn has_written(&self, space: Space, array: u32) -> bool {
+        self.arrays[space as usize] & 1 << array.min(63) != 0
+    }
+
     /// Check a read by the VP of global rank `vp`; the first one of an
     /// element it wrote earlier in the phase is the hazard.
     #[inline]
     pub fn read(&mut self, elem: ElemId, vp: u64, phase: PhaseKind) {
-        if self.arrays[elem.0 as usize] & 1 << elem.1.min(63) != 0 {
+        if self.has_written(elem.0, elem.1) {
             self.read_written_array(elem, vp, phase);
         }
     }

@@ -12,6 +12,7 @@ use crate::config::PpmConfig;
 use crate::elem::AccumOp;
 use crate::state::{Frozen, Inner};
 use crate::testkit::Gen;
+use crate::{GlobalShared, Phase};
 
 fn req(array: u32, idx: u64, vp: u32, slot: u32) -> QueuedReq {
     QueuedReq {
@@ -262,4 +263,67 @@ fn bulk_read_asks_for_each_distinct_remote_element_once() {
     assert_eq!(c.cache_misses, c.remote_gets);
     assert_eq!(c.dedup_reads, 2 * (N as u64 + 5));
     assert_eq!(c.cache_hits, 2 * 3);
+}
+
+/// One VP on one node running `body` in a global phase over an 8-element
+/// array.
+fn one_vp_phase<Fut: Future<Output = ()> + Send + 'static>(
+    body: impl Fn(Phase, Vp, GlobalShared<u64>) -> Fut + Send + Sync + 'static,
+) {
+    let body = Arc::new(body);
+    crate::run(PpmConfig::new(MachineConfig::new(1, 1)), move |node| {
+        let a = node.alloc_global::<u64>(8);
+        let body = body.clone();
+        node.ppm_do(1, move |vp| {
+            let (v, body) = (vp.clone(), body.clone());
+            async move { vp.global_phase(|ph| body(ph, v, a)).await }
+        });
+    });
+}
+
+/// A bulk read's index iterator runs inside the poll context (there is no
+/// staging `Vec` any more), so one that reads a shared variable re-enters
+/// it: reported by the rule's name, not as a `BorrowMutError`.
+#[test]
+#[should_panic(expected = "must not touch shared variables or charge work")]
+fn bulk_read_indices_must_not_touch_shared_variables() {
+    one_vp_phase(|ph, _, a| async move {
+        ph.get_many(&a, (0..4).inspect(|&i| ph.put(&a, i, 1))).await;
+    });
+}
+
+/// The same rule for the items of a bulk write, here broken by charging work.
+#[test]
+#[should_panic(expected = "must not touch shared variables or charge work")]
+fn bulk_write_items_must_not_charge_work() {
+    one_vp_phase(|ph, v, a| async move {
+        ph.put_many(
+            &a,
+            (0..4).map(|i| (i, i as u64)).inspect(|_| v.charge_flops(1)),
+        );
+    });
+}
+
+/// A bulk read that is never polled charges nothing and never advances its
+/// iterator; the first poll runs it to the end.
+#[test]
+fn unpolled_bulk_read_is_free_and_leaves_its_iterator_alone() {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    static ADVANCED: AtomicUsize = AtomicUsize::new(0);
+    one_vp_phase(|ph, v, a| async move {
+        let charged = || {
+            v.cell
+                .with_poll(|s, _| (s.compute, s.counters.local_accesses))
+        };
+        let before = charged();
+        let idxs = || {
+            (0..8).inspect(|_| {
+                ADVANCED.fetch_add(1, Relaxed);
+            })
+        };
+        drop(ph.get_many(&a, idxs()));
+        assert_eq!((charged(), ADVANCED.load(Relaxed)), (before, 0));
+        assert_eq!(ph.get_many(&a, idxs()).await, vec![0; 8]);
+        assert_eq!((charged().1 - before.1, ADVANCED.load(Relaxed)), (8, 8));
+    });
 }

@@ -50,6 +50,15 @@ use crate::config::PpmConfig;
 use crate::dist::Dist;
 use crate::elem::{AccumOp, Elem};
 
+/// Bump one of the unit-test builds' per-thread cost counters
+/// ([`LOCKS_TAKEN`] and its neighbours); nothing in any other build.
+macro_rules! count {
+    ($counter:ident) => {
+        #[cfg(test)]
+        $counter.with(|n| n.set(n.get() + 1));
+    };
+}
+
 /// What one buffered write does to its element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WKind {
@@ -183,13 +192,20 @@ impl<T: Elem> WLog<T> {
         // never decrease and a new destination means a new parcel.
         let cyclic = dist.filter(|d| !d.is_contiguous());
         let mut slot: Vec<Option<usize>> = vec![None; cyclic.map_or(0, |d| d.nodes)];
-        // The destination the last run went to, and its parcel.
-        let (mut open, mut at) = (usize::MAX, 0);
+        // The parcel of the destination the last run went to, and the
+        // indices that go there without asking `dist` again: the
+        // destination's owned range (nothing, under a cyclic layout;
+        // everything, without one).
+        let (mut at, mut open) = (0, 0..0);
         let mut recs = std::mem::take(&mut self.recs);
         radix_sort_by_key(&mut recs, |r| r.vp as u64);
         radix_sort_by_key(&mut recs, |r| r.idx);
+        // Records before the current run.
+        let mut before = 0;
         for run in recs.chunk_by(|a, b| a.idx == b.idx) {
             let (idx, kind) = (run[0].idx, run[0].kind);
+            let rest = &recs[before..];
+            before += run.len();
             for r in &run[1..] {
                 match (kind, r.kind) {
                     (WKind::Accum(a), WKind::Accum(b)) => assert_eq!(
@@ -218,14 +234,25 @@ impl<T: Elem> WLog<T> {
                 }
                 WKind::Accum(_) => run,
             };
-            let dest = dist.map_or(0, |d| d.owner(idx as usize));
-            if dest != open {
-                open = dest;
+            if !open.contains(&idx) {
+                count!(OWNER_LOOKUPS);
+                let dest = dist.map_or(0, |d| d.owner(idx as usize));
+                open = match dist {
+                    None => 0..u64::MAX,
+                    Some(d) if d.is_contiguous() => {
+                        let r = d.owned_range(dest);
+                        r.start as u64..r.end as u64
+                    }
+                    Some(_) => 0..0,
+                };
                 at = slot
                     .get_mut(dest)
                     .map_or(out.len(), |at| *at.get_or_insert(out.len()));
                 if at == out.len() {
-                    out.push((dest, WriteCols::default()));
+                    // Every record left below the range's end goes here: at
+                    // most that many entries, and that many contributions.
+                    let most = rest.partition_point(|r| r.idx < open.end);
+                    out.push((dest, WriteCols::with_capacity(most)));
                 }
             }
             let p = &mut out[at].1;
@@ -266,6 +293,30 @@ struct WriteCols<T> {
     bytes: usize,
 }
 
+impl<T: Copy> WriteCols<T> {
+    /// An empty parcel with room for `most` entries and contributions.
+    fn with_capacity(most: usize) -> Self {
+        WriteCols {
+            idx: Vec::with_capacity(most),
+            kind: Vec::with_capacity(most),
+            starts: Vec::with_capacity(most),
+            ranks: Vec::with_capacity(most),
+            vals: Vec::with_capacity(most),
+            combine: None,
+            bytes: 0,
+        }
+    }
+
+    /// Entry `e`'s `(rank, value)` contributions.
+    fn contributions(&self, e: usize) -> impl Iterator<Item = (u64, T)> + '_ {
+        let end = self
+            .starts
+            .get(e + 1)
+            .map_or(self.vals.len(), |&c| c as usize);
+        (self.starts[e] as usize..end).map(|c| (self.ranks[c], self.vals[c]))
+    }
+}
+
 /// Owner side: k-way merge the index-sorted `parcels` (ascending source
 /// node) and hand each written element's final value to `store`, in
 /// ascending index order. One element's contributions gather into a single
@@ -278,6 +329,36 @@ struct WriteCols<T> {
 /// Returns the number of entries consumed.
 fn merge_parcels<T: Elem>(parcels: &[Box<WriteCols<T>>], mut store: impl FnMut(u64, T)) -> u64 {
     let combine = parcels.iter().find_map(|p| p.combine);
+    // One element's final value from its gathered contributions.
+    let resolve = |kind: WKind, contribs: &mut Vec<(u64, T)>| match kind {
+        WKind::Assign => {
+            let first = contribs[0];
+            let best = contribs[1..]
+                .iter()
+                .fold(first, |best, &c| if c.0 > best.0 { c } else { best });
+            best.1
+        }
+        WKind::Accum(op) => {
+            if !contribs.is_sorted_by_key(|c| c.0) {
+                contribs.sort_by_key(|c| c.0);
+            }
+            let f = combine.expect("accumulate entry without a combiner");
+            contribs[1..]
+                .iter()
+                .fold(contribs[0].1, |acc, c| f(op, acc, c.1))
+        }
+    };
+    let mut contribs: Vec<(u64, T)> = Vec::new();
+    if let [p] = parcels {
+        // A lone source — nearly every array, nearly every phase — has
+        // nothing to merge with: its entries stream through in order.
+        for (e, (&idx, &kind)) in p.idx.iter().zip(&p.kind).enumerate() {
+            contribs.clear();
+            contribs.extend(p.contributions(e));
+            store(idx, resolve(kind, &mut contribs));
+        }
+        return p.idx.len() as u64;
+    }
     // (next index, parcel): equal indices pop in ascending source order.
     let mut heads: BinaryHeap<Reverse<(u64, usize)>> = parcels
         .iter()
@@ -285,7 +366,6 @@ fn merge_parcels<T: Elem>(parcels: &[Box<WriteCols<T>>], mut store: impl FnMut(u
         .filter_map(|(s, p)| p.idx.first().map(|&i| Reverse((i, s))))
         .collect();
     let mut next = vec![0usize; parcels.len()];
-    let mut contribs: Vec<(u64, T)> = Vec::new();
     let mut applied = 0u64;
     while let Some(&Reverse((idx, first))) = heads.peek() {
         let kind = parcels[first].kind[next[first]];
@@ -302,8 +382,7 @@ fn merge_parcels<T: Elem>(parcels: &[Box<WriteCols<T>>], mut store: impl FnMut(u
                     "element {idx}: put and accumulate mixed across nodes in one phase"
                 ),
             }
-            let end = p.starts.get(e + 1).map_or(p.vals.len(), |&c| c as usize);
-            contribs.extend((p.starts[e] as usize..end).map(|c| (p.ranks[c], p.vals[c])));
+            contribs.extend(p.contributions(e));
             next[s] += 1;
             applied += 1;
             match p.idx.get(e + 1) {
@@ -313,25 +392,7 @@ fn merge_parcels<T: Elem>(parcels: &[Box<WriteCols<T>>], mut store: impl FnMut(u
                 }
             }
         }
-        let value = match kind {
-            WKind::Assign => {
-                let first = contribs[0];
-                let best = contribs[1..]
-                    .iter()
-                    .fold(first, |best, &c| if c.0 > best.0 { c } else { best });
-                best.1
-            }
-            WKind::Accum(op) => {
-                if !contribs.is_sorted_by_key(|c| c.0) {
-                    contribs.sort_by_key(|c| c.0);
-                }
-                let f = combine.expect("accumulate entry without a combiner");
-                contribs[1..]
-                    .iter()
-                    .fold(contribs[0].1, |acc, c| f(op, acc, c.1))
-            }
-        };
-        store(idx, value);
+        store(idx, resolve(kind, &mut contribs));
     }
     applied
 }
@@ -639,21 +700,18 @@ pub(crate) struct VpScratch {
     pub compute: SimTime,
 }
 
-impl VpScratch {
-    fn writes_for<T: Elem>(&mut self, space: Space, id: u32) -> &mut WLog<T> {
-        let slots = match space {
-            Space::Global => &mut self.global_writes,
-            Space::Node => &mut self.node_writes,
-        };
-        if slots.len() <= id as usize {
-            slots.resize_with(id as usize + 1, || None);
-        }
-        slots[id as usize]
-            .get_or_insert_with(|| Box::new(WLog::<T>::default()))
-            .as_any()
-            .downcast_mut::<WLog<T>>()
-            .expect("scratch write buffer type mismatch")
+/// This VP's log for array `id` among one space's `slots`
+/// ([`VpScratch::global_writes`] or `node_writes`), made on first use.
+fn writes_for<T: Elem>(slots: &mut Vec<Option<Box<dyn ScratchWrites>>>, id: u32) -> &mut WLog<T> {
+    count!(DOWNCASTS);
+    if slots.len() <= id as usize {
+        slots.resize_with(id as usize + 1, || None);
     }
+    slots[id as usize]
+        .get_or_insert_with(|| Box::new(WLog::<T>::default()))
+        .as_any()
+        .downcast_mut::<WLog<T>>()
+        .expect("scratch write buffer type mismatch")
 }
 
 /// Identity and scratch of one virtual processor. Shared (via `Arc`)
@@ -700,16 +758,24 @@ impl VpCell {
     /// ([`PollGuard`]). Poison from a caught VP panic is benign — the run is
     /// unwinding anyway.
     pub fn scratch(&self) -> MutexGuard<'_, VpScratch> {
-        count_lock();
+        count!(LOCKS_TAKEN);
         self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Run `f` on the current poll's context — this VP's scratch and the
     /// node's frozen arrays — taking no lock (DESIGN.md §12). `f` must not
-    /// re-enter.
+    /// re-enter; the one caller-supplied code that runs inside `f` is the
+    /// iterator of a bulk access, and its re-entry is reported as such.
     #[inline]
     pub fn with_poll<R>(&self, f: impl FnOnce(&mut VpScratch, &Frozen) -> R) -> R {
-        POLL.with_borrow_mut(|ctx| {
+        count!(POLL_ENTRIES);
+        POLL.with(|ctx| {
+            let Ok(mut ctx) = ctx.try_borrow_mut() else {
+                panic!(
+                    "shared-variable access from inside a bulk access: the index iterator \
+                     of a bulk access must not touch shared variables or charge work"
+                );
+            };
             let ctx = ctx.as_mut().expect(
                 "shared-variable access outside a VP poll: `Vp` and `Phase` handles \
                  work only inside the future `ppm_do` is polling",
@@ -793,6 +859,15 @@ impl VpCell {
         GetOutcome::Miss
     }
 
+    /// Whether this VP's reads of global array `id` are, until the poll
+    /// ends, nothing but their charge wherever the element is local and
+    /// resident: a phase is open, and the checker (if on) has seen the VP
+    /// write nothing of the array this phase, so no read can be a hazard.
+    pub fn reads_plainly(s: &VpScratch, id: u32) -> bool {
+        let written = |own: &OwnWrites| own.has_written(Space::Global, id);
+        s.cur_phase.is_some() && !s.own_writes.as_deref().is_some_and(written)
+    }
+
     /// What only a fresh remote request pays: a slot to park on and a place
     /// in the next wave's queue for `idx`'s owner. Returns the slot.
     pub fn issue_get<T: Elem>(s: &mut VpScratch, ga: &GArray<T>, id: u32, idx: usize) -> u32 {
@@ -831,11 +906,69 @@ impl VpCell {
         Some(ga.local[off])
     }
 
-    /// What every VP write of element `idx` of array `id` of `space` does — a
-    /// `put` ([`WKind::Assign`]) or an `accumulate`, which brings `combine`,
-    /// its element type's combiner: phase check, overhead, bounds, counters,
-    /// the checker's written set, and one record in this VP's log for the
-    /// array. `space` is a constant where this is inlined.
+    /// What a VP's writes of `items` — `(element, value)` pairs of array `id`
+    /// of `space` — do: `put`s ([`WKind::Assign`]) or `accumulate`s, which
+    /// bring `combine`, their element type's combiner. Per call: phase check,
+    /// the array's length, this VP's log for it, overhead and counter
+    /// totals. Per element: bounds, "local?", the checker's written set, and
+    /// one record in the log, in `items`' order. `space` is a constant where
+    /// this is inlined; `items` runs inside the poll context and must not
+    /// re-enter it.
+    #[inline]
+    pub fn write_many<T: Elem>(
+        &self,
+        space: Space,
+        id: u32,
+        kind: WKind,
+        items: impl IntoIterator<Item = (usize, T)>,
+        combine: Option<fn(AccumOp, T, T) -> T>,
+    ) {
+        self.with_poll(|s, view| {
+            let phase = Self::in_phase(s, format_args!("{space} shared write"));
+            // `None`: a node-shared array, every element of which is local.
+            let (overhead, len, ga, logs) = match space {
+                Space::Global => {
+                    assert_eq!(
+                        phase,
+                        PhaseKind::Global,
+                        "global shared writes are only allowed inside a global phase"
+                    );
+                    let ga = garray_ref::<T>(view, id);
+                    let logs = &mut s.global_writes;
+                    (self.cfg.sv_overhead, ga.dist.len, Some(ga), logs)
+                }
+                Space::Node => {
+                    let len = narray_ref::<T>(view, id).data.len();
+                    (self.cfg.node_sv_overhead, len, None, &mut s.node_writes)
+                }
+            };
+            let log = writes_for::<T>(logs, id);
+            let mut own = s.own_writes.as_deref_mut();
+            let (logged, mut remote) = (log.recs.len(), 0);
+            log.recs.extend(items.into_iter().map(|(idx, val)| {
+                assert!(idx < len, "{space} write index {idx} out of bounds");
+                remote += ga.is_some_and(|ga| ga.owned_offset(idx).is_none()) as u64;
+                if let Some(own) = own.as_mut() {
+                    own.wrote((space, id, idx as u64));
+                }
+                WRec {
+                    idx: idx as u64,
+                    val,
+                    vp: self.id as u32,
+                    kind,
+                }
+            }));
+            if combine.is_some() {
+                log.combine = combine;
+            }
+            let writes = (log.recs.len() - logged) as u64;
+            s.compute += overhead.scale(writes);
+            s.counters.local_accesses += writes - remote;
+            s.counters.remote_puts += remote;
+        })
+    }
+
+    /// [`Self::write_many`] of one element.
     #[inline]
     pub fn write<T: Elem>(
         &self,
@@ -846,42 +979,7 @@ impl VpCell {
         val: T,
         combine: Option<fn(AccumOp, T, T) -> T>,
     ) {
-        self.with_poll(|s, view| {
-            let phase = Self::in_phase(s, format_args!("{space} shared write"));
-            let (overhead, local) = match space {
-                Space::Global => {
-                    assert_eq!(
-                        phase,
-                        PhaseKind::Global,
-                        "global shared writes are only allowed inside a global phase"
-                    );
-                    let ga = garray_ref::<T>(view, id);
-                    assert!(idx < ga.dist.len, "global write index {idx} out of bounds");
-                    (self.cfg.sv_overhead, ga.owned_offset(idx).is_some())
-                }
-                Space::Node => {
-                    let len = narray_ref::<T>(view, id).data.len();
-                    assert!(idx < len, "node write index {idx} out of bounds");
-                    (self.cfg.node_sv_overhead, true)
-                }
-            };
-            s.compute += overhead;
-            s.counters.local_accesses += local as u64;
-            s.counters.remote_puts += !local as u64;
-            if let Some(own) = s.own_writes.as_mut() {
-                own.wrote((space, id, idx as u64));
-            }
-            let log = s.writes_for::<T>(space, id);
-            log.recs.push(WRec {
-                idx: idx as u64,
-                val,
-                vp: self.id as u32,
-                kind,
-            });
-            if combine.is_some() {
-                log.combine = combine;
-            }
-        })
+        self.write_many(space, id, kind, [(idx, val)], combine)
     }
 
     /// VP read of a node-shared element (physical shared memory:
@@ -965,12 +1063,12 @@ thread_local! {
     /// Lock acquisitions by the calling thread (unit-test builds only): the
     /// poll path must take O(polls) of them, not O(accesses).
     pub(crate) static LOCKS_TAKEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-#[inline]
-fn count_lock() {
-    #[cfg(test)]
-    LOCKS_TAKEN.with(|n| n.set(n.get() + 1));
+    /// Likewise [`VpCell::with_poll`] entries, typed-array and write-log
+    /// downcasts, and the drain's `Dist::owner` look-ups: a bulk access must
+    /// cost O(1) of the first two and one look-up per destination run.
+    pub(crate) static POLL_ENTRIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    pub(crate) static DOWNCASTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    pub(crate) static OWNER_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Merge one VP's scratch into the node state. Called by the executor in
@@ -1047,28 +1145,29 @@ impl SharedInner {
     }
 
     pub fn borrow(&self) -> RwLockReadGuard<'_, Inner> {
-        count_lock();
+        count!(LOCKS_TAKEN);
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub fn borrow_mut(&self) -> RwLockWriteGuard<'_, Inner> {
-        count_lock();
+        count!(LOCKS_TAKEN);
         self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub fn try_borrow(&self) -> Option<RwLockReadGuard<'_, Inner>> {
-        count_lock();
+        count!(LOCKS_TAKEN);
         self.0.try_read().ok()
     }
 
     pub fn try_borrow_mut(&self) -> Option<RwLockWriteGuard<'_, Inner>> {
-        count_lock();
+        count!(LOCKS_TAKEN);
         self.0.try_write().ok()
     }
 }
 
 // Typed views of the arrays through their trait objects.
 pub(crate) fn garray_ref<T: Elem>(arrays: &Frozen, id: u32) -> &GArray<T> {
+    count!(DOWNCASTS);
     arrays.garrays[id as usize]
         .as_any_ref()
         .downcast_ref::<GArray<T>>()
@@ -1083,6 +1182,7 @@ pub(crate) fn garray_mut<T: Elem>(arrays: &mut Frozen, id: u32) -> &mut GArray<T
 }
 
 pub(crate) fn narray_ref<T: Elem>(arrays: &Frozen, id: u32) -> &NArray<T> {
+    count!(DOWNCASTS);
     arrays.narrays[id as usize]
         .as_any_ref()
         .downcast_ref::<NArray<T>>()
@@ -1172,6 +1272,25 @@ impl<T: Elem> GArray<T> {
             let (owner, off) = self.dist.locate(idx);
             (owner == self.node).then_some(off)
         }
+    }
+
+    /// The stretch of elements around `idx` whose reads are plain loads
+    /// until the poll ends, with its first element's global index: the
+    /// owned span of an in-core contiguous partition; under `tiles`, `idx`'s
+    /// tile if it is resident. `None` for a remote or spilled element, and
+    /// for every element of a cyclic layout.
+    #[inline]
+    pub fn hot_span(&self, tiles: Option<&ArrayTiles>, idx: usize) -> Option<(usize, &[T])> {
+        if !self.owned.contains(&idx) {
+            return None;
+        }
+        let base = self.owned.start;
+        let offs = match tiles {
+            None => 0..self.local.len(),
+            Some(t) if t.cold_tile(idx - base).is_some() => return None,
+            Some(t) => t.tile_span(idx - base),
+        };
+        Some((base + offs.start, &self.local[offs]))
     }
 
     /// Local offset of an element the exchange protocol routed here.
@@ -1375,7 +1494,7 @@ impl<T: Elem> GArrayObj for GArray<T> {
             .collect();
         let mut written = Vec::new();
         let applied = merge_parcels(&parcels, |idx, value| {
-            let off = self.dist.local_offset(idx as usize);
+            let off = self.offset_of_owned(idx);
             touch(off);
             self.local[off] = value;
             written.push(idx);
@@ -1800,6 +1919,14 @@ impl ArrayTiles {
     pub fn cold_tile(&self, off: usize) -> Option<u32> {
         let tile = off / self.tile_elems;
         (!self.resident[tile]).then_some(tile as u32)
+    }
+
+    /// The local offsets of the tile holding offset `off` of a tiled
+    /// partition: what one residency answer covers.
+    #[inline]
+    pub fn tile_span(&self, off: usize) -> Range<usize> {
+        let start = off / self.tile_elems * self.tile_elems;
+        start..(start + self.tile_elems).min(self.local_len)
     }
 
     fn tile_bytes(&self, tile: usize) -> u64 {
@@ -2465,6 +2592,84 @@ mod tests {
         assert_eq!(ga.local[0], 0.0, "untouched elements stay default");
     }
 
+    /// A lone parcel streams through without the heap; beside an empty
+    /// second parcel the same input takes the k-way merge. Both resolve alike:
+    /// an assign with its one contribution, accumulates whose ranks arrive
+    /// out of order (folded by rank: `(1e16 + -1e16) + 1.0`, not by position).
+    #[test]
+    fn a_lone_parcel_resolves_like_the_merge() {
+        let entries: [Entry<'_>; 3] = [
+            (0, WKind::Assign, &[(4, 7.0)]),
+            (2, ADD, &[(2, 1.0), (0, 1e16), (1, -1e16)]),
+            (3, WKind::Accum(AccumOp::Max), &[(9, 2.0), (3, 5.0)]),
+        ];
+        let typed = |p: Box<dyn Any + Send>| p.downcast::<WriteCols<f64>>().unwrap();
+        let resolved = |parcels: &[Box<WriteCols<f64>>]| {
+            let mut stored = Vec::new();
+            let applied = merge_parcels(parcels, |idx, v| stored.push((idx, v)));
+            (applied, stored)
+        };
+        let want = (3, vec![(0, 7.0), (2, 1.0), (3, 5.0)]);
+        assert_eq!(resolved(&[typed(cols(&entries))]), want);
+        assert_eq!(resolved(&[typed(cols(&entries)), typed(cols(&[]))]), want);
+        assert_eq!(resolved(&[]), (0, vec![]));
+    }
+
+    /// An entry routed to a node that does not own its element is a protocol
+    /// bug, and says so — it used to land at whatever offset the *owner*
+    /// keeps the element at.
+    #[test]
+    #[should_panic(expected = "exchange entry for an element this node does not own")]
+    fn apply_rejects_an_entry_for_an_element_owned_elsewhere() {
+        let mut ga: GArray<f64> = GArray::new(Dist::block(8, 2), 0);
+        let stray = cols(&[
+            (1, WKind::Assign, &[(0, 1.0)]),
+            (6, WKind::Assign, &[(0, 2.0)]),
+        ]);
+        ga.apply_writes(vec![(1, stray)], &mut |_| {});
+    }
+
+    /// Charge per call: a 10 000-element local `get_many` and `put_many` cost
+    /// a handful of poll-context entries and downcasts — those of the calls,
+    /// the phase's edges and the barrier's polls — and the drain asks the
+    /// layout for an owner once per destination run.
+    #[test]
+    fn bulk_accesses_cost_per_call_not_per_element() {
+        const N: usize = 10_000;
+        let machine = ppm_simnet::MachineConfig::new(2, 1);
+        let cfg = PpmConfig::new(machine).with_host_threads(1);
+        let report = crate::run(cfg, |node| {
+            let a = node.alloc_global::<u64>(2 * N);
+            let lo = node.local_range(&a).start;
+            let before = (POLL_ENTRIES.get(), DOWNCASTS.get(), OWNER_LOOKUPS.get());
+            node.ppm_do(1, move |vp| async move {
+                vp.global_phase(|ph| async move {
+                    let got = ph.get_many(&a, lo..lo + N).await;
+                    ph.put_many(&a, (lo + 2..lo + N).zip(got.iter().map(|v| v + 1)));
+                    // A second destination run: the other node's first two.
+                    let far = (lo + N) % (2 * N);
+                    ph.put_many(&a, [(far, 5), (far + 1, 5)]);
+                })
+                .await;
+            });
+            let (far, own) = node.with_local(&a, |s| (s[..2].to_vec(), s[2..].to_vec()));
+            assert_eq!((far, own), (vec![5; 2], vec![1; N - 2]));
+            let entries = POLL_ENTRIES.get() - before.0;
+            (
+                entries,
+                DOWNCASTS.get() - before.1,
+                OWNER_LOOKUPS.get() - before.2,
+            )
+        });
+        let c = report.total_counters();
+        assert_eq!((c.local_accesses, c.remote_puts), (4 * N as u64 - 4, 4));
+        for (node, &(entries, downcasts, lookups)) in report.results.iter().enumerate() {
+            assert!(entries < 16, "node {node}: {entries} poll-context entries");
+            assert!(downcasts < 16, "node {node}: {downcasts} downcasts");
+            assert_eq!(lookups, 2, "node {node}: one per destination run");
+        }
+    }
+
     /// The canonical accumulate fold runs in ascending VP rank order across
     /// sources — NOT per-source-node partials. The values below are picked
     /// so the two orders give different f64 bits: ranks 0 and 1 cancel
@@ -2863,9 +3068,28 @@ mod tests {
         );
         let weighted = Dist::weighted(8, 4, Arc::new(vec![0, 1, 5, 5, 8]));
         assert_eq!(
-            drained(weighted, &[7, 4, 0, 5, 1]),
+            drained(weighted.clone(), &[7, 4, 0, 5, 1]),
             vec![(0, vec![0]), (1, vec![1, 4]), (3, vec![5, 7])]
         );
+        // Runs that end exactly on a boundary, on either side of the empty
+        // node 2; and one run of consecutive indices through three owners:
+        // `dist` is asked once per destination, not once per element.
+        assert_eq!(
+            drained(weighted.clone(), &[4, 5, 0]),
+            vec![(0, vec![0]), (1, vec![4]), (3, vec![5])]
+        );
+        let asked = OWNER_LOOKUPS.get();
+        assert_eq!(
+            drained(weighted, &[0, 1, 2, 3, 4, 5, 6, 7]),
+            vec![(0, vec![0]), (1, vec![1, 2, 3, 4]), (3, vec![5, 6, 7])]
+        );
+        assert_eq!(OWNER_LOOKUPS.get() - asked, 3);
+        let asked = OWNER_LOOKUPS.get();
+        assert_eq!(
+            drained(Dist::block(8, 4), &[1, 2, 3, 4, 5]),
+            vec![(0, vec![1]), (1, vec![2, 3]), (2, vec![4, 5])]
+        );
+        assert_eq!(OWNER_LOOKUPS.get() - asked, 3);
         // A cyclic layout meets them out of order (3 → node 3 before 4 →
         // node 0) and comes back to one it has left (0, 4, 8 → node 0):
         // still one parcel per destination, ascending by destination.

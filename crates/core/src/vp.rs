@@ -26,7 +26,10 @@ use std::task::{Context, Poll};
 use crate::check::Space;
 use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::shared::{GlobalShared, NodeShared};
-use crate::state::{garray_ref, read_position, DoMode, GetOutcome, PhaseKind, VpCell, WKind};
+use crate::state::{
+    garray_ref, read_position, ArrayTiles, DoMode, GArray, GetOutcome, PhaseKind, VpCell,
+    VpScratch, WKind,
+};
 
 /// Handle given to each virtual processor started by `ppm_do`.
 ///
@@ -227,22 +230,28 @@ impl Phase {
     /// values), but the runtime can satisfy all remote elements in a
     /// single communication wave instead of one wave per dependent await —
     /// this is the split-phase access the paper's compiler generates for
-    /// loops over shared arrays.
+    /// loops over shared arrays. Any index iterator will do; a `Range` reads
+    /// a slice.
     ///
     /// Repeated indices are combined at the source: each distinct remote
     /// element is requested once per call, however often `idxs` names it,
     /// and the repeats are filled by copy. A repeat is still a full access
     /// in modeled time and in the counters (`remote_gets`, `cache_misses`,
     /// and `dedup_reads` for the request it did not make).
-    pub fn get_many<T: Elem>(
+    ///
+    /// `idxs` is not advanced before the first poll, and then runs inside
+    /// the runtime's access path: its `next()` must not touch shared
+    /// variables or charge work (no `Phase` or `Vp::charge_*` call — collect
+    /// such indices into a `Vec` first); doing so panics, naming this rule.
+    pub fn get_many<T: Elem, I: IntoIterator<Item = usize>>(
         &self,
         g: &GlobalShared<T>,
-        idxs: impl IntoIterator<Item = usize>,
-    ) -> GetManyFut<'_, T> {
+        idxs: I,
+    ) -> GetManyFut<'_, T, I::IntoIter> {
         GetManyFut {
             cell: &self.cell,
             array: g.id,
-            idxs: Some(idxs.into_iter().collect()),
+            idxs: Some(idxs.into_iter()),
             values: Vec::new(),
             pending: Vec::new(),
             deferred: Vec::new(),
@@ -268,6 +277,34 @@ impl Phase {
         let kind = WKind::Accum(op);
         self.cell
             .write(Space::Global, g.id, idx, kind, val, Some(T::combine));
+    }
+
+    /// Bulk [`Self::put`]: the `(index, value)` pairs of `items`, in order,
+    /// at the price of one call — semantically and in every modeled cost
+    /// identical to a `put` per pair. `items` runs inside the runtime's
+    /// access path: like the indices of [`Self::get_many`], its `next()`
+    /// must not touch shared variables or charge work.
+    pub fn put_many<T: Elem>(
+        &self,
+        g: &GlobalShared<T>,
+        items: impl IntoIterator<Item = (usize, T)>,
+    ) {
+        self.cell
+            .write_many(Space::Global, g.id, WKind::Assign, items, None);
+    }
+
+    /// Bulk [`Self::accumulate`] with one operator: identical to an
+    /// `accumulate` per `(index, value)` pair of `items`, in order. The rule
+    /// of [`Self::put_many`] applies to `items`.
+    pub fn accumulate_many<T: AccumElem>(
+        &self,
+        g: &GlobalShared<T>,
+        op: AccumOp,
+        items: impl IntoIterator<Item = (usize, T)>,
+    ) {
+        let kind = WKind::Accum(op);
+        self.cell
+            .write_many(Space::Global, g.id, kind, items, Some(T::combine));
     }
 
     /// Read a node-shared element (this node's physical shared memory;
@@ -373,18 +410,20 @@ impl<T: Elem> Drop for GetFut<'_, T> {
 ///
 /// Its in-flight records are 8 bytes per *distinct* remote element; a
 /// position is the element's index in the output (`read_position`-checked).
-pub struct GetManyFut<'a, T: Elem> {
+pub struct GetManyFut<'a, T: Elem, I> {
     cell: &'a VpCell,
     array: u32,
-    idxs: Option<Vec<usize>>,
+    /// The caller's index iterator, until the first poll runs it.
+    idxs: Option<I>,
     /// The output, in request order; unresolved positions hold a
     /// placeholder until the three lists below drain.
     values: Vec<T>,
     /// `(position, slot)` per remote element still parked on a wave slot.
     pending: Vec<(u32, u32)>,
-    /// `(position, local offset)` per local element in a spilled tile,
+    /// `(position, local offset, length)` per run of local elements of one
+    /// spilled tile — consecutive positions reading consecutive offsets —
     /// awaiting a charge-free re-read after the executor refills it.
-    deferred: Vec<(u32, usize)>,
+    deferred: Vec<(u32, usize, u32)>,
     /// `(position, position of the first occurrence)` per repeat of a remote
     /// index this call already requested: no slot, no request — a copy of
     /// the first occurrence's value once that has arrived.
@@ -392,10 +431,11 @@ pub struct GetManyFut<'a, T: Elem> {
 }
 
 // Sound: the future holds no self-references (owned fields and a shared
-// borrow of the phase's cell); `T` is `Copy` data parked by value.
-impl<T: Elem> Unpin for GetManyFut<'_, T> {}
+// borrow of the phase's cell), `T` is `Copy` data parked by value, and the
+// iterator is only ever reached through `&mut`, never pinned.
+impl<T: Elem, I> Unpin for GetManyFut<'_, T, I> {}
 
-impl<T: Elem> Future for GetManyFut<'_, T> {
+impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
     type Output = Vec<T>;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Vec<T>> {
@@ -410,45 +450,59 @@ impl<T: Elem> Future for GetManyFut<'_, T> {
                 // misses queue for the next wave together. Cold-tile locals
                 // defer but are charged here, so wave content and counters
                 // match the in-core schedule exactly.
-                this.values.reserve_exact(idxs.len());
+                this.values.reserve_exact(idxs.size_hint().0);
                 s.first_seen.begin();
-                for (i, idx) in idxs.into_iter().enumerate() {
-                    let v = match this.cell.charge_get(s, ga, tiles, this.array, idx) {
-                        GetOutcome::Local(v) => v,
-                        GetOutcome::LocalPending(off) => {
-                            this.deferred.push((read_position(i), off));
-                            T::default()
-                        }
-                        GetOutcome::Miss => {
-                            let pos = read_position(i);
-                            if let Some(first) = s.first_seen.first(idx as u64, pos) {
-                                // The request this repeat does not make is
-                                // one the wave builder would have merged.
-                                s.counters.dedup_reads += 1;
-                                this.dups.push((pos, first));
-                            } else {
-                                let slot = VpCell::issue_get(s, ga, this.array, idx);
-                                this.pending.push((pos, slot));
+                // An access to `hot` — elements from global index `lo` on —
+                // is its charge and a load (`GArray::hot_span`), and the
+                // charges are sums: they land once, after the loop.
+                // Everything `elsewhere` pays `charge_get`, one by one.
+                let plain = VpCell::reads_plainly(s, this.array);
+                let (mut lo, mut hot): (usize, &[T]) = (0, &[]);
+                let (mut idxs, mut elsewhere) = (idxs, 0u64);
+                let mut next = idxs.next();
+                while let Some(idx) = next {
+                    if let Some(&v) = hot.get(idx.wrapping_sub(lo)) {
+                        // A run of loads, up to the first index outside `hot`.
+                        this.values.push(v);
+                        next = None;
+                        this.values.extend(idxs.by_ref().map_while(|idx| {
+                            let load = hot.get(idx.wrapping_sub(lo)).copied();
+                            if load.is_none() {
+                                next = Some(idx);
                             }
-                            T::default()
-                        }
-                    };
-                    this.values.push(v);
+                            load
+                        }));
+                    } else if let Some(span) = ga.hot_span(tiles, idx).filter(|_| plain) {
+                        // Look at `idx` again, inside its span.
+                        (lo, hot) = span;
+                    } else {
+                        elsewhere += 1;
+                        let v = this.charge_one(s, ga, tiles, idx);
+                        this.values.push(v);
+                        next = idxs.next();
+                    }
                 }
+                let loads = this.values.len() as u64 - elsewhere;
+                s.compute += this.cell.cfg.sv_overhead.scale(loads);
+                s.counters.local_accesses += loads;
             } else {
                 let values = &mut this.values;
-                let mut unresolved = |i: u32, got: Option<T>| match got {
-                    Some(v) => {
-                        values[i as usize] = v;
-                        false
+                this.pending
+                    .retain(|&(i, slot)| match s.slots.try_take(slot) {
+                        Some(pos) => {
+                            values[i as usize] = ga.arena_get(pos);
+                            false
+                        }
+                        None => true,
+                    });
+                // Residency is asked, and a fault recorded, once per run.
+                this.deferred.retain(|&(pos, off, len)| {
+                    let (pos, len) = (pos as usize, len as usize);
+                    let back = VpCell::read_resident(s, ga, tiles, this.array, off).is_some();
+                    if back {
+                        values[pos..pos + len].copy_from_slice(&ga.local[off..off + len]);
                     }
-                    None => true,
-                };
-                this.pending.retain(|&(i, slot)| {
-                    unresolved(i, s.slots.try_take(slot).map(|pos| ga.arena_get(pos)))
-                });
-                this.deferred.retain(|&(i, off)| {
-                    unresolved(i, VpCell::read_resident(s, ga, tiles, this.array, off))
+                    !back
                 });
             }
         });
@@ -462,7 +516,48 @@ impl<T: Elem> Future for GetManyFut<'_, T> {
     }
 }
 
-impl<T: Elem> Drop for GetManyFut<'_, T> {
+impl<T: Elem, I> GetManyFut<'_, T, I> {
+    /// The full price of the access to `idx` that the next output position
+    /// is for, and its value — a placeholder if it has to wait (remote, or
+    /// local in a spilled tile).
+    fn charge_one(
+        &mut self,
+        s: &mut VpScratch,
+        ga: &GArray<T>,
+        tiles: Option<&ArrayTiles>,
+        idx: usize,
+    ) -> T {
+        let pos = read_position(self.values.len());
+        match self.cell.charge_get(s, ga, tiles, self.array, idx) {
+            GetOutcome::Local(v) => return v,
+            GetOutcome::LocalPending(off) => match self.deferred.last_mut() {
+                // The next element of the last run, in the same tile.
+                Some((at, from, len))
+                    if *at + *len == pos
+                        && *from + *len as usize == off
+                        && tiles.is_some_and(|t| t.tile_span(*from).contains(&off)) =>
+                {
+                    *len += 1
+                }
+                _ => self.deferred.push((pos, off, 1)),
+            },
+            GetOutcome::Miss => {
+                if let Some(first) = s.first_seen.first(idx as u64, pos) {
+                    // The request this repeat does not make is one the wave
+                    // builder would have merged.
+                    s.counters.dedup_reads += 1;
+                    self.dups.push((pos, first));
+                } else {
+                    let slot = VpCell::issue_get(s, ga, self.array, idx);
+                    self.pending.push((pos, slot));
+                }
+            }
+        }
+        T::default()
+    }
+}
+
+impl<T: Elem, I> Drop for GetManyFut<'_, T, I> {
     fn drop(&mut self) {
         for &(_, slot) in &self.pending {
             self.cell.release_slot(slot);

@@ -272,3 +272,243 @@ fn planted_program_reports_the_captured_rows() {
         }
     }
 }
+
+/// [`planted`] written with the bulk calls: each VP's neighbouring writes to
+/// one array are one `put_many` / `accumulate_many`, each read a `get_many`
+/// (of a slice, a range or a lazy iterator). Same accesses in the same
+/// per-element order, so the same reports.
+fn planted_bulk(cfg: PpmConfig) -> Vec<Drains> {
+    let report = run(cfg, |node| {
+        let a = node.alloc_global::<i64>(16);
+        let f = node.alloc_global::<f64>(8);
+        for _ in 2..64 {
+            node.alloc_global::<u8>(2);
+        }
+        let hi = node.alloc_global::<i64>(4);
+        let hi2 = node.alloc_global::<i64>(4);
+        let nb = node.alloc_node::<u64>(4);
+        for _ in 1..64 {
+            node.alloc_node::<u8>(1);
+        }
+        let nhi = node.alloc_node::<u64>(2);
+        let nhi2 = node.alloc_node::<u64>(2);
+        node.ppm_do(3, move |vp| async move {
+            let r = vp.global_rank();
+            vp.global_phase(|ph| async move {
+                if r == 0 {
+                    assert_eq!(ph.get_many(&a, 8..9).await, [0]);
+                }
+            })
+            .await;
+            vp.global_phase(|ph| async move {
+                let quiet = f64::NAN;
+                let payload = f64::from_bits(f64::NAN.to_bits() ^ 1);
+                match r {
+                    0 => {
+                        ph.put_many(&a, [(6, 42), (5, 7), (8, 99)]);
+                        ph.put_many(&f, [(3, quiet)]);
+                        assert_eq!(ph.get_many(&a, [8]).await, [0]);
+                        ph.put_node(&nb, 1, 10);
+                    }
+                    1 => {
+                        ph.put_many(&a, [(6, 42), (5, 9), (10, 1)]);
+                        ph.put_many(&f, Some((3, payload)));
+                        let idxs = [10, 1, 10, 10, 11];
+                        let got = ph.get_many(&a, (0..5).map(|k| idxs[k])).await;
+                        assert_eq!(got, vec![0; 5]);
+                        ph.put_many(&a, std::iter::once((5, 7)));
+                        ph.put_many(&hi, [(0, 5)]);
+                        assert_eq!(ph.get_many(&hi2, 0..1).await, [0]);
+                        assert_eq!(ph.get_many(&hi, 0..1).await, [0]);
+                    }
+                    2 => {
+                        ph.put_many(&a, [(6, 42), (5, 8), (2, 1)]);
+                        assert_eq!(ph.get_many(&a, 2..3).await, [0]);
+                        ph.put_node(&nb, 1, 11);
+                    }
+                    3 => {
+                        ph.put_many(&a, [(6, 42), (5, 7)]);
+                        ph.put_many(&f, [(3, quiet)]);
+                        ph.accumulate_many(&a, AccumOp::Add, [(14, 1)]);
+                        assert_eq!(ph.get_many(&a, 14..15).await, [0]);
+                        ph.put_node(&nb, 1, 12);
+                        ph.put_many(&hi2, [(1, 1)]);
+                    }
+                    4 => {
+                        ph.put_many(&a, [(6, 42), (5, 1), (5, 7)]);
+                        ph.put_many(&f, [(3, quiet)]);
+                        ph.accumulate_many(&a, AccumOp::Add, [(12, 5), (14, 1)]);
+                        assert_eq!(ph.get_many(&a, [12, 14]).await, [0, 0]);
+                        ph.put_node(&nb, 2, 3);
+                        assert_eq!(ph.get_node(&nb, 2), 0);
+                    }
+                    _ => {
+                        ph.put_many(&a, [(6, 42), (5, 7)]);
+                        ph.accumulate_many(&a, AccumOp::Max, [(3, 4)]);
+                        assert_eq!(ph.get_many(&a, 3..4).await, [0], "remote: parks the VP");
+                        ph.put_node(&nb, 1, 12);
+                        ph.put_many(&hi2, [(1, 2)]);
+                    }
+                }
+            })
+            .await;
+            vp.global_phase(|ph| async move {
+                match r {
+                    0 => ph.put_many(&a, [(5, 1)]),
+                    1 => ph.put_many(&a, [(5, 2)]),
+                    2 => assert_eq!(ph.get_many(&a, 2..3).await, [1]),
+                    3 => {
+                        ph.put_many(&a, [(9, 1)]);
+                        assert_eq!(ph.get_many(&a, 8..11).await, [99, 0, 1]);
+                    }
+                    4 => ph.put_many(&a, [(12, 1)]),
+                    _ => ph.put_many(&a, [(12, 2)]),
+                }
+            })
+            .await;
+        });
+        let first = node.take_violations();
+        let second = node.take_violations();
+        node.ppm_do_local(2, move |vp| async move {
+            let r = vp.node_rank() as u64;
+            vp.node_phase(|ph| async move {
+                ph.put_node(&nb, 3, 20 + r);
+                if r == 1 {
+                    ph.accumulate_node(&nhi, 0, AccumOp::Add, 1);
+                    assert_eq!(ph.get_node(&nhi2, 0), 0);
+                    assert_eq!(ph.get_node(&nhi, 0), 0);
+                }
+            })
+            .await;
+        });
+        let third = node.take_violations();
+        (first, second, third, node.ep_counters().cache_hits)
+    });
+    report.results
+}
+
+#[test]
+fn bulk_twin_of_the_planted_program_reports_the_same_rows() {
+    let expected = expected();
+    for threads in [1, 8] {
+        for cache in [true, false] {
+            let cfg = PpmConfig::new(MachineConfig::new(2, 2))
+                .with_checker(true)
+                .with_host_threads(threads)
+                .with_read_cache(cache);
+            let cell = format!("threads {threads}, cache {cache}");
+            let got = planted_bulk(cfg);
+            assert_eq!(got[0].3 > 0, cache, "{cell}: a[8]'s hazard hits the cache");
+            for (node, (first, second, third, _)) in got.into_iter().enumerate() {
+                assert!(second.is_empty(), "{cell}, node {node}: {second:?}");
+                let lines: Vec<String> =
+                    first.iter().chain(&third).map(|v| v.to_string()).collect();
+                assert_eq!(first, expected[node].0, "{cell}, node {node}, ppm_do");
+                assert_eq!(third, expected[node].1, "{cell}, node {node}, ppm_do_local");
+                assert_eq!(lines, RENDERED[node], "{cell}, node {node}");
+            }
+        }
+    }
+}
+
+/// What a one-VP-per-node job on two nodes panics with.
+fn panic_text<Fut: std::future::Future<Output = ()> + Send + 'static>(
+    body: impl Fn(ppm_core::Vp, ppm_core::GlobalShared<i64>) -> Fut + Send + Sync + 'static,
+) -> String {
+    let job = std::panic::AssertUnwindSafe(move || {
+        run(PpmConfig::new(MachineConfig::new(2, 1)), move |node| {
+            let a = node.alloc_global::<i64>(8); // node 1 owns 4..8
+            node.ppm_do(1, |vp| body(vp, a));
+        });
+    });
+    let payload = std::panic::catch_unwind(job).expect_err("the job must panic");
+    let text = payload.downcast_ref::<String>().cloned();
+    text.unwrap_or_else(|| {
+        payload
+            .downcast_ref::<&str>()
+            .expect("a text payload")
+            .to_string()
+    })
+}
+
+/// A bulk access that may not happen panics with the text its per-element
+/// form panics with: out of bounds, out of any phase, a remote element or a
+/// global write in a node phase.
+#[test]
+fn bulk_accesses_panic_with_the_per_element_texts() {
+    let cases: [(&str, String, String); 6] = [
+        (
+            "global read index 8 out of bounds",
+            panic_text(|vp, a| async move {
+                vp.global_phase(|ph| async move { assert_eq!(ph.get(&a, 8).await, 0) })
+                    .await
+            }),
+            panic_text(|vp, a| async move {
+                vp.global_phase(|ph| async move { drop(ph.get_many(&a, 7..9).await) })
+                    .await
+            }),
+        ),
+        (
+            "global write index 8 out of bounds",
+            panic_text(|vp, a| async move {
+                vp.global_phase(|ph| async move { ph.put(&a, 8, 1) }).await
+            }),
+            panic_text(|vp, a| async move {
+                vp.global_phase(|ph| async move { ph.put_many(&a, (7..9).map(|i| (i, 1))) })
+                    .await
+            }),
+        ),
+        (
+            "global shared read requires an open phase",
+            panic_text(|vp, a| async move {
+                let ph = vp.global_phase(|ph| async move { ph }).await;
+                ph.get(&a, 0).await;
+            }),
+            panic_text(|vp, a| async move {
+                let ph = vp.global_phase(|ph| async move { ph }).await;
+                ph.get_many(&a, 0..2).await;
+            }),
+        ),
+        (
+            "global shared write requires an open phase",
+            panic_text(|vp, a| async move {
+                let ph = vp.global_phase(|ph| async move { ph }).await;
+                ph.accumulate(&a, 0, AccumOp::Add, 1);
+            }),
+            panic_text(|vp, a| async move {
+                let ph = vp.global_phase(|ph| async move { ph }).await;
+                ph.accumulate_many(&a, AccumOp::Add, [(0, 1)]);
+            }),
+        ),
+        (
+            "remote shared read inside a node phase (element 7 is on node 1); use a global phase",
+            panic_text(|vp, a| async move {
+                let local = vp.node_id() * 4;
+                vp.node_phase(|ph| async move {
+                    ph.get(&a, local).await;
+                    ph.get(&a, 7 - local).await;
+                })
+                .await
+            }),
+            panic_text(|vp, a| async move {
+                let local = vp.node_id() * 4;
+                vp.node_phase(|ph| async move { drop(ph.get_many(&a, [local, 7 - local]).await) })
+                    .await
+            }),
+        ),
+        (
+            "global shared writes are only allowed inside a global phase",
+            panic_text(
+                |vp, a| async move { vp.node_phase(|ph| async move { ph.put(&a, 0, 1) }).await },
+            ),
+            panic_text(|vp, a| async move {
+                vp.node_phase(|ph| async move { ph.put_many(&a, [(0, 1)]) })
+                    .await
+            }),
+        ),
+    ];
+    for (want, per_element, bulk) in cases {
+        assert!(per_element.contains(want), "{per_element:?} lacks {want:?}");
+        assert_eq!(bulk, per_element);
+    }
+}

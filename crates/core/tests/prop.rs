@@ -634,6 +634,317 @@ fn repeated_bulk_read_indices_are_combined_invisibly() {
     );
 }
 
+/// One step of a [`BulkScript`] VP. Array 0 holds `i64` (one element per
+/// tile under the 64 B budget), array 1 `i32` (two per tile).
+#[derive(Debug, Clone, PartialEq)]
+enum BulkOp {
+    /// Read these elements of an array, repeats and all.
+    Read(usize, Vec<usize>),
+    /// Read a slice `lo..lo + n` of an array.
+    Slice(usize, usize, usize),
+    /// `put` (or, `true`, `accumulate`) these `(element, value)` pairs.
+    Write(usize, bool, Vec<(usize, i32)>),
+    /// Charge private work, so compute differs from VP to VP.
+    Flops(u64),
+}
+
+impl Shrink for BulkOp {}
+
+/// A multi-phase program of bulk-shaped accesses: `vps[node][vp][phase]` is
+/// what that VP does in that (global) phase. Shrinking drops steps only.
+#[derive(Debug, Clone)]
+struct BulkScript {
+    nodes: usize,
+    len: usize,
+    vps: Vec<Vec<Vec<Vec<BulkOp>>>>,
+}
+
+impl Shrink for BulkScript {
+    fn shrink(&self) -> Vec<Self> {
+        let mut c = Vec::new();
+        for (n, node) in self.vps.iter().enumerate() {
+            for (v, phases) in node.iter().enumerate() {
+                for (p, ops) in phases.iter().enumerate() {
+                    for smaller in ops.shrink() {
+                        let mut s = self.clone();
+                        s.vps[n][v][p] = smaller;
+                        c.push(s);
+                    }
+                }
+            }
+        }
+        c
+    }
+}
+
+fn gen_bulk_script(g: &mut Gen) -> BulkScript {
+    let nodes = g.usize_in(3..5);
+    let len = g.usize_in(24..64);
+    let phases = g.usize_in(2..5);
+    // Per array and element: put or accumulate target, never both.
+    let accum: Vec<Vec<bool>> = (0..2).map(|_| g.vec(len..len, |g| g.bool())).collect();
+    let vps = (0..nodes)
+        .map(|_| {
+            g.vec(1..4, |g| {
+                // A VP keeps to a few elements, so it repeats indices, reads
+                // what it wrote this phase and what it read (and cached)
+                // in the last one; slices take it everywhere else.
+                let pool = g.vec(2..10, |g| g.usize_in(0..len));
+                let step = |g: &mut Gen| {
+                    let arr = g.usize_in(0..2);
+                    let at = |g: &mut Gen| pool[g.usize_in(0..pool.len())];
+                    match g.u32_in(0..8) {
+                        0 | 1 => BulkOp::Read(arr, g.vec(0..14, at)),
+                        2 | 3 => {
+                            let lo = g.usize_in(0..len);
+                            BulkOp::Slice(arr, lo, g.usize_in(0..len - lo + 1))
+                        }
+                        4 => BulkOp::Flops(g.u64_in(1..400)),
+                        _ => {
+                            let kind = g.bool();
+                            let items = g.vec(0..10, |g| (at(g), g.u32_in(0..3) as i32));
+                            let of_kind = |it: &(usize, i32)| accum[arr][it.0] == kind;
+                            BulkOp::Write(arr, kind, items.into_iter().filter(of_kind).collect())
+                        }
+                    }
+                };
+                (0..phases).map(|_| g.vec(0..7, step)).collect()
+            })
+        })
+        .collect();
+    BulkScript { nodes, len, vps }
+}
+
+/// The elements `idxs` of `g`: one `get_many` (over a slice, a lazy `map`
+/// or an owned `Vec`, by `form`), or a `get` per element — all issued in one
+/// poll and then awaited together, as the bulk read's elements are.
+async fn read_elems<T: ppm_core::Elem + Into<i64>>(
+    ph: &Phase,
+    g: &ppm_core::GlobalShared<T>,
+    idxs: &[usize],
+    form: usize,
+    bulk: bool,
+) -> Vec<i64> {
+    use std::future::Future;
+    use std::task::Poll;
+    let got = if !bulk {
+        let mut reads: Vec<_> = idxs.iter().map(|&i| (ph.get(g, i), None)).collect();
+        let all = std::future::poll_fn(|cx| {
+            for (read, got) in reads.iter_mut().filter(|r| r.1.is_none()) {
+                if let Poll::Ready(v) = std::pin::Pin::new(read).poll(cx) {
+                    *got = Some(v);
+                }
+            }
+            match reads.iter().map(|r| r.1).collect::<Option<Vec<T>>>() {
+                Some(values) => Poll::Ready(values),
+                None => Poll::Pending,
+            }
+        });
+        all.await
+    } else {
+        match form % 3 {
+            0 => ph.get_many(g, idxs.iter().copied()).await,
+            1 => ph.get_many(g, (0..idxs.len()).map(|k| idxs[k])).await,
+            _ => ph.get_many(g, idxs.to_vec()).await,
+        }
+    };
+    got.into_iter().map(Into::into).collect()
+}
+
+/// `items` put (or accumulated) into `g`: one bulk call, or one per element.
+fn write_elems<T: ppm_core::AccumElem + From<i32>>(
+    ph: &Phase,
+    g: &ppm_core::GlobalShared<T>,
+    (accum, items): (bool, &[(usize, i32)]),
+    form: usize,
+    bulk: bool,
+) {
+    let typed = |&(i, v): &(usize, i32)| (i, T::from(v));
+    match (bulk, accum) {
+        (false, false) => items.iter().map(typed).for_each(|(i, v)| ph.put(g, i, v)),
+        (false, true) => {
+            let each = |(i, v)| ph.accumulate(g, i, AccumOp::Add, v);
+            items.iter().map(typed).for_each(each)
+        }
+        (true, false) if form.is_multiple_of(2) => ph.put_many(g, items.iter().map(typed)),
+        (true, false) => ph.put_many(g, items.iter().map(typed).collect::<Vec<_>>()),
+        (true, true) => ph.accumulate_many(g, AccumOp::Add, items.iter().map(typed)),
+    }
+}
+
+/// Charge per call changes nothing but host time: random multi-phase
+/// scripts of reads (lists with repeats, slices) and writes over local,
+/// remote, cached, spilled and written-this-phase elements do the same —
+/// every value read, the final arrays, the makespan, every counter, the
+/// checker's reports as values and as text, and the trace — whether each
+/// access is a `get` / `put` / `accumulate` of its own or they go through
+/// `get_many` / `put_many` / `accumulate_many`; with the read cache on and
+/// off, in core and under a 64 B tile budget, checker on and off, at 1 and 8
+/// host threads, under a block layout, a weighted one with an empty node and
+/// a cyclic one. The trace's `woken` figures are left out: they count slots
+/// filled, where a bulk read's combining of its repeats shows by design (the
+/// property above pins that).
+#[test]
+fn bulk_access_equals_per_element() {
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::{Arc, Mutex};
+    // What the cases exercised, summed: loads, remote reads, cache hits,
+    // refills, violations.
+    let seen: [AtomicU64; 5] = Default::default();
+    forall(
+        "bulk_access_equals_per_element",
+        6,
+        gen_bulk_script,
+        |script| {
+            let (nodes, len) = (script.nodes, script.len);
+            let run_with = |bulk: bool, layout: &Layout, cfg: PpmConfig| {
+                let sink = ppm_core::TraceSink::new();
+                let (script, layout) = (script.clone(), layout.clone());
+                let report = ppm_core::run_traced(cfg, &sink, "bulk", move |node| {
+                    let a = node.alloc_global_with::<i64>(len, layout.clone());
+                    let b = node.alloc_global_with::<i32>(len, layout.clone());
+                    let (da, me) = (node.dist_of(&a), node.node_id());
+                    node.with_local_mut(&a, |s| {
+                        for (off, v) in s.iter_mut().enumerate() {
+                            *v = da.global_index(me, off) as i64 * 7 - 3;
+                        }
+                    });
+                    node.with_local_mut(&b, |s| {
+                        for (off, v) in s.iter_mut().enumerate() {
+                            *v = 100 + da.global_index(me, off) as i32;
+                        }
+                    });
+                    let mine = Arc::new(script.vps[me].clone());
+                    let read: Arc<Vec<Mutex<Vec<i64>>>> =
+                        Arc::new(mine.iter().map(|_| Mutex::default()).collect());
+                    let (steps, log) = (mine.clone(), read.clone());
+                    node.ppm_do(mine.len(), move |vp| {
+                        let (phases, log) = (steps[vp.node_rank()].clone(), log.clone());
+                        async move {
+                            for ops in phases {
+                                let (v, log) = (vp.clone(), log.clone());
+                                vp.global_phase(|ph| async move {
+                                    for (form, op) in ops.iter().enumerate() {
+                                        let got = match op {
+                                            BulkOp::Read(0, idxs) => {
+                                                read_elems(&ph, &a, idxs, form, bulk).await
+                                            }
+                                            BulkOp::Read(_, idxs) => {
+                                                read_elems(&ph, &b, idxs, form, bulk).await
+                                            }
+                                            &BulkOp::Slice(arr, lo, n) if bulk => {
+                                                if arr == 0 {
+                                                    ph.get_many(&a, lo..lo + n).await
+                                                } else {
+                                                    let got = ph.get_many(&b, lo..lo + n).await;
+                                                    got.into_iter().map(i64::from).collect()
+                                                }
+                                            }
+                                            &BulkOp::Slice(arr, lo, n) => {
+                                                let idxs: Vec<usize> = (lo..lo + n).collect();
+                                                if arr == 0 {
+                                                    read_elems(&ph, &a, &idxs, 0, false).await
+                                                } else {
+                                                    read_elems(&ph, &b, &idxs, 0, false).await
+                                                }
+                                            }
+                                            BulkOp::Write(0, accum, items) => {
+                                                write_elems(&ph, &a, (*accum, items), form, bulk);
+                                                Vec::new()
+                                            }
+                                            BulkOp::Write(_, accum, items) => {
+                                                write_elems(&ph, &b, (*accum, items), form, bulk);
+                                                Vec::new()
+                                            }
+                                            &BulkOp::Flops(n) => {
+                                                v.charge_flops(n);
+                                                Vec::new()
+                                            }
+                                        };
+                                        log[v.node_rank()].lock().unwrap().extend(got);
+                                    }
+                                })
+                                .await;
+                            }
+                        }
+                    });
+                    let violations = node.take_violations();
+                    let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+                    let read: Vec<Vec<i64>> =
+                        read.iter().map(|r| r.lock().unwrap().clone()).collect();
+                    let arrays = (node.gather_global(&a), node.gather_global(&b));
+                    (read, arrays, violations, rendered)
+                });
+                let trace = sink.chrome_trace_json();
+                let mut visible = String::new();
+                for (k, piece) in trace.split("\"woken\":").enumerate() {
+                    let digits = piece.bytes().take_while(|b| k > 0 && b.is_ascii_digit());
+                    visible.push_str(&piece[digits.count()..]);
+                }
+                (
+                    report.results.clone(),
+                    report.makespan(),
+                    report.total_counters(),
+                    visible,
+                )
+            };
+            // Node 1 owns nothing; the others share the array evenly.
+            let share = len.div_ceil(nodes - 1);
+            let mut bounds = vec![0, share.min(len)];
+            bounds.extend((1..nodes).map(|n| (n * share).min(len)));
+            let layouts = [
+                Layout::Block,
+                Layout::Weighted(Arc::new(bounds)),
+                Layout::Cyclic,
+            ];
+            for layout in &layouts {
+                for cell in 0..16 {
+                    let (cache, checker) = (cell & 1 == 0, cell & 2 == 0);
+                    let (budget, threads) = ([0, 64][cell >> 2 & 1], [1, 8][cell >> 3]);
+                    let cfg = PpmConfig::new(MachineConfig::new(nodes as u32, 2))
+                        .with_read_cache(cache)
+                        .with_tile_budget(budget)
+                        .with_checker(checker)
+                        .with_host_threads(threads);
+                    let cell = format!(
+                    "{layout:?}, cache {cache}, budget {budget}, checker {checker}, {threads} threads"
+                );
+                    let each = run_with(false, layout, cfg);
+                    let bulk = run_with(true, layout, cfg);
+                    prop_assert!(
+                        bulk.0 == each.0,
+                        format!("{cell}: values or reports differ")
+                    );
+                    prop_assert!(bulk.1 == each.1, format!("{cell}: makespan differs"));
+                    prop_assert!(
+                        bulk.2 == each.2,
+                        format!("{cell}: {:?} vs {:?}", bulk.2, each.2)
+                    );
+                    prop_assert!(bulk.3 == each.3, format!("{cell}: trace JSON differs"));
+                    let c = bulk.2;
+                    let reports: usize = bulk.0.iter().map(|r| r.2.len()).sum();
+                    prop_assert_eq!(reports > 0 && !checker, false);
+                    for (sum, n) in seen.iter().zip([
+                        c.local_accesses,
+                        c.remote_gets,
+                        c.cache_hits,
+                        c.tile_refills,
+                        reports as u64,
+                    ]) {
+                        sum.fetch_add(n, Relaxed);
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+    let seen = seen.map(AtomicU64::into_inner);
+    assert!(
+        seen.iter().all(|&n| n > 100),
+        "loads, remote reads, cache hits, refills, reports seen: {seen:?} — the property tested little"
+    );
+}
+
 /// One shared access of a checker script. Global arrays are 0 and 1, the
 /// node-shared array is node array 0.
 #[derive(Debug, Clone, PartialEq)]
