@@ -1,13 +1,15 @@
-//! Trace-guided adaptive repartitioning: the decision function
-//! (DESIGN.md §14).
+//! Trace-guided adaptive repartitioning (DESIGN.md §14): the load window,
+//! the decision function and the migration.
 //!
-//! At each global phase boundary the clock barrier's free loads sidecar
-//! leaves every node holding the identical per-node load vector (compute +
-//! service picoseconds, accumulated over the hysteresis window). This
-//! module turns that vector plus an array's current partition bounds into
-//! new bounds — or `None` to leave the layout alone.
+//! At each global phase boundary the clock barrier's free loads allgather
+//! ([`crate::dissem::LoadBlock`]) leaves every node holding the identical
+//! per-node load vector (compute + service picoseconds), which
+//! [`Balancer::fold_window`] accumulates over the hysteresis window.
+//! [`rebalance_bounds`] turns that window plus an array's current partition
+//! bounds into new bounds — or `None` to leave the layout alone — and
+//! [`maybe_rebalance`] swaps the moved stretches.
 //!
-//! Everything here is exact integer arithmetic on replicated inputs, so
+//! The decision is exact integer arithmetic on replicated inputs, so
 //! every node computes the same answer with no agreement round, and the
 //! answer cannot depend on host thread count, fault seed, or message
 //! timing. That is the whole determinism story of the balancer: decide
@@ -29,6 +31,54 @@
 //! with a ceiling division — all in `u128`, so nothing rounds and nothing
 //! overflows (loads ≤ 2⁶⁴, spans ≤ 2⁶⁴ are never multiplied together more
 //! than twice with a small node count).
+
+use std::any::Any;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use crate::bitset::NodeSet;
+use crate::dist::Dist;
+use crate::exec::exchange;
+use crate::msgs::{self, MigrateMsg};
+use crate::nodectx::NodeCtx;
+
+/// One node's balancer state ([`crate::state::Inner::balancer`]).
+#[derive(Default)]
+pub(crate) struct Balancer {
+    /// Ids of global arrays opted into adaptive repartitioning
+    /// (`NodeCtx::alloc_global_balanced`). Allocation order, hence
+    /// identical on every node.
+    balanced: Vec<u32>,
+    /// Per-node load (compute + service picoseconds) accumulated since the
+    /// last decision, indexed by node id; sized on first use.
+    load_acc: Vec<u64>,
+    /// Global phases folded into `load_acc` since the last decision — the
+    /// hysteresis window.
+    load_window: u64,
+}
+
+impl Balancer {
+    /// Opt array `id` in.
+    pub fn opt_in(&mut self, id: u32) {
+        self.balanced.push(id);
+    }
+
+    /// Fold one barrier's complete `(rank, load)` vector into the window.
+    /// Every node folds the identical vector at the identical boundary, so
+    /// the window stays replicated without ever being exchanged itself. A
+    /// lone node folds its own load: the window's counters are uniform
+    /// across node counts (rebalancing one node is a no-op anyway).
+    pub fn fold_window(&mut self, nodes: usize, loads: impl Iterator<Item = (usize, u64)>) {
+        if self.load_acc.len() != nodes {
+            self.load_acc = vec![0; nodes];
+        }
+        for (rank, load) in loads {
+            let slot = &mut self.load_acc[rank];
+            *slot = slot.saturating_add(load);
+        }
+        self.load_window += 1;
+    }
+}
 
 /// Global phases that must accumulate into the load window before the
 /// balancer evaluates it (and then resets it). Keeps one noisy phase from
@@ -107,6 +157,145 @@ pub(crate) fn rebalance_bounds(cur: &[usize], loads: &[u64]) -> Option<Vec<usize
     } else {
         Some(out)
     }
+}
+
+/// The rebalance step of a global phase end (`phase`'s writes applied,
+/// recovery line not yet advanced — so crash recovery always restores
+/// post-migration partitions).
+///
+/// Decide from the replicated load window, recut the balanced arrays'
+/// weighted bounds with [`rebalance_bounds`], then swap the moved
+/// stretches: one [`K_MIGRATE`] bundle to each peer that takes elements
+/// over, all collected before any partition rebinds.
+///
+/// Determinism: every input to the decision (load window, bounds, array
+/// ids) is replicated, so all nodes compute the same plan with no
+/// agreement round; the migrated stretches are disjoint by construction
+/// (old spans are disjoint, new spans are disjoint), so rebind order
+/// cannot matter — sources are still applied in ascending node order. No
+/// phase-`phase+1` read request can arrive mid-migration: a peer issues
+/// those only after its clock barrier completes, which transitively
+/// requires this node's first barrier send — and that happens after this
+/// step returns.
+///
+/// [`K_MIGRATE`]: msgs::K_MIGRATE
+pub(crate) fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
+    let me = nc.node_id();
+    let nodes = nc.num_nodes();
+    let cfg = nc.config();
+    if !cfg.adaptive_balance || nodes < 2 {
+        return;
+    }
+    // Decide: a pure function of the replicated window. `(id, old, new)`
+    // per balanced array whose cut moves.
+    let plan: Vec<(u32, Dist, Dist)> = {
+        let mut inner = nc.inner.borrow_mut();
+        let inner = &mut *inner;
+        let b = &mut inner.balancer;
+        if b.balanced.is_empty() || b.load_window < MIN_WINDOW {
+            return;
+        }
+        let recut = |&id: &u32| {
+            let old = inner.frozen.garrays[id as usize].dist().clone();
+            let new = rebalance_bounds(&old.bounds(), &b.load_acc)?;
+            let new = Dist::weighted(old.len, old.nodes, Arc::new(new));
+            Some((id, old, new))
+        };
+        let plan = b.balanced.iter().filter_map(recut).collect();
+        // The window was consumed by a decision (either way): restart it so
+        // the next evaluation sees only post-decision phases.
+        b.load_acc.iter_mut().for_each(|l| *l = 0);
+        b.load_window = 0;
+        plan
+    };
+    if plan.is_empty() {
+        return;
+    }
+
+    // The plan is a pure function of the replicated load window, so both
+    // sides of every transfer evaluate the same overlap predicate — no
+    // notice round needed (DESIGN.md §17): `src` sends `dst` a bundle iff
+    // some stretch `src` owned lands in `dst`'s new partition.
+    let moves = |src: usize, dst: usize| {
+        plan.iter().filter_map(move |(id, old, new)| {
+            let (from, to) = (old.owned_range(src), new.owned_range(dst));
+            let (lo, hi) = (from.start.max(to.start), from.end.min(to.end));
+            (lo < hi).then_some((*id, lo..hi))
+        })
+    };
+    let peers = || (0..nodes).filter(|&n| n != me);
+    let expected: NodeSet = peers()
+        .filter(|&src| moves(src, me).next().is_some())
+        .collect();
+
+    // Ship: one bundle per peer with every stretch leaving this node for it.
+    let mut moved_out = 0u64;
+    let mut bytes_out_total = 0u64;
+    let mut shipping: Vec<(usize, usize, MigrateMsg)> = Vec::new();
+    {
+        let mut inner = nc.inner.borrow_mut();
+        let inner = &mut *inner;
+        for dest in peers() {
+            let mut parts: MigrateMsg = Vec::new();
+            let mut bytes = cfg.bundle_header_bytes;
+            for (id, stretch) in moves(me, dest) {
+                moved_out += stretch.len() as u64;
+                let (payload, b) =
+                    inner.frozen.garrays[id as usize].migrate_extract(stretch.clone());
+                bytes += b as usize;
+                parts.push((id, stretch.start, payload));
+            }
+            if parts.is_empty() {
+                continue;
+            }
+            bytes_out_total += bytes as u64;
+            inner.traffic.migr_bundles_out += 1;
+            inner.traffic.migr_bytes_out += bytes as u64;
+            shipping.push((dest, bytes, parts));
+        }
+    }
+    let incoming = exchange(nc, msgs::K_MIGRATE, phase, shipping, &expected);
+
+    // Rebind: install the new layouts, retained overlap plus arrived
+    // stretches, per balanced array.
+    type ArrivedParts = Vec<(usize, Box<dyn Any + Send>)>;
+    let mut by_array: BTreeMap<u32, ArrivedParts> = BTreeMap::new();
+    let mut inner = nc.inner.borrow_mut();
+    for (_src, bytes, bundle) in incoming {
+        inner.traffic.migr_bundles_in += 1;
+        inner.traffic.migr_bytes_in += bytes;
+        for (id, start, payload) in bundle {
+            by_array.entry(id).or_default().push((start, payload));
+        }
+    }
+    let mut moved_in = 0u64;
+    for (id, _old, new) in &plan {
+        let parts = by_array.remove(id).unwrap_or_default();
+        let arrays = inner.thaw();
+        moved_in += arrays.garrays[*id as usize].migrate_rebind(me, new.clone(), parts);
+        // The repartitioned stretch starts fully cold: residency is keyed
+        // by local offsets, which the rebind just remapped (DESIGN.md §18).
+        arrays.tile_budget.rebind(*id, new.local_len(me));
+    }
+    debug_assert!(
+        by_array.is_empty(),
+        "migration payload for an unplanned array"
+    );
+    let planned: Vec<u32> = plan.iter().map(|p| p.0).collect();
+    inner.coherence.forget_arrays(&planned);
+    // Installing arrived elements is owner-side work, charged like write
+    // application.
+    inner.service_time += cfg.service_overhead.scale(moved_in);
+    let args = [
+        ("phase", phase),
+        ("arrays", plan.len() as u64),
+        ("moved_elems_out", moved_out),
+        ("moved_elems_in", moved_in),
+        ("moved_bytes", bytes_out_total),
+        ("moved_vps", inner.live_vps as u64),
+    ];
+    drop(inner);
+    nc.trace("rebalance", "runtime", nc.ep.clock.now(), None, &args);
 }
 
 #[cfg(test)]

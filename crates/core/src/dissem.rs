@@ -1,11 +1,11 @@
 //! The dissemination pattern the phase-end protocol runs on, and what
 //! travels over it by source routing.
 //!
-//! The clock barrier and the sender-notice exchange (`exec.rs`) both walk
-//! ⌈log₂ N⌉ rounds in which node `me` sends to `me + 2^r` and receives
-//! from `me − 2^r` (mod N). Everything here is pure — no transport, no
-//! clock — so the routing argument is tested for all nodes in lockstep
-//! without a thread.
+//! The clock barrier, the sender-notice exchange (`exec`) and the node
+//! barrier (`nodecoll.rs`) all walk ⌈log₂ N⌉ rounds in which node `me`
+//! sends to `me + 2^r` and receives from `me − 2^r` (mod N). Everything
+//! here is pure — no transport, no clock — so the routing argument is
+//! tested for all nodes in lockstep without a thread.
 
 use crate::bitset::NodeSet;
 
@@ -114,8 +114,8 @@ impl Notices {
     }
 }
 
-/// One node's side of the loads allgather ([`crate::msgs::BarrierMsg::loads`],
-/// DESIGN.md §14), in block order: entry `j` is rank `me − j`. A round's
+/// One node's side of the loads allgather riding the clock barrier
+/// (DESIGN.md §14), in block order: entry `j` is rank `me − j`. A round's
 /// receive appends the sender's equally long block, so after round `r`
 /// the node holds ranks `me, me−1, …, me−2^(r+1)+1`, and the final round
 /// is cut where it wraps onto ranks already held.

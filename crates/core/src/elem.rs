@@ -8,7 +8,7 @@ use ppm_simnet::WireSize;
 /// responses and write bundles, and arrays are allocated zero-initialized
 /// (via `Default`), matching the paper's C-style shared arrays. `Sync` is
 /// required because array partitions are read concurrently by the
-/// host-parallel VP scheduler (see `exec.rs`). [`ByteHash`] feeds the
+/// host-parallel VP scheduler (see `exec`). [`ByteHash`] feeds the
 /// conformance checker's value fingerprints.
 pub trait Elem:
     Copy + Send + Sync + Default + WireSize + ByteHash + std::fmt::Debug + 'static

@@ -1,5 +1,5 @@
 //! Unit tests of the wave builder and the response arena's lifetime
-//! (`exec::tests`; kept in their own file so `exec.rs` stays readable).
+//! (`exec::tests`; kept in their own file so `mod.rs` stays readable).
 
 use std::future::{poll_fn, Future};
 use std::pin::Pin;
@@ -7,10 +7,11 @@ use std::task::Poll;
 
 use ppm_simnet::{FaultConfig, MachineConfig};
 
+use super::wave::build_dest;
 use super::*;
 use crate::config::PpmConfig;
 use crate::elem::AccumOp;
-use crate::state::{Frozen, Inner};
+use crate::state::{Frozen, Inner, QueuedReq};
 use crate::testkit::Gen;
 use crate::{GlobalShared, Phase};
 

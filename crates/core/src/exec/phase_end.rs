@@ -1,0 +1,564 @@
+//! Phase ends: a node phase's publish-and-release, and a global phase's
+//! exchange — written as the protocol's ordered step list, because the order
+//! *is* the correctness argument (DESIGN.md §17).
+
+use std::any::Any;
+use std::collections::BTreeMap;
+
+use ppm_simnet::{Message, SimTime};
+
+use super::barrier::{clock_barrier, BarrierParts};
+use crate::bitset::NodeSet;
+use crate::check::Space;
+use crate::coherence::CoherencePart;
+use crate::dissem::{dissemination, LoadBlock, Notices};
+use crate::failover::FailoverPart;
+use crate::msgs::{self, TokenMsg, WriteBundleMsg};
+use crate::nodectx::NodeCtx;
+use crate::state::{PhaseKind, PhaseRecord, Traffic};
+use crate::{balance, failover};
+
+/// Per-phase counter-delta argument names, aligned with
+/// [`ppm_simnet::Counters::named_fields`] (the `debug_assert` in
+/// [`emit_phase_summary`] keeps the two in lockstep).
+const DELTA_ARG_NAMES: [&str; 29] = [
+    "d_msgs_sent",
+    "d_bytes_sent",
+    "d_msgs_recv",
+    "d_bytes_recv",
+    "d_flops",
+    "d_mem_ops",
+    "d_barriers",
+    "d_remote_gets",
+    "d_remote_puts",
+    "d_bundles_sent",
+    "d_waves",
+    "d_local_accesses",
+    "d_retries",
+    "d_faults_dropped",
+    "d_faults_duplicated",
+    "d_faults_delayed",
+    "d_dups_suppressed",
+    "d_acks_sent",
+    "d_crash_recoveries",
+    "d_cache_hits",
+    "d_cache_misses",
+    "d_dedup_reads",
+    "d_partial_wakes",
+    "d_peers_suspected",
+    "d_peers_confirmed_dead",
+    "d_failovers",
+    "d_replica_bytes",
+    "d_tile_spills",
+    "d_tile_refills",
+];
+
+/// Record a phase-summary span `[start, now]` carrying the phase's time
+/// breakdown plus the per-phase delta of every counter, and advance the
+/// delta baseline. Only called while tracing is enabled.
+fn emit_phase_summary(
+    nc: &mut NodeCtx<'_>,
+    name: &'static str,
+    start: SimTime,
+    idx: u64,
+    args: &[(&'static str, u64)],
+) {
+    let merged = nc.ep_counters();
+    let delta = merged.delta(&nc.inner.borrow().ctr_base);
+    let mut all = Vec::with_capacity(1 + args.len() + DELTA_ARG_NAMES.len());
+    all.push(("phase", idx));
+    all.extend_from_slice(args);
+    for (&dn, (n, v)) in DELTA_ARG_NAMES.iter().zip(delta.named_fields()) {
+        debug_assert_eq!(&dn[2..], n, "DELTA_ARG_NAMES out of sync with Counters");
+        all.push((dn, v));
+    }
+    nc.trace(name, "phase", start, Some(nc.now()), &all);
+    nc.inner.borrow_mut().ctr_base = merged;
+}
+
+/// Write parcels grouped per array: `(source node, payload)` pairs.
+type ParcelsByArray = BTreeMap<u32, Vec<(u32, Box<dyn Any + Send>)>>;
+
+/// End a node phase: publish node-shared writes, charge the cores' max
+/// compute plus the node barrier, release the VPs.
+pub(super) fn node_phase_end(nc: &mut NodeCtx<'_>) {
+    let cfg = nc.config();
+    let t0 = nc.now();
+    let compute = {
+        let mut inner = nc.inner.borrow_mut();
+        let inner = &mut *inner;
+        let wrote = inner.publish_node_writes(PhaseKind::Node);
+        failover::advance_node_line(inner, &cfg, wrote);
+        debug_assert!(
+            inner.frozen.garrays.iter().all(|g| !g.has_pending_writes()),
+            "global writes buffered during a node phase"
+        );
+        let compute = inner.take_core_compute();
+        inner.close_phase();
+        inner.phase.node_seq += 1;
+        inner.phase_log.push(PhaseRecord {
+            kind: PhaseKind::Node,
+            compute,
+            service: SimTime::ZERO,
+            comm: cfg.node_barrier,
+            waves: 0,
+            bytes_out: 0,
+            bytes_in: 0,
+        });
+        compute
+    };
+    nc.ep.clock.advance_compute(compute);
+    nc.ep.clock.advance_comm(cfg.node_barrier);
+
+    if nc.ep.tracer.enabled() {
+        let idx = nc.inner.borrow().phase.node_seq - 1;
+        let t1 = t0 + compute;
+        nc.trace("compute", "phase", t0, Some(t1), &[]);
+        nc.trace("barrier", "phase", t1, Some(nc.now()), &[]);
+        let args = [
+            ("compute_ps", compute.as_ps()),
+            ("barrier_ps", cfg.node_barrier.as_ps()),
+        ];
+        emit_phase_summary(nc, "node_phase", t0, idx, &args);
+    }
+}
+
+/// End a global phase. Each step is one call, in the one order the
+/// protocol is correct in (DESIGN.md §17 has the table of why each sits
+/// where it does).
+pub(super) fn global_phase_end(nc: &mut NodeCtx<'_>) {
+    let (me, nodes) = (nc.node_id(), nc.num_nodes());
+    let phase = nc.inner.borrow().phase.global_seq;
+    let t0 = nc.now();
+
+    // 1. Recover / detect: a seeded crash redoes the phase body before any
+    //    of it leaves the node; seeded deaths become suspicion bits.
+    let suspects = failover::recover_and_detect(nc, phase);
+
+    // 2. Drain the write buffers into per-destination bundles, noting which
+    //    arrays took writes at all. Own writes never travel: they join step
+    //    5's merge as source `me`.
+    let (coherence, mut outgoing) = drain_writes(nc);
+    let (own_bytes, own) = outgoing.remove(&me).unwrap_or_default();
+
+    // 3. Notices: tell every write destination a bundle is coming, and
+    //    learn who announced one for this node — the exchange's flush point.
+    debug_assert!(outgoing.values().all(|(_, bundle)| bundle.entries > 0));
+    let expected = exchange_sender_notices(nc, phase, outgoing.keys().copied());
+
+    // 4. Exchange: ship the bundles, collect exactly the announced ones.
+    let incoming = exchange_writes(nc, phase, outgoing, &expected);
+
+    // 5. Apply, in ascending source order per array; from here the arrays
+    //    hold phase+1's snapshot and `global_seq` says so.
+    apply_writes(nc, phase, incoming, own);
+
+    // 6. Rebalance: after writes applied, before the recovery line advances.
+    balance::maybe_rebalance(nc, phase);
+
+    // 7. Recovery line, and the buddy's replica frame cut from it.
+    let replica = failover::advance_recovery_line(nc, own_bytes as u64);
+
+    // 8. Charge the phase's modeled time.
+    let (charge, t) = charge_phase_time(nc);
+
+    // 9. Clock barrier, carrying each feature's part; every later phase of
+    //    any peer happens after this node's first send in it.
+    let my_load = (charge.compute + charge.service).as_ps();
+    let failover = {
+        let inner = &mut nc.inner.borrow_mut();
+        FailoverPart::new(inner, (me, nodes), suspects, replica, my_load)
+    };
+    let parts = BarrierParts {
+        coherence,
+        loads: LoadBlock::new(me, nodes, my_load),
+        failover,
+    };
+    let barrier_start = nc.now();
+    clock_barrier(nc, phase, parts);
+
+    // 10. Close the phase and release the VPs.
+    {
+        let mut inner = nc.inner.borrow_mut();
+        inner.close_phase();
+        debug_assert!(
+            inner.frozen.garrays.iter().all(|g| g.arena_is_empty()),
+            "response values outlived their global phase"
+        );
+    }
+
+    if nc.ep.tracer.enabled() {
+        let barrier_end = nc.now();
+        nc.trace("barrier", "phase", barrier_start, Some(barrier_end), &[]);
+        // Refresh pushes sent during the barrier that just closed this
+        // phase land in the live (already reset) traffic — read them
+        // there so the summary's bundle reconciliation stays exact
+        // (their *time* is charged next phase; see `Traffic` docs).
+        let refresh_out = nc.inner.borrow().traffic.refresh_bundles_out;
+        let args = [
+            ("compute_ps", charge.compute.as_ps()),
+            ("service_ps", charge.service.as_ps()),
+            ("comm_ps", charge.comm.as_ps()),
+            ("barrier_ps", (barrier_end - barrier_start).as_ps()),
+            ("waves", t.waves),
+            ("bytes_out", charge.bytes_out),
+            ("bytes_in", charge.bytes_in),
+            ("req_bundles_out", t.req_bundles_out),
+            ("write_bundles_out", t.write_bundles_out),
+            ("refresh_bundles_out", refresh_out),
+            ("rel_delay_ps", t.rel_delay.as_ps()),
+        ];
+        emit_phase_summary(nc, "global_phase", t0, phase, &args);
+    }
+}
+
+/// `(payload bytes, bundle)` keyed by destination, holding only
+/// destinations a parcel was emitted for — nothing here is sized by the
+/// node count.
+type Outgoing = BTreeMap<usize, (usize, WriteBundleMsg)>;
+
+/// Step 2: drain every array's write buffer into per-destination parcels
+/// (the drain also tells the conformance checker of this node's write-write
+/// conflicts), after coherence has noted which arrays hold writes.
+fn drain_writes(nc: &mut NodeCtx<'_>) -> (CoherencePart, Outgoing) {
+    let (me, nodes) = (nc.node_id(), nc.num_nodes());
+    let mut outgoing = Outgoing::new();
+    let mut inner = nc.inner.borrow_mut();
+    let coherence = (inner.coherence).barrier_part(me, nodes, &inner.frozen.garrays);
+    let (arrays, mut checker) = inner.thaw_with_checker();
+    for (id, ga) in arrays.garrays.iter_mut().enumerate() {
+        // Every VP has arrived, so every parked read has resumed and
+        // copied its value out: the phase's response values can go.
+        ga.arena_clear();
+        let checker = checker.as_deref_mut();
+        let conflicts =
+            checker.map(|c| c.conflicts_in(Space::Global, id as u32, PhaseKind::Global));
+        for parcel in ga.drain_writes(conflicts) {
+            let (bytes, bundle) = outgoing.entry(parcel.dest).or_default();
+            *bytes += parcel.bytes;
+            bundle.entries += parcel.entries;
+            bundle.parts.push((id as u32, parcel.payload));
+        }
+    }
+    (coherence, outgoing)
+}
+
+/// Step 4: ship the bundles — only non-empty ones travel — and collect
+/// exactly the announced ones, servicing read requests from stragglers
+/// still inside their phase bodies. Returns `(source, wire bytes, bundle)`
+/// ascending.
+fn exchange_writes(
+    nc: &mut NodeCtx<'_>,
+    phase: u64,
+    outgoing: Outgoing,
+    expected: &NodeSet,
+) -> Vec<(u32, u64, WriteBundleMsg)> {
+    let header = nc.config().bundle_header_bytes;
+    let mut shipping = Vec::with_capacity(outgoing.len());
+    {
+        let mut inner = nc.inner.borrow_mut();
+        for (dest, (payload_bytes, bundle)) in outgoing {
+            let bytes = header + payload_bytes;
+            inner.traffic.write_bundles_out += 1;
+            inner.traffic.write_entries_out += bundle.entries;
+            inner.traffic.write_bytes_out += bytes as u64;
+            shipping.push((dest, bytes, bundle));
+        }
+    }
+    let incoming = exchange(nc, msgs::K_WRITE, phase, shipping, expected);
+    let mut inner = nc.inner.borrow_mut();
+    for (_, bytes, bundle) in &incoming {
+        inner.traffic.write_bundles_in += 1;
+        inner.traffic.write_entries_in += bundle.entries;
+        inner.traffic.write_bytes_in += bytes;
+    }
+    drop(inner);
+    incoming
+}
+
+/// Step 5: group parcels by array (own writes participate as source `me`;
+/// each array's merge takes its sources in ascending order), apply them,
+/// and let coherence pick what to push to peer caches.
+fn apply_writes(
+    nc: &mut NodeCtx<'_>,
+    phase: u64,
+    incoming: Vec<(u32, u64, WriteBundleMsg)>,
+    own: WriteBundleMsg,
+) {
+    let (me, nodes) = (nc.node_id(), nc.num_nodes());
+    let mut by_array: ParcelsByArray = BTreeMap::new();
+    let remote = incoming.into_iter().map(|(src, _, b)| (src, b.parts));
+    for (src, parts) in remote.chain([(me as u32, own.parts)]) {
+        for (array, payload) in parts {
+            by_array.entry(array).or_default().push((src, payload));
+        }
+    }
+    let mut inner = nc.inner.borrow_mut();
+    let inner = &mut *inner;
+    // Every phase-`phase` read request has been serviced by now — the
+    // notice dissemination of step 3 is the exchange's flush point (see
+    // `exchange_sender_notices`) — and no phase+1 request can have been
+    // serviced yet (`global_seq` still gates them). Folding the parked
+    // service counters and the serve log here attributes them to this
+    // phase deterministically, whatever real-time moment the requests
+    // actually arrived at.
+    let deferred = std::mem::take(&mut inner.deferred_service_ctrs);
+    inner.counters = inner.counters.merge(&deferred);
+    inner.coherence.fold_serves(phase);
+    let mut applied = 0u64;
+    for (array, parcels) in by_array {
+        // Split borrow: applied writes bump tile recency on resident tiles
+        // (write-through without admission, DESIGN.md §18).
+        let arrays = inner.thaw();
+        let tiles = &mut arrays.tile_budget;
+        let (n, written) = arrays.garrays[array as usize]
+            .apply_writes(parcels, &mut |off| tiles.touch(array, off));
+        applied += n;
+        let ga = &*inner.frozen.garrays[array as usize];
+        (inner.coherence).select_refresh((me, nodes), array, written, ga);
+    }
+    // Node-shared writes made inside the global phase publish too.
+    inner.publish_node_writes(PhaseKind::Global);
+    inner.service_time += nc.config().service_overhead.scale(applied);
+    // The arrays now hold the next phase's snapshot: requests for phase+1
+    // may legally arrive (from nodes that already finished the clock
+    // barrier) and be serviced from here on.
+    inner.phase.global_seq += 1;
+}
+
+/// Turn the phase's traffic totals and compute accumulators into simulated
+/// time on this node's clock. Returns the phase's record — the modeled time
+/// charged — and the traffic totals it was computed from (kept for the
+/// tracer's phase summary).
+fn charge_phase_time(nc: &mut NodeCtx<'_>) -> (PhaseRecord, Traffic) {
+    let cfg = nc.config();
+    let net = cfg.machine.net;
+    let (compute, service, t) = {
+        let mut inner = nc.inner.borrow_mut();
+        let compute = inner.take_core_compute();
+        let service = std::mem::take(&mut inner.service_time);
+        (compute, service, std::mem::take(&mut inner.traffic))
+    };
+
+    // Refresh pushes ride barrier messages; the previous barrier recorded
+    // their bytes into the (already reset) live Traffic, so they surface
+    // here one phase later — symmetrically on sender and receiver, hence
+    // still deterministic. The job's final barrier's refresh bytes are
+    // never charged as time (the counters still count them).
+    let mut bytes_out =
+        t.req_bytes_out + t.resp_bytes_out + t.write_bytes_out + t.refresh_bytes_out;
+    let mut bytes_in = t.req_bytes_in + t.resp_bytes_in + t.write_bytes_in + t.refresh_bytes_in;
+    // Migration payloads (adaptive repartitioning, DESIGN.md §14) are
+    // runtime bulk transfers — one bundle per peer regardless of the
+    // bundling ablation — charged in the rebalancing phase's gap term.
+    bytes_out += t.migr_bytes_out;
+    bytes_in += t.migr_bytes_in;
+    // Replica frames ride barrier messages like refresh pushes and are
+    // recorded into the live (already reset) Traffic during the barrier,
+    // so their time likewise surfaces one phase later — but only on the
+    // RECEIVING end (the buddy ingesting the frame into its replica
+    // store): the sender streams the frame during the barrier gap it is
+    // already paying, so the send side is modeled free. The final
+    // barrier's frame is never charged as time.
+    bytes_in += t.replica_bytes_in;
+    let (mut msgs_out, mut msgs_in) = if cfg.bundling {
+        (
+            t.req_bundles_out + t.resp_bundles_out + t.write_bundles_out,
+            t.req_bundles_in + t.resp_bundles_in + t.write_bundles_in,
+        )
+    } else {
+        // Ablation: every element access is its own message, with its own
+        // per-message overhead and framing bytes.
+        let extra_out = (t.req_entries_out + t.req_entries_in + t.write_entries_out) * 16;
+        let extra_in = (t.req_entries_in + t.req_entries_out + t.write_entries_in) * 16;
+        bytes_out += extra_out;
+        bytes_in += extra_in;
+        (
+            t.req_entries_out + t.req_entries_in + t.write_entries_out,
+            t.req_entries_in + t.req_entries_out + t.write_entries_in,
+        )
+    };
+
+    msgs_out += t.migr_bundles_out;
+    msgs_in += t.migr_bundles_in;
+
+    // Reliability layer (zero when disabled): retransmitted/duplicate
+    // envelopes pay per-message overhead, and backoff/fault delay is
+    // exposed wait time. Cumulative acks are modeled as piggybacked and
+    // cost no simulated time (see `Traffic::rel_extra_msgs`).
+    msgs_out += t.rel_extra_msgs;
+
+    // Node-level sender: the runtime owns the NIC (share factor 1).
+    let gap = net.gap_per_byte.scale(bytes_out.max(bytes_in));
+    let overhead = net.overhead.scale(msgs_out + msgs_in);
+    // Wave pipelining hides compute merged while a multi-destination wave
+    // was partially consumed under the wave's exposed response legs —
+    // capped by the hideable budget (one latency per >=2-destination
+    // wave), which is itself <= latency.scale(waves), so the subtraction
+    // cannot underflow.
+    let hidden = t.pipelined_compute.min(t.pipeline_hideable);
+    let latency = net.latency.scale(2 * t.waves) - hidden;
+
+    let busy = compute + service;
+    let busy_start = nc.ep.clock.now();
+    nc.ep.clock.advance_compute(busy);
+    let comm = if cfg.overlap {
+        // Gap time hides under computation (§3.3 overlap); overheads and
+        // wave round trips do not.
+        let exposed_gap = if gap > busy {
+            gap - busy
+        } else {
+            SimTime::ZERO
+        };
+        exposed_gap + overhead + latency
+    } else {
+        gap + overhead + latency
+    };
+    let comm = comm + t.rel_delay;
+    nc.ep.clock.advance_comm(comm);
+    let record = PhaseRecord {
+        kind: PhaseKind::Global,
+        compute,
+        service,
+        comm,
+        waves: t.waves,
+        bytes_out,
+        bytes_in,
+    };
+    nc.inner.borrow_mut().phase_log.push(record);
+
+    let busy_end = busy_start + busy;
+    let args = [
+        ("compute_ps", compute.as_ps()),
+        ("service_ps", service.as_ps()),
+    ];
+    nc.trace("compute", "phase", busy_start, Some(busy_end), &args);
+    let args = [
+        ("waves", t.waves),
+        ("bytes_out", bytes_out),
+        ("bytes_in", bytes_in),
+    ];
+    nc.trace("comm", "phase", busy_end, Some(busy_end + comm), &args);
+
+    (record, t)
+}
+
+/// Sparse-exchange sender notices (DESIGN.md §17): this node tells every
+/// peer in `dests` "expect a non-empty [`K_WRITE`] bundle from me", each
+/// notice source-routed over the clock barrier's dissemination edges
+/// ([`crate::dissem::Edge::carries`]) instead of replicated to all nodes. Returns the set
+/// of peers that announced a bundle for this node this phase.
+///
+/// Modeled free: zero wire bytes, no clock advance, no message counters.
+///
+/// Determinism note — this dissemination is also the exchange's *flush
+/// point*, which is why every node sends exactly one token per round even
+/// when no notice rides it. A peer's phase-`phase` read requests are
+/// enqueued to this node's inbox before the peer's round-0 token send
+/// (program order on the peer), and that send transitively happens-before
+/// some token this node receives (each hop sends round `r+1` only after
+/// receiving round `r`, and the edges reach every node from every node).
+/// The per-endpoint inbox is one FIFO queue, so by the time the final
+/// round's `pump_recv` returns, every peer's phase-`phase` requests have
+/// been dequeued — and `pump_recv` services them inline. Step 4's
+/// deferred-counter and serve-history folds rely on it; nothing else in the
+/// exchange provides it (a node waits for bundles from announced senders
+/// only). No phase-`phase+1` token can arrive before step 6: a peer
+/// starts its next phase only after its clock barrier completes, which
+/// transitively requires this node's barrier sends.
+///
+/// [`K_WRITE`]: msgs::K_WRITE
+fn exchange_sender_notices(
+    nc: &mut NodeCtx<'_>,
+    phase: u64,
+    dests: impl ExactSizeIterator<Item = usize>,
+) -> NodeSet {
+    let me = nc.node_id();
+    let nodes = nc.num_nodes();
+    if nodes == 1 {
+        return NodeSet::new();
+    }
+    let write_dests = dests.len() as u64;
+    let mut notices = Notices::new(me, nodes, dests);
+    for edge in dissemination(me, nodes) {
+        let tag = msgs::tag(msgs::K_TOKENS, msgs::barrier_meta(phase, edge.round));
+        let token = TokenMsg {
+            phase,
+            notices: notices.take_for(edge),
+        };
+        let now = nc.ep.clock.now();
+        nc.send_msg(
+            Message::new(me, edge.to, tag, now, 0, token),
+            msgs::K_TOKENS,
+        );
+        let msg = nc.pump_recv(|m| m.tag == tag && m.src == edge.from);
+        let tm: TokenMsg = msg.take();
+        debug_assert_eq!(tm.phase, phase);
+        notices.absorb(tm.notices);
+    }
+    let expected = notices.into_expected();
+    let args = [
+        ("phase", phase),
+        ("write_dests", write_dests),
+        ("expected_senders", expected.count() as u64),
+    ];
+    nc.trace("token_exchange", "runtime", nc.now(), None, &args);
+    expected
+}
+
+/// One bundle exchange of a phase end — the write exchange ([`K_WRITE`]) and
+/// a rebalance's migration ([`K_MIGRATE`]) are the same protocol: send each
+/// `(dest, wire bytes, payload)` of `outgoing` (ascending destinations, no
+/// empty bundle), then block until every peer in `expected` has delivered
+/// its own, servicing read requests from stragglers meanwhile. Returns
+/// `(source, wire bytes, payload)` in ascending source order. Message and
+/// bundle counters are kept here; what the bytes mean to the phase's cost
+/// (`Traffic`'s `write_*` or `migr_*` columns) is the caller's to add.
+///
+/// [`K_WRITE`]: msgs::K_WRITE
+/// [`K_MIGRATE`]: msgs::K_MIGRATE
+pub(crate) fn exchange<M: Send + 'static>(
+    nc: &mut NodeCtx<'_>,
+    kind: u64,
+    phase: u64,
+    outgoing: Vec<(usize, usize, M)>,
+    expected: &NodeSet,
+) -> Vec<(u32, u64, M)> {
+    let me = nc.node_id();
+    let tag = msgs::tag(kind, phase);
+    for (dest, bytes, payload) in outgoing {
+        debug_assert!(dest != me && bytes > 0);
+        {
+            let mut inner = nc.inner.borrow_mut();
+            inner.counters.msgs_sent += 1;
+            inner.counters.bytes_sent += bytes as u64;
+            inner.counters.bundles_sent += 1;
+        }
+        let now = nc.ep.clock.now();
+        nc.send_msg(Message::new(me, dest, tag, now, bytes, payload), kind);
+    }
+    let want = expected.count() as usize;
+    let mut incoming: Vec<(u32, u64, M)> = Vec::with_capacity(want);
+    while incoming.len() < want {
+        let msg = nc.pump_recv(|m| m.tag == tag);
+        let (src, bytes) = (msg.src, msg.bytes as u64);
+        debug_assert!(
+            expected.contains(src),
+            "node {src} sent a {} bundle nobody announced",
+            msgs::kind_name(kind)
+        );
+        debug_assert!(
+            bytes > 0,
+            "node {src} shipped an empty {} bundle",
+            msgs::kind_name(kind)
+        );
+        {
+            let mut inner = nc.inner.borrow_mut();
+            inner.counters.msgs_recv += 1;
+            inner.counters.bytes_recv += bytes;
+        }
+        incoming.push((src as u32, bytes, msg.take()));
+    }
+    incoming.sort_by_key(|&(src, ..)| src);
+    incoming
+}

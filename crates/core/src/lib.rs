@@ -92,12 +92,14 @@
 mod balance;
 pub mod bitset;
 pub mod check;
+mod coherence;
 mod config;
 mod dissem;
 mod dist;
 mod elem;
 pub mod error;
 mod exec;
+mod failover;
 pub mod msgs;
 mod nodecoll;
 mod nodectx;

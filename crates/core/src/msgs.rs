@@ -6,9 +6,6 @@
 
 use std::any::Any;
 
-use crate::bitset::NodeSet;
-use crate::state::GArrayObj;
-
 /// Read-request bundle (one per destination per wave). Kinds live in the
 /// top byte of the 64-bit tag.
 pub const K_READ_REQ: u64 = 1;
@@ -16,7 +13,7 @@ pub const K_READ_REQ: u64 = 1;
 pub const K_READ_RESP: u64 = 2;
 /// End-of-phase write bundle.
 pub const K_WRITE: u64 = 3;
-/// Clock-synchronizing dissemination-barrier message.
+/// Clock-synchronizing dissemination-barrier message (`exec::barrier`).
 pub const K_BARRIER: u64 = 4;
 /// Node-level collective message.
 pub const K_COLL: u64 = 5;
@@ -103,120 +100,6 @@ pub(crate) struct RespBundle {
     pub parts: Vec<RespPart>,
 }
 
-/// One array's worth of owner-pushed cache refreshes riding a barrier
-/// message (DESIGN.md §13). Values are post-exchange truth for the phase
-/// the barrier closes, routed along the dissemination edges: `masks`
-/// carries each entry's remaining destination set (bit = node id), and a
-/// holder forwards exactly the targets the current round's edge carries
-/// ([`crate::dissem::Edge::carries`]), so every target receives each entry
-/// once.
-pub(crate) struct RefreshPart {
-    pub array: u32,
-    /// Element indices, parallel to `values`.
-    pub idxs: Vec<u64>,
-    /// Remaining destination-node sets per entry, parallel to `idxs`.
-    pub masks: Vec<NodeSet>,
-    /// `Vec<T>` for the array's element type, parallel to `idxs`.
-    /// `Sync` as well as `Send` because undelivered parts park in
-    /// [`crate::state::Inner::pending_refresh`] between rounds.
-    pub values: Box<dyn Any + Send + Sync>,
-}
-
-impl RefreshPart {
-    /// Split by destination: the entries with a target in `set`, their
-    /// masks cut down to it — with the modeled bytes of their values — and
-    /// the entries with a target outside it, their masks with `set` taken
-    /// out. An entry with targets on both sides goes both ways; a side with
-    /// no entry is `None`. `ga` is the part's array (the values are
-    /// type-erased).
-    pub fn split(
-        self,
-        set: &NodeSet,
-        ga: &dyn GArrayObj,
-    ) -> (Option<(RefreshPart, u64)>, Option<RefreshPart>) {
-        // One side: the entries whose mask `cut` leaves a target in.
-        let side = |cut: fn(&NodeSet, &NodeSet) -> NodeSet| {
-            let mut take = Vec::with_capacity(self.masks.len());
-            let (idxs, masks): (Vec<u64>, Vec<NodeSet>) = (self.idxs.iter().zip(&self.masks))
-                .filter_map(|(&idx, mask)| {
-                    let mask = cut(mask, set);
-                    take.push(mask.any());
-                    mask.any().then_some((idx, mask))
-                })
-                .unzip();
-            if idxs.is_empty() {
-                return None;
-            }
-            let (values, value_bytes) = ga.refresh_select(self.values.as_ref(), &take);
-            let part = RefreshPart {
-                array: self.array,
-                idxs,
-                masks,
-                values,
-            };
-            Some((part, value_bytes))
-        };
-        let inside = side(NodeSet::intersection);
-        let outside = side(NodeSet::difference);
-        (inside, outside.map(|(part, _)| part))
-    }
-}
-
-/// Clock-barrier payload. Pre-cache the barrier carried no payload a
-/// receiver consumed; the read-cache coherence sidecar rides these
-/// messages so the protocol adds no messages of its own: `inv_bits` is
-/// the OR-flood of "this array took writes this phase" (one growable bit
-/// per array id — no overflow/wholesale case), and `refreshes` are
-/// owner-pushed values for remotely cached elements that were rewritten.
-pub(crate) struct BarrierMsg {
-    pub inv_bits: NodeSet,
-    /// Failure-detector sidecar (DESIGN.md §15): OR-flood of "I suspect
-    /// node `i` permanently dead" bits (bit = node id). After the barrier
-    /// every node holds the identical union, so deaths are confirmed by
-    /// all survivors at the same phase boundary — a pure function of
-    /// message history. Rides messages the barrier sends anyway.
-    pub suspect_bits: NodeSet,
-    /// Buddy snapshot-replication sidecar (DESIGN.md §15), attached only
-    /// to the round-0 dissemination message — whose destination,
-    /// `(me+1) % nodes`, is exactly the buddy.
-    pub replica: Option<ReplicaFrame>,
-    /// Hosted-persona compute (picoseconds) a dead rank charges to the
-    /// buddy that hosts it, attached only to the round-0 message: the
-    /// buddy serializes the dead rank's re-executed VPs after its own, so
-    /// it advances its clock by this much inside the barrier.
-    pub hosted_compute_ps: u64,
-    pub refreshes: Vec<RefreshPart>,
-    /// Loads sidecar for the adaptive repartitioner (DESIGN.md §14): the
-    /// compute+service picoseconds of every rank the sender has heard from
-    /// for the phase this barrier closes, in block order — entry `j` is
-    /// rank `sender − j (mod nodes)`. At round `r` a sender holds exactly
-    /// its `2^r` nearest predecessors, so a receiver appends the block
-    /// behind its own and, after the final round (truncated to `nodes`),
-    /// every node holds the identical load vector. Like `inv_bits`, modeled
-    /// free — it rides messages the barrier sends anyway, keeping makespans
-    /// bit-identical whether the balance knob is on or off (until a
-    /// migration actually happens).
-    pub loads: Vec<u64>,
-}
-
-/// One snapshot-replica delta frame streamed to the buddy (DESIGN.md §15).
-/// Metadata only: the simulator never needs the payload bytes on the wire
-/// (a failover restores from the victim's own snapshot, which is
-/// byte-identical to the buddy's replica by construction), so the frame
-/// carries just the modeled size for cost accounting and the
-/// `replica_bytes` counter.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReplicaFrame {
-    /// Global phase sequence of the snapshot this frame brings the buddy's
-    /// replica up to.
-    pub phase: u64,
-    /// Modeled frame bytes: the full snapshot on the first (base) frame,
-    /// the bytes written since the previous snapshot on delta frames.
-    pub bytes: u64,
-    /// Whether this is a base (full-snapshot) frame.
-    pub base: bool,
-}
-
 /// End-of-phase write bundle: buffered writes destined for one owner node.
 #[derive(Default)]
 pub(crate) struct WriteBundleMsg {
@@ -245,7 +128,7 @@ pub(crate) struct TokenMsg {
 /// one peer, never empty — both sides derive who sends to whom from the
 /// replicated rebalance plan. `(array id, global start index, Vec<T>
 /// payload)` per moved stretch.
-pub(crate) type MigrateMsg = Vec<(u32, u64, Box<dyn Any + Send>)>;
+pub(crate) type MigrateMsg = Vec<(u32, usize, Box<dyn Any + Send>)>;
 
 #[cfg(test)]
 mod tests {
@@ -274,40 +157,6 @@ mod tests {
                 assert_eq!(untag(tag(kind, meta)), (kind, meta));
             }
         }
-    }
-
-    /// Entries go to the side(s) their targets lie on, masks cut to match;
-    /// a side nothing lands on is `None`.
-    #[test]
-    fn refresh_part_splits_by_target_set() {
-        use crate::dist::Dist;
-        use crate::state::GArray;
-        let ga: GArray<u64> = GArray::new(Dist::block(16, 4), 0);
-        let set = |bits: &[usize]| bits.iter().copied().collect::<NodeSet>();
-        let part = || RefreshPart {
-            array: 7,
-            idxs: vec![1, 2, 3],
-            masks: vec![set(&[1]), set(&[1, 2, 70]), set(&[3])],
-            values: Box::new(vec![10u64, 20, 30]),
-        };
-        let values = |p: &RefreshPart| p.values.downcast_ref::<Vec<u64>>().unwrap().clone();
-
-        let (inside, outside) = part().split(&set(&[1, 2]), &ga);
-        let (inside, bytes) = inside.expect("two entries target the set");
-        assert_eq!((inside.array, &inside.idxs[..]), (7, &[1, 2][..]));
-        assert!(inside.masks == [set(&[1]), set(&[1, 2])]);
-        assert_eq!((values(&inside), bytes), (vec![10, 20], 8 + 2 * 8));
-        let outside = outside.expect("two entries target nodes outside it");
-        assert_eq!(outside.idxs, [2, 3]);
-        assert!(outside.masks == [set(&[70]), set(&[3])]);
-        assert_eq!(values(&outside), [20, 30]);
-
-        let (inside, outside) = part().split(&set(&[0]), &ga);
-        assert!(inside.is_none());
-        assert_eq!(outside.expect("everything").idxs, [1, 2, 3]);
-        let (inside, outside) = part().split(&set(&[1, 2, 3, 70]), &ga);
-        assert_eq!(inside.expect("everything").0.idxs, [1, 2, 3]);
-        assert!(outside.is_none());
     }
 
     #[test]

@@ -14,7 +14,8 @@ use std::any::Any;
 
 use ppm_simnet::{Message, WireSize};
 
-use crate::msgs::{self};
+use crate::dissem::dissemination;
+use crate::msgs;
 use crate::nodectx::NodeCtx;
 
 impl NodeCtx<'_> {
@@ -57,16 +58,10 @@ impl NodeCtx<'_> {
     /// Dissemination barrier across nodes.
     pub fn barrier_nodes(&mut self) {
         let seq = self.next_coll();
-        let p = self.num_nodes();
-        let me = self.node_id();
-        let mut d = 1usize;
-        let mut step = 0u32;
-        while d < p {
-            let tag = Self::coll_tag(seq, step);
-            self.send_coll((me + d) % p, tag, ());
-            let () = self.recv_coll((me + p - d) % p, tag);
-            d <<= 1;
-            step += 1;
+        for edge in dissemination(self.node_id(), self.num_nodes()) {
+            let tag = Self::coll_tag(seq, edge.round);
+            self.send_coll(edge.to, tag, ());
+            let () = self.recv_coll(edge.from, tag);
         }
         self.ep.counters.barriers += 1;
     }

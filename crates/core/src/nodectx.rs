@@ -19,7 +19,7 @@ use crate::msgs::{self, RespBundle, RespPart};
 use crate::reliable::Reliability;
 use crate::shared::{GlobalShared, NodeShared};
 use crate::state::{
-    garray_mut, garray_ref, narray_mut, narray_ref, GArray, Inner, NArray, SharedInner, Snapshots,
+    garray_mut, garray_ref, narray_mut, narray_ref, GArray, Inner, NArray, SharedInner,
 };
 use crate::vp::Vp;
 
@@ -96,6 +96,28 @@ impl<'a> NodeCtx<'a> {
         self.ep.counters.merge(&self.inner.borrow().counters)
     }
 
+    /// Emit a trace event whose arguments are all integers: the span
+    /// `[start, end]`, or an instant at `start` when `end` is `None`.
+    /// Tests `enabled()` itself — a caller keeps its own guard only where
+    /// *computing* an argument costs.
+    pub(crate) fn trace(
+        &self,
+        name: &'static str,
+        cat: &'static str,
+        start: SimTime,
+        end: Option<SimTime>,
+        args: &[(&'static str, u64)],
+    ) {
+        if !self.ep.tracer.enabled() {
+            return;
+        }
+        let args = args.iter().map(|&(k, v)| (k, ArgValue::U64(v))).collect();
+        match end {
+            Some(end) => self.ep.tracer.span(name, cat, start, end, args),
+            None => self.ep.tracer.instant(name, cat, start, args),
+        }
+    }
+
     /// High-water mark of resident shared-array bytes on this node under
     /// the pseudo-streaming tile budget (DESIGN.md §18). Zero when
     /// streaming is off ([`PpmConfig::with_tile_budget`] unset): residency
@@ -166,7 +188,7 @@ impl<'a> NodeCtx<'a> {
         let block = Dist::block(len, nodes);
         let dist = Dist::weighted(len, nodes, std::sync::Arc::new(block.bounds()));
         let g = self.alloc_global_dist::<T>(dist);
-        self.inner.borrow_mut().balanced.push(g.id);
+        self.inner.borrow_mut().balancer.opt_in(g.id);
         g
     }
 
@@ -307,16 +329,12 @@ impl<'a> NodeCtx<'a> {
             if out.meta.lost_attempts > 0 {
                 // A lost attempt is observed (and re-sent) by the sender;
                 // record it on the sender's track.
-                self.ep.tracer.instant(
-                    "retransmit",
-                    "reliability",
-                    self.ep.clock.now(),
-                    vec![
-                        ("dst", ArgValue::U64(msg.dst as u64)),
-                        ("attempts", ArgValue::U64(out.meta.lost_attempts as u64)),
-                        ("backoff_ps", ArgValue::U64(out.backoff.as_ps())),
-                    ],
-                );
+                let args = [
+                    ("dst", msg.dst as u64),
+                    ("attempts", out.meta.lost_attempts as u64),
+                    ("backoff_ps", out.backoff.as_ps()),
+                ];
+                self.trace("retransmit", "reliability", self.now(), None, &args);
             }
             msg = msg.with_rel(out.meta);
         }
@@ -344,7 +362,7 @@ impl<'a> NodeCtx<'a> {
     /// instead; the watchdog never fires for a confirmed-dead peer.
     fn recv_raw(&mut self) -> Message {
         if !self.cfg.replication {
-            let dead = self.inner.try_borrow().and_then(|i| i.dead_bits.first());
+            let dead = (self.inner.try_borrow()).and_then(|i| i.failover.first_dead());
             if let Some(victim) = dead {
                 let phase = self.inner.try_borrow().map_or(0, |i| i.phase.global_seq);
                 RecoveryError {
@@ -387,15 +405,8 @@ impl<'a> NodeCtx<'a> {
         };
         let out = rel.on_recv(src, meta);
         if out.dups_suppressed > 0 {
-            self.ep.tracer.instant(
-                "dup_suppressed",
-                "reliability",
-                self.ep.clock.now(),
-                vec![
-                    ("src", ArgValue::U64(src as u64)),
-                    ("count", ArgValue::U64(out.dups_suppressed as u64)),
-                ],
-            );
+            let args = [("src", src as u64), ("count", out.dups_suppressed as u64)];
+            self.trace("dup_suppressed", "reliability", self.now(), None, &args);
         }
         let mut inner = self.inner.borrow_mut();
         inner.counters.dups_suppressed += u64::from(out.dups_suppressed);
@@ -462,68 +473,6 @@ impl<'a> NodeCtx<'a> {
         }
     }
 
-    // -- crash-recovery snapshots ---------------------------------------------
-
-    /// Whether super-step snapshots are being maintained (a crash or
-    /// permanent-death fault is configured, or buddy replication is on —
-    /// the snapshot doubles as the replica's source of truth).
-    pub(crate) fn snapshots_enabled(&self) -> bool {
-        self.cfg.replication
-            || self
-                .rel
-                .as_deref()
-                .is_some_and(Reliability::snapshots_enabled)
-    }
-
-    /// Capture the super-step snapshot of every shared array.
-    ///
-    /// The snapshot store is maintained copy-on-write, so refreshing it
-    /// costs only the bytes actually written since the previous capture —
-    /// the same dirty set the replica delta frames ship (DESIGN.md §15).
-    /// `dirty: Some(n)` charges `n` bytes of copying (capped at the full
-    /// size); `dirty: None` — the first capture, or a construct-entry
-    /// refresh after untracked direct mutation — charges the full copy.
-    pub(crate) fn take_snapshot(&mut self, dirty: Option<u64>) {
-        let core = self.cfg.machine.core;
-        let mut inner = self.inner.borrow_mut();
-        let had_snapshot = inner.snapshots.is_some();
-        let phase = inner.phase.global_seq;
-        let mut bytes = 0u64;
-        let garrays: Vec<_> = inner
-            .frozen
-            .garrays
-            .iter()
-            .map(|g| {
-                let (p, b) = g.snapshot_local();
-                bytes += b;
-                p
-            })
-            .collect();
-        let narrays: Vec<_> = inner
-            .frozen
-            .narrays
-            .iter()
-            .map(|n| {
-                let (p, b) = n.snapshot_local();
-                bytes += b;
-                p
-            })
-            .collect();
-        inner.snapshots = Some(Snapshots {
-            phase,
-            garrays,
-            narrays,
-            bytes,
-        });
-        let charged = match dirty {
-            Some(d) if had_snapshot => d.min(bytes),
-            _ => bytes,
-        };
-        // Streaming cache-line copies, not random-access element ops: one
-        // charged memory operation per 64-byte line.
-        inner.service_time += core.mem_ops(charged / 64);
-    }
-
     /// Serve a bundle of read requests against this node's partitions.
     pub(crate) fn service_read_req(&mut self, msg: Message) {
         let src = msg.src;
@@ -531,7 +480,7 @@ impl<'a> NodeCtx<'a> {
         let bundle: msgs::ReqBundle = msg.take();
         let mut inner = self.inner.borrow_mut();
         // Protocol check: a request can only target the phase whose
-        // snapshot our arrays currently hold (see exec.rs determinism
+        // snapshot our arrays currently hold (see `exec`'s determinism
         // notes) — i.e. the phase we have completed exactly `phase`
         // exchanges for.
         debug_assert_eq!(
@@ -554,17 +503,10 @@ impl<'a> NodeCtx<'a> {
         inner.deferred_service_ctrs.msgs_recv += 1;
         inner.deferred_service_ctrs.bytes_recv += req_bytes as u64;
 
-        // Refresh-push bookkeeping (DESIGN.md §13): remember who asked for
-        // what, so a later rewrite of a repeatedly-served element can push
-        // the new value to its readers. Folded into `serve_hist` at the
-        // phase end (arrival order here is a real-time accident; the fold
-        // sorts first). Masks are growable [`crate::NodeSet`]s, so every
-        // node count participates.
-        if self.cfg.read_cache {
-            inner
-                .deferred_serves
-                .extend(bundle.entries.iter().map(|e| (src, e.array, e.idx)));
-        }
+        // Refresh pushes (DESIGN.md §13): remember who asked for what, so a
+        // later rewrite of a repeatedly-served element can push the new
+        // value to its readers.
+        inner.coherence.note_serves(src, &bundle.entries);
 
         // One response part per array. The requester sorts its entries by
         // (array, idx), so each array is one contiguous run: split in
@@ -659,17 +601,7 @@ fn protocol_dump(
                 i.outstanding_reads,
                 i.reqs.iter().filter(|v| !v.is_empty()).count()
             );
-            if i.dead_bits.is_empty() {
-                let _ = writeln!(out, "  confirmed dead: none");
-            } else {
-                let _ = writeln!(out, "  confirmed dead: {:?}", i.dead_bits);
-            }
-            if let Some((ph, bytes, base)) = i.replica_in {
-                let _ = writeln!(
-                    out,
-                    "  buddy replica held: snapshot phase {ph} ({bytes} bytes, base={base})"
-                );
-            }
+            i.failover.dump(&mut out);
         }
         None => {
             let _ = writeln!(out, "  <runtime state borrowed at stall time>");

@@ -13,7 +13,7 @@
 //! entry/arrival — goes into that scratch. The executor merges scratches
 //! into `Inner` in ascending VP-rank order after each poll round, which is
 //! what makes the host-parallel scheduler bit-identical to a sequential
-//! one at any worker count (see `exec.rs` and DESIGN.md §12).
+//! one at any worker count (see `exec` and DESIGN.md §12).
 //!
 //! Phase semantics are implemented here:
 //!
@@ -38,20 +38,21 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ppm_simnet::{Counters, SimTime, WireSize};
 
-use crate::bitset::NodeSet;
+use crate::balance::Balancer;
 use crate::check::{first_disagreement, Checker, Conflicts, OwnWrites, PhaseViolation, Space};
+use crate::coherence::Coherence;
 use crate::config::PpmConfig;
 use crate::dist::Dist;
 use crate::elem::{AccumOp, Elem};
+use crate::failover::FailState;
 
 /// Bump one of the unit-test builds' per-thread cost counters
-/// ([`LOCKS_TAKEN`] and its neighbours); nothing in any other build.
+/// (`LOCKS_TAKEN` and its neighbours); nothing in any other build.
 macro_rules! count {
     ($counter:ident) => {
         #[cfg(test)]
@@ -1227,8 +1228,7 @@ pub(crate) struct GArray<T: Elem> {
     /// from response bundles or owner-pushed refreshes — as a flat
     /// `(global index, value)` vec sorted by index (binary-search lookup,
     /// no hashing). Consulted by [`VpCell::charge_get`] before queueing a
-    /// remote read; cleared when the array takes writes (exec.rs
-    /// invalidation).
+    /// remote read; cleared when the array takes writes (`coherence.rs`).
     rcache: Vec<(u64, T)>,
     /// The other half of [`Self::cache_merge`]'s double buffer (kept for
     /// its capacity only).
@@ -1377,8 +1377,8 @@ pub(crate) trait GArrayObj: Send + Sync {
     fn has_pending_writes(&self) -> bool;
     /// Read the post-apply values at `idxs` (owned global indices) into a
     /// refresh-push payload (`Vec<T>`). Like [`Self::serve`], but `Sync`
-    /// too: the entries park in [`Inner::pending_refresh`] between
-    /// dissemination rounds.
+    /// too: the entries park in [`Inner::coherence`] between dissemination
+    /// rounds.
     fn refresh_collect(&self, idxs: &[u64]) -> Box<dyn Any + Send + Sync>;
     /// Copy the `take`-marked subset of a refresh payload (`Vec<T>`);
     /// returns the subset payload and its modeled wire byte size.
@@ -1793,9 +1793,10 @@ pub(crate) struct Traffic {
     pub refresh_bytes_out: u64,
     /// Refresh-push bytes received riding barrier messages.
     pub refresh_bytes_in: u64,
-    /// Non-empty refresh payloads sent riding barrier messages (each also
-    /// counts once in `Counters::bundles_sent`; the tracer's phase summary
-    /// uses this so the bundle reconciliation stays exact).
+    /// Barrier sends that carried a refresh payload. Not bundles — nothing
+    /// here reaches `Counters::bundles_sent` (`coherence.rs` states the
+    /// rule); the tracer's phase summary reports it beside the bundle
+    /// columns.
     pub refresh_bundles_out: u64,
     /// Snapshot-replica frame bytes streamed to the buddy riding the
     /// round-0 barrier message (DESIGN.md §15). Like refresh bytes, they
@@ -1837,41 +1838,6 @@ pub(crate) struct Traffic {
 // ---------------------------------------------------------------------------
 // Inner: the per-node runtime state.
 // ---------------------------------------------------------------------------
-
-/// Super-step snapshot of this node's shared-array state, maintained while
-/// a crash fault is configured (see `exec.rs`). The BSP discipline makes
-/// this cheap to reason about: between phases the live arrays *are* the
-/// snapshot (writes are buffered during phase bodies), so a snapshot taken
-/// at each global phase end — plus redo of the crashed phase's (buffered,
-/// deterministic) work — is a complete recovery line.
-pub(crate) struct Snapshots {
-    /// `phase.global_seq` at capture time: the number of completed global
-    /// exchanges this state reflects.
-    pub phase: u64,
-    /// One `Vec<T>` payload per global array partition.
-    pub garrays: Vec<Box<dyn Any + Send + Sync>>,
-    /// One `Vec<T>` payload per node-shared array instance.
-    pub narrays: Vec<Box<dyn Any + Send + Sync>>,
-    /// Total modeled bytes of all payloads — the size of a base (full)
-    /// replica frame when buddy replication streams this snapshot
-    /// (DESIGN.md §15).
-    pub bytes: u64,
-}
-
-/// Serve history of one owned element, for the refresh-push side of the
-/// read cache (DESIGN.md §13). An element *arms* on its second serve
-/// within the TTL window: one serve is as likely read-once as read-again,
-/// two serves within a few phases is a reuse pattern worth pushing for.
-#[derive(Debug, Clone)]
-pub(crate) struct ServeHist {
-    /// `phase.global_seq` of the most recent serve (TTL pruning).
-    pub last_serve: u64,
-    /// Nodes that have requested this element. Growable — the old `u64`
-    /// word capped the push protocol at 64 nodes.
-    pub readers: NodeSet,
-    /// Whether rewrites of this element trigger an owner push.
-    pub armed: bool,
-}
 
 /// Outcome of a shared read issued by a VP.
 pub(crate) enum GetOutcome<T> {
@@ -2158,11 +2124,11 @@ pub(crate) struct Inner {
     /// Event counters, merged into the endpoint at exchange points.
     pub counters: Counters,
     /// Counters from servicing peers' read requests, parked until the
-    /// serviced phase's end folds them into `counters` (exec.rs). A peer
-    /// that is ahead of us can deliver a request early (during our clock
-    /// barrier, or a `ppm_do` prologue collective) — a real-time accident —
-    /// so crediting services immediately would make per-phase counter
-    /// deltas in the trace depend on host scheduling. Parking them keeps
+    /// serviced phase's end folds them into `counters` (`exec::phase_end`).
+    /// A peer that is ahead of us can deliver a request early (during our
+    /// clock barrier, or a `ppm_do` prologue collective) — a real-time
+    /// accident — so crediting services immediately would make per-phase
+    /// counter deltas in the trace depend on host scheduling. Parking them keeps
     /// every snapshot of the merged counters (which excludes this bucket)
     /// deterministic; totals are unaffected because the bucket always
     /// drains into `counters` by job end.
@@ -2184,64 +2150,16 @@ pub(crate) struct Inner {
     /// Violations flushed at phase barriers (drained by
     /// `NodeCtx::take_violations`).
     pub violations: Vec<PhaseViolation>,
-    /// Last super-step snapshot (crash recovery; `None` unless a crash
-    /// fault is configured).
-    pub snapshots: Option<Snapshots>,
     /// Merged-counter snapshot at the last phase boundary, used by the
     /// tracer to attach per-phase [`Counters`] deltas to phase events.
     /// Only maintained while tracing is enabled.
     pub ctr_base: Counters,
-    /// Refresh-push: serve history per owned `(array, global idx)`, folded
-    /// from [`Self::deferred_serves`] at each global phase end and TTL-pruned.
-    /// A `BTreeMap` so arming/pruning iterate in deterministic order.
-    pub serve_hist: BTreeMap<(u32, u64), ServeHist>,
-    /// Peer read requests served since the last global phase end, as
-    /// `(requesting node, array, global idx)` — recorded by
-    /// `service_read_req` in arrival order, folded into [`Self::serve_hist`]
-    /// (deterministically: sorted first) at phase end.
-    pub deferred_serves: Vec<(usize, u32, u64)>,
-    /// Refresh-push entries awaiting dissemination: owner-pushed values for
-    /// armed rewritten elements, each with its remaining destination mask.
-    /// Drained into barrier messages round by round (exec.rs).
-    pub pending_refresh: Vec<crate::msgs::RefreshPart>,
-    /// Ids of global arrays opted into adaptive repartitioning
-    /// (`NodeCtx::alloc_global_balanced`). Allocation order, hence
-    /// identical on every node.
-    pub balanced: Vec<u32>,
-    /// Per-node load (compute + service picoseconds) accumulated since the
-    /// last rebalance, replicated identically on every node by the free
-    /// loads sidecar of the clock barrier (`exec.rs`). Indexed by node id;
-    /// sized on first use.
-    pub load_acc: Vec<u64>,
-    /// Global phases folded into [`Self::load_acc`] since the last
-    /// rebalance — the balancer's hysteresis window.
-    pub load_window: u64,
-    /// Failure detector (DESIGN.md §15): nodes every survivor has
-    /// confirmed permanently dead, identical on all live nodes after the
-    /// confirming clock barrier. Growable — the old `u128` word capped
-    /// death detection at 128 nodes.
-    pub dead_bits: NodeSet,
-    /// Whether this rank is a hosted persona: its node died permanently
-    /// and the logical rank now runs on its buddy. The endpoint thread
-    /// continues as the buddy's deterministic reconstruction from the
-    /// replica; only the cost model changes (compute serializes onto the
-    /// buddy via the barrier's `hosted_compute_ps` sidecar).
-    pub hosted: bool,
-    /// One-shot failover cost (replica restore + redo of the victim's
-    /// unfinished phase) a freshly hosted persona charges to its buddy via
-    /// the next barrier's `hosted_compute_ps`, then clears.
-    pub hosted_extra: SimTime,
-    /// VPs hosted by each node in the current `ppm_do` (the prologue
-    /// allgather), kept for the failover trace instant's payload.
-    pub peer_vps: Vec<u64>,
-    /// Whether the buddy already holds a base (full-snapshot) replica
-    /// frame; reset on any new death confirmation so re-homed replicas
-    /// start from a fresh base frame.
-    pub replica_base_sent: bool,
-    /// Latest replica frame received from the predecessor, as
-    /// `(snapshot phase, bytes, base)` — shows in the watchdog's protocol
-    /// dump how fresh the hosted replica is.
-    pub replica_in: Option<(u64, u64, bool)>,
+    /// Read-cache coherence (DESIGN.md §13).
+    pub coherence: Coherence,
+    /// Trace-guided balancer (DESIGN.md §14).
+    pub balancer: Balancer,
+    /// Fail-stop tolerance (DESIGN.md §10, §15).
+    pub failover: FailState,
     /// Cold-tile faults merged from VP scratches this poll round, as
     /// ascending distinct `(array, tile)`; the executor services the minimum
     /// group per fault round and clears the rest (parked VPs re-record
@@ -2277,20 +2195,10 @@ impl Inner {
             phase_log: Vec::new(),
             checker: cfg.checker.then(Checker::default),
             violations: Vec::new(),
-            snapshots: None,
             ctr_base: Counters::default(),
-            serve_hist: BTreeMap::new(),
-            deferred_serves: Vec::new(),
-            pending_refresh: Vec::new(),
-            balanced: Vec::new(),
-            load_acc: Vec::new(),
-            load_window: 0,
-            dead_bits: NodeSet::new(),
-            hosted: false,
-            hosted_extra: SimTime::ZERO,
-            peer_vps: Vec::new(),
-            replica_base_sent: false,
-            replica_in: None,
+            coherence: Coherence::new(cfg.read_cache, cfg.nodes()),
+            balancer: Balancer::default(),
+            failover: FailState::default(),
             pending_tile_faults: Vec::new(),
             fault_waiters: Vec::new(),
         }
@@ -2309,6 +2217,31 @@ impl Inner {
         let frozen = Arc::get_mut(&mut self.frozen);
         let frozen = frozen.expect("frozen node state mutated during a VP poll");
         (frozen, self.checker.as_mut())
+    }
+
+    /// The per-core compute maximum of the current phase so far.
+    pub fn core_compute_max(&self) -> SimTime {
+        (self.core_compute.iter().copied())
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Take the phase's compute — the per-core maximum — and zero the
+    /// accumulators.
+    pub fn take_core_compute(&mut self) -> SimTime {
+        let max = self.core_compute_max();
+        self.core_compute.fill(SimTime::ZERO);
+        max
+    }
+
+    /// Close the open phase: no VP is in one, the barrier futures' epoch
+    /// advances, one more barrier is counted.
+    pub fn close_phase(&mut self) {
+        self.phase.open = None;
+        self.phase.entered = 0;
+        self.phase.arrived = 0;
+        self.thaw().epoch += 1;
+        self.counters.barriers += 1;
     }
 
     /// The last step of publishing a phase of `kind`: apply the node-shared

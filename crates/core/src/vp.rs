@@ -10,13 +10,12 @@
 //! (remote reads, barriers) are exactly where the paper's runtime would
 //! deschedule a virtual processor.
 //!
-//! Every effect a VP produces goes into its private
-//! [`VpScratch`](crate::state::VpScratch), which — with the node's frozen
-//! arrays — is the poll context the executor parks in a thread-local
-//! around each poll ([`VpCell::with_poll`]): the handles here take no lock
+//! Every effect a VP produces goes into its private [`VpScratch`], which —
+//! with the node's frozen arrays — is the poll context the executor parks
+//! in a thread-local around each poll ([`VpCell::with_poll`]): the handles here take no lock
 //! and work only inside the future being polled. The executor merges
 //! scratches in ascending rank order, so these futures are `Send` and may
-//! be polled from any host worker thread (see `exec.rs` and DESIGN.md §12).
+//! be polled from any host worker thread (see `exec` and DESIGN.md §12).
 
 use std::future::Future;
 use std::pin::Pin;
