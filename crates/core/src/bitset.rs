@@ -3,7 +3,7 @@
 //! The dissemination barrier carries several per-node bit vectors as free
 //! sidecar payload (DESIGN.md §13–§16): cache-invalidation bits per array,
 //! the suspicion/confirmed-death sets of the failure detector, and the
-//! per-entry destination masks of refresh pushes. They used to be fixed
+//! per-run destination sets of refresh pushes. They used to be fixed
 //! `u64`/`u128` words, which silently capped the runtime at 64 (refresh
 //! push) and 128 (death detection) nodes. [`NodeSet`] is the growable
 //! replacement: a small `Vec<u64>`-backed set with the handful of
@@ -14,6 +14,16 @@
 //! Sets ride simulated messages but are modeled as free protocol sidecar —
 //! like write keys and rank tags, they carry no wire-byte charge of their
 //! own (the payloads they gate are charged instead).
+
+use crate::state::count;
+
+#[cfg(test)]
+thread_local! {
+    /// Non-empty sets the calling thread has built from bits or by cutting
+    /// another (unit-test builds only): a refresh split must build O(runs)
+    /// of them per round, not O(entries).
+    pub(crate) static SETS_BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// A growable set of small non-negative integers (node ids, array ids).
 #[derive(Clone, Default, PartialEq, Eq)]
@@ -114,9 +124,12 @@ impl NodeSet {
 
     /// The set of these words less its trailing zero words — measured before
     /// it is collected, so an empty result allocates nothing (a refresh
-    /// split cuts every entry's mask both ways and most come out empty).
+    /// split cuts every run's set both ways and many come out empty).
     fn trimmed(words: impl ExactSizeIterator<Item = u64> + DoubleEndedIterator + Clone) -> NodeSet {
         let len = words.clone().rposition(|w| w != 0).map_or(0, |i| i + 1);
+        if len > 0 {
+            count!(SETS_BUILT);
+        }
         NodeSet {
             words: words.take(len).collect(),
         }
@@ -164,6 +177,9 @@ impl FromIterator<usize> for NodeSet {
         let mut s = NodeSet::new();
         for b in iter {
             s.insert(b);
+        }
+        if s.any() {
+            count!(SETS_BUILT);
         }
         s
     }

@@ -26,7 +26,7 @@
 //! tested for all nodes in lockstep without a thread.
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 use crate::bitset::NodeSet;
 use crate::dissem::{route_offset, Edge};
@@ -40,17 +40,26 @@ use crate::state::{GArrayObj, Inner};
 /// `SERVE_TTL` phases.
 const SERVE_TTL: u64 = 8;
 
-/// Serve history of one owned element. An element *arms* on its second
-/// serve within the TTL window: one serve is as likely read-once as
-/// read-again, two serves within a few phases is a reuse pattern worth
-/// pushing for.
-struct ServeHist {
-    /// `phase.global_seq` of the most recent serve (TTL pruning).
+/// One reader of one owned element: a row of its array's serve history. An
+/// element's rows are adjacent and agree on `last_serve` and `armed`, which
+/// are facts about the element. An element *arms* on its second serve within
+/// the TTL window: one serve is as likely read-once as read-again, two
+/// serves within a few phases is a reuse pattern worth pushing for.
+#[derive(Clone, Copy)]
+struct ServeRow {
+    idx: u64,
+    /// `phase.global_seq` of the element's most recent serve (TTL pruning).
     last_serve: u64,
-    /// Nodes that have requested this element.
-    readers: NodeSet,
-    /// Whether rewrites of this element trigger an owner push.
+    /// A node that has requested the element.
+    reader: u32,
+    /// Whether rewrites of the element trigger an owner push.
     armed: bool,
+}
+
+impl ServeRow {
+    fn live(&self, phase: u64) -> bool {
+        phase <= self.last_serve + SERVE_TTL
+    }
 }
 
 /// One node's coherence state ([`Inner::coherence`]).
@@ -58,15 +67,18 @@ struct ServeHist {
 pub(crate) struct Coherence {
     /// The read cache is on and there is a peer to be coherent with.
     on: bool,
-    /// Serve history per owned `(array, global idx)`. A `BTreeMap` so arming
-    /// and pruning iterate in deterministic order.
-    serve_hist: BTreeMap<(u32, u64), ServeHist>,
-    /// Peer reads served since the last global phase end, as `(requesting
-    /// node, array, global idx)` in arrival order — a real-time accident,
-    /// so [`Self::fold_serves`] sorts first.
-    deferred_serves: Vec<(usize, u32, u64)>,
-    /// Refresh entries awaiting dissemination, each with its remaining
-    /// destination mask; drained round by round by [`CoherencePart`].
+    /// Serve history by array id: one row per (owned element, reader),
+    /// sorted by both. Flat, so folding a phase's serves in is a merge, the
+    /// readers of a rewritten element are a slice, and no element costs an
+    /// allocation.
+    serve_hist: Vec<Vec<ServeRow>>,
+    /// Peer reads served since the last global phase end, as `(array, global
+    /// idx, requesting node)` in arrival order — a real-time accident, so
+    /// [`Self::fold_serves`] sorts first.
+    deferred_serves: Vec<(u32, u64, u32)>,
+    /// Refresh entries awaiting dissemination, each run of them with its
+    /// remaining destination set; drained round by round by
+    /// [`CoherencePart`].
     pending_refresh: Vec<RefreshPart>,
 }
 
@@ -81,39 +93,40 @@ impl Coherence {
     /// Remember that `src` was served `entries`.
     pub fn note_serves(&mut self, src: usize, entries: &[ReqEntry]) {
         if self.on {
-            let served = entries.iter().map(|e| (src, e.array, e.idx));
+            let served = entries.iter().map(|e| (e.array, e.idx, src as u32));
             self.deferred_serves.extend(served);
         }
     }
 
-    /// Fold global phase `phase`'s serves into the history and prune it. An
-    /// element arms on its SECOND serve within `SERVE_TTL` phases — a
-    /// one-serve wonder never earns pushes, and stale history (read-once
-    /// apps) is pruned so the map stays bounded by the hot working set.
-    /// Pushes do not extend `last_serve`: armed elements must re-earn their
-    /// pushes every TTL window (one two-miss hiccup per cycle).
+    /// Fold global phase `phase`'s serves into the history and prune it: one
+    /// sort of the serves, one merge per array they name. An element arms on
+    /// its SECOND serve within `SERVE_TTL` phases — a one-serve wonder never
+    /// earns pushes, and stale history (read-once apps) is pruned so the
+    /// rows stay bounded by the hot working set. Pushes do not extend
+    /// `last_serve`: armed elements must re-earn their pushes every TTL
+    /// window (one two-miss hiccup per cycle).
     pub fn fold_serves(&mut self, phase: u64) {
         let mut serves = std::mem::take(&mut self.deferred_serves);
         serves.sort_unstable();
         serves.dedup();
-        for (peer, array, idx) in serves {
-            let h = self.serve_hist.entry((array, idx)).or_insert(ServeHist {
-                last_serve: phase,
-                readers: NodeSet::new(),
-                armed: false,
-            });
-            if phase > h.last_serve + SERVE_TTL {
-                h.readers.clear();
-                h.armed = false;
-            }
-            if h.readers.any() {
-                h.armed = true;
-            }
-            h.readers.insert(peer);
-            h.last_serve = phase;
+        let arrays = serves.last().map_or(0, |last| last.0 as usize + 1);
+        if self.serve_hist.len() < arrays {
+            self.serve_hist.resize_with(arrays, Vec::new);
         }
-        self.serve_hist
-            .retain(|_, h| phase <= h.last_serve + SERVE_TTL);
+        let mut by_array = serves.chunk_by(|a, b| a.0 == b.0).peekable();
+        for (array, rows) in self.serve_hist.iter_mut().enumerate() {
+            let Some(served) = by_array.next_if(|s| s[0].0 as usize == array) else {
+                rows.retain(|h| h.live(phase));
+                continue;
+            };
+            *rows = fold_array(rows, served, phase);
+        }
+    }
+
+    /// Whether [`Self::select_refresh`] could pick anything of `array`, so
+    /// that its written indices are worth listing.
+    pub fn has_history(&self, array: u32) -> bool {
+        (self.serve_hist.get(array as usize)).is_some_and(|rows| !rows.is_empty())
     }
 
     /// Queue post-apply values of `array` (`ga`, on node `me` of `nodes`)
@@ -126,41 +139,47 @@ impl Coherence {
         written: Vec<u64>,
         ga: &dyn GArrayObj,
     ) {
-        if !self.on {
+        let Some(rows) = self.serve_hist.get(array as usize) else {
             return;
-        }
+        };
+        // Hop cutoff: a refresh pays its bytes once per dissemination hop,
+        // and reader `t` sits popcount((t - me) mod nodes) hops away on the
+        // barrier's source routes. Beyond two hops the pushed copies cost
+        // more wire than the fetch round-trip they save, so distant readers
+        // keep fetching. Pure function of node ids — identical on every
+        // host schedule.
+        let near = |h: &&ServeRow| {
+            let t = h.reader as usize;
+            t != me && route_offset(me, t, nodes).count_ones() <= 2
+        };
         let mut idxs: Vec<u64> = Vec::new();
-        let mut masks: Vec<NodeSet> = Vec::new();
-        // `written` ascends and so does the array's stretch of the history:
-        // one walk over both (none if nothing was served).
+        let mut runs: Vec<(usize, NodeSet)> = Vec::new();
+        // The targets of the run being built, as the rows that name them.
+        let mut run_targets: &[ServeRow] = &[];
+        // `written` ascends and so do the rows: one walk over both.
         let mut written = written.into_iter().peekable();
-        for (&(_, idx), h) in self.serve_hist.range((array, 0)..=(array, u64::MAX)) {
+        for readers in rows.chunk_by(|a, b| a.idx == b.idx) {
+            let idx = readers[0].idx;
             while written.next_if(|&w| w < idx).is_some() {}
-            if written.next_if_eq(&idx).is_none() {
+            if written.next_if_eq(&idx).is_none() || !readers[0].armed {
                 continue;
             }
-            // Hop cutoff: a refresh pays its bytes once per dissemination
-            // hop, and reader `t` sits popcount((t - me) mod nodes) hops
-            // away on the barrier's source routes. Beyond two hops the
-            // pushed copies cost more wire than the fetch round-trip they
-            // save, so distant readers keep fetching. Pure function of node
-            // ids — identical on every host schedule.
-            let targets: NodeSet = h
-                .readers
-                .iter()
-                .filter(|&t| t != me && route_offset(me, t, nodes).count_ones() <= 2)
-                .collect();
-            if h.armed && targets.any() {
-                idxs.push(idx);
-                masks.push(targets);
+            let targets = || readers.iter().filter(near).map(|h| h.reader);
+            if targets().next().is_none() {
+                continue;
             }
+            if !targets().eq(run_targets.iter().filter(near).map(|h| h.reader)) {
+                run_targets = readers;
+                runs.push((idxs.len(), targets().map(|t| t as usize).collect()));
+            }
+            idxs.push(idx);
         }
         if !idxs.is_empty() {
             let values = ga.refresh_collect(&idxs);
             self.pending_refresh.push(RefreshPart {
                 array,
                 idxs,
-                masks,
+                runs,
                 values,
             });
         }
@@ -171,7 +190,11 @@ impl Coherence {
     /// new layout. Remote-read caches are kept: migration moves ownership,
     /// not values, and the owner check shadows any entry this node now owns.
     pub fn forget_arrays(&mut self, arrays: &[u32]) {
-        self.serve_hist.retain(|&(a, _), _| !arrays.contains(&a));
+        for &array in arrays {
+            if let Some(rows) = self.serve_hist.get_mut(array as usize) {
+                rows.clear();
+            }
+        }
     }
 
     /// This node's side of the barrier closing the phase whose writes
@@ -194,16 +217,59 @@ impl Coherence {
     }
 }
 
+/// One array's history `rows` with phase `phase`'s `served` entries of it
+/// (sorted, distinct) folded in, less the rows that have died. Not kept
+/// double-buffered: at paper size the history is the size of the halo.
+fn fold_array(rows: &[ServeRow], served: &[(u32, u64, u32)], phase: u64) -> Vec<ServeRow> {
+    let mut out = Vec::with_capacity(rows.len().max(served.len()));
+    let (mut rows, mut served) = (rows, served);
+    // Element by element: the rows and the serves of the lowest index left.
+    while let Some(&(_, next_served, _)) = served.first() {
+        let idx = rows.first().map_or(next_served, |h| h.idx.min(next_served));
+        let (mut had, now);
+        (had, rows) = rows.split_at(rows.iter().take_while(|h| h.idx == idx).count());
+        (now, served) = served.split_at(served.iter().take_while(|s| s.1 == idx).count());
+        if had.first().is_some_and(|h| !h.live(phase)) {
+            had = &[];
+        }
+        if now.is_empty() {
+            out.extend_from_slice(had);
+            continue;
+        }
+        // Served before, or to two readers at once: the second serve.
+        let armed = !had.is_empty() || now.len() > 1;
+        let row = |reader| ServeRow {
+            idx,
+            last_serve: phase,
+            reader,
+            armed,
+        };
+        let mut had = had.iter().map(|h| h.reader).peekable();
+        for &(_, _, reader) in now {
+            while let Some(earlier) = had.next_if(|&r| r < reader) {
+                out.push(row(earlier));
+            }
+            had.next_if_eq(&reader);
+            out.push(row(reader));
+        }
+        out.extend(had.map(row));
+    }
+    out.extend(rows.iter().filter(|h| h.live(phase)));
+    out
+}
+
 /// One array's worth of owner-pushed cache refreshes. Values are
-/// post-exchange truth for the phase the barrier closes; `masks` carries
-/// each entry's remaining destination set (bit = node id).
+/// post-exchange truth for the phase the barrier closes.
 pub(crate) struct RefreshPart {
     array: u32,
     /// Element indices, ascending (they come from `apply_writes`' written
     /// list), parallel to `values`.
     idxs: Vec<u64>,
-    /// Remaining destination-node sets per entry, parallel to `idxs`.
-    masks: Vec<NodeSet>,
+    /// The remaining destination-node set (bit = node id) of each run of
+    /// consecutive entries, with the run's first position: a run ends where
+    /// the next begins. One set per run, not per entry — a halo is one run
+    /// however many elements it has.
+    runs: Vec<(usize, NodeSet)>,
     /// `Vec<T>` for the array's element type, parallel to `idxs`. `Sync` as
     /// well as `Send` because undelivered parts park in [`Inner`] between
     /// rounds.
@@ -211,9 +277,16 @@ pub(crate) struct RefreshPart {
 }
 
 impl RefreshPart {
+    /// Each run's entry positions and destination set.
+    fn runs(&self) -> impl Iterator<Item = (Range<usize>, &NodeSet)> {
+        let ends = self.runs.iter().skip(1).map(|run| run.0);
+        (self.runs.iter().zip(ends.chain([self.idxs.len()])))
+            .map(|((start, set), end)| (*start..end, set))
+    }
+
     /// Split by destination: the entries with a target in `set`, their
-    /// masks cut down to it — with the modeled bytes of their values — and
-    /// the entries with a target outside it, their masks with `set` taken
+    /// sets cut down to it — with the modeled bytes of their values — and
+    /// the entries with a target outside it, their sets with `set` taken
     /// out. An entry with targets on both sides goes both ways; a side with
     /// no entry is `None`. `ga` is the part's array (the values are
     /// type-erased).
@@ -222,24 +295,33 @@ impl RefreshPart {
         set: &NodeSet,
         ga: &dyn GArrayObj,
     ) -> (Option<(RefreshPart, u64)>, Option<RefreshPart>) {
-        // One side: the entries whose mask `cut` leaves a target in.
+        // One side: the runs whose set `cut` leaves a target in.
         let side = |cut: fn(&NodeSet, &NodeSet) -> NodeSet| {
-            let mut take = Vec::with_capacity(self.masks.len());
-            let (idxs, masks): (Vec<u64>, Vec<NodeSet>) = (self.idxs.iter().zip(&self.masks))
-                .filter_map(|(&idx, mask)| {
-                    let mask = cut(mask, set);
-                    take.push(mask.any());
-                    mask.any().then_some((idx, mask))
-                })
-                .unzip();
+            let mut take: Vec<Range<usize>> = Vec::new();
+            let mut runs: Vec<(usize, NodeSet)> = Vec::new();
+            let mut idxs: Vec<u64> = Vec::new();
+            for (range, set_before) in self.runs() {
+                let cut_set = cut(set_before, set);
+                if cut_set.is_empty() {
+                    continue;
+                }
+                // Runs the cut has made alike are one run.
+                if runs.last().is_none_or(|last| last.1 != cut_set) {
+                    runs.push((idxs.len(), cut_set));
+                }
+                idxs.extend_from_slice(&self.idxs[range.clone()]);
+                take.push(range);
+            }
             if idxs.is_empty() {
                 return None;
             }
-            let (values, value_bytes) = ga.refresh_select(self.values.as_ref(), &take);
+            let (values, value_bytes) = ga
+                .refresh_select(self.values.as_ref(), &take)
+                .unwrap_or_else(|| mistyped(self.array));
             let part = RefreshPart {
                 array: self.array,
                 idxs,
-                masks,
+                runs,
                 values,
             };
             Some((part, value_bytes))
@@ -257,6 +339,13 @@ impl RefreshPart {
     fn wire_bytes(&self, value_bytes: u64) -> u64 {
         8 + value_bytes + self.idxs.len() as u64 * 4
     }
+}
+
+/// A refresh part's values are built by its array's own `refresh_collect`
+/// on the owner and only ever handed back to the same array id, so this is
+/// a corrupted part, not an input.
+fn mistyped(array: u32) -> ! {
+    panic!("refresh payload for global array {array} is not of the array's element type")
 }
 
 /// What coherence puts on one barrier message.
@@ -291,7 +380,7 @@ impl CoherencePart {
         if !pending.is_empty() {
             let rides: NodeSet = pending
                 .iter()
-                .flat_map(|part| part.masks.iter().flat_map(NodeSet::iter))
+                .flat_map(|part| part.runs.iter().flat_map(|run| run.1.iter()))
                 .filter(|&t| edge.carries(self.me, t, self.nodes))
                 .collect();
             for part in pending {
@@ -350,7 +439,9 @@ impl CoherencePart {
             }
         }
         for part in self.collected {
-            garrays[part.array as usize].refresh_absorb(&part.idxs, part.values.as_ref());
+            garrays[part.array as usize]
+                .refresh_absorb(&part.idxs, part.values.as_ref())
+                .unwrap_or_else(|| mistyped(part.array));
         }
     }
 }
@@ -358,11 +449,13 @@ impl CoherencePart {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::SETS_BUILT;
     use crate::config::PpmConfig;
     use crate::dissem::dissemination;
     use crate::dist::Dist;
     use crate::state::{garray_ref, GArray};
     use crate::testkit::Gen;
+    use std::collections::BTreeMap;
 
     fn set(bits: &[usize]) -> NodeSet {
         bits.iter().copied().collect()
@@ -372,27 +465,34 @@ mod tests {
         p.values.downcast_ref::<Vec<u64>>().unwrap().clone()
     }
 
-    /// Entries go to the side(s) their targets lie on, masks cut to match;
-    /// a side nothing lands on is `None`.
+    /// A part's destination set entry by entry.
+    fn masks(p: &RefreshPart) -> Vec<NodeSet> {
+        p.runs()
+            .flat_map(|(range, set)| range.map(move |_| set.clone()))
+            .collect()
+    }
+
+    /// Entries go to the side(s) their targets lie on, sets cut to match;
+    /// a side nothing lands on is `None`; runs a cut makes alike merge.
     #[test]
     fn refresh_part_splits_by_target_set() {
         let ga: GArray<u64> = GArray::new(Dist::block(16, 4), 0);
         let part = || RefreshPart {
             array: 7,
             idxs: vec![1, 2, 3],
-            masks: vec![set(&[1]), set(&[1, 2, 70]), set(&[3])],
+            runs: vec![(0, set(&[1])), (1, set(&[1, 2, 70])), (2, set(&[3]))],
             values: Box::new(vec![10u64, 20, 30]),
         };
 
         let (inside, outside) = part().split(&set(&[1, 2]), &ga);
         let (inside, bytes) = inside.expect("two entries target the set");
         assert_eq!((inside.array, &inside.idxs[..]), (7, &[1, 2][..]));
-        assert!(inside.masks == [set(&[1]), set(&[1, 2])]);
+        assert!(masks(&inside) == [set(&[1]), set(&[1, 2])]);
         assert_eq!((values(&inside), bytes), (vec![10, 20], 8 + 2 * 8));
         assert_eq!(inside.wire_bytes(bytes), 8 + (8 + 2 * 8) + 2 * 4);
         let outside = outside.expect("two entries target nodes outside it");
         assert_eq!(outside.idxs, [2, 3]);
-        assert!(outside.masks == [set(&[70]), set(&[3])]);
+        assert!(masks(&outside) == [set(&[70]), set(&[3])]);
         assert_eq!(values(&outside), [20, 30]);
 
         let (inside, outside) = part().split(&set(&[0]), &ga);
@@ -401,17 +501,167 @@ mod tests {
         let (inside, outside) = part().split(&set(&[1, 2, 3, 70]), &ga);
         assert_eq!(inside.expect("everything").0.idxs, [1, 2, 3]);
         assert!(outside.is_none());
+
+        // Runs longer than one entry move as ranges.
+        let long = RefreshPart {
+            array: 7,
+            idxs: vec![1, 2, 3, 4, 5, 6],
+            runs: vec![(0, set(&[1, 2])), (2, set(&[4])), (3, set(&[1, 3]))],
+            values: Box::new(vec![10u64, 20, 30, 40, 50, 60]),
+        };
+        let (inside, outside) = long.split(&set(&[1]), &ga);
+        let (inside, bytes) = inside.expect("two runs target node 1");
+        assert_eq!(inside.idxs, [1, 2, 4, 5, 6]);
+        assert!(inside.runs == [(0, set(&[1]))], "alike after the cut");
+        assert_eq!(
+            (values(&inside), bytes),
+            (vec![10, 20, 40, 50, 60], 8 + 5 * 8)
+        );
+        let outside = outside.expect("every run has a target besides node 1");
+        assert_eq!(outside.idxs, [1, 2, 3, 4, 5, 6]);
+        assert!(outside.runs == [(0, set(&[2])), (2, set(&[4])), (3, set(&[3]))]);
+    }
+
+    /// A refresh's destination sets are built per run per round, never per
+    /// entry: a 10 000-entry halo walks a 64-node barrier on a few dozen.
+    #[test]
+    fn splitting_a_run_builds_sets_per_round_not_per_entry() {
+        const ENTRIES: usize = 10_000;
+        let (me, nodes) = (0usize, 64usize);
+        let mut inner = Inner::new(PpmConfig::franklin(nodes as u32));
+        let ga = GArray::<u64>::new(Dist::block(nodes * ENTRIES, nodes), me);
+        inner.thaw().garrays.push(Box::new(ga));
+        inner.coherence.pending_refresh.push(RefreshPart {
+            array: 0,
+            idxs: (0..ENTRIES as u64).collect(),
+            runs: vec![(0, (1..nodes).collect())],
+            values: Box::new(vec![1u64; ENTRIES]),
+        });
+        let mut part = inner.coherence.barrier_part(me, nodes, &[]);
+        let before = SETS_BUILT.get();
+        let mut sent = 0;
+        for edge in dissemination(me, nodes) {
+            let (msg, _) = part.take_for(edge, &mut inner);
+            sent += msg.refreshes.iter().map(|r| r.idxs.len()).sum::<usize>();
+        }
+        let built = SETS_BUILT.get() - before;
+        assert_eq!(
+            sent,
+            6 * ENTRIES,
+            "the whole run rides every edge out of its owner"
+        );
+        assert!(inner.coherence.pending_refresh.is_empty());
+        assert!(built <= 6 * 4, "{built} sets built for 6 rounds of one run");
+    }
+
+    /// The serve history as it was kept before it went flat — a map entry and
+    /// a reader set per element, folded serve by serve — as the reference.
+    #[derive(Default)]
+    struct ModelHist(BTreeMap<(u32, u64), (u64, NodeSet, bool)>);
+
+    impl ModelHist {
+        fn fold(&mut self, mut serves: Vec<(u32, u32, u64)>, phase: u64) {
+            serves.sort_unstable();
+            serves.dedup();
+            for (peer, array, idx) in serves {
+                let (last_serve, readers, armed) =
+                    (self.0.entry((array, idx))).or_insert((phase, NodeSet::new(), false));
+                if phase > *last_serve + SERVE_TTL {
+                    readers.clear();
+                    *armed = false;
+                }
+                if readers.any() {
+                    *armed = true;
+                }
+                readers.insert(peer as usize);
+                *last_serve = phase;
+            }
+            self.0.retain(|_, h| phase <= h.0 + SERVE_TTL);
+        }
+    }
+
+    /// Random serve streams — bursts and silences longer than the TTL, peers
+    /// past one set word, the same `(peer, element)` twice in a phase, a
+    /// `forget_arrays` in the middle — leave the flat history row for row
+    /// what the map model holds: readers, armed, last serve.
+    #[test]
+    fn flat_serve_history_equals_the_map_model() {
+        let mut g = Gen::new(0x21);
+        // What the cases exercised: elements seen armed, unarmed, and dying.
+        let (mut armed, mut unarmed, mut died) = (0, 0, 0);
+        for case in 0..40 {
+            let mut coherence = Coherence::new(true, 200);
+            let mut model = ModelHist::default();
+            let (arrays, elems) = (g.u32_in(1..4), g.u64_in(1..64));
+            let busiest = [3, 12, 40][case % 3];
+            let phases = g.u64_in(SERVE_TTL + 2..4 * SERVE_TTL);
+            let forget_at = g.u64_in(0..phases);
+            for phase in 0..phases {
+                // Silences: every third phase or so serves nothing.
+                let serves = if g.usize_in(0..3) == 0 {
+                    0
+                } else {
+                    g.usize_in(0..busiest)
+                };
+                let mut served: Vec<(u32, u32, u64)> = Vec::new();
+                for _ in 0..serves {
+                    let entry = ReqEntry {
+                        array: g.u32_in(0..arrays),
+                        idx: g.u64_in(0..elems),
+                        slot: 0,
+                    };
+                    let peer = [1, 2, 63, 64, 130, 199][g.usize_in(0..6)];
+                    for _ in 0..g.usize_in(1..3) {
+                        coherence.note_serves(peer, &[entry]);
+                        served.push((peer as u32, entry.array, entry.idx));
+                    }
+                }
+                let before = model.0.len();
+                coherence.fold_serves(phase);
+                model.fold(served, phase);
+                died += before.saturating_sub(model.0.len());
+                if phase == forget_at {
+                    coherence.forget_arrays(&[0]);
+                    model.0.retain(|&(array, _), _| array != 0);
+                }
+                let mut flat: BTreeMap<(u32, u64), (u64, NodeSet, bool)> = BTreeMap::new();
+                for (array, rows) in coherence.serve_hist.iter().enumerate() {
+                    assert_eq!(coherence.has_history(array as u32), !rows.is_empty());
+                    assert!(
+                        rows.windows(2)
+                            .all(|w| (w[0].idx, w[0].reader) < (w[1].idx, w[1].reader)),
+                        "case {case}, phase {phase}: rows out of order"
+                    );
+                    for readers in rows.chunk_by(|a, b| a.idx == b.idx) {
+                        let h = readers[0];
+                        assert!(readers
+                            .iter()
+                            .all(|r| (r.last_serve, r.armed) == (h.last_serve, h.armed)));
+                        let set = readers.iter().map(|r| r.reader as usize).collect();
+                        flat.insert((array as u32, h.idx), (h.last_serve, set, h.armed));
+                    }
+                }
+                assert!(flat == model.0, "case {case}, phase {phase}");
+                armed += flat.values().filter(|h| h.2).count();
+                unarmed += flat.values().filter(|h| !h.2).count();
+            }
+        }
+        assert!(
+            armed > 100 && unarmed > 100 && died > 100,
+            "{armed} {unarmed} {died}"
+        );
     }
 
     /// Elements per node of the one test array; node `o` owns
     /// `[o * PER, (o + 1) * PER)` and pushes value `idx + 1000`.
-    const PER: usize = 4;
+    const PER: usize = 6;
 
     /// All nodes of one barrier stepped together over their dissemination
-    /// edges, no thread: every owner pushes each of its elements to a random
-    /// target mask, every node floods random written-array bits. Array 0 is
-    /// always among them, so the final sweep clears a stale line planted in
-    /// every cache before the pushed values land.
+    /// edges, no thread: every owner pushes its elements, in runs of random
+    /// length, each to a random target set, every node floods random
+    /// written-array bits. Array 0 is always among them, so the final sweep
+    /// clears a stale line planted in every cache before the pushed values
+    /// land.
     #[test]
     fn lockstep_refreshes_reach_each_target_once_and_bits_flood() {
         let mut g = Gen::new(0x20);
@@ -425,28 +675,27 @@ mod tests {
             let stale = (nodes * PER) as u64;
             for (me, inner) in inners.iter_mut().enumerate() {
                 let mut ga = GArray::<u64>::new(Dist::block(nodes * PER + 1, nodes), me);
-                ga.refresh_absorb(&[stale], &vec![7u64]);
+                ga.refresh_absorb(&[stale], &vec![7u64]).unwrap();
                 inner.thaw().garrays.push(Box::new(ga));
-                let idxs: Vec<u64> = (me * PER..(me + 1) * PER).map(|i| i as u64).collect();
-                let masks: Vec<NodeSet> = idxs
-                    .iter()
-                    .map(|_| (0..nodes).filter(|&t| t != me && g.bool()).collect())
-                    .collect();
-                targets.extend(masks.iter().cloned());
-                let armed: Vec<bool> = masks.iter().map(NodeSet::any).collect();
-                if armed.contains(&true) {
-                    let keep = |v: Vec<u64>| {
-                        v.into_iter()
-                            .zip(&armed)
-                            .filter_map(|(x, &a)| a.then_some(x))
-                    };
+                let mut idxs: Vec<u64> = Vec::new();
+                let mut runs: Vec<(usize, NodeSet)> = Vec::new();
+                let mut at = me * PER;
+                while at < (me + 1) * PER {
+                    let len = g.usize_in(1..(me + 1) * PER - at + 1);
+                    let set: NodeSet = (0..nodes).filter(|&t| t != me && g.bool()).collect();
+                    targets.extend((0..len).map(|_| set.clone()));
+                    if set.any() {
+                        runs.push((idxs.len(), set));
+                        idxs.extend((at..at + len).map(|i| i as u64));
+                    }
+                    at += len;
+                }
+                if !idxs.is_empty() {
                     inner.coherence.pending_refresh.push(RefreshPart {
                         array: 0,
-                        values: Box::new(
-                            keep(idxs.clone()).map(|i| i + 1000).collect::<Vec<u64>>(),
-                        ),
-                        idxs: keep(idxs).collect(),
-                        masks: masks.into_iter().filter(NodeSet::any).collect(),
+                        values: Box::new(idxs.iter().map(|i| i + 1000).collect::<Vec<u64>>()),
+                        idxs,
+                        runs,
                     });
                 }
                 let inv: NodeSet = [0, g.usize_in(1..200)].into_iter().collect();
@@ -474,13 +723,11 @@ mod tests {
                         .map(|r| r.wire_bytes(8 + 8 * r.idxs.len() as u64))
                         .sum();
                     assert_eq!(bytes, carried, "{nodes} nodes: Message::bytes");
-                    for (&idx, mask) in msg
-                        .refreshes
-                        .iter()
-                        .flat_map(|r| r.idxs.iter().zip(&r.masks))
-                    {
-                        mask.iter()
-                            .for_each(|t| hops[idx as usize * nodes + t] += 1);
+                    for r in &msg.refreshes {
+                        for (&idx, mask) in r.idxs.iter().zip(masks(r)) {
+                            mask.iter()
+                                .for_each(|t| hops[idx as usize * nodes + t] += 1);
+                        }
                     }
                     p.absorb(msg, bytes, &mut inners[me]);
                 }

@@ -59,6 +59,7 @@ macro_rules! count {
         $counter.with(|n| n.set(n.get() + 1));
     };
 }
+pub(crate) use count;
 
 /// What one buffered write does to its element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1225,14 +1226,14 @@ pub(crate) struct GArray<T: Elem> {
     /// Write log for the current phase, one segment per VP merge.
     wlog: WLog<T>,
     /// Remote elements whose phase-frozen value this node has learned —
-    /// from response bundles or owner-pushed refreshes — as a flat
-    /// `(global index, value)` vec sorted by index (binary-search lookup,
-    /// no hashing). Consulted by [`VpCell::charge_get`] before queueing a
-    /// remote read; cleared when the array takes writes (`coherence.rs`).
-    rcache: Vec<(u64, T)>,
+    /// from response bundles or owner-pushed refreshes. Consulted before a
+    /// remote read is queued ([`VpCell::charge_get`], and a bulk read's
+    /// [`Self::cached_span`]); cleared when the array takes writes
+    /// (`coherence.rs`).
+    rcache: RunCache<T>,
     /// The other half of [`Self::cache_merge`]'s double buffer (kept for
     /// its capacity only).
-    rcache_spare: Vec<(u64, T)>,
+    rcache_spare: RunCache<T>,
     /// Response arena: the values of every read-response part received this
     /// global phase, appended part by part. A parked read's slot holds its
     /// value's position here ([`VpSlots::fill`]), so delivery costs one
@@ -1255,8 +1256,8 @@ impl<T: Elem> GArray<T> {
             local,
             node,
             wlog: WLog::default(),
-            rcache: Vec::new(),
-            rcache_spare: Vec::new(),
+            rcache: RunCache::default(),
+            rcache_spare: RunCache::default(),
             arena: Vec::new(),
         }
     }
@@ -1310,30 +1311,110 @@ impl<T: Elem> GArray<T> {
 
     /// Cached phase-frozen value of remote element `idx`, if known.
     pub fn cache_get(&self, idx: u64) -> Option<T> {
-        self.rcache
-            .binary_search_by_key(&idx, |e| e.0)
-            .ok()
-            .map(|p| self.rcache[p].1)
+        let (first, vals) = self.rcache.run_at(idx)?;
+        Some(vals[(idx - first) as usize])
+    }
+
+    /// The second kind of hot span: the cached values around remote element
+    /// `idx`, with their first global index. Ownership shadows the cache — a
+    /// migration moves the cut over lines cached before it (`forget_arrays`
+    /// keeps them) — so the span stops at the owned range; `idx` itself must
+    /// not be owned.
+    #[inline]
+    pub fn cached_span(&self, idx: usize) -> Option<(usize, &[T])> {
+        debug_assert!(
+            self.owned_offset(idx).is_none(),
+            "cached span of an owned element"
+        );
+        let (first, vals) = self.rcache.run_at(idx as u64)?;
+        let first = first as usize;
+        // A cyclic layout's `owned` is empty and its ownership never moves.
+        let (lo, hi) = if idx < self.owned.start {
+            (first, (first + vals.len()).min(self.owned.start))
+        } else {
+            (first.max(self.owned.end), first + vals.len())
+        };
+        Some((lo, &vals[lo - first..hi - first]))
     }
 
     /// Learn (or refresh) the phase-frozen values `new`, ascending by
-    /// index: one linear merge into the sorted cache, through a second
-    /// buffer that is kept for the next merge.
+    /// index: one linear merge into the sorted cache — a known run is one
+    /// copy, adjacent lines coalesce — through a second buffer that is kept
+    /// for the next merge.
     fn cache_merge(&mut self, new: impl Iterator<Item = (u64, T)>) {
         let mut new = new.peekable();
         let old = std::mem::take(&mut self.rcache);
         let mut out = std::mem::take(&mut self.rcache_spare);
         out.clear();
-        for &e in &old {
-            while let Some(n) = new.next_if(|n| n.0 < e.0) {
-                out.push(n);
+        for (first, vals) in old.iter() {
+            while let Some((idx, v)) = new.next_if(|n| n.0 < first) {
+                out.extend(idx, &[v]);
             }
-            out.push(new.next_if(|n| n.0 == e.0).unwrap_or(e));
+            let at = out.vals.len();
+            out.extend(first, vals);
+            while let Some((idx, v)) = new.next_if(|n| n.0 < first + vals.len() as u64) {
+                out.vals[at + (idx - first) as usize] = v;
+            }
         }
-        out.extend(new);
-        debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "unsorted merge");
+        for (idx, v) in new {
+            out.extend(idx, &[v]);
+        }
         self.rcache = out;
         self.rcache_spare = old;
+    }
+}
+
+/// A sorted map from global index to value, held as runs of consecutive
+/// indices over one value column: a look-up searches runs, not elements, and
+/// a run is a slice a bulk read loads from. Sorted rather than hashed because
+/// it is built by merging ascending batches and read in index order.
+#[derive(Default)]
+struct RunCache<T> {
+    /// `(first global index, position of its value in `vals`)` per run,
+    /// ascending, no two runs adjacent; a run ends where the next begins.
+    runs: Vec<(u64, usize)>,
+    vals: Vec<T>,
+}
+
+impl<T: Copy> RunCache<T> {
+    /// The run holding `idx`: its first index and its values.
+    #[inline]
+    fn run_at(&self, idx: u64) -> Option<(u64, &[T])> {
+        let r = self
+            .runs
+            .partition_point(|run| run.0 <= idx)
+            .checked_sub(1)?;
+        let (first, vals) = self.run(r);
+        (idx - first < vals.len() as u64).then_some((first, vals))
+    }
+
+    fn run(&self, r: usize) -> (u64, &[T]) {
+        let (first, at) = self.runs[r];
+        let end = self.runs.get(r + 1).map_or(self.vals.len(), |next| next.1);
+        (first, &self.vals[at..end])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (u64, &[T])> {
+        (0..self.runs.len()).map(|r| self.run(r))
+    }
+
+    /// Append `vals` as the elements from `first` on, which must lie past
+    /// every index held: the last run grows if they continue it.
+    fn extend(&mut self, first: u64, vals: &[T]) {
+        let end = self
+            .runs
+            .last()
+            .map(|&(f, at)| f + (self.vals.len() - at) as u64);
+        debug_assert!(end.is_none_or(|end| end <= first), "unsorted merge");
+        if end != Some(first) {
+            self.runs.push((first, self.vals.len()));
+        }
+        self.vals.extend_from_slice(vals);
+    }
+
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.vals.clear();
     }
 }
 
@@ -1361,16 +1442,18 @@ pub(crate) trait GArrayObj: Send + Sync {
     /// node's VPs to `conflicts` (the checker's, when it is on).
     fn drain_writes(&mut self, conflicts: Option<Conflicts<'_>>) -> Vec<WriteParcel>;
     /// Owner side: apply `(source node, payload)` parcels; resolution order
-    /// is deterministic. Returns the number of entries applied and the
-    /// distinct written global indices in ascending order (feeds the
-    /// refresh-push protocol, DESIGN.md §13). `touch` is called with each
-    /// resolved local offset before the store lands — the executor wires it
-    /// to [`TileBudget::touch`] so applied writes bump tile recency
-    /// (write-through without admission, DESIGN.md §18).
+    /// is deterministic. Returns the number of entries applied and — only
+    /// if `list_written`, which is the refresh-push protocol asking
+    /// (DESIGN.md §13) — the distinct written global indices in ascending
+    /// order. `touch` is called with each resolved local offset before the
+    /// store lands — the executor wires it to [`TileBudget::touch`] so
+    /// applied writes bump tile recency (write-through without admission,
+    /// DESIGN.md §18).
     fn apply_writes(
         &mut self,
         parcels: Vec<(u32, Box<dyn Any + Send>)>,
         touch: &mut dyn FnMut(usize),
+        list_written: bool,
     ) -> (u64, Vec<u64>);
     /// Whether any writes are buffered (used to assert clean phase ends
     /// and to compute per-array cache-invalidation bits).
@@ -1380,12 +1463,18 @@ pub(crate) trait GArrayObj: Send + Sync {
     /// too: the entries park in [`Inner::coherence`] between dissemination
     /// rounds.
     fn refresh_collect(&self, idxs: &[u64]) -> Box<dyn Any + Send + Sync>;
-    /// Copy the `take`-marked subset of a refresh payload (`Vec<T>`);
-    /// returns the subset payload and its modeled wire byte size.
-    fn refresh_select(&self, values: &dyn Any, take: &[bool]) -> (Box<dyn Any + Send + Sync>, u64);
-    /// Receiver side of an owner push: insert `idxs[i] → values[i]` into
-    /// the read cache.
-    fn refresh_absorb(&mut self, idxs: &[u64], values: &dyn Any);
+    /// Copy the `take` position ranges of a refresh payload (`Vec<T>`);
+    /// returns the subset payload and its modeled wire byte size — `None`
+    /// if `values` is not a payload of this array's element type.
+    fn refresh_select(
+        &self,
+        values: &dyn Any,
+        take: &[Range<usize>],
+    ) -> Option<(Box<dyn Any + Send + Sync>, u64)>;
+    /// Receiver side of an owner push: insert `idxs[i] → values[i]`
+    /// (ascending) into the read cache; `None` as for
+    /// [`Self::refresh_select`].
+    fn refresh_absorb(&mut self, idxs: &[u64], values: &dyn Any) -> Option<()>;
     /// Drop every cached remote value (invalidation at phase end when the
     /// array took writes, and at construct entry).
     fn cache_clear(&mut self);
@@ -1485,6 +1574,7 @@ impl<T: Elem> GArrayObj for GArray<T> {
         &mut self,
         mut parcels: Vec<(u32, Box<dyn Any + Send>)>,
         touch: &mut dyn FnMut(usize),
+        list_written: bool,
     ) -> (u64, Vec<u64>) {
         // Deterministic application order: by element, then by source node.
         parcels.sort_by_key(|(src, _)| *src);
@@ -1497,7 +1587,9 @@ impl<T: Elem> GArrayObj for GArray<T> {
             let off = self.offset_of_owned(idx);
             touch(off);
             self.local[off] = value;
-            written.push(idx);
+            if list_written {
+                written.push(idx);
+            }
         });
         (applied, written)
     }
@@ -1514,32 +1606,31 @@ impl<T: Elem> GArrayObj for GArray<T> {
         Box::new(values)
     }
 
-    fn refresh_select(&self, values: &dyn Any, take: &[bool]) -> (Box<dyn Any + Send + Sync>, u64) {
-        let values = values
-            .downcast_ref::<Vec<T>>()
-            .expect("refresh payload type mismatch");
-        debug_assert_eq!(values.len(), take.len());
-        let subset: Vec<T> = values
-            .iter()
-            .zip(take)
-            .filter_map(|(&v, &t)| t.then_some(v))
-            .collect();
+    fn refresh_select(
+        &self,
+        values: &dyn Any,
+        take: &[Range<usize>],
+    ) -> Option<(Box<dyn Any + Send + Sync>, u64)> {
+        let values = values.downcast_ref::<Vec<T>>()?;
+        let mut subset: Vec<T> = Vec::with_capacity(take.iter().map(Range::len).sum());
+        for range in take {
+            subset.extend_from_slice(&values[range.clone()]);
+        }
         let bytes = if subset.is_empty() {
             0
         } else {
             subset.wire_size() as u64
         };
-        (Box::new(subset), bytes)
+        Some((Box::new(subset), bytes))
     }
 
-    fn refresh_absorb(&mut self, idxs: &[u64], values: &dyn Any) {
-        let values = values
-            .downcast_ref::<Vec<T>>()
-            .expect("refresh payload type mismatch");
+    fn refresh_absorb(&mut self, idxs: &[u64], values: &dyn Any) -> Option<()> {
+        let values = values.downcast_ref::<Vec<T>>()?;
         debug_assert_eq!(values.len(), idxs.len());
         // `idxs` ascends: a refresh part lists written indices in apply
         // order, which is ascending by index.
         self.cache_merge(idxs.iter().copied().zip(values.iter().copied()));
+        Some(())
     }
 
     fn cache_clear(&mut self) {
@@ -2416,10 +2507,15 @@ mod tests {
         assert_eq!((b0, b1, b2), (0, 2, 6));
         assert_eq!(ga.arena_get(b1 + 2), 181);
         assert_eq!(ga.arena_get(b2), 1);
-        assert_eq!(
-            ga.rcache,
-            vec![(50, 150), (60, 160), (70, 170), (80, 181), (99, 199)]
-        );
+        let lines: Vec<(u64, &[u64])> = ga.rcache.iter().collect();
+        let want: [(u64, &[u64]); 5] = [
+            (50, &[150]),
+            (60, &[160]),
+            (70, &[170]),
+            (80, &[181]),
+            (99, &[199]),
+        ];
+        assert_eq!(lines, want);
         assert_eq!(ga.cache_get(70), Some(170));
         assert_eq!(ga.cache_get(71), None);
         ga.refresh_absorb(&[55, 70], &vec![155u64, 171]);
@@ -2430,6 +2526,83 @@ mod tests {
         ga.arena_clear();
         assert!(ga.arena_is_empty());
         assert_eq!(ga.cache_get(99), Some(199));
+    }
+
+    /// The run cache is a sorted map: after every random ascending batch —
+    /// fresh lines, refreshed ones, batches that touch, bridge or extend
+    /// runs — each look-up, and each span's bounds and contents, are what a
+    /// `BTreeMap` of the same lines gives; lines that touch share a run; an
+    /// owned range cuts the spans it crosses; clearing forgets everything.
+    #[test]
+    fn run_cache_equals_a_sorted_map() {
+        use std::collections::BTreeMap;
+        const LEN: usize = 96;
+        let mut g = crate::testkit::Gen::new(0x22);
+        for case in 0..60 {
+            // Node 1 of 3 owns the middle third, or (cyclic) nothing the
+            // span clip knows of.
+            let dist = [Dist::block(LEN, 3), Dist::cyclic(LEN, 3)][case % 2].clone();
+            let mut ga: GArray<u64> = GArray::new(dist, 1);
+            let owned = ga.owned.clone();
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            for batch in 0..8 {
+                let mut idxs: Vec<u64> = Vec::new();
+                let mut at = g.u64_in(0..LEN as u64 / 2);
+                while at < LEN as u64 && idxs.len() < 20 {
+                    // A stretch of consecutive lines, then a gap.
+                    let stretch = g.u64_in(1..8).min(LEN as u64 - at);
+                    idxs.extend(at..at + stretch);
+                    at += stretch + g.u64_in(1..12);
+                }
+                let vals: Vec<u64> = idxs.iter().map(|i| i * 100 + batch).collect();
+                if batch % 2 == 0 {
+                    ga.absorb_response(Box::new(vals.clone()), Some(&idxs));
+                } else {
+                    ga.refresh_absorb(&idxs, &vals).unwrap();
+                }
+                model.extend(idxs.iter().copied().zip(vals));
+
+                let runs = &ga.rcache.runs;
+                assert!(
+                    runs.windows(2).all(|w| {
+                        let lines = (w[1].1 - w[0].1) as u64;
+                        w[0].0 + lines < w[1].0 && lines > 0
+                    }),
+                    "case {case}: runs touch, overlap or are empty: {runs:?}"
+                );
+                assert_eq!(ga.rcache.vals.len(), model.len());
+                for idx in 0..LEN {
+                    let line = model.get(&(idx as u64)).copied();
+                    assert_eq!(ga.cache_get(idx as u64), line, "case {case}: line {idx}");
+                    if ga.owned_offset(idx).is_some() {
+                        continue;
+                    }
+                    let Some((lo, span)) = ga.cached_span(idx) else {
+                        assert_eq!(line, None, "case {case}: no span at cached {idx}");
+                        continue;
+                    };
+                    let hi = lo + span.len();
+                    assert!(
+                        (lo..hi).contains(&idx),
+                        "case {case}: {idx} outside its span"
+                    );
+                    for (k, v) in span.iter().enumerate() {
+                        assert_eq!(model.get(&((lo + k) as u64)), Some(v), "case {case}");
+                        assert!(!owned.contains(&(lo + k)), "case {case}: owned {}", lo + k);
+                    }
+                    // Maximal: it ends at an unknown line or at the owned range.
+                    let stops = |i: usize| !model.contains_key(&(i as u64)) || owned.contains(&i);
+                    assert!(
+                        lo == 0 || stops(lo - 1),
+                        "case {case}: span of {idx} starts late"
+                    );
+                    assert!(stops(hi), "case {case}: span of {idx} ends early");
+                }
+            }
+            ga.cache_clear();
+            assert!((0..LEN as u64).all(|i| ga.cache_get(i).is_none()));
+            assert!(ga.rcache.runs.is_empty() && ga.rcache.vals.is_empty());
+        }
     }
 
     #[test]
@@ -2514,9 +2687,11 @@ mod tests {
         let p0 = cols(&[(1, WKind::Assign, &[(2, 10.0)]), (2, ADD, &[(0, 1.0)])]);
         let p1 = cols(&[(2, ADD, &[(5, 2.0)])]);
         let mut touched = Vec::new();
-        let (n, written) = ga.apply_writes(vec![(2, p2), (0, p0), (1, p1)], &mut |off| {
-            touched.push(off)
-        });
+        let (n, written) = ga.apply_writes(
+            vec![(2, p2), (0, p0), (1, p1)],
+            &mut |off| touched.push(off),
+            true,
+        );
         assert_eq!(n, 4);
         assert_eq!(written, vec![1, 2], "distinct written indices, ascending");
         assert_eq!(touched, vec![1, 2], "one touch per store");
@@ -2559,7 +2734,7 @@ mod tests {
             (1, WKind::Assign, &[(0, 1.0)]),
             (6, WKind::Assign, &[(0, 2.0)]),
         ]);
-        ga.apply_writes(vec![(1, stray)], &mut |_| {});
+        ga.apply_writes(vec![(1, stray)], &mut |_| {}, true);
     }
 
     /// Charge per call: a 10 000-element local `get_many` and `put_many` cost
@@ -2613,7 +2788,7 @@ mod tests {
         let mut ga: GArray<f64> = GArray::new(Dist::block(1, 1), 0);
         let from0 = cols(&[(0, ADD, &[(0, 1e16), (2, 1.0)])]);
         let from1 = cols(&[(0, ADD, &[(1, -1e16)])]);
-        ga.apply_writes(vec![(0, from0), (1, from1)], &mut |_| {});
+        ga.apply_writes(vec![(0, from0), (1, from1)], &mut |_| {}, true);
         assert_eq!(
             ga.local[0], 1.0,
             "(1e16 + -1e16) + 1.0 — node-partial folding would give 0.0"
@@ -2626,7 +2801,7 @@ mod tests {
         let mut ga: GArray<f64> = GArray::new(Dist::block(2, 1), 0);
         let a = cols(&[(0, WKind::Assign, &[(0, 1.0)])]);
         let b = cols(&[(0, ADD, &[(1, 1.0)])]);
-        ga.apply_writes(vec![(0, a), (1, b)], &mut |_| {});
+        ga.apply_writes(vec![(0, a), (1, b)], &mut |_| {}, true);
     }
 
     #[test]
@@ -2635,7 +2810,7 @@ mod tests {
         let mut ga: GArray<f64> = GArray::new(Dist::block(2, 1), 0);
         let a = cols(&[(0, ADD, &[(0, 1.0)]), (1, ADD, &[(0, 1.0)])]);
         let b = cols(&[(1, WKind::Accum(AccumOp::Min), &[(1, 1.0)])]);
-        ga.apply_writes(vec![(0, a), (1, b)], &mut |_| {});
+        ga.apply_writes(vec![(0, a), (1, b)], &mut |_| {}, true);
     }
 
     /// CSR offsets are `u32`: the last representable length passes, the
@@ -2780,7 +2955,7 @@ mod tests {
             assert_eq!(parcels.len(), SOURCES);
             to_owner0.push((s as u32, parcels.swap_remove(0).payload));
         }
-        let (applied, written) = nodes[0].apply_writes(to_owner0, &mut |_| {});
+        let (applied, written) = nodes[0].apply_writes(to_owner0, &mut |_| {}, true);
         let allocs = ALLOCS.with(|n| n.get()) - before;
         assert_eq!(applied as usize, SOURCES * N / SOURCES);
         assert_eq!(written.len(), N / SOURCES);

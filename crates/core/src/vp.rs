@@ -452,16 +452,23 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                 this.values.reserve_exact(idxs.size_hint().0);
                 s.first_seen.begin();
                 // An access to `hot` — elements from global index `lo` on —
-                // is its charge and a load (`GArray::hot_span`), and the
-                // charges are sums: they land once, after the loop.
-                // Everything `elsewhere` pays `charge_get`, one by one.
+                // is its charge and a load, and the charges are sums: they
+                // land once, after the loop. `hot` is an owned resident span
+                // (`GArray::hot_span`) or, `cached`, a run of the read cache
+                // (`GArray::cached_span`) — which only a checker-invisible
+                // read in a global phase may take, so every other remote
+                // read keeps its checks. Everything `elsewhere` pays
+                // `charge_get`, one by one.
                 let plain = VpCell::reads_plainly(s, this.array);
-                let (mut lo, mut hot): (usize, &[T]) = (0, &[]);
-                let (mut idxs, mut elsewhere) = (idxs, 0u64);
+                let caching =
+                    plain && this.cell.cfg.read_cache && s.cur_phase == Some(PhaseKind::Global);
+                let (mut lo, mut hot, mut cached): (usize, &[T], bool) = (0, &[], false);
+                let (mut idxs, mut hits, mut misses, mut elsewhere) = (idxs, 0u64, 0u64, 0u64);
                 let mut next = idxs.next();
                 while let Some(idx) = next {
                     if let Some(&v) = hot.get(idx.wrapping_sub(lo)) {
                         // A run of loads, up to the first index outside `hot`.
+                        let run_at = this.values.len();
                         this.values.push(v);
                         next = None;
                         this.values.extend(idxs.by_ref().map_while(|idx| {
@@ -471,9 +478,22 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                             }
                             load
                         }));
+                        if cached {
+                            hits += (this.values.len() - run_at) as u64;
+                        }
                     } else if let Some(span) = ga.hot_span(tiles, idx).filter(|_| plain) {
                         // Look at `idx` again, inside its span.
-                        (lo, hot) = span;
+                        (lo, hot, cached) = (span.0, span.1, false);
+                    } else if caching && ga.owned_offset(idx).is_none() {
+                        assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
+                        if let Some(span) = ga.cached_span(idx) {
+                            (lo, hot, cached) = (span.0, span.1, true);
+                        } else {
+                            misses += 1;
+                            this.request(s, ga, idx);
+                            this.values.push(T::default());
+                            next = idxs.next();
+                        }
                     } else {
                         elsewhere += 1;
                         let v = this.charge_one(s, ga, tiles, idx);
@@ -481,9 +501,12 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                         next = idxs.next();
                     }
                 }
-                let loads = this.values.len() as u64 - elsewhere;
-                s.compute += this.cell.cfg.sv_overhead.scale(loads);
-                s.counters.local_accesses += loads;
+                let charged = this.values.len() as u64 - elsewhere;
+                s.compute += this.cell.cfg.sv_overhead.scale(charged);
+                s.counters.local_accesses += charged - hits - misses;
+                s.counters.cache_hits += hits;
+                s.counters.cache_misses += misses;
+                s.counters.remote_gets += misses;
             } else {
                 let values = &mut this.values;
                 this.pending
@@ -540,19 +563,24 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
                 }
                 _ => self.deferred.push((pos, off, 1)),
             },
-            GetOutcome::Miss => {
-                if let Some(first) = s.first_seen.first(idx as u64, pos) {
-                    // The request this repeat does not make is one the wave
-                    // builder would have merged.
-                    s.counters.dedup_reads += 1;
-                    self.dups.push((pos, first));
-                } else {
-                    let slot = VpCell::issue_get(s, ga, self.array, idx);
-                    self.pending.push((pos, slot));
-                }
-            }
+            GetOutcome::Miss => self.request(s, ga, idx),
         }
         T::default()
+    }
+
+    /// A charged miss on remote `idx`, which the next output position is
+    /// for: parked on a new request, or on the one this call already made.
+    fn request(&mut self, s: &mut VpScratch, ga: &GArray<T>, idx: usize) {
+        let pos = read_position(self.values.len());
+        if let Some(first) = s.first_seen.first(idx as u64, pos) {
+            // The request this repeat does not make is one the wave
+            // builder would have merged.
+            s.counters.dedup_reads += 1;
+            self.dups.push((pos, first));
+        } else {
+            let slot = VpCell::issue_get(s, ga, self.array, idx);
+            self.pending.push((pos, slot));
+        }
     }
 }
 

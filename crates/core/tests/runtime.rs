@@ -1,6 +1,10 @@
 //! Behavioural tests of the PPM runtime semantics, exercised through the
 //! public API across a range of machine shapes.
 
+use std::future::Future;
+use std::pin::Pin;
+use std::task::Poll;
+
 use ppm_core::{run, AccumOp, PpmConfig};
 use ppm_simnet::MachineConfig;
 
@@ -1119,4 +1123,84 @@ fn owned_range_cache_follows_a_migration() {
         assert_eq!((*local, *gets, *puts), (3 * mine, theirs, 2 * theirs));
     }
     assert_eq!(observe(8), seq);
+}
+
+/// Ownership shadows the read cache on the bulk path too. Every VP reads the
+/// whole array each phase, so each node caches the other's half; the balancer
+/// then moves the cut *inside* a construct (caches survive: nothing is
+/// written, `forget_arrays` keeps them), leaving node 1 owning elements it
+/// still holds cached lines for, in tiles the rebind left cold, next to lines
+/// that are still remote. A `get_many` must then read, count and fault
+/// exactly like one `get` per element — never serve an owned element from
+/// its stale line — at 1 and 8 host threads.
+#[test]
+fn stale_cached_lines_stay_shadowed_by_ownership_in_bulk_reads() {
+    const N: usize = 64;
+    const VPS: usize = 4;
+    let observe = |bulk: bool, threads: usize| {
+        let c = cfg(2, 2)
+            .with_adaptive_balance(true)
+            .with_read_cache(true)
+            .with_tile_budget(64)
+            .with_checker(false)
+            .with_host_threads(threads);
+        let report = run(c, move |node| {
+            let a = node.alloc_global_balanced::<u64>(N);
+            let lo = node.local_range(&a).start;
+            node.with_local_mut(&a, |s| {
+                for (off, v) in s.iter_mut().enumerate() {
+                    *v = 3 * (lo + off) as u64 + 1;
+                }
+            });
+            let heavy = node.node_id() == 0;
+            node.ppm_do(VPS, move |vp| async move {
+                for _ in 0..8 {
+                    let v = vp.clone();
+                    vp.global_phase(|ph| async move {
+                        v.charge_flops(if heavy { 400_000 } else { 1 });
+                        let got = if bulk {
+                            ph.get_many(&a, 0..N).await
+                        } else {
+                            // One `get` per element, issued in one poll and
+                            // awaited together, as a bulk read's elements are.
+                            let mut reads: Vec<_> = (0..N).map(|i| ph.get(&a, i)).collect();
+                            let mut got = vec![None; N];
+                            std::future::poll_fn(|cx| {
+                                for (read, got) in reads.iter_mut().zip(&mut got) {
+                                    if got.is_none() {
+                                        if let Poll::Ready(v) = Pin::new(read).poll(cx) {
+                                            *got = Some(v);
+                                        }
+                                    }
+                                }
+                                match got.iter().copied().collect::<Option<Vec<u64>>>() {
+                                    Some(values) => Poll::Ready(values),
+                                    None => Poll::Pending,
+                                }
+                            })
+                            .await
+                        };
+                        assert!(got.iter().enumerate().all(|(i, &x)| x == 3 * i as u64 + 1));
+                    })
+                    .await;
+                }
+            });
+            (node.local_range(&a), node.ep_counters())
+        });
+        (report.makespan(), report.results)
+    };
+    let each = observe(false, 1);
+    let (grown, c) = &each.1[1];
+    assert!(grown.len() > N / 2, "the cut never moved: nothing tested");
+    assert!(c.cache_hits > 0 && c.tile_refills > 0 && c.remote_gets as usize > N / 2);
+    // Phase by phase node 1 reads each element VPS times: locally if it owns
+    // it by then, else from the wire (first VP of the first phase) or the cache.
+    assert_eq!(
+        c.local_accesses + c.cache_hits + c.cache_misses,
+        (8 * VPS * N) as u64
+    );
+    for threads in [1, 8] {
+        assert_eq!(observe(true, threads), each, "{threads} host threads");
+    }
+    assert_eq!(observe(false, 8), each);
 }
