@@ -32,7 +32,6 @@
 //! overflows (loads ≤ 2⁶⁴, spans ≤ 2⁶⁴ are never multiplied together more
 //! than twice with a small node count).
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -41,6 +40,7 @@ use crate::dist::Dist;
 use crate::exec::exchange;
 use crate::msgs::{self, MigrateMsg};
 use crate::nodectx::NodeCtx;
+use crate::state::Values;
 
 /// One node's balancer state ([`crate::state::Inner::balancer`]).
 #[derive(Default)]
@@ -258,7 +258,7 @@ pub(crate) fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
 
     // Rebind: install the new layouts, retained overlap plus arrived
     // stretches, per balanced array.
-    type ArrivedParts = Vec<(usize, Box<dyn Any + Send>)>;
+    type ArrivedParts = Vec<(usize, Values)>;
     let mut by_array: BTreeMap<u32, ArrivedParts> = BTreeMap::new();
     let mut inner = nc.inner.borrow_mut();
     for (_src, bytes, bundle) in incoming {

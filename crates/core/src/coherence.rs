@@ -25,13 +25,12 @@
 //! [`crate::dissem::Notices`] — no transport, no clock — so the routing is
 //! tested for all nodes in lockstep without a thread.
 
-use std::any::Any;
 use std::ops::Range;
 
 use crate::bitset::NodeSet;
 use crate::dissem::{route_offset, Edge};
 use crate::msgs::ReqEntry;
-use crate::state::{GArrayObj, Inner};
+use crate::state::{GArrayObj, Inner, Values};
 
 /// Serve-history TTL, in global phases: an element whose last peer serve is
 /// older than this is forgotten (and disarmed), bounding push waste for
@@ -175,7 +174,7 @@ impl Coherence {
             idxs.push(idx);
         }
         if !idxs.is_empty() {
-            let values = ga.refresh_collect(&idxs);
+            let (values, _) = ga.serve(&idxs);
             self.pending_refresh.push(RefreshPart {
                 array,
                 idxs,
@@ -270,10 +269,8 @@ pub(crate) struct RefreshPart {
     /// the next begins. One set per run, not per entry — a halo is one run
     /// however many elements it has.
     runs: Vec<(usize, NodeSet)>,
-    /// `Vec<T>` for the array's element type, parallel to `idxs`. `Sync` as
-    /// well as `Send` because undelivered parts park in [`Inner`] between
-    /// rounds.
-    values: Box<dyn Any + Send + Sync>,
+    /// Of the array's element type, parallel to `idxs`.
+    values: Values,
 }
 
 impl RefreshPart {
@@ -341,8 +338,8 @@ impl RefreshPart {
     }
 }
 
-/// A refresh part's values are built by its array's own `refresh_collect`
-/// on the owner and only ever handed back to the same array id, so this is
+/// A refresh part's values are built by its array's own `serve` on the owner
+/// and only ever handed back to the same array id, so this is
 /// a corrupted part, not an input.
 fn mistyped(array: u32) -> ! {
     panic!("refresh payload for global array {array} is not of the array's element type")
@@ -450,10 +447,11 @@ impl CoherencePart {
 mod tests {
     use super::*;
     use crate::bitset::SETS_BUILT;
+    use crate::check::Space;
     use crate::config::PpmConfig;
     use crate::dissem::dissemination;
     use crate::dist::Dist;
-    use crate::state::{garray_ref, GArray};
+    use crate::state::{array_ref, GArray};
     use crate::testkit::Gen;
     use std::collections::BTreeMap;
 
@@ -470,6 +468,19 @@ mod tests {
         p.runs()
             .flat_map(|(range, set)| range.map(move |_| set.clone()))
             .collect()
+    }
+
+    impl CoherenceMsg {
+        /// `(array, element, destination set)` per refresh entry carried
+        /// (what `exec`'s composed lockstep property looks at).
+        pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, u64, NodeSet)> + '_ {
+            self.refreshes.iter().flat_map(|r| {
+                r.idxs
+                    .iter()
+                    .zip(masks(r))
+                    .map(|(&i, set)| (r.array, i, set))
+            })
+        }
     }
 
     /// Entries go to the side(s) their targets lie on, sets cut to match;
@@ -771,7 +782,7 @@ mod tests {
                     "{nodes} nodes: node {me} received each entry once"
                 );
                 part.finish(&mut inner);
-                let ga = garray_ref::<u64>(&inner.frozen, 0);
+                let ga = array_ref::<u64>(&inner.frozen, Space::Global, 0);
                 for idx in 0..(nodes * PER) as u64 {
                     let cached = targets[idx as usize].contains(me).then_some(idx + 1000);
                     assert_eq!(ga.cache_get(idx), cached, "{nodes} nodes: node {me}, {idx}");

@@ -18,13 +18,14 @@
 //!
 //! [`K_BARRIER`]: msgs::K_BARRIER
 
-use ppm_simnet::Message;
+use ppm_simnet::{Message, SimTime};
 
 use crate::coherence::{CoherenceMsg, CoherencePart};
-use crate::dissem::{dissemination, LoadBlock};
+use crate::dissem::{dissemination, Edge, LoadBlock};
 use crate::failover::{FailoverMsg, FailoverPart};
 use crate::msgs;
 use crate::nodectx::NodeCtx;
+use crate::state::Inner;
 
 /// One node's side of one clock barrier's riders.
 pub(super) struct BarrierParts {
@@ -34,11 +35,34 @@ pub(super) struct BarrierParts {
 }
 
 /// Clock-barrier payload: what each part put on this edge.
-struct BarrierMsg {
-    coherence: CoherenceMsg,
+pub(super) struct BarrierMsg {
+    pub coherence: CoherenceMsg,
     /// [`LoadBlock::to_send`].
-    loads: Vec<u64>,
-    failover: FailoverMsg,
+    pub loads: Vec<u64>,
+    pub failover: FailoverMsg,
+}
+
+impl BarrierParts {
+    /// What rides `edge`, and its wire bytes (for `Message::bytes`):
+    /// coherence's alone.
+    pub fn take_for(&mut self, edge: Edge, inner: &mut Inner) -> (BarrierMsg, u64) {
+        let (coherence, wire_bytes) = self.coherence.take_for(edge, inner);
+        let bm = BarrierMsg {
+            coherence,
+            loads: self.loads.to_send(),
+            failover: self.failover.take_for(edge, inner),
+        };
+        (bm, wire_bytes)
+    }
+
+    /// Take in what arrived (`wire_bytes` = its `Message::bytes`). Returns the
+    /// compute this node's clock owes as host of its predecessor's persona.
+    pub fn absorb(&mut self, bm: BarrierMsg, wire_bytes: u64, inner: &mut Inner) -> SimTime {
+        self.loads.append(&bm.loads);
+        let hosted = self.failover.absorb(bm.failover, inner);
+        self.coherence.absorb(bm.coherence, wire_bytes, inner);
+        hosted
+    }
 }
 
 /// Run the barrier closing global phase `phase`.
@@ -47,35 +71,20 @@ pub(super) fn clock_barrier(nc: &mut NodeCtx<'_>, phase: u64, mut parts: Barrier
     let net = nc.config().machine.net;
     for edge in dissemination(me, nodes) {
         nc.ep.clock.advance_comm(net.overhead);
-        let (bm, wire_bytes) = {
-            let inner = &mut nc.inner.borrow_mut();
-            let (coherence, wire_bytes) = parts.coherence.take_for(edge, inner);
-            let failover = parts.failover.take_for(edge, inner);
-            let loads = parts.loads.to_send();
-            let bm = BarrierMsg {
-                coherence,
-                loads,
-                failover,
-            };
-            (bm, wire_bytes as usize)
-        };
+        let (bm, wire_bytes) = parts.take_for(edge, &mut nc.inner.borrow_mut());
         let tag = msgs::tag(msgs::K_BARRIER, msgs::barrier_meta(phase, edge.round));
         // `ts` is the arrival instant.
         let ts = nc.now() + net.latency;
         nc.send_msg(
-            Message::new(me, edge.to, tag, ts, wire_bytes, bm),
+            Message::new(me, edge.to, tag, ts, wire_bytes as usize, bm),
             msgs::K_BARRIER,
         );
         let msg = nc.pump_recv(|m| m.tag == tag && m.src == edge.from);
         nc.ep.clock.wait_until(msg.ts);
         nc.ep.clock.advance_comm(net.overhead);
         let wire_bytes = msg.bytes as u64;
-        let bm: BarrierMsg = msg.take();
-        let inner = &mut nc.inner.borrow_mut();
-        parts.loads.append(&bm.loads);
-        let hosted = parts.failover.absorb(bm.failover, inner);
+        let hosted = parts.absorb(msg.take(), wire_bytes, &mut nc.inner.borrow_mut());
         nc.ep.clock.advance_compute(hosted);
-        parts.coherence.absorb(bm.coherence, wire_bytes, inner);
     }
     (nc.inner.borrow_mut().balancer).fold_window(nodes, parts.loads.by_rank());
     parts.failover.finish(nc, phase);

@@ -1,19 +1,28 @@
-//! Unit tests of the wave builder and the response arena's lifetime
-//! (`exec::tests`; kept in their own file so `mod.rs` stays readable).
+//! Unit tests of the wave builder, the response arena's lifetime and the
+//! clock barrier's riders stepped together (`exec::tests`; kept in their own
+//! file so `mod.rs` stays readable).
 
+use std::collections::BTreeMap;
 use std::future::{poll_fn, Future};
 use std::pin::Pin;
 use std::task::Poll;
 
 use ppm_simnet::{FaultConfig, MachineConfig};
 
+use super::barrier::{BarrierMsg, BarrierParts};
 use super::wave::build_dest;
 use super::*;
+use crate::bitset::NodeSet;
+use crate::check::Space;
 use crate::config::PpmConfig;
+use crate::dissem::{dissemination, route_offset, LoadBlock, Notices};
+use crate::dist::Dist;
 use crate::elem::AccumOp;
-use crate::state::{Frozen, Inner, QueuedReq};
-use crate::testkit::Gen;
-use crate::{GlobalShared, Phase};
+use crate::failover::{FailoverPart, ReplicaFrame};
+use crate::msgs::ReqEntry;
+use crate::state::{array_ref, Frozen, GArray, GArrayObj, Inner, QueuedReq, WKind};
+use crate::testkit::{forall, Gen, PropResult};
+use crate::{prop_assert, prop_assert_eq, GlobalShared, Phase};
 
 fn req(array: u32, idx: u64, vp: u32, slot: u32) -> QueuedReq {
     QueuedReq {
@@ -327,4 +336,237 @@ fn unpolled_bulk_read_is_free_and_leaves_its_iterator_alone() {
         assert_eq!(ph.get_many(&a, idxs()).await, vec![0; 8]);
         assert_eq!((charged().1 - before.1, ADVANCED.load(Relaxed)), (8, 8));
     });
+}
+
+/// One clock barrier with everything that rides it, for all `nodes` nodes in
+/// lockstep and no thread: what each node brings is drawn from `seed` and put
+/// there the way a phase end puts it — reads served twice arm elements,
+/// writes buffered by a polled VP set the invalidation bits and, applied,
+/// queue the refresh runs (`select_refresh`) — then all four riders walk one
+/// `dissemination(me, nodes)` together, `Notices` beside the three
+/// `BarrierParts`.
+fn riders_in_lockstep(&(nodes, seed): &(usize, u64)) -> PropResult {
+    /// Elements each node owns of each array.
+    const PER: usize = 4;
+    if nodes == 0 {
+        return Ok(());
+    }
+    let mut g = Gen::new(seed);
+    let arrays = g.u32_in(1..4);
+    let len = nodes * PER;
+    let cfg = PpmConfig::franklin(nodes as u32).with_replication(true);
+    let bounds = Arc::new(
+        (0..nodes)
+            .map(|o| o * PER)
+            .chain([len + 1])
+            .collect::<Vec<_>>(),
+    );
+    let other = |g: &mut Gen, me: usize| (me + g.usize_in(1..nodes)) % nodes;
+    let sparse =
+        |g: &mut Gen| -> NodeSet { (0..nodes).filter(|_| g.usize_in(0..nodes) == 0).collect() };
+    let frame = |me: usize| ReplicaFrame {
+        phase: 1,
+        bytes: 1000 + me as u64,
+        base: me.is_multiple_of(2),
+    };
+
+    let mut inners: Vec<Inner> = Vec::new();
+    let mut parts: Vec<BarrierParts> = Vec::new();
+    let mut notices: Vec<Notices> = Vec::new();
+    let (mut loads, mut suspected) = (Vec::new(), NodeSet::new());
+    let mut expected_senders = vec![NodeSet::new(); nodes];
+    // Arrays written anywhere; who must end up caching `(array, element)`.
+    let mut written_arrays = NodeSet::new();
+    let mut targets: BTreeMap<(u32, u64), NodeSet> = BTreeMap::new();
+    for me in 0..nodes {
+        let mut inner = Inner::new(cfg);
+        for _ in 0..arrays {
+            // Node `o` owns `[o * PER, (o + 1) * PER)`; the one element past
+            // them is where every cache holds a stale line, which the
+            // invalidation sweep must clear.
+            let mut ga = GArray::<u64>::new(Dist::weighted(len + 1, nodes, bounds.clone()), me);
+            ga.refresh_absorb(&[len as u64], &vec![7u64]);
+            inner.thaw().garrays.push(Box::new(ga));
+        }
+        // Serves: an element arms on its second serve — the same readers
+        // again a phase later, or two readers at once.
+        let owned = me * PER..(me + 1) * PER;
+        let mut readers: BTreeMap<(u32, u64), (NodeSet, bool)> = BTreeMap::new();
+        for (array, idx) in (0..arrays).flat_map(|a| owned.clone().map(move |i| (a, i as u64))) {
+            let some = if nodes > 1 { g.usize_in(0..3) } else { 0 };
+            let set: NodeSet = (0..some).map(|_| other(&mut g, me)).collect();
+            let armed = set.count() > 1 || (set.any() && g.bool());
+            readers.insert((array, idx), (set, armed));
+        }
+        for phase in 0..2 {
+            for (&(array, idx), (set, armed)) in &readers {
+                let entry = ReqEntry {
+                    array,
+                    idx,
+                    slot: 0,
+                };
+                for reader in set.iter().filter(|_| phase == 0 || *armed) {
+                    inner.coherence.note_serves(reader, &[entry]);
+                }
+            }
+            inner.coherence.fold_serves(phase);
+        }
+        // Writes to own elements, through a VP's poll, merge, drain and apply.
+        let cell = VpCell::new(0, me as u64, me, cfg, DoMode::Collective, 1, nodes as u64);
+        let mut wrote: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        for array in 0..arrays {
+            let idxs: Vec<usize> = owned.clone().filter(|_| g.bool()).collect();
+            if !idxs.is_empty() {
+                wrote.insert(array, idxs);
+            }
+        }
+        {
+            let _poll = PollGuard::enter(&cell, Arc::clone(&inner.frozen));
+            cell.with_poll(|s, _| s.cur_phase = Some(PhaseKind::Global));
+            for (&array, idxs) in &wrote {
+                let items = idxs.iter().map(|&i| (i, i as u64 + 1000));
+                cell.write_many(Space::Global, array, WKind::Assign, items, None);
+            }
+        }
+        merge_vp(&mut inner, &cell);
+        let coherence = (inner.coherence).barrier_part(me, nodes, &inner.frozen.garrays);
+        for (&array, idxs) in &wrote {
+            written_arrays.insert(array as usize);
+            let ga = &mut inner.thaw().garrays[array as usize];
+            let own = ga.drain_writes(None).pop().expect("own writes, one parcel");
+            let (_, written) = ga.apply_writes(vec![(me as u32, own.payload)], &mut |_| {}, true);
+            prop_assert_eq!(written, idxs.iter().map(|&i| i as u64).collect::<Vec<_>>());
+            let ga = &*inner.frozen.garrays[array as usize];
+            (inner.coherence).select_refresh((me, nodes), array, written, ga);
+        }
+        // A written, armed element is pushed to its readers at most two hops
+        // away.
+        for ((array, idx), (set, armed)) in readers {
+            let near = |&t: &usize| route_offset(me, t, nodes).count_ones() <= 2;
+            let near: NodeSet = set.iter().filter(near).collect();
+            let written = wrote
+                .get(&array)
+                .is_some_and(|w| w.contains(&(idx as usize)));
+            if armed && written && near.any() {
+                targets.insert((array, idx), near);
+            }
+        }
+
+        let dests: Vec<usize> = (0..nodes)
+            .filter(|&d| d != me && g.usize_in(0..nodes) < 3)
+            .collect();
+        dests.iter().for_each(|&d| expected_senders[d].insert(me));
+        notices.push(Notices::new(me, nodes, dests.into_iter()));
+        loads.push(g.u64());
+        let suspects = sparse(&mut g);
+        suspected.union_with(&suspects);
+        let failover = FailoverPart::new(&mut inner, (me, nodes), suspects, Some(frame(me)), 0);
+        parts.push(BarrierParts {
+            coherence,
+            loads: LoadBlock::new(me, nodes, loads[me]),
+            failover,
+        });
+        inners.push(inner);
+    }
+
+    // hops[(array, element, target)]: messages that carried the entry on
+    // behalf of that target.
+    let mut hops: BTreeMap<(u32, u64, usize), u32> = BTreeMap::new();
+    for round in 0..dissemination(0, nodes).count() {
+        let edge = |me: usize| dissemination(me, nodes).nth(round).unwrap();
+        // What each node put on its edge: the barrier message, its wire
+        // bytes, the notice token.
+        type Sent = (BarrierMsg, u64, Vec<(u32, u32)>);
+        let mut sent: Vec<Option<Sent>> = Vec::new();
+        for me in 0..nodes {
+            let before = inners[me].traffic.refresh_bytes_out;
+            let (bm, wire_bytes) = parts[me].take_for(edge(me), &mut inners[me]);
+            let refresh_bytes = inners[me].traffic.refresh_bytes_out - before;
+            prop_assert_eq!(wire_bytes, refresh_bytes);
+            sent.push(Some((bm, wire_bytes, notices[me].take_for(edge(me)))));
+        }
+        for me in 0..nodes {
+            let from = edge(me).from;
+            let (bm, wire_bytes, token) = sent[from].take().expect("one receiver per edge");
+            // Round 0's edge ends at the cyclic successor: the buddy.
+            prop_assert_eq!(bm.failover.replica(), (round == 0).then(|| frame(from)));
+            for (array, idx, set) in bm.coherence.entries() {
+                set.iter()
+                    .for_each(|t| *hops.entry((array, idx, t)).or_default() += 1);
+            }
+            let hosted = parts[me].absorb(bm, wire_bytes, &mut inners[me]);
+            prop_assert_eq!(hosted, SimTime::ZERO);
+            notices[me].absorb(token);
+        }
+    }
+
+    let mut want_hops = BTreeMap::new();
+    for (&(array, idx), set) in &targets {
+        let owner = idx as usize / PER;
+        for t in set.iter() {
+            want_hops.insert((array, idx, t), route_offset(owner, t, nodes).count_ones());
+        }
+    }
+    prop_assert!(
+        hops == want_hops,
+        "each refresh travels its route once, and no other"
+    );
+    let sum = |f: fn(&Inner) -> u64| inners.iter().map(f).sum::<u64>();
+    let frames: u64 = (0..nodes).map(|me| frame(me).bytes).sum();
+    prop_assert_eq!(
+        sum(|i| i.counters.bytes_sent),
+        sum(|i| i.counters.bytes_recv)
+    );
+    prop_assert_eq!(
+        sum(|i| i.traffic.refresh_bytes_out),
+        sum(|i| i.traffic.refresh_bytes_in)
+    );
+    prop_assert_eq!(
+        sum(|i| i.traffic.replica_bytes_out),
+        if nodes > 1 { frames } else { 0 }
+    );
+    prop_assert_eq!(
+        sum(|i| i.traffic.replica_bytes_in),
+        sum(|i| i.traffic.replica_bytes_out)
+    );
+    let refreshed = sum(|i| i.traffic.refresh_bytes_out) + sum(|i| i.traffic.replica_bytes_out);
+    prop_assert_eq!(sum(|i| i.counters.bytes_sent), refreshed);
+
+    let walked = parts.into_iter().zip(notices).zip(inners).enumerate();
+    for (me, ((part, notices), mut inner)) in walked {
+        prop_assert!(
+            notices.into_expected() == expected_senders[me],
+            "node {me}'s senders"
+        );
+        let by_rank: BTreeMap<usize, u64> = part.loads.by_rank().collect();
+        prop_assert_eq!(by_rank.into_values().collect::<Vec<_>>(), loads);
+        prop_assert!(
+            *part.failover.suspects() == suspected,
+            "node {me}'s suspicions"
+        );
+        part.coherence.finish(&mut inner);
+        for array in 0..arrays {
+            let ga = array_ref::<u64>(&inner.frozen, Space::Global, array);
+            let swept = nodes > 1 && written_arrays.contains(array as usize);
+            prop_assert_eq!(ga.cache_get(len as u64), (!swept).then_some(7));
+        }
+        // Nothing else travelled (`hops`), so nothing else can be cached.
+        for (&(array, idx), set) in &targets {
+            let ga = array_ref::<u64>(&inner.frozen, Space::Global, array);
+            prop_assert_eq!(ga.cache_get(idx), set.contains(me).then_some(idx + 1000));
+        }
+    }
+    Ok(())
+}
+
+/// The four barrier riders — sender notices, refresh pushes and invalidation
+/// bits, the loads allgather, suspicion bits and replica frames — compose:
+/// stepped together at random node counts up to 300, each refresh reaches
+/// each target once over its source route, loads end complete in rank order,
+/// suspicions flood to the union, only the round-0 successor gets the frame,
+/// bytes sent are bytes received, and `Message::bytes` is refresh bytes alone.
+#[test]
+fn barrier_riders_compose_at_random_node_counts() {
+    let case = |g: &mut Gen| (g.usize_in(1..301), g.u64());
+    forall("barrier_riders_compose", 48, case, riders_in_lockstep);
 }

@@ -18,7 +18,6 @@
 //! in lockstep without a thread. Replica bytes are accounted out-of-band:
 //! they must not ride `Message::bytes`, which belongs to refresh pushes.
 
-use std::any::Any;
 use std::fmt::Write as _;
 
 use ppm_simnet::SimTime;
@@ -29,17 +28,17 @@ use crate::dissem::Edge;
 use crate::error::RecoveryError;
 use crate::nodectx::NodeCtx;
 use crate::reliable::Reliability;
-use crate::state::Inner;
+use crate::state::{Inner, Values};
 
 /// Super-step snapshot of this node's shared-array state.
 struct Snapshots {
     /// `phase.global_seq` at capture time: the number of completed global
     /// exchanges this state reflects.
     phase: u64,
-    /// One `Vec<T>` payload per global array partition.
-    garrays: Vec<Box<dyn Any + Send + Sync>>,
-    /// One `Vec<T>` payload per node-shared array instance.
-    narrays: Vec<Box<dyn Any + Send + Sync>>,
+    /// One payload per global array partition.
+    garrays: Vec<Values>,
+    /// One payload per node-shared array instance.
+    narrays: Vec<Values>,
     /// Total modeled bytes of all payloads — the size of a base (full)
     /// replica frame.
     bytes: u64,
@@ -54,12 +53,12 @@ struct Snapshots {
 pub(crate) struct ReplicaFrame {
     /// Global phase sequence of the snapshot this frame brings the buddy's
     /// replica up to.
-    phase: u64,
+    pub phase: u64,
     /// Modeled frame bytes: the full snapshot on a base frame, the bytes
     /// written since the previous snapshot on a delta frame.
-    bytes: u64,
+    pub bytes: u64,
     /// Whether this is a base (full-snapshot) frame.
-    base: bool,
+    pub base: bool,
 }
 
 /// One node's fail-stop state ([`Inner::failover`]).
@@ -307,11 +306,12 @@ fn restore_from_snapshot(nc: &mut NodeCtx<'_>, phase: u64) -> (SimTime, u64) {
     }
     let mut bytes = 0u64;
     let arrays = inner.thaw();
-    for (ga, s) in arrays.garrays.iter_mut().zip(&snaps.garrays) {
-        bytes += ga.restore_local(s.as_ref()).unwrap_or_else(|e| fail(e));
-    }
-    for (na, s) in arrays.narrays.iter_mut().zip(&snaps.narrays) {
-        bytes += na.restore_local(s.as_ref()).unwrap_or_else(|e| fail(e));
+    let global = arrays.garrays.iter_mut().zip(&snaps.garrays);
+    let node = arrays.narrays.iter_mut().zip(&snaps.narrays);
+    for (array, snap) in global.chain(node) {
+        bytes += array
+            .restore_local(snap.as_ref())
+            .unwrap_or_else(|e| fail(e));
     }
     inner.failover.snapshots = Some(snaps);
     // The phase body's compute still sits uncharged in the per-core
@@ -571,6 +571,19 @@ mod tests {
     use super::*;
     use crate::dissem::dissemination;
     use crate::testkit::Gen;
+
+    // What `exec`'s composed lockstep property looks at.
+    impl FailoverMsg {
+        pub(crate) fn replica(&self) -> Option<ReplicaFrame> {
+            self.replica
+        }
+    }
+
+    impl FailoverPart {
+        pub(crate) fn suspects(&self) -> &NodeSet {
+            &self.suspects
+        }
+    }
 
     /// All nodes of one barrier stepped together over their dissemination
     /// edges, no thread. Returns each node's part, ready to confirm.

@@ -6,6 +6,8 @@
 
 use std::any::Any;
 
+use crate::state::Values;
+
 /// Read-request bundle (one per destination per wave). Kinds live in the
 /// top byte of the 64-bit tag.
 pub const K_READ_REQ: u64 = 1;
@@ -91,8 +93,8 @@ pub(crate) struct RespPart {
     pub array: u32,
     /// Requester-side slots, parallel to `values`.
     pub slots: Vec<u32>,
-    /// `Vec<T>` for the array's element type.
-    pub values: Box<dyn Any + Send>,
+    /// Of the array's element type.
+    pub values: Values,
 }
 
 /// A bundle of read responses (one per request bundle).
@@ -126,9 +128,9 @@ pub(crate) struct TokenMsg {
 
 /// Repartitioning migration bundle: the elements this node hands over to
 /// one peer, never empty — both sides derive who sends to whom from the
-/// replicated rebalance plan. `(array id, global start index, Vec<T>
-/// payload)` per moved stretch.
-pub(crate) type MigrateMsg = Vec<(u32, usize, Box<dyn Any + Send>)>;
+/// replicated rebalance plan. `(array id, global start index, payload)` per
+/// moved stretch.
+pub(crate) type MigrateMsg = Vec<(u32, usize, Values)>;
 
 #[cfg(test)]
 mod tests {

@@ -11,6 +11,7 @@ use std::future::Future;
 
 use ppm_simnet::{ArgValue, EndpointCtx, Message, RelMeta, SimTime};
 
+use crate::check::Space;
 use crate::config::PpmConfig;
 use crate::dist::{Dist, Layout};
 use crate::elem::Elem;
@@ -18,9 +19,7 @@ use crate::error::RecoveryError;
 use crate::msgs::{self, RespBundle, RespPart};
 use crate::reliable::Reliability;
 use crate::shared::{GlobalShared, NodeShared};
-use crate::state::{
-    garray_mut, garray_ref, narray_mut, narray_ref, GArray, Inner, NArray, SharedInner,
-};
+use crate::state::{array_mut, array_ref, GArray, Inner, SharedInner};
 use crate::vp::Vp;
 
 /// Per-node handle passed to the SPMD closure of [`crate::run`].
@@ -214,7 +213,7 @@ impl<'a> NodeCtx<'a> {
         let mut inner = self.inner.borrow_mut();
         let narrays = &mut inner.thaw().narrays;
         let id = u32::try_from(narrays.len()).expect("too many node shared arrays");
-        narrays.push(Box::new(NArray::<T>::new(len)));
+        narrays.push(Box::new(GArray::<T>::node_shared(len)));
         NodeShared::new(id, len)
     }
 
@@ -227,7 +226,7 @@ impl<'a> NodeCtx<'a> {
     /// phases.
     pub fn local_range<T: Elem>(&self, g: &GlobalShared<T>) -> std::ops::Range<usize> {
         let inner = self.inner.borrow();
-        let ga = garray_ref::<T>(&inner.frozen, g.id);
+        let ga = array_ref::<T>(&inner.frozen, Space::Global, g.id);
         ga.dist.owned_range(self.node_id())
     }
 
@@ -235,13 +234,15 @@ impl<'a> NodeCtx<'a> {
     /// recut at global phase boundaries).
     pub fn dist_of<T: Elem>(&self, g: &GlobalShared<T>) -> Dist {
         let inner = self.inner.borrow();
-        garray_ref::<T>(&inner.frozen, g.id).dist.clone()
+        array_ref::<T>(&inner.frozen, Space::Global, g.id)
+            .dist
+            .clone()
     }
 
     /// Read this node's partition of a global array.
     pub fn with_local<T: Elem, R>(&self, g: &GlobalShared<T>, f: impl FnOnce(&[T]) -> R) -> R {
         let inner = self.inner.borrow();
-        f(&garray_ref::<T>(&inner.frozen, g.id).local)
+        f(&array_ref::<T>(&inner.frozen, Space::Global, g.id).local)
     }
 
     /// Mutate this node's partition of a global array directly
@@ -252,13 +253,13 @@ impl<'a> NodeCtx<'a> {
         f: impl FnOnce(&mut [T]) -> R,
     ) -> R {
         let mut inner = self.inner.borrow_mut();
-        f(&mut garray_mut::<T>(inner.thaw(), g.id).local)
+        f(&mut array_mut::<T>(inner.thaw(), Space::Global, g.id).local)
     }
 
     /// Read this node's instance of a node-shared array.
     pub fn with_node<T: Elem, R>(&self, n: &NodeShared<T>, f: impl FnOnce(&[T]) -> R) -> R {
         let inner = self.inner.borrow();
-        f(&narray_ref::<T>(&inner.frozen, n.id).data)
+        f(&array_ref::<T>(&inner.frozen, Space::Node, n.id).local)
     }
 
     /// Mutate this node's instance of a node-shared array directly.
@@ -268,7 +269,7 @@ impl<'a> NodeCtx<'a> {
         f: impl FnOnce(&mut [T]) -> R,
     ) -> R {
         let mut inner = self.inner.borrow_mut();
-        f(&mut narray_mut::<T>(inner.thaw(), n.id).data)
+        f(&mut array_mut::<T>(inner.thaw(), Space::Node, n.id).local)
     }
 
     // -- ppm_do --------------------------------------------------------------

@@ -1,0 +1,319 @@
+//! Pseudo-streaming tile residency (DESIGN.md §18): which tiles of each
+//! global array's local partition count as resident under the byte budget.
+//! Global arrays only, keyed by global array id — a node-shared array is
+//! never tiled and never registers.
+
+use std::ops::Range;
+
+/// Tiling registration of one global array's local partition.
+pub(crate) struct ArrayTiles {
+    elem_bytes: u64,
+    local_len: usize,
+    /// Elements per tile; 0 = untiled (the whole partition counts as
+    /// permanently resident).
+    tile_elems: usize,
+    /// Residency bit per tile. All tiles start cold.
+    resident: Vec<bool>,
+    /// Deterministic recency per tile: the [`TileBudget::clock`] value of
+    /// the last driver-side touch (refill or write application). Never
+    /// updated by VP reads, which see only the frozen state.
+    last_touch: Vec<u64>,
+}
+
+impl ArrayTiles {
+    fn n_tiles(&self) -> usize {
+        self.resident.len()
+    }
+
+    /// The tile holding local offset `off` of a tiled partition, if it is
+    /// spilled.
+    #[inline]
+    pub fn cold_tile(&self, off: usize) -> Option<u32> {
+        let tile = off / self.tile_elems;
+        (!self.resident[tile]).then_some(tile as u32)
+    }
+
+    /// The local offsets of the tile holding offset `off` of a tiled
+    /// partition: what one residency answer covers.
+    #[inline]
+    pub fn tile_span(&self, off: usize) -> Range<usize> {
+        let start = off / self.tile_elems * self.tile_elems;
+        start..(start + self.tile_elems).min(self.local_len)
+    }
+
+    fn tile_bytes(&self, tile: usize) -> u64 {
+        let start = tile * self.tile_elems;
+        let len = self.tile_elems.min(self.local_len - start);
+        len as u64 * self.elem_bytes
+    }
+}
+
+/// Residency accounting for pseudo-streaming execution (DESIGN.md §18):
+/// which tiles of each global array's local partition are resident under
+/// the configured byte budget. Purely a *model* — [`super::GArray::local`] always
+/// holds every element (it stands for node memory plus the backing
+/// store), so spill/refill moves no data; exchange-path reads (serve,
+/// refresh, snapshot, migration) stream from the backing store without
+/// admission. What residency gates is the VP read hot path: a read of a
+/// cold tile parks the VP ([`super::GetOutcome::LocalPending`]) until the
+/// executor refills the tile, evicting the least-recently-touched
+/// resident tiles to stay under budget.
+pub(crate) struct TileBudget {
+    /// Resident-bytes budget; 0 = streaming off (everything resident,
+    /// every query answers "hot").
+    budget: u64,
+    /// Indexed by global array id (registration order = allocation order).
+    arrays: Vec<ArrayTiles>,
+    /// Monotonic recency clock, bumped by driver-side touches only.
+    clock: u64,
+    /// Bytes currently resident: untiled partitions in full plus the
+    /// resident tiles of tiled partitions.
+    resident_bytes: u64,
+    /// High-water mark of [`Self::resident_bytes`].
+    peak_bytes: u64,
+}
+
+impl TileBudget {
+    pub fn new(budget: u64) -> Self {
+        TileBudget {
+            budget,
+            arrays: Vec::new(),
+            clock: 0,
+            resident_bytes: 0,
+            peak_bytes: 0,
+        }
+    }
+
+    fn bump(&mut self, delta: u64) {
+        self.resident_bytes += delta;
+        self.peak_bytes = self.peak_bytes.max(self.resident_bytes);
+    }
+
+    /// A fresh tiling of a `local_len`-element partition, counted into the
+    /// resident bytes. A partition is tiled iff streaming is on and it spans
+    /// at least two tiles of `max(1, budget / (8 * elem_bytes))` elements —
+    /// so roughly eight tiles fit in the budget and eviction always has
+    /// headroom. Tiled partitions start fully cold; untiled ones count as
+    /// resident in full.
+    fn admit(&mut self, elem_bytes: u64, local_len: usize) -> ArrayTiles {
+        let tile_elems = if self.budget == 0 {
+            0
+        } else {
+            usize::try_from((self.budget / (8 * elem_bytes)).max(1)).unwrap_or(usize::MAX)
+        };
+        let tiled = tile_elems > 0 && local_len > tile_elems;
+        let n_tiles = if tiled {
+            local_len.div_ceil(tile_elems)
+        } else {
+            0
+        };
+        // Residency is only tracked under a budget; with streaming off the
+        // whole question is moot and every accessor reports zero.
+        if self.budget > 0 && !tiled {
+            self.bump(local_len as u64 * elem_bytes);
+        }
+        ArrayTiles {
+            elem_bytes,
+            local_len,
+            tile_elems: if tiled { tile_elems } else { 0 },
+            resident: vec![false; n_tiles],
+            last_touch: vec![0; n_tiles],
+        }
+    }
+
+    /// Register global array `id`'s local partition at allocation.
+    pub fn register(&mut self, id: u32, elem_bytes: usize, local_len: usize) {
+        let at = self.admit(elem_bytes.max(1) as u64, local_len);
+        // Cannot fire: the one caller registers an array under the id it
+        // has just pushed it at.
+        assert_eq!(
+            id as usize,
+            self.arrays.len(),
+            "tile registration out of order"
+        );
+        self.arrays.push(at);
+    }
+
+    /// Re-register array `id` after a repartitioning rebind: drop the old
+    /// partition's resident contribution and start the new one fully cold.
+    pub fn rebind(&mut self, id: u32, local_len: usize) {
+        let a = &self.arrays[id as usize];
+        let elem_bytes = a.elem_bytes;
+        // Mirror of `admit`'s accounting: with streaming off nothing was
+        // ever counted resident, untiled partitions were counted in full,
+        // tiled ones by their resident tiles.
+        let old: u64 = if self.budget == 0 {
+            0
+        } else if a.tile_elems == 0 {
+            a.local_len as u64 * a.elem_bytes
+        } else {
+            (0..a.n_tiles())
+                .filter(|&t| a.resident[t])
+                .map(|t| a.tile_bytes(t))
+                .sum()
+        };
+        self.resident_bytes -= old;
+        self.arrays[id as usize] = self.admit(elem_bytes, local_len);
+    }
+
+    /// Global array `id`'s tiling, if its partition is tiled at all — `None`
+    /// with streaming off or for an untiled array, every element of which
+    /// is always resident. A bulk read asks once per poll.
+    pub fn tiled(&self, id: u32) -> Option<&ArrayTiles> {
+        Some(&self.arrays[id as usize]).filter(|a| a.tile_elems > 0)
+    }
+
+    /// Driver-side recency touch for a write applied at local offset
+    /// `off` of global array `id` (phase-end exchange). Cold tiles are
+    /// written through to the backing store without admission, so only
+    /// resident tiles move in the recency order.
+    pub fn touch(&mut self, id: u32, off: usize) {
+        let a = &mut self.arrays[id as usize];
+        if a.tile_elems == 0 {
+            return;
+        }
+        let t = off / a.tile_elems;
+        if a.resident[t] {
+            self.clock += 1;
+            a.last_touch[t] = self.clock;
+        }
+    }
+
+    /// Make `tile` of array `id` resident, evicting least-recently-touched
+    /// resident tiles (deterministic tie-break: ascending array, tile)
+    /// while the budget would be exceeded. Returns the spilled
+    /// `(array, tile)` pairs, in eviction order. Best-effort: if nothing
+    /// is evictable (only untiled bytes remain) the refill overshoots and
+    /// the peak records it honestly.
+    pub fn refill(&mut self, id: u32, tile: u32) -> Vec<(u32, u32)> {
+        let incoming = self.arrays[id as usize].tile_bytes(tile as usize);
+        debug_assert!(
+            !self.arrays[id as usize].resident[tile as usize],
+            "refilling a resident tile"
+        );
+        let mut spilled = Vec::new();
+        while self.resident_bytes + incoming > self.budget {
+            let mut victim: Option<(u64, u32, u32)> = None;
+            for (aid, a) in self.arrays.iter().enumerate() {
+                if a.tile_elems == 0 {
+                    continue;
+                }
+                for t in 0..a.n_tiles() {
+                    if !a.resident[t] {
+                        continue;
+                    }
+                    let key = (a.last_touch[t], aid as u32, t as u32);
+                    if victim.is_none_or(|v| key < v) {
+                        victim = Some(key);
+                    }
+                }
+            }
+            let Some((_, va, vt)) = victim else {
+                break;
+            };
+            let a = &mut self.arrays[va as usize];
+            a.resident[vt as usize] = false;
+            self.resident_bytes -= self.arrays[va as usize].tile_bytes(vt as usize);
+            spilled.push((va, vt));
+        }
+        let a = &mut self.arrays[id as usize];
+        a.resident[tile as usize] = true;
+        self.clock += 1;
+        a.last_touch[tile as usize] = self.clock;
+        self.bump(incoming);
+        spilled
+    }
+
+    /// Bytes currently resident.
+    pub fn bytes_resident(&self) -> u64 {
+        self.resident_bytes
+    }
+
+    /// High-water mark of resident bytes over the run.
+    pub fn peak_bytes_resident(&self) -> u64 {
+        self.peak_bytes
+    }
+}
+
+#[cfg(test)]
+pub(super) mod tests {
+    //! Each runs as `state::tests::<name>` (`state/tests.rs` has the list).
+    use super::*;
+
+    impl TileBudget {
+        fn is_cold(&self, id: u32, off: usize) -> bool {
+            self.tiled(id).is_some_and(|t| t.cold_tile(off).is_some())
+        }
+
+        fn tile_of(&self, id: u32, off: usize) -> u32 {
+            (off / self.tiled(id).expect("tiled array").tile_elems) as u32
+        }
+    }
+
+    pub fn tile_budget_off_means_everything_hot() {
+        let mut tb = TileBudget::new(0);
+        tb.register(0, 8, 1 << 20);
+        assert!(!tb.is_cold(0, 0));
+        assert!(!tb.is_cold(0, (1 << 20) - 1));
+        assert_eq!(tb.bytes_resident(), 0);
+        assert_eq!(tb.peak_bytes_resident(), 0);
+    }
+
+    pub fn tile_budget_small_arrays_stay_untiled() {
+        // budget 1024 B, f64 elems → tile_elems = 1024/(8*8) = 16; a
+        // 16-element partition fits one tile and stays untiled (fully
+        // resident, never cold).
+        let mut tb = TileBudget::new(1024);
+        tb.register(0, 8, 16);
+        assert!(!tb.is_cold(0, 15));
+        assert_eq!(tb.bytes_resident(), 16 * 8);
+        // A 100-element partition is tiled: 7 tiles of 16, all cold.
+        tb.register(1, 8, 100);
+        assert!(tb.is_cold(1, 0));
+        assert!(tb.is_cold(1, 99));
+        assert_eq!(tb.tile_of(1, 0), 0);
+        assert_eq!(tb.tile_of(1, 17), 1);
+        assert_eq!(tb.tile_of(1, 99), 6);
+        assert_eq!(tb.bytes_resident(), 16 * 8, "cold tiles are not resident");
+    }
+
+    pub fn tile_budget_refill_evicts_lru_deterministically() {
+        // budget 256 B, u64 elems → tile_elems = 4 (32 B/tile); 8 tiles
+        // fit exactly. One tiled array of 64 elements = 16 tiles.
+        let mut tb = TileBudget::new(256);
+        tb.register(0, 8, 64);
+        for t in 0..8 {
+            assert!(tb.refill(0, t).is_empty(), "first 8 refills fit");
+        }
+        assert_eq!(tb.bytes_resident(), 256);
+        assert_eq!(tb.peak_bytes_resident(), 256);
+        // Touch tile 0 so tile 1 becomes the LRU victim.
+        tb.touch(0, 1); // offset 1 lives in tile 0
+        assert_eq!(tb.refill(0, 8), vec![(0, 1)], "evicts LRU, not MRU");
+        assert!(tb.is_cold(0, 4), "tile 1 spilled");
+        assert!(!tb.is_cold(0, 32), "tile 8 resident");
+        assert_eq!(tb.bytes_resident(), 256, "stays at budget");
+        // Writes to cold tiles are write-through: no admission, no touch.
+        tb.touch(0, 5);
+        assert!(tb.is_cold(0, 5));
+    }
+
+    pub fn tile_budget_rebind_starts_cold() {
+        let mut tb = TileBudget::new(256);
+        tb.register(0, 8, 64);
+        tb.refill(0, 0);
+        assert_eq!(tb.bytes_resident(), 32);
+        tb.rebind(0, 128);
+        assert_eq!(tb.bytes_resident(), 0, "old residency dropped");
+        assert!(tb.is_cold(0, 0), "rebound partition starts cold");
+        assert_eq!(tb.peak_bytes_resident(), 32, "peak survives rebinds");
+    }
+
+    pub fn tile_budget_last_tile_is_short() {
+        // 10 elements, tile_elems 4 → tiles of 4, 4, 2 elements.
+        let mut tb = TileBudget::new(256);
+        tb.register(0, 8, 10);
+        tb.refill(0, 2);
+        assert_eq!(tb.bytes_resident(), 2 * 8, "short tail tile");
+    }
+}

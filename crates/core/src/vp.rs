@@ -26,8 +26,8 @@ use crate::check::Space;
 use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::shared::{GlobalShared, NodeShared};
 use crate::state::{
-    garray_ref, read_position, ArrayTiles, DoMode, GArray, GetOutcome, PhaseKind, VpCell,
-    VpScratch, WKind,
+    array_ref, read_position, ArrayTiles, DoMode, GArray, GetOutcome, PhaseKind, VpCell, VpScratch,
+    WKind,
 };
 
 /// Handle given to each virtual processor started by `ppm_do`.
@@ -263,7 +263,7 @@ impl Phase {
     /// (global VP rank, program order) wins). Only valid in a global phase.
     pub fn put<T: Elem>(&self, g: &GlobalShared<T>, idx: usize, val: T) {
         self.cell
-            .write(Space::Global, g.id, idx, WKind::Assign, val, None);
+            .write_many(Space::Global, g.id, WKind::Assign, [(idx, val)], None);
     }
 
     /// Combining write to a global shared element: at phase end the element
@@ -275,7 +275,7 @@ impl Phase {
     pub fn accumulate<T: AccumElem>(&self, g: &GlobalShared<T>, idx: usize, op: AccumOp, val: T) {
         let kind = WKind::Accum(op);
         self.cell
-            .write(Space::Global, g.id, idx, kind, val, Some(T::combine));
+            .write_many(Space::Global, g.id, kind, [(idx, val)], Some(T::combine));
     }
 
     /// Bulk [`Self::put`]: the `(index, value)` pairs of `items`, in order,
@@ -315,7 +315,7 @@ impl Phase {
     /// Write a node-shared element; takes effect at phase end.
     pub fn put_node<T: Elem>(&self, n: &NodeShared<T>, idx: usize, val: T) {
         self.cell
-            .write(Space::Node, n.id, idx, WKind::Assign, val, None);
+            .write_many(Space::Node, n.id, WKind::Assign, [(idx, val)], None);
     }
 
     /// Combining write to a node-shared element.
@@ -328,7 +328,7 @@ impl Phase {
     ) {
         let kind = WKind::Accum(op);
         self.cell
-            .write(Space::Node, n.id, idx, kind, val, Some(T::combine));
+            .write_many(Space::Node, n.id, kind, [(idx, val)], Some(T::combine));
     }
 }
 
@@ -364,7 +364,7 @@ impl<T: Elem> Future for GetFut<'_, T> {
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
         let this = &mut *self;
         let got = this.cell.with_poll(|s, view| {
-            let ga = garray_ref::<T>(view, this.array);
+            let ga = array_ref::<T>(view, Space::Global, this.array);
             let tiles = view.tile_budget.tiled(this.array);
             match this.state {
                 GetFutState::Start => {
@@ -442,7 +442,7 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
         this.cell.with_poll(|s, view| {
             // The typed array and its tiling resolve once per poll, not per
             // element.
-            let ga = garray_ref::<T>(view, this.array);
+            let ga = array_ref::<T>(view, Space::Global, this.array);
             let tiles = view.tile_budget.tiled(this.array);
             if let Some(idxs) = this.idxs.take() {
                 // First poll: charge every access; the distinct remote

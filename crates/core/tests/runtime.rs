@@ -1204,3 +1204,124 @@ fn stale_cached_lines_stay_shadowed_by_ownership_in_bulk_reads() {
     }
     assert_eq!(observe(false, 8), each);
 }
+
+/// `GlobalShared#0` and `NodeShared#0` are two arrays under one id, and both
+/// are the same kind of object below their handles — so everything keyed by a
+/// bare array id (tiles, the read cache, serve history, the balancer) must be
+/// handed global ids only. One job with every such feature on: the global
+/// array is tiled, read in bulk across the cut the balancer keeps moving, and
+/// rewritten at an element its peer has been served, so lines are cached,
+/// invalidated and pushed; next to that the node array is read, put and
+/// accumulated in global *and* node phases. Both end as a sequential run
+/// leaves them, the checker is silent, and — but for the node accesses
+/// themselves — every counter and every phase's bytes are those of the same
+/// job with the node array left alone.
+#[test]
+fn a_node_array_and_the_global_array_of_its_id_share_nothing() {
+    const N: usize = 64;
+    const VPS: usize = 4;
+    const PHASES: u64 = 8;
+    let observe = |with_node: bool, threads: usize| {
+        let c = cfg(2, 2)
+            .with_adaptive_balance(true)
+            .with_read_cache(true)
+            .with_tile_budget(64)
+            .with_replication(true)
+            .with_checker(true)
+            .with_host_threads(threads);
+        let report = run(c, move |node| {
+            let a = node.alloc_global_balanced::<u64>(N);
+            let s = node.alloc_node::<u64>(VPS + 1);
+            assert_eq!(
+                (format!("{a:?}"), format!("{s:?}")),
+                (
+                    "GlobalShared#0(len=64)".into(),
+                    "NodeShared#0(len=5)".into()
+                )
+            );
+            let lo = node.local_range(&a).start;
+            node.with_local_mut(&a, |part| {
+                for (off, v) in part.iter_mut().enumerate() {
+                    *v = 3 * (lo + off) as u64 + 1;
+                }
+            });
+            let heavy = node.node_id() == 0;
+            node.ppm_do(VPS, move |vp| async move {
+                let rank = vp.node_rank();
+                for phase in 0..PHASES {
+                    let v = vp.clone();
+                    vp.global_phase(|ph| async move {
+                        v.charge_flops(if heavy { 400_000 } else { 1 });
+                        // Earlier phases each rewrote one element.
+                        let got = ph.get_many(&a, 0..N).await;
+                        let want = |i: usize| {
+                            if (i as u64) < phase {
+                                2 * VPS
+                            } else {
+                                3 * i + 1
+                            }
+                        };
+                        assert!(got.iter().enumerate().all(|(i, &x)| x == want(i) as u64));
+                        ph.accumulate(&a, phase as usize, AccumOp::Add, 1);
+                        if with_node {
+                            let seen = ph.get_node(&s, rank);
+                            ph.put_node(&s, rank, seen + 1);
+                            ph.accumulate_node(&s, VPS, AccumOp::Add, 1);
+                        }
+                    })
+                    .await;
+                    vp.node_phase(|ph| async move {
+                        if with_node {
+                            let all = ph.get_node(&s, VPS);
+                            ph.put_node(&s, rank, ph.get_node(&s, rank) + all);
+                            ph.accumulate_node(&s, VPS, AccumOp::Max, rank as u64);
+                        }
+                    })
+                    .await;
+                }
+            });
+            assert_eq!(node.take_violations(), vec![]);
+            let global_bytes: (u64, u64) = (node.take_phase_log().iter())
+                .filter(|p| p.kind == ppm_core::PhaseKind::Global)
+                .fold((0, 0), |(o, i), p| (o + p.bytes_out, i + p.bytes_in));
+            let owned = node.local_range(&a);
+            let part = node.with_local(&a, |part| part.to_vec());
+            let shared = node.with_node(&s, |s| s.to_vec());
+            (owned, part, shared, node.ep_counters(), global_bytes)
+        });
+        report.results
+    };
+    let with = observe(true, 1);
+    let mut a = vec![0; N];
+    for (owned, part, shared, ..) in &with {
+        a[owned.clone()].copy_from_slice(part);
+        let mut want = vec![PHASES * (1 + VPS as u64); VPS];
+        want.push(VPS as u64 - 1);
+        assert_eq!(shared, &want);
+    }
+    let want = |i: usize| {
+        if (i as u64) < PHASES {
+            2 * VPS
+        } else {
+            3 * i + 1
+        }
+    };
+    assert_eq!(a, (0..N).map(|i| want(i) as u64).collect::<Vec<_>>());
+    let c = &with[1].3;
+    assert_ne!(with[0].0, 0..N / 2, "the cut never moved: nothing tested");
+    assert!(c.tile_refills > 0 && c.cache_hits > 0 && c.remote_gets > 0);
+
+    let without = observe(false, 1);
+    for (with, without) in with.iter().zip(&without) {
+        assert_eq!(
+            (&with.0, &with.1, with.4),
+            (&without.0, &without.1, without.4)
+        );
+        // Seven node accesses per VP per phase pair, and nothing else.
+        let node_accesses = 7 * VPS as u64 * PHASES;
+        let mut counters = with.3;
+        counters.local_accesses -= node_accesses;
+        assert_eq!(counters, without.3);
+    }
+    assert_eq!(observe(true, 8), with, "8 host threads");
+}
