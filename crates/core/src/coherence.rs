@@ -123,19 +123,19 @@ impl Coherence {
     }
 
     /// Whether [`Self::select_refresh`] could pick anything of `array`, so
-    /// that its written indices are worth listing.
+    /// that its written ranges are worth listing.
     pub fn has_history(&self, array: u32) -> bool {
         (self.serve_hist.get(array as usize)).is_some_and(|rows| !rows.is_empty())
     }
 
     /// Queue post-apply values of `array` (`ga`, on node `me` of `nodes`)
-    /// for its armed elements among `written` (ascending), refreshing peer
-    /// caches without a request/response wave next phase.
+    /// for its armed elements among the `written` ranges (ascending, apart),
+    /// refreshing peer caches without a request/response wave next phase.
     pub fn select_refresh(
         &mut self,
         (me, nodes): (usize, usize),
         array: u32,
-        written: Vec<u64>,
+        written: &[Range<u64>],
         ga: &dyn GArrayObj,
     ) {
         let Some(rows) = self.serve_hist.get(array as usize) else {
@@ -156,11 +156,11 @@ impl Coherence {
         // The targets of the run being built, as the rows that name them.
         let mut run_targets: &[ServeRow] = &[];
         // `written` ascends and so do the rows: one walk over both.
-        let mut written = written.into_iter().peekable();
+        let mut written = written.iter().peekable();
         for readers in rows.chunk_by(|a, b| a.idx == b.idx) {
             let idx = readers[0].idx;
-            while written.next_if(|&w| w < idx).is_some() {}
-            if written.next_if_eq(&idx).is_none() || !readers[0].armed {
+            while written.next_if(|w| w.end <= idx).is_some() {}
+            if written.peek().is_none_or(|w| idx < w.start) || !readers[0].armed {
                 continue;
             }
             let targets = || readers.iter().filter(near).map(|h| h.reader);
@@ -262,7 +262,7 @@ fn fold_array(rows: &[ServeRow], served: &[(u32, u64, u32)], phase: u64) -> Vec<
 pub(crate) struct RefreshPart {
     array: u32,
     /// Element indices, ascending (they come from `apply_writes`' written
-    /// list), parallel to `values`.
+    /// ranges), parallel to `values`.
     idxs: Vec<u64>,
     /// The remaining destination-node set (bit = node id) of each run of
     /// consecutive entries, with the run's first position: a run ends where

@@ -435,9 +435,10 @@ fn riders_in_lockstep(&(nodes, seed): &(usize, u64)) -> PropResult {
             let ga = &mut inner.thaw().garrays[array as usize];
             let own = ga.drain_writes(None).pop().expect("own writes, one parcel");
             let (_, written) = ga.apply_writes(vec![(me as u32, own.payload)], &mut |_| {}, true);
-            prop_assert_eq!(written, idxs.iter().map(|&i| i as u64).collect::<Vec<_>>());
+            let listed: Vec<u64> = written.iter().cloned().flatten().collect();
+            prop_assert_eq!(listed, idxs.iter().map(|&i| i as u64).collect::<Vec<_>>());
             let ga = &*inner.frozen.garrays[array as usize];
-            (inner.coherence).select_refresh((me, nodes), array, written, ga);
+            (inner.coherence).select_refresh((me, nodes), array, &written, ga);
         }
         // A written, armed element is pushed to its readers at most two hops
         // away.

@@ -307,7 +307,7 @@ fn apply_writes(
     inner.coherence.fold_serves(phase);
     let mut applied = 0u64;
     for (array, parcels) in by_array {
-        // The written indices are listed only for an array some peer reads.
+        // The written ranges are listed only for an array some peer reads.
         let served = inner.coherence.has_history(array);
         // Split borrow: applied writes bump tile recency on resident tiles
         // (write-through without admission, DESIGN.md §18).
@@ -315,13 +315,13 @@ fn apply_writes(
         let tiles = &mut arrays.tile_budget;
         let (n, written) = arrays.garrays[array as usize].apply_writes(
             parcels,
-            &mut |off| tiles.touch(array, off),
+            &mut |offs| tiles.touch_span(array, offs),
             served,
         );
         applied += n;
         if served {
             let ga = &*inner.frozen.garrays[array as usize];
-            (inner.coherence).select_refresh((me, nodes), array, written, ga);
+            (inner.coherence).select_refresh((me, nodes), array, &written, ga);
         }
     }
     // Node-shared writes made inside the global phase publish too.

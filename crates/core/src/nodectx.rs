@@ -197,6 +197,9 @@ impl<'a> NodeCtx<'a> {
         let local_len = dist.local_len(node);
         let mut inner = self.inner.borrow_mut();
         let arrays = inner.thaw();
+        // Cannot fire before memory runs out: every array allocated so far
+        // holds a few hundred bytes of bookkeeping on every node, so four
+        // billion of them are a terabyte per node.
         let id = u32::try_from(arrays.garrays.len()).expect("too many global shared arrays");
         arrays.garrays.push(Box::new(GArray::<T>::new(dist, node)));
         // Pseudo-streaming registration (DESIGN.md §18): under a tile
@@ -212,6 +215,7 @@ impl<'a> NodeCtx<'a> {
     pub fn alloc_node<T: Elem>(&mut self, len: usize) -> NodeShared<T> {
         let mut inner = self.inner.borrow_mut();
         let narrays = &mut inner.thaw().narrays;
+        // Cannot fire before memory runs out, as for global arrays.
         let id = u32::try_from(narrays.len()).expect("too many node shared arrays");
         narrays.push(Box::new(GArray::<T>::node_shared(len)));
         NodeShared::new(id, len)
@@ -339,6 +343,9 @@ impl<'a> NodeCtx<'a> {
             }
             msg = msg.with_rel(out.meta);
         }
+        // Reachable from user code: a node whose closure panicked has
+        // dropped its receiver. The text names that node and the message
+        // that could not reach it; the peer's own panic is the cause to read.
         if let Err(m) = self.ep.net.try_send(msg) {
             let (kind, meta) = msgs::untag(m.tag);
             panic!(
@@ -446,6 +453,7 @@ impl<'a> NodeCtx<'a> {
     /// and stashing everything else.
     pub(crate) fn pump_recv(&mut self, want: impl Fn(&Message) -> bool) -> Message {
         if let Some(pos) = self.stash.iter().position(&want) {
+            // Cannot fire: `pos` was found in this deque one line up.
             return self.stash.remove(pos).expect("valid position");
         }
         loop {

@@ -320,17 +320,17 @@ pub(crate) trait GArrayObj: Any + Send + Sync {
     /// Owner side: apply `(source node, payload)` parcels; resolution order
     /// is deterministic. Returns the number of entries applied and — only
     /// if `list_written`, which is the refresh-push protocol asking
-    /// (DESIGN.md §13) — the distinct written global indices in ascending
-    /// order. `touch` is called with each resolved local offset before the
-    /// store lands — the executor wires it to [`super::TileBudget::touch`]
-    /// so applied writes bump tile recency (write-through without
-    /// admission, DESIGN.md §18).
+    /// (DESIGN.md §13) — the written global indices as ascending ranges, no
+    /// two adjacent. `touch` is called with each stretch of resolved local
+    /// offsets before the store lands — the executor wires it to
+    /// [`super::TileBudget::touch_span`] so applied writes bump tile recency
+    /// (write-through without admission, DESIGN.md §18).
     fn apply_writes(
         &mut self,
         parcels: Vec<(u32, Box<dyn Any + Send>)>,
-        touch: &mut dyn FnMut(usize),
+        touch: &mut dyn FnMut(Range<usize>),
         list_written: bool,
-    ) -> (u64, Vec<u64>);
+    ) -> (u64, Vec<Range<u64>>);
     /// Publish the buffered writes of an array this node alone writes and
     /// owns — a node-shared one: the exchange with this node as the only
     /// source and the only destination, so at most one parcel, applied where
@@ -451,9 +451,9 @@ impl<T: Elem> GArrayObj for GArray<T> {
     fn apply_writes(
         &mut self,
         mut parcels: Vec<(u32, Box<dyn Any + Send>)>,
-        touch: &mut dyn FnMut(usize),
+        touch: &mut dyn FnMut(Range<usize>),
         list_written: bool,
-    ) -> (u64, Vec<u64>) {
+    ) -> (u64, Vec<Range<u64>>) {
         // Deterministic application order: by element, then by source node.
         parcels.sort_by_key(|(src, _)| *src);
         // Cannot fire: a parcel travels under the id of the array whose
@@ -462,13 +462,18 @@ impl<T: Elem> GArrayObj for GArray<T> {
             .into_iter()
             .map(|(_, p)| p.downcast().expect("write parcel type mismatch"))
             .collect();
-        let mut written = Vec::new();
-        let applied = merge_parcels(&parcels, |idx, value| {
-            let off = self.offset_of_owned(idx);
-            touch(off);
-            self.local[off] = value;
-            if list_written {
-                written.push(idx);
+        let mut written: Vec<Range<u64>> = Vec::new();
+        let applied = merge_parcels(&parcels, |first, values| {
+            // Consecutive elements of one owner sit at consecutive offsets
+            // (a cyclic layout's stretches are one element long).
+            let last = first + values.len() as u64 - 1;
+            let offs = self.offset_of_owned(first)..self.offset_of_owned(last) + 1;
+            touch(offs.clone());
+            self.local[offs].copy_from_slice(values);
+            match written.last_mut().filter(|run| run.end == first) {
+                Some(run) => run.end = last + 1,
+                None if list_written => written.push(first..last + 1),
+                None => {}
             }
         });
         (applied, written)
@@ -585,7 +590,7 @@ impl<T: Elem> GArrayObj for GArray<T> {
 #[cfg(test)]
 pub(super) mod tests {
     //! Each runs as `state::tests::<name>` (`state/tests.rs` has the list).
-    use super::super::tests::ALLOCS;
+    use super::super::tests::{ALLOCS, HEAP};
     use super::super::wlog::tests::{cols, ADD};
     use super::super::{Inner, WKind};
     use super::*;
@@ -721,11 +726,11 @@ pub(super) mod tests {
         let mut touched = Vec::new();
         let (n, written) = ga.apply_writes(
             vec![(2, p2), (0, p0), (1, p1)],
-            &mut |off| touched.push(off),
+            &mut |offs| touched.extend(offs),
             true,
         );
         assert_eq!(n, 4);
-        assert_eq!(written, vec![1, 2], "distinct written indices, ascending");
+        assert_eq!(written, vec![1..3], "distinct written indices, ascending");
         assert_eq!(touched, vec![1, 2], "one touch per store");
         assert_eq!(ga.local[1], 20.0, "assign from the highest rank wins");
         assert_eq!(ga.local[2], 3.0, "accumulates sum across sources");
@@ -800,7 +805,7 @@ pub(super) mod tests {
         let (applied, written) = nodes[0].apply_writes(to_owner0, &mut |_| {}, true);
         let allocs = ALLOCS.with(|n| n.get()) - before;
         assert_eq!(applied as usize, SOURCES * N / SOURCES);
-        assert_eq!(written.len(), N / SOURCES);
+        assert_eq!(written, vec![0..(N / SOURCES) as u64]);
         assert!(nodes[0]
             .local
             .iter()
@@ -808,6 +813,48 @@ pub(super) mod tests {
         assert!(
             allocs < 512 * SOURCES as u64,
             "{allocs} allocations for {N} elements from {SOURCES} sources"
+        );
+
+        // Bytes, too. A phase of two VPs on one node writing `WRITES`
+        // elements to two owners, from `record` through `apply_writes`: the
+        // most the write path holds at once, per element written, with the
+        // VPs' logs alive throughout as a poll's scratch is.
+        const WRITES: usize = 10_000;
+        let peak_bytes = |kind, idx: fn(usize) -> u64| {
+            let dist = Dist::block(WRITES, 2);
+            let mut owners = [0, 1].map(|node| GArray::<f64>::new(dist.clone(), node));
+            let start = HEAP.with(|h| {
+                h.set((h.get().0, h.get().0));
+                h.get().0
+            });
+            let mut scratch = [0, 1].map(|_| WLog::scratch());
+            for (vp, log) in scratch.iter_mut().enumerate() {
+                let mine = vp * WRITES / 2..(vp + 1) * WRITES / 2;
+                log.record(vp as u32, kind, None, mine.map(|j| (idx(j), 1.0)));
+                owners[0].wlog.append(0, log);
+            }
+            let mut applied = 0;
+            for parcel in owners[0].drain_writes(None) {
+                let from_me = vec![(0, parcel.payload)];
+                applied += owners[parcel.dest]
+                    .apply_writes(from_me, &mut |_| {}, true)
+                    .0;
+            }
+            assert_eq!(applied as usize, WRITES);
+            (HEAP.with(|h| h.get().1) - start) as f64 / WRITES as f64
+        };
+        // A run: its values three times over — VP log, phase log, parcel —
+        // and nothing per element beside them: 24.1 bytes. (A 24-byte record
+        // in each log and 30 bytes of parcel columns made it 77.1.)
+        let dense = peak_bytes(WKind::Assign, |j| j as u64);
+        assert!(dense < 40.0, "{dense} bytes per element of a dense put");
+        // Scattered accumulates peaked at the same 77.1 on the records; on
+        // 16-byte listed writes, 16-byte sort keys and 32 bytes of parcel,
+        // at 72.1.
+        let scattered = peak_bytes(ADD, |j| (j * 7919 % WRITES) as u64);
+        assert!(
+            scattered < 77.1,
+            "{scattered} bytes per scattered accumulate"
         );
     }
 

@@ -274,10 +274,11 @@ impl VpCell {
     /// of `space` — do: `put`s ([`WKind::Assign`]) or `accumulate`s, which
     /// bring `combine`, their element type's combiner. Per call: phase check,
     /// the typed array, this VP's log for it, overhead and counter totals.
-    /// Per element: bounds, "local?", the checker's written set, and one
-    /// record in the log, in `items`' order. `space` is a constant where
-    /// this is inlined; `items` runs inside the poll context and must not
-    /// re-enter it.
+    /// Per element: bounds, "local?", the checker's written set, and its
+    /// value in the log — beside its index only if the call's indices do not
+    /// ascend by one ([`WLog::record`]). `space` is a constant where this is
+    /// inlined; `items` runs inside the poll context and must not re-enter
+    /// it.
     #[inline]
     pub fn write_many<T: Elem>(
         &self,

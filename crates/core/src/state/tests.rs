@@ -1,4 +1,4 @@
-//! The names the unit tests under `state/` run by, and the heap counter two
+//! The names the unit tests under `state/` run by, and the heap counters two
 //! of them share.
 //!
 //! A test's body lives with its subject — in `state/<module>.rs`'s own
@@ -30,6 +30,8 @@ run_here! {
     wlog::radix_sort_is_stable_over_the_whole_key_range;
     wlog::drain_splits_by_owner_and_sorts;
     wlog::drain_reports_write_write_conflicts_on_last_values;
+    wlog::a_call_is_a_run_or_lists_its_indices;
+    wlog::the_run_path_equals_the_element_model;
     slots::vp_slots_lifecycle;
     #[should_panic(expected = "filled twice")]
     slots::double_fill_panics;
@@ -62,30 +64,41 @@ run_here! {
     tiles::tile_budget_off_means_everything_hot;
     tiles::tile_budget_small_arrays_stay_untiled;
     tiles::tile_budget_refill_evicts_lru_deterministically;
+    tiles::touch_span_equals_the_element_wise_model;
     tiles::tile_budget_rebind_starts_cold;
     tiles::tile_budget_last_tile_is_short;
 }
 
-/// Counts the calling thread's heap allocations, for the flat-path
-/// assertions of `table.rs` and `arrays.rs` (unit-test builds of this crate
-/// only).
+/// Counts the calling thread's heap allocations, and the bytes it holds, for
+/// the flat-path assertions of `table.rs` and `arrays.rs` (unit-test builds
+/// of this crate only).
 struct CountingAlloc;
 
 thread_local! {
     pub(super) static ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// `(live, peak)` bytes: blocks this thread allocated less blocks it
+    /// freed, and the most that ever was. Set `peak` to `live` to start a
+    /// measurement.
+    pub(super) static HEAP: std::cell::Cell<(isize, isize)> =
+        const { std::cell::Cell::new((0, 0)) };
 }
 
 // SAFETY: both methods forward to `System` with the caller's arguments
-// unchanged (`realloc`/`alloc_zeroed` default to them); the counter is
-// a destructor-less thread-local statistic.
+// unchanged (`realloc`/`alloc_zeroed` default to them); the counters are
+// destructor-less thread-local statistics.
 #[allow(unsafe_code)] // the crate denies it; a global allocator cannot be written without
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        let _ = HEAP.try_with(|h| {
+            let live = h.get().0 + layout.size() as isize;
+            h.set((live, h.get().1.max(live)));
+        });
         // SAFETY: same contract as the caller's.
         unsafe { std::alloc::System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        let _ = HEAP.try_with(|h| h.set((h.get().0 - layout.size() as isize, h.get().1)));
         // SAFETY: `ptr` came from `System` via `alloc` above.
         unsafe { std::alloc::System.dealloc(ptr, layout) }
     }

@@ -163,19 +163,22 @@ impl TileBudget {
         Some(&self.arrays[id as usize]).filter(|a| a.tile_elems > 0)
     }
 
-    /// Driver-side recency touch for a write applied at local offset
-    /// `off` of global array `id` (phase-end exchange). Cold tiles are
-    /// written through to the backing store without admission, so only
-    /// resident tiles move in the recency order.
-    pub fn touch(&mut self, id: u32, off: usize) {
+    /// Driver-side recency touch for writes applied at local offsets `offs`
+    /// of global array `id` (phase-end exchange), in ascending order: the
+    /// clock advances once per element. Cold tiles are written through to
+    /// the backing store without admission, so only resident tiles move in
+    /// the recency order, and only their elements count.
+    pub fn touch_span(&mut self, id: u32, offs: Range<usize>) {
         let a = &mut self.arrays[id as usize];
-        if a.tile_elems == 0 {
+        if a.tile_elems == 0 || offs.is_empty() {
             return;
         }
-        let t = off / a.tile_elems;
-        if a.resident[t] {
-            self.clock += 1;
-            a.last_touch[t] = self.clock;
+        for t in offs.start / a.tile_elems..=(offs.end - 1) / a.tile_elems {
+            if a.resident[t] {
+                let tile = a.tile_span(t * a.tile_elems);
+                self.clock += (offs.end.min(tile.end) - offs.start.max(tile.start)) as u64;
+                a.last_touch[t] = self.clock;
+            }
         }
     }
 
@@ -288,14 +291,47 @@ pub(super) mod tests {
         assert_eq!(tb.bytes_resident(), 256);
         assert_eq!(tb.peak_bytes_resident(), 256);
         // Touch tile 0 so tile 1 becomes the LRU victim.
-        tb.touch(0, 1); // offset 1 lives in tile 0
+        tb.touch_span(0, 1..2); // offset 1 lives in tile 0
         assert_eq!(tb.refill(0, 8), vec![(0, 1)], "evicts LRU, not MRU");
         assert!(tb.is_cold(0, 4), "tile 1 spilled");
         assert!(!tb.is_cold(0, 32), "tile 8 resident");
         assert_eq!(tb.bytes_resident(), 256, "stays at budget");
         // Writes to cold tiles are write-through: no admission, no touch.
-        tb.touch(0, 5);
+        tb.touch_span(0, 5..6);
         assert!(tb.is_cold(0, 5));
+    }
+
+    /// A span's touch is its elements' touches: random spans over a
+    /// half-resident array — inside a tile, across several, over cold ones,
+    /// to the short last tile — leave the clock and every tile's recency
+    /// where one touch per element, in order, leaves them.
+    pub fn touch_span_equals_the_element_wise_model() {
+        const LEN: usize = 103;
+        let mut g = crate::testkit::Gen::new(0x24);
+        // Tiles of 4 u64s, 26 of them, 8 fit the budget.
+        let mut tb = TileBudget::new(256);
+        tb.register(0, 8, LEN);
+        for t in [1, 2, 3, 7, 11, 12, 20, 25] {
+            assert!(tb.refill(0, t).is_empty());
+        }
+        let (mut clock, mut last_touch) = (tb.clock, tb.arrays[0].last_touch.clone());
+        for _ in 0..500 {
+            let start = g.usize_in(0..LEN);
+            let offs = start..g.usize_in(start..LEN + 1);
+            tb.touch_span(0, offs.clone());
+            for off in offs {
+                if tb.arrays[0].resident[off / 4] {
+                    clock += 1;
+                    last_touch[off / 4] = clock;
+                }
+            }
+            assert_eq!((tb.clock, &tb.arrays[0].last_touch), (clock, &last_touch));
+        }
+        assert!(clock > 1000, "{clock} touches landed on resident tiles");
+        // An untiled array has no recency to keep.
+        tb.register(1, 8, 2);
+        tb.touch_span(1, 0..2);
+        assert_eq!(tb.clock, clock);
     }
 
     pub fn tile_budget_rebind_starts_cold() {
