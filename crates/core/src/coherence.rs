@@ -27,8 +27,9 @@
 
 use std::ops::Range;
 
+use ppm_simnet::coll::{route_offset, Edge};
+
 use crate::bitset::NodeSet;
-use crate::dissem::{route_offset, Edge};
 use crate::msgs::ReqEntry;
 use crate::state::{GArrayObj, Inner, Values};
 
@@ -449,10 +450,10 @@ mod tests {
     use crate::bitset::SETS_BUILT;
     use crate::check::Space;
     use crate::config::PpmConfig;
-    use crate::dissem::dissemination;
     use crate::dist::Dist;
     use crate::state::{array_ref, GArray};
     use crate::testkit::Gen;
+    use ppm_simnet::coll::dissemination;
     use std::collections::BTreeMap;
 
     fn set(bits: &[usize]) -> NodeSet {

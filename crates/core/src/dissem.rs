@@ -1,59 +1,19 @@
-//! The dissemination pattern the phase-end protocol runs on, and what
-//! travels over it by source routing.
+//! What travels over the dissemination edges by source routing, besides
+//! the barrier itself.
 //!
-//! The clock barrier, the sender-notice exchange (`exec`) and the node
-//! barrier (`nodecoll.rs`) all walk ⌈log₂ N⌉ rounds in which node `me`
-//! sends to `me + 2^r` and receives from `me − 2^r` (mod N). Everything
-//! here is pure — no transport, no clock — so the routing argument is
+//! The edges are [`ppm_simnet::coll::dissemination`]'s — ⌈log₂ N⌉ rounds
+//! in which node `me` sends to `me + 2^r` and receives from `me − 2^r`
+//! (mod N) — and one definition serves every loop that walks them: the MPI
+//! and node barriers ([`ppm_simnet::coll::barrier`]), the clock barrier and
+//! its three riders (`exec::barrier`: coherence refreshes, the [`LoadBlock`]
+//! here, failover frames) and the sender-notice exchange
+//! (`exec::phase_end`, the [`Notices`] here). Everything in this
+//! file is pure — no transport, no clock — so the routing argument is
 //! tested for all nodes in lockstep without a thread.
 
+use ppm_simnet::coll::Edge;
+
 use crate::bitset::NodeSet;
-
-/// One round of the dissemination pattern, seen from one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Edge {
-    pub round: u32,
-    /// `2^round`.
-    pub stride: usize,
-    pub to: usize,
-    pub from: usize,
-}
-
-/// `me`'s edges, round by round.
-pub(crate) fn dissemination(me: usize, nodes: usize) -> impl Iterator<Item = Edge> {
-    (0u32..)
-        .map(|round| (round, 1usize << round))
-        .take_while(move |&(_, stride)| stride < nodes)
-        .map(move |(round, stride)| Edge {
-            round,
-            stride,
-            to: (me + stride) % nodes,
-            from: (me + nodes - stride) % nodes,
-        })
-}
-
-/// How far downstream of `holder` node `dest` sits on the dissemination
-/// edges. Its set bits are the rounds whose edge an item held at `holder`
-/// and addressed to `dest` travels ([`Edge::carries`]), so `dest` is
-/// `popcount` hops away.
-#[inline]
-pub(crate) fn route_offset(holder: usize, dest: usize, nodes: usize) -> usize {
-    (dest + nodes - holder) % nodes
-}
-
-impl Edge {
-    /// Source routing (DESIGN.md §13, §17): whether an item held at
-    /// `holder` and addressed to `dest` rides this round's edge out of
-    /// `holder`. Every hop clears the offset's lowest set bit without
-    /// wrapping (an offset with bit `r` set is at least `2^r`), so an item
-    /// held at the start of round `r` has all offset bits below `r` clear,
-    /// reaches `dest` exactly once, and nothing is left in transit after
-    /// the last round — for any `nodes`, power of two or not.
-    #[inline]
-    pub(crate) fn carries(&self, holder: usize, dest: usize, nodes: usize) -> bool {
-        route_offset(holder, dest, nodes) & self.stride != 0
-    }
-}
 
 /// One node's side of the sender-notice exchange (DESIGN.md §17): the
 /// `(writer, dest)` notices it currently holds for forwarding, and the
@@ -161,6 +121,8 @@ impl LoadBlock {
 
 #[cfg(test)]
 mod tests {
+    use ppm_simnet::coll::{dissemination, route_offset};
+
     use super::*;
     use crate::testkit::Gen;
 

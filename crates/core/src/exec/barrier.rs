@@ -18,10 +18,11 @@
 //!
 //! [`K_BARRIER`]: msgs::K_BARRIER
 
+use ppm_simnet::coll::{dissemination, Edge};
 use ppm_simnet::{Message, SimTime};
 
 use crate::coherence::{CoherenceMsg, CoherencePart};
-use crate::dissem::{dissemination, Edge, LoadBlock};
+use crate::dissem::LoadBlock;
 use crate::failover::{FailoverMsg, FailoverPart};
 use crate::msgs;
 use crate::nodectx::NodeCtx;

@@ -7,6 +7,7 @@ use std::future::{poll_fn, Future};
 use std::pin::Pin;
 use std::task::Poll;
 
+use ppm_simnet::coll::{dissemination, route_offset};
 use ppm_simnet::{FaultConfig, MachineConfig};
 
 use super::barrier::{BarrierMsg, BarrierParts};
@@ -15,7 +16,7 @@ use super::*;
 use crate::bitset::NodeSet;
 use crate::check::Space;
 use crate::config::PpmConfig;
-use crate::dissem::{dissemination, route_offset, LoadBlock, Notices};
+use crate::dissem::{LoadBlock, Notices};
 use crate::dist::Dist;
 use crate::elem::AccumOp;
 use crate::failover::{FailoverPart, ReplicaFrame};

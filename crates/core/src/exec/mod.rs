@@ -256,10 +256,9 @@ where
         });
     }
 
-    // Epilogue: charge compute done after the last phase and merge counters.
+    // Epilogue: charge compute done after the last phase.
     let leftover = nc.inner.borrow_mut().take_core_compute();
     nc.ep.clock.advance_compute(leftover);
-    merge_counters(nc);
 }
 
 /// The construct's main loop: poll rounds (delegated to `poll_round`, which
@@ -406,13 +405,6 @@ fn drive(
             }
         }
     }
-}
-
-/// Fold the Inner counters accumulated during `ppm_do` into the endpoint's.
-fn merge_counters(nc: &mut NodeCtx<'_>) {
-    let mut inner = nc.inner.borrow_mut();
-    let c = std::mem::take(&mut inner.counters);
-    nc.ep.counters = nc.ep.counters.merge(&c);
 }
 
 #[cfg(test)]

@@ -5,53 +5,19 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use ppm_simnet::{Message, SimTime};
+use ppm_simnet::coll::dissemination;
+use ppm_simnet::{Counters, Message, SimTime};
 
 use super::barrier::{clock_barrier, BarrierParts};
 use crate::bitset::NodeSet;
 use crate::check::Space;
 use crate::coherence::CoherencePart;
-use crate::dissem::{dissemination, LoadBlock, Notices};
+use crate::dissem::{LoadBlock, Notices};
 use crate::failover::FailoverPart;
 use crate::msgs::{self, TokenMsg, WriteBundleMsg};
 use crate::nodectx::NodeCtx;
 use crate::state::{PhaseKind, PhaseRecord, Traffic};
 use crate::{balance, failover};
-
-/// Per-phase counter-delta argument names, aligned with
-/// [`ppm_simnet::Counters::named_fields`] (the `debug_assert` in
-/// [`emit_phase_summary`] keeps the two in lockstep).
-const DELTA_ARG_NAMES: [&str; 29] = [
-    "d_msgs_sent",
-    "d_bytes_sent",
-    "d_msgs_recv",
-    "d_bytes_recv",
-    "d_flops",
-    "d_mem_ops",
-    "d_barriers",
-    "d_remote_gets",
-    "d_remote_puts",
-    "d_bundles_sent",
-    "d_waves",
-    "d_local_accesses",
-    "d_retries",
-    "d_faults_dropped",
-    "d_faults_duplicated",
-    "d_faults_delayed",
-    "d_dups_suppressed",
-    "d_acks_sent",
-    "d_crash_recoveries",
-    "d_cache_hits",
-    "d_cache_misses",
-    "d_dedup_reads",
-    "d_partial_wakes",
-    "d_peers_suspected",
-    "d_peers_confirmed_dead",
-    "d_failovers",
-    "d_replica_bytes",
-    "d_tile_spills",
-    "d_tile_refills",
-];
 
 /// Record a phase-summary span `[start, now]` carrying the phase's time
 /// breakdown plus the per-phase delta of every counter, and advance the
@@ -65,13 +31,11 @@ fn emit_phase_summary(
 ) {
     let merged = nc.ep_counters();
     let delta = merged.delta(&nc.inner.borrow().ctr_base);
-    let mut all = Vec::with_capacity(1 + args.len() + DELTA_ARG_NAMES.len());
+    let mut all = Vec::with_capacity(1 + args.len() + Counters::DELTA_NAMES.len());
     all.push(("phase", idx));
     all.extend_from_slice(args);
-    for (&dn, (n, v)) in DELTA_ARG_NAMES.iter().zip(delta.named_fields()) {
-        debug_assert_eq!(&dn[2..], n, "DELTA_ARG_NAMES out of sync with Counters");
-        all.push((dn, v));
-    }
+    let values = delta.named_fields().map(|(_, v)| v);
+    all.extend(Counters::DELTA_NAMES.into_iter().zip(values));
     nc.trace(name, "phase", start, Some(nc.now()), &all);
     nc.inner.borrow_mut().ctr_base = merged;
 }
@@ -453,8 +417,9 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> (PhaseRecord, Traffic) {
 /// Sparse-exchange sender notices (DESIGN.md §17): this node tells every
 /// peer in `dests` "expect a non-empty [`K_WRITE`] bundle from me", each
 /// notice source-routed over the clock barrier's dissemination edges
-/// ([`crate::dissem::Edge::carries`]) instead of replicated to all nodes. Returns the set
-/// of peers that announced a bundle for this node this phase.
+/// ([`Edge::carries`](ppm_simnet::coll::Edge::carries)) instead of replicated
+/// to all nodes. Returns the set of peers that announced a bundle for this
+/// node this phase.
 ///
 /// Modeled free: zero wire bytes, no clock advance, no message counters.
 ///

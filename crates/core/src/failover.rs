@@ -20,11 +20,11 @@
 
 use std::fmt::Write as _;
 
+use ppm_simnet::coll::Edge;
 use ppm_simnet::SimTime;
 
 use crate::bitset::NodeSet;
 use crate::config::PpmConfig;
-use crate::dissem::Edge;
 use crate::error::RecoveryError;
 use crate::nodectx::NodeCtx;
 use crate::reliable::Reliability;
@@ -569,8 +569,8 @@ impl FailoverPart {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dissem::dissemination;
     use crate::testkit::Gen;
+    use ppm_simnet::coll::dissemination;
 
     // What `exec`'s composed lockstep property looks at.
     impl FailoverMsg {

@@ -5,242 +5,141 @@
 //! runtimes, and are what the PPM runtime library itself uses (e.g.
 //! `ppm_do` learns every node's VP count through
 //! [`NodeCtx::allgather_nodes`]). They are collectives: every node must
-//! call them in the same order. Algorithms mirror the MPI-like substrate
-//! (dissemination barrier, binomial trees, recursive-doubling exscan,
-//! pairwise all-to-all), but endpoints here are *nodes*, so traffic pays no
-//! NIC-sharing penalty.
+//! call them in the same order. The algorithms are the MPI-like
+//! substrate's own ([`ppm_simnet::coll`]); only the transport differs:
+//! endpoints here are *nodes*, so a step pays node-level costs and no
+//! NIC-sharing penalty, travels through the reliable transport, and a
+//! waiting node keeps serving read requests.
 
 use std::any::Any;
 
+use ppm_simnet::coll::{self, Transport};
 use ppm_simnet::{Message, WireSize};
 
-use crate::dissem::dissemination;
 use crate::msgs;
 use crate::nodectx::NodeCtx;
 
-impl NodeCtx<'_> {
-    fn next_coll(&mut self) -> u64 {
-        let seq = self.coll_seq;
-        self.coll_seq += 1;
-        seq
+/// `NodeCtx` as a collective transport.
+struct Steps<'n, 'a>(&'n mut NodeCtx<'a>);
+
+fn coll_tag(seq: u64, step: u32) -> u64 {
+    msgs::tag(msgs::K_COLL, (seq << 8) | step as u64)
+}
+
+impl Transport for Steps<'_, '_> {
+    fn rank(&self) -> usize {
+        self.0.node_id()
     }
 
-    fn coll_tag(seq: u64, step: u32) -> u64 {
-        msgs::tag(msgs::K_COLL, (seq << 8) | step as u64)
+    fn size(&self) -> usize {
+        self.0.num_nodes()
     }
 
-    /// Send one collective message to `dst`, charging node-level costs.
-    fn send_coll<T: Any + Send + WireSize>(&mut self, dst: usize, tag: u64, value: T) {
+    fn next_seq(&mut self) -> u64 {
+        self.0.coll_seq += 1;
+        self.0.coll_seq - 1
+    }
+
+    /// One collective message to `dst`, charging node-level costs.
+    fn send_step<T: Any + Send + WireSize>(&mut self, dst: usize, seq: u64, step: u32, value: T) {
+        let nc = &mut *self.0;
         let bytes = value.wire_size();
-        let net = self.config().machine.net;
-        self.ep.clock.advance_comm(net.send_cpu(bytes, false));
-        let ts = self.ep.clock.now() + net.wire_time(bytes, false, 1);
-        self.ep.counters.msgs_sent += 1;
-        self.ep.counters.bytes_sent += bytes as u64;
-        let me = self.node_id();
+        let net = nc.config().machine.net;
+        nc.ep.clock.advance_comm(net.send_cpu(bytes, false));
+        let ts = nc.ep.clock.now() + net.wire_time(bytes, false, 1);
+        {
+            let mut inner = nc.inner.borrow_mut();
+            inner.counters.msgs_sent += 1;
+            inner.counters.bytes_sent += bytes as u64;
+        }
+        let me = nc.node_id();
         // Routed through the reliable transport (fault delay lands on
-        // `ts`, which recv_coll waits for).
-        self.send_msg(Message::new(me, dst, tag, ts, bytes, value), msgs::K_COLL);
+        // `ts`, which `recv_step` waits for).
+        let msg = Message::new(me, dst, coll_tag(seq, step), ts, bytes, value);
+        nc.send_msg(msg, msgs::K_COLL);
     }
 
-    /// Receive the collective message `tag` from `src`, servicing runtime
-    /// traffic meanwhile.
-    fn recv_coll<T: Any + Send>(&mut self, src: usize, tag: u64) -> T {
-        let msg = self.pump_recv(|m| m.tag == tag && m.src == src);
-        let net = self.config().machine.net;
-        self.ep.clock.wait_until(msg.ts);
-        self.ep.clock.advance_comm(net.recv_cpu(msg.bytes, false));
-        self.ep.counters.msgs_recv += 1;
-        self.ep.counters.bytes_recv += msg.bytes as u64;
+    /// Receive one collective message from `src`, servicing runtime traffic
+    /// meanwhile.
+    fn recv_step<T: Any + Send>(&mut self, src: usize, seq: u64, step: u32) -> T {
+        let nc = &mut *self.0;
+        let tag = coll_tag(seq, step);
+        let msg = nc.pump_recv(|m| m.tag == tag && m.src == src);
+        let net = nc.config().machine.net;
+        nc.ep.clock.wait_until(msg.ts);
+        nc.ep.clock.advance_comm(net.recv_cpu(msg.bytes, false));
+        {
+            let mut inner = nc.inner.borrow_mut();
+            inner.counters.msgs_recv += 1;
+            inner.counters.bytes_recv += msg.bytes as u64;
+        }
         msg.take()
     }
 
-    /// Dissemination barrier across nodes.
+    fn barrier_done(&mut self) {
+        self.0.inner.borrow_mut().counters.barriers += 1;
+    }
+}
+
+impl NodeCtx<'_> {
+    /// Dissemination barrier across nodes ([`coll::barrier`]).
     pub fn barrier_nodes(&mut self) {
-        let seq = self.next_coll();
-        for edge in dissemination(self.node_id(), self.num_nodes()) {
-            let tag = Self::coll_tag(seq, edge.round);
-            self.send_coll(edge.to, tag, ());
-            let () = self.recv_coll(edge.from, tag);
-        }
-        self.ep.counters.barriers += 1;
+        coll::barrier(&mut Steps(self));
     }
 
-    /// Broadcast from node `root` via a binomial tree.
+    /// Broadcast from node `root` ([`coll::bcast`]).
     pub fn bcast_nodes<T: Any + Send + Clone + WireSize>(
         &mut self,
         root: usize,
         value: Option<T>,
     ) -> T {
-        let seq = self.next_coll();
-        let p = self.num_nodes();
-        let me = self.node_id();
-        let rel = (me + p - root) % p;
-
-        let mut have = if rel == 0 {
-            Some(value.expect("bcast_nodes root must supply a value"))
-        } else {
-            None
-        };
-        let mut mask = 1usize;
-        while mask < p {
-            if rel & mask != 0 {
-                let src = (rel - mask + root) % p;
-                have = Some(self.recv_coll(src, Self::coll_tag(seq, 0)));
-                break;
-            }
-            mask <<= 1;
-        }
-        let v = have.expect("bcast tree covers every node");
-        mask >>= 1;
-        while mask > 0 {
-            if rel + mask < p {
-                let dst = (rel + mask + root) % p;
-                self.send_coll(dst, Self::coll_tag(seq, 0), v.clone());
-            }
-            mask >>= 1;
-        }
-        v
+        coll::bcast(&mut Steps(self), root, value)
     }
 
     /// Reduce onto node 0 then broadcast: every node gets the combined
-    /// value. `op` must be associative; the combine tree is fixed, so
-    /// results are deterministic.
+    /// value, combined in node order ([`coll::allreduce`]). `op` must be
+    /// associative; the combine tree is fixed, so results are
+    /// deterministic.
     pub fn allreduce_nodes<T, F>(&mut self, value: T, op: F) -> T
     where
         T: Any + Send + Clone + WireSize,
         F: Fn(T, T) -> T,
     {
-        let seq = self.next_coll();
-        let p = self.num_nodes();
-        let me = self.node_id();
-
-        let mut acc = value;
-        let mut mask = 1usize;
-        let mut sent = false;
-        while mask < p {
-            if me & mask == 0 {
-                let peer = me | mask;
-                if peer < p {
-                    let other: T = self.recv_coll(peer, Self::coll_tag(seq, 0));
-                    acc = op(acc, other);
-                }
-            } else {
-                let dst = me & !mask;
-                self.send_coll(dst, Self::coll_tag(seq, 0), acc.clone());
-                sent = true;
-                break;
-            }
-            mask <<= 1;
-        }
-        let root_val = if sent { None } else { Some(acc) };
-        self.bcast_nodes(0, root_val)
+        coll::allreduce(&mut Steps(self), value, op)
     }
 
-    /// Exclusive prefix combine over node ids (`None` on node 0).
-    /// Recursive doubling; `op` must be associative and commutative.
+    /// Exclusive prefix combine over node ids (`None` on node 0;
+    /// [`coll::exscan`]).
     pub fn exscan_nodes<T, F>(&mut self, value: T, op: F) -> Option<T>
     where
         T: Any + Send + Clone + WireSize,
         F: Fn(T, T) -> T,
     {
-        let seq = self.next_coll();
-        let p = self.num_nodes();
-        let me = self.node_id();
-
-        let mut partial = value;
-        let mut below: Option<T> = None;
-        let mut d = 1usize;
-        let mut step = 0u32;
-        while d < p {
-            let tag = Self::coll_tag(seq, step);
-            if me + d < p {
-                self.send_coll(me + d, tag, partial.clone());
-            }
-            if me >= d {
-                let v: T = self.recv_coll(me - d, tag);
-                below = Some(match below {
-                    None => v.clone(),
-                    Some(b) => op(v.clone(), b),
-                });
-                partial = op(v, partial);
-            }
-            d <<= 1;
-            step += 1;
-        }
-        below
+        coll::exscan(&mut Steps(self), value, op)
     }
 
     /// Every node contributes one value; every node gets all of them,
-    /// ordered by node id.
+    /// ordered by node id. On the wire this is
+    /// [`allgatherv_nodes`](Self::allgatherv_nodes) of a one-item list.
     pub fn allgather_nodes<T: Any + Send + Clone + WireSize>(&mut self, value: T) -> Vec<T> {
         let vs = self.allgatherv_nodes(vec![value]);
         vs.into_iter().map(|mut v| v.remove(0)).collect()
     }
 
     /// Variable-size allgather: every node gets each node's item list,
-    /// indexed by node id.
+    /// indexed by node id ([`coll::allgather`] of the lists).
     pub fn allgatherv_nodes<T: Any + Send + Clone + WireSize>(
         &mut self,
         items: Vec<T>,
     ) -> Vec<Vec<T>> {
-        let seq = self.next_coll();
-        let p = self.num_nodes();
-        let me = self.node_id();
-
-        // Binomial gather of (node, items) pairs onto node 0 …
-        let mut acc: Vec<(u64, Vec<T>)> = vec![(me as u64, items)];
-        let mut mask = 1usize;
-        let mut have_root = true;
-        while mask < p {
-            if me & mask == 0 {
-                let peer = me | mask;
-                if peer < p {
-                    let mut other: Vec<(u64, Vec<T>)> =
-                        self.recv_coll(peer, Self::coll_tag(seq, 0));
-                    acc.append(&mut other);
-                }
-            } else {
-                self.send_coll(me & !mask, Self::coll_tag(seq, 0), acc);
-                acc = Vec::new();
-                have_root = false;
-                break;
-            }
-            mask <<= 1;
-        }
-        // … then broadcast the assembled table.
-        let table = if have_root {
-            acc.sort_by_key(|(n, _)| *n);
-            Some(acc.into_iter().map(|(_, v)| v).collect::<Vec<Vec<T>>>())
-        } else {
-            None
-        };
-        self.bcast_nodes(0, table)
+        coll::allgather(&mut Steps(self), items)
     }
 
     /// Variable-size all-to-all among nodes: `sends[d]` goes to node `d`;
-    /// slot `s` of the result holds what node `s` sent here. Pairwise
-    /// exchange.
-    pub fn alltoallv_nodes<T: Any + Send + WireSize>(
-        &mut self,
-        mut sends: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
-        let p = self.num_nodes();
-        assert_eq!(sends.len(), p, "alltoallv_nodes needs one list per node");
-        let seq = self.next_coll();
-        let me = self.node_id();
-
-        let mut recvs: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-        recvs[me] = std::mem::take(&mut sends[me]);
-        for s in 1..p {
-            let dst = (me + s) % p;
-            let src = (me + p - s) % p;
-            let tag = Self::coll_tag(seq, s as u32);
-            let out = std::mem::take(&mut sends[dst]);
-            self.send_coll(dst, tag, out);
-            recvs[src] = self.recv_coll(src, tag);
-        }
-        recvs
+    /// slot `s` of the result holds what node `s` sent here
+    /// ([`coll::alltoallv`]).
+    pub fn alltoallv_nodes<T: Any + Send + WireSize>(&mut self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
+        coll::alltoallv(&mut Steps(self), sends)
     }
 
     /// Assemble a full copy of a global shared array on every node

@@ -83,16 +83,17 @@ impl<'a> NodeCtx<'a> {
 
     /// Charge node-level (single-core) computation.
     pub fn charge_flops(&mut self, n: u64) {
-        self.ep.counters.flops += n;
+        self.inner.borrow_mut().counters.flops += n;
         self.ep
             .clock
             .advance_compute(self.cfg.machine.core.flops(n));
     }
 
-    /// Event counters accumulated on this node so far (endpoint counters
-    /// merged with any not-yet-folded runtime counters).
+    /// Event counters accumulated on this node so far. The runtime keeps
+    /// them in one place and hands them to the endpoint when the node's
+    /// context drops, for `JobReport::counters`.
     pub fn ep_counters(&self) -> ppm_simnet::Counters {
-        self.ep.counters.merge(&self.inner.borrow().counters)
+        self.inner.borrow().counters
     }
 
     /// Emit a trace event whose arguments are all integers: the span
@@ -149,7 +150,7 @@ impl<'a> NodeCtx<'a> {
 
     /// Charge node-level memory operations.
     pub fn charge_mem_ops(&mut self, n: u64) {
-        self.ep.counters.mem_ops += n;
+        self.inner.borrow_mut().counters.mem_ops += n;
         self.ep
             .clock
             .advance_compute(self.cfg.machine.core.mem_ops(n));
@@ -567,9 +568,8 @@ impl<'a> NodeCtx<'a> {
 }
 
 impl Drop for NodeCtx<'_> {
-    /// Fold any counters still sitting in the runtime state into the
-    /// endpoint (e.g. reliability counters from collectives run after the
-    /// last `ppm_do`), so `JobReport::counters` is complete.
+    /// Hand the node's counters to the endpoint — the one place they reach
+    /// it — so `JobReport::counters` is complete.
     fn drop(&mut self) {
         if let Some(mut inner) = self.inner.try_borrow_mut() {
             // Any still-parked service counters drain here so job totals

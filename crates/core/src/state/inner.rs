@@ -218,7 +218,9 @@ pub(crate) struct Inner {
     pub core_compute: Vec<SimTime>,
     /// Owner-side service CPU spent this phase.
     pub service_time: SimTime,
-    /// Event counters, merged into the endpoint at exchange points.
+    /// This node's event counters — every node-side increment, runtime and
+    /// node-level charges and collectives alike. They reach the endpoint
+    /// once, when the `NodeCtx` drops.
     pub counters: Counters,
     /// Counters from servicing peers' read requests, parked until the
     /// serviced phase's end folds them into `counters` (`exec::phase_end`).

@@ -1,242 +1,128 @@
-//! Collective operations, implemented as real message algorithms over the
-//! point-to-point layer so that their simulated cost *emerges* from the
-//! network model instead of being asserted analytically:
+//! The collectives of [`Comm`]: the algorithms of [`ppm_simnet::coll`],
+//! run over `Comm`'s point-to-point layer so that their simulated cost
+//! emerges from the network model — a step to a rank on the same node takes
+//! the shared-memory path, an off-node step shares the NIC with the node's
+//! other cores, exactly as a user message to that peer would.
 //!
-//! * barrier — dissemination (⌈log₂P⌉ rounds)
-//! * bcast / reduce / gather — binomial trees
-//! * allreduce / allgather — reduce+bcast / gather+bcast
-//! * scan / exscan — Hillis–Steele recursive doubling
-//! * alltoallv — pairwise exchange (P−1 rounds)
-//!
-//! Reduction trees are fixed, so floating-point combines happen in a
-//! deterministic order and repeated runs are bit-identical.
+//! Steps travel in the collective half of the tag space ([`tags`]) through
+//! a private [`Transport`], so user code can neither send nor receive one.
 
 use std::any::Any;
 
+use ppm_simnet::coll::{self, Transport};
 use ppm_simnet::WireSize;
 
 use crate::comm::Comm;
 use crate::tags;
 
-impl Comm<'_> {
-    fn next_coll(&mut self) -> u64 {
-        let seq = self.coll_seq;
-        self.coll_seq += 1;
-        seq
+/// `Comm` as a collective transport.
+struct Steps<'c, 'a>(&'c mut Comm<'a>);
+
+impl Transport for Steps<'_, '_> {
+    fn rank(&self) -> usize {
+        self.0.rank()
     }
 
-    /// Dissemination barrier across all ranks.
+    fn size(&self) -> usize {
+        self.0.size()
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        self.0.coll_seq += 1;
+        self.0.coll_seq - 1
+    }
+
+    fn send_step<T: Any + Send + WireSize>(&mut self, dst: usize, seq: u64, step: u32, value: T) {
+        self.0.send_raw(dst, tags::collective(seq, step), value);
+    }
+
+    fn recv_step<T: Any + Send>(&mut self, src: usize, seq: u64, step: u32) -> T {
+        self.0.recv_raw(src, tags::collective(seq, step))
+    }
+
+    fn barrier_done(&mut self) {
+        self.0.note_barrier();
+    }
+}
+
+impl Comm<'_> {
+    /// Dissemination barrier across all ranks ([`coll::barrier`]).
     pub fn barrier(&mut self) {
-        let seq = self.next_coll();
-        let p = self.size();
-        let me = self.rank();
-        let mut step = 0u32;
-        let mut d = 1usize;
-        while d < p {
-            let to = (me + d) % p;
-            let from = (me + p - d) % p;
-            self.send_raw(to, tags::collective(seq, step), ());
-            let () = self.recv_raw(from, tags::collective(seq, step));
-            d <<= 1;
-            step += 1;
-        }
-        // Mark the barrier on this rank's counters (base ctx access via a
-        // zero-cost charge).
-        self.note_barrier();
+        coll::barrier(&mut Steps(self));
     }
 
     /// Broadcast `value` from `root` (only the root's `Some` is used) to all
-    /// ranks via a binomial tree.
+    /// ranks ([`coll::bcast`]).
     pub fn bcast<T>(&mut self, root: usize, value: Option<T>) -> T
     where
         T: Any + Send + Clone + WireSize,
     {
-        let seq = self.next_coll();
-        let p = self.size();
-        let me = self.rank();
-        let rel = (me + p - root) % p;
-
-        let mut have: Option<T> = if rel == 0 {
-            Some(value.expect("bcast root must supply a value"))
-        } else {
-            None
-        };
-
-        // Receive phase: find the bit where we hang off the tree.
-        let mut mask = 1usize;
-        while mask < p {
-            if rel & mask != 0 {
-                let src = (rel - mask + root) % p;
-                have = Some(self.recv_raw(src, tags::collective(seq, 0)));
-                break;
-            }
-            mask <<= 1;
-        }
-        // Send phase: fan out to our subtree, largest child first.
-        let v = have.expect("bcast tree covers every rank");
-        mask >>= 1;
-        while mask > 0 {
-            if rel + mask < p {
-                let dst = (rel + mask + root) % p;
-                self.send_raw(dst, tags::collective(seq, 0), v.clone());
-            }
-            mask >>= 1;
-        }
-        v
+        coll::bcast(&mut Steps(self), root, value)
     }
 
-    /// Reduce every rank's `value` with `op` onto `root` via a binomial
-    /// tree. Non-roots get `None`.
+    /// Reduce every rank's `value` with `op` onto `root`; non-roots get
+    /// `None` ([`coll::reduce`]).
     pub fn reduce<T, F>(&mut self, root: usize, value: T, op: F) -> Option<T>
     where
         T: Any + Send + WireSize,
         F: Fn(T, T) -> T,
     {
-        let seq = self.next_coll();
-        let p = self.size();
-        let me = self.rank();
-        let rel = (me + p - root) % p;
-
-        let mut acc = value;
-        let mut mask = 1usize;
-        while mask < p {
-            if rel & mask == 0 {
-                let peer_rel = rel | mask;
-                if peer_rel < p {
-                    let src = (peer_rel + root) % p;
-                    let other: T = self.recv_raw(src, tags::collective(seq, 0));
-                    // Lower relative rank on the left keeps the combine
-                    // order deterministic and rank-ordered.
-                    acc = op(acc, other);
-                }
-            } else {
-                let dst = ((rel & !mask) + root) % p;
-                self.send_raw(dst, tags::collective(seq, 0), acc);
-                return None;
-            }
-            mask <<= 1;
-        }
-        Some(acc)
+        coll::reduce(&mut Steps(self), root, value, op)
     }
 
-    /// Reduction whose result every rank receives (reduce to 0 + bcast).
+    /// Reduction whose result every rank receives ([`coll::allreduce`]).
     pub fn allreduce<T, F>(&mut self, value: T, op: F) -> T
     where
         T: Any + Send + Clone + WireSize,
         F: Fn(T, T) -> T,
     {
-        let r = self.reduce(0, value, op);
-        self.bcast(0, r)
+        coll::allreduce(&mut Steps(self), value, op)
     }
 
     /// Exclusive prefix combine: rank r gets `op` over ranks `0..r`
-    /// (`None` on rank 0). Hillis–Steele recursive doubling; `op` must be
-    /// associative and commutative.
+    /// (`None` on rank 0; [`coll::exscan`]).
     pub fn exscan<T, F>(&mut self, value: T, op: F) -> Option<T>
     where
         T: Any + Send + Clone + WireSize,
         F: Fn(T, T) -> T,
     {
-        let seq = self.next_coll();
-        let p = self.size();
-        let me = self.rank();
-
-        let mut partial = value;
-        let mut below: Option<T> = None;
-        let mut d = 1usize;
-        let mut step = 0u32;
-        while d < p {
-            if me + d < p {
-                self.send_raw(me + d, tags::collective(seq, step), partial.clone());
-            }
-            if me >= d {
-                let v: T = self.recv_raw(me - d, tags::collective(seq, step));
-                below = Some(match below {
-                    None => v.clone(),
-                    Some(b) => op(v.clone(), b),
-                });
-                partial = op(v, partial);
-            }
-            d <<= 1;
-            step += 1;
-        }
-        below
+        coll::exscan(&mut Steps(self), value, op)
     }
 
-    /// Inclusive prefix combine: rank r gets `op` over ranks `0..=r`.
+    /// Inclusive prefix combine: rank r gets `op` over ranks `0..=r`
+    /// ([`coll::scan`]).
     pub fn scan<T, F>(&mut self, value: T, op: F) -> T
     where
         T: Any + Send + Clone + WireSize,
         F: Fn(T, T) -> T,
     {
-        match self.exscan(value.clone(), &op) {
-            None => value,
-            Some(below) => op(below, value),
-        }
+        coll::scan(&mut Steps(self), value, op)
     }
 
-    /// Gather every rank's `value` onto `root`, ordered by rank.
+    /// Gather every rank's `value` onto `root`, ordered by rank
+    /// ([`coll::gather`]).
     pub fn gather<T>(&mut self, root: usize, value: T) -> Option<Vec<T>>
     where
         T: Any + Send + WireSize,
     {
-        let seq = self.next_coll();
-        let p = self.size();
-        let me = self.rank();
-        let rel = (me + p - root) % p;
-
-        let mut acc: Vec<(u64, T)> = vec![(me as u64, value)];
-        let mut mask = 1usize;
-        while mask < p {
-            if rel & mask == 0 {
-                let peer_rel = rel | mask;
-                if peer_rel < p {
-                    let src = (peer_rel + root) % p;
-                    let mut other: Vec<(u64, T)> = self.recv_raw(src, tags::collective(seq, 0));
-                    acc.append(&mut other);
-                }
-            } else {
-                let dst = ((rel & !mask) + root) % p;
-                self.send_raw(dst, tags::collective(seq, 0), acc);
-                return None;
-            }
-            mask <<= 1;
-        }
-        acc.sort_by_key(|(r, _)| *r);
-        debug_assert_eq!(acc.len(), p);
-        Some(acc.into_iter().map(|(_, v)| v).collect())
+        coll::gather(&mut Steps(self), root, value)
     }
 
-    /// Gather whose result every rank receives.
+    /// Gather whose result every rank receives ([`coll::allgather`]).
     pub fn allgather<T>(&mut self, value: T) -> Vec<T>
     where
         T: Any + Send + Clone + WireSize,
     {
-        let g = self.gather(0, value);
-        self.bcast(0, g)
+        coll::allgather(&mut Steps(self), value)
     }
 
     /// Variable-size all-to-all: `sends[d]` goes to rank `d`; the result's
-    /// slot `s` holds what rank `s` sent here. Pairwise exchange.
-    pub fn alltoallv<T>(&mut self, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>>
+    /// slot `s` holds what rank `s` sent here ([`coll::alltoallv`]).
+    pub fn alltoallv<T>(&mut self, sends: Vec<Vec<T>>) -> Vec<Vec<T>>
     where
         T: Any + Send + WireSize,
     {
-        let p = self.size();
-        assert_eq!(sends.len(), p, "alltoallv needs one send list per rank");
-        let seq = self.next_coll();
-        let me = self.rank();
-
-        let mut recvs: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-        recvs[me] = std::mem::take(&mut sends[me]);
-        for s in 1..p {
-            let dst = (me + s) % p;
-            let src = (me + p - s) % p;
-            let out = std::mem::take(&mut sends[dst]);
-            self.send_raw(dst, tags::collective(seq, s as u32), out);
-            recvs[src] = self.recv_raw(src, tags::collective(seq, s as u32));
-        }
-        recvs
+        coll::alltoallv(&mut Steps(self), sends)
     }
 }
 

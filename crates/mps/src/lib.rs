@@ -10,7 +10,9 @@
 //!   [`Comm::recv_any`]), and
 //! * collectives implemented as real message algorithms
 //!   (barrier, bcast, reduce, allreduce, scan, exscan, gather, allgather,
-//!   alltoallv) whose simulated cost emerges from the network model.
+//!   alltoallv) whose simulated cost emerges from the network model —
+//!   the algorithms of [`ppm_simnet::coll`], which the PPM runtime's node
+//!   collectives run too.
 //!
 //! Cost fidelity points baked in, matching the paper's discussion:
 //!

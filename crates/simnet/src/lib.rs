@@ -21,12 +21,14 @@
 //!
 //! Layers above: [`ppm-mps`](../ppm_mps/index.html) builds an MPI-like
 //! interface on these endpoints; [`ppm-core`](../ppm_core/index.html) builds
-//! the PPM runtime.
+//! the PPM runtime. Both run the collective algorithms of [`coll`], each
+//! over its own transport.
 
 #![deny(unsafe_code)]
 
 pub mod clock;
 pub mod cluster;
+pub mod coll;
 pub mod config;
 pub mod fault;
 pub mod message;

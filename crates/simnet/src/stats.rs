@@ -1,100 +1,146 @@
 //! Communication and computation counters.
 
-/// Per-endpoint event counters. All counts are exact (not modeled), so they
-/// double as a verification channel: tests assert e.g. that the PPM runtime
-/// sends one bundle per (destination, wave) and that MPI baselines send the
-/// expected number of fine-grained messages.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// Point-to-point messages sent.
-    pub msgs_sent: u64,
-    /// Modeled bytes sent.
-    pub bytes_sent: u64,
-    /// Point-to-point messages received.
-    pub msgs_recv: u64,
-    /// Modeled bytes received.
-    pub bytes_recv: u64,
-    /// Floating-point operations charged.
-    pub flops: u64,
-    /// Memory operations charged.
-    pub mem_ops: u64,
-    /// Barriers participated in.
-    pub barriers: u64,
-    /// PPM: remote element reads issued (before bundling).
-    pub remote_gets: u64,
-    /// PPM: remote element writes issued (before bundling).
-    pub remote_puts: u64,
-    /// PPM: request/write bundles sent (after bundling).
-    pub bundles_sent: u64,
-    /// PPM: communication waves (request flush rounds) executed.
-    pub waves: u64,
-    /// PPM: shared-variable accesses that resolved locally.
-    pub local_accesses: u64,
-    /// Reliability layer: retransmissions performed (one per lost
-    /// transmission attempt injected by the fault plan).
-    pub retries: u64,
-    /// Reliability layer: transmission attempts the fault plan dropped.
-    pub faults_dropped: u64,
-    /// Reliability layer: duplicate copies the fault plan delivered.
-    pub faults_duplicated: u64,
-    /// Reliability layer: messages the fault plan held back on the wire.
-    pub faults_delayed: u64,
-    /// Reliability layer: duplicate envelopes suppressed on receive.
-    pub dups_suppressed: u64,
-    /// Reliability layer: cumulative ack messages sent.
-    pub acks_sent: u64,
-    /// Phase-boundary crash recoveries performed.
-    pub crash_recoveries: u64,
-    /// PPM: remote reads satisfied by the phase-coherent read cache
-    /// (no wire traffic).
-    pub cache_hits: u64,
-    /// PPM: remote reads that missed the read cache (or ran with it
-    /// disabled) and went to the wire.
-    pub cache_misses: u64,
-    /// PPM: duplicate remote reads that cost no wire entry of their own:
-    /// repeats of an index inside one bulk read, combined at the source
-    /// (no slot, no queued request), plus requests from different reads
-    /// merged into one wire entry when the wave is built. Every one of
-    /// them is still counted in `remote_gets` and `cache_misses`.
-    pub dedup_reads: u64,
-    /// PPM: wave completions where some VPs resumed while other
-    /// destinations of the same wave were still in flight.
-    pub partial_wakes: u64,
-    /// Failure detector: peers this node began suspecting (retransmit
-    /// attempts crossed the detection threshold in simulated time).
-    pub peers_suspected: u64,
-    /// Failure detector: peers this node confirmed permanently dead at a
-    /// clock-barrier boundary (suspicion OR-flood came back unanimous).
-    pub peers_confirmed_dead: u64,
-    /// Fail-stop tolerance: partition failovers this node performed as the
-    /// buddy of a confirmed-dead peer.
-    pub failovers: u64,
-    /// Fail-stop tolerance: snapshot-replica bytes this node streamed to
-    /// its buddy (delta frames piggybacked on end-of-phase write bundles).
-    pub replica_bytes: u64,
-    /// Pseudo-streaming: resident partition tiles evicted to the modeled
-    /// backing store to stay under the tile budget.
-    pub tile_spills: u64,
-    /// Pseudo-streaming: cold partition tiles made resident on first
-    /// touch (every tile starts cold, so refills ≥ spills).
-    pub tile_refills: u64,
+/// Declares [`Counters`] from its one field list, with everything that
+/// walks the fields: the named view exporters use, the `d_` trace argument
+/// names, and the field-wise `merge` and `delta`. A new counter is one line
+/// in the list below.
+macro_rules! counters {
+    (
+        $(#[$attr:meta])*
+        pub struct Counters {
+            $($(#[$doc:meta])* pub $name:ident: u64,)*
+        }
+    ) => {
+        $(#[$attr])*
+        pub struct Counters {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        /// Number of fields of [`Counters`].
+        const FIELDS: usize = [$(stringify!($name)),*].len();
+
+        impl Counters {
+            /// Trace argument names of per-phase counter deltas: each
+            /// field's name with a `d_` prefix, in declaration order.
+            pub const DELTA_NAMES: [&'static str; FIELDS] =
+                [$(concat!("d_", stringify!($name))),*];
+
+            /// Every counter as a `(name, value)` pair, in declaration
+            /// order: the one view exporters walk (e.g. per-phase deltas in
+            /// the trace layer, the golden tests' literal rows).
+            pub fn named_fields(&self) -> [(&'static str, u64); FIELDS] {
+                [$((stringify!($name), self.$name)),*]
+            }
+
+            /// Element-wise sum, for job-level aggregation. Saturating:
+            /// counters are diagnostics, so an (astronomically unlikely)
+            /// overflow clamps at `u64::MAX` rather than aborting the job or
+            /// wrapping to a small lie.
+            pub fn merge(&self, other: &Counters) -> Counters {
+                Counters {
+                    $($name: self.$name.saturating_add(other.$name),)*
+                }
+            }
+
+            /// Element-wise difference from an earlier snapshot of the same
+            /// (monotonically increasing) counters. Panics in debug builds
+            /// if `base` is not actually earlier.
+            pub fn delta(&self, base: &Counters) -> Counters {
+                $(debug_assert!(
+                    self.$name >= base.$name,
+                    concat!("counter ", stringify!($name), " went backwards")
+                );)*
+                Counters {
+                    $($name: self.$name - base.$name,)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Per-endpoint event counters. All counts are exact (not modeled), so they
+    /// double as a verification channel: tests assert e.g. that the PPM runtime
+    /// sends one bundle per (destination, wave) and that MPI baselines send the
+    /// expected number of fine-grained messages.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Counters {
+        /// Point-to-point messages sent.
+        pub msgs_sent: u64,
+        /// Modeled bytes sent.
+        pub bytes_sent: u64,
+        /// Point-to-point messages received.
+        pub msgs_recv: u64,
+        /// Modeled bytes received.
+        pub bytes_recv: u64,
+        /// Floating-point operations charged.
+        pub flops: u64,
+        /// Memory operations charged.
+        pub mem_ops: u64,
+        /// Barriers participated in.
+        pub barriers: u64,
+        /// PPM: remote element reads issued (before bundling).
+        pub remote_gets: u64,
+        /// PPM: remote element writes issued (before bundling).
+        pub remote_puts: u64,
+        /// PPM: request/write bundles sent (after bundling).
+        pub bundles_sent: u64,
+        /// PPM: communication waves (request flush rounds) executed.
+        pub waves: u64,
+        /// PPM: shared-variable accesses that resolved locally.
+        pub local_accesses: u64,
+        /// Reliability layer: retransmissions performed (one per lost
+        /// transmission attempt injected by the fault plan).
+        pub retries: u64,
+        /// Reliability layer: transmission attempts the fault plan dropped.
+        pub faults_dropped: u64,
+        /// Reliability layer: duplicate copies the fault plan delivered.
+        pub faults_duplicated: u64,
+        /// Reliability layer: messages the fault plan held back on the wire.
+        pub faults_delayed: u64,
+        /// Reliability layer: duplicate envelopes suppressed on receive.
+        pub dups_suppressed: u64,
+        /// Reliability layer: cumulative ack messages sent.
+        pub acks_sent: u64,
+        /// Phase-boundary crash recoveries performed.
+        pub crash_recoveries: u64,
+        /// PPM: remote reads satisfied by the phase-coherent read cache
+        /// (no wire traffic).
+        pub cache_hits: u64,
+        /// PPM: remote reads that missed the read cache (or ran with it
+        /// disabled) and went to the wire.
+        pub cache_misses: u64,
+        /// PPM: duplicate remote reads that cost no wire entry of their own:
+        /// repeats of an index inside one bulk read, combined at the source
+        /// (no slot, no queued request), plus requests from different reads
+        /// merged into one wire entry when the wave is built. Every one of
+        /// them is still counted in `remote_gets` and `cache_misses`.
+        pub dedup_reads: u64,
+        /// PPM: wave completions where some VPs resumed while other
+        /// destinations of the same wave were still in flight.
+        pub partial_wakes: u64,
+        /// Failure detector: peers this node began suspecting (retransmit
+        /// attempts crossed the detection threshold in simulated time).
+        pub peers_suspected: u64,
+        /// Failure detector: peers this node confirmed permanently dead at a
+        /// clock-barrier boundary (suspicion OR-flood came back unanimous).
+        pub peers_confirmed_dead: u64,
+        /// Fail-stop tolerance: partition failovers this node performed as the
+        /// buddy of a confirmed-dead peer.
+        pub failovers: u64,
+        /// Fail-stop tolerance: snapshot-replica bytes this node streamed to
+        /// its buddy (delta frames piggybacked on end-of-phase write bundles).
+        pub replica_bytes: u64,
+        /// Pseudo-streaming: resident partition tiles evicted to the modeled
+        /// backing store to stay under the tile budget.
+        pub tile_spills: u64,
+        /// Pseudo-streaming: cold partition tiles made resident on first
+        /// touch (every tile starts cold, so refills ≥ spills).
+        pub tile_refills: u64,
+    }
 }
 
 impl Counters {
-    /// Element-wise sum, for job-level aggregation. Saturating: counters
-    /// are diagnostics, so an (astronomically unlikely) overflow clamps at
-    /// `u64::MAX` rather than aborting the job or wrapping to a small lie.
-    /// Driven through `named_fields_mut` so a new field cannot be missed.
-    pub fn merge(&self, other: &Counters) -> Counters {
-        let mut out = *self;
-        let rhs = other.named_fields();
-        for (i, (name, slot)) in out.named_fields_mut().into_iter().enumerate() {
-            debug_assert_eq!(name, rhs[i].0);
-            *slot = slot.saturating_add(rhs[i].1);
-        }
-        out
-    }
-
     /// Snapshot of every reliability/fault-injection field as a named
     /// struct. A named struct (rather than a positional tuple) means adding
     /// a reliability counter without extending the summary is a compile
@@ -113,93 +159,6 @@ impl Counters {
             failovers: self.failovers,
             replica_bytes: self.replica_bytes,
         }
-    }
-
-    /// Every counter as a `(name, value)` pair, in declaration order. The
-    /// single source of truth for exporters (e.g. per-phase deltas in the
-    /// trace layer); a test pins its length to the struct size so a new
-    /// field cannot be forgotten here.
-    pub fn named_fields(&self) -> [(&'static str, u64); 29] {
-        [
-            ("msgs_sent", self.msgs_sent),
-            ("bytes_sent", self.bytes_sent),
-            ("msgs_recv", self.msgs_recv),
-            ("bytes_recv", self.bytes_recv),
-            ("flops", self.flops),
-            ("mem_ops", self.mem_ops),
-            ("barriers", self.barriers),
-            ("remote_gets", self.remote_gets),
-            ("remote_puts", self.remote_puts),
-            ("bundles_sent", self.bundles_sent),
-            ("waves", self.waves),
-            ("local_accesses", self.local_accesses),
-            ("retries", self.retries),
-            ("faults_dropped", self.faults_dropped),
-            ("faults_duplicated", self.faults_duplicated),
-            ("faults_delayed", self.faults_delayed),
-            ("dups_suppressed", self.dups_suppressed),
-            ("acks_sent", self.acks_sent),
-            ("crash_recoveries", self.crash_recoveries),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("dedup_reads", self.dedup_reads),
-            ("partial_wakes", self.partial_wakes),
-            ("peers_suspected", self.peers_suspected),
-            ("peers_confirmed_dead", self.peers_confirmed_dead),
-            ("failovers", self.failovers),
-            ("replica_bytes", self.replica_bytes),
-            ("tile_spills", self.tile_spills),
-            ("tile_refills", self.tile_refills),
-        ]
-    }
-
-    /// Element-wise difference from an earlier snapshot of the same
-    /// (monotonically increasing) counters. Panics in debug builds if
-    /// `base` is not actually earlier.
-    pub fn delta(&self, base: &Counters) -> Counters {
-        let cur = self.named_fields();
-        let old = base.named_fields();
-        let mut out = Counters::default();
-        for (i, (name, slot)) in out.named_fields_mut().into_iter().enumerate() {
-            debug_assert_eq!(name, cur[i].0);
-            debug_assert!(cur[i].1 >= old[i].1, "counter {name} went backwards");
-            *slot = cur[i].1 - old[i].1;
-        }
-        out
-    }
-
-    fn named_fields_mut(&mut self) -> [(&'static str, &mut u64); 29] {
-        [
-            ("msgs_sent", &mut self.msgs_sent),
-            ("bytes_sent", &mut self.bytes_sent),
-            ("msgs_recv", &mut self.msgs_recv),
-            ("bytes_recv", &mut self.bytes_recv),
-            ("flops", &mut self.flops),
-            ("mem_ops", &mut self.mem_ops),
-            ("barriers", &mut self.barriers),
-            ("remote_gets", &mut self.remote_gets),
-            ("remote_puts", &mut self.remote_puts),
-            ("bundles_sent", &mut self.bundles_sent),
-            ("waves", &mut self.waves),
-            ("local_accesses", &mut self.local_accesses),
-            ("retries", &mut self.retries),
-            ("faults_dropped", &mut self.faults_dropped),
-            ("faults_duplicated", &mut self.faults_duplicated),
-            ("faults_delayed", &mut self.faults_delayed),
-            ("dups_suppressed", &mut self.dups_suppressed),
-            ("acks_sent", &mut self.acks_sent),
-            ("crash_recoveries", &mut self.crash_recoveries),
-            ("cache_hits", &mut self.cache_hits),
-            ("cache_misses", &mut self.cache_misses),
-            ("dedup_reads", &mut self.dedup_reads),
-            ("partial_wakes", &mut self.partial_wakes),
-            ("peers_suspected", &mut self.peers_suspected),
-            ("peers_confirmed_dead", &mut self.peers_confirmed_dead),
-            ("failovers", &mut self.failovers),
-            ("replica_bytes", &mut self.replica_bytes),
-            ("tile_spills", &mut self.tile_spills),
-            ("tile_refills", &mut self.tile_refills),
-        ]
     }
 }
 
@@ -285,14 +244,18 @@ mod tests {
 
     #[test]
     fn named_fields_cover_every_counter() {
-        // Counters is all-u64; if a field is added without extending
-        // named_fields(), the length no longer matches the struct size.
+        // Counters is all-u64, so the length of the field list is the
+        // struct size in words; the trace names follow the field names.
         let c = Counters::default();
         assert_eq!(
             c.named_fields().len() * std::mem::size_of::<u64>(),
             std::mem::size_of::<Counters>(),
             "named_fields() must enumerate every Counters field"
         );
+        for ((name, _), delta) in c.named_fields().into_iter().zip(Counters::DELTA_NAMES) {
+            assert_eq!(delta, format!("d_{name}"));
+        }
+        assert_eq!(Counters::DELTA_NAMES[0], "d_msgs_sent");
         // Same guard for the reliability summary.
         assert_eq!(
             11 * std::mem::size_of::<u64>(),
