@@ -51,10 +51,11 @@ pub struct PpmConfig {
     pub rto: SimTime,
     /// Reliability: cap of the exponential retransmission backoff.
     pub rto_max: SimTime,
-    /// Reliability: receivers send one cumulative ack per this many
+    /// Reliability: receivers count one cumulative ack per this many
     /// envelopes on a link.
     pub ack_every: u64,
-    /// Modeled wire bytes of a cumulative ack message.
+    /// Modeled wire bytes of a cumulative ack, charged to `bytes_sent`
+    /// (acks are counters; no ack message travels).
     pub ack_bytes: usize,
     /// Crash recovery: modeled reboot time charged when a node recovers
     /// from a seeded crash at a phase boundary.

@@ -80,7 +80,7 @@ pub(super) fn clock_barrier(nc: &mut NodeCtx<'_>, phase: u64, mut parts: Barrier
             Message::new(me, edge.to, tag, ts, wire_bytes as usize, bm),
             msgs::K_BARRIER,
         );
-        let msg = nc.pump_recv(|m| m.tag == tag && m.src == edge.from);
+        let msg = nc.pump_recv(tag, Some(edge.from));
         nc.ep.clock.wait_until(msg.ts);
         nc.ep.clock.advance_comm(net.overhead);
         let wire_bytes = msg.bytes as u64;

@@ -17,7 +17,7 @@
 //! ascending rank order after the round — so the merged effect sequence
 //! equals a sequential ascending-rank schedule's no matter which host
 //! thread polled what. A wave's destinations are consumed strictly in
-//! ascending node order (late responses are stashed), so VPs resume per
+//! ascending node order (early responses wait in the router), so VPs resume per
 //! completed destination — in deterministic order — while slower
 //! destinations are still in flight, and the schedule never depends on
 //! network timing (DESIGN.md §13). Write bundles are applied in ascending

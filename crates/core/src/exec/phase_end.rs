@@ -430,9 +430,10 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> (PhaseRecord, Traffic) {
 /// (program order on the peer), and that send transitively happens-before
 /// some token this node receives (each hop sends round `r+1` only after
 /// receiving round `r`, and the edges reach every node from every node).
-/// The per-endpoint inbox is one FIFO queue, so by the time the final
-/// round's `pump_recv` returns, every peer's phase-`phase` requests have
-/// been dequeued — and `pump_recv` services them inline. Step 4's
+/// The per-endpoint queue in the router is one FIFO, and a receive always
+/// takes a read request queued ahead of what it waits for, so by the time
+/// the final round's `pump_recv` returns, every peer's phase-`phase`
+/// requests have been taken — and `pump_recv` services them inline. Step 4's
 /// deferred-counter and serve-history folds rely on it; nothing else in the
 /// exchange provides it (a node waits for bundles from announced senders
 /// only). No phase-`phase+1` token can arrive before step 6: a peer
@@ -463,7 +464,7 @@ fn exchange_sender_notices(
             Message::new(me, edge.to, tag, now, 0, token),
             msgs::K_TOKENS,
         );
-        let msg = nc.pump_recv(|m| m.tag == tag && m.src == edge.from);
+        let msg = nc.pump_recv(tag, Some(edge.from));
         let tm: TokenMsg = msg.take();
         debug_assert_eq!(tm.phase, phase);
         notices.absorb(tm.notices);
@@ -512,7 +513,7 @@ pub(crate) fn exchange<M: Send + 'static>(
     let want = expected.count() as usize;
     let mut incoming: Vec<(u32, u64, M)> = Vec::with_capacity(want);
     while incoming.len() < want {
-        let msg = nc.pump_recv(|m| m.tag == tag);
+        let msg = nc.pump_recv(tag, None);
         let (src, bytes) = (msg.src, msg.bytes as u64);
         debug_assert!(
             expected.contains(src),

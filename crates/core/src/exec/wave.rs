@@ -103,7 +103,7 @@ pub(super) fn build_dest(
 
 /// One in-flight communication wave. Destinations complete strictly in
 /// ascending node order no matter when their responses really arrive
-/// (`pump_recv` stashes the early ones), so the VP wake order never
+/// (early ones wait in the router's queue), so the VP wake order never
 /// depends on network timing (DESIGN.md §13).
 #[derive(Default)]
 pub(super) struct WaveState {
@@ -168,7 +168,7 @@ pub(super) fn start_wave(nc: &mut NodeCtx<'_>) -> WaveState {
 }
 
 /// Block for the wave's next destination (ascending order; peers are
-/// serviced and unrelated messages stashed meanwhile), park the response
+/// serviced meanwhile, unrelated messages left queued), park the response
 /// values in the arrays' arenas — populating the read cache when enabled —
 /// and point every answered slot at its value. Returns the VPs whose reads
 /// were satisfied (ascending) and the number of slots filled — one per
@@ -182,7 +182,7 @@ pub(super) fn wave_recv_next(
     let cache_on = nc.config().read_cache;
     let pend = &ws.pending[ws.next];
     let dest = pend.dest;
-    let msg = nc.pump_recv(|m| msgs::untag(m.tag).0 == msgs::K_READ_RESP && m.src == dest);
+    let msg = nc.pump_recv(msgs::tag(msgs::K_READ_RESP, 0), Some(dest));
     let bytes = msg.bytes as u64;
     let resp: RespBundle = msg.take();
     let mut inner = nc.inner.borrow_mut();

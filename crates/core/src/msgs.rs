@@ -6,6 +6,8 @@
 
 use std::any::Any;
 
+use ppm_simnet::TagClass;
+
 use crate::state::Values;
 
 /// Read-request bundle (one per destination per wave). Kinds live in the
@@ -19,8 +21,6 @@ pub const K_WRITE: u64 = 3;
 pub const K_BARRIER: u64 = 4;
 /// Node-level collective message.
 pub const K_COLL: u64 = 5;
-/// Reliability-layer cumulative acknowledgement (meta = acked watermark).
-pub const K_ACK: u64 = 6;
 /// Adaptive-repartitioning migration bundle (one per peer that takes over
 /// elements in a rebalance).
 pub const K_MIGRATE: u64 = 7;
@@ -39,7 +39,6 @@ pub fn kind_name(kind: u64) -> &'static str {
         K_WRITE => "WRITE",
         K_BARRIER => "BARRIER",
         K_COLL => "COLL",
-        K_ACK => "ACK",
         K_MIGRATE => "MIGRATE",
         K_TOKENS => "TOKENS",
         _ => "UNKNOWN",
@@ -55,6 +54,13 @@ pub(crate) fn tag(kind: u64, meta: u64) -> u64 {
     debug_assert!(meta <= META_MASK);
     (kind << KIND_SHIFT) | meta
 }
+
+/// Every read-request tag: the class a node's receive always takes, so a
+/// waiting node keeps serving its peers.
+pub(crate) const READ_REQS: TagClass = TagClass {
+    mask: !META_MASK,
+    bits: K_READ_REQ << KIND_SHIFT,
+};
 
 /// Extract (kind, meta) from a tag.
 #[inline]
@@ -138,8 +144,11 @@ mod tests {
 
     #[test]
     fn kind_names_are_distinct() {
-        let names: std::collections::HashSet<_> = (1..=8).map(kind_name).collect();
-        assert_eq!(names.len(), 8);
+        let kinds = [K_READ_REQ, K_READ_RESP, K_WRITE, K_BARRIER, K_COLL];
+        let kinds = kinds.into_iter().chain([K_MIGRATE, K_TOKENS]);
+        let names: std::collections::HashSet<_> = kinds.map(kind_name).collect();
+        assert_eq!(names.len(), 7);
+        assert!(!names.contains("UNKNOWN"));
         assert_eq!(kind_name(99), "UNKNOWN");
     }
 
@@ -151,7 +160,6 @@ mod tests {
             K_WRITE,
             K_BARRIER,
             K_COLL,
-            K_ACK,
             K_MIGRATE,
             K_TOKENS,
         ] {

@@ -64,7 +64,7 @@ impl Transport for Steps<'_, '_> {
     fn recv_step<T: Any + Send>(&mut self, src: usize, seq: u64, step: u32) -> T {
         let nc = &mut *self.0;
         let tag = coll_tag(seq, step);
-        let msg = nc.pump_recv(|m| m.tag == tag && m.src == src);
+        let msg = nc.pump_recv(tag, Some(src));
         let net = nc.config().machine.net;
         nc.ep.clock.wait_until(msg.ts);
         nc.ep.clock.advance_comm(net.recv_cpu(msg.bytes, false));

@@ -6,10 +6,9 @@
 //! data (initialization and result extraction), node-level collectives, and
 //! [`NodeCtx::ppm_do`], the `PPM_do(K) func(...)` construct.
 
-use std::collections::VecDeque;
 use std::future::Future;
 
-use ppm_simnet::{ArgValue, EndpointCtx, Message, RelMeta, SimTime};
+use ppm_simnet::{ArgValue, Endpoint, EndpointCtx, Filter, Message, SimTime};
 
 use crate::check::Space;
 use crate::config::PpmConfig;
@@ -26,8 +25,6 @@ use crate::vp::Vp;
 pub struct NodeCtx<'a> {
     pub(crate) ep: &'a mut EndpointCtx,
     pub(crate) inner: SharedInner,
-    /// Received-but-not-yet-wanted runtime messages.
-    pub(crate) stash: VecDeque<Message>,
     /// Node-collective sequence number.
     pub(crate) coll_seq: u64,
     /// Reliable-transport state machine; `None` keeps the fast paths
@@ -42,7 +39,6 @@ impl<'a> NodeCtx<'a> {
         NodeCtx {
             ep,
             inner: SharedInner::new(Inner::new(cfg)),
-            stash: VecDeque::new(),
             coll_seq: 0,
             rel: cfg
                 .reliability_enabled()
@@ -361,15 +357,24 @@ impl<'a> NodeCtx<'a> {
         }
     }
 
-    /// Raw blocking receive with the stall watchdog's protocol-state dump
-    /// attached.
+    /// Blocking receive of the first queued message `filter` accepts, with
+    /// the stall watchdog's protocol-state dump attached.
+    ///
+    /// Every envelope is accounted as the router first shows it — in its
+    /// sender's order, however far ahead the taken message is: duplicate
+    /// suppression and, every [`PpmConfig::ack_every`] envelopes on a link,
+    /// a cumulative ack. The ack is a counter, not a message (with virtual
+    /// retransmission, `reliable.rs`, nothing would read it), modeled as
+    /// piggybacked: it shows in `acks_sent` / `msgs_sent` / `bytes_sent`
+    /// but costs no simulated time (see `Traffic::rel_extra_msgs` for why
+    /// charging it here would break clock determinism).
     ///
     /// Fail-fast guard (DESIGN.md §15): with replication off, a peer
     /// confirmed permanently dead can never send again — its traffic is
     /// black-holed — so blocking here could only end in the stall
     /// watchdog. Raise the structured [`RecoveryError`] immediately
     /// instead; the watchdog never fires for a confirmed-dead peer.
-    fn recv_raw(&mut self) -> Message {
+    fn recv_raw(&mut self, filter: &Filter) -> Message {
         if !self.cfg.replication {
             let dead = (self.inner.try_borrow()).and_then(|i| i.failover.first_dead());
             if let Some(victim) = dead {
@@ -384,102 +389,50 @@ impl<'a> NodeCtx<'a> {
                 .raise();
             }
         }
-        let node = self.ep.id();
-        let inner = &self.inner;
-        let stash = &self.stash;
-        let rel = self.rel.as_deref();
-        let tracer = &self.ep.tracer;
-        let now = self.ep.clock.now();
-        self.ep.net.recv_with_diag(|| {
-            let dump = protocol_dump(node, inner, stash, rel);
+        let (now, ack_bytes) = (self.ep.clock.now(), self.cfg.ack_bytes as u64);
+        let (rel, inner, tracer) = (&mut self.rel, &self.inner, &self.ep.tracer);
+        let got = self.ep.net.recv_match(filter, |m| {
+            let (Some(rel), Some(meta)) = (rel.as_deref_mut(), m.rel) else {
+                return;
+            };
+            let dups = u64::from(meta.duplicates);
+            if dups > 0 && tracer.enabled() {
+                let src = ArgValue::U64(m.src as u64);
+                let args = vec![("src", src), ("count", ArgValue::U64(dups))];
+                tracer.instant("dup_suppressed", "reliability", now, args);
+            }
+            let mut inner = inner.borrow_mut();
+            inner.counters.dups_suppressed += dups;
+            if rel.on_recv(m.src, meta).is_some() {
+                inner.counters.acks_sent += 1;
+                inner.counters.msgs_sent += 1;
+                inner.counters.bytes_sent += ack_bytes;
+            }
+        });
+        got.unwrap_or_else(|| {
+            let dump = protocol_dump(&self.ep.net, &self.inner, self.rel.as_deref());
             // Publish the dump to the trace stream before the watchdog
             // panic unwinds this endpoint: the shared sink outlives the
             // thread, so a wedged run still leaves a readable trace.
-            tracer.instant(
-                "recv_stall",
-                "runtime",
-                now,
-                vec![("dump", ArgValue::Str(dump.clone()))],
-            );
-            dump
+            let args = vec![("dump", ArgValue::Str(dump.clone()))];
+            self.ep.tracer.instant("recv_stall", "runtime", now, args);
+            self.ep.net.stalled(filter, &dump)
         })
     }
 
-    /// Reliability bookkeeping for a received envelope: duplicate
-    /// suppression and, when one falls due, the cumulative ack back to the
-    /// sender.
-    fn account_envelope(&mut self, src: usize, meta: RelMeta) {
-        let Some(rel) = self.rel.as_deref_mut() else {
-            return;
-        };
-        let out = rel.on_recv(src, meta);
-        if out.dups_suppressed > 0 {
-            let args = [("src", src as u64), ("count", out.dups_suppressed as u64)];
-            self.trace("dup_suppressed", "reliability", self.now(), None, &args);
-        }
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.dups_suppressed += u64::from(out.dups_suppressed);
-        let Some(upto) = out.ack_due else {
-            return;
-        };
-        // Acks are modeled as piggybacked: they appear in the counters but
-        // cost no simulated time (see `Traffic::rel_extra_msgs` for why
-        // charging them here would break clock determinism).
-        inner.counters.acks_sent += 1;
-        inner.counters.msgs_sent += 1;
-        inner.counters.bytes_sent += self.cfg.ack_bytes as u64;
-        drop(inner);
-        // Acks travel outside the fault plan: a lost cumulative ack is
-        // harmless (the next one covers it), so faulting acks would add
-        // schedule noise without new protocol behavior. Delivery is
-        // best-effort for the same reason — near job end the peer may have
-        // returned already (its last envelopes to us can fall due for an
-        // ack after it exits), and an ack to a finished sender means
-        // nothing. The counters above are charged either way, so totals
-        // stay deterministic no matter how the shutdown races.
-        let me = self.node_id();
-        let now = self.ep.clock.now();
-        let _ = self.ep.net.try_send(Message::new(
-            me,
-            src,
-            msgs::tag(msgs::K_ACK, upto),
-            now,
-            self.cfg.ack_bytes,
-            (),
-        ));
-    }
-
-    /// Blocking receive of the first runtime message satisfying `want`,
-    /// servicing incoming read requests (and reliability-layer traffic)
-    /// and stashing everything else.
-    pub(crate) fn pump_recv(&mut self, want: impl Fn(&Message) -> bool) -> Message {
-        if let Some(pos) = self.stash.iter().position(&want) {
-            // Cannot fire: `pos` was found in this deque one line up.
-            return self.stash.remove(pos).expect("valid position");
-        }
+    /// Blocking receive of the first runtime message tagged `tag` (from
+    /// `src`, when given). Read requests queued ahead of it are served
+    /// inline; everything else stays queued in the router, and this node
+    /// sleeps through its arrival.
+    pub(crate) fn pump_recv(&mut self, tag: u64, src: Option<usize>) -> Message {
+        let always = Some(msgs::READ_REQS);
+        let filter = Filter { tag, src, always };
         loop {
-            let msg = self.recv_raw();
-            let (kind, meta) = msgs::untag(msg.tag);
-            if kind == msgs::K_ACK {
-                // Ack receipt only advances the sender-side watermark — no
-                // counters or clock — so job totals stay deterministic
-                // even when trailing acks are never consumed.
-                if let Some(rel) = self.rel.as_deref_mut() {
-                    rel.on_ack(msg.src, meta);
-                }
-                continue;
-            }
-            if let Some(relmeta) = msg.rel {
-                self.account_envelope(msg.src, relmeta);
-            }
-            if kind == msgs::K_READ_REQ {
-                self.service_read_req(msg);
-                continue;
-            }
-            if want(&msg) {
+            let msg = self.recv_raw(&filter);
+            if msgs::untag(msg.tag).0 != msgs::K_READ_REQ {
                 return msg;
             }
-            self.stash.push_back(msg);
+            self.service_read_req(msg);
         }
     }
 
@@ -583,17 +536,12 @@ impl Drop for NodeCtx<'_> {
 }
 
 /// Render the node's protocol state for the stall watchdog: phase
-/// bookkeeping, parked reads, stashed messages, and (when reliability is
-/// on) per-link envelope/ack state — everything needed to see *why* a run
-/// wedged instead of a bare timeout.
-fn protocol_dump(
-    node: usize,
-    inner: &SharedInner,
-    stash: &VecDeque<Message>,
-    rel: Option<&Reliability>,
-) -> String {
+/// bookkeeping, parked reads, the messages still queued in the router, and
+/// (when reliability is on) per-link envelope state — everything needed to
+/// see *why* a run wedged instead of a bare timeout.
+fn protocol_dump(net: &Endpoint, inner: &SharedInner, rel: Option<&Reliability>) -> String {
     use std::fmt::Write as _;
-    let mut out = format!("node {node} protocol state:\n");
+    let mut out = format!("node {} protocol state:\n", net.id());
     match inner.try_borrow() {
         Some(i) => {
             let p = &i.phase;
@@ -616,23 +564,15 @@ fn protocol_dump(
             let _ = writeln!(out, "  <runtime state borrowed at stall time>");
         }
     }
-    if stash.is_empty() {
-        let _ = writeln!(out, "  stash: empty");
-    } else {
-        let _ = writeln!(out, "  stash ({} messages):", stash.len());
-        for m in stash.iter().take(8) {
-            let (kind, meta) = msgs::untag(m.tag);
-            let _ = writeln!(
-                out,
-                "    {} from node {} (meta {meta:#x}, {} bytes)",
-                msgs::kind_name(kind),
-                m.src,
-                m.bytes
-            );
-        }
-        if stash.len() > 8 {
-            let _ = writeln!(out, "    … and {} more", stash.len() - 8);
-        }
+    let queued = net.queued();
+    let _ = writeln!(out, "  queued in the router: {} messages", queued.len());
+    for &(src, tag) in queued.iter().take(8) {
+        let (kind, meta) = msgs::untag(tag);
+        let kind = msgs::kind_name(kind);
+        let _ = writeln!(out, "    {kind} from node {src}, meta {meta:#x}");
+    }
+    if queued.len() > 8 {
+        let _ = writeln!(out, "    … and {} more", queued.len() - 8);
     }
     if let Some(r) = rel {
         out.push_str(&r.dump());

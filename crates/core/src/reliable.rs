@@ -4,11 +4,15 @@
 //! once, in per-sender FIFO order — real HPC interconnects mostly do too,
 //! until they don't. This module makes the runtime survive the faults a
 //! seeded [`FaultPlan`] injects: every runtime message becomes a
-//! *sequence-numbered envelope* on its directed link, receivers send
-//! *cumulative acknowledgements* every [`PpmConfig::ack_every`] envelopes,
+//! *sequence-numbered envelope* on its directed link, receivers count a
+//! *cumulative acknowledgement* every [`PpmConfig::ack_every`] envelopes,
 //! lost transmission attempts are retransmitted after a *capped
 //! exponential backoff* in **simulated** time, and duplicate copies are
 //! suppressed on receive.
+//!
+//! An ack is a counter, not a message: retransmission is virtual (below),
+//! so no sender waits on one, and none travels. The receiver charges it
+//! to `acks_sent`, `msgs_sent` and `bytes_sent` as if it had.
 //!
 //! ## Virtual retransmission
 //!
@@ -48,21 +52,10 @@ use crate::config::PpmConfig;
 pub(crate) struct LinkState {
     /// Sequence number of the next envelope sent to the peer.
     pub next_seq: u64,
-    /// Peer's cumulative ack: envelopes `< acked_by_peer` are known
-    /// delivered.
-    pub acked_by_peer: u64,
     /// Next envelope sequence expected *from* the peer.
     pub recv_next: u64,
-    /// Envelopes received from the peer since the last ack we sent.
+    /// Envelopes received from the peer since the last ack we counted.
     pub recv_unacked: u64,
-}
-
-impl LinkState {
-    /// Envelopes sent to the peer but not yet covered by its cumulative
-    /// ack.
-    pub fn outstanding(&self) -> u64 {
-        self.next_seq - self.acked_by_peer
-    }
 }
 
 /// What the reliability layer did to an outgoing envelope.
@@ -80,15 +73,6 @@ impl SendOutcome {
     pub fn total_delay(&self) -> SimTime {
         self.backoff + self.wire_delay
     }
-}
-
-/// What the reliability layer did with an incoming envelope.
-pub(crate) struct RecvOutcome {
-    /// Duplicate copies suppressed alongside this envelope.
-    pub dups_suppressed: u32,
-    /// `Some(watermark)`: a cumulative ack for envelopes `< watermark` is
-    /// due to the sender now.
-    pub ack_due: Option<u64>,
 }
 
 /// Total capped-exponential retransmission backoff for `lost_attempts`
@@ -184,13 +168,15 @@ impl Reliability {
         }
     }
 
-    /// Process an incoming envelope from `src`: verify the sequence,
-    /// suppress duplicates, and decide whether a cumulative ack is due.
-    pub fn on_recv(&mut self, src: usize, meta: RelMeta) -> RecvOutcome {
+    /// Process an incoming envelope from `src`: verify the sequence and
+    /// decide whether a cumulative ack is due — `Some(watermark)` acks the
+    /// envelopes `< watermark`. (Its `duplicates` are the receiver's to
+    /// count as suppressed.)
+    pub fn on_recv(&mut self, src: usize, meta: RelMeta) -> Option<u64> {
         let link = &mut self.links[src];
-        // The simulated channels are FIFO and the virtual-retransmission
-        // scheme never reorders, so a gap here is a protocol bug, not a
-        // network fault.
+        // The router keeps each sender's order, the receiver sees envelopes
+        // in it, and the virtual-retransmission scheme never reorders, so a
+        // gap here is a protocol bug, not a network fault.
         assert_eq!(
             meta.seq, link.recv_next,
             "node {}: envelope from node {src} out of sequence (got {}, expected {})",
@@ -198,45 +184,25 @@ impl Reliability {
         );
         link.recv_next += 1;
         link.recv_unacked += 1;
-        let ack_due = if link.recv_unacked >= self.ack_every {
-            link.recv_unacked = 0;
-            Some(link.recv_next)
-        } else {
-            None
-        };
-        RecvOutcome {
-            dups_suppressed: meta.duplicates,
-            ack_due,
+        if link.recv_unacked < self.ack_every {
+            return None;
         }
-    }
-
-    /// Process a cumulative ack from `peer`: envelopes `< upto` are
-    /// delivered. Acks can only move the watermark forward.
-    pub fn on_ack(&mut self, peer: usize, upto: u64) {
-        let link = &mut self.links[peer];
-        if upto > link.acked_by_peer {
-            link.acked_by_peer = upto;
-        }
+        link.recv_unacked = 0;
+        Some(link.recv_next)
     }
 
     /// Render the per-link protocol state for the stall watchdog.
     pub fn dump(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from(
-            "reliability links (peer: sent/acked-by-peer/outstanding, recv-next/unacked):\n",
-        );
+        let mut out = String::from("reliability links (peer: sent, recv-next/unacked):\n");
         for (peer, l) in self.links.iter().enumerate() {
             if peer == self.me {
                 continue;
             }
             let _ = writeln!(
                 out,
-                "  peer {peer}: sent={} acked={} outstanding={} | recv_next={} unacked={}",
-                l.next_seq,
-                l.acked_by_peer,
-                l.outstanding(),
-                l.recv_next,
-                l.recv_unacked
+                "  peer {peer}: sent={} | recv_next={} unacked={}",
+                l.next_seq, l.recv_next, l.recv_unacked
             );
         }
         out
@@ -253,7 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn sequences_and_acks_advance_per_link() {
+    fn sequences_and_ack_counts_advance_per_link() {
         let cfg = cfg_with(FaultConfig::seeded(1, 0.0, 0.0, 0.0));
         let mut rel = Reliability::new(0, &cfg);
         assert_eq!(rel.on_send(1, 3).meta.seq, 0);
@@ -272,18 +238,12 @@ mod tests {
                     duplicates: 0,
                 },
             );
-            if let Some(upto) = out.ack_due {
+            if let Some(upto) = out {
                 assert_eq!(upto, seq + 1);
                 acks += 1;
             }
         }
         assert_eq!(acks, 10 / cfg.ack_every, "one ack per ack_every envelopes");
-
-        // Sender folds the ack in; the watermark never regresses.
-        rel.on_ack(1, 2);
-        assert_eq!(rel.links[1].outstanding(), 0);
-        rel.on_ack(1, 1);
-        assert_eq!(rel.links[1].acked_by_peer, 2);
     }
 
     #[test]

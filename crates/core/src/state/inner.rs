@@ -163,10 +163,10 @@ pub(crate) struct Traffic {
     pub pipeline_hideable: SimTime,
     /// Reliability: extra virtual transmissions this phase (retransmitted
     /// attempts + duplicate copies) — each pays per-message overhead.
-    /// Cumulative acks deliberately do *not* appear here: they are sent
-    /// from the receive pump, whose position relative to the phase-time
-    /// fold depends on real-time message interleaving, so charging them
-    /// would break clock determinism. They are modeled as piggybacked
+    /// Cumulative acks deliberately do *not* appear here: they are counted
+    /// as the router shows each envelope to a receive, whose position
+    /// relative to the phase-time fold depends on real-time message
+    /// interleaving, so charging them would break clock determinism. They are modeled as piggybacked
     /// (free in simulated time) and show up only in [`Counters`].
     ///
     /// [`Counters`]: ppm_simnet::Counters

@@ -1,9 +1,8 @@
 //! Point-to-point communication with MPI-style tag matching.
 
 use std::any::Any;
-use std::collections::VecDeque;
 
-use ppm_simnet::{EndpointCtx, Message, SimTime, WireSize};
+use ppm_simnet::{EndpointCtx, Filter, Message, SimTime, WireSize};
 
 use crate::tags;
 
@@ -25,8 +24,6 @@ pub enum Source {
 /// communication overhead" (no SmartMap, §4.5 footnote).
 pub struct Comm<'a> {
     ctx: &'a mut EndpointCtx,
-    /// Received-but-unmatched messages, in arrival order.
-    pending: VecDeque<Message>,
     /// Sequence number for collective operations (see `collectives`).
     pub(crate) coll_seq: u64,
 }
@@ -34,11 +31,7 @@ pub struct Comm<'a> {
 impl<'a> Comm<'a> {
     /// Wrap an endpoint context.
     pub fn new(ctx: &'a mut EndpointCtx) -> Self {
-        Comm {
-            ctx,
-            pending: VecDeque::new(),
-            coll_seq: 0,
-        }
+        Comm { ctx, coll_seq: 0 }
     }
 
     /// This rank's id.
@@ -175,29 +168,15 @@ impl<'a> Comm<'a> {
     where
         T: Any + Send,
     {
-        // Check messages that arrived earlier but did not match then.
-        if let Some(pos) = self.pending.iter().position(|m| {
-            m.tag == tag
-                && match src {
-                    Source::Rank(r) => m.src == r,
-                    Source::Any => true,
-                }
-        }) {
-            let msg = self.pending.remove(pos).expect("position is valid");
-            return self.accept(msg);
-        }
-        loop {
-            let msg = self.ctx.net.recv();
-            let matches = msg.tag == tag
-                && match src {
-                    Source::Rank(r) => msg.src == r,
-                    Source::Any => true,
-                };
-            if matches {
-                return self.accept(msg);
-            }
-            self.pending.push_back(msg);
-        }
+        let src = match src {
+            Source::Rank(r) => Some(r),
+            Source::Any => None,
+        };
+        // Unmatched messages stay queued in the router, in arrival order.
+        let (net, always) = (&self.ctx.net, None);
+        let want = Filter { tag, src, always };
+        let msg = (net.recv_match(&want, |_| {})).unwrap_or_else(|| net.stalled(&want, ""));
+        self.accept(msg)
     }
 
     /// Account for a matched message and unwrap its payload.

@@ -295,24 +295,20 @@ mod tests {
     use crate::cluster::{run, EndpointCtx};
     use crate::config::MachineConfig;
     use crate::message::Message;
+    use crate::router::Filter;
     use crate::time::SimTime;
 
     /// A transport with no cost model: raw endpoint messages tagged
-    /// `seq << 32 | step`, early arrivals held until asked for, every send
-    /// counted in `msgs_sent`.
+    /// `seq << 32 | step`, early arrivals left queued in the router until
+    /// asked for, every send counted in `msgs_sent`.
     struct Fake<'a> {
         ctx: &'a mut EndpointCtx,
         seq: u64,
-        early: Vec<Message>,
     }
 
     impl<'a> Fake<'a> {
         fn new(ctx: &'a mut EndpointCtx) -> Self {
-            Fake {
-                ctx,
-                seq: 0,
-                early: Vec::new(),
-            }
+            Fake { ctx, seq: 0 }
         }
     }
 
@@ -336,17 +332,15 @@ mod tests {
         }
         fn recv_step<T: Any + Send>(&mut self, src: usize, seq: u64, step: u32) -> T {
             let tag = (seq << 32) | u64::from(step);
-            let wanted = |m: &Message| m.src == src && m.tag == tag;
-            if let Some(i) = self.early.iter().position(wanted) {
-                return self.early.swap_remove(i).take();
-            }
-            loop {
-                let m = self.ctx.net.recv();
-                if wanted(&m) {
-                    return m.take();
-                }
-                self.early.push(m);
-            }
+            let want = Filter {
+                tag,
+                src: Some(src),
+                always: None,
+            };
+            let net = &self.ctx.net;
+            (net.recv_match(&want, |_| {}))
+                .unwrap_or_else(|| net.stalled(&want, ""))
+                .take()
         }
         fn barrier_done(&mut self) {
             self.ctx.counters.barriers += 1;
@@ -427,7 +421,8 @@ mod tests {
                 .collect();
             seen.alltoallv = alltoallv(&mut t, sends);
             seen.msgs.push(sent_since_last(&mut t));
-            assert!(t.early.is_empty(), "a message no collective asked for");
+            let left = t.ctx.net.queued();
+            assert!(left.is_empty(), "a message no collective asked for");
             seen
         });
         assert_eq!(report.total_counters().barriers, nodes as u64);

@@ -5,7 +5,7 @@
 //! injected *virtually*, at the protocol layer that owns reliability (the
 //! PPM runtime's transport in `ppm-core`): a "dropped" message is one whose
 //! first k transmission attempts are charged as lost, with the surviving
-//! copy delivered at the retransmission instant the sender's ack/retry
+//! copy delivered at the retransmission instant the sender's timeout/retry
 //! state machine would have produced. This keeps every run deterministic
 //! (the schedule is a pure function of the seed and the per-link send
 //! sequence) while still exercising the full reliability protocol: retry

@@ -46,7 +46,7 @@ pub use fault::{
     KIND_ANY,
 };
 pub use message::{Message, RelMeta};
-pub use router::{make_router, Endpoint};
+pub use router::{make_router, Endpoint, Filter, TagClass};
 pub use stats::{Counters, ReliabilitySummary};
 pub use time::SimTime;
 pub use trace::{validate_json, ArgValue, EventKind, TraceEvent, TraceSink, Tracer};

@@ -1,30 +1,110 @@
 //! Message transport between simulated endpoints.
 //!
-//! The router gives every endpoint an unbounded inbox. Delivery preserves
-//! per-sender FIFO order (messages from A to B arrive in the order A sent
-//! them), which the PPM phase protocol relies on: a node's read requests
-//! always precede its end-of-phase write bundle on the same channel.
+//! The router gives every endpoint one unbounded queue, in enqueue order,
+//! under a mutex. Delivery preserves per-sender FIFO order (messages from A
+//! to B are queued in the order A sent them), which the PPM phase protocol
+//! relies on: a node's read requests always precede its end-of-phase write
+//! bundle on the same channel.
+//!
+//! Matching happens here, not above: a receive names a [`Filter`] — a tag,
+//! optionally a sender, and optionally a tag class that always matches —
+//! and takes the first queued message the filter accepts. A receiver that
+//! finds none parks with its filter recorded, and a sender wakes it only if
+//! the message it enqueues matches. So a blocked endpoint sleeps through
+//! traffic it does not want yet; that traffic stays queued, in order, for
+//! the receive that asks for it. [`Endpoint::recv`] is the filter that
+//! accepts everything: a plain FIFO receive.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use crate::config::DEFAULT_RECV_STALL;
 use crate::message::Message;
 
+/// The tags `t` with `t & mask == bits`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TagClass {
+    /// Tag bits that decide membership.
+    pub mask: u64,
+    /// Their value for members.
+    pub bits: u64,
+}
+
+/// Which queued messages a receive takes: the wanted `tag` from `src` (any
+/// sender when `None`), or any message in the `always` class — traffic the
+/// caller serves inline whatever it is waiting for (PPM's read requests).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Filter {
+    /// The wanted tag.
+    pub tag: u64,
+    /// The wanted sender; `None` accepts the tag from anyone.
+    pub src: Option<usize>,
+    /// Tags accepted from anyone, whatever `tag` and `src` say.
+    pub always: Option<TagClass>,
+}
+
+impl Filter {
+    /// Accepts every message: the class of all tags.
+    pub const ANY: Filter = Filter {
+        tag: 0,
+        src: None,
+        always: Some(TagClass { mask: 0, bits: 0 }),
+    };
+
+    /// Whether this filter accepts `m`.
+    pub fn matches(&self, m: &Message) -> bool {
+        (m.tag == self.tag && self.src.is_none_or(|s| s == m.src))
+            || self.always.is_some_and(|c| m.tag & c.mask == c.bits)
+    }
+}
+
+/// One endpoint's queue and the condition its owner parks on.
+#[derive(Default)]
+struct Inbox {
+    queue: Mutex<Queue>,
+    wake: Condvar,
+    /// Fail-stop marker: once set, traffic addressed here is black-holed
+    /// (silently swallowed) instead of enqueued or reported as a hung-up
+    /// peer. See [`Endpoint::mark_dead`].
+    dead: AtomicBool,
+}
+
+#[derive(Default)]
+struct Queue {
+    msgs: VecDeque<Message>,
+    /// How many leading `msgs` a receive's arrival hook has already seen.
+    seen: usize,
+    /// The filter the owner is parked on, while it is.
+    parked: Option<Filter>,
+    /// Set when the owning endpoint is dropped: sends report a hung-up peer.
+    closed: bool,
+}
+
+impl Inbox {
+    /// Lock the queue. A thread that panics while holding it (in a
+    /// receive's arrival hook, say) poisons the lock, but the queue is
+    /// still whole: no mutation here is left half done by anything that can
+    /// panic. Taking it anyway keeps a peer's `send` from failing with a
+    /// `PoisonError` that would hide the panic that caused it.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Parked receivers this thread's sends woke (unit-test builds only).
+    static WAKES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Per-endpoint transport handle.
 pub struct Endpoint {
     id: usize,
-    inbox: Receiver<Message>,
-    /// Every endpoint's inbox sender, one table shared by all endpoints: a
+    /// Every endpoint's inbox, one table shared by all endpoints: a
     /// clone per endpoint would make building the router O(n²).
-    outboxes: Arc<[Sender<Message>]>,
-    /// Fail-stop markers shared by every endpoint of the router: once an
-    /// endpoint is marked dead, traffic addressed to it is black-holed
-    /// (silently swallowed) instead of enqueued or reported as a hung-up
-    /// peer. See [`Endpoint::mark_dead`].
-    dead: Arc<Vec<AtomicBool>>,
+    inboxes: Arc<[Inbox]>,
     /// Wall-clock watchdog for blocking receives (see
     /// [`crate::config::MachineConfig::recv_stall`]).
     stall: Duration,
@@ -40,7 +120,7 @@ impl Endpoint {
     /// Number of endpoints in the job.
     #[inline]
     pub fn len(&self) -> usize {
-        self.outboxes.len()
+        self.inboxes.len()
     }
 
     /// Whether the job has zero endpoints. [`make_router`] guarantees at
@@ -48,7 +128,16 @@ impl Endpoint {
     /// computed honestly from the peer table, not hard-coded.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.outboxes.is_empty()
+        self.inboxes.is_empty()
+    }
+
+    /// Endpoint `peer`'s inbox; panics naming `peer` if the job has no
+    /// such endpoint.
+    fn inbox(&self, peer: usize) -> &Inbox {
+        match self.inboxes.get(peer) {
+            Some(inbox) => inbox,
+            None => panic!("no endpoint {peer} in a {}-endpoint job", self.len()),
+        }
     }
 
     /// Deliver a message to its destination's inbox. Panics with the
@@ -68,13 +157,28 @@ impl Endpoint {
     /// caller can report what was in flight in its own vocabulary.
     /// Messages to an endpoint marked dead ([`Self::mark_dead`]) are
     /// black-holed: the send reports success and the message evaporates,
-    /// the way a wire to lost hardware would.
+    /// the way a wire to lost hardware would. Wakes the destination only if
+    /// it is parked on a filter this message matches.
     pub fn try_send(&self, msg: Message) -> Result<(), Message> {
         debug_assert_eq!(msg.src, self.id, "message src must be the sender");
-        if self.dead[msg.dst].load(Ordering::Acquire) {
+        let inbox = self.inbox(msg.dst);
+        if inbox.dead.load(Ordering::Acquire) {
             return Ok(());
         }
-        self.outboxes[msg.dst].send(msg).map_err(|e| e.0)
+        let mut q = inbox.lock();
+        if q.closed {
+            return Err(msg);
+        }
+        let wake = q.parked.is_some_and(|f| f.matches(&msg));
+        q.msgs.push_back(msg);
+        if wake {
+            q.parked = None;
+            drop(q);
+            #[cfg(test)]
+            WAKES.set(WAKES.get() + 1);
+            inbox.wake.notify_one();
+        }
+        Ok(())
     }
 
     /// Declare this endpoint permanently dead (fail-stop): all future
@@ -82,12 +186,12 @@ impl Endpoint {
     /// senders never observe it as a hung-up peer even after its thread
     /// exits. Irreversible.
     pub fn mark_dead(&self) {
-        self.dead[self.id].store(true, Ordering::Release);
+        self.inbox(self.id).dead.store(true, Ordering::Release);
     }
 
     /// Whether a peer endpoint has been marked permanently dead.
     pub fn peer_is_dead(&self, peer: usize) -> bool {
-        self.dead[peer].load(Ordering::Acquire)
+        self.inbox(peer).dead.load(Ordering::Acquire)
     }
 
     /// Block until a message arrives. Panics (with no extra diagnostics)
@@ -97,26 +201,90 @@ impl Endpoint {
     }
 
     /// Block until a message arrives. If the stall watchdog fires, `diag`
-    /// is invoked to render the caller's protocol state (outstanding acks,
-    /// phase sequence, pending barriers, …) into the panic message, so a
-    /// wedged run fails with a usable dump instead of a bare timeout.
+    /// is invoked to render the caller's protocol state into the panic
+    /// message ([`Self::stalled`]).
     pub fn recv_with_diag(&self, diag: impl FnOnce() -> String) -> Message {
-        match self.inbox.recv_timeout(self.stall) {
-            Ok(m) => m,
-            Err(e) => {
-                let dump = diag();
-                let sep = if dump.is_empty() { "" } else { "\n" };
-                panic!(
-                    "endpoint {} stalled for {:?} waiting for a message: {e}{sep}{dump}",
-                    self.id, self.stall
-                )
+        let any = Filter::ANY;
+        (self.recv_match(&any, |_| {})).unwrap_or_else(|| self.stalled(&any, &diag()))
+    }
+
+    /// Block until a message the filter `want` accepts is queued, and take
+    /// the first one in queue order.
+    ///
+    /// `arrived` sees every queued message exactly once, in queue order,
+    /// and always before any message queued behind it is taken — the order
+    /// in which a plain FIFO receive would have dequeued them. Per-sender
+    /// bookkeeping that must follow the sender's order (sequence numbers)
+    /// belongs there, not on the taken message. It runs with this inbox
+    /// locked, so it must not send to or inspect this endpoint.
+    ///
+    /// `None` means the stall watchdog fired first ([`Self::stalled`]). It
+    /// counts from this call, not from the last arrival: traffic `want`
+    /// does not accept never holds it off.
+    pub fn recv_match(&self, want: &Filter, mut arrived: impl FnMut(&Message)) -> Option<Message> {
+        let inbox = self.inbox(self.id);
+        let start = Instant::now();
+        let mut q = inbox.lock();
+        // Messages before `at` were already checked against `want`. Only
+        // this thread removes from the queue, so they stay put while parked.
+        let mut at = 0;
+        loop {
+            while at < q.msgs.len() {
+                if at == q.seen {
+                    arrived(&q.msgs[at]);
+                    q.seen += 1;
+                }
+                if want.matches(&q.msgs[at]) {
+                    q.seen -= 1;
+                    // Cannot fire: `at < q.msgs.len()` was tested above.
+                    return Some(q.msgs.remove(at).expect("index is in bounds"));
+                }
+                at += 1;
             }
+            let left = self.stall.saturating_sub(start.elapsed());
+            if left.is_zero() {
+                return None;
+            }
+            q.parked = Some(*want);
+            q = (inbox.wake.wait_timeout(q, left))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            q.parked = None;
         }
     }
 
     /// Take a message if one is already queued.
     pub fn try_recv(&self) -> Option<Message> {
-        self.inbox.try_recv().ok()
+        let mut q = self.inbox(self.id).lock();
+        let msg = q.msgs.pop_front()?;
+        q.seen = q.seen.saturating_sub(1);
+        Some(msg)
+    }
+
+    /// `(src, tag)` of every message queued here, in queue order: what a
+    /// stall dump lists.
+    pub fn queued(&self) -> Vec<(usize, u64)> {
+        let q = self.inbox(self.id).lock();
+        q.msgs.iter().map(|m| (m.src, m.tag)).collect()
+    }
+
+    /// Panic for a receive whose stall watchdog fired while it waited for
+    /// `filter`, with the caller's protocol-state `dump` (may be empty): a
+    /// wedged run fails with a usable report instead of a bare timeout.
+    pub fn stalled(&self, filter: &Filter, dump: &str) -> ! {
+        let sep = if dump.is_empty() { "" } else { "\n" };
+        panic!(
+            "endpoint {} stalled for {:?} waiting for a message {filter:?}{sep}{dump}",
+            self.id, self.stall
+        )
+    }
+}
+
+impl Drop for Endpoint {
+    /// Close the inbox: later sends report a hung-up peer. What is still
+    /// queued goes with the router.
+    fn drop(&mut self) {
+        self.inbox(self.id).lock().closed = true;
     }
 }
 
@@ -130,17 +298,11 @@ pub fn make_router(n: usize) -> Vec<Endpoint> {
 /// [`crate::cluster::run`]).
 pub fn make_router_with_stall(n: usize, stall: Duration) -> Vec<Endpoint> {
     assert!(n >= 1, "router needs at least one endpoint");
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
-    let outboxes: Arc<[Sender<Message>]> = senders.into();
-    let dead: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-    receivers
-        .into_iter()
-        .enumerate()
-        .map(|(id, inbox)| Endpoint {
+    let inboxes: Arc<[Inbox]> = (0..n).map(|_| Inbox::default()).collect();
+    (0..n)
+        .map(|id| Endpoint {
             id,
-            inbox,
-            outboxes: Arc::clone(&outboxes),
-            dead: Arc::clone(&dead),
+            inboxes: Arc::clone(&inboxes),
             stall,
         })
         .collect()
@@ -207,14 +369,14 @@ mod tests {
         assert!(!eps[0].is_empty());
     }
 
-    /// One sender table for the whole router, not one per endpoint: 2 048
+    /// One inbox table for the whole router, not one per endpoint: 2 048
     /// endpoints (4.2 M peer pairs) build at once and carry a ring of
     /// messages around.
     #[test]
     fn large_router_shares_one_sender_table() {
         let n = 2048;
         let eps = make_router(n);
-        assert_eq!(Arc::strong_count(&eps[0].outboxes), n);
+        assert_eq!(Arc::strong_count(&eps[0].inboxes), n);
         for ep in &eps {
             ep.send(msg(ep.id(), (ep.id() + 1) % n, 5, ep.id() as u64));
         }
@@ -269,5 +431,112 @@ mod tests {
     fn stall_watchdog_fires_with_diagnostics() {
         let eps = make_router_with_stall(1, Duration::from_millis(20));
         eps[0].recv_with_diag(|| "protocol dump here".to_string());
+    }
+
+    type Parked = std::thread::JoinHandle<(Endpoint, Option<Message>)>;
+
+    /// Block `rx` on `filter` in a thread; return once it is parked.
+    fn park(rx: Endpoint, filter: Filter) -> Parked {
+        let inboxes = Arc::clone(&rx.inboxes);
+        let id = rx.id;
+        let t = std::thread::spawn(move || {
+            let got = rx.recv_match(&filter, |_| {});
+            (rx, got)
+        });
+        while inboxes[id].lock().parked.is_none() {
+            std::thread::yield_now();
+        }
+        t
+    }
+
+    /// A receiver parked on `(tag, src)` sleeps through 100 messages it
+    /// does not want — the tag from another sender, other tags from the
+    /// wanted one — and is woken once, by the one it does want. A message
+    /// of the always-accepted class wakes it too.
+    #[test]
+    fn a_parked_receiver_wakes_only_for_what_it_wants() {
+        const READS: TagClass = TagClass {
+            mask: 0xff << 56,
+            bits: 1 << 56,
+        };
+        let mut eps = make_router(3);
+        let rx = eps.remove(0);
+        let filter = Filter {
+            tag: 7,
+            src: Some(1),
+            always: Some(READS),
+        };
+        let before = WAKES.get();
+        let t = park(rx, filter);
+        for i in 0..100u64 {
+            let (src, tag) = if i % 2 == 0 { (2, 7) } else { (1, 8 + i) };
+            eps[src - 1].send(msg(src, 0, tag, i));
+        }
+        assert_eq!(WAKES.get(), before, "unwanted traffic woke the receiver");
+        eps[0].send(msg(1, 0, 7, 100));
+        let (rx, got) = t.join().unwrap();
+        assert_eq!(WAKES.get() - before, 1);
+        assert_eq!(got.expect("matched").take::<u64>(), 100);
+        assert_eq!(rx.queued().len(), 100, "the rest stays queued");
+
+        let t = park(rx, filter);
+        eps[1].send(msg(2, 0, (1 << 56) | 3, 101));
+        let (rx, got) = t.join().unwrap();
+        assert_eq!(WAKES.get() - before, 2);
+        assert_eq!(got.expect("always class").take::<u64>(), 101);
+        assert_eq!(rx.try_recv().expect("queue head").take::<u64>(), 0);
+    }
+
+    /// The watchdog times the whole receive: a steady trickle of unwanted
+    /// messages neither wakes the receiver nor holds the stall off.
+    #[test]
+    fn unwanted_traffic_does_not_reset_the_stall_watchdog() {
+        let mut eps = make_router_with_stall(2, Duration::from_millis(150));
+        let tx = eps.pop().unwrap();
+        let rx = eps.pop().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let sender = std::thread::spawn(move || {
+            while !stop2.load(Ordering::Relaxed) {
+                tx.send(msg(1, 0, 2, 0));
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            WAKES.get()
+        });
+        let start = Instant::now();
+        let want = Filter {
+            tag: 1,
+            src: Some(1),
+            always: None,
+        };
+        let got = rx.recv_match(&want, |_| {});
+        let took = start.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        assert!(got.is_none(), "nothing tagged 1 is ever sent");
+        assert_eq!(sender.join().unwrap(), 0, "no send woke the receiver");
+        assert!(took >= Duration::from_millis(150), "fired early: {took:?}");
+        assert!(took < Duration::from_secs(2), "watchdog held off: {took:?}");
+        assert!(!rx.queued().is_empty(), "the unwanted traffic is queued");
+    }
+
+    /// The arrival hook sees each message once, in queue order, before
+    /// anything behind it is taken — however far ahead a match reaches.
+    #[test]
+    fn arrivals_are_seen_once_in_queue_order() {
+        let eps = make_router(2);
+        for tag in [1, 2, 3, 1, 2] {
+            eps[0].send(msg(0, 1, tag, tag));
+        }
+        let mut seen = Vec::new();
+        for tag in [3, 1, 2, 2, 1] {
+            let want = Filter {
+                tag,
+                src: None,
+                always: None,
+            };
+            let m = eps[1].recv_match(&want, |m| seen.push(m.tag));
+            assert_eq!(m.expect("queued").tag, tag);
+        }
+        assert_eq!(seen, [1, 2, 3, 1, 2]);
     }
 }

@@ -100,7 +100,8 @@ counters! {
         pub faults_delayed: u64,
         /// Reliability layer: duplicate envelopes suppressed on receive.
         pub dups_suppressed: u64,
-        /// Reliability layer: cumulative ack messages sent.
+        /// Reliability layer: cumulative acks counted (modeled: charged as
+        /// messages, none travels).
         pub acks_sent: u64,
         /// Phase-boundary crash recoveries performed.
         pub crash_recoveries: u64,
@@ -176,7 +177,7 @@ pub struct ReliabilitySummary {
     pub faults_delayed: u64,
     /// Duplicate envelopes suppressed on receive.
     pub dups_suppressed: u64,
-    /// Cumulative ack messages sent.
+    /// Cumulative acks counted (modeled: charged as messages, none travels).
     pub acks_sent: u64,
     /// Phase-boundary crash recoveries performed.
     pub crash_recoveries: u64,

@@ -2,9 +2,11 @@
 //! sizing, cost-model monotonicity, and transport ordering (in-repo
 //! `testkit` harness from ppm-core).
 
+use std::collections::VecDeque;
+
 use ppm_core::testkit::forall;
 use ppm_core::{prop_assert, prop_assert_eq};
-use ppm_simnet::{Clock, Message, NetParams, SimTime, WireSize};
+use ppm_simnet::{Clock, Filter, Message, NetParams, SimTime, TagClass, WireSize};
 
 #[test]
 fn simtime_addition_is_commutative_and_monotone() {
@@ -123,6 +125,80 @@ fn router_preserves_per_sender_order() {
             }
             for i in 0..n as u64 {
                 prop_assert_eq!(eps[1].recv().take::<u64>(), i);
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The router's matched receive takes exactly what the receive it replaced
+/// took: pop the FIFO inbox, stash what the filter does not want, and scan
+/// the stash first next time (kept here as the model). Several senders
+/// interleave sends with receives; a receive names a pending message's tag,
+/// from its sender or from anyone, with or without an always-taken class.
+/// The arrival hook sees exactly the messages the model popped.
+#[test]
+fn matched_receive_equals_fifo_pop_and_stash_scan() {
+    const ALWAYS: TagClass = TagClass {
+        mask: 1 << 63,
+        bits: 1 << 63,
+    };
+    forall(
+        "matched_receive_equals_fifo_pop_and_stash_scan",
+        64,
+        |g| {
+            let senders = g.usize_in(1..5);
+            // (send?, sender or pick, tag or how to name the pick)
+            let ops = g.vec(0..120, |g| {
+                let tag = match g.u32_in(0..6) {
+                    0 => ALWAYS.bits | g.u64_in(0..3),
+                    _ => g.u64_in(0..4),
+                };
+                (g.bool(), g.usize_in(0..1 << 20), tag)
+            });
+            (senders, ops)
+        },
+        |(senders, ops)| {
+            let senders = (*senders).max(1);
+            let eps = ppm_simnet::make_router(senders + 1);
+            let (mut inbox, mut stash) = (VecDeque::new(), VecDeque::new());
+            for (id, &(send, a, b)) in ops.iter().enumerate() {
+                if send {
+                    let src = 1 + a % senders;
+                    eps[src].send(Message::new(src, 0, b, SimTime::ZERO, 8, id));
+                    inbox.push_back((src, b, id));
+                    continue;
+                }
+                let pending: Vec<_> = stash.iter().chain(&inbox).copied().collect();
+                if pending.is_empty() {
+                    continue;
+                }
+                let (src, tag, _) = pending[a % pending.len()];
+                let filter = Filter {
+                    tag,
+                    src: (b & 1 == 0).then_some(src),
+                    always: (b & 2 != 0).then_some(ALWAYS),
+                };
+                let wanted = |&(s, t, _): &(usize, u64, usize)| {
+                    (t == filter.tag && filter.src.is_none_or(|f| f == s))
+                        || filter.always.is_some_and(|c| t & c.mask == c.bits)
+                };
+                let mut popped = Vec::new();
+                let expect = match stash.iter().position(wanted) {
+                    Some(i) => stash.remove(i).expect("found one line up"),
+                    None => loop {
+                        let m = inbox.pop_front().expect("the named message is pending");
+                        popped.push(m.2);
+                        if wanted(&m) {
+                            break m;
+                        }
+                        stash.push_back(m);
+                    },
+                };
+                let mut seen = Vec::new();
+                let got = eps[0].recv_match(&filter, |m| seen.push(*m.peek::<usize>().unwrap()));
+                prop_assert_eq!(got.map(|m| m.take::<usize>()), Some(expect.2));
+                prop_assert_eq!(seen, popped);
             }
             Ok(())
         },
