@@ -295,7 +295,7 @@ pub(crate) fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
         ("moved_vps", inner.live_vps as u64),
     ];
     drop(inner);
-    nc.trace("rebalance", "runtime", nc.ep.clock.now(), None, &args);
+    nc.trace("rebalance", "runtime", nc.now(), None, &args);
 }
 
 #[cfg(test)]

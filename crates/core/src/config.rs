@@ -86,7 +86,8 @@ pub struct PpmConfig {
     pub adaptive_balance: bool,
     /// Buddy snapshot replication for fail-stop tolerance (DESIGN.md §15):
     /// every node streams its super-step snapshot to a buddy (rank+1 mod
-    /// N) as delta frames piggybacked on end-of-phase write bundles, so a
+    /// N) as delta frames riding the round-0 clock-barrier message, whose
+    /// destination is the buddy (`FailoverPart::take_for`), so a
     /// permanently dead node's partitions can fail over to the buddy and
     /// the job finish bit-identical. Off by default (the fault-free fast
     /// path stays byte-identical); `PPM_REPLICATION=1` (or

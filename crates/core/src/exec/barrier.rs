@@ -3,12 +3,13 @@
 //! consistent (and deterministic) simulated instant.
 //!
 //! What the loop itself guarantees: one [`K_BARRIER`] message per edge per
-//! round, sent before this node's receive of that round; each round costs
-//! one send and one receive overhead plus the wait for the predecessor's
-//! arrival instant (`send time + latency`, plus any fault delay the
-//! reliability layer adds); after ⌈log₂ N⌉ rounds every node has heard,
-//! transitively, from every node. Barrier messages never count toward
-//! `msgs_sent` / `msgs_recv` (barrier cost is modeled, not counted).
+//! round, sent before this node's receive of that round; each round pays the
+//! LogGP message step on [`Route::NODE`] with 0 cost bytes — one send and one
+//! receive overhead plus the wait for the predecessor's arrival instant
+//! (`send time + latency`, plus any fault delay the reliability layer adds);
+//! after ⌈log₂ N⌉ rounds every node has heard, transitively, from every node.
+//! Barrier messages never count toward `msgs_sent` / `msgs_recv` (barrier
+//! cost is modeled, not counted).
 //!
 //! Everything else rides: three parts, one per feature, each a
 //! `take_for(edge)` / `absorb` / finish state machine that owns its payload,
@@ -19,7 +20,7 @@
 //! [`K_BARRIER`]: msgs::K_BARRIER
 
 use ppm_simnet::coll::{dissemination, Edge};
-use ppm_simnet::{Message, SimTime};
+use ppm_simnet::{Message, Route, SimTime};
 
 use crate::coherence::{CoherenceMsg, CoherencePart};
 use crate::dissem::LoadBlock;
@@ -69,20 +70,19 @@ impl BarrierParts {
 /// Run the barrier closing global phase `phase`.
 pub(super) fn clock_barrier(nc: &mut NodeCtx<'_>, phase: u64, mut parts: BarrierParts) {
     let (me, nodes) = (nc.node_id(), nc.num_nodes());
-    let net = nc.config().machine.net;
     for edge in dissemination(me, nodes) {
-        nc.ep.clock.advance_comm(net.overhead);
+        // 0 cost bytes: the bytes that ride (refresh pushes; replica
+        // frames, receiver side) go to `Traffic`, and the next phase's gap
+        // term charges them (`charge_phase_time`).
+        let ts = nc.ep.charge_send(Route::NODE, 0);
         let (bm, wire_bytes) = parts.take_for(edge, &mut nc.inner.borrow_mut());
         let tag = msgs::tag(msgs::K_BARRIER, msgs::barrier_meta(phase, edge.round));
-        // `ts` is the arrival instant.
-        let ts = nc.now() + net.latency;
         nc.send_msg(
             Message::new(me, edge.to, tag, ts, wire_bytes as usize, bm),
             msgs::K_BARRIER,
         );
         let msg = nc.pump_recv(tag, Some(edge.from));
-        nc.ep.clock.wait_until(msg.ts);
-        nc.ep.clock.advance_comm(net.overhead);
+        nc.ep.charge_recv(Route::NODE, 0, msg.ts);
         let wire_bytes = msg.bytes as u64;
         let hosted = parts.absorb(msg.take(), wire_bytes, &mut nc.inner.borrow_mut());
         nc.ep.clock.advance_compute(hosted);

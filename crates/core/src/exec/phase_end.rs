@@ -371,7 +371,7 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> (PhaseRecord, Traffic) {
     let latency = net.latency.scale(2 * t.waves) - hidden;
 
     let busy = compute + service;
-    let busy_start = nc.ep.clock.now();
+    let busy_start = nc.now();
     nc.ep.clock.advance_compute(busy);
     let comm = if cfg.overlap {
         // Gap time hides under computation (§3.3 overlap); overheads and
@@ -459,7 +459,7 @@ fn exchange_sender_notices(
             phase,
             notices: notices.take_for(edge),
         };
-        let now = nc.ep.clock.now();
+        let now = nc.now();
         nc.send_msg(
             Message::new(me, edge.to, tag, now, 0, token),
             msgs::K_TOKENS,
@@ -507,7 +507,7 @@ pub(crate) fn exchange<M: Send + 'static>(
             inner.counters.bytes_sent += bytes as u64;
             inner.counters.bundles_sent += 1;
         }
-        let now = nc.ep.clock.now();
+        let now = nc.now();
         nc.send_msg(Message::new(me, dest, tag, now, bytes, payload), kind);
     }
     let want = expected.count() as usize;

@@ -150,7 +150,7 @@ pub(super) fn start_wave(nc: &mut NodeCtx<'_>) -> WaveState {
         ws.dests += 1;
         ws.entries += entries.len() as u64;
         ws.bytes_out += bytes as u64;
-        let now = nc.ep.clock.now();
+        let now = nc.now();
         nc.send_msg(
             Message::new(
                 me,
@@ -257,7 +257,7 @@ pub(super) fn finalize_wave(nc: &mut NodeCtx<'_>, ws: &WaveState) {
             + net.overhead.scale(2 * ws.dests)
             + net.gap_per_byte.scale(ws.bytes_out.max(ws.bytes_in));
         inner.traffic.wave_elapsed += wave_cost;
-        let ts = nc.ep.clock.now() + inner.traffic.wave_elapsed;
+        let ts = nc.now() + inner.traffic.wave_elapsed;
         drop(inner);
         let args = [
             ("wave", wave_idx),

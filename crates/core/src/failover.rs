@@ -8,7 +8,9 @@
 //! lost phase's buffered, deterministic work — is a complete recovery line.
 //! A transient crash restores from it and rejoins late; a permanent death
 //! makes the victim's endpoint its buddy's *hosted persona*, restored from
-//! the replica the buddy has been streamed.
+//! the replica the buddy has been streamed. Which node crashes or dies at
+//! which phase is asked of the replicated `FaultConfig` every node holds
+//! (`cfg.machine.faults`), not of the reliable transport.
 //!
 //! [`FailoverPart`] is one node's side of what rides a clock barrier for
 //! this — suspicion bits OR-flooded on every edge; the replica frame and
@@ -27,7 +29,6 @@ use crate::bitset::NodeSet;
 use crate::config::PpmConfig;
 use crate::error::RecoveryError;
 use crate::nodectx::NodeCtx;
-use crate::reliable::Reliability;
 use crate::state::{Inner, Values};
 
 /// Super-step snapshot of this node's shared-array state.
@@ -133,11 +134,8 @@ impl NodeCtx<'_> {
     /// permanent-death fault is configured, or buddy replication is on —
     /// the snapshot doubles as the replica's source of truth).
     pub(crate) fn snapshots_enabled(&self) -> bool {
-        self.config().replication
-            || self
-                .rel
-                .as_deref()
-                .is_some_and(Reliability::snapshots_enabled)
+        let cfg = self.config();
+        cfg.replication || cfg.machine.faults.snapshots_needed()
     }
 
     /// Capture the super-step snapshot of every shared array.
@@ -238,7 +236,7 @@ pub(crate) fn recover_and_detect(nc: &mut NodeCtx<'_>, phase: u64) -> NodeSet {
     // The node "fails" here — after the phase body, before the exchange.
     // Peers never notice: the recovering node simply reaches the exchange
     // later, and the clock barrier propagates the delay.
-    if nc.rel.as_deref().is_some_and(|r| r.crash_at(phase)) {
+    if nc.config().machine.faults.crash_at(nc.node_id(), phase) {
         recover_from_crash(nc, phase);
     }
     detect_permanent_deaths(nc, phase)
@@ -257,7 +255,7 @@ pub(crate) fn recover_and_detect(nc: &mut NodeCtx<'_>, phase: u64) -> NodeSet {
 /// [`CrashFault`]: ppm_simnet::CrashFault
 fn recover_from_crash(nc: &mut NodeCtx<'_>, phase: u64) {
     let cfg = nc.config();
-    let t0 = nc.ep.clock.now();
+    let t0 = nc.now();
     let (redo, bytes) = restore_from_snapshot(nc, phase);
     nc.inner.borrow_mut().counters.crash_recoveries += 1;
     nc.ep.clock.advance_compute(cfg.crash_reboot);
@@ -272,7 +270,7 @@ fn recover_from_crash(nc: &mut NodeCtx<'_>, phase: u64) {
         ("restored_bytes", bytes),
         ("redo_ps", redo.as_ps()),
     ];
-    let now = nc.ep.clock.now();
+    let now = nc.now();
     nc.trace("crash_recovery", "reliability", t0, Some(now), &args);
 }
 
@@ -323,7 +321,8 @@ fn restore_from_snapshot(nc: &mut NodeCtx<'_>, phase: u64) -> (SimTime, u64) {
 /// of `phase` are detected here. Returns this node's local suspicion bits
 /// (empty when nothing died).
 ///
-/// Detection is a pure function of the replicated fault plan — the
+/// Detection is a pure function of the replicated fault configuration
+/// ([`FaultConfig::perm_victims_at`](ppm_simnet::FaultConfig::perm_victims_at)) — the
 /// deterministic stand-in for "retransmit attempts to this peer crossed
 /// [`PpmConfig::suspect_timeout`] of simulated time" — so every node
 /// suspects the same victims at the same phase boundary without exchanging
@@ -334,23 +333,18 @@ fn restore_from_snapshot(nc: &mut NodeCtx<'_>, phase: u64) -> (SimTime, u64) {
 /// happen, and `retries == faults_dropped` must keep holding) and the
 /// victim continues as its buddy's hosted persona.
 fn detect_permanent_deaths(nc: &mut NodeCtx<'_>, phase: u64) -> NodeSet {
-    let victims = match nc.rel.as_deref() {
-        Some(r) => r.perm_victims_at(phase),
-        None => return NodeSet::new(),
-    };
+    let cfg = nc.config();
+    let victims = cfg.machine.faults.perm_victims_at(phase);
     if victims.is_empty() {
         return NodeSet::new();
     }
     debug_assert!(
-        victims.iter().all(|&v| phase == 0
-            || !nc
-                .rel
-                .as_deref()
-                .is_some_and(|r| r.perm_dead_by(v, phase - 1))),
+        victims
+            .iter()
+            .all(|&v| phase == 0 || !cfg.machine.faults.perm_dead_by(v, phase - 1)),
         "a node can die only once (enforced by FaultConfig::with_permanent_crash)"
     );
     let me = nc.node_id();
-    let cfg = nc.config();
     if nc.num_nodes() == 1 {
         // No barrier rounds will run to confirm the death, and a lone
         // node has no buddy even with replication on: fail here with the
@@ -392,7 +386,7 @@ fn detect_permanent_deaths(nc: &mut NodeCtx<'_>, phase: u64) -> NodeSet {
 /// the buddy on the barrier.
 fn fail_over_self(nc: &mut NodeCtx<'_>, phase: u64) {
     let cfg = nc.config();
-    let t0 = nc.ep.clock.now();
+    let t0 = nc.now();
     let (redo, bytes) = restore_from_snapshot(nc, phase);
     let restore = cfg.machine.core.mem_ops(bytes / 64);
     // Nobody restores anything until the suspect timeout has confirmed
@@ -410,7 +404,7 @@ fn fail_over_self(nc: &mut NodeCtx<'_>, phase: u64) {
         ("restored_bytes", bytes),
         ("redo_ps", redo.as_ps()),
     ];
-    let now = nc.ep.clock.now();
+    let now = nc.now();
     nc.trace("failover_restore", "reliability", t0, Some(now), &args);
 }
 
@@ -561,7 +555,7 @@ impl FailoverPart {
                     inner.failover.peer_vps.get(v).copied().unwrap_or(0),
                 ),
             ];
-            nc.trace("failover", "runtime", nc.ep.clock.now(), None, &args);
+            nc.trace("failover", "runtime", nc.now(), None, &args);
         }
     }
 }

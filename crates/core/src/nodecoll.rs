@@ -7,14 +7,15 @@
 //! [`NodeCtx::allgather_nodes`]). They are collectives: every node must
 //! call them in the same order. The algorithms are the MPI-like
 //! substrate's own ([`ppm_simnet::coll`]); only the transport differs:
-//! endpoints here are *nodes*, so a step pays node-level costs and no
-//! NIC-sharing penalty, travels through the reliable transport, and a
+//! endpoints here are *nodes*, so a step pays the LogGP message step on
+//! [`Route::NODE`] (node-level costs, no NIC-sharing penalty) and counts in
+//! the node's own counters, travels through the reliable transport, and a
 //! waiting node keeps serving read requests.
 
 use std::any::Any;
 
 use ppm_simnet::coll::{self, Transport};
-use ppm_simnet::{Message, WireSize};
+use ppm_simnet::{Message, Route, WireSize};
 
 use crate::msgs;
 use crate::nodectx::NodeCtx;
@@ -44,9 +45,7 @@ impl Transport for Steps<'_, '_> {
     fn send_step<T: Any + Send + WireSize>(&mut self, dst: usize, seq: u64, step: u32, value: T) {
         let nc = &mut *self.0;
         let bytes = value.wire_size();
-        let net = nc.config().machine.net;
-        nc.ep.clock.advance_comm(net.send_cpu(bytes, false));
-        let ts = nc.ep.clock.now() + net.wire_time(bytes, false, 1);
+        let ts = nc.ep.charge_send(Route::NODE, bytes);
         {
             let mut inner = nc.inner.borrow_mut();
             inner.counters.msgs_sent += 1;
@@ -63,11 +62,8 @@ impl Transport for Steps<'_, '_> {
     /// meanwhile.
     fn recv_step<T: Any + Send>(&mut self, src: usize, seq: u64, step: u32) -> T {
         let nc = &mut *self.0;
-        let tag = coll_tag(seq, step);
-        let msg = nc.pump_recv(tag, Some(src));
-        let net = nc.config().machine.net;
-        nc.ep.clock.wait_until(msg.ts);
-        nc.ep.clock.advance_comm(net.recv_cpu(msg.bytes, false));
+        let msg = nc.pump_recv(coll_tag(seq, step), Some(src));
+        nc.ep.charge_recv(Route::NODE, msg.bytes, msg.ts);
         {
             let mut inner = nc.inner.borrow_mut();
             inner.counters.msgs_recv += 1;

@@ -389,7 +389,7 @@ impl<'a> NodeCtx<'a> {
                 .raise();
             }
         }
-        let (now, ack_bytes) = (self.ep.clock.now(), self.cfg.ack_bytes as u64);
+        let (now, ack_bytes) = (self.now(), self.cfg.ack_bytes as u64);
         let (rel, inner, tracer) = (&mut self.rel, &self.inner, &self.ep.tracer);
         let got = self.ep.net.recv_match(filter, |m| {
             let (Some(rel), Some(meta)) = (rel.as_deref_mut(), m.rel) else {
@@ -451,7 +451,7 @@ impl<'a> NodeCtx<'a> {
             inner.phase.global_seq,
             "read request for phase {} arrived while node {} holds phase {}",
             bundle.phase,
-            self.ep.id(),
+            self.node_id(),
             inner.phase.global_seq
         );
         let n_entries = bundle.entries.len() as u64;
@@ -504,8 +504,7 @@ impl<'a> NodeCtx<'a> {
         inner.deferred_service_ctrs.bytes_sent += bytes as u64;
         drop(inner);
 
-        let now = self.ep.clock.now();
-        let me = self.node_id();
+        let (now, me) = (self.now(), self.node_id());
         self.send_msg(
             Message::new(
                 me,

@@ -1,4 +1,7 @@
-//! The PPM runtime's reliable-transport sublayer.
+//! The PPM runtime's reliable-transport sublayer: the per-link envelope
+//! (`on_send`, `on_recv`, `dump`). Which node crashes or dies when is not
+//! its business — that schedule is read from the replicated
+//! [`FaultConfig`](ppm_simnet::FaultConfig) (`failover.rs`).
 //!
 //! The simulated network ([`ppm_simnet`]) delivers every message exactly
 //! once, in per-sender FIFO order — real HPC interconnects mostly do too,
@@ -119,31 +122,6 @@ impl Reliability {
             rto_max: cfg.rto_max,
             ack_every: cfg.ack_every,
         }
-    }
-
-    /// Whether this node crashes at the end of global phase `phase`.
-    pub fn crash_at(&self, phase: u64) -> bool {
-        self.plan.crash_at(self.me, phase)
-    }
-
-    /// Whether super-step snapshots must be maintained (a transient crash
-    /// or a permanent death is configured for *some* node; every node
-    /// snapshots so the survivor set is symmetric and costs are uniform).
-    pub fn snapshots_enabled(&self) -> bool {
-        let cfg = self.plan.config();
-        cfg.crash.is_some() || cfg.any_permanent_crash()
-    }
-
-    /// Nodes scheduled to die permanently at the end of global phase
-    /// `phase` (ascending; replicated plan, so identical on every node).
-    pub fn perm_victims_at(&self, phase: u64) -> Vec<usize> {
-        self.plan.perm_victims_at(phase)
-    }
-
-    /// Whether `node` has died permanently at or before the end of global
-    /// phase `phase`.
-    pub fn perm_dead_by(&self, node: usize, phase: u64) -> bool {
-        self.plan.perm_dead_by(node, phase)
     }
 
     /// Process an outgoing envelope to `dst`: assign its sequence number,
@@ -332,28 +310,27 @@ mod tests {
     #[test]
     fn crash_and_snapshot_gating() {
         let cfg = cfg_with(FaultConfig::NONE.with_crash(2, 7));
-        let rel = Reliability::new(2, &cfg);
-        assert!(rel.crash_at(7));
-        assert!(!rel.crash_at(6));
-        assert!(rel.snapshots_enabled());
-        let other = Reliability::new(0, &cfg);
-        assert!(!other.crash_at(7), "only the seeded node crashes");
-        assert!(other.snapshots_enabled(), "but every node snapshots");
-        let dump = rel.dump();
+        let faults = cfg.machine.faults;
+        assert!(faults.crash_at(2, 7));
+        assert!(!faults.crash_at(2, 6));
+        assert!(!faults.crash_at(0, 7), "only the seeded node crashes");
+        assert!(faults.snapshots_needed(), "but every node snapshots");
+        let dump = Reliability::new(2, &cfg).dump();
         assert!(dump.contains("peer 0"));
         assert!(!dump.contains("peer 2"), "no self link in the dump");
     }
 
     #[test]
     fn permanent_death_gates_snapshots_and_reports_victims() {
-        let cfg = cfg_with(FaultConfig::NONE.with_permanent_crash(1, 4));
-        let rel = Reliability::new(0, &cfg);
-        assert!(rel.snapshots_enabled(), "permanent deaths need snapshots");
-        assert_eq!(rel.perm_victims_at(4), vec![1]);
-        assert!(rel.perm_victims_at(3).is_empty());
-        assert!(!rel.perm_dead_by(1, 3));
-        assert!(rel.perm_dead_by(1, 4));
-        assert!(rel.perm_dead_by(1, 9), "death is permanent");
-        assert!(!rel.perm_dead_by(0, 9));
+        let faults = cfg_with(FaultConfig::NONE.with_permanent_crash(1, 4))
+            .machine
+            .faults;
+        assert!(faults.snapshots_needed(), "permanent deaths need snapshots");
+        assert_eq!(faults.perm_victims_at(4), vec![1]);
+        assert!(faults.perm_victims_at(3).is_empty());
+        assert!(!faults.perm_dead_by(1, 3));
+        assert!(faults.perm_dead_by(1, 4));
+        assert!(faults.perm_dead_by(1, 9), "death is permanent");
+        assert!(!faults.perm_dead_by(0, 9));
     }
 }

@@ -16,7 +16,10 @@
 //! VPs, node-shared conflicts inside a global phase and inside a
 //! `ppm_do_local` node phase, arrays with ids 64 and 65 in both spaces (the
 //! ids past a one-word "arrays written" mask), a second dirty phase right
-//! after the first, and a clean phase after that.
+//! after the first, and a clean phase after that. A second program
+//! ([`node_phases_in_a_collective_do`]) plants a write-write conflict and a
+//! read-own-write hazard in a node phase *between* the global phases of one
+//! collective `ppm_do`, then runs a clean node phase.
 
 use ppm_core::PhaseKind::{Global as G, Node as N};
 use ppm_core::Space::{Global, Node};
@@ -510,5 +513,113 @@ fn bulk_accesses_panic_with_the_per_element_texts() {
     for (want, per_element, bulk) in cases {
         assert!(per_element.contains(want), "{per_element:?} lacks {want:?}");
         assert_eq!(bulk, per_element);
+    }
+}
+
+/// What each node drains (twice) after a collective `ppm_do` whose global
+/// phases have node phases between them, over node-shared vectors used the
+/// way `cg/ppm_hier.rs` uses them (`r`, `ap`, `x`: one slot per owned row
+/// of the global `p`, each VP on its own rows), and the node's final `x`.
+type NodePhaseDrains = (Vec<PhaseViolation>, Vec<PhaseViolation>, Vec<i64>);
+
+fn node_phases_in_a_collective_do(cfg: PpmConfig) -> Vec<NodePhaseDrains> {
+    let report = run(cfg, |node| {
+        let p = node.alloc_global::<i64>(12); // id 0; each node owns 6 rows
+        let range = node.local_range(&p);
+        let (lo, nrows) = (range.start, range.len());
+        let x = node.alloc_node::<i64>(nrows); // id 0
+        let r = node.alloc_node::<i64>(nrows); // id 1
+        let ap = node.alloc_node::<i64>(nrows); // id 2
+        node.ppm_do(3, move |vp| async move {
+            let vr = vp.node_rank();
+            let rows = 2 * vr..2 * vr + 2;
+            // Global phase: r = p = b.
+            let rs = rows.clone();
+            vp.global_phase(|ph| async move {
+                for li in rs {
+                    ph.put_node(&r, li, (lo + li) as i64);
+                    ph.put(&p, lo + li, (lo + li) as i64);
+                }
+            })
+            .await;
+            // Planted node phase: ap = 2·r on each VP's own rows, but node
+            // rank 2 also writes ap[0], node rank 0's row (write-write), and
+            // node rank 1 rewrites r on its first row and reads it back
+            // (read-own-write).
+            let rs = rows.clone();
+            vp.node_phase(|ph| async move {
+                for li in rs.clone() {
+                    ph.put_node(&ap, li, 2 * ph.get_node(&r, li));
+                }
+                match vr {
+                    1 => {
+                        ph.put_node(&r, rs.start, -1);
+                        assert_eq!(ph.get_node(&r, rs.start), (lo + rs.start) as i64);
+                    }
+                    2 => ph.put_node(&ap, 0, 100),
+                    _ => {}
+                }
+            })
+            .await;
+            // Clean node phase: x = r + ap, reading what the last phase wrote.
+            let rs = rows.clone();
+            vp.node_phase(|ph| async move {
+                for li in rs {
+                    ph.put_node(&x, li, ph.get_node(&r, li) + ph.get_node(&ap, li));
+                }
+            })
+            .await;
+            // Global phase: p = x.
+            vp.global_phase(|ph| async move {
+                for li in rows {
+                    ph.put(&p, lo + li, ph.get_node(&x, li));
+                }
+            })
+            .await;
+        });
+        let first = node.take_violations();
+        let second = node.take_violations();
+        (first, second, node.with_node(&x, |s| s.to_vec()))
+    });
+    report.results
+}
+
+/// The rows [`node_phases_in_a_collective_do`] reports, captured on the
+/// commit before this test was added: both planted node-phase violations,
+/// named by global rank, and nothing from the clean node phase or the
+/// global phases around them.
+#[rustfmt::skip]
+const NODE_PHASE_ROWS: [&[&str]; 2] = [
+    &[
+        "write-write conflict: VPs 0 and 2 put different values to node array 2 element 0 in one Node phase without an accumulate combiner (resolution is deterministic but rank-ordered; use accumulate or disjoint index sets)",
+        "read-own-write hazard: VP 1 read node array 1 element 2 after writing it in the same Node phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+    ],
+    &[
+        "write-write conflict: VPs 3 and 5 put different values to node array 2 element 0 in one Node phase without an accumulate combiner (resolution is deterministic but rank-ordered; use accumulate or disjoint index sets)",
+        "read-own-write hazard: VP 4 read node array 1 element 2 after writing it in the same Node phase (the read sees the phase-start snapshot, not the new value; split the phase if the new value was intended)",
+    ],
+];
+
+#[test]
+fn node_phases_inside_a_collective_do_report_the_captured_rows() {
+    let expected = [
+        [ww(Node, 2, 0, 0, 2, N), row(Node, 1, 2, 1, N)],
+        [ww(Node, 2, 0, 3, 5, N), row(Node, 1, 2, 4, N)],
+    ];
+    // Highest rank wins ap[0]; r[2] holds the rewrite.
+    let xs: [&[i64]; 2] = [&[100, 3, 3, 9, 12, 15], &[106, 21, 15, 27, 30, 33]];
+    for threads in [1, 8] {
+        let cfg = PpmConfig::new(MachineConfig::new(2, 2))
+            .with_checker(true)
+            .with_host_threads(threads);
+        let got = node_phases_in_a_collective_do(cfg);
+        for (node, (first, second, x)) in got.into_iter().enumerate() {
+            let cell = format!("threads {threads}, node {node}");
+            assert!(second.is_empty(), "{cell}: {second:?}");
+            assert_eq!(first, expected[node], "{cell}");
+            let lines: Vec<String> = first.iter().map(|v| v.to_string()).collect();
+            assert_eq!(lines, NODE_PHASE_ROWS[node], "{cell}");
+            assert_eq!(x, xs[node], "{cell}");
+        }
     }
 }

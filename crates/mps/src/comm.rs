@@ -1,4 +1,8 @@
-//! Point-to-point communication with MPI-style tag matching.
+//! Point-to-point communication with MPI-style tag matching. Each message
+//! pays the LogGP step of [`EndpointCtx::charge_send`] /
+//! [`EndpointCtx::charge_recv`] on the route
+//! [`MachineConfig::route`](ppm_simnet::MachineConfig::route) gives the rank
+//! pair; this module only counts it.
 
 use std::any::Any;
 
@@ -18,10 +22,10 @@ pub enum Source {
 /// Per-rank communicator, the MPI-like face of a simulated endpoint.
 ///
 /// Each rank models one *core* of the machine (the paper runs MPI with one
-/// process per core, §4.5), so off-node traffic pays the NIC-sharing factor
-/// `cores_per_node`, while same-node traffic takes the shared-memory path —
-/// which still costs per-message overhead, the paper's "intra-node
-/// communication overhead" (no SmartMap, §4.5 footnote).
+/// process per core, §4.5), so a message takes its rank pair's route: a NIC
+/// share off-node, the shared-memory path on one node — which still costs
+/// per-message overhead, the paper's "intra-node communication overhead"
+/// (no SmartMap, §4.5 footnote).
 pub struct Comm<'a> {
     ctx: &'a mut EndpointCtx,
     /// Sequence number for collective operations (see `collectives`).
@@ -100,10 +104,6 @@ impl<'a> Comm<'a> {
         self.ctx.clock
     }
 
-    fn is_intra(&self, peer: usize) -> bool {
-        self.ctx.config.same_node(self.rank() as u32, peer as u32)
-    }
-
     /// Send `value` to rank `dst` with a user `tag`. Buffered (MPI_Bsend
     /// flavour): returns as soon as the sender-side cost is charged.
     pub fn send<T>(&mut self, dst: usize, tag: u64, value: T)
@@ -118,13 +118,8 @@ impl<'a> Comm<'a> {
         T: Any + Send + WireSize,
     {
         let bytes = value.wire_size();
-        let intra = self.is_intra(dst);
-        let cfg = self.ctx.config;
-        // One rank per core: off-node bytes contend with the node's other
-        // cores for the NIC.
-        let nic_share = if intra { 1 } else { cfg.cores_per_node };
-        self.ctx.clock.advance_comm(cfg.net.send_cpu(bytes, intra));
-        let ts = self.ctx.clock.now() + cfg.net.wire_time(bytes, intra, nic_share);
+        let route = self.ctx.config.route(self.rank() as u32, dst as u32);
+        let ts = self.ctx.charge_send(route, bytes);
         self.ctx.counters.msgs_sent += 1;
         self.ctx.counters.bytes_sent += bytes as u64;
         self.ctx
@@ -181,12 +176,8 @@ impl<'a> Comm<'a> {
 
     /// Account for a matched message and unwrap its payload.
     fn accept<T: Any>(&mut self, msg: Message) -> (usize, T) {
-        let cfg = self.ctx.config;
-        let intra = self.is_intra(msg.src);
-        self.ctx.clock.wait_until(msg.ts);
-        self.ctx
-            .clock
-            .advance_comm(cfg.net.recv_cpu(msg.bytes, intra));
+        let route = self.ctx.config.route(self.rank() as u32, msg.src as u32);
+        self.ctx.charge_recv(route, msg.bytes, msg.ts);
         self.ctx.counters.msgs_recv += 1;
         self.ctx.counters.bytes_recv += msg.bytes as u64;
         (msg.src, msg.take())

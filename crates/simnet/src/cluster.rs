@@ -8,7 +8,7 @@
 //! (or the lack of it) never affects results.
 
 use crate::clock::Clock;
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, Route};
 use crate::router::{make_router_with_stall, Endpoint};
 use crate::stats::Counters;
 use crate::time::SimTime;
@@ -41,6 +41,28 @@ impl EndpointCtx {
     #[inline]
     pub fn num_endpoints(&self) -> usize {
         self.net.len()
+    }
+
+    /// Send half of the LogGP message step: pay the sender's overhead `o`
+    /// and return the arrival instant, `now + L + G·bytes` (the shared-memory
+    /// path on an intra-node `route`), for [`Message::ts`]. Counting the
+    /// message is the caller's.
+    ///
+    /// [`Message::ts`]: crate::Message
+    #[inline]
+    pub fn charge_send(&mut self, route: Route, bytes: usize) -> SimTime {
+        let net = self.config.net;
+        self.clock.advance_comm(net.send_cpu(bytes, route.intra));
+        self.clock.now() + net.wire_time(bytes, route.intra, route.nic_share)
+    }
+
+    /// Receive half of the LogGP message step: wait for the message's
+    /// `arrival` instant, then pay the receiver's overhead `o`.
+    #[inline]
+    pub fn charge_recv(&mut self, route: Route, bytes: usize, arrival: SimTime) {
+        self.clock.wait_until(arrival);
+        let o = self.config.net.recv_cpu(bytes, route.intra);
+        self.clock.advance_comm(o);
     }
 }
 
@@ -185,6 +207,39 @@ mod tests {
         let totals = report.total_counters();
         assert_eq!(totals.msgs_sent, 4);
         assert_eq!(totals.msgs_recv, 4);
+    }
+
+    #[test]
+    fn the_message_step_charges_loggp_terms() {
+        let cfg = MachineConfig::franklin(2);
+        let net = cfg.net;
+        let (l, g) = (net.latency, net.gap_per_byte.scale(1000));
+        // (route, cost bytes, overhead at each end, wire time)
+        let cases = [
+            (Route::NODE, 1000, net.overhead, l + g),
+            (cfg.route(1, 6), 1000, net.overhead, l + g.scale(4)),
+            (
+                cfg.route(1, 2),
+                1000,
+                net.intra_overhead,
+                net.intra_gap_per_byte.scale(1000),
+            ),
+            (Route::NODE, 0, net.overhead, l),
+        ];
+        assert_eq!(cfg.route(1, 6).nic_share, 4);
+        run(1, cfg, |ctx| {
+            ctx.clock.advance_compute(SimTime::from_ns(7));
+            for (route, bytes, o, wire) in cases {
+                let t0 = ctx.clock.now();
+                let arrival = ctx.charge_send(route, bytes);
+                assert_eq!(ctx.clock.now(), t0 + o);
+                assert_eq!(arrival, t0 + o + wire);
+                ctx.charge_recv(route, bytes, arrival);
+                assert_eq!(ctx.clock.now(), arrival + o);
+                let c = ctx.clock;
+                assert_eq!(c.compute() + c.comm() + c.wait(), c.now());
+            }
+        });
     }
 
     #[test]

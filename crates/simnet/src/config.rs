@@ -6,12 +6,15 @@
 //! the network and instead pay a cheaper shared-memory copy path
 //! (`o_intra + G_intra·b`), mirroring the paper's observation (§4.5) that
 //! intra-node MPI traffic still goes through the message-passing stack.
+//! Both runtimes pay this step through one pair of methods,
+//! [`EndpointCtx::charge_send`](crate::EndpointCtx::charge_send) /
+//! [`charge_recv`](crate::EndpointCtx::charge_recv), given a [`Route`].
 //!
 //! NIC contention (paper §3.3): all cores of a node share one network
 //! interface. Uncoordinated per-core senders (MPI ranks) see the per-byte gap
-//! inflated by the NIC sharing factor passed to [`NetParams::wire_time`]; a
-//! node-level sender that
-//! owns the NIC (the PPM runtime) sees the raw gap.
+//! inflated by the node's core count — [`MachineConfig::route`] is where that
+//! rule lives — while a node-level sender that owns the NIC (the PPM runtime)
+//! sees the raw gap ([`Route::NODE`]).
 
 use crate::fault::FaultConfig;
 use crate::time::SimTime;
@@ -79,18 +82,25 @@ impl NetParams {
             self.overhead
         }
     }
+}
 
-    /// Pure per-byte cost (used by bulk-exchange accounting).
-    #[inline]
-    pub fn copy_cost(&self, bytes: usize, intra: bool, nic_share: u32) -> SimTime {
-        if intra {
-            self.intra_gap_per_byte.scale(bytes as u64)
-        } else {
-            self.gap_per_byte
-                .scale(bytes as u64)
-                .scale(nic_share as u64)
-        }
-    }
+/// How one point-to-point message travels, for the LogGP step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    /// Both ends on one node: the shared-memory copy path.
+    pub intra: bool,
+    /// Uncoordinated senders sharing the node's NIC; an off-node message's
+    /// per-byte gap is multiplied by it.
+    pub nic_share: u32,
+}
+
+impl Route {
+    /// A node-level sender that owns its NIC (the PPM runtime): off-node,
+    /// share 1.
+    pub const NODE: Route = Route {
+        intra: false,
+        nic_share: 1,
+    };
 }
 
 /// Per-core computation cost parameters.
@@ -140,10 +150,11 @@ pub struct MachineConfig {
     /// Fault-injection model (defaults to no faults; see
     /// [`crate::fault`]).
     pub faults: FaultConfig,
-    /// Wall-clock watchdog for blocking receives: how long an endpoint may
-    /// sit in `recv` with nothing arriving before the simulation is
-    /// declared wedged. This is *host* time, not simulated time — it only
-    /// bounds hangs, it never shows up in results.
+    /// Wall-clock watchdog for blocking receives: how long one receive may
+    /// wait for a message it matches before the simulation is declared
+    /// wedged. It times the whole receive, so traffic the receiver does not
+    /// want does not hold it off. This is *host* time, not simulated time —
+    /// it only bounds hangs, it never shows up in results.
     pub recv_stall: std::time::Duration,
 }
 
@@ -197,6 +208,17 @@ impl MachineConfig {
     #[inline]
     pub fn same_node(&self, a: u32, b: u32) -> bool {
         self.node_of_rank(a) == self.node_of_rank(b)
+    }
+
+    /// How a message between two core-indexed ranks travels: the
+    /// shared-memory path on one node; otherwise the network, its per-byte
+    /// gap shared among the node's `cores_per_node` ranks (one rank per
+    /// core, each injecting on its own).
+    #[inline]
+    pub fn route(&self, a: u32, b: u32) -> Route {
+        let intra = self.same_node(a, b);
+        let nic_share = if intra { 1 } else { self.cores_per_node };
+        Route { intra, nic_share }
     }
 }
 
@@ -259,7 +281,6 @@ mod tests {
     fn zero_byte_message_costs_latency_and_overhead_only() {
         let net = NetParams::default();
         assert_eq!(net.wire_time(0, false, 1), net.latency);
-        assert_eq!(net.copy_cost(0, false, 1), SimTime::ZERO);
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! ids, and the stream advances once per message sent on that link. The
 //! fault schedule therefore depends only on the protocol's (deterministic)
 //! send sequence, never on host-thread interleaving across links.
+//!
+//! Node faults — which node crashes or dies at which global phase — need no
+//! stream: they are pure functions of the replicated [`FaultConfig`] every
+//! node holds, so the runtime asks the config ([`FaultConfig::crash_at`],
+//! [`FaultConfig::perm_victims_at`], [`FaultConfig::perm_dead_by`],
+//! [`FaultConfig::snapshots_needed`]). [`FaultPlan`] keeps only the per-link
+//! message streams.
 
 use crate::time::SimTime;
 
@@ -230,6 +237,39 @@ impl FaultConfig {
         self.perm_crashes.iter().any(Option::is_some)
     }
 
+    /// Whether super-step snapshots must be kept: a crash or a permanent
+    /// death is configured for *some* node (every node snapshots, so the
+    /// survivor set is symmetric and costs are uniform).
+    pub fn snapshots_needed(&self) -> bool {
+        self.crash.is_some() || self.any_permanent_crash()
+    }
+
+    /// Whether `node` crashes at the end of global phase `phase`.
+    pub fn crash_at(&self, node: usize, phase: u64) -> bool {
+        self.crash == Some(CrashFault { node, phase })
+    }
+
+    /// Whether `node` is permanently dead once global phase `phase`'s end
+    /// barrier completes (its scheduled death is at this phase or an
+    /// earlier one).
+    pub fn perm_dead_by(&self, node: usize, phase: u64) -> bool {
+        let mut deaths = self.perm_crashes.iter().flatten();
+        deaths.any(|c| c.node == node && c.phase <= phase)
+    }
+
+    /// Nodes whose permanent death fires at the end of exactly global phase
+    /// `phase`, in ascending node order (deterministic iteration for the
+    /// failure detector; every node holds the same replicated config).
+    pub fn perm_victims_at(&self, phase: u64) -> Vec<usize> {
+        let deaths = self.perm_crashes.iter().flatten();
+        let mut v: Vec<usize> = deaths
+            .filter(|c| c.phase == phase)
+            .map(|c| c.node)
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
     /// Whether any fault can ever fire under this configuration.
     pub fn enabled(&self) -> bool {
         self.drop_p > 0.0
@@ -307,53 +347,6 @@ impl FaultPlan {
             streams: std::collections::HashMap::new(),
             sent_any: std::collections::HashMap::new(),
         }
-    }
-
-    /// The configuration this plan was built from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
-    /// Whether the given node crashes at the end of the given global phase.
-    pub fn crash_at(&self, node: usize, phase: u64) -> bool {
-        self.cfg.crash == Some(CrashFault { node, phase })
-    }
-
-    /// Whether the given node dies *permanently* at the end of the given
-    /// global phase.
-    pub fn perm_crash_at(&self, node: usize, phase: u64) -> bool {
-        self.cfg
-            .perm_crashes
-            .iter()
-            .flatten()
-            .any(|c| c.node == node && c.phase == phase)
-    }
-
-    /// Whether the given node is permanently dead once the given global
-    /// phase's end barrier completes (its scheduled death is at this phase
-    /// or an earlier one).
-    pub fn perm_dead_by(&self, node: usize, phase: u64) -> bool {
-        self.cfg
-            .perm_crashes
-            .iter()
-            .flatten()
-            .any(|c| c.node == node && c.phase <= phase)
-    }
-
-    /// Nodes whose permanent death fires at the end of exactly the given
-    /// global phase, in ascending node order (deterministic iteration for
-    /// the failure detector).
-    pub fn perm_victims_at(&self, phase: u64) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .cfg
-            .perm_crashes
-            .iter()
-            .flatten()
-            .filter(|c| c.phase == phase)
-            .map(|c| c.node)
-            .collect();
-        v.sort_unstable();
-        v
     }
 
     /// Sample the faults for the next message of `kind` sent from `src` to
@@ -543,11 +536,12 @@ mod tests {
     #[test]
     fn crash_matching() {
         let cfg = FaultConfig::NONE.with_crash(2, 5);
-        let plan = FaultPlan::new(cfg);
-        assert!(plan.crash_at(2, 5));
-        assert!(!plan.crash_at(2, 4));
-        assert!(!plan.crash_at(1, 5));
+        assert!(cfg.crash_at(2, 5));
+        assert!(!cfg.crash_at(2, 4));
+        assert!(!cfg.crash_at(1, 5));
         assert!(cfg.enabled());
+        assert!(cfg.snapshots_needed());
+        assert!(!FaultConfig::seeded(1, 0.5, 0.5, 0.5).snapshots_needed());
     }
 
     #[test]
@@ -557,19 +551,15 @@ mod tests {
             .with_permanent_crash(3, 5);
         assert!(cfg.enabled());
         assert!(cfg.any_permanent_crash());
-        let plan = FaultPlan::new(cfg);
-        assert!(plan.perm_crash_at(2, 5));
-        assert!(plan.perm_crash_at(3, 5));
-        assert!(!plan.perm_crash_at(2, 4));
-        assert!(!plan.perm_crash_at(1, 5));
+        assert!(cfg.snapshots_needed());
         // Dead-by is cumulative: once dead, always dead.
-        assert!(!plan.perm_dead_by(2, 4));
-        assert!(plan.perm_dead_by(2, 5));
-        assert!(plan.perm_dead_by(2, 900));
-        assert!(!plan.perm_dead_by(0, 900));
+        assert!(!cfg.perm_dead_by(2, 4));
+        assert!(cfg.perm_dead_by(2, 5));
+        assert!(cfg.perm_dead_by(2, 900));
+        assert!(!cfg.perm_dead_by(0, 900));
         // Victims of a phase come out sorted, and only for that phase.
-        assert_eq!(plan.perm_victims_at(5), vec![2, 3]);
-        assert!(plan.perm_victims_at(4).is_empty());
+        assert_eq!(cfg.perm_victims_at(5), vec![2, 3]);
+        assert!(cfg.perm_victims_at(4).is_empty());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod wire;
 
 pub use clock::Clock;
 pub use cluster::{run, run_traced, EndpointCtx, JobReport};
-pub use config::{CoreParams, MachineConfig, NetParams};
+pub use config::{CoreParams, MachineConfig, NetParams, Route};
 pub use fault::{
     CrashFault, FaultAction, FaultConfig, FaultEvent, FaultPlan, PermanentCrash, TargetedFault,
     KIND_ANY,
