@@ -36,6 +36,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::bitset::NodeSet;
+use crate::cost;
 use crate::dist::Dist;
 use crate::exec::exchange;
 use crate::msgs::{self, MigrateMsg};
@@ -237,7 +238,7 @@ pub(crate) fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
         let inner = &mut *inner;
         for dest in peers() {
             let mut parts: MigrateMsg = Vec::new();
-            let mut bytes = cfg.bundle_header_bytes;
+            let mut bytes = cost::BUNDLE_HEADER_BYTES;
             for (id, stretch) in moves(me, dest) {
                 moved_out += stretch.len() as u64;
                 let (payload, b) =
@@ -285,7 +286,7 @@ pub(crate) fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
     inner.coherence.forget_arrays(&planned);
     // Installing arrived elements is owner-side work, charged like write
     // application.
-    inner.service_time += cfg.service_overhead.scale(moved_in);
+    inner.service_time += cost::SERVICE_OVERHEAD.scale(moved_in);
     let args = [
         ("phase", phase),
         ("arrays", plan.len() as u64),

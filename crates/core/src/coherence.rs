@@ -30,6 +30,7 @@ use std::ops::Range;
 use ppm_simnet::coll::{route_offset, Edge};
 
 use crate::bitset::NodeSet;
+use crate::cost::{REFRESH_INDEX_BYTES, REFRESH_PART_HEADER_BYTES};
 use crate::msgs::ReqEntry;
 use crate::state::{GArrayObj, Inner, Values};
 
@@ -331,11 +332,12 @@ impl RefreshPart {
 
     /// Modeled wire bytes of a part whose values take `value_bytes`. A
     /// refresh entry is (idx, value): no slot ticket (nobody is waiting on
-    /// it), the array id is amortized into an 8-byte part header, and the
-    /// ascending indices delta-varint encode — charged at 4 bytes per
-    /// index, versus 12 for a random-access request entry.
+    /// it), the array id is amortized into the part header, and the
+    /// ascending indices delta-varint encode — [`REFRESH_INDEX_BYTES`] per
+    /// index, versus [`REQ_ENTRY_BYTES`](crate::cost::REQ_ENTRY_BYTES) for a
+    /// random-access request entry.
     fn wire_bytes(&self, value_bytes: u64) -> u64 {
-        8 + value_bytes + self.idxs.len() as u64 * 4
+        REFRESH_PART_HEADER_BYTES + value_bytes + self.idxs.len() as u64 * REFRESH_INDEX_BYTES
     }
 }
 

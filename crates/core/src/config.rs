@@ -1,13 +1,10 @@
 //! PPM runtime configuration.
 
-use ppm_simnet::{FaultConfig, MachineConfig, SimTime};
+use ppm_simnet::{FaultConfig, MachineConfig};
 
-/// Runtime knobs layered on top of the machine description.
-///
-/// The overheads here are the paper's "runtime library overhead" (§4.5):
-/// every shared-variable access goes through the PPM runtime and pays a
-/// translation/handler cost, which dominates at small node counts and fades
-/// as communication grows — the mechanism behind Figure 1's crossover.
+/// Runtime knobs layered on top of the machine description. The runtime's
+/// own cost constants — the paper's "runtime library overhead" (§4.5) among
+/// them — are not knobs: they live in one table, `cost.rs` (DESIGN.md §6).
 /// `overlap` and `bundling` correspond to the §3.3 optimizations
 /// ("automatic overlap of computation and communication", "bundling up
 /// fine-grained remote shared data accesses"); the ablation benches switch
@@ -16,20 +13,6 @@ use ppm_simnet::{FaultConfig, MachineConfig, SimTime};
 pub struct PpmConfig {
     /// Machine shape and base cost model.
     pub machine: MachineConfig,
-    /// Requester-side cost per global-shared element access.
-    pub sv_overhead: SimTime,
-    /// Cost per node-shared element access (physical shared memory path).
-    pub node_sv_overhead: SimTime,
-    /// Owner-side cost per remote element served (read) or applied (write).
-    pub service_overhead: SimTime,
-    /// Cost of a node-level phase barrier (cores synchronizing in shared
-    /// memory).
-    pub node_barrier: SimTime,
-    /// Modeled wire bytes per read-request entry (array id + index + slot,
-    /// delta-compressed).
-    pub req_entry_bytes: usize,
-    /// Modeled wire bytes of bundle framing.
-    pub bundle_header_bytes: usize,
     /// Overlap communication gap time with computation (§3.3). On by
     /// default.
     pub overlap: bool,
@@ -47,19 +30,6 @@ pub struct PpmConfig {
     /// (overhead measurement). Reliability is always on when
     /// `machine.faults` is enabled; see [`Self::reliability_enabled`].
     pub reliable: bool,
-    /// Reliability: initial retransmission timeout (simulated time).
-    pub rto: SimTime,
-    /// Reliability: cap of the exponential retransmission backoff.
-    pub rto_max: SimTime,
-    /// Reliability: receivers count one cumulative ack per this many
-    /// envelopes on a link.
-    pub ack_every: u64,
-    /// Modeled wire bytes of a cumulative ack, charged to `bytes_sent`
-    /// (acks are counters; no ack message travels).
-    pub ack_bytes: usize,
-    /// Crash recovery: modeled reboot time charged when a node recovers
-    /// from a seeded crash at a phase boundary.
-    pub crash_reboot: SimTime,
     /// Host worker threads polling VPs inside each simulated node. `0`
     /// (the default) resolves at `ppm_do` time: the `PPM_HOST_THREADS`
     /// environment variable if set, else
@@ -93,11 +63,6 @@ pub struct PpmConfig {
     /// path stays byte-identical); `PPM_REPLICATION=1` (or
     /// [`Self::with_replication`]) enables it.
     pub replication: bool,
-    /// Failure detector: simulated time a survivor spends retransmitting
-    /// into a dead peer's silence before suspecting it (charged once per
-    /// detected death; the suspicion is confirmed on the next clock
-    /// barrier).
-    pub suspect_timeout: SimTime,
     /// Pseudo-streaming tile budget in bytes per node (DESIGN.md §18):
     /// `0` (the default) keeps every partition fully resident; a non-zero
     /// budget splits each global-array partition into fixed-size tiles and
@@ -111,7 +76,7 @@ pub struct PpmConfig {
 }
 
 impl PpmConfig {
-    /// Default runtime constants on a given machine (see DESIGN.md §6).
+    /// Default runtime settings on a given machine.
     ///
     /// Three defaults come from the environment — `PPM_ADAPTIVE`,
     /// `PPM_REPLICATION`, `PPM_TILE_BUDGET` — where, as for
@@ -123,26 +88,14 @@ impl PpmConfig {
     pub fn new(machine: MachineConfig) -> Self {
         PpmConfig {
             machine,
-            sv_overhead: SimTime::from_ns(7),
-            node_sv_overhead: SimTime::from_ns_f64(2.5),
-            service_overhead: SimTime::from_ns(5),
-            node_barrier: SimTime::from_ns(400),
-            req_entry_bytes: 12,
-            bundle_header_bytes: 16,
             overlap: true,
             bundling: true,
             checker: cfg!(debug_assertions),
             reliable: false,
-            rto: SimTime::from_us(25),
-            rto_max: SimTime::from_us(200),
-            ack_every: 4,
-            ack_bytes: 12,
-            crash_reboot: SimTime::from_ms(1),
             host_threads: 0,
             read_cache: true,
             adaptive_balance: env_or("PPM_ADAPTIVE", FLAG, false),
             replication: env_or("PPM_REPLICATION", FLAG, false),
-            suspect_timeout: SimTime::from_us(400),
             tile_budget: env_or("PPM_TILE_BUDGET", BYTES, 0),
         }
     }
@@ -374,7 +327,6 @@ mod tests {
         assert!(!c.replication, "snapshot replication is opt-in");
         assert!(c.with_replication(true).replication);
         assert!(!c.with_replication(true).with_replication(false).replication);
-        assert!(c.suspect_timeout > SimTime::ZERO);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use super::barrier::{clock_barrier, BarrierParts};
 use crate::bitset::NodeSet;
 use crate::check::Space;
 use crate::coherence::CoherencePart;
+use crate::cost;
 use crate::dissem::{LoadBlock, Notices};
 use crate::failover::FailoverPart;
 use crate::msgs::{self, TokenMsg, WriteBundleMsg};
@@ -64,7 +65,7 @@ pub(super) fn node_phase_end(nc: &mut NodeCtx<'_>) {
             kind: PhaseKind::Node,
             compute,
             service: SimTime::ZERO,
-            comm: cfg.node_barrier,
+            comm: cost::NODE_BARRIER,
             waves: 0,
             bytes_out: 0,
             bytes_in: 0,
@@ -72,7 +73,7 @@ pub(super) fn node_phase_end(nc: &mut NodeCtx<'_>) {
         compute
     };
     nc.ep.clock.advance_compute(compute);
-    nc.ep.clock.advance_comm(cfg.node_barrier);
+    nc.ep.clock.advance_comm(cost::NODE_BARRIER);
 
     if nc.ep.tracer.enabled() {
         let idx = nc.inner.borrow().phase.node_seq - 1;
@@ -81,7 +82,7 @@ pub(super) fn node_phase_end(nc: &mut NodeCtx<'_>) {
         nc.trace("barrier", "phase", t1, Some(nc.now()), &[]);
         let args = [
             ("compute_ps", compute.as_ps()),
-            ("barrier_ps", cfg.node_barrier.as_ps()),
+            ("barrier_ps", cost::NODE_BARRIER.as_ps()),
         ];
         emit_phase_summary(nc, "node_phase", t0, idx, &args);
     }
@@ -217,12 +218,11 @@ fn exchange_writes(
     outgoing: Outgoing,
     expected: &NodeSet,
 ) -> Vec<(u32, u64, WriteBundleMsg)> {
-    let header = nc.config().bundle_header_bytes;
     let mut shipping = Vec::with_capacity(outgoing.len());
     {
         let mut inner = nc.inner.borrow_mut();
         for (dest, (payload_bytes, bundle)) in outgoing {
-            let bytes = header + payload_bytes;
+            let bytes = cost::BUNDLE_HEADER_BYTES + payload_bytes;
             inner.traffic.write_bundles_out += 1;
             inner.traffic.write_entries_out += bundle.entries;
             inner.traffic.write_bytes_out += bytes as u64;
@@ -290,7 +290,7 @@ fn apply_writes(
     }
     // Node-shared writes made inside the global phase publish too.
     inner.publish_node_writes(PhaseKind::Global);
-    inner.service_time += nc.config().service_overhead.scale(applied);
+    inner.service_time += cost::SERVICE_OVERHEAD.scale(applied);
     // The arrays now hold the next phase's snapshot: requests for phase+1
     // may legally arrive (from nodes that already finished the clock
     // barrier) and be serviced from here on.
@@ -340,14 +340,11 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> (PhaseRecord, Traffic) {
     } else {
         // Ablation: every element access is its own message, with its own
         // per-message overhead and framing bytes.
-        let extra_out = (t.req_entries_out + t.req_entries_in + t.write_entries_out) * 16;
-        let extra_in = (t.req_entries_in + t.req_entries_out + t.write_entries_in) * 16;
-        bytes_out += extra_out;
-        bytes_in += extra_in;
-        (
-            t.req_entries_out + t.req_entries_in + t.write_entries_out,
-            t.req_entries_in + t.req_entries_out + t.write_entries_in,
-        )
+        let n_out = t.req_entries_out + t.req_entries_in + t.write_entries_out;
+        let n_in = t.req_entries_in + t.req_entries_out + t.write_entries_in;
+        bytes_out += n_out * cost::UNBUNDLED_ENTRY_BYTES;
+        bytes_in += n_in * cost::UNBUNDLED_ENTRY_BYTES;
+        (n_out, n_in)
     };
 
     msgs_out += t.migr_bundles_out;

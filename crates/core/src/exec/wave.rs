@@ -5,6 +5,7 @@ use std::sync::{Arc, MutexGuard};
 
 use ppm_simnet::Message;
 
+use crate::cost;
 use crate::msgs::{self, ReqBundle, RespBundle};
 use crate::nodectx::NodeCtx;
 use crate::state::{QueuedReq, VpCell, VpScratch};
@@ -137,7 +138,7 @@ pub(super) fn start_wave(nc: &mut NodeCtx<'_>) -> WaveState {
             let queued = inner.reqs[dest].len();
             let (entries, pend) = build_dest(dest, &mut inner.reqs[dest]);
             ws.pending.push(pend);
-            let bytes = cfg.bundle_header_bytes + entries.len() * cfg.req_entry_bytes;
+            let bytes = cost::BUNDLE_HEADER_BYTES + entries.len() * cost::REQ_ENTRY_BYTES;
             inner.traffic.req_bundles_out += 1;
             inner.traffic.req_entries_out += entries.len() as u64;
             inner.traffic.req_bytes_out += bytes as u64;

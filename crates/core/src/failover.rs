@@ -27,6 +27,7 @@ use ppm_simnet::SimTime;
 
 use crate::bitset::NodeSet;
 use crate::config::PpmConfig;
+use crate::cost::{self, copy_time};
 use crate::error::RecoveryError;
 use crate::nodectx::NodeCtx;
 use crate::state::{Inner, Values};
@@ -172,9 +173,7 @@ impl NodeCtx<'_> {
             Some(d) if had_snapshot => d.min(bytes),
             _ => bytes,
         };
-        // Streaming cache-line copies, not random-access element ops: one
-        // charged memory operation per 64-byte line.
-        inner.service_time += core.mem_ops(charged / 64);
+        inner.service_time += copy_time(&core, charged);
     }
 }
 
@@ -182,7 +181,7 @@ impl NodeCtx<'_> {
 /// node-shared half of the recovery line advances here too — a crash or
 /// death restores from the snapshot and nothing re-executes this phase, so
 /// what it just published must be in it. Charged like a global phase end's
-/// advance: the bytes applied, one memory operation per 64-byte line.
+/// advance: a streaming copy of the bytes applied.
 pub(crate) fn advance_node_line(inner: &mut Inner, cfg: &PpmConfig, wrote: Vec<(usize, u64)>) {
     let Some(snap) = inner.failover.snapshots.as_mut() else {
         return;
@@ -192,7 +191,7 @@ pub(crate) fn advance_node_line(inner: &mut Inner, cfg: &PpmConfig, wrote: Vec<(
         snap.narrays[id] = inner.frozen.narrays[id].snapshot_local().0;
         applied += bytes;
     }
-    inner.service_time += cfg.machine.core.mem_ops(applied / 64);
+    inner.service_time += copy_time(&cfg.machine.core, applied);
 }
 
 /// Advance the recovery line at a global phase end — the arrays now ARE the
@@ -258,12 +257,11 @@ fn recover_from_crash(nc: &mut NodeCtx<'_>, phase: u64) {
     let t0 = nc.now();
     let (redo, bytes) = restore_from_snapshot(nc, phase);
     nc.inner.borrow_mut().counters.crash_recoveries += 1;
-    nc.ep.clock.advance_compute(cfg.crash_reboot);
-    // Restore is a streaming copy back out of the snapshot store: charged
-    // at cache-line granularity like the capture itself.
-    nc.ep
-        .clock
-        .advance_compute(cfg.machine.core.mem_ops(bytes / 64));
+    // Restore is a streaming copy back out of the snapshot store, like the
+    // capture itself.
+    let restore = copy_time(&cfg.machine.core, bytes);
+    nc.ep.clock.advance_compute(cost::CRASH_REBOOT);
+    nc.ep.clock.advance_compute(restore);
     nc.ep.clock.advance_compute(redo);
     let args = [
         ("phase", phase),
@@ -324,7 +322,7 @@ fn restore_from_snapshot(nc: &mut NodeCtx<'_>, phase: u64) -> (SimTime, u64) {
 /// Detection is a pure function of the replicated fault configuration
 /// ([`FaultConfig::perm_victims_at`](ppm_simnet::FaultConfig::perm_victims_at)) — the
 /// deterministic stand-in for "retransmit attempts to this peer crossed
-/// [`PpmConfig::suspect_timeout`] of simulated time" — so every node
+/// [`SUSPECT_TIMEOUT`](cost::SUSPECT_TIMEOUT) of simulated time" — so every node
 /// suspects the same victims at the same phase boundary without exchanging
 /// anything beyond the barrier's bits. With replication off a death is
 /// unsurvivable and every node raises the identical structured error at the
@@ -364,7 +362,7 @@ fn detect_permanent_deaths(nc: &mut NodeCtx<'_>, phase: u64) -> NodeSet {
         if v != me {
             let mut inner = nc.inner.borrow_mut();
             inner.counters.peers_suspected += 1;
-            inner.traffic.rel_delay += cfg.suspect_timeout;
+            inner.traffic.rel_delay += cost::SUSPECT_TIMEOUT;
         } else if cfg.replication {
             fail_over_self(nc, phase);
         }
@@ -388,10 +386,10 @@ fn fail_over_self(nc: &mut NodeCtx<'_>, phase: u64) {
     let cfg = nc.config();
     let t0 = nc.now();
     let (redo, bytes) = restore_from_snapshot(nc, phase);
-    let restore = cfg.machine.core.mem_ops(bytes / 64);
+    let restore = copy_time(&cfg.machine.core, bytes);
     // Nobody restores anything until the suspect timeout has confirmed
     // the death; no reboot is charged (the buddy is already up).
-    nc.ep.clock.advance_comm(cfg.suspect_timeout);
+    nc.ep.clock.advance_comm(cost::SUSPECT_TIMEOUT);
     nc.ep.clock.advance_compute(restore);
     nc.ep.clock.advance_compute(redo);
     {

@@ -94,6 +94,7 @@ pub mod bitset;
 pub mod check;
 mod coherence;
 mod config;
+mod cost;
 mod dissem;
 mod dist;
 mod elem;

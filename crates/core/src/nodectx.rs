@@ -12,6 +12,7 @@ use ppm_simnet::{ArgValue, Endpoint, EndpointCtx, Filter, Message, SimTime};
 
 use crate::check::Space;
 use crate::config::PpmConfig;
+use crate::cost;
 use crate::dist::{Dist, Layout};
 use crate::elem::Elem;
 use crate::error::RecoveryError;
@@ -362,8 +363,8 @@ impl<'a> NodeCtx<'a> {
     ///
     /// Every envelope is accounted as the router first shows it — in its
     /// sender's order, however far ahead the taken message is: duplicate
-    /// suppression and, every [`PpmConfig::ack_every`] envelopes on a link,
-    /// a cumulative ack. The ack is a counter, not a message (with virtual
+    /// suppression and, every [`ACK_EVERY`](cost::ACK_EVERY) envelopes on a
+    /// link, a cumulative ack. The ack is a counter, not a message (with virtual
     /// retransmission, `reliable.rs`, nothing would read it), modeled as
     /// piggybacked: it shows in `acks_sent` / `msgs_sent` / `bytes_sent`
     /// but costs no simulated time (see `Traffic::rel_extra_msgs` for why
@@ -389,7 +390,7 @@ impl<'a> NodeCtx<'a> {
                 .raise();
             }
         }
-        let (now, ack_bytes) = (self.now(), self.cfg.ack_bytes as u64);
+        let now = self.now();
         let (rel, inner, tracer) = (&mut self.rel, &self.inner, &self.ep.tracer);
         let got = self.ep.net.recv_match(filter, |m| {
             let (Some(rel), Some(meta)) = (rel.as_deref_mut(), m.rel) else {
@@ -406,7 +407,7 @@ impl<'a> NodeCtx<'a> {
             if rel.on_recv(m.src, meta).is_some() {
                 inner.counters.acks_sent += 1;
                 inner.counters.msgs_sent += 1;
-                inner.counters.bytes_sent += ack_bytes;
+                inner.counters.bytes_sent += cost::ACK_BYTES;
             }
         });
         got.unwrap_or_else(|| {
@@ -483,7 +484,7 @@ impl<'a> NodeCtx<'a> {
             "read-request entries not sorted by (array, idx)"
         );
         let mut parts = Vec::new();
-        let mut bytes = self.cfg.bundle_header_bytes;
+        let mut bytes = cost::BUNDLE_HEADER_BYTES;
         let mut idxs: Vec<u64> = Vec::new();
         for run in bundle.entries.chunk_by(|a, b| a.array == b.array) {
             let array = run[0].array;
@@ -497,7 +498,7 @@ impl<'a> NodeCtx<'a> {
                 values,
             });
         }
-        inner.service_time += self.cfg.service_overhead.scale(n_entries);
+        inner.service_time += cost::SERVICE_OVERHEAD.scale(n_entries);
         inner.traffic.resp_bundles_out += 1;
         inner.traffic.resp_bytes_out += bytes as u64;
         inner.deferred_service_ctrs.msgs_sent += 1;

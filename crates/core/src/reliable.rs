@@ -8,7 +8,7 @@
 //! until they don't. This module makes the runtime survive the faults a
 //! seeded [`FaultPlan`] injects: every runtime message becomes a
 //! *sequence-numbered envelope* on its directed link, receivers count a
-//! *cumulative acknowledgement* every [`PpmConfig::ack_every`] envelopes,
+//! *cumulative acknowledgement* every [`ACK_EVERY`] envelopes,
 //! lost transmission attempts are retransmitted after a *capped
 //! exponential backoff* in **simulated** time, and duplicate copies are
 //! suppressed on receive.
@@ -24,7 +24,7 @@
 //! the sender, at send time, how many transmission attempts will be lost
 //! (`lost_attempts`). The sender charges the attempts' retransmission
 //! delays — the deterministic schedule its timeout state machine would
-//! produce: attempt `i` fires `min(rto · 2^(i-1), rto_max)` after the
+//! produce: attempt `i` fires `min(RTO · 2^(i-1), RTO_MAX)` after the
 //! previous one — and the surviving copy travels with the accumulated
 //! delay. Duplicates are likewise delivered as a receiver-side count and
 //! suppressed there. The observable protocol behavior (retry counters,
@@ -44,11 +44,11 @@
 //!
 //! [`Message::ts`]: ppm_simnet::Message
 //! [`Traffic::rel_delay`]: crate::state::Traffic
-//! [`PpmConfig::ack_every`]: crate::PpmConfig
 
 use ppm_simnet::{FaultPlan, RelMeta, SimTime};
 
 use crate::config::PpmConfig;
+use crate::cost::{ACK_EVERY, RTO, RTO_MAX};
 
 /// Per-directed-link protocol state (this node ↔ one peer).
 #[derive(Debug, Clone, Copy, Default)]
@@ -106,21 +106,14 @@ pub(crate) struct Reliability {
     me: usize,
     plan: FaultPlan,
     links: Vec<LinkState>,
-    rto: SimTime,
-    rto_max: SimTime,
-    ack_every: u64,
 }
 
 impl Reliability {
     pub fn new(me: usize, cfg: &PpmConfig) -> Self {
-        assert!(cfg.ack_every >= 1, "ack_every must be at least 1");
         Reliability {
             me,
             plan: FaultPlan::new(cfg.machine.faults),
             links: vec![LinkState::default(); cfg.nodes()],
-            rto: cfg.rto,
-            rto_max: cfg.rto_max,
-            ack_every: cfg.ack_every,
         }
     }
 
@@ -133,7 +126,7 @@ impl Reliability {
         let seq = link.next_seq;
         link.next_seq += 1;
 
-        let backoff = backoff_schedule(ev.lost_attempts, self.rto, self.rto_max);
+        let backoff = backoff_schedule(ev.lost_attempts, RTO, RTO_MAX);
 
         SendOutcome {
             meta: RelMeta {
@@ -162,7 +155,7 @@ impl Reliability {
         );
         link.recv_next += 1;
         link.recv_unacked += 1;
-        if link.recv_unacked < self.ack_every {
+        if link.recv_unacked < ACK_EVERY {
             return None;
         }
         link.recv_unacked = 0;
@@ -204,7 +197,7 @@ mod tests {
         assert_eq!(rel.on_send(1, 3).meta.seq, 1);
         assert_eq!(rel.on_send(2, 3).meta.seq, 0, "links number independently");
 
-        // Receive side: acks fall due every `ack_every` envelopes.
+        // Receive side: acks fall due every `ACK_EVERY` envelopes.
         let mut recv = Reliability::new(1, &cfg);
         let mut acks = 0;
         for seq in 0..10u64 {
@@ -221,49 +214,44 @@ mod tests {
                 acks += 1;
             }
         }
-        assert_eq!(acks, 10 / cfg.ack_every, "one ack per ack_every envelopes");
+        assert_eq!(acks, 10 / ACK_EVERY, "one ack per ACK_EVERY envelopes");
     }
 
     #[test]
     fn backoff_is_capped_exponential() {
-        let mut cfg = cfg_with(FaultConfig::NONE.with_targeted(ppm_simnet::TargetedFault {
+        let cfg = cfg_with(FaultConfig::NONE.with_targeted(ppm_simnet::TargetedFault {
             src: 0,
             dst: 1,
             kind: ppm_simnet::KIND_ANY,
             nth: 1,
             action: ppm_simnet::FaultAction::Drop,
         }));
-        cfg.rto = SimTime::from_us(10);
-        cfg.rto_max = SimTime::from_us(15);
         let mut rel = Reliability::new(0, &cfg);
         let out = rel.on_send(1, 3);
         assert_eq!(out.meta.lost_attempts, 1);
-        assert_eq!(out.backoff, SimTime::from_us(10), "first retry after rto");
+        assert_eq!(out.backoff, RTO, "first retry after RTO");
+        let (rto, rto_max) = (SimTime::from_us(10), SimTime::from_us(15));
+        assert_eq!(backoff_schedule(1, rto, rto_max), rto);
 
         // Force repeated drops through probabilities to see the cap.
-        let cfg2 = {
-            let mut c = cfg_with(FaultConfig::seeded(0, 1.0, 0.0, 0.0));
-            c.rto = SimTime::from_us(10);
-            c.rto_max = SimTime::from_us(15);
-            c
-        };
+        let cfg2 = cfg_with(FaultConfig::seeded(0, 1.0, 0.0, 0.0));
         let mut rel2 = Reliability::new(0, &cfg2);
         let out2 = rel2.on_send(1, 3);
-        assert_eq!(
-            out2.meta.lost_attempts,
-            ppm_simnet::fault::MAX_LOST_ATTEMPTS
-        );
+        let lost = out2.meta.lost_attempts;
+        assert_eq!(lost, ppm_simnet::fault::MAX_LOST_ATTEMPTS);
+        assert_eq!(out2.backoff, backoff_schedule(lost, RTO, RTO_MAX));
         // 10 + 15 + 15 + 15 + 15 + 15 — every step after the first capped.
-        assert_eq!(out2.backoff, SimTime::from_us(10 + 5 * 15));
+        let capped = backoff_schedule(lost, rto, rto_max);
+        assert_eq!(capped, SimTime::from_us(10 + 5 * 15));
         assert_eq!(out2.total_delay(), out2.backoff + out2.wire_delay);
     }
 
     #[test]
     fn backoff_saturates_at_large_attempt_counts() {
         // Regression: with rto_max effectively uncapped, the pre-fix
-        // doubling step (`step + step`) overflowed u64 picoseconds within
-        // 64 attempts — a debug panic / release wraparound to a tiny
-        // backoff. The schedule must clamp instead.
+        // doubling step (`step + step`) overflowed u64 picoseconds within 64
+        // attempts — a debug panic / release wraparound to a tiny backoff.
+        // The schedule must clamp instead.
         let rto = SimTime::from_us(25);
         let uncapped = SimTime::from_ps(u64::MAX);
         for attempts in [64u32, 65, 100, 200] {

@@ -16,6 +16,7 @@ use super::{
 };
 use crate::check::{OwnWrites, Space};
 use crate::config::PpmConfig;
+use crate::cost;
 use crate::elem::{AccumOp, Elem};
 
 /// A VP's scratch logs for one space's arrays, indexed by array id; a slot
@@ -170,7 +171,7 @@ impl VpCell {
     }
 
     /// What every VP read of element `idx` of global array `id` pays —
-    /// phase check, `sv_overhead`, checker, bounds, counters — and
+    /// phase check, [`cost::SV_OVERHEAD`], checker, bounds, counters — and
     /// where the element is. The typed storage `ga` and tiling `tiles` are
     /// resolved by the caller (once per poll for a bulk read). A
     /// [`GetOutcome::Miss`] is fully charged but not yet requested: the
@@ -185,13 +186,13 @@ impl VpCell {
         idx: usize,
     ) -> GetOutcome<T> {
         let kind = Self::in_phase(s, "global shared read");
-        s.compute += self.cfg.sv_overhead;
+        s.compute += cost::SV_OVERHEAD;
         if let Some(own) = s.own_writes.as_mut() {
             own.read((Space::Global, id, idx as u64), self.global_rank, kind);
         }
         assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
         if let Some(off) = ga.owned_offset(idx) {
-            // The access is fully charged (sv_overhead, checker, counter)
+            // The access is fully charged (`SV_OVERHEAD`, checker, counter)
             // before the residency check, so a cold tile costs
             // exactly what the in-core hit does — the fault itself is free
             // in modeled time and counters.
@@ -210,7 +211,7 @@ impl VpCell {
         // Phase-coherent read cache: a remote value learned earlier
         // (response bundle or owner push) is this phase's frozen truth, so
         // it can be returned without wire traffic. The checker and
-        // sv_overhead above ran either way — the cache must never mask a
+        // `SV_OVERHEAD` above ran either way — the cache must never mask a
         // conformance violation.
         if self.cfg.read_cache {
             if let Some(v) = ga.cache_get(idx as u64) {
@@ -297,9 +298,9 @@ impl VpCell {
                         PhaseKind::Global,
                         "global shared writes are only allowed inside a global phase"
                     );
-                    (self.cfg.sv_overhead, &mut s.global_writes)
+                    (cost::SV_OVERHEAD, &mut s.global_writes)
                 }
-                Space::Node => (self.cfg.node_sv_overhead, &mut s.node_writes),
+                Space::Node => (cost::NODE_SV_OVERHEAD, &mut s.node_writes),
             };
             // Every element of a node-shared array is local to its one node.
             let ga = array_ref::<T>(view, space, id);
@@ -326,7 +327,7 @@ impl VpCell {
     pub fn get_node_arr<T: Elem>(&self, id: u32, idx: usize) -> T {
         self.with_poll(|s, view| {
             let kind = Self::in_phase(s, "node shared read");
-            s.compute += self.cfg.node_sv_overhead;
+            s.compute += cost::NODE_SV_OVERHEAD;
             if let Some(own) = s.own_writes.as_mut() {
                 own.read((Space::Node, id, idx as u64), self.global_rank, kind);
             }

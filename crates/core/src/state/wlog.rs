@@ -10,6 +10,7 @@ use std::ops::Range;
 
 use super::count;
 use crate::check::{first_disagreement, Conflicts, Space};
+use crate::cost::WRITE_ENTRY_BYTES;
 use crate::dist::Dist;
 use crate::elem::{AccumOp, Elem};
 
@@ -260,10 +261,10 @@ impl<T: Elem> WLog<T> {
     ///   assign several VPs wrote is where a write-write conflict shows, and
     ///   it is reported to `conflicts`.
     ///
-    /// An entry is modeled as 9 bytes plus one value either way: combining
-    /// is charged as done sender-side and the rank tags ride free, like
-    /// other protocol sidecars, so repartitioning changes neither entry
-    /// counts nor bytes.
+    /// An entry is modeled as [`WRITE_ENTRY_BYTES`] plus one value either
+    /// way: combining is charged as done sender-side and the rank tags ride
+    /// free, like other protocol sidecars, so repartitioning changes
+    /// neither entry counts nor bytes.
     pub(super) fn drain(
         &mut self,
         space: Space,
@@ -326,7 +327,8 @@ impl<T: Elem> WLog<T> {
                 });
                 p.vals.extend_from_slice(piece);
                 p.entries += piece.len() as u64;
-                p.bytes += piece.iter().map(|v| 9 + v.wire_size()).sum::<usize>();
+                p.bytes += piece.len() * WRITE_ENTRY_BYTES;
+                p.bytes += piece.iter().map(T::wire_size).sum::<usize>();
                 lo = hi;
             }
         }
@@ -425,7 +427,7 @@ impl<T: Elem> WLog<T> {
             p.spans.extend(run[ships.clone()].iter().map(span));
             p.vals.extend_from_slice(&vals[ships]);
             p.entries += 1;
-            p.bytes += 9 + vals[0].wire_size();
+            p.bytes += WRITE_ENTRY_BYTES + vals[0].wire_size();
         }
     }
 }

@@ -23,6 +23,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use crate::check::Space;
+use crate::cost;
 use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::shared::{GlobalShared, NodeShared};
 use crate::state::{
@@ -502,7 +503,7 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                     }
                 }
                 let charged = this.values.len() as u64 - elsewhere;
-                s.compute += this.cell.cfg.sv_overhead.scale(charged);
+                s.compute += cost::SV_OVERHEAD.scale(charged);
                 s.counters.local_accesses += charged - hits - misses;
                 s.counters.cache_hits += hits;
                 s.counters.cache_misses += misses;

@@ -130,7 +130,8 @@ counters! {
         /// buddy of a confirmed-dead peer.
         pub failovers: u64,
         /// Fail-stop tolerance: snapshot-replica bytes this node streamed to
-        /// its buddy (delta frames piggybacked on end-of-phase write bundles).
+        /// its buddy (delta frames riding the round-0 clock-barrier message,
+        /// whose destination is the buddy).
         pub replica_bytes: u64,
         /// Pseudo-streaming: resident partition tiles evicted to the modeled
         /// backing store to stay under the tile budget.
