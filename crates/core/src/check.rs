@@ -20,8 +20,8 @@
 //!   puts (every VP's last write to the element carries the same value,
 //!   e.g. many VPs clearing the same tree cell) are *not* flagged: the
 //!   outcome is value-deterministic regardless of rank order. Found by the
-//!   write log's phase-end drain (`state.rs`), which sorts every element's
-//!   puts into (rank, program order) anyway: where several VPs assigned one
+//!   write log's phase-end drain (`state/wlog.rs`), whose check sorts every
+//!   element's puts into (rank, program order): where several VPs assigned one
 //!   element, `first_disagreement` compares their last values by a
 //!   byte-level fingerprint ([`crate::elem::ByteHash`], a bound of every
 //!   [`crate::elem::Elem`]) — floats hash their IEEE bit patterns, so even

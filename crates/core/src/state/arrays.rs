@@ -13,11 +13,12 @@
 //! of its own ([`Frozen::narrays`]).
 
 use std::any::{type_name, Any};
+use std::mem::take;
 use std::ops::Range;
 
 use ppm_simnet::WireSize;
 
-use super::wlog::{merge_parcels, WLog, WriteCols};
+use super::wlog::{fold_parcels, Scratch, WLog, WriteCols};
 use super::{count, ArrayTiles, Frozen, WriteParcel};
 use crate::check::{Conflicts, Space};
 use crate::dist::Dist;
@@ -80,6 +81,8 @@ pub(crate) struct GArray<T: Elem> {
     owned: Range<usize>,
     /// Write log for the current phase, one segment per VP merge.
     wlog: WLog<T>,
+    /// What the log's drain and the fold of incoming parcels reuse.
+    scratch: Scratch,
     /// Remote elements whose phase-frozen value this node has learned —
     /// from response bundles or owner-pushed refreshes. Consulted before a
     /// remote read is queued ([`super::VpCell::charge_get`], and a bulk read's
@@ -113,6 +116,7 @@ impl<T: Elem> GArray<T> {
             space: Space::Global,
             node,
             wlog: WLog::default(),
+            scratch: Scratch::default(),
             rcache: RunCache::default(),
             rcache_spare: RunCache::default(),
             arena: Vec::new(),
@@ -321,8 +325,8 @@ pub(crate) trait GArrayObj: Any + Send + Sync {
     /// is deterministic. Returns the number of entries applied and — only
     /// if `list_written`, which is the refresh-push protocol asking
     /// (DESIGN.md §13) — the written global indices as ascending ranges, no
-    /// two adjacent. `touch` is called with each stretch of resolved local
-    /// offsets before the store lands — the executor wires it to
+    /// two adjacent. `touch` is called with each ascending stretch of
+    /// written local offsets — the executor wires it to
     /// [`super::TileBudget::touch_span`] so applied writes bump tile recency
     /// (write-through without admission, DESIGN.md §18).
     fn apply_writes(
@@ -445,7 +449,7 @@ impl<T: Elem> GArrayObj for GArray<T> {
     }
 
     fn drain_writes(&mut self, conflicts: Option<Conflicts<'_>>) -> Vec<WriteParcel> {
-        self.wlog.drain(self.space, &self.dist, conflicts)
+        (self.wlog).drain(self.space, &self.dist, conflicts, &mut self.scratch)
     }
 
     fn apply_writes(
@@ -454,7 +458,7 @@ impl<T: Elem> GArrayObj for GArray<T> {
         touch: &mut dyn FnMut(Range<usize>),
         list_written: bool,
     ) -> (u64, Vec<Range<u64>>) {
-        // Deterministic application order: by element, then by source node.
+        // Ascending by source, as `fold_parcels` takes them.
         parcels.sort_by_key(|(src, _)| *src);
         // Cannot fire: a parcel travels under the id of the array whose
         // `drain_writes` made it, and ids name the same array on every node.
@@ -463,19 +467,21 @@ impl<T: Elem> GArrayObj for GArray<T> {
             .map(|(_, p)| p.downcast().expect("write parcel type mismatch"))
             .collect();
         let mut written: Vec<Range<u64>> = Vec::new();
-        let applied = merge_parcels(&parcels, |first, values| {
+        // The partition and the scratch leave `self` while the fold runs,
+        // which asks `self` where elements are.
+        let (mut local, mut scratch) = (take(&mut self.local), take(&mut self.scratch));
+        let offset = |idx| self.offset_of_owned(idx);
+        let applied = fold_parcels(&parcels, &mut local, offset, &mut scratch, |elems| {
             // Consecutive elements of one owner sit at consecutive offsets
             // (a cyclic layout's stretches are one element long).
-            let last = first + values.len() as u64 - 1;
-            let offs = self.offset_of_owned(first)..self.offset_of_owned(last) + 1;
-            touch(offs.clone());
-            self.local[offs].copy_from_slice(values);
-            match written.last_mut().filter(|run| run.end == first) {
-                Some(run) => run.end = last + 1,
-                None if list_written => written.push(first..last + 1),
+            touch(offset(elems.start)..offset(elems.end - 1) + 1);
+            match written.last_mut().filter(|run| run.end == elems.start) {
+                Some(run) => run.end = elems.end,
+                None if list_written => written.push(elems),
                 None => {}
             }
         });
+        (self.local, self.scratch) = (local, scratch);
         (applied, written)
     }
 

@@ -28,6 +28,7 @@ run_here! {
     wlog::a_lone_parcel_resolves_like_the_merge;
     wlog::csr_offsets_are_checked_at_the_u32_boundary;
     wlog::radix_sort_is_stable_over_the_whole_key_range;
+    wlog::the_bitmap_counts_each_element_once_at_its_word_edges;
     wlog::drain_splits_by_owner_and_sorts;
     wlog::drain_reports_write_write_conflicts_on_last_values;
     wlog::a_call_is_a_run_or_lists_its_indices;

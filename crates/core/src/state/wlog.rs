@@ -1,11 +1,11 @@
 //! The write log: what a phase's buffered writes are kept in, how they
 //! resolve at the phase boundary, and what ships to — and is stored by — each
-//! element's owner. The unit of all three is the *run*: a first index and
-//! the values of the consecutive elements from it on.
+//! element's owner. The unit of all three is one writer's calls in its
+//! program order, kept as *runs* — a first index and the values of the
+//! consecutive elements from it on — or as indices beside values; nothing on
+//! the way sorts an element.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
 
 use super::count;
@@ -86,55 +86,6 @@ pub(super) struct WLog<T> {
     /// so the type-erased replay and apply paths can fold. It is
     /// `T::combine` for every accumulate, hence stored once.
     combine: Option<fn(AccumOp, T, T) -> T>,
-}
-
-/// Stable least-significant-digit radix sort by a `u64` key, nine bits per
-/// pass through a second buffer (an array of up to 2¹⁸ elements sorts in
-/// two). Digits that are the same in every key cost no pass, so the work
-/// follows the key range in use, and an already-ascending input returns
-/// after one scan. At most `u32::MAX` records, as many as a log holds.
-fn radix_sort_by_key<R: Copy>(recs: &mut Vec<R>, key: impl Fn(&R) -> u64) {
-    let Some(first) = recs.first().map(&key) else {
-        return;
-    };
-    let (mut sorted, mut prev, mut differ) = (true, first, 0);
-    for k in recs.iter().map(&key) {
-        sorted &= prev <= k;
-        prev = k;
-        differ |= k ^ first;
-    }
-    if sorted {
-        return;
-    }
-    csr_offset(recs.len());
-    // Every slot is overwritten before each swap.
-    let mut spare = recs.clone();
-    for shift in (0..64).step_by(9).filter(|s| (differ >> s) & 0x1ff != 0) {
-        let digit = |r: &R| (key(r) >> shift) as usize & 0x1ff;
-        let mut next = [0u32; 512];
-        recs.iter().for_each(|r| next[digit(r)] += 1);
-        let mut at = 0;
-        for n in &mut next {
-            at += std::mem::replace(n, at);
-        }
-        for r in recs.iter() {
-            let slot = &mut next[digit(r)];
-            spare[*slot as usize] = *r;
-            *slot += 1;
-        }
-        std::mem::swap(recs, &mut spare);
-    }
-}
-
-/// One logged write as the element-wise drain sorts it: 16 bytes, whatever
-/// the element type.
-#[derive(Clone, Copy)]
-struct Key {
-    idx: u64,
-    /// Position of its call among the log's, in writer order.
-    call: u32,
-    /// Position of its value in its call's column.
-    pos: u32,
 }
 
 impl<T: Elem> WLog<T> {
@@ -241,6 +192,46 @@ impl<T: Elem> WLog<T> {
         self.combine = self.combine.or(from.combine);
     }
 
+    /// Call `f` with each of `c`'s writes, `(index, value)`, last first.
+    #[inline]
+    fn each_back(&self, c: &Call, mut f: impl FnMut(u64, T)) {
+        let (at, len) = (c.at as usize, c.len as usize);
+        match c.first {
+            Some(first) => {
+                let vals = self.vals[at..at + len].iter().enumerate().rev();
+                vals.for_each(|(i, &val)| f(first + i as u64, val));
+            }
+            None => (self.listed[at..at + len].iter().rev()).for_each(|&(idx, val)| f(idx, val)),
+        }
+    }
+
+    /// Call `f(call, index, value, fresh)` with each write a drain ships,
+    /// last first: every accumulate, and an assign's first sighting, which
+    /// is its last write. A write is `fresh` — the first sighting of its
+    /// element — if the element's bit in `bits` (from `lo` on) reads `on`,
+    /// and flips it: a walk with `on` false sets the bit of every element
+    /// written, and one with `on` true clears them again.
+    #[inline]
+    fn each_kept(
+        &self,
+        bits: &mut [u64],
+        lo: u64,
+        on: bool,
+        mut f: impl FnMut(usize, u64, T, bool),
+    ) {
+        for (call, c) in self.calls.iter().enumerate().rev() {
+            let accum = c.kind != WKind::Assign;
+            self.each_back(c, |idx, val| {
+                let (w, m) = (((idx - lo) / 64) as usize, 1 << ((idx - lo) % 64));
+                let fresh = (bits[w] & m != 0) == on;
+                bits[w] ^= if fresh { m } else { 0 };
+                if fresh || accum {
+                    f(call, idx, val, fresh);
+                }
+            });
+        }
+    }
+
     /// Resolve and empty the log of an array of `space`, laid out by `dist`,
     /// into one parcel per touched destination (the element's owner),
     /// ascending by destination. What the log holds selects how:
@@ -250,39 +241,36 @@ impl<T: Elem> WLog<T> {
     ///   has one write, so there is nothing to order, resolve or check. The
     ///   calls are put in index order and each is cut at owner boundaries,
     ///   one `Dist::owner` and one copy per piece; no element is looked at.
-    /// - **Anything else** is resolved element by element. The calls are put
-    ///   in writer order — (VP, program order), a scan unless a VP merged
-    ///   twice — and one stable sort of 16-byte keys by element is the only
-    ///   other place order is established: it leaves each element's writes
-    ///   in ascending (global VP rank, program order). Each element then
-    ///   ships once: an assign keeps its last writer, an accumulate every
-    ///   raw contribution, and mixing the two — or two operators — on one
-    ///   element panics here, at the phase boundary. With the checker on, an
-    ///   assign several VPs wrote is where a write-write conflict shows, and
-    ///   it is reported to `conflicts`.
+    /// - **Anything else** is bucketed by owner in writer order — (VP,
+    ///   program order), a scan of the call headers unless a VP merged
+    ///   twice. Each destination gets an index and a value column in that
+    ///   order, cut into one segment per call, so no element is sorted: an
+    ///   accumulate ships every raw contribution, an assign only its last
+    ///   write. Mixing the two — or two operators — on one element panics
+    ///   here, at the phase boundary. With the checker on, an assign several
+    ///   VPs wrote is where a write-write conflict shows, and it is reported
+    ///   to `conflicts`.
     ///
     /// An entry is modeled as [`WRITE_ENTRY_BYTES`] plus one value either
     /// way: combining is charged as done sender-side and the rank tags ride
     /// free, like other protocol sidecars, so repartitioning changes
-    /// neither entry counts nor bytes.
+    /// neither entry counts nor bytes. `scratch` is the array's, reused.
     pub(super) fn drain(
         &mut self,
         space: Space,
         dist: &Dist,
         conflicts: Option<Conflicts<'_>>,
+        scratch: &mut Scratch,
     ) -> Vec<WriteParcel> {
         if self.is_empty() {
             return Vec::new();
         }
         let mut log = std::mem::take(self);
         log.calls.extend(log.open.take());
-        let mut out = Outbox::new(dist);
-        if !log.drain_runs(&mut out) {
-            log.drain_elements(space, conflicts, &mut out);
-        }
-        // Ascending by node id, never by first-touch order; a no-op for
-        // contiguous layouts.
-        out.parcels.sort_unstable_by_key(|p| p.0);
+        let out = match log.drain_runs(dist) {
+            Some(out) => out,
+            None => log.drain_scattered(space, dist, conflicts, scratch),
+        };
         let parcel = |(dest, mut cols): (usize, WriteCols<T>)| {
             cols.combine = log.combine;
             WriteParcel {
@@ -292,39 +280,48 @@ impl<T: Elem> WLog<T> {
                 payload: Box::new(cols),
             }
         };
-        out.parcels.into_iter().map(parcel).collect()
+        out.into_iter().map(parcel).collect()
     }
 
     /// The drain of runs that do not meet, if that is what the log holds.
-    fn drain_runs(&self, out: &mut Outbox<'_, T>) -> bool {
-        let runs: Option<Vec<_>> = (self.calls.iter().map(|c| Some((c.run()?, c)))).collect();
-        let Some(mut runs) = runs.filter(|_| out.dist.is_contiguous()) else {
-            return false;
-        };
+    fn drain_runs(&self, dist: &Dist) -> Option<Vec<(usize, WriteCols<T>)>> {
+        if !dist.is_contiguous() {
+            return None;
+        }
+        let mut runs: Vec<_> =
+            (self.calls.iter().map(|c| Some((c.run()?, c)))).collect::<Option<_>>()?;
         runs.sort_unstable_by_key(|(run, _)| run.start);
         if !runs.windows(2).all(|w| w[0].0.end <= w[1].0.start) {
-            return false;
+            return None;
         }
+        // Owners never decrease along the runs: a new destination is a new
+        // parcel, the last one.
+        let mut out: Vec<(usize, WriteCols<T>)> = Vec::new();
+        // The open destination's owned range.
+        let mut owned = 0..0;
         for (r, (run, call)) in runs.iter().enumerate() {
             let mut lo = run.start;
             while lo < run.end {
-                // Every value left below the destination's last element.
-                let room = |end: u64| {
-                    let left = runs[r..].iter().map(|(run, _)| run);
-                    let below = left.take_while(|run| run.start < end);
-                    let vals = below.map(|run| run.end.min(end) - run.start.max(lo));
-                    (0, vals.sum::<u64>() as usize)
-                };
-                let (p, end) = out.route(lo, room);
-                let hi = run.end.min(end);
+                if !owned.contains(&lo) {
+                    count!(super::OWNER_LOOKUPS);
+                    let dest = dist.owner(lo as usize);
+                    let range = dist.owned_range(dest);
+                    owned = range.start as u64..range.end as u64;
+                    // Every value left below the destination's last element.
+                    let below = runs[r..].iter().take_while(|(r, _)| r.start < owned.end);
+                    let vals = below.map(|(r, _)| r.end.min(owned.end) - r.start.max(lo));
+                    let mut cols = WriteCols::default();
+                    cols.vals.reserve_exact(vals.sum::<u64>() as usize);
+                    out.push((dest, cols));
+                }
+                let hi = run.end.min(owned.end);
                 let at = call.at as usize + (lo - run.start) as usize;
                 let piece = &self.vals[at..at + (hi - lo) as usize];
-                p.spans.push(Span {
-                    first: lo,
-                    rank: self.base + call.vp as u64,
-                    len: piece.len() as u32,
-                    kind: call.kind,
-                });
+                // Cannot fire: the parcel was just opened if none was.
+                let p = &mut out.last_mut().expect("an open parcel").1;
+                let rank = self.base + call.vp as u64;
+                let seg = Seg::new(rank, call.kind, Some(lo), p.vals.len(), piece.len());
+                p.segs.push(seg);
                 p.vals.extend_from_slice(piece);
                 p.entries += piece.len() as u64;
                 p.bytes += piece.len() * WRITE_ENTRY_BYTES;
@@ -332,190 +329,241 @@ impl<T: Elem> WLog<T> {
                 lo = hi;
             }
         }
-        true
+        Some(out)
     }
 
-    /// The element-wise drain (see [`Self::drain`]).
-    fn drain_elements(
+    /// The drain of anything else (see [`Self::drain`]): two walks of the
+    /// writes, last first, over a bitmap of the log's index span
+    /// ([`Self::each_kept`]). The first counts what each destination gets —
+    /// its distinct elements, its writes, and its segments, one per call
+    /// that writes there — so that every column is sized exactly; the
+    /// second fills the columns from their ends. The checks, when there is
+    /// anything to check, sort what they check ([`judge`]).
+    fn drain_scattered(
         &mut self,
         space: Space,
-        mut conflicts: Option<Conflicts<'_>>,
-        out: &mut Outbox<'_, T>,
-    ) {
-        // A global array's panics name the bare element, as they always have.
-        let what = if matches!(space, Space::Node) {
-            "node "
-        } else {
-            ""
-        };
+        dist: &Dist,
+        conflicts: Option<Conflicts<'_>>,
+        scratch: &mut Scratch,
+    ) -> Vec<(usize, WriteCols<T>)> {
         // Stable: a VP's calls stay in program order.
         self.calls.sort_by_key(|c| c.vp);
-        let mut keys: Vec<Key> = Vec::with_capacity(self.vals.len() + self.listed.len());
-        for (call, c) in self.calls.iter().enumerate() {
-            let call = call as u32;
-            let key = |(idx, pos)| Key { idx, call, pos };
-            match c.first {
-                Some(first) => keys.extend((first..).zip(c.at..c.at + c.len).map(key)),
-                None => {
-                    let listed = &self.listed[c.at as usize..][..c.len as usize];
-                    keys.extend(listed.iter().map(|w| w.0).zip(c.at..).map(key));
-                }
+        let kind = self.calls[0].kind;
+        let puts = self.calls.iter().any(|c| c.kind == WKind::Assign);
+        if self.calls.iter().any(|c| c.kind != kind) || (puts && conflicts.is_some()) {
+            // `(index, position in writer order, rank, kind, value)`.
+            let mut writes = Vec::new();
+            let mut pos = self.calls.iter().map(|c| c.len as u64).sum::<u64>();
+            for c in self.calls.iter().rev() {
+                let rank = self.base + c.vp as u64;
+                self.each_back(c, |idx, val| {
+                    pos -= 1;
+                    writes.push((idx, pos, rank, c.kind, val));
+                });
             }
+            // A global array's panics name the bare element, as they always
+            // have.
+            let what = ["", "node "][(space == Space::Node) as usize];
+            let texts = ["accumulate operators in one phase", "in one phase"];
+            judge(&mut writes, what, texts, conflicts);
         }
-        radix_sort_by_key(&mut keys, |k| k.idx);
-        // The values in key order: one tight pass of scattered reads, so
-        // that the loop below reads nothing out of order and the log's
-        // columns are gone before the parcels grow.
-        let writer = |k: &Key| &self.calls[k.call as usize];
-        let val = |k: &Key| match writer(k).first {
-            Some(_) => self.vals[k.pos as usize],
-            None => self.listed[k.pos as usize].1,
+        let (mut lo, mut hi) = (u64::MAX, 0);
+        for c in &self.calls {
+            self.each_back(c, |idx, _| (lo, hi) = (lo.min(idx), hi.max(idx)));
+        }
+        let words = ((hi - lo) / 64 + 1) as usize;
+        let (bits, owners, shares) = (&mut scratch.bits, &mut scratch.owners, &mut scratch.shares);
+        bits.resize(bits.len().max(words), 0);
+        // Per word, the node that owns all of its elements, if one does:
+        // `Dist::owner` is asked once per destination and per word two of
+        // them share, and per element only in such a word or under a
+        // cyclic layout.
+        owners.clear();
+        owners.resize(words, NO_OWNER);
+        let mut w = 0;
+        while dist.is_contiguous() && w < words {
+            let dest = dist.owner((lo + 64 * w as u64) as usize);
+            let end = ((dist.owned_range(dest).end as u64 - lo) / 64) as usize;
+            owners[w..end.clamp(w, words)].fill(dest as u32);
+            w = end.max(w + 1);
+        }
+        // The destinations the span reaches: under a contiguous layout, the
+        // owners of `lo` to `hi` — one for a log that writes one element —
+        // under a cyclic one, every node.
+        let dests = match dist.is_contiguous() {
+            true => dist.owner(lo as usize)..dist.owner(hi as usize) + 1,
+            false => 0..dist.nodes,
         };
-        let vals: Vec<T> = keys.iter().map(val).collect();
-        (self.vals, self.listed) = (Vec::new(), Vec::new());
-        let rank = |k: &Key| self.base + writer(k).vp as u64;
-        // Keys before the current element's.
-        let mut before = 0;
-        for run in keys.chunk_by(|a, b| a.idx == b.idx) {
-            let (idx, kind) = (run[0].idx, writer(&run[0]).kind);
-            let (rest, vals) = (&keys[before..], &vals[before..][..run.len()]);
-            before += run.len();
-            for k in &run[1..] {
-                match (kind, writer(k).kind) {
-                    (WKind::Accum(a), WKind::Accum(b)) => assert_eq!(
-                        a, b,
-                        "{what}element {idx}: conflicting accumulate operators in one phase"
-                    ),
-                    (a, b) => assert!(
-                        a == b,
-                        "{what}element {idx}: put and accumulate mixed in one phase"
-                    ),
+        let owner = |idx: u64| match owners[((idx - lo) / 64) as usize] {
+            NO_OWNER => dist.owner(idx as usize) - dests.start,
+            dest => dest as usize - dests.start,
+        };
+        shares.clear();
+        shares.resize(dests.len(), Share::default());
+        self.each_kept(bits, lo, false, |call, idx, val, fresh| {
+            let s = &mut shares[owner(idx)];
+            s.entries += fresh as u64;
+            s.bytes += fresh as usize * (WRITE_ENTRY_BYTES + val.wire_size());
+            s.writes += 1;
+            s.segs += (s.call != Some(call)) as usize;
+            s.call = Some(call);
+        });
+        let mut out = Vec::new();
+        for (dest, s) in dests
+            .clone()
+            .zip(shares.iter_mut())
+            .filter(|(_, s)| s.entries > 0)
+        {
+            let cols = WriteCols {
+                segs: Vec::with_capacity(s.segs),
+                idx: vec![0; s.writes],
+                vals: vec![T::default(); s.writes],
+                combine: None,
+                entries: s.entries,
+                bytes: s.bytes,
+            };
+            (s.call, s.parcel) = (None, out.len());
+            out.push((dest, cols));
+        }
+        self.each_kept(bits, lo, true, |call, idx, val, _| {
+            let s = &mut shares[owner(idx)];
+            let p = &mut out[s.parcel].1;
+            if s.call != Some(call) {
+                s.call = Some(call);
+                // At its end, for now, and last first.
+                let (rank, kind) = (
+                    self.base + self.calls[call].vp as u64,
+                    self.calls[call].kind,
+                );
+                p.segs.push(Seg::new(rank, kind, None, s.writes, 0));
+            }
+            s.writes -= 1;
+            (p.idx[s.writes], p.vals[s.writes]) = (idx, val);
+        });
+        // A parcel's segments tile its columns.
+        for (_, p) in &mut out {
+            p.segs.reverse();
+            let mut at = 0;
+            for seg in &mut p.segs {
+                (seg.at, seg.len, at) = (at, seg.at - at, seg.at);
+            }
+        }
+        out
+    }
+}
+
+/// Sort `writes` — `(index, order, rank, kind, value)` — by element, then
+/// order, and judge each element's. Unless they all share the first one's
+/// kind and operator, panic at the lowest such element: `"{what}element
+/// {index}: conflicting {texts[0]}"` for two operators, `"… put and
+/// accumulate mixed {texts[1]}"` for two kinds. Given `conflicts`, report
+/// an element whose ranks' last puts disagree.
+fn judge<T: Elem>(
+    writes: &mut [(u64, u64, u64, WKind, T)],
+    what: &str,
+    [ops, kinds]: [&str; 2],
+    mut conflicts: Option<Conflicts<'_>>,
+) {
+    writes.sort_unstable_by_key(|w| (w.0, w.1));
+    for run in writes.chunk_by(|a, b| a.0 == b.0) {
+        let (idx, kind) = (run[0].0, run[0].3);
+        for w in &run[1..] {
+            match (kind, w.3) {
+                (WKind::Accum(a), WKind::Accum(b)) => {
+                    assert_eq!(a, b, "{what}element {idx}: conflicting {ops}")
                 }
+                (a, b) => assert!(
+                    a == b,
+                    "{what}element {idx}: put and accumulate mixed {kinds}"
+                ),
             }
-            // What ships: an assign's last write, an accumulate's every one.
-            let ships = match kind {
-                WKind::Assign => {
-                    // Sorted by writer: the ends differ iff several wrote.
-                    let several = rank(&run[0]) != rank(&run[run.len() - 1]);
-                    if let Some(c) = conflicts.as_mut().filter(|_| several) {
-                        let mut at = 0;
-                        let last_puts = run.chunk_by(|a, b| rank(a) == rank(b)).map(|w| {
-                            at += w.len();
-                            (rank(&w[0]), vals[at - 1])
-                        });
-                        if let Some(pair) = first_disagreement(last_puts) {
-                            c.report(idx, pair);
-                        }
-                    }
-                    run.len() - 1..run.len()
-                }
-                WKind::Accum(_) => 0..run.len(),
-            };
-            // Every key left below the destination's last element goes
-            // there: at most that many spans, and that many values.
-            let room = |end: u64| {
-                let most = rest.partition_point(|k| k.idx < end);
-                (most, most)
-            };
-            let (p, _) = out.route(idx, room);
-            let span = |k: &Key| Span {
-                first: idx,
-                rank: rank(k),
-                len: 1,
-                kind,
-            };
-            p.spans.extend(run[ships.clone()].iter().map(span));
-            p.vals.extend_from_slice(&vals[ships]);
-            p.entries += 1;
-            p.bytes += WRITE_ENTRY_BYTES + vals[0].wire_size();
+        }
+        // In order: the ends differ iff several ranks put.
+        let several = kind == WKind::Assign && run[0].2 != run[run.len() - 1].2;
+        if let Some(c) = conflicts.as_mut().filter(|_| several) {
+            let last_puts = run
+                .chunk_by(|a, b| a.2 == b.2)
+                .map(|w| (w[0].2, w[w.len() - 1].4));
+            if let Some(pair) = first_disagreement(last_puts) {
+                c.report(idx, pair);
+            }
         }
     }
 }
 
-/// The parcels a drain is filling, and where the elements around the last
-/// one it routed go. Elements come in ascending index order.
-struct Outbox<'a, T> {
-    dist: &'a Dist,
-    /// `(destination, parcel)`, in first-touch order.
-    parcels: Vec<(usize, WriteCols<T>)>,
-    /// Destination → position in `parcels`, for cyclic layouts only: a
-    /// contiguous layout's owners never decrease, so a new destination
-    /// means a new parcel.
-    slot: Vec<Option<usize>>,
-    /// The parcel of the destination the last element went to, and the
-    /// indices that go there without asking `dist` again: the destination's
-    /// owned range (nothing, under a cyclic layout).
-    at: usize,
-    open: Range<u64>,
+/// What the drain and the owner's fold reuse from phase to phase: an
+/// array's, kept beside its log.
+#[derive(Default)]
+pub(super) struct Scratch {
+    /// One bit per element of the span in hand, all zeros between uses.
+    bits: Vec<u64>,
+    /// The drain's owner per word of `bits`, or [`NO_OWNER`].
+    owners: Vec<u32>,
+    /// The drain's count per destination node its span reaches.
+    shares: Vec<Share>,
+    /// The fold's segment headers, `(sort key, parcel, position)`.
+    order: Vec<(u64, u32, u32)>,
 }
 
-impl<'a, T: Elem> Outbox<'a, T> {
-    fn new(dist: &'a Dist) -> Self {
-        let cyclic_nodes = if dist.is_contiguous() { 0 } else { dist.nodes };
-        Outbox {
-            dist,
-            parcels: Vec::new(),
-            slot: vec![None; cyclic_nodes],
-            at: 0,
-            open: 0..0,
-        }
-    }
+/// A word of elements that several nodes own, or that a cyclic layout
+/// deals out.
+const NO_OWNER: u32 = u32::MAX;
 
-    /// The parcel element `idx` goes to, and the end of the owned range it
-    /// lies in. A destination's first element makes its parcel, with the
-    /// `(spans, values)` capacity `room` works out from that end.
-    fn route(
-        &mut self,
-        idx: u64,
-        room: impl FnOnce(u64) -> (usize, usize),
-    ) -> (&mut WriteCols<T>, u64) {
-        if !self.open.contains(&idx) {
-            count!(super::OWNER_LOOKUPS);
-            let dest = self.dist.owner(idx as usize);
-            if self.dist.is_contiguous() {
-                let r = self.dist.owned_range(dest);
-                self.open = r.start as u64..r.end as u64;
-            }
-            let fresh = self.parcels.len();
-            self.at = (self.slot.get_mut(dest)).map_or(fresh, |at| *at.get_or_insert(fresh));
-            if self.at == fresh {
-                let (spans, vals) = room(self.open.end);
-                let (spans, vals) = (Vec::with_capacity(spans), Vec::with_capacity(vals));
-                let cols = WriteCols {
-                    spans,
-                    vals,
-                    ..WriteCols::default()
-                };
-                self.parcels.push((dest, cols));
-            }
-        }
-        (&mut self.parcels[self.at].1, self.open.end)
-    }
+/// One destination's part of a drain.
+#[derive(Clone, Default)]
+struct Share {
+    /// Distinct elements, and their modeled wire bytes.
+    entries: u64,
+    bytes: usize,
+    /// Writes and segments it ships; the second walk counts them down to
+    /// the position it fills next.
+    writes: usize,
+    segs: usize,
+    /// The call whose segment is in hand.
+    call: Option<usize>,
+    /// Its parcel's position in the drain's output.
+    parcel: usize,
 }
 
-/// `len` consecutive elements from `first` on, each written once, by the VP
-/// of global rank `rank`.
+/// `len` consecutive writes of the VP of global rank `rank`, in its program
+/// order: the run of elements from `first` on, or (`first` is `None`) the
+/// elements at the same positions of the index column.
 #[derive(Clone, Copy)]
-struct Span {
-    first: u64,
+struct Seg {
     rank: u64,
-    len: u32,
     kind: WKind,
+    first: Option<u64>,
+    /// Position of its first value (and index).
+    at: usize,
+    len: usize,
+}
+
+impl Seg {
+    fn new(rank: u64, kind: WKind, first: Option<u64>, at: usize, len: usize) -> Self {
+        Seg {
+            rank,
+            kind,
+            first,
+            at,
+            len,
+        }
+    }
 }
 
 /// The resolved writes one node ships to one owner for one array (a
-/// `K_WRITE` bundle part): spans, ascending by `first`, over one value
-/// column. An element appears once — inside a span of any length if it has
-/// one contribution (an assign's is its sender's last writer), else as
-/// consecutive one-element spans with the same `first`: an accumulate's raw
-/// contributions from that node in ascending (rank, program order). Shipping
-/// contributions rank-keyed instead of a per-node partial is what makes the
-/// fold **placement-invariant**: the order never depends on which node
-/// hosted a contributing VP.
+/// `K_WRITE` bundle part): segments over one value column and — for those
+/// that are not runs — one index column beside it. A run-path parcel's
+/// segments ascend by `first`, each element in one of them; the other
+/// path's are in writer order, one per call, so an element's contributions
+/// from that node — an assign's last write, an accumulate's every one —
+/// come in ascending (rank, program order). Shipping contributions
+/// rank-keyed instead of a per-node partial is what makes the fold
+/// **placement-invariant**: the order never depends on which node hosted a
+/// contributing VP.
 #[derive(Default)]
 pub(super) struct WriteCols<T> {
-    spans: Vec<Span>,
-    /// One value per element of each span, span after span.
+    segs: Vec<Seg>,
+    idx: Vec<u64>,
     vals: Vec<T>,
     combine: Option<fn(AccumOp, T, T) -> T>,
     /// Distinct elements written.
@@ -525,117 +573,145 @@ pub(super) struct WriteCols<T> {
 }
 
 impl<T: Copy> WriteCols<T> {
-    /// Move `cursor` — `(span, value position)` — which stands at element
-    /// `idx`, past `n` elements of its span. Returns the element it then
-    /// stands at.
-    fn advance(&self, cursor: &mut (usize, usize), idx: u64, n: usize) -> Option<u64> {
-        cursor.1 += n;
-        let span = &self.spans[cursor.0];
-        let next = idx + n as u64;
-        if next < span.first + span.len as u64 {
-            return Some(next);
+    /// Call `f` with each of `s`'s writes, `(index, value)`, in order.
+    #[inline]
+    fn each(&self, s: &Seg, mut f: impl FnMut(u64, T)) {
+        let vals = self.vals[s.at..s.at + s.len].iter().copied();
+        match s.first {
+            Some(first) => (first..).zip(vals).for_each(|(idx, val)| f(idx, val)),
+            None => (self.idx[s.at..s.at + s.len].iter().copied().zip(vals))
+                .for_each(|(idx, val)| f(idx, val)),
         }
-        cursor.0 += 1;
-        self.spans.get(cursor.0).map(|s| s.first)
     }
 }
 
-/// Owner side: k-way merge the `parcels` (ascending source node) and hand
-/// what they write to `store`, in ascending index order, as `(first index,
-/// values)` stretches. A stretch of a span that no other span — of another
-/// source, or a further contribution of its own — reaches into is stored as
-/// it stands, whatever its length. An element with several contributions
-/// gathers them into a single reused buffer, sources ascending, and is
-/// stored alone. Assigns resolve to the highest rank (program order within a
-/// rank was settled by the sender; two sources never carry the same rank).
-/// Accumulates fold in ascending (global VP rank, program order) — the fold
-/// a sequential ascending-rank schedule performs, whatever the partitioning;
-/// source order usually *is* rank order, which is checked per element and
-/// stable-sorted when not. Returns the number of entries consumed.
-pub(super) fn merge_parcels<T: Elem>(
+/// Owner side: fold the `parcels` (ascending source node) into `local`,
+/// where `offset` finds an element (and panics for one this node does not
+/// own), and hand `landed` the elements written, as ascending stretches of
+/// consecutive indices. Runs that no other segment reaches into are stored
+/// as they stand, one copy each. Anything else folds write by write: the
+/// segments of all parcels are put in rank order — headers, not elements —
+/// and each write goes to its element's offset, replacing it if it is the
+/// element's first (a clear bit in `scratch`'s bitmap over the touched
+/// indices), else combining with it. So an assign resolves to its highest
+/// rank's last write, and accumulates fold in ascending (global VP rank,
+/// program order) — the fold a sequential ascending-rank schedule performs,
+/// whatever the partitioning. Returns the entries consumed.
+pub(super) fn fold_parcels<T: Elem>(
     parcels: &[Box<WriteCols<T>>],
-    mut store: impl FnMut(u64, &[T]),
+    local: &mut [T],
+    offset: impl Fn(u64) -> usize,
+    scratch: &mut Scratch,
+    mut landed: impl FnMut(Range<u64>),
 ) -> u64 {
-    let combine = parcels.iter().find_map(|p| p.combine);
-    // One element's final value from its gathered contributions.
-    let resolve = |kind: WKind, contribs: &mut Vec<(u64, T)>| match kind {
-        WKind::Assign => {
-            let first = contribs[0];
-            let best = contribs[1..]
-                .iter()
-                .fold(first, |best, &c| if c.0 > best.0 { c } else { best });
-            best.1
+    let applied = parcels.iter().map(|p| p.entries).sum();
+    let (bits, order) = (&mut scratch.bits, &mut scratch.order);
+    let seg =
+        |&(_, p, s): &(u64, u32, u32)| (&parcels[p as usize], parcels[p as usize].segs[s as usize]);
+    // First by where each run starts.
+    order.clear();
+    for (p, cols) in parcels.iter().enumerate() {
+        for (s, seg) in cols.segs.iter().enumerate() {
+            order.push((seg.first.unwrap_or(u64::MAX), p as u32, s as u32));
         }
-        WKind::Accum(op) => {
-            if !contribs.is_sorted_by_key(|c| c.0) {
-                contribs.sort_by_key(|c| c.0);
-            }
-            // Cannot fire: an accumulate is logged with its element type's
-            // combiner (`record`), and the drain stamps it on every parcel.
-            let f = combine.expect("accumulate entry without a combiner");
-            contribs[1..]
-                .iter()
-                .fold(contribs[0].1, |acc, c| f(op, acc, c.1))
-        }
-    };
-    // Per source: the span it stands in and the position of its next value.
-    let mut cursors = vec![(0usize, 0usize); parcels.len()];
-    // (next element, source): equal elements pop in ascending source order.
-    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = parcels
-        .iter()
-        .enumerate()
-        .filter_map(|(s, p)| p.spans.first().map(|span| Reverse((span.first, s))))
-        .collect();
-    let mut contribs: Vec<(u64, T)> = Vec::new();
-    let mut applied = 0u64;
-    // Move the top head on to `next`, or retire it.
-    let step = |mut head: PeekMut<'_, Reverse<(u64, usize)>>, next: Option<u64>| match next {
-        Some(next) => head.0 .0 = next,
-        None => drop(PeekMut::pop(head)),
-    };
-    while let Some(&Reverse((idx, s))) = heads.peek() {
-        let (p, cursor) = (&parcels[s], &mut cursors[s]);
-        let span = p.spans[cursor.0];
-        // Where the next claim on these elements starts: a further
-        // contribution of this source's, or the lowest other head — a child
-        // of the heap's root.
-        let own = p.spans.get(cursor.0 + 1).map_or(u64::MAX, |s| s.first);
-        let others = heads.as_slice().iter().skip(1).take(2);
-        let limit = others.fold(own, |limit, other| limit.min(other.0 .0));
-        if idx < limit {
-            let n = ((span.first + span.len as u64).min(limit) - idx) as usize;
-            store(idx, &p.vals[cursor.1..cursor.1 + n]);
-            applied += n as u64;
-            // Cannot fire: the heap was just peeked.
-            step(heads.peek_mut().expect("a head"), p.advance(cursor, idx, n));
-            continue;
-        }
-        // Several contributions, from the heads that stand at `idx` in
-        // turn: that is in source order.
-        contribs.clear();
-        while let Some(head) = heads.peek_mut().filter(|h| h.0 .0 == idx) {
-            let (p, cursor) = (&parcels[head.0 .1], &mut cursors[head.0 .1]);
-            match (span.kind, p.spans[cursor.0].kind) {
-                (WKind::Accum(a), WKind::Accum(b)) => {
-                    assert_eq!(a, b, "element {idx}: conflicting accumulate operators")
-                }
-                (a, b) => assert!(
-                    a == b,
-                    "element {idx}: put and accumulate mixed across nodes in one phase"
-                ),
-            }
-            applied += 1;
-            // One contribution, or those of every span that starts at `idx`.
-            let mut next = Some(idx);
-            while next == Some(idx) {
-                contribs.push((p.spans[cursor.0].rank, p.vals[cursor.1]));
-                next = p.advance(cursor, idx, 1);
-            }
-            step(head, next);
-        }
-        store(idx, &[resolve(span.kind, &mut contribs)]);
     }
+    order.sort_unstable();
+    let runs = order.iter().all(|o| seg(o).1.first.is_some());
+    if runs
+        && order
+            .windows(2)
+            .all(|w| w[0].0 + seg(&w[0]).1.len as u64 <= w[1].0)
+    {
+        for o in order.iter() {
+            let (cols, s) = seg(o);
+            let elems = o.0..o.0 + s.len as u64;
+            let offs = offset(elems.start)..offset(elems.end - 1) + 1;
+            local[offs].copy_from_slice(&cols.vals[s.at..s.at + s.len]);
+            landed(elems);
+        }
+        return applied;
+    }
+    let kind = order.first().map(|o| seg(o).1.kind);
+    if order.iter().any(|o| Some(seg(o).1.kind) != kind) {
+        // `(index, position in source order, rank, kind, value)`.
+        let mut writes = Vec::new();
+        for cols in parcels {
+            for s in &cols.segs {
+                cols.each(s, |idx, val| {
+                    writes.push((idx, writes.len() as u64, s.rank, s.kind, val))
+                });
+            }
+        }
+        judge(
+            &mut writes,
+            "",
+            ["accumulate operators", "across nodes in one phase"],
+            None,
+        );
+    }
+    // Then by rank: two sources never carry the same one, and a source's
+    // segments of one rank are in its program order.
+    for o in order.iter_mut() {
+        o.0 = seg(o).1.rank;
+    }
+    order.sort_unstable();
+    // The elements written: from `lo` to `hi`, both included.
+    let (mut lo, mut hi) = (u64::MAX, 0);
+    for o in order.iter() {
+        let (cols, s) = seg(o);
+        cols.each(&s, |idx, _| (lo, hi) = (lo.min(idx), hi.max(idx)));
+    }
+    let words = ((hi - lo) / 64 + 1) as usize;
+    bits.resize(bits.len().max(words), 0);
+    for o in order.iter() {
+        let (cols, s) = seg(o);
+        // Cannot fire: an accumulate is logged with its element type's
+        // combiner (`record`), and the drain stamps it on every parcel.
+        let combine = || cols.combine.expect("accumulate entry without a combiner");
+        let op = match s.kind {
+            WKind::Assign => None,
+            WKind::Accum(op) => Some((combine(), op)),
+        };
+        cols.each(&s, |idx, val| {
+            let (w, m) = (((idx - lo) / 64) as usize, 1 << ((idx - lo) % 64));
+            let slot = &mut local[offset(idx)];
+            *slot = match op {
+                Some((f, op)) if bits[w] & m != 0 => f(op, *slot, val),
+                _ => val,
+            };
+            bits[w] |= m;
+        });
+    }
+    take_runs(&mut bits[..words], |r| {
+        landed(lo + r.start as u64..lo + r.end as u64)
+    });
     applied
+}
+
+/// Hand `f` each maximal run of set bits of `bits`, by position, ascending,
+/// and clear them.
+fn take_runs(bits: &mut [u64], mut f: impl FnMut(Range<usize>)) {
+    let mut start = None;
+    for (w, x) in bits.iter_mut().map(std::mem::take).enumerate() {
+        // Bits of `x` below `pos` are handled; the next edge is the next set
+        // bit outside a run, the next clear one inside.
+        let mut pos = 0;
+        while pos < 64 {
+            let edge = if start.is_some() { !x } else { x } & (u64::MAX << pos);
+            if edge == 0 {
+                break;
+            }
+            pos = edge.trailing_zeros();
+            let at = w * 64 + pos as usize;
+            match start.take() {
+                Some(s) => f(s..at),
+                None => start = Some(at),
+            }
+        }
+    }
+    if let Some(s) = start {
+        f(s..bits.len() * 64);
+    }
 }
 
 /// A write parcel produced by draining an array's write buffer: the entries
@@ -694,21 +770,19 @@ pub(super) mod tests {
     /// `(idx, kind, [(rank, value)])`.
     pub type Entry<'a> = (u64, WKind, &'a [(u64, f64)]);
 
-    /// A hand-built wire parcel: one one-element span per contribution.
+    /// A hand-built wire parcel: one one-write segment per contribution.
     pub fn cols(entries: &[Entry<'_>]) -> Box<dyn Any + Send> {
         let mut c = WriteCols {
             combine: Some(f64::combine as fn(AccumOp, f64, f64) -> f64),
             ..WriteCols::default()
         };
-        for &(first, kind, parts) in entries {
-            let span = |&(rank, _): &(u64, f64)| Span {
-                first,
-                rank,
-                len: 1,
-                kind,
-            };
-            c.spans.extend(parts.iter().map(span));
-            c.vals.extend(parts.iter().map(|p| p.1));
+        for &(idx, kind, parts) in entries {
+            for &(rank, val) in parts {
+                c.segs.push(Seg::new(rank, kind, None, c.vals.len(), 1));
+                c.idx.push(idx);
+                c.vals.push(val);
+            }
+            c.entries += 1;
         }
         Box::new(c)
     }
@@ -716,26 +790,52 @@ pub(super) mod tests {
     /// An element's resolved writes: `(idx, kind, [(rank, value)])`.
     type Element<T> = (u64, WKind, Vec<(u64, T)>);
 
+    /// A segment's writes as the parcels of a sort-based drain shipped
+    /// them: a run is one span, a listed write a span of one.
+    struct Span {
+        first: u64,
+        len: u32,
+        rank: u64,
+    }
+
     impl<T: Copy> WriteCols<T> {
-        /// What the spans say, element by element, the spans that share a
-        /// `first` gathered.
+        /// What the segments say, element by element, ascending, each
+        /// element's contributions in segment order.
         fn elements(&self) -> Vec<Element<T>> {
-            let mut out: Vec<Element<T>> = Vec::new();
-            let mut vals = self.vals.iter();
-            for s in &self.spans {
-                for idx in s.first..s.first + s.len as u64 {
-                    let part = (s.rank, *vals.next().expect("a value per element"));
-                    match out.last_mut().filter(|e| e.0 == idx) {
-                        Some(e) => e.2.push(part),
-                        None => out.push((idx, s.kind, vec![part])),
-                    }
+            let mut out: BTreeMap<u64, (WKind, Vec<(u64, T)>)> = BTreeMap::new();
+            for s in &self.segs {
+                self.each(s, |idx, val| {
+                    let e = out.entry(idx).or_insert((s.kind, Vec::new()));
+                    assert_eq!(e.0, s.kind, "element {idx} of two kinds");
+                    e.1.push((s.rank, val));
+                });
+            }
+            let lens: usize = self.segs.iter().map(|s| s.len).sum();
+            assert_eq!(lens, self.vals.len(), "values outside the segments");
+            assert!(
+                [0, lens].contains(&self.idx.len()),
+                "an index column of its own length"
+            );
+            out.into_iter()
+                .map(|(idx, (kind, parts))| (idx, kind, parts))
+                .collect()
+        }
+
+        fn spans(&self) -> Vec<Span> {
+            let mut out = Vec::new();
+            for s in &self.segs {
+                match s.first {
+                    Some(first) => out.push(Span {
+                        first,
+                        len: s.len as u32,
+                        rank: s.rank,
+                    }),
+                    None => self.each(s, |first, _| {
+                        let (len, rank) = (1, s.rank);
+                        out.push(Span { first, len, rank })
+                    }),
                 }
             }
-            assert!(vals.next().is_none(), "values past the last span");
-            assert!(
-                out.windows(2).all(|w| w[0].0 < w[1].0),
-                "elements out of order"
-            );
             out
         }
     }
@@ -749,16 +849,21 @@ pub(super) mod tests {
     struct Logged<T> {
         wlog: WLog<T>,
         dist: Dist,
+        scratch: Scratch,
     }
 
     impl<T: Elem> Logged<T> {
         fn new(dist: Dist) -> Self {
-            let wlog = WLog::default();
-            Logged { wlog, dist }
+            let (wlog, scratch) = (WLog::default(), Scratch::default());
+            Logged {
+                wlog,
+                dist,
+                scratch,
+            }
         }
 
         fn drain_writes(&mut self, conflicts: Option<Conflicts<'_>>) -> Vec<WriteParcel> {
-            self.wlog.drain(Space::Global, &self.dist, conflicts)
+            (self.wlog).drain(Space::Global, &self.dist, conflicts, &mut self.scratch)
         }
 
         fn has_pending_writes(&self) -> bool {
@@ -806,9 +911,9 @@ pub(super) mod tests {
         }
         let c = payload::<f64>(ga.drain_writes(None).pop().unwrap());
         // One element: five one-element spans that start at it.
-        let spans: Vec<(u64, u32)> = c.spans.iter().map(|s| (s.first, s.len)).collect();
+        let spans: Vec<(u64, u32)> = c.spans().iter().map(|s| (s.first, s.len)).collect();
         assert_eq!(spans, vec![(1, 1); 5]);
-        let ranks: Vec<u64> = c.spans.iter().map(|s| s.rank).collect();
+        let ranks: Vec<u64> = c.spans().iter().map(|s| s.rank).collect();
         assert_eq!(ranks, vec![4, 4, 4, 5, 5]);
         assert_eq!(c.vals, vec![1.0, 3.0, 5.0, 2.0, 4.0]);
     }
@@ -829,13 +934,20 @@ pub(super) mod tests {
         ga.drain_writes(None);
     }
 
-    /// `merge_parcels`' stretches, element by element.
+    /// What `fold_parcels` stores, element by element, into a partition
+    /// of ten elements from index 0 on.
     fn resolved(parcels: &[Box<WriteCols<f64>>]) -> (u64, Vec<(u64, f64)>) {
-        let mut stored = Vec::new();
-        let applied = merge_parcels(parcels, |first, vals| {
-            stored.extend((first..).zip(vals.iter().copied()));
-        });
-        (applied, stored)
+        let (mut local, mut landed) = (vec![0.0; 10], Vec::new());
+        let offset = |idx| idx as usize;
+        let applied = fold_parcels(
+            parcels,
+            &mut local,
+            offset,
+            &mut Scratch::default(),
+            |elems| landed.extend(elems),
+        );
+        let stored = landed.into_iter().map(|idx| (idx, local[idx as usize]));
+        (applied, stored.collect())
     }
 
     /// A lone parcel and the same parcel beside an empty one resolve alike:
@@ -864,19 +976,132 @@ pub(super) mod tests {
         assert_eq!(msg, "write log overflow");
     }
 
-    /// The drain's sort is stable, skips constant key bytes, and handles
-    /// keys that differ only above the low byte or across all eight.
+    /// The drain's order over the whole index range of an array of 2¹⁸
+    /// elements, with indices in the low byte, above it, anywhere, or all
+    /// one: each element's contributions ship in ascending (rank, program
+    /// order) — what a stable sort of the writes by element gives, though
+    /// nothing sorts them — and the owners fold them in that order.
     pub fn radix_sort_is_stable_over_the_whole_key_range() {
+        const LEN: u64 = 1 << 18;
+        let dist = Dist::block(LEN as usize, 3);
         let mut g = crate::testkit::Gen::new(7);
-        for mask in [0xff, 0xff00, 0x3_ffff, u64::MAX, 0] {
-            let mut recs: Vec<(u64, usize)> = (0..1000).map(|i| (g.u64() & mask, i)).collect();
-            let mut expected = recs.clone();
-            expected.sort_by_key(|r| r.0);
-            radix_sort_by_key(&mut recs, |r| r.0);
-            assert_eq!(recs, expected, "mask {mask:#x}");
+        for mask in [0xff, 0xff00, LEN - 1, 0] {
+            // `(index, rank, value)` in the order logged, one merge each;
+            // the ends of the array as well. Adding a 1e16 makes the sums
+            // depend on the order.
+            let mut recs: Vec<(u64, u64, f64)> = (0..1000)
+                .map(|i| {
+                    (
+                        g.u64() & mask,
+                        g.u64_in(0..5),
+                        i as f64 + [0.0, 1e16][i % 2],
+                    )
+                })
+                .collect();
+            recs.extend([(0, 1, 0.25), (LEN - 1, 2, 0.5), (LEN - 1, 0, 0.75)]);
+            let mut ga = Logged::<f64>::new(dist.clone());
+            for &(idx, rank, val) in &recs {
+                ga.wlog.buffer(rank as u32, idx as usize, ADD, val);
+            }
+            let mut want = recs.clone();
+            want.sort_by_key(|r| (r.0, r.1));
+            let parcels = ga.drain_writes(None);
+            let mut got = Vec::new();
+            let mut owners: Vec<GArray<f64>> =
+                (0..3).map(|n| GArray::new(dist.clone(), n)).collect();
+            for p in parcels {
+                let dest = p.dest;
+                let cols: &WriteCols<f64> = p.payload.downcast_ref().unwrap();
+                for (idx, _, parts) in cols.elements() {
+                    got.extend(parts.into_iter().map(|(rank, val)| (idx, rank, val)));
+                }
+                owners[dest].apply_writes(vec![(0, p.payload)], &mut |_| {}, false);
+            }
+            assert_eq!(got, want, "mask {mask:#x}");
+            for run in want.chunk_by(|a, b| a.0 == b.0) {
+                let sum = run[1..].iter().fold(run[0].2, |acc, r| acc + r.2);
+                let (owner, off) = dist.locate(run[0].0 as usize);
+                assert_eq!(
+                    owners[owner].local[off].to_bits(),
+                    sum.to_bits(),
+                    "mask {mask:#x}"
+                );
+            }
         }
-        let mut empty: Vec<(u64, usize)> = Vec::new();
-        radix_sort_by_key(&mut empty, |r| r.0);
+    }
+
+    /// The drain's bitmap at its word edges: indices 0, 63, 64, 127 and
+    /// the last, each written twice by each of three VPs on each of two
+    /// nodes, as puts and as sums, under block, weighted (one node empty)
+    /// and cyclic layouts. Each parcel counts every distinct element once,
+    /// whatever its writes, and the owners end with the bits of the
+    /// sequential fold in ascending (rank, program order).
+    pub fn the_bitmap_counts_each_element_once_at_its_word_edges() {
+        const LEN: usize = 200;
+        const EDGES: [u64; 5] = [LEN as u64 - 1, 64, 0, 127, 63];
+        let layouts = [
+            Dist::block(LEN, 3),
+            Dist::weighted(LEN, 3, Arc::new(vec![0, 64, 64, LEN])),
+            Dist::cyclic(LEN, 3),
+        ];
+        for dist in layouts {
+            for kind in [WKind::Assign, ADD] {
+                // `(rank, order, index, value)` of every write.
+                let mut writes = Vec::new();
+                let mut owners: Vec<GArray<f64>> =
+                    (0..3).map(|n| GArray::new(dist.clone(), n)).collect();
+                let mut to: Vec<Vec<(u32, Box<dyn Any + Send>)>> =
+                    vec![Vec::new(), Vec::new(), Vec::new()];
+                for node in 0..2u32 {
+                    let base = node as u64 * 3;
+                    let mut ga: GArray<f64> = GArray::new(dist.clone(), node as usize);
+                    for vp in 0..3u32 {
+                        let mut scratch = WLog::scratch();
+                        let rank = base + vp as u64;
+                        let items: Vec<(u64, f64)> = (EDGES.iter().chain(&EDGES))
+                            .enumerate()
+                            .map(|(j, &idx)| {
+                                (idx, (rank * 10 + j as u64) as f64 + [1e16, 0.0][j % 2])
+                            })
+                            .collect();
+                        scratch.record(vp, kind, None, items.iter().copied());
+                        let mine = items.iter().enumerate();
+                        writes.extend(mine.map(|(j, &(idx, val))| (rank, j, idx, val)));
+                        ga.append_writes(base, &mut scratch);
+                    }
+                    for p in ga.drain_writes(None) {
+                        let distinct = EDGES.iter().filter(|&&i| dist.owner(i as usize) == p.dest);
+                        let distinct = distinct.count();
+                        assert_eq!(p.entries, distinct as u64, "{dist:?} {kind:?}");
+                        assert_eq!(
+                            p.bytes,
+                            distinct * (WRITE_ENTRY_BYTES + 8),
+                            "{dist:?} {kind:?}"
+                        );
+                        to[p.dest].push((node, p.payload));
+                    }
+                }
+                for (owner, parcels) in to.into_iter().enumerate() {
+                    owners[owner].apply_writes(parcels, &mut |_| {}, false);
+                }
+                writes.sort_by_key(|w| (w.0, w.1));
+                for idx in EDGES {
+                    let mut mine = writes.iter().filter(|w| w.2 == idx).map(|w| w.3);
+                    let first = mine.next().unwrap();
+                    let want = match kind {
+                        WKind::Assign => mine.next_back().unwrap(),
+                        WKind::Accum(_) => mine.fold(first, |acc, v| acc + v),
+                    };
+                    let (owner, off) = dist.locate(idx as usize);
+                    let got = owners[owner].local[off];
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{dist:?} {kind:?} element {idx}"
+                    );
+                }
+            }
+        }
     }
 
     /// `(dest, indices)` per parcel of a drain of puts to `idxs`.
@@ -951,7 +1176,7 @@ pub(super) mod tests {
             .into_iter()
             .map(|p| (p.dest, payload::<u64>(p)))
             .map(|(dest, c)| {
-                let spans = c.spans.iter().map(|s| (s.first, s.len, s.rank));
+                let spans = c.spans().into_iter().map(|s| (s.first, s.len, s.rank));
                 (dest, spans.collect::<Vec<_>>(), c.vals.clone())
             })
             .collect();
@@ -1361,7 +1586,7 @@ pub(super) mod tests {
                     conflicts.set(conflicts.get() + disagree.len());
                     let got = parcels[node].iter().map(|p| {
                         let cols: &WriteCols<f64> = p.payload.downcast_ref().unwrap();
-                        runs.set(runs.get() + cols.spans.iter().filter(|s| s.len > 1).count());
+                        runs.set(runs.get() + cols.spans().iter().filter(|s| s.len > 1).count());
                         (p.dest, (p.entries, p.bytes, cols.elements()))
                     });
                     let want = want.into_iter().map(|(dest, elements)| {
