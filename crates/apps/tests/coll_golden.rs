@@ -14,9 +14,10 @@
 //! messages; its hash leaves the mid-run snapshots out, because the reliable
 //! transport credits acks when an envelope is dequeued, a real-time
 //! accident (DESIGN.md §12) that only the job's totals are free of. Every
-//! `PpmConfig` knob that reads the environment is pinned except the host
-//! thread count, which must not move a row.
+//! `PpmConfig` knob is pinned, and the node rows must hold at every host
+//! thread count of the cells.
 
+use ppm_core::testkit::{walk, Cell};
 use ppm_core::{ByteHasher, GlobalShared, NodeCtx, PpmConfig};
 use ppm_simnet::{FaultConfig, MachineConfig};
 
@@ -119,9 +120,10 @@ fn construct(node: &mut NodeCtx<'_>, g: GlobalShared<u64>) {
     });
 }
 
-fn node_config(variant: &str) -> PpmConfig {
+fn node_config(cell: Cell, variant: &str) -> PpmConfig {
     let shape = |nodes, cores| {
         PpmConfig::new(MachineConfig::new(nodes, cores))
+            .with_host_threads(cell.host_threads)
             .with_checker(true)
             .with_read_cache(true)
             .with_adaptive_balance(false)
@@ -138,8 +140,16 @@ fn node_config(variant: &str) -> PpmConfig {
 
 #[test]
 fn node_collectives_golden() {
+    let threads = |c: Cell| Cell {
+        host_threads: c.host_threads,
+        ..Cell::default()
+    };
+    walk(threads, node_collectives_golden_at);
+}
+
+fn node_collectives_golden_at(cell: Cell) {
     check_rows("node collectives", &NODE, |variant| {
-        let cfg = node_config(variant);
+        let cfg = node_config(cell, variant);
         let snapshot = |node: &NodeCtx<'_>, out: &mut Vec<u64>| {
             if !cfg.reliability_enabled() {
                 out.extend(node.ep_counters().named_fields().map(|(_, v)| v));

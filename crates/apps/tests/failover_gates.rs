@@ -1,7 +1,8 @@
 //! Acceptance gates for fail-stop failure tolerance (DESIGN.md §15):
 //! every application must finish with bit-identical results after a node
-//! dies permanently mid-run — with buddy replication on, at 1 and 8 host
-//! threads — and the fault-free replication overhead on the figure-1
+//! dies permanently mid-run — with buddy replication on, at every host
+//! thread count of the cells — and the fault-free replication overhead on
+//! the figure-1
 //! smoke configuration must stay under 5% simulated makespan. A traced
 //! run additionally proves the `failover` instant fires on the adopting
 //! buddy with the adopted footprint in its payload.
@@ -11,23 +12,32 @@ use ppm_apps::cg::{self, CgParams};
 use ppm_apps::matgen::{self, MatGenParams};
 use ppm_apps::pagerank::{self, PrParams};
 use ppm_apps::stencil27::Stencil27;
+use ppm_core::testkit::{cells, walk, Cell, CELLS};
 use ppm_core::{PpmConfig, TraceSink};
 use ppm_simnet::{ArgValue, Counters, FaultConfig, MachineConfig, SimTime};
 
 /// Result bits, simulated makespan, and job-total counters of one run.
 type Run = (Vec<u64>, SimTime, Counters);
 
-fn base_cfg() -> PpmConfig {
-    // Replication pinned explicitly (not left to the `PPM_REPLICATION` env
-    // default) so CI matrix cells that override the environment still test
-    // both sides: clean baselines need it off, death schedules switch it on.
-    PpmConfig::new(MachineConfig::new(3, 2)).with_replication(false)
+/// The cells this suite walks: host threads.
+fn threads(c: Cell) -> Cell {
+    Cell {
+        host_threads: c.host_threads,
+        ..Cell::default()
+    }
+}
+
+fn base_cfg(cell: Cell) -> PpmConfig {
+    // Replication pinned explicitly so both sides are tested: clean
+    // baselines need it off, death schedules switch it on.
+    cell.apply(PpmConfig::new(MachineConfig::new(3, 2)))
+        .with_replication(false)
 }
 
 /// A permanent death of `node` at global phase `phase`, with the buddy
 /// replication stream on so the job can survive it.
-fn death_cfg(node: usize, phase: u64) -> PpmConfig {
-    base_cfg()
+fn death_cfg(cell: Cell, node: usize, phase: u64) -> PpmConfig {
+    base_cfg(cell)
         .with_replication(true)
         .with_faults(FaultConfig::NONE.with_permanent_crash(node, phase))
 }
@@ -99,16 +109,17 @@ fn run_barnes_hut(cfg: PpmConfig) -> Run {
     })
 }
 
-/// The tentpole gate: kill node 1 for good at `phase`, run at 1 and 8
-/// host threads, and demand the bit-identical clean result each time.
+/// The tentpole gate: kill node 1 for good at `phase`, run at every host
+/// thread count of the cells, and demand the bit-identical clean result
+/// each time.
 fn survives_death(name: &str, phase: u64, run: &dyn Fn(PpmConfig) -> Run) {
-    let (clean, clean_t, _) = run(base_cfg());
-    for threads in [1usize, 8] {
-        let (out, t, c) = run(death_cfg(1, phase).with_host_threads(threads));
+    let (clean, clean_t, _) = run(base_cfg(Cell::default()));
+    for cell in cells(threads) {
+        let (out, t, c) = run(death_cfg(cell, 1, phase));
         assert_eq!(
             out, clean,
             "{name}: results differ from fault-free after a permanent death \
-             ({threads} host threads)"
+             ({cell:?})"
         );
         assert_eq!(
             c.failovers, 1,
@@ -146,23 +157,32 @@ fn barnes_hut_survives_a_permanent_death() {
 }
 
 /// Chaos row: a permanent death composed with a seeded random fault
-/// schedule (drops, duplicates, delays) — CI sweeps `PPM_FAULT_SEED`.
+/// schedule (drops, duplicates, delays), at the seed and host threads of
+/// each cell that switches replication on, and at `PPM_FAULT_SEED` (9 if
+/// unset), which CI's chaos job sweeps.
 #[test]
 fn cg_survives_a_permanent_death_under_random_faults() {
     let seed: u64 = std::env::var("PPM_FAULT_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(9);
-    let (clean, _, _) = run_cg(base_cfg());
-    let faults = FaultConfig::seeded(seed, 0.04, 0.02, 0.02).with_permanent_crash(2, 4);
-    let cfg = base_cfg().with_replication(true).with_faults(faults);
-    let (out, _, c) = run_cg(cfg);
-    assert_eq!(out, clean, "seed {seed} + permanent death changed CG");
-    assert_eq!(c.failovers, 1, "seed {seed}: the death never fired");
-    assert_eq!(
-        c.retries, c.faults_dropped,
-        "seed {seed}: every drop retried"
-    );
+    let (clean, _, _) = run_cg(base_cfg(Cell::default()));
+    let replicated = CELLS.into_iter().filter(|c| c.replication);
+    let env = Cell {
+        fault_seed: seed,
+        ..Cell::default()
+    };
+    for cell in replicated.chain([env]) {
+        let seed = cell.fault_seed;
+        let faults = FaultConfig::seeded(seed, 0.04, 0.02, 0.02).with_permanent_crash(2, 4);
+        let cfg = base_cfg(threads(cell))
+            .with_replication(true)
+            .with_faults(faults);
+        let (out, _, c) = run_cg(cfg);
+        assert_eq!(out, clean, "{cell:?} + permanent death changed CG");
+        assert_eq!(c.failovers, 1, "{cell:?}: the death never fired");
+        assert_eq!(c.retries, c.faults_dropped, "{cell:?}: every drop retried");
+    }
 }
 
 /// Edge case: the death lands in the adaptive repartitioner's first
@@ -177,16 +197,16 @@ fn pagerank_survives_a_death_mid_migration() {
             ranks.iter().map(|v| v.to_bits()).collect()
         })
     };
-    let (clean, _, _) = run(base_cfg().with_adaptive_balance(true));
-    for phase in [4u64, 5, 6] {
-        let cfg = base_cfg()
+    let (clean, _, _) = run(base_cfg(Cell::default()).with_adaptive_balance(true));
+    for (phase, cell) in [4u64, 5, 6].into_iter().zip(cells(threads)) {
+        let cfg = base_cfg(cell)
             .with_adaptive_balance(true)
             .with_replication(true)
             .with_faults(FaultConfig::NONE.with_permanent_crash(1, phase));
         let (out, _, c) = run(cfg);
         assert_eq!(
             out, clean,
-            "death at phase {phase}: ranks must match the clean adaptive run"
+            "death at phase {phase}, {cell:?}: ranks must match the clean adaptive run"
         );
         assert_eq!(c.failovers, 1, "death at phase {phase} never fired");
     }
@@ -196,26 +216,30 @@ fn pagerank_survives_a_death_mid_migration() {
 /// buddy that had just adopted it, forcing the replica stream to re-home.
 #[test]
 fn cg_survives_a_buddy_death() {
-    let (clean, _, _) = run_cg(base_cfg());
-    let faults = FaultConfig::NONE
-        .with_permanent_crash(1, 3)
-        .with_permanent_crash(2, 4);
-    let (out, _, c) = run_cg(base_cfg().with_replication(true).with_faults(faults));
-    assert_eq!(out, clean, "cascaded deaths changed the CG solution");
-    assert_eq!(c.failovers, 2);
+    walk(threads, |cell| {
+        let (clean, _, _) = run_cg(base_cfg(cell));
+        let faults = FaultConfig::NONE
+            .with_permanent_crash(1, 3)
+            .with_permanent_crash(2, 4);
+        let (out, _, c) = run_cg(base_cfg(cell).with_replication(true).with_faults(faults));
+        assert_eq!(out, clean, "cascaded deaths changed the CG solution");
+        assert_eq!(c.failovers, 2);
+    });
 }
 
 /// Edge case: both deaths at the same phase boundary; the sole survivor
 /// confirms and adopts both at once.
 #[test]
 fn cg_survives_two_simultaneous_deaths() {
-    let (clean, _, _) = run_cg(base_cfg());
-    let faults = FaultConfig::NONE
-        .with_permanent_crash(1, 3)
-        .with_permanent_crash(2, 3);
-    let (out, _, c) = run_cg(base_cfg().with_replication(true).with_faults(faults));
-    assert_eq!(out, clean, "a double death changed the CG solution");
-    assert_eq!(c.failovers, 2);
+    walk(threads, |cell| {
+        let (clean, _, _) = run_cg(base_cfg(cell));
+        let faults = FaultConfig::NONE
+            .with_permanent_crash(1, 3)
+            .with_permanent_crash(2, 3);
+        let (out, _, c) = run_cg(base_cfg(cell).with_replication(true).with_faults(faults));
+        assert_eq!(out, clean, "a double death changed the CG solution");
+        assert_eq!(c.failovers, 2);
+    });
 }
 
 /// The failover is observable: a traced run carries exactly one
@@ -223,10 +247,14 @@ fn cg_survives_two_simultaneous_deaths() {
 /// adopted footprint (the EXPERIMENTS.md failover table harvests these).
 #[test]
 fn permanent_death_emits_a_failover_trace_instant() {
+    walk(threads, failover_trace_instant_at);
+}
+
+fn failover_trace_instant_at(cell: Cell) {
     let mut p = CgParams::cube(8, 15);
     p.rows_per_vp = 16;
     let sink = TraceSink::new();
-    ppm_core::run_traced(death_cfg(1, 3), &sink, "cg failover", move |node| {
+    ppm_core::run_traced(death_cfg(cell, 1, 3), &sink, "cg failover", move |node| {
         cg::ppm::solve(node, &p).1
     });
     let events: Vec<_> = sink
@@ -260,6 +288,10 @@ fn permanent_death_emits_a_failover_trace_instant() {
 /// makespan over the baseline.
 #[test]
 fn replication_overhead_on_fig1_smoke_is_under_5_percent() {
+    walk(threads, replication_overhead_at);
+}
+
+fn replication_overhead_at(cell: Cell) {
     let problem = Stencil27::chimney(8);
     let params = CgParams {
         problem,
@@ -273,8 +305,8 @@ fn replication_overhead_on_fig1_smoke_is_under_5_percent() {
         let p = params;
         ppm_core::run(cfg, move |node| cg::ppm::solve(node, &p).1).makespan()
     };
-    let base = run(PpmConfig::franklin(4));
-    let repl = run(PpmConfig::franklin(4).with_replication(true));
+    let base = run(cell.apply(PpmConfig::franklin(4)));
+    let repl = run(cell.apply(PpmConfig::franklin(4)).with_replication(true));
     println!("fig1 smoke makespan: base {base:?}, replicated {repl:?}");
     assert!(repl >= base);
     let overhead = repl - base;
@@ -289,12 +321,14 @@ fn replication_overhead_on_fig1_smoke_is_under_5_percent() {
 /// fast path is byte-identical to the baseline, makespan included.
 #[test]
 fn replication_off_fast_path_is_untouched() {
-    let (clean, clean_t, clean_c) = run_cg(base_cfg());
-    let (out, t, c) = run_cg(base_cfg().with_replication(false));
-    assert_eq!(out, clean);
-    assert_eq!(t, clean_t, "the knob alone must not change the makespan");
-    assert_eq!(c, clean_c, "the knob alone must not change any counter");
-    assert!(clean_c.reliability_summary().is_clean());
-    assert_eq!(c.replica_bytes, 0);
-    assert_eq!(c.failovers, 0);
+    walk(threads, |cell| {
+        let (clean, clean_t, clean_c) = run_cg(base_cfg(cell));
+        let (out, t, c) = run_cg(base_cfg(cell).with_replication(false));
+        assert_eq!(out, clean);
+        assert_eq!(t, clean_t, "the knob alone must not change the makespan");
+        assert_eq!(c, clean_c, "the knob alone must not change any counter");
+        assert!(clean_c.reliability_summary().is_clean());
+        assert_eq!(c.replica_bytes, 0);
+        assert_eq!(c.failovers, 0);
+    });
 }

@@ -39,9 +39,8 @@ struct Golden {
     counters: CounterRow,
 }
 
-/// The config a golden row's `variant` names. Every knob `PpmConfig::new`
-/// would read from the environment is pinned, so the CI matrices' `PPM_*`
-/// variables cannot move a golden.
+/// The config a golden row's `variant` names. Every knob is pinned, so no
+/// change of a `PpmConfig::new` default can move a golden.
 fn variant(name: &str) -> PpmConfig {
     let base = PpmConfig::new(MachineConfig::new(3, 2))
         .with_checker(true)

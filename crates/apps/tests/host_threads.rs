@@ -5,12 +5,14 @@
 //! JSON) must be bit-identical at any thread count. This suite pins that
 //! for all four applications under seeded fault schedules, and for CG
 //! crash recovery. The `cache off` cells are one of the few places the
-//! cache-off path is still exercised (`perf_gates.rs` lists them).
+//! cache-off path is still exercised (`perf_gates.rs` lists them). The
+//! other knobs come from the cells of `ppm_core::testkit::CELLS`.
 
 use ppm_apps::barnes_hut::{self as bh, BhParams};
 use ppm_apps::cg::{self, CgParams};
 use ppm_apps::matgen::{self, MatGenParams};
 use ppm_apps::pagerank::{self, PrParams};
+use ppm_core::testkit::{thread_counts, Cell, CELLS};
 use ppm_core::{PpmConfig, TraceSink};
 use ppm_simnet::{Counters, FaultConfig, MachineConfig, SimTime};
 
@@ -22,9 +24,6 @@ struct Observables {
     counters: Counters,
     trace: String,
 }
-
-const HOST_THREADS: [usize; 3] = [1, 2, 8];
-const FAULT_SEEDS: [u64; 3] = [5, 23, 71];
 
 fn base_cfg() -> PpmConfig {
     PpmConfig::new(MachineConfig::new(3, 2))
@@ -53,7 +52,7 @@ where
     }
 }
 
-/// Run the app at every thread count in `HOST_THREADS` for each config in
+/// Run the app at every thread count of the cells for each config in
 /// `cfgs`, asserting that thread count 1 (the reference sequential
 /// schedule) and every pooled schedule agree on all observables.
 ///
@@ -70,7 +69,7 @@ fn assert_thread_count_invariant(
     for (desc, cfg) in cfgs {
         let compare_trace = !cfg.machine.faults.enabled();
         let base = run(cfg.with_host_threads(1), name);
-        for threads in &HOST_THREADS[1..] {
+        for threads in &thread_counts()[1..] {
             let got = run(cfg.with_host_threads(*threads), name);
             assert_eq!(
                 got.bits, base.bits,
@@ -94,24 +93,44 @@ fn assert_thread_count_invariant(
     }
 }
 
-/// A clean config plus one seeded fault schedule per `FAULT_SEEDS` entry —
-/// each cell with the read cache (DESIGN.md §13) on and off, and each of
-/// those with adaptive repartitioning (DESIGN.md §14) on and off — so
-/// host-thread bit-identity holds on both sides of every knob, including
-/// runs that migrate partitions mid-job.
+/// The knobs a cell sets besides the thread count, which this suite walks
+/// itself: adaptive repartitioning (DESIGN.md §14), replication (§15) and
+/// the tile budget (§18).
+fn knobs(c: Cell) -> Cell {
+    Cell {
+        adaptive: c.adaptive,
+        replication: c.replication,
+        tile_budget: c.tile_budget,
+        ..Cell::default()
+    }
+}
+
+/// The knobs of the cells at 8 host threads: every switch on, replication
+/// alone, every switch off. The crash tests take these.
+fn wide_cells() -> impl Iterator<Item = Cell> {
+    CELLS.into_iter().filter(|c| c.host_threads == 8).map(knobs)
+}
+
+/// Each cell's knobs under its seeded fault schedule and, once per
+/// distinct setting, clean — with the read cache (DESIGN.md §13) off in the
+/// three cells at one host thread and on in the rest, so that it too meets
+/// every seed and both sides of every switch. Host-thread bit-identity then
+/// holds on both sides of every knob, including runs that migrate
+/// partitions mid-job.
 fn soak_cfgs() -> Vec<(String, PpmConfig)> {
-    let mut cfgs = Vec::new();
-    for (kdesc, on) in [("cache on", true), ("cache off", false)] {
-        for (adesc, adaptive) in [("adaptive", true), ("static", false)] {
-            let knobbed = |c: PpmConfig| c.with_read_cache(on).with_adaptive_balance(adaptive);
-            cfgs.push((format!("clean, {kdesc}, {adesc}"), knobbed(base_cfg())));
-            for seed in FAULT_SEEDS {
-                cfgs.push((
-                    format!("faults seed {seed}, {kdesc}, {adesc}"),
-                    knobbed(base_cfg().with_faults(FaultConfig::seeded(seed, 0.05, 0.03, 0.03))),
-                ));
-            }
+    let mut cfgs: Vec<(String, PpmConfig)> = Vec::new();
+    for cell in CELLS {
+        let cache = cell.host_threads > 1;
+        let cfg = knobs(cell).apply(base_cfg()).with_read_cache(cache);
+        let clean = format!("clean, cache {cache}, {:?}", knobs(cell));
+        if cfgs.iter().all(|(desc, _)| *desc != clean) {
+            cfgs.push((clean, cfg));
         }
+        let faults = FaultConfig::seeded(cell.fault_seed, 0.05, 0.03, 0.03);
+        cfgs.push((
+            format!("faults, cache {cache}, {cell:?}"),
+            cfg.with_faults(faults),
+        ));
     }
     cfgs
 }
@@ -193,10 +212,15 @@ fn cg_crash_recovery_is_host_thread_count_independent() {
             bits
         })
     };
-    let cfgs = vec![(
-        "crash node 1 at phase 3".to_string(),
-        base_cfg().with_faults(FaultConfig::NONE.with_crash(1, 3)),
-    )];
+    let cfgs: Vec<(String, PpmConfig)> = wide_cells()
+        .map(|cell| {
+            (
+                format!("crash node 1 at phase 3, {cell:?}"),
+                cell.apply(base_cfg())
+                    .with_faults(FaultConfig::NONE.with_crash(1, 3)),
+            )
+        })
+        .collect();
     assert_thread_count_invariant("cg-crash", &cfgs, &run);
     // And the recovery really happened (at the pooled count too).
     let got = run(cfgs[0].1.with_host_threads(8), "cg-crash");
@@ -216,14 +240,18 @@ fn adaptive_crash_recovery_is_host_thread_count_independent() {
         })
     };
     // Crash right around the first rebalance window (the decision fires
-    // once `MIN_WINDOW = 4` phases of loads are banked).
-    let cfgs: Vec<(String, PpmConfig)> = [4u64, 5, 6]
-        .into_iter()
-        .map(|phase| {
+    // once `MIN_WINDOW = 4` phases of loads are banked), one phase per
+    // cell.
+    let cfgs: Vec<(String, PpmConfig)> = wide_cells()
+        .zip([4u64, 5, 6])
+        .map(|(cell, phase)| {
+            let cell = Cell {
+                adaptive: true,
+                ..cell
+            };
             (
-                format!("crash node 1 at phase {phase}, adaptive"),
-                base_cfg()
-                    .with_adaptive_balance(true)
+                format!("crash node 1 at phase {phase}, {cell:?}"),
+                cell.apply(base_cfg())
                     .with_faults(FaultConfig::NONE.with_crash(1, phase)),
             )
         })

@@ -6,10 +6,36 @@
 //! the sequential reference left-folds over sources one at a time. Those
 //! associations can differ in the last ulp, so cross-version checks use a
 //! tight relative tolerance; run-to-run determinism is still bit-exact.
+//! Each PPM run takes a cell of host threads × adaptive repartitioning:
+//! tests that loop over machine shapes take the cells in turn, the others
+//! walk adaptive on and off.
 
 use ppm_apps::pagerank::{self, PrParams};
+use ppm_core::testkit::{cells, walk, Cell};
 use ppm_core::PpmConfig;
 use ppm_simnet::MachineConfig;
+
+fn threads_and_adaptive(c: Cell) -> Cell {
+    Cell {
+        host_threads: c.host_threads,
+        adaptive: c.adaptive,
+        ..Cell::default()
+    }
+}
+
+/// Adaptive balance alone, for the single-config tests; the node loops
+/// meet it with the thread counts.
+fn adaptive(c: Cell) -> Cell {
+    Cell {
+        adaptive: c.adaptive,
+        ..Cell::default()
+    }
+}
+
+/// The cells `project` makes, round and round, for a loop to take in turn.
+fn in_turn(project: fn(Cell) -> Cell) -> impl Iterator<Item = Cell> {
+    cells(project).into_iter().cycle()
+}
 
 fn assert_close(got: &[f64], want: &[f64], what: &str) {
     assert_eq!(got.len(), want.len());
@@ -25,12 +51,11 @@ fn assert_close(got: &[f64], want: &[f64], what: &str) {
 fn ppm_matches_sequential_to_ulp() {
     let p = PrParams::new(400);
     let reference = pagerank::seq::rank(&p);
-    for nodes in [1u32, 2, 3] {
-        let report = ppm_core::run(PpmConfig::new(MachineConfig::new(nodes, 2)), move |node| {
-            pagerank::ppm::rank(node, &p).0
-        });
+    for (nodes, cell) in [1u32, 2, 3].into_iter().zip(in_turn(threads_and_adaptive)) {
+        let cfg = cell.apply(PpmConfig::new(MachineConfig::new(nodes, 2)));
+        let report = ppm_core::run(cfg, move |node| pagerank::ppm::rank(node, &p).0);
         for got in &report.results {
-            assert_close(got, &reference, &format!("ppm nodes={nodes}"));
+            assert_close(got, &reference, &format!("ppm nodes={nodes}, {cell:?}"));
         }
         // On one node there is a single partial per vertex, so the fold
         // order coincides and agreement is exact.
@@ -61,15 +86,21 @@ fn mpi_matches_sequential_to_ulp() {
 fn skewed_fixture_versions_agree() {
     let p = PrParams::skewed(400);
     let reference = pagerank::seq::rank(&p);
-    for nodes in [1u32, 2, 3] {
+    let threads = |c: Cell| Cell {
+        host_threads: c.host_threads,
+        ..Cell::default()
+    };
+    for (nodes, cell) in [1u32, 2, 3].into_iter().zip(in_turn(threads)) {
         for adaptive in [false, true] {
-            let cfg = PpmConfig::new(MachineConfig::new(nodes, 2)).with_adaptive_balance(adaptive);
+            let cfg = cell
+                .apply(PpmConfig::new(MachineConfig::new(nodes, 2)))
+                .with_adaptive_balance(adaptive);
             let report = ppm_core::run(cfg, move |node| pagerank::ppm::rank(node, &p).0);
             for got in &report.results {
                 assert_close(
                     got,
                     &reference,
-                    &format!("ppm skewed nodes={nodes} adaptive={adaptive}"),
+                    &format!("ppm skewed nodes={nodes} adaptive={adaptive}, {cell:?}"),
                 );
             }
         }
@@ -85,24 +116,30 @@ fn skewed_fixture_versions_agree() {
 #[test]
 fn ppm_pagerank_is_bitwise_deterministic() {
     let p = PrParams::new(300);
-    let go = || {
-        ppm_core::run(PpmConfig::franklin(3), move |node| {
-            let (r, t) = pagerank::ppm::rank(node, &p);
-            (r.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), t)
-        })
-    };
-    let a = go();
-    let b = go();
-    assert_eq!(a.results, b.results);
-    assert_eq!(a.makespan(), b.makespan());
+    walk(adaptive, |cell| {
+        let go = || {
+            ppm_core::run(cell.apply(PpmConfig::franklin(3)), move |node| {
+                let (r, t) = pagerank::ppm::rank(node, &p);
+                (r.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), t)
+            })
+        };
+        let a = go();
+        let b = go();
+        assert_eq!(a.results, b.results);
+        assert_eq!(a.makespan(), b.makespan());
+    });
 }
 
 #[test]
 fn push_scatter_bundles_well() {
     // The irregular scatter must compress into few messages — the point of
     // running a graph kernel on PPM.
+    walk(adaptive, push_scatter_bundles_well_at);
+}
+
+fn push_scatter_bundles_well_at(cell: Cell) {
     let p = PrParams::new(2000);
-    let report = ppm_core::run(PpmConfig::franklin(4), move |node| {
+    let report = ppm_core::run(cell.apply(PpmConfig::franklin(4)), move |node| {
         pagerank::ppm::rank(node, &p);
         node.ep_counters()
     });
@@ -125,16 +162,20 @@ fn push_scatter_bundles_well() {
 #[test]
 fn ppm_version_is_phase_conformant() {
     let p = PrParams::new(200);
-    for nodes in [1u32, 3] {
+    for (nodes, cell) in [1u32, 3].into_iter().zip(in_turn(threads_and_adaptive)) {
         let report = ppm_core::run(
-            PpmConfig::new(MachineConfig::new(nodes, 2)).with_checker(true),
+            cell.apply(PpmConfig::new(MachineConfig::new(nodes, 2)))
+                .with_checker(true),
             move |node| {
                 pagerank::ppm::rank(node, &p);
                 node.take_violations()
             },
         );
         for v in &report.results {
-            assert!(v.is_empty(), "nodes={nodes}: checker reported {v:?}");
+            assert!(
+                v.is_empty(),
+                "nodes={nodes}, {cell:?}: checker reported {v:?}"
+            );
         }
     }
 }

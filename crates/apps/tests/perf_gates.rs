@@ -8,15 +8,24 @@
 //! under each. The one live comparison left is default vs cache-off —
 //! together with the cache on/off cases of `host_threads.rs`,
 //! `fault_soak.rs`, `conformance_golden.rs`, `prop.rs`, `cyclic_golden.rs`
-//! and `streaming_gates.rs`, the only cache-off coverage there is.
+//! and `streaming_gates.rs`, the only cache-off coverage there is. Both
+//! gates hold at every host thread count of the cells.
 
 use ppm_apps::cg::{self, CgParams};
 use ppm_apps::stencil27::Stencil27;
+use ppm_core::testkit::{walk, Cell};
 use ppm_core::PpmConfig;
 use ppm_simnet::{Counters, SimTime};
 
 /// Result bits, simulated makespan, and job-total counters of one run.
 type Run = (Vec<u64>, SimTime, Counters);
+
+fn threads(c: Cell) -> Cell {
+    Cell {
+        host_threads: c.host_threads,
+        ..Cell::default()
+    }
+}
 
 fn fig1_smoke(cfg: PpmConfig) -> Run {
     let p = CgParams {
@@ -50,8 +59,13 @@ const SEED_BYTES_SENT: u64 = 155_225;
 
 #[test]
 fn fig1_smoke_opts_strictly_beat_seed_with_identical_results() {
-    let (bits_on, t_on, c_on) = fig1_smoke(PpmConfig::franklin(4).with_read_cache(true));
-    let (bits_off, t_off, c_off) = fig1_smoke(PpmConfig::franklin(4).with_read_cache(false));
+    walk(threads, opts_beat_seed_at);
+}
+
+fn opts_beat_seed_at(cell: Cell) {
+    let cfg = cell.apply(PpmConfig::franklin(4));
+    let (bits_on, t_on, c_on) = fig1_smoke(cfg.with_read_cache(true));
+    let (bits_off, t_off, c_off) = fig1_smoke(cfg.with_read_cache(false));
     println!(
         "fig1 smoke  default: makespan {t_on:?}, bundles {}, bytes {}\n\
          fig1 smoke cache off: makespan {t_off:?}, bundles {}, bytes {}",
@@ -93,10 +107,12 @@ fn fig1_smoke_opts_strictly_beat_seed_with_identical_results() {
 /// mode.
 #[test]
 fn fig1_smoke_each_opt_alone_is_no_worse() {
-    let (_, t, c) = fig1_smoke(PpmConfig::franklin(4).with_read_cache(false));
-    assert!(
-        t.as_ps() <= SEED_MAKESPAN_PS,
-        "pipeline only: makespan {t:?} worse than the seed's {SEED_MAKESPAN_PS} ps"
-    );
-    assert!(c.bundles_sent <= SEED_BUNDLES_SENT && c.bytes_sent <= SEED_BYTES_SENT);
+    walk(threads, |cell| {
+        let (_, t, c) = fig1_smoke(cell.apply(PpmConfig::franklin(4)).with_read_cache(false));
+        assert!(
+            t.as_ps() <= SEED_MAKESPAN_PS,
+            "pipeline only: makespan {t:?} worse than the seed's {SEED_MAKESPAN_PS} ps"
+        );
+        assert!(c.bundles_sent <= SEED_BUNDLES_SENT && c.bytes_sent <= SEED_BYTES_SENT);
+    });
 }

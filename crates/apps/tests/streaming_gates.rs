@@ -85,8 +85,7 @@ fn run_cg(cfg: PpmConfig, params: CgParams) -> Observables {
 /// Streamed runs must match the in-core reference on results, makespan,
 /// and every non-streaming counter, at every budget × host thread count.
 fn assert_streaming_invariant(desc: &str, mk_cfg: &dyn Fn() -> PpmConfig, params: CgParams) {
-    // The reference pins the budget off: `PPM_TILE_BUDGET` in the
-    // environment (CI's streaming matrix sets it) must not leak in.
+    // The reference pins the budget off, whatever `mk_cfg` sets.
     let base = run_cg(mk_cfg().with_tile_budget(0).with_host_threads(1), params);
     assert_eq!(base.tile_refills, 0, "{desc}: in-core run refilled tiles");
     assert_eq!(base.tile_spills, 0, "{desc}: in-core run spilled tiles");

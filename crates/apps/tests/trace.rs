@@ -2,10 +2,13 @@
 //! the CG solver on the 8x8x32 chimney, 10 iterations, 4 Franklin nodes
 //! (the config CI runs with `--trace`). Tracing must cost zero simulated
 //! time (well under the 5% overhead gate), the exports must be valid
-//! JSON, and the per-phase trace must reconcile with the phase traffic.
+//! JSON, and the per-phase trace must reconcile with the phase traffic —
+//! in core, and under the tile budget of each cell that sets one (at
+//! 1, 2 and 8 host threads).
 
 use ppm_apps::cg::{self, CgParams};
 use ppm_apps::stencil27::Stencil27;
+use ppm_core::testkit::{walk, Cell};
 use ppm_core::{PpmConfig, TraceSink};
 use ppm_simnet::validate_json;
 
@@ -24,14 +27,27 @@ const NODES: u32 = 4;
 
 #[test]
 fn fig1_smoke_trace_overhead_is_zero_and_trace_reconciles() {
+    // In core, then each cell that sets a budget, at its thread count.
+    let budgeted = |c: Cell| match c.tile_budget {
+        0 => Cell::default(),
+        tile_budget => Cell {
+            host_threads: c.host_threads,
+            tile_budget,
+            ..Cell::default()
+        },
+    };
+    walk(budgeted, trace_reconciles_at);
+}
+
+fn trace_reconciles_at(cell: Cell) {
     let p = fig1_smoke_params();
-    let base = ppm_core::run(PpmConfig::franklin(NODES), move |node| {
+    let base = ppm_core::run(cell.apply(PpmConfig::franklin(NODES)), move |node| {
         cg::ppm::solve(node, &p).1
     });
 
     let sink = TraceSink::new();
     let traced = ppm_core::run_traced(
-        PpmConfig::franklin(NODES),
+        cell.apply(PpmConfig::franklin(NODES)),
         &sink,
         "fig1 smoke",
         move |node| cg::ppm::solve(node, &p).1,

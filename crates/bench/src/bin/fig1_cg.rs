@@ -27,9 +27,9 @@
 //! `--full` runs the paper's actual Figure 1 problem size — a 256³ cube,
 //! 16.7M rows, ~450M nonzeros — on 64 nodes with the streamed-tile
 //! runtime (DESIGN.md §18): each node's partitions are far larger than
-//! the resident-tile budget (`--budget`, or `PPM_TILE_BUDGET`; default
-//! 1 MiB/node), so the runtime continuously spills and refills partition
-//! tiles while `spmv_chunk` bounds the transient matrix state a VP holds.
+//! the resident-tile budget (`--budget`, default 1 MiB/node), so the
+//! runtime continuously spills and refills partition tiles while
+//! `spmv_chunk` bounds the transient matrix state a VP holds.
 //! Before the big run, a 64³ slice of the same configuration is solved
 //! both streamed and in-core and the solution bits are compared — the
 //! cross-check that the full-size answer is the in-core answer.
@@ -81,13 +81,7 @@ fn run_full(args: &Args) {
     let nodes = args.usize("--nodes-full", 64) as u32;
     let problem = Stencil27::cube(g);
     let base = PpmConfig::franklin(nodes);
-    let budget = match args.value("--budget") {
-        Some(v) => parse_bytes(&v),
-        // Env (PPM_TILE_BUDGET) already landed in the config; default to
-        // 1 MiB/node if neither source set one.
-        None if base.tile_budget > 0 => base.tile_budget,
-        None => 1 << 20,
-    };
+    let budget = args.value("--budget").map_or(1 << 20, |v| parse_bytes(&v));
     let params = CgParams {
         problem,
         iters,

@@ -98,14 +98,6 @@ impl NodeSet {
         }
     }
 
-    /// In-place difference: `self &= !other`.
-    pub fn difference_with(&mut self, other: &NodeSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-        self.normalize();
-    }
-
     /// `self & !other`, as a new set.
     pub fn difference(&self, other: &NodeSet) -> NodeSet {
         let words = self.words.iter().enumerate();

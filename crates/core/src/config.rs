@@ -51,8 +51,7 @@ pub struct PpmConfig {
     /// migrating elements toward less-loaded nodes. The decision is a pure
     /// function of replicated simulated-time load counters, so results stay
     /// bit-identical across host thread counts and fault seeds. Off by
-    /// default; `PPM_ADAPTIVE=1` (or [`Self::with_adaptive_balance`])
-    /// enables it.
+    /// default; [`Self::with_adaptive_balance`] enables it.
     pub adaptive_balance: bool,
     /// Buddy snapshot replication for fail-stop tolerance (DESIGN.md §15):
     /// every node streams its super-step snapshot to a buddy (rank+1 mod
@@ -60,8 +59,7 @@ pub struct PpmConfig {
     /// destination is the buddy (`FailoverPart::take_for`), so a
     /// permanently dead node's partitions can fail over to the buddy and
     /// the job finish bit-identical. Off by default (the fault-free fast
-    /// path stays byte-identical); `PPM_REPLICATION=1` (or
-    /// [`Self::with_replication`]) enables it.
+    /// path stays byte-identical); [`Self::with_replication`] enables it.
     pub replication: bool,
     /// Pseudo-streaming tile budget in bytes per node (DESIGN.md §18):
     /// `0` (the default) keeps every partition fully resident; a non-zero
@@ -70,21 +68,13 @@ pub struct PpmConfig {
     /// modeled backing store and refilling them on first touch. Results,
     /// counters, and makespans are bit-identical at every budget — only
     /// the `bytes_resident` peak and the `tile_spills`/`tile_refills`
-    /// counters move. `PPM_TILE_BUDGET` accepts a byte count with an
-    /// optional `k`/`m`/`g` suffix.
+    /// counters move. Set with [`Self::with_tile_budget`].
     pub tile_budget: u64,
 }
 
 impl PpmConfig {
-    /// Default runtime settings on a given machine.
-    ///
-    /// Three defaults come from the environment — `PPM_ADAPTIVE`,
-    /// `PPM_REPLICATION`, `PPM_TILE_BUDGET` — where, as for
-    /// `PPM_HOST_THREADS`, an empty value means unset.
-    ///
-    /// # Panics
-    ///
-    /// If one of them is set to a value that does not parse.
+    /// Default runtime settings on a given machine: a pure function of
+    /// `machine`, so a run is fixed by its `PpmConfig` value.
     pub fn new(machine: MachineConfig) -> Self {
         PpmConfig {
             machine,
@@ -94,9 +84,9 @@ impl PpmConfig {
             reliable: false,
             host_threads: 0,
             read_cache: true,
-            adaptive_balance: env_or("PPM_ADAPTIVE", FLAG, false),
-            replication: env_or("PPM_REPLICATION", FLAG, false),
-            tile_budget: env_or("PPM_TILE_BUDGET", BYTES, 0),
+            adaptive_balance: false,
+            replication: false,
+            tile_budget: 0,
         }
     }
 
@@ -157,16 +147,15 @@ impl PpmConfig {
         self
     }
 
-    /// Enable or disable trace-guided adaptive repartitioning (overrides
-    /// the `PPM_ADAPTIVE` environment default, which is off).
+    /// Enable or disable trace-guided adaptive repartitioning (off by
+    /// default).
     pub fn with_adaptive_balance(mut self, on: bool) -> Self {
         self.adaptive_balance = on;
         self
     }
 
     /// Enable or disable buddy snapshot replication for fail-stop
-    /// tolerance (overrides the `PPM_REPLICATION` environment default,
-    /// which is off).
+    /// tolerance (off by default).
     pub fn with_replication(mut self, on: bool) -> Self {
         self.replication = on;
         self
@@ -185,8 +174,8 @@ impl PpmConfig {
     }
 
     /// Set the pseudo-streaming tile budget in bytes per node (`0` = off:
-    /// partitions stay fully resident). Overrides the `PPM_TILE_BUDGET`
-    /// environment default. Bit-identical at every value (DESIGN.md §18).
+    /// partitions stay fully resident, the default). Bit-identical at every
+    /// value (DESIGN.md §18).
     pub fn with_tile_budget(mut self, bytes: u64) -> Self {
         self.tile_budget = bytes;
         self
@@ -221,64 +210,34 @@ impl PpmConfig {
     }
 }
 
-/// How one kind of `PPM_*` value is read: the parser and, for the panic
-/// message, the forms it accepts.
-type EnvForm<T> = (fn(&str) -> Option<T>, &'static str);
-
-const FLAG: EnvForm<bool> = (parse_flag, "1, true or on / 0, false or off");
-const BYTES: EnvForm<u64> = (
-    parse_bytes,
-    "a byte count with an optional k, m or g suffix (powers of 1024)",
-);
-const THREADS: EnvForm<usize> = (
-    |s| s.parse().ok(),
-    "a thread count (0 = as many as the host and the node's cores allow)",
-);
+/// The forms `PPM_HOST_THREADS` accepts, for the panic message.
+const THREADS: &str = "a thread count (0 = as many as the host and the node's cores allow)";
 
 /// The value of environment variable `var`, or `default` when it is unset.
-/// Read once at config construction so a run's behavior is fixed by its
-/// `PpmConfig` value.
-fn env_or<T>(var: &str, form: EnvForm<T>, default: T) -> T {
+fn env_or(var: &str, default: usize) -> usize {
     // Lossy: a value that is not Unicode reaches the parser and is refused.
     let raw = std::env::var_os(var).unwrap_or_default();
-    parse_env(var, &raw.to_string_lossy(), form).unwrap_or(default)
+    parse_env(var, &raw.to_string_lossy()).unwrap_or(default)
 }
 
 /// `PPM_HOST_THREADS`, resolved at `ppm_do` time when
 /// [`PpmConfig::host_threads`] is 0; 0 here too means auto.
 pub(crate) fn env_host_threads() -> usize {
-    env_or("PPM_HOST_THREADS", THREADS, 0)
+    env_or("PPM_HOST_THREADS", 0)
 }
 
 /// Parse `raw`, the value of `var`. Empty (or blank) means unset; a value
-/// the form does not accept is an error, not a silent default — a
-/// "streamed" suite under `PPM_TILE_BUDGET=4kb` would otherwise run in core.
-fn parse_env<T>(var: &str, raw: &str, (parse, accepted): EnvForm<T>) -> Option<T> {
+/// that is not a thread count is an error, not a silent default.
+fn parse_env(var: &str, raw: &str) -> Option<usize> {
     let value = raw.trim();
     if value.is_empty() {
         return None;
     }
-    Some(parse(value).unwrap_or_else(|| panic!("{var}={raw:?} is not valid: expected {accepted}")))
-}
-
-fn parse_flag(s: &str) -> Option<bool> {
-    match s {
-        "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => None,
-    }
-}
-
-/// Byte count with an optional `k`/`m`/`g` (or `K`/`M`/`G`) suffix —
-/// powers of 1024.
-fn parse_bytes(s: &str) -> Option<u64> {
-    let (num, shift) = match s.as_bytes().last()? {
-        b'k' | b'K' => (&s[..s.len() - 1], 10),
-        b'm' | b'M' => (&s[..s.len() - 1], 20),
-        b'g' | b'G' => (&s[..s.len() - 1], 30),
-        _ => (s, 0),
-    };
-    num.trim().parse::<u64>().ok()?.checked_mul(1 << shift)
+    Some(
+        value
+            .parse()
+            .unwrap_or_else(|_| panic!("{var}={raw:?} is not valid: expected {THREADS}")),
+    )
 }
 
 #[cfg(test)]
@@ -292,6 +251,32 @@ mod tests {
         assert!(c.bundling);
         assert_eq!(c.nodes(), 4);
         assert_eq!(c.cores_per_node(), 4);
+    }
+
+    /// The three variables that once set `PpmConfig` defaults change
+    /// nothing: this module's tests, re-run in a child process with all
+    /// three set, still pass (the `*_defaults_off_and_toggles` ones would
+    /// not if `new` read them).
+    #[test]
+    fn the_shell_cannot_change_a_config() {
+        const CHILD: &str = "CONFIG_TESTS_CHILD";
+        if std::env::var_os(CHILD).is_some() {
+            return;
+        }
+        let exe = std::env::current_exe().expect("the test binary's path");
+        let out = std::process::Command::new(exe)
+            .args(["config::tests", "--test-threads=1"])
+            .env(CHILD, "1")
+            .env("PPM_ADAPTIVE", "1")
+            .env("PPM_REPLICATION", "1")
+            .env("PPM_TILE_BUDGET", "4096")
+            .output()
+            .expect("re-run the test binary");
+        assert!(
+            out.status.success(),
+            "config tests fail under PPM_ADAPTIVE / PPM_REPLICATION / PPM_TILE_BUDGET:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
     }
 
     #[test]
@@ -341,36 +326,8 @@ mod tests {
     }
 
     #[test]
-    fn parse_bytes_accepts_suffixes() {
-        let bytes = |raw| parse_env("PPM_TILE_BUDGET", raw, BYTES);
-        assert_eq!(bytes("4096"), Some(4096));
-        assert_eq!(bytes("64k"), Some(64 << 10));
-        assert_eq!(bytes("3M"), Some(3 << 20));
-        assert_eq!(bytes(" 2g "), Some(2 << 30));
-        assert_eq!(bytes("0"), Some(0));
-        assert_eq!(bytes(""), None, "empty means unset");
-        assert_eq!(env_or("PPM_SURELY_UNSET_BYTES_XYZ", BYTES, 7), 7);
-    }
-
-    #[test]
-    fn env_flag_parses_common_spellings() {
-        // Exercise the parser directly (setting process env in tests races
-        // with parallel test threads).
-        let flag = |raw| parse_env("PPM_ADAPTIVE", raw, FLAG);
-        for on in ["1", "true", "on", " 1 "] {
-            assert_eq!(flag(on), Some(true), "{on:?}");
-        }
-        for off in ["0", "false", "off"] {
-            assert_eq!(flag(off), Some(false), "{off:?}");
-        }
-        assert_eq!(flag(""), None, "set but empty means unset, not on");
-        assert!(env_or("PPM_SURELY_UNSET_FLAG_XYZ", FLAG, true));
-        assert!(!env_or("PPM_SURELY_UNSET_FLAG_XYZ", FLAG, false));
-    }
-
-    #[test]
     fn host_threads_parse_as_a_count() {
-        let threads = |raw| parse_env("PPM_HOST_THREADS", raw, THREADS);
+        let threads = |raw| parse_env("PPM_HOST_THREADS", raw);
         assert_eq!(threads("8"), Some(8));
         assert_eq!(threads("0"), Some(0));
         assert_eq!(threads("  "), None);
@@ -380,28 +337,13 @@ mod tests {
     /// have been accepted.
     #[test]
     fn unparsable_env_values_are_errors_not_defaults() {
-        fn message<T: 'static>(var: &'static str, raw: &'static str, form: EnvForm<T>) -> String {
-            let refused = std::panic::catch_unwind(|| parse_env(var, raw, form).is_some());
-            *refused
-                .expect_err("must panic")
-                .downcast::<String>()
-                .expect("formatted panic")
-        }
-        let m = message("PPM_TILE_BUDGET", "4kb", BYTES);
-        assert!(
-            m.contains("PPM_TILE_BUDGET=\"4kb\"") && m.contains("k, m or g"),
-            "{m}"
-        );
-        let m = message("PPM_TILE_BUDGET", "99999999999g", BYTES);
-        assert!(m.contains("PPM_TILE_BUDGET"), "overflow: {m}");
-        let m = message("PPM_HOST_THREADS", "four", THREADS);
+        let refused = std::panic::catch_unwind(|| parse_env("PPM_HOST_THREADS", "four"));
+        let m = *refused
+            .expect_err("must panic")
+            .downcast::<String>()
+            .expect("formatted panic");
         assert!(
             m.contains("PPM_HOST_THREADS=\"four\"") && m.contains("thread count"),
-            "{m}"
-        );
-        let m = message("PPM_ADAPTIVE", "yes", FLAG);
-        assert!(
-            m.contains("PPM_ADAPTIVE=\"yes\"") && m.contains("true or on"),
             "{m}"
         );
     }

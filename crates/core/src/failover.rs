@@ -517,8 +517,8 @@ impl FailoverPart {
                 node: victim,
                 phase,
                 reason: "node died permanently with replication disabled \
-                         (enable PpmConfig::with_replication / PPM_REPLICATION \
-                         to survive fail-stop faults)"
+                         (enable PpmConfig::with_replication to survive \
+                         fail-stop faults)"
                     .into(),
             }
             .raise();

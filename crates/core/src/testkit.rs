@@ -44,9 +44,15 @@
 //! generator drew from — properties must treat out-of-contract inputs as
 //! vacuously passing (return `Ok(())`), which simply stops the shrink walk
 //! in that direction.
+//!
+//! [`Cell`] and [`CELLS`] fix the knob values the runtime suites walk
+//! in-process: host threads, fault seed, adaptive balance, replication and
+//! tile budget, every pair of values meeting in some row.
 
 use std::fmt::Debug;
 use std::ops::Range;
+
+use crate::PpmConfig;
 
 /// Result of one property evaluation.
 pub type PropResult = Result<(), String>;
@@ -154,28 +160,7 @@ pub trait Shrink: Sized {
     }
 }
 
-macro_rules! shrink_unsigned {
-    ($($t:ty),*) => {$(
-        impl Shrink for $t {
-            fn shrink(&self) -> Vec<Self> {
-                let v = *self;
-                let mut c = Vec::new();
-                if v > 0 {
-                    c.push(0);
-                    if v / 2 > 0 {
-                        c.push(v / 2);
-                    }
-                    c.push(v - 1);
-                }
-                c.dedup();
-                c
-            }
-        }
-    )*};
-}
-shrink_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! shrink_signed {
+macro_rules! shrink_int {
     ($($t:ty),*) => {$(
         impl Shrink for $t {
             fn shrink(&self) -> Vec<Self> {
@@ -186,7 +171,7 @@ macro_rules! shrink_signed {
                     if v / 2 != 0 {
                         c.push(v / 2);
                     }
-                    c.push(v - v.signum());
+                    c.push(if v > 0 { v - 1 } else { v + 1 });
                 }
                 c.dedup();
                 c
@@ -194,7 +179,7 @@ macro_rules! shrink_signed {
         }
     )*};
 }
-shrink_signed!(i8, i16, i32, i64, isize);
+shrink_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Shrink for bool {
     fn shrink(&self) -> Vec<Self> {
@@ -374,9 +359,131 @@ macro_rules! prop_assert {
     }};
 }
 
+// ---------------------------------------------------------------------------
+// Configuration cells.
+// ---------------------------------------------------------------------------
+
+/// One point of the knob space a suite runs under, passed as a value:
+/// a run is its [`PpmConfig`], never the shell's. [`Cell::apply`] sets the
+/// four config knobs; `fault_seed` is for suites that draw a seeded fault
+/// schedule. The default is every knob at its [`PpmConfig::new`] value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Cell {
+    /// Host worker threads polling VPs (`0` = auto); no observable may
+    /// depend on it (DESIGN.md §12).
+    pub host_threads: usize,
+    /// Seed of the suite's random fault schedule.
+    pub fault_seed: u64,
+    /// Trace-guided adaptive repartitioning.
+    pub adaptive: bool,
+    /// Buddy snapshot replication.
+    pub replication: bool,
+    /// Resident tile budget in bytes per node (`0` = in core).
+    pub tile_budget: u64,
+}
+
+impl Cell {
+    /// `cfg` with this cell's host threads, adaptive balance, replication
+    /// and tile budget. Builders called after it override it.
+    pub fn apply(&self, cfg: PpmConfig) -> PpmConfig {
+        cfg.with_host_threads(self.host_threads)
+            .with_adaptive_balance(self.adaptive)
+            .with_replication(self.replication)
+            .with_tile_budget(self.tile_budget)
+    }
+}
+
+/// The fixed cells the suites walk: host threads {1, 2, 8} × fault seeds
+/// {5, 23, 71}, each pair once, with adaptive balance, replication and a
+/// 4 KiB tile budget set so that every pair of values of any two fields
+/// meets in some row. The first row has every switch off, the seventh
+/// every switch on.
+#[rustfmt::skip]
+pub const CELLS: [Cell; 9] = [
+    Cell { host_threads: 1, fault_seed: 5, adaptive: false, replication: false, tile_budget: 0 },
+    Cell { host_threads: 1, fault_seed: 23, adaptive: false, replication: false, tile_budget: 4096 },
+    Cell { host_threads: 1, fault_seed: 71, adaptive: true, replication: true, tile_budget: 0 },
+    Cell { host_threads: 2, fault_seed: 5, adaptive: false, replication: true, tile_budget: 0 },
+    Cell { host_threads: 2, fault_seed: 23, adaptive: true, replication: false, tile_budget: 0 },
+    Cell { host_threads: 2, fault_seed: 71, adaptive: false, replication: false, tile_budget: 4096 },
+    Cell { host_threads: 8, fault_seed: 5, adaptive: true, replication: true, tile_budget: 4096 },
+    Cell { host_threads: 8, fault_seed: 23, adaptive: false, replication: true, tile_budget: 0 },
+    Cell { host_threads: 8, fault_seed: 71, adaptive: false, replication: false, tile_budget: 0 },
+];
+
+/// The distinct cells `project` makes of [`CELLS`], in table order. A
+/// suite keeps the fields it walks and defaults the rest:
+/// `cells(|c| Cell { host_threads: c.host_threads, ..Cell::default() })`.
+pub fn cells(project: impl Fn(Cell) -> Cell) -> Vec<Cell> {
+    let mut out = Vec::new();
+    for c in CELLS.map(project) {
+        if !out.contains(&c) {
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// The host thread counts of [`CELLS`], in table order (the table lists
+/// them in runs): what a suite that pins everything else walks.
+pub fn thread_counts() -> Vec<usize> {
+    let mut out = CELLS.map(|c| c.host_threads).to_vec();
+    out.dedup();
+    out
+}
+
+/// Run `test` at each of [`cells`]`(project)`; a failure names its cell
+/// before it propagates, so the failing run can be rebuilt from the value.
+pub fn walk(project: impl Fn(Cell) -> Cell, test: impl Fn(Cell)) {
+    for cell in cells(project) {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| test(cell)));
+        if let Err(panic) = run {
+            eprintln!("failed at {cell:?}");
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cells_cover_every_pair_of_values() {
+        type Field = (&'static str, fn(&Cell) -> u64, &'static [u64]);
+        let fields: [Field; 5] = [
+            ("host_threads", |c| c.host_threads as u64, &[1, 2, 8]),
+            ("fault_seed", |c| c.fault_seed, &[5, 23, 71]),
+            ("adaptive", |c| c.adaptive as u64, &[0, 1]),
+            ("replication", |c| c.replication as u64, &[0, 1]),
+            ("tile_budget", |c| c.tile_budget, &[0, 4096]),
+        ];
+        for (i, (a, fa, va)) in fields.iter().enumerate() {
+            for (b, fb, vb) in &fields[i + 1..] {
+                for x in *va {
+                    for y in *vb {
+                        assert!(
+                            CELLS.iter().any(|c| fa(c) == *x && fb(c) == *y),
+                            "no cell has {a} = {x} and {b} = {y}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cells_dedup_what_a_projection_merges() {
+        let threads = |c: Cell| Cell {
+            host_threads: c.host_threads,
+            ..Cell::default()
+        };
+        let walked: Vec<usize> = cells(threads).iter().map(|c| c.host_threads).collect();
+        assert_eq!(walked, [1, 2, 8]);
+        assert_eq!(thread_counts(), walked);
+        assert_eq!(cells(|_| Cell::default()), [Cell::default()]);
+        assert_eq!(cells(|c| c).len(), CELLS.len());
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -21,6 +21,7 @@
 //! read-own-write hazard in a node phase *between* the global phases of one
 //! collective `ppm_do`, then runs a clean node phase.
 
+use ppm_core::testkit::thread_counts;
 use ppm_core::PhaseKind::{Global as G, Node as N};
 use ppm_core::Space::{Global, Node};
 use ppm_core::{run, AccumOp, PhaseKind, PhaseViolation, PpmConfig, Space};
@@ -255,7 +256,7 @@ const RENDERED: [&[&str]; 2] = [
 #[test]
 fn planted_program_reports_the_captured_rows() {
     let expected = expected();
-    for threads in [1, 8] {
+    for threads in thread_counts() {
         for cache in [true, false] {
             let cfg = PpmConfig::new(MachineConfig::new(2, 2))
                 .with_checker(true)
@@ -393,7 +394,7 @@ fn planted_bulk(cfg: PpmConfig) -> Vec<Drains> {
 #[test]
 fn bulk_twin_of_the_planted_program_reports_the_same_rows() {
     let expected = expected();
-    for threads in [1, 8] {
+    for threads in thread_counts() {
         for cache in [true, false] {
             let cfg = PpmConfig::new(MachineConfig::new(2, 2))
                 .with_checker(true)
@@ -416,10 +417,12 @@ fn bulk_twin_of_the_planted_program_reports_the_same_rows() {
 
 /// What a one-VP-per-node job on two nodes panics with.
 fn panic_text<Fut: std::future::Future<Output = ()> + Send + 'static>(
+    threads: usize,
     body: impl Fn(ppm_core::Vp, ppm_core::GlobalShared<i64>) -> Fut + Send + Sync + 'static,
 ) -> String {
     let job = std::panic::AssertUnwindSafe(move || {
-        run(PpmConfig::new(MachineConfig::new(2, 1)), move |node| {
+        let cfg = PpmConfig::new(MachineConfig::new(2, 1)).with_host_threads(threads);
+        run(cfg, move |node| {
             let a = node.alloc_global::<i64>(8); // node 1 owns 4..8
             node.ppm_do(1, |vp| body(vp, a));
         });
@@ -436,56 +439,67 @@ fn panic_text<Fut: std::future::Future<Output = ()> + Send + 'static>(
 
 /// A bulk access that may not happen panics with the text its per-element
 /// form panics with: out of bounds, out of any phase, a remote element or a
-/// global write in a node phase.
+/// global write in a node phase — at every thread count of the cells.
 #[test]
 fn bulk_accesses_panic_with_the_per_element_texts() {
-    let cases: [(&str, String, String); 6] = [
+    for threads in thread_counts() {
+        for (want, per_element, bulk) in panic_cases(threads) {
+            assert!(per_element.contains(want), "{per_element:?} lacks {want:?}");
+            assert_eq!(bulk, per_element);
+        }
+    }
+}
+
+/// `(text, per-element panic, bulk panic)` of each case, at `threads` host
+/// threads.
+fn panic_cases(threads: usize) -> [(&'static str, String, String); 6] {
+    [
         (
             "global read index 8 out of bounds",
-            panic_text(|vp, a| async move {
+            panic_text(threads, |vp, a| async move {
                 vp.global_phase(|ph| async move { assert_eq!(ph.get(&a, 8).await, 0) })
                     .await
             }),
-            panic_text(|vp, a| async move {
+            panic_text(threads, |vp, a| async move {
                 vp.global_phase(|ph| async move { drop(ph.get_many(&a, 7..9).await) })
                     .await
             }),
         ),
         (
             "global write index 8 out of bounds",
-            panic_text(|vp, a| async move {
+            panic_text(threads, |vp, a| async move {
                 vp.global_phase(|ph| async move { ph.put(&a, 8, 1) }).await
             }),
-            panic_text(|vp, a| async move {
+            panic_text(threads, |vp, a| async move {
                 vp.global_phase(|ph| async move { ph.put_many(&a, (7..9).map(|i| (i, 1))) })
                     .await
             }),
         ),
         (
             "global shared read requires an open phase",
-            panic_text(|vp, a| async move {
+            panic_text(threads, |vp, a| async move {
                 let ph = vp.global_phase(|ph| async move { ph }).await;
                 ph.get(&a, 0).await;
             }),
-            panic_text(|vp, a| async move {
+            panic_text(threads, |vp, a| async move {
                 let ph = vp.global_phase(|ph| async move { ph }).await;
                 ph.get_many(&a, 0..2).await;
             }),
         ),
         (
             "global shared write requires an open phase",
-            panic_text(|vp, a| async move {
+            panic_text(threads, |vp, a| async move {
                 let ph = vp.global_phase(|ph| async move { ph }).await;
                 ph.accumulate(&a, 0, AccumOp::Add, 1);
             }),
-            panic_text(|vp, a| async move {
+            panic_text(threads, |vp, a| async move {
                 let ph = vp.global_phase(|ph| async move { ph }).await;
                 ph.accumulate_many(&a, AccumOp::Add, [(0, 1)]);
             }),
         ),
         (
             "remote shared read inside a node phase (element 7 is on node 1); use a global phase",
-            panic_text(|vp, a| async move {
+            panic_text(threads, |vp, a| async move {
                 let local = vp.node_id() * 4;
                 vp.node_phase(|ph| async move {
                     ph.get(&a, local).await;
@@ -493,7 +507,7 @@ fn bulk_accesses_panic_with_the_per_element_texts() {
                 })
                 .await
             }),
-            panic_text(|vp, a| async move {
+            panic_text(threads, |vp, a| async move {
                 let local = vp.node_id() * 4;
                 vp.node_phase(|ph| async move { drop(ph.get_many(&a, [local, 7 - local]).await) })
                     .await
@@ -501,19 +515,15 @@ fn bulk_accesses_panic_with_the_per_element_texts() {
         ),
         (
             "global shared writes are only allowed inside a global phase",
-            panic_text(
-                |vp, a| async move { vp.node_phase(|ph| async move { ph.put(&a, 0, 1) }).await },
-            ),
-            panic_text(|vp, a| async move {
+            panic_text(threads, |vp, a| async move {
+                vp.node_phase(|ph| async move { ph.put(&a, 0, 1) }).await
+            }),
+            panic_text(threads, |vp, a| async move {
                 vp.node_phase(|ph| async move { ph.put_many(&a, [(0, 1)]) })
                     .await
             }),
         ),
-    ];
-    for (want, per_element, bulk) in cases {
-        assert!(per_element.contains(want), "{per_element:?} lacks {want:?}");
-        assert_eq!(bulk, per_element);
-    }
+    ]
 }
 
 /// What each node drains (twice) after a collective `ppm_do` whose global
@@ -608,7 +618,7 @@ fn node_phases_inside_a_collective_do_report_the_captured_rows() {
     ];
     // Highest rank wins ap[0]; r[2] holds the rewrite.
     let xs: [&[i64]; 2] = [&[100, 3, 3, 9, 12, 15], &[106, 21, 15, 27, 30, 33]];
-    for threads in [1, 8] {
+    for threads in thread_counts() {
         let cfg = PpmConfig::new(MachineConfig::new(2, 2))
             .with_checker(true)
             .with_host_threads(threads);

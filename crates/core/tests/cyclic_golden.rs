@@ -17,6 +17,7 @@
 //! application goldens alone. Its cache-off row is one of the few places
 //! the cache-off path is still exercised (see `perf_gates.rs` for the list).
 
+use ppm_core::testkit::thread_counts;
 use ppm_core::{run, AccumOp, ByteHasher, Layout, NodeCtx, PpmConfig};
 use ppm_simnet::MachineConfig;
 
@@ -140,9 +141,9 @@ fn observe(
     (h.finish(), report.makespan().as_ps(), counters)
 }
 
-/// One literal row, at 1 and at 8 host threads.
+/// One literal row, at every thread count of the cells.
 fn check(program: Program, cache: bool, budget: u64, want: (u64, u64, CounterRow)) {
-    for threads in [1, 8] {
+    for threads in thread_counts() {
         let got = observe(program, cache, budget, threads);
         assert_eq!(
             got, want,

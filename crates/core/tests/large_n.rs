@@ -6,12 +6,13 @@
 //!
 //! - refresh pushes arm and fire at 65+ nodes,
 //! - a 256-node job with a seeded permanent death is bit-identical
-//!   across host-thread counts (CI's gating `large-n` matrix column),
+//!   across host-thread counts,
 //! - a 1024-node smoke exercises the clock barrier, loads sidecar,
 //!   refresh pushes, death confirmation, and failover in one run —
 //!   bit-identical at 1 and 8 host threads (CI's non-gating perf job
 //!   runs the traced bench-bin variant, `bench/src/bin/large_n.rs`).
 
+use ppm_core::testkit::{walk, Cell};
 use ppm_core::{run, AccumOp, PpmConfig};
 use ppm_simnet::{Counters, FaultConfig, MachineConfig, SimTime};
 
@@ -22,9 +23,18 @@ use ppm_simnet::{Counters, FaultConfig, MachineConfig, SimTime};
 /// and the third read went back to the wire.
 #[test]
 fn refresh_push_arms_beyond_64_nodes() {
+    let threads = |c: Cell| Cell {
+        host_threads: c.host_threads,
+        ..Cell::default()
+    };
+    walk(threads, refresh_push_arms_at);
+}
+
+fn refresh_push_arms_at(cell: Cell) {
     let nodes = 65u32;
     let report = run(
-        PpmConfig::new(MachineConfig::new(nodes, 1)).with_read_cache(true),
+        cell.apply(PpmConfig::new(MachineConfig::new(nodes, 1)))
+            .with_read_cache(true),
         move |node| {
             // One element per node; node 0 owns element 0.
             let a = node.alloc_global::<u64>(nodes as usize);
@@ -126,7 +136,7 @@ fn large_n_job(
 /// permanent death of node 200 (bit 200 — unrepresentable in the old
 /// sidecars) survives, confirms the death on every live node, and is
 /// bit-identical (results, makespan, every counter) at 1 and 8 host
-/// threads. CI's bit-identity matrix runs this as its 256-node column.
+/// threads.
 #[test]
 fn bit_identity_at_256_nodes_with_death() {
     let (base, base_t, base_c) = large_n_job(256, 2, 1, 200, 2);

@@ -7,11 +7,29 @@
 //! and off — one of the few places the cache-off path is still exercised
 //! (`crates/apps/tests/perf_gates.rs` lists them).
 
-use ppm_core::testkit::{forall, Gen, Shrink};
+use ppm_core::testkit::{forall, walk, Cell, Gen, Shrink};
 use ppm_core::{prop_assert, prop_assert_eq};
 use ppm_core::{run, AccumOp, Dist, Layout, PpmConfig};
 use ppm_core::{Phase, PhaseKind, PhaseViolation, Space};
 use ppm_simnet::MachineConfig;
+
+/// The cells the runtime properties walk: host threads × adaptive balance.
+fn threads_and_adaptive(c: Cell) -> Cell {
+    Cell {
+        host_threads: c.host_threads,
+        adaptive: c.adaptive,
+        ..Cell::default()
+    }
+}
+
+/// Adaptive balance alone, for the properties that pin their own thread
+/// counts.
+fn adaptive(c: Cell) -> Cell {
+    Cell {
+        adaptive: c.adaptive,
+        ..Cell::default()
+    }
+}
 
 /// One shared-variable operation a VP performs inside the phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -175,6 +193,10 @@ fn interpret(p: &Program, initial: &[i64]) -> Vec<i64> {
 /// every in-phase read observes the phase-start snapshot.
 #[test]
 fn phase_semantics_match_model() {
+    walk(threads_and_adaptive, phase_semantics_match_model_at);
+}
+
+fn phase_semantics_match_model_at(cell: Cell) {
     forall("phase_semantics_match_model", 24, gen_program, |prog| {
         if !valid(prog) {
             return Ok(());
@@ -189,7 +211,8 @@ fn phase_semantics_match_model() {
         // VPs), so the conformance checker is off here — conformance.rs
         // covers it.
         let report = run(
-            PpmConfig::new(MachineConfig::new(prog.nodes, prog.cores)).with_checker(false),
+            cell.apply(PpmConfig::new(MachineConfig::new(prog.nodes, prog.cores)))
+                .with_checker(false),
             move |node| {
                 let a = node.alloc_global::<i64>(prog2.len);
                 let r = node.local_range(&a);
@@ -350,6 +373,10 @@ fn weighted_shares_cover_and_degenerate_to_block() {
 /// and shapes.
 #[test]
 fn sample_sort_matches_std() {
+    walk(threads_and_adaptive, sample_sort_matches_std_at);
+}
+
+fn sample_sort_matches_std_at(cell: Cell) {
     forall(
         "sample_sort_matches_std",
         24,
@@ -362,7 +389,8 @@ fn sample_sort_matches_std() {
             let mut expected = vals.clone();
             expected.sort_unstable();
             let vals = vals.clone();
-            let report = run(PpmConfig::new(MachineConfig::new(*nodes, 2)), move |node| {
+            let cfg = cell.apply(PpmConfig::new(MachineConfig::new(*nodes, 2)));
+            let report = run(cfg, move |node| {
                 let g = node.alloc_global::<u64>(n);
                 let r = node.local_range(&g);
                 let vals = vals.clone();
@@ -393,13 +421,19 @@ fn sample_sort_matches_std() {
 /// emission path.
 #[test]
 fn emission_is_insertion_order_independent() {
+    walk(adaptive, emission_is_insertion_order_independent_at);
+}
+
+fn emission_is_insertion_order_independent_at(cell: Cell) {
     forall(
         "emission_is_insertion_order_independent",
         16,
         |g| (g.u32_in(2..5), g.usize_in(8..40), g.u64()),
         |&(nodes, len, perm_seed)| {
             let run_with = |shuffled: bool, threads: usize| {
-                let cfg = PpmConfig::new(MachineConfig::new(nodes, 2)).with_host_threads(threads);
+                let cfg = cell
+                    .apply(PpmConfig::new(MachineConfig::new(nodes, 2)))
+                    .with_host_threads(threads);
                 let sink = ppm_core::TraceSink::new();
                 let report = ppm_core::run_traced(cfg, &sink, "emission", move |node| {
                     let a = node.alloc_global::<i64>(len);
@@ -474,6 +508,10 @@ fn emission_is_insertion_order_independent() {
 /// owned by that destination.
 #[test]
 fn repeated_bulk_read_indices_are_combined_invisibly() {
+    walk(adaptive, repeated_bulk_read_indices_at);
+}
+
+fn repeated_bulk_read_indices_at(cell: Cell) {
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
     use std::sync::Arc;
     const VPS: usize = 2;
@@ -512,7 +550,8 @@ fn repeated_bulk_read_indices_are_combined_invisibly() {
                 i => init(i),
             };
             let run_with = |cache: bool, budget: u64, shuffled: bool, threads: usize| {
-                let cfg = PpmConfig::new(MachineConfig::new(nodes, 2))
+                let cfg = cell
+                    .apply(PpmConfig::new(MachineConfig::new(nodes, 2)))
                     .with_checker(true)
                     .with_read_cache(cache)
                     .with_tile_budget(budget)
@@ -901,14 +940,19 @@ fn bulk_access_equals_per_element() {
                 for cell in 0..16 {
                     let (cache, checker) = (cell & 1 == 0, cell & 2 == 0);
                     let (budget, threads) = ([0, 64][cell >> 2 & 1], [1, 8][cell >> 3]);
+                    // The parity of the other four: each pair of the five
+                    // knobs meets in all four combinations.
+                    let adaptive = cell.count_ones() % 2 == 1;
                     let cfg = PpmConfig::new(MachineConfig::new(nodes as u32, 2))
+                        .with_adaptive_balance(adaptive)
                         .with_read_cache(cache)
                         .with_tile_budget(budget)
                         .with_checker(checker)
                         .with_host_threads(threads);
                     let cell = format!(
-                    "{layout:?}, cache {cache}, budget {budget}, checker {checker}, {threads} threads"
-                );
+                        "{layout:?}, cache {cache}, budget {budget}, checker {checker}, \
+                     {threads} threads, adaptive {adaptive}"
+                    );
                     let each = run_with(false, layout, cfg);
                     let bulk = run_with(true, layout, cfg);
                     prop_assert!(
@@ -1108,6 +1152,10 @@ fn model_violations(s: &CheckScript, node: usize) -> Vec<PhaseViolation> {
 /// to back, VPs whose phase spans several polls — at 1 and 8 host threads.
 #[test]
 fn checker_matches_the_per_element_model() {
+    walk(adaptive, checker_matches_the_per_element_model_at);
+}
+
+fn checker_matches_the_per_element_model_at(cell: Cell) {
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
     let (conflicts, hazards) = (AtomicUsize::new(0), AtomicUsize::new(0));
     forall(
@@ -1122,7 +1170,8 @@ fn checker_matches_the_per_element_model() {
                 [&hazards, &conflicts][conflict as usize].fetch_add(1, Relaxed);
             }
             for threads in [1, 8] {
-                let cfg = PpmConfig::new(MachineConfig::new(nodes as u32, 2))
+                let cfg = cell
+                    .apply(PpmConfig::new(MachineConfig::new(nodes as u32, 2)))
                     .with_checker(true)
                     .with_host_threads(threads);
                 let script = script.clone();
@@ -1307,6 +1356,10 @@ fn writes_fold_in_rank_order_under_any_schedule_and_placement() {
 /// Layout choice never changes results, only data placement.
 #[test]
 fn layout_is_transparent() {
+    walk(threads_and_adaptive, layout_is_transparent_at);
+}
+
+fn layout_is_transparent_at(cell: Cell) {
     forall(
         "layout_is_transparent",
         24,
@@ -1319,35 +1372,38 @@ fn layout_is_transparent() {
             let nodes = *nodes;
             let sum_of = |layout: Layout| {
                 let vals = vals.clone();
-                run(PpmConfig::new(MachineConfig::new(nodes, 1)), move |node| {
-                    let a = node.alloc_global_with::<i64>(n, layout.clone());
-                    let acc = node.alloc_global::<i64>(1);
-                    let dist = node.dist_of(&a);
-                    let me = node.node_id();
-                    let vals = vals.clone();
-                    node.with_local_mut(&a, |s| {
-                        for (off, v) in s.iter_mut().enumerate() {
-                            *v = vals[dist.global_index(me, off)];
-                        }
-                    });
-                    node.ppm_do(n.min(8), move |vp| async move {
-                        let k = vp.global_vp_count();
-                        let i = vp.global_rank();
-                        vp.global_phase(|ph| async move {
-                            let mut part = 0i64;
-                            let mut j = i;
-                            while j < n {
-                                part += ph.get(&a, j).await;
-                                j += k;
+                run(
+                    cell.apply(PpmConfig::new(MachineConfig::new(nodes, 1))),
+                    move |node| {
+                        let a = node.alloc_global_with::<i64>(n, layout.clone());
+                        let acc = node.alloc_global::<i64>(1);
+                        let dist = node.dist_of(&a);
+                        let me = node.node_id();
+                        let vals = vals.clone();
+                        node.with_local_mut(&a, |s| {
+                            for (off, v) in s.iter_mut().enumerate() {
+                                *v = vals[dist.global_index(me, off)];
                             }
-                            ph.accumulate(&acc, 0, AccumOp::Add, part);
-                        })
-                        .await;
-                    });
-                    let violations = node.take_violations();
-                    assert!(violations.is_empty(), "checker: {violations:?}");
-                    node.gather_global(&acc)[0]
-                })
+                        });
+                        node.ppm_do(n.min(8), move |vp| async move {
+                            let k = vp.global_vp_count();
+                            let i = vp.global_rank();
+                            vp.global_phase(|ph| async move {
+                                let mut part = 0i64;
+                                let mut j = i;
+                                while j < n {
+                                    part += ph.get(&a, j).await;
+                                    j += k;
+                                }
+                                ph.accumulate(&acc, 0, AccumOp::Add, part);
+                            })
+                            .await;
+                        });
+                        let violations = node.take_violations();
+                        assert!(violations.is_empty(), "checker: {violations:?}");
+                        node.gather_global(&acc)[0]
+                    },
+                )
                 .results[0]
             };
             let expected: i64 = vals.iter().sum();

@@ -20,6 +20,7 @@
 //! that protocol bit for bit; these rows were captured on `9d8adae`, the
 //! last commit that carried both, and stand where the comparison stood.
 
+use ppm_core::testkit::thread_counts;
 use ppm_core::{run, run_traced, AccumOp, ByteHasher, PpmConfig, TraceSink};
 use ppm_simnet::{FaultConfig, MachineConfig};
 
@@ -63,8 +64,7 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     h.finish()
 }
 
-/// Replication on; every knob `PpmConfig::new` would read from the
-/// environment is pinned, so the CI matrices' `PPM_*` variables cannot
+/// Replication on; every knob is pinned, so no change of a default can
 /// move a row.
 fn pinned(nodes: usize, host_threads: usize) -> PpmConfig {
     PpmConfig::new(MachineConfig::new(nodes as u32, 4))
@@ -138,7 +138,7 @@ fn observe(ring: &Ring, host_threads: usize) -> Row {
 }
 
 fn check(ring: &Ring, want: &Row) {
-    for host_threads in [1, 8] {
+    for host_threads in thread_counts() {
         let got = observe(ring, host_threads);
         assert!(
             got == *want,
@@ -225,7 +225,7 @@ fn read_heavy_rings_64_and_100_with_death() {
         (100, 77, (0x39da56951217c26b, 952575200, 2776, 392, 1)),
     ];
     for (nodes, victim, want) in ROWS {
-        for host_threads in [1, 8] {
+        for host_threads in thread_counts() {
             let got = read_heavy(nodes, victim, host_threads);
             assert_eq!(
                 got, want,

@@ -253,14 +253,6 @@ impl Endpoint {
         }
     }
 
-    /// Take a message if one is already queued.
-    pub fn try_recv(&self) -> Option<Message> {
-        let mut q = self.inbox(self.id).lock();
-        let msg = q.msgs.pop_front()?;
-        q.seen = q.seen.saturating_sub(1);
-        Some(msg)
-    }
-
     /// `(src, tag)` of every message queued here, in queue order: what a
     /// stall dump lists.
     pub fn queued(&self) -> Vec<(usize, u64)> {
@@ -337,13 +329,14 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_empty_and_nonempty() {
+    fn queued_lists_what_recv_takes() {
         let eps = make_router(2);
-        assert!(eps[1].try_recv().is_none());
+        assert!(eps[1].queued().is_empty());
         eps[0].send(msg(0, 1, 9, 7));
-        let m = eps[1].try_recv().expect("queued message");
+        assert_eq!(eps[1].queued(), [(0, 9)]);
+        let m = eps[1].recv();
         assert_eq!(m.tag, 9);
-        assert!(eps[1].try_recv().is_none());
+        assert!(eps[1].queued().is_empty());
     }
 
     #[test]
@@ -418,7 +411,7 @@ mod tests {
         // Sends to the dead endpoint succeed and evaporate.
         e0.try_send(msg(0, 1, 7, 1))
             .expect("black-holed, not an error");
-        assert!(e1.try_recv().is_none(), "message must be swallowed");
+        assert!(e1.queued().is_empty(), "message must be swallowed");
         // Even after its thread exits (receiver dropped), senders never
         // observe the dead peer as hung up.
         drop(e1);
@@ -484,7 +477,8 @@ mod tests {
         let (rx, got) = t.join().unwrap();
         assert_eq!(WAKES.get() - before, 2);
         assert_eq!(got.expect("always class").take::<u64>(), 101);
-        assert_eq!(rx.try_recv().expect("queue head").take::<u64>(), 0);
+        assert_eq!(rx.queued()[0], (2, 7), "queue head");
+        assert_eq!(rx.recv().take::<u64>(), 0);
     }
 
     /// The watchdog times the whole receive: a steady trickle of unwanted
