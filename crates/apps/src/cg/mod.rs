@@ -45,13 +45,14 @@ pub struct CgParams {
     /// taken uniformly — phase sequences stay aligned across the cluster.
     pub tol: Option<f64>,
     /// PPM only: rows of the mat-vec handled per bulk read (0 = the whole
-    /// VP slice at once, the historical behavior). With a tile budget set
-    /// (`PpmConfig::with_tile_budget`), a nonzero chunk bounds both the
-    /// transient CSR block and the `get_many` staging a VP holds live at
-    /// any instant, which is what lets `fig1_cg --full` run 16.7M rows
-    /// under a small residency budget. Results are bit-identical across
-    /// chunk sizes (the read and accumulate order per row is unchanged);
-    /// only wave structure — and hence simulated time — shifts.
+    /// VP slice at once, the historical behavior). A nonzero chunk bounds
+    /// the `get_many` staging a VP holds live at any instant — the p-values
+    /// its rows' columns name — and sets the wave shape; with a tile budget
+    /// set (`PpmConfig::with_tile_budget`) that is what lets
+    /// `fig1_cg --full` run 16.7M rows under a small residency budget.
+    /// Results are bit-identical across chunk sizes (the read and
+    /// accumulate order per row is unchanged); only wave structure — and
+    /// hence simulated time — shifts.
     pub spmv_chunk: usize,
 }
 

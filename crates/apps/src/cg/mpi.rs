@@ -15,8 +15,7 @@ use std::collections::HashMap;
 use ppm_mps::Comm;
 use ppm_simnet::SimTime;
 
-use super::{CgOutcome, CgParams};
-use crate::sparse::Csr;
+use super::{CgOutcome, CgParams, Stencil27};
 
 /// Row range owned by `rank` out of `size` (block distribution, matching
 /// the PPM runtime's block layout so the two versions partition alike).
@@ -46,15 +45,13 @@ struct HaloPlan {
     ghosts: usize,
 }
 
-/// Negotiate send/receive lists from the sparsity pattern (setup cost the
-/// tuned implementation pays once).
-fn build_halo_plan(comm: &mut Comm<'_>, a: &Csr, lo: usize, hi: usize, n: usize) -> HaloPlan {
-    let size = comm.size();
+/// Negotiate send/receive lists from the sparsity pattern of rows
+/// `lo..hi` (setup cost the tuned implementation pays once).
+fn build_halo_plan(comm: &mut Comm<'_>, prob: &Stencil27, lo: usize, hi: usize) -> HaloPlan {
+    let (size, n) = (comm.size(), prob.n());
     // 1. Every external column this rank's rows touch, deduplicated.
-    let mut ext: Vec<usize> = a
-        .col_idx
-        .iter()
-        .copied()
+    let mut ext: Vec<usize> = prob
+        .columns(lo..hi)
         .filter(|&c| c < lo || c >= hi)
         .collect();
     ext.sort_unstable();
@@ -124,8 +121,7 @@ pub fn solve(comm: &mut Comm<'_>, params: &CgParams) -> (CgOutcome, SimTime) {
     let (lo, hi) = (range.start, range.end);
     let nrows = range.len();
 
-    let a = prob.csr_block(range);
-    let plan = build_halo_plan(comm, &a, lo, hi, n);
+    let plan = build_halo_plan(comm, &prob, lo, hi);
 
     let mut x = vec![0.0f64; nrows];
     let mut r: Vec<f64> = (lo..hi).map(|i| prob.rhs_for_ones(i)).collect();
@@ -152,22 +148,23 @@ pub fn solve(comm: &mut Comm<'_>, params: &CgParams) -> (CgOutcome, SimTime) {
         // Halo exchange so every rank can read the p values its rows need.
         exchange_halo(comm, &plan, &p, &mut ghost, it as u64);
 
-        // Local SpMV with ghost redirection, fused with the p·Ap partial.
+        // Local SpMV over the stencil with ghost redirection, fused with
+        // the p·Ap partial.
         let mut pap_local = 0.0;
         for li in 0..nrows {
-            let (cols, vals) = a.row(li);
-            let mut acc = 0.0;
-            for (&c, &v) in cols.iter().zip(vals) {
+            let (mut acc, mut nnz) = (0.0, 0);
+            prob.for_each_entry(lo + li, |c, v| {
                 let pv = if c >= lo && c < hi {
                     p[c - lo]
                 } else {
                     ghost[plan.ghost_pos[&c]]
                 };
                 acc += v * pv;
-            }
+                nnz += 1;
+            });
             ap[li] = acc;
             pap_local += p[li] * acc;
-            comm.charge_flops(2 * cols.len() as u64 + 2);
+            comm.charge_flops(2 * nnz + 2);
         }
         let pap = comm.allreduce(pap_local, |a, b| a + b);
         let alpha = rr / pap;

@@ -25,13 +25,16 @@ const ITERS: usize = 3;
 /// Phase A body: `ap = A·p` (one bulk read per row chunk for every p value
 /// those rows touch) and the `p·Ap` partial.
 ///
-/// The VP's rows can move between phases under adaptive balancing, so the
-/// CSR slice is rebuilt from the stencil per phase — matrix setup, like
-/// the original hoisted block build, is not part of the modeled cost.
-/// `chunk` bounds how many rows' matrix entries and staged p-values exist
-/// at once (0 = the whole slice, the historical single-bulk-read shape);
-/// the per-row read/accumulate order is identical either way, so the
-/// numerics are bit-identical across chunk sizes.
+/// The matrix is the stencil: each chunk's column indices stream from
+/// [`Stencil27::columns`] straight into the bulk read, and each row's dot
+/// walks [`Stencil27::for_each_entry`] over the values read — no CSR
+/// exists, so none is held while the VP waits on a wave, and rows that
+/// adaptive balancing moves between phases need nothing rebuilt.
+/// `chunk` bounds the rows per bulk read, and with them the staged
+/// p-values a VP holds live and the wave shape (0 = the whole slice, the
+/// historical single-bulk-read shape); the per-row read/accumulate order
+/// is identical either way, so the numerics are bit-identical across
+/// chunk sizes.
 #[allow(clippy::too_many_arguments)]
 async fn spmv_phase(
     ph: &Phase,
@@ -43,24 +46,26 @@ async fn spmv_phase(
     scal: &GlobalShared<f64>,
     v: &Vp,
 ) {
+    let chunk = if chunk == 0 { rows.len().max(1) } else { chunk };
     let mut pap_part = 0.0;
-    for (crows, am) in prob.row_chunks(rows, chunk) {
-        let pv = ph.get_many(p, am.col_idx.iter().copied()).await;
+    for lo in rows.clone().step_by(chunk) {
+        let crows = lo..(lo + chunk).min(rows.end);
+        let pv = ph.get_many(p, prob.columns(crows.clone())).await;
         let mut at = 0;
-        let row_dot = |li| {
+        let row_dot = |i| {
             let mut acc = 0.0;
-            for &val in am.row(li).1 {
+            prob.for_each_entry(i, |_, val| {
                 acc += val * pv[at];
                 at += 1;
-            }
+            });
             acc
         };
-        let acc: Vec<f64> = (0..am.rows).map(row_dot).collect();
+        let acc: Vec<f64> = crows.clone().map(row_dot).collect();
         for (pi, acc) in ph.get_many(p, crows.clone()).await.iter().zip(&acc) {
             pap_part += pi * acc;
         }
         ph.put_many(ap, crows.clone().zip(acc));
-        v.charge_flops(2 * (am.col_idx.len() + crows.len()) as u64);
+        v.charge_flops(2 * (pv.len() + crows.len()) as u64);
     }
     ph.accumulate(scal, PAP, AccumOp::Add, pap_part);
 }

@@ -10,8 +10,6 @@
 //! can save overhead in global communication and synchronization" — while
 //! the phase structure stays identical.
 
-use std::sync::Arc;
-
 use ppm_core::{AccumOp, NodeCtx};
 use ppm_simnet::SimTime;
 
@@ -47,12 +45,10 @@ pub fn solve(node: &mut NodeCtx<'_>, params: &CgParams) -> (CgOutcome, SimTime) 
     let r = node.alloc_node::<f64>(nrows);
     let ap = node.alloc_node::<f64>(nrows);
 
-    let a = Arc::new(prob.csr_block(range));
     let rpv = params.rows_per_vp.max(1);
     let k = nrows.div_ceil(rpv).max(1);
 
     node.ppm_do(k, move |vp| {
-        let a = a.clone();
         async move {
             let vr = vp.node_rank();
             let rows = vr * rpv..((vr + 1) * rpv).min(nrows);
@@ -73,26 +69,24 @@ pub fn solve(node: &mut NodeCtx<'_>, params: &CgParams) -> (CgOutcome, SimTime) 
             .await;
 
             for _ in 0..iters {
-                // Phase A: ap = A·p, pap = p·ap (bulk-read p, write the
-                // node-shared ap).
-                let (v, rs, am) = (vp.clone(), rows.clone(), a.clone());
+                // Phase A: ap = A·p, pap = p·ap (bulk-read p along the
+                // stencil's columns, write the node-shared ap).
+                let (v, rs) = (vp.clone(), rows.clone());
                 vp.global_phase(|ph| async move {
-                    let span = am.row_ptr[rs.start]..am.row_ptr[rs.end];
                     let pv = ph
-                        .get_many(&p, am.col_idx[span.clone()].iter().copied())
+                        .get_many(&p, prob.columns(lo + rs.start..lo + rs.end))
                         .await;
                     let mut pap_part = 0.0;
                     let mut at = 0;
                     for li in rs {
-                        let (cols, vals) = am.row(li);
-                        let mut acc = 0.0;
-                        for &val in vals {
+                        let (mut acc, row_at) = (0.0, at);
+                        prob.for_each_entry(lo + li, |_, val| {
                             acc += val * pv[at];
                             at += 1;
-                        }
+                        });
                         ph.put_node(&ap, li, acc);
                         pap_part += ph.get(&p, lo + li).await * acc;
-                        v.charge_flops(2 * cols.len() as u64 + 2);
+                        v.charge_flops(2 * (at - row_at) as u64 + 2);
                     }
                     ph.accumulate(&scal, PAP, AccumOp::Add, pap_part);
                 })

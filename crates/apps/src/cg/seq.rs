@@ -1,13 +1,13 @@
 //! Sequential CG reference.
 
 use super::{CgOutcome, CgParams};
-use crate::sparse::Csr;
 
 /// Solve the stencil system sequentially with `params.iters` CG iterations.
+/// The mat-vec walks the stencil row by row; no matrix is stored.
 pub fn solve(params: &CgParams) -> CgOutcome {
-    let n = params.problem.n();
-    let a: Csr = params.problem.csr_block(0..n);
-    let b: Vec<f64> = (0..n).map(|i| params.problem.rhs_for_ones(i)).collect();
+    let a = params.problem;
+    let n = a.n();
+    let b: Vec<f64> = (0..n).map(|i| a.rhs_for_ones(i)).collect();
 
     let mut x = vec![0.0; n];
     let mut r = b;
@@ -24,7 +24,11 @@ pub fn solve(params: &CgParams) -> CgOutcome {
             }
         }
         iters_done += 1;
-        a.spmv(&p, &mut ap);
+        for (i, api) in ap.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            a.for_each_entry(i, |j, v| acc += v * p[j]);
+            *api = acc;
+        }
         let pap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
         let alpha = rr / pap;
         for i in 0..n {

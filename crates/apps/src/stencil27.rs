@@ -64,19 +64,26 @@ impl Stencil27 {
     /// Visit the `(column, value)` entries of row `i` in ascending column
     /// order without allocating. The single generator behind
     /// [`row_entries`](Self::row_entries), [`csr_block`](Self::csr_block)
-    /// and [`rhs_for_ones`](Self::rhs_for_ones).
+    /// and [`rhs_for_ones`](Self::rhs_for_ones); [`columns`](Self::columns)
+    /// walks the same planes and lines.
     #[inline]
     pub fn for_each_entry(&self, i: usize, mut f: impl FnMut(usize, f64)) {
         let (x, y, z) = self.coords(i);
         // Each axis' neighbours clamped to the grid once: z picks the
         // planes, y the lines, x the span of each line.
-        let near = |c: usize, extent: usize| c.saturating_sub(1)..(c + 2).min(extent);
         let xs = near(x, self.gx);
         for nz in near(z, self.gz) {
             for ny in near(y, self.gy) {
                 let line = self.idx(0, ny, nz);
-                for j in line + xs.start..line + xs.end {
-                    f(j, if j == i { 26.0 } else { -1.0 });
+                let span = line + xs.start..line + xs.end;
+                if (ny, nz) == (y, z) {
+                    // The row's own line, split at the diagonal `i`: no
+                    // entry pays a compare.
+                    (span.start..i).for_each(|j| f(j, -1.0));
+                    f(i, 26.0);
+                    (i + 1..span.end).for_each(|j| f(j, -1.0));
+                } else {
+                    span.for_each(|j| f(j, -1.0));
                 }
             }
         }
@@ -91,7 +98,10 @@ impl Stencil27 {
 
     /// Assemble the CSR block for rows `range` (global column indexing).
     /// Rows stream straight into the CSR arrays — no intermediate
-    /// per-row vectors — so peak memory is the block itself.
+    /// per-row vectors — so peak memory is the block itself. No solver
+    /// builds one (they walk [`columns`](Self::columns) and
+    /// [`for_each_entry`](Self::for_each_entry)); it is the explicit
+    /// matrix tests check those against.
     pub fn csr_block(&self, range: std::ops::Range<usize>) -> Csr {
         let rows = range.len();
         let mut row_ptr = Vec::with_capacity(rows + 1);
@@ -116,29 +126,42 @@ impl Stencil27 {
         }
     }
 
-    /// Chunked row iterator: yields `(row range, CSR block)` pairs covering
-    /// `range` in ascending order, at most `chunk_rows` rows per block
-    /// (0 = the whole range as a single block). Each block is generated
-    /// lazily when the iterator reaches it, so a consumer that processes
-    /// and drops blocks holds O(chunk) matrix state instead of the full
-    /// local block — the companion knob to the runtime's tile budget
-    /// (DESIGN.md §18).
-    pub fn row_chunks(
-        &self,
-        range: std::ops::Range<usize>,
-        chunk_rows: usize,
-    ) -> impl Iterator<Item = (std::ops::Range<usize>, Csr)> + '_ {
-        let chunk = if chunk_rows == 0 {
-            range.len().max(1)
-        } else {
-            chunk_rows
+    /// The column indices of rows `range`, row by row in the order
+    /// [`for_each_entry`](Self::for_each_entry) visits them — exactly
+    /// `csr_block(range).col_idx`, generated lazily. Its `size_hint` is
+    /// exact, so a consumer can size its output once.
+    pub fn columns(&self, range: std::ops::Range<usize>) -> Columns {
+        // No row started: empty spans, one empty plane, so `size_hint`
+        // is `rows_nnz` alone and the first `next` starts a row.
+        Columns {
+            grid: *self,
+            line: 0..0,
+            xs: 0..0,
+            ys: 0..0,
+            y: 0,
+            z: 0,
+            z_end: 1,
+            at: self.coords(range.start),
+            rows_nnz: self.nnz_before(range.end) - self.nnz_before(range.start),
+            rows: range,
+        }
+    }
+
+    /// Entries in rows `0..i`, `i ≤ n`: a row's count is the product of
+    /// its three clamped neighbour spans, so whole planes and lines sum
+    /// per axis. (`coords(n)` is `(0, 0, gz)`: every plane, nothing more.)
+    fn nnz_before(&self, i: usize) -> usize {
+        // Summed neighbour spans of coordinates `0..c` on an axis of
+        // `extent`: 3 each, less one at either clamped end.
+        let spans = |c: usize, extent: usize| match c {
+            0 => 0,
+            c => 3 * c - 1 - usize::from(c == extent),
         };
-        let (start, end) = (range.start, range.end);
-        (0..range.len().div_ceil(chunk)).map(move |k| {
-            let lo = start + k * chunk;
-            let hi = (lo + chunk).min(end);
-            (lo..hi, self.csr_block(lo..hi))
-        })
+        let (x, y, z) = self.coords(i);
+        let (per_line, per_plane) = (spans(self.gx, self.gx), spans(self.gy, self.gy));
+        let (cy, cz) = (near(y, self.gy).len(), near(z, self.gz).len());
+        spans(z, self.gz) * per_plane * per_line
+            + cz * (spans(y, self.gy) * per_line + cy * spans(x, self.gx))
     }
 
     /// Right-hand side making `x = 1⃗` the exact solution (`b = A·1⃗`),
@@ -149,6 +172,97 @@ impl Stencil27 {
         sum
     }
 }
+
+/// Coordinate `c`'s stencil neighbours on an axis of `extent`, clamped to
+/// the grid.
+#[inline]
+fn near(c: usize, extent: usize) -> std::ops::Range<usize> {
+    c.saturating_sub(1)..(c + 2).min(extent)
+}
+
+/// Iterator returned by [`Stencil27::columns`]: one row's planes, each
+/// plane's lines, each line's span of columns, then the next row.
+#[derive(Debug, Clone)]
+pub struct Columns {
+    grid: Stencil27,
+    /// The rest of the current line.
+    line: std::ops::Range<usize>,
+    /// The current row's x span (within a line) and y lines.
+    xs: std::ops::Range<usize>,
+    ys: std::ops::Range<usize>,
+    /// The next line `y` of plane `z`; the row's planes run to `z_end`.
+    y: usize,
+    z: usize,
+    z_end: usize,
+    /// Rows not yet started, the coordinates of the first, and their
+    /// entry count.
+    rows: std::ops::Range<usize>,
+    at: (usize, usize, usize),
+    rows_nnz: usize,
+}
+
+impl Columns {
+    /// Start the next line of the row — or the next plane, or the next
+    /// row; `None` past the last row. Kept out of `next`, whose inlined
+    /// fast path is then one range step: a single loop that also counted
+    /// down per element ran the `cg_halo` benchmark ~5 % slower.
+    fn next_line(&mut self) -> Option<()> {
+        if self.y == self.ys.end {
+            if self.z + 1 < self.z_end {
+                self.z += 1;
+            } else {
+                self.next_row()?;
+            }
+            self.y = self.ys.start;
+        }
+        let start = self.grid.idx(0, self.y, self.z);
+        self.line = start + self.xs.start..start + self.xs.end;
+        self.y += 1;
+        Some(())
+    }
+
+    fn next_row(&mut self) -> Option<()> {
+        self.rows.next()?;
+        let (g, (x, y, z)) = (self.grid, self.at);
+        self.xs = near(x, g.gx);
+        self.ys = near(y, g.gy);
+        let zs = near(z, g.gz);
+        (self.z, self.z_end) = (zs.start, zs.end);
+        self.rows_nnz -= self.xs.len() * self.ys.len() * zs.len();
+        self.at = if x + 1 < g.gx {
+            (x + 1, y, z)
+        } else if y + 1 < g.gy {
+            (0, y + 1, z)
+        } else {
+            (0, 0, z + 1)
+        };
+        Some(())
+    }
+}
+
+impl Iterator for Columns {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.line.is_empty() {
+            self.next_line()?;
+        }
+        self.line.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        // The rest of this line, of this plane, of this row's planes, and
+        // the rows not yet started.
+        let (per_line, lines) = (self.xs.len(), self.ys.len());
+        let row_rest =
+            (self.ys.end - self.y) * per_line + (self.z_end - self.z - 1) * lines * per_line;
+        let left = self.line.len() + row_rest + self.rows_nnz;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Columns {}
 
 #[cfg(test)]
 mod tests {
@@ -240,25 +354,68 @@ mod tests {
         }
     }
 
+    /// Degenerate grids (a single point, line and plane), a box and a
+    /// chimney.
+    fn grids() -> [Stencil27; 5] {
+        let box_of = |gx, gy, gz| Stencil27 { gx, gy, gz };
+        [
+            box_of(1, 1, 1),
+            box_of(1, 1, 7),
+            box_of(2, 3, 1),
+            box_of(3, 2, 4),
+            Stencil27::chimney(3),
+        ]
+    }
+
     #[test]
-    fn row_chunks_cover_the_range_exactly() {
-        let s = Stencil27::chimney(3);
-        let full = s.csr_block(5..50);
-        // Chunked generation concatenates to the monolithic block, for a
-        // chunk that divides the range, one that leaves a short tail, and
-        // the 0 = "one block" convention.
-        for chunk in [1, 7, 9, 45, 1000, 0] {
-            let mut next = 5usize;
-            for (rg, blk) in s.row_chunks(5..50, chunk) {
-                assert_eq!(rg.start, next, "chunk={chunk}");
-                assert_eq!(blk.rows, rg.len());
-                for (li, gi) in rg.clone().enumerate() {
-                    assert_eq!(blk.row(li), full.row(gi - 5), "chunk={chunk}");
-                }
-                next = rg.end;
+    fn entries_are_the_27_point_neighbourhood() {
+        // By definition, against every column: a neighbour differs by at
+        // most one in each coordinate; ascending columns, 26 on the diagonal.
+        for s in grids() {
+            for i in 0..s.n() {
+                let (x, y, z) = s.coords(i);
+                let want: Vec<(usize, f64)> = (0..s.n())
+                    .filter(|&j| {
+                        let (a, b, c) = s.coords(j);
+                        a.abs_diff(x) <= 1 && b.abs_diff(y) <= 1 && c.abs_diff(z) <= 1
+                    })
+                    .map(|j| (j, if j == i { 26.0 } else { -1.0 }))
+                    .collect();
+                assert_eq!(s.row_entries(i), want, "{s:?} row {i}");
             }
-            assert_eq!(next, 50, "chunk={chunk}");
         }
-        assert_eq!(s.row_chunks(7..7, 4).count(), 0, "empty range, no chunks");
+    }
+
+    #[test]
+    fn columns_cover_the_range_exactly() {
+        // Every range: empty ones and ones that start or end mid-line and
+        // mid-plane included.
+        for s in grids() {
+            for lo in 0..=s.n() {
+                for hi in lo..=s.n() {
+                    let cols: Vec<usize> = s.columns(lo..hi).collect();
+                    assert_eq!(cols, s.csr_block(lo..hi).col_idx, "{s:?} rows {lo}..{hi}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn columns_size_hint_is_exact_after_every_next() {
+        for s in grids() {
+            for (lo, hi) in [(0, s.n()), (s.n() / 3, s.n() - s.n() / 4), (s.n(), s.n())] {
+                let mut it = s.columns(lo..hi);
+                let mut left = s.csr_block(lo..hi).nnz();
+                loop {
+                    assert_eq!(it.size_hint(), (left, Some(left)), "{s:?} rows {lo}..{hi}");
+                    if it.next().is_none() {
+                        break;
+                    }
+                    left -= 1;
+                }
+                assert_eq!(left, 0, "{s:?} rows {lo}..{hi}");
+                assert_eq!(it.next(), None);
+            }
+        }
     }
 }

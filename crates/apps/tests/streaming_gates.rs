@@ -6,8 +6,8 @@
 //! count: result bits, simulated makespan, and all counters except the
 //! `tile_spills`/`tile_refills` bookkeeping itself. This suite pins that
 //! for CG across budgets × host threads, under a crash fault with spilled
-//! tiles live, and for the `spmv_chunk` knob that bounds a VP's transient
-//! matrix state. `cg_with_runtime_opts_…` is the cache-off side — one of
+//! tiles live, and for the `spmv_chunk` knob that bounds a VP's staged
+//! reads. `cg_with_runtime_opts_…` is the cache-off side — one of
 //! the few places the cache-off path is still exercised (`perf_gates.rs`
 //! lists them).
 
@@ -140,7 +140,7 @@ fn crash_recovery_with_spilled_tiles_is_bit_identical() {
     assert_eq!(got.counters.crash_recoveries, 1, "recovery never happened");
 }
 
-/// `spmv_chunk` bounds a VP's transient CSR block and staged reads; the
+/// `spmv_chunk` bounds a VP's staged reads and wave shape; the
 /// per-row arithmetic order is unchanged, so the solution bits must match
 /// the unchunked solver exactly (simulated time may differ — chunking
 /// changes the wave structure — so only results are compared).
@@ -173,18 +173,24 @@ fn spmv_chunking_preserves_results_bit_exactly() {
     }
 }
 
-/// The chunked row generator is exactly the monolithic block, chunk by
-/// chunk — the lazy path the full-size fig1 run leans on.
+/// The mat-vec's column stream is exactly the monolithic block's column
+/// list, chunk by chunk — a chunk that ends mid-line and mid-plane
+/// included — with an exact length up front: the lazy path the full-size
+/// fig1 run leans on.
 #[test]
 fn chunked_rows_match_monolithic_block() {
     let s = Stencil27::chimney(6);
     let full = s.csr_block(0..s.n());
-    let mut rows_seen = 0;
-    for (rg, blk) in s.row_chunks(0..s.n(), 100) {
-        for (li, gi) in rg.clone().enumerate() {
-            assert_eq!(blk.row(li), full.row(gi));
-        }
-        rows_seen += rg.len();
+    let mut at = 0;
+    for lo in (0..s.n()).step_by(100) {
+        let cols = s.columns(lo..(lo + 100).min(s.n()));
+        let len = cols.len();
+        assert_eq!(
+            cols.collect::<Vec<_>>(),
+            full.col_idx[at..at + len],
+            "rows from {lo}"
+        );
+        at += len;
     }
-    assert_eq!(rows_seen, s.n());
+    assert_eq!(at, full.nnz());
 }

@@ -29,7 +29,7 @@
 //! runtime (DESIGN.md §18): each node's partitions are far larger than
 //! the resident-tile budget (`--budget`, default 1 MiB/node), so the
 //! runtime continuously spills and refills partition tiles while
-//! `spmv_chunk` bounds the transient matrix state a VP holds.
+//! `spmv_chunk` bounds the p-values a VP stages per bulk read.
 //! Before the big run, a 64³ slice of the same configuration is solved
 //! both streamed and in-core and the solution bits are compared — the
 //! cross-check that the full-size answer is the in-core answer.
