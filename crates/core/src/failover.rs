@@ -86,8 +86,8 @@ pub(crate) struct FailState {
     /// Whether the buddy already holds a base frame; reset on any new death
     /// confirmation so re-homed replicas start from a fresh base.
     replica_base_sent: bool,
-    /// Latest replica frame received from the predecessor (the watchdog's
-    /// protocol dump shows how fresh the hosted replica is).
+    /// Latest replica frame received from the predecessor (a deadlock
+    /// report's protocol dump shows how fresh the hosted replica is).
     replica_in: Option<ReplicaFrame>,
 }
 
@@ -102,7 +102,7 @@ impl FailState {
         self.dead_bits.first()
     }
 
-    /// The stall watchdog's lines.
+    /// Its lines of a deadlock report.
     pub fn dump(&self, out: &mut String) {
         if self.dead_bits.is_empty() {
             let _ = writeln!(out, "  confirmed dead: none");

@@ -31,7 +31,7 @@ pub const K_MIGRATE: u64 = 7;
 /// senders.
 pub const K_TOKENS: u64 = 8;
 
-/// Human-readable name of a message kind (watchdog / panic diagnostics).
+/// Human-readable name of a message kind (deadlock / panic diagnostics).
 pub fn kind_name(kind: u64) -> &'static str {
     match kind {
         K_READ_REQ => "READ_REQ",

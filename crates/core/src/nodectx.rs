@@ -358,8 +358,8 @@ impl<'a> NodeCtx<'a> {
         }
     }
 
-    /// Blocking receive of the first queued message `filter` accepts, with
-    /// the stall watchdog's protocol-state dump attached.
+    /// Blocking receive of the first queued message `filter` accepts; a
+    /// deadlock panics with the node's protocol-state dump attached.
     ///
     /// Every envelope is accounted as the router first shows it — in its
     /// sender's order, however far ahead the taken message is: duplicate
@@ -372,9 +372,9 @@ impl<'a> NodeCtx<'a> {
     ///
     /// Fail-fast guard (DESIGN.md §15): with replication off, a peer
     /// confirmed permanently dead can never send again — its traffic is
-    /// black-holed — so blocking here could only end in the stall
-    /// watchdog. Raise the structured [`RecoveryError`] immediately
-    /// instead; the watchdog never fires for a confirmed-dead peer.
+    /// black-holed — so blocking here could only end in a deadlock report.
+    /// Raise the structured [`RecoveryError`] immediately instead; no
+    /// deadlock is reported for a confirmed-dead peer.
     fn recv_raw(&mut self, filter: &Filter) -> Message {
         if !self.cfg.replication {
             let dead = (self.inner.try_borrow()).and_then(|i| i.failover.first_dead());
@@ -412,12 +412,12 @@ impl<'a> NodeCtx<'a> {
         });
         got.unwrap_or_else(|| {
             let dump = protocol_dump(&self.ep.net, &self.inner, self.rel.as_deref());
-            // Publish the dump to the trace stream before the watchdog
+            // Publish the dump to the trace stream before the deadlock
             // panic unwinds this endpoint: the shared sink outlives the
-            // thread, so a wedged run still leaves a readable trace.
+            // thread, so a deadlocked run still leaves a readable trace.
             let args = vec![("dump", ArgValue::Str(dump.clone()))];
-            self.ep.tracer.instant("recv_stall", "runtime", now, args);
-            self.ep.net.stalled(filter, &dump)
+            self.ep.tracer.instant("deadlock", "runtime", now, args);
+            self.ep.net.deadlocked(filter, &dump)
         })
     }
 
@@ -535,10 +535,10 @@ impl Drop for NodeCtx<'_> {
     }
 }
 
-/// Render the node's protocol state for the stall watchdog: phase
+/// Render the node's protocol state for a deadlock report: phase
 /// bookkeeping, parked reads, the messages still queued in the router, and
 /// (when reliability is on) per-link envelope state — everything needed to
-/// see *why* a run wedged instead of a bare timeout.
+/// see *why* a run deadlocked.
 fn protocol_dump(net: &Endpoint, inner: &SharedInner, rel: Option<&Reliability>) -> String {
     use std::fmt::Write as _;
     let mut out = format!("node {} protocol state:\n", net.id());
@@ -561,7 +561,7 @@ fn protocol_dump(net: &Endpoint, inner: &SharedInner, rel: Option<&Reliability>)
             i.failover.dump(&mut out);
         }
         None => {
-            let _ = writeln!(out, "  <runtime state borrowed at stall time>");
+            let _ = writeln!(out, "  <runtime state borrowed at deadlock time>");
         }
     }
     let queued = net.queued();

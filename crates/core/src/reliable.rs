@@ -162,7 +162,7 @@ impl Reliability {
         Some(link.recv_next)
     }
 
-    /// Render the per-link protocol state for the stall watchdog.
+    /// Render the per-link protocol state for a deadlock report.
     pub fn dump(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("reliability links (peer: sent, recv-next/unacked):\n");

@@ -4,7 +4,6 @@
 //! bit-identical to the fault-free run; equal seeds give equal runs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 use ppm_core::testkit::{walk, Cell};
 use ppm_core::{msgs, run, PpmConfig, RecoveryError};
@@ -445,8 +444,8 @@ fn two_simultaneous_deaths_are_survived() {
 
 /// With replication off a permanent death is unsurvivable: the job must
 /// fail fast with a structured [`RecoveryError`] naming the dead node and
-/// the super-step — never an `expect`/`unwrap` string and never a stall
-/// that runs into the watchdog.
+/// the super-step — never an `expect`/`unwrap` string and never a
+/// deadlock report.
 #[test]
 fn unreplicated_death_raises_a_structured_error() {
     walk(threads, |cell| {
@@ -473,12 +472,12 @@ fn unreplicated_death_raises_a_structured_error() {
 #[test]
 #[should_panic(expected = "confirmed dead: none")]
 fn watchdog_dump_reports_the_dead_peer_set() {
-    // Same stall shape as `stall_watchdog_dumps_protocol_state`, but the
-    // expectation pins the failure-detector section of the dump: a stall
-    // with NO confirmed-dead peer must say so (a stall on a peer that IS
+    // Same deadlock as `stall_watchdog_dumps_protocol_state`, but the
+    // expectation pins the failure-detector section of the dump: a deadlock
+    // with NO confirmed-dead peer must say so (a deadlock on a peer that IS
     // confirmed dead can no longer happen — survivors either host the
     // dead rank's persona or abort at the confirmation boundary).
-    let machine = MachineConfig::new(2, 1).with_recv_stall(Duration::from_millis(200));
+    let machine = MachineConfig::new(2, 1);
     let cfg = PpmConfig::new(machine).with_reliability(true);
     run(cfg, |node| {
         if node.node_id() == 0 {
@@ -491,9 +490,9 @@ fn watchdog_dump_reports_the_dead_peer_set() {
 #[should_panic(expected = "protocol state")]
 fn stall_watchdog_dumps_protocol_state() {
     // Node 1 skips the collective, so node 0 blocks in a receive that can
-    // never complete; the watchdog must fire with a protocol-state dump
-    // instead of hanging the test suite.
-    let machine = MachineConfig::new(2, 1).with_recv_stall(Duration::from_millis(200));
+    // never complete; once node 1 is gone the router reports the deadlock,
+    // with a protocol-state dump, instead of hanging the test suite.
+    let machine = MachineConfig::new(2, 1);
     let cfg = PpmConfig::new(machine).with_reliability(true);
     run(cfg, |node| {
         if node.node_id() == 0 {

@@ -5,7 +5,6 @@
 //! simulation (bit-identical results, makespan, and counters).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 use ppm_core::{run, run_traced, NodeCtx, PpmConfig, TraceSink};
 use ppm_simnet::{validate_json, EventKind, MachineConfig, TraceEvent};
@@ -234,9 +233,9 @@ fn chrome_and_metrics_exports_are_valid_json() {
 #[test]
 fn watchdog_stall_dump_is_recorded_in_the_trace() {
     // Node 1 skips the collective, so node 0 blocks in a receive that can
-    // never complete. The watchdog panic must still leave a `recv_stall`
+    // never complete. The deadlock panic must still leave a `deadlock`
     // event carrying the protocol-state dump on the shared sink.
-    let machine = MachineConfig::new(2, 1).with_recv_stall(Duration::from_millis(200));
+    let machine = MachineConfig::new(2, 1);
     let cfg = PpmConfig::new(machine).with_reliability(true);
     let sink = TraceSink::new();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -251,12 +250,46 @@ fn watchdog_stall_dump_is_recorded_in_the_trace() {
     let events = sink.events();
     let stall = events
         .iter()
-        .find(|e| e.name == "recv_stall")
-        .expect("watchdog must record a recv_stall event before panicking");
+        .find(|e| e.name == "deadlock")
+        .expect("a deadlock is recorded before the panic");
     assert_eq!(stall.tid, 0, "node 0 is the one that stalled");
-    let dump = stall.arg_str("dump").expect("recv_stall carries the dump");
+    let dump = stall.arg_str("dump").expect("the event carries the dump");
     assert!(
         dump.contains("protocol state"),
         "dump should be the protocol-state report, got: {dump}"
     );
+}
+
+#[test]
+fn mismatched_collectives_are_reported_with_both_dumps() {
+    // Both nodes live, each parked in a different collective: node 0's
+    // allreduce waits for node 1's contribution, node 1's broadcast waits
+    // for node 0's value. Neither tag is ever sent, so the router ends both
+    // receives at once; each node records its dump, and the job re-raises
+    // the lowest id's report, since every panic is a deadlock report.
+    let cfg = PpmConfig::new(MachineConfig::new(2, 1));
+    let sink = TraceSink::new();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        run_traced(cfg, &sink, "mismatch", |node| {
+            if node.node_id() == 0 {
+                node.allreduce_nodes(1u64, |a, b| a + b);
+            } else {
+                node.bcast_nodes(0, None::<u64>);
+            }
+        });
+    }));
+    let payload = outcome.expect_err("a deadlocked run must panic");
+    let report = payload.downcast_ref::<String>().expect("a text report");
+    assert!(report.starts_with("endpoint 0 deadlocked"), "{report}");
+    assert!(report.contains("node 0 protocol state"), "{report}");
+
+    let events = sink.events();
+    let reports: Vec<_> = events.iter().filter(|e| e.name == "deadlock").collect();
+    assert_eq!(reports.len(), 2, "one report per node");
+    for (node, e) in reports.into_iter().enumerate() {
+        assert_eq!(e.tid as usize, node);
+        let dump = e.arg_str("dump").expect("the event carries the dump");
+        let head = format!("node {node} protocol state");
+        assert!(dump.contains(&head), "{dump}");
+    }
 }

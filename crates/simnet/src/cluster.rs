@@ -9,10 +9,16 @@
 
 use crate::clock::Clock;
 use crate::config::{MachineConfig, Route};
-use crate::router::{make_router_with_stall, Endpoint};
+use crate::router::{make_router, Endpoint};
 use crate::stats::Counters;
 use crate::time::SimTime;
 use crate::trace::{TraceSink, Tracer};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+/// What one endpoint's thread hands back: its result, clock and counters,
+/// or its panic and whether the router ended it as a deadlock.
+type Outcome<R> = Result<(R, Clock, Counters), (bool, Box<dyn Any + Send>)>;
 
 /// Mutable per-endpoint state handed to the job closure.
 pub struct EndpointCtx {
@@ -96,6 +102,11 @@ impl<R> JobReport<R> {
 
 /// Run a job of `n` endpoints. The closure receives each endpoint's context
 /// and runs on its own OS thread; a panic on any endpoint fails the job.
+///
+/// The job re-raises one endpoint's panic with its original payload: the
+/// lowest id's that is not a deadlock report, or the lowest id's if every
+/// panic is one. A panic drops its endpoint, which can leave the endpoints
+/// waiting on it deadlocked; their reports would hide the cause.
 pub fn run<R, F>(n: usize, config: MachineConfig, f: F) -> JobReport<R>
 where
     R: Send,
@@ -120,10 +131,10 @@ where
     F: Fn(&mut EndpointCtx) -> R + Send + Sync,
 {
     let job = trace.map(|(sink, label)| (sink.clone(), sink.begin_job(label, n as u32)));
-    let endpoints = make_router_with_stall(n, config.recv_stall);
+    let endpoints = make_router(n);
     let f = &f;
     let job = &job;
-    let outcomes: Vec<(R, Clock, Counters)> = std::thread::scope(|scope| {
+    let outcomes: Vec<Outcome<R>> = std::thread::scope(|scope| {
         let handles: Vec<_> = endpoints
             .into_iter()
             .map(|net| {
@@ -139,29 +150,25 @@ where
                         config,
                         tracer,
                     };
-                    let r = f(&mut ctx);
-                    (r, ctx.clock, ctx.counters)
+                    match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+                        Ok(r) => Ok((r, ctx.clock, ctx.counters)),
+                        Err(panic) => Err((ctx.net.ended_in_deadlock(), panic)),
+                    }
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                // Re-raise an endpoint's panic with its original payload so
-                // callers (and #[should_panic] tests) see the real message.
-                h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
-            })
+        (handles.into_iter())
+            .map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)))
             .collect()
     });
 
-    let mut results = Vec::with_capacity(n);
-    let mut clocks = Vec::with_capacity(n);
-    let mut counters = Vec::with_capacity(n);
-    for (r, cl, co) in outcomes {
-        results.push(r);
-        clocks.push(cl);
-        counters.push(co);
+    let (done, panics): (Vec<_>, Vec<_>) = outcomes.into_iter().partition(Result::is_ok);
+    // `min_by_key` keeps the first of equal keys: the lowest id.
+    let cause = panics.into_iter().filter_map(Result::err);
+    if let Some((_, panic)) = cause.min_by_key(|&(deadlock, _)| deadlock) {
+        resume_unwind(panic);
     }
+    let (results, clocks, counters) = done.into_iter().flatten().collect();
     JobReport {
         results,
         clocks,
@@ -239,6 +246,20 @@ mod tests {
                 let c = ctx.clock;
                 assert_eq!(c.compute() + c.comm() + c.wait(), c.now());
             }
+        });
+    }
+
+    /// Node 1 panics while node 0 waits for it: node 1's drop leaves node 0
+    /// deadlocked at once, and the job re-raises node 1's panic, the cause,
+    /// not node 0's report.
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn a_job_reports_its_cause_not_its_waiters() {
+        run(2, MachineConfig::new(2, 1), |ctx| {
+            if ctx.id() == 1 {
+                panic!("boom");
+            }
+            ctx.net.recv();
         });
     }
 

@@ -339,7 +339,7 @@ mod tests {
             };
             let net = &self.ctx.net;
             (net.recv_match(&want, |_| {}))
-                .unwrap_or_else(|| net.stalled(&want, ""))
+                .unwrap_or_else(|| net.deadlocked(&want, ""))
                 .take()
         }
         fn barrier_done(&mut self) {

@@ -150,12 +150,6 @@ pub struct MachineConfig {
     /// Fault-injection model (defaults to no faults; see
     /// [`crate::fault`]).
     pub faults: FaultConfig,
-    /// Wall-clock watchdog for blocking receives: how long one receive may
-    /// wait for a message it matches before the simulation is declared
-    /// wedged. It times the whole receive, so traffic the receiver does not
-    /// want does not hold it off. This is *host* time, not simulated time —
-    /// it only bounds hangs, it never shows up in results.
-    pub recv_stall: std::time::Duration,
 }
 
 impl MachineConfig {
@@ -170,19 +164,12 @@ impl MachineConfig {
             net: NetParams::default(),
             core: CoreParams::default(),
             faults: FaultConfig::NONE,
-            recv_stall: DEFAULT_RECV_STALL,
         }
     }
 
     /// Enable fault injection (see [`crate::fault::FaultConfig`]).
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Override the blocking-receive stall watchdog.
-    pub fn with_recv_stall(mut self, stall: std::time::Duration) -> Self {
-        self.recv_stall = stall;
         self
     }
 
@@ -221,12 +208,6 @@ impl MachineConfig {
         Route { intra, nic_share }
     }
 }
-
-/// Default blocking-receive watchdog (see [`MachineConfig::recv_stall`]).
-/// Applications in this workspace are deterministic and deadlock-free by
-/// construction, so hitting this is always a protocol bug; failing loudly
-/// beats hanging the test suite.
-pub const DEFAULT_RECV_STALL: std::time::Duration = std::time::Duration::from_secs(60);
 
 #[cfg(test)]
 mod tests {
@@ -287,13 +268,9 @@ mod tests {
     fn faults_default_off_and_builders_set_them() {
         let m = MachineConfig::new(2, 2);
         assert!(!m.faults.enabled());
-        assert_eq!(m.recv_stall, DEFAULT_RECV_STALL);
-        let m = m
-            .with_faults(FaultConfig::seeded(1, 0.1, 0.0, 0.0))
-            .with_recv_stall(std::time::Duration::from_millis(200));
+        let m = m.with_faults(FaultConfig::seeded(1, 0.1, 0.0, 0.0));
         assert!(m.faults.enabled());
         assert_eq!(m.faults.seed, 1);
-        assert_eq!(m.recv_stall, std::time::Duration::from_millis(200));
     }
 
     #[test]

@@ -14,13 +14,18 @@
 //! traffic it does not want yet; that traffic stays queued, in order, for
 //! the receive that asks for it. [`Endpoint::recv`] is the filter that
 //! accepts everything: a plain FIFO receive.
+//!
+//! Deadlock is a state, not a timeout. Beside the inboxes the router
+//! counts the endpoints that can still send: neither parked in a receive
+//! nor dropped. A park takes one off, a send that wakes a parked receiver
+//! puts one back, a drop takes one off. When the count reaches zero no
+//! parked receive can ever be matched, and every one of them returns
+//! `None` at once (see [`make_router`] for the one condition).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
-use crate::config::DEFAULT_RECV_STALL;
 use crate::message::Message;
 
 /// The tags `t` with `t & mask == bits`.
@@ -76,7 +81,8 @@ struct Queue {
     msgs: VecDeque<Message>,
     /// How many leading `msgs` a receive's arrival hook has already seen.
     seen: usize,
-    /// The filter the owner is parked on, while it is.
+    /// The filter the owner is parked on, while it is off the count of
+    /// endpoints that can send. A receive the router ended stays parked.
     parked: Option<Filter>,
     /// Set when the owning endpoint is dropped: sends report a hung-up peer.
     closed: bool,
@@ -105,9 +111,10 @@ pub struct Endpoint {
     /// Every endpoint's inbox, one table shared by all endpoints: a
     /// clone per endpoint would make building the router O(n²).
     inboxes: Arc<[Inbox]>,
-    /// Wall-clock watchdog for blocking receives (see
-    /// [`crate::config::MachineConfig::recv_stall`]).
-    stall: Duration,
+    /// How many endpoints are neither parked in a receive nor dropped,
+    /// shared by all. Zero is a deadlock: nothing can send, so no parked
+    /// receive can ever wake.
+    live: Arc<AtomicUsize>,
 }
 
 impl Endpoint {
@@ -169,10 +176,11 @@ impl Endpoint {
         if q.closed {
             return Err(msg);
         }
-        let wake = q.parked.is_some_and(|f| f.matches(&msg));
+        let wake = q.parked.take_if(|f| f.matches(&msg)).is_some();
         q.msgs.push_back(msg);
         if wake {
-            q.parked = None;
+            // The receiver can send again: count it back before it runs.
+            self.live.fetch_add(1, Ordering::AcqRel);
             drop(q);
             #[cfg(test)]
             WAKES.set(WAKES.get() + 1);
@@ -189,23 +197,11 @@ impl Endpoint {
         self.inbox(self.id).dead.store(true, Ordering::Release);
     }
 
-    /// Whether a peer endpoint has been marked permanently dead.
-    pub fn peer_is_dead(&self, peer: usize) -> bool {
-        self.inbox(peer).dead.load(Ordering::Acquire)
-    }
-
-    /// Block until a message arrives. Panics (with no extra diagnostics)
-    /// if nothing arrives within the stall watchdog.
+    /// Block until any message arrives. Panics if the router ends the
+    /// receive ([`Self::deadlocked`]).
     pub fn recv(&self) -> Message {
-        self.recv_with_diag(String::new)
-    }
-
-    /// Block until a message arrives. If the stall watchdog fires, `diag`
-    /// is invoked to render the caller's protocol state into the panic
-    /// message ([`Self::stalled`]).
-    pub fn recv_with_diag(&self, diag: impl FnOnce() -> String) -> Message {
         let any = Filter::ANY;
-        (self.recv_match(&any, |_| {})).unwrap_or_else(|| self.stalled(&any, &diag()))
+        (self.recv_match(&any, |_| {})).unwrap_or_else(|| self.deadlocked(&any, ""))
     }
 
     /// Block until a message the filter `want` accepts is queued, and take
@@ -218,12 +214,12 @@ impl Endpoint {
     /// belongs there, not on the taken message. It runs with this inbox
     /// locked, so it must not send to or inspect this endpoint.
     ///
-    /// `None` means the stall watchdog fired first ([`Self::stalled`]). It
-    /// counts from this call, not from the last arrival: traffic `want`
-    /// does not accept never holds it off.
+    /// `None` means deadlock: no endpoint can send any more, so nothing
+    /// `want` accepts can ever arrive ([`Self::deadlocked`]). Traffic
+    /// `want` does not accept never wakes this receive, and while its
+    /// sender lives the receive is not deadlocked: the sender counts.
     pub fn recv_match(&self, want: &Filter, mut arrived: impl FnMut(&Message)) -> Option<Message> {
         let inbox = self.inbox(self.id);
-        let start = Instant::now();
         let mut q = inbox.lock();
         // Messages before `at` were already checked against `want`. Only
         // this thread removes from the queue, so they stay put while parked.
@@ -241,61 +237,89 @@ impl Endpoint {
                 }
                 at += 1;
             }
-            let left = self.stall.saturating_sub(start.elapsed());
-            if left.is_zero() {
+            // Once per park, not per spurious wake: the send that wakes
+            // this receive clears `parked` and counts it back.
+            if q.parked.replace(*want).is_none() {
+                self.leave();
+            }
+            if self.live.load(Ordering::Acquire) == 0 {
                 return None;
             }
-            q.parked = Some(*want);
-            q = (inbox.wake.wait_timeout(q, left))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-            q.parked = None;
+            q = (inbox.wake.wait(q)).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
+    /// Take this endpoint off the count of those that can send. The one
+    /// that takes it to zero wakes every other parked receive, skipping
+    /// its own inbox, which a parking caller holds.
+    fn leave(&self) {
+        if self.live.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
+        }
+        for (id, inbox) in self.inboxes.iter().enumerate() {
+            // Taking the lock orders this after the receiver's check of
+            // the count: it is waiting, or it will see zero.
+            if id != self.id && inbox.lock().parked.is_some() {
+                inbox.wake.notify_one();
+            }
+        }
+    }
+
+    /// Whether the router ended this endpoint's receive as deadlocked: it
+    /// is parked, yet its thread is not in a receive. What
+    /// [`crate::cluster::run`] asks of an endpoint whose job panicked.
+    pub(crate) fn ended_in_deadlock(&self) -> bool {
+        self.inbox(self.id).lock().parked.is_some()
+    }
+
     /// `(src, tag)` of every message queued here, in queue order: what a
-    /// stall dump lists.
+    /// deadlock report lists.
     pub fn queued(&self) -> Vec<(usize, u64)> {
         let q = self.inbox(self.id).lock();
         q.msgs.iter().map(|m| (m.src, m.tag)).collect()
     }
 
-    /// Panic for a receive whose stall watchdog fired while it waited for
-    /// `filter`, with the caller's protocol-state `dump` (may be empty): a
-    /// wedged run fails with a usable report instead of a bare timeout.
-    pub fn stalled(&self, filter: &Filter, dump: &str) -> ! {
+    /// Panic for a receive the router ended while it waited for `filter`
+    /// (`recv_match` returned `None`), with the caller's protocol-state
+    /// `dump` (may be empty): a deadlocked run fails with a usable report.
+    pub fn deadlocked(&self, filter: &Filter, dump: &str) -> ! {
         let sep = if dump.is_empty() { "" } else { "\n" };
         panic!(
-            "endpoint {} stalled for {:?} waiting for a message {filter:?}{sep}{dump}",
-            self.id, self.stall
+            "endpoint {} deadlocked waiting for a message {filter:?}: \
+             no endpoint can send{sep}{dump}",
+            self.id
         )
     }
 }
 
 impl Drop for Endpoint {
     /// Close the inbox: later sends report a hung-up peer. What is still
-    /// queued goes with the router.
+    /// queued goes with the router. An endpoint whose receive the router
+    /// ended is already off the count.
     fn drop(&mut self) {
-        self.inbox(self.id).lock().closed = true;
+        let mut q = self.inbox(self.id).lock();
+        q.closed = true;
+        if q.parked.is_none() {
+            self.leave();
+        }
     }
 }
 
-/// Create the transport for `n` endpoints with the default stall watchdog.
+/// Create the transport for `n` endpoints.
+///
+/// Deadlock detection is exact when each endpoint is driven by a thread of
+/// its own, as [`crate::cluster::run`] does: then an endpoint that is not
+/// parked or dropped can still send. A thread that holds two endpoints and
+/// parks on one keeps the other counted, and its receive waits for good.
 pub fn make_router(n: usize) -> Vec<Endpoint> {
-    make_router_with_stall(n, DEFAULT_RECV_STALL)
-}
-
-/// Create the transport for `n` endpoints with an explicit stall watchdog
-/// (wired from [`crate::config::MachineConfig::recv_stall`] by
-/// [`crate::cluster::run`]).
-pub fn make_router_with_stall(n: usize, stall: Duration) -> Vec<Endpoint> {
     assert!(n >= 1, "router needs at least one endpoint");
     let inboxes: Arc<[Inbox]> = (0..n).map(|_| Inbox::default()).collect();
+    let live = Arc::new(AtomicUsize::new(n));
     (0..n)
         .map(|id| Endpoint {
             id,
             inboxes: Arc::clone(&inboxes),
-            stall,
+            live: Arc::clone(&live),
         })
         .collect()
 }
@@ -382,7 +406,7 @@ mod tests {
 
     #[test]
     fn try_send_reports_hung_up_peer() {
-        let mut eps = make_router_with_stall(2, Duration::from_millis(50));
+        let mut eps = make_router(2);
         let e1 = eps.pop().unwrap();
         let e0 = eps.pop().unwrap();
         drop(e1); // peer "panicked"
@@ -402,12 +426,10 @@ mod tests {
 
     #[test]
     fn dead_endpoint_black_holes_traffic() {
-        let mut eps = make_router_with_stall(2, Duration::from_millis(50));
+        let mut eps = make_router(2);
         let e1 = eps.pop().unwrap();
         let e0 = eps.pop().unwrap();
-        assert!(!e0.peer_is_dead(1));
         e1.mark_dead();
-        assert!(e0.peer_is_dead(1));
         // Sends to the dead endpoint succeed and evaporate.
         e0.try_send(msg(0, 1, 7, 1))
             .expect("black-holed, not an error");
@@ -419,11 +441,15 @@ mod tests {
         e0.send(msg(0, 1, 7, 3)); // must not panic either
     }
 
+    /// A lone endpoint that receives on an empty inbox is the whole job,
+    /// parked: the router ends the receive at once, and the report
+    /// carries the caller's dump.
     #[test]
-    #[should_panic(expected = "protocol dump here")]
-    fn stall_watchdog_fires_with_diagnostics() {
-        let eps = make_router_with_stall(1, Duration::from_millis(20));
-        eps[0].recv_with_diag(|| "protocol dump here".to_string());
+    #[should_panic(expected = "no endpoint can send\nprotocol dump here")]
+    fn a_lone_receive_deadlocks_at_once() {
+        let eps = make_router(1);
+        assert!(eps[0].recv_match(&Filter::ANY, |_| {}).is_none());
+        eps[0].deadlocked(&Filter::ANY, "protocol dump here");
     }
 
     type Parked = std::thread::JoinHandle<(Endpoint, Option<Message>)>;
@@ -481,36 +507,58 @@ mod tests {
         assert_eq!(rx.recv().take::<u64>(), 0);
     }
 
-    /// The watchdog times the whole receive: a steady trickle of unwanted
-    /// messages neither wakes the receiver nor holds the stall off.
+    /// A receiver parked on a tag nobody sends sleeps through 100
+    /// unwanted messages and is not deadlocked while their sender lives:
+    /// the sender still counts. It is the moment the sender drops.
     #[test]
-    fn unwanted_traffic_does_not_reset_the_stall_watchdog() {
-        let mut eps = make_router_with_stall(2, Duration::from_millis(150));
+    fn a_receive_deadlocks_when_its_last_sender_drops() {
+        let mut eps = make_router(2);
         let tx = eps.pop().unwrap();
         let rx = eps.pop().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let sender = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                tx.send(msg(1, 0, 2, 0));
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            WAKES.get()
-        });
-        let start = Instant::now();
         let want = Filter {
             tag: 1,
             src: Some(1),
             always: None,
         };
-        let got = rx.recv_match(&want, |_| {});
-        let took = start.elapsed();
-        stop.store(true, Ordering::Relaxed);
+        let before = WAKES.get();
+        let t = park(rx, want);
+        for i in 0..100 {
+            tx.send(msg(1, 0, 2, i));
+        }
+        assert_eq!(WAKES.get(), before, "no send woke the receiver");
+        assert_eq!(tx.live.load(Ordering::Acquire), 1, "tx counts");
+        assert!(tx.inboxes[0].lock().parked.is_some(), "still parked");
+        drop(tx);
+        let (rx, got) = t.join().unwrap();
         assert!(got.is_none(), "nothing tagged 1 is ever sent");
-        assert_eq!(sender.join().unwrap(), 0, "no send woke the receiver");
-        assert!(took >= Duration::from_millis(150), "fired early: {took:?}");
-        assert!(took < Duration::from_secs(2), "watchdog held off: {took:?}");
-        assert!(!rx.queued().is_empty(), "the unwanted traffic is queued");
+        assert!(rx.ended_in_deadlock());
+        assert_eq!(rx.queued().len(), 100, "the unwanted traffic is queued");
+    }
+
+    /// A sender's last wanted message, sent just before it drops, is
+    /// delivered, never reported as a deadlock: the wake counts the
+    /// receiver back before the drop takes the sender off. The loop races
+    /// the receiver's park against the send and the drop.
+    #[test]
+    fn the_last_message_before_a_drop_is_delivered() {
+        let want = Filter {
+            tag: 1,
+            src: Some(1),
+            always: None,
+        };
+        for i in 0..1000 {
+            let mut eps = make_router(2);
+            let tx = eps.pop().unwrap();
+            let rx = eps.pop().unwrap();
+            let t = std::thread::spawn(move || {
+                tx.send(msg(1, 0, 2, i));
+                tx.send(msg(1, 0, 1, i));
+            });
+            let got = rx.recv_match(&want, |_| {});
+            assert_eq!(got.expect("sent before the drop").take::<u64>(), i);
+            t.join().unwrap();
+            assert!(!rx.ended_in_deadlock());
+        }
     }
 
     /// The arrival hook sees each message once, in queue order, before

@@ -26,9 +26,9 @@
 //! on, off, or absent (tests assert this).
 //!
 //! The sink is shared (`Arc<Mutex<_>>`) rather than per-endpoint so that
-//! events survive an endpoint panic: the recv-stall watchdog records its
-//! protocol-state dump as a `recv_stall` event *before* panicking, leaving
-//! a readable trace of a wedged run instead of only a panic string.
+//! events survive an endpoint panic: a deadlocked PPM node records its
+//! protocol-state dump as a `deadlock` event *before* panicking, leaving
+//! a readable trace of the run instead of only a panic string.
 
 use std::cell::Cell;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -42,7 +42,7 @@ pub enum ArgValue {
     U64(u64),
     /// Fractional quantity.
     F64(f64),
-    /// Free-form text (e.g. the watchdog's protocol-state dump).
+    /// Free-form text (e.g. a deadlock report's protocol-state dump).
     Str(String),
 }
 
@@ -127,8 +127,8 @@ impl TraceSink {
         TraceSink::default()
     }
 
-    /// Survive lock poisoning: a panicking endpoint (e.g. the stall
-    /// watchdog) must not make the already-recorded events unreadable —
+    /// Survive lock poisoning: a panicking endpoint (a deadlock report,
+    /// say) must not make the already-recorded events unreadable —
     /// they are exactly what the reader wants then.
     fn lock(&self) -> MutexGuard<'_, SinkState> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
@@ -406,7 +406,7 @@ pub struct Tracer {
     pid: u32,
     tid: u32,
     /// Emission counter (interior mutability so recording works behind a
-    /// shared borrow, e.g. inside the recv-stall diagnostic closure).
+    /// shared borrow, e.g. inside a receive's arrival hook).
     seq: Cell<u64>,
 }
 
@@ -732,7 +732,7 @@ mod tests {
                 ],
             );
             t.instant(
-                "recv_stall",
+                "deadlock",
                 "runtime",
                 SimTime::from_us(1),
                 vec![("dump", ArgValue::Str("line1\nline2\t\"quoted\"".into()))],
