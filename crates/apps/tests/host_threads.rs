@@ -55,19 +55,12 @@ where
 /// Run the app at every thread count of the cells for each config in
 /// `cfgs`, asserting that thread count 1 (the reference sequential
 /// schedule) and every pooled schedule agree on all observables.
-///
-/// The full trace JSON is compared only for fault-free configs: under the
-/// reliability layer, ack counters and duplicate-suppression instants are
-/// attributed at real-time envelope-arrival moments, so per-phase trace
-/// deltas legitimately vary with host scheduling there. Results, makespan,
-/// and job-total counters stay bit-identical regardless.
 fn assert_thread_count_invariant(
     name: &str,
     cfgs: &[(String, PpmConfig)],
     run: &(dyn Fn(PpmConfig, &str) -> Observables + Sync),
 ) {
     for (desc, cfg) in cfgs {
-        let compare_trace = !cfg.machine.faults.enabled();
         let base = run(cfg.with_host_threads(1), name);
         for threads in &thread_counts()[1..] {
             let got = run(cfg.with_host_threads(*threads), name);
@@ -83,12 +76,10 @@ fn assert_thread_count_invariant(
                 got.counters, base.counters,
                 "{name} [{desc}]: {threads} host threads changed the counters"
             );
-            if compare_trace {
-                assert_eq!(
-                    got.trace, base.trace,
-                    "{name} [{desc}]: {threads} host threads changed the trace JSON"
-                );
-            }
+            assert_eq!(
+                got.trace, base.trace,
+                "{name} [{desc}]: {threads} host threads changed the trace JSON"
+            );
         }
     }
 }

@@ -7,8 +7,15 @@
 //! repository's implementations with the same rule for both sides (total
 //! physical lines, and lines excluding blanks/comments), next to the
 //! paper's numbers.
+//!
+//! A second section counts the runtime itself — the source of
+//! `crates/{simnet,mps,core}` as this binary was built from it — by the one
+//! rule of [`ppm_bench::runtime_code_lines`], so two checkouts' builds give
+//! comparable code-line counts.
 
-use ppm_bench::{header, line_counts, row};
+use std::path::Path;
+
+use ppm_bench::{crate_code_lines, header, line_counts, row};
 
 struct App {
     name: &'static str,
@@ -87,4 +94,17 @@ fn main() {
          the replicated-tree method the paper cites, whose simplicity comes at \
          the cost of O(N·P) communication (see fig3)."
     );
+
+    println!("\n# Runtime code lines\n");
+    header(&["Crate", "files", "code lines"]);
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let (mut files, mut lines) = (0, 0);
+    for name in ["simnet", "mps", "core"] {
+        let src = crates.join(name).join("src");
+        let counted = crate_code_lines(&src).unwrap_or_else(|e| panic!("{}: {e}", src.display()));
+        let (f, l): (usize, usize) = (counted.len(), counted.iter().map(|(_, l)| l).sum());
+        row(&[format!("ppm-{name}"), f.to_string(), l.to_string()]);
+        (files, lines) = (files + f, lines + l);
+    }
+    row(&["total".into(), files.to_string(), lines.to_string()]);
 }

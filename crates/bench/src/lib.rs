@@ -15,6 +15,8 @@
 //! substrate is the deterministic cluster model, see DESIGN.md), so runs
 //! are exactly reproducible.
 
+use std::path::{Path, PathBuf};
+
 pub use ppm_simnet::TraceSink;
 use ppm_simnet::{JobReport, SimTime};
 
@@ -158,6 +160,94 @@ pub fn line_counts(src: &str) -> (usize, usize) {
     (total, code)
 }
 
+/// Code lines of one runtime source file at `file`, and the test-only
+/// files it declares. The rule of the runtime section of
+/// `table1_codesize`:
+/// - a code line is a non-blank line that does not start with `//`;
+/// - the count stops at `#[cfg(test)] mod tests {`;
+/// - any other `#[cfg(test)]` item (its attributes, then up to its `;` or
+///   its closing brace) is skipped;
+/// - a `#[cfg(test)] mod name;` declares a test-only file — `name.rs` as
+///   Rust resolves it, or its `#[path]` — which the crate count leaves out.
+pub fn runtime_code_lines(file: &Path, src: &str) -> (usize, Vec<PathBuf>) {
+    let is_code = |l: &&str| !l.is_empty() && !l.starts_with("//");
+    let mut lines = src.lines().map(str::trim).filter(is_code);
+    let (mut code, mut test_files) = (0, Vec::new());
+    while let Some(line) = lines.next() {
+        if line != "#[cfg(test)]" {
+            code += 1;
+            continue;
+        }
+        let mut path = None;
+        let Some(item) = lines.find(|l| {
+            let attr = l.starts_with("#[");
+            if let Some(p) = l.strip_prefix("#[path = \"") {
+                path = p.strip_suffix("\"]").map(str::to_string);
+            }
+            !attr
+        }) else {
+            break;
+        };
+        let module = item
+            .split_once("mod ")
+            .filter(|(vis, _)| vis.starts_with("pub") || vis.is_empty());
+        match module.map(|(_, rest)| rest) {
+            Some("tests {") => break,
+            Some(decl) if decl.ends_with(';') => {
+                let dir = file.parent().unwrap_or(Path::new(""));
+                let name = format!("{}.rs", decl.trim_end_matches(';'));
+                let stem = file.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+                test_files.push(match path {
+                    Some(p) => dir.join(p),
+                    None if matches!(stem, "mod" | "lib" | "main") => dir.join(name),
+                    None => dir.join(stem).join(name),
+                });
+            }
+            _ => {
+                let mut line = item;
+                let mut depth = 0i64;
+                loop {
+                    depth += line.matches('{').count() as i64 - line.matches('}').count() as i64;
+                    if depth <= 0 && (line.ends_with(';') || line.ends_with('}')) {
+                        break;
+                    }
+                    match lines.next() {
+                        Some(next) => line = next,
+                        None => break,
+                    }
+                }
+            }
+        }
+    }
+    (code, test_files)
+}
+
+/// Code lines of each `.rs` file under the source directory `src`, by
+/// [`runtime_code_lines`], leaving out the test-only files.
+pub fn crate_code_lines(src: &Path) -> std::io::Result<Vec<(PathBuf, usize)>> {
+    let mut dirs = vec![src.to_path_buf()];
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    let mut counted = Vec::new();
+    let mut test_only = Vec::new();
+    for file in files {
+        let (code, tests) = runtime_code_lines(&file, &std::fs::read_to_string(&file)?);
+        counted.push((file, code));
+        test_only.extend(tests);
+    }
+    counted.retain(|(file, _)| !test_only.contains(file));
+    Ok(counted)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,6 +258,38 @@ mod tests {
         let (total, code) = line_counts(src);
         assert_eq!(total, 5);
         assert_eq!(code, 3);
+    }
+
+    /// The runtime rule on one file that has every case: comments and
+    /// blanks, a one-line and a braced `#[cfg(test)]` item, a test-only
+    /// file with and without `#[path]`, and the test module it stops at.
+    #[test]
+    fn runtime_line_rule() {
+        let src = "//! doc\n\nuse x;\n#[cfg(test)]\nthread_local! {\n    static A: u8 = 0;\n}\n\
+                   fn f() {\n    // note\n    #[cfg(test)]\n    count(1);\n    body(); // code\n}\n\
+                   #[cfg(test)]\n#[path = \"t.rs\"]\nmod t;\n#[cfg(test)]\npub(super) mod helpers;\n\
+                   #[cfg(test)]\npub(crate) fn probe(\n    a: u8,\n) -> u8 {\n    a\n}\nconst C: u8 = 1;\n\
+                   #[cfg(test)]\nmod tests {\n    fn g() {}\n}\nfn after() {}\n";
+        let in_mod = runtime_code_lines(Path::new("src/state/mod.rs"), src);
+        let files = [
+            PathBuf::from("src/state/t.rs"),
+            "src/state/helpers.rs".into(),
+        ];
+        assert_eq!(in_mod, (5, files.to_vec()), "use, fn f, body, its brace, C");
+        let (_, in_file) = runtime_code_lines(Path::new("src/state/wlog.rs"), src);
+        assert_eq!(in_file[1], Path::new("src/state/wlog/helpers.rs"));
+    }
+
+    /// `ppm-core` declares two files as test-only modules; its count
+    /// leaves exactly those out.
+    #[test]
+    fn crate_count_leaves_out_test_only_files() {
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src");
+        let counted = crate_code_lines(&src).expect("readable sources");
+        let has = |f: &str| counted.iter().any(|(p, _)| *p == src.join(f));
+        assert!(has("exec/mod.rs") && has("state/mod.rs") && has("lib.rs"));
+        assert!(!has("exec/exec_tests.rs") && !has("state/tests.rs"));
+        assert!(counted.iter().all(|&(_, lines)| lines > 0));
     }
 
     #[test]

@@ -257,17 +257,16 @@ fn apply_writes(
             by_array.entry(array).or_default().push((src, payload));
         }
     }
-    let mut inner = nc.inner.borrow_mut();
-    let inner = &mut *inner;
     // Every phase-`phase` read request has been serviced by now — the
     // notice dissemination of step 3 is the exchange's flush point (see
     // `exchange_sender_notices`) — and no phase+1 request can have been
-    // serviced yet (`global_seq` still gates them). Folding the parked
-    // service counters and the serve log here attributes them to this
-    // phase deterministically, whatever real-time moment the requests
-    // actually arrived at.
-    let deferred = std::mem::take(&mut inner.deferred_service_ctrs);
-    inner.counters = inner.counters.merge(&deferred);
+    // serviced yet (`global_seq` still gates them). Folding the deferred
+    // counters, the reliability instants and the serve log here attributes
+    // them to this phase deterministically, whatever real-time moment the
+    // messages behind them were taken at.
+    nc.fold_deferred();
+    let mut inner = nc.inner.borrow_mut();
+    let inner = &mut *inner;
     inner.coherence.fold_serves(phase);
     let mut applied = 0u64;
     for (array, parcels) in by_array {

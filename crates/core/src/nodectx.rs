@@ -88,7 +88,11 @@ impl<'a> NodeCtx<'a> {
 
     /// Event counters accumulated on this node so far. The runtime keeps
     /// them in one place and hands them to the endpoint when the node's
-    /// context drops, for `JobReport::counters`.
+    /// context drops, for `JobReport::counters`. Some counts land here only
+    /// at the next phase fold (step 5 of a global phase end, or the drop):
+    /// serving a peer's read request, and every reliability count (acks,
+    /// suppressed duplicates, retries, `faults_*`) — when a peer's message
+    /// is taken is a real-time accident, the fold it belongs to is not.
     pub fn ep_counters(&self) -> ppm_simnet::Counters {
         self.inner.borrow().counters
     }
@@ -305,41 +309,25 @@ impl<'a> NodeCtx<'a> {
 
     /// Central send for all runtime messages. With reliability off this is
     /// exactly a raw [`Endpoint::try_send`](ppm_simnet::Endpoint::try_send);
-    /// with it on, the message becomes a sequence-numbered envelope, the
-    /// fault plan is consulted, and retransmission/duplicate/delay costs
-    /// are accounted (see `reliable.rs` for where each cost lands).
+    /// with it on, the message becomes an envelope, the fault plan is
+    /// consulted, and retransmission/duplicate/delay costs are accounted
+    /// (see `reliable.rs` for where each cost lands).
     pub(crate) fn send_msg(&mut self, mut msg: Message, kind: u64) {
         debug_assert_eq!(msgs::untag(msg.tag).0, kind, "tag/kind mismatch");
         if let Some(rel) = self.rel.as_deref_mut() {
-            let out = rel.on_send(msg.dst, kind);
             let mut inner = self.inner.borrow_mut();
-            inner.counters.retries += out.meta.lost_attempts as u64;
-            inner.counters.faults_dropped += out.meta.lost_attempts as u64;
-            inner.counters.faults_duplicated += out.meta.duplicates as u64;
-            if out.wire_delay > SimTime::ZERO {
-                inner.counters.faults_delayed += 1;
-            }
-            inner.traffic.rel_extra_msgs += (out.meta.lost_attempts + out.meta.duplicates) as u64;
+            let (meta, delay) = rel.on_send(msg.dst, kind, &mut inner.deferred_ctrs);
+            inner.traffic.rel_extra_msgs += (meta.lost_attempts + meta.duplicates) as u64;
             // Barrier/collective receivers honor `ts`, so their delay
             // travels on the wire; data-plane delay is charged from the
             // phase's traffic totals at `charge_phase_time`.
             if matches!(kind, msgs::K_BARRIER | msgs::K_COLL) {
-                msg.ts += out.total_delay();
+                msg.ts += delay;
             } else {
-                inner.traffic.rel_delay += out.total_delay();
+                inner.traffic.rel_delay += delay;
             }
             drop(inner);
-            if out.meta.lost_attempts > 0 {
-                // A lost attempt is observed (and re-sent) by the sender;
-                // record it on the sender's track.
-                let args = [
-                    ("dst", msg.dst as u64),
-                    ("attempts", out.meta.lost_attempts as u64),
-                    ("backoff_ps", out.backoff.as_ps()),
-                ];
-                self.trace("retransmit", "reliability", self.now(), None, &args);
-            }
-            msg = msg.with_rel(out.meta);
+            msg = msg.with_rel(meta);
         }
         // Reachable from user code: a node whose closure panicked has
         // dropped its receiver. The text names that node and the message
@@ -361,14 +349,13 @@ impl<'a> NodeCtx<'a> {
     /// Blocking receive of the first queued message `filter` accepts; a
     /// deadlock panics with the node's protocol-state dump attached.
     ///
-    /// Every envelope is accounted as the router first shows it — in its
-    /// sender's order, however far ahead the taken message is: duplicate
-    /// suppression and, every [`ACK_EVERY`](cost::ACK_EVERY) envelopes on a
-    /// link, a cumulative ack. The ack is a counter, not a message (with virtual
+    /// A taken envelope is accounted into the deferred bucket, credited at
+    /// the next fold ([`Self::fold_deferred`]): duplicate suppression and,
+    /// every [`ACK_EVERY`](cost::ACK_EVERY) envelopes on a link, a
+    /// cumulative ack. The ack is a counter, not a message (with virtual
     /// retransmission, `reliable.rs`, nothing would read it), modeled as
     /// piggybacked: it shows in `acks_sent` / `msgs_sent` / `bytes_sent`
-    /// but costs no simulated time (see `Traffic::rel_extra_msgs` for why
-    /// charging it here would break clock determinism).
+    /// but costs no simulated time (see `Traffic::rel_extra_msgs`).
     ///
     /// Fail-fast guard (DESIGN.md §15): with replication off, a peer
     /// confirmed permanently dead can never send again — its traffic is
@@ -391,26 +378,7 @@ impl<'a> NodeCtx<'a> {
             }
         }
         let now = self.now();
-        let (rel, inner, tracer) = (&mut self.rel, &self.inner, &self.ep.tracer);
-        let got = self.ep.net.recv_match(filter, |m| {
-            let (Some(rel), Some(meta)) = (rel.as_deref_mut(), m.rel) else {
-                return;
-            };
-            let dups = u64::from(meta.duplicates);
-            if dups > 0 && tracer.enabled() {
-                let src = ArgValue::U64(m.src as u64);
-                let args = vec![("src", src), ("count", ArgValue::U64(dups))];
-                tracer.instant("dup_suppressed", "reliability", now, args);
-            }
-            let mut inner = inner.borrow_mut();
-            inner.counters.dups_suppressed += dups;
-            if rel.on_recv(m.src, meta).is_some() {
-                inner.counters.acks_sent += 1;
-                inner.counters.msgs_sent += 1;
-                inner.counters.bytes_sent += cost::ACK_BYTES;
-            }
-        });
-        got.unwrap_or_else(|| {
+        let Some(m) = self.ep.net.recv_match(filter) else {
             let dump = protocol_dump(&self.ep.net, &self.inner, self.rel.as_deref());
             // Publish the dump to the trace stream before the deadlock
             // panic unwinds this endpoint: the shared sink outlives the
@@ -418,7 +386,11 @@ impl<'a> NodeCtx<'a> {
             let args = vec![("dump", ArgValue::Str(dump.clone()))];
             self.ep.tracer.instant("deadlock", "runtime", now, args);
             self.ep.net.deadlocked(filter, &dump)
-        })
+        };
+        if let (Some(rel), Some(meta)) = (self.rel.as_deref_mut(), m.rel) {
+            rel.on_take(m.src, meta, &mut self.inner.borrow_mut().deferred_ctrs);
+        }
+        m
     }
 
     /// Blocking receive of the first runtime message tagged `tag` (from
@@ -463,9 +435,9 @@ impl<'a> NodeCtx<'a> {
         // us (during a wave, our clock barrier, or a prologue collective)
         // is a real-time accident, and crediting `counters` here would leak
         // that accident into the per-phase trace deltas. The bucket folds
-        // in at the serviced phase's end (see `Inner::deferred_service_ctrs`).
-        inner.deferred_service_ctrs.msgs_recv += 1;
-        inner.deferred_service_ctrs.bytes_recv += req_bytes as u64;
+        // in at the serviced phase's end (see `Inner::deferred_ctrs`).
+        inner.deferred_ctrs.msgs_recv += 1;
+        inner.deferred_ctrs.bytes_recv += req_bytes as u64;
 
         // Refresh pushes (DESIGN.md §13): remember who asked for what, so a
         // later rewrite of a repeatedly-served element can push the new
@@ -501,8 +473,8 @@ impl<'a> NodeCtx<'a> {
         inner.service_time += cost::SERVICE_OVERHEAD.scale(n_entries);
         inner.traffic.resp_bundles_out += 1;
         inner.traffic.resp_bytes_out += bytes as u64;
-        inner.deferred_service_ctrs.msgs_sent += 1;
-        inner.deferred_service_ctrs.bytes_sent += bytes as u64;
+        inner.deferred_ctrs.msgs_sent += 1;
+        inner.deferred_ctrs.bytes_sent += bytes as u64;
         drop(inner);
 
         let (now, me) = (self.now(), self.node_id());
@@ -518,20 +490,39 @@ impl<'a> NodeCtx<'a> {
             msgs::K_READ_RESP,
         );
     }
+
+    /// The fold: credit the deferred bucket (`Inner::deferred_ctrs`) to the
+    /// node's counters and emit the reliability layer's trace instants
+    /// (`reliable.rs`). Step 5 of a global phase end calls it, when every
+    /// read request of the phase has been served and none of the next
+    /// phase's can have been, and so does the node's drop.
+    pub(crate) fn fold_deferred(&mut self) {
+        let mut inner = self.inner.borrow_mut();
+        let deferred = std::mem::take(&mut inner.deferred_ctrs);
+        inner.counters = inner.counters.merge(&deferred);
+        drop(inner);
+        if let Some(rel) = self.rel.as_deref_mut() {
+            let (tracer, now) = (&self.ep.tracer, self.ep.clock.now());
+            rel.fold(|name, args| {
+                let args = args.iter().map(|&(k, v)| (k, ArgValue::U64(v)));
+                tracer.instant(name, "reliability", now, args.collect());
+            });
+        }
+    }
 }
 
 impl Drop for NodeCtx<'_> {
-    /// Hand the node's counters to the endpoint — the one place they reach
-    /// it — so `JobReport::counters` is complete.
+    /// Fold what is still deferred and hand the node's counters to the
+    /// endpoint — the one place they reach it — so `JobReport::counters`
+    /// is complete. A node unwinding with its state borrowed hands over
+    /// nothing.
     fn drop(&mut self) {
-        if let Some(mut inner) = self.inner.try_borrow_mut() {
-            // Any still-parked service counters drain here so job totals
-            // are complete (see `Inner::deferred_service_ctrs`).
-            let deferred = std::mem::take(&mut inner.deferred_service_ctrs);
-            let c = std::mem::take(&mut inner.counters).merge(&deferred);
-            drop(inner);
-            self.ep.counters = self.ep.counters.merge(&c);
+        if self.inner.try_borrow_mut().is_none() {
+            return;
         }
+        self.fold_deferred();
+        let c = std::mem::take(&mut self.inner.borrow_mut().counters);
+        self.ep.counters = self.ep.counters.merge(&c);
     }
 }
 

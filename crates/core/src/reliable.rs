@@ -1,21 +1,33 @@
 //! The PPM runtime's reliable-transport sublayer: the per-link envelope
-//! (`on_send`, `on_recv`, `dump`). Which node crashes or dies when is not
-//! its business — that schedule is read from the replicated
+//! (`on_send`, `on_take`, `fold`, `dump`). Which node crashes or dies when
+//! is not its business — that schedule is read from the replicated
 //! [`FaultConfig`](ppm_simnet::FaultConfig) (`failover.rs`).
 //!
 //! The simulated network ([`ppm_simnet`]) delivers every message exactly
 //! once, in per-sender FIFO order — real HPC interconnects mostly do too,
 //! until they don't. This module makes the runtime survive the faults a
-//! seeded [`FaultPlan`] injects: every runtime message becomes a
-//! *sequence-numbered envelope* on its directed link, receivers count a
-//! *cumulative acknowledgement* every [`ACK_EVERY`] envelopes,
-//! lost transmission attempts are retransmitted after a *capped
-//! exponential backoff* in **simulated** time, and duplicate copies are
-//! suppressed on receive.
+//! seeded [`FaultPlan`] injects: every runtime message becomes an
+//! *envelope* on its directed link, receivers count a *cumulative
+//! acknowledgement* every [`ACK_EVERY`] envelopes taken from a link, lost
+//! transmission attempts are retransmitted after a *capped exponential
+//! backoff* in **simulated** time, and duplicate copies are suppressed on
+//! receive.
 //!
 //! An ack is a counter, not a message: retransmission is virtual (below),
 //! so no sender waits on one, and none travels. The receiver charges it
 //! to `acks_sent`, `msgs_sent` and `bytes_sent` as if it had.
+//!
+//! ## Settled at the phase fold
+//!
+//! The moment a receive takes an envelope is set by real time: a peer's
+//! read request can be taken mid-wave or inside this node's clock
+//! barrier. The set of envelopes a node takes between two phase folds is
+//! not — it is fixed by the program (DESIGN.md §10). So every count made
+//! here (acks, suppressed duplicates, retries, `faults_*`) goes to the
+//! node's deferred bucket, `Inner::deferred_ctrs`, which reaches its
+//! counters only at the fold (step 5 of a global phase end, and the
+//! node's drop); the `retransmit` and `dup_suppressed` trace instants are
+//! emitted there too, one per peer in ascending order.
 //!
 //! ## Virtual retransmission
 //!
@@ -45,37 +57,32 @@
 //! [`Message::ts`]: ppm_simnet::Message
 //! [`Traffic::rel_delay`]: crate::state::Traffic
 
-use ppm_simnet::{FaultPlan, RelMeta, SimTime};
+use std::collections::BTreeMap;
+
+use ppm_simnet::{Counters, FaultPlan, RelMeta, SimTime};
 
 use crate::config::PpmConfig;
-use crate::cost::{ACK_EVERY, RTO, RTO_MAX};
+use crate::cost::{ACK_BYTES, ACK_EVERY, RTO, RTO_MAX};
 
-/// Per-directed-link protocol state (this node ↔ one peer).
+/// Envelopes this node exchanged with one peer: what a deadlock report
+/// lists, and what paces the link's cumulative acks.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LinkState {
-    /// Sequence number of the next envelope sent to the peer.
-    pub next_seq: u64,
-    /// Next envelope sequence expected *from* the peer.
-    pub recv_next: u64,
-    /// Envelopes received from the peer since the last ack we counted.
-    pub recv_unacked: u64,
+struct LinkState {
+    /// Envelopes sent to the peer.
+    sent: u64,
+    /// Envelopes taken from the peer.
+    taken: u64,
 }
 
-/// What the reliability layer did to an outgoing envelope.
-pub(crate) struct SendOutcome {
-    /// Envelope metadata to attach to the message.
-    pub meta: RelMeta,
-    /// Total retransmission backoff charged for the lost attempts.
-    pub backoff: SimTime,
-    /// Extra wire delay the fault plan injected on the surviving copy.
-    pub wire_delay: SimTime,
-}
-
-impl SendOutcome {
-    /// Backoff plus injected wire delay.
-    pub fn total_delay(&self) -> SimTime {
-        self.backoff + self.wire_delay
-    }
+/// What a link has to report at the next fold: its trace instants.
+#[derive(Debug, Clone, Copy, Default)]
+struct Unfolded {
+    /// Transmission attempts lost on sends to the peer.
+    lost: u64,
+    /// Their retransmission backoff.
+    backoff: SimTime,
+    /// Duplicate copies suppressed on envelopes taken from the peer.
+    dups: u64,
 }
 
 /// Total capped-exponential retransmission backoff for `lost_attempts`
@@ -106,6 +113,8 @@ pub(crate) struct Reliability {
     me: usize,
     plan: FaultPlan,
     links: Vec<LinkState>,
+    /// The links with an instant to emit at the next fold, by peer.
+    unfolded: BTreeMap<usize, Unfolded>,
 }
 
 impl Reliability {
@@ -114,66 +123,87 @@ impl Reliability {
             me,
             plan: FaultPlan::new(cfg.machine.faults),
             links: vec![LinkState::default(); cfg.nodes()],
+            unfolded: BTreeMap::new(),
         }
     }
 
-    /// Process an outgoing envelope to `dst`: assign its sequence number,
-    /// consult the fault plan, and price the retransmission backoff for
-    /// any lost attempts.
-    pub fn on_send(&mut self, dst: usize, kind: u64) -> SendOutcome {
+    /// Process an outgoing envelope to `dst`: consult the fault plan and
+    /// count its faults into the deferred bucket `ctrs`. Returns the
+    /// envelope's metadata and the delay of the copy that gets through:
+    /// the retransmission backoff of the lost attempts plus any injected
+    /// wire delay.
+    pub fn on_send(&mut self, dst: usize, kind: u64, ctrs: &mut Counters) -> (RelMeta, SimTime) {
         let ev = self.plan.on_send(self.me, dst, kind);
-        let link = &mut self.links[dst];
-        let seq = link.next_seq;
-        link.next_seq += 1;
-
+        self.links[dst].sent += 1;
         let backoff = backoff_schedule(ev.lost_attempts, RTO, RTO_MAX);
-
-        SendOutcome {
-            meta: RelMeta {
-                seq,
-                lost_attempts: ev.lost_attempts,
-                duplicates: ev.duplicates,
-            },
-            backoff,
-            wire_delay: ev.extra_delay,
+        let lost = u64::from(ev.lost_attempts);
+        ctrs.retries += lost;
+        ctrs.faults_dropped += lost;
+        ctrs.faults_duplicated += u64::from(ev.duplicates);
+        ctrs.faults_delayed += u64::from(ev.extra_delay > SimTime::ZERO);
+        if lost > 0 {
+            let u = self.unfolded.entry(dst).or_default();
+            u.lost += lost;
+            u.backoff = u.backoff.saturating_add(backoff);
         }
+        let meta = RelMeta {
+            lost_attempts: ev.lost_attempts,
+            duplicates: ev.duplicates,
+        };
+        (meta, backoff + ev.extra_delay)
     }
 
-    /// Process an incoming envelope from `src`: verify the sequence and
-    /// decide whether a cumulative ack is due — `Some(watermark)` acks the
-    /// envelopes `< watermark`. (Its `duplicates` are the receiver's to
-    /// count as suppressed.)
-    pub fn on_recv(&mut self, src: usize, meta: RelMeta) -> Option<u64> {
+    /// Process an envelope a receive took from `src`: suppress its
+    /// duplicate copies and, every [`ACK_EVERY`] envelopes on the link,
+    /// count a cumulative ack — both into the deferred bucket `ctrs`.
+    pub fn on_take(&mut self, src: usize, meta: RelMeta, ctrs: &mut Counters) {
         let link = &mut self.links[src];
-        // The router keeps each sender's order, the receiver sees envelopes
-        // in it, and the virtual-retransmission scheme never reorders, so a
-        // gap here is a protocol bug, not a network fault.
-        assert_eq!(
-            meta.seq, link.recv_next,
-            "node {}: envelope from node {src} out of sequence (got {}, expected {})",
-            self.me, meta.seq, link.recv_next
-        );
-        link.recv_next += 1;
-        link.recv_unacked += 1;
-        if link.recv_unacked < ACK_EVERY {
-            return None;
+        link.taken += 1;
+        if link.taken.is_multiple_of(ACK_EVERY) {
+            ctrs.acks_sent += 1;
+            ctrs.msgs_sent += 1;
+            ctrs.bytes_sent += ACK_BYTES;
         }
-        link.recv_unacked = 0;
-        Some(link.recv_next)
+        let dups = u64::from(meta.duplicates);
+        ctrs.dups_suppressed += dups;
+        if dups > 0 {
+            self.unfolded.entry(src).or_default().dups += dups;
+        }
     }
 
-    /// Render the per-link protocol state for a deadlock report.
+    /// The fold: hand `instant` the trace instants of every link touched
+    /// since the last one — `retransmit` then `dup_suppressed`, one each
+    /// per peer, in ascending peer order — and start over.
+    pub fn fold(&mut self, mut instant: impl FnMut(&'static str, &[(&'static str, u64)])) {
+        for (peer, u) in std::mem::take(&mut self.unfolded) {
+            let peer = peer as u64;
+            if u.lost > 0 {
+                let args = [
+                    ("dst", peer),
+                    ("attempts", u.lost),
+                    ("backoff_ps", u.backoff.as_ps()),
+                ];
+                instant("retransmit", &args);
+            }
+            if u.dups > 0 {
+                instant("dup_suppressed", &[("src", peer), ("count", u.dups)]);
+            }
+        }
+    }
+
+    /// Render the links that carried an envelope, for a deadlock report.
     pub fn dump(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from("reliability links (peer: sent, recv-next/unacked):\n");
+        let mut out = String::from("reliability links (peer: sent, taken | unfolded):\n");
         for (peer, l) in self.links.iter().enumerate() {
-            if peer == self.me {
+            if l.sent == 0 && l.taken == 0 {
                 continue;
             }
+            let u = self.unfolded.get(&peer).copied().unwrap_or_default();
             let _ = writeln!(
                 out,
-                "  peer {peer}: sent={} | recv_next={} unacked={}",
-                l.next_seq, l.recv_next, l.recv_unacked
+                "  peer {peer}: sent={} taken={} | lost={} dups={}",
+                l.sent, l.taken, u.lost, u.dups
             );
         }
         out
@@ -189,32 +219,110 @@ mod tests {
         PpmConfig::new(MachineConfig::franklin(4).with_faults(faults))
     }
 
-    #[test]
-    fn sequences_and_ack_counts_advance_per_link() {
-        let cfg = cfg_with(FaultConfig::seeded(1, 0.0, 0.0, 0.0));
-        let mut rel = Reliability::new(0, &cfg);
-        assert_eq!(rel.on_send(1, 3).meta.seq, 0);
-        assert_eq!(rel.on_send(1, 3).meta.seq, 1);
-        assert_eq!(rel.on_send(2, 3).meta.seq, 0, "links number independently");
+    /// What one node does with its envelopes, in the order real time
+    /// happened to give it.
+    #[derive(Clone, Copy)]
+    enum Step {
+        /// Take an envelope from a peer, carrying this many duplicates.
+        Take(usize, u32),
+        /// Send an envelope of a kind to a peer.
+        Send(usize, u64),
+        Fold,
+    }
 
-        // Receive side: acks fall due every `ACK_EVERY` envelopes.
-        let mut recv = Reliability::new(1, &cfg);
-        let mut acks = 0;
-        for seq in 0..10u64 {
-            let out = recv.on_recv(
-                0,
-                RelMeta {
-                    seq,
-                    lost_attempts: 0,
-                    duplicates: 0,
-                },
-            );
-            if let Some(upto) = out {
-                assert_eq!(upto, seq + 1);
-                acks += 1;
+    /// Run `steps` on node 0; return what each fold credited: the
+    /// bucket's counters and the trace instants.
+    fn folds(cfg: &PpmConfig, steps: &[Step]) -> Vec<(Counters, Vec<String>)> {
+        let mut rel = Reliability::new(0, cfg);
+        let (mut ctrs, mut out) = (Counters::default(), Vec::new());
+        for &step in steps {
+            match step {
+                Step::Take(src, duplicates) => {
+                    let meta = RelMeta {
+                        lost_attempts: 0,
+                        duplicates,
+                    };
+                    rel.on_take(src, meta, &mut ctrs);
+                }
+                Step::Send(dst, kind) => _ = rel.on_send(dst, kind, &mut ctrs),
+                Step::Fold => {
+                    let mut instants = Vec::new();
+                    rel.fold(|name, args| instants.push(format!("{name} {args:?}")));
+                    out.push((std::mem::take(&mut ctrs), instants));
+                }
             }
         }
-        assert_eq!(acks, 10 / ACK_EVERY, "one ack per ACK_EVERY envelopes");
+        out
+    }
+
+    /// Two links' envelopes taken in two interleavings, with peer 2's
+    /// read request (and the response it costs, whose first attempt is
+    /// lost) taken right after the first fold — inside the clock barrier,
+    /// before that phase's summary — or last, mid-wave: each fold credits
+    /// identical counters and instants either way.
+    #[test]
+    fn a_fold_credits_the_same_whatever_the_take_order() {
+        use crate::msgs::{K_BARRIER, K_READ_RESP, K_WRITE};
+        use ppm_simnet::{FaultAction, TargetedFault};
+        use Step::{Fold, Send, Take};
+        let cfg = cfg_with(FaultConfig::NONE.with_targeted(TargetedFault {
+            src: 0,
+            dst: 2,
+            kind: K_READ_RESP,
+            nth: 1,
+            action: FaultAction::Drop,
+        }));
+        let request = [Take(2, 0), Send(2, K_READ_RESP)];
+        let wave = [
+            Take(1, 0),
+            Take(2, 1),
+            Take(1, 2),
+            Send(1, K_WRITE),
+            Take(1, 0),
+            Take(2, 0),
+            Take(1, 0),
+            Send(2, K_BARRIER),
+        ];
+        let mut reordered = wave;
+        reordered.reverse();
+        let early = [
+            &[Take(1, 0), Take(2, 0), Take(2, 0), Fold][..],
+            &request,
+            &wave,
+            &[Fold],
+        ];
+        let late = [
+            &[Take(2, 0), Take(1, 0), Take(2, 0), Fold][..],
+            &reordered,
+            &request,
+            &[Fold],
+        ];
+        let early = folds(&cfg, &early.concat());
+        assert_eq!(early, folds(&cfg, &late.concat()));
+
+        assert_eq!(
+            early[0],
+            (Counters::default(), Vec::new()),
+            "3 takes, no ack yet"
+        );
+        // Link 1 took 1 + 4 envelopes, link 2 took 2 + 3: each crossed one
+        // multiple of ACK_EVERY at the second fold.
+        let (c, instants) = &early[1];
+        assert_eq!(ACK_EVERY, 4);
+        assert_eq!(
+            (c.acks_sent, c.msgs_sent, c.bytes_sent),
+            (2, 2, 2 * ACK_BYTES)
+        );
+        assert_eq!((c.dups_suppressed, c.retries, c.faults_dropped), (3, 1, 1));
+        let backoff = RTO.as_ps();
+        assert_eq!(
+            *instants,
+            [
+                r#"dup_suppressed [("src", 1), ("count", 2)]"#.to_string(),
+                format!(r#"retransmit [("dst", 2), ("attempts", 1), ("backoff_ps", {backoff})]"#),
+                r#"dup_suppressed [("src", 2), ("count", 1)]"#.to_string(),
+            ]
+        );
     }
 
     #[test]
@@ -227,23 +335,26 @@ mod tests {
             action: ppm_simnet::FaultAction::Drop,
         }));
         let mut rel = Reliability::new(0, &cfg);
-        let out = rel.on_send(1, 3);
-        assert_eq!(out.meta.lost_attempts, 1);
-        assert_eq!(out.backoff, RTO, "first retry after RTO");
+        let (meta, delay) = rel.on_send(1, 3, &mut Counters::default());
+        assert_eq!(meta.lost_attempts, 1);
+        assert_eq!(delay, RTO, "first retry after RTO");
         let (rto, rto_max) = (SimTime::from_us(10), SimTime::from_us(15));
         assert_eq!(backoff_schedule(1, rto, rto_max), rto);
 
         // Force repeated drops through probabilities to see the cap.
         let cfg2 = cfg_with(FaultConfig::seeded(0, 1.0, 0.0, 0.0));
         let mut rel2 = Reliability::new(0, &cfg2);
-        let out2 = rel2.on_send(1, 3);
-        let lost = out2.meta.lost_attempts;
+        let (meta2, delay2) = rel2.on_send(1, 3, &mut Counters::default());
+        let lost = meta2.lost_attempts;
         assert_eq!(lost, ppm_simnet::fault::MAX_LOST_ATTEMPTS);
-        assert_eq!(out2.backoff, backoff_schedule(lost, RTO, RTO_MAX));
+        assert_eq!(
+            delay2,
+            backoff_schedule(lost, RTO, RTO_MAX),
+            "no wire delay"
+        );
         // 10 + 15 + 15 + 15 + 15 + 15 — every step after the first capped.
         let capped = backoff_schedule(lost, rto, rto_max);
         assert_eq!(capped, SimTime::from_us(10 + 5 * 15));
-        assert_eq!(out2.total_delay(), out2.backoff + out2.wire_delay);
     }
 
     #[test]
@@ -281,21 +392,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of sequence")]
-    fn sequence_gap_is_a_protocol_bug() {
-        let cfg = cfg_with(FaultConfig::seeded(1, 0.0, 0.0, 0.0));
-        let mut rel = Reliability::new(0, &cfg);
-        rel.on_recv(
-            1,
-            RelMeta {
-                seq: 5,
-                lost_attempts: 0,
-                duplicates: 0,
-            },
-        );
-    }
-
-    #[test]
     fn crash_and_snapshot_gating() {
         let cfg = cfg_with(FaultConfig::NONE.with_crash(2, 7));
         let faults = cfg.machine.faults;
@@ -303,9 +399,16 @@ mod tests {
         assert!(!faults.crash_at(2, 6));
         assert!(!faults.crash_at(0, 7), "only the seeded node crashes");
         assert!(faults.snapshots_needed(), "but every node snapshots");
-        let dump = Reliability::new(2, &cfg).dump();
-        assert!(dump.contains("peer 0"));
+        let mut rel = Reliability::new(2, &cfg);
+        let mut ctrs = Counters::default();
+        rel.on_send(0, 3, &mut ctrs);
+        let (meta, _) = rel.on_send(1, 3, &mut ctrs);
+        rel.on_take(1, meta, &mut ctrs);
+        let dump = rel.dump();
+        assert!(dump.contains("peer 0: sent=1 taken=0"));
+        assert!(dump.contains("peer 1: sent=1 taken=1"));
         assert!(!dump.contains("peer 2"), "no self link in the dump");
+        assert!(!dump.contains("peer 3"), "no link that carried nothing");
     }
 
     #[test]

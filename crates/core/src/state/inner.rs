@@ -163,11 +163,9 @@ pub(crate) struct Traffic {
     pub pipeline_hideable: SimTime,
     /// Reliability: extra virtual transmissions this phase (retransmitted
     /// attempts + duplicate copies) — each pays per-message overhead.
-    /// Cumulative acks deliberately do *not* appear here: they are counted
-    /// as the router shows each envelope to a receive, whose position
-    /// relative to the phase-time fold depends on real-time message
-    /// interleaving, so charging them would break clock determinism. They are modeled as piggybacked
-    /// (free in simulated time) and show up only in [`Counters`].
+    /// Cumulative acks do *not* appear here: they are modeled as
+    /// piggybacked on other traffic, free in simulated time, and show up
+    /// only in [`Counters`], credited at the phase fold.
     ///
     /// [`Counters`]: ppm_simnet::Counters
     pub rel_extra_msgs: u64,
@@ -222,16 +220,17 @@ pub(crate) struct Inner {
     /// node-level charges and collectives alike. They reach the endpoint
     /// once, when the `NodeCtx` drops.
     pub counters: Counters,
-    /// Counters from servicing peers' read requests, parked until the
-    /// serviced phase's end folds them into `counters` (`exec::phase_end`).
-    /// A peer that is ahead of us can deliver a request early (during our
-    /// clock barrier, or a `ppm_do` prologue collective) — a real-time
-    /// accident — so crediting services immediately would make per-phase
-    /// counter deltas in the trace depend on host scheduling. Parking them keeps
-    /// every snapshot of the merged counters (which excludes this bucket)
-    /// deterministic; totals are unaffected because the bucket always
-    /// drains into `counters` by job end.
-    pub deferred_service_ctrs: Counters,
+    /// Counters whose moment is a real-time accident, parked until the
+    /// next fold credits them to `counters` (`NodeCtx::fold_deferred`: step
+    /// 5 of a global phase end, and the node's drop). Two kinds: serving a
+    /// peer's read request — a peer that is ahead of us can deliver one
+    /// during our clock barrier, or a `ppm_do` prologue collective — and
+    /// every count of the reliability layer (`reliable.rs`), made as an
+    /// envelope is sent or taken. Crediting them at once would make
+    /// per-phase counter deltas in the trace depend on host scheduling;
+    /// which fold they land at does not. Totals are unaffected because the
+    /// bucket always drains into `counters` by job end.
+    pub deferred_ctrs: Counters,
     /// VPs of the current `ppm_do` that have not finished.
     pub live_vps: usize,
     /// Global rank of this node's VP 0 in the current `ppm_do`.
@@ -285,7 +284,7 @@ impl Inner {
             core_compute: vec![SimTime::ZERO; cfg.cores_per_node()],
             service_time: SimTime::ZERO,
             counters: Counters::default(),
-            deferred_service_ctrs: Counters::default(),
+            deferred_ctrs: Counters::default(),
             live_vps: 0,
             vp_base_global: 0,
             total_vps_global: 0,

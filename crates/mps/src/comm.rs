@@ -170,7 +170,7 @@ impl<'a> Comm<'a> {
         // Unmatched messages stay queued in the router, in arrival order.
         let (net, always) = (&self.ctx.net, None);
         let want = Filter { tag, src, always };
-        let msg = (net.recv_match(&want, |_| {})).unwrap_or_else(|| net.deadlocked(&want, ""));
+        let msg = (net.recv_match(&want)).unwrap_or_else(|| net.deadlocked(&want, ""));
         self.accept(msg)
     }
 

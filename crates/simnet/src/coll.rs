@@ -338,7 +338,7 @@ mod tests {
                 always: None,
             };
             let net = &self.ctx.net;
-            (net.recv_match(&want, |_| {}))
+            (net.recv_match(&want))
                 .unwrap_or_else(|| net.deadlocked(&want, ""))
                 .take()
         }

@@ -7,14 +7,11 @@ use crate::time::SimTime;
 /// Reliability-envelope metadata riding on a [`Message`].
 ///
 /// Attached by a reliable transport layer (the PPM runtime's); `None` for
-/// raw sends. `seq` numbers the link's envelopes for cumulative acks and
-/// duplicate suppression; `lost_attempts`/`duplicates` record the faults
-/// the fault plan injected into this transmission, so the receiver can
-/// account for them deterministically (see [`crate::fault`]).
+/// raw sends. `lost_attempts`/`duplicates` record the faults the fault plan
+/// injected into this transmission, so the receiver can account for them
+/// deterministically (see [`crate::fault`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelMeta {
-    /// Per-link envelope sequence number (starts at 0).
-    pub seq: u64,
     /// Virtual transmission attempts lost before this copy got through.
     pub lost_attempts: u32,
     /// Extra copies the wire delivered (to be suppressed by the receiver).
@@ -128,7 +125,6 @@ mod tests {
         let m = Message::new(0, 1, 7, SimTime::ZERO, 8, 1u64);
         assert!(m.rel.is_none());
         let meta = RelMeta {
-            seq: 3,
             lost_attempts: 2,
             duplicates: 1,
         };

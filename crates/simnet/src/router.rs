@@ -79,8 +79,6 @@ struct Inbox {
 #[derive(Default)]
 struct Queue {
     msgs: VecDeque<Message>,
-    /// How many leading `msgs` a receive's arrival hook has already seen.
-    seen: usize,
     /// The filter the owner is parked on, while it is off the count of
     /// endpoints that can send. A receive the router ended stays parked.
     parked: Option<Filter>,
@@ -89,11 +87,11 @@ struct Queue {
 }
 
 impl Inbox {
-    /// Lock the queue. A thread that panics while holding it (in a
-    /// receive's arrival hook, say) poisons the lock, but the queue is
-    /// still whole: no mutation here is left half done by anything that can
-    /// panic. Taking it anyway keeps a peer's `send` from failing with a
-    /// `PoisonError` that would hide the panic that caused it.
+    /// Lock the queue. A thread that panics while holding it poisons the
+    /// lock, but the queue is still whole: no mutation here is left half
+    /// done by anything that can panic. Taking it anyway keeps a peer's
+    /// `send` from failing with a `PoisonError` that would hide the panic
+    /// that caused it.
     fn lock(&self) -> MutexGuard<'_, Queue> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -201,24 +199,19 @@ impl Endpoint {
     /// receive ([`Self::deadlocked`]).
     pub fn recv(&self) -> Message {
         let any = Filter::ANY;
-        (self.recv_match(&any, |_| {})).unwrap_or_else(|| self.deadlocked(&any, ""))
+        (self.recv_match(&any)).unwrap_or_else(|| self.deadlocked(&any, ""))
     }
 
     /// Block until a message the filter `want` accepts is queued, and take
-    /// the first one in queue order.
-    ///
-    /// `arrived` sees every queued message exactly once, in queue order,
-    /// and always before any message queued behind it is taken — the order
-    /// in which a plain FIFO receive would have dequeued them. Per-sender
-    /// bookkeeping that must follow the sender's order (sequence numbers)
-    /// belongs there, not on the taken message. It runs with this inbox
-    /// locked, so it must not send to or inspect this endpoint.
+    /// the first one in queue order. What the receive passes over stays
+    /// queued, in order, and nothing above sees it until a receive takes
+    /// it: a layer's per-message bookkeeping belongs on the taken message.
     ///
     /// `None` means deadlock: no endpoint can send any more, so nothing
     /// `want` accepts can ever arrive ([`Self::deadlocked`]). Traffic
     /// `want` does not accept never wakes this receive, and while its
     /// sender lives the receive is not deadlocked: the sender counts.
-    pub fn recv_match(&self, want: &Filter, mut arrived: impl FnMut(&Message)) -> Option<Message> {
+    pub fn recv_match(&self, want: &Filter) -> Option<Message> {
         let inbox = self.inbox(self.id);
         let mut q = inbox.lock();
         // Messages before `at` were already checked against `want`. Only
@@ -226,12 +219,7 @@ impl Endpoint {
         let mut at = 0;
         loop {
             while at < q.msgs.len() {
-                if at == q.seen {
-                    arrived(&q.msgs[at]);
-                    q.seen += 1;
-                }
                 if want.matches(&q.msgs[at]) {
-                    q.seen -= 1;
                     // Cannot fire: `at < q.msgs.len()` was tested above.
                     return Some(q.msgs.remove(at).expect("index is in bounds"));
                 }
@@ -448,7 +436,7 @@ mod tests {
     #[should_panic(expected = "no endpoint can send\nprotocol dump here")]
     fn a_lone_receive_deadlocks_at_once() {
         let eps = make_router(1);
-        assert!(eps[0].recv_match(&Filter::ANY, |_| {}).is_none());
+        assert!(eps[0].recv_match(&Filter::ANY).is_none());
         eps[0].deadlocked(&Filter::ANY, "protocol dump here");
     }
 
@@ -459,7 +447,7 @@ mod tests {
         let inboxes = Arc::clone(&rx.inboxes);
         let id = rx.id;
         let t = std::thread::spawn(move || {
-            let got = rx.recv_match(&filter, |_| {});
+            let got = rx.recv_match(&filter);
             (rx, got)
         });
         while inboxes[id].lock().parked.is_none() {
@@ -554,31 +542,10 @@ mod tests {
                 tx.send(msg(1, 0, 2, i));
                 tx.send(msg(1, 0, 1, i));
             });
-            let got = rx.recv_match(&want, |_| {});
+            let got = rx.recv_match(&want);
             assert_eq!(got.expect("sent before the drop").take::<u64>(), i);
             t.join().unwrap();
             assert!(!rx.ended_in_deadlock());
         }
-    }
-
-    /// The arrival hook sees each message once, in queue order, before
-    /// anything behind it is taken — however far ahead a match reaches.
-    #[test]
-    fn arrivals_are_seen_once_in_queue_order() {
-        let eps = make_router(2);
-        for tag in [1, 2, 3, 1, 2] {
-            eps[0].send(msg(0, 1, tag, tag));
-        }
-        let mut seen = Vec::new();
-        for tag in [3, 1, 2, 2, 1] {
-            let want = Filter {
-                tag,
-                src: None,
-                always: None,
-            };
-            let m = eps[1].recv_match(&want, |m| seen.push(m.tag));
-            assert_eq!(m.expect("queued").tag, tag);
-        }
-        assert_eq!(seen, [1, 2, 3, 1, 2]);
     }
 }
