@@ -36,7 +36,10 @@
 
 use ppm_apps::cg::{self, CgParams};
 use ppm_apps::stencil27::Stencil27;
-use ppm_bench::{header, max_time, mb, ms, pct, ratio, row, write_trace, Args, TraceSink};
+use ppm_bench::{
+    header, host_memory_line, max_time, mb, ms, pct, ratio, row, vm_hwm_bytes, write_trace, Args,
+    TraceSink,
+};
 use ppm_core::PpmConfig;
 use ppm_simnet::MachineConfig;
 
@@ -55,23 +58,6 @@ fn parse_bytes(s: &str) -> u64 {
         None => (t.as_str(), 1),
     };
     num.trim().parse::<u64>().expect("byte size") * mult
-}
-
-/// Peak host RSS (`VmHWM` from `/proc/self/status`), in bytes — the
-/// honest "what did this cost the machine" column next to the modeled
-/// `bytes_resident` peak. 0 where procfs is unavailable.
-fn vm_hwm_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find(|l| l.starts_with("VmHWM:")).and_then(|l| {
-                l.split_whitespace()
-                    .nth(1)
-                    .and_then(|v| v.parse::<u64>().ok())
-            })
-        })
-        .map(|kib| kib * 1024)
-        .unwrap_or(0)
 }
 
 /// The paper's full-size Figure 1 point under the streamed-tile runtime.
@@ -182,6 +168,7 @@ fn run_full(args: &Args) {
         "\n(peak resident is the modeled per-node maximum; VmHWM is the host process high-water mark — \
          the simulator itself holds every partition in host memory)"
     );
+    println!("{}", host_memory_line());
     if let Some((sink, path)) = &trace {
         write_trace(sink, path);
     }

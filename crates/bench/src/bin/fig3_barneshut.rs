@@ -13,9 +13,14 @@
 //!
 //! `--trace <path>` / `PPM_TRACE=<path>` records the PPM runs as a Chrome
 //! trace-event file plus a `<path>.metrics.json` per-phase report.
+//!
+//! The last line is the process's host memory over the whole sweep:
+//! `VmHWM`, and the peak live heap when built with `--features heap-peak`.
 
 use ppm_apps::barnes_hut::{self as bh, BhParams};
-use ppm_bench::{header, max_time, mb, ms, pct, ratio, row, write_trace, Args, TraceSink};
+use ppm_bench::{
+    header, host_memory_line, max_time, mb, ms, pct, ratio, row, write_trace, Args, TraceSink,
+};
 use ppm_core::PpmConfig;
 use ppm_simnet::MachineConfig;
 
@@ -80,4 +85,5 @@ fn main() {
     if let Some((sink, path)) = &trace {
         write_trace(sink, path);
     }
+    println!("{}", host_memory_line());
 }

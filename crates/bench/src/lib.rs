@@ -131,6 +131,101 @@ pub fn write_trace(sink: &TraceSink, path: &str) {
     eprintln!("trace written to {path} (+ {path}.metrics.json)");
 }
 
+/// Peak host RSS (`VmHWM` from `/proc/self/status`), in bytes — the
+/// honest "what did this cost the machine" figure next to a modeled
+/// `bytes_resident` peak. 0 where procfs is unavailable.
+pub fn vm_hwm_bytes() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines().find(|l| l.starts_with("VmHWM:")).and_then(|l| {
+                l.split_whitespace()
+                    .nth(1)
+                    .and_then(|v| v.parse::<u64>().ok())
+            })
+        })
+        .map(|kib| kib * 1024)
+        .unwrap_or(0)
+}
+
+/// Peak live heap bytes of this process so far: what the allocator was
+/// asked to hold at once, against `VmHWM`'s pages. Counted only when
+/// `ppm-bench` is built with the `heap-peak` feature (a counting global
+/// allocator; without it nothing is counted and this is `None`).
+pub fn peak_heap_bytes() -> Option<u64> {
+    #[cfg(feature = "heap-peak")]
+    return Some(heap::PEAK.load(std::sync::atomic::Ordering::Relaxed) as u64);
+    #[cfg(not(feature = "heap-peak"))]
+    None
+}
+
+/// One line on this process's host memory so far:
+/// `host VmHWM <MB> MB, peak live heap <MB> MB` (`n/a` without the
+/// `heap-peak` feature).
+pub fn host_memory_line() -> String {
+    let heap = peak_heap_bytes().map_or("n/a".into(), |b| format!("{} MB", mb(b)));
+    format!(
+        "host VmHWM {} MB, peak live heap {heap}",
+        mb(vm_hwm_bytes())
+    )
+}
+
+/// The `heap-peak` feature's counting allocator: `System` plus a live-byte
+/// count and its high-water mark.
+#[cfg(feature = "heap-peak")]
+mod heap {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+    pub(super) static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+    fn grow(bytes: usize) {
+        let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+        PEAK.fetch_max(live, Relaxed);
+    }
+
+    struct Counting;
+
+    // SAFETY: every method forwards to `System` with the caller's arguments
+    // unchanged; the counters are plain atomics.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            // SAFETY: same contract as the caller's.
+            let p = unsafe { System.alloc(layout) };
+            if !p.is_null() {
+                grow(layout.size());
+            }
+            p
+        }
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            // SAFETY: same contract as the caller's.
+            let p = unsafe { System.alloc_zeroed(layout) };
+            if !p.is_null() {
+                grow(layout.size());
+            }
+            p
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            // SAFETY: `ptr` came from `System` with `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            // SAFETY: `ptr` came from `System` with `layout`.
+            let p = unsafe { System.realloc(ptr, layout, new_size) };
+            if !p.is_null() {
+                LIVE.fetch_sub(layout.size(), Relaxed);
+                grow(new_size);
+            }
+            p
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+}
+
 /// Print a markdown table row.
 pub fn row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));
@@ -145,18 +240,20 @@ pub fn header(cells: &[&str]) {
     );
 }
 
+/// Whether a trimmed source line is code: non-blank and not a `//`
+/// comment. The sources counted have no block comments, so a line that
+/// starts with `*` is a dereference.
+fn is_code(line: &str) -> bool {
+    !line.is_empty() && !line.starts_with("//")
+}
+
 /// Count the lines of a source file the way the paper's Table 1 does:
 /// every physical line (the paper reports raw line counts); also return
-/// the count excluding blank and comment-only lines for a fairer view.
+/// the count of code lines (non-blank, not a `//` comment) for a fairer
+/// view.
 pub fn line_counts(src: &str) -> (usize, usize) {
     let total = src.lines().count();
-    let code = src
-        .lines()
-        .map(str::trim)
-        .filter(|l| {
-            !l.is_empty() && !l.starts_with("//") && !l.starts_with("/*") && !l.starts_with('*')
-        })
-        .count();
+    let code = src.lines().map(str::trim).filter(|l| is_code(l)).count();
     (total, code)
 }
 
@@ -170,8 +267,7 @@ pub fn line_counts(src: &str) -> (usize, usize) {
 /// - a `#[cfg(test)] mod name;` declares a test-only file — `name.rs` as
 ///   Rust resolves it, or its `#[path]` — which the crate count leaves out.
 pub fn runtime_code_lines(file: &Path, src: &str) -> (usize, Vec<PathBuf>) {
-    let is_code = |l: &&str| !l.is_empty() && !l.starts_with("//");
-    let mut lines = src.lines().map(str::trim).filter(is_code);
+    let mut lines = src.lines().map(str::trim).filter(|l| is_code(l));
     let (mut code, mut test_files) = (0, Vec::new());
     while let Some(line) = lines.next() {
         if line != "#[cfg(test)]" {
@@ -260,6 +356,13 @@ mod tests {
         assert_eq!(code, 3);
     }
 
+    /// A line that starts with a dereference is code, not a block comment.
+    #[test]
+    fn a_dereference_line_is_code() {
+        let src = "fn f(a: &mut u8) {\n    *a = 1;\n    // note\n}\n";
+        assert_eq!(line_counts(src), (4, 3));
+    }
+
     /// The runtime rule on one file that has every case: comments and
     /// blanks, a one-line and a braced `#[cfg(test)]` item, a test-only
     /// file with and without `#[path]`, and the test module it stops at.
@@ -290,6 +393,15 @@ mod tests {
         assert!(has("exec/mod.rs") && has("state/mod.rs") && has("lib.rs"));
         assert!(!has("exec/exec_tests.rs") && !has("state/tests.rs"));
         assert!(counted.iter().all(|&(_, lines)| lines > 0));
+    }
+
+    #[test]
+    fn the_heap_peak_is_counted_only_with_its_feature() {
+        let block = std::hint::black_box(vec![1u8; 1 << 20]);
+        let peak = peak_heap_bytes();
+        assert_eq!(peak.is_some(), cfg!(feature = "heap-peak"));
+        assert!(peak.is_none_or(|peak| peak >= block.len() as u64));
+        assert!(host_memory_line().starts_with("host VmHWM "));
     }
 
     #[test]

@@ -276,6 +276,112 @@ fn bulk_read_asks_for_each_distinct_remote_element_once() {
     assert_eq!(c.cache_hits, 2 * 3);
 }
 
+/// One bulk read of 25 indices — hot locals, read-cache hits, first
+/// occurrences, their repeats (runs of three, singles, a run broken by a
+/// local and by a descending index, two repeats of one index) and a run of
+/// locals in a spilled tile — over `T`'s array, two VPs per node on two
+/// nodes. Checks the output against a per-index `get`, what the parked
+/// future holds, and that dropping a parked read frees its slots; returns
+/// the job's access counters. `wrote` makes each VP write the array first,
+/// so its reads take `charge_get` one by one instead of the span path.
+fn bulk_read_of<T: crate::Elem + PartialEq>(
+    threads: usize,
+    wrote: bool,
+    mk: fn(usize) -> T,
+) -> [u64; 6] {
+    // Four elements per tile, all eight local tiles cold at the start.
+    let budget = 32 * std::mem::size_of::<T>() as u64;
+    let cfg = PpmConfig::new(MachineConfig::new(2, 1))
+        .with_read_cache(true)
+        .with_tile_budget(budget)
+        .with_host_threads(threads);
+    let wide = std::mem::size_of::<T>() > 8;
+    let report = crate::run(cfg, move |node| {
+        let a = node.alloc_global::<T>(64);
+        let lo = node.local_range(&a).start;
+        node.with_local_mut(&a, |s| {
+            for (off, v) in s.iter_mut().enumerate() {
+                *v = mk(lo + off);
+            }
+        });
+        node.ppm_do(2, move |vp| async move {
+            let near = move |j: usize| lo + j;
+            let far = move |j: usize| (lo + 32 + j) % 64;
+            let probe = vp.clone();
+            vp.global_phase(|ph| async move {
+                if wrote {
+                    ph.put(&a, near(30 + probe.node_rank()), mk(0));
+                }
+                // Refill tile 0 and cache far(0..4).
+                let warm = [0, 1, 2, 3].map(near).into_iter().chain((0..4).map(far));
+                ph.get_many(&a, warm).await;
+
+                let main = [
+                    &[near(0), near(1)][..],             // hot locals
+                    &[far(0), far(1), far(0)],           // cache hits
+                    &[far(8), far(9), far(10)],          // first occurrences
+                    &[far(8), far(9), far(10)],          // a run of repeats
+                    &[near(8), near(9), near(10)],       // deferred: tile 2 is cold
+                    &[far(9), near(0), far(10), far(8)], // three single repeats
+                    &[far(8), far(9), far(10)],          // the run again
+                    &[far(12), far(12), far(12)],        // a first and two repeats
+                    &[near(1)],                          // after the last run
+                ]
+                .concat();
+                let mut many = ph.get_many(&a, main.clone());
+                assert!(poll_once(&mut many).await.is_pending());
+                // 11 repeats: in 7 runs when they hold no output position,
+                // and the reservation for them is given back.
+                assert_eq!(many.held(), if wide { (14, 14, 7) } else { (25, 25, 11) });
+                let out = many.await;
+                assert!(out == main.iter().map(|&i| mk(i)).collect::<Vec<_>>());
+                for (&idx, v) in main.iter().zip(&out) {
+                    assert!(ph.get(&a, idx).await == *v, "index {idx}");
+                }
+
+                let in_use = || probe.cell.with_poll(|s, _| s.slots.in_use());
+                let mut dropped = ph.get_many(&a, [14, 14, 15, 14, 15].map(far));
+                assert!(poll_once(&mut dropped).await.is_pending());
+                // The last two repeats are one run: far(14), far(15) again.
+                assert_eq!(dropped.held(), if wide { (2, 2, 2) } else { (5, 5, 3) });
+                assert_eq!(in_use(), 2);
+                drop(dropped);
+                assert!(ph.get(&a, far(16)).await == mk(far(16)));
+                assert_eq!(in_use(), 0, "the late fills freed the cancelled slots");
+            })
+            .await;
+        });
+    });
+    let c = report.total_counters();
+    assert!(c.dedup_reads > 0 && c.cache_hits > 0 && c.tile_refills > 0);
+    [
+        c.remote_gets,
+        c.dedup_reads,
+        c.local_accesses,
+        c.cache_hits,
+        c.cache_misses,
+        c.tile_refills,
+    ]
+}
+
+/// A repeat of an element wider than its 8-byte record holds no output
+/// position while the bulk read is parked; every observable — output,
+/// counters, slots — is the `f64` path's, at 1 and 8 host threads, on the
+/// span path and through `charge_get`.
+#[test]
+fn a_parked_bulk_read_of_wide_elements_holds_first_occurrences_only() {
+    for threads in [1, 8] {
+        for wrote in [false, true] {
+            let narrow = bulk_read_of(threads, wrote, |i| i as f64 + 0.5);
+            let wide = bulk_read_of(threads, wrote, |i| {
+                let x = i as f64;
+                [x, 1.0, 2.0, 3.0, 4.0, x * 2.0]
+            });
+            assert_eq!(narrow, wide, "threads {threads}, wrote {wrote}");
+        }
+    }
+}
+
 /// One VP on one node running `body` in a global phase over an 8-element
 /// array.
 fn one_vp_phase<Fut: Future<Output = ()> + Send + 'static>(

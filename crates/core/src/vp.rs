@@ -256,6 +256,7 @@ impl Phase {
             pending: Vec::new(),
             deferred: Vec::new(),
             dups: Vec::new(),
+            runs: Vec::new(),
         }
     }
 
@@ -409,14 +410,22 @@ impl<T: Elem> Drop for GetFut<'_, T> {
 /// dropped unresolved.
 ///
 /// Its in-flight records are 8 bytes per *distinct* remote element; a
-/// position is the element's index in the output (`read_position`-checked).
+/// position is the element's index in `values` (`read_position`-checked).
+/// A repeat of a remote element this call already requested costs no slot
+/// and no request. For an element of at most 8 bytes it holds its output
+/// position in `values` as a placeholder plus an 8-byte `dups` record. A
+/// wider element's repeat holds no output position while parked: `values`
+/// keeps first occurrences, locals and cache hits only, and the repeats are
+/// one 12-byte `runs` record per run of them; the request-order output is
+/// built when the future resolves.
 pub struct GetManyFut<'a, T: Elem, I> {
     cell: &'a VpCell,
     array: u32,
     /// The caller's index iterator, until the first poll runs it.
     idxs: Option<I>,
-    /// The output, in request order; unresolved positions hold a
-    /// placeholder until the three lists below drain.
+    /// The output in request order, less the repeats `runs` holds;
+    /// unresolved positions hold a placeholder until `pending` and
+    /// `deferred` drain.
     values: Vec<T>,
     /// `(position, slot)` per remote element still parked on a wave slot.
     pending: Vec<(u32, u32)>,
@@ -424,10 +433,15 @@ pub struct GetManyFut<'a, T: Elem, I> {
     /// spilled tile — consecutive positions reading consecutive offsets —
     /// awaiting a charge-free re-read after the executor refills it.
     deferred: Vec<(u32, usize, u32)>,
-    /// `(position, position of the first occurrence)` per repeat of a remote
-    /// index this call already requested: no slot, no request — a copy of
-    /// the first occurrence's value once that has arrived.
+    /// Elements of at most 8 bytes: `(position, position of the first
+    /// occurrence)` per repeat — a copy of the first occurrence's value once
+    /// that has arrived.
     dups: Vec<(u32, u32)>,
+    /// Wider elements: `(at, first, len)` per run of repeats — copies of
+    /// `values[first..first + len]` that go before `values[at]` in the
+    /// output. Consecutive repeats of consecutive first occurrences (a
+    /// Barnes–Hut leaf's bodies named again) are one record.
+    runs: Vec<(u32, u32, u32)>,
 }
 
 // Sound: the future holds no self-references (owned fields and a shared
@@ -492,22 +506,24 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                         } else {
                             misses += 1;
                             this.request(s, ga, idx);
-                            this.values.push(T::default());
                             next = idxs.next();
                         }
                     } else {
                         elsewhere += 1;
-                        let v = this.charge_one(s, ga, tiles, idx);
-                        this.values.push(v);
+                        this.charge_one(s, ga, tiles, idx);
                         next = idxs.next();
                     }
                 }
-                let charged = this.values.len() as u64 - elsewhere;
+                let charged = (this.values.len() + this.repeats()) as u64 - elsewhere;
                 s.compute += cost::SV_OVERHEAD.scale(charged);
                 s.counters.local_accesses += charged - hits - misses;
                 s.counters.cache_hits += hits;
                 s.counters.cache_misses += misses;
                 s.counters.remote_gets += misses;
+                if !this.runs.is_empty() {
+                    // The reservation was sized for every repeat.
+                    this.values.shrink_to_fit();
+                }
             } else {
                 let values = &mut this.values;
                 this.pending
@@ -532,27 +548,62 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
         if !(this.pending.is_empty() && this.deferred.is_empty()) {
             return Poll::Pending;
         }
-        for (pos, first) in this.dups.drain(..) {
-            this.values[pos as usize] = this.values[first as usize];
-        }
-        Poll::Ready(std::mem::take(&mut this.values))
+        Poll::Ready(this.resolve())
     }
 }
 
 impl<T: Elem, I> GetManyFut<'_, T, I> {
+    /// Whether a repeat is kept as a `runs` record rather than an output
+    /// position: only where an element is wider than a `dups` record.
+    const COMPACT: bool = std::mem::size_of::<T>() > std::mem::size_of::<(u32, u32)>();
+
+    /// What the future holds while parked: output values (placeholders
+    /// included), the capacity behind them, and repeat records (unit tests).
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> (usize, usize, usize) {
+        let records = self.dups.len() + self.runs.len();
+        (self.values.len(), self.values.capacity(), records)
+    }
+
+    /// Output positions `runs` holds instead of `values`.
+    fn repeats(&self) -> usize {
+        self.runs.iter().map(|&(_, _, len)| len as usize).sum()
+    }
+
+    /// The output in request order, once nothing is parked.
+    fn resolve(&mut self) -> Vec<T> {
+        let mut values = std::mem::take(&mut self.values);
+        for &(pos, first) in &self.dups {
+            values[pos as usize] = values[first as usize];
+        }
+        if self.runs.is_empty() {
+            return values;
+        }
+        let mut out = Vec::with_capacity(values.len() + self.repeats());
+        let mut from = 0;
+        for &(at, first, len) in &self.runs {
+            out.extend_from_slice(&values[from..at as usize]);
+            out.extend_from_slice(&values[first as usize..(first + len) as usize]);
+            from = at as usize;
+        }
+        out.extend_from_slice(&values[from..]);
+        out
+    }
+
     /// The full price of the access to `idx` that the next output position
     /// is for, and its value — a placeholder if it has to wait (remote, or
-    /// local in a spilled tile).
+    /// local in a spilled tile) — pushed onto `values` unless
+    /// [`Self::request`] keeps it as a `runs` record.
     fn charge_one(
         &mut self,
         s: &mut VpScratch,
         ga: &GArray<T>,
         tiles: Option<&ArrayTiles>,
         idx: usize,
-    ) -> T {
+    ) {
         let pos = read_position(self.values.len());
         match self.cell.charge_get(s, ga, tiles, self.array, idx) {
-            GetOutcome::Local(v) => return v,
+            GetOutcome::Local(v) => return self.values.push(v),
             GetOutcome::LocalPending(off) => match self.deferred.last_mut() {
                 // The next element of the last run, in the same tile.
                 Some((at, from, len))
@@ -564,24 +615,34 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
                 }
                 _ => self.deferred.push((pos, off, 1)),
             },
-            GetOutcome::Miss => self.request(s, ga, idx),
+            GetOutcome::Miss => return self.request(s, ga, idx),
         }
-        T::default()
+        self.values.push(T::default());
     }
 
     /// A charged miss on remote `idx`, which the next output position is
     /// for: parked on a new request, or on the one this call already made.
+    /// Its placeholder goes onto `values` unless a `runs` record holds it.
     fn request(&mut self, s: &mut VpScratch, ga: &GArray<T>, idx: usize) {
         let pos = read_position(self.values.len());
         if let Some(first) = s.first_seen.first(idx as u64, pos) {
             // The request this repeat does not make is one the wave
             // builder would have merged.
             s.counters.dedup_reads += 1;
+            if Self::COMPACT {
+                match self.runs.last_mut() {
+                    // The next repeat of the last run's next first occurrence.
+                    Some((at, from, len)) if *at == pos && *from + *len == first => *len += 1,
+                    _ => self.runs.push((pos, first, 1)),
+                }
+                return;
+            }
             self.dups.push((pos, first));
         } else {
             let slot = VpCell::issue_get(s, ga, self.array, idx);
             self.pending.push((pos, slot));
         }
+        self.values.push(T::default());
     }
 }
 
