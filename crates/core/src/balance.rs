@@ -190,8 +190,7 @@ pub(crate) fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
     // Decide: a pure function of the replicated window. `(id, old, new)`
     // per balanced array whose cut moves.
     let plan: Vec<(u32, Dist, Dist)> = {
-        let mut inner = nc.inner.borrow_mut();
-        let inner = &mut *inner;
+        let inner = &mut nc.inner;
         let b = &mut inner.balancer;
         if b.balanced.is_empty() || b.load_window < MIN_WINDOW {
             return;
@@ -234,8 +233,7 @@ pub(crate) fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
     let mut bytes_out_total = 0u64;
     let mut shipping: Vec<(usize, usize, MigrateMsg)> = Vec::new();
     {
-        let mut inner = nc.inner.borrow_mut();
-        let inner = &mut *inner;
+        let inner = &mut nc.inner;
         for dest in peers() {
             let mut parts: MigrateMsg = Vec::new();
             let mut bytes = cost::BUNDLE_HEADER_BYTES;
@@ -261,7 +259,7 @@ pub(crate) fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
     // stretches, per balanced array.
     type ArrivedParts = Vec<(usize, Values)>;
     let mut by_array: BTreeMap<u32, ArrivedParts> = BTreeMap::new();
-    let mut inner = nc.inner.borrow_mut();
+    let inner = &mut nc.inner;
     for (_src, bytes, bundle) in incoming {
         inner.traffic.migr_bundles_in += 1;
         inner.traffic.migr_bytes_in += bytes;
@@ -295,7 +293,6 @@ pub(crate) fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
         ("moved_bytes", bytes_out_total),
         ("moved_vps", inner.live_vps as u64),
     ];
-    drop(inner);
     nc.trace("rebalance", "runtime", nc.now(), None, &args);
 }
 

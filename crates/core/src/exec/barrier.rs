@@ -75,7 +75,7 @@ pub(super) fn clock_barrier(nc: &mut NodeCtx<'_>, phase: u64, mut parts: Barrier
         // frames, receiver side) go to `Traffic`, and the next phase's gap
         // term charges them (`charge_phase_time`).
         let ts = nc.ep.charge_send(Route::NODE, 0);
-        let (bm, wire_bytes) = parts.take_for(edge, &mut nc.inner.borrow_mut());
+        let (bm, wire_bytes) = parts.take_for(edge, &mut nc.inner);
         let tag = msgs::tag(msgs::K_BARRIER, msgs::barrier_meta(phase, edge.round));
         nc.send_msg(
             Message::new(me, edge.to, tag, ts, wire_bytes as usize, bm),
@@ -84,10 +84,10 @@ pub(super) fn clock_barrier(nc: &mut NodeCtx<'_>, phase: u64, mut parts: Barrier
         let msg = nc.pump_recv(tag, Some(edge.from));
         nc.ep.charge_recv(Route::NODE, 0, msg.ts);
         let wire_bytes = msg.bytes as u64;
-        let hosted = parts.absorb(msg.take(), wire_bytes, &mut nc.inner.borrow_mut());
+        let hosted = parts.absorb(msg.take(), wire_bytes, &mut nc.inner);
         nc.ep.clock.advance_compute(hosted);
     }
-    (nc.inner.borrow_mut().balancer).fold_window(nodes, parts.loads.by_rank());
+    nc.inner.balancer.fold_window(nodes, parts.loads.by_rank());
     parts.failover.finish(nc, phase);
-    parts.coherence.finish(&mut nc.inner.borrow_mut());
+    parts.coherence.finish(&mut nc.inner);
 }

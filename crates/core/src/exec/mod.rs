@@ -12,9 +12,9 @@
 //!
 //! Scheduling is deterministic regardless of host thread timing or worker
 //! count: each poll round's runnable set is fixed up front, VPs record
-//! every effect into their private [`VpScratch`](crate::state::VpScratch),
-//! and the driver merges scratches into [`Inner`](crate::state::Inner) in
-//! ascending rank order after the round — so the merged effect sequence
+//! every effect into their private [`VpScratch`], and the driver merges
+//! scratches into [`Inner`](crate::state::Inner) in ascending rank order
+//! after the round — so the merged effect sequence
 //! equals a sequential ascending-rank schedule's no matter which host
 //! thread polled what. A wave's destinations are consumed strictly in
 //! ascending node order (early responses wait in the router), so VPs resume per
@@ -24,6 +24,14 @@
 //! source-node order.
 //! Simulated clocks are computed from per-phase totals, never from message
 //! interleaving. See DESIGN.md §12.
+//!
+//! ## Ownership
+//!
+//! The node's thread owns its state: `NodeCtx::inner`, and every VP's
+//! future and scratch, held by rank in `drive`. A poll round moves each
+//! runnable VP's future and scratch to whoever polls it — the driver
+//! itself, or a host worker with the round's `Arc<Frozen>` — and gets both
+//! back with the result, so no lock guards any of it.
 //!
 //! ## Map
 //!
@@ -39,13 +47,13 @@
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::task::{Context, Poll, Waker};
 
 use ppm_simnet::SimTime;
 
 use crate::nodectx::NodeCtx;
-use crate::state::{merge_vp, DoMode, PhaseKind, PollGuard, SharedInner, VpCell};
+use crate::state::{merge_vp, DoMode, Frozen, PhaseKind, PollGuard, VpCell, VpScratch};
 use crate::vp::Vp;
 
 mod barrier;
@@ -58,40 +66,39 @@ use wave::{finalize_wave, service_tile_faults, start_wave, wave_recv_next, WaveS
 
 type VpTask = Pin<Box<dyn Future<Output = ()> + Send>>;
 
+/// A VP on its way to be polled: its rank, its future and its scratch.
+type Job = (usize, VpTask, VpScratch);
+
 /// Outcome of polling one VP once (possibly on a host worker thread).
 enum PollOut {
     Done,
-    Pending,
+    /// The future, to be polled again.
+    Pending(VpTask),
     Panicked(Box<dyn std::any::Any + Send>),
 }
 
-/// Poll one VP future once, inside its poll context: the VP's scratch and a
-/// handle on the node's frozen arrays sit in this thread's thread-local
-/// until `ctx` drops, so the accesses the future makes take no lock
-/// (DESIGN.md §12). Panics are caught so the driver can merge the
-/// lower-rank VPs' effects first and then re-raise — reproducing a
-/// sequential schedule's panic behavior from any worker thread.
-fn poll_vp(tasks: &[Mutex<Option<VpTask>>], cell: &VpCell, inner: &SharedInner) -> PollOut {
-    let mut guard = tasks[cell.id]
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    // Cannot fire: `drive` polls only VPs it has not seen finish, and the
-    // slot empties only on `Ready` or a panic — both of which retire the VP.
-    let task = guard.as_mut().expect("ready VP must be live");
-    let frozen = Arc::clone(&inner.borrow().frozen);
-    let _ctx = PollGuard::enter(cell, frozen);
+/// Poll one VP future once, inside its poll context: the VP's scratch and
+/// `frozen`, the node's arrays, sit in this thread's thread-local for the
+/// poll, so the accesses the future makes take no lock (DESIGN.md §12). A
+/// future that finishes or panics is dropped inside the context too. Panics
+/// are caught so the driver can merge the lower-rank VPs' effects first and
+/// then re-raise — reproducing a sequential schedule's panic behavior from
+/// any worker thread. Returns the rank, the outcome and the scratch.
+fn poll_vp((vp, mut task, scratch): Job, frozen: &Arc<Frozen>) -> (usize, PollOut, VpScratch) {
+    let ctx = PollGuard::enter(vp, scratch, Arc::clone(frozen));
     let mut cx = Context::from_waker(Waker::noop());
-    match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
+    let out = match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
+        Ok(Poll::Pending) => PollOut::Pending(task),
         Ok(Poll::Ready(())) => {
-            *guard = None;
+            drop(task);
             PollOut::Done
         }
-        Ok(Poll::Pending) => PollOut::Pending,
         Err(payload) => {
-            *guard = None;
+            drop(task);
             PollOut::Panicked(payload)
         }
-    }
+    };
+    (vp, out, ctx.exit())
 }
 
 /// Resolve the host worker-thread count for a `ppm_do`:
@@ -137,31 +144,28 @@ where
             let split = (ks[..me].iter().sum(), ks.iter().sum());
             // Kept for the failover trace instant's payload (how many VPs
             // a buddy adopts with a dead rank's partitions, DESIGN.md §15).
-            nc.inner.borrow_mut().failover.set_peer_vps(ks);
+            nc.inner.failover.set_peer_vps(ks);
             split
         }
         // Asynchronous mode: no cross-node coordination; ranks are
         // node-local.
         DoMode::Local => (0, k as u64),
     };
-    {
-        let mut inner = nc.inner.borrow_mut();
-        inner.vp_base_global = base;
-        inner.total_vps_global = total;
-        inner.live_vps = k;
-        inner.do_mode = mode;
-        // Read caches do not survive across constructs: direct mutation
-        // between `ppm_do`s (`with_local_mut`) can change any partition
-        // without a phase exchange to carry invalidations.
-        for ga in inner.thaw().garrays.iter_mut() {
-            ga.cache_clear();
-        }
+    let inner = &mut nc.inner;
+    inner.vp_base_global = base;
+    inner.total_vps_global = total;
+    inner.live_vps = k;
+    inner.do_mode = mode;
+    // Read caches do not survive across constructs: direct mutation
+    // between `ppm_do`s (`with_local_mut`) can change any partition
+    // without a phase exchange to carry invalidations.
+    for ga in inner.thaw().garrays.iter_mut() {
+        ga.cache_clear();
     }
     if nc.ep.tracer.enabled() {
         // Per-phase counter deltas start from here, excluding the
         // construct's collective prologue.
-        let merged = nc.ep_counters();
-        nc.inner.borrow_mut().ctr_base = merged;
+        nc.inner.ctr_base = nc.ep_counters();
     }
 
     // Crash recovery line: direct mutation between `ppm_do`s
@@ -172,8 +176,8 @@ where
         nc.take_snapshot(None);
     }
 
-    // Instantiate the VPs: a shared identity/scratch cell per VP, plus its
-    // future behind a `Mutex` so host workers can poll it.
+    // Instantiate the VPs: an identity cell per VP, shared with its
+    // handles, and its future.
     let cfg = nc.config();
     let cells: Vec<Arc<VpCell>> = (0..k)
         .map(|rank| {
@@ -188,12 +192,10 @@ where
             ))
         })
         .collect();
-    let tasks: Vec<Mutex<Option<VpTask>>> = cells
+    let tasks: Vec<VpTask> = cells
         .iter()
-        .map(|cell| Mutex::new(Some(Box::pin(f(Vp { cell: cell.clone() })) as VpTask)))
+        .map(|cell| Box::pin(f(Vp { cell: cell.clone() })) as VpTask)
         .collect();
-    let inner = nc.inner.clone();
-    let poll = |vp: usize| (vp, poll_vp(&tasks, &cells[vp], &inner));
 
     let workers = host_workers(&cfg).min(k.max(1));
     let cores = cfg.cores_per_node();
@@ -201,23 +203,26 @@ where
         // Inline: the identical record-to-scratch + rank-ordered-merge path
         // minus the thread handoff, so one code path defines the semantics
         // at every worker count.
-        drive(nc, &cells, k, |batch| {
-            batch.iter().copied().map(poll).collect()
+        drive(nc, &cells, tasks, |batch, frozen| {
+            batch.into_iter().map(|job| poll_vp(job, frozen)).collect()
         });
     } else {
         // Persistent worker pool for the whole construct. Workers only ever
         // poll futures (each inside its own poll context); the driver
         // thread owns every ordered effect.
         std::thread::scope(|s| {
-            let (res_tx, res_rx) = mpsc::channel::<Vec<(usize, PollOut)>>();
-            let cmd_txs: Vec<mpsc::Sender<Vec<usize>>> = (0..workers)
+            let (res_tx, res_rx) = mpsc::channel::<Vec<(usize, PollOut, VpScratch)>>();
+            let cmd_txs: Vec<mpsc::Sender<(Vec<Job>, Arc<Frozen>)>> = (0..workers)
                 .map(|_| {
-                    let (tx, rx) = mpsc::channel::<Vec<usize>>();
+                    let (tx, rx) = mpsc::channel::<(Vec<Job>, Arc<Frozen>)>();
                     let res_tx = res_tx.clone();
-                    let poll = &poll;
                     s.spawn(move || {
-                        while let Ok(batch) = rx.recv() {
-                            let out: Vec<(usize, PollOut)> = batch.into_iter().map(poll).collect();
+                        while let Ok((batch, frozen)) = rx.recv() {
+                            let out: Vec<_> =
+                                batch.into_iter().map(|j| poll_vp(j, &frozen)).collect();
+                            // Released before the results go back: the driver
+                            // thaws the arrays as soon as it has them all.
+                            drop(frozen);
                             if res_tx.send(out).is_err() {
                                 break;
                             }
@@ -227,13 +232,14 @@ where
                 })
                 .collect();
             drop(res_tx);
-            let mut batches: Vec<Vec<usize>> = vec![Vec::new(); workers];
-            drive(nc, &cells, k, move |batch| {
+            let mut batches: Vec<Vec<Job>> = (0..workers).map(|_| Vec::new()).collect();
+            drive(nc, &cells, tasks, move |batch, frozen| {
                 // Partition by simulated core (the clock-accounting mapping)
                 // and fan cores out across workers; results are re-sorted by
                 // rank before merging, so arrival order never matters.
-                for &vp in batch {
-                    batches[(vp % cores) % workers].push(vp);
+                let polled = batch.len();
+                for job in batch {
+                    batches[(job.0 % cores) % workers].push(job);
                 }
                 let mut in_flight = 0;
                 // The two `expect`s cannot fire: a worker leaves its loop only
@@ -242,12 +248,12 @@ where
                 for (w, b) in batches.iter_mut().enumerate() {
                     if !b.is_empty() {
                         cmd_txs[w]
-                            .send(std::mem::take(b))
+                            .send((std::mem::take(b), Arc::clone(frozen)))
                             .expect("host worker exited early");
                         in_flight += 1;
                     }
                 }
-                let mut out = Vec::with_capacity(batch.len());
+                let mut out = Vec::with_capacity(polled);
                 for _ in 0..in_flight {
                     out.extend(res_rx.recv().expect("host worker exited early"));
                 }
@@ -257,22 +263,25 @@ where
     }
 
     // Epilogue: charge compute done after the last phase.
-    let leftover = nc.inner.borrow_mut().take_core_compute();
+    let leftover = nc.inner.take_core_compute();
     nc.ep.clock.advance_compute(leftover);
 }
 
 /// The construct's main loop: poll rounds (delegated to `poll_round`, which
 /// may fan out to host workers), rank-ordered effect merges, waves, and
-/// phase ends. One code path serves every worker count.
+/// phase ends. One code path serves every worker count. It owns the VPs'
+/// futures — `None` once retired — and their scratches, by rank.
 fn drive(
     nc: &mut NodeCtx<'_>,
     cells: &[Arc<VpCell>],
-    k: usize,
-    mut poll_round: impl FnMut(&[usize]) -> Vec<(usize, PollOut)>,
+    tasks: Vec<VpTask>,
+    mut poll_round: impl FnMut(Vec<Job>, &Arc<Frozen>) -> Vec<(usize, PollOut, VpScratch)>,
 ) {
     let me = nc.node_id();
-    let mut live = k;
-    let mut ready: Vec<usize> = (0..k).collect();
+    let mut live = tasks.len();
+    let mut ready: Vec<usize> = (0..live).collect();
+    let mut tasks: Vec<Option<VpTask>> = tasks.into_iter().map(Some).collect();
+    let mut scratches: Vec<VpScratch> = tasks.iter().map(|_| VpScratch::default()).collect();
     let mut wave: Option<WaveState> = None;
 
     loop {
@@ -285,10 +294,19 @@ fn drive(
         while !ready.is_empty() {
             ready.sort_unstable();
             ready.dedup();
-            let batch = std::mem::take(&mut ready);
-            let mut results = poll_round(&batch);
-            debug_assert_eq!(results.len(), batch.len());
-            results.sort_by_key(|&(vp, _)| vp);
+            // Cannot fire: `ready` holds only VPs not seen to finish, and a
+            // future leaves `tasks` only on `Ready` or a panic — both of
+            // which retire the VP.
+            let batch: Vec<Job> = (ready.drain(..))
+                .map(|vp| {
+                    let task = tasks[vp].take().expect("ready VP must be live");
+                    (vp, task, std::mem::take(&mut scratches[vp]))
+                })
+                .collect();
+            let polled = batch.len();
+            let mut results = poll_round(batch, &nc.inner.frozen);
+            debug_assert_eq!(results.len(), polled);
+            results.sort_by_key(|&(vp, ..)| vp);
             // Merge every polled VP's effects in ascending rank order: the
             // determinism keystone (DESIGN.md §12). The merged effect
             // sequence — including floating-point accumulate fold order —
@@ -296,32 +314,22 @@ fn drive(
             // which host thread polled what. A
             // panicking VP behaves like its sequential self: lower ranks
             // merge, its own effects are discarded, the payload re-raises.
-            let mut panicked: Option<Box<dyn std::any::Any + Send>> = None;
-            {
-                let mut inner = nc.inner.borrow_mut();
-                let mut round_compute = SimTime::ZERO;
-                for (vp, out) in results {
-                    match out {
-                        PollOut::Panicked(p) => {
-                            panicked = Some(p);
-                            break;
-                        }
-                        PollOut::Done => {
-                            round_compute += merge_vp(&mut inner, &cells[vp]);
-                            live -= 1;
-                            inner.live_vps = live;
-                        }
-                        PollOut::Pending => {
-                            round_compute += merge_vp(&mut inner, &cells[vp]);
-                        }
+            let inner = &mut nc.inner;
+            let mut round_compute = SimTime::ZERO;
+            for (vp, out, scratch) in results {
+                scratches[vp] = scratch;
+                match out {
+                    PollOut::Panicked(p) => std::panic::resume_unwind(p),
+                    PollOut::Done => {
+                        live -= 1;
+                        inner.live_vps = live;
                     }
+                    PollOut::Pending(task) => tasks[vp] = Some(task),
                 }
-                if pipelined_window {
-                    inner.traffic.pipelined_compute += round_compute;
-                }
+                round_compute += merge_vp(inner, &cells[vp], &mut scratches[vp]);
             }
-            if let Some(p) = panicked {
-                std::panic::resume_unwind(p);
+            if pipelined_window {
+                inner.traffic.pipelined_compute += round_compute;
             }
         }
 
@@ -334,7 +342,7 @@ fn drive(
         // must fully drain before a wave starts or advances so that wave
         // content and the compute-overlap window attribution match
         // in-core execution bit for bit.
-        if !nc.inner.borrow().pending_tile_faults.is_empty() {
+        if !nc.inner.pending_tile_faults.is_empty() {
             service_tile_faults(nc, &mut ready);
             continue;
         }
@@ -342,7 +350,7 @@ fn drive(
         // A wave in flight takes priority: consume its next destination
         // (strictly ascending) and resume the VPs it satisfied at once.
         if let Some(ws) = wave.as_mut() {
-            let (mut woken, filled) = wave_recv_next(nc, cells, ws);
+            let (mut woken, filled) = wave_recv_next(nc, &mut scratches, ws);
             if ws.next == ws.pending.len() {
                 finalize_wave(nc, ws);
                 wave = None;
@@ -350,7 +358,7 @@ fn drive(
                 // Partial wake: at least one VP resumes while later
                 // destinations are still in flight.
                 debug_assert!(!woken.is_empty(), "a destination with no waiters");
-                nc.inner.borrow_mut().counters.partial_wakes += 1;
+                nc.inner.counters.partial_wakes += 1;
                 let args = [
                     ("dests_done", ws.next as u64),
                     ("dests_total", ws.pending.len() as u64),
@@ -364,34 +372,24 @@ fn drive(
 
         // No VP is runnable and no wave is in flight: decide why and
         // advance the runtime.
-        let (has_reqs, outstanding, arrived, open) = {
-            let inner = nc.inner.borrow();
-            (
-                inner.reqs.iter().any(|v| !v.is_empty()),
-                inner.outstanding_reads,
-                inner.phase.arrived,
-                inner.phase.open,
-            )
-        };
-
-        if has_reqs {
+        if nc.inner.reqs.iter().any(|v| !v.is_empty()) {
             wave = Some(start_wave(nc));
             continue;
         }
         // Cannot fire: a parked read queued its request in the same merge
         // that counted it, and the count drops only as a wave fills slots.
         assert_eq!(
-            outstanding, 0,
+            nc.inner.outstanding_reads, 0,
             "VPs parked on reads but no requests queued: runtime bug"
         );
+        let (arrived, open) = (nc.inner.phase.arrived, nc.inner.phase.open);
         match open {
             Some(kind) if arrived == live => {
                 match kind {
                     PhaseKind::Node => node_phase_end(nc),
                     PhaseKind::Global => global_phase_end(nc),
                 }
-                let mut inner = nc.inner.borrow_mut();
-                ready.append(&mut inner.barrier_waiters);
+                ready.append(&mut nc.inner.barrier_waiters);
             }
             // The program's own structure (a VP finished, or skipped a
             // phase, while its peers wait at the barrier): name it.

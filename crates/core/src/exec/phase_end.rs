@@ -31,14 +31,14 @@ fn emit_phase_summary(
     args: &[(&'static str, u64)],
 ) {
     let merged = nc.ep_counters();
-    let delta = merged.delta(&nc.inner.borrow().ctr_base);
+    let delta = merged.delta(&nc.inner.ctr_base);
     let mut all = Vec::with_capacity(1 + args.len() + Counters::DELTA_NAMES.len());
     all.push(("phase", idx));
     all.extend_from_slice(args);
     let values = delta.named_fields().map(|(_, v)| v);
     all.extend(Counters::DELTA_NAMES.into_iter().zip(values));
     nc.trace(name, "phase", start, Some(nc.now()), &all);
-    nc.inner.borrow_mut().ctr_base = merged;
+    nc.inner.ctr_base = merged;
 }
 
 /// Write parcels grouped per array: `(source node, payload)` pairs.
@@ -50,8 +50,7 @@ pub(super) fn node_phase_end(nc: &mut NodeCtx<'_>) {
     let cfg = nc.config();
     let t0 = nc.now();
     let compute = {
-        let mut inner = nc.inner.borrow_mut();
-        let inner = &mut *inner;
+        let inner = &mut nc.inner;
         let wrote = inner.publish_node_writes(PhaseKind::Node);
         failover::advance_node_line(inner, &cfg, wrote);
         debug_assert!(
@@ -76,7 +75,7 @@ pub(super) fn node_phase_end(nc: &mut NodeCtx<'_>) {
     nc.ep.clock.advance_comm(cost::NODE_BARRIER);
 
     if nc.ep.tracer.enabled() {
-        let idx = nc.inner.borrow().phase.node_seq - 1;
+        let idx = nc.inner.phase.node_seq - 1;
         let t1 = t0 + compute;
         nc.trace("compute", "phase", t0, Some(t1), &[]);
         nc.trace("barrier", "phase", t1, Some(nc.now()), &[]);
@@ -93,7 +92,7 @@ pub(super) fn node_phase_end(nc: &mut NodeCtx<'_>) {
 /// where it does).
 pub(super) fn global_phase_end(nc: &mut NodeCtx<'_>) {
     let (me, nodes) = (nc.node_id(), nc.num_nodes());
-    let phase = nc.inner.borrow().phase.global_seq;
+    let phase = nc.inner.phase.global_seq;
     let t0 = nc.now();
 
     // 1. Recover / detect: a seeded crash redoes the phase body before any
@@ -130,10 +129,7 @@ pub(super) fn global_phase_end(nc: &mut NodeCtx<'_>) {
     // 9. Clock barrier, carrying each feature's part; every later phase of
     //    any peer happens after this node's first send in it.
     let my_load = (charge.compute + charge.service).as_ps();
-    let failover = {
-        let inner = &mut nc.inner.borrow_mut();
-        FailoverPart::new(inner, (me, nodes), suspects, replica, my_load)
-    };
+    let failover = FailoverPart::new(&mut nc.inner, (me, nodes), suspects, replica, my_load);
     let parts = BarrierParts {
         coherence,
         loads: LoadBlock::new(me, nodes, my_load),
@@ -143,14 +139,11 @@ pub(super) fn global_phase_end(nc: &mut NodeCtx<'_>) {
     clock_barrier(nc, phase, parts);
 
     // 10. Close the phase and release the VPs.
-    {
-        let mut inner = nc.inner.borrow_mut();
-        inner.close_phase();
-        debug_assert!(
-            inner.frozen.garrays.iter().all(|g| g.arena_is_empty()),
-            "response values outlived their global phase"
-        );
-    }
+    nc.inner.close_phase();
+    debug_assert!(
+        nc.inner.frozen.garrays.iter().all(|g| g.arena_is_empty()),
+        "response values outlived their global phase"
+    );
 
     if nc.ep.tracer.enabled() {
         let barrier_end = nc.now();
@@ -159,7 +152,7 @@ pub(super) fn global_phase_end(nc: &mut NodeCtx<'_>) {
         // phase land in the live (already reset) traffic — read them
         // there so the summary's bundle reconciliation stays exact
         // (their *time* is charged next phase; see `Traffic` docs).
-        let refresh_out = nc.inner.borrow().traffic.refresh_bundles_out;
+        let refresh_out = nc.inner.traffic.refresh_bundles_out;
         let args = [
             ("compute_ps", charge.compute.as_ps()),
             ("service_ps", charge.service.as_ps()),
@@ -188,7 +181,7 @@ type Outgoing = BTreeMap<usize, (usize, WriteBundleMsg)>;
 fn drain_writes(nc: &mut NodeCtx<'_>) -> (CoherencePart, Outgoing) {
     let (me, nodes) = (nc.node_id(), nc.num_nodes());
     let mut outgoing = Outgoing::new();
-    let mut inner = nc.inner.borrow_mut();
+    let inner = &mut nc.inner;
     let coherence = (inner.coherence).barrier_part(me, nodes, &inner.frozen.garrays);
     let (arrays, mut checker) = inner.thaw_with_checker();
     for (id, ga) in arrays.garrays.iter_mut().enumerate() {
@@ -219,24 +212,21 @@ fn exchange_writes(
     expected: &NodeSet,
 ) -> Vec<(u32, u64, WriteBundleMsg)> {
     let mut shipping = Vec::with_capacity(outgoing.len());
-    {
-        let mut inner = nc.inner.borrow_mut();
-        for (dest, (payload_bytes, bundle)) in outgoing {
-            let bytes = cost::BUNDLE_HEADER_BYTES + payload_bytes;
-            inner.traffic.write_bundles_out += 1;
-            inner.traffic.write_entries_out += bundle.entries;
-            inner.traffic.write_bytes_out += bytes as u64;
-            shipping.push((dest, bytes, bundle));
-        }
+    let t = &mut nc.inner.traffic;
+    for (dest, (payload_bytes, bundle)) in outgoing {
+        let bytes = cost::BUNDLE_HEADER_BYTES + payload_bytes;
+        t.write_bundles_out += 1;
+        t.write_entries_out += bundle.entries;
+        t.write_bytes_out += bytes as u64;
+        shipping.push((dest, bytes, bundle));
     }
     let incoming = exchange(nc, msgs::K_WRITE, phase, shipping, expected);
-    let mut inner = nc.inner.borrow_mut();
+    let t = &mut nc.inner.traffic;
     for (_, bytes, bundle) in &incoming {
-        inner.traffic.write_bundles_in += 1;
-        inner.traffic.write_entries_in += bundle.entries;
-        inner.traffic.write_bytes_in += bytes;
+        t.write_bundles_in += 1;
+        t.write_entries_in += bundle.entries;
+        t.write_bytes_in += bytes;
     }
-    drop(inner);
     incoming
 }
 
@@ -265,8 +255,7 @@ fn apply_writes(
     // them to this phase deterministically, whatever real-time moment the
     // messages behind them were taken at.
     nc.fold_deferred();
-    let mut inner = nc.inner.borrow_mut();
-    let inner = &mut *inner;
+    let inner = &mut nc.inner;
     inner.coherence.fold_serves(phase);
     let mut applied = 0u64;
     for (array, parcels) in by_array {
@@ -304,7 +293,7 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> (PhaseRecord, Traffic) {
     let cfg = nc.config();
     let net = cfg.machine.net;
     let (compute, service, t) = {
-        let mut inner = nc.inner.borrow_mut();
+        let inner = &mut nc.inner;
         let compute = inner.take_core_compute();
         let service = std::mem::take(&mut inner.service_time);
         (compute, service, std::mem::take(&mut inner.traffic))
@@ -392,7 +381,7 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> (PhaseRecord, Traffic) {
         bytes_out,
         bytes_in,
     };
-    nc.inner.borrow_mut().phase_log.push(record);
+    nc.inner.phase_log.push(record);
 
     let busy_end = busy_start + busy;
     let args = [
@@ -497,12 +486,10 @@ pub(crate) fn exchange<M: Send + 'static>(
     let tag = msgs::tag(kind, phase);
     for (dest, bytes, payload) in outgoing {
         debug_assert!(dest != me && bytes > 0);
-        {
-            let mut inner = nc.inner.borrow_mut();
-            inner.counters.msgs_sent += 1;
-            inner.counters.bytes_sent += bytes as u64;
-            inner.counters.bundles_sent += 1;
-        }
+        let c = &mut nc.inner.counters;
+        c.msgs_sent += 1;
+        c.bytes_sent += bytes as u64;
+        c.bundles_sent += 1;
         let now = nc.now();
         nc.send_msg(Message::new(me, dest, tag, now, bytes, payload), kind);
     }
@@ -521,11 +508,9 @@ pub(crate) fn exchange<M: Send + 'static>(
             "node {src} shipped an empty {} bundle",
             msgs::kind_name(kind)
         );
-        {
-            let mut inner = nc.inner.borrow_mut();
-            inner.counters.msgs_recv += 1;
-            inner.counters.bytes_recv += bytes;
-        }
+        let c = &mut nc.inner.counters;
+        c.msgs_recv += 1;
+        c.bytes_recv += bytes;
         incoming.push((src as u32, bytes, msg.take()));
     }
     incoming.sort_by_key(|&(src, ..)| src);

@@ -1,14 +1,12 @@
 //! Communication waves and tile-fault service: what `drive` does when no
 //! VP is runnable but reads are parked.
 
-use std::sync::{Arc, MutexGuard};
-
 use ppm_simnet::Message;
 
 use crate::cost;
 use crate::msgs::{self, ReqBundle, RespBundle};
 use crate::nodectx::NodeCtx;
-use crate::state::{QueuedReq, VpCell, VpScratch};
+use crate::state::{QueuedReq, VpScratch};
 
 /// Service one cold-tile fault round (pseudo-streaming, DESIGN.md §18):
 /// refill the *minimum* pending `(array, tile)` — evicting
@@ -25,8 +23,7 @@ use crate::state::{QueuedReq, VpCell, VpScratch};
 /// makespans stay bit-identical to in-core execution.
 pub(super) fn service_tile_faults(nc: &mut NodeCtx<'_>, ready: &mut Vec<usize>) {
     let (array, tile, spilled, resident) = {
-        let mut inner = nc.inner.borrow_mut();
-        let inner = &mut *inner;
+        let inner = &mut nc.inner;
         // Cannot fire: `drive` enters a fault round only on a non-empty list.
         let (array, tile) =
             (inner.pending_tile_faults.iter().copied().min()).expect("fault round with no faults");
@@ -130,7 +127,7 @@ pub(super) fn start_wave(nc: &mut NodeCtx<'_>) -> WaveState {
     // `pending` fills — in ascending destination order.
     for dest in 0..cfg.nodes() {
         let (phase, entries, bytes) = {
-            let mut inner = nc.inner.borrow_mut();
+            let inner = &mut nc.inner;
             if inner.reqs[dest].is_empty() {
                 continue;
             }
@@ -171,13 +168,14 @@ pub(super) fn start_wave(nc: &mut NodeCtx<'_>) -> WaveState {
 /// Block for the wave's next destination (ascending order; peers are
 /// serviced meanwhile, unrelated messages left queued), park the response
 /// values in the arrays' arenas — populating the read cache when enabled —
-/// and point every answered slot at its value. Returns the VPs whose reads
-/// were satisfied (ascending) and the number of slots filled — one per
-/// distinct element of each waiting read; the repeats inside a bulk read
-/// are copied by its own poll.
+/// and point every answered slot at its value, in the parked VPs'
+/// `scratches` (by rank). Returns the VPs whose reads were satisfied
+/// (ascending) and the number of slots filled — one per distinct element of
+/// each waiting read; the repeats inside a bulk read are copied by its own
+/// poll.
 pub(super) fn wave_recv_next(
     nc: &mut NodeCtx<'_>,
-    cells: &[Arc<VpCell>],
+    scratches: &mut [VpScratch],
     ws: &mut WaveState,
 ) -> (Vec<usize>, usize) {
     let cache_on = nc.config().read_cache;
@@ -186,15 +184,12 @@ pub(super) fn wave_recv_next(
     let msg = nc.pump_recv(msgs::tag(msgs::K_READ_RESP, 0), Some(dest));
     let bytes = msg.bytes as u64;
     let resp: RespBundle = msg.take();
-    let mut inner = nc.inner.borrow_mut();
+    let inner = &mut nc.inner;
     inner.traffic.resp_bundles_in += 1;
     inner.traffic.resp_bytes_in += bytes;
     inner.counters.msgs_recv += 1;
     inner.counters.bytes_recv += bytes;
-    // Each waiter's scratch is locked on its first fill and stays locked
-    // for the rest of the response (no VP polls run meanwhile), so the
-    // guards double as the woken set.
-    let mut locked: Vec<Option<MutexGuard<'_, VpScratch>>> = cells.iter().map(|_| None).collect();
+    let mut woken = vec![false; scratches.len()];
     let mut filled = 0usize;
     let mut idxs: Vec<u64> = Vec::new();
     for part in resp.parts {
@@ -213,19 +208,15 @@ pub(super) fn wave_recv_next(
             let group = pend.starts[t as usize] as usize..pend.starts[t as usize + 1] as usize;
             filled += group.len();
             for &(vp, slot) in &pend.waiters[group] {
-                locked[vp as usize]
-                    .get_or_insert_with(|| cells[vp as usize].scratch())
-                    .slots
-                    .fill(slot, pos);
+                scratches[vp as usize].slots.fill(slot, pos);
+                woken[vp as usize] = true;
             }
         }
     }
     inner.outstanding_reads -= filled;
     ws.bytes_in += bytes;
     ws.next += 1;
-    let woken = (0..cells.len())
-        .filter(|&vp| locked[vp].is_some())
-        .collect();
+    let woken = (0..woken.len()).filter(|&vp| woken[vp]).collect();
     (woken, filled)
 }
 
@@ -233,7 +224,7 @@ pub(super) fn wave_recv_next(
 /// budget, and the tracing timeline instant.
 pub(super) fn finalize_wave(nc: &mut NodeCtx<'_>, ws: &WaveState) {
     let cfg = nc.config();
-    let mut inner = nc.inner.borrow_mut();
+    let inner = &mut nc.inner;
     inner.traffic.waves += 1;
     inner.counters.waves += 1;
     if ws.dests >= 2 {
@@ -258,8 +249,7 @@ pub(super) fn finalize_wave(nc: &mut NodeCtx<'_>, ws: &WaveState) {
             + net.overhead.scale(2 * ws.dests)
             + net.gap_per_byte.scale(ws.bytes_out.max(ws.bytes_in));
         inner.traffic.wave_elapsed += wave_cost;
-        let ts = nc.now() + inner.traffic.wave_elapsed;
-        drop(inner);
+        let ts = inner.traffic.wave_elapsed + nc.now();
         let args = [
             ("wave", wave_idx),
             ("dests", ws.dests),

@@ -149,7 +149,7 @@ impl NodeCtx<'_> {
     /// untracked direct mutation — charges the full copy.
     pub(crate) fn take_snapshot(&mut self, dirty: Option<u64>) {
         let core = self.config().machine.core;
-        let mut inner = self.inner.borrow_mut();
+        let inner = &mut self.inner;
         let had_snapshot = inner.failover.snapshots.is_some();
         let phase = inner.phase.global_seq;
         let mut bytes = 0u64;
@@ -202,18 +202,15 @@ pub(crate) fn advance_node_line(inner: &mut Inner, cfg: &PpmConfig, wrote: Vec<(
 /// those; node-shared deltas ride free. The first frame, and the first
 /// after any death re-homes replicas, ships the full snapshot.
 pub(crate) fn advance_recovery_line(nc: &mut NodeCtx<'_>, own_bytes: u64) -> Option<ReplicaFrame> {
-    let dirty = own_bytes + {
-        let inner = nc.inner.borrow();
-        inner.traffic.write_bytes_in + inner.traffic.migr_bytes_in
-    };
+    let t = &nc.inner.traffic;
+    let dirty = own_bytes + t.write_bytes_in + t.migr_bytes_in;
     if nc.snapshots_enabled() {
         nc.take_snapshot(Some(dirty));
     }
     if !nc.config().replication || nc.num_nodes() == 1 {
         return None;
     }
-    let mut inner = nc.inner.borrow_mut();
-    let fs = &mut inner.failover;
+    let fs = &mut nc.inner.failover;
     // Cannot fire: replication implies `snapshots_enabled`, so the capture
     // just above stored one.
     let snap = fs
@@ -256,7 +253,7 @@ fn recover_from_crash(nc: &mut NodeCtx<'_>, phase: u64) {
     let cfg = nc.config();
     let t0 = nc.now();
     let (redo, bytes) = restore_from_snapshot(nc, phase);
-    nc.inner.borrow_mut().counters.crash_recoveries += 1;
+    nc.inner.counters.crash_recoveries += 1;
     // Restore is a streaming copy back out of the snapshot store, like the
     // capture itself.
     let restore = copy_time(&cfg.machine.core, bytes);
@@ -288,7 +285,7 @@ fn restore_from_snapshot(nc: &mut NodeCtx<'_>, phase: u64) -> (SimTime, u64) {
         }
         .raise()
     };
-    let mut inner = nc.inner.borrow_mut();
+    let inner = &mut nc.inner;
     let snaps = match inner.failover.snapshots.take() {
         Some(s) => s,
         None => fail("crash fault fired with no snapshot (runtime bug)".into()),
@@ -347,7 +344,7 @@ fn detect_permanent_deaths(nc: &mut NodeCtx<'_>, phase: u64) -> NodeSet {
         // No barrier rounds will run to confirm the death, and a lone
         // node has no buddy even with replication on: fail here with the
         // structured error.
-        nc.inner.borrow_mut().failover.dead_bits.insert(victims[0]);
+        nc.inner.failover.dead_bits.insert(victims[0]);
         nc.ep.net.mark_dead();
         RecoveryError {
             node: victims[0],
@@ -360,9 +357,8 @@ fn detect_permanent_deaths(nc: &mut NodeCtx<'_>, phase: u64) -> NodeSet {
     }
     for &v in &victims {
         if v != me {
-            let mut inner = nc.inner.borrow_mut();
-            inner.counters.peers_suspected += 1;
-            inner.traffic.rel_delay += cost::SUSPECT_TIMEOUT;
+            nc.inner.counters.peers_suspected += 1;
+            nc.inner.traffic.rel_delay += cost::SUSPECT_TIMEOUT;
         } else if cfg.replication {
             fail_over_self(nc, phase);
         }
@@ -392,11 +388,8 @@ fn fail_over_self(nc: &mut NodeCtx<'_>, phase: u64) {
     nc.ep.clock.advance_comm(cost::SUSPECT_TIMEOUT);
     nc.ep.clock.advance_compute(restore);
     nc.ep.clock.advance_compute(redo);
-    {
-        let mut inner = nc.inner.borrow_mut();
-        inner.failover.hosted = true;
-        inner.failover.hosted_extra = restore + redo;
-    }
+    nc.inner.failover.hosted = true;
+    nc.inner.failover.hosted_extra = restore + redo;
     let args = [
         ("phase", phase),
         ("restored_bytes", bytes),
@@ -497,7 +490,7 @@ impl FailoverPart {
     /// adopted footprint.
     pub fn finish(self, nc: &mut NodeCtx<'_>, phase: u64) {
         let (me, nodes) = (self.me, self.nodes);
-        let newly = self.confirm(&mut nc.inner.borrow_mut());
+        let newly = self.confirm(&mut nc.inner);
         let Some(victim) = newly.first() else {
             return;
         };
@@ -523,22 +516,21 @@ impl FailoverPart {
             }
             .raise();
         }
-        let dead = nc.inner.borrow().failover.dead_bits.clone();
+        let dead = nc.inner.failover.dead_bits.clone();
         let buddy_of = |v: usize| {
             (1..nodes)
                 .map(|d| (v + d) % nodes)
                 .find(|&b| !dead.contains(b))
         };
         for v in newly.iter().filter(|&v| buddy_of(v) == Some(me)) {
-            nc.inner.borrow_mut().counters.failovers += 1;
+            nc.inner.counters.failovers += 1;
             // Guarded here, not only in `trace`: the footprint is a walk
             // over every array.
             if !nc.ep.tracer.enabled() {
                 continue;
             }
             let (mut elems, mut bytes) = (0u64, 0u64);
-            let inner = nc.inner.borrow();
-            for ga in inner.frozen.garrays.iter() {
+            for ga in nc.inner.frozen.garrays.iter() {
                 let r = ga.dist().owned_range(v);
                 elems += (r.end - r.start) as u64;
                 bytes += ga.owned_bytes(v);
@@ -550,7 +542,7 @@ impl FailoverPart {
                 ("adopted_bytes", bytes),
                 (
                     "adopted_vps",
-                    inner.failover.peer_vps.get(v).copied().unwrap_or(0),
+                    nc.inner.failover.peer_vps.get(v).copied().unwrap_or(0),
                 ),
             ];
             nc.trace("failover", "runtime", nc.now(), None, &args);

@@ -46,11 +46,9 @@ impl Transport for Steps<'_, '_> {
         let nc = &mut *self.0;
         let bytes = value.wire_size();
         let ts = nc.ep.charge_send(Route::NODE, bytes);
-        {
-            let mut inner = nc.inner.borrow_mut();
-            inner.counters.msgs_sent += 1;
-            inner.counters.bytes_sent += bytes as u64;
-        }
+        let c = &mut nc.inner.counters;
+        c.msgs_sent += 1;
+        c.bytes_sent += bytes as u64;
         let me = nc.node_id();
         // Routed through the reliable transport (fault delay lands on
         // `ts`, which `recv_step` waits for).
@@ -64,16 +62,14 @@ impl Transport for Steps<'_, '_> {
         let nc = &mut *self.0;
         let msg = nc.pump_recv(coll_tag(seq, step), Some(src));
         nc.ep.charge_recv(Route::NODE, msg.bytes, msg.ts);
-        {
-            let mut inner = nc.inner.borrow_mut();
-            inner.counters.msgs_recv += 1;
-            inner.counters.bytes_recv += msg.bytes as u64;
-        }
+        let c = &mut nc.inner.counters;
+        c.msgs_recv += 1;
+        c.bytes_recv += msg.bytes as u64;
         msg.take()
     }
 
     fn barrier_done(&mut self) {
-        self.0.inner.borrow_mut().counters.barriers += 1;
+        self.0.inner.counters.barriers += 1;
     }
 }
 

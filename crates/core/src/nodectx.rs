@@ -19,13 +19,14 @@ use crate::error::RecoveryError;
 use crate::msgs::{self, RespBundle, RespPart};
 use crate::reliable::Reliability;
 use crate::shared::{GlobalShared, NodeShared};
-use crate::state::{array_mut, array_ref, GArray, Inner, SharedInner};
+use crate::state::{array_mut, array_ref, GArray, Inner};
 use crate::vp::Vp;
 
 /// Per-node handle passed to the SPMD closure of [`crate::run`].
 pub struct NodeCtx<'a> {
     pub(crate) ep: &'a mut EndpointCtx,
-    pub(crate) inner: SharedInner,
+    /// The node's runtime state, owned by the node's thread (DESIGN.md §12).
+    pub(crate) inner: Inner,
     /// Node-collective sequence number.
     pub(crate) coll_seq: u64,
     /// Reliable-transport state machine; `None` keeps the fast paths
@@ -39,7 +40,7 @@ impl<'a> NodeCtx<'a> {
         let node = ep.id();
         NodeCtx {
             ep,
-            inner: SharedInner::new(Inner::new(cfg)),
+            inner: Inner::new(cfg),
             coll_seq: 0,
             rel: cfg
                 .reliability_enabled()
@@ -80,7 +81,7 @@ impl<'a> NodeCtx<'a> {
 
     /// Charge node-level (single-core) computation.
     pub fn charge_flops(&mut self, n: u64) {
-        self.inner.borrow_mut().counters.flops += n;
+        self.inner.counters.flops += n;
         self.ep
             .clock
             .advance_compute(self.cfg.machine.core.flops(n));
@@ -94,7 +95,7 @@ impl<'a> NodeCtx<'a> {
     /// suppressed duplicates, retries, `faults_*`) — when a peer's message
     /// is taken is a real-time accident, the fold it belongs to is not.
     pub fn ep_counters(&self) -> ppm_simnet::Counters {
-        self.inner.borrow().counters
+        self.inner.counters
     }
 
     /// Emit a trace event whose arguments are all integers: the span
@@ -124,20 +125,20 @@ impl<'a> NodeCtx<'a> {
     /// streaming is off ([`PpmConfig::with_tile_budget`] unset): residency
     /// is only tracked under a budget.
     pub fn peak_bytes_resident(&self) -> u64 {
-        self.inner.borrow().frozen.tile_budget.peak_bytes_resident()
+        self.inner.frozen.tile_budget.peak_bytes_resident()
     }
 
     /// Bytes of shared-array state currently resident under the
     /// pseudo-streaming tile budget; zero when streaming is off.
     pub fn bytes_resident(&self) -> u64 {
-        self.inner.borrow().frozen.tile_budget.bytes_resident()
+        self.inner.frozen.tile_budget.bytes_resident()
     }
 
     /// Drain the per-phase trace accumulated so far: one record per
     /// completed phase, in execution order (observability; see
     /// [`crate::PhaseRecord`]).
     pub fn take_phase_log(&mut self) -> Vec<crate::state::PhaseRecord> {
-        std::mem::take(&mut self.inner.borrow_mut().phase_log)
+        std::mem::take(&mut self.inner.phase_log)
     }
 
     /// Drain the conformance violations the phase-semantics checker has
@@ -146,12 +147,12 @@ impl<'a> NodeCtx<'a> {
     /// order; the list is always empty when the checker is disabled
     /// ([`PpmConfig::with_checker`]).
     pub fn take_violations(&mut self) -> Vec<crate::check::PhaseViolation> {
-        std::mem::take(&mut self.inner.borrow_mut().violations)
+        std::mem::take(&mut self.inner.violations)
     }
 
     /// Charge node-level memory operations.
     pub fn charge_mem_ops(&mut self, n: u64) {
-        self.inner.borrow_mut().counters.mem_ops += n;
+        self.inner.counters.mem_ops += n;
         self.ep
             .clock
             .advance_compute(self.cfg.machine.core.mem_ops(n));
@@ -189,7 +190,7 @@ impl<'a> NodeCtx<'a> {
         let block = Dist::block(len, nodes);
         let dist = Dist::weighted(len, nodes, std::sync::Arc::new(block.bounds()));
         let g = self.alloc_global_dist::<T>(dist);
-        self.inner.borrow_mut().balancer.opt_in(g.id);
+        self.inner.balancer.opt_in(g.id);
         g
     }
 
@@ -197,8 +198,7 @@ impl<'a> NodeCtx<'a> {
         let len = dist.len;
         let node = self.node_id();
         let local_len = dist.local_len(node);
-        let mut inner = self.inner.borrow_mut();
-        let arrays = inner.thaw();
+        let arrays = self.inner.thaw();
         // Cannot fire before memory runs out: every array allocated so far
         // holds a few hundred bytes of bookkeeping on every node, so four
         // billion of them are a terabyte per node.
@@ -215,8 +215,7 @@ impl<'a> NodeCtx<'a> {
     /// Declare a node-shared array of `len` elements
     /// (`PPM_node_shared T a[len]`): one instance per node.
     pub fn alloc_node<T: Elem>(&mut self, len: usize) -> NodeShared<T> {
-        let mut inner = self.inner.borrow_mut();
-        let narrays = &mut inner.thaw().narrays;
+        let narrays = &mut self.inner.thaw().narrays;
         // Cannot fire before memory runs out, as for global arrays.
         let id = u32::try_from(narrays.len()).expect("too many node shared arrays");
         narrays.push(Box::new(GArray::<T>::node_shared(len)));
@@ -231,24 +230,21 @@ impl<'a> NodeCtx<'a> {
     /// boundaries — query it when needed rather than hoisting it across
     /// phases.
     pub fn local_range<T: Elem>(&self, g: &GlobalShared<T>) -> std::ops::Range<usize> {
-        let inner = self.inner.borrow();
-        let ga = array_ref::<T>(&inner.frozen, Space::Global, g.id);
+        let ga = array_ref::<T>(&self.inner.frozen, Space::Global, g.id);
         ga.dist.owned_range(self.node_id())
     }
 
     /// Distribution of a global array (a snapshot: balanced arrays may be
     /// recut at global phase boundaries).
     pub fn dist_of<T: Elem>(&self, g: &GlobalShared<T>) -> Dist {
-        let inner = self.inner.borrow();
-        array_ref::<T>(&inner.frozen, Space::Global, g.id)
+        array_ref::<T>(&self.inner.frozen, Space::Global, g.id)
             .dist
             .clone()
     }
 
     /// Read this node's partition of a global array.
     pub fn with_local<T: Elem, R>(&self, g: &GlobalShared<T>, f: impl FnOnce(&[T]) -> R) -> R {
-        let inner = self.inner.borrow();
-        f(&array_ref::<T>(&inner.frozen, Space::Global, g.id).local)
+        f(&array_ref::<T>(&self.inner.frozen, Space::Global, g.id).local)
     }
 
     /// Mutate this node's partition of a global array directly
@@ -258,14 +254,12 @@ impl<'a> NodeCtx<'a> {
         g: &GlobalShared<T>,
         f: impl FnOnce(&mut [T]) -> R,
     ) -> R {
-        let mut inner = self.inner.borrow_mut();
-        f(&mut array_mut::<T>(inner.thaw(), Space::Global, g.id).local)
+        f(&mut array_mut::<T>(self.inner.thaw(), Space::Global, g.id).local)
     }
 
     /// Read this node's instance of a node-shared array.
     pub fn with_node<T: Elem, R>(&self, n: &NodeShared<T>, f: impl FnOnce(&[T]) -> R) -> R {
-        let inner = self.inner.borrow();
-        f(&array_ref::<T>(&inner.frozen, Space::Node, n.id).local)
+        f(&array_ref::<T>(&self.inner.frozen, Space::Node, n.id).local)
     }
 
     /// Mutate this node's instance of a node-shared array directly.
@@ -274,8 +268,7 @@ impl<'a> NodeCtx<'a> {
         n: &NodeShared<T>,
         f: impl FnOnce(&mut [T]) -> R,
     ) -> R {
-        let mut inner = self.inner.borrow_mut();
-        f(&mut array_mut::<T>(inner.thaw(), Space::Node, n.id).local)
+        f(&mut array_mut::<T>(self.inner.thaw(), Space::Node, n.id).local)
     }
 
     // -- ppm_do --------------------------------------------------------------
@@ -315,7 +308,7 @@ impl<'a> NodeCtx<'a> {
     pub(crate) fn send_msg(&mut self, mut msg: Message, kind: u64) {
         debug_assert_eq!(msgs::untag(msg.tag).0, kind, "tag/kind mismatch");
         if let Some(rel) = self.rel.as_deref_mut() {
-            let mut inner = self.inner.borrow_mut();
+            let inner = &mut self.inner;
             let (meta, delay) = rel.on_send(msg.dst, kind, &mut inner.deferred_ctrs);
             inner.traffic.rel_extra_msgs += (meta.lost_attempts + meta.duplicates) as u64;
             // Barrier/collective receivers honor `ts`, so their delay
@@ -326,7 +319,6 @@ impl<'a> NodeCtx<'a> {
             } else {
                 inner.traffic.rel_delay += delay;
             }
-            drop(inner);
             msg = msg.with_rel(meta);
         }
         // Reachable from user code: a node whose closure panicked has
@@ -364,12 +356,10 @@ impl<'a> NodeCtx<'a> {
     /// deadlock is reported for a confirmed-dead peer.
     fn recv_raw(&mut self, filter: &Filter) -> Message {
         if !self.cfg.replication {
-            let dead = (self.inner.try_borrow()).and_then(|i| i.failover.first_dead());
-            if let Some(victim) = dead {
-                let phase = self.inner.try_borrow().map_or(0, |i| i.phase.global_seq);
+            if let Some(victim) = self.inner.failover.first_dead() {
                 RecoveryError {
                     node: victim,
-                    phase,
+                    phase: self.inner.phase.global_seq,
                     reason: "peer confirmed permanently dead with replication \
                              disabled; a blocking receive cannot complete"
                         .into(),
@@ -388,7 +378,7 @@ impl<'a> NodeCtx<'a> {
             self.ep.net.deadlocked(filter, &dump)
         };
         if let (Some(rel), Some(meta)) = (self.rel.as_deref_mut(), m.rel) {
-            rel.on_take(m.src, meta, &mut self.inner.borrow_mut().deferred_ctrs);
+            rel.on_take(m.src, meta, &mut self.inner.deferred_ctrs);
         }
         m
     }
@@ -414,7 +404,7 @@ impl<'a> NodeCtx<'a> {
         let src = msg.src;
         let req_bytes = msg.bytes;
         let bundle: msgs::ReqBundle = msg.take();
-        let mut inner = self.inner.borrow_mut();
+        let inner = &mut self.inner;
         // Protocol check: a request can only target the phase whose
         // snapshot our arrays currently hold (see `exec`'s determinism
         // notes) — i.e. the phase we have completed exactly `phase`
@@ -424,7 +414,7 @@ impl<'a> NodeCtx<'a> {
             inner.phase.global_seq,
             "read request for phase {} arrived while node {} holds phase {}",
             bundle.phase,
-            self.node_id(),
+            self.ep.id(),
             inner.phase.global_seq
         );
         let n_entries = bundle.entries.len() as u64;
@@ -475,7 +465,6 @@ impl<'a> NodeCtx<'a> {
         inner.traffic.resp_bytes_out += bytes as u64;
         inner.deferred_ctrs.msgs_sent += 1;
         inner.deferred_ctrs.bytes_sent += bytes as u64;
-        drop(inner);
 
         let (now, me) = (self.now(), self.node_id());
         self.send_msg(
@@ -497,10 +486,9 @@ impl<'a> NodeCtx<'a> {
     /// read request of the phase has been served and none of the next
     /// phase's can have been, and so does the node's drop.
     pub(crate) fn fold_deferred(&mut self) {
-        let mut inner = self.inner.borrow_mut();
+        let inner = &mut self.inner;
         let deferred = std::mem::take(&mut inner.deferred_ctrs);
         inner.counters = inner.counters.merge(&deferred);
-        drop(inner);
         if let Some(rel) = self.rel.as_deref_mut() {
             let (tracer, now) = (&self.ep.tracer, self.ep.clock.now());
             rel.fold(|name, args| {
@@ -514,14 +502,13 @@ impl<'a> NodeCtx<'a> {
 impl Drop for NodeCtx<'_> {
     /// Fold what is still deferred and hand the node's counters to the
     /// endpoint — the one place they reach it — so `JobReport::counters`
-    /// is complete. A node unwinding with its state borrowed hands over
-    /// nothing.
+    /// is complete. A node unwinding hands over nothing.
     fn drop(&mut self) {
-        if self.inner.try_borrow_mut().is_none() {
+        if std::thread::panicking() {
             return;
         }
         self.fold_deferred();
-        let c = std::mem::take(&mut self.inner.borrow_mut().counters);
+        let c = std::mem::take(&mut self.inner.counters);
         self.ep.counters = self.ep.counters.merge(&c);
     }
 }
@@ -530,31 +517,24 @@ impl Drop for NodeCtx<'_> {
 /// bookkeeping, parked reads, the messages still queued in the router, and
 /// (when reliability is on) per-link envelope state — everything needed to
 /// see *why* a run deadlocked.
-fn protocol_dump(net: &Endpoint, inner: &SharedInner, rel: Option<&Reliability>) -> String {
+fn protocol_dump(net: &Endpoint, i: &Inner, rel: Option<&Reliability>) -> String {
     use std::fmt::Write as _;
     let mut out = format!("node {} protocol state:\n", net.id());
-    match inner.try_borrow() {
-        Some(i) => {
-            let p = &i.phase;
-            let _ = writeln!(
-                out,
-                "  phase: open={:?} entered={} arrived={} epoch={} \
-                 global_seq={} node_seq={}",
-                p.open, p.entered, p.arrived, i.frozen.epoch, p.global_seq, p.node_seq
-            );
-            let _ = writeln!(
-                out,
-                "  vps: live={} | parked reads outstanding={} | queued req dests={}",
-                i.live_vps,
-                i.outstanding_reads,
-                i.reqs.iter().filter(|v| !v.is_empty()).count()
-            );
-            i.failover.dump(&mut out);
-        }
-        None => {
-            let _ = writeln!(out, "  <runtime state borrowed at deadlock time>");
-        }
-    }
+    let p = &i.phase;
+    let _ = writeln!(
+        out,
+        "  phase: open={:?} entered={} arrived={} epoch={} \
+         global_seq={} node_seq={}",
+        p.open, p.entered, p.arrived, i.frozen.epoch, p.global_seq, p.node_seq
+    );
+    let _ = writeln!(
+        out,
+        "  vps: live={} | parked reads outstanding={} | queued req dests={}",
+        i.live_vps,
+        i.outstanding_reads,
+        i.reqs.iter().filter(|v| !v.is_empty()).count()
+    );
+    i.failover.dump(&mut out);
     let queued = net.queued();
     let _ = writeln!(out, "  queued in the router: {} messages", queued.len());
     for &(src, tag) in queued.iter().take(8) {

@@ -5,7 +5,7 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use ppm_simnet::{Counters, SimTime};
 
@@ -24,10 +24,11 @@ use crate::elem::{AccumOp, Elem};
 /// first write to that array.
 type ScratchLogs = Vec<Option<Box<dyn Any + Send>>>;
 
-/// Every side effect one VP produces while being polled. Private to the VP
-/// (executor and wave code touch it only between polls), so polls of
-/// different VPs can run on different host threads with no ordering races;
-/// the executor merges scratches into [`Inner`] in ascending rank order.
+/// Every side effect one VP produces while being polled. The driver holds
+/// it between polls and moves it, with the VP's future, to whoever polls
+/// the VP, so polls of different VPs can run on different host threads with
+/// no ordering races; the executor merges scratches into [`Inner`] in
+/// ascending rank order.
 #[derive(Default)]
 pub(crate) struct VpScratch {
     /// Phase this VP is currently inside, if any (guards nested phases and
@@ -44,8 +45,6 @@ pub(crate) struct VpScratch {
     pub slots_alloced: usize,
     /// Read requests to queue for the next wave.
     pub reqs: Vec<ScratchReq>,
-    /// Where the bulk read being issued first saw each remote miss.
-    pub first_seen: FirstSeen,
     /// Cold-tile faults (`(array, tile)`) recorded by local reads under a
     /// tile budget; drained into [`Inner::pending_tile_faults`] at merge.
     pub tile_faults: Vec<(u32, u32)>,
@@ -79,10 +78,9 @@ fn writes_for<T: Elem>(logs: &mut ScratchLogs, id: u32) -> &mut WLog<T> {
         .expect("scratch write buffer type mismatch")
 }
 
-/// Identity and scratch of one virtual processor. Shared (via `Arc`)
-/// between the VP's futures, which record effects during polls, and the
-/// executor, which merges them. The frequently-read identity fields are
-/// plain copies so VP accessors never lock [`Inner`].
+/// Identity of one virtual processor, shared (via `Arc`) by its handles. A
+/// poll's effects go to the scratch in the poll context, never to the cell;
+/// the fields are plain copies so VP accessors never reach [`Inner`].
 pub(crate) struct VpCell {
     /// Node-relative rank (`PPM_VP_node_rank`).
     pub id: usize,
@@ -93,7 +91,6 @@ pub(crate) struct VpCell {
     pub do_mode: DoMode,
     pub node_vp_count: usize,
     pub total_vps_global: u64,
-    pub scratch: Mutex<VpScratch>,
 }
 
 impl VpCell {
@@ -114,17 +111,7 @@ impl VpCell {
             do_mode,
             node_vp_count,
             total_vps_global,
-            scratch: Mutex::new(VpScratch::default()),
         }
-    }
-
-    /// Lock this VP's scratch where it rests between polls: the driver's
-    /// merges and wave fills, and the hand-over at each poll's edges
-    /// ([`PollGuard`]). Poison from a caught VP panic is benign — the run is
-    /// unwinding anyway.
-    pub fn scratch(&self) -> MutexGuard<'_, VpScratch> {
-        count!(super::LOCKS_TAKEN);
-        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Run `f` on the current poll's context — this VP's scratch and the
@@ -150,13 +137,14 @@ impl VpCell {
         })
     }
 
-    /// Give back the slot of a read whose future is dropped unresolved:
-    /// through the poll context when that happens inside a poll, else (the
-    /// task list unwinding after `ppm_do` panicked) through the cell.
-    pub fn release_slot(&self, slot: u32) {
-        POLL.with_borrow_mut(|ctx| match ctx {
-            Some(ctx) => ctx.scratch.slots.release(slot),
-            None => self.scratch().slots.release(slot),
+    /// Give back the slot of a read whose future is dropped unresolved.
+    /// Outside a poll — the task list unwinding after `ppm_do` panicked —
+    /// there is nothing to give it back to: the VP's scratch unwinds too.
+    pub fn release_slot(slot: u32) {
+        POLL.with_borrow_mut(|ctx| {
+            if let Some(ctx) = ctx {
+                ctx.scratch.slots.release(slot);
+            }
         })
     }
 
@@ -358,7 +346,7 @@ impl VpCell {
 
 /// What a VP poll works on, parked in a thread-local for the poll's
 /// duration so every access inside it is lock-free: the VP's scratch, moved
-/// out of its [`VpCell`], and the node's [`Frozen`] arrays. Sound under the
+/// in by whoever polls it, and the node's [`Frozen`] arrays. Sound under the
 /// worker pool because a poll starts and ends on one host thread and a
 /// thread polls one VP at a time (DESIGN.md §12).
 struct PollCtx {
@@ -369,35 +357,48 @@ struct PollCtx {
 
 thread_local! {
     static POLL: RefCell<Option<PollCtx>> = const { RefCell::new(None) };
+    /// The first-occurrence table of the bulk read being issued on this
+    /// thread ([`with_first_seen`]).
+    static FIRST_SEEN: RefCell<FirstSeen> = RefCell::new(FirstSeen::default());
 }
 
-/// One poll's ownership of the calling thread's poll context. Dropping it —
-/// normally, or while a panicking VP unwinds — hands the scratch back to the
-/// cell and releases the `Frozen` clone, so the driver can merge and mutate
-/// again.
-pub(crate) struct PollGuard<'a>(&'a VpCell);
+/// Run `f` on this host thread's first-occurrence table, emptied: the one a
+/// bulk read combines its repeated remote misses with while its first poll
+/// issues them (`GetManyFut`). One per thread, not per VP — only a first
+/// poll uses it, and a thread runs one poll at a time.
+pub(crate) fn with_first_seen<R>(f: impl FnOnce(&mut FirstSeen) -> R) -> R {
+    FIRST_SEEN.with_borrow_mut(|table| {
+        table.begin();
+        f(table)
+    })
+}
 
-impl<'a> PollGuard<'a> {
-    pub fn enter(cell: &'a VpCell, view: Arc<Frozen>) -> Self {
-        let scratch = std::mem::take(&mut *cell.scratch());
-        let ctx = PollCtx {
-            vp: cell.id,
-            scratch,
-            view,
-        };
+/// One poll's ownership of the calling thread's poll context, from
+/// [`Self::enter`] to [`Self::exit`]. Dropped without `exit` — a poll
+/// unwinding past its catch — it clears the context, scratch included.
+pub(crate) struct PollGuard(());
+
+impl PollGuard {
+    /// Park VP `vp`'s scratch and the round's `view` in the poll context.
+    pub fn enter(vp: usize, scratch: VpScratch, view: Arc<Frozen>) -> Self {
+        let ctx = PollCtx { vp, scratch, view };
         let nested = POLL.replace(Some(ctx));
         // Cannot fire: the executor polls a VP from its round loop only, never
         // from a future, and a guard always clears the context it set.
         assert!(nested.is_none(), "VP polled from inside another VP's poll");
-        PollGuard(cell)
+        PollGuard(())
+    }
+
+    /// End the poll: the scratch back, the `Frozen` clone released.
+    pub fn exit(self) -> VpScratch {
+        // Cannot fire: only this guard's `Drop` clears the context it set.
+        POLL.take().expect("poll context cleared mid-poll").scratch
     }
 }
 
-impl Drop for PollGuard<'_> {
+impl Drop for PollGuard {
     fn drop(&mut self) {
-        if let Some(ctx) = POLL.take() {
-            *self.0.scratch() = ctx.scratch;
-        }
+        POLL.take();
     }
 }
 
@@ -407,8 +408,7 @@ impl Drop for PollGuard<'_> {
 /// per-element accumulate fold order. Returns the
 /// compute this merge charged, so the executor can attribute compute that
 /// overlapped an in-flight wave (pipelining cost model, DESIGN.md §13).
-pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell) -> SimTime {
-    let s = &mut *cell.scratch();
+pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell, s: &mut VpScratch) -> SimTime {
     if let Some(kind) = s.pending_enter.take() {
         inner.enter_phase(kind);
     }

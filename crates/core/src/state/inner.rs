@@ -1,12 +1,11 @@
 //! The per-node runtime state: the frozen part VP polls read, the rest the
-//! driver owns, the shared handle to both, and the phase bookkeeping and
-//! traffic totals kept in it.
+//! driver owns, and the phase bookkeeping and traffic totals kept in it.
 
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::Arc;
 
 use ppm_simnet::{Counters, SimTime};
 
-use super::{count, GArrayObj, QueuedReq, TileBudget};
+use super::{GArrayObj, QueuedReq, TileBudget};
 use crate::balance::Balancer;
 use crate::check::{Checker, PhaseViolation, Space};
 use crate::coherence::Coherence;
@@ -32,40 +31,6 @@ pub enum PhaseKind {
     /// `PPM_node_phase`: synchronizes this node's VPs and publishes
     /// node-shared writes. No network traffic.
     Node,
-}
-
-/// The shared handle to [`Inner`]: a write lock for the driver's merges and
-/// exchanges, a read lock for its queries — and for each VP poll's one
-/// look, to clone the [`Frozen`] handle it works on. Lock poisoning is
-/// ignored — a caught VP panic is re-raised by the executor, so a poisoned
-/// lock only ever guards state that is about to unwind.
-#[derive(Clone)]
-pub(crate) struct SharedInner(Arc<RwLock<Inner>>);
-
-impl SharedInner {
-    pub fn new(inner: Inner) -> Self {
-        SharedInner(Arc::new(RwLock::new(inner)))
-    }
-
-    pub fn borrow(&self) -> RwLockReadGuard<'_, Inner> {
-        count!(super::LOCKS_TAKEN);
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub fn borrow_mut(&self) -> RwLockWriteGuard<'_, Inner> {
-        count!(super::LOCKS_TAKEN);
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub fn try_borrow(&self) -> Option<RwLockReadGuard<'_, Inner>> {
-        count!(super::LOCKS_TAKEN);
-        self.0.try_read().ok()
-    }
-
-    pub fn try_borrow_mut(&self) -> Option<RwLockWriteGuard<'_, Inner>> {
-        count!(super::LOCKS_TAKEN);
-        self.0.try_write().ok()
-    }
 }
 
 /// Barrier/phase bookkeeping for the current `ppm_do`.
@@ -199,7 +164,9 @@ pub(crate) struct Frozen {
     pub epoch: u64,
 }
 
-/// All per-node runtime state the VPs and the executor share.
+/// All per-node runtime state, owned by the node's thread (`NodeCtx::inner`).
+/// VP polls see only [`Frozen`], through the clone of `frozen` each poll
+/// round hands out.
 pub(crate) struct Inner {
     pub frozen: Arc<Frozen>,
     /// Reads parked in VP slot tables but not yet answered by a wave
@@ -303,8 +270,8 @@ impl Inner {
     }
 
     /// The frozen state, mutably. Only the driver calls this, and only
-    /// between poll rounds: every poll drops its clone before its result
-    /// reaches the driver ([`super::PollGuard`]), so the handle is unique here.
+    /// between poll rounds: every clone a round hands out is dropped before
+    /// the round's results reach the driver, so the handle is unique here.
     pub fn thaw(&mut self) -> &mut Frozen {
         self.thaw_with_checker().0
     }

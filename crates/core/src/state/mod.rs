@@ -1,15 +1,16 @@
-//! Per-node runtime state shared between VP futures and the executor.
+//! Per-node runtime state and what a VP poll records into.
 //!
 //! Everything a virtual processor touches while running (shared-array
 //! storage, write buffers, pending read requests, phase bookkeeping,
-//! per-core compute accounting) lives in [`Inner`], behind an
-//! `Arc<RwLock<_>>` ([`SharedInner`]). During a phase body the live arrays
-//! are immutable (writes are *buffered*), so the part of `Inner` a VP reads
-//! — [`Frozen`] — sits behind an `Arc` of its own: each poll clones it
-//! once, takes the VP's private [`VpScratch`] out of its cell, and parks
-//! both in a thread-local, so the shared accesses inside the poll take no
-//! lock at all ([`VpCell::with_poll`]). Every side effect a VP produces —
-//! buffered writes, read requests, counter deltas, checker reports, phase
+//! per-core compute accounting) lives in [`Inner`], which the node's
+//! thread owns by value. During a phase body the live arrays are immutable
+//! (writes are *buffered*), so the part of `Inner` a VP reads — [`Frozen`]
+//! — sits behind an `Arc` of its own: each poll round hands every poller a
+//! clone, and each poll parks it in a thread-local beside the VP's private
+//! [`VpScratch`], which the driver moves out to the poller and gets back
+//! with the result, so the shared accesses inside the poll take no lock
+//! ([`VpCell::with_poll`]). Every side effect a VP produces — buffered
+//! writes, read requests, counter deltas, checker reports, phase
 //! entry/arrival — goes into that scratch. The executor merges scratches
 //! into `Inner` in ascending VP-rank order after each poll round, which is
 //! what makes the host-parallel scheduler bit-identical to a sequential
@@ -19,8 +20,8 @@
 //! parcels it resolves into; `slots` a VP's parked reads and the requests
 //! queued for them; `table` the first-occurrence table; `cell` the VP cell,
 //! its scratch and the poll context; `arrays` array storage and the one
-//! erased boundary over it; `tiles` tile residency; `inner` [`Inner`],
-//! [`Frozen`] and the shared handle.
+//! erased boundary over it; `tiles` tile residency; `inner` [`Inner`] and
+//! [`Frozen`].
 //!
 //! Phase semantics are implemented here:
 //!
@@ -50,8 +51,8 @@ mod tiles;
 mod wlog;
 
 pub(crate) use arrays::{array_mut, array_ref, GArray, GArrayObj, Values};
-pub(crate) use cell::{merge_vp, GetOutcome, PollGuard, VpCell, VpScratch};
-pub(crate) use inner::{DoMode, Frozen, Inner, SharedInner, Traffic};
+pub(crate) use cell::{merge_vp, with_first_seen, GetOutcome, PollGuard, VpCell, VpScratch};
+pub(crate) use inner::{DoMode, Frozen, Inner, Traffic};
 pub use inner::{PhaseKind, PhaseRecord};
 pub(crate) use slots::{read_position, QueuedReq, ScratchReq, VpSlots};
 pub(crate) use table::{FirstSeen, TableKey};
@@ -59,7 +60,7 @@ pub(crate) use tiles::{ArrayTiles, TileBudget};
 pub(crate) use wlog::{WKind, WriteParcel};
 
 /// Bump one of the unit-test builds' per-thread cost counters
-/// (`LOCKS_TAKEN` and its neighbours); nothing in any other build.
+/// (`POLL_ENTRIES` and its neighbours); nothing in any other build.
 macro_rules! count {
     ($counter:path) => {
         #[cfg(test)]
@@ -70,12 +71,10 @@ pub(crate) use count;
 
 #[cfg(test)]
 thread_local! {
-    /// Lock acquisitions by the calling thread (unit-test builds only): the
-    /// poll path must take O(polls) of them, not O(accesses).
-    pub(crate) static LOCKS_TAKEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    /// Likewise [`VpCell::with_poll`] entries, typed-array and write-log
-    /// downcasts, and the drain's `Dist::owner` look-ups: a bulk access must
-    /// cost O(1) of the first two and one look-up per destination run.
+    /// [`VpCell::with_poll`] entries, typed-array and write-log downcasts,
+    /// and the drain's `Dist::owner` look-ups by the calling thread
+    /// (unit-test builds only): a bulk access must cost O(1) of the first
+    /// two and one look-up per destination run.
     pub(crate) static POLL_ENTRIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     pub(crate) static DOWNCASTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     pub(crate) static OWNER_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };

@@ -14,9 +14,10 @@ impl TableKey for u64 {
 }
 
 /// First-occurrence table: key → the payload it was first seen with since the
-/// last [`Self::begin`]. Two users, both per VP: a bulk read combines its
-/// repeated indices (global index → position of its first occurrence), the
-/// checker keeps the elements written this phase ([`crate::check::OwnWrites`]). Open addressing with linear
+/// last [`Self::begin`]. Two users: a bulk read combines its repeated
+/// indices (global index → position of its first occurrence) in one table
+/// per host thread ([`super::with_first_seen`]), the checker keeps each VP's
+/// elements written this phase ([`crate::check::OwnWrites`]). Open addressing with linear
 /// probing under a fixed multiplicative hash (no `RandomState`: nothing
 /// observable may depend on a per-process seed — and nothing depends on
 /// probe order anyway). A bucket is live only in the generation that wrote

@@ -27,8 +27,8 @@ use crate::cost;
 use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::shared::{GlobalShared, NodeShared};
 use crate::state::{
-    array_ref, read_position, ArrayTiles, DoMode, GArray, GetOutcome, PhaseKind, VpCell, VpScratch,
-    WKind,
+    array_ref, read_position, with_first_seen, ArrayTiles, DoMode, FirstSeen, GArray, GetOutcome,
+    PhaseKind, VpCell, VpScratch, WKind,
 };
 
 /// Handle given to each virtual processor started by `ppm_do`.
@@ -401,7 +401,7 @@ impl<T: Elem> Future for GetFut<'_, T> {
 impl<T: Elem> Drop for GetFut<'_, T> {
     fn drop(&mut self) {
         if let GetFutState::Slot(slot) = self.state {
-            self.cell.release_slot(slot);
+            VpCell::release_slot(slot);
         }
     }
 }
@@ -465,65 +465,66 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                 // defer but are charged here, so wave content and counters
                 // match the in-core schedule exactly.
                 this.values.reserve_exact(idxs.size_hint().0);
-                s.first_seen.begin();
-                // An access to `hot` — elements from global index `lo` on —
-                // is its charge and a load, and the charges are sums: they
-                // land once, after the loop. `hot` is an owned resident span
-                // (`GArray::hot_span`) or, `cached`, a run of the read cache
-                // (`GArray::cached_span`) — which only a checker-invisible
-                // read in a global phase may take, so every other remote
-                // read keeps its checks. Everything `elsewhere` pays
-                // `charge_get`, one by one.
-                let plain = VpCell::reads_plainly(s, this.array);
-                let caching =
-                    plain && this.cell.cfg.read_cache && s.cur_phase == Some(PhaseKind::Global);
-                let (mut lo, mut hot, mut cached): (usize, &[T], bool) = (0, &[], false);
-                let (mut idxs, mut hits, mut misses, mut elsewhere) = (idxs, 0u64, 0u64, 0u64);
-                let mut next = idxs.next();
-                while let Some(idx) = next {
-                    if let Some(&v) = hot.get(idx.wrapping_sub(lo)) {
-                        // A run of loads, up to the first index outside `hot`.
-                        let run_at = this.values.len();
-                        this.values.push(v);
-                        next = None;
-                        this.values.extend(idxs.by_ref().map_while(|idx| {
-                            let load = hot.get(idx.wrapping_sub(lo)).copied();
-                            if load.is_none() {
-                                next = Some(idx);
+                with_first_seen(|seen| {
+                    // An access to `hot` — elements from global index `lo` on —
+                    // is its charge and a load, and the charges are sums: they
+                    // land once, after the loop. `hot` is an owned resident span
+                    // (`GArray::hot_span`) or, `cached`, a run of the read cache
+                    // (`GArray::cached_span`) — which only a checker-invisible
+                    // read in a global phase may take, so every other remote
+                    // read keeps its checks. Everything `elsewhere` pays
+                    // `charge_get`, one by one.
+                    let plain = VpCell::reads_plainly(s, this.array);
+                    let caching =
+                        plain && this.cell.cfg.read_cache && s.cur_phase == Some(PhaseKind::Global);
+                    let (mut lo, mut hot, mut cached): (usize, &[T], bool) = (0, &[], false);
+                    let (mut idxs, mut hits, mut misses, mut elsewhere) = (idxs, 0u64, 0u64, 0u64);
+                    let mut next = idxs.next();
+                    while let Some(idx) = next {
+                        if let Some(&v) = hot.get(idx.wrapping_sub(lo)) {
+                            // A run of loads, up to the first index outside `hot`.
+                            let run_at = this.values.len();
+                            this.values.push(v);
+                            next = None;
+                            this.values.extend(idxs.by_ref().map_while(|idx| {
+                                let load = hot.get(idx.wrapping_sub(lo)).copied();
+                                if load.is_none() {
+                                    next = Some(idx);
+                                }
+                                load
+                            }));
+                            if cached {
+                                hits += (this.values.len() - run_at) as u64;
                             }
-                            load
-                        }));
-                        if cached {
-                            hits += (this.values.len() - run_at) as u64;
-                        }
-                    } else if let Some(span) = ga.hot_span(tiles, idx).filter(|_| plain) {
-                        // Look at `idx` again, inside its span.
-                        (lo, hot, cached) = (span.0, span.1, false);
-                    } else if caching && ga.owned_offset(idx).is_none() {
-                        assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
-                        if let Some(span) = ga.cached_span(idx) {
-                            (lo, hot, cached) = (span.0, span.1, true);
+                        } else if let Some(span) = ga.hot_span(tiles, idx).filter(|_| plain) {
+                            // Look at `idx` again, inside its span.
+                            (lo, hot, cached) = (span.0, span.1, false);
+                        } else if caching && ga.owned_offset(idx).is_none() {
+                            assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
+                            if let Some(span) = ga.cached_span(idx) {
+                                (lo, hot, cached) = (span.0, span.1, true);
+                            } else {
+                                misses += 1;
+                                this.request(s, seen, ga, idx);
+                                next = idxs.next();
+                            }
                         } else {
-                            misses += 1;
-                            this.request(s, ga, idx);
+                            elsewhere += 1;
+                            this.charge_one(s, seen, ga, tiles, idx);
                             next = idxs.next();
                         }
-                    } else {
-                        elsewhere += 1;
-                        this.charge_one(s, ga, tiles, idx);
-                        next = idxs.next();
                     }
-                }
-                let charged = (this.values.len() + this.repeats()) as u64 - elsewhere;
-                s.compute += cost::SV_OVERHEAD.scale(charged);
-                s.counters.local_accesses += charged - hits - misses;
-                s.counters.cache_hits += hits;
-                s.counters.cache_misses += misses;
-                s.counters.remote_gets += misses;
-                if !this.runs.is_empty() {
-                    // The reservation was sized for every repeat.
-                    this.values.shrink_to_fit();
-                }
+                    let charged = (this.values.len() + this.repeats()) as u64 - elsewhere;
+                    s.compute += cost::SV_OVERHEAD.scale(charged);
+                    s.counters.local_accesses += charged - hits - misses;
+                    s.counters.cache_hits += hits;
+                    s.counters.cache_misses += misses;
+                    s.counters.remote_gets += misses;
+                    if !this.runs.is_empty() {
+                        // The reservation was sized for every repeat.
+                        this.values.shrink_to_fit();
+                    }
+                });
             } else {
                 let values = &mut this.values;
                 this.pending
@@ -597,6 +598,7 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
     fn charge_one(
         &mut self,
         s: &mut VpScratch,
+        seen: &mut FirstSeen,
         ga: &GArray<T>,
         tiles: Option<&ArrayTiles>,
         idx: usize,
@@ -615,7 +617,7 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
                 }
                 _ => self.deferred.push((pos, off, 1)),
             },
-            GetOutcome::Miss => return self.request(s, ga, idx),
+            GetOutcome::Miss => return self.request(s, seen, ga, idx),
         }
         self.values.push(T::default());
     }
@@ -623,9 +625,9 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
     /// A charged miss on remote `idx`, which the next output position is
     /// for: parked on a new request, or on the one this call already made.
     /// Its placeholder goes onto `values` unless a `runs` record holds it.
-    fn request(&mut self, s: &mut VpScratch, ga: &GArray<T>, idx: usize) {
+    fn request(&mut self, s: &mut VpScratch, seen: &mut FirstSeen, ga: &GArray<T>, idx: usize) {
         let pos = read_position(self.values.len());
-        if let Some(first) = s.first_seen.first(idx as u64, pos) {
+        if let Some(first) = seen.first(idx as u64, pos) {
             // The request this repeat does not make is one the wave
             // builder would have merged.
             s.counters.dedup_reads += 1;
@@ -649,7 +651,7 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
 impl<T: Elem, I> Drop for GetManyFut<'_, T, I> {
     fn drop(&mut self) {
         for &(_, slot) in &self.pending {
-            self.cell.release_slot(slot);
+            VpCell::release_slot(slot);
         }
     }
 }

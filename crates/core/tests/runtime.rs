@@ -1094,9 +1094,9 @@ fn panicking_vp_merges_lower_ranks_and_discards_its_own() {
     });
 }
 
-/// A read still parked when `ppm_do` unwinds is dropped outside any poll:
-/// it gives its slot back through the cell, quietly (a panic in that drop
-/// would abort the process instead of reaching `should_panic`).
+/// A read still parked when `ppm_do` unwinds is dropped outside any poll,
+/// with its VP's scratch: it gives nothing back, quietly (a panic in that
+/// drop would abort the process instead of reaching `should_panic`).
 #[test]
 #[should_panic(expected = "boom")]
 fn parked_read_dropped_by_an_unwinding_ppm_do_is_quiet() {
