@@ -4,24 +4,20 @@
 //! max/mean per-node compute ratio while producing bit-identical
 //! solutions; on the uniform figure-1 smoke configuration they must be
 //! no worse. A traced run additionally proves the `rebalance` events
-//! actually fire (and say how much moved). The three gates run at the
-//! three host thread counts of the cells, one each.
+//! actually fire (and say how much moved).
 
 use ppm_apps::barnes_hut::{self, BhParams};
 use ppm_apps::cg::{self, CgParams};
 use ppm_apps::pagerank::{self, PrParams};
 use ppm_apps::stencil27::Stencil27;
-use ppm_core::testkit::thread_counts;
 use ppm_core::{PpmConfig, TraceSink};
 use ppm_simnet::{Counters, SimTime};
 
 const NODES: u32 = 4;
 
 /// Pinned explicitly, so both sides are tested.
-fn adaptive(on: bool, threads: usize) -> PpmConfig {
-    PpmConfig::franklin(NODES)
-        .with_host_threads(threads)
-        .with_adaptive_balance(on)
+fn adaptive(on: bool) -> PpmConfig {
+    PpmConfig::franklin(NODES).with_adaptive_balance(on)
 }
 
 /// Result bits, simulated makespan, and per-node counters of one run.
@@ -94,8 +90,8 @@ fn fig1_smoke(cfg: PpmConfig) -> Run {
 
 #[test]
 fn skewed_pagerank_adaptive_strictly_beats_static() {
-    let (bits_on, t_on, c_on) = skewed_pagerank(adaptive(true, thread_counts()[0]));
-    let (bits_off, t_off, c_off) = skewed_pagerank(adaptive(false, thread_counts()[0]));
+    let (bits_on, t_on, c_on) = skewed_pagerank(adaptive(true));
+    let (bits_off, t_off, c_off) = skewed_pagerank(adaptive(false));
     let (r_on, r_off) = (imbalance_permille(&c_on), imbalance_permille(&c_off));
     println!(
         "skewed pagerank  adaptive: makespan {t_on:?}, max/mean {r_on}‰\n\
@@ -114,8 +110,8 @@ fn skewed_pagerank_adaptive_strictly_beats_static() {
 
 #[test]
 fn clustered_barnes_hut_adaptive_strictly_beats_static() {
-    let (bits_on, t_on, c_on) = clustered_barnes_hut(adaptive(true, thread_counts()[1]));
-    let (bits_off, t_off, c_off) = clustered_barnes_hut(adaptive(false, thread_counts()[1]));
+    let (bits_on, t_on, c_on) = clustered_barnes_hut(adaptive(true));
+    let (bits_off, t_off, c_off) = clustered_barnes_hut(adaptive(false));
     let (r_on, r_off) = (imbalance_permille(&c_on), imbalance_permille(&c_off));
     println!(
         "clustered BH  adaptive: makespan {t_on:?}, max/mean {r_on}‰\n\
@@ -137,8 +133,8 @@ fn clustered_barnes_hut_adaptive_strictly_beats_static() {
 /// counter.
 #[test]
 fn uniform_fig1_smoke_is_no_worse_with_adaptive_on() {
-    let (bits_on, t_on, c_on) = fig1_smoke(adaptive(true, thread_counts()[2]));
-    let (bits_off, t_off, c_off) = fig1_smoke(adaptive(false, thread_counts()[2]));
+    let (bits_on, t_on, c_on) = fig1_smoke(adaptive(true));
+    let (bits_off, t_off, c_off) = fig1_smoke(adaptive(false));
     assert_eq!(bits_on, bits_off, "adaptive changed the CG solution");
     assert!(
         t_on <= t_off,
@@ -186,7 +182,7 @@ fn moved_totals(sink: &TraceSink, what: &str) -> (u64, u64) {
 fn skewed_runs_emit_rebalance_trace_events() {
     let p = PrParams::skewed(4096);
     let sink = TraceSink::new();
-    ppm_core::run_traced(adaptive(true, 0), &sink, "skewed pagerank", move |node| {
+    ppm_core::run_traced(adaptive(true), &sink, "skewed pagerank", move |node| {
         pagerank::ppm::rank(node, &p).1
     });
     let (elems, bytes) = moved_totals(&sink, "skewed pagerank");
@@ -195,7 +191,7 @@ fn skewed_runs_emit_rebalance_trace_events() {
     let mut p = BhParams::clustered(768);
     p.steps = 4;
     let sink = TraceSink::new();
-    ppm_core::run_traced(adaptive(true, 0), &sink, "clustered bh", move |node| {
+    ppm_core::run_traced(adaptive(true), &sink, "clustered bh", move |node| {
         barnes_hut::ppm::simulate(node, &p).1
     });
     let (elems, bytes) = moved_totals(&sink, "clustered bh");

@@ -2,25 +2,15 @@
 //! versions must reproduce the sequential trajectories bit-for-bit, and
 //! the simulated times must show the Figure 3 character (PPM scales,
 //! replicated MPI drowns in communication volume). Each PPM run takes a
-//! cell of host threads × adaptive repartitioning: tests that loop over
-//! machine shapes take the cells in turn, the others walk adaptive on and
-//! off.
+//! cell of adaptive repartitioning: tests that loop over machine shapes
+//! take the cells in turn, the others walk adaptive on and off.
 
 use ppm_apps::barnes_hut::{self as bh, BhParams};
 use ppm_core::testkit::{cells, walk, Cell};
 use ppm_core::PpmConfig;
 use ppm_simnet::{MachineConfig, SimTime};
 
-fn threads_and_adaptive(c: Cell) -> Cell {
-    Cell {
-        host_threads: c.host_threads,
-        adaptive: c.adaptive,
-        ..Cell::default()
-    }
-}
-
-/// Adaptive balance alone, for the single-config tests; the node loops
-/// meet it with the thread counts.
+/// Adaptive balance, the one knob these suites walk.
 fn adaptive(c: Cell) -> Cell {
     Cell {
         adaptive: c.adaptive,
@@ -49,10 +39,7 @@ fn pos_bits(bodies: &[bh::Body]) -> Vec<(u64, u64, u64)> {
 #[test]
 fn ppm_matches_sequential_bitwise() {
     let reference = bh::seq::simulate(&params());
-    for (nodes, cell) in [1u32, 2, 3, 4]
-        .into_iter()
-        .zip(in_turn(threads_and_adaptive))
-    {
+    for (nodes, cell) in [1u32, 2, 3, 4].into_iter().zip(in_turn(adaptive)) {
         let p = params();
         let cfg = cell.apply(PpmConfig::new(MachineConfig::new(nodes, 2)));
         let report = ppm_core::run(cfg, move |node| bh::ppm::simulate(node, &p).0);
@@ -88,22 +75,16 @@ fn clustered_fixture_versions_agree_bitwise() {
     let mut p0 = BhParams::clustered(256);
     p0.steps = 2;
     let reference = bh::seq::simulate(&p0);
-    let threads = |c: Cell| Cell {
-        host_threads: c.host_threads,
-        ..Cell::default()
-    };
-    for (nodes, cell) in [1u32, 2, 3, 4].into_iter().zip(in_turn(threads)) {
+    for nodes in [1u32, 2, 3, 4] {
         for adaptive in [false, true] {
             let p = p0;
-            let cfg = cell
-                .apply(PpmConfig::new(MachineConfig::new(nodes, 2)))
-                .with_adaptive_balance(adaptive);
+            let cfg = PpmConfig::new(MachineConfig::new(nodes, 2)).with_adaptive_balance(adaptive);
             let report = ppm_core::run(cfg, move |node| bh::ppm::simulate(node, &p).0);
             for got in &report.results {
                 assert_eq!(
                     pos_bits(got),
                     pos_bits(&reference),
-                    "nodes={nodes} adaptive={adaptive}, {cell:?}: clustered trajectories diverged"
+                    "nodes={nodes} adaptive={adaptive}: clustered trajectories diverged"
                 );
             }
         }
@@ -133,11 +114,8 @@ fn figure3_character_ppm_scales_replicated_mpi_does_not() {
         .fold(SimTime::ZERO, SimTime::max)
     };
     let mpi_speedup = mpi_t(2).as_ns_f64() / mpi_t(8).as_ns_f64();
-    // Adaptive balance on and off: the cells at 2 host threads.
-    let pair = cells(threads_and_adaptive)
-        .into_iter()
-        .filter(|c| c.host_threads == 2);
-    for cell in pair {
+    // Adaptive balance on and off.
+    for cell in cells(adaptive) {
         let ppm_t = |nodes: u32| {
             ppm_core::run(cell.apply(PpmConfig::franklin(nodes)), move |node| {
                 bh::ppm::simulate(node, &p).1
@@ -183,7 +161,7 @@ fn ppm_bh_is_deterministic() {
 /// conformance checker across its tree-build and force phases.
 #[test]
 fn ppm_version_is_phase_conformant() {
-    for (nodes, cell) in [1u32, 2].into_iter().zip(in_turn(threads_and_adaptive)) {
+    for (nodes, cell) in [1u32, 2].into_iter().zip(in_turn(adaptive)) {
         let p = params();
         let report = ppm_core::run(
             cell.apply(PpmConfig::new(MachineConfig::new(nodes, 2)))

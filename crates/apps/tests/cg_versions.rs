@@ -1,19 +1,18 @@
 //! Cross-version validation of the CG application: the PPM program and the
 //! MPI baseline must agree with the sequential reference, on several
 //! machine shapes, and the simulated-time relationship between them must
-//! show the paper's Figure 1 character. Each PPM run takes a cell of
-//! host threads × tile budget: tests that loop over machine shapes take the
-//! cells in turn, the others walk them (`ppm_cg_is_deterministic` walks the
-//! budget alone).
+//! show the paper's Figure 1 character. Each PPM run takes a cell of tile
+//! budget: tests that loop over machine shapes take the cells in turn, the
+//! others walk them.
 
 use ppm_apps::cg::{self, CgParams};
 use ppm_core::testkit::{cells, walk, Cell};
 use ppm_core::PpmConfig;
 use ppm_simnet::MachineConfig;
 
-fn threads_and_budget(c: Cell) -> Cell {
+/// The tile budget, the one knob this suite walks.
+fn budget(c: Cell) -> Cell {
     Cell {
-        host_threads: c.host_threads,
         tile_budget: c.tile_budget,
         ..Cell::default()
     }
@@ -21,7 +20,7 @@ fn threads_and_budget(c: Cell) -> Cell {
 
 /// The cells, round and round, for a loop to take in turn.
 fn in_turn() -> impl Iterator<Item = Cell> {
-    cells(threads_and_budget).into_iter().cycle()
+    cells(budget).into_iter().cycle()
 }
 
 fn params() -> CgParams {
@@ -124,7 +123,7 @@ fn mpi_matches_sequential() {
 #[test]
 fn both_versions_converge_toward_ones() {
     let p = CgParams::cube(6, 30);
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let ppm_out = ppm_core::run(cell.apply(PpmConfig::franklin(2)), move |node| {
             cg::ppm::solve(node, &p).0
         });
@@ -195,7 +194,7 @@ fn tolerance_stops_early_and_uniformly() {
             assert!(*rr <= limit * (1.0 + 1e-9), "rr {rr} vs limit {limit}");
         }
     };
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let ppm_rep = ppm_core::run(cell.apply(PpmConfig::franklin(2)), move |node| {
             let (out, _) = cg::ppm::solve(node, &p);
             (out.iters_done, out.rr)
@@ -212,10 +211,6 @@ fn tolerance_stops_early_and_uniformly() {
 #[test]
 fn ppm_cg_is_deterministic() {
     let p = params();
-    let budget = |c: Cell| Cell {
-        tile_budget: c.tile_budget,
-        ..Cell::default()
-    };
     walk(budget, |cell| {
         let go = || {
             let cfg = cell.apply(PpmConfig::new(MachineConfig::new(3, 2)));

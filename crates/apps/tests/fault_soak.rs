@@ -3,15 +3,17 @@
 //! with zero phase-semantics violations, and equal seeds must give equal
 //! runs (same retry counts, same simulated makespan). The soak matrix's
 //! cache-off cells are one of the few places the cache-off path is still
-//! exercised (`perf_gates.rs` lists them). Host threads, fault seeds and
-//! adaptive repartitioning come from the cells of `ppm_core::testkit::CELLS`.
+//! exercised (`perf_gates.rs` lists them). Fault seeds and adaptive
+//! repartitioning come from the cells of `ppm_core::testkit::CELLS`.
 
 use ppm_apps::barnes_hut::{self as bh, BhParams};
 use ppm_apps::cg::{self, CgParams};
 use ppm_apps::matgen::{self, MatGenParams};
 use ppm_apps::pagerank::{self, PrParams};
 use ppm_apps::stencil27::Stencil27;
-use ppm_core::testkit::{cells, walk, Cell, CELLS};
+use std::ops::Range;
+
+use ppm_core::testkit::{walk, Cell, CELLS};
 use ppm_core::PpmConfig;
 use ppm_simnet::{Counters, FaultConfig, MachineConfig, SimTime};
 
@@ -22,18 +24,7 @@ fn base_cfg(cell: Cell) -> PpmConfig {
     cell.apply(PpmConfig::new(MachineConfig::new(3, 2)))
 }
 
-/// The knobs this suite walks besides the seed: host threads × adaptive
-/// repartitioning.
-fn threads_and_adaptive(c: Cell) -> Cell {
-    Cell {
-        host_threads: c.host_threads,
-        adaptive: c.adaptive,
-        ..Cell::default()
-    }
-}
-
-/// Adaptive repartitioning alone, for the single-schedule tests; the
-/// thread count meets it in [`soak`] and `cg_same_seed_same_run`.
+/// The knob this suite walks besides the seed: adaptive repartitioning.
 fn adaptive(c: Cell) -> Cell {
     Cell {
         adaptive: c.adaptive,
@@ -41,10 +32,10 @@ fn adaptive(c: Cell) -> Cell {
     }
 }
 
-/// Each cell's schedule: its seed, its host threads, its adaptive switch.
+/// Each cell's schedule: its seed, its adaptive switch.
 fn seeded(cell: Cell) -> PpmConfig {
     let faults = FaultConfig::seeded(cell.fault_seed, 0.05, 0.03, 0.03);
-    base_cfg(threads_and_adaptive(cell)).with_faults(faults)
+    base_cfg(adaptive(cell)).with_faults(faults)
 }
 
 /// Run `body` as a PPM job, assert conformance and cross-node agreement,
@@ -115,11 +106,11 @@ fn run_barnes_hut(cfg: PpmConfig) -> Run {
 }
 
 /// A clean run per adaptive setting, then the seeded fault schedule of
-/// each cell at `threads` host threads — one per seed, one with adaptive
-/// repartitioning on: results must be bit-identical to the clean run,
-/// faults must only cost time, and the suite as a whole must actually
-/// exercise the retry machinery.
-fn soak(name: &str, threads: usize, run: &dyn Fn(PpmConfig) -> Run) {
+/// each cell in `rows` of the table — three consecutive rows hold one per
+/// seed, one with adaptive repartitioning on: results must be
+/// bit-identical to the clean run, faults must only cost time, and the
+/// suite as a whole must actually exercise the retry machinery.
+fn soak(name: &str, rows: Range<usize>, run: &dyn Fn(PpmConfig) -> Run) {
     let clean_at = |adaptive: bool| {
         let (clean, clean_t, clean_c) = run(base_cfg(Cell {
             adaptive,
@@ -134,7 +125,7 @@ fn soak(name: &str, threads: usize, run: &dyn Fn(PpmConfig) -> Run) {
     };
     let clean = [clean_at(false), clean_at(true)];
     let mut injected = 0;
-    for cell in CELLS.into_iter().filter(|c| c.host_threads == threads) {
+    for cell in CELLS[rows].iter().copied() {
         let (out, t, c) = run(seeded(cell));
         let (clean, clean_t) = &clean[cell.adaptive as usize];
         assert_eq!(&out, clean, "{name}: {cell:?} changed the results");
@@ -147,29 +138,28 @@ fn soak(name: &str, threads: usize, run: &dyn Fn(PpmConfig) -> Run) {
 
 #[test]
 fn cg_survives_fault_soak() {
-    soak("cg", 1, &run_cg);
+    soak("cg", 0..3, &run_cg);
 }
 
 #[test]
 fn matgen_survives_fault_soak() {
-    soak("matgen", 2, &run_matgen);
+    soak("matgen", 3..6, &run_matgen);
 }
 
 #[test]
 fn pagerank_survives_fault_soak() {
-    soak("pagerank", 2, &run_pagerank);
+    soak("pagerank", 3..6, &run_pagerank);
 }
 
 #[test]
 fn barnes_hut_survives_fault_soak() {
-    soak("barnes_hut", 8, &run_barnes_hut);
+    soak("barnes_hut", 6..9, &run_barnes_hut);
 }
 
 /// The read cache (DESIGN.md §13) under the soak matrix: every (schedule ×
 /// knob) cell must produce the bit-identical CG solution, and the cache
 /// must never cost simulated time. The faulted schedules are the cells that
-/// switch adaptive repartitioning on — one per seed and per host thread
-/// count.
+/// switch adaptive repartitioning on — one per seed.
 #[test]
 fn soak_matrix_is_bit_identical_across_knobs_and_opts_never_cost_time() {
     let on = |c: PpmConfig| c.with_read_cache(true);
@@ -194,7 +184,7 @@ fn soak_matrix_is_bit_identical_across_knobs_and_opts_never_cost_time() {
 /// skewed fixture — where the balancer genuinely migrates partitions —
 /// every (schedule × adaptive knob) cell must produce the bit-identical
 /// ranks. The schedules are the cells that switch adaptive balance on —
-/// one per seed and per host thread count. (The makespan *win* is gated in
+/// one per seed. (The makespan *win* is gated in
 /// balance_gates.rs on the larger fixture; at this soak size migration is
 /// exercised but not required to pay off.)
 #[test]
@@ -240,12 +230,8 @@ fn pagerank_recovers_from_a_crash_mid_migration() {
         })
     };
     let (clean, clean_t, _) = run(base_cfg(Cell::default()).with_adaptive_balance(true));
-    let threads = cells(|c| Cell {
-        host_threads: c.host_threads,
-        ..Cell::default()
-    });
-    for (phase, cell) in [4u64, 5, 6].into_iter().zip(threads) {
-        let cfg = base_cfg(cell)
+    for phase in [4u64, 5, 6] {
+        let cfg = base_cfg(Cell::default())
             .with_adaptive_balance(true)
             .with_faults(FaultConfig::NONE.with_crash(1, phase));
         let (out, t, c) = run(cfg);
@@ -278,7 +264,7 @@ fn cg_survives_the_ci_seed() {
 
 #[test]
 fn cg_same_seed_same_run() {
-    walk(threads_and_adaptive, |cell| {
+    walk(adaptive, |cell| {
         let cfg = || base_cfg(cell).with_faults(FaultConfig::seeded(23, 0.05, 0.03, 0.03));
         let (res_a, t_a, c_a) = run_cg(cfg());
         let (res_b, t_b, c_b) = run_cg(cfg());

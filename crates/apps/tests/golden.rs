@@ -44,7 +44,6 @@ struct Golden {
 fn variant(name: &str) -> PpmConfig {
     let base = PpmConfig::new(MachineConfig::new(3, 2))
         .with_checker(true)
-        .with_host_threads(1)
         .with_read_cache(true)
         .with_adaptive_balance(false)
         .with_replication(false)

@@ -1,18 +1,18 @@
-//! Host-parallel determinism soak (DESIGN.md §12): the intra-node VP
-//! scheduler distributes VP polls over a pool of host worker threads, but
-//! merges all VP effects in ascending rank order — so every observable of
-//! a job (result bits, simulated makespan, counters, and the full trace
-//! JSON) must be bit-identical at any thread count. This suite pins that
-//! for all four applications under seeded fault schedules, and for CG
-//! crash recovery. The `cache off` cells are one of the few places the
-//! cache-off path is still exercised (`perf_gates.rs` lists them). The
-//! other knobs come from the cells of `ppm_core::testkit::CELLS`.
+//! Rerun determinism soak (DESIGN.md §12): a job's node threads still race
+//! in the router, so every observable of a job (result bits, simulated
+//! makespan, counters, and the full trace JSON) must be bit-identical run
+//! to run. This suite pins that for all four applications under seeded
+//! fault schedules, and for CG crash recovery, by running each config twice.
+//! The `cache off` cells are one of the few places the cache-off path is
+//! still exercised (`perf_gates.rs` lists them). The other knobs come from
+//! the cells of `ppm_core::testkit::CELLS`. The file and test names are
+//! those of the host-thread-count comparison this soak replaced.
 
 use ppm_apps::barnes_hut::{self as bh, BhParams};
 use ppm_apps::cg::{self, CgParams};
 use ppm_apps::matgen::{self, MatGenParams};
 use ppm_apps::pagerank::{self, PrParams};
-use ppm_core::testkit::{thread_counts, Cell, CELLS};
+use ppm_core::testkit::{Cell, CELLS};
 use ppm_core::{PpmConfig, TraceSink};
 use ppm_simnet::{Counters, FaultConfig, MachineConfig, SimTime};
 
@@ -52,39 +52,36 @@ where
     }
 }
 
-/// Run the app at every thread count of the cells for each config in
-/// `cfgs`, asserting that thread count 1 (the reference sequential
-/// schedule) and every pooled schedule agree on all observables.
-fn assert_thread_count_invariant(
+/// Run the app twice for each config in `cfgs`, asserting that the two
+/// runs agree on all observables.
+fn assert_rerun_identical(
     name: &str,
     cfgs: &[(String, PpmConfig)],
     run: &(dyn Fn(PpmConfig, &str) -> Observables + Sync),
 ) {
     for (desc, cfg) in cfgs {
-        let base = run(cfg.with_host_threads(1), name);
-        for threads in &thread_counts()[1..] {
-            let got = run(cfg.with_host_threads(*threads), name);
-            assert_eq!(
-                got.bits, base.bits,
-                "{name} [{desc}]: {threads} host threads changed the results"
-            );
-            assert_eq!(
-                got.makespan, base.makespan,
-                "{name} [{desc}]: {threads} host threads changed the makespan"
-            );
-            assert_eq!(
-                got.counters, base.counters,
-                "{name} [{desc}]: {threads} host threads changed the counters"
-            );
-            assert_eq!(
-                got.trace, base.trace,
-                "{name} [{desc}]: {threads} host threads changed the trace JSON"
-            );
-        }
+        let base = run(*cfg, name);
+        let got = run(*cfg, name);
+        assert_eq!(
+            got.bits, base.bits,
+            "{name} [{desc}]: a rerun changed the results"
+        );
+        assert_eq!(
+            got.makespan, base.makespan,
+            "{name} [{desc}]: a rerun changed the makespan"
+        );
+        assert_eq!(
+            got.counters, base.counters,
+            "{name} [{desc}]: a rerun changed the counters"
+        );
+        assert_eq!(
+            got.trace, base.trace,
+            "{name} [{desc}]: a rerun changed the trace JSON"
+        );
     }
 }
 
-/// The knobs a cell sets besides the thread count, which this suite walks
+/// The knobs a cell sets besides the fault seed, which this suite walks
 /// itself: adaptive repartitioning (DESIGN.md §14), replication (§15) and
 /// the tile budget (§18).
 fn knobs(c: Cell) -> Cell {
@@ -96,22 +93,21 @@ fn knobs(c: Cell) -> Cell {
     }
 }
 
-/// The knobs of the cells at 8 host threads: every switch on, replication
-/// alone, every switch off. The crash tests take these.
-fn wide_cells() -> impl Iterator<Item = Cell> {
-    CELLS.into_iter().filter(|c| c.host_threads == 8).map(knobs)
+/// The knobs of the last three cells: every switch on, replication alone,
+/// every switch off. The crash tests take these.
+fn crash_cells() -> impl Iterator<Item = Cell> {
+    CELLS[6..].iter().copied().map(knobs)
 }
 
 /// Each cell's knobs under its seeded fault schedule and, once per
 /// distinct setting, clean — with the read cache (DESIGN.md §13) off in the
-/// three cells at one host thread and on in the rest, so that it too meets
-/// every seed and both sides of every switch. Host-thread bit-identity then
-/// holds on both sides of every knob, including runs that migrate
-/// partitions mid-job.
+/// first three cells and on in the rest, so that it too meets every seed
+/// and both sides of every switch. Rerun identity then holds on both sides
+/// of every knob, including runs that migrate partitions mid-job.
 fn soak_cfgs() -> Vec<(String, PpmConfig)> {
     let mut cfgs: Vec<(String, PpmConfig)> = Vec::new();
-    for cell in CELLS {
-        let cache = cell.host_threads > 1;
+    for (row, cell) in CELLS.into_iter().enumerate() {
+        let cache = row >= 3;
         let cfg = knobs(cell).apply(base_cfg()).with_read_cache(cache);
         let clean = format!("clean, cache {cache}, {:?}", knobs(cell));
         if cfgs.iter().all(|(desc, _)| *desc != clean) {
@@ -130,7 +126,7 @@ fn soak_cfgs() -> Vec<(String, PpmConfig)> {
 fn cg_is_bit_identical_across_host_thread_counts() {
     let mut p = CgParams::cube(8, 15);
     p.rows_per_vp = 16;
-    assert_thread_count_invariant("cg", &soak_cfgs(), &move |cfg, label| {
+    assert_rerun_identical("cg", &soak_cfgs(), &move |cfg, label| {
         run_app(cfg, label, move |node| {
             let (out, _) = cg::ppm::solve(node, &p);
             let mut bits = vec![out.rr.to_bits()];
@@ -143,7 +139,7 @@ fn cg_is_bit_identical_across_host_thread_counts() {
 #[test]
 fn matgen_is_bit_identical_across_host_thread_counts() {
     let p = MatGenParams::new(4, 8);
-    assert_thread_count_invariant("matgen", &soak_cfgs(), &move |cfg, label| {
+    assert_rerun_identical("matgen", &soak_cfgs(), &move |cfg, label| {
         run_app(cfg, label, move |node| {
             let (m, _) = matgen::ppm::generate(node, &p);
             m.iter().map(|v| v.to_bits()).collect()
@@ -155,7 +151,7 @@ fn matgen_is_bit_identical_across_host_thread_counts() {
 fn pagerank_is_bit_identical_across_host_thread_counts() {
     // The skewed fixture, so the adaptive matrix cells really migrate.
     let p = PrParams::skewed(200);
-    assert_thread_count_invariant("pagerank", &soak_cfgs(), &move |cfg, label| {
+    assert_rerun_identical("pagerank", &soak_cfgs(), &move |cfg, label| {
         run_app(cfg, label, move |node| {
             let (ranks, _) = pagerank::ppm::rank(node, &p);
             ranks.iter().map(|v| v.to_bits()).collect()
@@ -168,7 +164,7 @@ fn barnes_hut_is_bit_identical_across_host_thread_counts() {
     // The clustered fixture, so the adaptive matrix cells really migrate.
     let mut p = BhParams::clustered(128);
     p.steps = 2;
-    assert_thread_count_invariant("barnes_hut", &soak_cfgs(), &move |cfg, label| {
+    assert_rerun_identical("barnes_hut", &soak_cfgs(), &move |cfg, label| {
         run_app(cfg, label, move |node| {
             let (bodies, _) = bh::ppm::simulate(node, &p);
             bodies
@@ -188,9 +184,9 @@ fn barnes_hut_is_bit_identical_across_host_thread_counts() {
     });
 }
 
-/// Phase-boundary crash recovery must itself be thread-count-independent:
-/// the same crash schedule replays to the same recovered solution, redo
-/// cost, and recovery count at every host thread count.
+/// Phase-boundary crash recovery must itself be deterministic: the same
+/// crash schedule replays to the same recovered solution, redo cost, and
+/// recovery count on every run.
 #[test]
 fn cg_crash_recovery_is_host_thread_count_independent() {
     let mut p = CgParams::cube(8, 15);
@@ -203,7 +199,7 @@ fn cg_crash_recovery_is_host_thread_count_independent() {
             bits
         })
     };
-    let cfgs: Vec<(String, PpmConfig)> = wide_cells()
+    let cfgs: Vec<(String, PpmConfig)> = crash_cells()
         .map(|cell| {
             (
                 format!("crash node 1 at phase 3, {cell:?}"),
@@ -212,15 +208,15 @@ fn cg_crash_recovery_is_host_thread_count_independent() {
             )
         })
         .collect();
-    assert_thread_count_invariant("cg-crash", &cfgs, &run);
-    // And the recovery really happened (at the pooled count too).
-    let got = run(cfgs[0].1.with_host_threads(8), "cg-crash");
+    assert_rerun_identical("cg-crash", &cfgs, &run);
+    // And the recovery really happened.
+    let got = run(cfgs[0].1, "cg-crash");
     assert_eq!(got.counters.crash_recoveries, 1);
 }
 
 /// A crash landing in the middle of an adaptively rebalancing run must
-/// replay identically at every host thread count: the recovery line is
-/// post-migration, so the restored partitions are the migrated ones.
+/// replay identically on every run: the recovery line is post-migration,
+/// so the restored partitions are the migrated ones.
 #[test]
 fn adaptive_crash_recovery_is_host_thread_count_independent() {
     let p = PrParams::skewed(200);
@@ -233,7 +229,7 @@ fn adaptive_crash_recovery_is_host_thread_count_independent() {
     // Crash right around the first rebalance window (the decision fires
     // once `MIN_WINDOW = 4` phases of loads are banked), one phase per
     // cell.
-    let cfgs: Vec<(String, PpmConfig)> = wide_cells()
+    let cfgs: Vec<(String, PpmConfig)> = crash_cells()
         .zip([4u64, 5, 6])
         .map(|(cell, phase)| {
             let cell = Cell {
@@ -247,7 +243,7 @@ fn adaptive_crash_recovery_is_host_thread_count_independent() {
             )
         })
         .collect();
-    assert_thread_count_invariant("pagerank-adaptive-crash", &cfgs, &run);
-    let got = run(cfgs[0].1.with_host_threads(8), "pagerank-adaptive-crash");
+    assert_rerun_identical("pagerank-adaptive-crash", &cfgs, &run);
+    let got = run(cfgs[0].1, "pagerank-adaptive-crash");
     assert_eq!(got.counters.crash_recoveries, 1);
 }

@@ -6,25 +6,16 @@
 //! the sequential reference left-folds over sources one at a time. Those
 //! associations can differ in the last ulp, so cross-version checks use a
 //! tight relative tolerance; run-to-run determinism is still bit-exact.
-//! Each PPM run takes a cell of host threads × adaptive repartitioning:
-//! tests that loop over machine shapes take the cells in turn, the others
-//! walk adaptive on and off.
+//! Each PPM run takes a cell of adaptive repartitioning: tests that loop
+//! over machine shapes take the cells in turn, the others walk adaptive on
+//! and off.
 
 use ppm_apps::pagerank::{self, PrParams};
 use ppm_core::testkit::{cells, walk, Cell};
 use ppm_core::PpmConfig;
 use ppm_simnet::MachineConfig;
 
-fn threads_and_adaptive(c: Cell) -> Cell {
-    Cell {
-        host_threads: c.host_threads,
-        adaptive: c.adaptive,
-        ..Cell::default()
-    }
-}
-
-/// Adaptive balance alone, for the single-config tests; the node loops
-/// meet it with the thread counts.
+/// Adaptive balance, the one knob these suites walk.
 fn adaptive(c: Cell) -> Cell {
     Cell {
         adaptive: c.adaptive,
@@ -51,7 +42,7 @@ fn assert_close(got: &[f64], want: &[f64], what: &str) {
 fn ppm_matches_sequential_to_ulp() {
     let p = PrParams::new(400);
     let reference = pagerank::seq::rank(&p);
-    for (nodes, cell) in [1u32, 2, 3].into_iter().zip(in_turn(threads_and_adaptive)) {
+    for (nodes, cell) in [1u32, 2, 3].into_iter().zip(in_turn(adaptive)) {
         let cfg = cell.apply(PpmConfig::new(MachineConfig::new(nodes, 2)));
         let report = ppm_core::run(cfg, move |node| pagerank::ppm::rank(node, &p).0);
         for got in &report.results {
@@ -86,21 +77,15 @@ fn mpi_matches_sequential_to_ulp() {
 fn skewed_fixture_versions_agree() {
     let p = PrParams::skewed(400);
     let reference = pagerank::seq::rank(&p);
-    let threads = |c: Cell| Cell {
-        host_threads: c.host_threads,
-        ..Cell::default()
-    };
-    for (nodes, cell) in [1u32, 2, 3].into_iter().zip(in_turn(threads)) {
+    for nodes in [1u32, 2, 3] {
         for adaptive in [false, true] {
-            let cfg = cell
-                .apply(PpmConfig::new(MachineConfig::new(nodes, 2)))
-                .with_adaptive_balance(adaptive);
+            let cfg = PpmConfig::new(MachineConfig::new(nodes, 2)).with_adaptive_balance(adaptive);
             let report = ppm_core::run(cfg, move |node| pagerank::ppm::rank(node, &p).0);
             for got in &report.results {
                 assert_close(
                     got,
                     &reference,
-                    &format!("ppm skewed nodes={nodes} adaptive={adaptive}, {cell:?}"),
+                    &format!("ppm skewed nodes={nodes} adaptive={adaptive}"),
                 );
             }
         }
@@ -162,7 +147,7 @@ fn push_scatter_bundles_well_at(cell: Cell) {
 #[test]
 fn ppm_version_is_phase_conformant() {
     let p = PrParams::new(200);
-    for (nodes, cell) in [1u32, 3].into_iter().zip(in_turn(threads_and_adaptive)) {
+    for (nodes, cell) in [1u32, 3].into_iter().zip(in_turn(adaptive)) {
         let report = ppm_core::run(
             cell.apply(PpmConfig::new(MachineConfig::new(nodes, 2)))
                 .with_checker(true),

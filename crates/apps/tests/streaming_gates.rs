@@ -2,10 +2,10 @@
 //! tile budget set, partition tiles spill to (modeled) backing store and
 //! refill on demand — but spills and refills are free in simulated time
 //! and invisible to the merge order, so every observable of a job must be
-//! bit-identical to the in-core run at every tile budget and host thread
-//! count: result bits, simulated makespan, and all counters except the
+//! bit-identical to the in-core run at every tile budget, run after run:
+//! result bits, simulated makespan, and all counters except the
 //! `tile_spills`/`tile_refills` bookkeeping itself. This suite pins that
-//! for CG across budgets × host threads, under a crash fault with spilled
+//! for CG across budgets, each run twice, under a crash fault with spilled
 //! tiles live, and for the `spmv_chunk` knob that bounds a VP's staged
 //! reads. `cg_with_runtime_opts_…` is the cache-off side — one of
 //! the few places the cache-off path is still exercised (`perf_gates.rs`
@@ -32,7 +32,6 @@ struct Observables {
 /// and 8 KiB fits whole partitions untiled (budget on, nothing to spill).
 /// 0 is the in-core reference.
 const BUDGETS: [u64; 3] = [256, 1024, 8192];
-const HOST_THREADS: [usize; 2] = [1, 8];
 
 fn base_cfg() -> PpmConfig {
     PpmConfig::new(MachineConfig::new(3, 2))
@@ -83,19 +82,16 @@ fn run_cg(cfg: PpmConfig, params: CgParams) -> Observables {
 }
 
 /// Streamed runs must match the in-core reference on results, makespan,
-/// and every non-streaming counter, at every budget × host thread count.
+/// and every non-streaming counter, at every budget, on each of two runs.
 fn assert_streaming_invariant(desc: &str, mk_cfg: &dyn Fn() -> PpmConfig, params: CgParams) {
     // The reference pins the budget off, whatever `mk_cfg` sets.
-    let base = run_cg(mk_cfg().with_tile_budget(0).with_host_threads(1), params);
+    let base = run_cg(mk_cfg().with_tile_budget(0), params);
     assert_eq!(base.tile_refills, 0, "{desc}: in-core run refilled tiles");
     assert_eq!(base.tile_spills, 0, "{desc}: in-core run spilled tiles");
     for budget in BUDGETS {
-        for threads in HOST_THREADS {
-            let got = run_cg(
-                mk_cfg().with_tile_budget(budget).with_host_threads(threads),
-                params,
-            );
-            let tag = format!("{desc}: budget {budget} B, {threads} host threads");
+        for run in 1..=2 {
+            let got = run_cg(mk_cfg().with_tile_budget(budget), params);
+            let tag = format!("{desc}: budget {budget} B, run {run}");
             assert_eq!(got.bits, base.bits, "{tag}: results changed");
             assert_eq!(got.makespan, base.makespan, "{tag}: makespan changed");
             assert_eq!(got.counters, base.counters, "{tag}: counters changed");
@@ -133,10 +129,7 @@ fn cg_with_runtime_opts_is_bit_identical_across_tile_budgets() {
 fn crash_recovery_with_spilled_tiles_is_bit_identical() {
     let mk = || base_cfg().with_faults(FaultConfig::NONE.with_crash(1, 3));
     assert_streaming_invariant("crash node 1 at phase 3", &mk, cg_params());
-    let got = run_cg(
-        mk().with_tile_budget(BUDGETS[0]).with_host_threads(8),
-        cg_params(),
-    );
+    let got = run_cg(mk().with_tile_budget(BUDGETS[0]), cg_params());
     assert_eq!(got.counters.crash_recoveries, 1, "recovery never happened");
 }
 
@@ -146,7 +139,7 @@ fn crash_recovery_with_spilled_tiles_is_bit_identical() {
 /// changes the wave structure — so only results are compared).
 #[test]
 fn spmv_chunking_preserves_results_bit_exactly() {
-    let in_core = || base_cfg().with_tile_budget(0).with_host_threads(1);
+    let in_core = || base_cfg().with_tile_budget(0);
     let base = run_cg(in_core(), cg_params());
     for chunk in [1, 16, 64] {
         let p = cg_params().with_spmv_chunk(chunk);
@@ -154,10 +147,7 @@ fn spmv_chunking_preserves_results_bit_exactly() {
         assert_eq!(got.bits, base.bits, "spmv_chunk {chunk} changed results");
         // And chunked + streamed together still match the chunked in-core
         // run on every observable.
-        let streamed = run_cg(
-            base_cfg().with_tile_budget(BUDGETS[1]).with_host_threads(8),
-            p,
-        );
+        let streamed = run_cg(base_cfg().with_tile_budget(BUDGETS[1]), p);
         assert_eq!(
             streamed.bits, got.bits,
             "chunk {chunk}: streaming changed results"

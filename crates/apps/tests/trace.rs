@@ -3,8 +3,7 @@
 //! (the config CI runs with `--trace`). Tracing must cost zero simulated
 //! time (well under the 5% overhead gate), the exports must be valid
 //! JSON, and the per-phase trace must reconcile with the phase traffic —
-//! in core, and under the tile budget of each cell that sets one (at
-//! 1, 2 and 8 host threads).
+//! in core, and under the cells' tile budget.
 
 use ppm_apps::cg::{self, CgParams};
 use ppm_apps::stencil27::Stencil27;
@@ -27,16 +26,12 @@ const NODES: u32 = 4;
 
 #[test]
 fn fig1_smoke_trace_overhead_is_zero_and_trace_reconciles() {
-    // In core, then each cell that sets a budget, at its thread count.
-    let budgeted = |c: Cell| match c.tile_budget {
-        0 => Cell::default(),
-        tile_budget => Cell {
-            host_threads: c.host_threads,
-            tile_budget,
-            ..Cell::default()
-        },
+    // In core, then under the cells' budget.
+    let budget = |c: Cell| Cell {
+        tile_budget: c.tile_budget,
+        ..Cell::default()
     };
-    walk(budgeted, trace_reconciles_at);
+    walk(budget, trace_reconciles_at);
 }
 
 fn trace_reconciles_at(cell: Cell) {

@@ -10,18 +10,16 @@
 //! pushes, suspicion flood, death confirmation, and failover — all past
 //! the old 64/128-node fixed-width sidecar walls.
 //!
-//! For each node count the job runs once per `--threads` entry; the
-//! simulated results, makespan, and counters are asserted identical
-//! across thread counts (DESIGN.md §12), and the wall-clock column shows
-//! what the determinism contract costs at scale.
+//! Each node count runs once; the wall-clock column shows what the job
+//! costs at scale (one OS thread per node).
 //!
 //! ```text
 //! cargo run --release -p ppm-bench --bin large_n \
-//!     [-- --nodes 256,1024 --threads 1,8 --vps 8 --rounds 4 --trace out.json]
+//!     [-- --nodes 256,1024 --vps 8 --rounds 4 --trace out.json]
 //! ```
 //!
-//! `--trace <path>` (or `PPM_TRACE=<path>`) records the *first* run of
-//! each node count as one process of a Chrome trace-event file; CI's
+//! `--trace <path>` (or `PPM_TRACE=<path>`) records the run of each node
+//! count as one process of a Chrome trace-event file; CI's
 //! `large-n` job uploads it as an artifact.
 
 use std::time::Instant;
@@ -30,22 +28,19 @@ use ppm_bench::{header, pct, row, write_trace, Args, TraceSink};
 use ppm_core::{AccumOp, PpmConfig};
 use ppm_simnet::{Counters, FaultConfig, MachineConfig, SimTime};
 
-/// One run of the ring workload; returns (canonical result bits,
-/// makespan, summed counters).
-#[allow(clippy::too_many_arguments)]
+/// One run of the ring workload, its nodes asserted to agree on the final
+/// state; returns (makespan, summed counters).
 fn ring_job(
     nodes: u32,
     vps: usize,
     rounds: u64,
-    threads: usize,
     victim: usize,
     death_phase: u64,
     trace: Option<(&TraceSink, &str)>,
-) -> (Vec<u64>, SimTime, Counters) {
+) -> (SimTime, Counters) {
     let cfg = PpmConfig::new(MachineConfig::new(nodes, 4))
         .with_read_cache(true)
         .with_replication(true)
-        .with_host_threads(threads)
         .with_faults(FaultConfig::NONE.with_permanent_crash(victim, death_phase));
     let n = nodes as usize;
     let body = move |node: &mut ppm_core::NodeCtx<'_>| {
@@ -81,20 +76,13 @@ fn ring_job(
     for (i, bits) in report.results.iter().enumerate() {
         assert_eq!(bits, &first, "node {i} disagrees on the final state");
     }
-    (first, report.makespan(), report.total_counters())
+    (report.makespan(), report.total_counters())
 }
 
 fn main() {
     let args = Args::parse();
     let trace = args.trace_path().map(|p| (TraceSink::new(), p));
     let nodes = args.nodes(&[256, 1024]);
-    let threads: Vec<usize> = match args.value("--threads") {
-        Some(v) => v
-            .split(',')
-            .map(|s| s.trim().parse().expect("--threads wants integers"))
-            .collect(),
-        None => vec![1, 8],
-    };
     let vps = args.usize("--vps", 8);
     let rounds = args.usize("--rounds", 4) as u64;
 
@@ -104,7 +92,6 @@ fn main() {
     );
     header(&[
         "nodes",
-        "host threads",
         "wall s",
         "simulated ms",
         "msgs/phase",
@@ -119,52 +106,30 @@ fn main() {
         // old u128 sidecar range whenever the run is big enough.
         let victim = n - n / 4 - 1;
         let death_phase = 1;
-        let mut base: Option<(Vec<u64>, SimTime, Counters)> = None;
-        for (i, &t) in threads.iter().enumerate() {
-            let label = format!("large_n_{nn}");
-            let tr = match (&trace, i) {
-                (Some((sink, _)), 0) => Some((sink, label.as_str())),
-                _ => None,
-            };
-            let t0 = Instant::now();
-            let (bits, makespan, c) = ring_job(nn, vps, rounds, t, victim, death_phase, tr);
-            let wall = t0.elapsed().as_secs_f64();
-            match &base {
-                None => {
-                    assert_eq!(c.failovers, 1, "{nn} nodes: seeded death never fired");
-                    assert_eq!(
-                        c.peers_confirmed_dead,
-                        nn as u64 - 1,
-                        "{nn} nodes: not every survivor confirmed the death"
-                    );
-                    base = Some((bits, makespan, c));
-                }
-                Some((b_bits, b_t, b_c)) => {
-                    assert_eq!(&bits, b_bits, "{nn} nodes: results diverged at {t} threads");
-                    assert_eq!(
-                        makespan, *b_t,
-                        "{nn} nodes: makespan diverged at {t} threads"
-                    );
-                    assert_eq!(&c, b_c, "{nn} nodes: counters diverged at {t} threads");
-                }
-            }
-            row(&[
-                nn.to_string(),
-                t.to_string(),
-                format!("{wall:.1}"),
-                format!("{:.3}", makespan.as_ms_f64()),
-                (c.msgs_sent / rounds).to_string(),
-                c.failovers.to_string(),
-                c.peers_confirmed_dead.to_string(),
-                pct(c.cache_hits, c.cache_hits + c.cache_misses),
-            ]);
-        }
+        let label = format!("large_n_{nn}");
+        let tr = trace.as_ref().map(|(sink, _)| (sink, label.as_str()));
+        let t0 = Instant::now();
+        let (makespan, c) = ring_job(nn, vps, rounds, victim, death_phase, tr);
+        let wall = t0.elapsed().as_secs_f64();
+        assert_eq!(c.failovers, 1, "{nn} nodes: seeded death never fired");
+        assert_eq!(
+            c.peers_confirmed_dead,
+            nn as u64 - 1,
+            "{nn} nodes: not every survivor confirmed the death"
+        );
+        row(&[
+            nn.to_string(),
+            format!("{wall:.1}"),
+            format!("{:.3}", makespan.as_ms_f64()),
+            (c.msgs_sent / rounds).to_string(),
+            c.failovers.to_string(),
+            c.peers_confirmed_dead.to_string(),
+            pct(c.cache_hits, c.cache_hits + c.cache_misses),
+        ]);
     }
 
     println!(
-        "\n(simulated ms, failovers, confirmed dead, and hit rate are \
-         asserted bit-identical across all thread counts — DESIGN.md §12; \
-         msgs/phase is total msgs_sent over the job divided by the phase \
+        "\n(msgs/phase is total msgs_sent over the job divided by the phase \
          count — the sender-notice exchange keeps it O(writers + N), where \
          a dense all-to-all would add N²−N empty tokens per phase, DESIGN.md §17)"
     );

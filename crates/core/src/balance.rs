@@ -11,7 +11,7 @@
 //!
 //! The decision is exact integer arithmetic on replicated inputs, so
 //! every node computes the same answer with no agreement round, and the
-//! answer cannot depend on host thread count, fault seed, or message
+//! answer cannot depend on the fault seed or on host or message
 //! timing. That is the whole determinism story of the balancer: decide
 //! from replicated counters, migrate synchronously at the boundary.
 //!

@@ -44,8 +44,8 @@
 //! The checker is writer-side and per node: a node's write logs hold its
 //! own VPs' writes, so it reports the conflicts among them — wherever the
 //! element lives — and a conflict between VPs of two nodes goes unseen.
-//! Diagnostics are deterministic: no rule depends on which host thread
-//! polled a VP or when, and the per-barrier flush sorts the phase's reports
+//! Diagnostics are deterministic: no rule depends on when a VP was
+//! polled, and the per-barrier flush sorts the phase's reports
 //! by (rule, space, array, element, ranks). Violations are drained per node
 //! with [`crate::NodeCtx::take_violations`] after a `ppm_do`; the app test
 //! suites assert the drain is empty.

@@ -30,13 +30,6 @@ pub struct PpmConfig {
     /// (overhead measurement). Reliability is always on when
     /// `machine.faults` is enabled; see [`Self::reliability_enabled`].
     pub reliable: bool,
-    /// Host worker threads polling VPs inside each simulated node. `0`
-    /// (the default) resolves at `ppm_do` time: the `PPM_HOST_THREADS`
-    /// environment variable if set, else
-    /// `min(host parallelism, cores_per_node)`. Results are bit-identical
-    /// at any value — the scheduler merges VP effects in ascending rank
-    /// order (see DESIGN.md §12).
-    pub host_threads: usize,
     /// Phase-coherent remote-read cache (DESIGN.md §13): remote values
     /// from response bundles and owner-pushed refreshes are kept per node
     /// and consulted before queueing any remote read; invalidated at phase
@@ -50,7 +43,7 @@ pub struct PpmConfig {
     /// arrays allocated with [`crate::NodeCtx::alloc_global_balanced`],
     /// migrating elements toward less-loaded nodes. The decision is a pure
     /// function of replicated simulated-time load counters, so results stay
-    /// bit-identical across host thread counts and fault seeds. Off by
+    /// bit-identical across host timing and fault seeds. Off by
     /// default; [`Self::with_adaptive_balance`] enables it.
     pub adaptive_balance: bool,
     /// Buddy snapshot replication for fail-stop tolerance (DESIGN.md §15):
@@ -82,7 +75,6 @@ impl PpmConfig {
             bundling: true,
             checker: cfg!(debug_assertions),
             reliable: false,
-            host_threads: 0,
             read_cache: true,
             adaptive_balance: false,
             replication: false,
@@ -181,12 +173,11 @@ impl PpmConfig {
         self
     }
 
-    /// Pin the number of host worker threads used to poll VPs (`0` =
-    /// auto: `PPM_HOST_THREADS`, else `min(host cores, cores_per_node)`).
-    /// Deterministic at any value; this knob exists so tests can compare
-    /// thread counts without racing on the process environment.
-    pub fn with_host_threads(mut self, n: usize) -> Self {
-        self.host_threads = n;
+    /// A node's own thread polls its VPs; there is no thread count to set.
+    /// Accepts and ignores any value. Kept, for the frozen `benchmark/`
+    /// package alone, like [`Self::with_wave_pipelining`].
+    #[doc(hidden)]
+    pub fn with_host_threads(self, _n: usize) -> Self {
         self
     }
 
@@ -210,36 +201,6 @@ impl PpmConfig {
     }
 }
 
-/// The forms `PPM_HOST_THREADS` accepts, for the panic message.
-const THREADS: &str = "a thread count (0 = as many as the host and the node's cores allow)";
-
-/// The value of environment variable `var`, or `default` when it is unset.
-fn env_or(var: &str, default: usize) -> usize {
-    // Lossy: a value that is not Unicode reaches the parser and is refused.
-    let raw = std::env::var_os(var).unwrap_or_default();
-    parse_env(var, &raw.to_string_lossy()).unwrap_or(default)
-}
-
-/// `PPM_HOST_THREADS`, resolved at `ppm_do` time when
-/// [`PpmConfig::host_threads`] is 0; 0 here too means auto.
-pub(crate) fn env_host_threads() -> usize {
-    env_or("PPM_HOST_THREADS", 0)
-}
-
-/// Parse `raw`, the value of `var`. Empty (or blank) means unset; a value
-/// that is not a thread count is an error, not a silent default.
-fn parse_env(var: &str, raw: &str) -> Option<usize> {
-    let value = raw.trim();
-    if value.is_empty() {
-        return None;
-    }
-    Some(
-        value
-            .parse()
-            .unwrap_or_else(|_| panic!("{var}={raw:?} is not valid: expected {THREADS}")),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,10 +214,10 @@ mod tests {
         assert_eq!(c.cores_per_node(), 4);
     }
 
-    /// The three variables that once set `PpmConfig` defaults change
-    /// nothing: this module's tests, re-run in a child process with all
-    /// three set, still pass (the `*_defaults_off_and_toggles` ones would
-    /// not if `new` read them).
+    /// The four variables that once set `PpmConfig` defaults or the host
+    /// thread count change nothing: this module's tests, re-run in a child
+    /// process with all four set, still pass (the `*_defaults_off_and_toggles`
+    /// ones would not if `new` read them).
     #[test]
     fn the_shell_cannot_change_a_config() {
         const CHILD: &str = "CONFIG_TESTS_CHILD";
@@ -270,11 +231,13 @@ mod tests {
             .env("PPM_ADAPTIVE", "1")
             .env("PPM_REPLICATION", "1")
             .env("PPM_TILE_BUDGET", "4096")
+            .env("PPM_HOST_THREADS", "8")
             .output()
             .expect("re-run the test binary");
         assert!(
             out.status.success(),
-            "config tests fail under PPM_ADAPTIVE / PPM_REPLICATION / PPM_TILE_BUDGET:\n{}",
+            "config tests fail under PPM_ADAPTIVE / PPM_REPLICATION / PPM_TILE_BUDGET / \
+             PPM_HOST_THREADS:\n{}",
             String::from_utf8_lossy(&out.stdout)
         );
     }
@@ -322,29 +285,6 @@ mod tests {
         assert_eq!(
             c.with_tile_budget(1 << 20).with_tile_budget(0).tile_budget,
             0
-        );
-    }
-
-    #[test]
-    fn host_threads_parse_as_a_count() {
-        let threads = |raw| parse_env("PPM_HOST_THREADS", raw);
-        assert_eq!(threads("8"), Some(8));
-        assert_eq!(threads("0"), Some(0));
-        assert_eq!(threads("  "), None);
-    }
-
-    /// An unparsable value names the variable, the value and what would
-    /// have been accepted.
-    #[test]
-    fn unparsable_env_values_are_errors_not_defaults() {
-        let refused = std::panic::catch_unwind(|| parse_env("PPM_HOST_THREADS", "four"));
-        let m = *refused
-            .expect_err("must panic")
-            .downcast::<String>()
-            .expect("formatted panic");
-        assert!(
-            m.contains("PPM_HOST_THREADS=\"four\"") && m.contains("thread count"),
-            "{m}"
         );
     }
 

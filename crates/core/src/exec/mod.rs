@@ -10,13 +10,13 @@
 //!
 //! ## Determinism
 //!
-//! Scheduling is deterministic regardless of host thread timing or worker
-//! count: each poll round's runnable set is fixed up front, VPs record
-//! every effect into their private [`VpScratch`], and the driver merges
-//! scratches into [`Inner`](crate::state::Inner) in ascending rank order
-//! after the round — so the merged effect sequence
-//! equals a sequential ascending-rank schedule's no matter which host
-//! thread polled what. A wave's destinations are consumed strictly in
+//! Scheduling is deterministic regardless of host thread timing: each poll
+//! round's runnable set is fixed up front, every runnable VP is polled once
+//! in ascending rank against the round's frozen arrays, recording every
+//! effect into its private [`VpScratch`], and the driver then merges the
+//! scratches into [`Inner`](crate::state::Inner) in ascending rank order —
+//! so the merged effect sequence equals a sequential ascending-rank
+//! schedule's. A wave's destinations are consumed strictly in
 //! ascending node order (early responses wait in the router), so VPs resume per
 //! completed destination — in deterministic order — while slower
 //! destinations are still in flight, and the schedule never depends on
@@ -28,15 +28,14 @@
 //! ## Ownership
 //!
 //! The node's thread owns its state: `NodeCtx::inner`, and every VP's
-//! future and scratch, held by rank in `drive`. A poll round moves each
-//! runnable VP's future and scratch to whoever polls it — the driver
-//! itself, or a host worker with the round's `Arc<Frozen>` — and gets both
-//! back with the result, so no lock guards any of it.
+//! future and scratch, held by rank in `drive`, which polls each VP in
+//! place with the round's `Arc<Frozen>` — one poll loop per node, and no
+//! lock guards any of it.
 //!
 //! ## Map
 //!
-//! This file is the construct: `run_do`, the poll loop `drive`, the host
-//! worker pool. `wave` builds, ships and consumes communication waves and
+//! This file is the construct: `run_do` and the poll loop `drive`. `wave`
+//! builds, ships and consumes communication waves and
 //! services tile faults; `phase_end` is the node and global phase end —
 //! `global_phase_end` reads as the protocol's ordered step list — with the
 //! phase cost formula and the bundle exchange; `barrier` is the
@@ -47,7 +46,7 @@
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 use ppm_simnet::SimTime;
@@ -66,58 +65,42 @@ use wave::{finalize_wave, service_tile_faults, start_wave, wave_recv_next, WaveS
 
 type VpTask = Pin<Box<dyn Future<Output = ()> + Send>>;
 
-/// A VP on its way to be polled: its rank, its future and its scratch.
-type Job = (usize, VpTask, VpScratch);
-
-/// Outcome of polling one VP once (possibly on a host worker thread).
+/// Outcome of polling one VP once.
 enum PollOut {
+    /// Still running; its future stays in place.
+    Pending,
     Done,
-    /// The future, to be polled again.
-    Pending(VpTask),
     Panicked(Box<dyn std::any::Any + Send>),
 }
 
-/// Poll one VP future once, inside its poll context: the VP's scratch and
-/// `frozen`, the node's arrays, sit in this thread's thread-local for the
-/// poll, so the accesses the future makes take no lock (DESIGN.md §12). A
-/// future that finishes or panics is dropped inside the context too. Panics
-/// are caught so the driver can merge the lower-rank VPs' effects first and
-/// then re-raise — reproducing a sequential schedule's panic behavior from
-/// any worker thread. Returns the rank, the outcome and the scratch.
-fn poll_vp((vp, mut task, scratch): Job, frozen: &Arc<Frozen>) -> (usize, PollOut, VpScratch) {
-    let ctx = PollGuard::enter(vp, scratch, Arc::clone(frozen));
+/// Poll VP `vp`'s future once, in place, inside its poll context: the VP's
+/// scratch and `frozen`, the node's arrays, sit in this thread's
+/// thread-local for the poll, so the accesses the future makes take no lock
+/// (DESIGN.md §12). A future that finishes or panics is dropped inside the
+/// context too, leaving `task` empty. Panics are caught so the driver can
+/// merge the lower-rank VPs' effects first and then re-raise — reproducing
+/// a sequential schedule's panic behavior.
+fn poll_vp(
+    vp: usize,
+    task: &mut Option<VpTask>,
+    scratch: &mut VpScratch,
+    frozen: &Arc<Frozen>,
+) -> PollOut {
+    let ctx = PollGuard::enter(vp, std::mem::take(scratch), Arc::clone(frozen));
+    // Cannot fire: only a live VP is made ready, and a future leaves `task`
+    // only on `Ready` or a panic — both of which retire the VP.
+    let fut = task.as_mut().expect("ready VP must be live");
     let mut cx = Context::from_waker(Waker::noop());
-    let out = match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
-        Ok(Poll::Pending) => PollOut::Pending(task),
-        Ok(Poll::Ready(())) => {
-            drop(task);
-            PollOut::Done
-        }
-        Err(payload) => {
-            drop(task);
-            PollOut::Panicked(payload)
-        }
+    let out = match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
+        Ok(Poll::Pending) => PollOut::Pending,
+        Ok(Poll::Ready(())) => PollOut::Done,
+        Err(payload) => PollOut::Panicked(payload),
     };
-    (vp, out, ctx.exit())
-}
-
-/// Resolve the host worker-thread count for a `ppm_do`:
-/// `cfg.host_threads` if nonzero, else `PPM_HOST_THREADS`, else
-/// `min(host parallelism, cores_per_node)`. Purely a wall-clock knob —
-/// results are bit-identical at any value (DESIGN.md §12).
-fn host_workers(cfg: &crate::config::PpmConfig) -> usize {
-    let n = if cfg.host_threads > 0 {
-        cfg.host_threads
-    } else {
-        crate::config::env_host_threads()
-    };
-    if n > 0 {
-        return n;
+    if !matches!(out, PollOut::Pending) {
+        *task = None;
     }
-    let host = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    host.min(cfg.cores_per_node()).max(1)
+    *scratch = ctx.exit();
+    out
 }
 
 /// Run one `PPM_do(k) f` construct to completion.
@@ -197,86 +180,17 @@ where
         .map(|cell| Box::pin(f(Vp { cell: cell.clone() })) as VpTask)
         .collect();
 
-    let workers = host_workers(&cfg).min(k.max(1));
-    let cores = cfg.cores_per_node();
-    if workers <= 1 {
-        // Inline: the identical record-to-scratch + rank-ordered-merge path
-        // minus the thread handoff, so one code path defines the semantics
-        // at every worker count.
-        drive(nc, &cells, tasks, |batch, frozen| {
-            batch.into_iter().map(|job| poll_vp(job, frozen)).collect()
-        });
-    } else {
-        // Persistent worker pool for the whole construct. Workers only ever
-        // poll futures (each inside its own poll context); the driver
-        // thread owns every ordered effect.
-        std::thread::scope(|s| {
-            let (res_tx, res_rx) = mpsc::channel::<Vec<(usize, PollOut, VpScratch)>>();
-            let cmd_txs: Vec<mpsc::Sender<(Vec<Job>, Arc<Frozen>)>> = (0..workers)
-                .map(|_| {
-                    let (tx, rx) = mpsc::channel::<(Vec<Job>, Arc<Frozen>)>();
-                    let res_tx = res_tx.clone();
-                    s.spawn(move || {
-                        while let Ok((batch, frozen)) = rx.recv() {
-                            let out: Vec<_> =
-                                batch.into_iter().map(|j| poll_vp(j, &frozen)).collect();
-                            // Released before the results go back: the driver
-                            // thaws the arrays as soon as it has them all.
-                            drop(frozen);
-                            if res_tx.send(out).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                    tx
-                })
-                .collect();
-            drop(res_tx);
-            let mut batches: Vec<Vec<Job>> = (0..workers).map(|_| Vec::new()).collect();
-            drive(nc, &cells, tasks, move |batch, frozen| {
-                // Partition by simulated core (the clock-accounting mapping)
-                // and fan cores out across workers; results are re-sorted by
-                // rank before merging, so arrival order never matters.
-                let polled = batch.len();
-                for job in batch {
-                    batches[(job.0 % cores) % workers].push(job);
-                }
-                let mut in_flight = 0;
-                // The two `expect`s cannot fire: a worker leaves its loop only
-                // when a channel closes, both outlive this closure, and
-                // `poll_vp` catches a VP's panic before it can unwind one.
-                for (w, b) in batches.iter_mut().enumerate() {
-                    if !b.is_empty() {
-                        cmd_txs[w]
-                            .send((std::mem::take(b), Arc::clone(frozen)))
-                            .expect("host worker exited early");
-                        in_flight += 1;
-                    }
-                }
-                let mut out = Vec::with_capacity(polled);
-                for _ in 0..in_flight {
-                    out.extend(res_rx.recv().expect("host worker exited early"));
-                }
-                out
-            });
-        });
-    }
+    drive(nc, &cells, tasks);
 
     // Epilogue: charge compute done after the last phase.
     let leftover = nc.inner.take_core_compute();
     nc.ep.clock.advance_compute(leftover);
 }
 
-/// The construct's main loop: poll rounds (delegated to `poll_round`, which
-/// may fan out to host workers), rank-ordered effect merges, waves, and
-/// phase ends. One code path serves every worker count. It owns the VPs'
-/// futures — `None` once retired — and their scratches, by rank.
-fn drive(
-    nc: &mut NodeCtx<'_>,
-    cells: &[Arc<VpCell>],
-    tasks: Vec<VpTask>,
-    mut poll_round: impl FnMut(Vec<Job>, &Arc<Frozen>) -> Vec<(usize, PollOut, VpScratch)>,
-) {
+/// The construct's main loop: poll rounds, rank-ordered effect merges,
+/// waves, and phase ends. It owns the VPs' futures — `None` once retired —
+/// and their scratches, by rank.
+fn drive(nc: &mut NodeCtx<'_>, cells: &[Arc<VpCell>], tasks: Vec<VpTask>) {
     let me = nc.node_id();
     let mut live = tasks.len();
     let mut ready: Vec<usize> = (0..live).collect();
@@ -294,37 +208,29 @@ fn drive(
         while !ready.is_empty() {
             ready.sort_unstable();
             ready.dedup();
-            // Cannot fire: `ready` holds only VPs not seen to finish, and a
-            // future leaves `tasks` only on `Ready` or a panic — both of
-            // which retire the VP.
-            let batch: Vec<Job> = (ready.drain(..))
-                .map(|vp| {
-                    let task = tasks[vp].take().expect("ready VP must be live");
-                    (vp, task, std::mem::take(&mut scratches[vp]))
-                })
+            // Poll every runnable VP in ascending rank against the round's
+            // frozen arrays, then merge every polled VP's effects in
+            // ascending rank order: the determinism keystone (DESIGN.md
+            // §12). The merged effect sequence — including floating-point
+            // accumulate fold order — equals a sequential ascending-rank
+            // schedule's. A panicking VP behaves like its sequential self:
+            // lower ranks merge, its own effects are discarded, the payload
+            // re-raises.
+            let frozen = &nc.inner.frozen;
+            let outs: Vec<PollOut> = ready
+                .iter()
+                .map(|&vp| poll_vp(vp, &mut tasks[vp], &mut scratches[vp], frozen))
                 .collect();
-            let polled = batch.len();
-            let mut results = poll_round(batch, &nc.inner.frozen);
-            debug_assert_eq!(results.len(), polled);
-            results.sort_by_key(|&(vp, ..)| vp);
-            // Merge every polled VP's effects in ascending rank order: the
-            // determinism keystone (DESIGN.md §12). The merged effect
-            // sequence — including floating-point accumulate fold order —
-            // equals a sequential ascending-rank schedule's regardless of
-            // which host thread polled what. A
-            // panicking VP behaves like its sequential self: lower ranks
-            // merge, its own effects are discarded, the payload re-raises.
             let inner = &mut nc.inner;
             let mut round_compute = SimTime::ZERO;
-            for (vp, out, scratch) in results {
-                scratches[vp] = scratch;
+            for (vp, out) in ready.drain(..).zip(outs) {
                 match out {
                     PollOut::Panicked(p) => std::panic::resume_unwind(p),
                     PollOut::Done => {
                         live -= 1;
                         inner.live_vps = live;
                     }
-                    PollOut::Pending(task) => tasks[vp] = Some(task),
+                    PollOut::Pending => {}
                 }
                 round_compute += merge_vp(inner, &cells[vp], &mut scratches[vp]);
             }

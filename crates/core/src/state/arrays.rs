@@ -27,7 +27,8 @@ use crate::elem::Elem;
 /// A `Vec<T>` of some array's element type, on the untyped side of the
 /// erased boundary: read-response, refresh-push and migration payloads,
 /// snapshots. `Sync` as well as `Send` because refresh parts and snapshots
-/// park in [`super::Inner`], which the host worker threads share.
+/// park in [`super::Inner`], and an executor that polls a node's VPs on
+/// other threads would share its [`Frozen`] half through an `Arc`.
 pub(crate) type Values = Box<dyn Any + Send + Sync>;
 
 /// The array a handle of element type `T` names: array `id` of `space`. A
@@ -296,8 +297,8 @@ impl<T: Copy> RunCache<T> {
 /// everything that handles an array without its handle: the exchange path
 /// (serving reads, draining and applying write bundles), coherence,
 /// migration, snapshots. `Any` so a handle gets its `T` back
-/// ([`array_ref`]); `Send + Sync` because [`super::Inner`] is shared across
-/// the host worker threads that poll VPs.
+/// ([`array_ref`]); `Send + Sync`, like the payloads ([`Values`]), so the
+/// round's `Arc<Frozen>` could be shared by pollers on other threads.
 pub(crate) trait GArrayObj: Any + Send + Sync {
     /// Read the values at `idxs` (global indices owned by this node) — for a
     /// read response, or post-apply for a refresh push; returns the payload

@@ -25,10 +25,9 @@ use crate::elem::{AccumOp, Elem};
 type ScratchLogs = Vec<Option<Box<dyn Any + Send>>>;
 
 /// Every side effect one VP produces while being polled. The driver holds
-/// it between polls and moves it, with the VP's future, to whoever polls
-/// the VP, so polls of different VPs can run on different host threads with
-/// no ordering races; the executor merges scratches into [`Inner`] in
-/// ascending rank order.
+/// it between polls and moves it into the poll context for each poll, so
+/// the VP's accesses record into it without touching [`Inner`]; the
+/// executor merges scratches into [`Inner`] in ascending rank order.
 #[derive(Default)]
 pub(crate) struct VpScratch {
     /// Phase this VP is currently inside, if any (guards nested phases and
@@ -346,9 +345,9 @@ impl VpCell {
 
 /// What a VP poll works on, parked in a thread-local for the poll's
 /// duration so every access inside it is lock-free: the VP's scratch, moved
-/// in by whoever polls it, and the node's [`Frozen`] arrays. Sound under the
-/// worker pool because a poll starts and ends on one host thread and a
-/// thread polls one VP at a time (DESIGN.md §12).
+/// in by the node thread that polls it, and the node's [`Frozen`] arrays.
+/// Sound because a poll starts and ends on one thread and a thread polls
+/// one VP at a time (DESIGN.md §12).
 struct PollCtx {
     vp: usize,
     scratch: VpScratch,
@@ -362,10 +361,10 @@ thread_local! {
     static FIRST_SEEN: RefCell<FirstSeen> = RefCell::new(FirstSeen::default());
 }
 
-/// Run `f` on this host thread's first-occurrence table, emptied: the one a
+/// Run `f` on this thread's first-occurrence table, emptied: the one a
 /// bulk read combines its repeated remote misses with while its first poll
-/// issues them (`GetManyFut`). One per thread, not per VP — only a first
-/// poll uses it, and a thread runs one poll at a time.
+/// issues them (`GetManyFut`). One per node thread, not per VP — only a
+/// first poll uses it, and a thread runs one poll at a time.
 pub(crate) fn with_first_seen<R>(f: impl FnOnce(&mut FirstSeen) -> R) -> R {
     FIRST_SEEN.with_borrow_mut(|table| {
         table.begin();
@@ -486,7 +485,7 @@ pub(super) mod tests {
     pub fn bulk_accesses_cost_per_call_not_per_element() {
         const N: usize = 10_000;
         let machine = ppm_simnet::MachineConfig::new(2, 1);
-        let cfg = PpmConfig::new(machine).with_host_threads(1);
+        let cfg = PpmConfig::new(machine);
         let report = crate::run(cfg, |node| {
             let a = node.alloc_global::<u64>(2 * N);
             let lo = node.local_range(&a).start;

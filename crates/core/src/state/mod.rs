@@ -5,16 +5,15 @@
 //! per-core compute accounting) lives in [`Inner`], which the node's
 //! thread owns by value. During a phase body the live arrays are immutable
 //! (writes are *buffered*), so the part of `Inner` a VP reads — [`Frozen`]
-//! — sits behind an `Arc` of its own: each poll round hands every poller a
-//! clone, and each poll parks it in a thread-local beside the VP's private
-//! [`VpScratch`], which the driver moves out to the poller and gets back
-//! with the result, so the shared accesses inside the poll take no lock
-//! ([`VpCell::with_poll`]). Every side effect a VP produces — buffered
+//! — sits behind an `Arc` of its own: each poll parks a clone of the
+//! round's in a thread-local beside the VP's private [`VpScratch`], which
+//! the driver moves in for the poll and takes back after it, so the shared
+//! accesses inside the poll take no lock ([`VpCell::with_poll`]). Every side effect a VP produces — buffered
 //! writes, read requests, counter deltas, checker reports, phase
 //! entry/arrival — goes into that scratch. The executor merges scratches
 //! into `Inner` in ascending VP-rank order after each poll round, which is
-//! what makes the host-parallel scheduler bit-identical to a sequential
-//! one at any worker count (see `exec` and DESIGN.md §12).
+//! what makes a round's effects equal a sequential ascending-rank
+//! schedule's (see `exec` and DESIGN.md §12).
 //!
 //! One file per thing stored: `wlog` the write log, its sort and the
 //! parcels it resolves into; `slots` a VP's parked reads and the requests

@@ -46,8 +46,8 @@
 //! in that direction.
 //!
 //! [`Cell`] and [`CELLS`] fix the knob values the runtime suites walk
-//! in-process: host threads, fault seed, adaptive balance, replication and
-//! tile budget, every pair of values meeting in some row.
+//! in-process: fault seed, adaptive balance, replication and tile budget,
+//! every pair of values meeting in some row.
 
 use std::fmt::Debug;
 use std::ops::Range;
@@ -365,13 +365,10 @@ macro_rules! prop_assert {
 
 /// One point of the knob space a suite runs under, passed as a value:
 /// a run is its [`PpmConfig`], never the shell's. [`Cell::apply`] sets the
-/// four config knobs; `fault_seed` is for suites that draw a seeded fault
+/// three config knobs; `fault_seed` is for suites that draw a seeded fault
 /// schedule. The default is every knob at its [`PpmConfig::new`] value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Cell {
-    /// Host worker threads polling VPs (`0` = auto); no observable may
-    /// depend on it (DESIGN.md §12).
-    pub host_threads: usize,
     /// Seed of the suite's random fault schedule.
     pub fault_seed: u64,
     /// Trace-guided adaptive repartitioning.
@@ -383,37 +380,36 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// `cfg` with this cell's host threads, adaptive balance, replication
-    /// and tile budget. Builders called after it override it.
+    /// `cfg` with this cell's adaptive balance, replication and tile
+    /// budget. Builders called after it override it.
     pub fn apply(&self, cfg: PpmConfig) -> PpmConfig {
-        cfg.with_host_threads(self.host_threads)
-            .with_adaptive_balance(self.adaptive)
+        cfg.with_adaptive_balance(self.adaptive)
             .with_replication(self.replication)
             .with_tile_budget(self.tile_budget)
     }
 }
 
-/// The fixed cells the suites walk: host threads {1, 2, 8} × fault seeds
-/// {5, 23, 71}, each pair once, with adaptive balance, replication and a
-/// 4 KiB tile budget set so that every pair of values of any two fields
-/// meets in some row. The first row has every switch off, the seventh
-/// every switch on.
+/// The fixed cells the suites walk: fault seeds {5, 23, 71}, three rows
+/// each, with adaptive balance, replication and a 4 KiB tile budget set so
+/// that every pair of values of any two fields meets in some row and no two
+/// rows are equal. The first row has every switch off, the seventh every
+/// switch on.
 #[rustfmt::skip]
 pub const CELLS: [Cell; 9] = [
-    Cell { host_threads: 1, fault_seed: 5, adaptive: false, replication: false, tile_budget: 0 },
-    Cell { host_threads: 1, fault_seed: 23, adaptive: false, replication: false, tile_budget: 4096 },
-    Cell { host_threads: 1, fault_seed: 71, adaptive: true, replication: true, tile_budget: 0 },
-    Cell { host_threads: 2, fault_seed: 5, adaptive: false, replication: true, tile_budget: 0 },
-    Cell { host_threads: 2, fault_seed: 23, adaptive: true, replication: false, tile_budget: 0 },
-    Cell { host_threads: 2, fault_seed: 71, adaptive: false, replication: false, tile_budget: 4096 },
-    Cell { host_threads: 8, fault_seed: 5, adaptive: true, replication: true, tile_budget: 4096 },
-    Cell { host_threads: 8, fault_seed: 23, adaptive: false, replication: true, tile_budget: 0 },
-    Cell { host_threads: 8, fault_seed: 71, adaptive: false, replication: false, tile_budget: 0 },
+    Cell { fault_seed: 5, adaptive: false, replication: false, tile_budget: 0 },
+    Cell { fault_seed: 23, adaptive: false, replication: false, tile_budget: 4096 },
+    Cell { fault_seed: 71, adaptive: true, replication: true, tile_budget: 0 },
+    Cell { fault_seed: 5, adaptive: false, replication: true, tile_budget: 0 },
+    Cell { fault_seed: 23, adaptive: true, replication: false, tile_budget: 0 },
+    Cell { fault_seed: 71, adaptive: false, replication: false, tile_budget: 4096 },
+    Cell { fault_seed: 5, adaptive: true, replication: true, tile_budget: 4096 },
+    Cell { fault_seed: 23, adaptive: false, replication: true, tile_budget: 0 },
+    Cell { fault_seed: 71, adaptive: false, replication: false, tile_budget: 0 },
 ];
 
 /// The distinct cells `project` makes of [`CELLS`], in table order. A
 /// suite keeps the fields it walks and defaults the rest:
-/// `cells(|c| Cell { host_threads: c.host_threads, ..Cell::default() })`.
+/// `cells(|c| Cell { fault_seed: c.fault_seed, ..Cell::default() })`.
 pub fn cells(project: impl Fn(Cell) -> Cell) -> Vec<Cell> {
     let mut out = Vec::new();
     for c in CELLS.map(project) {
@@ -421,14 +417,6 @@ pub fn cells(project: impl Fn(Cell) -> Cell) -> Vec<Cell> {
             out.push(c);
         }
     }
-    out
-}
-
-/// The host thread counts of [`CELLS`], in table order (the table lists
-/// them in runs): what a suite that pins everything else walks.
-pub fn thread_counts() -> Vec<usize> {
-    let mut out = CELLS.map(|c| c.host_threads).to_vec();
-    out.dedup();
     out
 }
 
@@ -451,8 +439,7 @@ mod tests {
     #[test]
     fn cells_cover_every_pair_of_values() {
         type Field = (&'static str, fn(&Cell) -> u64, &'static [u64]);
-        let fields: [Field; 5] = [
-            ("host_threads", |c| c.host_threads as u64, &[1, 2, 8]),
+        let fields: [Field; 4] = [
             ("fault_seed", |c| c.fault_seed, &[5, 23, 71]),
             ("adaptive", |c| c.adaptive as u64, &[0, 1]),
             ("replication", |c| c.replication as u64, &[0, 1]),
@@ -474,13 +461,12 @@ mod tests {
 
     #[test]
     fn cells_dedup_what_a_projection_merges() {
-        let threads = |c: Cell| Cell {
-            host_threads: c.host_threads,
+        let seeds = |c: Cell| Cell {
+            fault_seed: c.fault_seed,
             ..Cell::default()
         };
-        let walked: Vec<usize> = cells(threads).iter().map(|c| c.host_threads).collect();
-        assert_eq!(walked, [1, 2, 8]);
-        assert_eq!(thread_counts(), walked);
+        let walked: Vec<u64> = cells(seeds).iter().map(|c| c.fault_seed).collect();
+        assert_eq!(walked, [5, 23, 71]);
         assert_eq!(cells(|_| Cell::default()), [Cell::default()]);
         assert_eq!(cells(|c| c).len(), CELLS.len());
     }

@@ -14,8 +14,8 @@
 //! with the node's frozen arrays — is the poll context the executor parks
 //! in a thread-local around each poll ([`VpCell::with_poll`]): the handles here take no lock
 //! and work only inside the future being polled. The executor merges
-//! scratches in ascending rank order, so these futures are `Send` and may
-//! be polled from any host worker thread (see `exec` and DESIGN.md §12).
+//! scratches in ascending rank order, so the order in which a round polls
+//! its VPs never shows (see `exec` and DESIGN.md §12).
 
 use std::future::Future;
 use std::pin::Pin;

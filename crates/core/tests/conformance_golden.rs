@@ -2,8 +2,8 @@
 //! program, captured on the commit *before* the checker moved from a
 //! node-level per-element map to the source (read-own-write hazards found by
 //! the reading VP, write-write conflicts by the write log's drain). The
-//! rewrite must reproduce every list — contents, order, renderings — at any
-//! host thread count, with the read cache on or off (one of the few places
+//! rewrite must reproduce every list — contents, order, renderings — with
+//! the read cache on or off (one of the few places
 //! the cache-off path is still exercised; `perf_gates.rs` lists them).
 //!
 //! The program plants, on 2 nodes × 3 VPs (global ranks 0–2 and 3–5):
@@ -21,7 +21,6 @@
 //! read-own-write hazard in a node phase *between* the global phases of one
 //! collective `ppm_do`, then runs a clean node phase.
 
-use ppm_core::testkit::thread_counts;
 use ppm_core::PhaseKind::{Global as G, Node as N};
 use ppm_core::Space::{Global, Node};
 use ppm_core::{run, AccumOp, PhaseKind, PhaseViolation, PpmConfig, Space};
@@ -256,23 +255,19 @@ const RENDERED: [&[&str]; 2] = [
 #[test]
 fn planted_program_reports_the_captured_rows() {
     let expected = expected();
-    for threads in thread_counts() {
-        for cache in [true, false] {
-            let cfg = PpmConfig::new(MachineConfig::new(2, 2))
-                .with_checker(true)
-                .with_host_threads(threads)
-                .with_read_cache(cache);
-            let cell = format!("threads {threads}, cache {cache}");
-            let got = planted(cfg);
-            assert_eq!(got[0].3 > 0, cache, "{cell}: a[8]'s hazard hits the cache");
-            for (node, (first, second, third, _)) in got.into_iter().enumerate() {
-                assert!(second.is_empty(), "{cell}, node {node}: {second:?}");
-                let lines: Vec<String> =
-                    first.iter().chain(&third).map(|v| v.to_string()).collect();
-                assert_eq!(first, expected[node].0, "{cell}, node {node}, ppm_do");
-                assert_eq!(third, expected[node].1, "{cell}, node {node}, ppm_do_local");
-                assert_eq!(lines, RENDERED[node], "{cell}, node {node}");
-            }
+    for cache in [true, false] {
+        let cfg = PpmConfig::new(MachineConfig::new(2, 2))
+            .with_checker(true)
+            .with_read_cache(cache);
+        let cell = format!("cache {cache}");
+        let got = planted(cfg);
+        assert_eq!(got[0].3 > 0, cache, "{cell}: a[8]'s hazard hits the cache");
+        for (node, (first, second, third, _)) in got.into_iter().enumerate() {
+            assert!(second.is_empty(), "{cell}, node {node}: {second:?}");
+            let lines: Vec<String> = first.iter().chain(&third).map(|v| v.to_string()).collect();
+            assert_eq!(first, expected[node].0, "{cell}, node {node}, ppm_do");
+            assert_eq!(third, expected[node].1, "{cell}, node {node}, ppm_do_local");
+            assert_eq!(lines, RENDERED[node], "{cell}, node {node}");
         }
     }
 }
@@ -394,34 +389,29 @@ fn planted_bulk(cfg: PpmConfig) -> Vec<Drains> {
 #[test]
 fn bulk_twin_of_the_planted_program_reports_the_same_rows() {
     let expected = expected();
-    for threads in thread_counts() {
-        for cache in [true, false] {
-            let cfg = PpmConfig::new(MachineConfig::new(2, 2))
-                .with_checker(true)
-                .with_host_threads(threads)
-                .with_read_cache(cache);
-            let cell = format!("threads {threads}, cache {cache}");
-            let got = planted_bulk(cfg);
-            assert_eq!(got[0].3 > 0, cache, "{cell}: a[8]'s hazard hits the cache");
-            for (node, (first, second, third, _)) in got.into_iter().enumerate() {
-                assert!(second.is_empty(), "{cell}, node {node}: {second:?}");
-                let lines: Vec<String> =
-                    first.iter().chain(&third).map(|v| v.to_string()).collect();
-                assert_eq!(first, expected[node].0, "{cell}, node {node}, ppm_do");
-                assert_eq!(third, expected[node].1, "{cell}, node {node}, ppm_do_local");
-                assert_eq!(lines, RENDERED[node], "{cell}, node {node}");
-            }
+    for cache in [true, false] {
+        let cfg = PpmConfig::new(MachineConfig::new(2, 2))
+            .with_checker(true)
+            .with_read_cache(cache);
+        let cell = format!("cache {cache}");
+        let got = planted_bulk(cfg);
+        assert_eq!(got[0].3 > 0, cache, "{cell}: a[8]'s hazard hits the cache");
+        for (node, (first, second, third, _)) in got.into_iter().enumerate() {
+            assert!(second.is_empty(), "{cell}, node {node}: {second:?}");
+            let lines: Vec<String> = first.iter().chain(&third).map(|v| v.to_string()).collect();
+            assert_eq!(first, expected[node].0, "{cell}, node {node}, ppm_do");
+            assert_eq!(third, expected[node].1, "{cell}, node {node}, ppm_do_local");
+            assert_eq!(lines, RENDERED[node], "{cell}, node {node}");
         }
     }
 }
 
 /// What a one-VP-per-node job on two nodes panics with.
 fn panic_text<Fut: std::future::Future<Output = ()> + Send + 'static>(
-    threads: usize,
     body: impl Fn(ppm_core::Vp, ppm_core::GlobalShared<i64>) -> Fut + Send + Sync + 'static,
 ) -> String {
     let job = std::panic::AssertUnwindSafe(move || {
-        let cfg = PpmConfig::new(MachineConfig::new(2, 1)).with_host_threads(threads);
+        let cfg = PpmConfig::new(MachineConfig::new(2, 1));
         run(cfg, move |node| {
             let a = node.alloc_global::<i64>(8); // node 1 owns 4..8
             node.ppm_do(1, |vp| body(vp, a));
@@ -439,67 +429,64 @@ fn panic_text<Fut: std::future::Future<Output = ()> + Send + 'static>(
 
 /// A bulk access that may not happen panics with the text its per-element
 /// form panics with: out of bounds, out of any phase, a remote element or a
-/// global write in a node phase — at every thread count of the cells.
+/// global write in a node phase.
 #[test]
 fn bulk_accesses_panic_with_the_per_element_texts() {
-    for threads in thread_counts() {
-        for (want, per_element, bulk) in panic_cases(threads) {
-            assert!(per_element.contains(want), "{per_element:?} lacks {want:?}");
-            assert_eq!(bulk, per_element);
-        }
+    for (want, per_element, bulk) in panic_cases() {
+        assert!(per_element.contains(want), "{per_element:?} lacks {want:?}");
+        assert_eq!(bulk, per_element);
     }
 }
 
-/// `(text, per-element panic, bulk panic)` of each case, at `threads` host
-/// threads.
-fn panic_cases(threads: usize) -> [(&'static str, String, String); 6] {
+/// `(text, per-element panic, bulk panic)` of each case.
+fn panic_cases() -> [(&'static str, String, String); 6] {
     [
         (
             "global read index 8 out of bounds",
-            panic_text(threads, |vp, a| async move {
+            panic_text(|vp, a| async move {
                 vp.global_phase(|ph| async move { assert_eq!(ph.get(&a, 8).await, 0) })
                     .await
             }),
-            panic_text(threads, |vp, a| async move {
+            panic_text(|vp, a| async move {
                 vp.global_phase(|ph| async move { drop(ph.get_many(&a, 7..9).await) })
                     .await
             }),
         ),
         (
             "global write index 8 out of bounds",
-            panic_text(threads, |vp, a| async move {
+            panic_text(|vp, a| async move {
                 vp.global_phase(|ph| async move { ph.put(&a, 8, 1) }).await
             }),
-            panic_text(threads, |vp, a| async move {
+            panic_text(|vp, a| async move {
                 vp.global_phase(|ph| async move { ph.put_many(&a, (7..9).map(|i| (i, 1))) })
                     .await
             }),
         ),
         (
             "global shared read requires an open phase",
-            panic_text(threads, |vp, a| async move {
+            panic_text(|vp, a| async move {
                 let ph = vp.global_phase(|ph| async move { ph }).await;
                 ph.get(&a, 0).await;
             }),
-            panic_text(threads, |vp, a| async move {
+            panic_text(|vp, a| async move {
                 let ph = vp.global_phase(|ph| async move { ph }).await;
                 ph.get_many(&a, 0..2).await;
             }),
         ),
         (
             "global shared write requires an open phase",
-            panic_text(threads, |vp, a| async move {
+            panic_text(|vp, a| async move {
                 let ph = vp.global_phase(|ph| async move { ph }).await;
                 ph.accumulate(&a, 0, AccumOp::Add, 1);
             }),
-            panic_text(threads, |vp, a| async move {
+            panic_text(|vp, a| async move {
                 let ph = vp.global_phase(|ph| async move { ph }).await;
                 ph.accumulate_many(&a, AccumOp::Add, [(0, 1)]);
             }),
         ),
         (
             "remote shared read inside a node phase (element 7 is on node 1); use a global phase",
-            panic_text(threads, |vp, a| async move {
+            panic_text(|vp, a| async move {
                 let local = vp.node_id() * 4;
                 vp.node_phase(|ph| async move {
                     ph.get(&a, local).await;
@@ -507,7 +494,7 @@ fn panic_cases(threads: usize) -> [(&'static str, String, String); 6] {
                 })
                 .await
             }),
-            panic_text(threads, |vp, a| async move {
+            panic_text(|vp, a| async move {
                 let local = vp.node_id() * 4;
                 vp.node_phase(|ph| async move { drop(ph.get_many(&a, [local, 7 - local]).await) })
                     .await
@@ -515,10 +502,10 @@ fn panic_cases(threads: usize) -> [(&'static str, String, String); 6] {
         ),
         (
             "global shared writes are only allowed inside a global phase",
-            panic_text(threads, |vp, a| async move {
-                vp.node_phase(|ph| async move { ph.put(&a, 0, 1) }).await
-            }),
-            panic_text(threads, |vp, a| async move {
+            panic_text(
+                |vp, a| async move { vp.node_phase(|ph| async move { ph.put(&a, 0, 1) }).await },
+            ),
+            panic_text(|vp, a| async move {
                 vp.node_phase(|ph| async move { ph.put_many(&a, [(0, 1)]) })
                     .await
             }),
@@ -618,18 +605,14 @@ fn node_phases_inside_a_collective_do_report_the_captured_rows() {
     ];
     // Highest rank wins ap[0]; r[2] holds the rewrite.
     let xs: [&[i64]; 2] = [&[100, 3, 3, 9, 12, 15], &[106, 21, 15, 27, 30, 33]];
-    for threads in thread_counts() {
-        let cfg = PpmConfig::new(MachineConfig::new(2, 2))
-            .with_checker(true)
-            .with_host_threads(threads);
-        let got = node_phases_in_a_collective_do(cfg);
-        for (node, (first, second, x)) in got.into_iter().enumerate() {
-            let cell = format!("threads {threads}, node {node}");
-            assert!(second.is_empty(), "{cell}: {second:?}");
-            assert_eq!(first, expected[node], "{cell}");
-            let lines: Vec<String> = first.iter().map(|v| v.to_string()).collect();
-            assert_eq!(lines, NODE_PHASE_ROWS[node], "{cell}");
-            assert_eq!(x, xs[node], "{cell}");
-        }
+    let cfg = PpmConfig::new(MachineConfig::new(2, 2)).with_checker(true);
+    let got = node_phases_in_a_collective_do(cfg);
+    for (node, (first, second, x)) in got.into_iter().enumerate() {
+        let cell = format!("node {node}");
+        assert!(second.is_empty(), "{cell}: {second:?}");
+        assert_eq!(first, expected[node], "{cell}");
+        let lines: Vec<String> = first.iter().map(|v| v.to_string()).collect();
+        assert_eq!(lines, NODE_PHASE_ROWS[node], "{cell}");
+        assert_eq!(x, xs[node], "{cell}");
     }
 }

@@ -17,7 +17,6 @@
 //! application goldens alone. Its cache-off row is one of the few places
 //! the cache-off path is still exercised (see `perf_gates.rs` for the list).
 
-use ppm_core::testkit::thread_counts;
 use ppm_core::{run, AccumOp, ByteHasher, Layout, NodeCtx, PpmConfig};
 use ppm_simnet::MachineConfig;
 
@@ -118,15 +117,9 @@ fn repeats_program(node: &mut NodeCtx<'_>) -> Vec<u64> {
 type Program = fn(&mut NodeCtx<'_>) -> Vec<u64>;
 
 /// `(hash, makespan_ps, counters)` of `program` with every knob pinned.
-fn observe(
-    program: Program,
-    read_cache: bool,
-    tile_budget: u64,
-    threads: usize,
-) -> (u64, u64, CounterRow) {
+fn observe(program: Program, read_cache: bool, tile_budget: u64) -> (u64, u64, CounterRow) {
     let cfg = PpmConfig::new(MachineConfig::new(3, 2))
         .with_checker(true)
-        .with_host_threads(threads)
         .with_read_cache(read_cache)
         .with_adaptive_balance(false)
         .with_replication(false)
@@ -141,17 +134,15 @@ fn observe(
     (h.finish(), report.makespan().as_ps(), counters)
 }
 
-/// One literal row, at every thread count of the cells.
+/// One literal row.
 fn check(program: Program, cache: bool, budget: u64, want: (u64, u64, CounterRow)) {
-    for threads in thread_counts() {
-        let got = observe(program, cache, budget, threads);
-        assert_eq!(
-            got, want,
-            "read cache {cache}, budget {budget}, {threads} host threads; observed \
-             (hash, makespan_ps, counters):\n    {:#018x}, {}, {:?},",
-            got.0, got.1, got.2
-        );
-    }
+    let got = observe(program, cache, budget);
+    assert_eq!(
+        got, want,
+        "read cache {cache}, budget {budget}; observed \
+         (hash, makespan_ps, counters):\n    {:#018x}, {}, {:?},",
+        got.0, got.1, got.2
+    );
 }
 
 #[test]

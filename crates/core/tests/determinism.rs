@@ -9,10 +9,9 @@ use ppm_core::testkit::{walk, Cell};
 use ppm_core::{run, AccumOp, PpmConfig};
 use ppm_simnet::MachineConfig;
 
-/// The cells this suite walks: host threads × tile budget.
-fn threads_and_budget(c: Cell) -> Cell {
+/// The cells this suite walks: the tile budget.
+fn budget(c: Cell) -> Cell {
     Cell {
-        host_threads: c.host_threads,
         tile_budget: c.tile_budget,
         ..Cell::default()
     }
@@ -76,7 +75,7 @@ fn job(cell: Cell, seed: u64) -> (Vec<(Vec<u64>, i64, u64)>, ppm_simnet::SimTime
 
 #[test]
 fn same_seed_is_byte_identical() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         for seed in [0u64, 42, 0xDEAD_BEEF] {
             let (res1, t1) = job(cell, seed);
             let (res2, t2) = job(cell, seed);
@@ -90,7 +89,7 @@ fn same_seed_is_byte_identical() {
 fn different_seeds_actually_differ() {
     // Guard against the job collapsing to a constant (which would make the
     // identity test vacuous).
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let (res1, _) = job(cell, 1);
         let (res2, _) = job(cell, 2);
         assert_ne!(res1, res2);
@@ -101,7 +100,7 @@ fn different_seeds_actually_differ() {
 /// must agree on the full per-node clock breakdown, not just the maximum.
 #[test]
 fn clock_breakdowns_are_reproducible() {
-    walk(threads_and_budget, clock_breakdowns_at);
+    walk(budget, clock_breakdowns_at);
 }
 
 fn clock_breakdowns_at(cell: Cell) {

@@ -5,14 +5,13 @@
 //! both old caps:
 //!
 //! - refresh pushes arm and fire at 65+ nodes,
-//! - a 256-node job with a seeded permanent death is bit-identical
-//!   across host-thread counts,
+//! - a 256-node job with a seeded permanent death is bit-identical run to
+//!   run,
 //! - a 1024-node smoke exercises the clock barrier, loads sidecar,
 //!   refresh pushes, death confirmation, and failover in one run —
-//!   bit-identical at 1 and 8 host threads (CI's non-gating perf job
-//!   runs the traced bench-bin variant, `bench/src/bin/large_n.rs`).
+//!   bit-identical run to run (CI's non-gating perf job runs the traced
+//!   bench-bin variant, `bench/src/bin/large_n.rs`).
 
-use ppm_core::testkit::{walk, Cell};
 use ppm_core::{run, AccumOp, PpmConfig};
 use ppm_simnet::{Counters, FaultConfig, MachineConfig, SimTime};
 
@@ -23,18 +22,9 @@ use ppm_simnet::{Counters, FaultConfig, MachineConfig, SimTime};
 /// and the third read went back to the wire.
 #[test]
 fn refresh_push_arms_beyond_64_nodes() {
-    let threads = |c: Cell| Cell {
-        host_threads: c.host_threads,
-        ..Cell::default()
-    };
-    walk(threads, refresh_push_arms_at);
-}
-
-fn refresh_push_arms_at(cell: Cell) {
     let nodes = 65u32;
     let report = run(
-        cell.apply(PpmConfig::new(MachineConfig::new(nodes, 1)))
-            .with_read_cache(true),
+        PpmConfig::new(MachineConfig::new(nodes, 1)).with_read_cache(true),
         move |node| {
             // One element per node; node 0 owns element 0.
             let a = node.alloc_global::<u64>(nodes as usize);
@@ -82,14 +72,12 @@ fn refresh_push_arms_at(cell: Cell) {
 fn large_n_job(
     nodes: u32,
     vps: usize,
-    host_threads: usize,
     victim: usize,
     death_phase: u64,
 ) -> (Vec<u64>, SimTime, Counters) {
     let cfg = PpmConfig::new(MachineConfig::new(nodes, 4))
         .with_read_cache(true)
         .with_replication(true)
-        .with_host_threads(host_threads)
         .with_faults(FaultConfig::NONE.with_permanent_crash(victim, death_phase));
     let n = nodes as usize;
     let report = run(cfg, move |node| {
@@ -135,21 +123,20 @@ fn large_n_job(
 /// Past the old `u128` death-detection wall: a 256-node job with a
 /// permanent death of node 200 (bit 200 — unrepresentable in the old
 /// sidecars) survives, confirms the death on every live node, and is
-/// bit-identical (results, makespan, every counter) at 1 and 8 host
-/// threads.
+/// bit-identical (results, makespan, every counter) run to run.
 #[test]
 fn bit_identity_at_256_nodes_with_death() {
-    let (base, base_t, base_c) = large_n_job(256, 2, 1, 200, 2);
+    let (base, base_t, base_c) = large_n_job(256, 2, 200, 2);
     assert_eq!(base_c.failovers, 1, "the death at phase 2 never fired");
     assert_eq!(
         base_c.peers_confirmed_dead, 255,
         "every survivor must confirm the dead node"
     );
     assert!(base_c.cache_hits > 0, "refresh pushes never landed");
-    let (got, t, c) = large_n_job(256, 2, 8, 200, 2);
-    assert_eq!(got, base, "results diverged across host-thread counts");
-    assert_eq!(t, base_t, "makespan diverged across host-thread counts");
-    assert_eq!(c, base_c, "counters diverged across host-thread counts");
+    let (got, t, c) = large_n_job(256, 2, 200, 2);
+    assert_eq!(got, base, "results diverged run to run");
+    assert_eq!(t, base_t, "makespan diverged run to run");
+    assert_eq!(c, base_c, "counters diverged run to run");
 }
 
 /// One run of the read-heavy workload for the message-scaling gate:
@@ -159,7 +146,6 @@ fn bit_identity_at_256_nodes_with_death() {
 /// 64 and 100 nodes to literal rows.)
 fn read_heavy_job(
     nodes: u32,
-    host_threads: usize,
     writers: usize,
     victim: usize,
     death_phase: u64,
@@ -167,7 +153,6 @@ fn read_heavy_job(
     let cfg = PpmConfig::new(MachineConfig::new(nodes, 4))
         .with_read_cache(true)
         .with_replication(true)
-        .with_host_threads(host_threads)
         .with_faults(FaultConfig::NONE.with_permanent_crash(victim, death_phase));
     let n = nodes as usize;
     let report = run(cfg, move |node| {
@@ -205,11 +190,11 @@ fn read_heavy_job(
 /// exchange would send 65,280 empty tokens per phase (261k over the run);
 /// the run must come in well under one such *phase*. It also carries a rank-200
 /// death, and results, makespan, and every counter must stay bit-identical
-/// across 1 and 8 host threads.
+/// run to run.
 #[test]
 fn sparse_exchange_message_scaling_at_256_nodes() {
     let nodes = 256u32;
-    let (base, base_t, base_c) = read_heavy_job(nodes, 1, 8, 200, 2);
+    let (base, base_t, base_c) = read_heavy_job(nodes, 8, 200, 2);
     assert_eq!(base_c.failovers, 1, "the death at phase 2 never fired");
     assert_eq!(base_c.peers_confirmed_dead, 255);
     // Each phase: ≤2N request/response messages, ≤`writers` write bundles,
@@ -223,26 +208,26 @@ fn sparse_exchange_message_scaling_at_256_nodes() {
          empty tokens per phase)",
         base_c.msgs_sent
     );
-    let (got, t, c) = read_heavy_job(nodes, 8, 8, 200, 2);
-    assert_eq!(got, base, "results diverged across host-thread counts");
-    assert_eq!(t, base_t, "makespan diverged across host-thread counts");
-    assert_eq!(c, base_c, "counters diverged across host-thread counts");
+    let (got, t, c) = read_heavy_job(nodes, 8, 200, 2);
+    assert_eq!(got, base, "results diverged run to run");
+    assert_eq!(t, base_t, "makespan diverged run to run");
+    assert_eq!(c, base_c, "counters diverged run to run");
 }
 
 /// The 1024-node smoke (ignored by default — wall-clock heavy; CI's
 /// `large-n` job runs it explicitly): clock barrier at 10 dissemination
 /// rounds, loads sidecar asserted complete, refresh pushes active, death
 /// of node 900 confirmed by 1023 survivors, failover adopted — all
-/// bit-identical at 1 and 8 host threads.
+/// bit-identical run to run.
 #[test]
 #[ignore = "wall-clock heavy; run explicitly (CI large-n job)"]
 fn smoke_1024_nodes_bit_identical() {
-    let (base, base_t, base_c) = large_n_job(1024, 8, 1, 900, 1);
+    let (base, base_t, base_c) = large_n_job(1024, 8, 900, 1);
     assert_eq!(base_c.failovers, 1, "the death at phase 1 never fired");
     assert_eq!(base_c.peers_confirmed_dead, 1023);
     assert!(base_c.cache_hits > 0, "refresh pushes never landed");
-    let (got, t, c) = large_n_job(1024, 8, 8, 900, 1);
-    assert_eq!(got, base, "results diverged across host-thread counts");
-    assert_eq!(t, base_t, "makespan diverged across host-thread counts");
-    assert_eq!(c, base_c, "counters diverged across host-thread counts");
+    let (got, t, c) = large_n_job(1024, 8, 900, 1);
+    assert_eq!(got, base, "results diverged run to run");
+    assert_eq!(t, base_t, "makespan diverged run to run");
+    assert_eq!(c, base_c, "counters diverged run to run");
 }

@@ -13,17 +13,7 @@ use ppm_core::{run, AccumOp, Dist, Layout, PpmConfig};
 use ppm_core::{Phase, PhaseKind, PhaseViolation, Space};
 use ppm_simnet::MachineConfig;
 
-/// The cells the runtime properties walk: host threads × adaptive balance.
-fn threads_and_adaptive(c: Cell) -> Cell {
-    Cell {
-        host_threads: c.host_threads,
-        adaptive: c.adaptive,
-        ..Cell::default()
-    }
-}
-
-/// Adaptive balance alone, for the properties that pin their own thread
-/// counts.
+/// The cells the runtime properties walk: adaptive balance.
 fn adaptive(c: Cell) -> Cell {
     Cell {
         adaptive: c.adaptive,
@@ -193,7 +183,7 @@ fn interpret(p: &Program, initial: &[i64]) -> Vec<i64> {
 /// every in-phase read observes the phase-start snapshot.
 #[test]
 fn phase_semantics_match_model() {
-    walk(threads_and_adaptive, phase_semantics_match_model_at);
+    walk(adaptive, phase_semantics_match_model_at);
 }
 
 fn phase_semantics_match_model_at(cell: Cell) {
@@ -373,7 +363,7 @@ fn weighted_shares_cover_and_degenerate_to_block() {
 /// and shapes.
 #[test]
 fn sample_sort_matches_std() {
-    walk(threads_and_adaptive, sample_sort_matches_std_at);
+    walk(adaptive, sample_sort_matches_std_at);
 }
 
 fn sample_sort_matches_std_at(cell: Cell) {
@@ -409,10 +399,10 @@ fn sample_sort_matches_std_at(cell: Cell) {
 }
 
 /// Wire emission is a function of the buffered write SET and the queued
-/// read SET, never of the order a VP issued them in or of which host
-/// thread polled it: shuffling each VP's put order over its (disjoint)
-/// target elements and its bulk-read order over a (heavily shared) sample,
-/// at 1 and at 8 host threads, leaves results, the simulated makespan, the
+/// read SET, never of the order a VP issued them in: shuffling each VP's
+/// put order over its (disjoint) target elements and its bulk-read order
+/// over a (heavily shared) sample — and rerunning unshuffled — leaves
+/// results, the simulated makespan, the
 /// counters AND the whole trace — every wave's entry and byte counts,
 /// every partial wake's destination order and fill count — bit-identical.
 /// Guards the flat write-log drain (sorted by index at phase end) and the
@@ -430,10 +420,8 @@ fn emission_is_insertion_order_independent_at(cell: Cell) {
         16,
         |g| (g.u32_in(2..5), g.usize_in(8..40), g.u64()),
         |&(nodes, len, perm_seed)| {
-            let run_with = |shuffled: bool, threads: usize| {
-                let cfg = cell
-                    .apply(PpmConfig::new(MachineConfig::new(nodes, 2)))
-                    .with_host_threads(threads);
+            let run_with = |shuffled: bool| {
+                let cfg = cell.apply(PpmConfig::new(MachineConfig::new(nodes, 2)));
                 let sink = ppm_core::TraceSink::new();
                 let report = ppm_core::run_traced(cfg, &sink, "emission", move |node| {
                     let a = node.alloc_global::<i64>(len);
@@ -481,10 +469,10 @@ fn emission_is_insertion_order_independent_at(cell: Cell) {
                     sink.chrome_trace_json(),
                 )
             };
-            let base = run_with(false, 1);
+            let base = run_with(false);
             prop_assert!(base.2.dedup_reads > 0 && base.2.waves > 0);
-            for (shuffled, threads) in [(true, 1), (false, 8), (true, 8)] {
-                let got = run_with(shuffled, threads);
+            for shuffled in [true, false] {
+                let got = run_with(shuffled);
                 prop_assert_eq!(&base.0, &got.0);
                 prop_assert_eq!(base.1, got.1);
                 prop_assert_eq!(&base.2, &got.2);
@@ -501,8 +489,8 @@ fn emission_is_insertion_order_independent_at(cell: Cell) {
 /// remote, cached and cold-tile elements (read cache on and off, in core and
 /// under a 64 B tile budget), return the phase-start contents; and makespan,
 /// counters, checker violations (a write-write conflict and read-own-write
-/// hazards are planted) and the whole trace are equal at 1 and 8 host
-/// threads and under any order of the indices. The one place the combining
+/// hazards are planted) and the whole trace are equal on a rerun and under
+/// any order of the indices. The one place the combining
 /// *is* visible pins it: a partial wake's `woken` argument counts slots
 /// filled, which for the first wave must be each VP's *distinct* indices
 /// owned by that destination.
@@ -549,13 +537,12 @@ fn repeated_bulk_read_indices_at(cell: Cell) {
                 i if i < total => 1000 + i as i64,
                 i => init(i),
             };
-            let run_with = |cache: bool, budget: u64, shuffled: bool, threads: usize| {
+            let run_with = |cache: bool, budget: u64, shuffled: bool| {
                 let cfg = cell
                     .apply(PpmConfig::new(MachineConfig::new(nodes, 2)))
                     .with_checker(true)
                     .with_read_cache(cache)
-                    .with_tile_budget(budget)
-                    .with_host_threads(threads);
+                    .with_tile_budget(budget);
                 let sink = ppm_core::TraceSink::new();
                 let lists = Arc::new(lists.clone());
                 let report = ppm_core::run_traced(cfg, &sink, "repeats", move |node| {
@@ -612,7 +599,7 @@ fn repeated_bulk_read_indices_at(cell: Cell) {
             };
             let dist = Dist::block(len, nodes as usize);
             for (cache, budget) in [(true, 0), (false, 0), (true, 64), (false, 64)] {
-                let base = run_with(cache, budget, false, 1);
+                let base = run_with(cache, budget, false);
                 prop_assert!(base.0.iter().all(|(wrong, _)| *wrong == 0));
                 // Each violation is reported where it is detected.
                 let violations: String = base.0.iter().map(|(_, v)| v.as_str()).collect();
@@ -620,8 +607,8 @@ fn repeated_bulk_read_indices_at(cell: Cell) {
                 prop_assert!(violations.contains("ReadOwnWrite"));
                 prop_assert_eq!(base.2.tile_refills > 0, budget > 0);
                 combined.fetch_add(base.2.dedup_reads as usize, Relaxed);
-                for (shuffled, threads) in [(true, 1), (false, 8), (true, 8)] {
-                    let got = run_with(cache, budget, shuffled, threads);
+                for shuffled in [true, false] {
+                    let got = run_with(cache, budget, shuffled);
                     prop_assert_eq!(&base.0, &got.0);
                     prop_assert_eq!(base.1, got.1);
                     prop_assert_eq!(&base.2, &got.2);
@@ -818,9 +805,9 @@ fn write_elems<T: ppm_core::AccumElem + From<i32>>(
 /// checker's reports as values and as text, and the trace — whether each
 /// access is a `get` / `put` / `accumulate` of its own or they go through
 /// `get_many` / `put_many` / `accumulate_many`; with the read cache on and
-/// off, in core and under a 64 B tile budget, checker on and off, at 1 and 8
-/// host threads, under a block layout, a weighted one with an empty node and
-/// a cyclic one. The trace's `woken` figures are left out: they count slots
+/// off, in core and under a 64 B tile budget, checker on and off, adaptive
+/// balance on and off, under a block layout, a weighted one with an empty
+/// node and a cyclic one. The trace's `woken` figures are left out: they count slots
 /// filled, where a bulk read's combining of its repeats shows by design (the
 /// property above pins that).
 #[test]
@@ -938,20 +925,17 @@ fn bulk_access_equals_per_element() {
             ];
             for layout in &layouts {
                 for cell in 0..16 {
+                    // Every combination of the four knobs.
                     let (cache, checker) = (cell & 1 == 0, cell & 2 == 0);
-                    let (budget, threads) = ([0, 64][cell >> 2 & 1], [1, 8][cell >> 3]);
-                    // The parity of the other four: each pair of the five
-                    // knobs meets in all four combinations.
-                    let adaptive = cell.count_ones() % 2 == 1;
+                    let (budget, adaptive) = ([0, 64][cell >> 2 & 1], cell >> 3 == 1);
                     let cfg = PpmConfig::new(MachineConfig::new(nodes as u32, 2))
                         .with_adaptive_balance(adaptive)
                         .with_read_cache(cache)
                         .with_tile_budget(budget)
-                        .with_checker(checker)
-                        .with_host_threads(threads);
+                        .with_checker(checker);
                     let cell = format!(
                         "{layout:?}, cache {cache}, budget {budget}, checker {checker}, \
-                     {threads} threads, adaptive {adaptive}"
+                     adaptive {adaptive}"
                     );
                     let each = run_with(false, layout, cfg);
                     let bulk = run_with(true, layout, cfg);
@@ -1149,7 +1133,7 @@ fn model_violations(s: &CheckScript, node: usize) -> Vec<PhaseViolation> {
 /// The conformance checker reports what the per-element model reports, as
 /// lists, for arbitrary scripts — puts, accumulates, single and bulk reads
 /// over local, remote and node-shared elements, global and node phases back
-/// to back, VPs whose phase spans several polls — at 1 and 8 host threads.
+/// to back, VPs whose phase spans several polls.
 #[test]
 fn checker_matches_the_per_element_model() {
     walk(adaptive, checker_matches_the_per_element_model_at);
@@ -1169,58 +1153,55 @@ fn checker_matches_the_per_element_model_at(cell: Cell) {
                 let conflict = matches!(v, PhaseViolation::WriteWriteConflict { .. });
                 [&hazards, &conflicts][conflict as usize].fetch_add(1, Relaxed);
             }
-            for threads in [1, 8] {
-                let cfg = cell
-                    .apply(PpmConfig::new(MachineConfig::new(nodes as u32, 2)))
-                    .with_checker(true)
-                    .with_host_threads(threads);
-                let script = script.clone();
-                let report = run(cfg, move |node| {
-                    let arrays = [
-                        node.alloc_global::<i64>(script.len),
-                        node.alloc_global::<i64>(script.len),
-                    ];
-                    let quiet = node.alloc_global::<i64>(nodes);
-                    let shared = node.alloc_node::<i64>(script.len);
-                    let mine = std::sync::Arc::new(script.vps[node.node_id()].clone());
-                    let kinds = script.kinds.clone();
-                    let next = (node.node_id() + 1) % nodes;
-                    node.ppm_do(mine.len(), move |vp| {
-                        let (phases, kinds) = (mine[vp.node_rank()].clone(), kinds.clone());
-                        async move {
-                            for (ops, global) in phases.into_iter().zip(kinds) {
-                                let body = |ph: Phase| async move {
-                                    for op in ops {
-                                        match op {
-                                            Access::Put(a, i, v) => ph.put(&arrays[a], i, v),
-                                            Access::Accum(a, i, v) => {
-                                                ph.accumulate(&arrays[a], i, AccumOp::Add, v)
-                                            }
-                                            Access::Get(a, i) => drop(ph.get(&arrays[a], i).await),
-                                            Access::GetMany(a, idxs) => {
-                                                drop(ph.get_many(&arrays[a], idxs).await)
-                                            }
-                                            Access::NodePut(i, v) => ph.put_node(&shared, i, v),
-                                            Access::NodeAccum(i, v) => {
-                                                ph.accumulate_node(&shared, i, AccumOp::Add, v)
-                                            }
-                                            Access::NodeGet(i) => drop(ph.get_node(&shared, i)),
-                                            Access::Park => drop(ph.get(&quiet, next).await),
+            let cfg = cell
+                .apply(PpmConfig::new(MachineConfig::new(nodes as u32, 2)))
+                .with_checker(true);
+            let script = script.clone();
+            let report = run(cfg, move |node| {
+                let arrays = [
+                    node.alloc_global::<i64>(script.len),
+                    node.alloc_global::<i64>(script.len),
+                ];
+                let quiet = node.alloc_global::<i64>(nodes);
+                let shared = node.alloc_node::<i64>(script.len);
+                let mine = std::sync::Arc::new(script.vps[node.node_id()].clone());
+                let kinds = script.kinds.clone();
+                let next = (node.node_id() + 1) % nodes;
+                node.ppm_do(mine.len(), move |vp| {
+                    let (phases, kinds) = (mine[vp.node_rank()].clone(), kinds.clone());
+                    async move {
+                        for (ops, global) in phases.into_iter().zip(kinds) {
+                            let body = |ph: Phase| async move {
+                                for op in ops {
+                                    match op {
+                                        Access::Put(a, i, v) => ph.put(&arrays[a], i, v),
+                                        Access::Accum(a, i, v) => {
+                                            ph.accumulate(&arrays[a], i, AccumOp::Add, v)
                                         }
+                                        Access::Get(a, i) => drop(ph.get(&arrays[a], i).await),
+                                        Access::GetMany(a, idxs) => {
+                                            drop(ph.get_many(&arrays[a], idxs).await)
+                                        }
+                                        Access::NodePut(i, v) => ph.put_node(&shared, i, v),
+                                        Access::NodeAccum(i, v) => {
+                                            ph.accumulate_node(&shared, i, AccumOp::Add, v)
+                                        }
+                                        Access::NodeGet(i) => drop(ph.get_node(&shared, i)),
+                                        Access::Park => drop(ph.get(&quiet, next).await),
                                     }
-                                };
-                                if global {
-                                    vp.global_phase(body).await;
-                                } else {
-                                    vp.node_phase(body).await;
                                 }
+                            };
+                            if global {
+                                vp.global_phase(body).await;
+                            } else {
+                                vp.node_phase(body).await;
                             }
                         }
-                    });
-                    node.take_violations()
+                    }
                 });
-                prop_assert_eq!(&report.results, &expected);
-            }
+                node.take_violations()
+            });
+            prop_assert_eq!(&report.results, &expected);
             Ok(())
         },
     );
@@ -1238,7 +1219,7 @@ fn checker_matches_the_per_element_model_at(cell: Cell) {
 /// higher-ranked neighbours'. Six phases with node 0 overloaded, so under
 /// adaptive repartitioning the partition moves between phases. Every run
 /// must equal a sequential ascending-(rank, program order) fold bit for
-/// bit; makespan and counters must not depend on the host thread count.
+/// bit; a rerun must give the same makespan and counters.
 #[test]
 fn writes_fold_in_rank_order_under_any_schedule_and_placement() {
     const ROUNDS: usize = 6;
@@ -1287,12 +1268,11 @@ fn writes_fold_in_rank_order_under_any_schedule_and_placement() {
             }
             let expected: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
 
-            let run_with = |adaptive: bool, threads: usize| {
+            let run_with = |adaptive: bool| {
                 let vps = vps.clone();
                 let cfg = PpmConfig::new(MachineConfig::new(vps.len() as u32, 2))
                     .with_checker(false)
-                    .with_adaptive_balance(adaptive)
-                    .with_host_threads(threads);
+                    .with_adaptive_balance(adaptive);
                 let report = run(cfg, move |node| {
                     let a = node.alloc_global_balanced::<f64>(len);
                     let mine = std::sync::Arc::new(vps[node.node_id()].clone());
@@ -1330,16 +1310,16 @@ fn writes_fold_in_rank_order_under_any_schedule_and_placement() {
                     report.total_counters(),
                 )
             };
-            let fixed = run_with(false, 1);
-            let moving = run_with(true, 1);
+            let fixed = run_with(false);
+            let moving = run_with(true);
             for (base, adaptive) in [(&fixed, false), (&moving, true)] {
                 for got in &base.0 {
                     prop_assert_eq!(got, &expected);
                 }
-                let wide = run_with(adaptive, 8);
-                prop_assert_eq!(&base.0, &wide.0);
-                prop_assert_eq!(base.1, wide.1);
-                prop_assert_eq!(&base.2, &wide.2);
+                let again = run_with(adaptive);
+                prop_assert_eq!(&base.0, &again.0);
+                prop_assert_eq!(base.1, again.1);
+                prop_assert_eq!(&base.2, &again.2);
             }
             if fixed.2 != moving.2 {
                 rebalanced.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -1356,7 +1336,7 @@ fn writes_fold_in_rank_order_under_any_schedule_and_placement() {
 /// Layout choice never changes results, only data placement.
 #[test]
 fn layout_is_transparent() {
-    walk(threads_and_adaptive, layout_is_transparent_at);
+    walk(adaptive, layout_is_transparent_at);
 }
 
 fn layout_is_transparent_at(cell: Cell) {

@@ -5,7 +5,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ppm_core::testkit::{walk, Cell};
 use ppm_core::{msgs, run, PpmConfig, RecoveryError};
 use ppm_simnet::{Counters, FaultAction, FaultConfig, MachineConfig, SimTime, TargetedFault};
 
@@ -53,20 +52,11 @@ fn ring_shift(cfg: PpmConfig) -> (Vec<Vec<u64>>, SimTime, Vec<Counters>, Counter
     (report.results, makespan, report.counters, totals)
 }
 
-/// The cells this suite walks: host threads.
-fn threads(c: Cell) -> Cell {
-    Cell {
-        host_threads: c.host_threads,
-        ..Cell::default()
-    }
-}
-
-fn base_cfg(cell: Cell) -> PpmConfig {
+fn base_cfg() -> PpmConfig {
     // Replication pinned explicitly so both sides are tested: the
     // fast-path/cleanliness assertions below require it off, and the
     // failover tests switch it on per schedule.
-    cell.apply(PpmConfig::new(MachineConfig::new(3, 2)))
-        .with_replication(false)
+    PpmConfig::new(MachineConfig::new(3, 2)).with_replication(false)
 }
 
 fn check_results(results: &[Vec<u64>]) {
@@ -78,141 +68,127 @@ fn check_results(results: &[Vec<u64>]) {
 
 #[test]
 fn fault_free_fast_path_has_no_reliability_traffic() {
-    walk(threads, |cell| {
-        let (results, _, _, totals) = ring_shift(base_cfg(cell));
-        check_results(&results);
-        assert!(
-            totals.reliability_summary().is_clean(),
-            "reliability counters must be zero when the layer is off: {:?}",
-            totals.reliability_summary()
-        );
-    });
+    let (results, _, _, totals) = ring_shift(base_cfg());
+    check_results(&results);
+    assert!(
+        totals.reliability_summary().is_clean(),
+        "reliability counters must be zero when the layer is off: {:?}",
+        totals.reliability_summary()
+    );
 }
 
 #[test]
 fn reliability_without_faults_is_invisible_and_cheap() {
-    walk(threads, |cell| {
-        let (base_res, base_t, _, base_c) = ring_shift(base_cfg(cell));
-        let (rel_res, rel_t, _, rel_c) = ring_shift(base_cfg(cell).with_reliability(true));
+    let (base_res, base_t, _, base_c) = ring_shift(base_cfg());
+    let (rel_res, rel_t, _, rel_c) = ring_shift(base_cfg().with_reliability(true));
 
-        check_results(&rel_res);
-        assert_eq!(rel_res, base_res, "reliability changed application results");
-        assert_eq!(rel_c.retries, 0, "no faults, so nothing to retransmit");
-        assert_eq!(rel_c.dups_suppressed, 0);
-        assert_eq!(rel_c.crash_recoveries, 0);
-        assert!(rel_c.acks_sent > 0, "cumulative acks should flow");
-        assert!(
-            rel_c.msgs_sent > base_c.msgs_sent,
-            "acks are extra messages on the wire"
-        );
+    check_results(&rel_res);
+    assert_eq!(rel_res, base_res, "reliability changed application results");
+    assert_eq!(rel_c.retries, 0, "no faults, so nothing to retransmit");
+    assert_eq!(rel_c.dups_suppressed, 0);
+    assert_eq!(rel_c.crash_recoveries, 0);
+    assert!(rel_c.acks_sent > 0, "cumulative acks should flow");
+    assert!(
+        rel_c.msgs_sent > base_c.msgs_sent,
+        "acks are extra messages on the wire"
+    );
 
-        // Overhead requirement (< 5% of makespan) is met exactly: sequence
-        // numbers ride on envelope metadata and cumulative acks are modeled
-        // as piggybacked, so a fault-free reliable run costs zero extra
-        // simulated time.
-        assert!(rel_t >= base_t);
-        let overhead = rel_t - base_t;
-        assert!(
-            overhead.as_ps() * 20 < base_t.as_ps(),
-            "reliability overhead {overhead:?} is >= 5% of {base_t:?}"
-        );
-        assert_eq!(rel_t, base_t, "piggybacked control plane costs no time");
-    });
+    // Overhead requirement (< 5% of makespan) is met exactly: sequence
+    // numbers ride on envelope metadata and cumulative acks are modeled
+    // as piggybacked, so a fault-free reliable run costs zero extra
+    // simulated time.
+    assert!(rel_t >= base_t);
+    let overhead = rel_t - base_t;
+    assert!(
+        overhead.as_ps() * 20 < base_t.as_ps(),
+        "reliability overhead {overhead:?} is >= 5% of {base_t:?}"
+    );
+    assert_eq!(rel_t, base_t, "piggybacked control plane costs no time");
 }
 
 #[test]
 fn seeded_faults_never_change_results() {
-    walk(threads, |cell| {
-        let (base_res, base_t, _, _) = ring_shift(base_cfg(cell));
-        let mut retries = 0;
-        let mut dups = 0;
-        let mut delays = 0;
-        for seed in [3u64, 17, 99] {
-            let cfg = base_cfg(cell).with_faults(FaultConfig::seeded(seed, 0.08, 0.05, 0.05));
-            let (res, t, _, c) = ring_shift(cfg);
-            assert_eq!(res, base_res, "seed {seed} changed application results");
-            assert!(
-                t >= base_t,
-                "seed {seed}: faults cannot make the job faster"
-            );
-            retries += c.retries;
-            dups += c.dups_suppressed;
-            delays += c.faults_delayed;
-            assert_eq!(c.retries, c.faults_dropped);
-        }
-        assert!(retries > 0, "soak injected no drops across three seeds");
-        assert!(dups > 0, "soak injected no duplicates across three seeds");
-        assert!(delays > 0, "soak injected no delays across three seeds");
-    });
+    let (base_res, base_t, _, _) = ring_shift(base_cfg());
+    let mut retries = 0;
+    let mut dups = 0;
+    let mut delays = 0;
+    for seed in [3u64, 17, 99] {
+        let cfg = base_cfg().with_faults(FaultConfig::seeded(seed, 0.08, 0.05, 0.05));
+        let (res, t, _, c) = ring_shift(cfg);
+        assert_eq!(res, base_res, "seed {seed} changed application results");
+        assert!(
+            t >= base_t,
+            "seed {seed}: faults cannot make the job faster"
+        );
+        retries += c.retries;
+        dups += c.dups_suppressed;
+        delays += c.faults_delayed;
+        assert_eq!(c.retries, c.faults_dropped);
+    }
+    assert!(retries > 0, "soak injected no drops across three seeds");
+    assert!(dups > 0, "soak injected no duplicates across three seeds");
+    assert!(delays > 0, "soak injected no delays across three seeds");
 }
 
 #[test]
 fn same_seed_is_the_same_run() {
-    walk(threads, |cell| {
-        let cfg = || base_cfg(cell).with_faults(FaultConfig::seeded(42, 0.1, 0.05, 0.05));
-        let (res_a, t_a, per_node_a, tot_a) = ring_shift(cfg());
-        let (res_b, t_b, per_node_b, tot_b) = ring_shift(cfg());
-        assert_eq!(res_a, res_b);
-        assert_eq!(t_a, t_b, "same seed must give the same makespan");
-        assert_eq!(
-            per_node_a, per_node_b,
-            "same seed must give identical per-node counters"
-        );
-        assert_eq!(tot_a, tot_b);
-        assert!(
-            tot_a.retries > 0,
-            "this seed should actually drop something"
-        );
-    });
+    let cfg = || base_cfg().with_faults(FaultConfig::seeded(42, 0.1, 0.05, 0.05));
+    let (res_a, t_a, per_node_a, tot_a) = ring_shift(cfg());
+    let (res_b, t_b, per_node_b, tot_b) = ring_shift(cfg());
+    assert_eq!(res_a, res_b);
+    assert_eq!(t_a, t_b, "same seed must give the same makespan");
+    assert_eq!(
+        per_node_a, per_node_b,
+        "same seed must give identical per-node counters"
+    );
+    assert_eq!(tot_a, tot_b);
+    assert!(
+        tot_a.retries > 0,
+        "this seed should actually drop something"
+    );
 }
 
 #[test]
 fn targeted_drop_is_retransmitted() {
-    walk(threads, |cell| {
-        let (base_res, _, _, _) = ring_shift(base_cfg(cell));
-        let faults = FaultConfig::NONE.with_targeted(TargetedFault {
-            src: 1,
-            dst: 0,
-            kind: msgs::K_WRITE,
-            nth: 1,
-            action: FaultAction::Drop,
-        });
-        let (res, _, _, c) = ring_shift(base_cfg(cell).with_faults(faults));
-        assert_eq!(res, base_res);
-        assert_eq!(c.faults_dropped, 1, "exactly the targeted write bundle");
-        assert_eq!(c.retries, 1);
+    let (base_res, _, _, _) = ring_shift(base_cfg());
+    let faults = FaultConfig::NONE.with_targeted(TargetedFault {
+        src: 1,
+        dst: 0,
+        kind: msgs::K_WRITE,
+        nth: 1,
+        action: FaultAction::Drop,
     });
+    let (res, _, _, c) = ring_shift(base_cfg().with_faults(faults));
+    assert_eq!(res, base_res);
+    assert_eq!(c.faults_dropped, 1, "exactly the targeted write bundle");
+    assert_eq!(c.retries, 1);
 }
 
 #[test]
 fn crash_recovers_at_phase_boundary() {
-    walk(threads, |cell| {
-        let (base_res, base_t, _, _) = ring_shift(base_cfg(cell));
-        let cfg = base_cfg(cell).with_faults(FaultConfig::NONE.with_crash(1, 2));
-        let (res, t, per_node, totals) = ring_shift(cfg);
-        assert_eq!(res, base_res, "recovered run must match the clean run");
-        assert_eq!(totals.crash_recoveries, 1);
-        assert_eq!(
-            per_node[1].crash_recoveries, 1,
-            "node 1 is the one that died"
-        );
-        assert!(
-            t > base_t,
-            "reboot + redone compute must cost simulated time"
-        );
-    });
+    let (base_res, base_t, _, _) = ring_shift(base_cfg());
+    let cfg = base_cfg().with_faults(FaultConfig::NONE.with_crash(1, 2));
+    let (res, t, per_node, totals) = ring_shift(cfg);
+    assert_eq!(res, base_res, "recovered run must match the clean run");
+    assert_eq!(totals.crash_recoveries, 1);
+    assert_eq!(
+        per_node[1].crash_recoveries, 1,
+        "node 1 is the one that died"
+    );
+    assert!(
+        t > base_t,
+        "reboot + redone compute must cost simulated time"
+    );
 }
 
 #[test]
 fn crash_composes_with_random_faults() {
-    walk(threads, |cell| {
-        let (base_res, _, _, _) = ring_shift(base_cfg(cell));
-        let faults = FaultConfig::seeded(7, 0.06, 0.04, 0.04).with_crash(2, 1);
-        let (res, _, _, c) = ring_shift(base_cfg(cell).with_faults(faults));
-        assert_eq!(res, base_res);
-        assert_eq!(c.crash_recoveries, 1);
-        assert!(c.retries > 0);
-    });
+    let (base_res, _, _, _) = ring_shift(base_cfg());
+    let faults = FaultConfig::seeded(7, 0.06, 0.04, 0.04).with_crash(2, 1);
+    let (res, _, _, c) = ring_shift(base_cfg().with_faults(faults));
+    assert_eq!(res, base_res);
+    assert_eq!(c.crash_recoveries, 1);
+    assert!(c.retries > 0);
 }
 
 /// Four rounds of {global phase `put`; **node phase** `put_node`; global
@@ -256,25 +232,23 @@ fn node_phase_rounds(cfg: PpmConfig) -> Vec<Vec<u64>> {
 /// array back from `[400, 401, 402, 403]` to `[300, 301, 302, 303]`.)
 #[test]
 fn recovery_after_a_node_phase_keeps_node_shared_writes() {
-    let clean = node_phase_rounds(base_cfg(Cell::default()));
+    let clean = node_phase_rounds(base_cfg());
     assert_eq!(clean[1][..VPS_PER_NODE], [400, 401, 402, 403]);
-    for threads in [1, 8] {
+    for run in 1..=2 {
         for phase in 0..8 {
             let crash = FaultConfig::NONE.with_crash(1, phase);
             let death = FaultConfig::NONE.with_permanent_crash(1, phase);
             for (kind, cfg) in [
-                ("crash", base_cfg(Cell::default()).with_faults(crash)),
+                ("crash", base_cfg().with_faults(crash)),
                 (
                     "death",
-                    base_cfg(Cell::default())
-                        .with_replication(true)
-                        .with_faults(death),
+                    base_cfg().with_replication(true).with_faults(death),
                 ),
             ] {
                 assert_eq!(
-                    node_phase_rounds(cfg.with_host_threads(threads)),
+                    node_phase_rounds(cfg),
                     clean,
-                    "{kind} of node 1 at global phase {phase}, {threads} host thread(s)"
+                    "{kind} of node 1 at global phase {phase}, run {run}"
                 );
             }
         }
@@ -289,87 +263,82 @@ fn recovery_after_a_node_phase_keeps_node_shared_writes() {
 
 #[test]
 fn replication_without_faults_is_invisible() {
-    walk(threads, |cell| {
-        let (base_res, base_t, _, base_c) = ring_shift(base_cfg(cell));
-        let (res, t, per_node, totals) = ring_shift(base_cfg(cell).with_replication(true));
-        assert_eq!(res, base_res, "replication changed application results");
+    let (base_res, base_t, _, base_c) = ring_shift(base_cfg());
+    let (res, t, per_node, totals) = ring_shift(base_cfg().with_replication(true));
+    assert_eq!(res, base_res, "replication changed application results");
+    assert!(
+        totals.replica_bytes > 0,
+        "every super-step must stream a snapshot frame to the buddy"
+    );
+    for (node, c) in per_node.iter().enumerate() {
         assert!(
-            totals.replica_bytes > 0,
-            "every super-step must stream a snapshot frame to the buddy"
+            c.replica_bytes > 0,
+            "node {node} never streamed a replica frame"
         );
-        for (node, c) in per_node.iter().enumerate() {
-            assert!(
-                c.replica_bytes > 0,
-                "node {node} never streamed a replica frame"
-            );
-        }
-        assert_eq!(totals.peers_suspected, 0);
-        assert_eq!(totals.peers_confirmed_dead, 0);
-        assert_eq!(totals.failovers, 0);
-        assert_eq!(totals.retries, 0);
-        // Replica frames ride barrier messages that are sent anyway; only
-        // their bytes are charged. The fault-free overhead gate is < 5%.
-        assert!(t >= base_t);
-        let overhead = t - base_t;
-        assert!(
-            overhead.as_ps() * 20 < base_t.as_ps(),
-            "replication overhead {overhead:?} is >= 5% of {base_t:?}"
-        );
-        assert!(
-            totals.bytes_sent > base_c.bytes_sent,
-            "replica frames must show up in the byte totals"
-        );
-    });
+    }
+    assert_eq!(totals.peers_suspected, 0);
+    assert_eq!(totals.peers_confirmed_dead, 0);
+    assert_eq!(totals.failovers, 0);
+    assert_eq!(totals.retries, 0);
+    // Replica frames ride barrier messages that are sent anyway; only
+    // their bytes are charged. The fault-free overhead gate is < 5%.
+    assert!(t >= base_t);
+    let overhead = t - base_t;
+    assert!(
+        overhead.as_ps() * 20 < base_t.as_ps(),
+        "replication overhead {overhead:?} is >= 5% of {base_t:?}"
+    );
+    assert!(
+        totals.bytes_sent > base_c.bytes_sent,
+        "replica frames must show up in the byte totals"
+    );
 }
 
 #[test]
 fn permanent_death_is_survived_bit_identically() {
-    walk(threads, |cell| {
-        let (base_res, base_t, _, _) = ring_shift(base_cfg(cell));
-        let cfg = base_cfg(cell)
-            .with_replication(true)
-            .with_faults(FaultConfig::NONE.with_permanent_crash(1, 2));
-        let (res, t, per_node, totals) = ring_shift(cfg);
-        assert_eq!(
-            res, base_res,
-            "the job must finish bit-identically after node 1 dies for good"
-        );
-        assert!(
-            t > base_t,
-            "suspicion timeout + restore + redone compute must cost simulated time"
-        );
-        // Both survivors suspect and confirm the one victim.
-        assert_eq!(totals.peers_suspected, 2);
-        assert_eq!(totals.peers_confirmed_dead, 2);
-        // Exactly one adoption, by the victim's cyclic successor.
-        assert_eq!(totals.failovers, 1);
-        assert_eq!(per_node[2].failovers, 1, "node 2 is node 1's buddy");
-        assert_eq!(per_node[0].failovers, 0);
-        assert!(
-            totals.replica_bytes > 0,
-            "failover needs the replica stream"
-        );
-        // A fail-stop death is not a transient crash-reboot and injects no
-        // message faults.
-        assert_eq!(totals.crash_recoveries, 0);
-        assert_eq!(totals.retries, 0);
-    });
+    let (base_res, base_t, _, _) = ring_shift(base_cfg());
+    let cfg = base_cfg()
+        .with_replication(true)
+        .with_faults(FaultConfig::NONE.with_permanent_crash(1, 2));
+    let (res, t, per_node, totals) = ring_shift(cfg);
+    assert_eq!(
+        res, base_res,
+        "the job must finish bit-identically after node 1 dies for good"
+    );
+    assert!(
+        t > base_t,
+        "suspicion timeout + restore + redone compute must cost simulated time"
+    );
+    // Both survivors suspect and confirm the one victim.
+    assert_eq!(totals.peers_suspected, 2);
+    assert_eq!(totals.peers_confirmed_dead, 2);
+    // Exactly one adoption, by the victim's cyclic successor.
+    assert_eq!(totals.failovers, 1);
+    assert_eq!(per_node[2].failovers, 1, "node 2 is node 1's buddy");
+    assert_eq!(per_node[0].failovers, 0);
+    assert!(
+        totals.replica_bytes > 0,
+        "failover needs the replica stream"
+    );
+    // A fail-stop death is not a transient crash-reboot and injects no
+    // message faults.
+    assert_eq!(totals.crash_recoveries, 0);
+    assert_eq!(totals.retries, 0);
 }
 
+/// A death's failover is the same run to run. (The name is that of the
+/// host-thread-count comparison this test replaced.)
 #[test]
 fn permanent_death_is_deterministic_across_host_threads() {
     let cfg = || {
-        base_cfg(Cell::default())
+        base_cfg()
             .with_replication(true)
             .with_faults(FaultConfig::NONE.with_permanent_crash(1, 2))
     };
-    let (res_a, t_a, per_a, tot_a) = ring_shift(cfg().with_host_threads(1));
-    let (res_b, t_b, per_b, tot_b) = ring_shift(cfg().with_host_threads(8));
-    assert_eq!(res_a, res_b, "failover must not depend on host threads");
-    assert_eq!(
-        t_a, t_b,
-        "failover makespan must not depend on host threads"
-    );
+    let (res_a, t_a, per_a, tot_a) = ring_shift(cfg());
+    let (res_b, t_b, per_b, tot_b) = ring_shift(cfg());
+    assert_eq!(res_a, res_b, "failover must not change run to run");
+    assert_eq!(t_a, t_b, "failover makespan must not change run to run");
     assert_eq!(per_a, per_b);
     assert_eq!(tot_a, tot_b);
     assert_eq!(tot_a.failovers, 1, "the death actually happened");
@@ -377,16 +346,14 @@ fn permanent_death_is_deterministic_across_host_threads() {
 
 #[test]
 fn permanent_death_composes_with_random_faults() {
-    walk(threads, |cell| {
-        let (base_res, _, _, _) = ring_shift(base_cfg(cell));
-        let faults = FaultConfig::seeded(11, 0.06, 0.04, 0.04).with_permanent_crash(2, 1);
-        let cfg = base_cfg(cell).with_replication(true).with_faults(faults);
-        let (res, _, _, c) = ring_shift(cfg);
-        assert_eq!(res, base_res, "drops/dups/delays + a death changed results");
-        assert_eq!(c.failovers, 1);
-        assert_eq!(c.retries, c.faults_dropped);
-        assert!(c.retries > 0, "the seed should actually drop something");
-    });
+    let (base_res, _, _, _) = ring_shift(base_cfg());
+    let faults = FaultConfig::seeded(11, 0.06, 0.04, 0.04).with_permanent_crash(2, 1);
+    let cfg = base_cfg().with_replication(true).with_faults(faults);
+    let (res, _, _, c) = ring_shift(cfg);
+    assert_eq!(res, base_res, "drops/dups/delays + a death changed results");
+    assert_eq!(c.failovers, 1);
+    assert_eq!(c.retries, c.faults_dropped);
+    assert!(c.retries > 0, "the seed should actually drop something");
 }
 
 /// Node 1 dies at phase 1 (node 2 adopts it), then node 2 — the buddy
@@ -395,51 +362,47 @@ fn permanent_death_composes_with_random_faults() {
 /// adopts node 2, skipping the dead rank in the cyclic successor walk.
 #[test]
 fn buddy_death_rehomes_the_replica_stream() {
-    walk(threads, |cell| {
-        let (base_res, base_t, _, _) = ring_shift(base_cfg(cell));
-        let faults = FaultConfig::NONE
-            .with_permanent_crash(1, 1)
-            .with_permanent_crash(2, 2);
-        let cfg = base_cfg(cell).with_replication(true).with_faults(faults);
-        let (res, t, per_node, totals) = ring_shift(cfg);
-        assert_eq!(res, base_res, "cascaded deaths changed application results");
-        assert!(t > base_t);
-        assert_eq!(totals.failovers, 2);
-        assert_eq!(per_node[2].failovers, 1, "node 2 adopted node 1 first");
-        assert_eq!(
-            per_node[0].failovers, 1,
-            "node 0 adopts node 2, skipping dead node 1's slot in the ring"
-        );
-        // Two survivors confirmed victim 1; victims 2's death is confirmed by
-        // the remaining two ranks (node 0 and node 1's hosted persona).
-        assert_eq!(totals.peers_suspected, 4);
-        assert_eq!(totals.peers_confirmed_dead, 4);
-    });
+    let (base_res, base_t, _, _) = ring_shift(base_cfg());
+    let faults = FaultConfig::NONE
+        .with_permanent_crash(1, 1)
+        .with_permanent_crash(2, 2);
+    let cfg = base_cfg().with_replication(true).with_faults(faults);
+    let (res, t, per_node, totals) = ring_shift(cfg);
+    assert_eq!(res, base_res, "cascaded deaths changed application results");
+    assert!(t > base_t);
+    assert_eq!(totals.failovers, 2);
+    assert_eq!(per_node[2].failovers, 1, "node 2 adopted node 1 first");
+    assert_eq!(
+        per_node[0].failovers, 1,
+        "node 0 adopts node 2, skipping dead node 1's slot in the ring"
+    );
+    // Two survivors confirmed victim 1; victims 2's death is confirmed by
+    // the remaining two ranks (node 0 and node 1's hosted persona).
+    assert_eq!(totals.peers_suspected, 4);
+    assert_eq!(totals.peers_confirmed_dead, 4);
 }
 
 /// Nodes 1 and 2 die at the same phase boundary; node 0 — the only
 /// survivor — confirms both at once and adopts both partitions.
 #[test]
 fn two_simultaneous_deaths_are_survived() {
-    walk(threads, |cell| {
-        let (base_res, base_t, _, _) = ring_shift(base_cfg(cell));
-        let faults = FaultConfig::NONE
-            .with_permanent_crash(1, 2)
-            .with_permanent_crash(2, 2);
-        let cfg = base_cfg(cell).with_replication(true).with_faults(faults);
-        let (res, t, per_node, totals) = ring_shift(cfg);
-        assert_eq!(res, base_res, "a double death changed application results");
-        assert!(t > base_t);
-        assert_eq!(totals.failovers, 2);
-        assert_eq!(
-            per_node[0].failovers, 2,
-            "the sole survivor adopts both victims"
-        );
-        // Each rank suspects every victim other than itself: node 0 suspects
-        // two, each victim suspects the other — four suspicions in total.
-        assert_eq!(totals.peers_suspected, 4);
-        assert_eq!(totals.peers_confirmed_dead, 4);
-    });
+    let (base_res, base_t, _, _) = ring_shift(base_cfg());
+    let faults = FaultConfig::NONE
+        .with_permanent_crash(1, 2)
+        .with_permanent_crash(2, 2);
+    let cfg = base_cfg().with_replication(true).with_faults(faults);
+    let (res, t, per_node, totals) = ring_shift(cfg);
+    assert_eq!(res, base_res, "a double death changed application results");
+    assert!(t > base_t);
+    assert_eq!(totals.failovers, 2);
+    assert_eq!(
+        per_node[0].failovers, 2,
+        "the sole survivor adopts both victims"
+    );
+    // Each rank suspects every victim other than itself: node 0 suspects
+    // two, each victim suspects the other — four suspicions in total.
+    assert_eq!(totals.peers_suspected, 4);
+    assert_eq!(totals.peers_confirmed_dead, 4);
 }
 
 /// With replication off a permanent death is unsurvivable: the job must
@@ -448,25 +411,23 @@ fn two_simultaneous_deaths_are_survived() {
 /// deadlock report.
 #[test]
 fn unreplicated_death_raises_a_structured_error() {
-    walk(threads, |cell| {
-        let cfg = base_cfg(cell).with_faults(FaultConfig::NONE.with_permanent_crash(1, 2));
-        let payload = catch_unwind(AssertUnwindSafe(|| ring_shift(cfg)))
-            .expect_err("an unreplicated permanent death must fail the job");
-        let err = payload
-            .downcast_ref::<RecoveryError>()
-            .expect("the panic payload must be a structured RecoveryError");
-        assert_eq!(err.node, 1, "the error names the dead node");
-        assert_eq!(err.phase, 2, "the error names the super-step of death");
-        assert!(
-            err.reason.contains("replication"),
-            "the error should point at the replication knob: {}",
-            err.reason
-        );
-        assert!(
-            err.to_string().contains("node 1"),
-            "Display carries the node id: {err}"
-        );
-    });
+    let cfg = base_cfg().with_faults(FaultConfig::NONE.with_permanent_crash(1, 2));
+    let payload = catch_unwind(AssertUnwindSafe(|| ring_shift(cfg)))
+        .expect_err("an unreplicated permanent death must fail the job");
+    let err = payload
+        .downcast_ref::<RecoveryError>()
+        .expect("the panic payload must be a structured RecoveryError");
+    assert_eq!(err.node, 1, "the error names the dead node");
+    assert_eq!(err.phase, 2, "the error names the super-step of death");
+    assert!(
+        err.reason.contains("replication"),
+        "the error should point at the replication knob: {}",
+        err.reason
+    );
+    assert!(
+        err.to_string().contains("node 1"),
+        "Display carries the node id: {err}"
+    );
 }
 
 #[test]

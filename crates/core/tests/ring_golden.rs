@@ -10,8 +10,8 @@
 //! Counters)` plus a digest of every `token_exchange` trace instant's
 //! `(node, phase, write_dests, expected_senders)` — what each node
 //! announced and what it was told to wait for. The rows were captured on
-//! the commit before sender notices were routed instead of allgathered and
-//! must hold at any host thread count. On a mismatch the assertion prints
+//! the commit before sender notices were routed instead of allgathered. On
+//! a mismatch the assertion prints
 //! the observed row in literal syntax.
 //!
 //! A third fixture is the read-heavy job of `large_n.rs` — everyone reads,
@@ -20,7 +20,6 @@
 //! that protocol bit for bit; these rows were captured on `9d8adae`, the
 //! last commit that carried both, and stand where the comparison stood.
 
-use ppm_core::testkit::thread_counts;
 use ppm_core::{run, run_traced, AccumOp, ByteHasher, PpmConfig, TraceSink};
 use ppm_simnet::{FaultConfig, MachineConfig};
 
@@ -66,19 +65,18 @@ fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
 
 /// Replication on; every knob is pinned, so no change of a default can
 /// move a row.
-fn pinned(nodes: usize, host_threads: usize) -> PpmConfig {
+fn pinned(nodes: usize) -> PpmConfig {
     PpmConfig::new(MachineConfig::new(nodes as u32, 4))
         .with_checker(true)
-        .with_host_threads(host_threads)
         .with_read_cache(true)
         .with_adaptive_balance(false)
         .with_replication(true)
         .with_tile_budget(0)
 }
 
-fn observe(ring: &Ring, host_threads: usize) -> Row {
-    let cfg = pinned(ring.nodes, host_threads)
-        .with_faults(FaultConfig::NONE.with_permanent_crash(ring.victim, 1));
+fn observe(ring: &Ring) -> Row {
+    let cfg =
+        pinned(ring.nodes).with_faults(FaultConfig::NONE.with_permanent_crash(ring.victim, 1));
     let (n, rounds, scatter) = (ring.nodes, ring.rounds, ring.scatter);
     let sink = TraceSink::new();
     let report = run_traced(cfg, &sink, "ring", move |node| {
@@ -138,19 +136,17 @@ fn observe(ring: &Ring, host_threads: usize) -> Row {
 }
 
 fn check(ring: &Ring, want: &Row) {
-    for host_threads in thread_counts() {
-        let got = observe(ring, host_threads);
-        assert!(
-            got == *want,
-            "{}-node ring moved off its golden at {host_threads} host thread(s); observed:\n\
-             Row {{ hash: {:#018x}, makespan_ps: {}, counters: {:?}, tokens: {:?} }}",
-            ring.nodes,
-            got.hash,
-            got.makespan_ps,
-            got.counters,
-            got.tokens
-        );
-    }
+    let got = observe(ring);
+    assert!(
+        got == *want,
+        "{}-node ring moved off its golden; observed:\n\
+         Row {{ hash: {:#018x}, makespan_ps: {}, counters: {:?}, tokens: {:?} }}",
+        ring.nodes,
+        got.hash,
+        got.makespan_ps,
+        got.counters,
+        got.tokens
+    );
 }
 
 #[test]
@@ -181,9 +177,8 @@ fn scattered_ring_100_with_death_and_failover() {
 /// theirs, `victim` dying at phase 2.
 type ReadHeavyRow = (u64, u64, u64, u64, u64);
 
-fn read_heavy(nodes: usize, victim: usize, host_threads: usize) -> ReadHeavyRow {
-    let cfg =
-        pinned(nodes, host_threads).with_faults(FaultConfig::NONE.with_permanent_crash(victim, 2));
+fn read_heavy(nodes: usize, victim: usize) -> ReadHeavyRow {
+    let cfg = pinned(nodes).with_faults(FaultConfig::NONE.with_permanent_crash(victim, 2));
     let report = run(cfg, move |node| {
         let a = node.alloc_global::<u64>(nodes);
         let me = node.node_id();
@@ -225,16 +220,14 @@ fn read_heavy_rings_64_and_100_with_death() {
         (100, 77, (0x39da56951217c26b, 952575200, 2776, 392, 1)),
     ];
     for (nodes, victim, want) in ROWS {
-        for host_threads in thread_counts() {
-            let got = read_heavy(nodes, victim, host_threads);
-            assert_eq!(
-                got, want,
-                "{nodes}-node read-heavy ring at {host_threads} host thread(s); observed \
-                 (hash, makespan_ps, msgs_sent, bundles_sent, failovers): \
-                 ({:#018x}, {}, {}, {}, {})",
-                got.0, got.1, got.2, got.3, got.4
-            );
-        }
+        let got = read_heavy(nodes, victim);
+        assert_eq!(
+            got, want,
+            "{nodes}-node read-heavy ring; observed \
+             (hash, makespan_ps, msgs_sent, bundles_sent, failovers): \
+             ({:#018x}, {}, {}, {}, {})",
+            got.0, got.1, got.2, got.3, got.4
+        );
     }
 }
 

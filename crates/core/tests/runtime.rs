@@ -9,11 +9,10 @@ use ppm_core::testkit::{walk, Cell};
 use ppm_core::{run, AccumOp, PpmConfig};
 use ppm_simnet::MachineConfig;
 
-/// The cells this suite walks: host threads × tile budget. Neither may
-/// change what a program computes.
-fn threads_and_budget(c: Cell) -> Cell {
+/// The cells this suite walks: the tile budget, which may not change what a
+/// program computes.
+fn budget(c: Cell) -> Cell {
     Cell {
-        host_threads: c.host_threads,
         tile_budget: c.tile_budget,
         ..Cell::default()
     }
@@ -32,7 +31,7 @@ fn shapes(cell: Cell) -> Vec<PpmConfig> {
 
 #[test]
 fn reads_see_phase_start_snapshot() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         // Every VP increments-by-put its own element while reading its
         // neighbour's: all reads must observe the *initial* values even though
         // writes are issued in the same phase.
@@ -77,7 +76,7 @@ fn reads_see_phase_start_snapshot() {
 
 #[test]
 fn writes_visible_in_next_phase() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         for c in shapes(cell) {
             let n = 16;
             let report = run(c, move |node| {
@@ -106,7 +105,7 @@ fn writes_visible_in_next_phase() {
 
 #[test]
 fn put_conflicts_resolve_to_highest_rank_writer() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         for c in shapes(cell) {
             let report = run(c, move |node| {
                 let a = node.alloc_global::<u64>(1);
@@ -130,7 +129,7 @@ fn put_conflicts_resolve_to_highest_rank_writer() {
 
 #[test]
 fn later_put_by_same_vp_wins() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let report = run(cfg(cell, 2, 2), move |node| {
             let a = node.alloc_global::<u64>(4);
             node.ppm_do(1, move |vp| async move {
@@ -148,7 +147,7 @@ fn later_put_by_same_vp_wins() {
 
 #[test]
 fn accumulate_sums_across_all_vps() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         for c in shapes(cell) {
             let k = 7usize;
             let report = run(c, move |node| {
@@ -174,7 +173,7 @@ fn accumulate_sums_across_all_vps() {
 
 #[test]
 fn accumulate_float_sum_is_deterministic() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let go = || {
             run(cfg(cell, 3, 2), move |node| {
                 let acc = node.alloc_global::<f64>(1);
@@ -197,7 +196,7 @@ fn accumulate_float_sum_is_deterministic() {
 
 #[test]
 fn node_phase_publishes_node_shared_only_locally() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let report = run(cfg(cell, 3, 4), move |node| {
             let buf = node.alloc_node::<u64>(8);
             let me = node.node_id() as u64;
@@ -225,7 +224,7 @@ fn node_phase_publishes_node_shared_only_locally() {
 
 #[test]
 fn node_phases_do_not_touch_the_network() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let report = run(cfg(cell, 4, 4), move |node| {
             let buf = node.alloc_node::<u64>(16);
             node.ppm_do(16, move |vp| async move {
@@ -252,7 +251,7 @@ fn node_phases_do_not_touch_the_network() {
 
 #[test]
 fn dependent_reads_take_multiple_waves() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         // A pointer-chase across nodes: VP follows a linked list stored in a
         // global array, one hop per wave, all within one phase.
         let c = cfg(cell, 4, 1);
@@ -301,7 +300,7 @@ fn dependent_reads_take_multiple_waves() {
 
 #[test]
 fn bundling_one_request_message_per_destination_per_wave() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         // One phase in which node 0's 64 VPs each read one element from node 1:
         // with bundling the runtime must send exactly ONE request message.
         let c = cfg(cell, 2, 4);
@@ -329,7 +328,7 @@ fn bundling_one_request_message_per_destination_per_wave() {
 
 #[test]
 fn determinism_across_runs_and_schedules() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let go = || {
             run(cfg(cell, 3, 4), move |node| {
                 let a = node.alloc_global::<f64>(60);
@@ -369,7 +368,7 @@ fn determinism_across_runs_and_schedules() {
 
 #[test]
 fn vp_ranks_and_system_variables() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let c = cfg(cell, 3, 2);
         let report = run(c, move |node| {
             let ranks = node.alloc_global::<u64>(30);
@@ -397,7 +396,7 @@ fn vp_ranks_and_system_variables() {
 
 #[test]
 fn different_vp_counts_per_node() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let c = cfg(cell, 4, 2);
         let report = run(c, move |node| {
             let acc = node.alloc_global::<u64>(1);
@@ -416,7 +415,7 @@ fn different_vp_counts_per_node() {
 
 #[test]
 fn multiple_ppm_dos_compose() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let report = run(cfg(cell, 2, 2), move |node| {
             let a = node.alloc_global::<u64>(8);
             for round in 0..3u64 {
@@ -439,7 +438,7 @@ fn multiple_ppm_dos_compose() {
 
 #[test]
 fn phase_body_can_return_values() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let report = run(cfg(cell, 2, 1), move |node| {
             let a = node.alloc_global::<u64>(4);
             node.with_local_mut(&a, |s| s.fill(5));
@@ -466,7 +465,7 @@ fn phase_body_can_return_values() {
 
 #[test]
 fn simulated_time_grows_with_communication() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         // Same computation; reading remote data must cost more simulated time
         // than reading local data.
         let local_time = run(cfg(cell, 2, 1), move |node| {
@@ -504,7 +503,7 @@ fn simulated_time_grows_with_communication() {
 
 #[test]
 fn clock_breakdown_sums_to_now() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let report = run(cfg(cell, 3, 2), move |node| {
             let a = node.alloc_global::<f64>(30);
             node.ppm_do(10, move |vp| async move {
@@ -526,7 +525,7 @@ fn clock_breakdown_sums_to_now() {
 
 #[test]
 fn get_many_edge_cases() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let report = run(cfg(cell, 3, 2), move |node| {
             let a = node.alloc_global::<u64>(30);
             let r = node.local_range(&a);
@@ -559,7 +558,7 @@ fn get_many_edge_cases() {
 
 #[test]
 fn get_many_matches_sequential_gets() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let report = run(cfg(cell, 2, 1), move |node| {
             let a = node.alloc_global::<f64>(64);
             let r = node.local_range(&a);
@@ -594,7 +593,7 @@ fn get_many_matches_sequential_gets() {
 /// back — and the phase still ends with every allocated slot answered.
 #[test]
 fn dropping_a_parked_read_releases_its_slot() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         use std::future::{poll_fn, Future};
         use std::pin::Pin;
         use std::task::Poll;
@@ -656,7 +655,7 @@ fn dropping_a_parked_read_releases_its_slot() {
 #[test]
 #[should_panic(expected = "at least one VP per node")]
 fn collective_do_with_zero_vps_panics() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         run(cfg(cell, 1, 1), move |node| {
             node.ppm_do(0, move |vp| async move {
                 vp.global_phase(|_ph| async move {}).await;
@@ -667,7 +666,7 @@ fn collective_do_with_zero_vps_panics() {
 
 #[test]
 fn phase_log_records_every_phase() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         // Read caching off: this test pins the phase log's per-phase wave
         // accounting, so every phase must actually go to the wire (with the
         // cache on, steady-state phases legitimately run zero waves — covered
@@ -725,7 +724,7 @@ fn phase_log_records_every_phase() {
 
 #[test]
 fn read_cache_serves_repeat_fetches_across_waves() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         // Cross-wave dedup within one phase: VP 1 fetches elements 8 and 12 in
         // the first wave; VP 0's dependent second read of 12 must then be a
         // cache hit (no second wave) with the cache on, and a second wave with
@@ -778,7 +777,7 @@ fn read_cache_serves_repeat_fetches_across_waves() {
 
 #[test]
 fn unwritten_remote_elements_are_fetched_at_most_once() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         // Phase-end invalidation is per array and only when the array took
         // writes: a never-written element is fetched in the first phase and
         // served locally in every later phase — zero waves in steady state.
@@ -818,7 +817,7 @@ fn unwritten_remote_elements_are_fetched_at_most_once() {
 
 #[test]
 fn refresh_push_keeps_rewritten_elements_coherent() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         // The owner rewrites an element every phase while a remote VP reads it
         // every phase: every read must see the phase-start snapshot. After the
         // second serve the owner arms the element and pushes the post-apply
@@ -870,7 +869,7 @@ fn refresh_push_keeps_rewritten_elements_coherent() {
 /// reader's hits and misses, phase by phase.
 #[test]
 fn refresh_push_targets_the_written_and_served_intersection() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         const PHASES: u64 = 14;
         let report = run(cfg(cell, 2, 1).with_read_cache(true), move |node| {
             let a = node.alloc_global::<u64>(16); // node 1 owns 8..16 of both
@@ -922,7 +921,7 @@ fn refresh_push_targets_the_written_and_served_intersection() {
 
 #[test]
 fn ppm_do_local_runs_asynchronously_per_node() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         // Paper §3.3 asynchronous mode: each node runs a *different* number of
         // local `ppm_do`s with node phases, no cross-node coordination — then
         // everyone meets again in a collective do.
@@ -951,7 +950,7 @@ fn ppm_do_local_runs_asynchronously_per_node() {
 #[test]
 #[should_panic(expected = "global phases are not allowed inside ppm_do_local")]
 fn global_phase_inside_local_do_panics() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         run(cfg(cell, 1, 1), move |node| {
             node.ppm_do_local(1, move |vp| async move {
                 vp.global_phase(|_ph| async move {}).await;
@@ -963,7 +962,7 @@ fn global_phase_inside_local_do_panics() {
 #[test]
 #[should_panic(expected = "phases cannot be nested")]
 fn nested_phases_panic() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         run(cfg(cell, 1, 1), move |node| {
             node.ppm_do(1, move |vp| async move {
                 let v = vp.clone();
@@ -979,7 +978,7 @@ fn nested_phases_panic() {
 #[test]
 #[should_panic(expected = "remote shared read inside a node phase")]
 fn remote_read_in_node_phase_panics() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         run(cfg(cell, 2, 1), move |node| {
             let a = node.alloc_global::<u64>(8); // node 1 owns 4..8
             node.ppm_do(1, move |vp| async move {
@@ -998,7 +997,7 @@ fn remote_read_in_node_phase_panics() {
 #[test]
 #[should_panic(expected = "only allowed inside a global phase")]
 fn global_write_in_node_phase_panics() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         run(cfg(cell, 1, 1), move |node| {
             let a = node.alloc_global::<u64>(4);
             node.ppm_do(1, move |vp| async move {
@@ -1014,7 +1013,7 @@ fn global_write_in_node_phase_panics() {
 #[test]
 #[should_panic(expected = "put and accumulate mixed")]
 fn mixed_put_accumulate_panics_through_public_api() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         run(cfg(cell, 1, 1), move |node| {
             let a = node.alloc_global::<u64>(4);
             node.ppm_do(2, move |vp| async move {
@@ -1034,7 +1033,7 @@ fn mixed_put_accumulate_panics_through_public_api() {
 
 #[test]
 fn cyclic_layout_spreads_ownership() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         let report = run(cfg(cell, 4, 1), move |node| {
             let a = node.alloc_global_with::<u64>(16, ppm_core::Layout::Cyclic);
             // Element i lives on node i % 4; initialize via direct local access.
@@ -1067,30 +1066,23 @@ fn cyclic_layout_spreads_ownership() {
 /// The panic protocol (DESIGN.md §12) through the poll context: when a VP
 /// panics mid-poll, the ranks below it still merge, its own effects and
 /// those of the ranks above are discarded, and the payload re-raises out
-/// of `ppm_do` — at any host thread count.
+/// of `ppm_do`.
 #[test]
 fn panicking_vp_merges_lower_ranks_and_discards_its_own() {
-    // Pins its own thread counts.
-    let budget = |c: Cell| Cell {
-        tile_budget: c.tile_budget,
-        ..Cell::default()
-    };
     walk(budget, |cell| {
-        for threads in [1, 2] {
-            let report = run(cfg(cell, 1, 2).with_host_threads(threads), |node| {
-                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    node.ppm_do(3, |vp| async move {
-                        let rank = vp.node_rank() as u64;
-                        vp.charge_flops(100 + rank);
-                        assert_ne!(rank, 1, "boom");
-                    });
-                }));
-                let msg = *unwound.unwrap_err().downcast::<String>().unwrap();
-                assert!(msg.contains("boom"), "{msg}");
-                node.ep_counters().flops
-            });
-            assert_eq!(report.results, vec![100], "threads={threads}");
-        }
+        let report = run(cfg(cell, 1, 2), |node| {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                node.ppm_do(3, |vp| async move {
+                    let rank = vp.node_rank() as u64;
+                    vp.charge_flops(100 + rank);
+                    assert_ne!(rank, 1, "boom");
+                });
+            }));
+            let msg = *unwound.unwrap_err().downcast::<String>().unwrap();
+            assert!(msg.contains("boom"), "{msg}");
+            node.ep_counters().flops
+        });
+        assert_eq!(report.results, vec![100]);
     });
 }
 
@@ -1100,7 +1092,7 @@ fn panicking_vp_merges_lower_ranks_and_discards_its_own() {
 #[test]
 #[should_panic(expected = "boom")]
 fn parked_read_dropped_by_an_unwinding_ppm_do_is_quiet() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         run(cfg(cell, 2, 2).with_read_cache(false), |node| {
             let a = node.alloc_global::<u64>(8);
             let far = (node.local_range(&a).start + 4) % 8;
@@ -1121,7 +1113,7 @@ fn parked_read_dropped_by_an_unwinding_ppm_do_is_quiet() {
 #[test]
 #[should_panic(expected = "shared-variable access outside a VP poll")]
 fn phase_handle_outside_a_poll_names_the_cause() {
-    walk(threads_and_budget, |cell| {
+    walk(budget, |cell| {
         run(cfg(cell, 1, 1), |node| {
             let a = node.alloc_global::<u64>(4);
             let stash = std::sync::Arc::new(std::sync::Mutex::new(None));
@@ -1142,23 +1134,17 @@ fn phase_handle_outside_a_poll_names_the_cause() {
 /// The owned-range cache follows a migration: once the adaptive balancer
 /// has moved the cut, reads return the right elements and gets, puts and
 /// accumulates on both sides of the old and the new cut count as local or
-/// remote by the *new* ownership — at 1 and 8 host threads.
+/// remote by the *new* ownership — the same on a rerun.
 #[test]
 fn owned_range_cache_follows_a_migration() {
-    // Pins its own thread counts.
-    let budget = |c: Cell| Cell {
-        tile_budget: c.tile_budget,
-        ..Cell::default()
-    };
     walk(budget, |cell| {
         const N: usize = 64;
         const VPS: usize = 4;
-        let observe = |threads: usize| {
+        let observe = || {
             let c = cfg(cell, 2, 2)
                 .with_adaptive_balance(true)
                 .with_read_cache(false)
-                .with_checker(false)
-                .with_host_threads(threads);
+                .with_checker(false);
             run(c, |node| {
                 let a = node.alloc_global_balanced::<u64>(N);
                 let b = node.alloc_global_balanced::<u64>(N);
@@ -1207,13 +1193,13 @@ fn owned_range_cache_follows_a_migration() {
             })
             .results
         };
-        let seq = observe(1);
+        let seq = observe();
         assert_ne!(seq[0].0, 0..N / 2, "the cut never moved: nothing tested");
         for (owned, local, gets, puts) in &seq {
             let (mine, theirs) = (owned.len() as u64, (N - owned.len()) as u64);
             assert_eq!((*local, *gets, *puts), (3 * mine, theirs, 2 * theirs));
         }
-        assert_eq!(observe(8), seq);
+        assert_eq!(observe(), seq, "rerun");
     });
 }
 
@@ -1224,18 +1210,17 @@ fn owned_range_cache_follows_a_migration() {
 /// still holds cached lines for, in tiles the rebind left cold, next to lines
 /// that are still remote. A `get_many` must then read, count and fault
 /// exactly like one `get` per element — never serve an owned element from
-/// its stale line — at 1 and 8 host threads.
+/// its stale line — and a rerun observes the same.
 #[test]
 fn stale_cached_lines_stay_shadowed_by_ownership_in_bulk_reads() {
     const N: usize = 64;
     const VPS: usize = 4;
-    let observe = |bulk: bool, threads: usize| {
+    let observe = |bulk: bool| {
         let c = cfg(Cell::default(), 2, 2)
             .with_adaptive_balance(true)
             .with_read_cache(true)
             .with_tile_budget(64)
-            .with_checker(false)
-            .with_host_threads(threads);
+            .with_checker(false);
         let report = run(c, move |node| {
             let a = node.alloc_global_balanced::<u64>(N);
             let lo = node.local_range(&a).start;
@@ -1281,7 +1266,7 @@ fn stale_cached_lines_stay_shadowed_by_ownership_in_bulk_reads() {
         });
         (report.makespan(), report.results)
     };
-    let each = observe(false, 1);
+    let each = observe(false);
     let (grown, c) = &each.1[1];
     assert!(grown.len() > N / 2, "the cut never moved: nothing tested");
     assert!(c.cache_hits > 0 && c.tile_refills > 0 && c.remote_gets as usize > N / 2);
@@ -1291,10 +1276,8 @@ fn stale_cached_lines_stay_shadowed_by_ownership_in_bulk_reads() {
         c.local_accesses + c.cache_hits + c.cache_misses,
         (8 * VPS * N) as u64
     );
-    for threads in [1, 8] {
-        assert_eq!(observe(true, threads), each, "{threads} host threads");
-    }
-    assert_eq!(observe(false, 8), each);
+    assert_eq!(observe(true), each, "bulk");
+    assert_eq!(observe(false), each, "rerun");
 }
 
 /// `GlobalShared#0` and `NodeShared#0` are two arrays under one id, and both
@@ -1313,14 +1296,13 @@ fn a_node_array_and_the_global_array_of_its_id_share_nothing() {
     const N: usize = 64;
     const VPS: usize = 4;
     const PHASES: u64 = 8;
-    let observe = |with_node: bool, threads: usize| {
+    let observe = |with_node: bool| {
         let c = cfg(Cell::default(), 2, 2)
             .with_adaptive_balance(true)
             .with_read_cache(true)
             .with_tile_budget(64)
             .with_replication(true)
-            .with_checker(true)
-            .with_host_threads(threads);
+            .with_checker(true);
         let report = run(c, move |node| {
             let a = node.alloc_global_balanced::<u64>(N);
             let s = node.alloc_node::<u64>(VPS + 1);
@@ -1383,7 +1365,7 @@ fn a_node_array_and_the_global_array_of_its_id_share_nothing() {
         });
         report.results
     };
-    let with = observe(true, 1);
+    let with = observe(true);
     let mut a = vec![0; N];
     for (owned, part, shared, ..) in &with {
         a[owned.clone()].copy_from_slice(part);
@@ -1403,7 +1385,7 @@ fn a_node_array_and_the_global_array_of_its_id_share_nothing() {
     assert_ne!(with[0].0, 0..N / 2, "the cut never moved: nothing tested");
     assert!(c.tile_refills > 0 && c.cache_hits > 0 && c.remote_gets > 0);
 
-    let without = observe(false, 1);
+    let without = observe(false);
     for (with, without) in with.iter().zip(&without) {
         assert_eq!(
             (&with.0, &with.1, with.4),
@@ -1415,5 +1397,5 @@ fn a_node_array_and_the_global_array_of_its_id_share_nothing() {
         counters.local_accesses -= node_accesses;
         assert_eq!(counters, without.3);
     }
-    assert_eq!(observe(true, 8), with, "8 host threads");
+    assert_eq!(observe(true), with, "rerun");
 }
