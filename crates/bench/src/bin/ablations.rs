@@ -47,7 +47,16 @@ use ppm_core::PpmConfig;
 use ppm_simnet::SimTime;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "--nodes N",
+        "--g N",
+        "--n N",
+        "--budget BYTES",
+        "--ablate-cache",
+        "--ablate-balance",
+        "--ablate-streaming",
+        "--trace PATH",
+    ]);
     let trace = args.trace_path().map(|p| (TraceSink::new(), p));
     let nodes = args.usize("--nodes", 8) as u32;
     let g = args.usize("--g", 16);

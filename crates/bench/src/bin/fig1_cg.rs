@@ -37,8 +37,8 @@
 use ppm_apps::cg::{self, CgParams};
 use ppm_apps::stencil27::Stencil27;
 use ppm_bench::{
-    header, host_memory_line, max_time, mb, ms, pct, ratio, row, vm_hwm_bytes, write_trace, Args,
-    TraceSink,
+    header, heap_owners_line, host_memory_line, max_time, mb, ms, pct, ratio, row, vm_hwm_bytes,
+    write_trace, Args, TraceSink,
 };
 use ppm_core::PpmConfig;
 use ppm_simnet::MachineConfig;
@@ -169,13 +169,26 @@ fn run_full(args: &Args) {
          the simulator itself holds every partition in host memory)"
     );
     println!("{}", host_memory_line());
+    if let Some(owners) = heap_owners_line() {
+        println!("{owners}");
+    }
     if let Some((sink, path)) = &trace {
         write_trace(sink, path);
     }
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "--nodes LIST",
+        "--g N",
+        "--iters N",
+        "--trace PATH",
+        "--full",
+        "--nodes-full N",
+        "--budget BYTES",
+        "--rows-per-vp N",
+        "--spmv-chunk N",
+    ]);
     if args.flag("--full") {
         run_full(&args);
         return;

@@ -19,7 +19,13 @@ use ppm_core::PpmConfig;
 use ppm_simnet::MachineConfig;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "--nodes LIST",
+        "--levels N",
+        "--n0 N",
+        "--quad-flops N",
+        "--trace PATH",
+    ]);
     let trace = args.trace_path().map(|p| (TraceSink::new(), p));
     let nodes = args.nodes(&[1, 2, 4, 8, 16, 32, 64]);
     let levels = args.usize("--levels", 7);

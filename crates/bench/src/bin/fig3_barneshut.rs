@@ -19,13 +19,14 @@
 
 use ppm_apps::barnes_hut::{self as bh, BhParams};
 use ppm_bench::{
-    header, host_memory_line, max_time, mb, ms, pct, ratio, row, write_trace, Args, TraceSink,
+    header, heap_owners_line, host_memory_line, max_time, mb, ms, pct, ratio, row, write_trace,
+    Args, TraceSink,
 };
 use ppm_core::PpmConfig;
 use ppm_simnet::MachineConfig;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["--nodes LIST", "--n N", "--steps N", "--trace PATH"]);
     let trace = args.trace_path().map(|p| (TraceSink::new(), p));
     let nodes = args.nodes(&[1, 2, 4, 8, 16, 32, 64]);
     let n = args.usize("--n", 8192);
@@ -86,4 +87,7 @@ fn main() {
         write_trace(sink, path);
     }
     println!("{}", host_memory_line());
+    if let Some(owners) = heap_owners_line() {
+        println!("{owners}");
+    }
 }

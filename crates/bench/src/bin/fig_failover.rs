@@ -29,7 +29,7 @@ use ppm_core::PpmConfig;
 use ppm_simnet::FaultConfig;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["--nodes LIST", "--g N", "--phase N", "--trace PATH"]);
     let trace = args.trace_path().map(|p| (TraceSink::new(), p));
     let nodes = args.nodes(&[2, 4, 8]);
     let g = args.usize("--g", 8);

@@ -80,7 +80,7 @@ fn ring_job(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["--nodes LIST", "--vps N", "--rounds N", "--trace PATH"]);
     let trace = args.trace_path().map(|p| (TraceSink::new(), p));
     let nodes = args.nodes(&[256, 1024]);
     let vps = args.usize("--vps", 8);

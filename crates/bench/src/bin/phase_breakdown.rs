@@ -20,7 +20,7 @@ use ppm_core::{PhaseKind, PhaseRecord, PpmConfig};
 use ppm_simnet::SimTime;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["--nodes N", "--g N", "--iters N", "--trace PATH"]);
     let trace = args.trace_path().map(|p| (TraceSink::new(), p));
     let nodes = args.usize("--nodes", 8) as u32;
     let g = args.usize("--g", 16);

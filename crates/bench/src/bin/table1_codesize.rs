@@ -15,7 +15,7 @@
 
 use std::path::Path;
 
-use ppm_bench::{crate_code_lines, header, line_counts, row};
+use ppm_bench::{crate_code_lines, header, line_counts, row, Args};
 
 struct App {
     name: &'static str,
@@ -26,6 +26,8 @@ struct App {
 }
 
 fn main() {
+    // No flags: `--help` says so, and anything else is refused.
+    Args::parse(&[]);
     let apps = [
         App {
             name: "Conjugate Gradient",

@@ -30,17 +30,65 @@ pub fn max_time(report: &JobReport<SimTime>) -> SimTime {
         .fold(SimTime::ZERO, SimTime::max)
 }
 
-/// Parse `--key v` or `--key=v` style arguments.
+/// A binary's command line: `--key v` or `--key=v` options and bare
+/// flags, each one the binary declares.
 pub struct Args {
     raw: Vec<String>,
 }
 
+/// A command line that does not run: `--help` (code 0; the accepted flags,
+/// for stdout) or an argument no declared flag takes (code 2; the same
+/// list, for stderr).
+#[derive(Debug, PartialEq)]
+pub struct Exit {
+    pub code: i32,
+    pub text: String,
+}
+
 impl Args {
-    /// Capture the process arguments.
-    pub fn parse() -> Args {
-        Args {
-            raw: std::env::args().skip(1).collect(),
+    /// The process arguments of a binary that accepts `flags`, or — for
+    /// `--help` or an argument outside them — the process exits, saying why
+    /// ([`Self::try_parse`]).
+    pub fn parse(flags: &[&str]) -> Args {
+        Self::try_parse(std::env::args().skip(1), flags).unwrap_or_else(|exit| {
+            match exit.code {
+                0 => println!("{}", exit.text),
+                _ => eprintln!("{}", exit.text),
+            }
+            std::process::exit(exit.code)
+        })
+    }
+
+    /// `raw` against `flags`: each is a name, followed by a word naming its
+    /// value if it takes one (`"--nodes LIST"`). `--help` asks for the list;
+    /// any other argument that is neither a flag nor a flag's value fails
+    /// with it.
+    pub fn try_parse(raw: impl IntoIterator<Item = String>, flags: &[&str]) -> Result<Args, Exit> {
+        let raw: Vec<String> = raw.into_iter().collect();
+        let exit = |code, why: String| {
+            let list: String = flags.iter().map(|f| format!("\n  {f}")).collect();
+            Err(Exit {
+                code,
+                text: format!("{why}accepted flags:{list}\n  --help"),
+            })
+        };
+        let mut at = 0;
+        while let Some(arg) = raw.get(at) {
+            let name = arg.split_once('=').map_or(arg.as_str(), |(name, _)| name);
+            if name == "--help" {
+                return exit(0, String::new());
+            }
+            let Some(flag) = flags.iter().find(|f| f.split(' ').next() == Some(name)) else {
+                return exit(2, format!("unknown argument `{arg}`; "));
+            };
+            // A value goes after `=` or in the next argument.
+            at += if flag.contains(' ') && name == arg {
+                2
+            } else {
+                1
+            };
         }
+        Ok(Args { raw })
     }
 
     /// Whether a bare flag is present.
@@ -170,8 +218,25 @@ pub fn host_memory_line() -> String {
     )
 }
 
+/// One line on what the runtime's owners held at the heap peak, for beside
+/// [`host_memory_line`]: `live heap at its peak, by owner: <owner> <MB> MB,
+/// …` (`ppm_core::ledger`'s owners). `None` without the `heap-peak`
+/// feature.
+pub fn heap_owners_line() -> Option<String> {
+    #[cfg(feature = "heap-peak")]
+    return Some(format!(
+        "live heap at its peak, by owner: {}",
+        ppm_core::ledger::at_peak()
+            .map(|(owner, bytes)| format!("{owner} {} MB", mb(bytes)))
+            .join(", ")
+    ));
+    #[cfg(not(feature = "heap-peak"))]
+    None
+}
+
 /// The `heap-peak` feature's counting allocator: `System` plus a live-byte
-/// count and its high-water mark.
+/// count and its high-water mark, at each new one of which it takes the
+/// runtime's owners' bytes (`ppm_core::ledger::mark_peak`).
 #[cfg(feature = "heap-peak")]
 mod heap {
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -182,7 +247,9 @@ mod heap {
 
     fn grow(bytes: usize) {
         let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-        PEAK.fetch_max(live, Relaxed);
+        if PEAK.fetch_max(live, Relaxed) < live {
+            ppm_core::ledger::mark_peak();
+        }
     }
 
     struct Counting;
@@ -402,6 +469,68 @@ mod tests {
         assert_eq!(peak.is_some(), cfg!(feature = "heap-peak"));
         assert!(peak.is_none_or(|peak| peak >= block.len() as u64));
         assert!(host_memory_line().starts_with("host VmHWM "));
+    }
+
+    /// The owners' line is printed only with `heap-peak`, and names every
+    /// owner of the runtime's ledger.
+    #[test]
+    fn the_owners_line_appears_only_with_the_heap_peak_feature() {
+        let line = heap_owners_line();
+        assert_eq!(line.is_some(), cfg!(feature = "heap-peak"));
+        let owners = [
+            "parked bulk reads",
+            "request staging",
+            "inner.reqs",
+            "slot tables",
+        ];
+        for owner in owners.iter().chain(&["arena + read cache"]) {
+            assert!(line
+                .as_ref()
+                .is_none_or(|l| l.contains(&format!("{owner} "))));
+        }
+    }
+
+    fn args(raw: &[&str]) -> Result<Args, Exit> {
+        let flags = ["--nodes LIST", "--n N", "--full", "--trace PATH"];
+        Args::try_parse(raw.iter().map(|a| a.to_string()), &flags)
+    }
+
+    /// Declared flags and their values parse; an undeclared one — a bare
+    /// word, a flag's `=` form, a flag that only prefixes a declared one —
+    /// fails naming itself and every accepted flag.
+    #[test]
+    fn an_unknown_flag_fails_with_the_accepted_list() {
+        let ok = args(&["--nodes", "1,2", "--n=64", "--full", "--trace", "--full"]).unwrap();
+        assert_eq!((ok.nodes(&[]), ok.usize("--n", 0)), (vec![1, 2], 64));
+        assert_eq!(ok.value("--trace").as_deref(), Some("--full"));
+        for bad in ["--threads", "--threads=1,8", "--node", "8"] {
+            let exit = args(&["--n", "4", bad]).err().unwrap();
+            assert_eq!(exit.code, 2, "{bad}");
+            assert!(exit
+                .text
+                .starts_with(&format!("unknown argument `{bad}`; ")));
+            assert!(exit
+                .text
+                .ends_with("flags:\n  --nodes LIST\n  --n N\n  --full\n  --trace PATH\n  --help"));
+        }
+    }
+
+    /// `--help`, anywhere, asks for the list and exits 0.
+    #[test]
+    fn help_prints_the_accepted_flags() {
+        let exit = args(&["--n", "4", "--help"]).err().unwrap();
+        let list = "accepted flags:\n  --nodes LIST\n  --n N\n  --full\n  --trace PATH\n  --help";
+        assert_eq!(
+            exit,
+            Exit {
+                code: 0,
+                text: list.into()
+            }
+        );
+        assert_eq!(
+            Args::try_parse(["--help".into()], &[]).err().unwrap().code,
+            0
+        );
     }
 
     #[test]

@@ -214,19 +214,51 @@ mod tests {
         assert_eq!(c.cores_per_node(), 4);
     }
 
+    /// A 2-node job that reads local and remote elements of a 16 KB array,
+    /// accumulates and ends two global phases in one `ppm_do`: its results,
+    /// counters and makespan.
+    fn small_job() -> String {
+        const N: usize = 2048;
+        let cfg = PpmConfig::new(ppm_simnet::MachineConfig::new(2, 2));
+        let report = crate::run(cfg, |node| {
+            let a = node.alloc_global::<u64>(N);
+            let lo = node.local_range(&a).start;
+            node.with_local_mut(&a, |s| {
+                s.iter_mut().zip(lo..).for_each(|(v, i)| *v = i as u64)
+            });
+            node.ppm_do(3, move |vp| async move {
+                let rank = vp.global_rank();
+                for step in 0..2 {
+                    vp.global_phase(|ph| async move {
+                        let idxs = (0..16).map(|i| (rank * 301 + i * 257 + step) % N);
+                        let sum: u64 = ph.get_many(&a, idxs).await.iter().sum();
+                        ph.accumulate(&a, rank * 3 + step, crate::AccumOp::Add, sum);
+                    })
+                    .await;
+                }
+            });
+            node.gather_global(&a)[..32].to_vec()
+        });
+        let (results, counters) = (&report.results, &report.counters);
+        format!("{results:?} {counters:?} {:?}", report.makespan())
+    }
+
     /// The four variables that once set `PpmConfig` defaults or the host
     /// thread count change nothing: this module's tests, re-run in a child
     /// process with all four set, still pass (the `*_defaults_off_and_toggles`
-    /// ones would not if `new` read them).
+    /// ones would not if `new` read them), and a job the child runs reports
+    /// what the same job reports here (which it would not if `ppm_do` read
+    /// them).
     #[test]
     fn the_shell_cannot_change_a_config() {
         const CHILD: &str = "CONFIG_TESTS_CHILD";
         if std::env::var_os(CHILD).is_some() {
+            println!("job report: {}", small_job());
             return;
         }
         let exe = std::env::current_exe().expect("the test binary's path");
         let out = std::process::Command::new(exe)
-            .args(["config::tests", "--test-threads=1"])
+            .args(["config::tests", "--test-threads=1", "--nocapture"])
             .env(CHILD, "1")
             .env("PPM_ADAPTIVE", "1")
             .env("PPM_REPLICATION", "1")
@@ -240,6 +272,11 @@ mod tests {
              PPM_HOST_THREADS:\n{}",
             String::from_utf8_lossy(&out.stdout)
         );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let child = stdout
+            .lines()
+            .find_map(|l| Some(l.split_once("job report: ")?.1));
+        assert_eq!(child, Some(small_job().as_str()), "the job under PPM_*");
     }
 
     #[test]

@@ -21,12 +21,13 @@ use crate::dist::Dist;
 use crate::elem::AccumOp;
 use crate::failover::{FailoverPart, ReplicaFrame};
 use crate::msgs::ReqEntry;
-use crate::state::{array_ref, Frozen, GArray, GArrayObj, Inner, QueuedReq, WKind};
+use crate::state::{array_ref, staged, Frozen, GArray, GArrayObj, Inner, QueuedReq, WKind};
 use crate::testkit::{forall, Gen, PropResult};
 use crate::{prop_assert, prop_assert_eq, GlobalShared, Phase};
 
 fn req(array: u32, idx: u64, vp: u32, slot: u32) -> QueuedReq {
     QueuedReq {
+        dest: 0,
         array,
         idx,
         vp,
@@ -222,9 +223,10 @@ fn bulk_read_asks_for_each_distinct_remote_element_once() {
             vp.global_phase(|ph| async move {
                 // What this poll has added to the scratch so far.
                 let since_merge = || {
+                    let staged = staged(rank);
                     probe.cell.with_poll(|s, _| {
                         let c = &s.counters;
-                        (s.slots_alloced, s.reqs.len(), c.remote_gets, c.dedup_reads)
+                        (s.slots_alloced, staged, c.remote_gets, c.dedup_reads)
                     })
                 };
                 let in_use = || probe.cell.with_poll(|s, _| s.slots.in_use());
@@ -281,17 +283,26 @@ fn bulk_read_asks_for_each_distinct_remote_element_once() {
 /// One bulk read of 25 indices — hot locals, read-cache hits, first
 /// occurrences, their repeats (runs of three, singles, a run broken by a
 /// local and by a descending index, two repeats of one index) and a run of
-/// locals in a spilled tile — over `T`'s array, two VPs per node on two
-/// nodes. Checks the output against a per-index `get`, what the parked
-/// future holds, and that dropping a parked read frees its slots; returns
-/// the job's access counters. `wrote` makes each VP write the array first,
-/// so its reads take `charge_get` one by one instead of the span path.
-fn bulk_read_of<T: crate::Elem + PartialEq>(wrote: bool, mk: fn(usize) -> T) -> [u64; 6] {
-    // Four elements per tile, all eight local tiles cold at the start.
-    let budget = 32 * std::mem::size_of::<T>() as u64;
+/// locals — over `T`'s array, two VPs per node on two nodes. Under a tile
+/// `budget` (four elements per tile, all eight local tiles cold at the
+/// start) the run of locals is in a spilled tile; without one the
+/// partition is in core. Checks the output against a per-index `get`, what
+/// the parked future holds, and that dropping a parked read frees its
+/// slots; returns the job's access counters. `wrote` makes each VP write
+/// the array first, so its reads take `charge_get` one by one instead of
+/// the span path.
+fn bulk_read_of<T: crate::Elem + PartialEq>(
+    wrote: bool,
+    budget: bool,
+    mk: fn(usize) -> T,
+) -> [u64; 6] {
     let cfg = PpmConfig::new(MachineConfig::new(2, 1))
         .with_read_cache(true)
-        .with_tile_budget(budget);
+        .with_tile_budget(if budget {
+            32 * std::mem::size_of::<T>() as u64
+        } else {
+            0
+        });
     let wide = std::mem::size_of::<T>() > 8;
     let report = crate::run(cfg, move |node| {
         let a = node.alloc_global::<T>(64);
@@ -318,7 +329,7 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(wrote: bool, mk: fn(usize) -> T) -> 
                     &[far(0), far(1), far(0)],           // cache hits
                     &[far(8), far(9), far(10)],          // first occurrences
                     &[far(8), far(9), far(10)],          // a run of repeats
-                    &[near(8), near(9), near(10)],       // deferred: tile 2 is cold
+                    &[near(8), near(9), near(10)],       // deferred if tile 2 is cold
                     &[far(9), near(0), far(10), far(8)], // three single repeats
                     &[far(8), far(9), far(10)],          // the run again
                     &[far(12), far(12), far(12)],        // a first and two repeats
@@ -327,9 +338,23 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(wrote: bool, mk: fn(usize) -> T) -> 
                 .concat();
                 let mut many = ph.get_many(&a, main.clone());
                 assert!(poll_once(&mut many).await.is_pending());
-                // 11 repeats: in 7 runs when they hold no output position,
-                // and the reservation for them is given back.
-                assert_eq!(many.held(), if wide { (14, 14, 7) } else { (25, 25, 11) });
+                // Narrow: every position, 11 remote repeats. Wide: the 11 and
+                // the cache hit's repeat in 8 runs, no first occurrence of a
+                // remote element, and no local of an in-core partition (4
+                // spans) — only the two cache hits and, under a budget, the
+                // tiled locals — with no reservation for the rest.
+                let (held, capacity, spans, repeats) = many.held();
+                let expect = match (wide, budget) {
+                    (false, _) => (25, 0, 11),
+                    (true, true) => (9, 0, 8),
+                    (true, false) => (2, 4, 8),
+                };
+                assert_eq!((held, spans, repeats), expect);
+                assert!(if wide {
+                    capacity < main.len()
+                } else {
+                    capacity == held
+                });
                 let out = many.await;
                 assert!(out == main.iter().map(|&i| mk(i)).collect::<Vec<_>>());
                 for (&idx, v) in main.iter().zip(&out) {
@@ -339,8 +364,10 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(wrote: bool, mk: fn(usize) -> T) -> 
                 let in_use = || probe.cell.with_poll(|s, _| s.slots.in_use());
                 let mut dropped = ph.get_many(&a, [14, 14, 15, 14, 15].map(far));
                 assert!(poll_once(&mut dropped).await.is_pending());
-                // The last two repeats are one run: far(14), far(15) again.
-                assert_eq!(dropped.held(), if wide { (2, 2, 2) } else { (5, 5, 3) });
+                // Three runs of repeats: far(14), far(14), far(15) — the
+                // first occurrences are not adjacent in the output.
+                let (held, _, _, repeats) = dropped.held();
+                assert_eq!((held, repeats), if wide { (0, 3) } else { (5, 3) });
                 assert_eq!(in_use(), 2);
                 drop(dropped);
                 assert!(ph.get(&a, far(16)).await == mk(far(16)));
@@ -350,7 +377,7 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(wrote: bool, mk: fn(usize) -> T) -> 
         });
     });
     let c = report.total_counters();
-    assert!(c.dedup_reads > 0 && c.cache_hits > 0 && c.tile_refills > 0);
+    assert!(c.dedup_reads > 0 && c.cache_hits > 0 && (c.tile_refills > 0) == budget);
     [
         c.remote_gets,
         c.dedup_reads,
@@ -361,22 +388,27 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(wrote: bool, mk: fn(usize) -> T) -> 
     ]
 }
 
-/// A repeat of an element wider than its 8-byte record holds no output
-/// position while the bulk read is parked; every observable — output,
-/// counters, slots — is the `f64` path's, on the span path and through
-/// `charge_get`, and a rerun of the wide read gives the same counters.
+/// A parked bulk read of elements wider than an 8-byte record holds no
+/// output position for a repeat or a first occurrence, and none for a
+/// local of an in-core partition; every observable — output, counters,
+/// slots — is the `f64` path's, in core and under a tile budget, on the
+/// span path and through `charge_get`, and a rerun of the wide read gives
+/// the same counters.
 #[test]
 fn a_parked_bulk_read_of_wide_elements_holds_first_occurrences_only() {
-    let wide = |wrote| {
-        bulk_read_of(wrote, |i| {
+    let wide = |wrote, budget| {
+        bulk_read_of(wrote, budget, |i| {
             let x = i as f64;
             [x, 1.0, 2.0, 3.0, 4.0, x * 2.0]
         })
     };
-    for wrote in [false, true] {
-        let narrow = bulk_read_of(wrote, |i| i as f64 + 0.5);
-        assert_eq!(narrow, wide(wrote), "wrote {wrote}");
-        assert_eq!(wide(wrote), wide(wrote), "rerun, wrote {wrote}");
+    for budget in [true, false] {
+        for wrote in [false, true] {
+            let narrow = bulk_read_of(wrote, budget, |i| i as f64 + 0.5);
+            let case = format!("wrote {wrote}, budget {budget}");
+            assert_eq!(narrow, wide(wrote, budget), "{case}");
+            assert_eq!(wide(wrote, budget), wide(wrote, budget), "rerun, {case}");
+        }
     }
 }
 

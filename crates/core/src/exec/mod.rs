@@ -52,7 +52,9 @@ use std::task::{Context, Poll, Waker};
 use ppm_simnet::SimTime;
 
 use crate::nodectx::NodeCtx;
-use crate::state::{merge_vp, DoMode, Frozen, PhaseKind, PollGuard, VpCell, VpScratch};
+use crate::state::{
+    discard_staged, merge_vp, queue_staged, DoMode, Frozen, PhaseKind, PollGuard, VpCell, VpScratch,
+};
 use crate::vp::Vp;
 
 mod barrier;
@@ -197,6 +199,8 @@ fn drive(nc: &mut NodeCtx<'_>, cells: &[Arc<VpCell>], tasks: Vec<VpTask>) {
     let mut tasks: Vec<Option<VpTask>> = tasks.into_iter().map(Some).collect();
     let mut scratches: Vec<VpScratch> = tasks.iter().map(|_| VpScratch::default()).collect();
     let mut wave: Option<WaveState> = None;
+    // A `ppm_do` that unwound may have left requests staged on this thread.
+    discard_staged();
 
     loop {
         // Poll runnable VPs; effects land in private scratches. Compute
@@ -234,6 +238,7 @@ fn drive(nc: &mut NodeCtx<'_>, cells: &[Arc<VpCell>], tasks: Vec<VpTask>) {
                 }
                 round_compute += merge_vp(inner, &cells[vp], &mut scratches[vp]);
             }
+            queue_staged(inner);
             if pipelined_window {
                 inner.traffic.pipelined_compute += round_compute;
             }

@@ -101,6 +101,7 @@ mod elem;
 pub mod error;
 mod exec;
 mod failover;
+pub mod ledger;
 pub mod msgs;
 mod nodecoll;
 mod nodectx;

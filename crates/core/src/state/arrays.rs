@@ -23,6 +23,9 @@ use super::{count, ArrayTiles, Frozen, WriteParcel};
 use crate::check::{Conflicts, Space};
 use crate::dist::Dist;
 use crate::elem::Elem;
+#[cfg(feature = "byte-ledger")]
+use crate::ledger::bytes;
+use crate::ledger::{ledger, Held, ARENA};
 
 /// A `Vec<T>` of some array's element type, on the untyped side of the
 /// erased boundary: read-response, refresh-push and migration payloads,
@@ -99,6 +102,7 @@ pub(crate) struct GArray<T: Elem> {
     /// `u32` per waiter however many VPs share the element. Cleared at
     /// global phase end — every reader has resumed by then.
     arena: Vec<T>,
+    held: Held<ARENA>,
 }
 
 impl<T: Elem> GArray<T> {
@@ -121,6 +125,7 @@ impl<T: Elem> GArray<T> {
             rcache: RunCache::default(),
             rcache_spare: RunCache::default(),
             arena: Vec::new(),
+            held: Held::default(),
         }
     }
 
@@ -171,6 +176,13 @@ impl<T: Elem> GArray<T> {
     fn offset_of_owned(&self, idx: u64) -> usize {
         self.owned_offset(idx as usize)
             .expect("exchange entry for an element this node does not own")
+    }
+
+    /// What the arena and the read cache's two buffers hold.
+    #[cfg(feature = "byte-ledger")]
+    fn held_bytes(&self) -> usize {
+        let cache = |c: &RunCache<T>| bytes(&c.runs) + bytes(&c.vals);
+        bytes(&self.arena) + cache(&self.rcache) + cache(&self.rcache_spare)
     }
 
     /// The response value parked at arena position `pos` (from a filled
@@ -236,6 +248,7 @@ impl<T: Elem> GArray<T> {
         }
         self.rcache = out;
         self.rcache_spare = old;
+        ledger!(self.held, self.held_bytes());
     }
 }
 
@@ -422,6 +435,7 @@ impl<T: Elem> GArrayObj for GArray<T> {
         }
         let base = self.arena.len();
         self.arena.extend_from_slice(&values);
+        ledger!(self.held, self.held_bytes());
         // Slots hold `u32` positions; the end bounds every one of them. Only
         // a phase that reads four billion remote elements trips it.
         assert!(

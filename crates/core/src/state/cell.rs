@@ -12,12 +12,13 @@ use ppm_simnet::{Counters, SimTime};
 use super::wlog::WLog;
 use super::{
     array_ref, count, ArrayTiles, DoMode, FirstSeen, Frozen, GArray, Inner, PhaseKind, QueuedReq,
-    ScratchReq, VpSlots, WKind,
+    VpSlots, WKind,
 };
 use crate::check::{OwnWrites, Space};
 use crate::config::PpmConfig;
 use crate::cost;
 use crate::elem::{AccumOp, Elem};
+use crate::ledger::{ledger, Held, STAGING};
 
 /// A VP's scratch logs for one space's arrays, indexed by array id; a slot
 /// is filled — with a [`WLog<T>`] of the array's element type — by the VP's
@@ -40,10 +41,9 @@ pub(crate) struct VpScratch {
     /// Parking table for this VP's suspended remote reads.
     pub slots: VpSlots,
     /// Slots allocated since the last merge (feeds
-    /// `Inner::outstanding_reads`).
+    /// `Inner::outstanding_reads`); their requests are staged on the
+    /// polling thread ([`queue_staged`]).
     pub slots_alloced: usize,
-    /// Read requests to queue for the next wave.
-    pub reqs: Vec<ScratchReq>,
     /// Cold-tile faults (`(array, tile)`) recorded by local reads under a
     /// tile budget; drained into [`Inner::pending_tile_faults`] at merge.
     pub tile_faults: Vec<(u32, u32)>,
@@ -159,16 +159,15 @@ impl VpCell {
 
     /// What every VP read of element `idx` of global array `id` pays —
     /// phase check, [`cost::SV_OVERHEAD`], checker, bounds, counters — and
-    /// where the element is. The typed storage `ga` and tiling `tiles` are
-    /// resolved by the caller (once per poll for a bulk read). A
-    /// [`GetOutcome::Miss`] is fully charged but not yet requested: the
-    /// caller either issues it ([`Self::issue_get`]) or combines it with a
-    /// request the same bulk read already made for `idx`.
+    /// where the element is. The typed storage `ga` is resolved by the
+    /// caller (once per poll for a bulk read). A [`GetOutcome::Miss`] is
+    /// fully charged but not yet requested: the caller either issues it
+    /// ([`Self::issue_get`]) or combines it with a request the same bulk
+    /// read already made for `idx`.
     pub fn charge_get<T: Elem>(
         &self,
         s: &mut VpScratch,
         ga: &GArray<T>,
-        tiles: Option<&ArrayTiles>,
         id: u32,
         idx: usize,
     ) -> GetOutcome<T> {
@@ -180,14 +179,11 @@ impl VpCell {
         assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
         if let Some(off) = ga.owned_offset(idx) {
             // The access is fully charged (`SV_OVERHEAD`, checker, counter)
-            // before the residency check, so a cold tile costs
+            // before the caller's residency check, so a cold tile costs
             // exactly what the in-core hit does — the fault itself is free
             // in modeled time and counters.
             s.counters.local_accesses += 1;
-            return match Self::read_resident(s, ga, tiles, id, off) {
-                Some(v) => GetOutcome::Local(v),
-                None => GetOutcome::LocalPending(off),
-            };
+            return GetOutcome::Owned(off);
         }
         assert!(
             kind == PhaseKind::Global,
@@ -203,7 +199,7 @@ impl VpCell {
         if self.cfg.read_cache {
             if let Some(v) = ga.cache_get(idx as u64) {
                 s.counters.cache_hits += 1;
-                return GetOutcome::Local(v);
+                return GetOutcome::Cached(v);
             }
         }
         s.counters.cache_misses += 1;
@@ -221,15 +217,28 @@ impl VpCell {
     }
 
     /// What only a fresh remote request pays: a slot to park on and a place
-    /// in the next wave's queue for `idx`'s owner. Returns the slot.
-    pub fn issue_get<T: Elem>(s: &mut VpScratch, ga: &GArray<T>, id: u32, idx: usize) -> u32 {
+    /// among the requests staged on this thread for `idx`'s owner. Returns
+    /// the slot.
+    pub fn issue_get<T: Elem>(
+        &self,
+        s: &mut VpScratch,
+        ga: &GArray<T>,
+        id: u32,
+        idx: usize,
+    ) -> u32 {
         let slot = s.slots.alloc();
         s.slots_alloced += 1;
-        s.reqs.push(ScratchReq {
-            dest: ga.dist.owner(idx) as u32,
-            array: id,
-            idx: idx as u64,
-            slot,
+        let (dest, vp) = (ga.dist.owner(idx) as u32, self.id as u32);
+        STAGED.with_borrow_mut(|(reqs, held)| {
+            let idx = idx as u64;
+            reqs.push(QueuedReq {
+                dest,
+                array: id,
+                idx,
+                vp,
+                slot,
+            });
+            ledger!(held, crate::ledger::bytes(reqs));
         });
         slot
     }
@@ -237,9 +246,8 @@ impl VpCell {
     /// The value at local offset `off`, or `None` — with the fault recorded
     /// — while its tile is spilled. Touches no counters, no compute, no
     /// checker: the access was fully charged by [`Self::charge_get`], so the
-    /// re-read of a parked [`GetOutcome::LocalPending`] (which may find
-    /// another tile was serviced first, and park again) stays invisible to
-    /// every observable.
+    /// re-read of a parked local (which may find another tile was serviced
+    /// first, and park again) stays invisible to every observable.
     pub fn read_resident<T: Elem>(
         s: &mut VpScratch,
         ga: &GArray<T>,
@@ -359,6 +367,9 @@ thread_local! {
     /// The first-occurrence table of the bulk read being issued on this
     /// thread ([`with_first_seen`]).
     static FIRST_SEEN: RefCell<FirstSeen> = RefCell::new(FirstSeen::default());
+    /// The read requests of the VPs polled on this thread since the last
+    /// [`queue_staged`], in poll order (ascending rank), and their bytes.
+    static STAGED: RefCell<(Vec<QueuedReq>, Held<STAGING>)> = RefCell::default();
 }
 
 /// Run `f` on this thread's first-occurrence table, emptied: the one a
@@ -370,6 +381,36 @@ pub(crate) fn with_first_seen<R>(f: impl FnOnce(&mut FirstSeen) -> R) -> R {
         table.begin();
         f(table)
     })
+}
+
+/// Queue the requests a poll round staged on this thread, once each VP it
+/// polled has merged: the same set, in the same ascending-rank order, as
+/// merging each VP's own would. Their buffer goes with them. A round that a
+/// panic cuts short queues none — its VPs' futures are gone — and the next
+/// `ppm_do` on the thread forgets them ([`discard_staged`]).
+pub(crate) fn queue_staged(inner: &mut Inner) {
+    STAGED.with_borrow_mut(|(reqs, held)| {
+        for r in std::mem::take(reqs) {
+            inner.reqs[r.dest as usize].push(r);
+        }
+        ledger!(held, 0);
+    });
+    ledger!(
+        inner.reqs_held,
+        inner.reqs.iter().map(crate::ledger::bytes).sum()
+    );
+}
+
+/// Forget what a round cut short by a panic left staged on this thread.
+pub(crate) fn discard_staged() {
+    STAGED.take();
+}
+
+/// Requests VP `vp` has staged on this thread since the last merge (unit
+/// tests).
+#[cfg(test)]
+pub(crate) fn staged(vp: usize) -> usize {
+    STAGED.with_borrow(|(reqs, _)| reqs.iter().filter(|r| r.vp == vp as u32).count())
 }
 
 /// One poll's ownership of the calling thread's poll context, from
@@ -426,14 +467,6 @@ pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell, s: &mut VpScratch) -> S
             }
         }
     }
-    for r in s.reqs.drain(..) {
-        inner.reqs[r.dest as usize].push(QueuedReq {
-            array: r.array,
-            idx: r.idx,
-            vp: cell.id as u32,
-            slot: r.slot,
-        });
-    }
     if !s.tile_faults.is_empty() {
         // Kept sorted and duplicate-free: VPs of a node mostly fault on the
         // same few tiles.
@@ -458,18 +491,18 @@ pub(crate) fn merge_vp(inner: &mut Inner, cell: &VpCell, s: &mut VpScratch) -> S
 
 /// Outcome of a shared read issued by a VP.
 pub(crate) enum GetOutcome<T> {
-    /// The element is owned locally, or remote and in the read cache; here
-    /// is its value.
-    Local(T),
+    /// The element is owned locally, at this local offset. The caller reads
+    /// it with [`VpCell::read_resident`]: while its partition tile is
+    /// spilled (pseudo-streaming, DESIGN.md §18) the VP parks slot-free, the
+    /// executor refills the tile and wakes it, and the re-read is
+    /// charge-free — the access was fully charged, exactly like the
+    /// in-core path.
+    Owned(usize),
+    /// The element is remote and in the read cache; here is its value.
+    Cached(T),
     /// The element is remote and not cached: charged, not yet requested
     /// (see [`VpCell::charge_get`]).
     Miss,
-    /// The element is owned locally, at this local offset, but its
-    /// partition tile is spilled (pseudo-streaming, DESIGN.md §18). The VP
-    /// parks slot-free; the executor refills the tile and wakes it, and the
-    /// deferred re-read ([`VpCell::read_resident`]) is charge-free — the
-    /// access was fully charged here, exactly like the in-core path.
-    LocalPending(usize),
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@ use crate::check::{Checker, PhaseViolation, Space};
 use crate::coherence::Coherence;
 use crate::config::PpmConfig;
 use crate::failover::FailState;
+use crate::ledger::{Held, REQS};
 
 /// How the current `ppm_do` participates in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,6 +177,7 @@ pub(crate) struct Inner {
     /// destination node id, so every iteration that feeds the wire walks
     /// destinations in ascending order (never hash-iteration order).
     pub reqs: Vec<Vec<QueuedReq>>,
+    pub reqs_held: Held<REQS>,
     pub phase: PhaseState,
     pub traffic: Traffic,
     /// Per-core compute accumulated in the current phase (VP charges and
@@ -246,6 +248,7 @@ impl Inner {
             }),
             outstanding_reads: 0,
             reqs: vec![Vec::new(); cfg.nodes()],
+            reqs_held: Held::default(),
             phase: PhaseState::default(),
             traffic: Traffic::default(),
             core_compute: vec![SimTime::ZERO; cfg.cores_per_node()],

@@ -9,8 +9,9 @@
 //! round's in a thread-local beside the VP's private [`VpScratch`], which
 //! the driver moves in for the poll and takes back after it, so the shared
 //! accesses inside the poll take no lock ([`VpCell::with_poll`]). Every side effect a VP produces — buffered
-//! writes, read requests, counter deltas, checker reports, phase
-//! entry/arrival — goes into that scratch. The executor merges scratches
+//! writes, counter deltas, checker reports, phase entry/arrival — goes
+//! into that scratch, except its read requests, which the polling thread
+//! stages for the whole round ([`queue_staged`]). The executor merges scratches
 //! into `Inner` in ascending VP-rank order after each poll round, which is
 //! what makes a round's effects equal a sequential ascending-rank
 //! schedule's (see `exec` and DESIGN.md §12).
@@ -18,9 +19,9 @@
 //! One file per thing stored: `wlog` the write log, its sort and the
 //! parcels it resolves into; `slots` a VP's parked reads and the requests
 //! queued for them; `table` the first-occurrence table; `cell` the VP cell,
-//! its scratch and the poll context; `arrays` array storage and the one
-//! erased boundary over it; `tiles` tile residency; `inner` [`Inner`] and
-//! [`Frozen`].
+//! its scratch, the poll context and the requests a node thread's polls
+//! stage; `arrays` array storage and the one erased boundary over it;
+//! `tiles` tile residency; `inner` [`Inner`] and [`Frozen`].
 //!
 //! Phase semantics are implemented here:
 //!
@@ -50,10 +51,15 @@ mod tiles;
 mod wlog;
 
 pub(crate) use arrays::{array_mut, array_ref, GArray, GArrayObj, Values};
-pub(crate) use cell::{merge_vp, with_first_seen, GetOutcome, PollGuard, VpCell, VpScratch};
+#[cfg(test)]
+pub(crate) use cell::staged;
+pub(crate) use cell::{
+    discard_staged, merge_vp, queue_staged, with_first_seen, GetOutcome, PollGuard, VpCell,
+    VpScratch,
+};
 pub(crate) use inner::{DoMode, Frozen, Inner, Traffic};
 pub use inner::{PhaseKind, PhaseRecord};
-pub(crate) use slots::{read_position, QueuedReq, ScratchReq, VpSlots};
+pub(crate) use slots::{read_position, QueuedReq, VpSlots};
 pub(crate) use table::{FirstSeen, TableKey};
 pub(crate) use tiles::{ArrayTiles, TileBudget};
 pub(crate) use wlog::{WKind, WriteParcel};

@@ -1,6 +1,10 @@
 //! Read slots: where a VP's suspended remote reads park, and the requests
 //! that go out for them.
 
+#[cfg(feature = "byte-ledger")]
+use crate::ledger::bytes;
+use crate::ledger::{ledger, Held, SLOTS};
+
 /// `i` as the `u32` position of an element in a bulk read's output (what its
 /// in-flight records — parked, deferred, repeated — store). Only a bulk read
 /// of four billion elements trips it.
@@ -9,14 +13,16 @@ pub(crate) fn read_position(i: usize) -> u32 {
     i as u32
 }
 
-/// A read request queued in [`super::Inner`] for the next communication wave:
-/// VP `vp` wants element `idx` of global array `array`, and will receive
-/// its arena position in its private slot `slot`. (The wire format is
-/// [`crate::msgs::ReqEntry`]; a bulk read queues each distinct element
-/// once, and requests from different reads are deduplicated per
-/// (destination, array, index) when the wave is built.)
+/// A read request for the next communication wave: VP `vp` wants element
+/// `idx` of global array `array`, owned by node `dest`, and will receive its
+/// arena position in its private slot `slot`. Staged by the node thread that
+/// polls the VP, then queued in [`super::Inner::reqs`] once the poll round
+/// has merged ([`super::queue_staged`]). (The wire format is [`crate::msgs::ReqEntry`]; a bulk read queues
+/// each distinct element once, and requests from different reads are
+/// deduplicated per (destination, array, index) when the wave is built.)
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueuedReq {
+    pub dest: u32,
     pub array: u32,
     pub idx: u64,
     pub vp: u32,
@@ -42,6 +48,7 @@ enum Slot {
 pub(crate) struct VpSlots {
     slots: Vec<Slot>,
     free: Vec<u32>,
+    held: Held<SLOTS>,
 }
 
 impl VpSlots {
@@ -54,6 +61,7 @@ impl VpSlots {
             }
             None => {
                 self.slots.push(Slot::Waiting);
+                ledger!(self.held, bytes(&self.slots) + bytes(&self.free));
                 // Only a VP with four billion reads parked at once trips it.
                 u32::try_from(self.slots.len() - 1).expect("slot table overflow")
             }
@@ -63,6 +71,7 @@ impl VpSlots {
     fn free(&mut self, slot: u32) {
         self.slots[slot as usize] = Slot::Free;
         self.free.push(slot);
+        ledger!(self.held, bytes(&self.slots) + bytes(&self.free));
     }
 
     /// Record that the slot's value landed at arena position `pos`. The two
@@ -76,6 +85,12 @@ impl VpSlots {
             Slot::Filled(_) => panic!("slot {slot} filled twice"),
             Slot::Free => panic!("filling a free slot"),
         }
+    }
+
+    /// Whether the slot's response has arrived: its arena position waits for
+    /// [`Self::try_take`].
+    pub fn filled(&self, slot: u32) -> bool {
+        matches!(self.slots[slot as usize], Slot::Filled(_))
     }
 
     /// Take the arena position if the slot has been filled; frees the slot.
@@ -109,16 +124,6 @@ impl VpSlots {
             Slot::Free | Slot::Cancelled => {}
         }
     }
-}
-
-/// A read request recorded in a VP's scratch, waiting to be queued into
-/// [`super::Inner::reqs`] at merge time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ScratchReq {
-    pub dest: u32,
-    pub array: u32,
-    pub idx: u64,
-    pub slot: u32,
 }
 
 #[cfg(test)]

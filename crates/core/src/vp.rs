@@ -25,6 +25,7 @@ use std::task::{Context, Poll};
 use crate::check::Space;
 use crate::cost;
 use crate::elem::{AccumElem, AccumOp, Elem};
+use crate::ledger::{ledger, Held, PARKED};
 use crate::shared::{GlobalShared, NodeShared};
 use crate::state::{
     array_ref, read_position, with_first_seen, ArrayTiles, DoMode, FirstSeen, GArray, GetOutcome,
@@ -252,11 +253,14 @@ impl Phase {
             cell: &self.cell,
             array: g.id,
             idxs: Some(idxs.into_iter()),
+            len: 0,
             values: Vec::new(),
             pending: Vec::new(),
             deferred: Vec::new(),
+            spans: Vec::new(),
             dups: Vec::new(),
             runs: Vec::new(),
+            held: Held::default(),
         }
     }
 
@@ -369,20 +373,18 @@ impl<T: Elem> Future for GetFut<'_, T> {
             let ga = array_ref::<T>(view, Space::Global, this.array);
             let tiles = view.tile_budget.tiled(this.array);
             match this.state {
-                GetFutState::Start => {
-                    match this.cell.charge_get(s, ga, tiles, this.array, this.idx) {
-                        GetOutcome::Local(v) => Some(v),
-                        GetOutcome::LocalPending(off) => {
-                            this.state = GetFutState::Deferred(off);
-                            None
-                        }
-                        GetOutcome::Miss => {
-                            let slot = VpCell::issue_get(s, ga, this.array, this.idx);
-                            this.state = GetFutState::Slot(slot);
-                            None
-                        }
+                GetFutState::Start => match this.cell.charge_get(s, ga, this.array, this.idx) {
+                    GetOutcome::Owned(off) => {
+                        this.state = GetFutState::Deferred(off);
+                        VpCell::read_resident(s, ga, tiles, this.array, off)
                     }
-                }
+                    GetOutcome::Cached(v) => Some(v),
+                    GetOutcome::Miss => {
+                        let slot = this.cell.issue_get(s, ga, this.array, this.idx);
+                        this.state = GetFutState::Slot(slot);
+                        None
+                    }
+                },
                 GetFutState::Deferred(off) => VpCell::read_resident(s, ga, tiles, this.array, off),
                 GetFutState::Slot(slot) => s.slots.try_take(slot).map(|pos| ga.arena_get(pos)),
                 GetFutState::Done => panic!("GetFut polled after completion"),
@@ -409,43 +411,56 @@ impl<T: Elem> Drop for GetFut<'_, T> {
 /// Future returned by [`Phase::get_many`]. Like [`GetFut`], it may be
 /// dropped unresolved.
 ///
-/// Its in-flight records are 8 bytes per *distinct* remote element; a
-/// position is the element's index in `values` (`read_position`-checked).
-/// A repeat of a remote element this call already requested costs no slot
-/// and no request. For an element of at most 8 bytes it holds its output
-/// position in `values` as a placeholder plus an 8-byte `dups` record. A
-/// wider element's repeat holds no output position while parked: `values`
-/// keeps first occurrences, locals and cache hits only, and the repeats are
-/// one 12-byte `runs` record per run of them; the request-order output is
-/// built when the future resolves.
+/// Its records name *output positions* (indices in request order,
+/// `read_position`-checked). A distinct remote element it requested is an
+/// 8-byte `pending` record on a wave slot; a repeat of one makes no request
+/// and takes no slot. For an element of at most 8 bytes `values` is the
+/// output, placeholders included, and a repeat is an 8-byte `dups` record.
+/// A wider element (`COMPACT`) is held by value only where it must be read
+/// now — a read-cache hit (a later wave's merge moves the cache) or a local
+/// of a tiled array (its tile may spill before the read resolves). While
+/// parked, the rest stay where they are, until the read resolves
+/// (DESIGN.md §16): locals of an in-core partition as `spans`, remote values
+/// in the response arena, and repeats as `runs`. Both stay valid for the
+/// whole phase — writes land at phase end, partitions move only at phase
+/// boundaries, and the arena is emptied only by the global phase end.
 pub struct GetManyFut<'a, T: Elem, I> {
     cell: &'a VpCell,
     array: u32,
     /// The caller's index iterator, until the first poll runs it.
     idxs: Option<I>,
-    /// The output in request order, less the repeats `runs` holds;
-    /// unresolved positions hold a placeholder until `pending` and
-    /// `deferred` drain.
+    /// Output positions issued.
+    len: usize,
+    /// The values held, in request order: every position of a narrow
+    /// element, else cache hits and tiled locals only. A placeholder stands
+    /// in until `pending` (narrow) or `deferred` fills it.
     values: Vec<T>,
-    /// `(position, slot)` per remote element still parked on a wave slot.
+    /// `(position, slot)` per distinct remote element parked on a wave slot:
+    /// until the value is copied into `values` (narrow) or read from the
+    /// arena when the read resolves (wide).
     pending: Vec<(u32, u32)>,
-    /// `(position, local offset, length)` per run of local elements of one
-    /// spilled tile — consecutive positions reading consecutive offsets —
-    /// awaiting a charge-free re-read after the executor refills it.
+    /// `(index in values, local offset, length)` per run of local elements
+    /// of one spilled tile — consecutive indices reading consecutive offsets
+    /// — awaiting a charge-free re-read after the executor refills it.
     deferred: Vec<(u32, usize, u32)>,
+    /// Wider elements of an in-core partition: `(position, local offset,
+    /// length)` per run of locals — consecutive positions reading
+    /// consecutive offsets — copied from the partition at resolve.
+    spans: Vec<(u32, usize, u32)>,
     /// Elements of at most 8 bytes: `(position, position of the first
     /// occurrence)` per repeat — a copy of the first occurrence's value once
     /// that has arrived.
     dups: Vec<(u32, u32)>,
-    /// Wider elements: `(at, first, len)` per run of repeats — copies of
-    /// `values[first..first + len]` that go before `values[at]` in the
-    /// output. Consecutive repeats of consecutive first occurrences (a
-    /// Barnes–Hut leaf's bodies named again) are one record.
+    /// Wider elements: `(position, first, len)` per run of repeats — copies
+    /// of the output at `first..first + len`. Consecutive repeats of
+    /// consecutive first occurrences (a Barnes–Hut leaf's bodies named
+    /// again) are one record.
     runs: Vec<(u32, u32, u32)>,
+    held: Held<PARKED>,
 }
 
 // Sound: the future holds no self-references (owned fields and a shared
-// borrow of the phase's cell), `T` is `Copy` data parked by value, and the
+// borrow of the phase's cell), `T` is `Copy` data held by value, and the
 // iterator is only ever reached through `&mut`, never pinned.
 impl<T: Elem, I> Unpin for GetManyFut<'_, T, I> {}
 
@@ -459,17 +474,21 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
             // element.
             let ga = array_ref::<T>(view, Space::Global, this.array);
             let tiles = view.tile_budget.tiled(this.array);
-            if let Some(idxs) = this.idxs.take() {
+            if let Some(mut idxs) = this.idxs.take() {
                 // First poll: charge every access; the distinct remote
                 // misses queue for the next wave together. Cold-tile locals
                 // defer but are charged here, so wave content and counters
                 // match the in-core schedule exactly.
-                this.values.reserve_exact(idxs.size_hint().0);
                 with_first_seen(|seen| {
-                    // An access to `hot` — elements from global index `lo` on —
-                    // is its charge and a load, and the charges are sums: they
-                    // land once, after the loop. `hot` is an owned resident span
-                    // (`GArray::hot_span`) or, `cached`, a run of the read cache
+                    if !Self::COMPACT {
+                        this.values.reserve_exact(idxs.size_hint().0);
+                    }
+                    // An access to `hot` — elements from global index `lo`
+                    // on — is its charge and a load (a wide element's: a
+                    // span in core, a run if it repeats a cache hit), and the
+                    // charges are sums: they land once, after the loop.
+                    // `hot` is an owned resident span (`GArray::hot_span`)
+                    // or, `cached`, a run of the read cache
                     // (`GArray::cached_span`) — which only a checker-invisible
                     // read in a global phase may take, so every other remote
                     // read keeps its checks. Everything `elsewhere` pays
@@ -478,23 +497,44 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                     let caching =
                         plain && this.cell.cfg.read_cache && s.cur_phase == Some(PhaseKind::Global);
                     let (mut lo, mut hot, mut cached): (usize, &[T], bool) = (0, &[], false);
-                    let (mut idxs, mut hits, mut misses, mut elsewhere) = (idxs, 0u64, 0u64, 0u64);
+                    let (mut hits, mut misses, mut elsewhere) = (0u64, 0u64, 0u64);
                     let mut next = idxs.next();
                     while let Some(idx) = next {
                         if let Some(&v) = hot.get(idx.wrapping_sub(lo)) {
-                            // A run of loads, up to the first index outside `hot`.
-                            let run_at = this.values.len();
-                            this.values.push(v);
+                            // A run of loads, up to the first index outside
+                            // `hot`.
+                            let run_at = this.len;
                             next = None;
-                            this.values.extend(idxs.by_ref().map_while(|idx| {
-                                let load = hot.get(idx.wrapping_sub(lo)).copied();
-                                if load.is_none() {
-                                    next = Some(idx);
+                            if Self::COMPACT && (cached || tiles.is_none()) {
+                                // In core, `lo` is the partition's first index.
+                                let mut at = idx;
+                                loop {
+                                    match cached {
+                                        true => this.hit(seen, at, hot[at - lo]),
+                                        false => this.span(at - lo),
+                                    }
+                                    match idxs.next() {
+                                        Some(idx) if idx.wrapping_sub(lo) < hot.len() => at = idx,
+                                        idx => {
+                                            next = idx;
+                                            break;
+                                        }
+                                    }
                                 }
-                                load
-                            }));
+                            } else {
+                                let held = this.values.len();
+                                this.values.push(v);
+                                this.values.extend(idxs.by_ref().map_while(|idx| {
+                                    let load = hot.get(idx.wrapping_sub(lo)).copied();
+                                    if load.is_none() {
+                                        next = Some(idx);
+                                    }
+                                    load
+                                }));
+                                this.len += this.values.len() - held;
+                            }
                             if cached {
-                                hits += (this.values.len() - run_at) as u64;
+                                hits += (this.len - run_at) as u64;
                             }
                         } else if let Some(span) = ga.hot_span(tiles, idx).filter(|_| plain) {
                             // Look at `idx` again, inside its span.
@@ -514,87 +554,143 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                             next = idxs.next();
                         }
                     }
-                    let charged = (this.values.len() + this.repeats()) as u64 - elsewhere;
+                    let charged = this.len as u64 - elsewhere;
                     s.compute += cost::SV_OVERHEAD.scale(charged);
                     s.counters.local_accesses += charged - hits - misses;
                     s.counters.cache_hits += hits;
                     s.counters.cache_misses += misses;
                     s.counters.remote_gets += misses;
-                    if !this.runs.is_empty() {
-                        // The reservation was sized for every repeat.
-                        this.values.shrink_to_fit();
-                    }
                 });
             } else {
-                let values = &mut this.values;
-                this.pending
-                    .retain(|&(i, slot)| match s.slots.try_take(slot) {
-                        Some(pos) => {
-                            values[i as usize] = ga.arena_get(pos);
-                            false
-                        }
-                        None => true,
-                    });
+                if !Self::COMPACT {
+                    let values = &mut this.values;
+                    this.pending
+                        .retain(|&(i, slot)| match s.slots.try_take(slot) {
+                            Some(pos) => {
+                                values[i as usize] = ga.arena_get(pos);
+                                false
+                            }
+                            None => true,
+                        });
+                }
                 // Residency is asked, and a fault recorded, once per run.
-                this.deferred.retain(|&(pos, off, len)| {
-                    let (pos, len) = (pos as usize, len as usize);
+                let values = &mut this.values;
+                this.deferred.retain(|&(at, off, len)| {
+                    let (at, len) = (at as usize, len as usize);
                     let back = VpCell::read_resident(s, ga, tiles, this.array, off).is_some();
                     if back {
-                        values[pos..pos + len].copy_from_slice(&ga.local[off..off + len]);
+                        values[at..at + len].copy_from_slice(&ga.local[off..off + len]);
                     }
                     !back
                 });
             }
-        });
-        if !(this.pending.is_empty() && this.deferred.is_empty()) {
-            return Poll::Pending;
-        }
-        Poll::Ready(this.resolve())
+            // A narrow read has taken every filled slot by now.
+            let parked = this.pending.iter().any(|&(_, slot)| !s.slots.filled(slot));
+            if parked || !this.deferred.is_empty() {
+                ledger!(this.held, {
+                    use crate::ledger::bytes;
+                    let values = bytes(&this.values) + bytes(&this.pending) + bytes(&this.dups);
+                    values + bytes(&this.deferred) + bytes(&this.spans) + bytes(&this.runs)
+                });
+                return Poll::Pending;
+            }
+            Poll::Ready(this.resolve(s, ga))
+        })
     }
 }
 
 impl<T: Elem, I> GetManyFut<'_, T, I> {
-    /// Whether a repeat is kept as a `runs` record rather than an output
-    /// position: only where an element is wider than a `dups` record.
+    /// Whether an element is held by reference where it can be, and a
+    /// repeat kept as a `runs` record rather than an output position: only
+    /// where an element is wider than a `dups` record.
     const COMPACT: bool = std::mem::size_of::<T>() > std::mem::size_of::<(u32, u32)>();
 
-    /// What the future holds while parked: output values (placeholders
-    /// included), the capacity behind them, and repeat records (unit tests).
+    /// What the future holds while parked: values held, the capacity behind
+    /// them, span records and repeat records (unit tests).
     #[cfg(test)]
-    pub(crate) fn held(&self) -> (usize, usize, usize) {
-        let records = self.dups.len() + self.runs.len();
-        (self.values.len(), self.values.capacity(), records)
+    pub(crate) fn held(&self) -> (usize, usize, usize, usize) {
+        let (values, records) = (&self.values, self.dups.len() + self.runs.len());
+        (values.len(), values.capacity(), self.spans.len(), records)
     }
 
-    /// Output positions `runs` holds instead of `values`.
-    fn repeats(&self) -> usize {
-        self.runs.iter().map(|&(_, _, len)| len as usize).sum()
-    }
-
-    /// The output in request order, once nothing is parked.
-    fn resolve(&mut self) -> Vec<T> {
+    /// The output in request order, once nothing is parked: `values` itself
+    /// for a narrow element; for a wide one, built in one allocation from
+    /// the values held, the spans, the arena and the repeats.
+    fn resolve(&mut self, s: &mut VpScratch, ga: &GArray<T>) -> Vec<T> {
         let mut values = std::mem::take(&mut self.values);
-        for &(pos, first) in &self.dups {
-            values[pos as usize] = values[first as usize];
-        }
-        if self.runs.is_empty() {
+        if !Self::COMPACT {
+            for &(pos, first) in &self.dups {
+                values[pos as usize] = values[first as usize];
+            }
             return values;
         }
-        let mut out = Vec::with_capacity(values.len() + self.repeats());
-        let mut from = 0;
-        for &(at, first, len) in &self.runs {
-            out.extend_from_slice(&values[from..at as usize]);
-            out.extend_from_slice(&values[first as usize..(first + len) as usize]);
-            from = at as usize;
+        let mut out = Vec::with_capacity(self.len);
+        let mut held = values.into_iter();
+        let pending = std::mem::take(&mut self.pending);
+        let mut spans = self.spans.iter().peekable();
+        let mut remote = pending.iter().peekable();
+        let mut runs = self.runs.iter().peekable();
+        while out.len() < self.len {
+            let at = out.len() as u32;
+            if let Some(&(_, off, len)) = spans.next_if(|r| r.0 == at) {
+                out.extend_from_slice(&ga.local[off..off + len as usize]);
+            } else if let Some(&(_, slot)) = remote.next_if(|r| r.0 == at) {
+                // Cannot fire: the read resolves once every slot is filled.
+                let pos = s.slots.try_take(slot).expect("parked read resolved early");
+                out.push(ga.arena_get(pos));
+            } else if let Some(&(_, first, len)) = runs.next_if(|r| r.0 == at) {
+                out.extend_from_within(first as usize..(first + len) as usize);
+            } else {
+                // Cannot fire: every position is held or has a record.
+                out.push(held.next().expect("a position with no value"));
+            }
         }
-        out.extend_from_slice(&values[from..]);
         out
     }
 
+    /// Hold `v` for the next output position.
+    fn hold(&mut self, v: T) {
+        self.values.push(v);
+        self.len += 1;
+    }
+
+    /// A read-cache hit `v` on `idx` for the next output position: held,
+    /// unless it is a wide element's repeat.
+    fn hit(&mut self, seen: &mut FirstSeen, idx: usize, v: T) {
+        if Self::COMPACT {
+            if let Some(first) = seen.first(idx as u64, read_position(self.len)) {
+                return self.repeat(first);
+            }
+        }
+        self.hold(v)
+    }
+
+    /// A wide element's repeat of the one at output position `first`, for
+    /// the next output position: extends the last run or starts one.
+    fn repeat(&mut self, first: u32) {
+        let pos = read_position(self.len);
+        self.len += 1;
+        match self.runs.last_mut() {
+            // The next repeat of the last run's next first occurrence.
+            Some((at, from, len)) if *at + *len == pos && *from + *len == first => *len += 1,
+            _ => self.runs.push((pos, first, 1)),
+        }
+    }
+
+    /// A wide local of an in-core partition, at local offset `off`, for the
+    /// next output position: extends the last span or starts one.
+    fn span(&mut self, off: usize) {
+        let pos = read_position(self.len);
+        self.len += 1;
+        match self.spans.last_mut() {
+            Some((at, from, len)) if *at + *len == pos && *from + *len as usize == off => *len += 1,
+            _ => self.spans.push((pos, off, 1)),
+        }
+    }
+
     /// The full price of the access to `idx` that the next output position
-    /// is for, and its value — a placeholder if it has to wait (remote, or
-    /// local in a spilled tile) — pushed onto `values` unless
-    /// [`Self::request`] keeps it as a `runs` record.
+    /// is for, and where its value is: held — a placeholder while a spilled
+    /// tile defers it — in a span, or parked on a request.
     fn charge_one(
         &mut self,
         s: &mut VpScratch,
@@ -603,48 +699,53 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
         tiles: Option<&ArrayTiles>,
         idx: usize,
     ) {
-        let pos = read_position(self.values.len());
-        match self.cell.charge_get(s, ga, tiles, self.array, idx) {
-            GetOutcome::Local(v) => return self.values.push(v),
-            GetOutcome::LocalPending(off) => match self.deferred.last_mut() {
-                // The next element of the last run, in the same tile.
-                Some((at, from, len))
-                    if *at + *len == pos
-                        && *from + *len as usize == off
-                        && tiles.is_some_and(|t| t.tile_span(*from).contains(&off)) =>
-                {
-                    *len += 1
+        match self.cell.charge_get(s, ga, self.array, idx) {
+            GetOutcome::Owned(off) if Self::COMPACT && tiles.is_none() => self.span(off),
+            GetOutcome::Owned(off) => match VpCell::read_resident(s, ga, tiles, self.array, off) {
+                Some(v) => self.hold(v),
+                None => {
+                    let at = read_position(self.values.len());
+                    match self.deferred.last_mut() {
+                        // The next element of the last run, in the same tile.
+                        Some((to, from, len))
+                            if *to + *len == at
+                                && *from + *len as usize == off
+                                && tiles.is_some_and(|t| t.tile_span(*from).contains(&off)) =>
+                        {
+                            *len += 1
+                        }
+                        _ => self.deferred.push((at, off, 1)),
+                    }
+                    self.hold(T::default());
                 }
-                _ => self.deferred.push((pos, off, 1)),
             },
-            GetOutcome::Miss => return self.request(s, seen, ga, idx),
+            GetOutcome::Cached(v) => self.hit(seen, idx, v),
+            GetOutcome::Miss => self.request(s, seen, ga, idx),
         }
-        self.values.push(T::default());
     }
 
     /// A charged miss on remote `idx`, which the next output position is
     /// for: parked on a new request, or on the one this call already made.
-    /// Its placeholder goes onto `values` unless a `runs` record holds it.
+    /// A narrow element's placeholder goes onto `values`.
     fn request(&mut self, s: &mut VpScratch, seen: &mut FirstSeen, ga: &GArray<T>, idx: usize) {
-        let pos = read_position(self.values.len());
+        let pos = read_position(self.len);
         if let Some(first) = seen.first(idx as u64, pos) {
             // The request this repeat does not make is one the wave
             // builder would have merged.
             s.counters.dedup_reads += 1;
             if Self::COMPACT {
-                match self.runs.last_mut() {
-                    // The next repeat of the last run's next first occurrence.
-                    Some((at, from, len)) if *at == pos && *from + *len == first => *len += 1,
-                    _ => self.runs.push((pos, first, 1)),
-                }
-                return;
+                return self.repeat(first);
             }
             self.dups.push((pos, first));
         } else {
-            let slot = VpCell::issue_get(s, ga, self.array, idx);
+            let slot = self.cell.issue_get(s, ga, self.array, idx);
             self.pending.push((pos, slot));
+            if Self::COMPACT {
+                self.len += 1;
+                return;
+            }
         }
-        self.values.push(T::default());
+        self.hold(T::default());
     }
 }
 

@@ -1108,6 +1108,62 @@ fn parked_read_dropped_by_an_unwinding_ppm_do_is_quiet() {
     });
 }
 
+/// A round cut short by a panic leaves nothing staged for a later
+/// `ppm_do`: the remote read the panicking VP issued before it panicked,
+/// and the one a higher rank issued in the same round, never reach a wave —
+/// the next construct counts what it would in a fresh job.
+#[test]
+fn requests_of_a_round_cut_short_by_a_panic_reach_no_later_wave() {
+    walk(budget, |cell| {
+        let job = |unwind_first: bool| {
+            run(cfg(cell, 2, 2).with_read_cache(false), move |node| {
+                let a = node.alloc_global::<u64>(8);
+                let far = (node.local_range(&a).start + 4) % 8;
+                if unwind_first {
+                    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        node.ppm_do(3, move |vp| async move {
+                            let rank = vp.node_rank();
+                            if rank == 0 {
+                                // Merged before the panic: it opens no phase.
+                                return;
+                            }
+                            vp.global_phase(|ph| async move {
+                                // Issue the read: one poll.
+                                let mut read = ph.get(&a, far + rank);
+                                let once = std::future::poll_fn(|cx| {
+                                    Poll::Ready(Pin::new(&mut read).poll(cx))
+                                });
+                                assert!(once.await.is_pending());
+                                assert_ne!(rank, 1, "boom");
+                            })
+                            .await;
+                        });
+                    }));
+                    assert!(unwound.is_err());
+                }
+                let before = node.ep_counters();
+                node.ppm_do(2, move |vp| async move {
+                    let rank = vp.node_rank();
+                    vp.global_phase(|ph| async move {
+                        assert_eq!(ph.get(&a, far + rank).await, 0);
+                    })
+                    .await;
+                });
+                let after = node.ep_counters();
+                let delta = |f: fn(&ppm_simnet::Counters) -> u64| f(&after) - f(&before);
+                [
+                    delta(|c| c.remote_gets),
+                    delta(|c| c.dedup_reads),
+                    delta(|c| c.waves),
+                    delta(|c| c.bytes_sent),
+                ]
+            })
+            .results
+        };
+        assert_eq!(job(true), job(false));
+    });
+}
+
 /// A `Phase` smuggled out of its VP's future has no poll context to work
 /// on, and says so.
 #[test]
