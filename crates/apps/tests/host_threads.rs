@@ -5,8 +5,8 @@
 //! fault schedules, and for CG crash recovery, by running each config twice.
 //! The `cache off` cells are one of the few places the cache-off path is
 //! still exercised (`perf_gates.rs` lists them). The other knobs come from
-//! the cells of `ppm_core::testkit::CELLS`. The file and test names are
-//! those of the host-thread-count comparison this soak replaced.
+//! the cells of `ppm_core::testkit::CELLS`. The file name is that of the
+//! host-thread-count comparison this soak replaced.
 
 use ppm_apps::barnes_hut::{self as bh, BhParams};
 use ppm_apps::cg::{self, CgParams};
@@ -123,7 +123,7 @@ fn soak_cfgs() -> Vec<(String, PpmConfig)> {
 }
 
 #[test]
-fn cg_is_bit_identical_across_host_thread_counts() {
+fn cg_is_bit_identical_run_to_run() {
     let mut p = CgParams::cube(8, 15);
     p.rows_per_vp = 16;
     assert_rerun_identical("cg", &soak_cfgs(), &move |cfg, label| {
@@ -137,7 +137,7 @@ fn cg_is_bit_identical_across_host_thread_counts() {
 }
 
 #[test]
-fn matgen_is_bit_identical_across_host_thread_counts() {
+fn matgen_is_bit_identical_run_to_run() {
     let p = MatGenParams::new(4, 8);
     assert_rerun_identical("matgen", &soak_cfgs(), &move |cfg, label| {
         run_app(cfg, label, move |node| {
@@ -148,7 +148,7 @@ fn matgen_is_bit_identical_across_host_thread_counts() {
 }
 
 #[test]
-fn pagerank_is_bit_identical_across_host_thread_counts() {
+fn pagerank_is_bit_identical_run_to_run() {
     // The skewed fixture, so the adaptive matrix cells really migrate.
     let p = PrParams::skewed(200);
     assert_rerun_identical("pagerank", &soak_cfgs(), &move |cfg, label| {
@@ -160,7 +160,7 @@ fn pagerank_is_bit_identical_across_host_thread_counts() {
 }
 
 #[test]
-fn barnes_hut_is_bit_identical_across_host_thread_counts() {
+fn barnes_hut_is_bit_identical_run_to_run() {
     // The clustered fixture, so the adaptive matrix cells really migrate.
     let mut p = BhParams::clustered(128);
     p.steps = 2;
@@ -188,7 +188,7 @@ fn barnes_hut_is_bit_identical_across_host_thread_counts() {
 /// crash schedule replays to the same recovered solution, redo cost, and
 /// recovery count on every run.
 #[test]
-fn cg_crash_recovery_is_host_thread_count_independent() {
+fn cg_crash_recovery_is_bit_identical_run_to_run() {
     let mut p = CgParams::cube(8, 15);
     p.rows_per_vp = 16;
     let run = move |cfg: PpmConfig, label: &str| {
@@ -218,7 +218,7 @@ fn cg_crash_recovery_is_host_thread_count_independent() {
 /// replay identically on every run: the recovery line is post-migration,
 /// so the restored partitions are the migrated ones.
 #[test]
-fn adaptive_crash_recovery_is_host_thread_count_independent() {
+fn adaptive_crash_recovery_is_bit_identical_run_to_run() {
     let p = PrParams::skewed(200);
     let run = move |cfg: PpmConfig, label: &str| {
         run_app(cfg, label, move |node| {

@@ -479,11 +479,11 @@ mod tests {
         assert_eq!(line.is_some(), cfg!(feature = "heap-peak"));
         let owners = [
             "parked bulk reads",
-            "request staging",
             "inner.reqs",
             "slot tables",
+            "arena + read cache",
         ];
-        for owner in owners.iter().chain(&["arena + read cache"]) {
+        for owner in owners {
             assert!(line
                 .as_ref()
                 .is_none_or(|l| l.contains(&format!("{owner} "))));

@@ -196,7 +196,7 @@ pub(crate) fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
             return;
         }
         let recut = |&id: &u32| {
-            let old = inner.frozen.garrays[id as usize].dist().clone();
+            let old = inner.garrays[id as usize].dist().clone();
             let new = rebalance_bounds(&old.bounds(), &b.load_acc)?;
             let new = Dist::weighted(old.len, old.nodes, Arc::new(new));
             Some((id, old, new))
@@ -239,8 +239,7 @@ pub(crate) fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
             let mut bytes = cost::BUNDLE_HEADER_BYTES;
             for (id, stretch) in moves(me, dest) {
                 moved_out += stretch.len() as u64;
-                let (payload, b) =
-                    inner.frozen.garrays[id as usize].migrate_extract(stretch.clone());
+                let (payload, b) = inner.garrays[id as usize].migrate_extract(stretch.clone());
                 bytes += b as usize;
                 parts.push((id, stretch.start, payload));
             }
@@ -270,11 +269,10 @@ pub(crate) fn maybe_rebalance(nc: &mut NodeCtx<'_>, phase: u64) {
     let mut moved_in = 0u64;
     for (id, _old, new) in &plan {
         let parts = by_array.remove(id).unwrap_or_default();
-        let arrays = inner.thaw();
-        moved_in += arrays.garrays[*id as usize].migrate_rebind(me, new.clone(), parts);
+        moved_in += inner.garrays[*id as usize].migrate_rebind(me, new.clone(), parts);
         // The repartitioned stretch starts fully cold: residency is keyed
         // by local offsets, which the rebind just remapped (DESIGN.md §18).
-        arrays.tile_budget.rebind(*id, new.local_len(me));
+        inner.tile_budget.rebind(*id, new.local_len(me));
     }
     debug_assert!(
         by_array.is_empty(),

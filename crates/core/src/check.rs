@@ -221,7 +221,7 @@ impl TableKey for (u32, u64) {
 pub(crate) type ElemId = (Space, u32, u64);
 
 /// The read-own-write rule, evaluated by the VP itself: the elements it has
-/// written in its current phase, in its [`crate::state::VpScratch`].
+/// written in its current phase, in its [`crate::state::VpState`].
 #[derive(Default)]
 pub(crate) struct OwnWrites {
     /// Per [`Space`], bit `min(array id, 63)` is set once the VP has written

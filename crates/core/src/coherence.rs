@@ -32,7 +32,7 @@ use ppm_simnet::coll::{route_offset, Edge};
 use crate::bitset::NodeSet;
 use crate::cost::{REFRESH_INDEX_BYTES, REFRESH_PART_HEADER_BYTES};
 use crate::msgs::ReqEntry;
-use crate::state::{GArrayObj, Inner, Values};
+use crate::state::{Arrays, GArrayObj, Inner, Values};
 
 /// Serve-history TTL, in global phases: an element whose last peer serve is
 /// older than this is forgotten (and disarmed), bounding push waste for
@@ -200,12 +200,7 @@ impl Coherence {
 
     /// This node's side of the barrier closing the phase whose writes
     /// `garrays` still buffer: one growable bit per array id that took any.
-    pub fn barrier_part(
-        &self,
-        me: usize,
-        nodes: usize,
-        garrays: &[Box<dyn GArrayObj>],
-    ) -> CoherencePart {
+    pub fn barrier_part(&self, me: usize, nodes: usize, garrays: &Arrays) -> CoherencePart {
         let wrote =
             (garrays.iter().enumerate()).filter(|(_, ga)| self.on && ga.has_pending_writes());
         CoherencePart {
@@ -384,7 +379,7 @@ impl CoherencePart {
                 .filter(|&t| edge.carries(self.me, t, self.nodes))
                 .collect();
             for part in pending {
-                let ga = &*inner.frozen.garrays[part.array as usize];
+                let ga = &*inner.garrays[part.array as usize];
                 let (now, later) = part.split(&rides, ga);
                 if let Some((part, value_bytes)) = now {
                     wire_bytes += part.wire_bytes(value_bytes);
@@ -415,7 +410,7 @@ impl CoherencePart {
             inner.traffic.refresh_bytes_in += wire_bytes;
         }
         for part in msg.refreshes {
-            let ga = &*inner.frozen.garrays[part.array as usize];
+            let ga = &*inner.garrays[part.array as usize];
             let (mine, onward) = part.split(&self.me_set, ga);
             self.collected.extend(mine.map(|(part, _)| part));
             inner.coherence.pending_refresh.extend(onward);
@@ -432,7 +427,7 @@ impl CoherencePart {
             inner.coherence.pending_refresh.is_empty(),
             "refresh entries survived the final dissemination round"
         );
-        let garrays = &mut inner.thaw().garrays;
+        let garrays = &mut inner.garrays;
         for (id, ga) in garrays.iter_mut().enumerate() {
             if self.inv.contains(id) {
                 ga.cache_clear();
@@ -544,14 +539,14 @@ mod tests {
         let (me, nodes) = (0usize, 64usize);
         let mut inner = Inner::new(PpmConfig::franklin(nodes as u32));
         let ga = GArray::<u64>::new(Dist::block(nodes * ENTRIES, nodes), me);
-        inner.thaw().garrays.push(Box::new(ga));
+        inner.garrays.push(Box::new(ga));
         inner.coherence.pending_refresh.push(RefreshPart {
             array: 0,
             idxs: (0..ENTRIES as u64).collect(),
             runs: vec![(0, (1..nodes).collect())],
             values: Box::new(vec![1u64; ENTRIES]),
         });
-        let mut part = inner.coherence.barrier_part(me, nodes, &[]);
+        let mut part = inner.coherence.barrier_part(me, nodes, &Vec::new());
         let before = SETS_BUILT.get();
         let mut sent = 0;
         for edge in dissemination(me, nodes) {
@@ -690,7 +685,7 @@ mod tests {
             for (me, inner) in inners.iter_mut().enumerate() {
                 let mut ga = GArray::<u64>::new(Dist::block(nodes * PER + 1, nodes), me);
                 ga.refresh_absorb(&[stale], &vec![7u64]).unwrap();
-                inner.thaw().garrays.push(Box::new(ga));
+                inner.garrays.push(Box::new(ga));
                 let mut idxs: Vec<u64> = Vec::new();
                 let mut runs: Vec<(usize, NodeSet)> = Vec::new();
                 let mut at = me * PER;
@@ -785,7 +780,7 @@ mod tests {
                     "{nodes} nodes: node {me} received each entry once"
                 );
                 part.finish(&mut inner);
-                let ga = array_ref::<u64>(&inner.frozen, Space::Global, 0);
+                let ga = array_ref::<u64>(&inner.garrays, Space::Global, 0);
                 for idx in 0..(nodes * PER) as u64 {
                     let cached = targets[idx as usize].contains(me).then_some(idx + 1000);
                     assert_eq!(ga.cache_get(idx), cached, "{nodes} nodes: node {me}, {idx}");

@@ -21,13 +21,12 @@ use crate::dist::Dist;
 use crate::elem::AccumOp;
 use crate::failover::{FailoverPart, ReplicaFrame};
 use crate::msgs::ReqEntry;
-use crate::state::{array_ref, staged, Frozen, GArray, GArrayObj, Inner, QueuedReq, WKind};
+use crate::state::{array_ref, GArray, GArrayObj, Inner, QueuedReq, VpState, WKind};
 use crate::testkit::{forall, Gen, PropResult};
 use crate::{prop_assert, prop_assert_eq, GlobalShared, Phase};
 
 fn req(array: u32, idx: u64, vp: u32, slot: u32) -> QueuedReq {
     QueuedReq {
-        dest: 0,
         array,
         idx,
         vp,
@@ -63,7 +62,7 @@ fn build_dest_groups_waiters_in_csr_form() {
 }
 
 /// Wire entries and waiter groups are a function of the queued set: any
-/// order of VP merges builds the identical bundle and wake lists.
+/// order of VP polls builds the identical bundle and wake lists.
 #[test]
 fn build_dest_is_insertion_order_independent() {
     let mut g = Gen::new(0xC5);
@@ -113,8 +112,8 @@ fn arena_serves_mixed_types_and_empties_every_phase() {
         });
         node.ppm_do(2, move |vp| async move {
             let arenas_empty = |vp: &Vp| {
-                let empty = |view: &Frozen| view.garrays.iter().all(|g| g.arena_is_empty());
-                vp.cell.with_poll(|_, view| empty(view))
+                let empty = |inner: &mut Inner| inner.garrays.iter().all(|g| g.arena_is_empty());
+                vp.cell.with_poll(|_, inner| empty(inner))
             };
             // An element of each array owned by the other node.
             let far = (lo + n / 2 + vp.node_rank()) % n;
@@ -139,14 +138,14 @@ fn arena_serves_mixed_types_and_empties_every_phase() {
     assert_eq!(report.total_counters().crash_recoveries, 1);
 }
 
-/// A VP that panics mid-poll still hands its scratch back and leaves the
-/// thread's poll context clear: the frozen handle is unique again, the
-/// panicked future is dropped, and the same thread polls the next VP
-/// normally.
+/// A VP that panics mid-poll still hands its state and the node's back and
+/// leaves the thread's poll context clear: what it charged before the panic
+/// is in the node's counters, the panicked future is dropped, and the same
+/// thread polls the next VP normally.
 #[test]
 fn panicking_poll_returns_the_scratch_and_clears_the_context() {
     let cfg = PpmConfig::new(MachineConfig::new(1, 2));
-    let mut inner = Inner::new(cfg);
+    let inner = Box::new(Inner::new(cfg));
     let task = |r: usize| {
         let cell = Arc::new(VpCell::new(r, r as u64, 0, cfg, DoMode::Collective, 2, 2));
         let vp = Vp { cell };
@@ -156,15 +155,14 @@ fn panicking_poll_returns_the_scratch_and_clears_the_context() {
         };
         Some(Box::pin(task) as VpTask)
     };
-    let (mut t, mut scratch) = (task(0), VpScratch::default());
-    let out = poll_vp(0, &mut t, &mut scratch, &inner.frozen);
+    let (mut t, mut state) = (task(0), VpState::default());
+    let (out, inner) = poll_vp(0, &mut t, &mut state, inner);
     assert!(matches!(out, PollOut::Panicked(_)) && t.is_none());
-    assert_eq!(scratch.counters.flops, 7, "scratch handed back");
-    inner.thaw();
-    let (mut t, mut scratch) = (task(1), VpScratch::default());
-    let out = poll_vp(1, &mut t, &mut scratch, &inner.frozen);
+    assert_eq!(inner.counters.flops, 7, "the node's state handed back");
+    let (mut t, mut state) = (task(1), VpState::default());
+    let (out, inner) = poll_vp(1, &mut t, &mut state, inner);
     assert!(matches!(out, PollOut::Done) && t.is_none());
-    assert_eq!(scratch.counters.flops, 7);
+    assert_eq!(inner.counters.flops, 14);
 }
 
 /// Every local get, put and accumulate is one local access: 10 000 of each
@@ -221,27 +219,42 @@ fn bulk_read_asks_for_each_distinct_remote_element_once() {
             let probe = vp.clone();
             let rank = vp.node_rank();
             vp.global_phase(|ph| async move {
-                // What this poll has added to the scratch so far.
-                let since_merge = || {
-                    let staged = staged(rank);
-                    probe.cell.with_poll(|s, _| {
-                        let c = &s.counters;
-                        (s.slots_alloced, staged, c.remote_gets, c.dedup_reads)
+                // Reads outstanding, requests of this VP queued, and the
+                // node's remote gets, combined reads and cache hits: what
+                // `f` (one first poll of a bulk read) adds to them.
+                let tally = || {
+                    probe.cell.with_poll(|_, inner| {
+                        let mine = inner.reqs.iter().flatten().filter(|r| r.vp == rank as u32);
+                        let c = &inner.counters;
+                        let outstanding = inner.outstanding_reads as u64;
+                        [
+                            outstanding,
+                            mine.count() as u64,
+                            c.remote_gets,
+                            c.dedup_reads,
+                            c.cache_hits,
+                        ]
                     })
+                };
+                let added = |before: [u64; 5]| {
+                    let now = tally();
+                    std::array::from_fn::<u64, 5, _>(|i| now[i] - before[i])
                 };
                 let in_use = || probe.cell.with_poll(|s, _| s.slots.in_use());
 
                 if rank == 1 {
                     // Polled right after VP 0 issued its read of far(0).
                     let mut many = ph.get_many(&a, [far(0), far(0)]);
+                    let before = tally();
                     assert!(poll_once(&mut many).await.is_pending());
-                    assert_eq!(since_merge(), (1, 1, 2, 1));
+                    assert_eq!(added(before), [1, 1, 2, 1, 0]);
                     assert_eq!(many.await, vec![10 + far(0) as u64; 2]);
                     return;
                 }
                 let mut many = ph.get_many(&a, std::iter::repeat_n(far(0), N));
+                let before = tally();
                 assert!(poll_once(&mut many).await.is_pending());
-                assert_eq!(since_merge(), (1, 1, N as u64, N as u64 - 1));
+                assert_eq!(added(before), [1, 1, N as u64, N as u64 - 1, 0]);
                 assert_eq!(in_use(), 1);
                 assert_eq!(many.await, vec![10 + far(0) as u64; N]);
                 assert_eq!(in_use(), 0);
@@ -250,9 +263,9 @@ fn bulk_read_asks_for_each_distinct_remote_element_once() {
                 // nothing with the two distinct misses around them.
                 let mixed = [far(1), far(0), far(2), far(0), far(1), far(0)];
                 let mut many = ph.get_many(&a, mixed);
+                let before = tally();
                 assert!(poll_once(&mut many).await.is_pending());
-                assert_eq!(since_merge(), (2, 2, 3, 1));
-                assert_eq!(probe.cell.with_poll(|s, _| s.counters.cache_hits), 3);
+                assert_eq!(added(before), [2, 2, 3, 1, 3]);
                 assert_eq!(many.await, mixed.map(|i| 10 + i as u64));
 
                 // Dropped while waiting, and dropped after the answer (the
@@ -289,7 +302,7 @@ fn bulk_read_asks_for_each_distinct_remote_element_once() {
 /// partition is in core. Checks the output against a per-index `get`, what
 /// the parked future holds, and that dropping a parked read frees its
 /// slots; returns the job's access counters. `wrote` makes each VP write
-/// the array first, so its reads take `charge_get` one by one instead of
+/// the array first, so its reads take `check_get` one by one instead of
 /// the span path.
 fn bulk_read_of<T: crate::Elem + PartialEq>(
     wrote: bool,
@@ -392,7 +405,7 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(
 /// output position for a repeat or a first occurrence, and none for a
 /// local of an in-core partition; every observable — output, counters,
 /// slots — is the `f64` path's, in core and under a tile budget, on the
-/// span path and through `charge_get`, and a rerun of the wide read gives
+/// span path and through `check_get`, and a rerun of the wide read gives
 /// the same counters.
 #[test]
 fn a_parked_bulk_read_of_wide_elements_holds_first_occurrences_only() {
@@ -460,7 +473,7 @@ fn unpolled_bulk_read_is_free_and_leaves_its_iterator_alone() {
     one_vp_phase(|ph, v, a| async move {
         let charged = || {
             v.cell
-                .with_poll(|s, _| (s.compute, s.counters.local_accesses))
+                .with_poll(|_, inner| (inner.core_compute_max(), inner.counters.local_accesses))
         };
         let before = charged();
         let idxs = || {
@@ -473,6 +486,70 @@ fn unpolled_bulk_read_is_free_and_leaves_its_iterator_alone() {
         assert_eq!(ph.get_many(&a, idxs()).await, vec![0; 8]);
         assert_eq!((charged().1 - before.1, ADVANCED.load(Relaxed)), (8, 8));
     });
+}
+
+/// A VP's calls land in its node's write log as it makes them, so a call
+/// made after a park may continue that VP's call still open in the log — and
+/// must not continue another VP's that came in between. VP 0 accumulates a
+/// run in two halves around a remote read; VP 1, polled while VP 0 is
+/// parked, may accumulate onto elements of the second half (continuing VP
+/// 0's first half, index for index). Parcels — the phase's bytes and cost —
+/// counters and the folded bits equal the same program's with the read
+/// after both halves, where nothing comes in between; and the fold is by
+/// rank: `(1e16 + -1e16) + 1`, never `(1e16 + 1) + -1e16`.
+#[test]
+fn a_call_after_a_park_continues_only_its_own_vps_call() {
+    let job = |park: bool, vp1_writes: bool| {
+        let cfg = PpmConfig::new(MachineConfig::new(2, 2));
+        crate::run(cfg, move |node| {
+            let a = node.alloc_global::<f64>(32);
+            let b = node.alloc_global::<u64>(32);
+            // Each node writes the other's half of `a` and reads `b` there.
+            let far = (node.local_range(&a).start + 16) % 32;
+            node.ppm_do(2, move |vp| async move {
+                let rank = vp.node_rank();
+                vp.global_phase(|ph| async move {
+                    let run = move |r: std::ops::Range<usize>, v| r.map(move |i| (far + i, v));
+                    let add = |items| ph.accumulate_many(&a, AccumOp::Add, items);
+                    if rank == 1 {
+                        if vp1_writes {
+                            add(run(8..12, 1.0).collect::<Vec<_>>());
+                        }
+                        return;
+                    }
+                    add(run(8..12, 1e16).collect());
+                    add(run(0..8, 1.0).collect());
+                    if park {
+                        ph.get(&b, far).await;
+                    }
+                    add(run(8..12, -1e16).chain(run(12..16, 1.0)).collect());
+                    if !park {
+                        ph.get(&b, far).await;
+                    }
+                })
+                .await;
+            });
+            let bits: Vec<u64> = (node.gather_global(&a).iter())
+                .map(|v| v.to_bits())
+                .collect();
+            (bits, node.take_phase_log())
+        })
+    };
+    for vp1_writes in [true, false] {
+        let (parked, straight) = (job(true, vp1_writes), job(false, vp1_writes));
+        let mid = if vp1_writes { 1.0 } else { 0.0 };
+        let half = (0..16).map(|i| if (8..12).contains(&i) { mid } else { 1.0 });
+        let want: Vec<u64> = half.clone().chain(half).map(f64::to_bits).collect();
+        for report in [&parked, &straight] {
+            assert!(
+                report.results.iter().all(|(bits, _)| *bits == want),
+                "{vp1_writes}"
+            );
+        }
+        assert_eq!(parked.results, straight.results, "{vp1_writes}");
+        assert_eq!(parked.makespan(), straight.makespan(), "{vp1_writes}");
+        assert_eq!(parked.counters, straight.counters, "{vp1_writes}");
+    }
 }
 
 /// One clock barrier with everything that rides it, for all `nodes` nodes in
@@ -516,14 +593,14 @@ fn riders_in_lockstep(&(nodes, seed): &(usize, u64)) -> PropResult {
     let mut written_arrays = NodeSet::new();
     let mut targets: BTreeMap<(u32, u64), NodeSet> = BTreeMap::new();
     for me in 0..nodes {
-        let mut inner = Inner::new(cfg);
+        let mut inner = Box::new(Inner::new(cfg));
         for _ in 0..arrays {
             // Node `o` owns `[o * PER, (o + 1) * PER)`; the one element past
             // them is where every cache holds a stale line, which the
             // invalidation sweep must clear.
             let mut ga = GArray::<u64>::new(Dist::weighted(len + 1, nodes, bounds.clone()), me);
             ga.refresh_absorb(&[len as u64], &vec![7u64]);
-            inner.thaw().garrays.push(Box::new(ga));
+            inner.garrays.push(Box::new(ga));
         }
         // Serves: an element arms on its second serve — the same readers
         // again a phase later, or two readers at once.
@@ -548,7 +625,7 @@ fn riders_in_lockstep(&(nodes, seed): &(usize, u64)) -> PropResult {
             }
             inner.coherence.fold_serves(phase);
         }
-        // Writes to own elements, through a VP's poll, merge, drain and apply.
+        // Writes to own elements, through a VP's poll, drain and apply.
         let cell = VpCell::new(0, me as u64, me, cfg, DoMode::Collective, 1, nodes as u64);
         let mut wrote: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         for array in 0..arrays {
@@ -557,22 +634,22 @@ fn riders_in_lockstep(&(nodes, seed): &(usize, u64)) -> PropResult {
                 wrote.insert(array, idxs);
             }
         }
-        let poll = PollGuard::enter(0, VpScratch::default(), Arc::clone(&inner.frozen));
+        let poll = PollGuard::enter(0, VpState::default(), inner);
         cell.with_poll(|s, _| s.cur_phase = Some(PhaseKind::Global));
         for (&array, idxs) in &wrote {
             let items = idxs.iter().map(|&i| (i, i as u64 + 1000));
             cell.write_many(Space::Global, array, WKind::Assign, items, None);
         }
-        merge_vp(&mut inner, &cell, &mut poll.exit());
-        let coherence = (inner.coherence).barrier_part(me, nodes, &inner.frozen.garrays);
+        inner = poll.exit().1;
+        let coherence = (inner.coherence).barrier_part(me, nodes, &inner.garrays);
         for (&array, idxs) in &wrote {
             written_arrays.insert(array as usize);
-            let ga = &mut inner.thaw().garrays[array as usize];
+            let ga = &mut inner.garrays[array as usize];
             let own = ga.drain_writes(None).pop().expect("own writes, one parcel");
             let (_, written) = ga.apply_writes(vec![(me as u32, own.payload)], &mut |_| {}, true);
             let listed: Vec<u64> = written.iter().cloned().flatten().collect();
             prop_assert_eq!(listed, idxs.iter().map(|&i| i as u64).collect::<Vec<_>>());
-            let ga = &*inner.frozen.garrays[array as usize];
+            let ga = &*inner.garrays[array as usize];
             (inner.coherence).select_refresh((me, nodes), array, &written, ga);
         }
         // A written, armed element is pushed to its readers at most two hops
@@ -602,7 +679,7 @@ fn riders_in_lockstep(&(nodes, seed): &(usize, u64)) -> PropResult {
             loads: LoadBlock::new(me, nodes, loads[me]),
             failover,
         });
-        inners.push(inner);
+        inners.push(*inner);
     }
 
     // hops[(array, element, target)]: messages that carried the entry on
@@ -682,13 +759,13 @@ fn riders_in_lockstep(&(nodes, seed): &(usize, u64)) -> PropResult {
         );
         part.coherence.finish(&mut inner);
         for array in 0..arrays {
-            let ga = array_ref::<u64>(&inner.frozen, Space::Global, array);
+            let ga = array_ref::<u64>(&inner.garrays, Space::Global, array);
             let swept = nodes > 1 && written_arrays.contains(array as usize);
             prop_assert_eq!(ga.cache_get(len as u64), (!swept).then_some(7));
         }
         // Nothing else travelled (`hops`), so nothing else can be cached.
         for (&(array, idx), set) in &targets {
-            let ga = array_ref::<u64>(&inner.frozen, Space::Global, array);
+            let ga = array_ref::<u64>(&inner.garrays, Space::Global, array);
             prop_assert_eq!(ga.cache_get(idx), set.contains(me).then_some(idx + 1000));
         }
     }

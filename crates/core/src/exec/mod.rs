@@ -11,26 +11,26 @@
 //! ## Determinism
 //!
 //! Scheduling is deterministic regardless of host thread timing: each poll
-//! round's runnable set is fixed up front, every runnable VP is polled once
-//! in ascending rank against the round's frozen arrays, recording every
-//! effect into its private [`VpScratch`], and the driver then merges the
-//! scratches into [`Inner`](crate::state::Inner) in ascending rank order —
-//! so the merged effect sequence equals a sequential ascending-rank
-//! schedule's. A wave's destinations are consumed strictly in
-//! ascending node order (early responses wait in the router), so VPs resume per
-//! completed destination — in deterministic order — while slower
-//! destinations are still in flight, and the schedule never depends on
-//! network timing (DESIGN.md §13). Write bundles are applied in ascending
-//! source-node order.
-//! Simulated clocks are computed from per-phase totals, never from message
-//! interleaving. See DESIGN.md §12.
+//! round's runnable set is fixed up front and its VPs are polled once each,
+//! in ascending rank, by the node's one thread, each writing its effects
+//! straight into [`Inner`] — so the effect sequence is
+//! a sequential ascending-rank schedule's. A wave's destinations are
+//! consumed strictly in ascending node order (early responses wait in the
+//! router), so VPs resume per completed destination — in deterministic
+//! order — while slower destinations are still in flight, and the schedule
+//! never depends on network timing (DESIGN.md §13). Write bundles are
+//! applied in ascending source-node order. Simulated clocks are computed
+//! from per-phase totals, never from message interleaving. See DESIGN.md
+//! §12.
 //!
 //! ## Ownership
 //!
 //! The node's thread owns its state: `NodeCtx::inner`, and every VP's
-//! future and scratch, held by rank in `drive`, which polls each VP in
-//! place with the round's `Arc<Frozen>` — one poll loop per node, and no
-//! lock guards any of it.
+//! future and [`VpState`], held by rank in `drive`, which polls each VP in
+//! place with its state and the node's moved into the poll context — one
+//! poll loop per node, and no lock guards any of it. A VP panic poisons
+//! the node: the payload re-raises, and the node's next `ppm_do` panics
+//! naming it.
 //!
 //! ## Map
 //!
@@ -51,10 +51,9 @@ use std::task::{Context, Poll, Waker};
 
 use ppm_simnet::SimTime;
 
+use crate::ledger::ledger;
 use crate::nodectx::NodeCtx;
-use crate::state::{
-    discard_staged, merge_vp, queue_staged, DoMode, Frozen, PhaseKind, PollGuard, VpCell, VpScratch,
-};
+use crate::state::{DoMode, Inner, PhaseKind, PollGuard, VpCell, VpState};
 use crate::vp::Vp;
 
 mod barrier;
@@ -76,19 +75,19 @@ enum PollOut {
 }
 
 /// Poll VP `vp`'s future once, in place, inside its poll context: the VP's
-/// scratch and `frozen`, the node's arrays, sit in this thread's
-/// thread-local for the poll, so the accesses the future makes take no lock
-/// (DESIGN.md §12). A future that finishes or panics is dropped inside the
-/// context too, leaving `task` empty. Panics are caught so the driver can
-/// merge the lower-rank VPs' effects first and then re-raise — reproducing
-/// a sequential schedule's panic behavior.
+/// `state` and the node's `inner` sit in this thread's thread-local for the
+/// poll, so the accesses the future makes take no lock and write where the
+/// node keeps their effects (DESIGN.md §12); `inner` comes back with the
+/// outcome. A future that finishes or panics is dropped inside the context
+/// too, leaving `task` empty. Panics are caught so `drive` can poison
+/// the node before it re-raises them.
 fn poll_vp(
     vp: usize,
     task: &mut Option<VpTask>,
-    scratch: &mut VpScratch,
-    frozen: &Arc<Frozen>,
-) -> PollOut {
-    let ctx = PollGuard::enter(vp, std::mem::take(scratch), Arc::clone(frozen));
+    state: &mut VpState,
+    inner: Box<Inner>,
+) -> (PollOut, Box<Inner>) {
+    let ctx = PollGuard::enter(vp, std::mem::take(state), inner);
     // Cannot fire: only a live VP is made ready, and a future leaves `task`
     // only on `Ready` or a panic — both of which retire the VP.
     let fut = task.as_mut().expect("ready VP must be live");
@@ -101,8 +100,9 @@ fn poll_vp(
     if !matches!(out, PollOut::Pending) {
         *task = None;
     }
-    *scratch = ctx.exit();
-    out
+    let (back, inner) = ctx.exit();
+    *state = back;
+    (out, inner)
 }
 
 /// Run one `PPM_do(k) f` construct to completion.
@@ -111,6 +111,9 @@ where
     Fut: Future<Output = ()> + Send + 'static,
 {
     let me = nc.node_id();
+    if let Some((vp, text)) = &nc.inner.poisoned {
+        panic!("node {me} is poisoned: VP {vp} panicked in an earlier ppm_do: {text}");
+    }
     if mode == DoMode::Collective {
         // A node with zero VPs could never send its end-of-phase bundles,
         // deadlocking any peer that runs a global phase. `k` is the
@@ -140,11 +143,10 @@ where
     inner.vp_base_global = base;
     inner.total_vps_global = total;
     inner.live_vps = k;
-    inner.do_mode = mode;
     // Read caches do not survive across constructs: direct mutation
     // between `ppm_do`s (`with_local_mut`) can change any partition
     // without a phase exchange to carry invalidations.
-    for ga in inner.thaw().garrays.iter_mut() {
+    for ga in inner.garrays.iter_mut() {
         ga.cache_clear();
     }
     if nc.ep.tracer.enabled() {
@@ -164,84 +166,80 @@ where
     // Instantiate the VPs: an identity cell per VP, shared with its
     // handles, and its future.
     let cfg = nc.config();
-    let cells: Vec<Arc<VpCell>> = (0..k)
+    let tasks: Vec<VpTask> = (0..k)
         .map(|rank| {
-            Arc::new(VpCell::new(
-                rank,
-                base + rank as u64,
-                me,
-                cfg,
-                mode,
-                k,
-                total,
-            ))
+            let cell = VpCell::new(rank, base + rank as u64, me, cfg, mode, k, total);
+            Box::pin(f(Vp {
+                cell: Arc::new(cell),
+            })) as VpTask
         })
         .collect();
-    let tasks: Vec<VpTask> = cells
-        .iter()
-        .map(|cell| Box::pin(f(Vp { cell: cell.clone() })) as VpTask)
-        .collect();
 
-    drive(nc, &cells, tasks);
+    drive(nc, tasks);
 
     // Epilogue: charge compute done after the last phase.
     let leftover = nc.inner.take_core_compute();
     nc.ep.clock.advance_compute(leftover);
 }
 
-/// The construct's main loop: poll rounds, rank-ordered effect merges,
-/// waves, and phase ends. It owns the VPs' futures — `None` once retired —
-/// and their scratches, by rank.
-fn drive(nc: &mut NodeCtx<'_>, cells: &[Arc<VpCell>], tasks: Vec<VpTask>) {
+/// The construct's main loop: poll rounds, waves, and phase ends. It owns
+/// the VPs' futures — `None` once retired — and their states, by rank.
+fn drive(nc: &mut NodeCtx<'_>, tasks: Vec<VpTask>) {
     let me = nc.node_id();
     let mut live = tasks.len();
     let mut ready: Vec<usize> = (0..live).collect();
     let mut tasks: Vec<Option<VpTask>> = tasks.into_iter().map(Some).collect();
-    let mut scratches: Vec<VpScratch> = tasks.iter().map(|_| VpScratch::default()).collect();
+    let mut states: Vec<VpState> = tasks.iter().map(|_| VpState::default()).collect();
     let mut wave: Option<WaveState> = None;
-    // A `ppm_do` that unwound may have left requests staged on this thread.
-    discard_staged();
+    // What stands in for the node's state in `nc.inner` while a round's
+    // polls hold that.
+    let mut idle = Box::<Inner>::default();
 
     loop {
-        // Poll runnable VPs; effects land in private scratches. Compute
-        // merged while an in-flight wave is partially consumed genuinely
-        // overlaps the remaining responses — the pipelining cost model
-        // credits it against wave latency (charge_phase_time). (A wave
-        // still in flight always has a destination pending.)
-        let pipelined_window = wave.as_ref().is_some_and(|w| w.next > 0);
-        while !ready.is_empty() {
+        // Poll every runnable VP once, in ascending rank: the determinism
+        // keystone (DESIGN.md §12). Each poll writes its effects into the
+        // node's state, so the effect sequence — including floating-point
+        // accumulate fold order — equals a sequential ascending-rank
+        // schedule's. A panicking VP stops the round: it poisons the node
+        // and its payload re-raises. Compute charged while an in-flight wave
+        // is partially consumed genuinely overlaps the remaining responses —
+        // the pipelining cost model credits it against wave latency
+        // (charge_phase_time). (A wave still in flight always has a
+        // destination pending.)
+        if !ready.is_empty() {
             ready.sort_unstable();
             ready.dedup();
-            // Poll every runnable VP in ascending rank against the round's
-            // frozen arrays, then merge every polled VP's effects in
-            // ascending rank order: the determinism keystone (DESIGN.md
-            // §12). The merged effect sequence — including floating-point
-            // accumulate fold order — equals a sequential ascending-rank
-            // schedule's. A panicking VP behaves like its sequential self:
-            // lower ranks merge, its own effects are discarded, the payload
-            // re-raises.
-            let frozen = &nc.inner.frozen;
-            let outs: Vec<PollOut> = ready
-                .iter()
-                .map(|&vp| poll_vp(vp, &mut tasks[vp], &mut scratches[vp], frozen))
-                .collect();
-            let inner = &mut nc.inner;
-            let mut round_compute = SimTime::ZERO;
-            for (vp, out) in ready.drain(..).zip(outs) {
+            let mut inner = std::mem::replace(&mut nc.inner, idle);
+            let compute = |inner: &Inner| inner.core_compute.iter().map(|t| t.0).sum::<u64>();
+            let before = compute(&inner);
+            for vp in ready.drain(..) {
+                let out;
+                (out, inner) = poll_vp(vp, &mut tasks[vp], &mut states[vp], inner);
                 match out {
-                    PollOut::Panicked(p) => std::panic::resume_unwind(p),
+                    PollOut::Panicked(p) => {
+                        let text = (p.downcast_ref::<String>().map(String::as_str))
+                            .or_else(|| p.downcast_ref::<&str>().copied())
+                            .unwrap_or("a non-text payload");
+                        inner.poisoned = Some((vp, text.to_owned()));
+                        nc.inner = inner;
+                        std::panic::resume_unwind(p)
+                    }
                     PollOut::Done => {
                         live -= 1;
                         inner.live_vps = live;
                     }
                     PollOut::Pending => {}
                 }
-                round_compute += merge_vp(inner, &cells[vp], &mut scratches[vp]);
             }
-            queue_staged(inner);
-            if pipelined_window {
-                inner.traffic.pipelined_compute += round_compute;
+            if wave.as_ref().is_some_and(|w| w.next > 0) {
+                let overlapped = SimTime(compute(&inner) - before);
+                inner.traffic.pipelined_compute += overlapped;
             }
+            ledger!(
+                inner.reqs_held,
+                inner.reqs.iter().map(crate::ledger::bytes).sum()
+            );
+            idle = std::mem::replace(&mut nc.inner, inner);
         }
 
         if live == 0 {
@@ -253,7 +251,7 @@ fn drive(nc: &mut NodeCtx<'_>, cells: &[Arc<VpCell>], tasks: Vec<VpTask>) {
         // must fully drain before a wave starts or advances so that wave
         // content and the compute-overlap window attribution match
         // in-core execution bit for bit.
-        if !nc.inner.pending_tile_faults.is_empty() {
+        if !nc.inner.tile_faults.pending.is_empty() {
             service_tile_faults(nc, &mut ready);
             continue;
         }
@@ -261,7 +259,7 @@ fn drive(nc: &mut NodeCtx<'_>, cells: &[Arc<VpCell>], tasks: Vec<VpTask>) {
         // A wave in flight takes priority: consume its next destination
         // (strictly ascending) and resume the VPs it satisfied at once.
         if let Some(ws) = wave.as_mut() {
-            let (mut woken, filled) = wave_recv_next(nc, &mut scratches, ws);
+            let (mut woken, filled) = wave_recv_next(nc, &mut states, ws);
             if ws.next == ws.pending.len() {
                 finalize_wave(nc, ws);
                 wave = None;
@@ -287,7 +285,7 @@ fn drive(nc: &mut NodeCtx<'_>, cells: &[Arc<VpCell>], tasks: Vec<VpTask>) {
             wave = Some(start_wave(nc));
             continue;
         }
-        // Cannot fire: a parked read queued its request in the same merge
+        // Cannot fire: a parked read queued its request in the same poll
         // that counted it, and the count drops only as a wave fills slots.
         assert_eq!(
             nc.inner.outstanding_reads, 0,

@@ -54,7 +54,7 @@ pub(super) fn node_phase_end(nc: &mut NodeCtx<'_>) {
         let wrote = inner.publish_node_writes(PhaseKind::Node);
         failover::advance_node_line(inner, &cfg, wrote);
         debug_assert!(
-            inner.frozen.garrays.iter().all(|g| !g.has_pending_writes()),
+            inner.garrays.iter().all(|g| !g.has_pending_writes()),
             "global writes buffered during a node phase"
         );
         let compute = inner.take_core_compute();
@@ -141,7 +141,7 @@ pub(super) fn global_phase_end(nc: &mut NodeCtx<'_>) {
     // 10. Close the phase and release the VPs.
     nc.inner.close_phase();
     debug_assert!(
-        nc.inner.frozen.garrays.iter().all(|g| g.arena_is_empty()),
+        nc.inner.garrays.iter().all(|g| g.arena_is_empty()),
         "response values outlived their global phase"
     );
 
@@ -182,9 +182,9 @@ fn drain_writes(nc: &mut NodeCtx<'_>) -> (CoherencePart, Outgoing) {
     let (me, nodes) = (nc.node_id(), nc.num_nodes());
     let mut outgoing = Outgoing::new();
     let inner = &mut nc.inner;
-    let coherence = (inner.coherence).barrier_part(me, nodes, &inner.frozen.garrays);
-    let (arrays, mut checker) = inner.thaw_with_checker();
-    for (id, ga) in arrays.garrays.iter_mut().enumerate() {
+    let coherence = (inner.coherence).barrier_part(me, nodes, &inner.garrays);
+    let mut checker = inner.checker.as_mut();
+    for (id, ga) in inner.garrays.iter_mut().enumerate() {
         // Every VP has arrived, so every parked read has resumed and
         // copied its value out: the phase's response values can go.
         ga.arena_clear();
@@ -263,16 +263,15 @@ fn apply_writes(
         let served = inner.coherence.has_history(array);
         // Split borrow: applied writes bump tile recency on resident tiles
         // (write-through without admission, DESIGN.md §18).
-        let arrays = inner.thaw();
-        let tiles = &mut arrays.tile_budget;
-        let (n, written) = arrays.garrays[array as usize].apply_writes(
+        let tiles = &mut inner.tile_budget;
+        let (n, written) = inner.garrays[array as usize].apply_writes(
             parcels,
             &mut |offs| tiles.touch_span(array, offs),
             served,
         );
         applied += n;
         if served {
-            let ga = &*inner.frozen.garrays[array as usize];
+            let ga = &*inner.garrays[array as usize];
             (inner.coherence).select_refresh((me, nodes), array, &written, ga);
         }
     }
@@ -347,7 +346,7 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> (PhaseRecord, Traffic) {
     // Node-level sender: the runtime owns the NIC (share factor 1).
     let gap = net.gap_per_byte.scale(bytes_out.max(bytes_in));
     let overhead = net.overhead.scale(msgs_out + msgs_in);
-    // Wave pipelining hides compute merged while a multi-destination wave
+    // Wave pipelining hides compute charged while a multi-destination wave
     // was partially consumed under the wave's exposed response legs —
     // capped by the hideable budget (one latency per >=2-destination
     // wave), which is itself <= latency.scale(waves), so the subtraction

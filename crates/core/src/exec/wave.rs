@@ -6,7 +6,7 @@ use ppm_simnet::Message;
 use crate::cost;
 use crate::msgs::{self, ReqBundle, RespBundle};
 use crate::nodectx::NodeCtx;
-use crate::state::{QueuedReq, VpScratch};
+use crate::state::{QueuedReq, VpState};
 
 /// Service one cold-tile fault round (pseudo-streaming, DESIGN.md §18):
 /// refill the *minimum* pending `(array, tile)` — evicting
@@ -24,17 +24,18 @@ use crate::state::{QueuedReq, VpScratch};
 pub(super) fn service_tile_faults(nc: &mut NodeCtx<'_>, ready: &mut Vec<usize>) {
     let (array, tile, spilled, resident) = {
         let inner = &mut nc.inner;
-        // Cannot fire: `drive` enters a fault round only on a non-empty list.
-        let (array, tile) =
-            (inner.pending_tile_faults.iter().copied().min()).expect("fault round with no faults");
+        let faults = &mut inner.tile_faults;
+        // Cannot fire: `drive` enters a fault round only on a non-empty list
+        // (kept ascending).
+        let &(array, tile) = faults.pending.first().expect("fault round with no faults");
         // Drop the other groups: every parked VP is woken below and
         // re-records any still-cold fault on its next poll.
-        inner.pending_tile_faults.clear();
-        let spilled = inner.thaw().tile_budget.refill(array, tile);
+        faults.pending.clear();
+        ready.append(&mut faults.waiters);
+        let spilled = inner.tile_budget.refill(array, tile);
         inner.counters.tile_refills += 1;
         inner.counters.tile_spills += spilled.len() as u64;
-        ready.append(&mut inner.fault_waiters);
-        let resident = inner.frozen.tile_budget.bytes_resident();
+        let resident = inner.tile_budget.bytes_resident();
         (array, tile, spilled, resident)
     };
     let ts = nc.now();
@@ -69,7 +70,7 @@ pub(super) struct DestPending {
 /// groups: sort in place by `(array, idx)` and give each distinct element
 /// one entry, whose ticket is its rank in that order. The sort key is the
 /// whole request, so the result is a function of the queued *set* — not of
-/// the order VP merges appended it in — and the queue keeps its capacity
+/// the order VP polls appended it in — and the queue keeps its capacity
 /// for later waves.
 pub(super) fn build_dest(
     dest: usize,
@@ -169,13 +170,13 @@ pub(super) fn start_wave(nc: &mut NodeCtx<'_>) -> WaveState {
 /// serviced meanwhile, unrelated messages left queued), park the response
 /// values in the arrays' arenas — populating the read cache when enabled —
 /// and point every answered slot at its value, in the parked VPs'
-/// `scratches` (by rank). Returns the VPs whose reads were satisfied
+/// `states` (by rank). Returns the VPs whose reads were satisfied
 /// (ascending) and the number of slots filled — one per distinct element of
 /// each waiting read; the repeats inside a bulk read are copied by its own
 /// poll.
 pub(super) fn wave_recv_next(
     nc: &mut NodeCtx<'_>,
-    scratches: &mut [VpScratch],
+    states: &mut [VpState],
     ws: &mut WaveState,
 ) -> (Vec<usize>, usize) {
     let cache_on = nc.config().read_cache;
@@ -189,7 +190,7 @@ pub(super) fn wave_recv_next(
     inner.traffic.resp_bytes_in += bytes;
     inner.counters.msgs_recv += 1;
     inner.counters.bytes_recv += bytes;
-    let mut woken = vec![false; scratches.len()];
+    let mut woken = vec![false; states.len()];
     let mut filled = 0usize;
     let mut idxs: Vec<u64> = Vec::new();
     for part in resp.parts {
@@ -202,13 +203,13 @@ pub(super) fn wave_recv_next(
             .slots
             .iter()
             .all(|&t| pend.meta[t as usize].0 == part.array));
-        let base = inner.thaw().garrays[part.array as usize]
+        let base = inner.garrays[part.array as usize]
             .absorb_response(part.values, cache_on.then_some(&idxs[..]));
         for (pos, &t) in (base..).zip(&part.slots) {
             let group = pend.starts[t as usize] as usize..pend.starts[t as usize + 1] as usize;
             filled += group.len();
             for &(vp, slot) in &pend.waiters[group] {
-                scratches[vp as usize].slots.fill(slot, pos);
+                states[vp as usize].slots.fill(slot, pos);
                 woken[vp as usize] = true;
             }
         }
@@ -229,7 +230,7 @@ pub(super) fn finalize_wave(nc: &mut NodeCtx<'_>, ws: &WaveState) {
     inner.counters.waves += 1;
     if ws.dests >= 2 {
         // A multi-destination wave exposes one response leg that compute
-        // merged during partial consumption can hide (charge_phase_time
+        // charged during partial consumption can hide (charge_phase_time
         // takes min(pipelined_compute, pipeline_hideable)).
         inner.traffic.pipeline_hideable += cfg.machine.net.latency;
     }

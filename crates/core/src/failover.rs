@@ -157,10 +157,10 @@ impl NodeCtx<'_> {
             bytes += b;
             payload
         };
-        let garrays = (inner.frozen.garrays.iter())
+        let garrays = (inner.garrays.iter())
             .map(|g| sized(g.snapshot_local()))
             .collect();
-        let narrays = (inner.frozen.narrays.iter())
+        let narrays = (inner.narrays.iter())
             .map(|n| sized(n.snapshot_local()))
             .collect();
         inner.failover.snapshots = Some(Snapshots {
@@ -188,7 +188,7 @@ pub(crate) fn advance_node_line(inner: &mut Inner, cfg: &PpmConfig, wrote: Vec<(
     };
     let mut applied = 0u64;
     for (id, bytes) in wrote {
-        snap.narrays[id] = inner.frozen.narrays[id].snapshot_local().0;
+        snap.narrays[id] = inner.narrays[id].snapshot_local().0;
         applied += bytes;
     }
     inner.service_time += copy_time(&cfg.machine.core, applied);
@@ -298,9 +298,8 @@ fn restore_from_snapshot(nc: &mut NodeCtx<'_>, phase: u64) -> (SimTime, u64) {
         ));
     }
     let mut bytes = 0u64;
-    let arrays = inner.thaw();
-    let global = arrays.garrays.iter_mut().zip(&snaps.garrays);
-    let node = arrays.narrays.iter_mut().zip(&snaps.narrays);
+    let global = inner.garrays.iter_mut().zip(&snaps.garrays);
+    let node = inner.narrays.iter_mut().zip(&snaps.narrays);
     for (array, snap) in global.chain(node) {
         bytes += array
             .restore_local(snap.as_ref())
@@ -530,7 +529,7 @@ impl FailoverPart {
                 continue;
             }
             let (mut elems, mut bytes) = (0u64, 0u64);
-            for ga in nc.inner.frozen.garrays.iter() {
+            for ga in nc.inner.garrays.iter() {
                 let r = ga.dist().owned_range(v);
                 elems += (r.end - r.start) as u64;
                 bytes += ga.owned_bytes(v);

@@ -4,18 +4,16 @@
 //! a `Held` is empty and `ledger!` expands to nothing.
 
 /// The owners, in `at_peak`'s order; a `Held`'s parameter indexes it.
-pub const OWNERS: [&str; 5] = [
+pub const OWNERS: [&str; 4] = [
     "parked bulk reads",
-    "request staging",
     "inner.reqs",
     "slot tables",
     "arena + read cache",
 ];
 pub(crate) const PARKED: usize = 0;
-pub(crate) const STAGING: usize = 1;
-pub(crate) const REQS: usize = 2;
-pub(crate) const SLOTS: usize = 3;
-pub(crate) const ARENA: usize = 4;
+pub(crate) const REQS: usize = 1;
+pub(crate) const SLOTS: usize = 2;
+pub(crate) const ARENA: usize = 3;
 
 /// The bytes a set of buffers of owner `O` holds, in `O`'s total until
 /// dropped.
@@ -44,17 +42,18 @@ mod counted {
     use super::{Held, OWNERS};
     use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 
-    static LIVE: [AtomicIsize; 5] = [const { AtomicIsize::new(0) }; 5];
-    static AT_PEAK: [AtomicIsize; 5] = [const { AtomicIsize::new(0) }; 5];
+    const N: usize = OWNERS.len();
+    static LIVE: [AtomicIsize; N] = [const { AtomicIsize::new(0) }; N];
+    static AT_PEAK: [AtomicIsize; N] = [const { AtomicIsize::new(0) }; N];
 
     /// Take every owner's live bytes as the ones at the heap peak: for a
     /// counting allocator to call when the live heap reaches a new high.
     pub fn mark_peak() {
-        (0..5).for_each(|o| AT_PEAK[o].store(LIVE[o].load(Relaxed), Relaxed));
+        (0..N).for_each(|o| AT_PEAK[o].store(LIVE[o].load(Relaxed), Relaxed));
     }
 
     /// Each owner's live bytes at the last [`mark_peak`].
-    pub fn at_peak() -> [(&'static str, u64); 5] {
+    pub fn at_peak() -> [(&'static str, u64); N] {
         std::array::from_fn(|o| (OWNERS[o], AT_PEAK[o].load(Relaxed).max(0) as u64))
     }
 

@@ -26,7 +26,7 @@ use crate::vp::Vp;
 pub struct NodeCtx<'a> {
     pub(crate) ep: &'a mut EndpointCtx,
     /// The node's runtime state, owned by the node's thread (DESIGN.md §12).
-    pub(crate) inner: Inner,
+    pub(crate) inner: Box<Inner>,
     /// Node-collective sequence number.
     pub(crate) coll_seq: u64,
     /// Reliable-transport state machine; `None` keeps the fast paths
@@ -40,7 +40,7 @@ impl<'a> NodeCtx<'a> {
         let node = ep.id();
         NodeCtx {
             ep,
-            inner: Inner::new(cfg),
+            inner: Box::new(Inner::new(cfg)),
             coll_seq: 0,
             rel: cfg
                 .reliability_enabled()
@@ -125,13 +125,13 @@ impl<'a> NodeCtx<'a> {
     /// streaming is off ([`PpmConfig::with_tile_budget`] unset): residency
     /// is only tracked under a budget.
     pub fn peak_bytes_resident(&self) -> u64 {
-        self.inner.frozen.tile_budget.peak_bytes_resident()
+        self.inner.tile_budget.peak_bytes_resident()
     }
 
     /// Bytes of shared-array state currently resident under the
     /// pseudo-streaming tile budget; zero when streaming is off.
     pub fn bytes_resident(&self) -> u64 {
-        self.inner.frozen.tile_budget.bytes_resident()
+        self.inner.tile_budget.bytes_resident()
     }
 
     /// Drain the per-phase trace accumulated so far: one record per
@@ -198,15 +198,15 @@ impl<'a> NodeCtx<'a> {
         let len = dist.len;
         let node = self.node_id();
         let local_len = dist.local_len(node);
-        let arrays = self.inner.thaw();
+        let inner = &mut self.inner;
         // Cannot fire before memory runs out: every array allocated so far
         // holds a few hundred bytes of bookkeeping on every node, so four
         // billion of them are a terabyte per node.
-        let id = u32::try_from(arrays.garrays.len()).expect("too many global shared arrays");
-        arrays.garrays.push(Box::new(GArray::<T>::new(dist, node)));
+        let id = u32::try_from(inner.garrays.len()).expect("too many global shared arrays");
+        inner.garrays.push(Box::new(GArray::<T>::new(dist, node)));
         // Pseudo-streaming registration (DESIGN.md §18): under a tile
         // budget, large partitions are tiled and start fully cold.
-        arrays
+        inner
             .tile_budget
             .register(id, std::mem::size_of::<T>(), local_len);
         GlobalShared::new(id, len)
@@ -215,7 +215,7 @@ impl<'a> NodeCtx<'a> {
     /// Declare a node-shared array of `len` elements
     /// (`PPM_node_shared T a[len]`): one instance per node.
     pub fn alloc_node<T: Elem>(&mut self, len: usize) -> NodeShared<T> {
-        let narrays = &mut self.inner.thaw().narrays;
+        let narrays = &mut self.inner.narrays;
         // Cannot fire before memory runs out, as for global arrays.
         let id = u32::try_from(narrays.len()).expect("too many node shared arrays");
         narrays.push(Box::new(GArray::<T>::node_shared(len)));
@@ -230,21 +230,21 @@ impl<'a> NodeCtx<'a> {
     /// boundaries — query it when needed rather than hoisting it across
     /// phases.
     pub fn local_range<T: Elem>(&self, g: &GlobalShared<T>) -> std::ops::Range<usize> {
-        let ga = array_ref::<T>(&self.inner.frozen, Space::Global, g.id);
+        let ga = array_ref::<T>(&self.inner.garrays, Space::Global, g.id);
         ga.dist.owned_range(self.node_id())
     }
 
     /// Distribution of a global array (a snapshot: balanced arrays may be
     /// recut at global phase boundaries).
     pub fn dist_of<T: Elem>(&self, g: &GlobalShared<T>) -> Dist {
-        array_ref::<T>(&self.inner.frozen, Space::Global, g.id)
+        array_ref::<T>(&self.inner.garrays, Space::Global, g.id)
             .dist
             .clone()
     }
 
     /// Read this node's partition of a global array.
     pub fn with_local<T: Elem, R>(&self, g: &GlobalShared<T>, f: impl FnOnce(&[T]) -> R) -> R {
-        f(&array_ref::<T>(&self.inner.frozen, Space::Global, g.id).local)
+        f(&array_ref::<T>(&self.inner.garrays, Space::Global, g.id).local)
     }
 
     /// Mutate this node's partition of a global array directly
@@ -254,12 +254,12 @@ impl<'a> NodeCtx<'a> {
         g: &GlobalShared<T>,
         f: impl FnOnce(&mut [T]) -> R,
     ) -> R {
-        f(&mut array_mut::<T>(self.inner.thaw(), Space::Global, g.id).local)
+        f(&mut array_mut::<T>(&mut self.inner.garrays, Space::Global, g.id).local)
     }
 
     /// Read this node's instance of a node-shared array.
     pub fn with_node<T: Elem, R>(&self, n: &NodeShared<T>, f: impl FnOnce(&[T]) -> R) -> R {
-        f(&array_ref::<T>(&self.inner.frozen, Space::Node, n.id).local)
+        f(&array_ref::<T>(&self.inner.narrays, Space::Node, n.id).local)
     }
 
     /// Mutate this node's instance of a node-shared array directly.
@@ -268,7 +268,7 @@ impl<'a> NodeCtx<'a> {
         n: &NodeShared<T>,
         f: impl FnOnce(&mut [T]) -> R,
     ) -> R {
-        f(&mut array_mut::<T>(self.inner.thaw(), Space::Node, n.id).local)
+        f(&mut array_mut::<T>(&mut self.inner.narrays, Space::Node, n.id).local)
     }
 
     // -- ppm_do --------------------------------------------------------------
@@ -452,7 +452,7 @@ impl<'a> NodeCtx<'a> {
             let array = run[0].array;
             idxs.clear();
             idxs.extend(run.iter().map(|e| e.idx));
-            let (values, vbytes) = inner.frozen.garrays[array as usize].serve(&idxs);
+            let (values, vbytes) = inner.garrays[array as usize].serve(&idxs);
             bytes += vbytes;
             parts.push(RespPart {
                 array,
@@ -525,7 +525,7 @@ fn protocol_dump(net: &Endpoint, i: &Inner, rel: Option<&Reliability>) -> String
         out,
         "  phase: open={:?} entered={} arrived={} epoch={} \
          global_seq={} node_seq={}",
-        p.open, p.entered, p.arrived, i.frozen.epoch, p.global_seq, p.node_seq
+        p.open, p.entered, p.arrived, i.epoch, p.global_seq, p.node_seq
     );
     let _ = writeln!(
         out,

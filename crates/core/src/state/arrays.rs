@@ -10,7 +10,7 @@
 //!
 //! A node-shared array is a global array on a cluster of one: the same
 //! [`GArray`] over a one-node [`Dist`], every element local, in an id space
-//! of its own ([`Frozen::narrays`]).
+//! of its own ([`super::Inner::narrays`]).
 
 use std::any::{type_name, Any};
 use std::mem::take;
@@ -19,41 +19,39 @@ use std::ops::Range;
 use ppm_simnet::WireSize;
 
 use super::wlog::{fold_parcels, Scratch, WLog, WriteCols};
-use super::{count, ArrayTiles, Frozen, WriteParcel};
+use super::{count, ArrayTiles, WKind, WriteParcel};
 use crate::check::{Conflicts, Space};
 use crate::dist::Dist;
-use crate::elem::Elem;
+use crate::elem::{AccumOp, Elem};
 #[cfg(feature = "byte-ledger")]
 use crate::ledger::bytes;
 use crate::ledger::{ledger, Held, ARENA};
 
 /// A `Vec<T>` of some array's element type, on the untyped side of the
 /// erased boundary: read-response, refresh-push and migration payloads,
-/// snapshots. `Sync` as well as `Send` because refresh parts and snapshots
-/// park in [`super::Inner`], and an executor that polls a node's VPs on
-/// other threads would share its [`Frozen`] half through an `Arc`.
-pub(crate) type Values = Box<dyn Any + Send + Sync>;
+/// snapshots.
+pub(crate) type Values = Box<dyn Any + Send>;
 
-/// The array a handle of element type `T` names: array `id` of `space`. A
+/// A node's arrays of one space, by id ([`super::Inner::garrays`] or
+/// `narrays`).
+pub(crate) type Arrays = Vec<Box<dyn GArrayObj>>;
+
+/// The array a handle of element type `T` names: array `id` among `arrays`,
+/// the node's arrays of `space`. A
 /// handle is typed where it is made, against the array it is made for, so a
 /// mismatch means a handle was carried into another job's [`crate::NodeCtx`].
-pub(crate) fn array_ref<T: Elem>(arrays: &Frozen, space: Space, id: u32) -> &GArray<T> {
+pub(crate) fn array_ref<T: Elem>(arrays: &Arrays, space: Space, id: u32) -> &GArray<T> {
     count!(super::DOWNCASTS);
-    let array: &dyn Any = match space {
-        Space::Global => &*arrays.garrays[id as usize],
-        Space::Node => &*arrays.narrays[id as usize],
-    };
+    let array: &dyn Any = &*arrays[id as usize];
     array
         .downcast_ref()
         .unwrap_or_else(|| mistyped_handle::<T>(space, id))
 }
 
-/// [`array_ref`], mutably: the driver's side, between polls.
-pub(crate) fn array_mut<T: Elem>(arrays: &mut Frozen, space: Space, id: u32) -> &mut GArray<T> {
-    let array: &mut dyn Any = match space {
-        Space::Global => &mut *arrays.garrays[id as usize],
-        Space::Node => &mut *arrays.narrays[id as usize],
-    };
+/// [`array_ref`], mutably.
+pub(crate) fn array_mut<T: Elem>(arrays: &mut Arrays, space: Space, id: u32) -> &mut GArray<T> {
+    count!(super::DOWNCASTS);
+    let array: &mut dyn Any = &mut *arrays[id as usize];
     array
         .downcast_mut()
         .unwrap_or_else(|| mistyped_handle::<T>(space, id))
@@ -83,13 +81,14 @@ pub(crate) struct GArray<T: Elem> {
     /// [`GArrayObj::migrate_rebind`]), so the access path's "local?" is two
     /// compares. Empty for cyclic layouts, which ask `dist`.
     owned: Range<usize>,
-    /// Write log for the current phase, one segment per VP merge.
+    /// Write log for the current phase: every VP's calls, in the order its
+    /// node's polls made them.
     wlog: WLog<T>,
     /// What the log's drain and the fold of incoming parcels reuse.
     scratch: Scratch,
     /// Remote elements whose phase-frozen value this node has learned —
     /// from response bundles or owner-pushed refreshes. Consulted before a
-    /// remote read is queued ([`super::VpCell::charge_get`], and a bulk read's
+    /// remote read is queued ([`super::VpCell::check_get`], and a bulk read's
     /// [`Self::cached_span`]); cleared when the array takes writes
     /// (`coherence.rs`).
     rcache: RunCache<T>,
@@ -149,6 +148,35 @@ impl<T: Elem> GArray<T> {
             let (owner, off) = self.dist.locate(idx);
             (owner == self.node).then_some(off)
         }
+    }
+
+    /// Log VP `vp`'s writes `items` in the phase log, all of `kind`
+    /// (accumulates bring `combine`); `base` is the global rank of the
+    /// node's VP 0. Checks each index's bounds and hands it to `wrote`.
+    /// Returns how many were logged, and how many of those are remote.
+    #[inline]
+    pub fn record(
+        &mut self,
+        (base, vp): (u64, u32),
+        kind: WKind,
+        combine: Option<fn(AccumOp, T, T) -> T>,
+        items: impl IntoIterator<Item = (usize, T)>,
+        mut wrote: impl FnMut(u64),
+    ) -> (u64, u64) {
+        debug_assert!(self.wlog.is_empty() || self.wlog.base == base);
+        self.wlog.base = base;
+        let (dist, space, mut remote) = (&self.dist, self.space, 0);
+        let items = items.into_iter().map(|(idx, val)| {
+            assert!(idx < dist.len, "{space} write index {idx} out of bounds");
+            // `Self::owned_offset`, by field: the log is borrowed.
+            let local = self.owned.contains(&idx)
+                || !dist.is_contiguous() && dist.locate(idx).0 == self.node;
+            remote += !local as u64;
+            wrote(idx as u64);
+            (idx as u64, val)
+        });
+        let writes = self.wlog.record(vp, kind, combine, items);
+        (writes, remote)
     }
 
     /// The stretch of elements around `idx` whose reads are plain loads
@@ -310,9 +338,9 @@ impl<T: Copy> RunCache<T> {
 /// everything that handles an array without its handle: the exchange path
 /// (serving reads, draining and applying write bundles), coherence,
 /// migration, snapshots. `Any` so a handle gets its `T` back
-/// ([`array_ref`]); `Send + Sync`, like the payloads ([`Values`]), so the
-/// round's `Arc<Frozen>` could be shared by pollers on other threads.
-pub(crate) trait GArrayObj: Any + Send + Sync {
+/// ([`array_ref`]); `Send`, like the payloads ([`Values`]), because a node's
+/// state moves to the thread that runs the node.
+pub(crate) trait GArrayObj: Any + Send {
     /// Read the values at `idxs` (global indices owned by this node) — for a
     /// read response, or post-apply for a refresh push; returns the payload
     /// and its modeled byte size.
@@ -327,10 +355,6 @@ pub(crate) trait GArrayObj: Any + Send + Sync {
     fn arena_clear(&mut self);
     /// Whether the response arena is empty (phase-lifetime assertion).
     fn arena_is_empty(&self) -> bool;
-    /// Move one VP's scratch log for this array — the [`WLog<T>`] its
-    /// writes made since its last merge — to the end of the phase write
-    /// buffer; `base` is the global rank of the node's VP 0.
-    fn append_writes(&mut self, base: u64, log: &mut dyn Any);
     /// Drain the write buffer into per-destination parcels (the destination
     /// may be this node itself), reporting write-write conflicts among this
     /// node's VPs to `conflicts` (the checker's, when it is on).
@@ -451,16 +475,6 @@ impl<T: Elem> GArrayObj for GArray<T> {
 
     fn arena_is_empty(&self) -> bool {
         self.arena.is_empty()
-    }
-
-    fn append_writes(&mut self, base: u64, log: &mut dyn Any) {
-        // Cannot fire: a VP's log for an array is made by a write through a
-        // handle `array_ref` had just matched to this array's `T`
-        // (`VpCell::write_many`), and is replayed into the same `(space, id)`.
-        let log = log
-            .downcast_mut::<WLog<T>>()
-            .expect("scratch write buffer type mismatch");
-        self.wlog.append(base, log);
     }
 
     fn drain_writes(&mut self, conflicts: Option<Conflicts<'_>>) -> Vec<WriteParcel> {
@@ -616,7 +630,7 @@ pub(super) mod tests {
     use super::super::{Inner, WKind};
     use super::*;
     use crate::config::PpmConfig;
-    use crate::elem::AccumOp;
+    use crate::elem::{AccumElem, AccumOp};
     use crate::GlobalShared;
 
     /// Response parts append to the arena in arrival order and report
@@ -810,10 +824,9 @@ pub(super) mod tests {
             .map(|node| GArray::new(Dist::block(N, SOURCES), node))
             .collect();
         for (s, ga) in nodes.iter_mut().enumerate() {
-            let mut scratch = WLog::scratch();
             for vp in 0..2 {
-                scratch.record(vp, ADD, None, (0..N as u64).rev().map(|idx| (idx, 0.5)));
-                ga.wlog.append(2 * s as u64, &mut scratch);
+                let items = (0..N).rev().map(|idx| (idx, 0.5));
+                ga.record((2 * s as u64, vp), ADD, Some(f64::combine), items, |_| {});
             }
         }
         let before = ALLOCS.with(|n| n.get());
@@ -838,8 +851,7 @@ pub(super) mod tests {
 
         // Bytes, too. A phase of two VPs on one node writing `WRITES`
         // elements to two owners, from `record` through `apply_writes`: the
-        // most the write path holds at once, per element written, with the
-        // VPs' logs alive throughout as a poll's scratch is.
+        // most the write path holds at once, per element written.
         const WRITES: usize = 10_000;
         let peak_bytes = |kind, idx: fn(usize) -> u64| {
             let dist = Dist::block(WRITES, 2);
@@ -848,11 +860,10 @@ pub(super) mod tests {
                 h.set((h.get().0, h.get().0));
                 h.get().0
             });
-            let mut scratch = [0, 1].map(|_| WLog::scratch());
-            for (vp, log) in scratch.iter_mut().enumerate() {
+            for vp in 0..2 {
                 let mine = vp * WRITES / 2..(vp + 1) * WRITES / 2;
-                log.record(vp as u32, kind, None, mine.map(|j| (idx(j), 1.0)));
-                owners[0].wlog.append(0, log);
+                let items = mine.map(|j| (idx(j) as usize, 1.0));
+                owners[0].record((0, vp as u32), kind, Some(f64::combine), items, |_| {});
             }
             let mut applied = 0;
             for parcel in owners[0].drain_writes(None) {
@@ -908,9 +919,9 @@ pub(super) mod tests {
     pub fn a_mistyped_handle_is_named() {
         let mut inner = Inner::new(PpmConfig::franklin(1));
         let ga: GArray<u64> = GArray::new(Dist::block(8, 1), 0);
-        inner.thaw().garrays.push(Box::new(ga));
+        inner.garrays.push(Box::new(ga));
         let stray: GlobalShared<f64> = GlobalShared::new(0, 8);
-        array_ref::<f64>(&inner.frozen, Space::Global, stray.id);
+        array_ref::<f64>(&inner.garrays, Space::Global, stray.id);
     }
 
     pub fn serve_reads_global_indices() {

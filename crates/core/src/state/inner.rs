@@ -1,11 +1,10 @@
-//! The per-node runtime state: the frozen part VP polls read, the rest the
-//! driver owns, and the phase bookkeeping and traffic totals kept in it.
-
-use std::sync::Arc;
+//! The per-node runtime state — what VP polls read and write and what the
+//! executor keeps between them — and the phase bookkeeping and traffic totals
+//! kept in it.
 
 use ppm_simnet::{Counters, SimTime};
 
-use super::{GArrayObj, QueuedReq, TileBudget};
+use super::{Arrays, FirstSeen, QueuedReq, TileBudget, TileFaults};
 use crate::balance::Balancer;
 use crate::check::{Checker, PhaseViolation, Space};
 use crate::coherence::Coherence;
@@ -118,9 +117,9 @@ pub(crate) struct Traffic {
     pub replica_bytes_out: u64,
     /// Snapshot-replica frame bytes received from the buddy's predecessor.
     pub replica_bytes_in: u64,
-    /// Pipelining: compute merged while a wave had at least one destination
-    /// already consumed and at least one still pending — work genuinely
-    /// overlapped with in-flight responses.
+    /// Pipelining: compute charged while a wave had at least one
+    /// destination already consumed and at least one still pending — work
+    /// genuinely overlapped with in-flight responses.
     pub pipelined_compute: SimTime,
     /// Pipelining: response latency that overlapped compute could hide —
     /// one response leg per completed multi-destination wave. The phase
@@ -146,32 +145,36 @@ pub(crate) struct Traffic {
     pub wave_elapsed: SimTime,
 }
 
-/// The part of the node state VP polls read and never write — everything
-/// a phase body sees frozen. Each poll works on its own `Arc` clone of it,
-/// lock-free; the driver mutates it between poll rounds through
-/// [`Inner::thaw`] (DESIGN.md §12).
-pub(crate) struct Frozen {
+/// All per-node runtime state, owned by the node's thread (`NodeCtx::inner`,
+/// boxed so that a VP poll can take it into its poll context and give it
+/// back by moving a pointer, DESIGN.md §12). A poll writes its VP's effects
+/// straight into it: writes into the arrays' logs, read requests into
+/// [`Self::reqs`], phase entry and arrival into [`Self::phase`], tile faults,
+/// counters and compute. The default is an empty node's, which stands in
+/// for the node's own while a poll holds that.
+#[derive(Default)]
+pub(crate) struct Inner {
     /// Global shared arrays by id: this node's partition of each.
-    pub garrays: Vec<Box<dyn GArrayObj>>,
+    pub garrays: Arrays,
     /// Node-shared arrays by id — an id space of their own, so nothing
     /// keyed by a global array id (tiles, coherence, the balancer) may be
     /// handed one of these.
-    pub narrays: Vec<Box<dyn GArrayObj>>,
+    pub narrays: Arrays,
     /// Pseudo-streaming tile residency under `cfg.tile_budget`
     /// (DESIGN.md §18). With the budget off every query answers "hot" and
     /// the streaming paths are never taken.
     pub tile_budget: TileBudget,
+    /// Cold-tile faults recorded by this poll round's local reads and the
+    /// VPs parked on them.
+    pub tile_faults: TileFaults,
     /// Completed-phase counter; barrier futures wait for it to advance.
     pub epoch: u64,
-}
-
-/// All per-node runtime state, owned by the node's thread (`NodeCtx::inner`).
-/// VP polls see only [`Frozen`], through the clone of `frozen` each poll
-/// round hands out.
-pub(crate) struct Inner {
-    pub frozen: Arc<Frozen>,
+    /// The first-occurrence table a bulk read's first poll combines its
+    /// repeated remote misses with (`GetManyFut`): one per node, not per
+    /// VP, as a thread runs one poll at a time.
+    pub first_seen: FirstSeen,
     /// Reads parked in VP slot tables but not yet answered by a wave
-    /// (incremented when scratches merge, decremented per slot fill).
+    /// (incremented as a poll requests them, decremented per slot fill).
     pub outstanding_reads: usize,
     /// Outgoing read requests queued for the next wave — dense, indexed by
     /// destination node id, so every iteration that feeds the wire walks
@@ -208,8 +211,6 @@ pub(crate) struct Inner {
     pub total_vps_global: u64,
     /// VPs woken by the executor releasing a barrier.
     pub barrier_waiters: Vec<usize>,
-    /// Participation mode of the current `ppm_do`.
-    pub(crate) do_mode: DoMode,
     /// Completed-phase records (drained by `NodeCtx::take_phase_log`).
     pub phase_log: Vec<PhaseRecord>,
     /// Conformance checker (present iff `cfg.checker`).
@@ -227,65 +228,21 @@ pub(crate) struct Inner {
     pub balancer: Balancer,
     /// Fail-stop tolerance (DESIGN.md §10, §15).
     pub failover: FailState,
-    /// Cold-tile faults merged from VP scratches this poll round, as
-    /// ascending distinct `(array, tile)`; the executor services the minimum
-    /// group per fault round and clears the rest (parked VPs re-record
-    /// still-cold faults when re-polled).
-    pub pending_tile_faults: Vec<(u32, u32)>,
-    /// VPs parked on cold-tile faults, woken (pushed back into the ready
-    /// list) after each fault-service round.
-    pub fault_waiters: Vec<usize>,
+    /// Set by a VP panic: which VP, and its payload's text. A poisoned
+    /// node starts no further `ppm_do`.
+    pub poisoned: Option<(usize, String)>,
 }
 
 impl Inner {
     pub fn new(cfg: PpmConfig) -> Self {
         Inner {
-            frozen: Arc::new(Frozen {
-                garrays: Vec::new(),
-                narrays: Vec::new(),
-                tile_budget: TileBudget::new(cfg.tile_budget),
-                epoch: 0,
-            }),
-            outstanding_reads: 0,
+            tile_budget: TileBudget::new(cfg.tile_budget),
             reqs: vec![Vec::new(); cfg.nodes()],
-            reqs_held: Held::default(),
-            phase: PhaseState::default(),
-            traffic: Traffic::default(),
             core_compute: vec![SimTime::ZERO; cfg.cores_per_node()],
-            service_time: SimTime::ZERO,
-            counters: Counters::default(),
-            deferred_ctrs: Counters::default(),
-            live_vps: 0,
-            vp_base_global: 0,
-            total_vps_global: 0,
-            barrier_waiters: Vec::new(),
-            do_mode: DoMode::Collective,
-            phase_log: Vec::new(),
             checker: cfg.checker.then(Checker::default),
-            violations: Vec::new(),
-            ctr_base: Counters::default(),
             coherence: Coherence::new(cfg.read_cache, cfg.nodes()),
-            balancer: Balancer::default(),
-            failover: FailState::default(),
-            pending_tile_faults: Vec::new(),
-            fault_waiters: Vec::new(),
+            ..Inner::default()
         }
-    }
-
-    /// The frozen state, mutably. Only the driver calls this, and only
-    /// between poll rounds: every clone a round hands out is dropped before
-    /// the round's results reach the driver, so the handle is unique here.
-    pub fn thaw(&mut self) -> &mut Frozen {
-        self.thaw_with_checker().0
-    }
-
-    /// [`Self::thaw`], and the checker for the write logs drained there to
-    /// report to.
-    pub fn thaw_with_checker(&mut self) -> (&mut Frozen, Option<&mut Checker>) {
-        let frozen = Arc::get_mut(&mut self.frozen);
-        // Cannot fire, for the reason `thaw` gives: no poll's clone is alive.
-        let frozen = frozen.expect("frozen node state mutated during a VP poll");
-        (frozen, self.checker.as_mut())
     }
 
     /// The per-core compute maximum of the current phase so far.
@@ -309,19 +266,19 @@ impl Inner {
         self.phase.open = None;
         self.phase.entered = 0;
         self.phase.arrived = 0;
-        self.thaw().epoch += 1;
+        self.epoch += 1;
         self.counters.barriers += 1;
     }
 
     /// The last step of publishing a phase of `kind`: apply the node-shared
-    /// writes, then — every VP has merged and every write log has drained —
+    /// writes, then — every VP has arrived and every write log has drained —
     /// close the phase's conformance report, one sorted batch per phase.
     /// Returns `(array id, modeled bytes applied)` per node-shared array
     /// that took writes.
     pub fn publish_node_writes(&mut self, kind: PhaseKind) -> Vec<(usize, u64)> {
-        let (arrays, mut checker) = self.thaw_with_checker();
+        let mut checker = self.checker.as_mut();
         let mut wrote = Vec::new();
-        for (id, na) in arrays.narrays.iter_mut().enumerate() {
+        for (id, na) in self.narrays.iter_mut().enumerate() {
             let checker = checker.as_deref_mut();
             let bytes = na.apply(checker.map(|c| c.conflicts_in(Space::Node, id as u32, kind)));
             if bytes > 0 {
@@ -333,33 +290,21 @@ impl Inner {
         wrote
     }
 
-    /// A VP enters a phase of `kind`; all concurrent VPs must agree.
-    /// Called from [`super::merge_vp`] in ascending rank order, so a mismatch
-    /// panics on the same VP it would under a sequential schedule.
+    /// A VP enters a phase of `kind`; all concurrent VPs must agree. Called
+    /// from the VP's poll, and VPs are polled in ascending rank order, so a
+    /// mismatch panics on the same VP it would under a sequential schedule.
     pub fn enter_phase(&mut self, kind: PhaseKind) {
-        assert!(
-            !(self.do_mode == DoMode::Local && kind == PhaseKind::Global),
-            "global phases are not allowed inside ppm_do_local \
-             (asynchronous node-level mode); use ppm_do"
-        );
-        match self.phase.open {
-            None => {
-                self.phase.open = Some(kind);
-                self.phase.entered = 1;
-            }
-            Some(k) => {
-                if k != kind {
-                    // Phase structure is corrupt: report as a conformance
-                    // violation and abort (the runtime cannot continue a
-                    // mismatched super-step).
-                    let v = PhaseViolation::PhaseKindMismatch {
-                        open: k,
-                        entered: kind,
-                    };
-                    panic!("{v}");
-                }
-                self.phase.entered += 1;
-            }
+        let open = *self.phase.open.get_or_insert(kind);
+        if open != kind {
+            // Phase structure is corrupt: report as a conformance violation
+            // and abort (the runtime cannot continue a mismatched
+            // super-step).
+            let v = PhaseViolation::PhaseKindMismatch {
+                open,
+                entered: kind,
+            };
+            panic!("{v}");
         }
+        self.phase.entered += 1;
     }
 }

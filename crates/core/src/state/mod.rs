@@ -1,27 +1,25 @@
-//! Per-node runtime state and what a VP poll records into.
+//! Per-node runtime state and what a VP poll writes into.
 //!
 //! Everything a virtual processor touches while running (shared-array
-//! storage, write buffers, pending read requests, phase bookkeeping,
-//! per-core compute accounting) lives in [`Inner`], which the node's
-//! thread owns by value. During a phase body the live arrays are immutable
-//! (writes are *buffered*), so the part of `Inner` a VP reads — [`Frozen`]
-//! — sits behind an `Arc` of its own: each poll parks a clone of the
-//! round's in a thread-local beside the VP's private [`VpScratch`], which
-//! the driver moves in for the poll and takes back after it, so the shared
-//! accesses inside the poll take no lock ([`VpCell::with_poll`]). Every side effect a VP produces — buffered
-//! writes, counter deltas, checker reports, phase entry/arrival — goes
-//! into that scratch, except its read requests, which the polling thread
-//! stages for the whole round ([`queue_staged`]). The executor merges scratches
-//! into `Inner` in ascending VP-rank order after each poll round, which is
-//! what makes a round's effects equal a sequential ascending-rank
-//! schedule's (see `exec` and DESIGN.md §12).
+//! storage, write logs, pending read requests, phase bookkeeping, per-core
+//! compute accounting) lives in [`Inner`], which the node's thread owns by
+//! value. For each poll the executor moves the boxed `Inner` and the polled
+//! VP's own [`VpState`] into a thread-local poll context and back after it,
+//! so the shared accesses inside the poll take no lock and write their
+//! effects where the node keeps them ([`VpCell::with_poll`]): writes into
+//! the array's log, read requests into the queue of the element's owner,
+//! phase entry and arrival, tile faults, counters and compute. One thread
+//! polls a node's VPs, in ascending rank, which is what makes a round's
+//! effects equal a sequential ascending-rank schedule's (see `exec` and
+//! DESIGN.md §12). During a phase body the live arrays are immutable
+//! (writes are *buffered*).
 //!
 //! One file per thing stored: `wlog` the write log, its sort and the
 //! parcels it resolves into; `slots` a VP's parked reads and the requests
 //! queued for them; `table` the first-occurrence table; `cell` the VP cell,
-//! its scratch, the poll context and the requests a node thread's polls
-//! stage; `arrays` array storage and the one erased boundary over it;
-//! `tiles` tile residency; `inner` [`Inner`] and [`Frozen`].
+//! its own state and the poll context; `arrays` array storage and the one
+//! erased boundary over it; `tiles` tile residency and faults; `inner`
+//! [`Inner`].
 //!
 //! Phase semantics are implemented here:
 //!
@@ -50,18 +48,13 @@ mod table;
 mod tiles;
 mod wlog;
 
-pub(crate) use arrays::{array_mut, array_ref, GArray, GArrayObj, Values};
-#[cfg(test)]
-pub(crate) use cell::staged;
-pub(crate) use cell::{
-    discard_staged, merge_vp, queue_staged, with_first_seen, GetOutcome, PollGuard, VpCell,
-    VpScratch,
-};
-pub(crate) use inner::{DoMode, Frozen, Inner, Traffic};
+pub(crate) use arrays::{array_mut, array_ref, Arrays, GArray, GArrayObj, Values};
+pub(crate) use cell::{GetOutcome, PollGuard, VpCell, VpState};
+pub(crate) use inner::{DoMode, Inner, Traffic};
 pub use inner::{PhaseKind, PhaseRecord};
 pub(crate) use slots::{read_position, QueuedReq, VpSlots};
 pub(crate) use table::{FirstSeen, TableKey};
-pub(crate) use tiles::{ArrayTiles, TileBudget};
+pub(crate) use tiles::{ArrayTiles, TileBudget, TileFaults};
 pub(crate) use wlog::{WKind, WriteParcel};
 
 /// Bump one of the unit-test builds' per-thread cost counters
@@ -76,7 +69,7 @@ pub(crate) use count;
 
 #[cfg(test)]
 thread_local! {
-    /// [`VpCell::with_poll`] entries, typed-array and write-log downcasts,
+    /// [`VpCell::with_poll`] entries, typed-array downcasts,
     /// and the drain's `Dist::owner` look-ups by the calling thread
     /// (unit-test builds only): a bulk access must cost O(1) of the first
     /// two and one look-up per destination run.

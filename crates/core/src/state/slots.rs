@@ -14,15 +14,14 @@ pub(crate) fn read_position(i: usize) -> u32 {
 }
 
 /// A read request for the next communication wave: VP `vp` wants element
-/// `idx` of global array `array`, owned by node `dest`, and will receive its
-/// arena position in its private slot `slot`. Staged by the node thread that
-/// polls the VP, then queued in [`super::Inner::reqs`] once the poll round
-/// has merged ([`super::queue_staged`]). (The wire format is [`crate::msgs::ReqEntry`]; a bulk read queues
-/// each distinct element once, and requests from different reads are
-/// deduplicated per (destination, array, index) when the wave is built.)
+/// `idx` of global array `array` and will receive its arena position in its
+/// private slot `slot`. Queued by the VP's poll in [`super::Inner::reqs`],
+/// under the element's owner. (The wire format is
+/// [`crate::msgs::ReqEntry`]; a bulk read queues each distinct element once,
+/// and requests from different reads are deduplicated per (destination,
+/// array, index) when the wave is built.)
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueuedReq {
-    pub dest: u32,
     pub array: u32,
     pub idx: u64,
     pub vp: u32,
@@ -42,8 +41,8 @@ enum Slot {
 }
 
 /// Parking table for one VP's suspended remote reads. Lives in the VP's
-/// [`super::VpScratch`]; the executor fills slots when a wave's responses arrive
-/// and then wakes the owning VP.
+/// [`super::VpState`]; the executor fills slots when a wave's responses
+/// arrive and then wakes the owning VP.
 #[derive(Default)]
 pub(crate) struct VpSlots {
     slots: Vec<Slot>,

@@ -16,7 +16,7 @@ impl TableKey for u64 {
 /// First-occurrence table: key → the payload it was first seen with since the
 /// last [`Self::begin`]. Two users: a bulk read combines its repeated
 /// indices (global index → position of its first occurrence) in one table
-/// per node thread ([`super::with_first_seen`]), the checker keeps each VP's
+/// per node ([`super::Inner::first_seen`]), the checker keeps each VP's
 /// elements written this phase ([`crate::check::OwnWrites`]). Open addressing with linear
 /// probing under a fixed multiplicative hash (no `RandomState`: nothing
 /// observable may depend on a per-process seed — and nothing depends on

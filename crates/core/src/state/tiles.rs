@@ -16,7 +16,7 @@ pub(crate) struct ArrayTiles {
     resident: Vec<bool>,
     /// Deterministic recency per tile: the [`TileBudget::clock`] value of
     /// the last driver-side touch (refill or write application). Never
-    /// updated by VP reads, which see only the frozen state.
+    /// updated by VP reads: a phase body reads the phase-start state.
     last_touch: Vec<u64>,
 }
 
@@ -58,6 +58,7 @@ impl ArrayTiles {
 /// cold tile parks the VP ([`super::GetOutcome::Owned`]) until the
 /// executor refills the tile, evicting the least-recently-touched
 /// resident tiles to stay under budget.
+#[derive(Default)]
 pub(crate) struct TileBudget {
     /// Resident-bytes budget; 0 = streaming off (everything resident,
     /// every query answers "hot").
@@ -77,10 +78,7 @@ impl TileBudget {
     pub fn new(budget: u64) -> Self {
         TileBudget {
             budget,
-            arrays: Vec::new(),
-            clock: 0,
-            resident_bytes: 0,
-            peak_bytes: 0,
+            ..TileBudget::default()
         }
     }
 
@@ -235,6 +233,31 @@ impl TileBudget {
     /// High-water mark of resident bytes over the run.
     pub fn peak_bytes_resident(&self) -> u64 {
         self.peak_bytes
+    }
+}
+
+/// The cold-tile faults a poll round's local reads recorded, and the VPs
+/// parked on them; the executor services the minimum fault per round
+/// (DESIGN.md §18).
+#[derive(Default)]
+pub(crate) struct TileFaults {
+    /// Ascending distinct `(array, tile)`: VPs of a node mostly fault on the
+    /// same few tiles.
+    pub pending: Vec<(u32, u32)>,
+    /// VPs parked on a fault, in poll order — ascending within the round —
+    /// once each.
+    pub waiters: Vec<usize>,
+}
+
+impl TileFaults {
+    /// VP `vp`, being polled, parks on tile `tile` of global array `array`.
+    pub fn note(&mut self, vp: usize, (array, tile): (u32, u32)) {
+        if let Err(at) = self.pending.binary_search(&(array, tile)) {
+            self.pending.insert(at, (array, tile));
+        }
+        if self.waiters.last() != Some(&vp) {
+            self.waiters.push(vp);
+        }
     }
 }
 

@@ -55,25 +55,24 @@ impl Call {
     }
 }
 
-/// Append-only write log. A VP records into a log of its own per touched
-/// array ([`super::VpScratch`]); each merge moves that to the end of the
-/// array's log — the same type. Writer and kind are kept once per *call*,
-/// and a call whose indices ascend by one keeps its first index and its
-/// values, nothing per element; any other lists `(index, value)` pairs. One
-/// column per shape, so that a VP's writes grow one block: two that grow in
-/// turn make the allocator move both whenever either doubles (3.5× on
+/// Append-only write log: one per array, which every VP of the node records
+/// into while it is polled. Writer and kind are kept once per *call*, and a
+/// call whose indices ascend by one keeps its first index and its values,
+/// nothing per element; any other lists `(index, value)` pairs. One column
+/// per shape, so that a VP's writes grow one block: two that grow in turn
+/// make the allocator move both whenever either doubles (3.5× on
 /// [`Self::record`] for PageRank's scatter). Appending is all that happens
 /// during a phase body — ordering, last-writer resolution and operator
 /// checks run once, at the phase boundary ([`Self::drain`]), and
 /// contributions stay raw until the owner folds them, so a floating-point
 /// result depends only on each VP's program order, never on the poll-round
-/// structure that interleaved the merges (which wave pipelining changes,
-/// DESIGN.md §13). The array-side buffer lives for one phase: the drain
-/// frees it, so an idle array's log holds no memory.
+/// structure that interleaved the VPs' calls (which wave pipelining
+/// changes, DESIGN.md §13). The buffer lives for one phase: the drain frees
+/// it, so an idle array's log holds no memory.
 #[derive(Default)]
 pub(super) struct WLog<T> {
-    /// The last call, which the next may join — held here, so that a VP's
-    /// log of one call is one block, its column — and those before it.
+    /// The last call, which the next one of the same VP and kind may join,
+    /// and those before it.
     open: Option<Call>,
     calls: Vec<Call>,
     /// The runs' values, call after call.
@@ -81,11 +80,16 @@ pub(super) struct WLog<T> {
     /// The other calls' writes, call after call.
     listed: Vec<(u64, T)>,
     /// Global rank of this node's VP 0: what `Call::vp` is relative to.
-    base: u64,
+    pub(super) base: u64,
     /// The element type's combiner, captured where `T: AccumElem` is known
     /// so the type-erased replay and apply paths can fold. It is
     /// `T::combine` for every accumulate, hence stored once.
     combine: Option<fn(AccumOp, T, T) -> T>,
+    /// What `vals` and `listed` held when the log last drained: the next
+    /// phase's first write reserves as much, so a log that fills alike
+    /// phase after phase takes one block per column and gives it back —
+    /// not a chain of doublings, whose freed steps the allocator keeps.
+    last: (usize, usize),
 }
 
 impl<T: Elem> WLog<T> {
@@ -99,7 +103,9 @@ impl<T: Elem> WLog<T> {
     /// are a run, which costs its values and — unless it continues the run
     /// the VP's last call left open — one header; indices that do not are
     /// listed, and once a VP lists, its writes of that kind go on the list.
-    /// A single element is either: it joins whichever it follows.
+    /// A single element is either: it joins whichever it follows. Only the
+    /// log's last call is open, so another VP's call in between — one polled
+    /// while this VP was parked — closes it.
     #[inline]
     pub(super) fn record(
         &mut self,
@@ -108,6 +114,10 @@ impl<T: Elem> WLog<T> {
         combine: Option<fn(AccumOp, T, T) -> T>,
         mut items: impl Iterator<Item = (u64, T)>,
     ) -> u64 {
+        if self.is_empty() {
+            self.vals.reserve(self.last.0);
+            self.listed.reserve(self.last.1);
+        }
         self.combine = combine.or(self.combine);
         let mine = |c: &&mut Call| c.vp == vp && c.kind == kind;
         if let Some(c) = self.open.as_mut().filter(|c| mine(c) && c.run().is_none()) {
@@ -171,27 +181,6 @@ impl<T: Elem> WLog<T> {
         (c.len - had) as u64
     }
 
-    /// Move `from`'s calls (one VP's writes since its last merge) to the
-    /// end of this log; `from` keeps its capacity. `base` is the global
-    /// rank of the node's VP 0.
-    pub(super) fn append(&mut self, base: u64, from: &mut WLog<T>) {
-        if from.is_empty() {
-            return;
-        }
-        debug_assert!(self.is_empty() || self.base == base);
-        self.base = base;
-        let vals = csr_offset(self.vals.len() + from.vals.len()) - from.vals.len() as u32;
-        let listed = csr_offset(self.listed.len() + from.listed.len()) - from.listed.len() as u32;
-        let moved = from.calls.drain(..).chain(from.open.take()).map(|mut c| {
-            c.at += c.run().map_or(listed, |_| vals);
-            c
-        });
-        self.calls.extend(self.open.take().into_iter().chain(moved));
-        self.vals.append(&mut from.vals);
-        self.listed.append(&mut from.listed);
-        self.combine = self.combine.or(from.combine);
-    }
-
     /// Call `f` with each of `c`'s writes, `(index, value)`, last first.
     #[inline]
     fn each_back(&self, c: &Call, mut f: impl FnMut(u64, T)) {
@@ -242,8 +231,8 @@ impl<T: Elem> WLog<T> {
     ///   calls are put in index order and each is cut at owner boundaries,
     ///   one `Dist::owner` and one copy per piece; no element is looked at.
     /// - **Anything else** is bucketed by owner in writer order — (VP,
-    ///   program order), a scan of the call headers unless a VP merged
-    ///   twice. Each destination gets an index and a value column in that
+    ///   program order), a scan of the call headers unless another VP's
+    ///   calls came between two of one VP's. Each destination gets an index and a value column in that
     ///   order, cut into one segment per call, so no element is sorted: an
     ///   accumulate ships every raw contribution, an assign only its last
     ///   write. Mixing the two — or two operators — on one element panics
@@ -266,6 +255,7 @@ impl<T: Elem> WLog<T> {
             return Vec::new();
         }
         let mut log = std::mem::take(self);
+        self.last = (log.vals.len(), log.listed.len());
         log.calls.extend(log.open.take());
         let out = match log.drain_runs(dist) {
             Some(out) => out,
@@ -741,20 +731,19 @@ pub(super) mod tests {
     use crate::{prop_assert, prop_assert_eq};
 
     impl<T: AccumElem> WLog<T> {
-        /// An empty VP-side log that knows the element's combiner.
-        pub fn scratch() -> Self {
+        /// An empty log that knows the element's combiner.
+        pub fn combining() -> Self {
             WLog {
                 combine: Some(T::combine),
                 ..WLog::default()
             }
         }
 
-        /// Log one op as VP `rank`'s whole merge (the node's VP 0 has
-        /// global rank 0).
+        /// Log one op as VP `rank`'s next call (the node's VP 0 has global
+        /// rank 0).
         pub fn buffer(&mut self, rank: u32, idx: usize, kind: WKind, val: T) {
-            let mut one = Self::scratch();
-            one.record(rank, kind, None, [(idx as u64, val)].into_iter());
-            self.append(0, &mut one);
+            let one = [(idx as u64, val)].into_iter();
+            self.record(rank, kind, Some(T::combine), one);
         }
     }
 
@@ -875,7 +864,7 @@ pub(super) mod tests {
         let mut ga = Logged::<f64>::new(Dist::block(4, 1));
         ga.wlog.buffer(0, 2, WKind::Assign, 1.0);
         ga.wlog.buffer(1, 2, WKind::Assign, 2.0);
-        // A later merge of the lower rank still loses to rank 1.
+        // A later call of the lower rank still loses to rank 1.
         ga.wlog.buffer(0, 2, WKind::Assign, 1.5);
         // Within a rank, program order decides.
         ga.wlog.buffer(1, 3, WKind::Assign, 7.0);
@@ -902,7 +891,7 @@ pub(super) mod tests {
     }
 
     /// Contributions ship in ascending (rank, program order) even when the
-    /// log is not: a VP that parked mid-phase merges again after its
+    /// log is not: a VP that parked mid-phase writes again after its
     /// higher-ranked neighbours.
     pub fn drain_orders_contributions_by_rank_then_program_order() {
         let mut ga = Logged::<f64>::new(Dist::block(2, 1));
@@ -986,7 +975,7 @@ pub(super) mod tests {
         let dist = Dist::block(LEN as usize, 3);
         let mut g = crate::testkit::Gen::new(7);
         for mask in [0xff, 0xff00, LEN - 1, 0] {
-            // `(index, rank, value)` in the order logged, one merge each;
+            // `(index, rank, value)` in the order logged, one call each;
             // the ends of the array as well. Adding a 1e16 makes the sums
             // depend on the order.
             let mut recs: Vec<(u64, u64, f64)> = (0..1000)
@@ -1056,7 +1045,6 @@ pub(super) mod tests {
                     let base = node as u64 * 3;
                     let mut ga: GArray<f64> = GArray::new(dist.clone(), node as usize);
                     for vp in 0..3u32 {
-                        let mut scratch = WLog::scratch();
                         let rank = base + vp as u64;
                         let items: Vec<(u64, f64)> = (EDGES.iter().chain(&EDGES))
                             .enumerate()
@@ -1064,10 +1052,10 @@ pub(super) mod tests {
                                 (idx, (rank * 10 + j as u64) as f64 + [1e16, 0.0][j % 2])
                             })
                             .collect();
-                        scratch.record(vp, kind, None, items.iter().copied());
+                        let logged = items.iter().map(|&(idx, val)| (idx as usize, val));
+                        ga.record((base, vp), kind, Some(f64::combine), logged, |_| {});
                         let mine = items.iter().enumerate();
                         writes.extend(mine.map(|(j, &(idx, val))| (rank, j, idx, val)));
-                        ga.append_writes(base, &mut scratch);
                     }
                     for p in ga.drain_writes(None) {
                         let distinct = EDGES.iter().filter(|&&i| dist.owner(i as usize) == p.dest);
@@ -1167,9 +1155,9 @@ pub(super) mod tests {
         // The same through three owners as one `put_many`: one call, cut
         // into three spans, `dist` asked once per piece.
         let mut ga = Logged::<u64>::new(weighted);
-        let mut scratch = WLog::scratch();
-        scratch.record(2, WKind::Assign, None, (0..8).map(|i| (i, i)));
-        ga.wlog.append(10, &mut scratch);
+        ga.wlog.base = 10;
+        ga.wlog
+            .record(2, WKind::Assign, None, (0..8).map(|i| (i, i)));
         assert_eq!(ga.wlog.headers().len(), 1);
         let asked = OWNER_LOOKUPS.get();
         let spans: Vec<_> = (ga.drain_writes(None))
@@ -1203,7 +1191,7 @@ pub(super) mod tests {
     /// writes, single elements join whichever they follow, and a VP that
     /// lists goes on listing.
     pub fn a_call_is_a_run_or_lists_its_indices() {
-        let mut log = WLog::<u64>::scratch();
+        let mut log = WLog::<u64>::combining();
         let put = WKind::Assign;
         let shape = |log: &WLog<u64>| (log.headers().len(), log.vals.len(), log.listed.len());
         // spmv's chunks: four calls, one run.
@@ -1235,32 +1223,29 @@ pub(super) mod tests {
         assert_eq!(log.listed[6..], strays);
         let lens: Vec<u32> = log.headers().iter().map(|c| c.len).collect();
         assert_eq!(lens, vec![1025, 6, 4, 4, 4]);
-        // Moved to an array's log behind other calls, each still finds its
-        // column.
-        let mut phase = WLog::<u64>::default();
-        phase.record(0, put, None, [(3, 0), (1, 0)].into_iter());
-        phase.record(1, put, None, [(8, 0), (9, 0)].into_iter());
-        phase.append(0, &mut log);
-        let ats: Vec<u32> = phase.headers().iter().map(|c| c.at).collect();
-        assert_eq!(ats, vec![0, 0, 2, 2, 1027, 1031, 8]);
-        assert!(log.is_empty() && log.vals.is_empty() && log.listed.is_empty());
+        let ats: Vec<u32> = log.headers().iter().map(|c| c.at).collect();
+        assert_eq!(ats, vec![0, 0, 1025, 1029, 6]);
+        // A call of another VP closes the open one, even a call that its
+        // run continues: VP 6's next run is a call of its own.
+        let mut log = WLog::<u64>::combining();
+        log.record(6, put, None, (0..4).map(|i| (i, i)));
+        log.record(7, put, None, (4..6).map(|i| (i, i)));
+        log.record(6, put, None, (6..8).map(|i| (i, i)));
+        let vps: Vec<u32> = log.headers().iter().map(|c| c.vp).collect();
+        assert_eq!((vps, shape(&log)), (vec![6, 7, 6], (3, 8, 0)));
     }
 
     /// The drain is where the checker finds write-write conflicts: on each
-    /// writer's *last* put per element, whatever order the merges came in,
+    /// writer's *last* put per element, whatever order the calls came in,
     /// reported by global rank where the writers run — not where the
     /// element lives — and only when a sink is given.
     pub fn drain_reports_write_write_conflicts_on_last_values() {
         const BASE: u64 = 10;
         let (quiet, payload) = (f64::NAN, f64::from_bits(f64::NAN.to_bits() ^ 1));
-        let log = |ops: &[(u32, usize, WKind, f64)]| {
-            let mut wlog = WLog::default();
+        let log = |ga: &mut GArray<f64>, ops: &[(u32, usize, WKind, f64)]| {
             for &(vp, idx, kind, val) in ops {
-                let mut one = WLog::scratch();
-                one.record(vp, kind, None, [(idx as u64, val)].into_iter());
-                wlog.append(BASE, &mut one);
+                ga.record((BASE, vp), kind, Some(f64::combine), [(idx, val)], |_| {});
             }
-            wlog
         };
         let put = WKind::Assign;
         let ops = [
@@ -1273,7 +1258,7 @@ pub(super) mod tests {
             (0, 2, put, 12.5),
             (4, 2, put, 12.5),
             (9, 2, put, 12.5),
-            // VP 1 first disagrees, then — in a later merge — converges.
+            // VP 1 first disagrees, then — in a later call — converges.
             (1, 3, put, 99.0),
             (0, 3, put, 50.0),
             (1, 3, put, 50.0),
@@ -1298,11 +1283,11 @@ pub(super) mod tests {
         ];
         let mut checker = Checker::default();
         let mut ga: GArray<f64> = GArray::new(Dist::block(16, 2), 0);
-        ga.append_writes(BASE, &mut log(&ops));
+        log(&mut ga, &ops);
         let sink = checker.conflicts_in(Space::Global, 3, PhaseKind::Global);
         assert_eq!(ga.drain_writes(Some(sink)).len(), 2);
         let mut na: GArray<f64> = GArray::node_shared(16);
-        na.append_writes(BASE, &mut log(&ops[..4]));
+        log(&mut na, &ops[..4]);
         na.apply(Some(checker.conflicts_in(Space::Node, 0, PhaseKind::Node)));
         assert_eq!(
             checker.end_phase(),
@@ -1315,7 +1300,7 @@ pub(super) mod tests {
             ]
         );
         // Checker off: same parcels, nobody to tell.
-        ga.append_writes(BASE, &mut log(&ops));
+        log(&mut ga, &ops);
         assert_eq!(ga.drain_writes(None).len(), 2);
     }
 
@@ -1342,7 +1327,7 @@ pub(super) mod tests {
     /// VPs per node, and the distance between two nodes' VP-0 ranks.
     const VPS: u32 = 3;
 
-    /// `((node, vp, merge round), (shape, start, length, salt))`: one bulk
+    /// `((node, vp, poll round), (shape, start, length, salt))`: one bulk
     /// write. Shape 0 puts the run `start..start + length`, shape 1 puts
     /// `length` scattered indices, anything else accumulates them; `salt`
     /// sets the stride of the scatter (0: one element, `length` times) and
@@ -1441,16 +1426,18 @@ pub(super) mod tests {
         for node in 0..nodes {
             let base = (node as u32 * VPS) as u64;
             let mut ga = Logged::<f64>::new(dist.clone());
+            ga.wlog.base = base;
             let mut writes: BTreeMap<u64, Vec<Write>> = BTreeMap::new();
             let mut order = 0;
-            // A VP merges once per round: the second merge of a lower rank
-            // lands behind the first of a higher one.
+            // A VP is polled once per round, in ascending rank: its calls of
+            // a second round land behind a higher rank's of the first, and
+            // join its own last call if no other VP's came in between.
             for round in 0..rounds {
                 for vp in 0..VPS {
-                    let mut scratch = WLog::scratch();
                     let mine = script.iter().filter(|s| s.0 == (node, vp, round));
                     for (_, kind, items) in mine {
-                        scratch.record(vp, *kind, None, items.iter().copied());
+                        let combine = Some(f64::combine as fn(AccumOp, f64, f64) -> f64);
+                        ga.wlog.record(vp, *kind, combine, items.iter().copied());
                         for &(idx, val) in items {
                             let rank = base + vp as u64;
                             writes.entry(idx).or_default().push(Write {
@@ -1462,7 +1449,6 @@ pub(super) mod tests {
                             order += 1;
                         }
                     }
-                    ga.wlog.append(base, &mut scratch);
                 }
             }
             writes
@@ -1487,11 +1473,11 @@ pub(super) mod tests {
         }))
     }
 
-    /// The whole write path — `record`, `append`, the drain's two ways, the
+    /// The whole write path — `record`, the drain's two ways, the
     /// span parcel, the owner's merge — against a map of every element's
     /// writes: random scripts of runs, overlapping runs of two VPs, a VP
     /// rewriting its own, lone and scattered puts, accumulates with repeats,
-    /// VPs that merge twice; block, weighted (one owner empty) and cyclic
+    /// VPs polled twice; block, weighted (one owner empty) and cyclic
     /// layouts; one to three nodes; checker on and off. Parcels, conflict
     /// reports, the owners' values, written ranges and touches all follow
     /// from the map, and a planted mix or second operator panics with the

@@ -10,12 +10,12 @@
 //! (remote reads, barriers) are exactly where the paper's runtime would
 //! deschedule a virtual processor.
 //!
-//! Every effect a VP produces goes into its private [`VpScratch`], which —
-//! with the node's frozen arrays — is the poll context the executor parks
-//! in a thread-local around each poll ([`VpCell::with_poll`]): the handles here take no lock
-//! and work only inside the future being polled. The executor merges
-//! scratches in ascending rank order, so the order in which a round polls
-//! its VPs never shows (see `exec` and DESIGN.md §12).
+//! Every effect a VP produces lands in the node's state, which — with the
+//! VP's own [`VpState`] — is the poll context the executor parks in a
+//! thread-local around each poll ([`VpCell::with_poll`]): the handles here
+//! take no lock and work only inside the future being polled. One thread
+//! polls a node's VPs in ascending rank, so the effects land in the order
+//! of a sequential ascending-rank schedule (see `exec` and DESIGN.md §12).
 
 use std::future::Future;
 use std::pin::Pin;
@@ -23,13 +23,12 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use crate::check::Space;
-use crate::cost;
 use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::ledger::{ledger, Held, PARKED};
 use crate::shared::{GlobalShared, NodeShared};
 use crate::state::{
-    array_ref, read_position, with_first_seen, ArrayTiles, DoMode, FirstSeen, GArray, GetOutcome,
-    PhaseKind, VpCell, VpScratch, WKind,
+    array_ref, read_position, ArrayTiles, DoMode, FirstSeen, GArray, GetOutcome, PhaseKind,
+    QueuedReq, VpCell, VpState, WKind,
 };
 
 /// Handle given to each virtual processor started by `ppm_do`.
@@ -98,7 +97,7 @@ impl Vp {
     pub fn local_range<T: Elem>(&self, g: &GlobalShared<T>) -> std::ops::Range<usize> {
         let node = self.cell.node;
         self.cell
-            .with_poll(|_, view| view.garrays[g.id as usize].dist().owned_range(node))
+            .with_poll(|_, inner| inner.garrays[g.id as usize].dist().owned_range(node))
     }
 
     /// Tile-aware variant of [`Self::local_range`]: the node's owned range
@@ -113,8 +112,8 @@ impl Vp {
         chunk_elems: usize,
     ) -> Vec<std::ops::Range<usize>> {
         let node = self.cell.node;
-        self.cell.with_poll(|_, view| {
-            let dist = view.garrays[g.id as usize].dist();
+        self.cell.with_poll(|_, inner| {
+            let dist = inner.garrays[g.id as usize].dist();
             dist.owned_chunks(node, chunk_elems).collect()
         })
     }
@@ -158,7 +157,7 @@ impl Vp {
             "global phases are not allowed inside ppm_do_local \
              (asynchronous node-level mode); use ppm_do"
         );
-        self.cell.with_poll(|s, _| {
+        self.cell.with_poll(|s, inner| {
             if s.cur_phase.is_some() {
                 // Phase structure violation: report with the checker's
                 // rendering and abort (the runtime cannot give nested
@@ -170,22 +169,26 @@ impl Vp {
                 panic!("{v}");
             }
             s.cur_phase = Some(kind);
-            s.pending_enter = Some(kind);
             if self.cell.cfg.checker {
                 s.own_writes.get_or_insert_default().begin_phase();
             }
+            inner.enter_phase(kind);
         });
         let ph = Phase {
             cell: self.cell.clone(),
             kind,
         };
         let r = body(ph).await;
-        // Capture the epoch to outwait *before* flagging arrival: the
-        // executor cannot advance it until this VP's arrival merges, which
-        // happens only after the current poll returns.
-        let epoch = self.cell.with_poll(|s, view| {
-            s.pending_arrive = true;
-            view.epoch
+        // Arrive, and capture the epoch to outwait: the executor advances it
+        // only once every VP has arrived, after the current poll returns.
+        // The checker's hazards found in the phase go to the node's report.
+        let epoch = self.cell.with_poll(|s, inner| {
+            if let (Some(c), Some(own)) = (inner.checker.as_mut(), s.own_writes.as_mut()) {
+                c.hazards(&mut own.found);
+            }
+            inner.phase.arrived += 1;
+            inner.barrier_waiters.push(self.cell.id);
+            inner.epoch
         });
         BarrierFut {
             cell: &self.cell,
@@ -369,26 +372,36 @@ impl<T: Elem> Future for GetFut<'_, T> {
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
         let this = &mut *self;
-        let got = this.cell.with_poll(|s, view| {
-            let ga = array_ref::<T>(view, Space::Global, this.array);
-            let tiles = view.tile_budget.tiled(this.array);
-            match this.state {
-                GetFutState::Start => match this.cell.charge_get(s, ga, this.array, this.idx) {
+        let got = this.cell.with_poll(|s, inner| {
+            let ga = array_ref::<T>(&inner.garrays, Space::Global, this.array);
+            let tiles = inner.tile_budget.tiled(this.array);
+            let faults = &mut inner.tile_faults;
+            // A first poll charges the read: `(hits, misses)`.
+            let (got, (hits, misses)) = match this.state {
+                GetFutState::Start => match this.cell.check_get(s, ga, this.array, this.idx) {
                     GetOutcome::Owned(off) => {
                         this.state = GetFutState::Deferred(off);
-                        VpCell::read_resident(s, ga, tiles, this.array, off)
+                        let got = this.cell.read_resident(faults, ga, tiles, this.array, off);
+                        (got, (0, 0))
                     }
-                    GetOutcome::Cached(v) => Some(v),
+                    GetOutcome::Cached(v) => (Some(v), (1, 0)),
                     GetOutcome::Miss => {
-                        let slot = this.cell.issue_get(s, ga, this.array, this.idx);
+                        let reqs = &mut inner.reqs;
+                        let slot = this.cell.issue_get(s, reqs, ga, this.array, this.idx);
                         this.state = GetFutState::Slot(slot);
-                        None
+                        (None, (0, 1))
                     }
                 },
-                GetFutState::Deferred(off) => VpCell::read_resident(s, ga, tiles, this.array, off),
-                GetFutState::Slot(slot) => s.slots.try_take(slot).map(|pos| ga.arena_get(pos)),
+                GetFutState::Deferred(off) => {
+                    return this.cell.read_resident(faults, ga, tiles, this.array, off);
+                }
+                GetFutState::Slot(slot) => {
+                    return s.slots.try_take(slot).map(|pos| ga.arena_get(pos));
+                }
                 GetFutState::Done => panic!("GetFut polled after completion"),
-            }
+            };
+            this.cell.charge_reads(inner, 1, hits, misses, misses);
+            got
         });
         match got {
             Some(v) => {
@@ -469,98 +482,113 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Vec<T>> {
         let this = &mut *self;
-        this.cell.with_poll(|s, view| {
+        this.cell.with_poll(|s, inner| {
             // The typed array and its tiling resolve once per poll, not per
             // element.
-            let ga = array_ref::<T>(view, Space::Global, this.array);
-            let tiles = view.tile_budget.tiled(this.array);
+            let ga = array_ref::<T>(&inner.garrays, Space::Global, this.array);
+            let tiles = inner.tile_budget.tiled(this.array);
+            let (reqs, faults) = (&mut inner.reqs, &mut inner.tile_faults);
+            // A first poll's charge: `(reads, hits, misses, requested)`.
+            let mut charge = None;
             if let Some(mut idxs) = this.idxs.take() {
+                let seen = &mut inner.first_seen;
+                seen.begin();
                 // First poll: charge every access; the distinct remote
                 // misses queue for the next wave together. Cold-tile locals
                 // defer but are charged here, so wave content and counters
                 // match the in-core schedule exactly.
-                with_first_seen(|seen| {
-                    if !Self::COMPACT {
-                        this.values.reserve_exact(idxs.size_hint().0);
-                    }
-                    // An access to `hot` — elements from global index `lo`
-                    // on — is its charge and a load (a wide element's: a
-                    // span in core, a run if it repeats a cache hit), and the
-                    // charges are sums: they land once, after the loop.
-                    // `hot` is an owned resident span (`GArray::hot_span`)
-                    // or, `cached`, a run of the read cache
-                    // (`GArray::cached_span`) — which only a checker-invisible
-                    // read in a global phase may take, so every other remote
-                    // read keeps its checks. Everything `elsewhere` pays
-                    // `charge_get`, one by one.
-                    let plain = VpCell::reads_plainly(s, this.array);
-                    let caching =
-                        plain && this.cell.cfg.read_cache && s.cur_phase == Some(PhaseKind::Global);
-                    let (mut lo, mut hot, mut cached): (usize, &[T], bool) = (0, &[], false);
-                    let (mut hits, mut misses, mut elsewhere) = (0u64, 0u64, 0u64);
-                    let mut next = idxs.next();
-                    while let Some(idx) = next {
-                        if let Some(&v) = hot.get(idx.wrapping_sub(lo)) {
-                            // A run of loads, up to the first index outside
-                            // `hot`.
-                            let run_at = this.len;
-                            next = None;
-                            if Self::COMPACT && (cached || tiles.is_none()) {
-                                // In core, `lo` is the partition's first index.
-                                let mut at = idx;
-                                loop {
-                                    match cached {
-                                        true => this.hit(seen, at, hot[at - lo]),
-                                        false => this.span(at - lo),
-                                    }
-                                    match idxs.next() {
-                                        Some(idx) if idx.wrapping_sub(lo) < hot.len() => at = idx,
-                                        idx => {
-                                            next = idx;
-                                            break;
-                                        }
+                if !Self::COMPACT {
+                    this.values.reserve_exact(idxs.size_hint().0);
+                }
+                // An access to `hot` — elements from global index `lo`
+                // on — is a load (a wide element's: a span in core, a run
+                // if it repeats a cache hit). `hot` is an owned resident
+                // span (`GArray::hot_span`) or, `cached`, a run of the
+                // read cache (`GArray::cached_span`) — which only a
+                // checker-invisible read in a global phase may take, so
+                // every other remote read keeps its checks. Everything
+                // else takes `check_get`, one by one. The charges are
+                // sums: they land once, after the poll.
+                let plain = VpCell::reads_plainly(s, this.array);
+                let caching =
+                    plain && this.cell.cfg.read_cache && s.cur_phase == Some(PhaseKind::Global);
+                let (mut lo, mut hot, mut cached): (usize, &[T], bool) = (0, &[], false);
+                let (mut hits, mut misses, mut requested) = (0u64, 0u64, 0u64);
+                let mut next = idxs.next();
+                while let Some(idx) = next {
+                    if let Some(&v) = hot.get(idx.wrapping_sub(lo)) {
+                        // A run of loads, up to the first index outside
+                        // `hot`.
+                        let run_at = this.len;
+                        next = None;
+                        if Self::COMPACT && (cached || tiles.is_none()) {
+                            // In core, `lo` is the partition's first index.
+                            let mut at = idx;
+                            loop {
+                                match cached {
+                                    true => this.hit(seen, at, hot[at - lo]),
+                                    false => this.span(at - lo),
+                                }
+                                match idxs.next() {
+                                    Some(idx) if idx.wrapping_sub(lo) < hot.len() => at = idx,
+                                    idx => {
+                                        next = idx;
+                                        break;
                                     }
                                 }
-                            } else {
-                                let held = this.values.len();
-                                this.values.push(v);
-                                this.values.extend(idxs.by_ref().map_while(|idx| {
-                                    let load = hot.get(idx.wrapping_sub(lo)).copied();
-                                    if load.is_none() {
-                                        next = Some(idx);
-                                    }
-                                    load
-                                }));
-                                this.len += this.values.len() - held;
-                            }
-                            if cached {
-                                hits += (this.len - run_at) as u64;
-                            }
-                        } else if let Some(span) = ga.hot_span(tiles, idx).filter(|_| plain) {
-                            // Look at `idx` again, inside its span.
-                            (lo, hot, cached) = (span.0, span.1, false);
-                        } else if caching && ga.owned_offset(idx).is_none() {
-                            assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
-                            if let Some(span) = ga.cached_span(idx) {
-                                (lo, hot, cached) = (span.0, span.1, true);
-                            } else {
-                                misses += 1;
-                                this.request(s, seen, ga, idx);
-                                next = idxs.next();
                             }
                         } else {
-                            elsewhere += 1;
-                            this.charge_one(s, seen, ga, tiles, idx);
+                            let held = this.values.len();
+                            this.values.push(v);
+                            this.values.extend(idxs.by_ref().map_while(|idx| {
+                                let load = hot.get(idx.wrapping_sub(lo)).copied();
+                                if load.is_none() {
+                                    next = Some(idx);
+                                }
+                                load
+                            }));
+                            this.len += this.values.len() - held;
+                        }
+                        if cached {
+                            hits += (this.len - run_at) as u64;
+                        }
+                    } else if let Some(span) = ga.hot_span(tiles, idx).filter(|_| plain) {
+                        // Look at `idx` again, inside its span.
+                        (lo, hot, cached) = (span.0, span.1, false);
+                    } else if caching && ga.owned_offset(idx).is_none() {
+                        assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
+                        if let Some(span) = ga.cached_span(idx) {
+                            (lo, hot, cached) = (span.0, span.1, true);
+                        } else {
+                            misses += 1;
+                            requested += this.request(s, seen, reqs, ga, idx) as u64;
                             next = idxs.next();
                         }
+                    } else {
+                        match this.cell.check_get(s, ga, this.array, idx) {
+                            GetOutcome::Owned(off) if Self::COMPACT && tiles.is_none() => {
+                                this.span(off)
+                            }
+                            GetOutcome::Owned(off) => {
+                                let cell = this.cell;
+                                match cell.read_resident(faults, ga, tiles, this.array, off) {
+                                    Some(v) => this.hold(v),
+                                    None => this.defer(tiles, off),
+                                }
+                            }
+                            GetOutcome::Cached(v) => {
+                                hits += 1;
+                                this.hit(seen, idx, v);
+                            }
+                            GetOutcome::Miss => {
+                                misses += 1;
+                                requested += this.request(s, seen, reqs, ga, idx) as u64;
+                            }
+                        }
+                        next = idxs.next();
                     }
-                    let charged = this.len as u64 - elsewhere;
-                    s.compute += cost::SV_OVERHEAD.scale(charged);
-                    s.counters.local_accesses += charged - hits - misses;
-                    s.counters.cache_hits += hits;
-                    s.counters.cache_misses += misses;
-                    s.counters.remote_gets += misses;
-                });
+                }
+                charge = Some((this.len as u64, hits, misses, requested));
             } else {
                 if !Self::COMPACT {
                     let values = &mut this.values;
@@ -577,7 +605,8 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                 let values = &mut this.values;
                 this.deferred.retain(|&(at, off, len)| {
                     let (at, len) = (at as usize, len as usize);
-                    let back = VpCell::read_resident(s, ga, tiles, this.array, off).is_some();
+                    let got = this.cell.read_resident(faults, ga, tiles, this.array, off);
+                    let back = got.is_some();
                     if back {
                         values[at..at + len].copy_from_slice(&ga.local[off..off + len]);
                     }
@@ -586,15 +615,21 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
             }
             // A narrow read has taken every filled slot by now.
             let parked = this.pending.iter().any(|&(_, slot)| !s.slots.filled(slot));
-            if parked || !this.deferred.is_empty() {
+            let out = if parked || !this.deferred.is_empty() {
                 ledger!(this.held, {
                     use crate::ledger::bytes;
                     let values = bytes(&this.values) + bytes(&this.pending) + bytes(&this.dups);
                     values + bytes(&this.deferred) + bytes(&this.spans) + bytes(&this.runs)
                 });
-                return Poll::Pending;
+                Poll::Pending
+            } else {
+                Poll::Ready(this.resolve(s, ga))
+            };
+            if let Some((reads, hits, misses, requested)) = charge {
+                this.cell
+                    .charge_reads(inner, reads, hits, misses, requested);
             }
-            Poll::Ready(this.resolve(s, ga))
+            out
         })
     }
 }
@@ -616,7 +651,7 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
     /// The output in request order, once nothing is parked: `values` itself
     /// for a narrow element; for a wide one, built in one allocation from
     /// the values held, the spans, the arena and the repeats.
-    fn resolve(&mut self, s: &mut VpScratch, ga: &GArray<T>) -> Vec<T> {
+    fn resolve(&mut self, s: &mut VpState, ga: &GArray<T>) -> Vec<T> {
         let mut values = std::mem::take(&mut self.values);
         if !Self::COMPACT {
             for &(pos, first) in &self.dups {
@@ -688,64 +723,56 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
         }
     }
 
-    /// The full price of the access to `idx` that the next output position
-    /// is for, and where its value is: held — a placeholder while a spilled
-    /// tile defers it — in a span, or parked on a request.
-    fn charge_one(
-        &mut self,
-        s: &mut VpScratch,
-        seen: &mut FirstSeen,
-        ga: &GArray<T>,
-        tiles: Option<&ArrayTiles>,
-        idx: usize,
-    ) {
-        match self.cell.charge_get(s, ga, self.array, idx) {
-            GetOutcome::Owned(off) if Self::COMPACT && tiles.is_none() => self.span(off),
-            GetOutcome::Owned(off) => match VpCell::read_resident(s, ga, tiles, self.array, off) {
-                Some(v) => self.hold(v),
-                None => {
-                    let at = read_position(self.values.len());
-                    match self.deferred.last_mut() {
-                        // The next element of the last run, in the same tile.
-                        Some((to, from, len))
-                            if *to + *len == at
-                                && *from + *len as usize == off
-                                && tiles.is_some_and(|t| t.tile_span(*from).contains(&off)) =>
-                        {
-                            *len += 1
-                        }
-                        _ => self.deferred.push((at, off, 1)),
-                    }
-                    self.hold(T::default());
-                }
-            },
-            GetOutcome::Cached(v) => self.hit(seen, idx, v),
-            GetOutcome::Miss => self.request(s, seen, ga, idx),
-        }
-    }
-
-    /// A charged miss on remote `idx`, which the next output position is
-    /// for: parked on a new request, or on the one this call already made.
-    /// A narrow element's placeholder goes onto `values`.
-    fn request(&mut self, s: &mut VpScratch, seen: &mut FirstSeen, ga: &GArray<T>, idx: usize) {
-        let pos = read_position(self.len);
-        if let Some(first) = seen.first(idx as u64, pos) {
-            // The request this repeat does not make is one the wave
-            // builder would have merged.
-            s.counters.dedup_reads += 1;
-            if Self::COMPACT {
-                return self.repeat(first);
+    /// A local at offset `off` of a spilled tile, for the next output
+    /// position: a placeholder held until the executor refills the tile,
+    /// which extends the last deferred run or starts one.
+    fn defer(&mut self, tiles: Option<&ArrayTiles>, off: usize) {
+        let at = read_position(self.values.len());
+        match self.deferred.last_mut() {
+            // The next element of the last run, in the same tile.
+            Some((to, from, len))
+                if *to + *len == at
+                    && *from + *len as usize == off
+                    && tiles.is_some_and(|t| t.tile_span(*from).contains(&off)) =>
+            {
+                *len += 1
             }
-            self.dups.push((pos, first));
-        } else {
-            let slot = self.cell.issue_get(s, ga, self.array, idx);
-            self.pending.push((pos, slot));
-            if Self::COMPACT {
-                self.len += 1;
-                return;
-            }
+            _ => self.deferred.push((at, off, 1)),
         }
         self.hold(T::default());
+    }
+
+    /// A miss on remote `idx`, which the next output position is for: parked
+    /// on a new request in `reqs`, or on the one this call already made — a
+    /// request the wave builder would have merged (`dedup_reads`). A narrow
+    /// element's placeholder goes onto `values`. Returns whether it made a
+    /// request.
+    fn request(
+        &mut self,
+        s: &mut VpState,
+        seen: &mut FirstSeen,
+        reqs: &mut [Vec<QueuedReq>],
+        ga: &GArray<T>,
+        idx: usize,
+    ) -> bool {
+        let pos = read_position(self.len);
+        let first = seen.first(idx as u64, pos);
+        match first {
+            Some(first) if Self::COMPACT => self.repeat(first),
+            Some(first) => {
+                self.dups.push((pos, first));
+                self.hold(T::default());
+            }
+            None => {
+                let slot = self.cell.issue_get(s, reqs, ga, self.array, idx);
+                self.pending.push((pos, slot));
+                match Self::COMPACT {
+                    true => self.len += 1,
+                    false => self.hold(T::default()),
+                }
+            }
+        }
+        first.is_none()
     }
 }
 
@@ -767,7 +794,7 @@ impl Future for BarrierFut<'_> {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        if self.cell.with_poll(|_, view| view.epoch) > self.epoch {
+        if self.cell.with_poll(|_, inner| inner.epoch) > self.epoch {
             Poll::Ready(())
         } else {
             Poll::Pending

@@ -326,10 +326,9 @@ fn permanent_death_is_survived_bit_identically() {
     assert_eq!(totals.retries, 0);
 }
 
-/// A death's failover is the same run to run. (The name is that of the
-/// host-thread-count comparison this test replaced.)
+/// A death's failover is the same run to run.
 #[test]
-fn permanent_death_is_deterministic_across_host_threads() {
+fn permanent_death_is_bit_identical_run_to_run() {
     let cfg = || {
         base_cfg()
             .with_replication(true)

@@ -1,8 +1,12 @@
 //! Behavioural tests of the PPM runtime semantics, exercised through the
 //! public API across a range of machine shapes.
 
+use std::any::Any;
 use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 use std::task::Poll;
 
 use ppm_core::testkit::{walk, Cell};
@@ -1063,26 +1067,47 @@ fn cyclic_layout_spreads_ownership() {
     });
 }
 
-/// The panic protocol (DESIGN.md §12) through the poll context: when a VP
-/// panics mid-poll, the ranks below it still merge, its own effects and
-/// those of the ranks above are discarded, and the payload re-raises out
-/// of `ppm_do`.
+/// The panic protocol (DESIGN.md §12): a VP panic poisons its node. Its
+/// payload re-raises out of `ppm_do` as soon as it is caught — no rank above
+/// the panicking one is polled, and what the ranks up to it did stays where
+/// it landed — and every later `ppm_do` or `ppm_do_local` on the node
+/// panics naming the VP and the payload.
 #[test]
-fn panicking_vp_merges_lower_ranks_and_discards_its_own() {
+fn a_vp_panic_poisons_its_node() {
     walk(budget, |cell| {
         let report = run(cfg(cell, 1, 2), |node| {
-            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                node.ppm_do(3, |vp| async move {
-                    let rank = vp.node_rank() as u64;
-                    vp.charge_flops(100 + rank);
-                    assert_ne!(rank, 1, "boom");
-                });
+            let polled = Arc::new(AtomicU64::new(0));
+            let seen = polled.clone();
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                node.ppm_do(3, move |vp| {
+                    let seen = seen.clone();
+                    async move {
+                        let rank = vp.node_rank() as u64;
+                        seen.fetch_or(1 << rank, Relaxed);
+                        vp.charge_flops(100 + rank);
+                        assert_ne!(rank, 1, "boom");
+                    }
+                })
             }));
-            let msg = *unwound.unwrap_err().downcast::<String>().unwrap();
-            assert!(msg.contains("boom"), "{msg}");
-            node.ep_counters().flops
+            let text = |p: Box<dyn Any + Send>| *p.downcast::<String>().unwrap();
+            let payload = text(unwound.unwrap_err());
+            let again = catch_unwind(AssertUnwindSafe(|| node.ppm_do(1, |_| async {})));
+            let local = catch_unwind(AssertUnwindSafe(|| node.ppm_do_local(1, |_| async {})));
+            let later = [again, local].map(|r| text(r.unwrap_err()));
+            (
+                payload,
+                later,
+                polled.load(Relaxed),
+                node.ep_counters().flops,
+            )
         });
-        assert_eq!(report.results, vec![100]);
+        let (payload, later, polled, flops) = &report.results[0];
+        assert!(payload.contains("boom"), "{payload}");
+        for msg in later {
+            let head = "node 0 is poisoned: VP 1 panicked in an earlier ppm_do: ";
+            assert_eq!(*msg, format!("{head}{payload}"));
+        }
+        assert_eq!((*polled, *flops), (0b011, 100 + 101));
     });
 }
 
@@ -1108,59 +1133,35 @@ fn parked_read_dropped_by_an_unwinding_ppm_do_is_quiet() {
     });
 }
 
-/// A round cut short by a panic leaves nothing staged for a later
-/// `ppm_do`: the remote read the panicking VP issued before it panicked,
-/// and the one a higher rank issued in the same round, never reach a wave —
-/// the next construct counts what it would in a fresh job.
+/// A VP panic that unwinds `ppm_do` mid-phase — rank 0 has entered a global
+/// phase and parked on a remote read, rank 1 panics — leaves the node's
+/// phase open and the read queued; the node's next `ppm_do` reports the
+/// panic that did it, not the barrier mismatch the open phase would make.
 #[test]
-fn requests_of_a_round_cut_short_by_a_panic_reach_no_later_wave() {
+fn a_panic_mid_phase_is_what_the_next_ppm_do_reports() {
     walk(budget, |cell| {
-        let job = |unwind_first: bool| {
-            run(cfg(cell, 2, 2).with_read_cache(false), move |node| {
-                let a = node.alloc_global::<u64>(8);
-                let far = (node.local_range(&a).start + 4) % 8;
-                if unwind_first {
-                    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        node.ppm_do(3, move |vp| async move {
-                            let rank = vp.node_rank();
-                            if rank == 0 {
-                                // Merged before the panic: it opens no phase.
-                                return;
-                            }
-                            vp.global_phase(|ph| async move {
-                                // Issue the read: one poll.
-                                let mut read = ph.get(&a, far + rank);
-                                let once = std::future::poll_fn(|cx| {
-                                    Poll::Ready(Pin::new(&mut read).poll(cx))
-                                });
-                                assert!(once.await.is_pending());
-                                assert_ne!(rank, 1, "boom");
-                            })
-                            .await;
-                        });
-                    }));
-                    assert!(unwound.is_err());
-                }
-                let before = node.ep_counters();
+        let report = run(cfg(cell, 2, 2).with_read_cache(false), |node| {
+            let a = node.alloc_global::<u64>(8);
+            let far = (node.local_range(&a).start + 4) % 8;
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
                 node.ppm_do(2, move |vp| async move {
-                    let rank = vp.node_rank();
+                    if vp.node_rank() == 1 {
+                        panic!("boom");
+                    }
                     vp.global_phase(|ph| async move {
-                        assert_eq!(ph.get(&a, far + rank).await, 0);
+                        ph.get(&a, far).await;
                     })
                     .await;
-                });
-                let after = node.ep_counters();
-                let delta = |f: fn(&ppm_simnet::Counters) -> u64| f(&after) - f(&before);
-                [
-                    delta(|c| c.remote_gets),
-                    delta(|c| c.dedup_reads),
-                    delta(|c| c.waves),
-                    delta(|c| c.bytes_sent),
-                ]
-            })
-            .results
-        };
-        assert_eq!(job(true), job(false));
+                })
+            }));
+            assert_eq!(*unwound.unwrap_err().downcast::<&str>().unwrap(), "boom");
+            let next = catch_unwind(AssertUnwindSafe(|| node.ppm_do(2, |_| async {})));
+            *next.unwrap_err().downcast::<String>().unwrap()
+        });
+        for (node, msg) in report.results.iter().enumerate() {
+            let want = format!("node {node} is poisoned: VP 1 panicked in an earlier ppm_do: boom");
+            assert_eq!(*msg, want);
+        }
     });
 }
 
