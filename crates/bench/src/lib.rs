@@ -482,6 +482,9 @@ mod tests {
             "inner.reqs",
             "slot tables",
             "arena + read cache",
+            "serve history",
+            "partitions",
+            "write parcels",
         ];
         for owner in owners {
             assert!(line

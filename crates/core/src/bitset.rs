@@ -26,7 +26,7 @@ thread_local! {
 }
 
 /// A growable set of small non-negative integers (node ids, array ids).
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct NodeSet {
     /// Little-endian 64-bit words; invariant: the last word is non-zero.
     words: Vec<u64>,
@@ -154,6 +154,12 @@ impl NodeSet {
                 }
             })
         })
+    }
+
+    /// The bytes behind the set's words (for the byte ledger).
+    #[cfg(feature = "byte-ledger")]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.words.capacity() * 8
     }
 
     /// Restore the no-trailing-zero-words invariant.

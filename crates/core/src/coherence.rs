@@ -25,12 +25,16 @@
 //! [`crate::dissem::Notices`] — no transport, no clock — so the routing is
 //! tested for all nodes in lockstep without a thread.
 
+use std::collections::HashMap;
 use std::ops::Range;
 
 use ppm_simnet::coll::{route_offset, Edge};
 
 use crate::bitset::NodeSet;
 use crate::cost::{REFRESH_INDEX_BYTES, REFRESH_PART_HEADER_BYTES};
+#[cfg(feature = "byte-ledger")]
+use crate::ledger::bytes;
+use crate::ledger::{ledger, Held, SERVES};
 use crate::msgs::ReqEntry;
 use crate::state::{Arrays, GArrayObj, Inner, Values};
 
@@ -41,46 +45,102 @@ use crate::state::{Arrays, GArrayObj, Inner, Values};
 /// `SERVE_TTL` phases.
 const SERVE_TTL: u64 = 8;
 
-/// One reader of one owned element: a row of its array's serve history. An
-/// element's rows are adjacent and agree on `last_serve` and `armed`, which
-/// are facts about the element. An element *arms* on its second serve within
-/// the TTL window: one serve is as likely read-once as read-again, two
-/// serves within a few phases is a reuse pattern worth pushing for.
-#[derive(Clone, Copy)]
-struct ServeRow {
-    idx: u64,
-    /// `phase.global_seq` of the element's most recent serve (TTL pruning).
-    last_serve: u64,
-    /// A node that has requested the element.
-    reader: u32,
-    /// Whether rewrites of the element trigger an owner push.
-    armed: bool,
+/// A run of consecutive owned elements that agree on their readers, last
+/// serve and armed flag: a row of its array's serve history. An element
+/// *arms* on its second serve within the TTL window: one serve is as likely
+/// read-once as read-again, two serves within a few phases is a reuse
+/// pattern worth pushing for. 24 B (a test pins it), so that a scattered
+/// element read by one node costs no more than a row per (element, reader)
+/// would.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct ServeRun {
+    first: u64,
+    /// `last_serve << 1 | armed`: `phase.global_seq` of the run's most
+    /// recent serve (TTL pruning), and whether rewrites of its elements
+    /// trigger an owner push.
+    stamp: u64,
+    len: u32,
+    /// Its readers, as a position in [`ServeHist::sets`].
+    set: u32,
 }
 
-impl ServeRow {
+impl ServeRun {
+    fn end(&self) -> u64 {
+        self.first + self.len as u64
+    }
+
+    fn armed(&self) -> bool {
+        self.stamp & 1 == 1
+    }
+
     fn live(&self, phase: u64) -> bool {
-        phase <= self.last_serve + SERVE_TTL
+        phase <= (self.stamp >> 1) + SERVE_TTL
     }
 }
 
+/// One array's serve history: its runs, ascending and disjoint, two
+/// adjacent ones told apart by readers or stamp; and the distinct reader
+/// sets they name, each once — a halo plane served to two readers is one
+/// run and one set, and scattered single elements share their sets.
+#[derive(Default)]
+struct ServeHist {
+    runs: Vec<ServeRun>,
+    sets: Vec<NodeSet>,
+}
+
+impl ServeHist {
+    /// Append elements `lo..hi`, past every run held, with `readers` and
+    /// `stamp`; the last run grows if they continue it alike. `ids` finds a
+    /// set already in [`Self::sets`].
+    fn push(
+        &mut self,
+        ids: &mut HashMap<NodeSet, u32>,
+        (lo, hi): (u64, u64),
+        readers: &NodeSet,
+        stamp: u64,
+    ) {
+        let set = match ids.get(readers) {
+            Some(&set) => set,
+            None => {
+                self.sets.push(readers.clone());
+                ids.insert(readers.clone(), self.sets.len() as u32 - 1);
+                self.sets.len() as u32 - 1
+            }
+        };
+        // Only an array of four billion elements owned by one node trips it.
+        let len = |first| u32::try_from(hi - first).expect("serve run overflow");
+        let last = self.runs.last_mut();
+        match last.filter(|r| (r.end(), r.set, r.stamp) == (lo, set, stamp)) {
+            Some(last) => last.len = len(last.first),
+            None => self.runs.push(ServeRun {
+                first: lo,
+                stamp,
+                len: len(lo),
+                set,
+            }),
+        }
+    }
+}
 /// One node's coherence state ([`Inner::coherence`]).
 #[derive(Default)]
 pub(crate) struct Coherence {
     /// The read cache is on and there is a peer to be coherent with.
     on: bool,
-    /// Serve history by array id: one row per (owned element, reader),
-    /// sorted by both. Flat, so folding a phase's serves in is a merge, the
-    /// readers of a rewritten element are a slice, and no element costs an
-    /// allocation.
-    serve_hist: Vec<Vec<ServeRow>>,
-    /// Peer reads served since the last global phase end, as `(array, global
-    /// idx, requesting node)` in arrival order — a real-time accident, so
+    /// Serve history by array id. Run-length, so folding a phase's serves
+    /// in is a merge of intervals, the readers of a rewritten range are one
+    /// set, and a halo costs a row however many elements it has.
+    serve_hist: Vec<ServeHist>,
+    /// Peer reads served since the last global phase end, as `(array, first
+    /// global idx, run length, requesting node)` per run of consecutive
+    /// indices, in arrival order — a real-time accident, so
     /// [`Self::fold_serves`] sorts first.
-    deferred_serves: Vec<(u32, u64, u32)>,
+    deferred_serves: Vec<(u32, u64, u64, u32)>,
     /// Refresh entries awaiting dissemination, each run of them with its
     /// remaining destination set; drained round by round by
     /// [`CoherencePart`].
     pending_refresh: Vec<RefreshPart>,
+    hist_held: Held<SERVES>,
+    deferred_held: Held<SERVES>,
 }
 
 impl Coherence {
@@ -91,11 +151,15 @@ impl Coherence {
         }
     }
 
-    /// Remember that `src` was served `entries`.
+    /// Remember that `src` was served `entries`, one record per run of
+    /// consecutive indices (`build_dest` sorts a bundle by `(array, idx)`
+    /// and dedups it, so a halo is one run).
     pub fn note_serves(&mut self, src: usize, entries: &[ReqEntry]) {
         if self.on {
-            let served = entries.iter().map(|e| (e.array, e.idx, src as u32));
+            let runs = entries.chunk_by(|a, b| (b.array, b.idx) == (a.array, a.idx + 1));
+            let served = runs.map(|run| (run[0].array, run[0].idx, run.len() as u64, src as u32));
             self.deferred_serves.extend(served);
+            ledger!(self.deferred_held, bytes(&self.deferred_serves));
         }
     }
 
@@ -103,31 +167,36 @@ impl Coherence {
     /// sort of the serves, one merge per array they name. An element arms on
     /// its SECOND serve within `SERVE_TTL` phases — a one-serve wonder never
     /// earns pushes, and stale history (read-once apps) is pruned so the
-    /// rows stay bounded by the hot working set. Pushes do not extend
+    /// runs stay bounded by the hot working set. Pushes do not extend
     /// `last_serve`: armed elements must re-earn their pushes every TTL
     /// window (one two-miss hiccup per cycle).
     pub fn fold_serves(&mut self, phase: u64) {
         let mut serves = std::mem::take(&mut self.deferred_serves);
+        ledger!(self.deferred_held, 0);
         serves.sort_unstable();
-        serves.dedup();
         let arrays = serves.last().map_or(0, |last| last.0 as usize + 1);
         if self.serve_hist.len() < arrays {
-            self.serve_hist.resize_with(arrays, Vec::new);
+            self.serve_hist.resize_with(arrays, ServeHist::default);
         }
         let mut by_array = serves.chunk_by(|a, b| a.0 == b.0).peekable();
-        for (array, rows) in self.serve_hist.iter_mut().enumerate() {
+        for (array, hist) in self.serve_hist.iter_mut().enumerate() {
             let Some(served) = by_array.next_if(|s| s[0].0 as usize == array) else {
-                rows.retain(|h| h.live(phase));
+                hist.runs.retain(|r| r.live(phase));
                 continue;
             };
-            *rows = fold_array(rows, served, phase);
+            *hist = fold_array(hist, served, phase);
         }
+        ledger!(self.hist_held, {
+            let sets = |h: &ServeHist| h.sets.iter().map(NodeSet::heap_bytes).sum::<usize>();
+            let hist = |h: &ServeHist| bytes(&h.runs) + bytes(&h.sets) + sets(h);
+            self.serve_hist.iter().map(hist).sum()
+        });
     }
 
     /// Whether [`Self::select_refresh`] could pick anything of `array`, so
     /// that its written ranges are worth listing.
     pub fn has_history(&self, array: u32) -> bool {
-        (self.serve_hist.get(array as usize)).is_some_and(|rows| !rows.is_empty())
+        (self.serve_hist.get(array as usize)).is_some_and(|h| !h.runs.is_empty())
     }
 
     /// Queue post-apply values of `array` (`ga`, on node `me` of `nodes`)
@@ -140,7 +209,7 @@ impl Coherence {
         written: &[Range<u64>],
         ga: &dyn GArrayObj,
     ) {
-        let Some(rows) = self.serve_hist.get(array as usize) else {
+        let Some(hist) = self.serve_hist.get(array as usize) else {
             return;
         };
         // Hop cutoff: a refresh pays its bytes once per dissemination hop,
@@ -149,31 +218,27 @@ impl Coherence {
         // more wire than the fetch round-trip they save, so distant readers
         // keep fetching. Pure function of node ids — identical on every
         // host schedule.
-        let near = |h: &&ServeRow| {
-            let t = h.reader as usize;
-            t != me && route_offset(me, t, nodes).count_ones() <= 2
-        };
+        let near = |&t: &usize| t != me && route_offset(me, t, nodes).count_ones() <= 2;
+        // Each reader set's targets, once.
+        let targets: Vec<NodeSet> = (hist.sets.iter())
+            .map(|readers| readers.iter().filter(near).collect())
+            .collect();
         let mut idxs: Vec<u64> = Vec::new();
         let mut runs: Vec<(usize, NodeSet)> = Vec::new();
-        // The targets of the run being built, as the rows that name them.
-        let mut run_targets: &[ServeRow] = &[];
-        // `written` ascends and so do the rows: one walk over both.
+        // `written` ascends and so do the runs: one walk over both.
         let mut written = written.iter().peekable();
-        for readers in rows.chunk_by(|a, b| a.idx == b.idx) {
-            let idx = readers[0].idx;
-            while written.next_if(|w| w.end <= idx).is_some() {}
-            if written.peek().is_none_or(|w| idx < w.start) || !readers[0].armed {
+        for run in hist.runs.iter().filter(|r| r.armed()) {
+            let to = &targets[run.set as usize];
+            if to.is_empty() {
                 continue;
             }
-            let targets = || readers.iter().filter(near).map(|h| h.reader);
-            if targets().next().is_none() {
-                continue;
+            while written.next_if(|w| w.end <= run.first).is_some() {}
+            for w in written.clone().take_while(|w| w.start < run.end()) {
+                if runs.last().is_none_or(|last| last.1 != *to) {
+                    runs.push((idxs.len(), to.clone()));
+                }
+                idxs.extend(w.start.max(run.first)..w.end.min(run.end()));
             }
-            if !targets().eq(run_targets.iter().filter(near).map(|h| h.reader)) {
-                run_targets = readers;
-                runs.push((idxs.len(), targets().map(|t| t as usize).collect()));
-            }
-            idxs.push(idx);
         }
         if !idxs.is_empty() {
             let (values, _) = ga.serve(&idxs);
@@ -192,8 +257,8 @@ impl Coherence {
     /// not values, and the owner check shadows any entry this node now owns.
     pub fn forget_arrays(&mut self, arrays: &[u32]) {
         for &array in arrays {
-            if let Some(rows) = self.serve_hist.get_mut(array as usize) {
-                rows.clear();
+            if let Some(hist) = self.serve_hist.get_mut(array as usize) {
+                *hist = ServeHist::default();
             }
         }
     }
@@ -213,44 +278,50 @@ impl Coherence {
     }
 }
 
-/// One array's history `rows` with phase `phase`'s `served` entries of it
-/// (sorted, distinct) folded in, less the rows that have died. Not kept
-/// double-buffered: at paper size the history is the size of the halo.
-fn fold_array(rows: &[ServeRow], served: &[(u32, u64, u32)], phase: u64) -> Vec<ServeRow> {
-    let mut out = Vec::with_capacity(rows.len().max(served.len()));
-    let (mut rows, mut served) = (rows, served);
-    // Element by element: the rows and the serves of the lowest index left.
-    while let Some(&(_, next_served, _)) = served.first() {
-        let idx = rows.first().map_or(next_served, |h| h.idx.min(next_served));
-        let (mut had, now);
-        (had, rows) = rows.split_at(rows.iter().take_while(|h| h.idx == idx).count());
-        (now, served) = served.split_at(served.iter().take_while(|s| s.1 == idx).count());
-        if had.first().is_some_and(|h| !h.live(phase)) {
-            had = &[];
+/// One array's history `hist` with phase `phase`'s `served` runs of it
+/// (sorted) folded in, less the runs that have died. Each stretch between
+/// two places where a run or a serve starts or ends is one element's
+/// decision, made once: a live run's readers carry over and the stretch
+/// arms (served before, or to two readers at once: the second serve); a
+/// dead one is forgotten. Not kept double-buffered: at paper size the
+/// history is a few runs per halo.
+fn fold_array(hist: &ServeHist, served: &[(u32, u64, u64, u32)], phase: u64) -> ServeHist {
+    let mut cuts: Vec<u64> = (served.iter()).flat_map(|s| [s.1, s.1 + s.2]).collect();
+    cuts.extend(hist.runs.iter().flat_map(|r| [r.first, r.end()]));
+    cuts.sort_unstable();
+    cuts.dedup();
+    let mut ends: Vec<(u64, u32)> = served.iter().map(|s| (s.1 + s.2, s.3)).collect();
+    ends.sort_unstable();
+    let (mut starts, mut ends) = (served.iter().peekable(), ends.iter().peekable());
+    let mut runs = hist.runs.iter().peekable();
+    // The readers of the serves covering the stretch, ascending, with one
+    // entry per serve (a reader's runs from two bundles may overlap).
+    let mut serving: Vec<u32> = Vec::new();
+    let (mut out, mut ids) = (ServeHist::default(), HashMap::new());
+    for stretch in cuts.windows(2) {
+        let lo = stretch[0];
+        while let Some(&(_, src)) = ends.next_if(|e| e.0 <= lo) {
+            serving.remove(serving.partition_point(|&r| r < src));
         }
-        if now.is_empty() {
-            out.extend_from_slice(had);
+        while let Some(&(_, _, _, src)) = starts.next_if(|s| s.1 <= lo) {
+            serving.insert(serving.partition_point(|&r| r < src), src);
+        }
+        while runs.next_if(|r| r.end() <= lo).is_some() {}
+        let had = runs.peek().filter(|r| r.first <= lo && r.live(phase));
+        let lo_hi = (lo, stretch[1]);
+        if serving.is_empty() {
+            if let Some(h) = had {
+                out.push(&mut ids, lo_hi, &hist.sets[h.set as usize], h.stamp);
+            }
             continue;
         }
-        // Served before, or to two readers at once: the second serve.
-        let armed = !had.is_empty() || now.len() > 1;
-        let row = |reader| ServeRow {
-            idx,
-            last_serve: phase,
-            reader,
-            armed,
-        };
-        let mut had = had.iter().map(|h| h.reader).peekable();
-        for &(_, _, reader) in now {
-            while let Some(earlier) = had.next_if(|&r| r < reader) {
-                out.push(row(earlier));
-            }
-            had.next_if_eq(&reader);
-            out.push(row(reader));
+        let mut readers: NodeSet = serving.iter().map(|&r| r as usize).collect();
+        let armed = had.is_some() || readers.count() > 1;
+        if let Some(h) = had {
+            readers.union_with(&hist.sets[h.set as usize]);
         }
-        out.extend(had.map(row));
+        out.push(&mut ids, lo_hi, &readers, phase << 1 | armed as u64);
     }
-    out.extend(rows.iter().filter(|h| h.live(phase)));
     out
 }
 
@@ -589,20 +660,101 @@ mod tests {
         }
     }
 
+    impl ModelHist {
+        /// What [`Coherence::select_refresh`] queued, element by element:
+        /// each armed element of `array` among the `written` ranges that
+        /// has a target — a reader other than `me` at most two hops away —
+        /// with a new run wherever the targets change.
+        fn refresh(
+            &self,
+            (me, nodes): (usize, usize),
+            array: u32,
+            written: &[Range<u64>],
+        ) -> (Vec<u64>, Vec<(usize, NodeSet)>) {
+            let (mut idxs, mut runs): (Vec<u64>, Vec<(usize, NodeSet)>) = Default::default();
+            for (&(a, idx), (_, readers, armed)) in &self.0 {
+                let near = |&t: &usize| t != me && route_offset(me, t, nodes).count_ones() <= 2;
+                let to: NodeSet = readers.iter().filter(near).collect();
+                if a != array
+                    || !armed
+                    || to.is_empty()
+                    || !written.iter().any(|w| w.contains(&idx))
+                {
+                    continue;
+                }
+                if runs.last().is_none_or(|last| last.1 != to) {
+                    runs.push((idxs.len(), to));
+                }
+                idxs.push(idx);
+            }
+            (idxs, runs)
+        }
+    }
+
+    /// The history element by element, checking the run form on the way:
+    /// runs ascending and disjoint, none empty, two adjacent ones told apart
+    /// by readers or stamp, every set named and none twice.
+    fn by_element(coherence: &Coherence, what: &str) -> BTreeMap<(u32, u64), (u64, NodeSet, bool)> {
+        let mut flat = BTreeMap::new();
+        for (array, hist) in coherence.serve_hist.iter().enumerate() {
+            assert_eq!(coherence.has_history(array as u32), !hist.runs.is_empty());
+            for w in hist.runs.windows(2) {
+                assert!(w[0].end() <= w[1].first, "{what}: runs out of order");
+                let alike = (w[0].set, w[0].stamp) == (w[1].set, w[1].stamp);
+                assert!(
+                    w[0].end() < w[1].first || !alike,
+                    "{what}: runs not maximal"
+                );
+            }
+            let distinct: std::collections::HashSet<&NodeSet> = hist.sets.iter().collect();
+            assert_eq!(distinct.len(), hist.sets.len(), "{what}: a set twice");
+            for run in &hist.runs {
+                assert!(run.len > 0, "{what}: an empty run");
+                let readers = &hist.sets[run.set as usize];
+                for idx in run.first..run.end() {
+                    let h = (run.stamp >> 1, readers.clone(), run.armed());
+                    flat.insert((array as u32, idx), h);
+                }
+            }
+        }
+        flat
+    }
+
+    /// A bundle as `build_dest` makes it: sorted by `(array, idx)`, distinct.
+    fn bundle(mut entries: Vec<(u32, u64)>) -> Vec<ReqEntry> {
+        entries.sort_unstable();
+        entries.dedup();
+        let entry = |(array, idx)| ReqEntry {
+            array,
+            idx,
+            slot: 0,
+        };
+        entries.into_iter().map(entry).collect()
+    }
+
     /// Random serve streams — bursts and silences longer than the TTL, peers
     /// past one set word, the same `(peer, element)` twice in a phase, a
-    /// `forget_arrays` in the middle — leave the flat history row for row
-    /// what the map model holds: readers, armed, last serve.
+    /// `forget_arrays` in the middle — leave the run-length history element
+    /// for element what the map model holds: readers, armed, last serve.
+    /// A third of the cases serve one element per bundle; the rest serve
+    /// bundles of runs of consecutive indices, which several peers' runs
+    /// overlap in part, or both. After each fold, the refresh the history
+    /// selects for random written ranges is the model's, entry for entry
+    /// and run for run.
     #[test]
     fn flat_serve_history_equals_the_map_model() {
         let mut g = Gen::new(0x21);
-        // What the cases exercised: elements seen armed, unarmed, and dying.
-        let (mut armed, mut unarmed, mut died) = (0, 0, 0);
-        for case in 0..40 {
-            let mut coherence = Coherence::new(true, 200);
+        // What the cases exercised: elements seen armed, unarmed, and dying;
+        // runs longer than one element; refreshes queued.
+        let (mut armed, mut unarmed, mut died, mut long, mut pushed) = (0, 0, 0, 0, 0);
+        let (me, nodes) = (0, 200);
+        for case in 0..60 {
+            let mut coherence = Coherence::new(true, nodes);
             let mut model = ModelHist::default();
             let (arrays, elems) = (g.u32_in(1..4), g.u64_in(1..64));
+            let ga = GArray::<u64>::new(Dist::block(elems as usize, 1), 0);
             let busiest = [3, 12, 40][case % 3];
+            let shape = case / 3 % 3;
             let phases = g.u64_in(SERVE_TTL + 2..4 * SERVE_TTL);
             let forget_at = g.u64_in(0..phases);
             for phase in 0..phases {
@@ -614,15 +766,20 @@ mod tests {
                 };
                 let mut served: Vec<(u32, u32, u64)> = Vec::new();
                 for _ in 0..serves {
-                    let entry = ReqEntry {
-                        array: g.u32_in(0..arrays),
-                        idx: g.u64_in(0..elems),
-                        slot: 0,
-                    };
-                    let peer = [1, 2, 63, 64, 130, 199][g.usize_in(0..6)];
+                    let peer = [1, 2, 3, 63, 64, 130, 199][g.usize_in(0..7)];
+                    let mut entries = Vec::new();
+                    for _ in 0..g.usize_in(1..4) {
+                        let (array, first) = (g.u32_in(0..arrays), g.u64_in(0..elems));
+                        let len = match shape == 0 || shape == 2 && g.bool() {
+                            true => 1,
+                            false => g.u64_in(1..elems - first + 1),
+                        };
+                        entries.extend((first..first + len).map(|idx| (array, idx)));
+                    }
+                    let entries = bundle(entries);
                     for _ in 0..g.usize_in(1..3) {
-                        coherence.note_serves(peer, &[entry]);
-                        served.push((peer as u32, entry.array, entry.idx));
+                        coherence.note_serves(peer, &entries);
+                        served.extend(entries.iter().map(|e| (peer as u32, e.array, e.idx)));
                     }
                 }
                 let before = model.0.len();
@@ -633,32 +790,96 @@ mod tests {
                     coherence.forget_arrays(&[0]);
                     model.0.retain(|&(array, _), _| array != 0);
                 }
-                let mut flat: BTreeMap<(u32, u64), (u64, NodeSet, bool)> = BTreeMap::new();
-                for (array, rows) in coherence.serve_hist.iter().enumerate() {
-                    assert_eq!(coherence.has_history(array as u32), !rows.is_empty());
-                    assert!(
-                        rows.windows(2)
-                            .all(|w| (w[0].idx, w[0].reader) < (w[1].idx, w[1].reader)),
-                        "case {case}, phase {phase}: rows out of order"
-                    );
-                    for readers in rows.chunk_by(|a, b| a.idx == b.idx) {
-                        let h = readers[0];
-                        assert!(readers
-                            .iter()
-                            .all(|r| (r.last_serve, r.armed) == (h.last_serve, h.armed)));
-                        let set = readers.iter().map(|r| r.reader as usize).collect();
-                        flat.insert((array as u32, h.idx), (h.last_serve, set, h.armed));
-                    }
-                }
-                assert!(flat == model.0, "case {case}, phase {phase}");
+                let what = format!("case {case}, phase {phase}");
+                let flat = by_element(&coherence, &what);
+                assert!(flat == model.0, "{what}");
                 armed += flat.values().filter(|h| h.2).count();
                 unarmed += flat.values().filter(|h| !h.2).count();
+                let runs = coherence.serve_hist.iter().flat_map(|h| &h.runs);
+                long += runs.filter(|r| r.len > 1).count();
+
+                let mut written: Vec<Range<u64>> = Vec::new();
+                let mut at = 0;
+                while at < elems {
+                    let len = g.u64_in(1..elems - at + 1);
+                    if g.bool() {
+                        written.push(at..at + len);
+                    }
+                    at += len + g.u64_in(0..2);
+                }
+                coherence.select_refresh((me, nodes), 0, &written, &ga);
+                let (idxs, runs) = model.refresh((me, nodes), 0, &written);
+                match coherence.pending_refresh.pop() {
+                    None => assert!(idxs.is_empty(), "{what}: no refresh"),
+                    Some(part) => {
+                        assert_eq!(part.idxs, idxs, "{what}: refresh entries");
+                        assert!(part.runs == runs, "{what}: refresh runs");
+                        assert_eq!(values(&part), vec![0; idxs.len()]);
+                        pushed += idxs.len();
+                    }
+                }
             }
         }
         assert!(
-            armed > 100 && unarmed > 100 && died > 100,
-            "{armed} {unarmed} {died}"
+            armed > 100 && unarmed > 100 && died > 100 && long > 100 && pushed > 100,
+            "{armed} {unarmed} {died} {long} {pushed}"
         );
+
+        // Scripted: a 32-element run served at phase 0, its upper half and
+        // the next 16 served by another peer at phase 3 — the overlap arms,
+        // the rest does not — then the run expires in the middle: its lower
+        // half at phase 9, the rest at phase 12.
+        let mut coherence = Coherence::new(true, nodes);
+        let mut model = ModelHist::default();
+        let script = [(0, 1, 0..32), (3, 2, 16..48)];
+        for phase in 0..14 {
+            let mut served = Vec::new();
+            for (_, peer, run) in script.iter().filter(|s| s.0 == phase) {
+                let entries = bundle(run.clone().map(|idx| (0, idx)).collect());
+                coherence.note_serves(*peer, &entries);
+                served.extend(entries.iter().map(|e| (*peer as u32, e.array, e.idx)));
+            }
+            coherence.fold_serves(phase);
+            model.fold(served, phase);
+            assert!(by_element(&coherence, "script") == model.0, "phase {phase}");
+            let runs: Vec<(u64, u64, bool)> = (coherence.serve_hist[0].runs.iter())
+                .map(|r| (r.first, r.end(), r.armed()))
+                .collect();
+            let want: &[(u64, u64, bool)] = match phase {
+                0..3 => &[(0, 32, false)],
+                3..9 => &[(0, 16, false), (16, 32, true), (32, 48, false)],
+                9..12 => &[(16, 32, true), (32, 48, false)],
+                _ => &[],
+            };
+            assert_eq!(runs, want, "phase {phase}");
+        }
+    }
+
+    /// A halo stream — the same 4 096-element plane served to two readers
+    /// every phase — keeps one run and one reader set over three TTLs: the
+    /// history is sized by the halo's shape, not its elements.
+    #[test]
+    fn a_halo_stream_keeps_one_run_per_reader_set() {
+        const PLANE: u64 = 4096;
+        assert_eq!(std::mem::size_of::<ServeRun>(), 24);
+        let mut coherence = Coherence::new(true, 4);
+        let plane = bundle((PLANE..2 * PLANE).map(|idx| (1, idx)).collect());
+        for phase in 0..3 * SERVE_TTL {
+            coherence.note_serves(1, &plane);
+            coherence.note_serves(3, &plane);
+            assert_eq!(coherence.deferred_serves.len(), 2, "one record per run");
+            coherence.fold_serves(phase);
+            let hist = &coherence.serve_hist[1];
+            let run = ServeRun {
+                first: PLANE,
+                stamp: phase << 1 | 1,
+                len: PLANE as u32,
+                set: 0,
+            };
+            assert_eq!(hist.runs, [run], "phase {phase}");
+            assert!(hist.sets == [set(&[1, 3])], "phase {phase}");
+            assert!(!coherence.has_history(0));
+        }
     }
 
     /// Elements per node of the one test array; node `o` owns

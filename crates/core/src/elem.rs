@@ -7,9 +7,10 @@ use ppm_simnet::WireSize;
 /// Elements are plain copyable data: they cross node boundaries inside read
 /// responses and write bundles, and arrays are allocated zero-initialized
 /// (via `Default`), matching the paper's C-style shared arrays. `Sync` is
-/// required because array partitions are read concurrently by the
-/// host-parallel VP scheduler (see `exec`). [`ByteHash`] feeds the
-/// conformance checker's value fingerprints.
+/// for the VP bodies, not the runtime: `ppm_do` takes `Send` futures, and a
+/// body generic over `T` that holds a `&T` — a value read, or a slice
+/// element — across an `.await` is `Send` only if `T` is `Sync`.
+/// [`ByteHash`] feeds the conformance checker's value fingerprints.
 pub trait Elem:
     Copy + Send + Sync + Default + WireSize + ByteHash + std::fmt::Debug + 'static
 {

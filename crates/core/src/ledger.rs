@@ -4,16 +4,22 @@
 //! a `Held` is empty and `ledger!` expands to nothing.
 
 /// The owners, in `at_peak`'s order; a `Held`'s parameter indexes it.
-pub const OWNERS: [&str; 4] = [
+pub const OWNERS: [&str; 7] = [
     "parked bulk reads",
     "inner.reqs",
     "slot tables",
     "arena + read cache",
+    "serve history",
+    "partitions",
+    "write parcels",
 ];
 pub(crate) const PARKED: usize = 0;
 pub(crate) const REQS: usize = 1;
 pub(crate) const SLOTS: usize = 2;
 pub(crate) const ARENA: usize = 3;
+pub(crate) const SERVES: usize = 4;
+pub(crate) const PARTS: usize = 5;
+pub(crate) const PARCELS: usize = 6;
 
 /// The bytes a set of buffers of owner `O` holds, in `O`'s total until
 /// dropped.
@@ -27,7 +33,7 @@ macro_rules! ledger {
         #[cfg(feature = "byte-ledger")]
         $held.set($bytes);
         #[cfg(not(feature = "byte-ledger"))]
-        let _ = &$held;
+        let _ = &mut $held;
     };
 }
 pub(crate) use ledger;

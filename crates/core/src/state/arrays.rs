@@ -25,7 +25,7 @@ use crate::dist::Dist;
 use crate::elem::{AccumOp, Elem};
 #[cfg(feature = "byte-ledger")]
 use crate::ledger::bytes;
-use crate::ledger::{ledger, Held, ARENA};
+use crate::ledger::{ledger, Held, ARENA, PARTS};
 
 /// A `Vec<T>` of some array's element type, on the untyped side of the
 /// erased boundary: read-response, refresh-push and migration payloads,
@@ -102,6 +102,8 @@ pub(crate) struct GArray<T: Elem> {
     /// global phase end — every reader has resumed by then.
     arena: Vec<T>,
     held: Held<ARENA>,
+    /// `local`'s bytes.
+    local_held: Held<PARTS>,
 }
 
 impl<T: Elem> GArray<T> {
@@ -109,7 +111,7 @@ impl<T: Elem> GArray<T> {
     pub fn new(dist: Dist, node: usize) -> Self {
         let local = vec![T::default(); dist.local_len(node)];
         let contiguous = dist.is_contiguous();
-        GArray {
+        let mut ga = GArray {
             owned: if contiguous {
                 dist.owned_range(node)
             } else {
@@ -125,7 +127,10 @@ impl<T: Elem> GArray<T> {
             rcache_spare: RunCache::default(),
             arena: Vec::new(),
             held: Held::default(),
-        }
+            local_held: Held::default(),
+        };
+        ledger!(ga.local_held, bytes(&ga.local));
+        ga
     }
 
     /// One node's instance of a node-shared array of `len` elements: the
@@ -586,6 +591,7 @@ impl<T: Elem> GArrayObj for GArray<T> {
             local[start - new_range.start..][..values.len()].copy_from_slice(&values);
         }
         self.local = local;
+        ledger!(self.local_held, bytes(&self.local));
         self.owned = new_range;
         self.dist = dist;
         arrived

@@ -13,6 +13,7 @@ use crate::check::{first_disagreement, Conflicts, Space};
 use crate::cost::WRITE_ENTRY_BYTES;
 use crate::dist::Dist;
 use crate::elem::{AccumOp, Elem};
+use crate::ledger::{ledger, Held, PARCELS};
 
 /// What one buffered write does to its element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,6 +264,10 @@ impl<T: Elem> WLog<T> {
         };
         let parcel = |(dest, mut cols): (usize, WriteCols<T>)| {
             cols.combine = log.combine;
+            ledger!(cols.held, {
+                use crate::ledger::bytes;
+                bytes(&cols.segs) + bytes(&cols.idx) + bytes(&cols.vals)
+            });
             WriteParcel {
                 dest,
                 entries: cols.entries,
@@ -411,6 +416,7 @@ impl<T: Elem> WLog<T> {
                 combine: None,
                 entries: s.entries,
                 bytes: s.bytes,
+                held: Held::default(),
             };
             (s.call, s.parcel) = (None, out.len());
             out.push((dest, cols));
@@ -560,6 +566,8 @@ pub(super) struct WriteCols<T> {
     entries: u64,
     /// Modeled wire bytes of the entries.
     bytes: usize,
+    /// The columns' bytes, until the owner has applied them.
+    held: Held<PARCELS>,
 }
 
 impl<T: Copy> WriteCols<T> {
