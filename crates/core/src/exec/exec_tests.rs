@@ -5,6 +5,7 @@
 use std::collections::BTreeMap;
 use std::future::{poll_fn, Future};
 use std::pin::Pin;
+use std::sync::Mutex;
 use std::task::Poll;
 
 use ppm_simnet::coll::{dissemination, route_offset};
@@ -303,13 +304,15 @@ fn bulk_read_asks_for_each_distinct_remote_element_once() {
 /// the parked future holds, and that dropping a parked read frees its
 /// slots; returns the job's access counters. `wrote` makes each VP write
 /// the array first, so its reads take `check_get` one by one instead of
-/// the span path.
+/// the span path (the checker is on in every build, or a write would not
+/// be seen).
 fn bulk_read_of<T: crate::Elem + PartialEq>(
     wrote: bool,
     budget: bool,
     mk: fn(usize) -> T,
 ) -> [u64; 6] {
     let cfg = PpmConfig::new(MachineConfig::new(2, 1))
+        .with_checker(true)
         .with_read_cache(true)
         .with_tile_budget(if budget {
             32 * std::mem::size_of::<T>() as u64
@@ -356,7 +359,7 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(
                 // remote element, and no local of an in-core partition (4
                 // spans) — only the two cache hits and, under a budget, the
                 // tiled locals — with no reservation for the rest.
-                let (held, capacity, spans, repeats) = many.held();
+                let (held, capacity, spans, repeats, _) = many.held();
                 let expect = match (wide, budget) {
                     (false, _) => (25, 0, 11),
                     (true, true) => (9, 0, 8),
@@ -379,7 +382,7 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(
                 assert!(poll_once(&mut dropped).await.is_pending());
                 // Three runs of repeats: far(14), far(14), far(15) — the
                 // first occurrences are not adjacent in the output.
-                let (held, _, _, repeats) = dropped.held();
+                let (held, _, _, repeats, _) = dropped.held();
                 assert_eq!((held, repeats), if wide { (0, 3) } else { (5, 3) });
                 assert_eq!(in_use(), 2);
                 drop(dropped);
@@ -423,6 +426,178 @@ fn a_parked_bulk_read_of_wide_elements_holds_first_occurrences_only() {
             assert_eq!(wide(wrote, budget), wide(wrote, budget), "rerun, {case}");
         }
     }
+}
+
+/// What [`span_read_of`] sees on one node: the read's output; its access
+/// counters (`local_accesses`, `cache_hits`, `cache_misses`, `remote_gets`,
+/// `dedup_reads`, `tile_refills`, `tile_spills`); `GetManyFut::held` after
+/// its first poll, deferred runs included; and the node's
+/// `(tile_spill | tile_refill, array, tile)` trace events, in order.
+type SpanRead<T> = (Vec<T>, [u64; 7], HeldRecords, TileEvents);
+type HeldRecords = (usize, usize, usize, usize, Vec<(u32, usize, u32)>);
+type TileEvents = Vec<(&'static str, u64, u64)>;
+
+/// One VP per node on two nodes, under a tile budget (tiles of four
+/// elements, eight of them fit), refills tiles 0 and 3 of its partition and
+/// caches two remote elements, then bulk-reads indices that cross a
+/// resident tile, spilled tiles — a run, strays, a run from a spilled tile
+/// into a resident one and one back, a spilled run read again, and a run
+/// over eight spilled tiles, which spills tiles of its own — and remote
+/// misses, cache hits and repeats. Returns what each node saw. `wrote`
+/// makes the VP write the array first (checker on either way), so the
+/// read takes `check_get` element by element instead of the span path.
+fn span_read_of<T: crate::Elem + PartialEq>(wrote: bool, mk: fn(usize) -> T) -> Vec<SpanRead<T>> {
+    let cfg = PpmConfig::new(MachineConfig::new(2, 1))
+        .with_checker(true)
+        .with_read_cache(true)
+        .with_tile_budget(32 * std::mem::size_of::<T>() as u64);
+    let sink = crate::TraceSink::new();
+    let report = crate::run_traced(cfg, &sink, "span", move |node| {
+        let a = node.alloc_global::<T>(128);
+        let lo = node.local_range(&a).start;
+        node.with_local_mut(&a, |s| {
+            for (off, v) in s.iter_mut().enumerate() {
+                *v = mk(lo + off);
+            }
+        });
+        let seen = Arc::new(Mutex::new(None));
+        let out = seen.clone();
+        node.ppm_do(1, move |vp| {
+            let out = out.clone();
+            async move {
+                let near = move |j: usize| lo + j;
+                let far = move |j: usize| (lo + 64 + j) % 128;
+                let probe = vp.clone();
+                vp.global_phase(|ph| async move {
+                    if wrote {
+                        ph.put(&a, near(63), mk(0));
+                    }
+                    let plain = probe.cell.with_poll(|s, _| VpCell::reads_plainly(s, a.id));
+                    assert_eq!(plain, !wrote);
+                    let warm = [0, 1, 2, 3, 12, 13, 14, 15].map(near);
+                    ph.get_many(&a, warm.into_iter().chain([far(0), far(1)]))
+                        .await;
+
+                    let main = [
+                        &[near(0), near(1), near(2)][..],          // a resident tile
+                        &[near(4), near(5), near(6)],              // a spilled run
+                        &[near(10), near(11), near(12), near(13)], // spilled into resident
+                        &[near(14), near(15), near(16), near(17)], // resident into spilled
+                        &[near(21), near(23), near(20)],           // strays
+                        &[far(8), far(9), far(8), far(20)],        // misses and a repeat
+                        &[far(0), far(1), far(0)],                 // cache hits
+                        &[near(5), near(6)],                       // the spilled run again
+                    ]
+                    .concat();
+                    let main: Vec<usize> = main.into_iter().chain((24..56).map(near)).collect();
+                    let counters = || {
+                        let c = probe.cell.with_poll(|_, inner| inner.counters);
+                        [
+                            c.local_accesses,
+                            c.cache_hits,
+                            c.cache_misses,
+                            c.remote_gets,
+                            c.dedup_reads,
+                            c.tile_refills,
+                            c.tile_spills,
+                        ]
+                    };
+                    let before = counters();
+                    let mut many = ph.get_many(&a, main.clone());
+                    assert!(poll_once(&mut many).await.is_pending());
+                    let (held, capacity, spans, repeats, deferred) = many.held();
+                    let held = (held, capacity, spans, repeats, deferred.to_vec());
+                    let got = many.await;
+                    assert!(got == main.iter().map(|&i| mk(i)).collect::<Vec<_>>());
+                    let after = counters();
+                    let counters = std::array::from_fn(|i| after[i] - before[i]);
+                    *out.lock().unwrap() = Some((got, counters, held));
+                })
+                .await;
+            }
+        });
+        let seen = seen.lock().unwrap().take();
+        seen.expect("the VP reported")
+    });
+    let mut mem: Vec<TileEvents> = vec![Vec::new(); 2];
+    for e in sink.events().iter().filter(|e| e.cat == "mem") {
+        let at = |arg| e.arg_u64(arg).expect("a tile event names its tile");
+        mem[e.tid as usize].push((e.name, at("array"), at("tile")));
+    }
+    let seen = report.results.into_iter().zip(mem);
+    seen.map(|((got, counters, held), mem)| (got, counters, held, mem))
+        .collect()
+}
+
+/// A plain bulk read takes a spilled tile as a span — its fault noted once,
+/// its indices deferred on a range test — and gives what the same read
+/// through `check_get`, element by element, gives: output, counters,
+/// deferred runs and every other record held, and the spill and refill
+/// sequence; narrow and wide.
+#[test]
+fn a_spilled_tile_read_as_a_span_equals_the_element_path() {
+    fn check<T: crate::Elem + PartialEq + std::fmt::Debug>(mk: fn(usize) -> T) {
+        let (span, element) = (span_read_of(false, mk), span_read_of(true, mk));
+        assert_eq!(span, element);
+        for (_, counters, (.., deferred), mem) in &span {
+            // The warm read refills tiles 0 and 3; the read twelve more, of
+            // which the last six spill others.
+            assert_eq!(counters[5..], [12, 6]);
+            assert_eq!(mem.iter().filter(|e| e.0 == "tile_refill").count(), 14);
+            // A run of one tile, a run on each side of tile 3, three
+            // strays, the run again and eight tiles' runs.
+            assert_eq!(deferred.len(), 15, "{deferred:?}");
+        }
+    }
+    check(|i| i as f64 + 0.5);
+    check(|i| {
+        let x = i as f64;
+        [x, 1.0, 2.0, 3.0, 4.0, x * 2.0]
+    });
+}
+
+/// `F`, counting its polls.
+struct Counted<F>(F, usize);
+
+impl<F: Future + Unpin> Future for Counted<F> {
+    type Output = F::Output;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+        self.1 += 1;
+        Pin::new(&mut self.0).poll(cx)
+    }
+}
+
+/// A fault round refills one tile and polls the VPs parked on it, no other:
+/// VP 0 reads tiles 0 and 1, VP 1 tile 1, VP 2 tile 2, all spilled. VP 0 is
+/// woken by each of its two refills, VP 1 only by tile 1's and VP 2 only
+/// by tile 2's — waking every parked VP per round would poll them 3, 3 and
+/// 4 times.
+#[test]
+fn a_refill_wakes_only_the_vps_parked_on_its_tile() {
+    let cfg = PpmConfig::new(MachineConfig::new(1, 1)).with_tile_budget(256);
+    let report = crate::run(cfg, |node| {
+        let a = node.alloc_global::<u64>(64);
+        let polls = Arc::new(Mutex::new(vec![0; 3]));
+        let counts = polls.clone();
+        node.ppm_do(3, move |vp| {
+            let counts = counts.clone();
+            async move {
+                let rank = vp.node_rank();
+                vp.global_phase(|ph| async move {
+                    let idxs = [&[0, 1, 4, 5][..], &[6], &[8]][rank];
+                    let mut read = Counted(ph.get_many(&a, idxs.iter().copied()), 0);
+                    assert_eq!((&mut read).await, vec![0; idxs.len()]);
+                    counts.lock().unwrap()[rank] = read.1;
+                })
+                .await;
+            }
+        });
+        let polls = polls.lock().unwrap().clone();
+        polls
+    });
+    assert_eq!(report.results, [vec![3, 2, 2]]);
+    assert_eq!(report.total_counters().tile_refills, 3);
 }
 
 /// One VP on one node running `body` in a global phase over an 8-element

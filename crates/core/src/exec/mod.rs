@@ -251,7 +251,7 @@ fn drive(nc: &mut NodeCtx<'_>, tasks: Vec<VpTask>) {
         // must fully drain before a wave starts or advances so that wave
         // content and the compute-overlap window attribution match
         // in-core execution bit for bit.
-        if !nc.inner.tile_faults.pending.is_empty() {
+        if !nc.inner.tile_faults.is_empty() {
             service_tile_faults(nc, &mut ready);
             continue;
         }

@@ -9,29 +9,26 @@ use crate::nodectx::NodeCtx;
 use crate::state::{QueuedReq, VpState};
 
 /// Service one cold-tile fault round (pseudo-streaming, DESIGN.md §18):
-/// refill the *minimum* pending `(array, tile)` — evicting
-/// least-recently-touched tiles to stay under the budget — and wake every
-/// fault-parked VP. Woken VPs whose tiles are still cold re-record their
-/// faults charge-free, so exactly one tile group resolves per round;
-/// servicing only the minimum group keeps simultaneous residency bounded
-/// by the budget even when every VP faults a different tile at once, and
-/// each round strictly shrinks the set of unresolved deferred reads (the
-/// refilled tile cannot be evicted before the very next poll captures its
-/// values). Spills and refills are free in modeled time and charge no
-/// counters beyond their own: residency is an accounting overlay on the
-/// same backing storage, so the phase cost model never sees it —
-/// makespans stay bit-identical to in-core execution.
+/// refill the *minimum* cold `(array, tile)` a VP waits for — evicting
+/// least-recently-touched tiles to stay under the budget — and wake the VPs
+/// waiting for it, and no other. A woken VP whose reads still find a tile
+/// cold notes it again charge-free; a VP left parked waits only for tiles
+/// that are still cold, so its poll would have noted the same ones. The set
+/// of cold tiles after the round, and with it the whole refill sequence, is
+/// what waking every parked VP gives. Servicing only the minimum tile keeps
+/// simultaneous residency bounded by the budget even when every VP faults a
+/// different tile at once, and each round strictly shrinks the set of
+/// unresolved deferred reads (the refilled tile cannot be evicted before
+/// the very next poll captures its values). Spills and refills are free in
+/// modeled time and charge no counters beyond their own: residency is an
+/// accounting overlay on the same backing storage, so the phase cost model
+/// never sees it — makespans stay bit-identical to in-core execution.
 pub(super) fn service_tile_faults(nc: &mut NodeCtx<'_>, ready: &mut Vec<usize>) {
     let (array, tile, spilled, resident) = {
         let inner = &mut nc.inner;
+        // Cannot fire: `drive` enters a fault round only on a non-empty list.
         let faults = &mut inner.tile_faults;
-        // Cannot fire: `drive` enters a fault round only on a non-empty list
-        // (kept ascending).
-        let &(array, tile) = faults.pending.first().expect("fault round with no faults");
-        // Drop the other groups: every parked VP is woken below and
-        // re-records any still-cold fault on its next poll.
-        faults.pending.clear();
-        ready.append(&mut faults.waiters);
+        let (array, tile) = faults.take_min(ready).expect("fault round with no faults");
         let spilled = inner.tile_budget.refill(array, tile);
         inner.counters.tile_refills += 1;
         inner.counters.tile_spills += spilled.len() as u64;

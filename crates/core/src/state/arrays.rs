@@ -80,7 +80,7 @@ pub(crate) struct GArray<T: Elem> {
     /// The global range `node` owns under a contiguous `dist` (refreshed by
     /// [`GArrayObj::migrate_rebind`]), so the access path's "local?" is two
     /// compares. Empty for cyclic layouts, which ask `dist`.
-    owned: Range<usize>,
+    pub owned: Range<usize>,
     /// Write log for the current phase: every VP's calls, in the order its
     /// node's polls made them.
     wlog: WLog<T>,
@@ -184,23 +184,27 @@ impl<T: Elem> GArray<T> {
         (writes, remote)
     }
 
-    /// The stretch of elements around `idx` whose reads are plain loads
-    /// until the poll ends, with its first element's global index: the
-    /// owned span of an in-core contiguous partition; under `tiles`, `idx`'s
-    /// tile if it is resident. `None` for a remote or spilled element, and
-    /// for every element of a cyclic layout.
+    /// The stretch of owned elements around `idx` that one residency answer
+    /// covers, with its first element's global index and, if it is spilled,
+    /// its tile: the owned span of an in-core contiguous partition; under
+    /// `tiles`, `idx`'s tile. A resident span's reads are plain loads until
+    /// the poll ends; a spilled one's park on its tile. `None` for a remote
+    /// element, and for every element of a cyclic layout.
     #[inline]
-    pub fn hot_span(&self, tiles: Option<&ArrayTiles>, idx: usize) -> Option<(usize, &[T])> {
+    pub fn owned_span(
+        &self,
+        tiles: Option<&ArrayTiles>,
+        idx: usize,
+    ) -> Option<(usize, &[T], Option<u32>)> {
         if !self.owned.contains(&idx) {
             return None;
         }
-        let base = self.owned.start;
-        let offs = match tiles {
-            None => 0..self.local.len(),
-            Some(t) if t.cold_tile(idx - base).is_some() => return None,
-            Some(t) => t.tile_span(idx - base),
+        let off = idx - self.owned.start;
+        let (offs, cold) = match tiles {
+            None => (0..self.local.len(), None),
+            Some(t) => (t.tile_span(off), t.cold_tile(off)),
         };
-        Some((base + offs.start, &self.local[offs]))
+        Some((self.owned.start + offs.start, &self.local[offs], cold))
     }
 
     /// Local offset of an element the exchange protocol routed here. Cannot

@@ -68,6 +68,7 @@ run_here! {
     tiles::touch_span_equals_the_element_wise_model;
     tiles::tile_budget_rebind_starts_cold;
     tiles::tile_budget_last_tile_is_short;
+    tiles::a_refill_takes_only_the_minimum_tiles_waiters;
 }
 
 /// Counts the calling thread's heap allocations, and the bytes it holds, for

@@ -236,28 +236,39 @@ impl TileBudget {
     }
 }
 
-/// The cold-tile faults a poll round's local reads recorded, and the VPs
-/// parked on them; the executor services the minimum fault per round
+/// The cold tiles parked VPs wait for: one `((array, tile), vp)` per tile a
+/// VP's reads found spilled, ascending and duplicate-free. The executor
+/// refills the minimum tile per round and wakes its waiters only
 /// (DESIGN.md §18).
 #[derive(Default)]
 pub(crate) struct TileFaults {
-    /// Ascending distinct `(array, tile)`: VPs of a node mostly fault on the
-    /// same few tiles.
-    pub pending: Vec<(u32, u32)>,
-    /// VPs parked on a fault, in poll order — ascending within the round —
-    /// once each.
-    pub waiters: Vec<usize>,
+    waits: Vec<((u32, u32), usize)>,
 }
 
 impl TileFaults {
-    /// VP `vp`, being polled, parks on tile `tile` of global array `array`.
+    /// VP `vp`, being polled, parks on tile `tile` of global array `array`;
+    /// noting it again changes nothing.
     pub fn note(&mut self, vp: usize, (array, tile): (u32, u32)) {
-        if let Err(at) = self.pending.binary_search(&(array, tile)) {
-            self.pending.insert(at, (array, tile));
+        if let Err(at) = self.waits.binary_search(&((array, tile), vp)) {
+            self.waits.insert(at, ((array, tile), vp));
         }
-        if self.waiters.last() != Some(&vp) {
-            self.waiters.push(vp);
-        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.waits.is_empty()
+    }
+
+    /// The minimum cold tile, its waiters appended to `ready` in ascending
+    /// order. Their other entries go: a woken VP's poll notes whatever it
+    /// still finds cold. Every other VP stays parked.
+    pub fn take_min(&mut self, ready: &mut Vec<usize>) -> Option<(u32, u32)> {
+        let &(tile, _) = self.waits.first()?;
+        let n = self.waits.partition_point(|w| w.0 == tile);
+        let from = ready.len();
+        ready.extend(self.waits.drain(..n).map(|w| w.1));
+        let woken = &ready[from..];
+        self.waits.retain(|w| woken.binary_search(&w.1).is_err());
+        Some(tile)
     }
 }
 
@@ -366,6 +377,34 @@ pub(super) mod tests {
         assert_eq!(tb.bytes_resident(), 0, "old residency dropped");
         assert!(tb.is_cold(0, 0), "rebound partition starts cold");
         assert_eq!(tb.peak_bytes_resident(), 32, "peak survives rebinds");
+    }
+
+    /// A fault is noted once however often it is noted; a round takes the
+    /// minimum tile's waiters, ascending, and drops their other entries,
+    /// leaving every other VP parked where it was.
+    pub fn a_refill_takes_only_the_minimum_tiles_waiters() {
+        let mut f = TileFaults::default();
+        for (vp, at) in [
+            (3, (0, 5)),
+            (1, (1, 0)),
+            (2, (0, 5)),
+            (3, (1, 0)),
+            (0, (0, 7)),
+        ] {
+            f.note(vp, at);
+            f.note(vp, at);
+        }
+        let mut ready = vec![9];
+        assert_eq!(f.take_min(&mut ready), Some((0, 5)));
+        assert_eq!(ready, [9, 2, 3]);
+        assert_eq!(f.waits, [((0, 7), 0), ((1, 0), 1)], "VP 3's (1, 0) went");
+        ready.clear();
+        assert_eq!(f.take_min(&mut ready), Some((0, 7)));
+        assert_eq!(
+            (f.take_min(&mut ready), &ready[..]),
+            (Some((1, 0)), &[0, 1][..])
+        );
+        assert!(f.is_empty() && f.take_min(&mut ready).is_none());
     }
 
     pub fn tile_budget_last_tile_is_short() {

@@ -18,6 +18,7 @@
 //! of a sequential ascending-rank schedule (see `exec` and DESIGN.md §12).
 
 use std::future::Future;
+use std::ops::Range;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
@@ -27,8 +28,8 @@ use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::ledger::{ledger, Held, PARKED};
 use crate::shared::{GlobalShared, NodeShared};
 use crate::state::{
-    array_ref, read_position, ArrayTiles, DoMode, FirstSeen, GArray, GetOutcome, PhaseKind,
-    QueuedReq, VpCell, VpState, WKind,
+    array_ref, read_position, DoMode, FirstSeen, GArray, GetOutcome, PhaseKind, QueuedReq, VpCell,
+    VpState, WKind,
 };
 
 /// Handle given to each virtual processor started by `ppm_do`.
@@ -421,6 +422,23 @@ impl<T: Elem> Drop for GetFut<'_, T> {
     }
 }
 
+/// What the span a bulk read's first poll is in holds
+/// ([`GetManyFut::poll`]).
+#[derive(Clone, Copy, PartialEq)]
+enum Run {
+    /// Owned and resident: a read is a load.
+    Resident,
+    /// Owned, in a spilled tile — the one at this local offset: a read
+    /// defers.
+    Cold(usize),
+    /// Remote, in the read cache: a read is a hit.
+    Cached,
+}
+
+/// A [`GetManyFut`]'s run of locals of one spilled tile: `(index in values,
+/// local offset, length)`.
+type Deferred = (u32, usize, u32);
+
 /// Future returned by [`Phase::get_many`]. Like [`GetFut`], it may be
 /// dropped unresolved.
 ///
@@ -454,8 +472,11 @@ pub struct GetManyFut<'a, T: Elem, I> {
     pending: Vec<(u32, u32)>,
     /// `(index in values, local offset, length)` per run of local elements
     /// of one spilled tile — consecutive indices reading consecutive offsets
-    /// — awaiting a charge-free re-read after the executor refills it.
-    deferred: Vec<(u32, usize, u32)>,
+    /// — awaiting a charge-free re-read after the executor refills it. A
+    /// plain read takes a spilled tile as a span: its fault is noted once
+    /// and the indices inside it defer on a range test; a checked read
+    /// defers element by element through `check_get`, to the same records.
+    deferred: Vec<Deferred>,
     /// Wider elements of an in-core partition: `(position, local offset,
     /// length)` per run of locals — consecutive positions reading
     /// consecutive offsets — copied from the partition at resolve.
@@ -502,17 +523,17 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                 }
                 // An access to `hot` — elements from global index `lo`
                 // on — is a load (a wide element's: a span in core, a run
-                // if it repeats a cache hit). `hot` is an owned resident
-                // span (`GArray::hot_span`) or, `cached`, a run of the
-                // read cache (`GArray::cached_span`) — which only a
-                // checker-invisible read in a global phase may take, so
-                // every other remote read keeps its checks. Everything
+                // if it repeats a cache hit), or a deferral if `hot` is
+                // spilled. `hot` is an owned span (`GArray::owned_span`) or
+                // a run of the read cache (`GArray::cached_span`) — which
+                // only a checker-invisible read in a global phase may take,
+                // so every other remote read keeps its checks. Everything
                 // else takes `check_get`, one by one. The charges are
                 // sums: they land once, after the poll.
                 let plain = VpCell::reads_plainly(s, this.array);
                 let caching =
                     plain && this.cell.cfg.read_cache && s.cur_phase == Some(PhaseKind::Global);
-                let (mut lo, mut hot, mut cached): (usize, &[T], bool) = (0, &[], false);
+                let (mut lo, mut hot, mut run): (usize, &[T], Run) = (0, &[], Run::Resident);
                 let (mut hits, mut misses, mut requested) = (0u64, 0u64, 0u64);
                 let mut next = idxs.next();
                 while let Some(idx) = next {
@@ -521,13 +542,18 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                         // `hot`.
                         let run_at = this.len;
                         next = None;
-                        if Self::COMPACT && (cached || tiles.is_none()) {
+                        if matches!(run, Run::Cold(_))
+                            || Self::COMPACT && (run == Run::Cached || tiles.is_none())
+                        {
                             // In core, `lo` is the partition's first index.
                             let mut at = idx;
                             loop {
-                                match cached {
-                                    true => this.hit(seen, at, hot[at - lo]),
-                                    false => this.span(at - lo),
+                                match run {
+                                    Run::Cached => this.hit(seen, at, hot[at - lo]),
+                                    Run::Cold(tile) => {
+                                        this.defer(at - ga.owned.start, tile..tile + hot.len())
+                                    }
+                                    Run::Resident => this.span(at - lo),
                                 }
                                 match idxs.next() {
                                     Some(idx) if idx.wrapping_sub(lo) < hot.len() => at = idx,
@@ -549,16 +575,21 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                             }));
                             this.len += this.values.len() - held;
                         }
-                        if cached {
+                        if run == Run::Cached {
                             hits += (this.len - run_at) as u64;
                         }
-                    } else if let Some(span) = ga.hot_span(tiles, idx).filter(|_| plain) {
-                        // Look at `idx` again, inside its span.
-                        (lo, hot, cached) = (span.0, span.1, false);
+                    } else if let Some(span) = ga.owned_span(tiles, idx).filter(|_| plain) {
+                        // Look at `idx` again, inside its span; a spilled
+                        // tile's fault is noted once.
+                        (lo, hot, run) = (span.0, span.1, Run::Resident);
+                        if let Some(tile) = span.2 {
+                            faults.note(this.cell.id, (this.array, tile));
+                            run = Run::Cold(span.0 - ga.owned.start);
+                        }
                     } else if caching && ga.owned_offset(idx).is_none() {
                         assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
                         if let Some(span) = ga.cached_span(idx) {
-                            (lo, hot, cached) = (span.0, span.1, true);
+                            (lo, hot, run) = (span.0, span.1, Run::Cached);
                         } else {
                             misses += 1;
                             requested += this.request(s, seen, reqs, ga, idx) as u64;
@@ -573,7 +604,10 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                                 let cell = this.cell;
                                 match cell.read_resident(faults, ga, tiles, this.array, off) {
                                     Some(v) => this.hold(v),
-                                    None => this.defer(tiles, off),
+                                    None => {
+                                        let tile = tiles.map(|t| t.tile_span(off));
+                                        this.defer(off, tile.unwrap_or_default())
+                                    }
                                 }
                             }
                             GetOutcome::Cached(v) => {
@@ -641,11 +675,12 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
     const COMPACT: bool = std::mem::size_of::<T>() > std::mem::size_of::<(u32, u32)>();
 
     /// What the future holds while parked: values held, the capacity behind
-    /// them, span records and repeat records (unit tests).
+    /// them, span records, repeat records and deferred runs (unit tests).
     #[cfg(test)]
-    pub(crate) fn held(&self) -> (usize, usize, usize, usize) {
+    pub(crate) fn held(&self) -> (usize, usize, usize, usize, &[Deferred]) {
         let (values, records) = (&self.values, self.dups.len() + self.runs.len());
-        (values.len(), values.capacity(), self.spans.len(), records)
+        let parked = (values.len(), values.capacity(), self.spans.len());
+        (parked.0, parked.1, parked.2, records, &self.deferred)
     }
 
     /// The output in request order, once nothing is parked: `values` itself
@@ -723,17 +758,15 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
         }
     }
 
-    /// A local at offset `off` of a spilled tile, for the next output
-    /// position: a placeholder held until the executor refills the tile,
-    /// which extends the last deferred run or starts one.
-    fn defer(&mut self, tiles: Option<&ArrayTiles>, off: usize) {
+    /// A local at offset `off` of a spilled tile, the local offsets `tile`,
+    /// for the next output position: a placeholder held until the executor
+    /// refills the tile, which extends the last deferred run or starts one.
+    fn defer(&mut self, off: usize, tile: Range<usize>) {
         let at = read_position(self.values.len());
         match self.deferred.last_mut() {
             // The next element of the last run, in the same tile.
             Some((to, from, len))
-                if *to + *len == at
-                    && *from + *len as usize == off
-                    && tiles.is_some_and(|t| t.tile_span(*from).contains(&off)) =>
+                if *to + *len == at && *from + *len as usize == off && tile.contains(from) =>
             {
                 *len += 1
             }
