@@ -484,7 +484,7 @@ mod tests {
             "arena + read cache",
             "serve history",
             "partitions",
-            "write parcels",
+            "write log",
         ];
         for owner in owners {
             assert!(line

@@ -11,7 +11,7 @@ pub const OWNERS: [&str; 7] = [
     "arena + read cache",
     "serve history",
     "partitions",
-    "write parcels",
+    "write log",
 ];
 pub(crate) const PARKED: usize = 0;
 pub(crate) const REQS: usize = 1;
@@ -19,7 +19,7 @@ pub(crate) const SLOTS: usize = 2;
 pub(crate) const ARENA: usize = 3;
 pub(crate) const SERVES: usize = 4;
 pub(crate) const PARTS: usize = 5;
-pub(crate) const PARCELS: usize = 6;
+pub(crate) const WLOG: usize = 6;
 
 /// The bytes a set of buffers of owner `O` holds, in `O`'s total until
 /// dropped.

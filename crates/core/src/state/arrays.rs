@@ -81,8 +81,8 @@ pub(crate) struct GArray<T: Elem> {
     /// [`GArrayObj::migrate_rebind`]), so the access path's "local?" is two
     /// compares. Empty for cyclic layouts, which ask `dist`.
     pub owned: Range<usize>,
-    /// Write log for the current phase: every VP's calls, in the order its
-    /// node's polls made them.
+    /// Write log for the current phase: every VP's writes, in the order its
+    /// node's polls made them, in one bucket per owner.
     wlog: WLog<T>,
     /// What the log's drain and the fold of incoming parcels reuse.
     scratch: Scratch,
@@ -170,18 +170,13 @@ impl<T: Elem> GArray<T> {
     ) -> (u64, u64) {
         debug_assert!(self.wlog.is_empty() || self.wlog.base == base);
         self.wlog.base = base;
-        let (dist, space, mut remote) = (&self.dist, self.space, 0);
+        let (dist, space) = (&self.dist, self.space);
         let items = items.into_iter().map(|(idx, val)| {
             assert!(idx < dist.len, "{space} write index {idx} out of bounds");
-            // `Self::owned_offset`, by field: the log is borrowed.
-            let local = self.owned.contains(&idx)
-                || !dist.is_contiguous() && dist.locate(idx).0 == self.node;
-            remote += !local as u64;
             wrote(idx as u64);
             (idx as u64, val)
         });
-        let writes = self.wlog.record(vp, kind, combine, items);
-        (writes, remote)
+        self.wlog.record(dist, self.node, vp, kind, combine, items)
     }
 
     /// The stretch of owned elements around `idx` that one residency answer
@@ -487,7 +482,7 @@ impl<T: Elem> GArrayObj for GArray<T> {
     }
 
     fn drain_writes(&mut self, conflicts: Option<Conflicts<'_>>) -> Vec<WriteParcel> {
-        (self.wlog).drain(self.space, &self.dist, conflicts, &mut self.scratch)
+        (self.wlog).drain(self.space, conflicts, &mut self.scratch)
     }
 
     fn apply_writes(
@@ -755,10 +750,24 @@ pub(super) mod tests {
         }
     }
 
+    impl<T: Elem> GArray<T> {
+        /// The phase log, for its own tests.
+        pub(in crate::state) fn log(&self) -> &WLog<T> {
+            &self.wlog
+        }
+    }
+
+    impl<T: AccumElem> GArray<T> {
+        /// Log one op as VP 0's next call.
+        fn buffer(&mut self, idx: usize, kind: WKind, val: T) {
+            self.record((0, 0), kind, Some(T::combine), [(idx, val)], |_| {});
+        }
+    }
+
     pub fn node_mixed_write_kinds_panic() {
         let mut na: GArray<u64> = GArray::node_shared(2);
-        na.wlog.buffer(0, 0, ADD, 1);
-        na.wlog.buffer(0, 0, WKind::Assign, 1);
+        na.buffer(0, ADD, 1);
+        na.buffer(0, WKind::Assign, 1);
         na.apply(None);
     }
 
@@ -885,17 +894,17 @@ pub(super) mod tests {
             assert_eq!(applied as usize, WRITES);
             (HEAP.with(|h| h.get().1) - start) as f64 / WRITES as f64
         };
-        // A run: its values three times over — VP log, phase log, parcel —
-        // and nothing per element beside them: 24.1 bytes. (A 24-byte record
-        // in each log and 30 bytes of parcel columns made it 77.1.)
+        // A write is stored once, in its owner's bucket, from `record` to
+        // the fold. A run: its values and nothing per element beside them —
+        // 16.5 bytes, the bucket's doublings included in this first phase
+        // (16.2 while the node log and an exact parcel held a copy each).
         let dense = peak_bytes(WKind::Assign, |j| j as u64);
-        assert!(dense < 40.0, "{dense} bytes per element of a dense put");
-        // Scattered accumulates peaked at the same 77.1 on the records; on
-        // 16-byte listed writes, 16-byte sort keys and 32 bytes of parcel,
-        // at 72.1.
+        assert!(dense < 24.0, "{dense} bytes per element of a dense put");
+        // Scattered accumulates: an index beside each value, 29.6 bytes (32.3
+        // while the listed log and the parcel columns held them twice).
         let scattered = peak_bytes(ADD, |j| (j * 7919 % WRITES) as u64);
         assert!(
-            scattered < 77.1,
+            scattered < 32.3,
             "{scattered} bytes per scattered accumulate"
         );
     }
@@ -983,9 +992,9 @@ pub(super) mod tests {
 
     pub fn narray_apply_overwrites_and_clears() {
         let mut na: GArray<u64> = GArray::node_shared(3);
-        na.wlog.buffer(0, 0, WKind::Assign, 5);
-        na.wlog.buffer(0, 2, WKind::Accum(AccumOp::Max), 9);
-        na.wlog.buffer(0, 2, WKind::Accum(AccumOp::Max), 4);
+        na.buffer(0, WKind::Assign, 5);
+        na.buffer(2, WKind::Accum(AccumOp::Max), 9);
+        na.buffer(2, WKind::Accum(AccumOp::Max), 4);
         assert_eq!(
             na.apply(None),
             2 * (9 + 8),

@@ -372,8 +372,8 @@ pub(super) mod tests {
 
     /// Charge per call: a 10 000-element local `get_many` and `put_many` cost
     /// a handful of poll-context entries and downcasts — those of the calls,
-    /// the phase's edges and the barrier's polls — and the drain asks the
-    /// layout for an owner once per destination run.
+    /// the phase's edges and the barrier's polls — and the write log asks
+    /// the layout for an owner once per destination.
     pub fn bulk_accesses_cost_per_call_not_per_element() {
         const N: usize = 10_000;
         let machine = ppm_simnet::MachineConfig::new(2, 1);
@@ -406,7 +406,7 @@ pub(super) mod tests {
         for (node, &(entries, downcasts, lookups)) in report.results.iter().enumerate() {
             assert!(entries < 16, "node {node}: {entries} poll-context entries");
             assert!(downcasts < 16, "node {node}: {downcasts} downcasts");
-            assert_eq!(lookups, 2, "node {node}: one per destination run");
+            assert_eq!(lookups, 2, "node {node}: one per destination");
         }
     }
 }

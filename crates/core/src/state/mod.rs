@@ -14,8 +14,8 @@
 //! DESIGN.md §12). During a phase body the live arrays are immutable
 //! (writes are *buffered*).
 //!
-//! One file per thing stored: `wlog` the write log, its sort and the
-//! parcels it resolves into; `slots` a VP's parked reads and the requests
+//! One file per thing stored: `wlog` the write log — a bucket per owner,
+//! which is the parcel that ships — and the owner's fold; `slots` a VP's parked reads and the requests
 //! queued for them; `table` the first-occurrence table; `cell` the VP cell,
 //! its own state and the poll context; `arrays` array storage and the one
 //! erased boundary over it; `tiles` tile residency and faults; `inner`
@@ -70,9 +70,9 @@ pub(crate) use count;
 #[cfg(test)]
 thread_local! {
     /// [`VpCell::with_poll`] entries, typed-array downcasts,
-    /// and the drain's `Dist::owner` look-ups by the calling thread
+    /// and the write log's `Dist::owner` look-ups by the calling thread
     /// (unit-test builds only): a bulk access must cost O(1) of the first
-    /// two and one look-up per destination run.
+    /// two, and a contiguous layout one look-up per destination.
     pub(crate) static POLL_ENTRIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     pub(crate) static DOWNCASTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     pub(crate) static OWNER_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };

@@ -33,6 +33,7 @@ run_here! {
     wlog::drain_reports_write_write_conflicts_on_last_values;
     wlog::a_call_is_a_run_or_lists_its_indices;
     wlog::the_run_path_equals_the_element_model;
+    wlog::buckets_equal_the_element_model;
     slots::vp_slots_lifecycle;
     #[should_panic(expected = "filled twice")]
     slots::double_fill_panics;

@@ -1,9 +1,12 @@
-//! The write log: what a phase's buffered writes are kept in, how they
-//! resolve at the phase boundary, and what ships to — and is stored by — each
-//! element's owner. The unit of all three is one writer's calls in its
-//! program order, kept as *runs* — a first index and the values of the
-//! consecutive elements from it on — or as indices beside values; nothing on
-//! the way sorts an element.
+//! The write log: what a phase's buffered writes are kept in, what ships to
+//! each element's owner, and how the owner stores it. The three are one
+//! thing: a write is recorded straight into its owner's *bucket*, which is
+//! the parcel that will carry it ([`WriteCols`]) — segments of one writer's
+//! program order over *runs* (a first index and the values of the
+//! consecutive elements from it on) or over indices beside values. The
+//! drain counts what each bucket ships and ships it as it stands; the owner
+//! orders the segments it receives. Nothing on the way sorts or copies an
+//! element.
 
 use std::any::Any;
 use std::ops::Range;
@@ -13,7 +16,7 @@ use crate::check::{first_disagreement, Conflicts, Space};
 use crate::cost::WRITE_ENTRY_BYTES;
 use crate::dist::Dist;
 use crate::elem::{AccumOp, Elem};
-use crate::ledger::{ledger, Held, PARCELS};
+use crate::ledger::{ledger, Held, WLOG};
 
 /// What one buffered write does to its element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,336 +28,225 @@ pub(crate) enum WKind {
     Accum(AccumOp),
 }
 
-/// `len` as a `u32` position in one of a log's columns. Only a phase with
-/// four billion writes of one array on one node trips it.
+/// `len` as a `u32` position in a bucket's columns. Only a phase with four
+/// billion writes of one array from one node to one owner trips it.
 fn csr_offset(len: usize) -> u32 {
     assert!(len <= u32::MAX as usize, "write log overflow");
     len as u32
 }
 
-/// One VP's consecutive writes of one kind: what one [`WLog::record`] call
-/// logged, or several that continue each other.
-#[derive(Clone, Copy)]
-struct Call {
-    /// The first element of a run — indices that ascend by one, which are
-    /// stored nowhere else; `None` for a call that lists its indices beside
-    /// its values.
-    first: Option<u64>,
-    /// Position of its first write in its column: [`WLog::vals`] for a
-    /// run, [`WLog::listed`] otherwise.
-    at: u32,
-    len: u32,
-    /// The writer's node-relative VP rank.
-    vp: u32,
-    kind: WKind,
-}
-
-impl Call {
-    /// The elements a run writes.
-    fn run(&self) -> Option<Range<u64>> {
-        self.first.map(|first| first..first + self.len as u64)
-    }
+/// One destination's writes of the phase, in the form they ship in.
+struct Bucket<T> {
+    dest: usize,
+    /// `dest`'s elements under a contiguous layout; empty under a cyclic
+    /// one, whose owners are asked element by element.
+    owned: Range<u64>,
+    cols: WriteCols<T>,
+    /// The lowest and the highest element written: the drain's bitmap span.
+    lo: u64,
+    hi: u64,
+    /// The last [`WLog::record`] call to write here other than by
+    /// [`Self::append`]: whether a write is its call's first here decides
+    /// how a run goes on.
+    call: u64,
 }
 
 /// Append-only write log: one per array, which every VP of the node records
-/// into while it is polled. Writer and kind are kept once per *call*, and a
-/// call whose indices ascend by one keeps its first index and its values,
-/// nothing per element; any other lists `(index, value)` pairs. One column
-/// per shape, so that a VP's writes grow one block: two that grow in turn
-/// make the allocator move both whenever either doubles (3.5× on
-/// [`Self::record`] for PageRank's scatter). Appending is all that happens
-/// during a phase body — ordering, last-writer resolution and operator
-/// checks run once, at the phase boundary ([`Self::drain`]), and
-/// contributions stay raw until the owner folds them, so a floating-point
-/// result depends only on each VP's program order, never on the poll-round
-/// structure that interleaved the VPs' calls (which wave pipelining
-/// changes, DESIGN.md §13). The buffer lives for one phase: the drain frees
-/// it, so an idle array's log holds no memory.
+/// into while it is polled. It is a bucket per destination written, each
+/// already a parcel: writer and kind are kept once per *segment*, a run
+/// keeps its first index and its values, and a listed segment indices
+/// beside values. Appending is all that happens during a phase body —
+/// last-writer resolution and operator checks run at the owner's fold and
+/// at the phase boundary ([`Self::drain`]) — and every write ships raw, so
+/// a floating-point result depends only on each VP's program order, never
+/// on the poll-round structure that interleaved the VPs' calls (which wave
+/// pipelining changes, DESIGN.md §13). The buckets live for one phase: the
+/// drain ships them, so an idle array's log holds no memory.
 #[derive(Default)]
 pub(super) struct WLog<T> {
-    /// The last call, which the next one of the same VP and kind may join,
-    /// and those before it.
-    open: Option<Call>,
-    calls: Vec<Call>,
-    /// The runs' values, call after call.
-    vals: Vec<T>,
-    /// The other calls' writes, call after call.
-    listed: Vec<(u64, T)>,
-    /// Global rank of this node's VP 0: what `Call::vp` is relative to.
+    /// Ascending by destination, each made at its destination's first
+    /// write.
+    buckets: Vec<Bucket<T>>,
+    /// The bucket the last call's last write went to, which the next call
+    /// tries first.
+    hand: usize,
+    /// [`Self::record`] calls this phase.
+    calls: u64,
+    /// Global rank of this node's VP 0.
     pub(super) base: u64,
     /// The element type's combiner, captured where `T: AccumElem` is known
-    /// so the type-erased replay and apply paths can fold. It is
-    /// `T::combine` for every accumulate, hence stored once.
+    /// so the type-erased apply path can fold. It is `T::combine` for every
+    /// accumulate, hence stored once.
     combine: Option<fn(AccumOp, T, T) -> T>,
-    /// What `vals` and `listed` held when the log last drained: the next
-    /// phase's first write reserves as much, so a log that fills alike
-    /// phase after phase takes one block per column and gives it back —
-    /// not a chain of doublings, whose freed steps the allocator keeps.
-    last: (usize, usize),
+    /// What each bucket's columns held when the log last drained, `(dest,
+    /// segments, indices, values)`, ascending by destination: a bucket
+    /// made again reserves as much, so a log that fills alike phase after
+    /// phase takes one block per column — not a chain of doublings, whose
+    /// freed steps the allocator keeps.
+    last: Vec<(usize, usize, usize, usize)>,
 }
 
 impl<T: Elem> WLog<T> {
     pub(super) fn is_empty(&self) -> bool {
-        self.open.is_none() && self.calls.is_empty()
+        self.buckets.is_empty()
     }
 
-    /// Log `items` — `(element, value)` pairs — as VP `vp`'s next writes, all
-    /// of `kind`; accumulates bring `combine`, their element type's
-    /// combiner. Returns how many were logged. Indices that ascend by one
-    /// are a run, which costs its values and — unless it continues the run
-    /// the VP's last call left open — one header; indices that do not are
-    /// listed, and once a VP lists, its writes of that kind go on the list.
-    /// A single element is either: it joins whichever it follows. Only the
-    /// log's last call is open, so another VP's call in between — one polled
-    /// while this VP was parked — closes it.
+    /// Log `items` — `(element, value)` pairs of an array laid out by
+    /// `dist` — as VP `vp`'s next writes, all of `kind`; accumulates bring
+    /// `combine`, their element type's combiner. Returns how many were
+    /// logged, and how many of those another node than `node` owns.
+    ///
+    /// Each write goes to its owner's bucket. The bucket in hand is tried
+    /// first, by its owned range; then, under a contiguous layout, the
+    /// buckets' ranges are searched and `Dist::owner` is asked once per new
+    /// bucket; under a cyclic one it is asked per element. A bucket's last
+    /// segment is open: a write joins it if it is the same VP's, of the
+    /// same kind — another VP's write to the bucket in between, one polled
+    /// while this VP was parked, closes it. In a bucket of runs, a write
+    /// that continues the open run costs its value; a call's first write
+    /// there that does not opens a run of its own, unless the open one is
+    /// a lone element of the same VP and kind. Anything else — a call that
+    /// does not run on — makes the bucket *list*: from then on every value
+    /// in it has its index.
     #[inline]
     pub(super) fn record(
         &mut self,
+        dist: &Dist,
+        node: usize,
         vp: u32,
         kind: WKind,
         combine: Option<fn(AccumOp, T, T) -> T>,
         mut items: impl Iterator<Item = (u64, T)>,
-    ) -> u64 {
-        if self.is_empty() {
-            self.vals.reserve(self.last.0);
-            self.listed.reserve(self.last.1);
-        }
-        self.combine = combine.or(self.combine);
-        let mine = |c: &&mut Call| c.vp == vp && c.kind == kind;
-        if let Some(c) = self.open.as_mut().filter(|c| mine(c) && c.run().is_none()) {
-            let at = self.listed.len();
-            self.listed.extend(items);
-            let logged = csr_offset(self.listed.len()) - at as u32;
-            c.len += logged;
-            return logged as u64;
-        }
-        let Some(head) = items.next() else {
-            return 0;
+    ) -> (u64, u64) {
+        let Some(mut next) = items.next() else {
+            return (0, 0);
         };
-        // The call's run: values only, up to the first index that is not
-        // the next, `stray`. Its first write is held back until a second
-        // runs on (or none follows): a call that lists never touches `vals`.
-        let (first, at) = (head.0, self.vals.len());
-        let (mut run, mut held, mut stray) = (first..first, Some(head), items.next());
-        if stray.is_none_or(|(idx, _)| idx == first + 1) {
-            self.vals.reserve(items.size_hint().0 + 2);
-            let rest = [held.take(), stray.take()].into_iter().flatten();
-            let rest = rest.chain(items.by_ref());
-            self.vals.extend(rest.map_while(|(idx, val)| {
-                let runs_on = idx == run.end;
-                run.end += runs_on as u64;
-                stray = (!runs_on).then_some((idx, val));
-                runs_on.then_some(val)
-            }));
+        self.combine = combine.or(self.combine);
+        self.calls += 1;
+        let rank = self.base + vp as u64;
+        let (mut writes, mut remote) = (0, 0);
+        let mut b = self.hand;
+        if !(self.buckets.get(b)).is_some_and(|b| b.owned.contains(&next.0)) {
+            b = self.find(dist, next.0);
         }
-        // It joins the open call if it continues that run, or if neither is
-        // a run: a call of one element has no shape of its own.
-        let one = |r: &Range<u64>| r.end - r.start == 1;
-        let loose = stray.is_some() || one(&run);
-        let open = self.open.as_mut().filter(mine).and_then(|c| c.run());
-        if !open.is_some_and(|o| (stray.is_none() && o.end == first) || (loose && one(&o))) {
-            let (first, at, len) = (Some(first), csr_offset(at), 0);
-            let fresh = Call {
-                first,
-                at,
-                len,
-                vp,
-                kind,
+        loop {
+            let bucket = &mut self.buckets[b];
+            let far = (bucket.dest != node) as u64;
+            let stray = if bucket.append(rank, kind, next) {
+                (writes, remote) = (writes + 1, remote + far);
+                items.next()
+            } else {
+                let (logged, stray) = bucket.push(rank, kind, self.calls, next, &mut items);
+                (writes, remote) = (writes + logged, remote + logged * far);
+                stray
             };
-            self.calls.extend(self.open.replace(fresh));
+            let Some(write) = stray else {
+                break;
+            };
+            next = write;
+            b = self.find(dist, next.0);
         }
-        // Cannot fire: the open call is a run — the one joined, or the empty
-        // one just made for this call.
-        let c = self.open.as_mut().expect("a call to join");
-        let open = c.run().expect("an open run");
-        let logged = csr_offset(self.vals.len()) - at as u32;
-        if stray.is_none() && open.end == first {
-            c.len += logged;
-            return logged as u64;
-        }
-        // It lists, and the element it joined lists with it.
-        let (from, had) = (c.at as usize, c.len);
-        (c.first, c.at) = (None, self.listed.len() as u32);
-        let moved = open.chain(run).zip(self.vals.drain(from..));
-        self.listed
-            .extend(moved.chain(held).chain(stray).chain(items));
-        c.len = csr_offset(self.listed.len()) - c.at;
-        (c.len - had) as u64
-    }
-
-    /// Call `f` with each of `c`'s writes, `(index, value)`, last first.
-    #[inline]
-    fn each_back(&self, c: &Call, mut f: impl FnMut(u64, T)) {
-        let (at, len) = (c.at as usize, c.len as usize);
-        match c.first {
-            Some(first) => {
-                let vals = self.vals[at..at + len].iter().enumerate().rev();
-                vals.for_each(|(i, &val)| f(first + i as u64, val));
+        self.hand = b;
+        if cfg!(feature = "byte-ledger") {
+            for cols in self.buckets.iter_mut().map(|b| &mut b.cols) {
+                ledger!(cols.held, {
+                    use crate::ledger::bytes;
+                    bytes(&cols.segs) + bytes(&cols.idx) + bytes(&cols.vals)
+                });
             }
-            None => (self.listed[at..at + len].iter().rev()).for_each(|&(idx, val)| f(idx, val)),
         }
+        (writes, remote)
     }
 
-    /// Call `f(call, index, value, fresh)` with each write a drain ships,
-    /// last first: every accumulate, and an assign's first sighting, which
-    /// is its last write. A write is `fresh` — the first sighting of its
-    /// element — if the element's bit in `bits` (from `lo` on) reads `on`,
-    /// and flips it: a walk with `on` false sets the bit of every element
-    /// written, and one with `on` true clears them again.
+    /// The position of element `idx`'s owner's bucket, made if it is new.
     #[inline]
-    fn each_kept(
-        &self,
-        bits: &mut [u64],
-        lo: u64,
-        on: bool,
-        mut f: impl FnMut(usize, u64, T, bool),
-    ) {
-        for (call, c) in self.calls.iter().enumerate().rev() {
-            let accum = c.kind != WKind::Assign;
-            self.each_back(c, |idx, val| {
-                let (w, m) = (((idx - lo) / 64) as usize, 1 << ((idx - lo) % 64));
-                let fresh = (bits[w] & m != 0) == on;
-                bits[w] ^= if fresh { m } else { 0 };
-                if fresh || accum {
-                    f(call, idx, val, fresh);
-                }
-            });
+    fn find(&mut self, dist: &Dist, idx: u64) -> usize {
+        let (at, dest, owned) = if dist.is_contiguous() {
+            let at = self.buckets.partition_point(|b| b.owned.end <= idx);
+            if (self.buckets.get(at)).is_some_and(|b| b.owned.start <= idx) {
+                return at;
+            }
+            count!(super::OWNER_LOOKUPS);
+            let dest = dist.owner(idx as usize);
+            (at, dest, dist.owned_range(dest))
+        } else {
+            count!(super::OWNER_LOOKUPS);
+            let dest = dist.owner(idx as usize);
+            match self.buckets.binary_search_by_key(&dest, |b| b.dest) {
+                Ok(at) => return at,
+                Err(at) => (at, dest, 0..0),
+            }
+        };
+        let mut cols = WriteCols::default();
+        if let Ok(l) = self.last.binary_search_by_key(&dest, |l| l.0) {
+            let (_, segs, idx, vals) = self.last[l];
+            cols.segs.reserve_exact(segs);
+            cols.idx.reserve_exact(idx);
+            cols.vals.reserve_exact(vals);
         }
+        let bucket = Bucket {
+            dest,
+            owned: owned.start as u64..owned.end as u64,
+            cols,
+            lo: idx,
+            hi: idx,
+            call: 0,
+        };
+        self.buckets.insert(at, bucket);
+        at
     }
 
-    /// Resolve and empty the log of an array of `space`, laid out by `dist`,
-    /// into one parcel per touched destination (the element's owner),
-    /// ascending by destination. What the log holds selects how:
+    /// Resolve and empty the log of an array of `space`: one parcel per
+    /// bucket, ascending by destination, each shipped as it stands. What a
+    /// bucket holds selects what the drain does with it:
     ///
-    /// - **Runs that do not meet** — every call a run, no two sharing an
-    ///   element, a contiguous layout (every CG vector phase): each element
-    ///   has one write, so there is nothing to order, resolve or check. The
-    ///   calls are put in index order and each is cut at owner boundaries,
-    ///   one `Dist::owner` and one copy per piece; no element is looked at.
-    /// - **Anything else** is bucketed by owner in writer order — (VP,
-    ///   program order), a scan of the call headers unless another VP's
-    ///   calls came between two of one VP's. Each destination gets an index and a value column in that
-    ///   order, cut into one segment per call, so no element is sorted: an
-    ///   accumulate ships every raw contribution, an assign only its last
-    ///   write. Mixing the two — or two operators — on one element panics
-    ///   here, at the phase boundary. With the checker on, an assign several
-    ///   VPs wrote is where a write-write conflict shows, and it is reported
-    ///   to `conflicts`.
+    /// - **Runs that do not meet** — a bucket of runs, no two sharing an
+    ///   element (every CG vector phase): each element has one write, so
+    ///   its entries are its values, and no element is looked at.
+    /// - **Anything else** gets one walk of its writes, last first in
+    ///   writer order — its segments stable-sorted by rank — over a bitmap
+    ///   of its span: each distinct element is one entry, of the wire size
+    ///   of its last write.
     ///
-    /// An entry is modeled as [`WRITE_ENTRY_BYTES`] plus one value either
-    /// way: combining is charged as done sender-side and the rank tags ride
-    /// free, like other protocol sidecars, so repartitioning changes
-    /// neither entry counts nor bytes. `scratch` is the array's, reused.
+    /// Unless every bucket is of the first kind, the checks run over every
+    /// bucket when there is anything to check ([`judge`]): mixing puts and
+    /// accumulates — or two operators — on one element panics here, at the
+    /// phase boundary, and with the checker on an assign several VPs wrote
+    /// is where a write-write conflict shows, reported to `conflicts`.
+    ///
+    /// An entry is modeled as [`WRITE_ENTRY_BYTES`] plus one value: an
+    /// assign's raw writes and an accumulate's raw contributions ride as
+    /// one, combining and last-writer resolution being charged as done
+    /// sender-side, and the rank tags ride free, like other protocol
+    /// sidecars, so repartitioning changes neither entry counts nor bytes.
+    /// `scratch` is the array's, reused.
     pub(super) fn drain(
         &mut self,
         space: Space,
-        dist: &Dist,
         conflicts: Option<Conflicts<'_>>,
         scratch: &mut Scratch,
     ) -> Vec<WriteParcel> {
         if self.is_empty() {
             return Vec::new();
         }
-        let mut log = std::mem::take(self);
-        self.last = (log.vals.len(), log.listed.len());
-        log.calls.extend(log.open.take());
-        let out = match log.drain_runs(dist) {
-            Some(out) => out,
-            None => log.drain_scattered(space, dist, conflicts, scratch),
-        };
-        let parcel = |(dest, mut cols): (usize, WriteCols<T>)| {
-            cols.combine = log.combine;
-            ledger!(cols.held, {
-                use crate::ledger::bytes;
-                bytes(&cols.segs) + bytes(&cols.idx) + bytes(&cols.vals)
-            });
-            WriteParcel {
-                dest,
-                entries: cols.entries,
-                bytes: cols.bytes,
-                payload: Box::new(cols),
-            }
-        };
-        out.into_iter().map(parcel).collect()
-    }
-
-    /// The drain of runs that do not meet, if that is what the log holds.
-    fn drain_runs(&self, dist: &Dist) -> Option<Vec<(usize, WriteCols<T>)>> {
-        if !dist.is_contiguous() {
-            return None;
-        }
-        let mut runs: Vec<_> =
-            (self.calls.iter().map(|c| Some((c.run()?, c)))).collect::<Option<_>>()?;
-        runs.sort_unstable_by_key(|(run, _)| run.start);
-        if !runs.windows(2).all(|w| w[0].0.end <= w[1].0.start) {
-            return None;
-        }
-        // Owners never decrease along the runs: a new destination is a new
-        // parcel, the last one.
-        let mut out: Vec<(usize, WriteCols<T>)> = Vec::new();
-        // The open destination's owned range.
-        let mut owned = 0..0;
-        for (r, (run, call)) in runs.iter().enumerate() {
-            let mut lo = run.start;
-            while lo < run.end {
-                if !owned.contains(&lo) {
-                    count!(super::OWNER_LOOKUPS);
-                    let dest = dist.owner(lo as usize);
-                    let range = dist.owned_range(dest);
-                    owned = range.start as u64..range.end as u64;
-                    // Every value left below the destination's last element.
-                    let below = runs[r..].iter().take_while(|(r, _)| r.start < owned.end);
-                    let vals = below.map(|(r, _)| r.end.min(owned.end) - r.start.max(lo));
-                    let mut cols = WriteCols::default();
-                    cols.vals.reserve_exact(vals.sum::<u64>() as usize);
-                    out.push((dest, cols));
-                }
-                let hi = run.end.min(owned.end);
-                let at = call.at as usize + (lo - run.start) as usize;
-                let piece = &self.vals[at..at + (hi - lo) as usize];
-                // Cannot fire: the parcel was just opened if none was.
-                let p = &mut out.last_mut().expect("an open parcel").1;
-                let rank = self.base + call.vp as u64;
-                let seg = Seg::new(rank, call.kind, Some(lo), p.vals.len(), piece.len());
-                p.segs.push(seg);
-                p.vals.extend_from_slice(piece);
-                p.entries += piece.len() as u64;
-                p.bytes += piece.len() * WRITE_ENTRY_BYTES;
-                p.bytes += piece.iter().map(T::wire_size).sum::<usize>();
-                lo = hi;
-            }
-        }
-        Some(out)
-    }
-
-    /// The drain of anything else (see [`Self::drain`]): two walks of the
-    /// writes, last first, over a bitmap of the log's index span
-    /// ([`Self::each_kept`]). The first counts what each destination gets —
-    /// its distinct elements, its writes, and its segments, one per call
-    /// that writes there — so that every column is sized exactly; the
-    /// second fills the columns from their ends. The checks, when there is
-    /// anything to check, sort what they check ([`judge`]).
-    fn drain_scattered(
-        &mut self,
-        space: Space,
-        dist: &Dist,
-        conflicts: Option<Conflicts<'_>>,
-        scratch: &mut Scratch,
-    ) -> Vec<(usize, WriteCols<T>)> {
-        // Stable: a VP's calls stay in program order.
-        self.calls.sort_by_key(|c| c.vp);
-        let kind = self.calls[0].kind;
-        let puts = self.calls.iter().any(|c| c.kind == WKind::Assign);
-        if self.calls.iter().any(|c| c.kind != kind) || (puts && conflicts.is_some()) {
+        let log = std::mem::take(self);
+        let order = &mut scratch.order;
+        let apart: Vec<bool> = (log.buckets.iter()).map(|b| b.cols.apart(order)).collect();
+        let segs = || log.buckets.iter().flat_map(|b| &b.cols.segs);
+        // Cannot fire: a bucket is made for a write.
+        let kind = segs().next().expect("a write").kind;
+        let puts = || conflicts.is_some() && segs().any(|s| s.kind == WKind::Assign);
+        if !apart.iter().all(|&a| a) && (segs().any(|s| s.kind != kind) || puts()) {
             // `(index, position in writer order, rank, kind, value)`.
             let mut writes = Vec::new();
-            let mut pos = self.calls.iter().map(|c| c.len as u64).sum::<u64>();
-            for c in self.calls.iter().rev() {
-                let rank = self.base + c.vp as u64;
-                self.each_back(c, |idx, val| {
-                    pos -= 1;
-                    writes.push((idx, pos, rank, c.kind, val));
-                });
+            for cols in log.buckets.iter().map(|b| &b.cols) {
+                cols.writer_order(order);
+                for &(rank, _, s) in order.iter() {
+                    let seg = &cols.segs[s as usize];
+                    cols.each(seg, |idx, val| {
+                        writes.push((idx, writes.len() as u64, rank, seg.kind, val))
+                    });
+                }
             }
             // A global array's panics name the bare element, as they always
             // have.
@@ -362,89 +254,29 @@ impl<T: Elem> WLog<T> {
             let texts = ["accumulate operators in one phase", "in one phase"];
             judge(&mut writes, what, texts, conflicts);
         }
-        let (mut lo, mut hi) = (u64::MAX, 0);
-        for c in &self.calls {
-            self.each_back(c, |idx, _| (lo, hi) = (lo.min(idx), hi.max(idx)));
-        }
-        let words = ((hi - lo) / 64 + 1) as usize;
-        let (bits, owners, shares) = (&mut scratch.bits, &mut scratch.owners, &mut scratch.shares);
-        bits.resize(bits.len().max(words), 0);
-        // Per word, the node that owns all of its elements, if one does:
-        // `Dist::owner` is asked once per destination and per word two of
-        // them share, and per element only in such a word or under a
-        // cyclic layout.
-        owners.clear();
-        owners.resize(words, NO_OWNER);
-        let mut w = 0;
-        while dist.is_contiguous() && w < words {
-            let dest = dist.owner((lo + 64 * w as u64) as usize);
-            let end = ((dist.owned_range(dest).end as u64 - lo) / 64) as usize;
-            owners[w..end.clamp(w, words)].fill(dest as u32);
-            w = end.max(w + 1);
-        }
-        // The destinations the span reaches: under a contiguous layout, the
-        // owners of `lo` to `hi` — one for a log that writes one element —
-        // under a cyclic one, every node.
-        let dests = match dist.is_contiguous() {
-            true => dist.owner(lo as usize)..dist.owner(hi as usize) + 1,
-            false => 0..dist.nodes,
-        };
-        let owner = |idx: u64| match owners[((idx - lo) / 64) as usize] {
-            NO_OWNER => dist.owner(idx as usize) - dests.start,
-            dest => dest as usize - dests.start,
-        };
-        shares.clear();
-        shares.resize(dests.len(), Share::default());
-        self.each_kept(bits, lo, false, |call, idx, val, fresh| {
-            let s = &mut shares[owner(idx)];
-            s.entries += fresh as u64;
-            s.bytes += fresh as usize * (WRITE_ENTRY_BYTES + val.wire_size());
-            s.writes += 1;
-            s.segs += (s.call != Some(call)) as usize;
-            s.call = Some(call);
-        });
-        let mut out = Vec::new();
-        for (dest, s) in dests
-            .clone()
-            .zip(shares.iter_mut())
-            .filter(|(_, s)| s.entries > 0)
-        {
-            let cols = WriteCols {
-                segs: Vec::with_capacity(s.segs),
-                idx: vec![0; s.writes],
-                vals: vec![T::default(); s.writes],
-                combine: None,
-                entries: s.entries,
-                bytes: s.bytes,
-                held: Held::default(),
+        let mut last = Vec::new();
+        let ship = |(b, apart): (Bucket<T>, bool)| {
+            let mut cols = b.cols;
+            last.push((b.dest, cols.segs.len(), cols.idx.len(), cols.vals.len()));
+            (cols.entries, cols.bytes) = match apart {
+                true => {
+                    let wire = cols.vals.iter().map(T::wire_size).sum::<usize>();
+                    let n = cols.vals.len();
+                    (n as u64, n * WRITE_ENTRY_BYTES + wire)
+                }
+                false => cols.distinct(b.lo..b.hi + 1, scratch),
             };
-            (s.call, s.parcel) = (None, out.len());
-            out.push((dest, cols));
-        }
-        self.each_kept(bits, lo, true, |call, idx, val, _| {
-            let s = &mut shares[owner(idx)];
-            let p = &mut out[s.parcel].1;
-            if s.call != Some(call) {
-                s.call = Some(call);
-                // At its end, for now, and last first.
-                let (rank, kind) = (
-                    self.base + self.calls[call].vp as u64,
-                    self.calls[call].kind,
-                );
-                p.segs.push(Seg::new(rank, kind, None, s.writes, 0));
+            cols.combine = log.combine;
+            WriteParcel {
+                dest: b.dest,
+                entries: cols.entries,
+                bytes: cols.bytes,
+                payload: Box::new(cols),
             }
-            s.writes -= 1;
-            (p.idx[s.writes], p.vals[s.writes]) = (idx, val);
-        });
-        // A parcel's segments tile its columns.
-        for (_, p) in &mut out {
-            p.segs.reverse();
-            let mut at = 0;
-            for seg in &mut p.segs {
-                (seg.at, seg.len, at) = (at, seg.at - at, seg.at);
-            }
-        }
-        out
+        };
+        let parcels = log.buckets.into_iter().zip(apart).map(ship).collect();
+        self.last = last;
+        parcels
     }
 }
 
@@ -487,38 +319,106 @@ fn judge<T: Elem>(
     }
 }
 
+impl<T: Elem> Bucket<T> {
+    /// Log `(idx, val)` as VP rank `rank`'s next write, of `kind`, if the
+    /// bucket lists and its open segment is that VP's, of that kind: the
+    /// path of a scattered call's every write but its first here.
+    #[inline]
+    fn append(&mut self, rank: u64, kind: WKind, (idx, val): (u64, T)) -> bool {
+        let cols = &mut self.cols;
+        let mine = |s: &&mut Seg| s.first.is_none() && s.rank == rank && s.kind == kind;
+        let Some(seg) = cols.segs.last_mut().filter(mine) else {
+            return false;
+        };
+        seg.len += 1;
+        cols.idx.push(idx);
+        cols.vals.push(val);
+        csr_offset(cols.vals.len());
+        (self.lo, self.hi) = (self.lo.min(idx), self.hi.max(idx));
+        true
+    }
+
+    /// Log `(idx, val)` as VP rank `rank`'s next write, of `kind`, in
+    /// [`WLog::record`] call `call`, and then every write of `items` that
+    /// stays here without a look-up: while it runs on, in a bucket of runs;
+    /// while it is in the owned range, in a listing one. Returns how many it
+    /// logged, and the write that left.
+    #[inline]
+    fn push(
+        &mut self,
+        rank: u64,
+        kind: WKind,
+        call: u64,
+        (idx, val): (u64, T),
+        items: &mut impl Iterator<Item = (u64, T)>,
+    ) -> (u64, Option<(u64, T)>) {
+        let Bucket {
+            owned,
+            cols,
+            lo,
+            hi,
+            call: last,
+            ..
+        } = self;
+        let fresh = std::mem::replace(last, call) != call;
+        let open = (cols.segs.last()).filter(|s| s.rank == rank && s.kind == kind);
+        let joins = match open.map(|s| (s.first, s.len)) {
+            None => false,
+            Some(_) if !cols.idx.is_empty() => true,
+            Some((first, len)) if first.is_some_and(|f| f + len as u64 == idx) => true,
+            Some((_, len)) if !fresh || len == 1 => {
+                cols.list();
+                true
+            }
+            Some(_) => false,
+        };
+        let listed = !cols.idx.is_empty();
+        let at = cols.vals.len();
+        if !joins {
+            let first = (!listed).then_some(idx);
+            cols.segs
+                .push(Seg::new(rank, kind, first, csr_offset(at), 0));
+        }
+        (*lo, *hi) = ((*lo).min(idx), (*hi).max(idx));
+        cols.vals.push(val);
+        let mut stray = None;
+        if listed {
+            cols.idx.push(idx);
+            for (idx, val) in items.by_ref() {
+                if !owned.contains(&idx) {
+                    stray = Some((idx, val));
+                    break;
+                }
+                (*lo, *hi) = ((*lo).min(idx), (*hi).max(idx));
+                cols.idx.push(idx);
+                cols.vals.push(val);
+            }
+        } else {
+            let mut end = idx + 1;
+            cols.vals.extend(items.by_ref().map_while(|(idx, val)| {
+                let runs_on = idx == end && idx < owned.end;
+                end += runs_on as u64;
+                stray = (!runs_on).then_some((idx, val));
+                runs_on.then_some(val)
+            }));
+            *hi = (*hi).max(end - 1);
+        }
+        let logged = csr_offset(cols.vals.len()) - at as u32;
+        // Cannot fire: the write joined the last segment or made one.
+        cols.segs.last_mut().expect("an open segment").len += logged;
+        (logged as u64, stray)
+    }
+}
+
 /// What the drain and the owner's fold reuse from phase to phase: an
 /// array's, kept beside its log.
 #[derive(Default)]
 pub(super) struct Scratch {
     /// One bit per element of the span in hand, all zeros between uses.
     bits: Vec<u64>,
-    /// The drain's owner per word of `bits`, or [`NO_OWNER`].
-    owners: Vec<u32>,
-    /// The drain's count per destination node its span reaches.
-    shares: Vec<Share>,
-    /// The fold's segment headers, `(sort key, parcel, position)`.
+    /// Segment headers in an order: `(sort key, parcel or length,
+    /// position)`.
     order: Vec<(u64, u32, u32)>,
-}
-
-/// A word of elements that several nodes own, or that a cyclic layout
-/// deals out.
-const NO_OWNER: u32 = u32::MAX;
-
-/// One destination's part of a drain.
-#[derive(Clone, Default)]
-struct Share {
-    /// Distinct elements, and their modeled wire bytes.
-    entries: u64,
-    bytes: usize,
-    /// Writes and segments it ships; the second walk counts them down to
-    /// the position it fills next.
-    writes: usize,
-    segs: usize,
-    /// The call whose segment is in hand.
-    call: Option<usize>,
-    /// Its parcel's position in the drain's output.
-    parcel: usize,
 }
 
 /// `len` consecutive writes of the VP of global rank `rank`, in its program
@@ -530,12 +430,12 @@ struct Seg {
     kind: WKind,
     first: Option<u64>,
     /// Position of its first value (and index).
-    at: usize,
-    len: usize,
+    at: u32,
+    len: u32,
 }
 
 impl Seg {
-    fn new(rank: u64, kind: WKind, first: Option<u64>, at: usize, len: usize) -> Self {
+    fn new(rank: u64, kind: WKind, first: Option<u64>, at: u32, len: u32) -> Self {
         Seg {
             rank,
             kind,
@@ -544,18 +444,24 @@ impl Seg {
             len,
         }
     }
+
+    /// Its positions in the columns.
+    fn span(&self) -> Range<usize> {
+        self.at as usize..(self.at + self.len) as usize
+    }
 }
 
-/// The resolved writes one node ships to one owner for one array (a
-/// `K_WRITE` bundle part): segments over one value column and — for those
-/// that are not runs — one index column beside it. A run-path parcel's
-/// segments ascend by `first`, each element in one of them; the other
-/// path's are in writer order, one per call, so an element's contributions
-/// from that node — an assign's last write, an accumulate's every one —
-/// come in ascending (rank, program order). Shipping contributions
-/// rank-keyed instead of a per-node partial is what makes the fold
-/// **placement-invariant**: the order never depends on which node hosted a
-/// contributing VP.
+/// The writes one node ships to one owner for one array (a `K_WRITE` bundle
+/// part), as its log recorded them: segments over one value column and —
+/// once any write was not a run's — one index column beside it, holding
+/// every value's index. Segments are in record order: a VP's in its program
+/// order, several VPs' interleaved as their polls came, which the owner
+/// undoes by sorting the headers by rank ([`fold_parcels`]), so an
+/// element's contributions from that node — every write, an assign's as
+/// well as an accumulate's — fold in ascending (rank, program order).
+/// Shipping contributions rank-keyed instead of a per-node partial is what
+/// makes the fold **placement-invariant**: the order never depends on which
+/// node hosted a contributing VP.
 #[derive(Default)]
 pub(super) struct WriteCols<T> {
     segs: Vec<Seg>,
@@ -566,20 +472,93 @@ pub(super) struct WriteCols<T> {
     entries: u64,
     /// Modeled wire bytes of the entries.
     bytes: usize,
-    /// The columns' bytes, until the owner has applied them.
-    held: Held<PARCELS>,
+    /// The columns' bytes, from the first write until the owner has folded
+    /// them.
+    held: Held<WLOG>,
 }
 
 impl<T: Copy> WriteCols<T> {
     /// Call `f` with each of `s`'s writes, `(index, value)`, in order.
     #[inline]
     fn each(&self, s: &Seg, mut f: impl FnMut(u64, T)) {
-        let vals = self.vals[s.at..s.at + s.len].iter().copied();
+        let vals = self.vals[s.span()].iter().copied();
         match s.first {
             Some(first) => (first..).zip(vals).for_each(|(idx, val)| f(idx, val)),
-            None => (self.idx[s.at..s.at + s.len].iter().copied().zip(vals))
-                .for_each(|(idx, val)| f(idx, val)),
+            None => {
+                (self.idx[s.span()].iter().copied().zip(vals)).for_each(|(idx, val)| f(idx, val))
+            }
         }
+    }
+
+    /// Give every value its index: the segments, all runs until now, stop
+    /// being runs.
+    fn list(&mut self) {
+        for s in &mut self.segs {
+            // Cannot fire: a bucket lists once, when all it holds are runs.
+            let first = s.first.take().expect("a run");
+            self.idx.extend(first..first + s.len as u64);
+        }
+    }
+
+    /// Whether every segment is a run and no two share an element; leaves
+    /// the runs in `order`, by first element.
+    fn apart(&self, order: &mut Vec<(u64, u32, u32)>) -> bool {
+        if !self.idx.is_empty() {
+            return false;
+        }
+        order.clear();
+        let runs = self.segs.iter().map(|s| s.first.map(|f| (f, s.len, 0)));
+        // Cannot fire: a bucket without an index column holds runs.
+        order.extend(runs.map(|r| r.expect("a run")));
+        order.sort_unstable();
+        order.windows(2).all(|w| w[0].0 + w[0].1 as u64 <= w[1].0)
+    }
+
+    /// The segments in writer order — stable by rank — into `order`, as
+    /// `(rank, 0, position)`.
+    fn writer_order(&self, order: &mut Vec<(u64, u32, u32)>) {
+        order.clear();
+        let segs = self.segs.iter().enumerate();
+        order.extend(segs.map(|(s, seg)| (seg.rank, 0, s as u32)));
+        order.sort_unstable();
+    }
+}
+
+impl<T: Elem> WriteCols<T> {
+    /// The distinct elements written, and their modeled wire bytes — each
+    /// element's of its last write: one walk of the writes, last first in
+    /// writer order, over a bitmap of `span`, which holds them all.
+    fn distinct(&self, span: Range<u64>, scratch: &mut Scratch) -> (u64, usize) {
+        let (bits, order) = (&mut scratch.bits, &mut scratch.order);
+        let words = ((span.end - span.start - 1) / 64 + 1) as usize;
+        bits.resize(bits.len().max(words), 0);
+        self.writer_order(order);
+        let (mut entries, mut bytes) = (0, 0);
+        let mut last = |idx: u64, val: T| {
+            let (w, m) = (
+                ((idx - span.start) / 64) as usize,
+                1 << ((idx - span.start) % 64),
+            );
+            if bits[w] & m == 0 {
+                bits[w] |= m;
+                entries += 1;
+                bytes += WRITE_ENTRY_BYTES + val.wire_size();
+            }
+        };
+        for &(_, _, s) in order.iter().rev() {
+            let s = &self.segs[s as usize];
+            let vals = self.vals[s.span()].iter().copied();
+            match s.first {
+                Some(first) => {
+                    (vals.enumerate().rev()).for_each(|(i, v)| last(first + i as u64, v))
+                }
+                None => (self.idx[s.span()].iter().copied().zip(vals))
+                    .rev()
+                    .for_each(|(i, v)| last(i, v)),
+            }
+        }
+        bits[..words].fill(0);
+        (entries, bytes)
     }
 }
 
@@ -624,7 +603,7 @@ pub(super) fn fold_parcels<T: Elem>(
             let (cols, s) = seg(o);
             let elems = o.0..o.0 + s.len as u64;
             let offs = offset(elems.start)..offset(elems.end - 1) + 1;
-            local[offs].copy_from_slice(&cols.vals[s.at..s.at + s.len]);
+            local[offs].copy_from_slice(&cols.vals[s.span()]);
             landed(elems);
         }
         return applied;
@@ -746,19 +725,20 @@ pub(super) mod tests {
                 ..WLog::default()
             }
         }
-
-        /// Log one op as VP `rank`'s next call (the node's VP 0 has global
-        /// rank 0).
-        pub fn buffer(&mut self, rank: u32, idx: usize, kind: WKind, val: T) {
-            let one = [(idx as u64, val)].into_iter();
-            self.record(rank, kind, Some(T::combine), one);
-        }
     }
 
     impl<T> WLog<T> {
-        /// Every call, in the order logged.
-        fn headers(&self) -> Vec<Call> {
-            self.calls.iter().chain(&self.open).copied().collect()
+        /// Each bucket's segments' `(rank, first, len)`, ascending by
+        /// destination.
+        fn headers(&self) -> Vec<Vec<(u64, Option<u64>, u32)>> {
+            let segs = |b: &Bucket<T>| {
+                b.cols
+                    .segs
+                    .iter()
+                    .map(|s| (s.rank, s.first, s.len))
+                    .collect()
+            };
+            self.buckets.iter().map(segs).collect()
         }
     }
 
@@ -775,7 +755,8 @@ pub(super) mod tests {
         };
         for &(idx, kind, parts) in entries {
             for &(rank, val) in parts {
-                c.segs.push(Seg::new(rank, kind, None, c.vals.len(), 1));
+                c.segs
+                    .push(Seg::new(rank, kind, None, c.vals.len() as u32, 1));
                 c.idx.push(idx);
                 c.vals.push(val);
             }
@@ -787,27 +768,40 @@ pub(super) mod tests {
     /// An element's resolved writes: `(idx, kind, [(rank, value)])`.
     type Element<T> = (u64, WKind, Vec<(u64, T)>);
 
-    /// A segment's writes as the parcels of a sort-based drain shipped
-    /// them: a run is one span, a listed write a span of one.
-    struct Span {
+    /// A segment's writes as spans: a run is one span, a listed write a
+    /// span of one.
+    struct Span<T> {
         first: u64,
         len: u32,
         rank: u64,
+        vals: Vec<T>,
     }
 
     impl<T: Copy> WriteCols<T> {
-        /// What the segments say, element by element, ascending, each
-        /// element's contributions in segment order.
+        /// The segments in the order the owner folds them: by rank, each
+        /// rank's in its program order.
+        fn folded(&self) -> impl Iterator<Item = &Seg> {
+            let mut order = Vec::new();
+            self.writer_order(&mut order);
+            order.into_iter().map(|(_, _, s)| &self.segs[s as usize])
+        }
+
+        /// What the segments say, element by element, ascending: each
+        /// element's contributions in the order the owner folds them — by
+        /// rank, then program order — of which an assign keeps its last.
         fn elements(&self) -> Vec<Element<T>> {
             let mut out: BTreeMap<u64, (WKind, Vec<(u64, T)>)> = BTreeMap::new();
-            for s in &self.segs {
+            for s in self.folded() {
                 self.each(s, |idx, val| {
                     let e = out.entry(idx).or_insert((s.kind, Vec::new()));
                     assert_eq!(e.0, s.kind, "element {idx} of two kinds");
+                    if s.kind == WKind::Assign {
+                        e.1.clear();
+                    }
                     e.1.push((s.rank, val));
                 });
             }
-            let lens: usize = self.segs.iter().map(|s| s.len).sum();
+            let lens: usize = self.segs.iter().map(|s| s.len as usize).sum();
             assert_eq!(lens, self.vals.len(), "values outside the segments");
             assert!(
                 [0, lens].contains(&self.idx.len()),
@@ -818,18 +812,26 @@ pub(super) mod tests {
                 .collect()
         }
 
-        fn spans(&self) -> Vec<Span> {
+        /// The segments' runs, and a listed segment's writes one by one,
+        /// in the order the owner folds them.
+        fn spans(&self) -> Vec<Span<T>> {
             let mut out = Vec::new();
-            for s in &self.segs {
+            for s in self.folded() {
                 match s.first {
                     Some(first) => out.push(Span {
                         first,
-                        len: s.len as u32,
+                        len: s.len,
                         rank: s.rank,
+                        vals: self.vals[s.span()].to_vec(),
                     }),
-                    None => self.each(s, |first, _| {
-                        let (len, rank) = (1, s.rank);
-                        out.push(Span { first, len, rank })
+                    None => self.each(s, |first, val| {
+                        let (len, rank, vals) = (1, s.rank, vec![val]);
+                        out.push(Span {
+                            first,
+                            len,
+                            rank,
+                            vals,
+                        })
                     }),
                 }
             }
@@ -841,8 +843,8 @@ pub(super) mod tests {
         p.payload.downcast().unwrap()
     }
 
-    /// All of a global array the drain needs: a phase log and the layout it
-    /// drains under.
+    /// All of a global array's node 0 the drain needs: a phase log and the
+    /// layout it is recorded under.
     struct Logged<T> {
         wlog: WLog<T>,
         dist: Dist,
@@ -859,8 +861,18 @@ pub(super) mod tests {
             }
         }
 
+        /// Log one op as VP `rank`'s next call (the node's VP 0 has global
+        /// rank 0).
+        fn buffer(&mut self, rank: u32, idx: usize, kind: WKind, val: T)
+        where
+            T: AccumElem,
+        {
+            let one = [(idx as u64, val)].into_iter();
+            (self.wlog).record(&self.dist, 0, rank, kind, Some(T::combine), one);
+        }
+
         fn drain_writes(&mut self, conflicts: Option<Conflicts<'_>>) -> Vec<WriteParcel> {
-            (self.wlog).drain(Space::Global, &self.dist, conflicts, &mut self.scratch)
+            (self.wlog).drain(Space::Global, conflicts, &mut self.scratch)
         }
 
         fn has_pending_writes(&self) -> bool {
@@ -870,13 +882,13 @@ pub(super) mod tests {
 
     pub fn assign_last_writer_wins_locally() {
         let mut ga = Logged::<f64>::new(Dist::block(4, 1));
-        ga.wlog.buffer(0, 2, WKind::Assign, 1.0);
-        ga.wlog.buffer(1, 2, WKind::Assign, 2.0);
+        ga.buffer(0, 2, WKind::Assign, 1.0);
+        ga.buffer(1, 2, WKind::Assign, 2.0);
         // A later call of the lower rank still loses to rank 1.
-        ga.wlog.buffer(0, 2, WKind::Assign, 1.5);
+        ga.buffer(0, 2, WKind::Assign, 1.5);
         // Within a rank, program order decides.
-        ga.wlog.buffer(1, 3, WKind::Assign, 7.0);
-        ga.wlog.buffer(1, 3, WKind::Assign, 8.0);
+        ga.buffer(1, 3, WKind::Assign, 7.0);
+        ga.buffer(1, 3, WKind::Assign, 8.0);
         let parcels = ga.drain_writes(None);
         assert_eq!(parcels.len(), 1);
         let c = payload::<f64>(parcels.into_iter().next().unwrap());
@@ -889,8 +901,8 @@ pub(super) mod tests {
 
     pub fn accum_merges_locally() {
         let mut ga = Logged::<u64>::new(Dist::block(4, 2));
-        ga.wlog.buffer(0, 3, ADD, 5);
-        ga.wlog.buffer(0, 3, ADD, 7);
+        ga.buffer(0, 3, ADD, 5);
+        ga.buffer(0, 3, ADD, 7);
         let parcels = ga.drain_writes(None);
         assert_eq!(parcels.len(), 1);
         assert_eq!(parcels[0].dest, 1); // idx 3 lives on node 1 of 2
@@ -898,13 +910,14 @@ pub(super) mod tests {
         assert_eq!(parcels[0].bytes, 9 + 8, "one combined value on the wire");
     }
 
-    /// Contributions ship in ascending (rank, program order) even when the
+    /// Contributions fold in ascending (rank, program order) even when the
     /// log is not: a VP that parked mid-phase writes again after its
-    /// higher-ranked neighbours.
+    /// higher-ranked neighbours. The parcel keeps them as they were
+    /// recorded, a segment each, and the owner orders the segments.
     pub fn drain_orders_contributions_by_rank_then_program_order() {
         let mut ga = Logged::<f64>::new(Dist::block(2, 1));
         for (rank, val) in [(4, 1.0), (5, 2.0), (4, 3.0), (5, 4.0), (4, 5.0)] {
-            ga.wlog.buffer(rank, 1, ADD, val);
+            ga.buffer(rank, 1, ADD, val);
         }
         let c = payload::<f64>(ga.drain_writes(None).pop().unwrap());
         // One element: five one-element spans that start at it.
@@ -912,22 +925,24 @@ pub(super) mod tests {
         assert_eq!(spans, vec![(1, 1); 5]);
         let ranks: Vec<u64> = c.spans().iter().map(|s| s.rank).collect();
         assert_eq!(ranks, vec![4, 4, 4, 5, 5]);
-        assert_eq!(c.vals, vec![1.0, 3.0, 5.0, 2.0, 4.0]);
+        let vals: Vec<f64> = c.spans().into_iter().flat_map(|s| s.vals).collect();
+        assert_eq!(vals, vec![1.0, 3.0, 5.0, 2.0, 4.0]);
+        assert_eq!(c.vals, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
     /// Mixed put/accumulate on one element is detected when the log
     /// resolves at the phase boundary (buffering itself is append-only).
     pub fn mixed_write_kinds_panic() {
         let mut ga = Logged::<u64>::new(Dist::block(4, 1));
-        ga.wlog.buffer(0, 0, WKind::Assign, 1);
-        ga.wlog.buffer(0, 0, ADD, 1);
+        ga.buffer(0, 0, WKind::Assign, 1);
+        ga.buffer(0, 0, ADD, 1);
         ga.drain_writes(None);
     }
 
     pub fn conflicting_accum_ops_panic() {
         let mut ga = Logged::<u64>::new(Dist::block(4, 1));
-        ga.wlog.buffer(0, 1, ADD, 1);
-        ga.wlog.buffer(0, 1, WKind::Accum(AccumOp::Max), 2);
+        ga.buffer(0, 1, ADD, 1);
+        ga.buffer(0, 1, WKind::Accum(AccumOp::Max), 2);
         ga.drain_writes(None);
     }
 
@@ -998,7 +1013,7 @@ pub(super) mod tests {
             recs.extend([(0, 1, 0.25), (LEN - 1, 2, 0.5), (LEN - 1, 0, 0.75)]);
             let mut ga = Logged::<f64>::new(dist.clone());
             for &(idx, rank, val) in &recs {
-                ga.wlog.buffer(rank as u32, idx as usize, ADD, val);
+                ga.buffer(rank as u32, idx as usize, ADD, val);
             }
             let mut want = recs.clone();
             want.sort_by_key(|r| (r.0, r.1));
@@ -1104,7 +1119,7 @@ pub(super) mod tests {
     fn drained(dist: Dist, idxs: &[usize]) -> Vec<(usize, Vec<u64>)> {
         let mut ga = Logged::<u64>::new(dist);
         for &idx in idxs {
-            ga.wlog.buffer(0, idx, WKind::Assign, idx as u64);
+            ga.buffer(0, idx, WKind::Assign, idx as u64);
         }
         let parcels = ga.drain_writes(None).into_iter();
         let indices = |c: Box<WriteCols<u64>>| c.elements().iter().map(|e| e.0).collect();
@@ -1114,7 +1129,7 @@ pub(super) mod tests {
     pub fn drain_splits_by_owner_and_sorts() {
         let mut ga = Logged::<u64>::new(Dist::block(8, 4));
         for idx in [7, 0, 3, 5, 1] {
-            ga.wlog.buffer(0, idx, WKind::Assign, idx as u64);
+            ga.buffer(0, idx, WKind::Assign, idx as u64);
         }
         let parcels = ga.drain_writes(None);
         let dests: Vec<usize> = parcels.iter().map(|p| p.dest).collect();
@@ -1129,9 +1144,9 @@ pub(super) mod tests {
             vec![(0, put, vec![(0, 0)]), (1, put, vec![(0, 1)])],
             "entries sorted by index"
         );
-        // Contiguous layouts meet their owners in ascending order, so the
-        // open parcel is the last one: owners are skipped (1, and the empty
-        // node 2 of the weighted layout), never revisited.
+        // A bucket is made at its destination's first write, in its place
+        // by destination: an owner nobody writes (1, and the empty node 2
+        // of the weighted layout) has none.
         assert_eq!(
             drained(Dist::block(8, 4), &[6, 1, 7, 0]),
             vec![(0, vec![0, 1]), (3, vec![6, 7])]
@@ -1143,7 +1158,7 @@ pub(super) mod tests {
         );
         // Runs that end exactly on a boundary, on either side of the empty
         // node 2; and one run of consecutive indices through three owners:
-        // `dist` is asked once per destination, not once per element.
+        // `dist` is asked once per new bucket, not once per element.
         assert_eq!(
             drained(weighted.clone(), &[4, 5, 0]),
             vec![(0, vec![0]), (1, vec![4]), (3, vec![5])]
@@ -1161,13 +1176,17 @@ pub(super) mod tests {
         );
         assert_eq!(OWNER_LOOKUPS.get() - asked, 3);
         // The same through three owners as one `put_many`: one call, cut
-        // into three spans, `dist` asked once per piece.
-        let mut ga = Logged::<u64>::new(weighted);
+        // into three runs, `dist` asked once per piece.
+        let mut ga = Logged::<u64>::new(weighted.clone());
         ga.wlog.base = 10;
-        ga.wlog
-            .record(2, WKind::Assign, None, (0..8).map(|i| (i, i)));
-        assert_eq!(ga.wlog.headers().len(), 1);
         let asked = OWNER_LOOKUPS.get();
+        let items = (0..8).map(|i| (i, i));
+        assert_eq!(
+            ga.wlog.record(&weighted, 0, 2, WKind::Assign, None, items),
+            (8, 7)
+        );
+        let runs = |first, len| vec![(12, Some(first), len)];
+        assert_eq!(ga.wlog.headers(), vec![runs(0, 1), runs(1, 4), runs(5, 3)]);
         let spans: Vec<_> = (ga.drain_writes(None))
             .into_iter()
             .map(|p| (p.dest, payload::<u64>(p)))
@@ -1194,53 +1213,74 @@ pub(super) mod tests {
         );
     }
 
-    /// What a call costs the log: a run keeps no index, calls of one VP
-    /// that continue a run are one call, a call that is not a run lists its
-    /// writes, single elements join whichever they follow, and a VP that
-    /// lists goes on listing.
+    /// What a call costs the log: a run keeps no index, and calls of one VP
+    /// that continue a run are one segment; a call's first write that does
+    /// not opens a run of its own, unless the VP's open segment is a lone
+    /// element; a call that does not run on makes the bucket list every
+    /// value's index; and another VP's write, or another kind, opens a
+    /// segment.
     pub fn a_call_is_a_run_or_lists_its_indices() {
+        let dist = Dist::block(2048, 1);
         let mut log = WLog::<u64>::combining();
         let put = WKind::Assign;
-        let shape = |log: &WLog<u64>| (log.headers().len(), log.vals.len(), log.listed.len());
+        let record = |log: &mut WLog<u64>, vp, kind, items: &[(u64, u64)]| {
+            (log.record(&dist, 0, vp, kind, None, items.iter().copied())).0
+        };
+        let shape = |log: &WLog<u64>| {
+            let c = &log.buckets[0].cols;
+            (c.segs.len(), c.vals.len(), c.idx.len())
+        };
+        let rows = |r: std::ops::Range<u64>| r.map(|i| (i, i)).collect::<Vec<_>>();
         // spmv's chunks: four calls, one run.
         for chunk in 0..4u64 {
-            let rows = chunk * 256..(chunk + 1) * 256;
-            assert_eq!(log.record(3, put, None, rows.map(|i| (i, i))), 256);
+            let chunk = rows(chunk * 256..(chunk + 1) * 256);
+            assert_eq!(record(&mut log, 3, put, &chunk), 256);
         }
         assert_eq!(shape(&log), (1, 1024, 0));
-        assert_eq!(log.headers()[0].run(), Some(0..1024));
-        // Lone puts that continue it, too; one that does not is a new call,
-        // and with the next stray one it becomes a listed call of two.
-        log.record(3, put, None, [(1024, 0)].into_iter());
-        log.record(3, put, None, [(7, 70)].into_iter());
+        assert_eq!(log.headers(), vec![vec![(3, Some(0), 1024)]]);
+        // Lone puts that continue it, too; one that does not is a run of its
+        // own, and the next stray one makes the bucket list.
+        record(&mut log, 3, put, &[(1024, 0)]);
+        record(&mut log, 3, put, &[(7, 70)]);
         assert_eq!(shape(&log), (2, 1026, 0));
-        assert_eq!(log.record(3, put, None, [(9, 90)].into_iter()), 1);
-        assert_eq!(shape(&log), (2, 1025, 2));
-        // Whatever the VP puts next is listed; another kind or another VP is
-        // another call, and a run again.
-        assert_eq!(log.record(3, put, None, (20..24).map(|i| (i, i))), 4);
-        log.record(3, ADD, None, (24..28).map(|i| (i, i)));
-        log.record(4, ADD, None, (28..32).map(|i| (i, i)));
-        assert_eq!(shape(&log), (4, 1033, 6));
-        let want = [(7, 70), (9, 90), (20, 20), (21, 21), (22, 22), (23, 23)];
-        assert_eq!(log.listed, want);
+        assert_eq!(record(&mut log, 3, put, &[(9, 90)]), 1);
+        assert_eq!(shape(&log), (2, 1027, 1027));
+        // From then on every write has its index; the VP's writes of one
+        // kind continue its segment, another kind or another VP opens one.
+        assert_eq!(record(&mut log, 3, put, &rows(20..24)), 4);
+        record(&mut log, 3, ADD, &rows(24..28));
+        record(&mut log, 4, ADD, &rows(28..32));
+        assert_eq!(shape(&log), (4, 1039, 1039));
+        let c = &log.buckets[0].cols;
+        let want: Vec<u64> = (0..1025).chain([7, 9]).chain(20..32).collect();
+        assert_eq!(c.idx, want);
+        assert_eq!(c.vals[1025..1027], [70, 90]);
+        let segs: Vec<_> = c
+            .segs
+            .iter()
+            .map(|s| (s.rank, s.first, s.at, s.len))
+            .collect();
+        let want = [
+            (3, None, 0, 1025),
+            (3, None, 1025, 6),
+            (3, None, 1031, 4),
+            (4, None, 1035, 4),
+        ];
+        assert_eq!(segs, want);
         // A call that strays after a run's worth lists all of its writes.
-        let strays = [(40, 0), (41, 1), (5, 2), (6, 3)];
-        assert_eq!(log.record(5, ADD, None, strays.into_iter()), 4);
-        assert_eq!(shape(&log), (5, 1033, 10));
-        assert_eq!(log.listed[6..], strays);
-        let lens: Vec<u32> = log.headers().iter().map(|c| c.len).collect();
-        assert_eq!(lens, vec![1025, 6, 4, 4, 4]);
-        let ats: Vec<u32> = log.headers().iter().map(|c| c.at).collect();
-        assert_eq!(ats, vec![0, 0, 1025, 1029, 6]);
-        // A call of another VP closes the open one, even a call that its
-        // run continues: VP 6's next run is a call of its own.
         let mut log = WLog::<u64>::combining();
-        log.record(6, put, None, (0..4).map(|i| (i, i)));
-        log.record(7, put, None, (4..6).map(|i| (i, i)));
-        log.record(6, put, None, (6..8).map(|i| (i, i)));
-        let vps: Vec<u32> = log.headers().iter().map(|c| c.vp).collect();
-        assert_eq!((vps, shape(&log)), (vec![6, 7, 6], (3, 8, 0)));
+        let strays = [(40, 0), (41, 1), (5, 2), (6, 3)];
+        assert_eq!(record(&mut log, 5, ADD, &strays), 4);
+        assert_eq!(shape(&log), (1, 4, 4));
+        assert_eq!(log.buckets[0].cols.idx, [40, 41, 5, 6]);
+        // A call of another VP closes the open segment, even a call that its
+        // run continues: VP 6's next run is a segment of its own.
+        let mut log = WLog::<u64>::combining();
+        record(&mut log, 6, put, &rows(0..4));
+        record(&mut log, 7, put, &rows(4..6));
+        record(&mut log, 6, put, &rows(6..8));
+        let segs = vec![(6, Some(0), 4), (7, Some(4), 2), (6, Some(6), 2)];
+        assert_eq!((log.headers(), shape(&log)), (vec![segs], (3, 8, 0)));
     }
 
     /// The drain is where the checker finds write-write conflicts: on each
@@ -1445,7 +1485,8 @@ pub(super) mod tests {
                     let mine = script.iter().filter(|s| s.0 == (node, vp, round));
                     for (_, kind, items) in mine {
                         let combine = Some(f64::combine as fn(AccumOp, f64, f64) -> f64);
-                        ga.wlog.record(vp, *kind, combine, items.iter().copied());
+                        let logged = items.iter().copied();
+                        ga.wlog.record(&dist, node, vp, *kind, combine, logged);
                         for &(idx, val) in items {
                             let rank = base + vp as u64;
                             writes.entry(idx).or_default().push(Write {
@@ -1481,8 +1522,8 @@ pub(super) mod tests {
         }))
     }
 
-    /// The whole write path — `record`, the drain's two ways, the
-    /// span parcel, the owner's merge — against a map of every element's
+    /// The whole write path — `record` into buckets, the drain's two
+    /// counts, the owner's fold — against a map of every element's
     /// writes: random scripts of runs, overlapping runs of two VPs, a VP
     /// rewriting its own, lone and scattered puts, accumulates with repeats,
     /// VPs polled twice; block, weighted (one owner empty) and cyclic
@@ -1661,5 +1702,238 @@ pub(super) mod tests {
             seen.0 > 100 && seen.1 > 100 && seen.2 > 20 && seen.3 > 20,
             "{seen:?}"
         );
+    }
+
+    /// Elements of the differential case's array.
+    const SPAN: u64 = 48;
+
+    /// `((node, vp, poll round), (shape, start, length, salt))`: one call of
+    /// a differential script. Shape 0 is a run, 1 strays (a stride of two
+    /// or more), 2 one element, 3 one element `length` times, 4 a run from
+    /// inside the VP's last run of its kind — overlapping it — and 5 a run
+    /// from where that one ended: with another VP's call polled in between,
+    /// a call that another VP interrupted. `salt`'s low bit picks a put or
+    /// an accumulate, the rest the values.
+    type Step = ((usize, u32, usize), (u8, u64, u64, u64));
+
+    /// `(layout, nodes, cut, Option<f64> puts)`: puts write below `cut`,
+    /// accumulates at and above it; with `Option<f64>` elements, everything
+    /// is a put.
+    type Case = (u8, usize, u64, bool);
+
+    /// An accumulate's values, and the element type's combiner.
+    type Acc<T> = (fn(u64) -> T, fn(AccumOp, T, T) -> T);
+
+    /// Each element's writes, `(rank, order, kind, value)`.
+    type Writes<T> = BTreeMap<u64, Vec<(u64, usize, WKind, T)>>;
+
+    /// What `step` of VP `vp` writes, given the VP's last run of each kind.
+    fn step_writes(
+        (_, nodes, cut, opt): Case,
+        last: &mut BTreeMap<(u32, bool), Range<u64>>,
+        vp: u32,
+        &(_, (shape, start, len, salt)): &Step,
+    ) -> (WKind, Vec<(u64, u64)>) {
+        let accum = !opt && salt % 2 == 1;
+        let (kind, room) = match accum {
+            true => (ADD, cut.min(SPAN)..SPAN),
+            false => (WKind::Assign, 0..cut.min(SPAN)),
+        };
+        let _ = nodes;
+        if room.is_empty() {
+            return (kind, Vec::new());
+        }
+        let at = |k: u64| room.start + k % (room.end - room.start);
+        let len = len.max(1);
+        let run = |first: u64| (first..(first + len).min(room.end)).collect::<Vec<_>>();
+        let prev = last.get(&(vp, accum)).cloned();
+        let idxs = match shape % 6 {
+            0 => run(at(start)),
+            1 => (0..len).map(|j| at(start + j * (2 + salt % 5))).collect(),
+            2 => vec![at(start)],
+            3 => vec![at(start); len as usize],
+            4 => run(prev.map_or(at(start), |r| r.start + (r.end - r.start) / 2)),
+            _ => run(prev.map_or(at(start), |r| r.end.min(room.end - 1))),
+        };
+        if [0, 4, 5].contains(&(shape % 6)) {
+            last.insert((vp, accum), idxs[0]..idxs[0] + idxs.len() as u64);
+        }
+        let vals = idxs.iter().enumerate();
+        (
+            kind,
+            vals.map(|(j, &idx)| (idx, salt / 2 + j as u64)).collect(),
+        )
+    }
+
+    /// Run `steps` through every node's log, drain and the owners' fold, and
+    /// through a map of every element's writes: `put(v)` and `acc(v)` are the
+    /// values, `acc` with the element type's combiner.
+    /// `seen` counts the cases with a listing bucket, with a bucket of runs
+    /// that meet, and with an element whose first and last writes differ
+    /// in wire size.
+    fn differential<T: Elem>(
+        case: &Case,
+        steps: &[Step],
+        put: fn(u64) -> T,
+        acc: Option<Acc<T>>,
+        seen: &Cell<[usize; 3]>,
+    ) -> crate::testkit::PropResult {
+        let &(layout, nodes, _, _) = case;
+        let dist = match layout % 3 {
+            0 => Dist::block(SPAN as usize, nodes),
+            // Node 0, when it is not the only one, owns nothing.
+            1 => {
+                let mut bounds: Vec<usize> =
+                    (0..=nodes).map(|n| n * SPAN as usize / nodes).collect();
+                bounds[1] = [bounds[1], 0][(nodes > 1) as usize];
+                Dist::weighted(SPAN as usize, nodes, Arc::new(bounds))
+            }
+            _ => Dist::cyclic(SPAN as usize, nodes),
+        };
+        let rounds = steps.iter().map(|s| s.0 .2 + 1).max().unwrap_or(0);
+        // Every element's writes, per node.
+        let mut model: Vec<Writes<T>> = Vec::new();
+        let mut to: Vec<Vec<(u32, Box<dyn Any + Send>)>> = (0..nodes).map(|_| Vec::new()).collect();
+        for node in 0..nodes {
+            let base = node as u64 * VPS as u64;
+            let mut ga: GArray<T> = GArray::new(dist.clone(), node);
+            let (mut writes, mut last, mut order) = (BTreeMap::new(), BTreeMap::new(), 0);
+            for round in 0..rounds {
+                for vp in 0..VPS {
+                    for step in steps.iter().filter(|s| s.0 == (node, vp, round)) {
+                        let (kind, items) = step_writes(*case, &mut last, vp, step);
+                        let val = |v| match (kind, acc) {
+                            (WKind::Accum(_), Some((acc, _))) => acc(v),
+                            _ => put(v),
+                        };
+                        let items: Vec<(u64, T)> =
+                            items.iter().map(|&(i, v)| (i, val(v))).collect();
+                        let combine = acc.map(|a| a.1);
+                        let logged = items.iter().map(|&(i, v)| (i as usize, v));
+                        let (n, remote) = ga.record((base, vp), kind, combine, logged, |_| {});
+                        let far = items.iter().filter(|w| dist.owner(w.0 as usize) != node);
+                        prop_assert_eq!((n, remote), (items.len() as u64, far.count() as u64));
+                        for (idx, val) in items {
+                            let w = (base + vp as u64, order, kind, val);
+                            writes.entry(idx).or_insert_with(Vec::new).push(w);
+                            order += 1;
+                        }
+                    }
+                }
+            }
+            let mut tally = seen.get();
+            let buckets = ga.log().buckets.iter().map(|b| &b.cols);
+            tally[0] += buckets.clone().any(|c| !c.idx.is_empty()) as usize;
+            tally[1] += buckets
+                .clone()
+                .any(|c| c.idx.is_empty() && !c.apart(&mut Vec::new()))
+                as usize;
+            // Per destination: distinct elements, and bytes by each one's
+            // last write in (rank, program order).
+            let mut want: BTreeMap<usize, (u64, usize)> = BTreeMap::new();
+            for (&idx, w) in writes.iter_mut() {
+                w.sort_by_key(|w| (w.0, w.1));
+                tally[2] += (w[0].3.wire_size() != w[w.len() - 1].3.wire_size()) as usize;
+                let e = want.entry(dist.owner(idx as usize)).or_default();
+                e.0 += 1;
+                e.1 += WRITE_ENTRY_BYTES + w[w.len() - 1].3.wire_size();
+            }
+            seen.set(tally);
+            let got = ga.drain_writes(None);
+            let shipped: Vec<(usize, (u64, usize))> =
+                got.iter().map(|p| (p.dest, (p.entries, p.bytes))).collect();
+            prop_assert_eq!(shipped, want.into_iter().collect::<Vec<_>>());
+            for p in got {
+                to[p.dest].push((node as u32, p.payload));
+            }
+            model.push(writes);
+        }
+        for (owner, parcels) in to.into_iter().enumerate().rev() {
+            let mut ga: GArray<T> = GArray::new(dist.clone(), owner);
+            let (applied, _) = ga.apply_writes(parcels, &mut |_| {}, false);
+            let mut want = vec![T::default(); ga.local.len()];
+            let mut entries = 0;
+            let mut all: Writes<T> = BTreeMap::new();
+            for writes in &model {
+                for (&idx, w) in writes
+                    .iter()
+                    .filter(|(i, _)| dist.owner(**i as usize) == owner)
+                {
+                    entries += 1;
+                    all.entry(idx).or_default().extend(w);
+                }
+            }
+            for (&idx, w) in &mut all {
+                w.sort_by_key(|w| (w.0, w.1));
+                let folded = match (w[0].2, acc) {
+                    (WKind::Accum(op), Some((_, f))) => {
+                        w[1..].iter().fold(w[0].3, |a, w| f(op, a, w.3))
+                    }
+                    _ => w[w.len() - 1].3,
+                };
+                want[dist.local_offset(idx as usize)] = folded;
+            }
+            prop_assert_eq!(applied, entries);
+            let key = |v: &[T]| v.iter().map(|v| format!("{v:?}")).collect::<Vec<_>>();
+            prop_assert_eq!(key(&ga.local), key(&want));
+        }
+        Ok(())
+    }
+
+    /// The buckets against an element-by-element model: seeded scripts of
+    /// interleaved VP calls — runs, strays, single elements, repeats, one
+    /// VP's overlapping runs, a call interrupted by another VP — of puts
+    /// and accumulates of `f64`, and of puts of `Option<f64>`, whose wire
+    /// size depends on the value; under block, weighted (one node empty) and
+    /// cyclic layouts on one to three nodes. What each node ships — entries,
+    /// and bytes by each element's *last* write — and the owners' result
+    /// bits equal the model's.
+    pub fn buckets_equal_the_element_model() {
+        let gen = |g: &mut Gen| {
+            let nodes = g.usize_in(1..4);
+            let case = (g.u32_in(0..3) as u8, nodes, g.u64_in(0..SPAN + 1), g.bool());
+            // A third of the scripts are runs only.
+            let runs = g.usize_in(0..3) == 0;
+            let steps = g.vec(0..12, |g| {
+                let who = (g.usize_in(0..nodes), g.u32_in(0..VPS), g.usize_in(0..3));
+                let shape = [g.u32_in(0..6), [0, 4, 5][g.usize_in(0..3)]][runs as usize];
+                let what = (
+                    shape as u8,
+                    g.u64_in(0..SPAN),
+                    g.u64_in(1..10),
+                    g.u64_in(0..40),
+                );
+                (who, what)
+            });
+            (case, steps)
+        };
+        let seen = Cell::new([0; 3]);
+        forall(
+            "buckets_equal_the_element_model",
+            400,
+            gen,
+            |(case, steps): &(Case, Vec<Step>)| {
+                let &(_, nodes, cut, opt) = case;
+                if !(1..4).contains(&nodes) || cut > SPAN || steps.iter().any(|s| s.0 .0 >= nodes) {
+                    return Ok(());
+                }
+                if opt {
+                    let put = |v: u64| [None, Some(1.0), Some(-2.5)][v as usize % 3];
+                    differential::<Option<f64>>(
+                        &(case.0, nodes, SPAN, true),
+                        steps,
+                        put,
+                        None,
+                        &seen,
+                    )
+                } else {
+                    let put = |v: u64| [7.0, 9.0, -0.0, 1.5][v as usize % 4];
+                    let acc = |v: u64| [1.0, 1e16, -1e16, 0.5, 3.0][v as usize % 5];
+                    differential::<f64>(case, steps, put, Some((acc, f64::combine)), &seen)
+                }
+            },
+        );
+        let seen = seen.get();
+        assert!(seen.iter().all(|&n| n > 50), "{seen:?}");
     }
 }
