@@ -21,6 +21,10 @@
 //! untouched, and a deliberate model change must update them in the same
 //! commit. On a mismatch the assertion prints the observed row in literal
 //! syntax, ready to paste.
+//!
+//! Every PPM row is observed twice, with the conformance checker on (as
+//! captured) and off (as every figure and benchmark runs): the checker only
+//! watches, so the off run must reproduce the same literal row.
 
 use ppm_apps::barnes_hut::{self as bh, BhParams};
 use ppm_apps::cg::{self, CgParams};
@@ -92,24 +96,30 @@ fn check_rows(app: &str, golden: &[Golden], observe: impl Fn(&str) -> Observed) 
 }
 
 /// A PPM application: every node must return the same bits, checker silent.
+/// Each row is observed twice, with the checker on and off: the checker
+/// only watches, so both runs must give the literal row.
 fn check(
     app: &str,
     golden: &[Golden],
     body: impl Fn(&mut NodeCtx<'_>) -> Vec<u64> + Send + Sync + Copy,
 ) {
-    check_rows(app, golden, |variant| {
-        let report = ppm_core::run(self::variant(variant), move |node| {
-            let bits = body(node);
-            let violations = node.take_violations();
-            assert!(violations.is_empty(), "conformance: {violations:?}");
-            bits
+    for checker in [true, false] {
+        let app = format!("{app} (checker {})", ["off", "on"][checker as usize]);
+        check_rows(&app, golden, |variant| {
+            let cfg = self::variant(variant).with_checker(checker);
+            let report = ppm_core::run(cfg, move |node| {
+                let bits = body(node);
+                let violations = node.take_violations();
+                assert!(violations.is_empty(), "conformance: {violations:?}");
+                bits
+            });
+            for r in &report.results {
+                assert_eq!(r, &report.results[0], "{app} [{variant}]: nodes disagree");
+            }
+            let counters = report.total_counters().named_fields().map(|(_, v)| v);
+            (fnv(&report.results[0]), report.makespan().as_ps(), counters)
         });
-        for r in &report.results {
-            assert_eq!(r, &report.results[0], "{app} [{variant}]: nodes disagree");
-        }
-        let counters = report.total_counters().named_fields().map(|(_, v)| v);
-        (fnv(&report.results[0]), report.makespan().as_ps(), counters)
-    });
+    }
 }
 
 /// One `ppm-mps` baseline on the goldens' 3 × 2 machine: the hash covers

@@ -7,7 +7,9 @@
 //! *verifies the program against it*: with the checker enabled
 //! ([`crate::PpmConfig::with_checker`]; on by default in debug builds, so
 //! `cargo test` runs everything under it), suspicious access patterns are
-//! reported at the phase barrier as [`PhaseViolation`]s. Each rule is
+//! reported at the phase barrier as [`PhaseViolation`]s. The checker only
+//! observes: with it on or off a read takes the same spans and a phase log
+//! drains by the same code, and only the reports differ. Each rule is
 //! evaluated where its facts already are — no access is recorded for a
 //! later replay:
 //!
@@ -20,9 +22,10 @@
 //!   puts (every VP's last write to the element carries the same value,
 //!   e.g. many VPs clearing the same tree cell) are *not* flagged: the
 //!   outcome is value-deterministic regardless of rank order. Found by the
-//!   write log's phase-end drain (`state/wlog.rs`), whose check sorts every
-//!   element's puts into (rank, program order): where several VPs assigned one
-//!   element, `first_disagreement` compares their last values by a
+//!   write log's phase-end drain (`state/wlog.rs`), which sorts its segment
+//!   headers by element range and looks at elements only where puts of two
+//!   VPs share one, in (rank, program order): where several VPs assigned
+//!   one element, `first_disagreement` compares their last values by a
 //!   byte-level fingerprint ([`crate::elem::ByteHash`], a bound of every
 //!   [`crate::elem::Elem`]) — floats hash their IEEE bit patterns, so even
 //!   two NaNs with different payloads, which render identically under
@@ -33,8 +36,10 @@
 //!   would behave differently on any runtime that didn't snapshot, so it is
 //!   either a bug or (rarely) a deliberate snapshot read that deserves a
 //!   comment and a checker suppression via a fresh phase. Found by the
-//!   reading VP during its own poll, among the elements it has written this
-//!   phase (`OwnWrites`); what leaves the VP is the finished report.
+//!   reading VP during its own poll, against the runs of elements it has
+//!   written this phase (`OwnWrites`): a bulk read takes the stretch
+//!   between two written runs as one span, and an element inside one alone,
+//!   its read the hazard. What leaves the VP is the finished report.
 //! * **Phase-nesting / barrier-mismatch errors** — opening a phase inside a
 //!   phase, VPs disagreeing on the current phase kind, or VPs not all
 //!   arriving at the same barrier. These corrupt the super-step structure
@@ -50,7 +55,10 @@
 //! with [`crate::NodeCtx::take_violations`] after a `ppm_do`; the app test
 //! suites assert the drain is empty.
 
-use crate::state::{FirstSeen, PhaseKind, TableKey};
+use std::collections::BTreeSet;
+use std::ops::Range;
+
+use crate::state::PhaseKind;
 
 /// FNV-1a over a value's identity bytes ([`crate::elem::ByteHash`]): a
 /// deterministic, std-only, allocation-free fingerprint usable for any
@@ -210,13 +218,6 @@ pub(crate) fn first_disagreement<T: crate::elem::ByteHash>(
     Some((first_vp, second_vp))
 }
 
-/// `(array, element)`.
-impl TableKey for (u32, u64) {
-    fn word(self) -> u64 {
-        self.1 ^ (self.0 as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)
-    }
-}
-
 /// One shared element: space, array id, element index.
 pub(crate) type ElemId = (Space, u32, u64);
 
@@ -227,65 +228,101 @@ pub(crate) struct OwnWrites {
     /// Per [`Space`], bit `min(array id, 63)` is set once the VP has written
     /// that array this phase, so a read of an array it has not written —
     /// nearly every read of a conforming program — is settled by one test.
-    /// Arrays 63 and up share the top bit; the set decides for them.
+    /// Arrays 63 and up share the top bit; the runs decide for them.
     arrays: [u64; 2],
-    /// Writes not yet entered into `elems`. A write only appends here; the
-    /// first read that passes the mask enters what has gathered, so a VP
-    /// that never reads an array it writes never hashes anything.
-    recent: Vec<ElemId>,
-    /// Per [`Space`], written `(array, element)` → whether its hazard has
-    /// been reported already.
-    elems: [FirstSeen<(u32, u64), bool>; 2],
-    /// Hazards found since the VP's effects were last merged.
-    pub found: Vec<PhaseViolation>,
+    /// `(space, array, start, end)` per write, or per run of writes to
+    /// consecutive elements, as they came. Sorted and coalesced by the first
+    /// read that passes the mask ([`Self::reads`]), so a VP that never reads
+    /// an array it writes sorts nothing.
+    runs: Vec<(Space, u32, u64, u64)>,
+    /// Whether `runs` is sorted, no two runs of an array meeting: true
+    /// until a write opens a run, which is not compared with the others —
+    /// a scattered write's order against the last would be a branch the
+    /// predictor misses half the time.
+    tidy: bool,
+    /// The elements whose reads were hazards, each once: taken when the VP
+    /// arrives at the phase's barrier ([`Checker::hazards`]), before its next
+    /// phase begins.
+    pub found: BTreeSet<ElemId>,
 }
 
 impl OwnWrites {
     /// Forget the previous phase's writes.
     pub fn begin_phase(&mut self) {
         self.arrays = [0; 2];
-        self.recent.clear();
-        self.elems.iter_mut().for_each(FirstSeen::begin);
+        self.runs.clear();
+        self.tidy = true;
     }
 
-    /// Note a `put` or `accumulate`.
-    pub fn wrote(&mut self, elem: ElemId) {
-        self.arrays[elem.0 as usize] |= 1 << elem.1.min(63);
-        self.recent.push(elem);
-    }
-
-    /// Whether the VP has written any element of `array` of `space` this
-    /// phase, as far as the one-word mask can tell (arrays 63 and up share a
-    /// bit): `false` means no read of the array can be a hazard.
-    #[inline]
-    pub fn has_written(&self, space: Space, array: u32) -> bool {
-        self.arrays[space as usize] & 1 << array.min(63) != 0
-    }
-
-    /// Check a read by the VP of global rank `vp`; the first one of an
-    /// element it wrote earlier in the phase is the hazard.
-    #[inline]
-    pub fn read(&mut self, elem: ElemId, vp: u64, phase: PhaseKind) {
-        if self.has_written(elem.0, elem.1) {
-            self.read_written_array(elem, vp, phase);
+    /// Note a `put` or `accumulate`: a write to the element after the last
+    /// one written extends its run.
+    pub fn wrote(&mut self, (space, array, index): ElemId) {
+        self.arrays[space as usize] |= 1 << array.min(63);
+        match self.runs.last_mut() {
+            Some(run) if (run.0, run.1, run.3) == (space, array, index) => run.3 += 1,
+            _ => {
+                self.tidy = false;
+                self.runs.push((space, array, index, index + 1));
+            }
         }
     }
 
-    /// [`Self::read`] past the mask; kept out of the access path's code.
-    #[inline(never)]
-    fn read_written_array(&mut self, (space, array, index): ElemId, vp: u64, phase: PhaseKind) {
-        for (space, array, index) in self.recent.drain(..) {
-            self.elems[space as usize].first((array, index), false);
+    /// The read-own-write check of the VP's reads of `array` of `space`:
+    /// `None` where it has written nothing of the array this phase, so no
+    /// read can be a hazard.
+    #[inline]
+    pub fn reads(&mut self, space: Space, array: u32) -> Option<ReadCheck<'_>> {
+        if self.arrays[space as usize] & 1 << array.min(63) == 0 {
+            return None;
         }
-        let reported = self.elems[space as usize].get_mut((array, index));
-        if reported.is_some_and(|seen| !std::mem::replace(seen, true)) {
-            self.found.push(PhaseViolation::ReadOwnWrite {
-                space,
-                array,
-                index,
-                vp,
-                phase,
+        if !std::mem::replace(&mut self.tidy, true) {
+            self.runs.sort_unstable();
+            self.runs.dedup_by(|next, kept| {
+                let meets = (next.0, next.1) == (kept.0, kept.1) && next.2 <= kept.3;
+                if meets {
+                    kept.3 = kept.3.max(next.3);
+                }
+                meets
             });
+        }
+        let of = |run: &(Space, u32, u64, u64)| (run.0, run.1).cmp(&(space, array));
+        let lo = self.runs.partition_point(|run| of(run).is_lt());
+        let hi = self.runs.partition_point(|run| of(run).is_le());
+        (lo < hi).then_some(ReadCheck(self, lo..hi))
+    }
+
+    /// Check one read by the VP: the first one of an element it wrote
+    /// earlier in the phase is the hazard.
+    pub fn read(&mut self, (space, array, index): ElemId) {
+        if let Some(mut check) = self.reads(space, array) {
+            check.stretch(index, index..index + 1);
+        }
+    }
+}
+
+/// [`OwnWrites::reads`] past the mask: the positions of one array's runs,
+/// sorted, which the reads of one access are checked against.
+pub(crate) struct ReadCheck<'a>(&'a mut OwnWrites, Range<usize>);
+
+impl ReadCheck<'_> {
+    /// What a read may take as one from `span`, which holds element
+    /// `index`: the stretch of `span` around it between two written runs,
+    /// if the VP has not written it — no read there is a hazard — or, if it
+    /// has, `index` alone, its read reported unless it was already.
+    pub fn stretch(&mut self, index: u64, span: Range<u64>) -> Range<u64> {
+        let own = &mut *self.0;
+        let runs = &own.runs[self.1.clone()];
+        let at = runs.partition_point(|run| run.3 <= index);
+        match runs.get(at) {
+            Some(&(space, array, start, _)) if start <= index => {
+                own.found.insert((space, array, index));
+                index..index + 1
+            }
+            next => {
+                let lo = at.checked_sub(1).map_or(0, |p| runs[p].3);
+                let hi = next.map_or(u64::MAX, |run| run.2);
+                span.start.max(lo)..span.end.min(hi)
+            }
         }
     }
 }
@@ -324,9 +361,19 @@ impl Conflicts<'_> {
 }
 
 impl Checker {
-    /// Take the hazards one VP found since its last merge.
-    pub fn hazards(&mut self, found: &mut Vec<PhaseViolation>) {
-        self.pending.append(found);
+    /// Take the hazards the VP of global rank `vp` found in a phase of kind
+    /// `phase` since its last merge.
+    pub fn hazards(&mut self, found: &mut BTreeSet<ElemId>, vp: u64, phase: PhaseKind) {
+        let hazards = std::mem::take(found)
+            .into_iter()
+            .map(|(space, array, index)| PhaseViolation::ReadOwnWrite {
+                space,
+                array,
+                index,
+                vp,
+                phase,
+            });
+        self.pending.extend(hazards);
     }
 
     /// The conflict sink for the drain of `array`'s write log at the end of
@@ -443,56 +490,47 @@ mod tests {
         assert_eq!(report.results[0], (45, vec![]));
     }
 
-    fn hazard(space: Space, array: u32, index: u64, vp: u64) -> PhaseViolation {
-        PhaseViolation::ReadOwnWrite {
-            space,
-            array,
-            index,
-            vp,
-            phase: PhaseKind::Node,
-        }
-    }
-
     #[test]
     fn read_own_write_detected_per_vp() {
         let (mut vp2, mut vp9) = (OwnWrites::default(), OwnWrites::default());
         vp2.begin_phase();
         vp9.begin_phase();
         vp2.wrote((Space::Node, 1, 4));
-        vp9.read((Space::Node, 1, 4), 9, PhaseKind::Node); // other VP: fine
-        vp2.read((Space::Global, 1, 4), 2, PhaseKind::Node); // other space: fine
-        vp2.read((Space::Node, 1, 4), 2, PhaseKind::Node); // own: hazard
-        vp2.read((Space::Node, 1, 4), 2, PhaseKind::Node); // deduped
+        vp9.read((Space::Node, 1, 4)); // other VP: fine
+        vp2.read((Space::Global, 1, 4)); // other space: fine
+        vp2.read((Space::Node, 1, 4)); // own: hazard
+        vp2.read((Space::Node, 1, 4)); // deduped
         assert!(vp9.found.is_empty());
-        assert_eq!(vp2.found, vec![hazard(Space::Node, 1, 4, 2)]);
+        assert_eq!(vp2.found, BTreeSet::from([(Space::Node, 1, 4)]));
     }
 
     #[test]
     fn read_before_write_is_clean() {
         let mut own = OwnWrites::default();
         own.begin_phase();
-        own.read((Space::Global, 0, 3), 5, PhaseKind::Global);
+        own.read((Space::Global, 0, 3));
         own.wrote((Space::Global, 0, 3));
         assert!(own.found.is_empty());
     }
 
-    /// A new phase forgets the writes (and the "already reported" marks) of
-    /// the last one; found hazards stay until the merge takes them.
+    /// A new phase forgets the writes of the last one, and — its hazards
+    /// taken at the barrier — their "already reported" marks.
     #[test]
     fn end_phase_resets_state() {
         let mut own = OwnWrites::default();
-        own.begin_phase();
-        own.wrote((Space::Global, 0, 1));
-        own.read((Space::Global, 0, 1), 0, PhaseKind::Node);
-        own.begin_phase();
-        own.read((Space::Global, 0, 1), 0, PhaseKind::Node);
-        assert_eq!(own.found.len(), 1, "last phase's write is forgotten");
-        own.wrote((Space::Global, 0, 1));
-        own.read((Space::Global, 0, 1), 0, PhaseKind::Node);
-        assert_eq!(own.found.len(), 2, "and so is its report mark");
         let mut c = Checker::default();
-        c.hazards(&mut own.found);
+        own.begin_phase();
+        own.wrote((Space::Global, 0, 1));
+        own.read((Space::Global, 0, 1));
+        c.hazards(&mut own.found, 0, PhaseKind::Node);
         assert!(own.found.is_empty());
+        own.begin_phase();
+        own.read((Space::Global, 0, 1));
+        assert!(own.found.is_empty(), "last phase's write is forgotten");
+        own.wrote((Space::Global, 0, 1));
+        own.read((Space::Global, 0, 1));
+        assert_eq!(own.found.len(), 1, "and so is its report mark");
+        c.hazards(&mut own.found, 0, PhaseKind::Node);
         assert_eq!(c.end_phase().len(), 2);
         assert!(
             c.end_phase().is_empty(),
@@ -501,39 +539,69 @@ mod tests {
     }
 
     /// The written set against a `HashSet` model: both spaces, array ids on
-    /// both sides of the mask's shared top bit (63 and up), huge and
-    /// colliding indices, growth in the middle of a phase, and a generation
-    /// wrap between phases.
+    /// both sides of the mask's shared top bit (63 and up), runs written
+    /// again and meeting, huge indices, and reads of one element or walked
+    /// over a span the way a bulk read takes it — stretch by stretch, from
+    /// any element of it on, across written runs' edges.
     #[test]
     fn own_writes_match_a_set_model() {
+        use crate::testkit::Gen;
         const ARRAYS: [u32; 7] = [0, 1, 62, 63, 64, 65, u32::MAX];
-        let mut g = crate::testkit::Gen::new(0xC4);
+        let mut g = Gen::new(0xC4);
         let mut own = OwnWrites::default();
+        let index = |g: &mut Gen| match g.u32_in(0..4) {
+            0 => g.u64_in(0..40) << 32 | g.u64() << 61,
+            _ => g.u64_in(0..96),
+        };
         for phase in 0..50 {
-            if phase == 25 {
-                own.elems.iter_mut().for_each(|t| t.wind_to(u32::MAX));
-            }
+            // The last phase's hazards are taken at its barrier.
+            own.found.clear();
             own.begin_phase();
-            // The first phase outgrows the table several times; a few later
-            // ones write a single array, leaving the others to the mask.
+            // A few phases write a single array, leaving the others to the
+            // mask.
             let ops = if phase == 0 { 6000 } else { g.usize_in(1..600) };
             let arrays = if phase % 3 == 2 { 1 } else { ARRAYS.len() };
             let (mut written, mut reported) = (HashSet::new(), HashSet::new());
             for _ in 0..ops {
                 let space = [Space::Global, Space::Node][g.usize_in(0..2)];
-                let index = g.u64_in(0..40) << 32 | g.u64_in(0..6) | g.u64() << 61;
-                let key = (space, ARRAYS[g.usize_in(0..arrays)], index);
+                let (array, start, len) =
+                    (ARRAYS[g.usize_in(0..arrays)], index(&mut g), g.u64_in(1..6));
                 if g.u32_in(0..3) == 0 {
-                    own.wrote(key);
-                    written.insert(key);
+                    for i in start..start + len {
+                        own.wrote((space, array, i));
+                        written.insert((space, array, i));
+                    }
                     continue;
                 }
                 let array = ARRAYS[g.usize_in(0..ARRAYS.len())];
-                let key = (key.0, array, key.2);
-                own.read(key, 7, PhaseKind::Node);
-                let expect = written.contains(&key) && reported.insert(key);
-                let got = own.found.pop();
-                assert_eq!(got, expect.then(|| hazard(key.0, key.1, key.2, 7)));
+                let span = start..start + len;
+                let mut at = start + g.u64_in(0..len);
+                while at < span.end {
+                    let key = (space, array, at);
+                    let stretch = if len == 1 {
+                        own.read(key);
+                        span.clone()
+                    } else {
+                        match own.reads(space, array) {
+                            Some(mut check) => check.stretch(at, span.clone()),
+                            None => span.clone(),
+                        }
+                    };
+                    let wrote = |i| written.contains(&(space, array, i));
+                    if wrote(at) {
+                        assert_eq!(stretch, at..at + 1);
+                        reported.insert(key);
+                        assert!(own.found.contains(&key));
+                    } else if len > 1 {
+                        // Every element of it clean, and no clean one left out.
+                        assert!(span.start <= stretch.start && stretch.contains(&at));
+                        assert!(stretch.end <= span.end && !stretch.clone().any(wrote));
+                        assert!(stretch.start == span.start || wrote(stretch.start - 1));
+                        assert!(stretch.end == span.end || wrote(stretch.end));
+                    }
+                    assert_eq!(own.found.len(), reported.len());
+                    at = stretch.end;
+                }
             }
             assert!(phase > 0 || written.len() > 1000, "phase 0 must grow");
         }
@@ -542,12 +610,13 @@ mod tests {
     #[test]
     fn reports_sort_deterministically() {
         let mut c = Checker::default();
-        let mut found = vec![
-            hazard(Space::Node, 0, 9, 4),
-            hazard(Space::Global, 3, 9, 4),
-            hazard(Space::Global, 3, 9, 1),
-        ];
-        c.hazards(&mut found);
+        let mut found = BTreeSet::from([(Space::Node, 0, 9), (Space::Global, 3, 9)]);
+        c.hazards(&mut found, 4, PhaseKind::Node);
+        c.hazards(
+            &mut BTreeSet::from([(Space::Global, 3, 9)]),
+            1,
+            PhaseKind::Node,
+        );
         let mut node = c.conflicts_in(Space::Node, 1, PhaseKind::Node);
         node.report(9, (0, 1));
         let mut global = c.conflicts_in(Space::Global, 0, PhaseKind::Global);

@@ -15,7 +15,7 @@ use super::barrier::{BarrierMsg, BarrierParts};
 use super::wave::build_dest;
 use super::*;
 use crate::bitset::NodeSet;
-use crate::check::Space;
+use crate::check::{PhaseViolation, Space};
 use crate::config::PpmConfig;
 use crate::dissem::{LoadBlock, Notices};
 use crate::dist::Dist;
@@ -302,17 +302,17 @@ fn bulk_read_asks_for_each_distinct_remote_element_once() {
 /// start) the run of locals is in a spilled tile; without one the
 /// partition is in core. Checks the output against a per-index `get`, what
 /// the parked future holds, and that dropping a parked read frees its
-/// slots; returns the job's access counters. `wrote` makes each VP write
-/// the array first, so its reads take `check_get` one by one instead of
-/// the span path (the checker is on in every build, or a write would not
-/// be seen).
+/// slots; returns the job's access counters. Each VP writes a local and a
+/// cached element first and reads both back, across their neighbours, so
+/// with the `checker` on the reads are cut at the written elements: each
+/// node reports exactly its two VPs' two read-own-write hazards.
 fn bulk_read_of<T: crate::Elem + PartialEq>(
-    wrote: bool,
+    checker: bool,
     budget: bool,
     mk: fn(usize) -> T,
 ) -> [u64; 6] {
     let cfg = PpmConfig::new(MachineConfig::new(2, 1))
-        .with_checker(true)
+        .with_checker(checker)
         .with_read_cache(true)
         .with_tile_budget(if budget {
             32 * std::mem::size_of::<T>() as u64
@@ -332,10 +332,9 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(
             let near = move |j: usize| lo + j;
             let far = move |j: usize| (lo + 32 + j) % 64;
             let probe = vp.clone();
+            let rank = probe.node_rank();
             vp.global_phase(|ph| async move {
-                if wrote {
-                    ph.put(&a, near(30 + probe.node_rank()), mk(0));
-                }
+                ph.put_many(&a, [(near(30 + rank), mk(0)), (far(2 + rank), mk(0))]);
                 // Refill tile 0 and cache far(0..4).
                 let warm = [0, 1, 2, 3].map(near).into_iter().chain((0..4).map(far));
                 ph.get_many(&a, warm).await;
@@ -388,9 +387,31 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(
                 drop(dropped);
                 assert!(ph.get(&a, far(16)).await == mk(far(16)));
                 assert_eq!(in_use(), 0, "the late fills freed the cancelled slots");
+
+                // Across the written elements' edges, each twice.
+                let back = [29, 30, 31, 30].map(near).into_iter();
+                let back: Vec<usize> = back.chain([1, 2, 3, 2].map(far)).collect();
+                let got = ph.get_many(&a, back.clone()).await;
+                assert!(got == back.iter().map(|&i| mk(i)).collect::<Vec<_>>());
             })
             .await;
         });
+        let rows = |r: usize| {
+            let hazard = |index: usize| PhaseViolation::ReadOwnWrite {
+                space: Space::Global,
+                array: a.id,
+                index: index as u64,
+                vp: (2 * node.node_id() + r) as u64,
+                phase: PhaseKind::Global,
+            };
+            [hazard(lo + 30 + r), hazard((lo + 34 + r) % 64)]
+        };
+        let mut want: Vec<_> = rows(0).into_iter().chain(rows(1)).collect();
+        want.sort_by_key(|v| match v {
+            PhaseViolation::ReadOwnWrite { index, .. } => *index,
+            _ => unreachable!(),
+        });
+        assert_eq!(node.take_violations(), if checker { want } else { vec![] });
     });
     let c = report.total_counters();
     assert!(c.dedup_reads > 0 && c.cache_hits > 0 && (c.tile_refills > 0) == budget);
@@ -407,23 +428,29 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(
 /// A parked bulk read of elements wider than an 8-byte record holds no
 /// output position for a repeat or a first occurrence, and none for a
 /// local of an in-core partition; every observable — output, counters,
-/// slots — is the `f64` path's, in core and under a tile budget, on the
-/// span path and through `check_get`, and a rerun of the wide read gives
-/// the same counters.
+/// slots — is the `f64` path's, in core and under a tile budget, with the
+/// checker on and off, and a rerun of the wide read gives the same
+/// counters.
 #[test]
 fn a_parked_bulk_read_of_wide_elements_holds_first_occurrences_only() {
-    let wide = |wrote, budget| {
-        bulk_read_of(wrote, budget, |i| {
+    let wide = |checker, budget| {
+        bulk_read_of(checker, budget, |i| {
             let x = i as f64;
             [x, 1.0, 2.0, 3.0, 4.0, x * 2.0]
         })
     };
     for budget in [true, false] {
-        for wrote in [false, true] {
-            let narrow = bulk_read_of(wrote, budget, |i| i as f64 + 0.5);
-            let case = format!("wrote {wrote}, budget {budget}");
-            assert_eq!(narrow, wide(wrote, budget), "{case}");
-            assert_eq!(wide(wrote, budget), wide(wrote, budget), "rerun, {case}");
+        let off = bulk_read_of(false, budget, |i| i as f64 + 0.5);
+        for checker in [false, true] {
+            let narrow = bulk_read_of(checker, budget, |i| i as f64 + 0.5);
+            let case = format!("checker {checker}, budget {budget}");
+            assert_eq!(narrow, off, "{case}");
+            assert_eq!(narrow, wide(checker, budget), "{case}");
+            assert_eq!(
+                wide(checker, budget),
+                wide(checker, budget),
+                "rerun, {case}"
+            );
         }
     }
 }
@@ -443,12 +470,16 @@ type TileEvents = Vec<(&'static str, u64, u64)>;
 /// resident tile, spilled tiles — a run, strays, a run from a spilled tile
 /// into a resident one and one back, a spilled run read again, and a run
 /// over eight spilled tiles, which spills tiles of its own — and remote
-/// misses, cache hits and repeats. Returns what each node saw. `wrote`
-/// makes the VP write the array first (checker on either way), so the
-/// read takes `check_get` element by element instead of the span path.
-fn span_read_of<T: crate::Elem + PartialEq>(wrote: bool, mk: fn(usize) -> T) -> Vec<SpanRead<T>> {
+/// misses, cache hits and repeats. Returns what each node saw, and its
+/// reports. The VP writes four of the elements it reads first — two locals
+/// inside spilled runs, a miss and a cache hit — so with the `checker` on
+/// the read is cut at each.
+fn span_read_of<T: crate::Elem + PartialEq>(
+    checker: bool,
+    mk: fn(usize) -> T,
+) -> (Vec<SpanRead<T>>, Vec<Vec<PhaseViolation>>) {
     let cfg = PpmConfig::new(MachineConfig::new(2, 1))
-        .with_checker(true)
+        .with_checker(checker)
         .with_read_cache(true)
         .with_tile_budget(32 * std::mem::size_of::<T>() as u64);
     let sink = crate::TraceSink::new();
@@ -469,11 +500,8 @@ fn span_read_of<T: crate::Elem + PartialEq>(wrote: bool, mk: fn(usize) -> T) -> 
                 let far = move |j: usize| (lo + 64 + j) % 128;
                 let probe = vp.clone();
                 vp.global_phase(|ph| async move {
-                    if wrote {
-                        ph.put(&a, near(63), mk(0));
-                    }
-                    let plain = probe.cell.with_poll(|s, _| VpCell::reads_plainly(s, a.id));
-                    assert_eq!(plain, !wrote);
+                    let wrote = [near(5), near(40), far(1), far(9)];
+                    ph.put_many(&a, wrote.map(|i| (i, mk(0))));
                     let warm = [0, 1, 2, 3, 12, 13, 14, 15].map(near);
                     ph.get_many(&a, warm.into_iter().chain([far(0), far(1)]))
                         .await;
@@ -517,29 +545,44 @@ fn span_read_of<T: crate::Elem + PartialEq>(wrote: bool, mk: fn(usize) -> T) -> 
             }
         });
         let seen = seen.lock().unwrap().take();
-        seen.expect("the VP reported")
+        (seen.expect("the VP reported"), node.take_violations())
     });
     let mut mem: Vec<TileEvents> = vec![Vec::new(); 2];
     for e in sink.events().iter().filter(|e| e.cat == "mem") {
         let at = |arg| e.arg_u64(arg).expect("a tile event names its tile");
         mem[e.tid as usize].push((e.name, at("array"), at("tile")));
     }
-    let seen = report.results.into_iter().zip(mem);
-    seen.map(|((got, counters, held), mem)| (got, counters, held, mem))
-        .collect()
+    let (seen, rows): (Vec<_>, _) = report.results.into_iter().unzip();
+    let seen = seen.into_iter().zip(mem);
+    let seen = seen.map(|((got, counters, held), mem)| (got, counters, held, mem));
+    (seen.collect(), rows)
 }
 
-/// A plain bulk read takes a spilled tile as a span — its fault noted once,
-/// its indices deferred on a range test — and gives what the same read
-/// through `check_get`, element by element, gives: output, counters,
-/// deferred runs and every other record held, and the spill and refill
-/// sequence; narrow and wide.
+/// A bulk read takes a spilled tile as a span — its fault noted once, its
+/// indices deferred on a range test — and the checker only watches: cut
+/// at the elements the VP wrote, the read gives what it gives with the
+/// checker off — output, counters, deferred runs and every other record
+/// held, and the spill and refill sequence — narrow and wide, and each
+/// node reports exactly its four read-own-write hazards.
 #[test]
-fn a_spilled_tile_read_as_a_span_equals_the_element_path() {
+fn a_spilled_tile_read_as_a_span_is_the_same_with_the_checker_on_and_off() {
     fn check<T: crate::Elem + PartialEq + std::fmt::Debug>(mk: fn(usize) -> T) {
-        let (span, element) = (span_read_of(false, mk), span_read_of(true, mk));
-        assert_eq!(span, element);
-        for (_, counters, (.., deferred), mem) in &span {
+        let ((off, quiet), (on, rows)) = (span_read_of(false, mk), span_read_of(true, mk));
+        assert_eq!(off, on);
+        assert_eq!(quiet, [vec![], vec![]]);
+        // The written elements, ascending: near(5), near(40), far(1), far(9).
+        let written = [[5, 40, 65, 73], [1, 9, 69, 104]];
+        for (node, (rows, written)) in rows.iter().zip(written).enumerate() {
+            let hazard = |index| PhaseViolation::ReadOwnWrite {
+                space: Space::Global,
+                array: 0,
+                index,
+                vp: node as u64,
+                phase: PhaseKind::Global,
+            };
+            assert_eq!(*rows, written.map(hazard));
+        }
+        for (_, counters, (.., deferred), mem) in &off {
             // The warm read refills tiles 0 and 3; the read twelve more, of
             // which the last six spill others.
             assert_eq!(counters[5..], [12, 6]);

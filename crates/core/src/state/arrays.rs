@@ -19,7 +19,7 @@ use std::ops::Range;
 use ppm_simnet::WireSize;
 
 use super::wlog::{fold_parcels, Scratch, WLog, WriteCols};
-use super::{count, ArrayTiles, WKind, WriteParcel};
+use super::{count, ArrayTiles, PhaseKind, WKind, WriteParcel};
 use crate::check::{Conflicts, Space};
 use crate::dist::Dist;
 use crate::elem::{AccumOp, Elem};
@@ -88,9 +88,8 @@ pub(crate) struct GArray<T: Elem> {
     scratch: Scratch,
     /// Remote elements whose phase-frozen value this node has learned —
     /// from response bundles or owner-pushed refreshes. Consulted before a
-    /// remote read is queued ([`super::VpCell::check_get`], and a bulk read's
-    /// [`Self::cached_span`]); cleared when the array takes writes
-    /// (`coherence.rs`).
+    /// remote read is queued ([`Self::cached_span`]); cleared when the
+    /// array takes writes (`coherence.rs`).
     rcache: RunCache<T>,
     /// The other half of [`Self::cache_merge`]'s double buffer (kept for
     /// its capacity only).
@@ -179,27 +178,50 @@ impl<T: Elem> GArray<T> {
         self.wlog.record(dist, self.node, vp, kind, combine, items)
     }
 
-    /// The stretch of owned elements around `idx` that one residency answer
-    /// covers, with its first element's global index and, if it is spilled,
-    /// its tile: the owned span of an in-core contiguous partition; under
-    /// `tiles`, `idx`'s tile. A resident span's reads are plain loads until
-    /// the poll ends; a spilled one's park on its tile. `None` for a remote
-    /// element, and for every element of a cyclic layout.
+    /// Where a VP's read of element `idx`, in a phase of kind `kind`,
+    /// lands: the stretch of owned elements around it that one residency
+    /// answer covers — the owned span of an in-core contiguous partition;
+    /// under `tiles`, `idx`'s tile; `idx` alone under a cyclic layout, whose
+    /// neighbours live on other nodes — or `None` for a remote element,
+    /// which only a global phase may read. A resident span's reads are
+    /// plain loads until the poll ends; a spilled one's park on its tile.
     #[inline]
     pub fn owned_span(
         &self,
         tiles: Option<&ArrayTiles>,
+        kind: PhaseKind,
         idx: usize,
-    ) -> Option<(usize, &[T], Option<u32>)> {
-        if !self.owned.contains(&idx) {
-            return None;
-        }
-        let off = idx - self.owned.start;
-        let (offs, cold) = match tiles {
-            None => (0..self.local.len(), None),
-            Some(t) => (t.tile_span(off), t.cold_tile(off)),
+    ) -> Option<OwnedSpan<'_, T>> {
+        let (off, offs, tile) = if self.owned.contains(&idx) {
+            let off = idx - self.owned.start;
+            let offs = tiles.map_or(0..self.local.len(), |t| t.tile_span(off));
+            (off, offs.clone(), offs.start)
+        } else {
+            assert!(idx < self.dist.len, "global read index {idx} out of bounds");
+            let Some(off) = self.owned_offset(idx) else {
+                assert!(
+                    kind == PhaseKind::Global,
+                    "remote shared read inside a node phase (element {idx} is on node {}); \
+                     use a global phase",
+                    self.dist.owner(idx)
+                );
+                return None;
+            };
+            // A cyclic layout's element, alone: its neighbours are remote.
+            (
+                off,
+                off..off + 1,
+                tiles.map_or(0, |t| t.tile_span(off).start),
+            )
         };
-        Some((self.owned.start + offs.start, &self.local[offs], cold))
+        Some(OwnedSpan {
+            first: idx - (off - offs.start),
+            off: offs.start,
+            vals: &self.local[offs],
+            cold: tiles
+                .and_then(|t| t.cold_tile(off))
+                .map(|cold| (cold, tile)),
+        })
     }
 
     /// Local offset of an element the exchange protocol routed here. Cannot
@@ -228,7 +250,9 @@ impl<T: Elem> GArray<T> {
             .expect("remote read polled after its phase ended")
     }
 
-    /// Cached phase-frozen value of remote element `idx`, if known.
+    /// Cached phase-frozen value of remote element `idx`, if known (unit
+    /// tests).
+    #[cfg(test)]
     pub fn cache_get(&self, idx: u64) -> Option<T> {
         let (first, vals) = self.rcache.run_at(idx)?;
         Some(vals[(idx - first) as usize])
@@ -282,6 +306,17 @@ impl<T: Elem> GArray<T> {
         self.rcache_spare = old;
         ledger!(self.held, self.held_bytes());
     }
+}
+
+/// What [`GArray::owned_span`] finds around an owned element.
+pub(crate) struct OwnedSpan<'a, T> {
+    /// The global index of `vals[0]`.
+    pub first: usize,
+    /// The local offset of `vals[0]`.
+    pub off: usize,
+    pub vals: &'a [T],
+    /// If the span is spilled: its tile, and the tile's first local offset.
+    pub cold: Option<(u32, usize)>,
 }
 
 /// A sorted map from global index to value, held as runs of consecutive

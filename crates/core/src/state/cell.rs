@@ -24,9 +24,10 @@ pub(crate) struct VpState {
     pub cur_phase: Option<PhaseKind>,
     /// Parking table for this VP's suspended remote reads.
     pub slots: VpSlots,
-    /// Conformance checker: what this VP wrote in its current phase and the
-    /// hazards found among it. `None` with the checker off, which is what an
-    /// access tests; boxed because the state moves at every poll.
+    /// Conformance checker: the runs this VP wrote in its current phase and
+    /// the hazards its reads found against them. `None` with the checker
+    /// off, which is what an access tests; boxed because the state moves at
+    /// every poll.
     pub own_writes: Option<Box<OwnWrites>>,
 }
 
@@ -103,51 +104,9 @@ impl VpCell {
         })
     }
 
-    fn in_phase(s: &VpState, what: impl std::fmt::Display) -> PhaseKind {
+    pub fn in_phase(s: &VpState, what: impl std::fmt::Display) -> PhaseKind {
         s.cur_phase
             .unwrap_or_else(|| panic!("{what} requires an open phase"))
-    }
-
-    /// What every VP read of element `idx` of global array `id` checks —
-    /// phase, checker, bounds — and where the element is. The typed storage
-    /// `ga` is resolved by the caller (once per poll for a bulk read), and
-    /// the read is charged by its outcome ([`Self::charge_reads`]): the
-    /// checker runs either way, so a cache hit never masks a conformance
-    /// violation. A [`GetOutcome::Miss`] is not yet requested: the caller
-    /// either issues it ([`Self::issue_get`]) or combines it with a request
-    /// the same bulk read already made for `idx`.
-    pub fn check_get<T: Elem>(
-        &self,
-        s: &mut VpState,
-        ga: &GArray<T>,
-        id: u32,
-        idx: usize,
-    ) -> GetOutcome<T> {
-        let kind = Self::in_phase(s, "global shared read");
-        if let Some(own) = s.own_writes.as_mut() {
-            own.read((Space::Global, id, idx as u64), self.global_rank, kind);
-        }
-        assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
-        if let Some(off) = ga.owned_offset(idx) {
-            // A cold tile costs exactly what the in-core hit does — the
-            // fault itself is free in modeled time and counters.
-            return GetOutcome::Owned(off);
-        }
-        assert!(
-            kind == PhaseKind::Global,
-            "remote shared read inside a node phase (element {idx} is on node {}); \
-             use a global phase",
-            ga.dist.owner(idx)
-        );
-        // Phase-coherent read cache: a remote value learned earlier
-        // (response bundle or owner push) is this phase's frozen truth, so
-        // it can be returned without wire traffic.
-        if self.cfg.read_cache {
-            if let Some(v) = ga.cache_get(idx as u64) {
-                return GetOutcome::Cached(v);
-            }
-        }
-        GetOutcome::Miss
     }
 
     /// Charge `reads` shared reads of this VP, of which `hits` hit the read
@@ -172,26 +131,17 @@ impl VpCell {
         inner.outstanding_reads += requested as usize;
     }
 
-    /// Whether this VP's reads of global array `id` are, until the poll
-    /// ends, nothing but their charge wherever the element is local and
-    /// resident: a phase is open, and the checker (if on) has seen the VP
-    /// write nothing of the array this phase, so no read can be a hazard.
-    pub fn reads_plainly(s: &VpState, id: u32) -> bool {
-        let written = |own: &OwnWrites| own.has_written(Space::Global, id);
-        s.cur_phase.is_some() && !s.own_writes.as_deref().is_some_and(written)
-    }
-
     /// What only a fresh remote request pays: a slot to park on and a place
     /// in `reqs`, the node's queue for `idx`'s owner. Returns the slot.
     pub fn issue_get<T: Elem>(
         &self,
-        s: &mut VpState,
+        slots: &mut VpSlots,
         reqs: &mut [Vec<QueuedReq>],
         ga: &GArray<T>,
         array: u32,
         idx: usize,
     ) -> u32 {
-        let slot = s.slots.alloc();
+        let slot = slots.alloc();
         let (idx, vp) = (idx as u64, self.id as u32);
         reqs[ga.dist.owner(idx as usize)].push(QueuedReq {
             array,
@@ -227,7 +177,7 @@ impl VpCell {
     /// of `space` — do: `put`s ([`WKind::Assign`]) or `accumulate`s, which
     /// bring `combine`, their element type's combiner. Per call: phase check,
     /// the typed array, overhead and counter totals. Per element: bounds,
-    /// "local?", the checker's written set, and its value in the array's
+    /// "local?", the checker's written runs, and its value in the array's
     /// phase log ([`GArray::record`]). `space` is a constant where this is
     /// inlined; `items` runs inside the poll context and must not re-enter
     /// it.
@@ -272,9 +222,9 @@ impl VpCell {
     /// immediate).
     pub fn get_node_arr<T: Elem>(&self, id: u32, idx: usize) -> T {
         self.with_poll(|s, inner| {
-            let kind = Self::in_phase(s, "node shared read");
+            Self::in_phase(s, "node shared read");
             if let Some(own) = s.own_writes.as_mut() {
-                own.read((Space::Node, id, idx as u64), self.global_rank, kind);
+                own.read((Space::Node, id, idx as u64));
             }
             // Physical shared memory: no tile to fault on, no cache to ask.
             let na = array_ref::<T>(&inner.narrays, Space::Node, id);
@@ -346,22 +296,6 @@ impl Drop for PollGuard {
     fn drop(&mut self) {
         POLL.take();
     }
-}
-
-/// Outcome of a shared read issued by a VP.
-pub(crate) enum GetOutcome<T> {
-    /// The element is owned locally, at this local offset. The caller reads
-    /// it with [`VpCell::read_resident`]: while its partition tile is
-    /// spilled (pseudo-streaming, DESIGN.md §18) the VP parks slot-free, the
-    /// executor refills the tile and wakes it, and the re-read is
-    /// charge-free — the access was fully charged, exactly like the
-    /// in-core path.
-    Owned(usize),
-    /// The element is remote and in the read cache; here is its value.
-    Cached(T),
-    /// The element is remote and not cached: not yet requested (see
-    /// [`VpCell::check_get`]).
-    Miss,
 }
 
 #[cfg(test)]

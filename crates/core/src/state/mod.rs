@@ -49,11 +49,11 @@ mod tiles;
 mod wlog;
 
 pub(crate) use arrays::{array_mut, array_ref, Arrays, GArray, GArrayObj, Values};
-pub(crate) use cell::{GetOutcome, PollGuard, VpCell, VpState};
+pub(crate) use cell::{PollGuard, VpCell, VpState};
 pub(crate) use inner::{DoMode, Inner, Traffic};
 pub use inner::{PhaseKind, PhaseRecord};
 pub(crate) use slots::{read_position, QueuedReq, VpSlots};
-pub(crate) use table::{FirstSeen, TableKey};
+pub(crate) use table::FirstSeen;
 pub(crate) use tiles::{ArrayTiles, TileBudget, TileFaults};
 pub(crate) use wlog::{WKind, WriteParcel};
 

@@ -1,37 +1,23 @@
-//! The first-occurrence table a bulk read combines its repeats with and the
-//! checker keeps a VP's written elements in.
+//! The first-occurrence table a bulk read combines its repeats with.
 
-/// What [`FirstSeen`] needs of a key: a word its fixed multiplicative hash
-/// spreads over the buckets.
-pub(crate) trait TableKey: Copy + Eq {
-    fn word(self) -> u64;
-}
-
-impl TableKey for u64 {
-    fn word(self) -> u64 {
-        self
-    }
-}
-
-/// First-occurrence table: key → the payload it was first seen with since the
-/// last [`Self::begin`]. Two users: a bulk read combines its repeated
-/// indices (global index → position of its first occurrence) in one table
-/// per node ([`super::Inner::first_seen`]), the checker keeps each VP's
-/// elements written this phase ([`crate::check::OwnWrites`]). Open addressing with linear
+/// First-occurrence table: global index → output position of its first
+/// occurrence since the last [`Self::begin`]. A bulk read combines its
+/// repeated indices in it, in one table per node ([`super::Inner::first_seen`]).
+/// Open addressing with linear
 /// probing under a fixed multiplicative hash (no `RandomState`: nothing
 /// observable may depend on a per-process seed — and nothing depends on
 /// probe order anyway). A bucket is live only in the generation that wrote
 /// it, so starting a span is O(1), a span costs in proportion to its
 /// distinct keys, and a warm table allocates nothing.
 #[derive(Default)]
-pub(crate) struct FirstSeen<K = u64, V = u32> {
+pub(crate) struct FirstSeen {
     /// `(key, payload, generation)`; a power of two long, at most half live.
-    buckets: Vec<(K, V, u32)>,
+    buckets: Vec<(u64, u32, u32)>,
     generation: u32,
     live: usize,
 }
 
-impl<K: TableKey, V: Copy> FirstSeen<K, V> {
+impl FirstSeen {
     /// Forget the previous span's entries.
     pub fn begin(&mut self) {
         self.live = 0;
@@ -45,9 +31,9 @@ impl<K: TableKey, V: Copy> FirstSeen<K, V> {
 
     /// The bucket holding `key`, or the free one it would go into.
     #[inline]
-    fn probe(&self, key: K) -> usize {
+    fn probe(&self, key: u64) -> usize {
         let mask = self.buckets.len() - 1;
-        let mut b = (key.word().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        let mut b = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
         while self.buckets[b].2 == self.generation && self.buckets[b].0 != key {
             b = (b + 1) & mask;
         }
@@ -56,7 +42,7 @@ impl<K: TableKey, V: Copy> FirstSeen<K, V> {
 
     /// The payload `key` was first seen with in this span; `None` — with
     /// `new` registered — when this is its first occurrence.
-    pub fn first(&mut self, key: K, new: V) -> Option<V> {
+    pub fn first(&mut self, key: u64, new: u32) -> Option<u32> {
         debug_assert!(self.generation != 0, "FirstSeen used before begin()");
         if self.live * 2 >= self.buckets.len() {
             // Stamp 0 is never live, so any key fills the new buckets.
@@ -76,21 +62,6 @@ impl<K: TableKey, V: Copy> FirstSeen<K, V> {
         self.live += 1;
         None
     }
-
-    /// Jump to `generation` (unit tests: the wrap is 2^32 spans away).
-    #[cfg(test)]
-    pub fn wind_to(&mut self, generation: u32) {
-        self.generation = generation;
-    }
-
-    /// The payload stored for `key` in this span, if it has been seen.
-    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
-        if self.buckets.is_empty() {
-            return None;
-        }
-        let b = self.probe(key);
-        (self.buckets[b].2 == self.generation).then(|| &mut self.buckets[b].1)
-    }
 }
 
 #[cfg(test)]
@@ -98,6 +69,17 @@ pub(super) mod tests {
     //! Each runs as `state::tests::<name>` (`state/tests.rs` has the list).
     use super::super::tests::ALLOCS;
     use super::*;
+
+    impl FirstSeen {
+        /// The payload stored for `key` in this span, if it has been seen.
+        fn get(&self, key: u64) -> Option<u32> {
+            if self.buckets.is_empty() {
+                return None;
+            }
+            let b = self.probe(key);
+            (self.buckets[b].2 == self.generation).then_some(self.buckets[b].1)
+        }
+    }
 
     /// The first-occurrence table against a `HashMap` model: colliding and
     /// huge keys, growth mid-call, and reuse across calls — which forgets
@@ -116,7 +98,7 @@ pub(super) mod tests {
             let mut model = std::collections::HashMap::new();
             let before = ALLOCS.with(|n| n.get());
             table.begin();
-            assert!(keys.iter().all(|&k| table.get_mut(k).is_none()));
+            assert!(keys.iter().all(|&k| table.get(k).is_none()));
             let got: Vec<Option<u32>> = (0..)
                 .zip(&keys)
                 .map(|(pos, &k)| table.first(k, pos))
@@ -133,16 +115,16 @@ pub(super) mod tests {
                     (first != pos).then_some(first),
                     "call {call}, key {k:#x}"
                 );
-                assert_eq!(table.get_mut(k).copied(), Some(first));
+                assert_eq!(table.get(k), Some(first));
             }
         }
         // A generation wrap must not resurrect old entries.
-        table.wind_to(u32::MAX);
+        table.generation = u32::MAX;
         table.begin();
-        assert_eq!(table.get_mut(7), None);
+        assert_eq!(table.get(7), None);
         assert_eq!((table.first(7, 0), table.first(7, 1)), (None, Some(0)));
         assert_eq!(table.generation, 1);
         // A table that was never written answers without probing.
-        assert_eq!(FirstSeen::<u64, u32>::default().get_mut(7), None);
+        assert_eq!(FirstSeen::default().get(7), None);
     }
 }

@@ -209,10 +209,11 @@ impl<T: Elem> WLog<T> {
     ///   of its last write.
     ///
     /// Unless every bucket is of the first kind, the checks run over every
-    /// bucket when there is anything to check ([`judge`]): mixing puts and
-    /// accumulates — or two operators — on one element panics here, at the
-    /// phase boundary, and with the checker on an assign several VPs wrote
-    /// is where a write-write conflict shows, reported to `conflicts`.
+    /// bucket's segment headers ([`judge`]): mixing puts and accumulates —
+    /// or two operators — on one element panics here, at the phase
+    /// boundary, and with the checker on an assign several VPs wrote is
+    /// where a write-write conflict shows, reported to `conflicts`. The
+    /// checker changes nothing else the drain does.
     ///
     /// An entry is modeled as [`WRITE_ENTRY_BYTES`] plus one value: an
     /// assign's raw writes and an accumulate's raw contributions ride as
@@ -232,27 +233,17 @@ impl<T: Elem> WLog<T> {
         let log = std::mem::take(self);
         let order = &mut scratch.order;
         let apart: Vec<bool> = (log.buckets.iter()).map(|b| b.cols.apart(order)).collect();
-        let segs = || log.buckets.iter().flat_map(|b| &b.cols.segs);
-        // Cannot fire: a bucket is made for a write.
-        let kind = segs().next().expect("a write").kind;
-        let puts = || conflicts.is_some() && segs().any(|s| s.kind == WKind::Assign);
-        if !apart.iter().all(|&a| a) && (segs().any(|s| s.kind != kind) || puts()) {
-            // `(index, position in writer order, rank, kind, value)`.
-            let mut writes = Vec::new();
+        if !apart.iter().all(|&a| a) {
+            let mut ordered = Vec::new();
             for cols in log.buckets.iter().map(|b| &b.cols) {
                 cols.writer_order(order);
-                for &(rank, _, s) in order.iter() {
-                    let seg = &cols.segs[s as usize];
-                    cols.each(seg, |idx, val| {
-                        writes.push((idx, writes.len() as u64, rank, seg.kind, val))
-                    });
-                }
+                ordered.extend(order.iter().map(|&(.., s)| (cols, &cols.segs[s as usize])));
             }
             // A global array's panics name the bare element, as they always
             // have.
             let what = ["", "node "][(space == Space::Node) as usize];
             let texts = ["accumulate operators in one phase", "in one phase"];
-            judge(&mut writes, what, texts, conflicts);
+            judge(&ordered, what, texts, conflicts);
         }
         let mut last = Vec::new();
         let ship = |(b, apart): (Bucket<T>, bool)| {
@@ -280,40 +271,84 @@ impl<T: Elem> WLog<T> {
     }
 }
 
-/// Sort `writes` — `(index, order, rank, kind, value)` — by element, then
-/// order, and judge each element's. Unless they all share the first one's
-/// kind and operator, panic at the lowest such element: `"{what}element
+/// Judge the writes of `segs` — segments, each with the columns it indexes,
+/// in the order that ranks an element's writes — on the elements where two
+/// of them meet. Nothing is looked at if all are of one kind and there are
+/// no puts to compare (`conflicts` is `None`, or they accumulate). Else the
+/// segments' element ranges are sorted; where ranges share an element,
+/// they chain into a *cluster*, and a cluster's elements are looked at
+/// only if it holds writes of two kinds or two ranks. Clusters go lowest
+/// first, and in one, elements ascending: unless an element's writes all
+/// share its first one's kind and operator, panic there, `"{what}element
 /// {index}: conflicting {texts[0]}"` for two operators, `"… put and
 /// accumulate mixed {texts[1]}"` for two kinds. Given `conflicts`, report
 /// an element whose ranks' last puts disagree.
 fn judge<T: Elem>(
-    writes: &mut [(u64, u64, u64, WKind, T)],
+    segs: &[(&WriteCols<T>, &Seg)],
     what: &str,
     [ops, kinds]: [&str; 2],
     mut conflicts: Option<Conflicts<'_>>,
 ) {
-    writes.sort_unstable_by_key(|w| (w.0, w.1));
-    for run in writes.chunk_by(|a, b| a.0 == b.0) {
-        let (idx, kind) = (run[0].0, run[0].3);
-        for w in &run[1..] {
-            match (kind, w.3) {
-                (WKind::Accum(a), WKind::Accum(b)) => {
-                    assert_eq!(a, b, "{what}element {idx}: conflicting {ops}")
-                }
-                (a, b) => assert!(
-                    a == b,
-                    "{what}element {idx}: put and accumulate mixed {kinds}"
-                ),
-            }
+    // Nothing to judge: writes of one kind, and no puts to compare.
+    let kind = segs.first().map(|s| s.1.kind);
+    let puts = conflicts.is_some() && kind == Some(WKind::Assign);
+    if !puts && segs.iter().all(|s| Some(s.1.kind) == kind) {
+        return;
+    }
+    // `(first element, last element, position in segs)`, by first element;
+    // then the first element of each one's cluster.
+    let mut spans: Vec<_> = (segs.iter().zip(0..))
+        .map(|(&(cols, s), at)| match s.first {
+            Some(first) => (first, first + s.len as u64 - 1, at),
+            None => (cols.idx[s.span()].iter()).fold((u64::MAX, 0, at), |(lo, hi, at), &i| {
+                (lo.min(i), hi.max(i), at)
+            }),
+        })
+        .collect();
+    spans.sort_unstable();
+    let (mut lo, mut hi) = (0, 0);
+    for span in &mut spans {
+        lo = if span.0 > hi { span.0 } else { lo };
+        hi = hi.max(span.1);
+        span.0 = lo;
+    }
+    let mut writes = Vec::new();
+    for cluster in spans.chunk_by_mut(|a, b| a.0 == b.0) {
+        let writer = |c: &(u64, u64, usize)| (segs[c.2].1.kind, segs[c.2].1.rank);
+        if cluster.iter().all(|c| writer(c) == writer(&cluster[0])) {
+            continue;
         }
-        // In order: the ends differ iff several ranks put.
-        let several = kind == WKind::Assign && run[0].2 != run[run.len() - 1].2;
-        if let Some(c) = conflicts.as_mut().filter(|_| several) {
-            let last_puts = run
-                .chunk_by(|a, b| a.2 == b.2)
-                .map(|w| (w[0].2, w[w.len() - 1].4));
-            if let Some(pair) = first_disagreement(last_puts) {
-                c.report(idx, pair);
+        // `(index, position in order, rank, kind, value)`.
+        cluster.sort_unstable_by_key(|c| c.2);
+        writes.clear();
+        for &(cols, s) in cluster.iter().map(|c| &segs[c.2]) {
+            cols.each(s, |idx, val| {
+                writes.push((idx, writes.len(), s.rank, s.kind, val))
+            });
+        }
+        writes.sort_unstable_by_key(|w| (w.0, w.1));
+        for run in writes.chunk_by(|a, b| a.0 == b.0) {
+            let (idx, kind) = (run[0].0, run[0].3);
+            for w in &run[1..] {
+                match (kind, w.3) {
+                    (WKind::Accum(a), WKind::Accum(b)) => {
+                        assert_eq!(a, b, "{what}element {idx}: conflicting {ops}")
+                    }
+                    (a, b) => assert!(
+                        a == b,
+                        "{what}element {idx}: put and accumulate mixed {kinds}"
+                    ),
+                }
+            }
+            // In order: the ends differ iff several ranks put.
+            let several = kind == WKind::Assign && run[0].2 != run[run.len() - 1].2;
+            if let Some(c) = conflicts.as_mut().filter(|_| several) {
+                let last_puts = run
+                    .chunk_by(|a, b| a.2 == b.2)
+                    .map(|w| (w[0].2, w[w.len() - 1].4));
+                if let Some(pair) = first_disagreement(last_puts) {
+                    c.report(idx, pair);
+                }
             }
         }
     }
@@ -573,7 +608,9 @@ impl<T: Elem> WriteCols<T> {
 /// indices), else combining with it. So an assign resolves to its highest
 /// rank's last write, and accumulates fold in ascending (global VP rank,
 /// program order) — the fold a sequential ascending-rank schedule performs,
-/// whatever the partitioning. Returns the entries consumed.
+/// whatever the partitioning. Before that, [`judge`] panics where two kinds
+/// or operators meet on an element across the sources. Returns the entries
+/// consumed.
 pub(super) fn fold_parcels<T: Elem>(
     parcels: &[Box<WriteCols<T>>],
     local: &mut [T],
@@ -608,24 +645,11 @@ pub(super) fn fold_parcels<T: Elem>(
         }
         return applied;
     }
-    let kind = order.first().map(|o| seg(o).1.kind);
-    if order.iter().any(|o| Some(seg(o).1.kind) != kind) {
-        // `(index, position in source order, rank, kind, value)`.
-        let mut writes = Vec::new();
-        for cols in parcels {
-            for s in &cols.segs {
-                cols.each(s, |idx, val| {
-                    writes.push((idx, writes.len() as u64, s.rank, s.kind, val))
-                });
-            }
-        }
-        judge(
-            &mut writes,
-            "",
-            ["accumulate operators", "across nodes in one phase"],
-            None,
-        );
-    }
+    let segs = parcels
+        .iter()
+        .flat_map(|c| c.segs.iter().map(move |s| (&**c, s)));
+    let texts = ["accumulate operators", "across nodes in one phase"];
+    judge(&segs.collect::<Vec<_>>(), "", texts, None);
     // Then by rank: two sources never carry the same one, and a source's
     // segments of one rank are in its program order.
     for o in order.iter_mut() {

@@ -18,7 +18,6 @@
 //! of a sequential ascending-rank schedule (see `exec` and DESIGN.md §12).
 
 use std::future::Future;
-use std::ops::Range;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
@@ -28,7 +27,7 @@ use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::ledger::{ledger, Held, PARKED};
 use crate::shared::{GlobalShared, NodeShared};
 use crate::state::{
-    array_ref, read_position, DoMode, FirstSeen, GArray, GetOutcome, PhaseKind, QueuedReq, VpCell,
+    array_ref, read_position, DoMode, FirstSeen, GArray, PhaseKind, QueuedReq, VpCell, VpSlots,
     VpState, WKind,
 };
 
@@ -185,7 +184,7 @@ impl Vp {
         // The checker's hazards found in the phase go to the node's report.
         let epoch = self.cell.with_poll(|s, inner| {
             if let (Some(c), Some(own)) = (inner.checker.as_mut(), s.own_writes.as_mut()) {
-                c.hazards(&mut own.found);
+                c.hazards(&mut own.found, self.cell.global_rank, kind);
             }
             inner.phase.arrived += 1;
             inner.barrier_waiters.push(self.cell.id);
@@ -379,20 +378,25 @@ impl<T: Elem> Future for GetFut<'_, T> {
             let faults = &mut inner.tile_faults;
             // A first poll charges the read: `(hits, misses)`.
             let (got, (hits, misses)) = match this.state {
-                GetFutState::Start => match this.cell.check_get(s, ga, this.array, this.idx) {
-                    GetOutcome::Owned(off) => {
+                GetFutState::Start => {
+                    let (kind, idx) = (VpCell::in_phase(s, "global shared read"), this.idx);
+                    if let Some(own) = s.own_writes.as_mut() {
+                        own.read((Space::Global, this.array, idx as u64));
+                    }
+                    if let Some(span) = ga.owned_span(tiles, kind, idx) {
+                        let off = span.off + (idx - span.first);
                         this.state = GetFutState::Deferred(off);
                         let got = this.cell.read_resident(faults, ga, tiles, this.array, off);
                         (got, (0, 0))
-                    }
-                    GetOutcome::Cached(v) => (Some(v), (1, 0)),
-                    GetOutcome::Miss => {
-                        let reqs = &mut inner.reqs;
-                        let slot = this.cell.issue_get(s, reqs, ga, this.array, this.idx);
+                    } else if let Some((first, vals)) = ga.cached_span(idx) {
+                        (Some(vals[idx - first]), (1, 0))
+                    } else {
+                        let (slots, reqs) = (&mut s.slots, &mut inner.reqs);
+                        let slot = this.cell.issue_get(slots, reqs, ga, this.array, idx);
                         this.state = GetFutState::Slot(slot);
                         (None, (0, 1))
                     }
-                },
+                }
                 GetFutState::Deferred(off) => {
                     return this.cell.read_resident(faults, ga, tiles, this.array, off);
                 }
@@ -428,8 +432,8 @@ impl<T: Elem> Drop for GetFut<'_, T> {
 enum Run {
     /// Owned and resident: a read is a load.
     Resident,
-    /// Owned, in a spilled tile — the one at this local offset: a read
-    /// defers.
+    /// Owned, in a spilled tile — the one from this local offset on: a
+    /// read defers.
     Cold(usize),
     /// Remote, in the read cache: a read is a hit.
     Cached,
@@ -454,7 +458,9 @@ type Deferred = (u32, usize, u32);
 /// (DESIGN.md §16): locals of an in-core partition as `spans`, remote values
 /// in the response arena, and repeats as `runs`. Both stay valid for the
 /// whole phase — writes land at phase end, partitions move only at phase
-/// boundaries, and the arena is emptied only by the global phase end.
+/// boundaries, and the arena is emptied only by the global phase end. The
+/// records are the same with the checker on or off: it only cuts a span at
+/// the elements the VP wrote, and consecutive pieces extend one record.
 pub struct GetManyFut<'a, T: Elem, I> {
     cell: &'a VpCell,
     array: u32,
@@ -473,9 +479,9 @@ pub struct GetManyFut<'a, T: Elem, I> {
     /// `(index in values, local offset, length)` per run of local elements
     /// of one spilled tile — consecutive indices reading consecutive offsets
     /// — awaiting a charge-free re-read after the executor refills it. A
-    /// plain read takes a spilled tile as a span: its fault is noted once
-    /// and the indices inside it defer on a range test; a checked read
-    /// defers element by element through `check_get`, to the same records.
+    /// read takes a spilled tile as a span: its fault is noted once and the
+    /// indices inside it defer on a range test. Where the checker cuts the
+    /// span at elements the VP wrote, the pieces extend the same records.
     deferred: Vec<Deferred>,
     /// Wider elements of an in-core partition: `(position, local offset,
     /// length)` per run of locals — consecutive positions reading
@@ -512,6 +518,7 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
             // A first poll's charge: `(reads, hits, misses, requested)`.
             let mut charge = None;
             if let Some(mut idxs) = this.idxs.take() {
+                let kind = VpCell::in_phase(s, "global shared read");
                 let seen = &mut inner.first_seen;
                 seen.begin();
                 // First poll: charge every access; the distinct remote
@@ -521,19 +528,21 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                 if !Self::COMPACT {
                     this.values.reserve_exact(idxs.size_hint().0);
                 }
-                // An access to `hot` — elements from global index `lo`
-                // on — is a load (a wide element's: a span in core, a run
-                // if it repeats a cache hit), or a deferral if `hot` is
-                // spilled. `hot` is an owned span (`GArray::owned_span`) or
-                // a run of the read cache (`GArray::cached_span`) — which
-                // only a checker-invisible read in a global phase may take,
-                // so every other remote read keeps its checks. Everything
-                // else takes `check_get`, one by one. The charges are
-                // sums: they land once, after the poll.
-                let plain = VpCell::reads_plainly(s, this.array);
-                let caching =
-                    plain && this.cell.cfg.read_cache && s.cur_phase == Some(PhaseKind::Global);
-                let (mut lo, mut hot, mut run): (usize, &[T], Run) = (0, &[], Run::Resident);
+                // An access to `hot` — elements from global index `lo` on,
+                // the first at local offset `off` if they are owned — is a
+                // load (a wide element's: a span in core, a run if it
+                // repeats a cache hit), or a deferral if `hot` is spilled.
+                // `hot` is an owned span (`GArray::owned_span`) or a run of
+                // the read cache (`GArray::cached_span`), cut where the VP
+                // wrote the array this phase (`ReadCheck::stretch`): an
+                // element it wrote is a span of its own, whose read is the
+                // hazard. A miss is requested. The charges are sums: they
+                // land once, after the poll.
+                let own = s.own_writes.as_deref_mut();
+                let mut check = own.and_then(|own| own.reads(Space::Global, this.array));
+                let slots = &mut s.slots;
+                let (mut lo, mut off, mut hot, mut run): (usize, usize, &[T], Run) =
+                    (0, 0, &[], Run::Resident);
                 let (mut hits, mut misses, mut requested) = (0u64, 0u64, 0u64);
                 let mut next = idxs.next();
                 while let Some(idx) = next {
@@ -545,15 +554,12 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                         if matches!(run, Run::Cold(_))
                             || Self::COMPACT && (run == Run::Cached || tiles.is_none())
                         {
-                            // In core, `lo` is the partition's first index.
                             let mut at = idx;
                             loop {
                                 match run {
                                     Run::Cached => this.hit(seen, at, hot[at - lo]),
-                                    Run::Cold(tile) => {
-                                        this.defer(at - ga.owned.start, tile..tile + hot.len())
-                                    }
-                                    Run::Resident => this.span(at - lo),
+                                    Run::Cold(tile) => this.defer(off + at - lo, tile),
+                                    Run::Resident => this.span(off + at - lo),
                                 }
                                 match idxs.next() {
                                     Some(idx) if idx.wrapping_sub(lo) < hot.len() => at = idx,
@@ -578,48 +584,39 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                         if run == Run::Cached {
                             hits += (this.len - run_at) as u64;
                         }
-                    } else if let Some(span) = ga.owned_span(tiles, idx).filter(|_| plain) {
-                        // Look at `idx` again, inside its span; a spilled
-                        // tile's fault is noted once.
-                        (lo, hot, run) = (span.0, span.1, Run::Resident);
-                        if let Some(tile) = span.2 {
-                            faults.note(this.cell.id, (this.array, tile));
-                            run = Run::Cold(span.0 - ga.owned.start);
-                        }
-                    } else if caching && ga.owned_offset(idx).is_none() {
-                        assert!(idx < ga.dist.len, "global read index {idx} out of bounds");
-                        if let Some(span) = ga.cached_span(idx) {
-                            (lo, hot, run) = (span.0, span.1, Run::Cached);
-                        } else {
-                            misses += 1;
-                            requested += this.request(s, seen, reqs, ga, idx) as u64;
-                            next = idxs.next();
-                        }
-                    } else {
-                        match this.cell.check_get(s, ga, this.array, idx) {
-                            GetOutcome::Owned(off) if Self::COMPACT && tiles.is_none() => {
-                                this.span(off)
+                        continue;
+                    }
+                    // Look at `idx` again, inside its span; a spilled tile's
+                    // fault is noted once.
+                    (lo, hot) = match ga.owned_span(tiles, kind, idx) {
+                        Some(span) => {
+                            (off, run) = (span.off, Run::Resident);
+                            if let Some((tile, start)) = span.cold {
+                                faults.note(this.cell.id, (this.array, tile));
+                                run = Run::Cold(start);
                             }
-                            GetOutcome::Owned(off) => {
-                                let cell = this.cell;
-                                match cell.read_resident(faults, ga, tiles, this.array, off) {
-                                    Some(v) => this.hold(v),
-                                    None => {
-                                        let tile = tiles.map(|t| t.tile_span(off));
-                                        this.defer(off, tile.unwrap_or_default())
-                                    }
+                            (span.first, span.vals)
+                        }
+                        None => match ga.cached_span(idx) {
+                            Some(span) => {
+                                run = Run::Cached;
+                                span
+                            }
+                            None => {
+                                if let Some(check) = check.as_mut() {
+                                    check.stretch(idx as u64, idx as u64..idx as u64 + 1);
                                 }
-                            }
-                            GetOutcome::Cached(v) => {
-                                hits += 1;
-                                this.hit(seen, idx, v);
-                            }
-                            GetOutcome::Miss => {
                                 misses += 1;
-                                requested += this.request(s, seen, reqs, ga, idx) as u64;
+                                requested += this.request(slots, seen, reqs, ga, idx) as u64;
+                                next = idxs.next();
+                                continue;
                             }
-                        }
-                        next = idxs.next();
+                        },
+                    };
+                    if let Some(check) = check.as_mut() {
+                        let cut = check.stretch(idx as u64, lo as u64..(lo + hot.len()) as u64);
+                        let cut = cut.start as usize - lo..cut.end as usize - lo;
+                        (lo, off, hot) = (lo + cut.start, off + cut.start, &hot[cut]);
                     }
                 }
                 charge = Some((this.len as u64, hits, misses, requested));
@@ -758,15 +755,16 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
         }
     }
 
-    /// A local at offset `off` of a spilled tile, the local offsets `tile`,
-    /// for the next output position: a placeholder held until the executor
-    /// refills the tile, which extends the last deferred run or starts one.
-    fn defer(&mut self, off: usize, tile: Range<usize>) {
+    /// A local at offset `off` of the spilled tile from local offset `tile`
+    /// on, for the next output position: a placeholder held until the
+    /// executor refills the tile, which extends the last deferred run or
+    /// starts one.
+    fn defer(&mut self, off: usize, tile: usize) {
         let at = read_position(self.values.len());
         match self.deferred.last_mut() {
             // The next element of the last run, in the same tile.
             Some((to, from, len))
-                if *to + *len == at && *from + *len as usize == off && tile.contains(from) =>
+                if *to + *len == at && *from + *len as usize == off && *from >= tile =>
             {
                 *len += 1
             }
@@ -782,7 +780,7 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
     /// request.
     fn request(
         &mut self,
-        s: &mut VpState,
+        slots: &mut VpSlots,
         seen: &mut FirstSeen,
         reqs: &mut [Vec<QueuedReq>],
         ga: &GArray<T>,
@@ -797,7 +795,7 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
                 self.hold(T::default());
             }
             None => {
-                let slot = self.cell.issue_get(s, reqs, ga, self.array, idx);
+                let slot = self.cell.issue_get(slots, reqs, ga, self.array, idx);
                 self.pending.push((pos, slot));
                 match Self::COMPACT {
                     true => self.len += 1,

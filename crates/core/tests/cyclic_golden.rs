@@ -16,6 +16,10 @@
 //! request: "same counters as before" rests on them, not on the four
 //! application goldens alone. Its cache-off row is one of the few places
 //! the cache-off path is still exercised (see `perf_gates.rs` for the list).
+//!
+//! Every row is observed with the conformance checker on, as captured, and
+//! off: the checker only watches — a cyclic layout's local reads take the
+//! same one-element spans either way — so both must give the literal row.
 
 use ppm_core::{run, AccumOp, ByteHasher, Layout, NodeCtx, PpmConfig};
 use ppm_simnet::MachineConfig;
@@ -117,9 +121,14 @@ fn repeats_program(node: &mut NodeCtx<'_>) -> Vec<u64> {
 type Program = fn(&mut NodeCtx<'_>) -> Vec<u64>;
 
 /// `(hash, makespan_ps, counters)` of `program` with every knob pinned.
-fn observe(program: Program, read_cache: bool, tile_budget: u64) -> (u64, u64, CounterRow) {
+fn observe(
+    program: Program,
+    checker: bool,
+    read_cache: bool,
+    tile_budget: u64,
+) -> (u64, u64, CounterRow) {
     let cfg = PpmConfig::new(MachineConfig::new(3, 2))
-        .with_checker(true)
+        .with_checker(checker)
         .with_read_cache(read_cache)
         .with_adaptive_balance(false)
         .with_replication(false)
@@ -134,15 +143,18 @@ fn observe(program: Program, read_cache: bool, tile_budget: u64) -> (u64, u64, C
     (h.finish(), report.makespan().as_ps(), counters)
 }
 
-/// One literal row.
+/// One literal row, observed with the checker on (as captured) and off:
+/// the checker only watches, so both runs must give it.
 fn check(program: Program, cache: bool, budget: u64, want: (u64, u64, CounterRow)) {
-    let got = observe(program, cache, budget);
-    assert_eq!(
-        got, want,
-        "read cache {cache}, budget {budget}; observed \
-         (hash, makespan_ps, counters):\n    {:#018x}, {}, {:?},",
-        got.0, got.1, got.2
-    );
+    for checker in [true, false] {
+        let got = observe(program, checker, cache, budget);
+        assert_eq!(
+            got, want,
+            "checker {checker}, read cache {cache}, budget {budget}; observed \
+             (hash, makespan_ps, counters):\n    {:#018x}, {}, {:?},",
+            got.0, got.1, got.2
+        );
+    }
 }
 
 #[test]

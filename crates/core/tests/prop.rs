@@ -979,6 +979,11 @@ fn bulk_access_equals_per_element() {
 enum Access {
     Put(usize, usize, i64),
     Accum(usize, usize, i64),
+    /// One `put_many` of a value over a run of elements `(array, start,
+    /// len, value)`.
+    PutRun(usize, usize, usize, i64),
+    /// One `accumulate_many` of a value over a run of elements.
+    AccumRun(usize, usize, usize, i64),
     Get(usize, usize),
     GetMany(usize, Vec<usize>),
     NodePut(usize, i64),
@@ -1030,14 +1035,28 @@ fn gen_check_script(g: &mut Gen) -> CheckScript {
     let accum: Vec<Vec<bool>> = (0..3).map(|_| g.vec(len..len, |g| g.bool())).collect();
     let access = |g: &mut Gen, global: bool| {
         let (arr, idx, val) = (g.usize_in(0..2), g.usize_in(0..len), g.i64_in(0..3));
-        match g.u32_in(0..if global { 10 } else { 4 }) {
+        match g.u32_in(0..if global { 13 } else { 4 }) {
             0 => Access::NodeGet(idx),
             1 | 2 if accum[2][idx] => Access::NodeAccum(idx, val),
             1 | 2 => Access::NodePut(idx, val),
             3 => Access::NodeGet(g.usize_in(0..len)),
             4 => Access::Get(arr, idx),
             5 => Access::GetMany(arr, g.vec(0..7, |g| g.usize_in(0..len))),
-            6 => Access::Park,
+            // A window read twice over, in one call: across the edges of
+            // the runs written around it, with repeats — and cache hits
+            // where an earlier read of the phase fetched it.
+            6 | 7 => {
+                let window = idx..(idx + g.usize_in(1..6)).min(len);
+                Access::GetMany(arr, window.clone().chain(window).collect())
+            }
+            8 => Access::Park,
+            // A run of the elements of `idx`'s write kind from `idx` on.
+            9 => {
+                let kind = accum[arr][idx];
+                let same = (idx..len).take(g.usize_in(1..5));
+                let run = same.take_while(|&i| accum[arr][i] == kind).count();
+                [Access::PutRun, Access::AccumRun][kind as usize](arr, idx, run, val)
+            }
             _ if accum[arr][idx] => Access::Accum(arr, idx, val),
             _ => Access::Put(arr, idx, val),
         }
@@ -1077,6 +1096,12 @@ fn model_violations(s: &CheckScript, node: usize) -> Vec<PhaseViolation> {
                 let (write, keys): (Option<(i64, bool)>, Vec<_>) = match *op {
                     Access::Put(a, i, v) => (Some((v, false)), vec![(g, a, i)]),
                     Access::Accum(a, i, v) => (Some((v, true)), vec![(g, a, i)]),
+                    Access::PutRun(a, i, n, v) => {
+                        (Some((v, false)), (i..i + n).map(|i| (g, a, i)).collect())
+                    }
+                    Access::AccumRun(a, i, n, v) => {
+                        (Some((v, true)), (i..i + n).map(|i| (g, a, i)).collect())
+                    }
                     Access::NodePut(i, v) => (Some((v, false)), vec![(n, 0, i)]),
                     Access::NodeAccum(i, v) => (Some((v, true)), vec![(n, 0, i)]),
                     Access::Get(a, i) => (None, vec![(g, a, i)]),
@@ -1131,17 +1156,25 @@ fn model_violations(s: &CheckScript, node: usize) -> Vec<PhaseViolation> {
 }
 
 /// The conformance checker reports what the per-element model reports, as
-/// lists, for arbitrary scripts — puts, accumulates, single and bulk reads
-/// over local, remote and node-shared elements, global and node phases back
-/// to back, VPs whose phase spans several polls.
+/// lists, for arbitrary scripts — puts, accumulates and runs of either,
+/// single and bulk reads over local, remote and node-shared elements (bulk
+/// windows read twice over, across written runs' edges, hitting the read
+/// cache), global and node phases back to back, VPs whose phase spans
+/// several polls — in core and under a tile budget, with and without
+/// adaptive balance.
 #[test]
 fn checker_matches_the_per_element_model() {
-    walk(adaptive, checker_matches_the_per_element_model_at);
+    let project = |c: Cell| Cell {
+        tile_budget: c.tile_budget,
+        ..adaptive(c)
+    };
+    walk(project, checker_matches_the_per_element_model_at);
 }
 
 fn checker_matches_the_per_element_model_at(cell: Cell) {
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
     let (conflicts, hazards) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let (hits, refills) = (AtomicUsize::new(0), AtomicUsize::new(0));
     forall(
         "checker_matches_the_per_element_model",
         32,
@@ -1153,8 +1186,11 @@ fn checker_matches_the_per_element_model_at(cell: Cell) {
                 let conflict = matches!(v, PhaseViolation::WriteWriteConflict { .. });
                 [&hazards, &conflicts][conflict as usize].fetch_add(1, Relaxed);
             }
+            // A 32nd of the cell's budget tiles the scripts' short arrays
+            // two elements to a tile, so reads also cross spilled tiles.
             let cfg = cell
                 .apply(PpmConfig::new(MachineConfig::new(nodes as u32, 2)))
+                .with_tile_budget(cell.tile_budget / 32)
                 .with_checker(true);
             let script = script.clone();
             let report = run(cfg, move |node| {
@@ -1178,6 +1214,14 @@ fn checker_matches_the_per_element_model_at(cell: Cell) {
                                         Access::Accum(a, i, v) => {
                                             ph.accumulate(&arrays[a], i, AccumOp::Add, v)
                                         }
+                                        Access::PutRun(a, i, n, v) => {
+                                            ph.put_many(&arrays[a], (i..i + n).map(|i| (i, v)))
+                                        }
+                                        Access::AccumRun(a, i, n, v) => ph.accumulate_many(
+                                            &arrays[a],
+                                            AccumOp::Add,
+                                            (i..i + n).map(|i| (i, v)),
+                                        ),
                                         Access::Get(a, i) => drop(ph.get(&arrays[a], i).await),
                                         Access::GetMany(a, idxs) => {
                                             drop(ph.get_many(&arrays[a], idxs).await)
@@ -1202,6 +1246,9 @@ fn checker_matches_the_per_element_model_at(cell: Cell) {
                 node.take_violations()
             });
             prop_assert_eq!(&report.results, &expected);
+            let c = report.total_counters();
+            hits.fetch_add(c.cache_hits as usize, Relaxed);
+            refills.fetch_add(c.tile_refills as usize, Relaxed);
             Ok(())
         },
     );
@@ -1209,6 +1256,11 @@ fn checker_matches_the_per_element_model_at(cell: Cell) {
     assert!(
         conflicts > 40 && hazards > 40,
         "{conflicts} conflicts and {hazards} hazards planted: the property tested little"
+    );
+    let (hits, refills) = (hits.into_inner(), refills.into_inner());
+    assert!(
+        hits > 40 && (refills > 20) == (cell.tile_budget > 0),
+        "{hits} cache hits, {refills} tile refills: the property tested little"
     );
 }
 
