@@ -1,6 +1,6 @@
 //! Rerun determinism soak (DESIGN.md §12): a job's node threads still race
 //! in the router, so every observable of a job (result bits, simulated
-//! makespan, counters, and the full trace JSON) must be bit-identical run
+//! makespan, counters, and every trace event) must be bit-identical run
 //! to run. This suite pins that for all four applications under seeded
 //! fault schedules, and for CG crash recovery, by running each config twice.
 //! The `cache off` cells are one of the few places the cache-off path is
@@ -14,15 +14,15 @@ use ppm_apps::matgen::{self, MatGenParams};
 use ppm_apps::pagerank::{self, PrParams};
 use ppm_core::testkit::{Cell, CELLS};
 use ppm_core::{PpmConfig, TraceSink};
-use ppm_simnet::{Counters, FaultConfig, MachineConfig, SimTime};
+use ppm_simnet::{trace_diff, Counters, FaultConfig, MachineConfig, SimTime, TraceEvent};
 
 /// Every observable of one traced run: result bits, simulated makespan,
-/// job-total counters, and the exported Chrome trace JSON.
+/// job-total counters, and every trace event.
 struct Observables {
     bits: Vec<u64>,
     makespan: SimTime,
     counters: Counters,
-    trace: String,
+    trace: Vec<TraceEvent>,
 }
 
 fn base_cfg() -> PpmConfig {
@@ -48,7 +48,7 @@ where
         bits: first,
         makespan: report.makespan(),
         counters: report.total_counters(),
-        trace: sink.chrome_trace_json(),
+        trace: sink.events(),
     }
 }
 
@@ -75,8 +75,9 @@ fn assert_rerun_identical(
             "{name} [{desc}]: a rerun changed the counters"
         );
         assert_eq!(
-            got.trace, base.trace,
-            "{name} [{desc}]: a rerun changed the trace JSON"
+            trace_diff(&got.trace, &base.trace),
+            None,
+            "{name} [{desc}]: a rerun changed the trace"
         );
     }
 }

@@ -42,7 +42,7 @@ use ppm_apps::barnes_hut::{self as bh, BhParams};
 use ppm_apps::cg::{self, CgParams};
 use ppm_apps::pagerank::{self, PrParams};
 use ppm_apps::stencil27::Stencil27;
-use ppm_bench::{header, max_time, ms, row, write_trace, Args, TraceSink};
+use ppm_bench::{header, max_time, ms, row, Args, Trace};
 use ppm_core::PpmConfig;
 use ppm_simnet::SimTime;
 
@@ -57,7 +57,7 @@ fn main() {
         "--ablate-streaming",
         "--trace PATH",
     ]);
-    let trace = args.trace_path().map(|p| (TraceSink::new(), p));
+    let trace = Trace::new(&args);
     let nodes = args.usize("--nodes", 8) as u32;
     let g = args.usize("--g", 16);
 
@@ -72,20 +72,14 @@ fn main() {
     let mut bh_params = BhParams::new(args.usize("--n", 4096));
     bh_params.steps = 1;
 
-    let trace_ref = &trace;
+    let trace = &trace;
     let cg_time = move |label: &str, cfg: PpmConfig, p: CgParams| -> SimTime {
         let body = move |node: &mut ppm_core::NodeCtx<'_>| cg::ppm::solve(node, &p).1;
-        max_time(&match trace_ref {
-            Some((sink, _)) => ppm_core::run_traced(cfg, sink, &format!("cg {label}"), body),
-            None => ppm_core::run(cfg, body),
-        })
+        max_time(&trace.run(cfg, &format!("cg {label}"), body))
     };
     let bh_time = move |label: &str, cfg: PpmConfig, p: BhParams| -> SimTime {
         let body = move |node: &mut ppm_core::NodeCtx<'_>| bh::ppm::simulate(node, &p).1;
-        max_time(&match trace_ref {
-            Some((sink, _)) => ppm_core::run_traced(cfg, sink, &format!("bh {label}"), body),
-            None => ppm_core::run(cfg, body),
-        })
+        max_time(&trace.run(cfg, &format!("bh {label}"), body))
     };
 
     // An `--ablate-*` flag narrows the sweep to the full runtime plus the
@@ -163,12 +157,7 @@ fn main() {
         cb.steps = 4;
         let pr_time = move |label: &str, cfg: PpmConfig| -> SimTime {
             let body = move |node: &mut ppm_core::NodeCtx<'_>| pagerank::ppm::rank(node, &pr).1;
-            max_time(&match trace_ref {
-                Some((sink, _)) => {
-                    ppm_core::run_traced(cfg, sink, &format!("pagerank {label}"), body)
-                }
-                None => ppm_core::run(cfg, body),
-            })
+            max_time(&trace.run(cfg, &format!("pagerank {label}"), body))
         };
         println!("\n# Adaptive repartitioning on skewed fixtures (DESIGN.md \u{a7}14)\n");
         header(&[
@@ -244,7 +233,5 @@ fn main() {
     }
 
     println!("\n(the first row should be the fastest on every column)");
-    if let Some((sink, path)) = &trace {
-        write_trace(sink, path);
-    }
+    trace.finish();
 }

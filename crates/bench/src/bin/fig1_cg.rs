@@ -14,9 +14,11 @@
 //! cargo run --release -p ppm-bench --bin fig1_cg [-- --nodes 1,2,4,8 --g 16 --iters 20]
 //! ```
 //!
-//! `--trace <path>` (or `PPM_TRACE=<path>`) records every PPM run in the
-//! sweep as one process of a Chrome trace-event file (Perfetto-loadable),
-//! plus a `<path>.metrics.json` per-phase breakdown.
+//! `--trace <path>` (or `PPM_TRACE=<path>`) records every flat PPM run in
+//! the sweep (not the PPM-hier column) as one process of a Chrome
+//! trace-event file (Perfetto-loadable), plus a `<path>.metrics.json`
+//! per-phase report, and ends stdout with one `explain` row per run
+//! ([`ppm_bench::Trace::finish`]).
 //!
 //! ## Full-size mode
 //!
@@ -38,7 +40,7 @@ use ppm_apps::cg::{self, CgParams};
 use ppm_apps::stencil27::Stencil27;
 use ppm_bench::{
     header, heap_owners_line, host_memory_line, max_time, mb, ms, pct, ratio, row, vm_hwm_bytes,
-    write_trace, Args, TraceSink,
+    Args, Trace,
 };
 use ppm_core::PpmConfig;
 use ppm_simnet::MachineConfig;
@@ -122,7 +124,7 @@ fn run_full(args: &Args) {
         );
     }
 
-    let trace = args.trace_path().map(|p| (TraceSink::new(), p));
+    let trace = Trace::new(args);
     let wall = std::time::Instant::now();
     let p = params;
     let body = move |node: &mut ppm_core::NodeCtx<'_>| {
@@ -130,10 +132,7 @@ fn run_full(args: &Args) {
         (t, node.peak_bytes_resident())
     };
     let cfg = base.with_tile_budget(budget);
-    let report = match &trace {
-        Some((sink, _)) => ppm_core::run_traced(cfg, sink, "cg full", body),
-        None => ppm_core::run(cfg, body),
-    };
+    let report = trace.run(cfg, "cg full", body);
     let wall = wall.elapsed();
     let makespan = report
         .results
@@ -172,9 +171,7 @@ fn run_full(args: &Args) {
     if let Some(owners) = heap_owners_line() {
         println!("{owners}");
     }
-    if let Some((sink, path)) = &trace {
-        write_trace(sink, path);
-    }
+    trace.finish();
 }
 
 fn main() {
@@ -193,7 +190,7 @@ fn main() {
         run_full(&args);
         return;
     }
-    let trace = args.trace_path().map(|p| (TraceSink::new(), p));
+    let trace = Trace::new(&args);
     let nodes = args.nodes(&[1, 2, 4, 8, 16, 32, 64]);
     let g = args.usize("--g", 20);
     let iters = args.usize("--iters", 25);
@@ -233,16 +230,9 @@ fn main() {
     ]);
     for &n in &nodes {
         let p = params;
-        let ppm_report = match &trace {
-            Some((sink, _)) => {
-                ppm_core::run_traced(PpmConfig::franklin(n), sink, &format!("cg n={n}"), {
-                    move |node| cg::ppm::solve(node, &p).1
-                })
-            }
-            None => ppm_core::run(PpmConfig::franklin(n), move |node| {
-                cg::ppm::solve(node, &p).1
-            }),
-        };
+        let ppm_report = trace.run(PpmConfig::franklin(n), &format!("cg n={n}"), move |node| {
+            cg::ppm::solve(node, &p).1
+        });
         let hier_report = ppm_core::run(PpmConfig::franklin(n), move |node| {
             cg::ppm_hier::solve(node, &p).1
         });
@@ -274,7 +264,5 @@ fn main() {
     println!(
         "\n(simulated time; deterministic — see DESIGN.md §5 for the cost model; MB = 1e6 bytes)"
     );
-    if let Some((sink, path)) = &trace {
-        write_trace(sink, path);
-    }
+    trace.finish();
 }

@@ -14,7 +14,7 @@
 //! trace-event file plus a `<path>.metrics.json` per-phase report.
 
 use ppm_apps::matgen::{self, MatGenParams};
-use ppm_bench::{header, max_time, mb, ms, pct, ratio, row, write_trace, Args, TraceSink};
+use ppm_bench::{header, max_time, mb, ms, pct, ratio, row, Args, Trace};
 use ppm_core::PpmConfig;
 use ppm_simnet::MachineConfig;
 
@@ -26,7 +26,7 @@ fn main() {
         "--quad-flops N",
         "--trace PATH",
     ]);
-    let trace = args.trace_path().map(|p| (TraceSink::new(), p));
+    let trace = Trace::new(&args);
     let nodes = args.nodes(&[1, 2, 4, 8, 16, 32, 64]);
     let levels = args.usize("--levels", 7);
     let n0 = args.usize("--n0", 64);
@@ -46,16 +46,10 @@ fn main() {
     ]);
     for &n in &nodes {
         let p = params;
-        let ppm_report = match &trace {
-            Some((sink, _)) => {
-                ppm_core::run_traced(PpmConfig::franklin(n), sink, &format!("matgen n={n}"), {
-                    move |node| matgen::ppm::generate(node, &p).1
-                })
-            }
-            None => ppm_core::run(PpmConfig::franklin(n), move |node| {
-                matgen::ppm::generate(node, &p).1
-            }),
-        };
+        let label = format!("matgen n={n}");
+        let ppm_report = trace.run(PpmConfig::franklin(n), &label, move |node| {
+            matgen::ppm::generate(node, &p).1
+        });
         let mpi_report = ppm_mps::run(MachineConfig::franklin(n), move |comm| {
             matgen::mpi::generate(comm, &p).1
         });
@@ -79,7 +73,5 @@ fn main() {
     println!(
         "\n(simulated time; deterministic — see DESIGN.md §5 for the cost model; MB = 1e6 bytes)"
     );
-    if let Some((sink, path)) = &trace {
-        write_trace(sink, path);
-    }
+    trace.finish();
 }

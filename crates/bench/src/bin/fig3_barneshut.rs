@@ -19,15 +19,14 @@
 
 use ppm_apps::barnes_hut::{self as bh, BhParams};
 use ppm_bench::{
-    header, heap_owners_line, host_memory_line, max_time, mb, ms, pct, ratio, row, write_trace,
-    Args, TraceSink,
+    header, heap_owners_line, host_memory_line, max_time, mb, ms, pct, ratio, row, Args, Trace,
 };
 use ppm_core::PpmConfig;
 use ppm_simnet::MachineConfig;
 
 fn main() {
     let args = Args::parse(&["--nodes LIST", "--n N", "--steps N", "--trace PATH"]);
-    let trace = args.trace_path().map(|p| (TraceSink::new(), p));
+    let trace = Trace::new(&args);
     let nodes = args.nodes(&[1, 2, 4, 8, 16, 32, 64]);
     let n = args.usize("--n", 8192);
     let mut params = BhParams::new(n);
@@ -51,17 +50,10 @@ fn main() {
     ]);
     for &nn in &nodes {
         let p = params;
-        let ppm_report = match &trace {
-            Some((sink, _)) => ppm_core::run_traced(
-                PpmConfig::franklin(nn),
-                sink,
-                &format!("barnes_hut n={nn}"),
-                move |node| bh::ppm::simulate(node, &p).1,
-            ),
-            None => ppm_core::run(PpmConfig::franklin(nn), move |node| {
-                bh::ppm::simulate(node, &p).1
-            }),
-        };
+        let label = format!("barnes_hut n={nn}");
+        let ppm_report = trace.run(PpmConfig::franklin(nn), &label, move |node| {
+            bh::ppm::simulate(node, &p).1
+        });
         let mpi_report = ppm_mps::run(MachineConfig::franklin(nn), move |comm| {
             bh::mpi::simulate(comm, &p).1
         });
@@ -83,9 +75,7 @@ fn main() {
     println!(
         "\n(simulated time; deterministic — see DESIGN.md §5 for the cost model; MB = 1e6 bytes)"
     );
-    if let Some((sink, path)) = &trace {
-        write_trace(sink, path);
-    }
+    trace.finish();
     println!("{}", host_memory_line());
     if let Some(owners) = heap_owners_line() {
         println!("{owners}");

@@ -24,13 +24,13 @@
 
 use ppm_apps::cg::{self, CgParams};
 use ppm_apps::stencil27::Stencil27;
-use ppm_bench::{header, mb, ms, pct, row, write_trace, Args, TraceSink};
+use ppm_bench::{header, mb, ms, pct, row, Args, Trace};
 use ppm_core::PpmConfig;
 use ppm_simnet::FaultConfig;
 
 fn main() {
     let args = Args::parse(&["--nodes LIST", "--g N", "--phase N", "--trace PATH"]);
-    let trace = args.trace_path().map(|p| (TraceSink::new(), p));
+    let trace = Trace::new(&args);
     let nodes = args.nodes(&[2, 4, 8]);
     let g = args.usize("--g", 8);
     let phase = args.usize("--phase", 3) as u64;
@@ -64,7 +64,6 @@ fn main() {
     ]);
     for &n in &nodes {
         let p = params;
-        let trace_ref = &trace;
         let run = |cfg: PpmConfig, label: Option<String>| {
             let body = move |node: &mut ppm_core::NodeCtx<'_>| {
                 let (out, t) = cg::ppm::solve(node, &p);
@@ -72,9 +71,9 @@ fn main() {
                 bits.extend(out.x.iter().map(|v| v.to_bits()));
                 (bits, t)
             };
-            let report = match (trace_ref, label) {
-                (Some((sink, _)), Some(label)) => ppm_core::run_traced(cfg, sink, &label, body),
-                _ => ppm_core::run(cfg, body),
+            let report = match label {
+                Some(label) => trace.run(cfg, &label, body),
+                None => ppm_core::run(cfg, body),
             };
             let t = report
                 .results
@@ -107,7 +106,5 @@ fn main() {
         ]);
     }
     println!("\n(simulated time; all three runs produce the bit-identical CG solution — asserted)");
-    if let Some((sink, path)) = &trace {
-        write_trace(sink, path);
-    }
+    trace.finish();
 }

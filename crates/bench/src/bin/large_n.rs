@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use ppm_bench::{header, pct, row, write_trace, Args, TraceSink};
+use ppm_bench::{header, pct, row, Args, Trace};
 use ppm_core::{AccumOp, PpmConfig};
 use ppm_simnet::{Counters, FaultConfig, MachineConfig, SimTime};
 
@@ -36,7 +36,7 @@ fn ring_job(
     rounds: u64,
     victim: usize,
     death_phase: u64,
-    trace: Option<(&TraceSink, &str)>,
+    (trace, label): (&Trace, &str),
 ) -> (SimTime, Counters) {
     let cfg = PpmConfig::new(MachineConfig::new(nodes, 4))
         .with_read_cache(true)
@@ -68,10 +68,7 @@ fn ring_job(
         assert!(violations.is_empty(), "conformance: {violations:?}");
         bits
     };
-    let report = match trace {
-        Some((sink, label)) => ppm_core::run_traced(cfg, sink, label, body),
-        None => ppm_core::run(cfg, body),
-    };
+    let report = trace.run(cfg, label, body);
     let first = report.results[0].clone();
     for (i, bits) in report.results.iter().enumerate() {
         assert_eq!(bits, &first, "node {i} disagrees on the final state");
@@ -81,7 +78,7 @@ fn ring_job(
 
 fn main() {
     let args = Args::parse(&["--nodes LIST", "--vps N", "--rounds N", "--trace PATH"]);
-    let trace = args.trace_path().map(|p| (TraceSink::new(), p));
+    let trace = Trace::new(&args);
     let nodes = args.nodes(&[256, 1024]);
     let vps = args.usize("--vps", 8);
     let rounds = args.usize("--rounds", 4) as u64;
@@ -107,9 +104,8 @@ fn main() {
         let victim = n - n / 4 - 1;
         let death_phase = 1;
         let label = format!("large_n_{nn}");
-        let tr = trace.as_ref().map(|(sink, _)| (sink, label.as_str()));
         let t0 = Instant::now();
-        let (makespan, c) = ring_job(nn, vps, rounds, victim, death_phase, tr);
+        let (makespan, c) = ring_job(nn, vps, rounds, victim, death_phase, (&trace, &label));
         let wall = t0.elapsed().as_secs_f64();
         assert_eq!(c.failovers, 1, "{nn} nodes: seeded death never fired");
         assert_eq!(
@@ -133,7 +129,5 @@ fn main() {
          count — the sender-notice exchange keeps it O(writers + N), where \
          a dense all-to-all would add N²−N empty tokens per phase, DESIGN.md §17)"
     );
-    if let Some((sink, path)) = &trace {
-        write_trace(sink, path);
-    }
+    trace.finish();
 }

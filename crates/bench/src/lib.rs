@@ -15,10 +15,12 @@
 //! substrate is the deterministic cluster model, see DESIGN.md), so runs
 //! are exactly reproducible.
 
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-pub use ppm_simnet::TraceSink;
-use ppm_simnet::{JobReport, SimTime};
+use ppm_core::{NodeCtx, PpmConfig};
+use ppm_simnet::{explain, JobReport, PhaseSplit, SimTime, TraceSink};
 
 /// Latest simulated completion instant across a job's endpoints, from a
 /// per-endpoint time result.
@@ -171,12 +173,76 @@ pub fn pct(part: u64, whole: u64) -> String {
     }
 }
 
-/// Flush a trace sink to `path` (Chrome trace-event JSON, plus the
-/// `<path>.metrics.json` per-phase report) and tell the user on stderr so
-/// the note never lands inside the stdout markdown tables.
-pub fn write_trace(sink: &TraceSink, path: &str) {
-    sink.write_files(path).expect("writing trace files");
-    eprintln!("trace written to {path} (+ {path}.metrics.json)");
+/// A figure binary's trace: off, or (`--trace <path>` / `PPM_TRACE`) a
+/// sink every PPM run is recorded on and the path [`Trace::finish`] writes.
+pub struct Trace(Option<(TraceSink, String)>);
+
+impl Trace {
+    /// Tracing as the command line asks for it.
+    pub fn new(args: &Args) -> Trace {
+        Trace(args.trace_path().map(|p| (TraceSink::new(), p)))
+    }
+
+    /// `ppm_core::run`, recorded as job `label` when tracing is on.
+    pub fn run<R, F>(&self, cfg: PpmConfig, label: &str, f: F) -> JobReport<R>
+    where
+        R: Send,
+        F: for<'c> Fn(&mut NodeCtx<'c>) -> R + Send + Sync,
+    {
+        match &self.0 {
+            Some((sink, _)) => ppm_core::run_traced(cfg, sink, label, f),
+            None => ppm_core::run(cfg, f),
+        }
+    }
+
+    /// With tracing on: write the Chrome trace to the path and the metrics
+    /// report to `<path>.metrics.json` (the note saying so goes to stderr,
+    /// off the stdout tables), then print one stdout row per traced job
+    /// from [`explain`]'s accounts — the critical node's terms (the last
+    /// node to reach each phase's barrier) summed over the job's phases,
+    /// the node most often critical, and the longest phase.
+    pub fn finish(&self) {
+        let Some((sink, path)) = &self.0 else {
+            return;
+        };
+        sink.write_files(path).expect("writing trace files");
+        eprintln!("trace written to {path} (+ {path}.metrics.json)");
+        let rows = explain(&sink.events());
+        println!("\n# explain: each phase's critical node, summed over the job\n");
+        let columns = "job|phases|compute ms|service ms|comm ms|barrier ms|recovery ms\
+                       |most often critical|longest phase";
+        header(&columns.split('|').collect::<Vec<_>>());
+        for (pid, (label, _)) in (0..).zip(sink.jobs()) {
+            let job: Vec<_> = rows.iter().filter(|r| r.pid == pid).collect();
+            let globals = job.iter().filter(|r| r.kind == "global").count();
+            let sum = |term: fn(&PhaseSplit) -> SimTime| {
+                ms(job.iter().map(|r| term(&r.critical_split)).sum())
+            };
+            let mut critical = BTreeMap::new();
+            job.iter()
+                .for_each(|r| *critical.entry(r.critical).or_insert(0) += 1);
+            let most = critical
+                .into_iter()
+                .min_by_key(|&(node, n)| (Reverse(n), node));
+            let longest = job.iter().min_by_key(|r| Reverse(r.critical_split.total()));
+            row(&[
+                label,
+                format!("{globals} global + {} node", job.len() - globals),
+                sum(|c| c.compute),
+                sum(|c| c.service),
+                sum(|c| c.comm),
+                sum(|c| c.barrier),
+                sum(|c| c.recovery),
+                most.map_or("-".into(), |(node, n)| {
+                    format!("node {node} ({n} of {})", job.len())
+                }),
+                longest.map_or("-".into(), |r| {
+                    let (kind, index, t) = (r.kind, r.index, ms(r.critical_split.total()));
+                    format!("{kind} {index}: {t} ms on node {}", r.critical)
+                }),
+            ]);
+        }
+    }
 }
 
 /// Peak host RSS (`VmHWM` from `/proc/self/status`), in bytes — the

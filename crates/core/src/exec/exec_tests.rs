@@ -719,7 +719,8 @@ fn unpolled_bulk_read_is_free_and_leaves_its_iterator_alone() {
 fn a_call_after_a_park_continues_only_its_own_vps_call() {
     let job = |park: bool, vp1_writes: bool| {
         let cfg = PpmConfig::new(MachineConfig::new(2, 2));
-        crate::run(cfg, move |node| {
+        let sink = ppm_simnet::TraceSink::new();
+        let report = crate::run_traced(cfg, &sink, "park", move |node| {
             let a = node.alloc_global::<f64>(32);
             let b = node.alloc_global::<u64>(32);
             // Each node writes the other's half of `a` and reads `b` there.
@@ -750,21 +751,28 @@ fn a_call_after_a_park_continues_only_its_own_vps_call() {
             let bits: Vec<u64> = (node.gather_global(&a).iter())
                 .map(|v| v.to_bits())
                 .collect();
-            (bits, node.take_phase_log())
-        })
+            bits
+        });
+        // Each node's phase summary: its time split, waves, bytes, counters.
+        let mut events = sink.events();
+        events.retain(|e| e.name == "global_phase");
+        (report, events)
     };
     for vp1_writes in [true, false] {
-        let (parked, straight) = (job(true, vp1_writes), job(false, vp1_writes));
+        let ((parked, parked_phases), (straight, straight_phases)) =
+            (job(true, vp1_writes), job(false, vp1_writes));
         let mid = if vp1_writes { 1.0 } else { 0.0 };
         let half = (0..16).map(|i| if (8..12).contains(&i) { mid } else { 1.0 });
         let want: Vec<u64> = half.clone().chain(half).map(f64::to_bits).collect();
         for report in [&parked, &straight] {
             assert!(
-                report.results.iter().all(|(bits, _)| *bits == want),
+                report.results.iter().all(|bits| *bits == want),
                 "{vp1_writes}"
             );
         }
         assert_eq!(parked.results, straight.results, "{vp1_writes}");
+        let diff = ppm_simnet::trace_diff(&parked_phases, &straight_phases);
+        assert_eq!(diff, None, "{vp1_writes}");
         assert_eq!(parked.makespan(), straight.makespan(), "{vp1_writes}");
         assert_eq!(parked.counters, straight.counters, "{vp1_writes}");
     }

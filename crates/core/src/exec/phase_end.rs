@@ -17,7 +17,7 @@ use crate::dissem::{LoadBlock, Notices};
 use crate::failover::FailoverPart;
 use crate::msgs::{self, TokenMsg, WriteBundleMsg};
 use crate::nodectx::NodeCtx;
-use crate::state::{PhaseKind, PhaseRecord, Traffic};
+use crate::state::{PhaseKind, Traffic};
 use crate::{balance, failover};
 
 /// Record a phase-summary span `[start, now]` carrying the phase's time
@@ -60,15 +60,6 @@ pub(super) fn node_phase_end(nc: &mut NodeCtx<'_>) {
         let compute = inner.take_core_compute();
         inner.close_phase();
         inner.phase.node_seq += 1;
-        inner.phase_log.push(PhaseRecord {
-            kind: PhaseKind::Node,
-            compute,
-            service: SimTime::ZERO,
-            comm: cost::NODE_BARRIER,
-            waves: 0,
-            bytes_out: 0,
-            bytes_in: 0,
-        });
         compute
     };
     nc.ep.clock.advance_compute(compute);
@@ -124,11 +115,11 @@ pub(super) fn global_phase_end(nc: &mut NodeCtx<'_>) {
     let replica = failover::advance_recovery_line(nc, own_bytes as u64);
 
     // 8. Charge the phase's modeled time.
-    let (charge, t) = charge_phase_time(nc);
+    let (compute, service, comm, bytes_out, bytes_in, t) = charge_phase_time(nc);
 
     // 9. Clock barrier, carrying each feature's part; every later phase of
     //    any peer happens after this node's first send in it.
-    let my_load = (charge.compute + charge.service).as_ps();
+    let my_load = (compute + service).as_ps();
     let failover = FailoverPart::new(&mut nc.inner, (me, nodes), suspects, replica, my_load);
     let parts = BarrierParts {
         coherence,
@@ -154,13 +145,13 @@ pub(super) fn global_phase_end(nc: &mut NodeCtx<'_>) {
         // (their *time* is charged next phase; see `Traffic` docs).
         let refresh_out = nc.inner.traffic.refresh_bundles_out;
         let args = [
-            ("compute_ps", charge.compute.as_ps()),
-            ("service_ps", charge.service.as_ps()),
-            ("comm_ps", charge.comm.as_ps()),
+            ("compute_ps", compute.as_ps()),
+            ("service_ps", service.as_ps()),
+            ("comm_ps", comm.as_ps()),
             ("barrier_ps", (barrier_end - barrier_start).as_ps()),
             ("waves", t.waves),
-            ("bytes_out", charge.bytes_out),
-            ("bytes_in", charge.bytes_in),
+            ("bytes_out", bytes_out),
+            ("bytes_in", bytes_in),
             ("req_bundles_out", t.req_bundles_out),
             ("write_bundles_out", t.write_bundles_out),
             ("refresh_bundles_out", refresh_out),
@@ -285,10 +276,11 @@ fn apply_writes(
 }
 
 /// Turn the phase's traffic totals and compute accumulators into simulated
-/// time on this node's clock. Returns the phase's record — the modeled time
-/// charged — and the traffic totals it was computed from (kept for the
-/// tracer's phase summary).
-fn charge_phase_time(nc: &mut NodeCtx<'_>) -> (PhaseRecord, Traffic) {
+/// time on this node's clock. Returns what it charged — compute, service,
+/// comm, and the bytes out and in the comm term was computed from — and the
+/// traffic totals: the barrier's load and the tracer's phase summary read
+/// them.
+fn charge_phase_time(nc: &mut NodeCtx<'_>) -> (SimTime, SimTime, SimTime, u64, u64, Traffic) {
     let cfg = nc.config();
     let net = cfg.machine.net;
     let (compute, service, t) = {
@@ -371,16 +363,6 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> (PhaseRecord, Traffic) {
     };
     let comm = comm + t.rel_delay;
     nc.ep.clock.advance_comm(comm);
-    let record = PhaseRecord {
-        kind: PhaseKind::Global,
-        compute,
-        service,
-        comm,
-        waves: t.waves,
-        bytes_out,
-        bytes_in,
-    };
-    nc.inner.phase_log.push(record);
 
     let busy_end = busy_start + busy;
     let args = [
@@ -394,8 +376,7 @@ fn charge_phase_time(nc: &mut NodeCtx<'_>) -> (PhaseRecord, Traffic) {
         ("bytes_in", bytes_in),
     ];
     nc.trace("comm", "phase", busy_end, Some(busy_end + comm), &args);
-
-    (record, t)
+    (compute, service, comm, bytes_out, bytes_in, t)
 }
 
 /// Sparse-exchange sender notices (DESIGN.md §17): this node tells every

@@ -120,7 +120,7 @@ pub use elem::{AccumElem, AccumOp, ByteHash, ByteHasher, Elem};
 pub use error::RecoveryError;
 pub use nodectx::NodeCtx;
 pub use shared::{GlobalShared, NodeShared};
-pub use state::{PhaseKind, PhaseRecord};
+pub use state::PhaseKind;
 pub use vp::{GetFut, GetManyFut, Phase, Vp};
 
 use ppm_simnet::JobReport;

@@ -134,13 +134,6 @@ impl<'a> NodeCtx<'a> {
         self.inner.tile_budget.bytes_resident()
     }
 
-    /// Drain the per-phase trace accumulated so far: one record per
-    /// completed phase, in execution order (observability; see
-    /// [`crate::PhaseRecord`]).
-    pub fn take_phase_log(&mut self) -> Vec<crate::state::PhaseRecord> {
-        std::mem::take(&mut self.inner.phase_log)
-    }
-
     /// Drain the conformance violations the phase-semantics checker has
     /// reported on this node so far (see [`crate::PhaseViolation`]).
     /// Violations are flushed at each phase's end barrier, in deterministic

@@ -48,28 +48,6 @@ pub(crate) struct PhaseState {
     pub node_seq: u64,
 }
 
-/// One completed phase, as recorded in the node's phase log — the
-/// observability channel for understanding where a PPM program's time
-/// goes. Retrieved with [`crate::NodeCtx::take_phase_log`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseRecord {
-    /// Global or node phase.
-    pub kind: PhaseKind,
-    /// Max per-core compute charged during the phase.
-    pub compute: SimTime,
-    /// Owner-side service CPU (remote reads served, writes applied).
-    pub service: SimTime,
-    /// Communication time charged (gap + overhead + wave latency +
-    /// barrier), as seen by this node.
-    pub comm: SimTime,
-    /// Request flush rounds.
-    pub waves: u64,
-    /// Modeled bytes sent during the phase.
-    pub bytes_out: u64,
-    /// Modeled bytes received during the phase.
-    pub bytes_in: u64,
-}
-
 /// Per-phase communication totals, turned into simulated time by the
 /// executor's cost formula at each global phase end.
 #[derive(Debug, Default, Clone, Copy)]
@@ -211,8 +189,6 @@ pub(crate) struct Inner {
     pub total_vps_global: u64,
     /// VPs woken by the executor releasing a barrier.
     pub barrier_waiters: Vec<usize>,
-    /// Completed-phase records (drained by `NodeCtx::take_phase_log`).
-    pub phase_log: Vec<PhaseRecord>,
     /// Conformance checker (present iff `cfg.checker`).
     pub(crate) checker: Option<Checker>,
     /// Violations flushed at phase barriers (drained by

@@ -50,8 +50,8 @@ mod wlog;
 
 pub(crate) use arrays::{array_mut, array_ref, Arrays, GArray, GArrayObj, Values};
 pub(crate) use cell::{PollGuard, VpCell, VpState};
+pub use inner::PhaseKind;
 pub(crate) use inner::{DoMode, Inner, Traffic};
-pub use inner::{PhaseKind, PhaseRecord};
 pub(crate) use slots::{read_position, QueuedReq, VpSlots};
 pub(crate) use table::FirstSeen;
 pub(crate) use tiles::{ArrayTiles, TileBudget, TileFaults};

@@ -11,7 +11,7 @@ use ppm_core::testkit::{forall, walk, Cell, Gen, Shrink};
 use ppm_core::{prop_assert, prop_assert_eq};
 use ppm_core::{run, AccumOp, Dist, Layout, PpmConfig};
 use ppm_core::{Phase, PhaseKind, PhaseViolation, Space};
-use ppm_simnet::MachineConfig;
+use ppm_simnet::{trace_diff, MachineConfig};
 
 /// The cells the runtime properties walk: adaptive balance.
 fn adaptive(c: Cell) -> Cell {
@@ -466,7 +466,7 @@ fn emission_is_insertion_order_independent_at(cell: Cell) {
                     report.results.clone(),
                     report.makespan(),
                     report.total_counters(),
-                    sink.chrome_trace_json(),
+                    sink.events(),
                 )
             };
             let base = run_with(false);
@@ -476,7 +476,7 @@ fn emission_is_insertion_order_independent_at(cell: Cell) {
                 prop_assert_eq!(&base.0, &got.0);
                 prop_assert_eq!(base.1, got.1);
                 prop_assert_eq!(&base.2, &got.2);
-                prop_assert!(base.3 == got.3, "trace JSON differs");
+                prop_assert_eq!(trace_diff(&base.3, &got.3), None);
             }
             Ok(())
         },
@@ -593,7 +593,6 @@ fn repeated_bulk_read_indices_at(cell: Cell) {
                     report.results.clone(),
                     report.makespan(),
                     report.total_counters(),
-                    sink.chrome_trace_json(),
                     sink.events(),
                 )
             };
@@ -612,7 +611,7 @@ fn repeated_bulk_read_indices_at(cell: Cell) {
                     prop_assert_eq!(&base.0, &got.0);
                     prop_assert_eq!(base.1, got.1);
                     prop_assert_eq!(&base.2, &got.2);
-                    prop_assert!(base.3 == got.3, "trace JSON differs");
+                    prop_assert_eq!(trace_diff(&base.3, &got.3), None);
                 }
                 // First wave of the job, node by node: the j-th partial wake
                 // follows the j-th smallest destination asked.
@@ -634,7 +633,7 @@ fn repeated_bulk_read_indices_at(cell: Cell) {
                         .filter(|&d| d != n && distinct_for(d) > 0)
                         .collect();
                     let woken: Vec<u64> = base
-                        .4
+                        .3
                         .iter()
                         .filter(|e| e.tid as usize == n)
                         .take_while(|e| e.name != "wave")
@@ -901,11 +900,9 @@ fn bulk_access_equals_per_element() {
                     let arrays = (node.gather_global(&a), node.gather_global(&b));
                     (read, arrays, violations, rendered)
                 });
-                let trace = sink.chrome_trace_json();
-                let mut visible = String::new();
-                for (k, piece) in trace.split("\"woken\":").enumerate() {
-                    let digits = piece.bytes().take_while(|b| k > 0 && b.is_ascii_digit());
-                    visible.push_str(&piece[digits.count()..]);
+                let mut visible = sink.events();
+                for e in &mut visible {
+                    e.args.retain(|&(name, _)| name != "woken");
                 }
                 (
                     report.results.clone(),
@@ -948,7 +945,8 @@ fn bulk_access_equals_per_element() {
                         bulk.2 == each.2,
                         format!("{cell}: {:?} vs {:?}", bulk.2, each.2)
                     );
-                    prop_assert!(bulk.3 == each.3, format!("{cell}: trace JSON differs"));
+                    let diff = trace_diff(&bulk.3, &each.3);
+                    prop_assert!(diff.is_none(), format!("{cell}: {diff:?}"));
                     let c = bulk.2;
                     let reports: usize = bulk.0.iter().map(|r| r.2.len()).sum();
                     prop_assert_eq!(reports > 0 && !checker, false);

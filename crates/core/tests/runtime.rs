@@ -10,8 +10,8 @@ use std::sync::Arc;
 use std::task::Poll;
 
 use ppm_core::testkit::{walk, Cell};
-use ppm_core::{run, AccumOp, PpmConfig};
-use ppm_simnet::MachineConfig;
+use ppm_core::{run, run_traced, AccumOp, PpmConfig, TraceEvent, TraceSink};
+use ppm_simnet::{MachineConfig, PhaseSplit, SimTime};
 
 /// The cells this suite walks: the tile budget, which may not change what a
 /// program computes.
@@ -668,14 +668,34 @@ fn collective_do_with_zero_vps_panics() {
     });
 }
 
+/// Node `tid`'s phase summaries (`global_phase` / `node_phase` spans), in
+/// the order it ran the phases.
+fn summaries(sink: &TraceSink, tid: u32) -> Vec<TraceEvent> {
+    let mut events = sink.events();
+    events.retain(|e| e.tid == tid && matches!(e.name, "global_phase" | "node_phase"));
+    events
+}
+
+/// Node `tid`'s request waves, global phase by global phase.
+fn waves(sink: &TraceSink, tid: u32) -> Vec<u64> {
+    let globals = summaries(sink, tid)
+        .into_iter()
+        .filter(|e| e.name == "global_phase");
+    globals
+        .map(|e| e.arg_u64("waves").expect("waves"))
+        .collect()
+}
+
 #[test]
-fn phase_log_records_every_phase() {
+fn the_trace_records_every_phase() {
     walk(budget, |cell| {
-        // Read caching off: this test pins the phase log's per-phase wave
-        // accounting, so every phase must actually go to the wire (with the
-        // cache on, steady-state phases legitimately run zero waves — covered
-        // by the read-cache tests below).
-        let report = run(cfg(cell, 2, 2).with_read_cache(false), move |node| {
+        // Read caching off: this test pins the per-phase wave accounting,
+        // so every phase must actually go to the wire (with the cache on,
+        // steady-state phases legitimately run zero waves — covered by the
+        // read-cache tests below).
+        let sink = TraceSink::new();
+        let c = cfg(cell, 2, 2).with_read_cache(false);
+        run_traced(c, &sink, "phases", move |node| {
             let a = node.alloc_global::<u64>(16);
             node.ppm_do(4, move |vp| async move {
                 let g = vp.global_rank();
@@ -690,39 +710,36 @@ fn phase_log_records_every_phase() {
                     vp.node_phase(|_ph| async move {}).await;
                 }
             });
-            node.take_phase_log()
         });
-        for log in &report.results {
+        for tid in 0..2 {
+            let log = summaries(&sink, tid);
             assert_eq!(log.len(), 6, "3 global + 3 node phases");
-            let globals: Vec<_> = log
-                .iter()
-                .filter(|r| r.kind == ppm_core::PhaseKind::Global)
-                .collect();
-            let nodes_: Vec<_> = log
-                .iter()
-                .filter(|r| r.kind == ppm_core::PhaseKind::Node)
-                .collect();
+            let (globals, nodes_): (Vec<_>, Vec<_>) =
+                log.iter().partition(|e| e.name == "global_phase");
             assert_eq!(globals.len(), 3);
             assert_eq!(nodes_.len(), 3);
             for g in globals {
-                assert!(g.waves >= 1, "each global phase has remote reads");
-                assert!(g.bytes_out > 0);
-                assert!(g.compute > ppm_simnet::SimTime::ZERO);
+                assert!(
+                    g.arg_u64("waves") >= Some(1),
+                    "each global phase has remote reads"
+                );
+                assert!(g.arg_u64("bytes_out") > Some(0));
+                assert!(PhaseSplit::of(g).unwrap().compute > SimTime::ZERO);
             }
             for n in nodes_ {
-                assert_eq!(n.bytes_out, 0, "node phases are network-free");
+                let split = PhaseSplit::of(n).unwrap();
+                assert_eq!(n.arg_u64("bytes_out"), None, "node phases are network-free");
+                assert_eq!((split.service, split.comm), (SimTime::ZERO, SimTime::ZERO));
             }
         }
-        // Draining empties the log.
-        let report2 = run(cfg(cell, 1, 1), move |node| {
+        // One node phase, one summary.
+        let sink = TraceSink::new();
+        run_traced(cfg(cell, 1, 1), &sink, "one", move |node| {
             node.ppm_do(1, |vp| async move {
                 vp.node_phase(|_| async move {}).await;
             });
-            let first = node.take_phase_log().len();
-            let second = node.take_phase_log().len();
-            (first, second)
         });
-        assert_eq!(report2.results[0], (1, 0));
+        assert_eq!(summaries(&sink, 0).len(), 1);
     });
 }
 
@@ -786,7 +803,9 @@ fn unwritten_remote_elements_are_fetched_at_most_once() {
         // writes: a never-written element is fetched in the first phase and
         // served locally in every later phase — zero waves in steady state.
         for cache in [true, false] {
-            let report = run(cfg(cell, 2, 1).with_read_cache(cache), move |node| {
+            let sink = TraceSink::new();
+            let c = cfg(cell, 2, 1).with_read_cache(cache);
+            let report = run_traced(c, &sink, "cache", move |node| {
                 let a = node.alloc_global::<u64>(16);
                 if node.node_id() == 1 {
                     node.with_local_mut(&a, |s| s[0] = 42);
@@ -802,10 +821,9 @@ fn unwritten_remote_elements_are_fetched_at_most_once() {
                         .await;
                     }
                 });
-                (node.ep_counters(), node.take_phase_log())
+                node.ep_counters()
             });
-            let (c0, log0) = &report.results[0];
-            let waves: Vec<u64> = log0.iter().map(|p| p.waves).collect();
+            let (c0, waves) = (&report.results[0], waves(&sink, 0));
             if cache {
                 assert_eq!(waves, vec![1, 0, 0], "repeat fetches are eliminated");
                 assert_eq!(c0.cache_hits, 2);
@@ -829,7 +847,9 @@ fn refresh_push_keeps_rewritten_elements_coherent() {
         // run zero waves — with no loss of coherence.
         const PHASES: u64 = 6;
         for cache in [true, false] {
-            let report = run(cfg(cell, 2, 1).with_read_cache(cache), move |node| {
+            let sink = TraceSink::new();
+            let c = cfg(cell, 2, 1).with_read_cache(cache);
+            let report = run_traced(c, &sink, "cache", move |node| {
                 let a = node.alloc_global::<u64>(16);
                 node.ppm_do(1, move |vp| async move {
                     let id = vp.node_id();
@@ -846,10 +866,9 @@ fn refresh_push_keeps_rewritten_elements_coherent() {
                         .await;
                     }
                 });
-                (node.ep_counters(), node.take_phase_log())
+                node.ep_counters()
             });
-            let (c0, log0) = &report.results[0];
-            let waves: Vec<u64> = log0.iter().map(|r| r.waves).collect();
+            let (c0, waves) = (&report.results[0], waves(&sink, 0));
             if cache {
                 assert_eq!(
                     waves,
@@ -875,7 +894,9 @@ fn refresh_push_keeps_rewritten_elements_coherent() {
 fn refresh_push_targets_the_written_and_served_intersection() {
     walk(budget, |cell| {
         const PHASES: u64 = 14;
-        let report = run(cfg(cell, 2, 1).with_read_cache(true), move |node| {
+        let sink = TraceSink::new();
+        let c = cfg(cell, 2, 1).with_read_cache(true);
+        let report = run_traced(c, &sink, "refresh", move |node| {
             let a = node.alloc_global::<u64>(16); // node 1 owns 8..16 of both
             let b = node.alloc_global::<u64>(16);
             node.ppm_do(1, move |vp| async move {
@@ -910,10 +931,9 @@ fn refresh_push_targets_the_written_and_served_intersection() {
                     .await;
                 }
             });
-            (node.ep_counters(), node.take_phase_log())
+            node.ep_counters()
         });
-        let (c0, log0) = &report.results[0];
-        let waves: Vec<u64> = log0.iter().map(|r| r.waves).collect();
+        let (c0, waves) = (&report.results[0], waves(&sink, 0));
         // Captured before the per-element history lookup became one ordered walk
         // over the written indices and the history: `a[11]` (served, never
         // written) misses every phase; `a[9]`/`a[14]` hit while armed and re-earn
@@ -1360,7 +1380,8 @@ fn a_node_array_and_the_global_array_of_its_id_share_nothing() {
             .with_tile_budget(64)
             .with_replication(true)
             .with_checker(true);
-        let report = run(c, move |node| {
+        let sink = TraceSink::new();
+        let report = run_traced(c, &sink, "arrays", move |node| {
             let a = node.alloc_global_balanced::<u64>(N);
             let s = node.alloc_node::<u64>(VPS + 1);
             assert_eq!(
@@ -1412,15 +1433,23 @@ fn a_node_array_and_the_global_array_of_its_id_share_nothing() {
                 }
             });
             assert_eq!(node.take_violations(), vec![]);
-            let global_bytes: (u64, u64) = (node.take_phase_log().iter())
-                .filter(|p| p.kind == ppm_core::PhaseKind::Global)
-                .fold((0, 0), |(o, i), p| (o + p.bytes_out, i + p.bytes_in));
             let owned = node.local_range(&a);
             let part = node.with_local(&a, |part| part.to_vec());
             let shared = node.with_node(&s, |s| s.to_vec());
-            (owned, part, shared, node.ep_counters(), global_bytes)
+            (owned, part, shared, node.ep_counters())
         });
-        report.results
+        let global_bytes = |tid| {
+            let globals = summaries(&sink, tid)
+                .into_iter()
+                .filter(|e| e.name == "global_phase");
+            let bytes = |e: &TraceEvent, arg| e.arg_u64(arg).expect("phase bytes");
+            globals.fold((0, 0), |(o, i), e| {
+                (o + bytes(&e, "bytes_out"), i + bytes(&e, "bytes_in"))
+            })
+        };
+        let nodes = report.results.into_iter().zip(0..);
+        let with_bytes = nodes.map(|((o, p, s, c), tid)| (o, p, s, c, global_bytes(tid)));
+        with_bytes.collect::<Vec<_>>()
     };
     let with = observe(true);
     let mut a = vec![0; N];

@@ -7,7 +7,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ppm_core::{run, run_traced, NodeCtx, PpmConfig, TraceSink};
-use ppm_simnet::{validate_json, EventKind, MachineConfig, TraceEvent};
+use ppm_simnet::{trace_diff, validate_json, EventKind, MachineConfig, TraceEvent};
 
 const N: usize = 64;
 const K: usize = 16;
@@ -79,9 +79,10 @@ fn trace_is_deterministic_across_runs() {
     let record = || {
         let sink = TraceSink::new();
         run_traced(cfg(), &sink, "bsearch", binary_search);
-        sink.chrome_trace_json()
+        sink.events()
     };
-    assert_eq!(record(), record(), "same job must give the same trace");
+    let (first, second) = (record(), record());
+    assert_eq!(trace_diff(&first, &second), None, "same job, same trace");
 }
 
 /// Walk one node's events in emission order, checking each communication

@@ -49,5 +49,8 @@ pub use message::{Message, RelMeta};
 pub use router::{make_router, Endpoint, Filter, TagClass};
 pub use stats::{Counters, ReliabilitySummary};
 pub use time::SimTime;
-pub use trace::{validate_json, ArgValue, EventKind, TraceEvent, TraceSink, Tracer};
+pub use trace::{
+    explain, trace_diff, validate_json, ArgValue, Divergence, EventKind, PhaseAccount, PhaseSplit,
+    TraceEvent, TraceSink, Tracer,
+};
 pub use wire::WireSize;

@@ -31,6 +31,8 @@
 //! a readable trace of the run instead of only a panic string.
 
 use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::time::SimTime;
@@ -59,7 +61,7 @@ pub enum EventKind {
 }
 
 /// One trace event, stamped with simulated time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Event name (fixed vocabulary; see DESIGN.md §11).
     pub name: &'static str,
@@ -201,7 +203,7 @@ impl TraceSink {
             m.push_str("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
             m.push_str(&pid.to_string());
             m.push_str(",\"tid\":0,\"args\":{\"name\":");
-            json_string(label, &mut m);
+            m.push_str(&json_string(label));
             m.push_str("}}");
             emit(&mut out, &mut first, &m);
         }
@@ -252,7 +254,7 @@ impl TraceSink {
                     match v {
                         ArgValue::U64(x) => m.push_str(&x.to_string()),
                         ArgValue::F64(x) => m.push_str(&json_f64(*x)),
-                        ArgValue::Str(s) => json_string(s, &mut m),
+                        ArgValue::Str(s) => m.push_str(&json_string(s)),
                     }
                 }
                 m.push('}');
@@ -264,97 +266,24 @@ impl TraceSink {
         out
     }
 
-    /// Render the structured metrics report: per job, the per-phase
-    /// compute / service / comm / barrier-wait breakdown (max across
-    /// nodes), traffic totals, and summed counter deltas.
+    /// Render the structured metrics report: per job, the makespan and one
+    /// entry per phase — the rows of [`explain`] over this sink's events.
     pub fn metrics_json(&self) -> String {
-        use std::collections::BTreeMap;
-        let events = self.events();
-        let jobs = self.jobs();
-
-        let mut out = String::from("{\"jobs\":[");
-        for (pid, (label, nodes)) in jobs.iter().enumerate() {
-            let pid = pid as u32;
-            if pid > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            json_string(label, &mut out);
-            out.push_str(&format!(",\"pid\":{pid},\"nodes\":{nodes},"));
-
-            // Group phase events by (kind, phase index).
-            #[derive(Default)]
-            struct Group {
-                nodes: u64,
-                compute_max: u64,
-                service_max: u64,
-                comm_max: u64,
-                barrier_max: u64,
-                waves_max: u64,
-                bytes_out: u64,
-                bytes_in: u64,
-                counters: BTreeMap<&'static str, u64>,
-            }
-            let mut groups: BTreeMap<(&'static str, u64), Group> = BTreeMap::new();
-            let mut makespan = SimTime::ZERO;
-            for e in events.iter().filter(|e| e.pid == pid) {
-                makespan = makespan.max(e.end());
-                let kind = match e.name {
-                    "global_phase" => "global",
-                    "node_phase" => "node",
-                    _ => continue,
-                };
-                let idx = e.arg_u64("phase").unwrap_or(0);
-                let g = groups.entry((kind, idx)).or_default();
-                g.nodes += 1;
-                let get = |n| e.arg_u64(n).unwrap_or(0);
-                g.compute_max = g.compute_max.max(get("compute_ps"));
-                g.service_max = g.service_max.max(get("service_ps"));
-                g.comm_max = g.comm_max.max(get("comm_ps"));
-                g.barrier_max = g.barrier_max.max(get("barrier_ps"));
-                g.waves_max = g.waves_max.max(get("waves"));
-                g.bytes_out += get("bytes_out");
-                g.bytes_in += get("bytes_in");
-                for (k, v) in &e.args {
-                    if let (Some(name), ArgValue::U64(x)) = (k.strip_prefix("d_"), v) {
-                        *g.counters.entry(name).or_default() += x;
-                    }
-                }
-            }
-            out.push_str(&format!(
-                "\"makespan_ps\":{},\"phases\":[",
-                makespan.as_ps()
-            ));
-            for (i, ((kind, idx), g)) in groups.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"kind\":\"{kind}\",\"index\":{idx},\"nodes\":{},\
-                     \"compute_ps_max\":{},\"service_ps_max\":{},\"comm_ps_max\":{},\
-                     \"barrier_ps_max\":{},\"waves_max\":{},\"bytes_out_total\":{},\
-                     \"bytes_in_total\":{},\"counters\":{{",
-                    g.nodes,
-                    g.compute_max,
-                    g.service_max,
-                    g.comm_max,
-                    g.barrier_max,
-                    g.waves_max,
-                    g.bytes_out,
-                    g.bytes_in,
-                ));
-                for (j, (k, v)) in g.counters.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("\"{k}\":{v}"));
-                }
-                out.push_str("}}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+        let (events, jobs) = (self.events(), self.jobs());
+        let rows = explain(&events);
+        let jobs = (0..).zip(jobs).map(|(pid, (label, nodes))| {
+            let of_job = events.iter().filter(|e| e.pid == pid);
+            let makespan = of_job.map(TraceEvent::end).max().unwrap_or(SimTime::ZERO);
+            let phases = rows.iter().filter(|r| r.pid == pid).map(phase_json);
+            object([
+                ("name", json_string(&label)),
+                ("pid", pid.to_string()),
+                ("nodes", nodes.to_string()),
+                ("makespan_ps", makespan.as_ps().to_string()),
+                ("phases", array(phases)),
+            ])
+        });
+        object([("jobs", array(jobs))])
     }
 
     /// Write the Chrome trace to `path` and the metrics report next to it
@@ -363,6 +292,195 @@ impl TraceSink {
         std::fs::write(path, self.chrome_trace_json())?;
         std::fs::write(format!("{path}.metrics.json"), self.metrics_json())
     }
+}
+
+/// Where one node's time in one phase went: the terms its phase-summary
+/// span (`global_phase` / `node_phase`) carries, and what they leave of the
+/// span. The five sum to the span to the picosecond.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseSplit {
+    /// Max per-core compute charged (`compute_ps`).
+    pub compute: SimTime,
+    /// Owner-side service: remote reads served, writes applied
+    /// (`service_ps`).
+    pub service: SimTime,
+    /// Exposed communication: gap, overheads, wave round trips,
+    /// reliability delay (`comm_ps`).
+    pub comm: SimTime,
+    /// The barrier closing the phase (`barrier_ps`).
+    pub barrier: SimTime,
+    /// The rest of the span: a recovery that landed before the phase's
+    /// writes left the node — a crash's reboot, restore and redo
+    /// (`crash_recovery`), or a failed-over node's suspect timeout, restore
+    /// and redo (`failover_restore`). Zero on a fault-free run.
+    pub recovery: SimTime,
+}
+
+impl PhaseSplit {
+    /// The split of a phase-summary span; `None` for any other event.
+    ///
+    /// # Panics
+    /// If the span's terms exceed the span: the runtime charged time the
+    /// span does not cover.
+    pub fn of(e: &TraceEvent) -> Option<PhaseSplit> {
+        if !matches!(e.name, "global_phase" | "node_phase") {
+            return None;
+        }
+        let term = |name| SimTime::from_ps(e.arg_u64(name).unwrap_or(0));
+        let mut split = PhaseSplit {
+            compute: term("compute_ps"),
+            service: term("service_ps"),
+            comm: term("comm_ps"),
+            barrier: term("barrier_ps"),
+            recovery: SimTime::ZERO,
+        };
+        // The four terms charged; `recovery` is what they leave of the span.
+        let rest = (e.end() - e.ts).as_ps().checked_sub(split.total().as_ps());
+        let rest = rest.unwrap_or_else(|| panic!("{e:?}: terms exceed the span"));
+        split.recovery = SimTime::from_ps(rest);
+        Some(split)
+    }
+
+    /// The sum of the five: the span.
+    pub fn total(&self) -> SimTime {
+        self.compute + self.service + self.comm + self.barrier + self.recovery
+    }
+
+    fn max(&self, o: &PhaseSplit) -> PhaseSplit {
+        PhaseSplit {
+            compute: self.compute.max(o.compute),
+            service: self.service.max(o.service),
+            comm: self.comm.max(o.comm),
+            barrier: self.barrier.max(o.barrier),
+            recovery: self.recovery.max(o.recovery),
+        }
+    }
+}
+
+/// One phase of one traced job, accounted from its nodes' phase-summary
+/// spans: which node made it long, and where that node's time went.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PhaseAccount {
+    /// The job (`pid`).
+    pub pid: u32,
+    /// `"global"` or `"node"`.
+    pub kind: &'static str,
+    /// The phase's index among the job's phases of its kind.
+    pub index: u64,
+    /// Nodes that recorded the phase.
+    pub nodes: u64,
+    /// The critical node: the one that reached the barrier last (span end
+    /// less its barrier term), the lowest id on a tie.
+    pub critical: u32,
+    /// When the critical node reached the barrier.
+    pub arrival: SimTime,
+    /// The critical node's split.
+    pub critical_split: PhaseSplit,
+    /// Each term's maximum over the nodes.
+    pub max: PhaseSplit,
+    /// Most request waves a node ran.
+    pub waves_max: u64,
+    /// Modeled bytes sent, summed over the nodes.
+    pub bytes_out: u64,
+    /// Modeled bytes received, summed over the nodes.
+    pub bytes_in: u64,
+    /// Every counter's per-phase delta (the `d_` arguments, prefix
+    /// dropped), summed over the nodes.
+    pub counters: BTreeMap<&'static str, u64>,
+}
+
+/// Account every phase of every job in `events` from the phase-summary
+/// spans alone (DESIGN.md §11): one row per (job, kind, index), in that
+/// order, global phases before node phases.
+pub fn explain(events: &[TraceEvent]) -> Vec<PhaseAccount> {
+    let mut rows = BTreeMap::new();
+    for (e, split) in events.iter().filter_map(|e| Some((e, PhaseSplit::of(e)?))) {
+        let kind = e.name.trim_end_matches("_phase");
+        let index = e.arg_u64("phase").unwrap_or(0);
+        let arrival = e.end() - split.barrier;
+        let row: &mut PhaseAccount = rows.entry((e.pid, kind, index)).or_default();
+        (row.pid, row.kind, row.index, row.nodes) = (e.pid, kind, index, row.nodes + 1);
+        if row.nodes == 1 || (arrival, Reverse(e.tid)) > (row.arrival, Reverse(row.critical)) {
+            (row.critical, row.arrival, row.critical_split) = (e.tid, arrival, split);
+        }
+        row.max = row.max.max(&split);
+        let arg = |name| e.arg_u64(name).unwrap_or(0);
+        row.waves_max = row.waves_max.max(arg("waves"));
+        row.bytes_out += arg("bytes_out");
+        row.bytes_in += arg("bytes_in");
+        for (k, v) in &e.args {
+            if let (Some(name), ArgValue::U64(x)) = (k.strip_prefix("d_"), v) {
+                *row.counters.entry(name).or_default() += x;
+            }
+        }
+    }
+    rows.into_values().collect()
+}
+
+/// The first event at which two traces part (see [`trace_diff`]); each
+/// event names its `(pid, tid, seq)`.
+#[derive(Debug, PartialEq)]
+pub struct Divergence<'a> {
+    /// The left trace's event there, if it has one.
+    pub left: Option<&'a TraceEvent>,
+    /// The right trace's event there, if it has one.
+    pub right: Option<&'a TraceEvent>,
+}
+
+/// The first `(pid, tid, seq)` at which two event lists (as
+/// [`TraceSink::events`] orders them) differ, with both events; `None` if
+/// they are equal. A linear scan: event order is deterministic, so two
+/// runs of one job line up event for event.
+pub fn trace_diff<'a>(a: &'a [TraceEvent], b: &'a [TraceEvent]) -> Option<Divergence<'a>> {
+    let mut pairs = (0..a.len().max(b.len())).map(|i| (a.get(i), b.get(i)));
+    let (left, right) = pairs.find(|(left, right)| left != right)?;
+    Some(Divergence { left, right })
+}
+
+/// One [`metrics_json`](TraceSink::metrics_json) phase entry.
+fn phase_json(r: &PhaseAccount) -> String {
+    let ps = |t: SimTime| t.as_ps().to_string();
+    let (max, crit) = (r.max, r.critical_split);
+    let counters = r.counters.iter().map(|(k, v)| (*k, v.to_string()));
+    object([
+        ("kind", json_string(r.kind)),
+        ("index", r.index.to_string()),
+        ("nodes", r.nodes.to_string()),
+        ("compute_ps_max", ps(max.compute)),
+        ("service_ps_max", ps(max.service)),
+        ("comm_ps_max", ps(max.comm)),
+        ("barrier_ps_max", ps(max.barrier)),
+        ("waves_max", r.waves_max.to_string()),
+        ("bytes_out_total", r.bytes_out.to_string()),
+        ("bytes_in_total", r.bytes_in.to_string()),
+        ("recovery_ps_max", ps(max.recovery)),
+        ("critical_node", r.critical.to_string()),
+        ("critical_arrival_ps", ps(r.arrival)),
+        ("critical_compute_ps", ps(crit.compute)),
+        ("critical_service_ps", ps(crit.service)),
+        ("critical_comm_ps", ps(crit.comm)),
+        ("critical_barrier_ps", ps(crit.barrier)),
+        ("critical_recovery_ps", ps(crit.recovery)),
+        ("counters", object(counters)),
+    ])
+}
+
+/// A JSON array of already-rendered values.
+fn array(items: impl IntoIterator<Item = String>) -> String {
+    let mut out = String::from("[");
+    for item in items {
+        out.extend([if out.len() > 1 { "," } else { "" }, &item]);
+    }
+    out + "]"
+}
+
+/// A JSON object of already-rendered values, in the given key order.
+fn object<'a>(fields: impl IntoIterator<Item = (&'a str, String)>) -> String {
+    let mut out = String::from("{");
+    for (k, v) in fields {
+        out.extend([if out.len() > 1 { ",\"" } else { "\"" }, k, "\":", &v]);
+    }
+    out + "}"
 }
 
 /// Simulated picoseconds rendered as Chrome-trace microseconds.
@@ -382,8 +500,8 @@ fn json_f64(x: f64) -> String {
 }
 
 /// Escape and quote a string per the JSON grammar.
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
+fn json_string(s: &str) -> String {
+    let mut out = String::from("\"");
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -395,7 +513,7 @@ fn json_string(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-    out.push('"');
+    out + "\""
 }
 
 /// Per-endpoint tracing handle. Disabled (the default) it is a no-op on
@@ -749,6 +867,7 @@ mod tests {
     fn metrics_export_aggregates_phases() {
         let sink = TraceSink::new();
         let pid = sink.begin_job("job", 2);
+        // Node 1 computes longer and so reaches the barrier last.
         for (tid, comp) in [(0u32, 100u64), (1, 300)] {
             let t = sink.tracer(pid, tid);
             t.span(
@@ -759,6 +878,7 @@ mod tests {
                 vec![
                     ("phase", ArgValue::U64(0)),
                     ("compute_ps", ArgValue::U64(comp)),
+                    ("barrier_ps", ArgValue::U64(500 - comp)),
                     ("bytes_out", ArgValue::U64(10)),
                     ("d_msgs_sent", ArgValue::U64(3)),
                 ],
@@ -779,6 +899,83 @@ mod tests {
             "counter deltas summed: {json}"
         );
         assert!(json.contains("\"makespan_ps\":500"));
+        assert!(
+            json.contains("\"critical_node\":1,\"critical_arrival_ps\":300,"),
+            "the last node to reach the barrier: {json}"
+        );
+    }
+
+    /// A phase-summary span `[0, dur]` of node `tid` with the given terms.
+    fn summary(sink: &TraceSink, tid: u32, dur: u64, terms: [(&'static str, u64); 2]) {
+        let mut args = vec![("phase", ArgValue::U64(0))];
+        args.extend(terms.map(|(k, v)| (k, ArgValue::U64(v))));
+        let t = sink.tracer(0, tid);
+        t.span(
+            "global_phase",
+            "phase",
+            SimTime::ZERO,
+            SimTime::from_ps(dur),
+            args,
+        );
+    }
+
+    #[test]
+    fn explain_names_the_last_arrival_and_keeps_the_rest_of_the_span() {
+        let sink = TraceSink::new();
+        sink.begin_job("job", 3);
+        // Nodes 1 and 2 both arrive at 70; node 2 spent 30 recovering.
+        summary(&sink, 2, 100, [("compute_ps", 40), ("barrier_ps", 30)]);
+        summary(&sink, 0, 100, [("compute_ps", 50), ("barrier_ps", 50)]);
+        summary(&sink, 1, 100, [("compute_ps", 70), ("barrier_ps", 30)]);
+        let rows = explain(&sink.events());
+        assert_eq!(rows.len(), 1);
+        let row = &rows[0];
+        assert_eq!((row.kind, row.nodes), ("global", 3));
+        assert_eq!(
+            (row.critical, row.arrival),
+            (1, SimTime::from_ps(70)),
+            "ties: lowest id"
+        );
+        assert_eq!(row.critical_split.compute, SimTime::from_ps(70));
+        assert_eq!(row.critical_split.total(), SimTime::from_ps(100));
+        assert_eq!(row.max.recovery, SimTime::from_ps(30), "node 2's rest");
+        assert_eq!(row.max.barrier, SimTime::from_ps(50));
+        let split = |tid| PhaseSplit::of(&sink.events()[tid]).expect("a summary");
+        assert_eq!(split(2).recovery, SimTime::from_ps(30));
+        assert_eq!(split(0).recovery, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "terms exceed the span")]
+    fn terms_past_the_span_are_a_fault() {
+        let sink = TraceSink::new();
+        sink.begin_job("job", 1);
+        summary(&sink, 0, 100, [("compute_ps", 80), ("barrier_ps", 30)]);
+        explain(&sink.events());
+    }
+
+    #[test]
+    fn trace_diff_names_the_first_differing_event() {
+        let record = |bundles| {
+            let sink = TraceSink::new();
+            let pid = sink.begin_job("job", 2);
+            for tid in 0..2 {
+                let t = sink.tracer(pid, tid);
+                t.instant("wave", "comm", SimTime::from_ns(1), vec![]);
+                let n = if tid == 1 { bundles } else { 2 };
+                let args = vec![("bundles", ArgValue::U64(n))];
+                t.instant("wave", "comm", SimTime::from_ns(2), args);
+            }
+            sink.events()
+        };
+        let (a, b) = (record(2), record(3));
+        assert_eq!(trace_diff(&a, &a), None);
+        let d = trace_diff(&a, &b).expect("one argument differs");
+        let at = |e: Option<&TraceEvent>| e.map(|e| (e.pid, e.tid, e.seq, e.arg_u64("bundles")));
+        assert_eq!(at(d.left), Some((0, 1, 1, Some(2))));
+        assert_eq!(at(d.right), Some((0, 1, 1, Some(3))));
+        let d = trace_diff(&a, &a[..3]).expect("one event missing");
+        assert_eq!((at(d.left), d.right), (Some((0, 1, 1, Some(2))), None));
     }
 
     #[test]
