@@ -88,8 +88,11 @@ fn build_dest_is_insertion_order_independent() {
 
 /// One VP holds two parked reads of *different element types* at once (a
 /// hand-rolled join): one wave answers both, each through its own array's
-/// arena. The arenas hold values only inside the phase that fetched them —
-/// empty again after every global phase end, a crash-recovery one included.
+/// arena. With the cache off the arenas hold values only inside the phase
+/// that fetched them — empty again after every global phase end, a
+/// crash-recovery one included. With it on, an arena holds exactly the
+/// cached lines: an array that took writes keeps none, one that did not
+/// keeps its lines until the next construct entry.
 #[test]
 fn arena_serves_mixed_types_and_empties_every_phase() {
     // Cache off, so every phase's reads really park.
@@ -113,7 +116,8 @@ fn arena_serves_mixed_types_and_empties_every_phase() {
         });
         node.ppm_do(2, move |vp| async move {
             let arenas_empty = |vp: &Vp| {
-                let empty = |inner: &mut Inner| inner.garrays.iter().all(|g| g.arena_is_empty());
+                let empty =
+                    |inner: &mut Inner| inner.garrays.iter().all(|g| g.arena_lines().0 == 0);
                 vp.cell.with_poll(|_, inner| empty(inner))
             };
             // An element of each array owned by the other node.
@@ -137,6 +141,35 @@ fn arena_serves_mixed_types_and_empties_every_phase() {
         });
     });
     assert_eq!(report.total_counters().crash_recoveries, 1);
+
+    let cfg = PpmConfig::new(MachineConfig::new(2, 2)).with_read_cache(true);
+    crate::run(cfg, move |node| {
+        let a = node.alloc_global::<f64>(n);
+        let b = node.alloc_global::<u64>(n);
+        let lo = node.local_range(&a).start;
+        // `(arena values, cached lines)` of `a` and of `b`.
+        let arenas = |vp: &Vp| {
+            let lines = |inner: &mut Inner| [0, 1].map(|id| inner.garrays[id].arena_lines());
+            vp.cell.with_poll(|_, inner| lines(inner))
+        };
+        node.ppm_do(2, move |vp| async move {
+            let far = (lo + n / 2 + vp.node_rank()) % n;
+            // An element no other node reads: no refresh follows the write.
+            let mine = lo + 2 + vp.node_rank();
+            vp.global_phase(|ph| async move {
+                ph.get(&a, far).await;
+                ph.get(&b, far).await;
+                ph.put(&b, mine, 1);
+            })
+            .await;
+            let [a_lines, b_lines] = arenas(&vp);
+            assert_eq!(b_lines, (0, 0), "b took writes: its cache and arena go");
+            assert_eq!(a_lines, (2, 2), "a's arena holds exactly its cached lines");
+        });
+        node.ppm_do(1, move |vp| async move {
+            assert_eq!(arenas(&vp), [(0, 0); 2], "construct entry empties both");
+        });
+    });
 }
 
 /// A VP that panics mid-poll still hands its state and the node's back and

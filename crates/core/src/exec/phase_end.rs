@@ -132,8 +132,11 @@ pub(super) fn global_phase_end(nc: &mut NodeCtx<'_>) {
     // 10. Close the phase and release the VPs.
     nc.inner.close_phase();
     debug_assert!(
-        nc.inner.garrays.iter().all(|g| g.arena_is_empty()),
-        "response values outlived their global phase"
+        nc.inner
+            .garrays
+            .iter()
+            .all(|g| matches!(g.arena_lines(), (0, _) | (_, 1..))),
+        "an array with no cached lines holds arena values"
     );
 
     if nc.ep.tracer.enabled() {
@@ -177,7 +180,8 @@ fn drain_writes(nc: &mut NodeCtx<'_>) -> (CoherencePart, Outgoing) {
     let mut checker = inner.checker.as_mut();
     for (id, ga) in inner.garrays.iter_mut().enumerate() {
         // Every VP has arrived, so every parked read has resumed and
-        // copied its value out: the phase's response values can go.
+        // copied its value out: the phase's response values can go, unless
+        // the read cache still points at them.
         ga.arena_clear();
         let checker = checker.as_deref_mut();
         let conflicts =

@@ -86,20 +86,23 @@ pub(crate) struct GArray<T: Elem> {
     wlog: WLog<T>,
     /// What the log's drain and the fold of incoming parcels reuse.
     scratch: Scratch,
-    /// Remote elements whose phase-frozen value this node has learned —
-    /// from response bundles or owner-pushed refreshes. Consulted before a
-    /// remote read is queued ([`Self::cached_span`]); cleared when the
-    /// array takes writes (`coherence.rs`).
-    rcache: RunCache<T>,
-    /// The other half of [`Self::cache_merge`]'s double buffer (kept for
-    /// its capacity only).
-    rcache_spare: RunCache<T>,
-    /// Response arena: the values of every read-response part received this
-    /// global phase, appended part by part. A parked read's slot holds its
-    /// value's position here ([`super::VpSlots::fill`]), so delivery costs one
-    /// `u32` per waiter however many VPs share the element. Cleared at
-    /// global phase end — every reader has resumed by then.
+    /// Response arena: the values of every read-response part and refresh
+    /// push received, appended part by part, each value once. A parked
+    /// read's slot holds its value's position here
+    /// ([`super::VpSlots::fill`]), so delivery costs one `u32` per waiter
+    /// however many VPs share the element. A position never changes until
+    /// the arena is emptied: at global phase end if nothing is cached, else
+    /// with the cache ([`GArrayObj::cache_clear`]) — every reader has
+    /// resumed by then.
     arena: Vec<T>,
+    /// The read cache: the remote elements whose phase-frozen value this
+    /// node has learned — from response parts or owner-pushed refreshes —
+    /// as `(first global index, arena position, length)` runs, ascending,
+    /// no two overlapping: consecutive indices whose values sit at
+    /// consecutive arena positions. Consulted before a remote read is
+    /// queued ([`Self::cached_span`]); cleared with the arena when the array
+    /// takes writes (`coherence.rs`) and at construct entry.
+    cache: Vec<(u64, u32, u32)>,
     held: Held<ARENA>,
     /// `local`'s bytes.
     local_held: Held<PARTS>,
@@ -122,9 +125,8 @@ impl<T: Elem> GArray<T> {
             node,
             wlog: WLog::default(),
             scratch: Scratch::default(),
-            rcache: RunCache::default(),
-            rcache_spare: RunCache::default(),
             arena: Vec::new(),
+            cache: Vec::new(),
             held: Held::default(),
             local_held: Held::default(),
         };
@@ -232,13 +234,6 @@ impl<T: Elem> GArray<T> {
             .expect("exchange entry for an element this node does not own")
     }
 
-    /// What the arena and the read cache's two buffers hold.
-    #[cfg(feature = "byte-ledger")]
-    fn held_bytes(&self) -> usize {
-        let cache = |c: &RunCache<T>| bytes(&c.runs) + bytes(&c.vals);
-        bytes(&self.arena) + cache(&self.rcache) + cache(&self.rcache_spare)
-    }
-
     /// The response value parked at arena position `pos` (from a filled
     /// slot of the current global phase). Only a read future smuggled out of
     /// its phase body and polled in a later one can trip this; the text says
@@ -254,8 +249,16 @@ impl<T: Elem> GArray<T> {
     /// tests).
     #[cfg(test)]
     pub fn cache_get(&self, idx: u64) -> Option<T> {
-        let (first, vals) = self.rcache.run_at(idx)?;
+        let (first, vals) = self.run_at(idx)?;
         Some(vals[(idx - first) as usize])
+    }
+
+    /// The cached run holding `idx`: its first index and its values.
+    #[inline]
+    fn run_at(&self, idx: u64) -> Option<(u64, &[T])> {
+        let before = self.cache.partition_point(|run| run.0 <= idx);
+        let &(first, at, len) = self.cache[..before].last()?;
+        (idx - first < len as u64).then(|| (first, &self.arena[at as usize..][..len as usize]))
     }
 
     /// The second kind of hot span: the cached values around remote element
@@ -269,7 +272,7 @@ impl<T: Elem> GArray<T> {
             self.owned_offset(idx).is_none(),
             "cached span of an owned element"
         );
-        let (first, vals) = self.rcache.run_at(idx as u64)?;
+        let (first, vals) = self.run_at(idx as u64)?;
         let first = first as usize;
         // A cyclic layout's `owned` is empty and its ownership never moves.
         let (lo, hi) = if idx < self.owned.start {
@@ -280,31 +283,55 @@ impl<T: Elem> GArray<T> {
         Some((lo, &vals[lo - first..hi - first]))
     }
 
-    /// Learn (or refresh) the phase-frozen values `new`, ascending by
-    /// index: one linear merge into the sorted cache — a known run is one
-    /// copy, adjacent lines coalesce — through a second buffer that is kept
-    /// for the next merge.
-    fn cache_merge(&mut self, new: impl Iterator<Item = (u64, T)>) {
-        let mut new = new.peekable();
-        let old = std::mem::take(&mut self.rcache);
-        let mut out = std::mem::take(&mut self.rcache_spare);
-        out.clear();
-        for (first, vals) in old.iter() {
-            while let Some((idx, v)) = new.next_if(|n| n.0 < first) {
-                out.extend(idx, &[v]);
+    /// Append `values` to the arena and return the position of the first;
+    /// with `idxs` (their global indices, ascending), cache them too: one
+    /// linear merge of run headers in which no value moves — a line learnt
+    /// again points at its new value, and lines that continue a run in both
+    /// index and position extend it. The runs that end before the batch's
+    /// first index stay where they are, so a batch past every cached line
+    /// only appends headers.
+    fn arena_append(&mut self, values: &[T], idxs: Option<&[u64]>) -> u32 {
+        let base = self.arena.len();
+        self.arena.extend_from_slice(values);
+        // Slots hold `u32` positions; the end bounds every one of them. Only
+        // a phase that reads four billion remote elements trips it.
+        assert!(
+            self.arena.len() <= u32::MAX as usize,
+            "response arena overflow"
+        );
+        if let Some(idxs) = idxs {
+            debug_assert_eq!(values.len(), idxs.len());
+            let mut new = idxs.iter().copied().zip(base as u32..).peekable();
+            let lo = idxs.first().map_or(u64::MAX, |&i| i);
+            let kept = self.cache.partition_point(|run| run.0 + run.2 as u64 <= lo);
+            let old = self.cache.split_off(kept);
+            let out = &mut self.cache;
+            let mut push = |first: u64, at: u32, len: u64| match out.last_mut() {
+                _ if len == 0 => {}
+                Some(run) if run.0 + run.2 as u64 == first && run.1 + run.2 == at => {
+                    run.2 += len as u32
+                }
+                _ => out.push((first, at, len as u32)),
+            };
+            for &(start, at, len) in &old {
+                let (mut first, end) = (start, start + len as u64);
+                while first < end {
+                    while let Some((idx, pos)) = new.next_if(|n| n.0 < first) {
+                        push(idx, pos, 1);
+                    }
+                    // The old run up to the next line learnt again, which
+                    // the loop above then takes.
+                    let cut = new.peek().map_or(end, |n| n.0.min(end));
+                    push(first, at + (first - start) as u32, cut - first);
+                    first = cut + 1;
+                }
             }
-            let at = out.vals.len();
-            out.extend(first, vals);
-            while let Some((idx, v)) = new.next_if(|n| n.0 < first + vals.len() as u64) {
-                out.vals[at + (idx - first) as usize] = v;
+            for (idx, pos) in new {
+                push(idx, pos, 1);
             }
         }
-        for (idx, v) in new {
-            out.extend(idx, &[v]);
-        }
-        self.rcache = out;
-        self.rcache_spare = old;
-        ledger!(self.held, self.held_bytes());
+        ledger!(self.held, bytes(&self.arena) + bytes(&self.cache));
+        base as u32
     }
 }
 
@@ -317,60 +344,6 @@ pub(crate) struct OwnedSpan<'a, T> {
     pub vals: &'a [T],
     /// If the span is spilled: its tile, and the tile's first local offset.
     pub cold: Option<(u32, usize)>,
-}
-
-/// A sorted map from global index to value, held as runs of consecutive
-/// indices over one value column: a look-up searches runs, not elements, and
-/// a run is a slice a bulk read loads from. Sorted rather than hashed because
-/// it is built by merging ascending batches and read in index order.
-#[derive(Default)]
-struct RunCache<T> {
-    /// `(first global index, position of its value in `vals`)` per run,
-    /// ascending, no two runs adjacent; a run ends where the next begins.
-    runs: Vec<(u64, usize)>,
-    vals: Vec<T>,
-}
-
-impl<T: Copy> RunCache<T> {
-    /// The run holding `idx`: its first index and its values.
-    #[inline]
-    fn run_at(&self, idx: u64) -> Option<(u64, &[T])> {
-        let r = self
-            .runs
-            .partition_point(|run| run.0 <= idx)
-            .checked_sub(1)?;
-        let (first, vals) = self.run(r);
-        (idx - first < vals.len() as u64).then_some((first, vals))
-    }
-
-    fn run(&self, r: usize) -> (u64, &[T]) {
-        let (first, at) = self.runs[r];
-        let end = self.runs.get(r + 1).map_or(self.vals.len(), |next| next.1);
-        (first, &self.vals[at..end])
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (u64, &[T])> {
-        (0..self.runs.len()).map(|r| self.run(r))
-    }
-
-    /// Append `vals` as the elements from `first` on, which must lie past
-    /// every index held: the last run grows if they continue it.
-    fn extend(&mut self, first: u64, vals: &[T]) {
-        let end = self
-            .runs
-            .last()
-            .map(|&(f, at)| f + (self.vals.len() - at) as u64);
-        debug_assert!(end.is_none_or(|end| end <= first), "unsorted merge");
-        if end != Some(first) {
-            self.runs.push((first, self.vals.len()));
-        }
-        self.vals.extend_from_slice(vals);
-    }
-
-    fn clear(&mut self) {
-        self.runs.clear();
-        self.vals.clear();
-    }
 }
 
 /// Type-erased face of [`GArray<T>`] — the one `dyn` over arrays — for
@@ -388,12 +361,14 @@ pub(crate) trait GArrayObj: Any + Send {
     /// arena and return the arena position of the first — value `i` sits at
     /// the returned position plus `i`, which is what the waiters' slots are
     /// filled with. `cache_idxs`, when given, holds the values' global
-    /// indices (ascending) and populates the read cache.
+    /// indices (ascending) and caches the values where they landed.
     fn absorb_response(&mut self, values: Values, cache_idxs: Option<&[u64]>) -> u32;
-    /// Drop the phase's response values (global phase end).
+    /// Drop the phase's response values (global phase end) unless cached
+    /// lines still point into them.
     fn arena_clear(&mut self);
-    /// Whether the response arena is empty (phase-lifetime assertion).
-    fn arena_is_empty(&self) -> bool;
+    /// The values in the response arena and the lines in the read cache
+    /// (phase-lifetime assertion).
+    fn arena_lines(&self) -> (usize, usize);
     /// Drain the write buffer into per-destination parcels (the destination
     /// may be this node itself), reporting write-write conflicts among this
     /// node's VPs to `conflicts` (the checker's, when it is on).
@@ -432,12 +407,12 @@ pub(crate) trait GArrayObj: Any + Send {
     /// subset payload and its modeled wire byte size — `None` if `values`
     /// is not a payload of this array's element type.
     fn refresh_select(&self, values: &dyn Any, take: &[Range<usize>]) -> Option<(Values, u64)>;
-    /// Receiver side of an owner push: insert `idxs[i] → values[i]`
-    /// (ascending) into the read cache; `None` as for
+    /// Receiver side of an owner push: append `values` to the arena and
+    /// cache `idxs[i] → values[i]` (ascending) there; `None` as for
     /// [`Self::refresh_select`].
     fn refresh_absorb(&mut self, idxs: &[u64], values: &dyn Any) -> Option<()>;
-    /// Drop every cached remote value (invalidation at phase end when the
-    /// array took writes, and at construct entry).
+    /// Drop every cached remote value and empty the arena (invalidation at
+    /// phase end when the array took writes, and at construct entry).
     fn cache_clear(&mut self);
     /// Current distribution of the array (layout + length + nodes).
     fn dist(&self) -> &Dist;
@@ -492,28 +467,18 @@ impl<T: Elem> GArrayObj for GArray<T> {
         let values = values
             .downcast::<Vec<T>>()
             .expect("response payload type mismatch");
-        if let Some(idxs) = cache_idxs {
-            debug_assert_eq!(values.len(), idxs.len());
-            self.cache_merge(idxs.iter().copied().zip(values.iter().copied()));
-        }
-        let base = self.arena.len();
-        self.arena.extend_from_slice(&values);
-        ledger!(self.held, self.held_bytes());
-        // Slots hold `u32` positions; the end bounds every one of them. Only
-        // a phase that reads four billion remote elements trips it.
-        assert!(
-            self.arena.len() <= u32::MAX as usize,
-            "response arena overflow"
-        );
-        base as u32
+        self.arena_append(&values, cache_idxs)
     }
 
     fn arena_clear(&mut self) {
-        self.arena.clear();
+        if self.cache.is_empty() {
+            self.arena.clear();
+        }
     }
 
-    fn arena_is_empty(&self) -> bool {
-        self.arena.is_empty()
+    fn arena_lines(&self) -> (usize, usize) {
+        let lines = self.cache.iter().map(|run| run.2 as usize).sum();
+        (self.arena.len(), lines)
     }
 
     fn drain_writes(&mut self, conflicts: Option<Conflicts<'_>>) -> Vec<WriteParcel> {
@@ -572,12 +537,13 @@ impl<T: Elem> GArrayObj for GArray<T> {
         debug_assert_eq!(values.len(), idxs.len());
         // `idxs` ascends: a refresh part lists written indices in apply
         // order, which is ascending by index.
-        self.cache_merge(idxs.iter().copied().zip(values.iter().copied()));
+        self.arena_append(values, Some(idxs));
         Some(())
     }
 
     fn cache_clear(&mut self) {
-        self.rcache.clear();
+        self.cache.clear();
+        self.arena.clear();
     }
 
     fn dist(&self) -> &Dist {
@@ -673,11 +639,21 @@ pub(super) mod tests {
     use crate::elem::{AccumElem, AccumOp};
     use crate::GlobalShared;
 
-    /// Response parts append to the arena in arrival order and report
-    /// their base position; the cache learns the same values by one sorted
-    /// merge (new indices interleave, known ones refresh); clearing the
-    /// arena leaves the cache alone.
-    pub fn response_arena_and_cache_merge() {
+    impl<T: Elem> GArray<T> {
+        /// The cached lines, run by run: first index and values.
+        fn lines(&self) -> Vec<(u64, &[T])> {
+            let run =
+                |run: &(u64, u32, u32)| self.run_at(run.0).expect("a run holds its first line");
+            self.cache.iter().map(run).collect()
+        }
+    }
+
+    /// Response parts and refresh pushes append to the arena in arrival
+    /// order and report their base position; the cache points at the values
+    /// where they landed — new indices interleave, a known one takes its new
+    /// value. The drain keeps an arena that backs cached lines, and
+    /// `cache_clear` empties both.
+    pub fn response_arena_is_the_read_cache() {
         let mut ga: GArray<u64> = GArray::new(Dist::block(100, 2), 0);
         let b0 = ga.absorb_response(Box::new(vec![160u64, 180]), Some(&[60, 80]));
         let b1 = ga.absorb_response(
@@ -688,7 +664,6 @@ pub(super) mod tests {
         assert_eq!((b0, b1, b2), (0, 2, 6));
         assert_eq!(ga.arena_get(b1 + 2), 181);
         assert_eq!(ga.arena_get(b2), 1);
-        let lines: Vec<(u64, &[u64])> = ga.rcache.iter().collect();
         let want: [(u64, &[u64]); 5] = [
             (50, &[150]),
             (60, &[160]),
@@ -696,24 +671,39 @@ pub(super) mod tests {
             (80, &[181]),
             (99, &[199]),
         ];
-        assert_eq!(lines, want);
+        assert_eq!(ga.lines(), want);
+        assert_eq!(ga.cache[3], (80, 4, 1), "line 80 points at its new value");
         assert_eq!(ga.cache_get(70), Some(170));
         assert_eq!(ga.cache_get(71), None);
         ga.refresh_absorb(&[55, 70], &vec![155u64, 171]);
         assert_eq!(ga.cache_get(55), Some(155));
         assert_eq!(ga.cache_get(60), Some(160), "an entry not pushed is kept");
         assert_eq!(ga.cache_get(70), Some(171));
-        assert!(!ga.arena_is_empty());
+        assert_eq!(ga.arena_lines(), (9, 6), "no value moved or left");
         ga.arena_clear();
-        assert!(ga.arena_is_empty());
+        assert_eq!(ga.arena_lines(), (9, 6), "the arena backs cached lines");
         assert_eq!(ga.cache_get(99), Some(199));
+        ga.cache_clear();
+        assert_eq!(ga.arena_lines(), (0, 0));
+        assert_eq!(ga.cache_get(99), None);
+        assert_eq!(ga.absorb_response(Box::new(vec![7u64]), None), 0);
+        ga.arena_clear();
+        assert_eq!(
+            ga.arena_lines(),
+            (0, 0),
+            "nothing cached: the drain empties it"
+        );
     }
 
-    /// The run cache is a sorted map: after every random ascending batch —
+    /// The read cache is a sorted map: after every random ascending batch —
     /// fresh lines, refreshed ones, batches that touch, bridge or extend
     /// runs — each look-up, and each span's bounds and contents, are what a
-    /// `BTreeMap` of the same lines gives; lines that touch share a run; an
-    /// owned range cuts the spans it crosses; clearing forgets everything.
+    /// `BTreeMap` of the same lines gives; an owned range cuts the spans it
+    /// crosses; clearing forgets everything. No value moves: the arena grows
+    /// by exactly each batch, consecutive lines of one batch form one run,
+    /// runs never overlap, and a span ends at an unknown line, at the owned
+    /// range, or where the next line's value is not next in the arena (two
+    /// touching runs fetched in different batches sit apart there).
     pub fn run_cache_equals_a_sorted_map() {
         use std::collections::BTreeMap;
         const LEN: usize = 96;
@@ -724,35 +714,47 @@ pub(super) mod tests {
             let dist = [Dist::block(LEN, 3), Dist::cyclic(LEN, 3)][case % 2].clone();
             let mut ga: GArray<u64> = GArray::new(dist, 1);
             let owned = ga.owned.clone();
-            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            // Each line's value and its arena position.
+            let mut model: BTreeMap<u64, (u64, usize)> = BTreeMap::new();
             for batch in 0..8 {
                 let mut idxs: Vec<u64> = Vec::new();
+                let mut stretches: Vec<Range<u64>> = Vec::new();
                 let mut at = g.u64_in(0..LEN as u64 / 2);
                 while at < LEN as u64 && idxs.len() < 20 {
                     // A stretch of consecutive lines, then a gap.
                     let stretch = g.u64_in(1..8).min(LEN as u64 - at);
                     idxs.extend(at..at + stretch);
+                    stretches.push(at..at + stretch);
                     at += stretch + g.u64_in(1..12);
                 }
                 let vals: Vec<u64> = idxs.iter().map(|i| i * 100 + batch).collect();
+                let base = ga.arena_lines().0;
                 if batch % 2 == 0 {
                     ga.absorb_response(Box::new(vals.clone()), Some(&idxs));
                 } else {
                     ga.refresh_absorb(&idxs, &vals).unwrap();
                 }
-                model.extend(idxs.iter().copied().zip(vals));
+                let grown = ga.arena_lines().0 - base;
+                assert_eq!(grown, idxs.len(), "case {case}: a merge copied values");
+                let at = (base..).map(|pos| (vals[pos - base], pos));
+                model.extend(idxs.iter().copied().zip(at));
 
-                let runs = &ga.rcache.runs;
+                let runs = &ga.cache;
                 assert!(
-                    runs.windows(2).all(|w| {
-                        let lines = (w[1].1 - w[0].1) as u64;
-                        w[0].0 + lines < w[1].0 && lines > 0
-                    }),
-                    "case {case}: runs touch, overlap or are empty: {runs:?}"
+                    runs.windows(2).all(|w| w[0].0 + w[0].2 as u64 <= w[1].0)
+                        && runs.iter().all(|run| run.2 > 0),
+                    "case {case}: runs overlap or are empty: {runs:?}"
                 );
-                assert_eq!(ga.rcache.vals.len(), model.len());
+                for s in &stretches {
+                    assert!(
+                        runs.iter()
+                            .any(|run| run.0 <= s.start && s.end <= run.0 + run.2 as u64),
+                        "case {case}: new lines {s:?} split: {runs:?}"
+                    );
+                }
+                assert_eq!(ga.arena_lines().1, model.len());
                 for idx in 0..LEN {
-                    let line = model.get(&(idx as u64)).copied();
+                    let line = model.get(&(idx as u64)).map(|l| l.0);
                     assert_eq!(ga.cache_get(idx as u64), line, "case {case}: line {idx}");
                     if ga.owned_offset(idx).is_some() {
                         continue;
@@ -767,21 +769,28 @@ pub(super) mod tests {
                         "case {case}: {idx} outside its span"
                     );
                     for (k, v) in span.iter().enumerate() {
-                        assert_eq!(model.get(&((lo + k) as u64)), Some(v), "case {case}");
+                        let line = model.get(&((lo + k) as u64)).map(|l| &l.0);
+                        assert_eq!(line, Some(v), "case {case}");
                         assert!(!owned.contains(&(lo + k)), "case {case}: owned {}", lo + k);
                     }
-                    // Maximal: it ends at an unknown line or at the owned range.
-                    let stops = |i: usize| !model.contains_key(&(i as u64)) || owned.contains(&i);
+                    // Maximal: it ends at an unknown line, at the owned
+                    // range, or where the next line's value is not next in
+                    // the arena.
+                    let pos = |i: usize| {
+                        let line = model.get(&(i as u64)).filter(|_| !owned.contains(&i));
+                        line.map(|l| l.1)
+                    };
+                    let joins = |i: usize| pos(i).is_some() && pos(i) == pos(i - 1).map(|p| p + 1);
                     assert!(
-                        lo == 0 || stops(lo - 1),
+                        lo == 0 || !joins(lo),
                         "case {case}: span of {idx} starts late"
                     );
-                    assert!(stops(hi), "case {case}: span of {idx} ends early");
+                    assert!(!joins(hi), "case {case}: span of {idx} ends early");
                 }
             }
             ga.cache_clear();
             assert!((0..LEN as u64).all(|i| ga.cache_get(i).is_none()));
-            assert!(ga.rcache.runs.is_empty() && ga.rcache.vals.is_empty());
+            assert_eq!(ga.arena_lines(), (0, 0));
         }
     }
 

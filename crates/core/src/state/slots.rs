@@ -33,7 +33,8 @@ enum Slot {
     Free,
     Waiting,
     /// Answered: the value sits at this position of the array's response
-    /// arena ([`super::GArray::arena_get`]) until the phase ends.
+    /// arena ([`super::GArray::arena_get`]). No value moves there, and the
+    /// arena is emptied only at a global phase end or a construct entry.
     Filled(u32),
     /// The future that owned the slot was dropped before its response
     /// arrived (select-style cancellation); the late fill frees the slot.

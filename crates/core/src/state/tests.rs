@@ -41,7 +41,7 @@ run_here! {
     slots::read_positions_are_checked_at_the_u32_boundary;
     table::first_seen_matches_a_map_and_reuses_its_buckets;
     cell::bulk_accesses_cost_per_call_not_per_element;
-    arrays::response_arena_and_cache_merge;
+    arrays::response_arena_is_the_read_cache;
     arrays::run_cache_equals_a_sorted_map;
     #[should_panic(expected = "node element 0: put and accumulate mixed")]
     arrays::node_mixed_write_kinds_panic;

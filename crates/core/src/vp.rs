@@ -451,16 +451,19 @@ type Deferred = (u32, usize, u32);
 /// 8-byte `pending` record on a wave slot; a repeat of one makes no request
 /// and takes no slot. For an element of at most 8 bytes `values` is the
 /// output, placeholders included, and a repeat is an 8-byte `dups` record.
-/// A wider element (`COMPACT`) is held by value only where it must be read
-/// now — a read-cache hit (a later wave's merge moves the cache) or a local
-/// of a tiled array (its tile may spill before the read resolves). While
-/// parked, the rest stay where they are, until the read resolves
-/// (DESIGN.md §16): locals of an in-core partition as `spans`, remote values
-/// in the response arena, and repeats as `runs`. Both stay valid for the
-/// whole phase — writes land at phase end, partitions move only at phase
-/// boundaries, and the arena is emptied only by the global phase end. The
-/// records are the same with the checker on or off: it only cuts a span at
-/// the elements the VP wrote, and consecutive pieces extend one record.
+/// A wider element (`COMPACT`) is held by value only where no record names
+/// it — a read-cache hit (`cached_span` hands out the values, not their
+/// arena positions) — or where it must be read now — a local of a tiled
+/// array (its tile may spill before the read resolves). While parked, the
+/// rest stay where they are, until the read resolves (DESIGN.md §16):
+/// locals of an in-core partition as `spans`, remote values in the response
+/// arena, and repeats as `runs`. Both stay valid for the whole phase —
+/// writes land at phase end, partitions move only at phase boundaries, and
+/// no arena value moves: the arena is emptied only at a global phase end
+/// (with nothing cached) or with the cache (when the array took writes, and
+/// at construct entry). The records are the same with the checker on or
+/// off: it only cuts a span at the elements the VP wrote, and consecutive
+/// pieces extend one record.
 pub struct GetManyFut<'a, T: Elem, I> {
     cell: &'a VpCell,
     array: u32,
