@@ -386,16 +386,17 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(
                 .concat();
                 let mut many = ph.get_many(&a, main.clone());
                 assert!(poll_once(&mut many).await.is_pending());
-                // Narrow: every position, 11 remote repeats. Wide: the 11 and
-                // the cache hit's repeat in 8 runs, no first occurrence of a
-                // remote element, and no local of an in-core partition (4
-                // spans) — only the two cache hits and, under a budget, the
-                // tiled locals — with no reservation for the rest.
+                // Narrow: every position, 11 remote repeats. Wide: the 11 in
+                // 7 runs, no first occurrence of a remote element, no cache
+                // hit (2 spans into the arena: the two hits, then the
+                // repeat) and no local of an in-core partition (4 more
+                // spans) — only, under a budget, the tiled locals — with no
+                // reservation for the rest.
                 let (held, capacity, spans, repeats, _) = many.held();
                 let expect = match (wide, budget) {
                     (false, _) => (25, 0, 11),
-                    (true, true) => (9, 0, 8),
-                    (true, false) => (2, 4, 8),
+                    (true, true) => (7, 2, 7),
+                    (true, false) => (0, 6, 7),
                 };
                 assert_eq!((held, spans, repeats), expect);
                 assert!(if wide {
@@ -459,13 +460,13 @@ fn bulk_read_of<T: crate::Elem + PartialEq>(
 }
 
 /// A parked bulk read of elements wider than an 8-byte record holds no
-/// output position for a repeat or a first occurrence, and none for a
-/// local of an in-core partition; every observable — output, counters,
-/// slots — is the `f64` path's, in core and under a tile budget, with the
-/// checker on and off, and a rerun of the wide read gives the same
-/// counters.
+/// output position for a repeat, a first occurrence or a read-cache hit,
+/// and none for a local of an in-core partition: in core it holds no value
+/// at all. Every observable — output, counters, slots — is the `f64`
+/// path's, in core and under a tile budget, with the checker on and off,
+/// and a rerun of the wide read gives the same counters.
 #[test]
-fn a_parked_bulk_read_of_wide_elements_holds_first_occurrences_only() {
+fn a_parked_bulk_read_of_wide_elements_holds_tiled_locals_only() {
     let wide = |checker, budget| {
         bulk_read_of(checker, budget, |i| {
             let x = i as f64;
@@ -486,6 +487,14 @@ fn a_parked_bulk_read_of_wide_elements_holds_first_occurrences_only() {
             );
         }
     }
+}
+
+/// A wide bulk read's span record tags an arena position in its offset
+/// instead of carrying its source beside it, so a parked read's spans cost
+/// what they cost when they named locals only.
+#[test]
+fn a_span_record_is_16_bytes() {
+    assert_eq!(std::mem::size_of::<crate::vp::SpanRecord>(), 16);
 }
 
 /// What [`span_read_of`] sees on one node: the read's output; its access

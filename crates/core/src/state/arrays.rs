@@ -100,7 +100,7 @@ pub(crate) struct GArray<T: Elem> {
     /// as `(first global index, arena position, length)` runs, ascending,
     /// no two overlapping: consecutive indices whose values sit at
     /// consecutive arena positions. Consulted before a remote read is
-    /// queued ([`Self::cached_span`]); cleared with the arena when the array
+    /// queued ([`Self::span`]); cleared with the arena when the array
     /// takes writes (`coherence.rs`) and at construct entry.
     cache: Vec<(u64, u32, u32)>,
     held: Held<ARENA>,
@@ -180,20 +180,24 @@ impl<T: Elem> GArray<T> {
         self.wlog.record(dist, self.node, vp, kind, combine, items)
     }
 
-    /// Where a VP's read of element `idx`, in a phase of kind `kind`,
-    /// lands: the stretch of owned elements around it that one residency
-    /// answer covers — the owned span of an in-core contiguous partition;
-    /// under `tiles`, `idx`'s tile; `idx` alone under a cyclic layout, whose
-    /// neighbours live on other nodes — or `None` for a remote element,
-    /// which only a global phase may read. A resident span's reads are
-    /// plain loads until the poll ends; a spilled one's park on its tile.
+    /// Where element `idx` is, for a VP's read in a phase of kind `kind`:
+    /// the stretch around it that one answer covers, or `None` for a remote
+    /// element the read must request. An owned element's is the owned span
+    /// of an in-core contiguous partition; under `tiles`, `idx`'s tile;
+    /// `idx` alone under a cyclic layout, whose neighbours live on other
+    /// nodes. A remote element, which only a global phase may read (the
+    /// check comes before the cache is asked), is found in its cached run,
+    /// which stops at the owned range: ownership shadows the cache — a
+    /// migration moves the cut over lines cached before it (`forget_arrays`
+    /// keeps them). A resident span's and a cached run's reads are plain
+    /// loads until the poll ends; a spilled one's park on its tile.
     #[inline]
-    pub fn owned_span(
+    pub fn span(
         &self,
         tiles: Option<&ArrayTiles>,
         kind: PhaseKind,
         idx: usize,
-    ) -> Option<OwnedSpan<'_, T>> {
+    ) -> Option<Span<'_, T>> {
         let (off, offs, tile) = if self.owned.contains(&idx) {
             let off = idx - self.owned.start;
             let offs = tiles.map_or(0..self.local.len(), |t| t.tile_span(off));
@@ -207,7 +211,26 @@ impl<T: Elem> GArray<T> {
                      use a global phase",
                     self.dist.owner(idx)
                 );
-                return None;
+                let before = self.cache.partition_point(|run| run.0 <= idx as u64);
+                let &(first, pos, len) = self.cache[..before].last()?;
+                let (first, end) = (first as usize, (first + len as u64) as usize);
+                if idx >= end {
+                    return None;
+                }
+                // A cyclic layout's `owned` is empty and its ownership never
+                // moves.
+                let (lo, hi) = if idx < self.owned.start {
+                    (first, end.min(self.owned.start))
+                } else {
+                    (first.max(self.owned.end), end)
+                };
+                let pos = pos as usize + lo - first;
+                return Some(Span {
+                    first: lo,
+                    off: IN_ARENA | pos,
+                    vals: &self.arena[pos..pos + hi - lo],
+                    at: At::Arena,
+                });
             };
             // A cyclic layout's element, alone: its neighbours are remote.
             (
@@ -216,14 +239,27 @@ impl<T: Elem> GArray<T> {
                 tiles.map_or(0, |t| t.tile_span(off).start),
             )
         };
-        Some(OwnedSpan {
+        let cold = tiles.and_then(|t| t.cold_tile(off));
+        Some(Span {
             first: idx - (off - offs.start),
             off: offs.start,
             vals: &self.local[offs],
-            cold: tiles
-                .and_then(|t| t.cold_tile(off))
-                .map(|cold| (cold, tile)),
+            at: cold.map_or(At::Local, |cold| At::Cold(cold, tile)),
         })
+    }
+
+    /// The `len` values from `off` of a [`Span`]: local offsets, or arena
+    /// positions for an [`At::Arena`] one. Only a read future smuggled out
+    /// of its phase body and polled in a later one can find the arena
+    /// emptied; the text says so.
+    pub fn spanned(&self, off: usize, len: usize) -> &[T] {
+        match off.checked_sub(IN_ARENA) {
+            None => &self.local[off..off + len],
+            Some(pos) => self
+                .arena
+                .get(pos..pos + len)
+                .expect("remote read polled after its phase ended"),
+        }
     }
 
     /// Local offset of an element the exchange protocol routed here. Cannot
@@ -249,38 +285,11 @@ impl<T: Elem> GArray<T> {
     /// tests).
     #[cfg(test)]
     pub fn cache_get(&self, idx: u64) -> Option<T> {
-        let (first, vals) = self.run_at(idx)?;
-        Some(vals[(idx - first) as usize])
-    }
-
-    /// The cached run holding `idx`: its first index and its values.
-    #[inline]
-    fn run_at(&self, idx: u64) -> Option<(u64, &[T])> {
-        let before = self.cache.partition_point(|run| run.0 <= idx);
-        let &(first, at, len) = self.cache[..before].last()?;
-        (idx - first < len as u64).then(|| (first, &self.arena[at as usize..][..len as usize]))
-    }
-
-    /// The second kind of hot span: the cached values around remote element
-    /// `idx`, with their first global index. Ownership shadows the cache — a
-    /// migration moves the cut over lines cached before it (`forget_arrays`
-    /// keeps them) — so the span stops at the owned range; `idx` itself must
-    /// not be owned.
-    #[inline]
-    pub fn cached_span(&self, idx: usize) -> Option<(usize, &[T])> {
-        debug_assert!(
-            self.owned_offset(idx).is_none(),
-            "cached span of an owned element"
-        );
-        let (first, vals) = self.run_at(idx as u64)?;
-        let first = first as usize;
-        // A cyclic layout's `owned` is empty and its ownership never moves.
-        let (lo, hi) = if idx < self.owned.start {
-            (first, (first + vals.len()).min(self.owned.start))
-        } else {
-            (first.max(self.owned.end), first + vals.len())
-        };
-        Some((lo, &vals[lo - first..hi - first]))
+        let run = self
+            .cache
+            .iter()
+            .find(|run| run.0 <= idx && idx - run.0 < run.2 as u64)?;
+        Some(self.arena[run.1 as usize + (idx - run.0) as usize])
     }
 
     /// Append `values` to the arena and return the position of the first;
@@ -335,15 +344,31 @@ impl<T: Elem> GArray<T> {
     }
 }
 
-/// What [`GArray::owned_span`] finds around an owned element.
-pub(crate) struct OwnedSpan<'a, T> {
+/// Where a [`Span`]'s values are.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum At {
+    /// Owned and resident: a read is a load.
+    Local,
+    /// Owned, in spilled tile `.0`, which starts at local offset `.1`: a
+    /// read defers until the executor refills the tile.
+    Cold(u32, usize),
+    /// Remote, in the read cache: a read is a hit, a load from the arena.
+    Arena,
+}
+
+/// The tag on a [`Span`] offset that is an arena position, not a local
+/// offset: one `usize` names either, and no run of one meets the other.
+const IN_ARENA: usize = 1 << (usize::BITS - 1);
+
+/// What [`GArray::span`] finds around an element.
+pub(crate) struct Span<'a, T> {
     /// The global index of `vals[0]`.
     pub first: usize,
-    /// The local offset of `vals[0]`.
+    /// Where `vals[0]` is: its local offset, or its arena position tagged
+    /// with [`IN_ARENA`] ([`GArray::spanned`] reads either).
     pub off: usize,
     pub vals: &'a [T],
-    /// If the span is spilled: its tile, and the tile's first local offset.
-    pub cold: Option<(u32, usize)>,
+    pub at: At,
 }
 
 /// Type-erased face of [`GArray<T>`] — the one `dyn` over arrays — for
@@ -642,8 +667,9 @@ pub(super) mod tests {
     impl<T: Elem> GArray<T> {
         /// The cached lines, run by run: first index and values.
         fn lines(&self) -> Vec<(u64, &[T])> {
-            let run =
-                |run: &(u64, u32, u32)| self.run_at(run.0).expect("a run holds its first line");
+            let run = |&(first, at, len): &(u64, u32, u32)| {
+                (first, &self.arena[at as usize..][..len as usize])
+            };
             self.cache.iter().map(run).collect()
         }
     }
@@ -697,8 +723,8 @@ pub(super) mod tests {
 
     /// The read cache is a sorted map: after every random ascending batch —
     /// fresh lines, refreshed ones, batches that touch, bridge or extend
-    /// runs — each look-up, and each span's bounds and contents, are what a
-    /// `BTreeMap` of the same lines gives; an owned range cuts the spans it
+    /// runs — each look-up, and each span's bounds, contents and arena
+    /// position, are what a `BTreeMap` of the same lines gives; an owned range cuts the spans it
     /// crosses; clearing forgets everything. No value moves: the arena grows
     /// by exactly each batch, consecutive lines of one batch form one run,
     /// runs never overlap, and a span ends at an unknown line, at the owned
@@ -759,10 +785,17 @@ pub(super) mod tests {
                     if ga.owned_offset(idx).is_some() {
                         continue;
                     }
-                    let Some((lo, span)) = ga.cached_span(idx) else {
+                    let Some(Span {
+                        first: lo,
+                        off,
+                        vals: span,
+                        at,
+                    }) = ga.span(None, PhaseKind::Global, idx)
+                    else {
                         assert_eq!(line, None, "case {case}: no span at cached {idx}");
                         continue;
                     };
+                    assert!(at == At::Arena && ga.spanned(off, span.len()) == span);
                     let hi = lo + span.len();
                     assert!(
                         (lo..hi).contains(&idx),

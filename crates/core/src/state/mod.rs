@@ -48,7 +48,7 @@ mod table;
 mod tiles;
 mod wlog;
 
-pub(crate) use arrays::{array_mut, array_ref, Arrays, GArray, GArrayObj, Values};
+pub(crate) use arrays::{array_mut, array_ref, Arrays, At, GArray, GArrayObj, Values};
 pub(crate) use cell::{PollGuard, VpCell, VpState};
 pub use inner::PhaseKind;
 pub(crate) use inner::{DoMode, Inner, Traffic};

@@ -55,7 +55,7 @@ impl ArrayTiles {
 /// store), so spill/refill moves no data; exchange-path reads (serve,
 /// refresh, snapshot, migration) stream from the backing store without
 /// admission. What residency gates is the VP read hot path: a read of a
-/// cold tile parks the VP ([`super::GArray::owned_span`]) until the
+/// cold tile parks the VP ([`super::GArray::span`]) until the
 /// executor refills the tile, evicting the least-recently-touched
 /// resident tiles to stay under budget.
 #[derive(Default)]

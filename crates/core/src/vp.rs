@@ -27,7 +27,7 @@ use crate::elem::{AccumElem, AccumOp, Elem};
 use crate::ledger::{ledger, Held, PARKED};
 use crate::shared::{GlobalShared, NodeShared};
 use crate::state::{
-    array_ref, read_position, DoMode, FirstSeen, GArray, PhaseKind, QueuedReq, VpCell, VpSlots,
+    array_ref, read_position, At, DoMode, FirstSeen, GArray, PhaseKind, QueuedReq, VpCell, VpSlots,
     VpState, WKind,
 };
 
@@ -383,18 +383,22 @@ impl<T: Elem> Future for GetFut<'_, T> {
                     if let Some(own) = s.own_writes.as_mut() {
                         own.read((Space::Global, this.array, idx as u64));
                     }
-                    if let Some(span) = ga.owned_span(tiles, kind, idx) {
-                        let off = span.off + (idx - span.first);
-                        this.state = GetFutState::Deferred(off);
-                        let got = this.cell.read_resident(faults, ga, tiles, this.array, off);
-                        (got, (0, 0))
-                    } else if let Some((first, vals)) = ga.cached_span(idx) {
-                        (Some(vals[idx - first]), (1, 0))
-                    } else {
-                        let (slots, reqs) = (&mut s.slots, &mut inner.reqs);
-                        let slot = this.cell.issue_get(slots, reqs, ga, this.array, idx);
-                        this.state = GetFutState::Slot(slot);
-                        (None, (0, 1))
+                    match ga.span(tiles, kind, idx) {
+                        Some(span) if span.at == At::Arena => {
+                            (Some(span.vals[idx - span.first]), (1, 0))
+                        }
+                        Some(span) => {
+                            let off = span.off + (idx - span.first);
+                            this.state = GetFutState::Deferred(off);
+                            let got = this.cell.read_resident(faults, ga, tiles, this.array, off);
+                            (got, (0, 0))
+                        }
+                        None => {
+                            let (slots, reqs) = (&mut s.slots, &mut inner.reqs);
+                            let slot = this.cell.issue_get(slots, reqs, ga, this.array, idx);
+                            this.state = GetFutState::Slot(slot);
+                            (None, (0, 1))
+                        }
                     }
                 }
                 GetFutState::Deferred(off) => {
@@ -426,22 +430,14 @@ impl<T: Elem> Drop for GetFut<'_, T> {
     }
 }
 
-/// What the span a bulk read's first poll is in holds
-/// ([`GetManyFut::poll`]).
-#[derive(Clone, Copy, PartialEq)]
-enum Run {
-    /// Owned and resident: a read is a load.
-    Resident,
-    /// Owned, in a spilled tile — the one from this local offset on: a
-    /// read defers.
-    Cold(usize),
-    /// Remote, in the read cache: a read is a hit.
-    Cached,
-}
-
 /// A [`GetManyFut`]'s run of locals of one spilled tile: `(index in values,
 /// local offset, length)`.
 type Deferred = (u32, usize, u32);
+
+/// A [`GetManyFut`]'s run of wide elements read at resolve where
+/// [`GArray::span`] found them: `(position, offset, length)`, the offset a
+/// local one or a tagged arena position ([`GArray::spanned`] reads either).
+pub(crate) type SpanRecord = (u32, usize, u32);
 
 /// Future returned by [`Phase::get_many`]. Like [`GetFut`], it may be
 /// dropped unresolved.
@@ -451,19 +447,18 @@ type Deferred = (u32, usize, u32);
 /// 8-byte `pending` record on a wave slot; a repeat of one makes no request
 /// and takes no slot. For an element of at most 8 bytes `values` is the
 /// output, placeholders included, and a repeat is an 8-byte `dups` record.
-/// A wider element (`COMPACT`) is held by value only where no record names
-/// it — a read-cache hit (`cached_span` hands out the values, not their
-/// arena positions) — or where it must be read now — a local of a tiled
-/// array (its tile may spill before the read resolves). While parked, the
-/// rest stay where they are, until the read resolves (DESIGN.md §16):
-/// locals of an in-core partition as `spans`, remote values in the response
-/// arena, and repeats as `runs`. Both stay valid for the whole phase —
-/// writes land at phase end, partitions move only at phase boundaries, and
-/// no arena value moves: the arena is emptied only at a global phase end
-/// (with nothing cached) or with the cache (when the array took writes, and
-/// at construct entry). The records are the same with the checker on or
-/// off: it only cuts a span at the elements the VP wrote, and consecutive
-/// pieces extend one record.
+/// A wider element (`COMPACT`) is held by value only where it must be read
+/// now: a local of a tiled array, whose tile may spill before the read
+/// resolves. While parked, the rest stay where they are until the read
+/// resolves (DESIGN.md §16): locals of an in-core partition and read-cache
+/// hits as `spans` into the partition or the response arena, requested
+/// values in the arena, and their repeats as `runs`. All stay valid for
+/// the whole phase — writes land at phase end, partitions move only at
+/// phase boundaries, and no arena value moves: the arena is emptied only at
+/// a global phase end (with nothing cached) or with the cache (when the
+/// array took writes, and at construct entry). The records are the same
+/// with the checker on or off: it only cuts a span at the elements the VP
+/// wrote, and consecutive pieces extend one record.
 pub struct GetManyFut<'a, T: Elem, I> {
     cell: &'a VpCell,
     array: u32,
@@ -472,8 +467,8 @@ pub struct GetManyFut<'a, T: Elem, I> {
     /// Output positions issued.
     len: usize,
     /// The values held, in request order: every position of a narrow
-    /// element, else cache hits and tiled locals only. A placeholder stands
-    /// in until `pending` (narrow) or `deferred` fills it.
+    /// element, else tiled locals only. A placeholder stands in until
+    /// `pending` (narrow) or `deferred` fills it.
     values: Vec<T>,
     /// `(position, slot)` per distinct remote element parked on a wave slot:
     /// until the value is copied into `values` (narrow) or read from the
@@ -486,16 +481,16 @@ pub struct GetManyFut<'a, T: Elem, I> {
     /// indices inside it defer on a range test. Where the checker cuts the
     /// span at elements the VP wrote, the pieces extend the same records.
     deferred: Vec<Deferred>,
-    /// Wider elements of an in-core partition: `(position, local offset,
-    /// length)` per run of locals — consecutive positions reading
-    /// consecutive offsets — copied from the partition at resolve.
-    spans: Vec<(u32, usize, u32)>,
+    /// Wider elements of an in-core partition or the read cache, per run
+    /// of consecutive positions reading consecutive offsets of one source,
+    /// copied from the partition or the arena at resolve.
+    spans: Vec<SpanRecord>,
     /// Elements of at most 8 bytes: `(position, position of the first
     /// occurrence)` per repeat — a copy of the first occurrence's value once
     /// that has arrived.
     dups: Vec<(u32, u32)>,
-    /// Wider elements: `(position, first, len)` per run of repeats — copies
-    /// of the output at `first..first + len`. Consecutive repeats of
+    /// Wider elements: `(position, first, len)` per run of repeats of
+    /// requested elements — copies of the output at `first..first + len`. Consecutive repeats of
     /// consecutive first occurrences (a Barnes–Hut leaf's bodies named
     /// again) are one record.
     runs: Vec<(u32, u32, u32)>,
@@ -532,20 +527,20 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                     this.values.reserve_exact(idxs.size_hint().0);
                 }
                 // An access to `hot` — elements from global index `lo` on,
-                // the first at local offset `off` if they are owned — is a
-                // load (a wide element's: a span in core, a run if it
-                // repeats a cache hit), or a deferral if `hot` is spilled.
-                // `hot` is an owned span (`GArray::owned_span`) or a run of
-                // the read cache (`GArray::cached_span`), cut where the VP
-                // wrote the array this phase (`ReadCheck::stretch`): an
-                // element it wrote is a span of its own, whose read is the
-                // hazard. A miss is requested. The charges are sums: they
-                // land once, after the poll.
+                // the first at offset `off`, all of them `at` one place — is
+                // a load (a wide element's: a span record, unless it is a
+                // local of a tiled array), or a deferral if `hot` is
+                // spilled. `hot` is what `GArray::span` found — an owned
+                // span or a run of the read cache — cut where the VP wrote
+                // the array this phase (`ReadCheck::stretch`): an element it
+                // wrote is a span of its own, whose read is the hazard. A
+                // miss is requested. The charges are sums: they land once,
+                // after the poll.
                 let own = s.own_writes.as_deref_mut();
                 let mut check = own.and_then(|own| own.reads(Space::Global, this.array));
                 let slots = &mut s.slots;
-                let (mut lo, mut off, mut hot, mut run): (usize, usize, &[T], Run) =
-                    (0, 0, &[], Run::Resident);
+                let (mut lo, mut off, mut hot, mut at): (usize, usize, &[T], At) =
+                    (0, 0, &[], At::Local);
                 let (mut hits, mut misses, mut requested) = (0u64, 0u64, 0u64);
                 let mut next = idxs.next();
                 while let Some(idx) = next {
@@ -554,18 +549,17 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                         // `hot`.
                         let run_at = this.len;
                         next = None;
-                        if matches!(run, Run::Cold(_))
-                            || Self::COMPACT && (run == Run::Cached || tiles.is_none())
+                        if matches!(at, At::Cold(..))
+                            || Self::COMPACT && (at == At::Arena || tiles.is_none())
                         {
-                            let mut at = idx;
+                            let mut i = idx;
                             loop {
-                                match run {
-                                    Run::Cached => this.hit(seen, at, hot[at - lo]),
-                                    Run::Cold(tile) => this.defer(off + at - lo, tile),
-                                    Run::Resident => this.span(off + at - lo),
+                                match at {
+                                    At::Cold(_, tile) => this.defer(off + i - lo, tile),
+                                    _ => this.span(off + i - lo),
                                 }
                                 match idxs.next() {
-                                    Some(idx) if idx.wrapping_sub(lo) < hot.len() => at = idx,
+                                    Some(idx) if idx.wrapping_sub(lo) < hot.len() => i = idx,
                                     idx => {
                                         next = idx;
                                         break;
@@ -584,37 +578,30 @@ impl<T: Elem, I: Iterator<Item = usize>> Future for GetManyFut<'_, T, I> {
                             }));
                             this.len += this.values.len() - held;
                         }
-                        if run == Run::Cached {
+                        if at == At::Arena {
                             hits += (this.len - run_at) as u64;
                         }
                         continue;
                     }
                     // Look at `idx` again, inside its span; a spilled tile's
                     // fault is noted once.
-                    (lo, hot) = match ga.owned_span(tiles, kind, idx) {
+                    (lo, hot) = match ga.span(tiles, kind, idx) {
                         Some(span) => {
-                            (off, run) = (span.off, Run::Resident);
-                            if let Some((tile, start)) = span.cold {
+                            if let At::Cold(tile, _) = span.at {
                                 faults.note(this.cell.id, (this.array, tile));
-                                run = Run::Cold(start);
                             }
+                            (off, at) = (span.off, span.at);
                             (span.first, span.vals)
                         }
-                        None => match ga.cached_span(idx) {
-                            Some(span) => {
-                                run = Run::Cached;
-                                span
+                        None => {
+                            if let Some(check) = check.as_mut() {
+                                check.stretch(idx as u64, idx as u64..idx as u64 + 1);
                             }
-                            None => {
-                                if let Some(check) = check.as_mut() {
-                                    check.stretch(idx as u64, idx as u64..idx as u64 + 1);
-                                }
-                                misses += 1;
-                                requested += this.request(slots, seen, reqs, ga, idx) as u64;
-                                next = idxs.next();
-                                continue;
-                            }
-                        },
+                            misses += 1;
+                            requested += this.request(slots, seen, reqs, ga, idx) as u64;
+                            next = idxs.next();
+                            continue;
+                        }
                     };
                     if let Some(check) = check.as_mut() {
                         let cut = check.stretch(idx as u64, lo as u64..(lo + hot.len()) as u64);
@@ -706,7 +693,7 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
         while out.len() < self.len {
             let at = out.len() as u32;
             if let Some(&(_, off, len)) = spans.next_if(|r| r.0 == at) {
-                out.extend_from_slice(&ga.local[off..off + len as usize]);
+                out.extend_from_slice(ga.spanned(off, len as usize));
             } else if let Some(&(_, slot)) = remote.next_if(|r| r.0 == at) {
                 // Cannot fire: the read resolves once every slot is filled.
                 let pos = s.slots.try_take(slot).expect("parked read resolved early");
@@ -727,17 +714,6 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
         self.len += 1;
     }
 
-    /// A read-cache hit `v` on `idx` for the next output position: held,
-    /// unless it is a wide element's repeat.
-    fn hit(&mut self, seen: &mut FirstSeen, idx: usize, v: T) {
-        if Self::COMPACT {
-            if let Some(first) = seen.first(idx as u64, read_position(self.len)) {
-                return self.repeat(first);
-            }
-        }
-        self.hold(v)
-    }
-
     /// A wide element's repeat of the one at output position `first`, for
     /// the next output position: extends the last run or starts one.
     fn repeat(&mut self, first: u32) {
@@ -750,8 +726,10 @@ impl<T: Elem, I> GetManyFut<'_, T, I> {
         }
     }
 
-    /// A wide local of an in-core partition, at local offset `off`, for the
-    /// next output position: extends the last span or starts one.
+    /// A wide element read where it is at resolve — at offset `off` of
+    /// what [`GArray::span`] found: a local of an in-core partition or a
+    /// read-cache hit — for the next output position: extends the last span
+    /// record or starts one.
     fn span(&mut self, off: usize) {
         let pos = read_position(self.len);
         self.len += 1;

@@ -428,8 +428,8 @@ fn panic_text<Fut: std::future::Future<Output = ()> + Send + 'static>(
 }
 
 /// A bulk access that may not happen panics with the text its per-element
-/// form panics with: out of bounds, out of any phase, a remote element or a
-/// global write in a node phase.
+/// form panics with: out of bounds, out of any phase, a remote element —
+/// cached or not — or a global write in a node phase.
 #[test]
 fn bulk_accesses_panic_with_the_per_element_texts() {
     for (want, per_element, bulk) in panic_cases() {
@@ -439,7 +439,7 @@ fn bulk_accesses_panic_with_the_per_element_texts() {
 }
 
 /// `(text, per-element panic, bulk panic)` of each case.
-fn panic_cases() -> [(&'static str, String, String); 6] {
+fn panic_cases() -> [(&'static str, String, String); 7] {
     [
         (
             "global read index 8 out of bounds",
@@ -497,6 +497,24 @@ fn panic_cases() -> [(&'static str, String, String); 6] {
             panic_text(|vp, a| async move {
                 let local = vp.node_id() * 4;
                 vp.node_phase(|ph| async move { drop(ph.get_many(&a, [local, 7 - local]).await) })
+                    .await
+            }),
+        ),
+        (
+            // The element a global phase read, and cached, is still remote.
+            "remote shared read inside a node phase (element 7 is on node 1); use a global phase",
+            panic_text(|vp, a| async move {
+                let far = 7 - vp.node_id() * 4;
+                vp.global_phase(|ph| async move { assert_eq!(ph.get(&a, far).await, 0) })
+                    .await;
+                vp.node_phase(|ph| async move { assert_eq!(ph.get(&a, far).await, 0) })
+                    .await
+            }),
+            panic_text(|vp, a| async move {
+                let far = 7 - vp.node_id() * 4;
+                vp.global_phase(|ph| async move { drop(ph.get_many(&a, [far]).await) })
+                    .await;
+                vp.node_phase(|ph| async move { drop(ph.get_many(&a, [far]).await) })
                     .await
             }),
         ),

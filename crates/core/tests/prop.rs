@@ -660,7 +660,8 @@ fn repeated_bulk_read_indices_at(cell: Cell) {
 }
 
 /// One step of a [`BulkScript`] VP. Array 0 holds `i64` (one element per
-/// tile under the 64 B budget), array 1 `i32` (two per tile).
+/// tile under the 64 B budget), array 1 `i32` (two per tile), array 2
+/// `[i64; 2]` — wider than a read's 8-byte records, and only ever `put`.
 #[derive(Debug, Clone, PartialEq)]
 enum BulkOp {
     /// Read these elements of an array, repeats and all.
@@ -702,12 +703,33 @@ impl Shrink for BulkScript {
     }
 }
 
+impl BulkScript {
+    /// This script with array `arr`'s steps only.
+    fn only(&self, arr: usize) -> BulkScript {
+        let keep = |op: &&BulkOp| match op {
+            BulkOp::Read(a, _) | BulkOp::Slice(a, ..) | BulkOp::Write(a, ..) => *a == arr,
+            BulkOp::Flops(_) => false,
+        };
+        let ops = |ops: &Vec<BulkOp>| ops.iter().filter(keep).cloned().collect();
+        let vps = self.vps.iter().map(|node| {
+            let vp = |phases: &Vec<Vec<BulkOp>>| phases.iter().map(ops).collect();
+            node.iter().map(vp).collect()
+        });
+        BulkScript {
+            vps: vps.collect(),
+            ..self.clone()
+        }
+    }
+}
+
 fn gen_bulk_script(g: &mut Gen) -> BulkScript {
     let nodes = g.usize_in(3..5);
     let len = g.usize_in(24..64);
     let phases = g.usize_in(2..5);
-    // Per array and element: put or accumulate target, never both.
-    let accum: Vec<Vec<bool>> = (0..2).map(|_| g.vec(len..len, |g| g.bool())).collect();
+    // Per array and element: put or accumulate target, never both; the
+    // wide array takes puts only.
+    let mut accum: Vec<Vec<bool>> = (0..2).map(|_| g.vec(len..len, |g| g.bool())).collect();
+    accum.push(vec![false; len]);
     let vps = (0..nodes)
         .map(|_| {
             g.vec(1..4, |g| {
@@ -716,7 +738,7 @@ fn gen_bulk_script(g: &mut Gen) -> BulkScript {
                 // in the last one; slices take it everywhere else.
                 let pool = g.vec(2..10, |g| g.usize_in(0..len));
                 let step = |g: &mut Gen| {
-                    let arr = g.usize_in(0..2);
+                    let arr = g.usize_in(0..3);
                     let at = |g: &mut Gen| pool[g.usize_in(0..pool.len())];
                     match g.u32_in(0..8) {
                         0 | 1 => BulkOp::Read(arr, g.vec(0..14, at)),
@@ -726,7 +748,7 @@ fn gen_bulk_script(g: &mut Gen) -> BulkScript {
                         }
                         4 => BulkOp::Flops(g.u64_in(1..400)),
                         _ => {
-                            let kind = g.bool();
+                            let kind = arr < 2 && g.bool();
                             let items = g.vec(0..10, |g| (at(g), g.u32_in(0..3) as i32));
                             let of_kind = |it: &(usize, i32)| accum[arr][it.0] == kind;
                             BulkOp::Write(arr, kind, items.into_iter().filter(of_kind).collect())
@@ -743,7 +765,7 @@ fn gen_bulk_script(g: &mut Gen) -> BulkScript {
 /// The elements `idxs` of `g`: one `get_many` (over a slice, a lazy `map`
 /// or an owned `Vec`, by `form`), or a `get` per element — all issued in one
 /// poll and then awaited together, as the bulk read's elements are.
-async fn read_elems<T: ppm_core::Elem + Into<i64>>(
+async fn read_elems<T: Logged>(
     ph: &Phase,
     g: &ppm_core::GlobalShared<T>,
     idxs: &[usize],
@@ -773,7 +795,36 @@ async fn read_elems<T: ppm_core::Elem + Into<i64>>(
             _ => ph.get_many(g, idxs.to_vec()).await,
         }
     };
-    got.into_iter().map(Into::into).collect()
+    T::log(got)
+}
+
+/// What a [`BulkScript`] VP logs of the elements it read: their `i64`
+/// parts, in order.
+trait Logged: ppm_core::Elem {
+    fn log(got: Vec<Self>) -> Vec<i64>;
+}
+
+impl Logged for i64 {
+    fn log(got: Vec<i64>) -> Vec<i64> {
+        got
+    }
+}
+
+impl Logged for i32 {
+    fn log(got: Vec<i32>) -> Vec<i64> {
+        got.into_iter().map(i64::from).collect()
+    }
+}
+
+impl Logged for [i64; 2] {
+    fn log(got: Vec<[i64; 2]>) -> Vec<i64> {
+        got.concat()
+    }
+}
+
+/// The wide array's element for `v`.
+fn wide(v: i64) -> [i64; 2] {
+    [v, 5 - 3 * v]
 }
 
 /// `items` put (or accumulated) into `g`: one bulk call, or one per element.
@@ -806,7 +857,7 @@ fn write_elems<T: ppm_core::AccumElem + From<i32>>(
 /// `get_many` / `put_many` / `accumulate_many`; with the read cache on and
 /// off, in core and under a 64 B tile budget, checker on and off, adaptive
 /// balance on and off, under a block layout, a weighted one with an empty
-/// node and a cyclic one. The trace's `woken` figures are left out: they count slots
+/// node and a cyclic one; over elements of 4, 8 and 16 bytes. The trace's `woken` figures are left out: they count slots
 /// filled, where a bulk read's combining of its repeats shows by design (the
 /// property above pins that).
 #[test]
@@ -814,20 +865,21 @@ fn bulk_access_equals_per_element() {
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
     use std::sync::{Arc, Mutex};
     // What the cases exercised, summed: loads, remote reads, cache hits,
-    // refills, violations.
-    let seen: [AtomicU64; 5] = Default::default();
+    // refills, violations, cache hits on the wide array.
+    let seen: [AtomicU64; 6] = Default::default();
     forall(
         "bulk_access_equals_per_element",
         6,
         gen_bulk_script,
         |script| {
             let (nodes, len) = (script.nodes, script.len);
-            let run_with = |bulk: bool, layout: &Layout, cfg: PpmConfig| {
+            let run_with = |script: &BulkScript, bulk: bool, layout: &Layout, cfg: PpmConfig| {
                 let sink = ppm_core::TraceSink::new();
                 let (script, layout) = (script.clone(), layout.clone());
                 let report = ppm_core::run_traced(cfg, &sink, "bulk", move |node| {
                     let a = node.alloc_global_with::<i64>(len, layout.clone());
                     let b = node.alloc_global_with::<i32>(len, layout.clone());
+                    let w = node.alloc_global_with::<[i64; 2]>(len, layout.clone());
                     let (da, me) = (node.dist_of(&a), node.node_id());
                     node.with_local_mut(&a, |s| {
                         for (off, v) in s.iter_mut().enumerate() {
@@ -837,6 +889,11 @@ fn bulk_access_equals_per_element() {
                     node.with_local_mut(&b, |s| {
                         for (off, v) in s.iter_mut().enumerate() {
                             *v = 100 + da.global_index(me, off) as i32;
+                        }
+                    });
+                    node.with_local_mut(&w, |s| {
+                        for (off, v) in s.iter_mut().enumerate() {
+                            *v = wide(40 + da.global_index(me, off) as i64);
                         }
                     });
                     let mine = Arc::new(script.vps[me].clone());
@@ -854,31 +911,42 @@ fn bulk_access_equals_per_element() {
                                             BulkOp::Read(0, idxs) => {
                                                 read_elems(&ph, &a, idxs, form, bulk).await
                                             }
-                                            BulkOp::Read(_, idxs) => {
+                                            BulkOp::Read(1, idxs) => {
                                                 read_elems(&ph, &b, idxs, form, bulk).await
                                             }
-                                            &BulkOp::Slice(arr, lo, n) if bulk => {
-                                                if arr == 0 {
-                                                    ph.get_many(&a, lo..lo + n).await
-                                                } else {
-                                                    let got = ph.get_many(&b, lo..lo + n).await;
-                                                    got.into_iter().map(i64::from).collect()
-                                                }
+                                            BulkOp::Read(_, idxs) => {
+                                                read_elems(&ph, &w, idxs, form, bulk).await
                                             }
+                                            &BulkOp::Slice(arr, lo, n) if bulk => match arr {
+                                                0 => ph.get_many(&a, lo..lo + n).await,
+                                                1 => Logged::log(ph.get_many(&b, lo..lo + n).await),
+                                                _ => Logged::log(ph.get_many(&w, lo..lo + n).await),
+                                            },
                                             &BulkOp::Slice(arr, lo, n) => {
                                                 let idxs: Vec<usize> = (lo..lo + n).collect();
-                                                if arr == 0 {
-                                                    read_elems(&ph, &a, &idxs, 0, false).await
-                                                } else {
-                                                    read_elems(&ph, &b, &idxs, 0, false).await
+                                                match arr {
+                                                    0 => read_elems(&ph, &a, &idxs, 0, false).await,
+                                                    1 => read_elems(&ph, &b, &idxs, 0, false).await,
+                                                    _ => read_elems(&ph, &w, &idxs, 0, false).await,
                                                 }
                                             }
                                             BulkOp::Write(0, accum, items) => {
                                                 write_elems(&ph, &a, (*accum, items), form, bulk);
                                                 Vec::new()
                                             }
-                                            BulkOp::Write(_, accum, items) => {
+                                            BulkOp::Write(1, accum, items) => {
                                                 write_elems(&ph, &b, (*accum, items), form, bulk);
+                                                Vec::new()
+                                            }
+                                            BulkOp::Write(_, _, items) => {
+                                                let items =
+                                                    items.iter().map(|&(i, v)| (i, wide(v.into())));
+                                                match bulk {
+                                                    true => ph.put_many(&w, items),
+                                                    false => {
+                                                        items.for_each(|(i, v)| ph.put(&w, i, v))
+                                                    }
+                                                }
                                                 Vec::new()
                                             }
                                             &BulkOp::Flops(n) => {
@@ -897,7 +965,11 @@ fn bulk_access_equals_per_element() {
                     let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
                     let read: Vec<Vec<i64>> =
                         read.iter().map(|r| r.lock().unwrap().clone()).collect();
-                    let arrays = (node.gather_global(&a), node.gather_global(&b));
+                    let arrays = (
+                        node.gather_global(&a),
+                        node.gather_global(&b),
+                        node.gather_global(&w),
+                    );
                     (read, arrays, violations, rendered)
                 });
                 let mut visible = sink.events();
@@ -921,6 +993,11 @@ fn bulk_access_equals_per_element() {
                 Layout::Cyclic,
             ];
             for layout in &layouts {
+                // The wide array's steps alone, cache on: every hit is one
+                // of a wide element.
+                let cfg = PpmConfig::new(MachineConfig::new(nodes as u32, 2));
+                let wide = run_with(&script.only(2), true, layout, cfg).2;
+                seen[5].fetch_add(wide.cache_hits, Relaxed);
                 for cell in 0..16 {
                     // Every combination of the four knobs.
                     let (cache, checker) = (cell & 1 == 0, cell & 2 == 0);
@@ -934,8 +1011,8 @@ fn bulk_access_equals_per_element() {
                         "{layout:?}, cache {cache}, budget {budget}, checker {checker}, \
                      adaptive {adaptive}"
                     );
-                    let each = run_with(false, layout, cfg);
-                    let bulk = run_with(true, layout, cfg);
+                    let each = run_with(script, false, layout, cfg);
+                    let bulk = run_with(script, true, layout, cfg);
                     prop_assert!(
                         bulk.0 == each.0,
                         format!("{cell}: values or reports differ")
@@ -966,8 +1043,9 @@ fn bulk_access_equals_per_element() {
     );
     let seen = seen.map(AtomicU64::into_inner);
     assert!(
-        seen.iter().all(|&n| n > 100),
-        "loads, remote reads, cache hits, refills, reports seen: {seen:?} — the property tested little"
+        seen[..5].iter().all(|&n| n > 100) && seen[5] > 0,
+        "loads, remote reads, cache hits, refills, reports, wide cache hits seen: {seen:?} — \
+         the property tested little"
     );
 }
 
